@@ -36,11 +36,22 @@ Prefix truncation: the prefix is fixed when the node is initialized
 (from the fences at that time) and remains *valid* — a prefix of every
 data key — for the node's lifetime, even if later fence tightening
 (adoption) would permit a longer one.
+
+Decoded views: the bytes are the truth, but the bookkeeping records —
+and, on a branch page, the whole ``(separator keys, child pids)``
+directory — are decoded once per page version into a
+:class:`NodeView` kept on the :class:`~repro.page.page.Page` object.
+Branch levels are small, hot and rarely change, so a descent routes
+through them with a C ``bisect`` over the decoded keys
+(:meth:`BTreeNode.route`).  Leaves keep the raw in-page binary search
+(:meth:`BTreeNode.find`): a cold leaf is searched about once per fix,
+and decoding all its keys would cost more than the search saves.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 
 from repro.errors import BTreeError
 from repro.page.page import Page, PageType
@@ -73,6 +84,31 @@ def decode_pid(value: bytes) -> int:
     return struct.unpack("<q", value)[0]
 
 
+class NodeView:
+    """Decode of one node page, cached on the page as ``page.view``.
+
+    The bookkeeping fields come from slots below ``DATA_START`` and are
+    decoded on first use; ``directory`` (branch pages only, ``None``
+    until a descent passes through) is ``(keys, pids, last_inf)``: the
+    full separator keys of the data records followed by the last
+    child's high boundary, the child pids, and whether that last
+    boundary is +infinity.
+    """
+
+    __slots__ = ("level", "flags", "prefix", "low_fence", "high_fence",
+                 "foster_pid", "foster_key", "directory")
+
+    def after_mutation(self, lowest_slot: int) -> "NodeView | None":
+        """What survives a change to the records from ``lowest_slot`` up
+        (:meth:`repro.page.page.Page.invalidate_view`): nothing if a
+        bookkeeping record changed, else everything but the directory —
+        slot shifts never move slots below the mutation index."""
+        if lowest_slot < DATA_START:
+            return None
+        self.directory = None
+        return self
+
+
 class BTreeNode:
     """Read-mostly view of a B-tree node page.
 
@@ -80,6 +116,17 @@ class BTreeNode:
     operations (returned by the ``op_*`` helpers) and logs them through
     the transaction manager, which applies them — keeping every
     structural byte change in the recovery log.
+
+    Decodes are cached on the *page* (:class:`NodeView`), so they
+    survive across node constructions while the page sits in the buffer
+    pool.  A warm decode can never outlive its bytes: every device
+    read, backup fetch and frame copy builds a new :class:`Page` object
+    (which starts without a view), and every in-place byte mutator —
+    the slotted-page mutation methods, ``OpWriteBytes`` and
+    ``Page.load_image`` — reports through ``Page.invalidate_view``.
+    Readers under the shared engine latch may both build the same
+    decode; the build is idempotent and published with a single
+    attribute store, and mutators run only under the exclusive latch.
     """
 
     __slots__ = ("page", "slotted")
@@ -87,10 +134,10 @@ class BTreeNode:
     def __init__(self, page: Page) -> None:
         self.page = page
         self.slotted = SlottedPage(page)
-        if page.btree_cache is not None:
-            # A cached parse proves the page validated as a B-tree node
-            # since its last byte mutation (every mutator clears the
-            # cache), so the structural checks below can be skipped.
+        if page.view is not None:
+            # A cached decode proves the page validated as a B-tree node
+            # since its last byte mutation, so the structural checks
+            # below can be skipped.
             return
         if page.page_type not in (PageType.BTREE_BRANCH, PageType.BTREE_LEAF):
             raise BTreeError(
@@ -101,76 +148,66 @@ class BTreeNode:
     # ------------------------------------------------------------------
     # Metadata
     # ------------------------------------------------------------------
-    def _parsed(self) -> tuple:
-        """Bookkeeping records parsed once per page version.
+    @property
+    def view(self) -> NodeView:
+        """The page's decode (built on first use); for callers that
+        read several fields of one node, e.g. every hop of a descent."""
+        return self.page.view or self._decode()
 
-        The parse is cached on the *page* (so it survives across node
-        constructions while the page sits in the buffer pool).  Cache
-        coherence is event-based: every byte mutator — the slotted-page
-        mutation methods, ``OpWriteBytes``, and the full-image restore
-        paths — clears ``page.btree_cache``, so a stale parse can never
-        be observed.  Cache tuple layout::
-
-            (level, flags, prefix, low_fence, high_fence,
-             foster_pid, foster_key)
-        """
-        page = self.page
-        cache = page.btree_cache
-        if cache is not None:
-            return cache
+    def _decode(self) -> NodeView:
+        """Decode the bookkeeping records and cache them on the page."""
         slotted = self.slotted
         low = slotted.read_record(SLOT_LOW)
-        level, flags = _META.unpack_from(low.value, 0)
         foster = slotted.read_record(SLOT_FOSTER)
-        cache = (level, flags, low.value[_META.size:], low.key,
-                 slotted.record_key(SLOT_HIGH),
-                 decode_pid(foster.value), foster.key)
-        page.btree_cache = cache
-        return cache
-
-    @property
-    def _meta(self) -> tuple[int, int, bytes]:
-        parsed = self.page.btree_cache or self._parsed()
-        return parsed[0], parsed[1], parsed[2]
+        view = NodeView()
+        view.level, view.flags = _META.unpack_from(low.value, 0)
+        view.prefix = low.value[_META.size:]
+        view.low_fence = low.key
+        view.high_fence = slotted.record_key(SLOT_HIGH)
+        view.foster_pid = decode_pid(foster.value)
+        view.foster_key = foster.key
+        view.directory = None
+        self.page.view = view
+        return view
 
     @property
     def level(self) -> int:
-        return (self.page.btree_cache or self._parsed())[0]
+        return (self.page.view or self._decode()).level
 
     @property
     def is_leaf(self) -> bool:
-        return (self.page.btree_cache or self._parsed())[0] == 0
+        return (self.page.view or self._decode()).level == 0
 
     @property
     def high_inf(self) -> bool:
-        return bool((self.page.btree_cache or self._parsed())[1]
+        return bool((self.page.view or self._decode()).flags
                     & FLAG_HIGH_INF)
 
     @property
     def prefix(self) -> bytes:
-        return (self.page.btree_cache or self._parsed())[2]
+        return (self.page.view or self._decode()).prefix
 
     @property
     def low_fence(self) -> bytes:
         """Low fence key; ``b""`` doubles as minus infinity."""
-        return (self.page.btree_cache or self._parsed())[3]
+        return (self.page.view or self._decode()).low_fence
 
     @property
     def high_fence(self) -> bytes:
         """High fence key; meaningless when :attr:`high_inf` is set."""
-        return (self.page.btree_cache or self._parsed())[4]
+        return (self.page.view or self._decode()).high_fence
 
     @property
     def foster_pid(self) -> int:
-        return (self.page.btree_cache or self._parsed())[5]
+        return (self.page.view or self._decode()).foster_pid
 
     @property
     def foster_key(self) -> bytes:
-        return (self.page.btree_cache or self._parsed())[6]
+        return (self.page.view or self._decode()).foster_key
 
     @property
     def has_foster(self) -> bool:
-        return (self.page.btree_cache or self._parsed())[5] != NO_FOSTER
+        return (self.page.view or self._decode()).foster_pid != NO_FOSTER
 
     @classmethod
     def peek_foster(cls, page: Page) -> int | None:
@@ -181,8 +218,8 @@ class BTreeNode:
         at.  Unlike the constructor this never raises — non-B-tree
         pages, torn pages, anything that fails to parse just yields
         ``None``, because a speculative hint must never fail the demand
-        fix that produced it.  Reuses (and primes) ``page.btree_cache``
-        like every other metadata read.
+        fix that produced it.  Reuses (and primes) ``page.view`` like
+        every other metadata read.
         """
         try:
             if page.page_type not in (PageType.BTREE_BRANCH,
@@ -239,7 +276,7 @@ class BTreeNode:
         record materialization) — this is the innermost loop of every
         descent.
         """
-        prefix = (self.page.btree_cache or self._parsed())[2]
+        prefix = (self.page.view or self._decode()).prefix
         if prefix:
             if not key.startswith(prefix):
                 raise BTreeError(
@@ -281,6 +318,41 @@ class BTreeNode:
                 f"key {key!r} below first child of page {self.page.page_id}")
         return index
 
+    def route(self, key: bytes) -> tuple[int, bytes, bytes, bool]:
+        """``(child pid, low, high, high_is_inf)`` of the child
+        responsible for ``key`` — one hop of a descent.
+
+        Same answer as :meth:`branch_child_index` + :meth:`child_pid` +
+        :meth:`child_boundaries`, but from the page's decoded directory
+        (built here on first use): a C ``bisect`` over full keys instead
+        of re-parsing separators from the raw bytes on every hop.
+        """
+        view = self.page.view or self._decode()
+        keys, pids, last_inf = view.directory or self._decode_directory(view)
+        n = len(pids)
+        i = bisect_right(keys, key, 0, n) - 1
+        if i < 0:
+            raise BTreeError(
+                f"key {key!r} below first child of page {self.page.page_id}")
+        return pids[i], keys[i], keys[i + 1], last_inf and i + 1 == n
+
+    def _decode_directory(self, view: NodeView) -> tuple:
+        if view.level == 0:
+            raise BTreeError("route on a leaf")
+        prefix = view.prefix
+        slotted = self.slotted
+        keys = []
+        pids = []
+        for slot in range(DATA_START, slotted.slot_count):
+            rec = slotted.read_record(slot)
+            keys.append(prefix + rec.key)
+            pids.append(decode_pid(rec.value))
+        has_foster = view.foster_pid != NO_FOSTER
+        keys.append(view.foster_key if has_foster else view.high_fence)
+        view.directory = directory = (
+            keys, pids, bool(view.flags & FLAG_HIGH_INF) and not has_foster)
+        return directory
+
     def child_boundaries(self, i: int) -> tuple[bytes, bytes, bool]:
         """(low, high, high_is_inf) boundaries of child ``i``.
 
@@ -309,6 +381,10 @@ class BTreeNode:
     def room_for(self, key: bytes, value: bytes) -> bool:
         record = Record(self._strip(key), value)
         return self.slotted.room_for(record)
+
+    def room_for_value(self, i: int, value: bytes) -> bool:
+        """Can data record ``i`` take ``value`` without a split?"""
+        return self.slotted.room_for_value(DATA_START + i, value)
 
     def room_for_branch_record(self, key: bytes) -> bool:
         if not key.startswith(self.prefix):
@@ -385,11 +461,12 @@ class BTreeNode:
         old_high = self.slotted.read_record(SLOT_HIGH)
         ops.append(OpDelete(SLOT_HIGH, old_high.key, old_high.value, old_high.ghost))
         ops.append(OpInsert(SLOT_HIGH, high, b"", True))
-        level, flags, prefix = self._meta
+        view = self.view
+        flags = view.flags
         new_flags = (flags | FLAG_HIGH_INF) if high_inf else (flags & ~FLAG_HIGH_INF)
         if new_flags != flags:
             old_meta = self.slotted.read_record(SLOT_LOW).value
-            new_meta = _META.pack(level, new_flags) + prefix
+            new_meta = _META.pack(view.level, new_flags) + view.prefix
             ops.append(OpUpdateValue(SLOT_LOW, old_meta, new_meta))
         return ops
 
@@ -408,10 +485,10 @@ class BTreeNode:
             raise BTreeError("prefix can only be extended")
         extra = len(new_prefix) - len(old_prefix)
         ops: list[PageOp] = []
-        level, flags, _prefix = self._meta
+        view = self.view
         old_meta = self.slotted.read_record(SLOT_LOW).value
-        ops.append(OpUpdateValue(SLOT_LOW, old_meta,
-                                 _META.pack(level, flags) + new_prefix))
+        ops.append(OpUpdateValue(
+            SLOT_LOW, old_meta, _META.pack(view.level, view.flags) + new_prefix))
         old_entries = []
         new_entries = []
         for i in range(self.nrecs):

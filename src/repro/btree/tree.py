@@ -14,6 +14,19 @@ single-page failure: the tree hands the page to the context's
 single-page recovery and returns the repaired page, letting the
 traversal continue — the paper's "very early detection of page
 corruptions" made operational.
+
+Each piece of work is done once.  There is one user-write path
+(:meth:`FosterBTree._write`): ``insert``, ``update``, ``upsert``,
+``delete`` and ``remove`` all descend once and decide at the pinned
+leaf, under the caller's key lock, whether to update, revive a ghost,
+insert, ghost, or split and retry; they differ only in which states of
+the key they accept.  A descent is a pure read — the structural
+maintenance a write passes (root growth, adoption) is noted on the way
+down and performed only once the operation is known to write — and a
+branch hop picks its child from the parent page's decoded directory
+(:meth:`repro.btree.node.BTreeNode.route`) instead of re-parsing the
+separators; the child is still fixed through the normal read path and
+its fences still compared with the parent's adjacent keys on every hop.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from __future__ import annotations
 from typing import Iterator, Protocol
 
 from repro.btree.keys import shortest_separator
-from repro.btree.node import NO_FOSTER, BTreeNode, encode_pid
+from repro.btree.node import FLAG_HIGH_INF, NO_FOSTER, BTreeNode, encode_pid
 from repro.errors import (
     BTreeError,
     DuplicateKey,
@@ -57,10 +70,6 @@ class TreeContext(Protocol):
         ...
 
 
-class _Retry(Exception):
-    """Internal: structural change performed; restart the descent."""
-
-
 class FosterBTree:
     """A Foster B-tree bound to one index id within an engine."""
 
@@ -78,6 +87,11 @@ class FosterBTree:
         #: fully eager adoption.
         self.adopt_every = max(1, adopt_every)
         self._adopt_opportunities = 0
+        #: ``(parent pid, child pid)`` of every foster parent the latest
+        #: write descent stepped onto (parent ``None``: the root itself);
+        #: see :meth:`_maintain`.  Writes hold the exclusive engine
+        #: latch, and read descents never touch it.
+        self._owed: list[tuple[int | None, int]] = []
 
     # ------------------------------------------------------------------
     # Creation
@@ -151,147 +165,199 @@ class FosterBTree:
     @staticmethod
     def _fence_mismatch(node: BTreeNode, exp_low: bytes, exp_high: bytes,
                         exp_inf: bool, exp_level: int) -> str | None:
-        if node.level != exp_level:
-            return f"level {node.level} != expected {exp_level}"
-        if node.low_fence != exp_low:
-            return f"low fence {node.low_fence!r} != parent key {exp_low!r}"
-        if node.high_inf != exp_inf:
-            return f"high-inf flag {node.high_inf} != expected {exp_inf}"
-        if not exp_inf and node.high_fence != exp_high:
-            return f"high fence {node.high_fence!r} != parent key {exp_high!r}"
+        view = node.view
+        high_inf = bool(view.flags & FLAG_HIGH_INF)
+        if view.level != exp_level:
+            return f"level {view.level} != expected {exp_level}"
+        if view.low_fence != exp_low:
+            return f"low fence {view.low_fence!r} != parent key {exp_low!r}"
+        if high_inf != exp_inf:
+            return f"high-inf flag {high_inf} != expected {exp_inf}"
+        if not exp_inf and view.high_fence != exp_high:
+            return f"high fence {view.high_fence!r} != parent key {exp_high!r}"
         return None
 
     def _descend(self, key: bytes, for_write: bool) -> tuple[Page, BTreeNode]:
         """Root-to-leaf pass with continuous verification.
 
-        Returns the pinned leaf whose range contains ``key``.  With
-        ``for_write``, performs opportunistic maintenance (root growth,
-        adoption) in system transactions; a structural change restarts
-        the descent via :class:`_Retry`.
+        Returns the pinned leaf whose range contains ``key``.  Every hop
+        fixes the child through the normal read path and compares its
+        fences with the two keys adjacent to its pointer in the parent;
+        the parent's side of that comparison comes from the parent's
+        decoded directory (:meth:`BTreeNode.route`), itself decoded from
+        a page that passed the same checks.
+
+        The descent never changes the tree.  With ``for_write`` it notes
+        in ``self._owed`` the foster parents it stepped onto, for the
+        caller to settle through :meth:`_maintain` once it knows it
+        will write.
         """
-        root_pid = self.ctx.get_root(self.index_id)
-        page, node = self._fix_node(root_pid)
-        if for_write and node.has_foster:
-            self.ctx.unfix(page.page_id)
-            self._grow_root(page.page_id)
-            raise _Retry()
+        ctx = self.ctx
+        pid = ctx.get_root(self.index_id)
+        page, node = self._fix_node(pid)
+        view = node.view
+        if for_write:
+            self._owed = owed = []
+            if view.foster_pid != NO_FOSTER:
+                owed.append((None, pid))
         while True:
             # Walk along the foster chain to the responsible node.
-            while node.has_foster and key >= node.foster_key:
-                exp_low, exp_high, exp_inf = node.foster_boundaries()
+            while view.foster_pid != NO_FOSTER and key >= view.foster_key:
+                child_pid = view.foster_pid
                 child_page, child_node = self._fix_verified(
-                    node.foster_pid, exp_low, exp_high, exp_inf, node.level)
-                self.ctx.unfix(page.page_id)
-                page, node = child_page, child_node
-            if node.is_leaf:
+                    child_pid, *node.foster_boundaries(), view.level)
+                ctx.unfix(pid)
+                pid, page, node = child_pid, child_page, child_node
+                view = node.view
+            if view.level == 0:
                 return page, node
-            i = node.branch_child_index(key)
-            child_pid = node.child_pid(i)
-            exp_low, exp_high, exp_inf = node.child_boundaries(i)
+            child_pid, exp_low, exp_high, exp_inf = node.route(key)
             child_page, child_node = self._fix_verified(
-                child_pid, exp_low, exp_high, exp_inf, node.level - 1)
-            if for_write and child_node.has_foster:
-                self._adopt_opportunities += 1
-                if self._adopt_opportunities % self.adopt_every == 0:
-                    adopted = self._try_adopt(page, node, child_page,
-                                              child_node)
-                    if adopted:
-                        self.ctx.unfix(child_page.page_id)
-                        self.ctx.unfix(page.page_id)
-                        raise _Retry()
-            self.ctx.unfix(page.page_id)
-            page, node = child_page, child_node
+                child_pid, exp_low, exp_high, exp_inf, view.level - 1)
+            ctx.unfix(pid)
+            view = child_node.view
+            if for_write and view.foster_pid != NO_FOSTER:
+                owed.append((pid, child_pid))
+            pid, page, node = child_pid, child_page, child_node
+
+    def _maintain(self) -> bool:
+        """Opportunistic maintenance for the latest write descent.
+
+        A root with a foster child grows the tree; each other foster
+        parent passed is one adoption opportunity, and every
+        ``adopt_every``-th opportunity is taken.  Returns True after a
+        structural change (a system transaction): the caller restarts
+        its descent.  An operation that turns out not to write skips
+        this, so it leaves the structure — and the log — alone.
+        """
+        for parent_pid, child_pid in self._owed:
+            if parent_pid is None:
+                self._grow_root(child_pid)
+                return True
+            self._adopt_opportunities += 1
+            if self._adopt_opportunities % self.adopt_every == 0:
+                if not self._adopt(parent_pid, child_pid):
+                    self._split(parent_pid)
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Public operations
     # ------------------------------------------------------------------
-    def insert(self, txn: Transaction, key: bytes, value: bytes) -> None:
-        """Insert ``key`` -> ``value``; duplicate keys are rejected."""
-        self._check_entry(key, value)
+    def insert(self, txn: Transaction, key: bytes, value: bytes, *,
+               replace: bool = False) -> None:
+        """Insert ``key`` -> ``value``; a live duplicate is rejected
+        (:class:`DuplicateKey`) unless ``replace``, which updates it."""
+        self._write(txn, key, value, None if replace else False)
+
+    def update(self, txn: Transaction, key: bytes, value: bytes) -> None:
+        """Replace the value stored under ``key`` (:class:`KeyNotFound`
+        if there is none)."""
+        self._write(txn, key, value, True)
+
+    def upsert(self, txn: Transaction, key: bytes, value: bytes) -> None:
+        """Insert or update, decided at the leaf in one descent."""
+        # Through insert(), not straight to _write(): code that wraps
+        # insert/update/delete from outside (bench/trace.py's spans)
+        # then sees every user write.  remove() likewise.
+        self.insert(txn, key, value, replace=True)
+
+    def delete(self, txn: Transaction, key: bytes, *,
+               missing_ok: bool = False) -> bool:
+        """Logical deletion: turn the record into a ghost.  An absent
+        key raises :class:`KeyNotFound` unless ``missing_ok``, which
+        returns False instead."""
+        return self._write(txn, key, None, None if missing_ok else True)
+
+    def remove(self, txn: Transaction, key: bytes) -> bool:
+        """Delete if present, in one descent; True if a record went."""
+        return self.delete(txn, key, missing_ok=True)
+
+    def _write(self, txn: Transaction, key: bytes, value: bytes | None,
+               expect_live: bool | None) -> bool:
+        """The one user-write path: descend once, decide at the leaf.
+
+        ``value`` of ``None`` deletes.  ``expect_live`` states what the
+        caller requires of the key — ``True`` a live record
+        (:class:`KeyNotFound` otherwise), ``False`` none
+        (:class:`DuplicateKey` otherwise), ``None`` either — and the
+        return value says which it was.  The caller holds the key lock,
+        so the decision made at the pinned leaf stays true until commit.
+
+        Room is tested *before* anything is logged: a logged operation
+        that then fails to apply would leave a record redo cannot
+        replay.  A leaf without room is split (system transaction) and
+        the descent repeated, for a growing value exactly as for a new
+        key.
+        """
+        if not key:
+            raise BTreeError("empty keys are reserved for -infinity fences")
         while True:
-            try:
-                page, node = self._descend(key, for_write=True)
-            except _Retry:
-                continue
+            page, node = self._descend(key, for_write=True)
             try:
                 i, found = node.find(key)
-                if found and not node.is_ghost(i):
-                    raise DuplicateKey(key)
-                undo = LogicalUndo(UndoAction.DELETE_KEY, key)
-                if found:
-                    # Revive the ghost: restore value, then clear the
-                    # bit.  The value write carries a *no-op logical
-                    # undo*: rolling back the revive only needs to
-                    # re-ghost the record (the DELETE_KEY below); a
-                    # physical slot-indexed undo would be unsafe once
-                    # later inserts have shifted the slots.
-                    self._log(txn, page, node.op_update_value(i, value),
-                              LogicalUndo(UndoAction.NONE, key))
-                    self._log(txn, page, node.op_set_ghost(i, False), undo)
+                live = found and not node.is_ghost(i)
+                if value is None:
+                    if expect_live is None and not live:
+                        return False  # nothing to write: a pure read
+                elif len(key) + len(value) > page.size // 8:
+                    # Guarantee splittability: any two data records plus
+                    # the bookkeeping records must fit a page.
+                    raise BTreeError(
+                        f"entry of {len(key) + len(value)} bytes exceeds "
+                        f"limit {page.size // 8}")
+                if self._owed and self._maintain():
+                    continue
+                if expect_live is not None and live != expect_live:
+                    raise KeyNotFound(key) if expect_live else DuplicateKey(key)
+                if value is None:
+                    undo = LogicalUndo(UndoAction.INSERT_KEY, key,
+                                       node.value(i))
+                    self._log(txn, page, node.op_set_ghost(i, True), undo)
+                    self.stats.bump("btree_deletes")
+                    return True
+                if live:
+                    if node.room_for_value(i, value):
+                        op = node.op_update_value(i, value)
+                        self._log(txn, page, op, LogicalUndo(
+                            UndoAction.RESTORE_VALUE, key, op.old_value))
+                        self.stats.bump("btree_updates")
+                        return True
+                elif found:
+                    if node.room_for_value(i, value):
+                        # Revive the ghost: restore value, then clear the
+                        # bit.  The value write carries a *no-op logical
+                        # undo*: rolling back the revive only needs to
+                        # re-ghost the record (the DELETE_KEY below); a
+                        # physical slot-indexed undo would be unsafe once
+                        # later inserts have shifted the slots.
+                        self._log(txn, page, node.op_update_value(i, value),
+                                  LogicalUndo(UndoAction.NONE, key))
+                        self._log(txn, page, node.op_set_ghost(i, False),
+                                  LogicalUndo(UndoAction.DELETE_KEY, key))
+                        self.stats.bump("btree_inserts")
+                        return False
+                elif node.room_for(key, value):
+                    self._log(txn, page, node.op_insert(i, key, value),
+                              LogicalUndo(UndoAction.DELETE_KEY, key))
                     self.stats.bump("btree_inserts")
-                    return
-                if node.room_for(key, value):
-                    self._log(txn, page, node.op_insert(i, key, value), undo)
-                    self.stats.bump("btree_inserts")
-                    return
+                    return False
             finally:
                 self.ctx.unfix(page.page_id)
             # No room: split (system transaction) and try again.
             self._split(page.page_id)
 
-    def delete(self, txn: Transaction, key: bytes) -> None:
-        """Logical deletion: turn the record into a ghost."""
-        while True:
-            try:
-                page, node = self._descend(key, for_write=True)
-            except _Retry:
-                continue
-            try:
-                i, found = node.find(key)
-                if not found or node.is_ghost(i):
-                    raise KeyNotFound(key)
-                undo = LogicalUndo(UndoAction.INSERT_KEY, key, node.value(i))
-                self._log(txn, page, node.op_set_ghost(i, True), undo)
-                self.stats.bump("btree_deletes")
-                return
-            finally:
-                self.ctx.unfix(page.page_id)
-
-    def update(self, txn: Transaction, key: bytes, value: bytes) -> None:
-        """Replace the value stored under ``key``."""
-        self._check_entry(key, value)
-        while True:
-            try:
-                page, node = self._descend(key, for_write=True)
-            except _Retry:
-                continue
-            try:
-                i, found = node.find(key)
-                if not found or node.is_ghost(i):
-                    raise KeyNotFound(key)
-                old_value = node.value(i)
-                undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, old_value)
-                self._log(txn, page, node.op_update_value(i, value), undo)
-                self.stats.bump("btree_updates")
-                return
-            finally:
-                self.ctx.unfix(page.page_id)
-
     def lookup(self, key: bytes) -> bytes:
         """Value stored under ``key``; raises :class:`KeyNotFound`."""
-        while True:
-            try:
-                page, node = self._descend(key, for_write=False)
-            except _Retry:  # pragma: no cover - read path never retries
-                continue
-            try:
-                i, found = node.find(key)
-                if not found or node.is_ghost(i):
-                    raise KeyNotFound(key)
-                self.stats.bump("btree_lookups")
-                return node.value(i)
-            finally:
-                self.ctx.unfix(page.page_id)
+        page, node = self._descend(key, for_write=False)
+        try:
+            i, found = node.find(key)
+            if not found or node.is_ghost(i):
+                raise KeyNotFound(key)
+            self.stats.bump("btree_lookups")
+            return node.value(i)
+        finally:
+            self.ctx.unfix(page.page_id)
 
     def contains(self, key: bytes) -> bool:
         try:
@@ -310,10 +376,7 @@ class FosterBTree:
         """
         key = low
         while True:
-            try:
-                page, node = self._descend(key, for_write=False)
-            except _Retry:  # pragma: no cover - read path never retries
-                continue
+            page, node = self._descend(key, for_write=False)
             batch, next_key = self._scan_leaf(page, node, key, high)
             yield from batch
             if next_key is None:
@@ -350,55 +413,47 @@ class FosterBTree:
             return  # value write whose effect the re-ghosting covers
         key = undo.key
         while True:
+            page, node = self._descend(key, for_write=True)
             try:
-                page, node = self._descend(key, for_write=True)
-            except _Retry:
-                continue
-            need_split = False
-            try:
+                if self._owed and self._maintain():
+                    continue
                 i, found = node.find(key)
                 if undo.action == UndoAction.DELETE_KEY:
                     # Undo an insert: ghost the record.
                     if found and not node.is_ghost(i):
                         self._log_clr(txn, page, node.op_set_ghost(i, True),
                                       undo_next_lsn)
-                elif undo.action == UndoAction.INSERT_KEY:
-                    # Undo a delete: revive the ghost (or re-insert).
-                    if found:
+                    fits = True
+                elif found:
+                    # Undo an update, or a delete whose ghost is still
+                    # there: put the old value back.  It may be larger
+                    # than what is stored now, and the leaf may since
+                    # have given the room to other records.
+                    fits = node.room_for_value(i, undo.value)
+                    if fits:
                         self._log_clr(txn, page,
                                       node.op_update_value(i, undo.value),
                                       undo_next_lsn)
-                        self._log_clr(txn, page, node.op_set_ghost(i, False),
-                                      undo_next_lsn)
-                    elif node.room_for(key, undo.value):
+                        if undo.action == UndoAction.INSERT_KEY:
+                            self._log_clr(txn, page,
+                                          node.op_set_ghost(i, False),
+                                          undo_next_lsn)
+                elif undo.action == UndoAction.RESTORE_VALUE:
+                    raise BTreeError(
+                        f"compensation target {key!r} disappeared")
+                else:
+                    # Undo a delete whose ghost was reclaimed: re-insert.
+                    fits = node.room_for(key, undo.value)
+                    if fits:
                         self._log_clr(txn, page,
                                       node.op_insert(i, key, undo.value),
                                       undo_next_lsn)
-                    else:
-                        need_split = True
-                elif undo.action == UndoAction.RESTORE_VALUE:
-                    if not found:
-                        raise BTreeError(
-                            f"compensation target {key!r} disappeared")
-                    self._log_clr(txn, page, node.op_update_value(i, undo.value),
-                                  undo_next_lsn)
-                if not need_split:
+                if fits:
                     self.stats.bump("btree_compensations")
                     return
             finally:
                 self.ctx.unfix(page.page_id)
-            self._split_for_key(key)
-
-    def _split_for_key(self, key: bytes) -> None:
-        while True:
-            try:
-                page, node = self._descend(key, for_write=True)
-            except _Retry:
-                continue
-            pid = page.page_id
-            self.ctx.unfix(pid)
-            self._split(pid)
-            return
+            self._split(page.page_id)
 
     # ------------------------------------------------------------------
     # Structural maintenance (system transactions)
@@ -455,38 +510,35 @@ class FosterBTree:
         finally:
             self.ctx.unfix(page_id)
 
-    def _try_adopt(self, parent_page: Page, parent: BTreeNode,
-                   child_page: Page, child: BTreeNode) -> bool:
-        """Move one foster child up into the permanent parent.
+    def _adopt(self, parent_pid: int, child_pid: int) -> bool:
+        """Move the child's foster child up into the permanent parent.
 
-        Returns True if the adoption happened (descent must restart).
-        If the parent lacks room, the parent is split instead (also a
-        structural change, also True).
+        Returns False, having changed nothing, when the parent lacks
+        room for the separator (the caller splits the parent instead).
         """
-        separator = child.foster_key
-        foster_pid = child.foster_pid
-        if not parent.room_for_branch_record(separator):
-            self.ctx.unfix(child_page.page_id)
-            self.ctx.unfix(parent_page.page_id)
-            self._split(parent_page.page_id)
-            # Signal a restart; re-fix happens in the caller's retry.
-            self.ctx.fix(parent_page.page_id)
-            self.ctx.fix(child_page.page_id)
+        parent_page, parent = self._fix_node(parent_pid)
+        child_page, child = self._fix_node(child_pid)
+        try:
+            separator = child.foster_key
+            if not parent.room_for_branch_record(separator):
+                return False
+            i, found = parent.find(separator)
+            if found:
+                raise BTreeError(f"separator {separator!r} already in parent")
+            sys_txn = self.tm.begin(system=True)
+            self._log(sys_txn, parent_page, parent.op_insert(
+                i, separator, encode_pid(child.foster_pid)))
+            for op in child.ops_set_high_fence(separator, high_inf=False):
+                self._log(sys_txn, child_page, op)
+            for op in child.ops_set_foster(b"", NO_FOSTER):
+                self._log(sys_txn, child_page, op)
+            self._maybe_extend_prefix(sys_txn, child_page, child)
+            self.tm.commit(sys_txn)
+            self.stats.bump("btree_adoptions")
             return True
-        sys_txn = self.tm.begin(system=True)
-        i, found = parent.find(separator)
-        if found:
-            raise BTreeError(f"separator {separator!r} already in parent")
-        self._log(sys_txn, parent_page,
-                  parent.op_insert(i, separator, encode_pid(foster_pid)))
-        for op in child.ops_set_high_fence(separator, high_inf=False):
-            self._log(sys_txn, child_page, op)
-        for op in child.ops_set_foster(b"", NO_FOSTER):
-            self._log(sys_txn, child_page, op)
-        self._maybe_extend_prefix(sys_txn, child_page, child)
-        self.tm.commit(sys_txn)
-        self.stats.bump("btree_adoptions")
-        return True
+        finally:
+            self.ctx.unfix(child_pid)
+            self.ctx.unfix(parent_pid)
 
     def _maybe_extend_prefix(self, sys_txn: Transaction, page: Page,
                              node: BTreeNode) -> None:
@@ -668,17 +720,6 @@ class FosterBTree:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _check_entry(self, key: bytes, value: bytes) -> None:
-        if not key:
-            raise BTreeError("empty keys are reserved for -infinity fences")
-        # Guarantee splittability: any two data records plus the
-        # bookkeeping records must fit a page.
-        limit = self.ctx.fix(self.ctx.get_root(self.index_id)).size // 8
-        self.ctx.unfix(self.ctx.get_root(self.index_id))
-        if len(key) + len(value) > limit:
-            raise BTreeError(
-                f"entry of {len(key) + len(value)} bytes exceeds limit {limit}")
-
     def depth(self) -> int:
         """Number of levels (1 = a single leaf)."""
         pid = self.ctx.get_root(self.index_id)

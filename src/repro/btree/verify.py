@@ -76,6 +76,15 @@ def verify_node(node: BTreeNode, exp_low: bytes, exp_high: bytes,
         if node.full_key(0) != node.low_fence:
             report.complain(
                 pid, f"first branch key {node.full_key(0)!r} != low fence")
+        # A decoded directory cached on the page must say what the raw
+        # bytes say (a descent routes by it without re-parsing them).
+        cached = node.view.directory
+        if cached is not None:
+            _low, high, high_inf = node.child_boundaries(node.nrecs - 1)
+            raw = ([node.full_key(i) for i in range(node.nrecs)] + [high],
+                   [node.child_pid(i) for i in range(node.nrecs)], high_inf)
+            if cached != raw:
+                report.complain(pid, "cached branch directory is stale")
     if node.has_foster:
         fkey = node.foster_key
         if fkey < node.low_fence or (not node.high_inf and fkey > node.high_fence):

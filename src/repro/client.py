@@ -241,23 +241,11 @@ class _SingleNodeTxn:
 
     def put(self, key: bytes, value: bytes) -> None:
         self.db.locks.acquire(self.txn.txn_id, key)
-        tree = self._tree
-        try:
-            tree.lookup(key)
-        except KeyNotFound:
-            tree.insert(self.txn, key, value)
-        else:
-            tree.update(self.txn, key, value)
+        self._tree.upsert(self.txn, key, value)
 
     def delete(self, key: bytes) -> bool:
         self.db.locks.acquire(self.txn.txn_id, key)
-        tree = self._tree
-        try:
-            tree.lookup(key)
-        except KeyNotFound:
-            return False
-        tree.delete(self.txn, key)
-        return True
+        return self._tree.remove(self.txn, key)
 
     def commit(self) -> None:
         if self._done:

@@ -211,8 +211,7 @@ class SinglePageRecovery:
                 continue
             if record.kind == LogRecordKind.FULL_PAGE_IMAGE:
                 from repro.wal.records import decompress_image
-                page.data[:] = decompress_image(record.image or b"")
-                page.btree_cache = None
+                page.load_image(decompress_image(record.image or b""))
                 page.page_lsn = record.lsn
             elif record.op is not None:
                 record.op.apply_redo(page)

@@ -131,35 +131,14 @@ class Session:
     def upsert(self, tree, key: bytes, value: bytes) -> None:  # noqa: ANN001
         """Insert or update, decided against live tree state under the
         key lock (the decision cannot go stale mid-transaction)."""
-        from repro.errors import KeyNotFound
-
-        def fn(txn: Transaction) -> None:
-            try:
-                tree.lookup(key)
-            except KeyNotFound:
-                tree.insert(txn, key, value)
-            else:
-                tree.update(txn, key, value)
-
-        self.apply(key, fn)
+        self.apply(key, lambda txn: tree.upsert(txn, key, value))
 
     def delete(self, tree, key: bytes) -> bool:  # noqa: ANN001
         """Delete if present (under the key lock); returns True if a
         delete happened."""
-        from repro.errors import KeyNotFound
-
         deleted = []
-
-        def fn(txn: Transaction) -> None:
-            try:
-                tree.lookup(key)
-            except KeyNotFound:
-                return
-            tree.delete(txn, key)
-            deleted.append(True)
-
-        self.apply(key, fn)
-        return bool(deleted)
+        self.apply(key, lambda txn: deleted.append(tree.remove(txn, key)))
+        return deleted[0]
 
     def lookup(self, tree, key: bytes):  # noqa: ANN001, ANN201
         """Read under the shared latch: concurrent with other readers,

@@ -335,8 +335,7 @@ def redo_page_records(page: Page, records: list[LogRecord]) -> int:
         if record.kind == LogRecordKind.FULL_PAGE_IMAGE:
             as_of = record.page_lsn if record.page_lsn else record.lsn
             if page.page_lsn < as_of:
-                page.data[:] = decompress_image(record.image or b"")
-                page.btree_cache = None
+                page.load_image(decompress_image(record.image or b""))
                 if page.page_lsn != as_of:
                     page.page_lsn = as_of
                 applied += 1

@@ -89,7 +89,7 @@ class Page:
     to drive the page-backup policy.
     """
 
-    __slots__ = ("data", "size", "btree_cache")
+    __slots__ = ("data", "size", "view")
 
     def __init__(self, size: int, data: bytes | bytearray | None = None) -> None:
         if size < HEADER_SIZE + 64:
@@ -101,10 +101,11 @@ class Page:
             if len(data) != size:
                 raise ValueError(f"buffer length {len(data)} != page size {size}")
             self.data = bytearray(data)
-        # Slot for a parsed-view cache keyed by page_lsn (see
-        # repro.btree.node.BTreeNode._parsed); owned by the view layer,
-        # the page only guarantees a fresh copy starts empty.
-        self.btree_cache = None
+        #: Decoded view of the record area, owned by the view layer
+        #: (``repro.btree.node.NodeView``).  The page guarantees only
+        #: that a fresh object starts without one and that every byte
+        #: mutator reports itself through :meth:`invalidate_view`.
+        self.view = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -122,6 +123,22 @@ class Page:
     def copy(self) -> "Page":
         """A deep copy (used for backups and buffer-pool frames)."""
         return Page(self.size, bytes(self.data))
+
+    def load_image(self, image: bytes | bytearray) -> None:
+        """Overwrite the whole page in place (full-image redo)."""
+        self.data[:] = image
+        self.view = None
+
+    def invalidate_view(self, lowest_slot: int = 0) -> None:
+        """The one invalidation point for decoded views.
+
+        Every mutator of the record area calls this with the lowest
+        slot whose record it changes or moves (0 for raw byte writes);
+        the view decides which of its decodes survive.
+        """
+        view = self.view
+        if view is not None:
+            self.view = view.after_mutation(lowest_slot)
 
     # ------------------------------------------------------------------
     # Header accessors

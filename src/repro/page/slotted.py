@@ -51,12 +51,6 @@ _LENGTH_MASK = 0x7FFF
 _U16 = struct.Struct("<H")
 _SLOT = struct.Struct("<HH")
 
-#: Slots parsed into ``page.btree_cache`` (see repro.btree.node): the
-#: low-fence/high-fence/foster bookkeeping records.  Record mutations at
-#: higher slots cannot change the parsed metadata — the directory shift
-#: never moves slots below the mutation index — so they keep the cache.
-_BTREE_META_SLOTS = 3
-
 
 class PageFullError(ReproError):
     """Not enough contiguous or reclaimable space for an insertion."""
@@ -96,7 +90,7 @@ class SlottedPage:
         """Format the body as an empty slotted area."""
         heap_start = HEADER_SIZE + SLOTTED_HEADER_SIZE
         _SLOTTED_HEADER.pack_into(self.page.data, HEADER_SIZE, 0, heap_start, 0, 0)
-        self.page.btree_cache = None
+        self.page.invalidate_view()
 
     # ------------------------------------------------------------------
     # Header fields
@@ -155,6 +149,17 @@ class SlottedPage:
         """Can ``record`` be inserted, possibly after compaction?"""
         needed = record.stored_length + SLOT_SIZE
         return self.free_space + self.frag_bytes >= needed
+
+    def room_for_value(self, index: int, value: bytes) -> bool:
+        """Can :meth:`update_value` store ``value`` in slot ``index``,
+        possibly after compaction?  Callers that log the update first
+        must ask this *before* logging."""
+        data = self.page.data
+        offset, length_flags = _SLOT.unpack_from(
+            data, self.page.size - (index + 1) * SLOT_SIZE)
+        needed = 2 + _U16.unpack_from(data, offset)[0] + len(value)
+        return (self.free_space + self.frag_bytes
+                + (length_flags & _LENGTH_MASK) >= needed)
 
     # ------------------------------------------------------------------
     # Record access
@@ -221,8 +226,7 @@ class SlottedPage:
         """Insert ``record`` at slot position ``index``, shifting slots up."""
         if not 0 <= index <= self.slot_count:
             raise IndexError(f"insert position {index} out of range")
-        if index < _BTREE_META_SLOTS:
-            self.page.btree_cache = None
+        self.page.invalidate_view(index)
         needed = record.stored_length + SLOT_SIZE
         if self.free_space < needed:
             if self.free_space + self.frag_bytes >= needed:
@@ -258,38 +262,34 @@ class SlottedPage:
 
     def update_value(self, index: int, value: bytes) -> None:
         """Replace the value of the record in slot ``index``."""
-        if index < _BTREE_META_SLOTS:
-            self.page.btree_cache = None
-        old = self.read_record(index)
-        new = Record(old.key, value, old.ghost)
-        offset, length, _ghost = self._read_slot(index)
-        if new.stored_length <= length:
+        if not 0 <= index < self.slot_count:
+            raise IndexError(f"slot {index} out of range")
+        self.page.invalidate_view(index)
+        data = self.page.data
+        offset, length, ghost = self._read_slot(index)
+        key_end = offset + 2 + _U16.unpack_from(data, offset)[0]
+        needed = key_end - offset + len(value)
+        if needed <= length:
             # Overwrite in place; excess bytes become fragmentation.
-            data = self.page.data
-            value_start = offset + 2 + len(old.key)
-            data[value_start:value_start + len(value)] = value
-            self._write_slot(index, offset, new.stored_length, old.ghost)
-            self._set_frag_bytes(self.frag_bytes + (length - new.stored_length))
+            data[key_end:key_end + len(value)] = value
+            self._write_slot(index, offset, needed, ghost)
+            self._set_frag_bytes(self.frag_bytes + (length - needed))
             return
         # Relocate within the heap.
-        needed = new.stored_length
-        if self.free_space + self.frag_bytes + length < needed:
+        if not self.room_for_value(index, value):
             raise PageFullError(f"cannot grow record to {needed} bytes")
+        new = Record(bytes(data[offset + 2:key_end]), value, ghost)
+        # Retire the old bytes so compaction can reclaim them.
+        self._set_frag_bytes(self.frag_bytes + length)
+        self._write_slot(index, 0, 0, ghost)
         if self.free_space < needed:
-            # Retire the old bytes so compaction can reclaim them.
-            self._set_frag_bytes(self.frag_bytes + length)
-            self._write_slot(index, 0, 0, old.ghost)
             self.compact()
-        else:
-            self._set_frag_bytes(self.frag_bytes + length)
-            self._write_slot(index, 0, 0, old.ghost)
         new_offset = self._append_to_heap(new)
-        self._write_slot(index, new_offset, new.stored_length, old.ghost)
+        self._write_slot(index, new_offset, needed, ghost)
 
     def mark_ghost(self, index: int, ghost: bool = True) -> None:
         """Toggle the ghost (pseudo-deleted) bit of slot ``index``."""
-        if index < _BTREE_META_SLOTS:
-            self.page.btree_cache = None
+        self.page.invalidate_view(index)
         offset, length, _old = self._read_slot(index)
         self._write_slot(index, offset, length, ghost)
 
@@ -297,8 +297,7 @@ class SlottedPage:
         """Physically remove slot ``index`` (ghost removal / compaction)."""
         if not 0 <= index < self.slot_count:
             raise IndexError(f"slot {index} out of range")
-        if index < _BTREE_META_SLOTS:
-            self.page.btree_cache = None
+        self.page.invalidate_view(index)
         _offset, length, _ghost = self._read_slot(index)
         self._set_frag_bytes(self.frag_bytes + length)
         # Shift slot entries [index + 1, slot_count) one position in —
@@ -327,8 +326,7 @@ class SlottedPage:
         count = self.slot_count
         if not 0 <= index <= count:
             raise IndexError(f"insert position {index} out of range")
-        if index < _BTREE_META_SLOTS:
-            self.page.btree_cache = None
+        self.page.invalidate_view(index)
         needed = sum(r.stored_length for r in records) + SLOT_SIZE * n
         if self.free_space < needed:
             if self.free_space + self.frag_bytes >= needed:
@@ -358,8 +356,7 @@ class SlottedPage:
         if n < 0 or not 0 <= index <= count - n:
             raise IndexError(
                 f"slot run [{index}, {index + n}) out of range")
-        if index < _BTREE_META_SLOTS:
-            self.page.btree_cache = None
+        self.page.invalidate_view(index)
         freed = 0
         for i in range(index, index + n):
             _offset, length, _ghost = self._read_slot(i)
@@ -379,9 +376,10 @@ class SlottedPage:
 
         This is a contents-neutral structural change — in the engine it
         runs under a system transaction (Section 5.1.5: "compacting a
-        page (to reclaim fragmented free space)").
+        page (to reclaim fragmented free space)").  Slot order, keys and
+        values are unchanged, so decoded views (which hold copies, not
+        offsets) stay valid.
         """
-        self.page.btree_cache = None
         live: list[tuple[int, Record]] = []
         dead: list[int] = []
         for i in range(self.slot_count):

@@ -205,25 +205,13 @@ class ShardWorker:
         self._check_owner(key)
         txn = self._branch(xid)
         self.db.locks.acquire(txn.txn_id, key)
-        tree = self._tree
-        try:
-            tree.lookup(key)
-        except KeyNotFound:
-            tree.insert(txn, key, value)
-        else:
-            tree.update(txn, key, value)
+        self._tree.upsert(txn, key, value)
 
     def _cmd_txn_delete(self, xid: int, key: bytes) -> bool:
         self._check_owner(key)
         txn = self._branch(xid)
         self.db.locks.acquire(txn.txn_id, key)
-        tree = self._tree
-        try:
-            tree.lookup(key)
-        except KeyNotFound:
-            return False
-        tree.delete(txn, key)
-        return True
+        return self._tree.remove(txn, key)
 
     def _cmd_txn_commit(self, xid: int) -> int:
         txn = self._branch(xid)
@@ -417,16 +405,10 @@ class ShardWorker:
                     tree.delete(txn, key)
             for key, value in items:
                 self.db.locks.acquire(txn.txn_id, key)
-                try:
-                    tree.lookup(key)
-                except KeyNotFound:
-                    if value is not None:
-                        tree.insert(txn, key, value)
+                if value is None:
+                    tree.remove(txn, key)
                 else:
-                    if value is None:
-                        tree.delete(txn, key)
-                    else:
-                        tree.update(txn, key, value)
+                    tree.upsert(txn, key, value)
         except BaseException:
             self._abort_quietly(xid)
             raise

@@ -245,15 +245,15 @@ class OpWriteBytes(PageOp):
         if len(self.old_bytes) != len(self.new_bytes):
             raise ValueError("byte-range op must preserve length")
 
+    def _write(self, page: Page, payload: bytes) -> None:
+        page.data[self.offset:self.offset + len(payload)] = payload
+        page.invalidate_view()
+
     def apply_redo(self, page: Page) -> None:
-        end = self.offset + len(self.new_bytes)
-        page.data[self.offset:end] = self.new_bytes
-        page.btree_cache = None
+        self._write(page, self.new_bytes)
 
     def apply_undo(self, page: Page) -> None:
-        end = self.offset + len(self.old_bytes)
-        page.data[self.offset:end] = self.old_bytes
-        page.btree_cache = None
+        self._write(page, self.old_bytes)
 
     def encoded_size(self) -> int:
         return 11 + len(self.old_bytes) + len(self.new_bytes)

@@ -1,0 +1,384 @@
+"""The single write path and the decoded branch directory.
+
+* a growing value on a full leaf splits instead of poisoning the log
+  (regression: the UPDATE record used to be appended before
+  ``SlottedPage.update_value`` raised ``PageFullError``);
+* ``upsert``/``remove`` are byte-for-byte the ``lookup`` +
+  ``insert|update|delete`` sequence they replaced — same log records,
+  same page images;
+* a cached branch directory never disagrees with the page's bytes,
+  whatever mutated them;
+* a warm directory in the parent does not weaken the fence check on
+  the child.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.btree.node import BTreeNode
+from repro.btree.verify import verify_tree
+from repro.engine.database import Database
+from repro.errors import DuplicateKey, KeyNotFound
+from repro.page.page import Page
+from repro.page.slotted import Record, SlottedPage
+from tests.conftest import device_images, fast_config
+
+
+def small_page_db(**overrides) -> Database:  # noqa: ANN003
+    """1 KiB pages: a few hundred keys already give three levels."""
+    config = dict(page_size=1024, capacity_pages=4096, buffer_capacity=1024)
+    config.update(overrides)
+    return Database(fast_config(**config))
+
+
+def key_of(i: int) -> bytes:
+    return b"user/%06d" % i
+
+
+# ----------------------------------------------------------------------
+# Growing values
+# ----------------------------------------------------------------------
+class TestGrowingValues:
+    def test_growing_put_survives_crash_and_restart(self):
+        client = repro.connect(fast_config())
+        keys = [b"k%05d" % i for i in range(400)]
+        for key in keys:
+            client.put(key, b"a" * 100)
+        for key in keys:
+            client.put(key, b"b" * 400)
+        client.put(b"one-more", b"x")
+        db = client.db
+        db.crash()
+        db.restart()
+        for key in keys:
+            assert client.get(key) == b"b" * 400
+        assert client.get(b"one-more") == b"x"
+        assert verify_tree(db.tree(client.index_id)).ok
+
+    def test_growing_ghost_revival_splits(self):
+        db = small_page_db()
+        tree = db.create_index()
+        txn = db.begin()
+        for i in range(40):
+            tree.insert(txn, key_of(i), b"s")
+        for i in range(40):
+            tree.delete(txn, key_of(i))
+        db.commit(txn)
+        txn = db.begin()
+        for i in range(40):
+            tree.insert(txn, key_of(i), b"L" * 100)  # revives, 100x larger
+        db.commit(txn)
+        db.crash()
+        db.restart()
+        tree = db.tree(tree.index_id)
+        assert dict(tree.range_scan()) == {key_of(i): b"L" * 100
+                                           for i in range(40)}
+
+    def test_abort_grows_a_shrunk_value_back_on_a_full_leaf(self):
+        db = small_page_db()
+        tree = db.create_index()
+        txn = db.begin()
+        tree.insert(txn, b"m", b"B" * 100)
+        db.commit(txn)
+        loser = db.begin()
+        tree.update(loser, b"m", b"s")
+        # Fill the leaf until the old value no longer fits; undoing
+        # these inserts only ghosts them, so the space stays taken when
+        # "m" has to grow back.
+        def old_value_fits() -> bool:
+            page, node = tree._descend(b"m", for_write=False)
+            fits = node.room_for_value(node.find(b"m")[0], b"B" * 100)
+            db.unfix(page.page_id)
+            return fits
+
+        filler = 0
+        while old_value_fits():
+            tree.insert(loser, b"m%04d" % filler, b"f" * 20)
+            filler += 1
+        assert db.stats.get("btree_splits") == 0
+        db.abort(loser)
+        assert db.stats.get("btree_splits") == 1
+        assert tree.lookup(b"m") == b"B" * 100
+        assert tree.count() == 1
+        assert verify_tree(tree).ok
+        db.crash()
+        db.restart()
+        assert dict(db.tree(tree.index_id).range_scan()) == {b"m": b"B" * 100}
+
+
+# ----------------------------------------------------------------------
+# Contracts of the five entry points
+# ----------------------------------------------------------------------
+def test_entry_point_contracts():
+    db = small_page_db()
+    tree = db.create_index()
+    txn = db.begin()
+    with pytest.raises(KeyNotFound):
+        tree.update(txn, b"a", b"1")
+    with pytest.raises(KeyNotFound):
+        tree.delete(txn, b"a")
+    assert tree.remove(txn, b"a") is False
+    tree.upsert(txn, b"a", b"1")
+    with pytest.raises(DuplicateKey):
+        tree.insert(txn, b"a", b"2")
+    tree.upsert(txn, b"a", b"2")
+    assert tree.lookup(b"a") == b"2"
+    assert tree.remove(txn, b"a") is True
+    assert tree.remove(txn, b"a") is False
+    tree.upsert(txn, b"a", b"3")  # revives the ghost
+    db.commit(txn)
+    assert tree.lookup(b"a") == b"3"
+    stats = db.stats
+    assert (stats.get("btree_inserts"), stats.get("btree_updates"),
+            stats.get("btree_deletes")) == (2, 1, 1)
+
+
+# ----------------------------------------------------------------------
+# (a) upsert/remove against the lookup-then-write sequence
+# ----------------------------------------------------------------------
+def _apply_single(tree, txn, op, key, value) -> None:  # noqa: ANN001
+    if op == "put":
+        tree.upsert(txn, key, value)
+    else:
+        tree.remove(txn, key)
+
+
+def _apply_reference(tree, txn, op, key, value) -> None:  # noqa: ANN001
+    try:
+        tree.lookup(key)
+        present = True
+    except KeyNotFound:
+        present = False
+    if op == "put":
+        (tree.update if present else tree.insert)(txn, key, value)
+    elif present:
+        tree.delete(txn, key)
+
+
+def _run_intents(apply, intents) -> Database:  # noqa: ANN001
+    db = small_page_db()
+    tree = db.create_index()
+    txn = None
+    for n, (op, key_no, size) in enumerate(intents):
+        if txn is None:
+            txn = db.begin()
+        apply(tree, txn, op, key_of(key_no), bytes([65 + n % 26]) * size)
+        if n % 7 == 6:
+            # Every third transaction rolls back, so compensation runs
+            # through both write paths too.
+            (db.abort if n % 21 == 20 else db.commit)(txn)
+            txn = None
+    if txn is not None:
+        db.commit(txn)
+    return db
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.sampled_from(["put", "put", "put", "delete"]),
+                          st.integers(0, 80), st.integers(0, 110)),
+                min_size=1, max_size=250))
+def test_upsert_remove_log_and_pages_identical_to_lookup_then_write(intents):
+    single = _run_intents(_apply_single, intents)
+    reference = _run_intents(_apply_reference, intents)
+    assert ([r.encode() for r in single.log.all_records()]
+            == [r.encode() for r in reference.log.all_records()])
+    assert device_images(single) == device_images(reference)
+
+
+# ----------------------------------------------------------------------
+# (b) directory coherence
+# ----------------------------------------------------------------------
+def assert_directories_coherent(db: Database, tree, keys) -> None:  # noqa: ANN001
+    """On every hop towards every key, the (possibly cached) directory
+    answers exactly what the page's raw bytes answer; a directory left
+    warm by an earlier call and missed by an invalidation fails here."""
+    for key in keys:
+        pid = db.get_root(tree.index_id)
+        while True:
+            page = db.fix(pid)
+            try:
+                node = BTreeNode(page)
+                if node.has_foster and key >= node.foster_key:
+                    next_pid = node.foster_pid
+                elif node.is_leaf:
+                    break
+                else:
+                    i = node.branch_child_index(key)
+                    next_pid = node.child_pid(i)
+                    assert node.route(key) == (next_pid,
+                                               *node.child_boundaries(i))
+            finally:
+                db.unfix(pid)
+            pid = next_pid
+    report = verify_tree(tree)
+    assert report.ok, report.problems
+
+
+def _branches(db: Database, tree) -> dict[int, bytes]:  # noqa: ANN001
+    """pid -> truncation prefix of every branch page."""
+    out, todo = {}, [db.get_root(tree.index_id)]
+    while todo:
+        pid = todo.pop()
+        node = BTreeNode(db.fix(pid))
+        if not node.is_leaf:
+            out[pid] = node.prefix
+            todo.extend(node.child_pid(i) for i in range(node.nrecs))
+        if node.has_foster:
+            todo.append(node.foster_pid)
+        db.unfix(pid)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_directory_coherent_across_every_mutation(seed: int) -> None:
+    rng = random.Random(seed)
+    db = small_page_db(restart_mode="on_demand")
+    tree = db.create_index()
+    universe = list(range(3000))
+    rng.shuffle(universe)
+    probes = [key_of(i) for i in range(0, 3000, 37)]
+    present: dict[bytes, bytes] = {}
+
+    def check() -> None:
+        assert_directories_coherent(db, tree, probes)
+        assert dict(tree.range_scan()) == present
+
+    # Inserts in random order: leaf and branch splits, adoptions (with
+    # prefix re-encoding under the shared "user/" prefix), root growth.
+    for start in range(0, 1500, 150):
+        txn = db.begin()
+        for i in universe[start:start + 150]:
+            present[key_of(i)] = (b"v%d" % i).ljust(60, b".")
+            tree.upsert(txn, key_of(i), present[key_of(i)])
+        db.commit(txn)
+        check()
+    stats = db.stats
+    assert stats.get("btree_root_growths") >= 2
+    assert stats.get("btree_adoptions") > 100
+    branches = _branches(db, tree)
+    assert len(branches) > 3  # a branch level split, too
+    assert any(branches.values())
+
+    # Abort: a transaction's inserts, updates and deletes compensated.
+    loser = db.begin()
+    for i in universe[1500:1700]:
+        tree.upsert(loser, key_of(i), b"loser" * 10)
+    for n in range(100):
+        tree.upsert(loser, key_of(universe[n]), b"loser")
+        assert tree.remove(loser, key_of(universe[100 + n]))
+    db.abort(loser)
+    assert stats.get("btree_compensations") >= 400
+    check()
+
+    # Deletes, then physical ghost removal on every leaf of some probes.
+    txn = db.begin()
+    for i in universe[:300]:
+        assert tree.remove(txn, key_of(i))
+        del present[key_of(i)]
+    db.commit(txn)
+    for key in probes[::5]:
+        page, _node = tree._descend(key, for_write=False)
+        db.unfix(page.page_id)
+        tree.remove_ghosts(page.page_id)
+    assert stats.get("btree_ghosts_removed") > 0
+    check()
+
+    # Migration of branch pages: the parent's child pid changes.
+    for pid in list(_branches(db, tree))[:4]:
+        tree.migrate_node(pid)
+        check()
+
+    # Crash with a loser in flight, on-demand restart.
+    txn = db.begin()
+    for i in universe[1700:1800]:
+        tree.upsert(txn, key_of(i), b"lost")
+    db.log.force()
+    db.crash()
+    db.restart()
+    tree = db.tree(tree.index_id)
+    # The loser's writes stay visible until its rollback is drained.
+    assert_directories_coherent(db, tree, probes)
+    db.finish_restart()
+    check()
+
+    # Single-page repair of a branch page other than the root.
+    db.take_full_backup()
+    victim = next(pid for pid in _branches(db, tree)
+                  if pid != db.get_root(tree.index_id))
+    db.flush_everything()
+    db.evict_everything()
+    db.device.inject_bit_rot(victim)
+    check()
+    assert stats.get("single_page_recoveries") >= 1
+
+
+# ----------------------------------------------------------------------
+# (c) detection with a warm directory
+# ----------------------------------------------------------------------
+def test_warm_directory_still_detects_a_forged_child_fence():
+    db = small_page_db()
+    tree = db.create_index()
+    txn = db.begin()
+    for i in range(1200):
+        tree.insert(txn, key_of(i), (b"v%d" % i).ljust(60, b"."))
+    db.commit(txn)
+    db.flush_everything()
+    db.take_full_backup()
+    depth = tree.depth()
+    assert depth >= 3
+    target, expected = key_of(300), b"v300".ljust(60, b".")
+
+    def hops_for_one_lookup() -> int:
+        before = db.stats.get("btree_hops_verified")
+        assert tree.lookup(target) == expected
+        return db.stats.get("btree_hops_verified") - before
+
+    hops = hops_for_one_lookup()   # also warms every directory on the path
+    assert hops >= depth - 1
+    root = BTreeNode(db.fix(db.get_root(tree.index_id)))
+    victim = root.route(target)[0]
+    assert root.page.view.directory is not None
+    db.unfix(root.page.page_id)
+
+    # Forge the child's low fence on the device with a valid checksum:
+    # only the comparison with the parent's adjacent key can see it.
+    db.pool.evict(victim)
+    forged = Page(db.config.page_size, db.device.read(victim))
+    slotted = SlottedPage(forged)
+    meta = slotted.read_record(0)
+    slotted.remove(0)
+    slotted.insert(0, Record(b"forged-fence", meta.value, meta.ghost))
+    forged.seal()
+    db.device.write(victim, forged.data)
+
+    failures = db.stats.get("btree_invariant_failures")
+    repairs = db.stats.get("single_page_recoveries")
+    assert tree.lookup(target) == expected
+    assert db.stats.get("btree_invariant_failures") == failures + 1
+    assert db.stats.get("single_page_recoveries") == repairs + 1
+    assert hops_for_one_lookup() == hops
+    assert verify_tree(tree).ok
+
+
+def test_verify_tree_reports_a_stale_directory():
+    db = small_page_db()
+    tree = db.create_index()
+    txn = db.begin()
+    for i in range(300):
+        tree.insert(txn, key_of(i), b"v")
+    db.commit(txn)
+    tree.lookup(key_of(0))
+    root_pid = db.get_root(tree.index_id)
+    root = BTreeNode(db.fix(root_pid))
+    keys, pids, last_inf = root.page.view.directory
+    root.page.view.directory = (keys, pids[::-1], last_inf)
+    db.unfix(root_pid)
+    report = verify_tree(tree)
+    assert any("directory" in problem for problem in report.problems)

@@ -233,6 +233,96 @@ def test_stress_battery_nightly(seed: int) -> None:
 
 
 # ----------------------------------------------------------------------
+# Writers splitting branches under descending readers
+# ----------------------------------------------------------------------
+def test_readers_descend_through_freshly_invalidated_directories() -> None:
+    """Writers on ``Session.upsert`` fill 1 KiB pages, so leaves and
+    branches split and adopt constantly and every structural change
+    drops a branch page's decoded directory; readers descend under the
+    shared latch in between and rebuild it, several at once.  No reader
+    may see a torn directory (wrong or missing answer for a key nobody
+    writes), and no writer's last committed value may be lost."""
+    import random
+    import sys
+
+    from repro.errors import KeyNotFound
+
+    db = Database(fast_config(page_size=1024, capacity_pages=8192,
+                              buffer_capacity=4096,
+                              commit_window_seconds=0.001))
+    tree = db.create_index()
+    stable = {key_of(2 * i): value_of(i, 0).ljust(60, b".")
+              for i in range(600)}
+    txn = db.begin()
+    for key, value in stable.items():
+        tree.insert(txn, key, value)
+    db.commit(txn)
+    n_writers, n_readers, per_writer = 4, 8, 450
+    final: list[dict[bytes, bytes]] = [{} for _ in range(n_writers)]
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def writer(w: int) -> None:
+        try:
+            session = db.session()
+            rng = random.Random(w)
+            for n in range(per_writer):
+                # Odd keys, interleaved with the stable ones and owned
+                # by exactly one writer; one in four is a rewrite.
+                i = rng.randrange(n + 1) if n % 4 == 3 else n
+                key = key_of(2 * (i * n_writers + w) + 1)
+                value = (b"w%d.%d" % (w, n)).ljust(60, b".")
+                if n % 5 == 0:
+                    session.begin()
+                session.upsert(tree, key, value)
+                final[w][key] = value
+                if n % 5 == 4 or n == per_writer - 1:
+                    session.commit()
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    def reader(r: int) -> None:
+        try:
+            session = db.session()
+            rng = random.Random(100 + r)
+            keys = list(stable)
+            while not done.is_set():
+                key = rng.choice(keys)
+                try:
+                    assert session.lookup(tree, key) == stable[key], key
+                except KeyNotFound:
+                    raise AssertionError(f"stable key {key!r} vanished")
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writers = [threading.Thread(target=writer, args=(w,), daemon=True)
+                   for w in range(n_writers)]
+        readers = [threading.Thread(target=reader, args=(r,), daemon=True)
+                   for r in range(n_readers)]
+        for thread in readers + writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=120)
+        done.set()
+        for thread in readers:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in writers + readers)
+    assert not errors, errors[0]
+    expected = dict(stable)
+    for mine in final:
+        expected.update(mine)
+    assert dict(tree.range_scan()) == expected
+    assert tree.depth() >= 3 and db.stats.get("btree_adoptions") > 100
+    report = verify_tree(tree)
+    assert report.ok, report.problems
+
+
+# ----------------------------------------------------------------------
 # Targeted race tests (pool-level)
 # ----------------------------------------------------------------------
 def test_concurrent_same_page_fix_fetches_once() -> None:
