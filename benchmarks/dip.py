@@ -230,8 +230,8 @@ def run_mode(mode: str, params: dict) -> dict:
     db.crash()
     db.restart(mode="on_demand")
     tree = db.tree(tree.index_id)
-    report_pending = (db.restart_registry.pending_page_count
-                      if db.restart_registry else 0)
+    report_pending = (db.pending_recovery.pending_page_count
+                      if db.pending_recovery else 0)
     post = drive(db, tree, traffic, params["post_ops"], params, drain=True)
     recovery_stats = db.stats.delta(before)
     # Settle to the common end state for the identity check.

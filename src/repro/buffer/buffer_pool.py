@@ -19,27 +19,29 @@ The pool never reads the device directly: the engine supplies a
 single-page recovery (Figure 8's page-retrieval logic).  Detection is
 therefore *on the fix path*: any reader — B-tree, heap, baseline,
 scrubber — that faults a page in transparently triggers Figure-10
-recovery.  The fetcher is also the hook chain the on-demand recovery
-registries ride: an unfinished instant *restart* wraps it to read
-pending pages redo-ready (plus ``redo_on_fix`` to roll them forward),
-and an unfinished instant *restore* wraps it so the first fix of a
-not-yet-restored page rebuilds it from backup + per-page chain before
-the frame is installed.  For failures detected *after* the fix (cross-page invariant
-checks on an already-resident frame), :meth:`repair_failure` closes
-the loop: it quarantines the suspect frame, runs the engine-supplied
-``repairer`` (Figure 8's dispatch), and re-fixes the repaired page, so
-readers never patch pages themselves.
+recovery.  The fetcher is also the hook a pending recovery rides
+(:mod:`repro.engine.pending_recovery`, restart and media restore
+alike): while one is installed it wraps the fetcher, so the first fix
+of a not-yet-recovered page brings it current — starting image plus
+per-page replay — before the frame is installed, and ``redo_on_fix``
+then reports the ``rec_lsn`` a frame the recovery left dirty must start
+out with.  A recovery *drain* hands such pages over with
+:meth:`adopt_dirty` instead.  For failures detected *after* the fix
+(cross-page invariant checks on an already-resident frame),
+:meth:`repair_failure` closes the loop: it quarantines the suspect
+frame, runs the engine-supplied ``repairer`` (Figure 8's dispatch), and
+re-fixes the repaired page, so readers never patch pages themselves.
 
 Concurrency: the frame table, pin counts, and the eviction policy are
 guarded by one pool mutex; each frame additionally carries a **page
 latch** that is held across the fetch of a not-yet-resident page.  Two
 threads racing to fix the same absent page resolve by latch ordering:
 the first installs a pinned *loading* placeholder and runs the fetcher
-(detection, repair, ``redo_on_fix`` roll-forward, restore-on-fix) with
-the latch held; the second blocks on the latch and re-checks — so the
-fetch/repair/redo work for a page runs exactly once, and eviction
-skips both pinned and loading frames.  The pool mutex is never held
-across a fetch, only across table bookkeeping and write-backs.
+(detection, repair, recovery-on-first-fix) with the latch held; the
+second blocks on the latch and re-checks — so the fetch/repair/redo
+work for a page runs exactly once, and eviction skips both pinned and
+loading frames.  The pool mutex is never held across a fetch, only
+across table bookkeeping and write-backs.
 """
 
 from __future__ import annotations
@@ -103,9 +105,9 @@ class BufferPool:
         self.on_page_cleaned = on_page_cleaned
         self.on_before_write = on_before_write
         self.repairer = repairer
-        #: instant restart: called with each freshly fetched page; rolls
-        #: pending restart redo forward in place and returns the rec_lsn
-        #: the new frame must be marked dirty with (None = page clean)
+        #: pending recovery: called with each freshly fetched page;
+        #: returns the rec_lsn the new frame must be marked dirty with
+        #: if the fetch rolled the page forward (None = page clean)
         self.redo_on_fix = None  # Callable[[Page], int | None] | None
         #: access-pattern model fed by every demand fix; None = the
         #: prefetch feature is off and the pool behaves exactly as it
@@ -141,7 +143,7 @@ class BufferPool:
         The fetch of an absent page runs under that page's latch with a
         pinned placeholder installed, so a concurrent fix of the same
         page waits for the one in-flight read instead of issuing its
-        own (and instead of racing the redo/restore-on-fix hooks).
+        own (and instead of racing the recovery-on-fix hooks).
         """
         while True:
             wait_frame = None
@@ -181,9 +183,12 @@ class BufferPool:
                     self.prefetcher.observe(page_id, hit_page)
                 return hit_page
             try:
+                # Read the hook first: the fetch that resolves a pending
+                # recovery's last page detaches both hooks.
+                redo_on_fix = self.redo_on_fix
                 page = self.fetcher(page_id)
-                rec_lsn = (self.redo_on_fix(page)
-                           if self.redo_on_fix is not None else None)
+                rec_lsn = (redo_on_fix(page)
+                           if redo_on_fix is not None else None)
             except BaseException:
                 # Failed load: withdraw the placeholder so waiters (and
                 # retries) see an absent page, not a poisoned frame.
@@ -194,7 +199,7 @@ class BufferPool:
                 raise
             frame.page = page
             if rec_lsn is not None:
-                # Stale page rolled forward on fix (instant restart):
+                # Stale page rolled forward on fix (pending restart):
                 # the frame starts out dirty, like any redone page.
                 frame.dirty = True
                 frame.rec_lsn = rec_lsn
@@ -221,6 +226,23 @@ class BufferPool:
             self._frames[page_id] = frame
             self._policy.admitted(page_id)
             return frame.page
+
+    def adopt_dirty(self, page: Page, rec_lsn: int) -> bool:
+        """Install a page recovered in memory as an unpinned dirty
+        frame (a recovery drain: nobody is waiting for the page, but
+        normal write-back must apply to it).  Returns False, installing
+        nothing, if the page already has a frame — resident, or the
+        loading placeholder of a fix racing the drain."""
+        with self._mutex:
+            if page.page_id in self._frames:
+                return False
+            self._make_room()
+            frame = Frame(page)
+            frame.dirty = True
+            frame.rec_lsn = rec_lsn
+            self._frames[page.page_id] = frame
+            self._policy.admitted(page.page_id)
+            return True
 
     def prefetch(self, page_id: int) -> bool:
         """Speculatively fetch one page, unpinned; returns True if a
@@ -277,9 +299,10 @@ class BufferPool:
             self._frames[page_id] = frame
             self._policy.admitted(page_id)
         try:
+            redo_on_fix = self.redo_on_fix  # before the fetch, as in fix()
             page = self.fetcher(page_id)
-            rec_lsn = (self.redo_on_fix(page)
-                       if self.redo_on_fix is not None else None)
+            rec_lsn = (redo_on_fix(page)
+                       if redo_on_fix is not None else None)
         except BaseException as exc:
             with self._mutex:
                 del self._frames[page_id]

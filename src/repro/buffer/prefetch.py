@@ -26,9 +26,9 @@ keeps the deterministic chaos simulation bit-reproducible, because
 speculative work happens at scheduled events, not behind arbitrary
 fixes.
 
-The same model ranks the pending-page sets of the instant-recovery
-registries: :meth:`rank` orders a pending set by predicted next
-access, so budgeted background drains warm the pages traffic will
+The same model ranks the pending-page set of a pending recovery
+(restart or restore): :meth:`rank` orders it by predicted next access,
+so budgeted background drains warm the pages traffic will
 actually hit first instead of sweeping in page-id order.  Pages the
 model knows nothing about keep their ascending-id order, so with no
 signal a ranked drain degenerates to exactly the classic sweep.  The

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.core.backup import BackupStore, fetch_backup_image
 from repro.core.recovery_index import PartitionedRecoveryIndex, PageRecoveryIndex
-from repro.core.single_page import SinglePageRecovery
+from repro.core.single_page import replay_records
 from repro.errors import RecoveryError
 from repro.page.page import Page
 from repro.sim.clock import SimClock
@@ -99,7 +99,7 @@ class CoordinatedRecovery:
 
         # Phase 3: replay, in memory, per page.
         for page_id, page, records in restored:
-            applied = SinglePageRecovery._replay(page, records, page.page_lsn)
+            applied = replay_records(page, records)
             result.records_applied += len(applied)
             result.per_page_records[page_id] = len(applied)
 

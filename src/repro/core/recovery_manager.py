@@ -27,7 +27,6 @@ from repro.core.recovery_index import PartitionedRecoveryIndex, PageRecoveryInde
 from repro.core.single_page import SinglePageRecovery
 from repro.errors import (
     FailureClass,
-    LogError,
     MediaFailure,
     PageFailureKind,
     RecoveryError,
@@ -122,22 +121,6 @@ class RecoveryManager:
             # the read path).
             self.pri.record_write(page_id, actual)
             self.stats.bump("pri_repaired_on_read")
-
-    def roll_forward_stale(self, page: Page) -> list | None:
-        """Chain-forward redo of a stale-but-valid page (instant restart).
-
-        Returns the applied records, or ``None`` when the roll-forward
-        is unsupported (no single-page machinery) or the chain does not
-        connect to the page's current state — the caller then falls
-        back to its own record list or to full Figure-10 recovery.
-        """
-        if self.single_page is None:
-            return None
-        try:
-            return self.single_page.roll_forward(page)
-        except (RecoveryError, LogError):
-            self.stats.bump("chain_forward_fallbacks")
-            return None
 
     # ------------------------------------------------------------------
     # Failure handling and escalation (Figures 1 and 8)

@@ -31,7 +31,48 @@ from repro.sim.clock import SimClock
 from repro.sim.stats import Stats
 from repro.storage.device import StorageDevice
 from repro.wal.log_reader import LogReader
-from repro.wal.records import LogRecord, LogRecordKind
+from repro.wal.records import LogRecord, LogRecordKind, decompress_image
+
+
+def replay_records(page: Page, records: list[LogRecord]) -> list[LogRecord]:
+    """Bring ``page`` current: apply the updates it is missing from
+    ``records`` (oldest first) and return the records applied.
+
+    The one replay loop behind every recovery — steps 3-4 of Figure 10,
+    restart redo, media restore, standby apply.  ``records`` is the
+    page's chain or the analysis pass's log-order list for it; the two
+    orders coincide per page.  Records the image already reflects
+    (decided by the PageLSN) are skipped, and every applied record must
+    find exactly the PageLSN its ``page_prev_lsn`` predicts — the
+    defensive check of Section 5.1.4, raised as :class:`RecoveryError`.
+    A formatting record is a chain root: it resets the page whatever
+    the old incarnation holds.  A full-page image is current as of its
+    recorded PageLSN (or, when that could only be assigned after the
+    record was appended, as of its own LSN), exactly as
+    :func:`repro.core.backup.fetch_backup_image` reads it.
+    """
+    applied: list[LogRecord] = []
+    for record in records:
+        if record.kind == LogRecordKind.FULL_PAGE_IMAGE:
+            as_of = record.page_lsn if record.page_lsn else record.lsn
+            if page.page_lsn < as_of:
+                page.load_image(decompress_image(record.image or b""))
+                if page.page_lsn != as_of:  # the setter counts an update
+                    page.page_lsn = as_of
+                applied.append(record)
+            continue
+        if record.op is None or page.page_lsn >= record.lsn:
+            continue
+        if (record.kind != LogRecordKind.FORMAT_PAGE
+                and record.page_prev_lsn != page.page_lsn):
+            raise RecoveryError(
+                f"redo chain mismatch on page {page.page_id}: record "
+                f"{record.lsn} expects PageLSN {record.page_prev_lsn}, "
+                f"page has {page.page_lsn}")
+        record.op.apply_redo(page)
+        page.page_lsn = record.lsn
+        applied.append(record)
+    return applied
 
 
 @dataclass
@@ -139,7 +180,7 @@ class SinglePageRecovery:
         # are replayed too instead of being lost with the dropped frame.
         records = self.log_reader.walk_page_chain(needed_lsn, backup_lsn,
                                                   page_id=page_id)
-        applied = self._replay(page, records, backup_lsn)
+        applied = replay_records(page, records)
 
         # Step 5: move the page to a new location; the failed location
         # goes to the bad-block list and is never used as a backup.
@@ -159,64 +200,3 @@ class SinglePageRecovery:
         self.history.append(result)
         self.stats.bump("spf_records_applied", len(applied))
         return page, result
-
-    def roll_forward(self, page: Page) -> list[LogRecord]:
-        """Chain-forward redo of a *stale but valid* page.
-
-        The instant-restart variant of Figure 10: a page whose PageLSN
-        trails its chain head is treated as an incipient single-page
-        failure, except that the device copy itself serves as the
-        backup image — no backup fetch, no remap, the device location
-        is fine.  The per-page chain is walked back from its head to
-        the page's current PageLSN and the missing updates are applied
-        oldest-first.
-
-        Raises :class:`RecoveryError` if the chain does not connect to
-        the page's current state (the caller falls back to full
-        recovery or to the analysis-pass record list).
-        """
-        page_id = page.page_id
-        start_lsn = self.log_reader.chain_start_lsn(page_id, None)
-        if start_lsn <= page.page_lsn:
-            return []
-        records = self.log_reader.walk_page_chain(start_lsn, page.page_lsn,
-                                                  page_id=page_id)
-        if (records and records[0].kind != LogRecordKind.FORMAT_PAGE
-                and records[0].page_prev_lsn != page.page_lsn):
-            raise RecoveryError(
-                f"page {page_id} chain does not connect: oldest record "
-                f"{records[0].lsn} expects PageLSN "
-                f"{records[0].page_prev_lsn}, page has {page.page_lsn}")
-        applied = self._replay(page, records, page.page_lsn)
-        self.stats.bump("chain_forward_redos")
-        self.stats.bump("chain_forward_records", len(applied))
-        return applied
-
-    @staticmethod
-    def _replay(page: Page, records: list[LogRecord],
-                backup_lsn: int) -> list[LogRecord]:
-        """Apply redo actions oldest-first; defensive-programming checks
-        on the chain ordering (Section 5.1.4: the per-page chain "can
-        be exploited to verify the correct sequence of 'redo' actions")."""
-        applied = []
-        expected_prev = None
-        for record in records:
-            if expected_prev is not None and record.page_prev_lsn != expected_prev:
-                raise RecoveryError(
-                    f"per-page chain broken at LSN {record.lsn}: "
-                    f"prev {record.page_prev_lsn} != expected {expected_prev}")
-            expected_prev = record.lsn
-            if record.lsn <= page.page_lsn:
-                # Already reflected in the backup image.
-                continue
-            if record.kind == LogRecordKind.FULL_PAGE_IMAGE:
-                from repro.wal.records import decompress_image
-                page.load_image(decompress_image(record.image or b""))
-                page.page_lsn = record.lsn
-            elif record.op is not None:
-                record.op.apply_redo(page)
-                page.page_lsn = record.lsn
-            else:
-                continue
-            applied.append(record)
-        return applied

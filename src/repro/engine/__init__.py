@@ -13,7 +13,9 @@ engine core is decomposed:
 * :mod:`repro.engine.checkpointer` — checkpoints, PRI persistence,
   page backups, and log retention/truncation;
 * :mod:`repro.engine.system_recovery` / :mod:`repro.engine.
-  media_recovery` — restart and media recovery over those components.
+  media_recovery` — restart and media recovery: analysis, then
+  registration with the one :mod:`repro.engine.pending_recovery`
+  registry that brings pages current and undoes losers for both.
 
 The facade retains the engine-context protocols (TreeContext,
 UndoContext) that the B-tree, heap, and transaction manager program

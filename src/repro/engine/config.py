@@ -60,27 +60,26 @@ class EngineConfig:
     #: ablation — without it, lost writes go unnoticed
     pri_lsn_check: bool = True
 
-    #: restart strategy after a system failure:
-    #: ``"eager"`` runs the classic three-pass ARIES restart to
-    #: completion before the database opens; ``"on_demand"`` runs log
-    #: analysis only, registers the surviving dirty-page table and the
-    #: loser-transaction set with a :class:`repro.engine.
-    #: restart_registry.RestartRegistry`, and opens immediately — each
-    #: pending page is rolled forward from its per-page chain on first
-    #: fix (like an incipient single-page failure) and losers are
-    #: undone on lock conflict or by a background drain
+    #: restart strategy after a system failure.  Either way log
+    #: analysis registers the surviving dirty-page table and the
+    #: loser-transaction set as the database's :class:`repro.engine.
+    #: pending_recovery.PendingRecovery`: ``"eager"`` drains it before
+    #: the database opens (the classic three-pass ARIES restart);
+    #: ``"on_demand"`` opens immediately — each pending page is rolled
+    #: forward from its per-page chain on first fix (like an incipient
+    #: single-page failure) and losers are undone on lock conflict or
+    #: by a background drain
     restart_mode: str = "eager"
 
-    #: restore strategy after a media failure:
-    #: ``"eager"`` restores the whole replacement device from the
-    #: backup and replays the log tail before the database reopens
-    #: (the classic Section-5.1.3 procedure); ``"on_demand"`` registers
-    #: the failed device's pages with a :class:`repro.engine.
-    #: restore_registry.RestoreRegistry` and reopens immediately — each
-    #: page is restored on first fix from its backup image plus its
-    #: per-page chain, cold pages are restored by a budgeted background
-    #: drain, and a completion watermark gates checkpointing, log
-    #: truncation, and backup retirement
+    #: restore strategy after a media failure, over the same registry
+    #: (holding the failed device's pages): ``"eager"`` restores the
+    #: whole replacement device from the backup and replays the log
+    #: tail before the database reopens (the classic Section-5.1.3
+    #: procedure); ``"on_demand"`` reopens immediately — each page is
+    #: restored on first fix from its backup image plus its per-page
+    #: chain, cold pages are restored by a budgeted background drain,
+    #: and a completion watermark gates checkpointing, log truncation,
+    #: and backup retirement
     restore_mode: str = "eager"
 
     #: encoded-byte budget of one in-memory log segment (the unit of

@@ -120,7 +120,7 @@ class Database:
 
         #: online access-pattern model shared by the buffer pool (which
         #: feeds it demand fixes and serves its read-ahead queue) and
-        #: the recovery registries (which rank budgeted drains with it);
+        #: a pending recovery (which ranks budgeted drains with it);
         #: None when ``prefetch_mode="off"`` so the classic engine
         #: carries zero speculative machinery
         self.prefetcher = None
@@ -132,18 +132,15 @@ class Database:
         self._build_recovery_stack()
         self.pool = self._build_pool(self.device)
 
-        #: pending-work registry of an on-demand restart (None = no
-        #: restart in progress); see repro.engine.restart_registry
-        self.restart_registry = None
-        #: completion watermark of the most recent on-demand restart
+        #: the one pending recovery — restart or media restore, never
+        #: both (None = idle); see repro.engine.pending_recovery
+        self.pending_recovery = None
+        #: completion watermarks of the most recent restart / restore
         self.last_restart_completion_lsn: int | None = None
-        #: pending-work registry of an on-demand media restore (None =
-        #: no restore in progress); see repro.engine.restore_registry
-        self.restore_registry = None
-        #: completion watermark of the most recent on-demand restore
         self.last_restore_completion_lsn: int | None = None
-        #: backup a not-yet-complete restore depends on (survives a
-        #: crash so the interrupted restore can be re-run)
+        #: backup a not-yet-complete restore depends on: set by media
+        #: recovery, cleared at the completion watermark, and surviving
+        #: a crash in between so the interrupted restore can be re-run
         self._pending_restore_backup_id: int | None = None
 
         #: in-doubt (prepared, undecided) 2PC transactions recovered by
@@ -508,19 +505,11 @@ class Database:
     # ------------------------------------------------------------------
     def crash(self) -> None:
         """Simulate a system failure: volatile state vanishes."""
-        if self.restart_registry is not None:
-            # Pending instant-restart work dies with the rest of the
-            # volatile state; the next analysis rediscovers it from the
-            # durable log.
-            self.restart_registry.abandon()
-        if self.restore_registry is not None:
-            # A crash interrupts an on-demand restore: the replacement
-            # device is only partially rebuilt, so the media failure is
-            # effectively back — recover_media() must be re-run (from
-            # the same backup; already-restored pages replay as no-ops).
-            if not self.restore_registry.complete:
-                self._media_failed = True
-            self.restore_registry.abandon()
+        if self.pending_recovery is not None:
+            # Pending recovery work dies with the rest of the volatile
+            # state; the next analysis rediscovers it from the durable
+            # log (an interrupted *restore* leaves the media failed).
+            self.pending_recovery.abandon()
         self.log.crash()
         self.pool.drop_all()
         self.catalog.invalidate_volatile()
@@ -548,7 +537,7 @@ class Database:
         ``mode`` overrides ``config.restart_mode`` for this restart:
         ``"eager"`` recovers fully before returning; ``"on_demand"``
         runs analysis only and returns with the database open and the
-        remaining work registered (see :attr:`restart_registry`,
+        remaining work registered (see :attr:`pending_recovery`,
         :meth:`drain_restart`, :meth:`finish_restart`).
         """
         from repro.engine.system_recovery import run_restart
@@ -559,26 +548,31 @@ class Database:
             hook(self, "restart", report)
         return report
 
+    def drain_pending(self, page_budget: int | None = None,
+                      loser_budget: int | None = None) -> tuple[int, int]:
+        """Background drain of whatever recovery is pending (bounded by
+        the budgets); returns ``(pages_resolved, losers_resolved)``."""
+        if self.pending_recovery is None:
+            return 0, 0
+        return self.pending_recovery.drain(page_budget, loser_budget)
+
     @property
     def restart_pending(self) -> bool:
-        """Is on-demand restart work still unresolved?"""
-        return (self.restart_registry is not None
-                and not self.restart_registry.complete)
+        """Is restart work still unresolved?"""
+        recovery = self.pending_recovery
+        return recovery is not None and recovery.source.kind == "restart"
 
     def drain_restart(self, page_budget: int | None = None,
                       loser_budget: int | None = None) -> tuple[int, int]:
-        """Background drain of pending restart work (bounded by the
-        budgets); returns ``(pages_resolved, losers_resolved)``."""
-        if self.restart_registry is None:
+        """:meth:`drain_pending`, if the pending recovery is a restart."""
+        if not self.restart_pending:
             return 0, 0
-        return self.restart_registry.drain(page_budget, loser_budget)
+        return self.drain_pending(page_budget, loser_budget)
 
     def finish_restart(self) -> tuple[int, int]:
-        """Resolve every pending page and loser (the completion
-        watermark is recorded once the last item resolves)."""
-        if self.restart_registry is None:
-            return 0, 0
-        return self.restart_registry.drain_all()
+        """Resolve every pending page and loser of a restart (the
+        completion watermark is recorded once the last item resolves)."""
+        return self.drain_restart()
 
     def _on_media_failure(self, media: MediaFailure) -> int:
         """Escalation callback: abort every active user transaction."""
@@ -601,7 +595,7 @@ class Database:
         ``mode`` overrides ``config.restore_mode`` for this recovery:
         ``"eager"`` restores the whole device before returning;
         ``"on_demand"`` reopens immediately with the remaining work
-        registered (see :attr:`restore_registry`,
+        registered (see :attr:`pending_recovery`,
         :meth:`drain_restore`, :meth:`finish_restore`).
         """
         from repro.engine.media_recovery import run_media_recovery
@@ -613,25 +607,22 @@ class Database:
 
     @property
     def restore_pending(self) -> bool:
-        """Is on-demand restore work still unresolved?"""
-        return (self.restore_registry is not None
-                and not self.restore_registry.complete)
+        """Is media-restore work still unresolved?"""
+        recovery = self.pending_recovery
+        return recovery is not None and recovery.source.kind == "restore"
 
     def drain_restore(self, page_budget: int | None = None,
                       loser_budget: int | None = None) -> tuple[int, int]:
-        """Background drain of pending restore work (bounded by the
-        budgets); returns ``(pages_restored, losers_resolved)``."""
-        if self.restore_registry is None:
+        """:meth:`drain_pending`, if the pending recovery is a restore."""
+        if not self.restore_pending:
             return 0, 0
-        return self.restore_registry.drain(page_budget, loser_budget)
+        return self.drain_pending(page_budget, loser_budget)
 
     def finish_restore(self) -> tuple[int, int]:
         """Restore every pending page and undo every pending loser
         (the completion watermark is recorded once the last item
         resolves)."""
-        if self.restore_registry is None:
-            return 0, 0
-        return self.restore_registry.drain_all()
+        return self.drain_restore()
 
     # ------------------------------------------------------------------
     # Prefetching

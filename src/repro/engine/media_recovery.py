@@ -7,23 +7,22 @@ updates for the failed media only.  Due to the effort of restoring a
 backup copy, active transactions touching the failed media are
 aborted."
 
-Both restore modes run the same procedure over the same per-page
-primitives (shared with restart recovery via
-:func:`repro.engine.system_recovery.redo_page_records` and
-:func:`~repro.engine.system_recovery.undo_loser`):
+This module is analysis + registration; the restore itself is the
+registry shared with restart recovery:
 
 1. **analysis** — one indexed sequential scan of the log tail since
    the backup collects each page's record list and the loser set;
 2. **registration** — a replacement device is installed and every page
    of the failed device (backup pages plus pages formatted since) is
-   registered with a :class:`repro.engine.restore_registry.
-   RestoreRegistry`, loser locks re-acquired;
+   registered with a :class:`repro.engine.pending_recovery.
+   PendingRecovery` over the :class:`~repro.engine.pending_recovery.
+   BackupImage` source, loser locks re-acquired;
 3. **restore** — ``"eager"`` prefetches the backup with one sequential
    read and drains everything before returning (the traditional
-   offline restore, now expressed as "drain before open");
-   ``"on_demand"`` returns immediately with the database open: pages
-   restore on first fix, cold pages by background drain, losers on
-   lock conflict or drain.
+   offline restore, expressed as "drain before open"); ``"on_demand"``
+   returns immediately with the database open: pages restore on first
+   fix, cold pages by background drain, losers on lock conflict or
+   drain.
 
 The expense asymmetry this preserves is the paper's Section-6 point:
 eager restore grows with device size, while on-demand restore's
@@ -36,6 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.engine.pending_recovery import BackupImage, PendingRecovery
+from repro.engine.system_recovery import (
+    note_txn_record,
+    register_indoubt,
+    split_indoubt,
+)
 from repro.errors import RecoveryError
 from repro.sim.clock import StopWatch
 from repro.storage.device import StorageDevice
@@ -85,8 +90,6 @@ def collect_replay_targets(db, backup_id: int, backup_lsn: int):  # noqa: ANN001
     backup's own checkpoint and the backup record — so the scan's
     pops keep the seed exact.
     """
-    from repro.engine.system_recovery import note_txn_record
-
     att: dict[int, tuple[int, bool]] = {}
     checkpoint_lsn = db.backup_store.full_backup_checkpoint_lsn(backup_id)
     if checkpoint_lsn is not None and db.log.has_record(checkpoint_lsn):
@@ -109,13 +112,10 @@ def run_media_recovery(db, backup_id: int,  # noqa: ANN001
 
     ``mode`` overrides ``config.restore_mode`` for this one recovery:
     ``"eager"`` restores everything before returning; ``"on_demand"``
-    registers the work with a :class:`~repro.engine.restore_registry.
-    RestoreRegistry` and returns with the database already open (see
-    :attr:`Database.restore_registry`, :meth:`Database.drain_restore`,
+    leaves the work registered as ``db.pending_recovery`` and returns
+    with the database already open (see :meth:`Database.drain_restore`,
     :meth:`Database.finish_restore`).
     """
-    from repro.engine.restore_registry import RestoreRegistry
-
     report = MediaRecoveryReport()
     cfg = db.config
     report.mode = mode or cfg.restore_mode
@@ -137,10 +137,8 @@ def run_media_recovery(db, backup_id: int,  # noqa: ANN001
     # Pending instant-restart or interrupted-restore work is subsumed:
     # chain replay from the backup covers every deferred redo, and the
     # analysis scan below rediscovers every deferred loser.
-    if db.restart_registry is not None:
-        db.restart_registry.abandon()
-    if db.restore_registry is not None:
-        db.restore_registry.abandon()
+    if db.pending_recovery is not None:
+        db.pending_recovery.abandon()
 
     # ------------------------------------------------------------------
     # Analysis: the log tail since the backup, one indexed scan.
@@ -153,13 +151,11 @@ def run_media_recovery(db, backup_id: int,  # noqa: ANN001
     # Prepared (2PC) transactions are in doubt, not losers: they keep
     # their locks and await the coordinator's decision — the same
     # split restart analysis applies (the two must never disagree).
-    from repro.engine.system_recovery import register_indoubt, split_indoubt
-
     att, indoubt = split_indoubt(db, att)
     register_indoubt(db, indoubt)
 
     # ------------------------------------------------------------------
-    # Registration: replacement device + restore registry.
+    # Registration: replacement device + pending recovery.
     # ------------------------------------------------------------------
     replacement = StorageDevice(
         f"{db.device.name}'", cfg.page_size, cfg.capacity_pages,
@@ -171,40 +167,39 @@ def run_media_recovery(db, backup_id: int,  # noqa: ANN001
     db._build_recovery_stack()
     db.pool = db._build_pool(replacement)
 
-    registry = RestoreRegistry(db, backup_id, backup_lsn,
-                               set(backup_page_lsns), page_records, att)
-    registry.install()
-    report.pending_restore_pages = registry.pending_page_count
-    report.pending_undo_txns = registry.pending_loser_count
-    report.loser_txn_ids = sorted(att)
+    # The backup this restore reads from stays pinned (across a crash
+    # too: the re-run needs it) until the completion watermark.
     db._pending_restore_backup_id = backup_id
+    source = BackupImage(db, backup_lsn, set(backup_page_lsns))
+    recovery = PendingRecovery(
+        db, source,
+        {page_id: page_records.get(page_id, [])
+         for page_id in source.backup_pages | set(page_records)}, att)
+    recovery.install()
+    report.loser_txn_ids = sorted(att)
     db.stats.bump("media_recoveries")
-
     if report.mode == "on_demand":
         # Open for traffic: every page is reachable (restored on fix).
+        report.pending_restore_pages = recovery.pending_page_count
+        report.pending_undo_txns = recovery.pending_loser_count
         db._media_failed = False
         db.stats.bump("instant_restores")
         db.log.force()
         return report
 
-    # ------------------------------------------------------------------
-    # Eager restore: drain everything before opening — one sequential
-    # backup read, then the same per-page primitive on-demand uses.
-    # The database stays closed (_media_failed) until the drain
+    # Eager restore: one sequential backup read, then drain before
+    # open.  The database stays closed (_media_failed) until the drain
     # succeeds; a restore that dies mid-drain must keep refusing
     # traffic on the half-restored device.
-    # ------------------------------------------------------------------
     with StopWatch(db.clock) as watch:
-        registry.prefetch_images()
+        source.prefetch_images()
     report.restore_seconds = watch.elapsed
     with StopWatch(db.clock) as watch:
-        registry.drain_all()
+        recovery.drain_all()
     report.replay_seconds = watch.elapsed
     db._media_failed = False
-    report.pages_restored = registry.pages_restored
-    report.bytes_restored = registry.bytes_restored
-    report.records_replayed = registry.records_replayed
-    report.transactions_rolled_back = len(registry.undone_losers)
-    report.pending_restore_pages = 0
-    report.pending_undo_txns = 0
+    report.pages_restored = recovery.pages_resolved
+    report.bytes_restored = recovery.pages_resolved * cfg.page_size
+    report.records_replayed = recovery.records_applied
+    report.transactions_rolled_back = len(recovery.undone_losers)
     return report

@@ -16,7 +16,7 @@ source there is.  This module provides:
 
 * :class:`Standby` — its own device and log replica, plus an in-memory
   page set rolled forward record by record through the *shared* redo
-  primitive (:func:`repro.engine.system_recovery.redo_page_records`),
+  primitive (:func:`repro.core.single_page.replay_records`),
   with an ``applied_lsn`` watermark and a live active-transaction view
   maintained by the shared :func:`repro.engine.system_recovery.
   note_txn_record`.  The standby serves three roles:
@@ -42,6 +42,7 @@ durable, hence never shipped.
 
 from __future__ import annotations
 
+from repro.core.single_page import replay_records
 from repro.errors import ReplicationError, ReproError
 from repro.page.page import Page
 from repro.sim.clock import SimClock
@@ -251,10 +252,7 @@ class Standby:
     def apply_records(self, records: list[LogRecord]) -> None:
         """Adopt and apply one shipped batch, page by page, through the
         shared redo primitive."""
-        from repro.engine.system_recovery import (
-            note_txn_record,
-            redo_page_records,
-        )
+        from repro.engine.system_recovery import note_txn_record
 
         if not self.running:
             raise ReplicationError(f"standby '{self.name}' is down")
@@ -273,7 +271,7 @@ class Standby:
                     page = Page.format(self.config.page_size, record.page_id)
                     self.pages[record.page_id] = page
                 try:
-                    redo_page_records(page, [record])
+                    replay_records(page, [record])
                 except ReproError as exc:
                     # Chain mismatch: the replica diverged.  Mark the
                     # standby broken — serving pages or promoting from

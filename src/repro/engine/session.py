@@ -168,12 +168,10 @@ class Session:
 
     def drain(self, page_budget: int | None = None,
               loser_budget: int | None = None) -> tuple[int, int]:
-        """Drain pending restart *and* restore work under the
-        exclusive latch; returns summed ``(pages, losers)``."""
+        """Drain pending recovery work (restart or restore) under the
+        exclusive latch; returns ``(pages, losers)``."""
         with self.db.latch.exclusive():
-            p1, l1 = self.db.drain_restart(page_budget, loser_budget)
-            p2, l2 = self.db.drain_restore(page_budget, loser_budget)
-            return p1 + p2, l1 + l2
+            return self.db.drain_pending(page_budget, loser_budget)
 
     def truncate_log(self) -> int:
         with self.db.latch.exclusive():

@@ -1,4 +1,5 @@
-"""ARIES-style restart recovery with the paper's PRI integration.
+"""ARIES-style restart recovery with the paper's PRI integration:
+analysis, then registration of the redo and undo work.
 
 Three passes over the log (Section 5.1.2), plus the Figure-12 actions:
 
@@ -9,15 +10,18 @@ Three passes over the log (Section 5.1.2), plus the Figure-12 actions:
   pages whose writes completed before the crash need no redo read at
   all (the Figure-4 optimization).  Backup and format records replay
   into the in-memory page recovery index.
-* **Redo** (physical): reads only the remaining required pages, applies
-  missing updates decided by the PageLSN, and verifies the per-page
-  chain ordering as it goes (the defensive check of Section 5.1.4).
-  Where a page turns out to be *already up to date* — it was written
-  but its PRI-update record was lost in the crash — restart generates
-  the missing PRI-update log record right away (Figure 12, bottom
-  row).
-* **Undo** (logical): rolls back loser transactions through the
-  indexes, writing CLRs.
+* **Redo** (physical) and **undo** (logical) are not written here: the
+  surviving dirty-page table and the loser set are registered with a
+  :class:`repro.engine.pending_recovery.PendingRecovery` over the
+  :class:`~repro.engine.pending_recovery.DeviceImage` source.  Redo
+  reads only the remaining required pages, applies missing updates
+  decided by the PageLSN and verifies the per-page chain ordering as it
+  goes (the defensive check of Section 5.1.4); a page that turns out to
+  be *already up to date* — written, but its PRI-update record lost in
+  the crash — gets the missing PRI-update record generated right away
+  (Figure 12, bottom row).  Undo rolls back loser transactions through
+  the indexes, writing CLRs.  ``"eager"`` restart drains all of it
+  before the database opens; ``"on_demand"`` opens first.
 
 Before any of that, the persisted page recovery index is loaded from
 its reserved page region; a damaged PRI page is itself repaired by
@@ -32,11 +36,9 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.core.recovery_index import PageRecoveryIndex, PartitionedRecoveryIndex
-from repro.errors import PageFailureKind, RecoveryError, SinglePageFailure
+from repro.engine.pending_recovery import DeviceImage, PendingRecovery
 from repro.page.page import Page
 from repro.sim.clock import StopWatch
-from repro.storage.device import DeviceReadError
-from repro.txn.transaction import Transaction
 from repro.wal.lsn import LOG_START, NULL_LSN
 from repro.wal.records import BackupRef, LogRecord, LogRecordKind, decompress_image
 
@@ -77,13 +79,11 @@ def run_restart(db, mode: str | None = None) -> RestartReport:  # noqa: ANN001
     """Run restart recovery against a crashed :class:`Database`.
 
     ``mode`` overrides ``config.restart_mode`` for this one restart.
-    Eager mode runs all three ARIES passes; on-demand mode stops after
-    analysis, registers the surviving dirty-page table and loser set
-    with a :class:`repro.engine.restart_registry.RestartRegistry`, and
-    returns with the database already open for traffic.
+    Either mode runs analysis and registers the surviving dirty-page
+    table and loser set as ``db.pending_recovery``; on-demand mode then
+    returns with the database already open for traffic, eager mode
+    drains everything first.
     """
-    from repro.engine.restart_registry import RestartRegistry
-
     if db._media_failed:
         # A crash interrupted an on-demand restore (or hit an already
         # media-failed node): the device is not a trustworthy redo
@@ -116,27 +116,33 @@ def run_restart(db, mode: str | None = None) -> RestartReport:  # noqa: ANN001
     att, indoubt = split_indoubt(db, att)
     report.indoubt_gtids = register_indoubt(db, indoubt)
 
-    if report.mode == "on_demand":
-        registry = RestartRegistry(db, dpt, page_records, att)
-        registry.install()
-        report.pending_redo_pages = registry.pending_page_count
-        report.pending_undo_txns = registry.pending_loser_count
-        report.loser_txn_ids = sorted(att)
-        db.log.force()
-        db.stats.bump("restarts")
-        db.stats.bump("instant_restarts")
-        return report
-
-    with StopWatch(db.clock) as watch:
-        _redo(db, dpt, page_records, report)
-    report.redo_seconds = watch.elapsed
-
-    with StopWatch(db.clock) as watch:
-        _undo(db, att, report)
-    report.undo_seconds = watch.elapsed
-
-    db.log.force()
+    # Pages without collected records need no redo read at all and are
+    # not registered.
+    source = DeviceImage(db)
+    recovery = PendingRecovery(
+        db, source,
+        {page_id: records for page_id, records in page_records.items()
+         if records}, att)
+    recovery.install()
     db.stats.bump("restarts")
+    if report.mode == "on_demand":
+        # Open for traffic: pages redo on first fix, losers undo on
+        # lock conflict, the background drain resolves the rest.
+        report.pending_redo_pages = recovery.pending_page_count
+        report.pending_undo_txns = recovery.pending_loser_count
+        report.loser_txn_ids = sorted(att)
+        db.stats.bump("instant_restarts")
+    else:
+        recovery.drain_all()
+        report.redo_pages_read = recovery.pages_resolved
+        report.redo_records_applied = recovery.records_applied
+        report.redo_pages_already_current = recovery.pages_already_current
+        report.pri_repair_records = source.pri_repairs
+        report.undo_transactions = len(recovery.undone_losers)
+        report.loser_txn_ids = list(recovery.undone_losers)
+        report.redo_seconds = recovery.page_seconds
+        report.undo_seconds = recovery.loser_seconds
+    db.log.force()
     return report
 
 
@@ -314,151 +320,6 @@ def _insert_pos(records: list[LogRecord], lsn: int) -> int:
     records per page, and a linear scan made that O(n²).
     """
     return bisect.bisect_left(records, lsn, key=lambda record: record.lsn)
-
-
-# ----------------------------------------------------------------------
-# Pass 2: redo (per-page primitives shared with instant restart)
-# ----------------------------------------------------------------------
-def redo_page_records(page: Page, records: list[LogRecord]) -> int:
-    """Apply the missing updates from ``records`` to one page.
-
-    The per-page core of the redo pass, shared by the restart registry
-    (a pending page rolled forward on first fix) and the restore
-    registry (a pending page rebuilt from its backup image — chain
-    order or analysis order, same primitive).
-    Returns the number of records applied; raises
-    :class:`RecoveryError` on a per-page chain mismatch (the defensive
-    check of Section 5.1.4).
-    """
-    applied = 0
-    for record in records:
-        if record.kind == LogRecordKind.FULL_PAGE_IMAGE:
-            as_of = record.page_lsn if record.page_lsn else record.lsn
-            if page.page_lsn < as_of:
-                page.load_image(decompress_image(record.image or b""))
-                if page.page_lsn != as_of:
-                    page.page_lsn = as_of
-                applied += 1
-            continue
-        if record.op is None:
-            continue
-        if page.page_lsn >= record.lsn:
-            continue  # already reflected on disk
-        # Defensive check (Section 5.1.4): the chain predicts the
-        # PageLSN every redo action must find.  A formatting record is
-        # a chain root — it resets the page regardless of what the old
-        # incarnation on the device holds.
-        if (record.kind != LogRecordKind.FORMAT_PAGE
-                and record.page_prev_lsn != page.page_lsn):
-            raise RecoveryError(
-                f"redo chain mismatch on page {page.page_id}: record "
-                f"{record.lsn} expects PageLSN {record.page_prev_lsn}, "
-                f"page has {page.page_lsn}")
-        record.op.apply_redo(page)
-        page.page_lsn = record.lsn
-        applied += 1
-    return applied
-
-
-def log_pri_repair(db, page: Page) -> bool:  # noqa: ANN001
-    """Figure 12, bottom row: the data page had been written before
-    the crash, but the PRI update was lost.  Generate the missing log
-    record now; applying it to the index can happen lazily, exactly as
-    in normal forward processing."""
-    if not db.config.log_completed_writes:
-        return False
-    db.log.append(LogRecord(LogRecordKind.PRI_UPDATE,
-                            page_id=page.page_id,
-                            page_lsn=page.page_lsn))
-    db.stats.bump("pri_repair_records")
-    if db.config.spf_enabled:
-        db.pri.record_write(page.page_id, page.page_lsn)
-    return True
-
-
-def _redo(db, dpt: dict[int, int], page_records: dict[int, list[LogRecord]],
-          report: RestartReport) -> None:  # noqa: ANN001
-    for page_id in sorted(dpt):
-        records = page_records.get(page_id, [])
-        if not records:
-            continue
-        page = _read_for_redo(db, page_id)
-        report.redo_pages_read += 1
-        db.stats.bump("redo_page_reads")
-        applied = redo_page_records(page, records)
-        report.redo_records_applied += applied
-        db.stats.bump("redo_records_applied", applied)
-        if applied == 0:
-            report.redo_pages_already_current += 1
-            if log_pri_repair(db, page):
-                report.pri_repair_records += 1
-        else:
-            # The page is dirty again; install it in the buffer pool so
-            # normal write-back (and PRI maintenance) applies.
-            installed = db.pool.fix_new(page)
-            db.pool.mark_dirty(page_id, records[0].lsn)
-            db.pool.unfix(page_id)
-            assert installed is page
-
-
-def _read_for_redo(db, page_id: int) -> Page:  # noqa: ANN001
-    """Fetch one page for redo; a failure here is a single-page failure."""
-    raw = db.device.raw_image(page_id)
-    if raw is None:
-        # Never reached the device: start from an unformatted page (the
-        # first record to replay is its formatting record).
-        return Page.format(db.config.page_size, page_id)
-    try:
-        data = db.device.read(page_id)
-        page = Page(db.config.page_size, data)
-        page.verify(expected_page_id=page_id)
-        if db.config.spf_enabled and db.config.pri_lsn_check:
-            # The same stale-LSN cross-check the normal read path runs
-            # (Figure 8): a lost write leaves a plausible page whose
-            # only tell is a PageLSN older than the recovery index
-            # expects.  Without this, redo would hit the chain-mismatch
-            # guard instead of repairing the page.  (Found by the chaos
-            # harness: lost write, checkpoint, update, crash.)
-            expected = db.pri.expected_page_lsn(page_id)
-            if expected is not None and page.page_lsn < expected:
-                raise SinglePageFailure(
-                    page_id, PageFailureKind.STALE_LSN,
-                    f"PageLSN {page.page_lsn} older than recovery "
-                    f"index's {expected} at restart redo")
-        return page
-    except (DeviceReadError, SinglePageFailure) as exc:
-        if isinstance(exc, SinglePageFailure):
-            failure = exc
-        else:
-            failure = SinglePageFailure(
-                page_id, PageFailureKind.DEVICE_READ_ERROR, str(exc))
-        # Single-page recovery during restart: the PRI was already
-        # reconstructed by the load + analysis phases.
-        page = db.recovery_manager.handle_failure(failure)
-        return page
-
-
-# ----------------------------------------------------------------------
-# Pass 3: undo (per-loser primitive shared with instant restart and
-# with media restore — both registries lazily undo through this)
-# ----------------------------------------------------------------------
-def undo_loser(db, txn_id: int, last_lsn: int,  # noqa: ANN001
-               is_system: bool) -> None:
-    """Roll back one loser transaction and log its ABORT record."""
-    txn = Transaction(txn_id, is_system=is_system)
-    txn.last_lsn = last_lsn
-    db.tm.rollback_work(txn, db)
-    db.log.append(LogRecord(LogRecordKind.ABORT, txn_id=txn_id,
-                            prev_lsn=txn.last_lsn))
-    db.stats.bump("restart_undo_txns")
-
-
-def _undo(db, att: dict[int, tuple[int, bool]], report: RestartReport) -> None:  # noqa: ANN001
-    losers = sorted(att.items(), key=lambda item: -item[1][0])
-    for txn_id, (last_lsn, is_system) in losers:
-        undo_loser(db, txn_id, last_lsn, is_system)
-        report.undo_transactions += 1
-        report.loser_txn_ids.append(txn_id)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 A :class:`~repro.shard.router.ShardRouter` hash-partitions the key
 space (stable CRC-32, never Python's randomized ``hash()``) across N
 :class:`repro.engine.database.Database` instances — each with its own
-device, WAL, buffer pool, and restart/restore registries — behind a
+device, WAL, buffer pool, and pending-recovery registry — behind a
 small length-prefixed socket protocol (:mod:`repro.shard.rpc`,
 :mod:`repro.shard.worker`).
 

@@ -1,8 +1,8 @@
 """One shard: an engine instance behind the command protocol.
 
 A :class:`ShardWorker` owns a complete :class:`repro.engine.database.
-Database` — its own device, WAL, buffer pool, and restart/restore
-registries — plus one default key-value index, and executes the
+Database` — its own device, WAL, buffer pool, and pending-recovery
+registry — plus one default key-value index, and executes the
 router's command tuples against it.  The same worker object serves two
 transports: in-process (the router calls :meth:`execute` directly —
 deterministic, used by the chaos harness and the differential suite)
@@ -472,9 +472,7 @@ class ShardWorker:
 
     def _cmd_drain(self, page_budget: int | None = None,
                    loser_budget: int | None = None) -> tuple[int, int]:
-        p1, l1 = self.db.drain_restart(page_budget, loser_budget)
-        p2, l2 = self.db.drain_restore(page_budget, loser_budget)
-        return p1 + p2, l1 + l2
+        return self.db.drain_pending(page_budget, loser_budget)
 
     def _cmd_stats(self) -> dict:
         counters = self.db.stats.snapshot()

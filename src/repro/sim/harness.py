@@ -582,9 +582,6 @@ class _Run:
         otherwise the newest retained backup with a log record."""
         db = self.db
         pinned = db._pending_restore_backup_id
-        if (db.restore_registry is not None
-                and not db.restore_registry.complete):
-            pinned = db.restore_registry.backup_id
         if pinned is not None and db.backup_store.has_full_backup(pinned):
             return pinned
         for backup_id in reversed(db.backup_store.full_backup_ids()):
@@ -772,13 +769,13 @@ class _Run:
         self.trace(f"backup id={backup_id}")
 
     def _do_drain(self, payload: dict) -> None:
-        pages_r, losers_r = self.db.drain_restart(
+        restart = self.db.restart_pending  # else any work is a restore's
+        pages, losers = self.db.drain_pending(
             page_budget=payload["pages"], loser_budget=payload["losers"])
-        pages_s, losers_s = self.db.drain_restore(
-            page_budget=payload["pages"], loser_budget=payload["losers"])
-        if pages_r or losers_r or pages_s or losers_s:
-            self.trace(f"drain restart={pages_r}/{losers_r} "
-                       f"restore={pages_s}/{losers_s}")
+        if pages or losers:
+            done, idle = f"{pages}/{losers}", "0/0"
+            self.trace(f"drain restart={done if restart else idle} "
+                       f"restore={idle if restart else done}")
 
     def _do_truncate(self, payload: dict) -> None:
         from repro.errors import StorageError
@@ -833,11 +830,9 @@ class _Run:
 
     def _do_backup_loss(self, payload: dict) -> None:
         db = self.db
-        protected = {db._pending_restore_backup_id}
-        if db.restore_registry is not None:
-            protected.add(db.restore_registry.backup_id)
         ids = db.backup_store.full_backup_ids()
-        candidates = [b for b in ids[:-1] if b not in protected]
+        candidates = [b for b in ids[:-1]
+                      if b != db._pending_restore_backup_id]
         if candidates:
             victim = candidates[payload["rank"] % len(candidates)]
             db.backup_store.retire_full_backup(victim)

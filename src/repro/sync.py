@@ -13,7 +13,7 @@ Latch order (deadlock discipline, outermost first)::
     Database.latch  (engine read/write latch)
       -> LockManager mutex
       -> BufferPool mutex -> Frame latch
-      -> registry mutexes (restart/restore)
+      -> pending-recovery registry mutex
       -> LogManager mutex / commit barrier
       -> leaf locks (device, PRI, log reader, clock, stats)
 
@@ -24,6 +24,11 @@ Two refinements keep that true in practice:
   the rollback (which fixes pages — pool mutex, frame latches) with
   the mutex *released*, because fix-path hooks acquire the registry
   mutex while holding a frame latch;
+* a registry **drain** does enter the pool mutex under the registry
+  mutex (``BufferPool.adopt_dirty``) — safe because no thread holding
+  the pool mutex calls into the registry or waits for a frame latch (a
+  loader takes its fresh frame's latch uncontended; waiters block with
+  the pool mutex released);
 * the commit barrier is waited on while holding **no** other engine
   lock (sessions release the engine latch before forcing), so riders
   can never wedge a writer.

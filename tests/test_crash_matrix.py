@@ -202,7 +202,7 @@ class TestCrashMatrixWithPrefetch:
         steps(db, tree)
         db.crash()
         db.restart(mode="on_demand")
-        registry = db.restart_registry
+        registry = db.pending_recovery
         pending = registry.pending_page_count if registry else 0
         redone_before = db.stats.get("lazy_redo_pages")
         superseded_before = db.stats.get("lazy_redo_superseded")

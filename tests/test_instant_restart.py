@@ -110,7 +110,7 @@ class TestOnDemandRestart:
     def test_watermark_gates_log_truncation(self):
         db = crashed_with_losers()
         db.restart(mode="on_demand")
-        registry = db.restart_registry
+        registry = db.pending_recovery
         bound_pending = db.log_retention_bound()
         assert registry.retention_bound() is not None
         assert bound_pending <= registry.retention_bound()
@@ -132,7 +132,7 @@ class TestOnDemandRestart:
         db.restart(mode="on_demand")
         assert db.restart_pending
         db.crash()  # pending work abandoned with the volatile state
-        assert db.restart_registry is None
+        assert db.pending_recovery is None
         db.restart(mode="on_demand")
         db.finish_restart()
         tree = db.tree(1)

@@ -57,14 +57,14 @@ class TestOnDemandRestore:
         db, tree, backup_id = restorable_db()
         fail_media(db)
         db.recover_media(backup_id, mode="on_demand")
-        before = db.restore_registry.pending_page_count
+        before = db.pending_recovery.pending_page_count
         restored_before = db.stats.get("restore_pages")
         tree = db.tree(1)
         assert tree.lookup(key_of(199)) == value_of(199, 0)
         # The lookup restored the metadata/root path plus one leaf —
         # a handful of pages, not the device.
         assert db.stats.get("restore_pages") - restored_before <= 6
-        assert db.restore_registry.pending_page_count < before
+        assert db.pending_recovery.pending_page_count < before
 
     def test_budgeted_drain_respects_budget(self):
         db, tree, backup_id = restorable_db()
@@ -163,7 +163,7 @@ class TestRestoreGates:
         db.finish_restore()
         # Once complete, the registry no longer pins anything (other
         # retention constraints — PRI backups etc. — still apply).
-        assert db.restore_registry is None
+        assert db.pending_recovery is None
 
     def test_backup_retirement_gated_on_watermark(self):
         """Restoring from an older backup while a newer one exists:

@@ -192,7 +192,7 @@ class TestMediaFailureDuringOnDemandRestart:
         media_fail(db)
         db.recover_media(backup_id, mode=mode)
         # The restart registry's deferred work was absorbed.
-        assert db.restart_registry is None
+        assert not db.restart_pending
         if mode == "on_demand":
             db.finish_restore()
         tree = db.tree(1)
@@ -327,10 +327,10 @@ class TestRestoreWithTraffic:
         db, tree, model, backup_id = prepared_media()
         media_fail(db)
         db.recover_media(backup_id, mode="on_demand")
-        pending_before = db.restore_registry.pending_page_count
+        pending_before = db.pending_recovery.pending_page_count
         tree = db.tree(1)
         txn = db.begin()
         db.update(tree, key_of(100), b"updated-mid-restore", txn=txn)
         db.commit(txn)
-        assert db.restore_registry.pending_page_count < pending_before
+        assert db.pending_recovery.pending_page_count < pending_before
         assert tree.lookup(key_of(100)) == b"updated-mid-restore"
