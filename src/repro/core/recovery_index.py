@@ -125,30 +125,39 @@ class PageRecoveryIndex:
 
     def _set_backup_locked(self, page_id: int, ref: BackupRef, page_lsn: int,
                            now: float) -> BackupRef | None:
-        old_ref: BackupRef | None = None
-        pos = self._find_range(page_id)
-        if pos is not None:
-            start, end = self._starts[pos], self._ends[pos]
-            old_ref = self._refs[pos]
-            old = (self._refs[pos], self._lsns[pos], self._times[pos])
-            self._delete_ranges(pos, pos + 1)
-            insert_at = pos
-            if start < page_id:
-                self._insert_range(insert_at, start, page_id, *old)
-                insert_at += 1
-            self._insert_range(insert_at, page_id, page_id + 1, ref, page_lsn, now)
-            insert_at += 1
-            if page_id + 1 < end:
-                self._insert_range(insert_at, page_id + 1, end, *old)
-        else:
-            pos = bisect.bisect_right(self._starts, page_id)
-            self._insert_range(pos, page_id, page_id + 1, ref, page_lsn, now)
+        pos, old_ref = self._cut_page(page_id)
+        self._insert_range(pos, page_id, page_id + 1, ref, page_lsn, now)
         # Page is now backed up as of page_lsn; a previously recorded
         # "updated since backup" LSN is superseded unless newer.
         recorded = self._page_lsns.get(page_id)
         if recorded is not None and recorded <= page_lsn:
             del self._page_lsns[page_id]
         return old_ref
+
+    def _cut_page(self, page_id: int) -> tuple[int, BackupRef | None]:
+        """Take ``page_id`` out of the range covering it, splitting the
+        range as appropriate; returns where a point entry for the page
+        belongs and the reference that covered it (if any)."""
+        pos = self._find_range(page_id)
+        if pos is None:
+            return bisect.bisect_right(self._starts, page_id), None
+        start, end = self._starts[pos], self._ends[pos]
+        old = (self._refs[pos], self._lsns[pos], self._times[pos])
+        self._delete_ranges(pos, pos + 1)
+        if page_id + 1 < end:
+            self._insert_range(pos, page_id + 1, end, *old)
+        if start < page_id:
+            self._insert_range(pos, start, page_id, *old)
+            pos += 1
+        return pos, old[0]
+
+    def forget(self, page_id: int) -> None:
+        """The page left the database (a recovery-index region page no
+        snapshot occupies any more): it has no backup worth retaining
+        and no PageLSN to expect, so it must stop pinning the log."""
+        with self._mutex:
+            self._cut_page(page_id)
+            self._page_lsns.pop(page_id, None)
 
     def set_range_backup(self, start: int, end: int, ref: BackupRef,
                          page_lsn: int, now: float = 0.0) -> None:
@@ -347,6 +356,9 @@ class PartitionedRecoveryIndex:
 
     def record_write(self, page_id: int, page_lsn: int) -> None:
         self._for_page(page_id).record_write(page_id, page_lsn)
+
+    def forget(self, page_id: int) -> None:
+        self._for_page(page_id).forget(page_id)
 
     def lookup(self, page_id: int) -> PriEntry:
         return self._for_page(page_id).lookup(page_id)

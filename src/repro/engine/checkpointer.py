@@ -23,7 +23,13 @@ from repro.core.recovery_index import PageRecoveryIndex, PartitionedRecoveryInde
 from repro.errors import ConfigError, ReproError, StorageError
 from repro.page.page import Page, PageType
 from repro.sync import Mutex
-from repro.wal.records import BackupRef, CheckpointData, LogRecord, LogRecordKind
+from repro.wal.records import (
+    BackupRef,
+    BackupRefKind,
+    CheckpointData,
+    LogRecord,
+    LogRecordKind,
+)
 
 
 class Checkpointer:
@@ -90,9 +96,10 @@ class Checkpointer:
     def persist_pri(self) -> dict[int, int]:
         """Serialize the PRI into its reserved page region.
 
-        Each page gets a fresh full-page-image log record that acts as
-        its backup; partition p's pages are covered by partition 1-p,
-        so no page holds its own recovery information (Section 5.2.2).
+        Only the region pages a snapshot occupies are written; each
+        gets a fresh full-page-image log record that acts as its
+        backup.  Partition p's pages are covered by partition 1-p, so
+        no page holds its own recovery information (Section 5.2.2).
         Both partitions are serialized *first* so that neither snapshot
         depends on entries created while writing the other.
 
@@ -103,16 +110,27 @@ class Checkpointer:
         cfg = db.config
         per_partition = cfg.pri_region_pages_per_partition
         chunk_capacity = cfg.page_size - 64
-        blobs = [partition.serialize() for partition in self._partitions()]
+        region = [self.pri_partition_pages(p)
+                  for p in range(len(self._partitions()))]
+        while True:
+            blobs = [partition.serialize() for partition in self._partitions()]
+            needed = [max(1, -(-len(blob) // chunk_capacity))
+                      for blob in blobs]
+            # A page that held a chunk of a larger earlier snapshot
+            # would keep its in-log image as backup and pin log
+            # retention there for ever.  The entries live in the index
+            # being serialized, so dropping any means serializing again.
+            if not self._forget_vacated_pri_pages(region, needed):
+                break
         image_lsns: dict[int, int] = {}
         for p, blob in enumerate(blobs):
-            pages_needed = max(1, -(-len(blob) // chunk_capacity))
+            pages_needed = needed[p]
             if pages_needed > per_partition:
                 raise ConfigError(
                     f"PRI partition {p} needs {pages_needed} pages, "
                     f"region holds {per_partition}")
-            page_ids = self.pri_partition_pages(p)
-            for seq in range(per_partition):
+            page_ids = region[p]
+            for seq in range(pages_needed):
                 page_id = page_ids[seq]
                 chunk = blob[seq * chunk_capacity:(seq + 1) * chunk_capacity]
                 page = Page.format(cfg.page_size, page_id,
@@ -137,6 +155,42 @@ class Checkpointer:
                 db.pri.record_write(page_id, lsn)
         db.stats.bump("pri_persists")
         return image_lsns
+
+    def _forget_vacated_pri_pages(self, region: list[list[int]],
+                                  needed: list[int]) -> bool:
+        """Drop the index entries of region pages beyond each
+        snapshot's last chunk; returns whether any were dropped.
+        Snapshots occupy a prefix of their pages, so the walk stops at
+        the first page that holds no in-log image."""
+        pri = self.db.pri
+        dropped = False
+        for page_ids, pages_needed in zip(region, needed):
+            for page_id in page_ids[pages_needed:]:
+                if not (pri.covers(page_id)
+                        and pri.lookup(page_id).backup_ref.kind
+                        == BackupRefKind.LOG_IMAGE):
+                    break
+                pri.forget(page_id)
+                dropped = True
+        return dropped
+
+    def vacant_pri_pages(self) -> set[int]:
+        """Region pages no snapshot occupies, i.e. all but those the
+        master checkpoint lists — the rule restart loads the index by.
+        Whatever the device holds there is not part of the database:
+        nothing reads it and no backup need hold an image of it, so
+        whole-device passes (scrubbing, full backups) leave it alone.
+        The index is no witness here: a range entry (full backup,
+        restore) spans such pages too."""
+        db = self.db
+        vacant = set(range(db.config.pri_region_start,
+                           db.config.pri_region_end))
+        master_lsn = db.log.master_checkpoint_lsn
+        if master_lsn:
+            checkpoint = db.log.record_at(master_lsn).checkpoint
+            if checkpoint is not None:
+                vacant.difference_update(checkpoint.pri_images)
+        return vacant
 
     def pri_partition_pages(self, partition: int) -> list[int]:
         """Page ids of the region pages holding ``partition``'s blob.
@@ -254,9 +308,10 @@ class Checkpointer:
         images: dict[int, bytes] = {}
         page_lsns: dict[int, int] = {}
         next_free = db.allocated_pages()
+        vacant = self.vacant_pri_pages()
         for page_id in range(next_free):
             raw = db.device.raw_image(page_id)
-            if raw is None:
+            if raw is None or page_id in vacant:
                 continue
             image = self._verified_backup_image(page_id, raw)
             images[page_id] = image
@@ -320,8 +375,6 @@ class Checkpointer:
         references must survive for single-page recovery.  Returns the
         retired backup ids.
         """
-        from repro.wal.records import BackupRefKind
-
         db = self.db
         ids = db.backup_store.full_backup_ids()
         if len(ids) <= 1:
@@ -367,8 +420,6 @@ class Checkpointer:
           the *next* device loss unrecoverable (found by the chaos
           harness: checkpoint + truncate + device loss).
         """
-        from repro.wal.records import BackupRefKind
-
         db = self.db
         bound = db.log.master_checkpoint_lsn or db.log.end_lsn
         for backup_id in reversed(db.backup_store.full_backup_ids()):

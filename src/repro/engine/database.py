@@ -686,8 +686,11 @@ class Database:
     def scrub(self, repair: bool = True) -> ScrubReport:
         """Scrub all allocated pages not currently buffered."""
         self._require_running()
-        scrubber = Scrubber(self.device, self.recovery_manager, self.stats,
-                            skip=self.pool.resident)
+        vacant = self.checkpointer.vacant_pri_pages()
+        scrubber = Scrubber(
+            self.device, self.recovery_manager, self.stats,
+            skip=lambda page_id: (self.pool.resident(page_id)
+                                  or page_id in vacant))
         return scrubber.scrub(0, self.allocated_pages(), repair=repair)
 
     def allocated_pages(self) -> int:

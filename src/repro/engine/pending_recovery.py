@@ -282,12 +282,20 @@ class BackupImage(ImageSource):
                 0, max(pending) + 1,
                 BackupRef.full_backup(db._pending_restore_backup_id),
                 self.backup_lsn, db.clock.now)
+            # A recovery-index page the region grew onto after the
+            # backup only ever receives whole images; the newest one is
+            # its backup.
             for page_id, records in pending.items():
-                if (page_id not in self.backup_pages and records
-                        and records[0].kind == LogRecordKind.FORMAT_PAGE):
+                if page_id in self.backup_pages or not records:
+                    continue
+                if records[0].kind == LogRecordKind.FORMAT_PAGE:
                     db.pri.set_backup(
                         page_id, BackupRef.format_record(records[0].lsn),
                         records[0].lsn, db.clock.now)
+                elif records[0].kind == LogRecordKind.FULL_PAGE_IMAGE:
+                    db.pri.set_backup(
+                        page_id, BackupRef.log_image(records[-1].lsn),
+                        records[-1].lsn, db.clock.now)
 
     def prefetch_images(self) -> None:
         """Pull the whole backup with one sequential read (eager mode:
@@ -311,13 +319,16 @@ class BackupImage(ImageSource):
             image, _lsn = db.backup_store.fetch_from_full_backup(
                 backup_id, page_id)
             return Page(page_size, image)
-        if records and records[0].kind == LogRecordKind.FORMAT_PAGE:
-            # Formatted after the backup: the formatting record is the
-            # backup (source four); replay starts from a fresh page.
+        if records and records[0].kind in (LogRecordKind.FORMAT_PAGE,
+                                           LogRecordKind.FULL_PAGE_IMAGE):
+            # First written after the backup: the formatting record is
+            # the backup (source four), and so is the whole image a
+            # checkpoint logs for a recovery-index page its snapshot
+            # grew onto; replay starts from a fresh page.
             return Page.format(page_size, page_id)
         raise RecoveryError(
             f"page {page_id} is not in full backup {backup_id} and has "
-            f"no formatting record since LSN {self.backup_lsn}")
+            f"no formatting record or image since LSN {self.backup_lsn}")
 
     def deliver(self, page: Page, records: list[LogRecord],
                 applied: list[LogRecord], sequential: bool) -> int | None:

@@ -328,12 +328,12 @@ def _insert_pos(records: list[LogRecord], lsn: int) -> int:
 def _load_pri(db, report: RestartReport) -> None:  # noqa: ANN001
     """Rebuild the in-memory PRI from its page region.
 
-    Every checkpoint rewrites the whole region, logging a full-page
-    image per page *before* the CHECKPOINT_END record — so the log tail
-    beginning at the master checkpoint always contains a backup for
-    each region page.  A region page that fails verification is rebuilt
-    from that image: single-page recovery applied to the recovery
-    index itself.
+    Every checkpoint rewrites the region pages its snapshots occupy,
+    logging a full-page image per page *before* the CHECKPOINT_END
+    record that lists them — so the log tail beginning at the master
+    checkpoint always contains a backup for each page read here.  A
+    region page that fails verification is rebuilt from that image:
+    single-page recovery applied to the recovery index itself.
     """
     start_lsn = db.log.master_checkpoint_lsn
     if not start_lsn:

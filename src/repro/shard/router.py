@@ -38,7 +38,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-import zlib
 from collections import deque
 
 from repro.errors import (
@@ -56,17 +55,6 @@ from repro.shard.routing import RoutingTable, slot_of
 from repro.shard.rpc import recv_msg, send_msg, unmarshal_error
 from repro.shard.twopc import CoordinatorLog
 from repro.shard.worker import ShardWorker, worker_main
-
-
-def shard_of(key: bytes, n_shards: int) -> int:
-    """Stable partition of ``key`` (CRC-32 mod N).
-
-    The fleet-creation map: a router whose coordinator log holds no
-    epoch records routes exactly like this whenever ``n_shards``
-    divides ``n_slots`` (the default deployment).  Kept as a module
-    function for tools that partition without a router.
-    """
-    return zlib.crc32(key) % n_shards
 
 
 #: verbs whose blind re-execution after a crashed reply is unsafe: the
@@ -90,11 +78,18 @@ class LocalShard:
         self.worker = ShardWorker(shard_id, config)
         #: network partition switch (the harness flips it)
         self.partitioned = False
+        #: the shard log's durable LSN as of the last command — what a
+        #: process shard's last reply carried, so the deterministic
+        #: transport retries on exactly the information the real one has
+        self.durable_lsn = self.worker.durable_lsn
 
     def call(self, command: tuple):  # noqa: ANN201
         if self.partitioned:
             raise ShardUnavailableError(self.shard_id, "network partition")
-        return self.worker.execute(command)
+        try:
+            return self.worker.execute(command)
+        finally:
+            self.durable_lsn = self.worker.durable_lsn
 
     def close(self) -> None:
         if not self.partitioned:
@@ -121,8 +116,13 @@ class ProcessShard:
         self.shard_id = shard_id
         ctx = multiprocessing.get_context("fork")
         parent_sock, child_sock = socket.socketpair()
+        #: ``None`` once the connection is lost or out of step: every
+        #: later call fails typed instead of misparsing the stream
         self._sock = parent_sock
         self._lock = threading.Lock()
+        #: the durable LSN the last reply carried (``None`` before the
+        #: first; the router's boot-time ``set_slots`` supplies one)
+        self.durable_lsn: int | None = None
         self._proc = ctx.Process(
             target=worker_main, args=(shard_id, config, child_sock),
             daemon=True, name=f"shard-{shard_id}")
@@ -131,27 +131,43 @@ class ProcessShard:
 
     def call(self, command: tuple):  # noqa: ANN201
         with self._lock:
-            try:
-                send_msg(self._sock, command)
-                reply = recv_msg(self._sock)
-            except (ConnectionError, OSError) as exc:
+            sock = self._sock
+            if sock is None:
                 raise ShardUnavailableError(
-                    self.shard_id, f"worker connection lost: {exc}") from exc
-        if reply is None:
-            raise ShardUnavailableError(self.shard_id, "worker process exited")
-        if reply[0] == "ok":
-            return reply[1]
-        raise unmarshal_error(reply[1], reply[2])
+                    self.shard_id, "worker connection closed")
+            try:
+                send_msg(sock, command)
+                reply = recv_msg(sock)
+                if reply is None:
+                    raise ConnectionError("worker process exited")
+                if reply[0] == "ok":
+                    _, result, self.durable_lsn = reply
+                    return result
+                if reply[0] != "err":
+                    raise ValueError(f"malformed rpc reply {reply!r:.80}")
+                _, name, message, self.durable_lsn = reply
+            except BaseException as exc:
+                # Anything short of a complete, well-formed reply leaves
+                # the byte stream out of step (an unread body would be
+                # parsed as the next header): hang up for good.
+                self._sock = None
+                sock.close()
+                if isinstance(exc, (ConnectionError, OSError, TypeError,
+                                    ValueError, LookupError)):
+                    raise ShardUnavailableError(
+                        self.shard_id,
+                        f"worker connection lost: {exc}") from exc
+                raise
+        raise unmarshal_error(name, message)
 
     def close(self) -> None:
         try:
             self.call(("close",))
-        except (ReproError, ShardUnavailableError):
+        except ReproError:
             pass
-        try:
+        if self._sock is not None:
             self._sock.close()
-        except OSError:
-            pass
+            self._sock = None
         self._proc.join(timeout=5)
         if self._proc.is_alive():
             self._proc.terminate()
@@ -225,27 +241,28 @@ class ShardRouter:
         from the decision log) transparently, then the command retried
         once.  A partitioned shard raises without retry.
 
-        State-changing verbs get an *outcome-aware* retry: the shard's
-        durable LSN is recorded first, and if the command dies in a
-        system failure the post-restart log is consulted — a COMMIT
-        record past the watermark means the first attempt succeeded
-        and only its reply was lost, so the answer is reconstructed
-        from the log instead of re-executing (a blind retry would
-        double-apply the command, or report a hard failure for work
-        that is in fact durable).
+        State-changing verbs get an *outcome-aware* retry.  Every reply
+        carries the shard log's durable LSN and the transport keeps the
+        last one; it is copied *before* the command is sent.  That is
+        the shard's durable LSN at the moment the command arrives: the
+        worker is passive, so nothing reaches its log between its last
+        reply and this request (a queued message flushed just above
+        has replied too), and every earlier COMMIT was forced below
+        the mark.  If the command dies in a system failure the
+        post-restart log is consulted — a COMMIT record past the mark
+        means the first attempt succeeded and only its reply was lost,
+        so the answer is reconstructed from the log instead of
+        re-executing (a blind retry would double-apply the command, or
+        report a hard failure for work that is in fact durable).
         """
         self._require_open()
-        self._flush_pending(idx)
+        if self._pending[idx]:
+            self._flush_pending(idx)
         shard = self.shards[idx]
-        watermark = None
-        if command[0] in _RISKY_VERBS:
-            try:
-                watermark = shard.call(("durable_lsn",))
-            except SystemFailure:
-                self._reopen(idx)
-                watermark = shard.call(("durable_lsn",))
+        watermark = (shard.durable_lsn if command[0] in _RISKY_VERBS
+                     else None)
         try:
-            return shard.call(tuple(command))
+            return shard.call(command)
         except SystemFailure:
             indoubt = shard.call(("restart", None))
             # Probe *between* analysis and in-doubt resolution: the
@@ -256,7 +273,7 @@ class ShardRouter:
             self._finish_reopen(idx, indoubt)
             if outcome is not None:
                 return self._synthesize(command, outcome)
-            return shard.call(tuple(command))
+            return shard.call(command)
 
     @staticmethod
     def _synthesize(command: tuple, outcome: tuple[int, int]):  # noqa: ANN205
@@ -453,11 +470,12 @@ class ShardRouter:
 class RouterTxn:
     """One router-level transaction, possibly spanning shards.
 
-    Branches are opened lazily on first *write* to a shard; reads do
-    not enlist (the read-only participant optimization — a branch with
-    nothing to undo or redo has no business in phase one).  Commit is
-    a local passthrough for 0/1 participants and WAL-logged 2PC for
-    more.
+    A shard's branch opens with the transaction's first *write* there
+    — the write itself carries the open, so enlisting costs no message
+    — and reads do not enlist (the read-only participant optimization:
+    a branch with nothing to undo or redo has no business in phase
+    one).  Commit is a local passthrough for 0/1 participants and
+    WAL-logged 2PC for more.
     """
 
     def __init__(self, router: ShardRouter, xid: int) -> None:
@@ -482,10 +500,22 @@ class RouterTxn:
         self._done = True
         self.router._txns.pop(self.xid, None)
 
-    def _enlist(self, idx: int) -> None:
-        if idx not in self.branches:
-            self.router._call(idx, "txn_begin", self.xid)
-            self.branches.add(idx)
+    def _write(self, verb: str, key: bytes, *operands):  # noqa: ANN202
+        """One write in this transaction's branch on ``key``'s shard.
+        The first carries ``begin`` and the worker opens the branch in
+        the same handler; the shard is enlisted once that write
+        succeeded (the worker rolls a failed opening write's branch
+        back itself, and a request a partition refused never arrived).
+        """
+        self._require_active()
+        router = self.router
+        slot = router.slot_of(key)
+        idx = router.routing.owner_of(slot)
+        result = router._call(idx, verb, self.xid, key, *operands,
+                              idx not in self.branches)
+        self.branches.add(idx)
+        self._touched_slots.add(slot)
+        return result
 
     def get(self, key: bytes) -> bytes | None:
         self._require_active()
@@ -495,19 +525,10 @@ class RouterTxn:
         return self.router._call(idx, "get", key)
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._require_active()
-        idx = self.router.shard_of(key)
-        self._enlist(idx)
-        self.router._call(idx, "txn_put", self.xid, key, value)
-        self._touched_slots.add(self.router.slot_of(key))
+        self._write("txn_put", key, value)
 
     def delete(self, key: bytes) -> bool:
-        self._require_active()
-        idx = self.router.shard_of(key)
-        self._enlist(idx)
-        existed = self.router._call(idx, "txn_delete", self.xid, key)
-        self._touched_slots.add(self.router.slot_of(key))
-        return existed
+        return self._write("txn_delete", key)
 
     # -- finish --------------------------------------------------------
     def commit(self) -> None:

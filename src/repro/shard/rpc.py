@@ -2,11 +2,21 @@
 
 One message = a 4-byte little-endian length followed by a pickled
 payload.  Requests are plain tuples ``(verb, *operands)``; replies are
-``("ok", result)`` or ``("err", class_name, message)``.  Errors cross
-the process boundary by *name*, not by pickling the exception object —
+``("ok", result, durable_lsn)`` or ``("err", class_name, message,
+durable_lsn)``.  The last field is the shard log's durable high-water
+mark read *after* the command ran: the router's outcome-aware retry
+needs it before every state-changing command, and riding on the reply
+that exists anyway it costs no message of its own.  Errors cross the
+process boundary by *name*, not by pickling the exception object —
 several taxonomy classes take structured constructor arguments that do
-not survive ``pickle``'s default exception reduction, and a worker
-bug must never be able to crash the router's unpickler.
+not survive ``pickle``'s default exception reduction.
+
+The protocol is strict request/reply: at most one frame is in flight
+per direction, so a small frame's header and body arrive in one
+``recv``.  :func:`recv_msg` relies on that — bytes *after* a complete
+frame are a protocol violation, not the start of the next message.
+Every framing or decoding failure is a :class:`ConnectionError`; after
+one the byte stream is out of step and the socket must be closed.
 """
 
 from __future__ import annotations
@@ -20,6 +30,10 @@ _LEN = struct.Struct("<I")
 #: the receiver try to allocate gigabytes
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
+#: first read of a frame; requests and all but scan/batch/export
+#: replies fit, so the common frame costs one system call
+_FIRST_READ = 64 * 1024
+
 
 def send_msg(sock, obj) -> None:  # noqa: ANN001
     """Serialize ``obj`` and write one length-prefixed frame."""
@@ -29,30 +43,34 @@ def send_msg(sock, obj) -> None:  # noqa: ANN001
 
 def recv_msg(sock):  # noqa: ANN001, ANN201
     """Read one frame; returns the object, or ``None`` on clean EOF."""
-    header = _recv_exact(sock, _LEN.size)
-    if header is None:
-        return None
-    (length,) = _LEN.unpack(header)
+    data = sock.recv(_FIRST_READ)
+    if not data:
+        return None  # clean EOF between frames
+    while len(data) < _LEN.size:
+        data += _recv_some(sock, _FIRST_READ)
+    (length,) = _LEN.unpack_from(data)
     if length > MAX_MESSAGE_BYTES:
         raise ConnectionError(f"oversized rpc frame: {length} bytes")
-    payload = _recv_exact(sock, length)
-    if payload is None:
+    end = _LEN.size + length
+    if len(data) < end:
+        frame = bytearray(data)
+        while len(frame) < end:
+            frame += _recv_some(sock, end - len(frame))
+        data = frame
+    elif len(data) > end:
+        raise ConnectionError(
+            f"{len(data) - end} bytes follow a complete rpc frame")
+    try:
+        return pickle.loads(memoryview(data)[_LEN.size:])
+    except Exception as exc:  # noqa: BLE001 - unpickling garbage raises anything
+        raise ConnectionError(f"undecodable rpc frame: {exc!r}") from exc
+
+
+def _recv_some(sock, limit: int) -> bytes:  # noqa: ANN001
+    chunk = sock.recv(limit)
+    if not chunk:
         raise ConnectionError("connection closed mid-frame")
-    return pickle.loads(payload)
-
-
-def _recv_exact(sock, n: int) -> bytes | None:  # noqa: ANN001
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if chunks:
-                raise ConnectionError("connection closed mid-frame")
-            return None  # clean EOF between frames
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    return chunk
 
 
 # ----------------------------------------------------------------------

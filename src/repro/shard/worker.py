@@ -27,6 +27,7 @@ received an assignment owns everything (the embedded/standalone case).
 
 from __future__ import annotations
 
+from repro.btree.tree import FosterBTree
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.errors import (
@@ -55,16 +56,19 @@ class ShardWorker:
         #: every key accepted (standalone workers, pre-routing tests)
         self._owned: set[int] | None = None
         self._n_slots = 0
+        #: verb -> bound handler, built once (every ``_cmd_*`` method)
+        self._handlers = {
+            name[len("_cmd_"):]: getattr(self, name)
+            for name in dir(type(self)) if name.startswith("_cmd_")}
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def execute(self, command: tuple):  # noqa: ANN201
         """Run one ``(verb, *operands)`` tuple; exceptions propagate."""
-        verb = command[0]
-        handler = getattr(self, "_cmd_" + verb, None)
+        handler = self._handlers.get(command[0])
         if handler is None:
-            raise ShardError(f"unknown shard command {verb!r}")
+            raise ShardError(f"unknown shard command {command[0]!r}")
         self.ops_served += 1
         return handler(*command[1:])
 
@@ -111,47 +115,39 @@ class ShardWorker:
             return None
 
     def _cmd_put(self, key: bytes, value: bytes) -> None:
-        self.db._require_running()
+        db = self.db
+        db._require_running()
         self._check_owner(key)
-        xid = self._cmd_txn_begin(-1)
-        try:
-            self._cmd_txn_put(xid, key, value)
-        except BaseException:
-            self._abort_quietly(xid)
-            raise
-        self._cmd_txn_commit(xid)
+        with _Autocommit(db) as txn:
+            db.locks.acquire(txn.txn_id, key)
+            self._tree.upsert(txn, key, value)
 
     def _cmd_delete(self, key: bytes) -> bool:
-        self.db._require_running()
+        db = self.db
+        db._require_running()
         self._check_owner(key)
-        xid = self._cmd_txn_begin(-1)
-        try:
-            existed = self._cmd_txn_delete(xid, key)
-        except BaseException:
-            self._abort_quietly(xid)
-            raise
-        self._cmd_txn_commit(xid)
-        return existed
+        with _Autocommit(db) as txn:
+            db.locks.acquire(txn.txn_id, key)
+            return self._tree.remove(txn, key)
 
     def _cmd_batch(self, ops: list[tuple]) -> int:
         """Apply ``[("put", k, v) | ("delete", k), ...]`` in one local
         transaction (the bulk path the benchmarks drive)."""
-        self.db._require_running()
+        db = self.db
+        db._require_running()
         for op in ops:
             self._check_owner(op[1])
-        xid = self._cmd_txn_begin(-1)
-        try:
+        with _Autocommit(db) as txn:
+            txn_id, acquire, tree = txn.txn_id, db.locks.acquire, self._tree
             for op in ops:
                 if op[0] == "put":
-                    self._cmd_txn_put(xid, op[1], op[2])
+                    acquire(txn_id, op[1])
+                    tree.upsert(txn, op[1], op[2])
                 elif op[0] == "delete":
-                    self._cmd_txn_delete(xid, op[1])
+                    acquire(txn_id, op[1])
+                    tree.remove(txn, op[1])
                 else:
                     raise ShardError(f"unknown batch op {op[0]!r}")
-        except BaseException:
-            self._abort_quietly(xid)
-            raise
-        self._cmd_txn_commit(xid)
         return len(ops)
 
     def _cmd_scan(self, low: bytes = b"",
@@ -168,30 +164,35 @@ class ShardWorker:
     def _abort_quietly(self, xid: int) -> None:
         txn = self._live.pop(xid, None)
         if txn is not None:
-            try:
-                self.db.abort(txn)
-            except Exception:
-                # The failed operation already escalated (e.g. to a
-                # system failure that wiped the active table); the
-                # original error is the one the router needs to see.
-                pass
+            _rollback_quietly(self.db, txn)
 
     # ------------------------------------------------------------------
     # Transactional branches
     # ------------------------------------------------------------------
-    def _cmd_txn_begin(self, xid: int) -> int:
-        """Open a branch.  ``xid`` is the router's transaction id; the
-        autocommit paths pass ``-1`` and get a fresh negative id so
-        internal transactions can never collide with router ones."""
-        if xid == -1:
-            xid = -2 - len(self._live)
-            while xid in self._live:
-                xid -= 1
-        if xid in self._live:
+    def _branch_write(self, xid: int, key: bytes, begin: bool,
+                      write, *operands):  # noqa: ANN001, ANN202
+        """One write (``write`` is the tree method) in a router
+        transaction's branch.  The transaction's *first* write to this
+        shard carries ``begin`` and opens the branch in the same
+        message; later writes must find it — re-opening silently after
+        a crash wiped ``_live`` would commit the transaction without
+        its earlier writes.  A branch exists only once a write
+        succeeded: a failed opening write rolls itself back."""
+        self._check_owner(key)
+        if not begin:
+            txn = self._branch(xid)
+        elif xid in self._live:
             raise TransactionError(
                 f"shard {self.shard_id} already has a branch for xid {xid}")
-        self._live[xid] = self.db.begin()
-        return xid
+        else:
+            txn = self._live[xid] = self.db.begin()
+        try:
+            self.db.locks.acquire(txn.txn_id, key)
+            return write(self._tree, txn, key, *operands)
+        except BaseException:
+            if begin:
+                self._abort_quietly(xid)
+            raise
 
     def _cmd_txn_get(self, xid: int, key: bytes) -> bytes | None:
         self._check_owner(key)
@@ -201,17 +202,13 @@ class ShardWorker:
         except KeyNotFound:
             return None
 
-    def _cmd_txn_put(self, xid: int, key: bytes, value: bytes) -> None:
-        self._check_owner(key)
-        txn = self._branch(xid)
-        self.db.locks.acquire(txn.txn_id, key)
-        self._tree.upsert(txn, key, value)
+    def _cmd_txn_put(self, xid: int, key: bytes, value: bytes,
+                     begin: bool = False) -> None:
+        self._branch_write(xid, key, begin, FosterBTree.upsert, value)
 
-    def _cmd_txn_delete(self, xid: int, key: bytes) -> bool:
-        self._check_owner(key)
-        txn = self._branch(xid)
-        self.db.locks.acquire(txn.txn_id, key)
-        return self._tree.remove(txn, key)
+    def _cmd_txn_delete(self, xid: int, key: bytes,
+                        begin: bool = False) -> bool:
+        return self._branch_write(xid, key, begin, FosterBTree.remove)
 
     def _cmd_txn_commit(self, xid: int) -> int:
         txn = self._branch(xid)
@@ -285,16 +282,10 @@ class ShardWorker:
                    if self._slot_of(key) == slot]
         if not victims:
             return 0
-        xid = self._cmd_txn_begin(-1)
-        txn = self._live[xid]
-        try:
+        with _Autocommit(self.db) as txn:
             for key in victims:
                 self.db.locks.acquire(txn.txn_id, key)
                 self._tree.delete(txn, key)
-        except BaseException:
-            self._abort_quietly(xid)
-            raise
-        self._cmd_txn_commit(xid)
         return len(victims)
 
     def _cmd_export_slot(self, slot: int) -> tuple[int, list]:
@@ -391,10 +382,8 @@ class ShardWorker:
         apply a catch-up delta (``clear=False``) in one local
         transaction.  ``items`` is ``[(key, value | None), ...]``."""
         self.db._require_running()
-        xid = self._cmd_txn_begin(-1)
-        txn = self._live[xid]
-        tree = self._tree
-        try:
+        with _Autocommit(self.db) as txn:
+            tree = self._tree
             if clear and self._n_slots:
                 incoming = {key for key, _ in items}
                 stale = [key for key, _ in tree.range_scan(b"", None)
@@ -409,21 +398,18 @@ class ShardWorker:
                     tree.remove(txn, key)
                 else:
                     tree.upsert(txn, key, value)
-        except BaseException:
-            self._abort_quietly(xid)
-            raise
-        self._cmd_txn_commit(xid)
         return len(items)
 
     # ------------------------------------------------------------------
     # Recovery probes (the router's outcome-aware retry path)
     # ------------------------------------------------------------------
-    def _cmd_durable_lsn(self) -> int:
-        """The shard log's durable high-water mark — the router records
-        it *before* a state-changing command so that, if the reply is
-        lost to a crash, it can ask what committed past the mark
-        instead of blindly re-executing."""
-        self.db._require_running()
+    @property
+    def durable_lsn(self) -> int:
+        """The shard log's durable high-water mark, sent back with every
+        reply.  The router keeps the last one it saw; if a state-
+        changing command's reply is then lost to a crash, it asks what
+        committed past the mark instead of blindly re-executing.
+        Readable on a crashed shard: the durable log outlives a crash."""
         return self.db.log.durable_lsn
 
     def _cmd_outcome_since(self, lsn: int) -> tuple[int, int] | None:
@@ -431,7 +417,7 @@ class ShardWorker:
 
         Returns ``(commit_lsn, n_updates)`` for the first such commit
         (the command whose reply the crash ate — the router sends at
-        most one state-changing command between watermarks), or
+        most one state-changing command after the mark it passes), or
         ``None``: nothing committed, the retry is safe.
         """
         self.db._require_running()
@@ -490,11 +476,47 @@ class ShardWorker:
 
 
 # ----------------------------------------------------------------------
+# Private transactions
+# ----------------------------------------------------------------------
+class _Autocommit:
+    """A private transaction around one command: commits when the body
+    returns, rolls back when it raises.  It never enters ``_live`` —
+    no other command can name it."""
+
+    __slots__ = ("_db", "_txn")
+
+    def __init__(self, db: Database) -> None:
+        self._db = db
+
+    def __enter__(self):  # noqa: ANN204 - Transaction
+        self._txn = self._db.begin()
+        return self._txn
+
+    def __exit__(self, exc_type, exc, tb) -> None:  # noqa: ANN001
+        if exc_type is None:
+            self._db.commit(self._txn)
+        else:
+            _rollback_quietly(self._db, self._txn)
+
+
+def _rollback_quietly(db: Database, txn) -> None:  # noqa: ANN001
+    try:
+        db.abort(txn)
+    except Exception:  # noqa: BLE001
+        # The failed operation already escalated (e.g. to a system
+        # failure that wiped the active table); the original error is
+        # the one the router needs to see.
+        pass
+
+
+# ----------------------------------------------------------------------
 # Process transport
 # ----------------------------------------------------------------------
 def serve(worker: ShardWorker, sock) -> None:  # noqa: ANN001
     """Request loop for one connection: read a command tuple, reply
-    ``("ok", result)`` or ``("err", class_name, message)``."""
+    ``("ok", result, durable_lsn)`` or ``("err", class_name, message,
+    durable_lsn)`` — the watermark read after the command, crashed
+    shard or not."""
     while True:
         try:
             command = recv_msg(sock)
@@ -505,9 +527,9 @@ def serve(worker: ShardWorker, sock) -> None:  # noqa: ANN001
         try:
             result = worker.execute(command)
         except Exception as exc:  # marshalled, never kills the loop
-            reply = ("err", *marshal_error(exc))
+            reply = ("err", *marshal_error(exc), worker.durable_lsn)
         else:
-            reply = ("ok", result)
+            reply = ("ok", result, worker.durable_lsn)
         try:
             send_msg(sock, reply)
         except (ConnectionError, OSError, BrokenPipeError):

@@ -89,7 +89,7 @@ class TestMediaMatrix:
         media_fail(db)
         db.recover_media(backup_id, mode=mode)
         if mode == "on_demand":
-            db.drain_restore(page_budget=5)  # partial progress
+            db.drain_restore(page_budget=2)  # partial progress
         media_fail(db)
         db.recover_media(backup_id, mode=mode)
         if mode == "on_demand":
@@ -223,7 +223,7 @@ class TestCrashDuringOnDemandRestore:
         db, tree, model, backup_id = prepared_media()
         media_fail(db)
         db.recover_media(backup_id, mode="on_demand")
-        db.drain_restore(page_budget=4)
+        db.drain_restore(page_budget=2)
         assert db.restore_pending
         db.crash()
         with pytest.raises(MediaFailure):
@@ -237,7 +237,7 @@ class TestCrashDuringOnDemandRestore:
         db, tree, model, backup_id = prepared_media()
         media_fail(db)
         db.recover_media(backup_id, mode="on_demand")
-        db.drain_restore(page_budget=4)
+        db.drain_restore(page_budget=2)
         db.crash()
         db.recover_media(backup_id, mode=rerun_mode)
         if rerun_mode == "on_demand":

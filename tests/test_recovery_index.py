@@ -114,6 +114,23 @@ class TestRangeCompression:
         assert pri.lookup(50).backup_ref == BackupRef.full_backup(2)
         assert pri.lookup(149).backup_ref == BackupRef.full_backup(2)
 
+    def test_forget_takes_the_page_out_of_its_range(self):
+        pri = PageRecoveryIndex()
+        pri.set_range_backup(0, 10, BackupRef.full_backup(1), 500)
+        pri.set_backup(4, BackupRef.log_image(700), 700)
+        pri.record_write(4, 700)
+        pri.forget(4)   # a point entry
+        pri.forget(7)   # the middle of a range
+        pri.forget(0)   # a range's first page
+        pri.forget(42)  # never covered: no-op
+        for page in (0, 4, 7, 42):
+            assert not pri.covers(page)
+            assert pri.expected_page_lsn(page) is None
+        for page in (1, 3, 5, 6, 8, 9):
+            assert pri.lookup(page).backup_ref == BackupRef.full_backup(1)
+        assert BackupRef.log_image(700) not in pri._refs
+        assert list(zip(pri._starts, pri._ends)) == [(1, 4), (5, 7), (8, 10)]
+
     @settings(max_examples=50, deadline=None)
     @given(ops=st.lists(st.tuples(st.integers(0, 199), st.integers(1, 1000)),
                         min_size=1, max_size=60))
@@ -229,6 +246,8 @@ class TestPartitioned:
         assert pri.covers(4)
         assert not pri.covers(5)
         assert pri.expected_page_lsn(4) == 25
+        pri.forget(4)
+        assert not pri.covers(4)
 
     def test_range_visible_through_both_parities(self):
         pri = PartitionedRecoveryIndex()

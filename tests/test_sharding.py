@@ -13,7 +13,8 @@ from repro.errors import (
     TransactionError,
 )
 from repro.shard.config import ShardConfig
-from repro.shard.router import ShardRouter, shard_of
+from repro.shard.router import ShardRouter
+from repro.shard.routing import RoutingTable, slot_of
 from repro.shard.rpc import (
     MAX_MESSAGE_BYTES,
     marshal_error,
@@ -30,17 +31,20 @@ from repro.shard.worker import ShardWorker
 class TestPartitioning:
     def test_stable_across_calls(self):
         for key in (b"a", b"hello", b"k%06d" % 123456):
-            assert shard_of(key, 4) == shard_of(key, 4)
+            assert slot_of(key, 64) == slot_of(key, 64)
 
     def test_known_values_pinned(self):
         # CRC-32 is standardized: these must never change, or every
         # persisted deployment would re-route its keys.
-        assert shard_of(b"hello", 4) == 907060870 % 4
-        assert shard_of(b"", 7) == 0
+        assert slot_of(b"hello", 64) == 907060870 % 64
+        assert slot_of(b"", 7) == 0
+        # The fleet-creation map: slot mod n_shards.
+        assert RoutingTable(64, 4).shard_for(b"hello") == 907060870 % 64 % 4
 
     def test_covers_all_shards(self):
         n = 8
-        hit = {shard_of(b"k%06d" % i, n) for i in range(2000)}
+        table = RoutingTable(64, n)
+        hit = {table.shard_for(b"k%06d" % i) for i in range(2000)}
         assert hit == set(range(n))
 
 
@@ -123,15 +127,13 @@ class TestShardWorker:
         assert worker.execute(("scan", b"", None)) == [(b"b", b"2")]
 
     def test_txn_branch_lifecycle(self, worker):
-        worker.execute(("txn_begin", 9))
-        worker.execute(("txn_put", 9, b"k", b"v"))
+        worker.execute(("txn_put", 9, b"k", b"v", True))
         assert worker.execute(("txn_get", 9, b"k")) == b"v"
         worker.execute(("txn_commit", 9))
         assert worker.execute(("get", b"k")) == b"v"
 
     def test_txn_abort_rolls_back(self, worker):
-        worker.execute(("txn_begin", 9))
-        worker.execute(("txn_put", 9, b"k", b"v"))
+        worker.execute(("txn_put", 9, b"k", b"v", True))
         worker.execute(("txn_abort", 9))
         assert worker.execute(("get", b"k")) is None
 
@@ -140,20 +142,23 @@ class TestShardWorker:
             worker.execute(("txn_put", 404, b"k", b"v"))
 
     def test_duplicate_xid_raises(self, worker):
-        worker.execute(("txn_begin", 9))
+        worker.execute(("txn_put", 9, b"k", b"v", True))
         with pytest.raises(TransactionError):
-            worker.execute(("txn_begin", 9))
+            worker.execute(("txn_delete", 9, b"k", True))
+
+    def test_txn_begin_is_not_a_verb(self, worker):
+        for verb in ("txn_begin", "durable_lsn"):
+            with pytest.raises(ShardError):
+                worker.execute((verb, 9))
 
     def test_unknown_verb_raises(self, worker):
         with pytest.raises(ShardError):
             worker.execute(("frobnicate",))
 
     def test_crash_wipes_branches_and_restart_reports_indoubt(self, worker):
-        worker.execute(("txn_begin", 1))
-        worker.execute(("txn_put", 1, b"p", b"v"))
+        worker.execute(("txn_put", 1, b"p", b"v", True))
         worker.execute(("prepare", 1, 77))
-        worker.execute(("txn_begin", 2))
-        worker.execute(("txn_put", 2, b"loser", b"v"))
+        worker.execute(("txn_put", 2, b"loser", b"v", True))
         worker.execute(("crash",))
         assert worker._live == {} and worker._prepared == {}
         assert worker.execute(("restart", None)) == [77]
@@ -162,8 +167,7 @@ class TestShardWorker:
         assert worker.execute(("get", b"loser")) is None
 
     def test_resolve_is_idempotent(self, worker):
-        worker.execute(("txn_begin", 1))
-        worker.execute(("txn_put", 1, b"k", b"v"))
+        worker.execute(("txn_put", 1, b"k", b"v", True))
         worker.execute(("prepare", 1, 5))
         worker.execute(("resolve", 5, True))
         worker.execute(("resolve", 5, True))  # re-delivery: no-op
