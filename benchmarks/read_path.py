@@ -1,0 +1,99 @@
+"""Time the detected read alone, piece by piece.
+
+Loads the layered benchmark's DBLP-shaped tree (``bench/``'s
+``dblp_cold_embedded`` set-up, seed 1), makes every page cold, and
+times each step between ``BufferPool.fix`` noticing a page is absent and
+the B-tree holding a decoded node — over every node page, median of
+``--reps`` passes, in microseconds per page.  The whole-benchmark claim
+(``python3 -m bench.run``) is made of these.
+
+Usage (pin to one core for steady numbers)::
+
+    taskset -c 1 python3 benchmarks/read_path.py [--reps N]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for _path in (_ROOT, os.path.join(_ROOT, "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
+
+from bench.runner import Runner  # noqa: E402
+from bench.workloads import WORKLOADS  # noqa: E402
+from repro.btree.node import BTreeNode  # noqa: E402
+from repro.page.page import TYPE_OFFSET, Page, PageType  # noqa: E402
+from repro.page.slotted import SlottedPage  # noqa: E402
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--reps", type=int, default=15)
+    reps = parser.parse_args().reps
+
+    workload = WORKLOADS["dblp_cold_embedded"]
+    runner = Runner(workload, 1, workload.records, workload.round_ops(10), 1)
+    runner.setup()
+    db = runner.db
+    db.flush_everything()
+    db.evict_everything()
+    device, manager, pool = db.device, db.recovery_manager, db.pool
+    size = db.config.page_size
+    node_types = (int(PageType.BTREE_BRANCH), int(PageType.BTREE_LEAF))
+    nodes = [pid for pid in range(db.allocated_pages())
+             if (device.raw_image(pid) or bytes(size))[TYPE_OFFSET] in node_types]
+    slots = statistics.mean(
+        SlottedPage(Page(size, device.raw_image(pid))).slot_count
+        for pid in nodes)
+    print(f"{len(nodes)} node pages, {slots:.1f} slots per page, "
+          f"pool of {pool.capacity} frames")
+
+    def per_page(step, prepare=None, pages=nodes) -> float:  # noqa: ANN001
+        medians = []
+        for _ in range(reps):
+            args = [prepare(pid) if prepare else pid for pid in pages]
+            start = time.perf_counter_ns()
+            for arg in args:
+                step(arg)
+            medians.append((time.perf_counter_ns() - start) / len(args))
+        return statistics.median(medians) / 1e3
+
+    def cold_page(pid: int) -> Page:
+        return Page(size, device.read(pid))
+
+    def fix_unfix(pid: int) -> None:
+        pool.fix(pid)
+        pool.unfix(pid)
+
+    rows = [
+        ("StorageDevice.read", per_page(device.read)),
+        ("Page.verify (header half)",
+         per_page(lambda page: page.verify(page.page_id), cold_page)),
+        ("SlottedPage.check_plausible (directory half)",
+         per_page(lambda page: SlottedPage(page).check_plausible(),
+                  cold_page)),
+        ("RecoveryManager.fetch_page (read + inspect + PRI LSN)",
+         per_page(manager.fetch_page)),
+        ("first BTreeNode of a cold page (bookkeeping decode)",
+         per_page(BTreeNode, cold_page)),
+        # More node pages than frames: every fix below misses and evicts.
+        ("BufferPool.fix miss + unfix, clean victim", per_page(fix_unfix)),
+    ]
+    hot = nodes[:pool.capacity // 2]
+    for pid in hot:
+        fix_unfix(pid)
+    rows.append(("BufferPool.fix hit + unfix",
+                 per_page(fix_unfix, pages=hot)))
+    for name, micros in rows:
+        print(f"{micros:8.2f} us  {name}")
+    runner.close()
+
+
+if __name__ == "__main__":
+    main()

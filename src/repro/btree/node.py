@@ -41,6 +41,9 @@ Decoded views: the bytes are the truth, but the bookkeeping records —
 and, on a branch page, the whole ``(separator keys, child pids)``
 directory — are decoded once per page version into a
 :class:`NodeView` kept on the :class:`~repro.page.page.Page` object.
+The bookkeeping fields are sliced straight out of the buffer from one
+unpack of the three slot words (a cold page pays this decode on its
+first fix).
 Branch levels are small, hot and rarely change, so a descent routes
 through them with a C ``bisect`` over the decoded keys
 (:meth:`BTreeNode.route`).  Leaves keep the raw in-page binary search
@@ -54,8 +57,8 @@ import struct
 from bisect import bisect_right
 
 from repro.errors import BTreeError
-from repro.page.page import Page, PageType
-from repro.page.slotted import Record, SlottedPage
+from repro.page.page import TYPE_OFFSET, Page, PageType
+from repro.page.slotted import LENGTH_MASK, SLOT_SIZE, Record, SlottedPage
 from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpDelete, OpInsert,
                            OpSetGhost, OpUpdateValue, PageOp)
 
@@ -65,6 +68,10 @@ SLOT_FOSTER = 2
 DATA_START = 3
 
 _META = struct.Struct("<HH")
+_PID = struct.Struct("<q")
+#: Slots 2, 1, 0 — the directory grows downwards from the page end.
+_BOOKKEEPING_SLOTS = struct.Struct("<HHHHHH")
+_NODE_TYPES = (int(PageType.BTREE_BRANCH), int(PageType.BTREE_LEAF))
 FLAG_HIGH_INF = 1
 
 #: pid value meaning "no foster child"
@@ -76,12 +83,18 @@ def encode_meta(level: int, high_inf: bool, prefix: bytes) -> bytes:
     return _META.pack(level, flags) + prefix
 
 
+def decode_meta(meta: bytes) -> tuple[int, int, bytes]:
+    """``(level, flags, prefix)`` of a metadata blob."""
+    level, flags = _META.unpack_from(meta, 0)
+    return level, flags, meta[_META.size:]
+
+
 def encode_pid(pid: int) -> bytes:
-    return struct.pack("<q", pid)
+    return _PID.pack(pid)
 
 
 def decode_pid(value: bytes) -> int:
-    return struct.unpack("<q", value)[0]
+    return _PID.unpack(value)[0]
 
 
 class NodeView:
@@ -136,14 +149,16 @@ class BTreeNode:
         self.slotted = SlottedPage(page)
         if page.view is not None:
             # A cached decode proves the page validated as a B-tree node
-            # since its last byte mutation, so the structural checks
-            # below can be skipped.
+            # since its last byte mutation, so the structural checks and
+            # the decode below can be skipped.
             return
-        if page.page_type not in (PageType.BTREE_BRANCH, PageType.BTREE_LEAF):
+        if page.data[TYPE_OFFSET] not in _NODE_TYPES:
             raise BTreeError(
-                f"page {page.page_id} is a {page.page_type.name}, not a B-tree node")
+                f"page {page.page_id} has type {page.data[TYPE_OFFSET]}, "
+                f"not a B-tree node")
         if self.slotted.slot_count < DATA_START:
             raise BTreeError(f"page {page.page_id} lacks bookkeeping records")
+        self._decode()
 
     # ------------------------------------------------------------------
     # Metadata
@@ -155,19 +170,44 @@ class BTreeNode:
         return self.page.view or self._decode()
 
     def _decode(self) -> NodeView:
-        """Decode the bookkeeping records and cache them on the page."""
-        slotted = self.slotted
-        low = slotted.read_record(SLOT_LOW)
-        foster = slotted.read_record(SLOT_FOSTER)
-        view = NodeView()
-        view.level, view.flags = _META.unpack_from(low.value, 0)
-        view.prefix = low.value[_META.size:]
-        view.low_fence = low.key
-        view.high_fence = slotted.record_key(SLOT_HIGH)
-        view.foster_pid = decode_pid(foster.value)
-        view.foster_key = foster.key
+        """Decode the bookkeeping records and cache them on the page.
+
+        One unpack of the three slot words, then the fences, prefix,
+        level/flags and foster pid are sliced where those words point.
+        A bookkeeping record that cannot hold its fields is a
+        :class:`BTreeError` (the tree repairs it as an invariant
+        failure), never a ``struct.error``.
+        """
+        page = self.page
+        data = page.data
+        try:
+            (foster_at, foster_len, high_at, _high_len,
+             low_at, low_len) = _BOOKKEEPING_SLOTS.unpack_from(
+                data, page.size - DATA_START * SLOT_SIZE)
+            low_key_end = low_at + 2 + data[low_at] + (data[low_at + 1] << 8)
+            low_end = low_at + (low_len & LENGTH_MASK)
+            foster_key_end = (foster_at + 2 + data[foster_at]
+                              + (data[foster_at + 1] << 8))
+            if (low_end - low_key_end < _META.size
+                    or foster_at + (foster_len & LENGTH_MASK)
+                    - foster_key_end != _PID.size):
+                raise BTreeError(
+                    f"page {page.page_id}: implausible bookkeeping records")
+            view = NodeView()
+            view.level, view.flags = _META.unpack_from(data, low_key_end)
+            view.prefix = bytes(data[low_key_end + _META.size:low_end])
+            view.low_fence = bytes(data[low_at + 2:low_key_end])
+            view.high_fence = bytes(
+                data[high_at + 2:
+                     high_at + 2 + data[high_at] + (data[high_at + 1] << 8)])
+            view.foster_pid = _PID.unpack_from(data, foster_key_end)[0]
+            view.foster_key = bytes(data[foster_at + 2:foster_key_end])
+        except (struct.error, IndexError) as exc:
+            raise BTreeError(
+                f"page {page.page_id}: bookkeeping records out of bounds "
+                f"({exc})") from None
         view.directory = None
-        self.page.view = view
+        page.view = view
         return view
 
     @property
@@ -222,8 +262,7 @@ class BTreeNode:
         every other metadata read.
         """
         try:
-            if page.page_type not in (PageType.BTREE_BRANCH,
-                                      PageType.BTREE_LEAF):
+            if page.data[TYPE_OFFSET] not in _NODE_TYPES:
                 return None
             foster = cls(page).foster_pid
         except Exception:  # noqa: BLE001 - hints are strictly best-effort

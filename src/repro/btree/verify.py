@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.btree.node import BTreeNode
+from repro.btree.node import (SLOT_FOSTER, SLOT_HIGH, SLOT_LOW, BTreeNode,
+                              decode_meta, decode_pid)
 from repro.errors import BTreeError
 
 
@@ -47,6 +48,18 @@ def verify_node(node: BTreeNode, exp_low: bytes, exp_high: bytes,
     """All checks local to one node given parent expectations."""
     pid = node.page.page_id
     report.nodes_verified += 1
+    # The decoded bookkeeping fields (sliced from the slot words) must
+    # say what the three records say, read as ordinary records.
+    slotted = node.slotted
+    low, high, foster = (slotted.read_record(slot)
+                         for slot in (SLOT_LOW, SLOT_HIGH, SLOT_FOSTER))
+    view = node.view
+    if ((view.level, view.flags, view.prefix) != decode_meta(low.value)
+            or (view.low_fence, view.high_fence) != (low.key, high.key)
+            or (view.foster_key, view.foster_pid)
+            != (foster.key, decode_pid(foster.value))):
+        report.complain(pid, "decoded bookkeeping fields disagree with "
+                             "the bookkeeping records")
     if node.level != exp_level:
         report.complain(pid, f"level {node.level}, expected {exp_level}")
     if node.low_fence != exp_low:

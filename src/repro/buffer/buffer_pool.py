@@ -336,8 +336,7 @@ class BufferPool:
         return frame
 
     def _default_fetch(self, page_id: int) -> Page:
-        raw = self.device.read(page_id)
-        return Page(self.device.page_size, raw)
+        return Page.adopt(self.device.read(page_id))
 
     # ------------------------------------------------------------------
     # Self-repair (Figure 8, applied to an already-fixed page)
@@ -485,12 +484,15 @@ class BufferPool:
         # every loading placeholder, pinned by its loader — are never
         # victims; if everything is pinned the pool reports it rather
         # than livelocking.
-        while len(self._frames) >= self.capacity:
-            victim = self._policy.choose_victim(
-                lambda pid: self._frames[pid].pin_count == 0)
+        frames = self._frames
+        while len(frames) >= self.capacity:
+            victim = self._policy.choose_victim(self._unpinned)
             if victim is None:
                 raise BufferPoolError("all frames pinned; cannot evict")
-            self.evict(victim)
+            self._evict_frame(victim, frames[victim])
+
+    def _unpinned(self, page_id: int) -> bool:
+        return self._frames[page_id].pin_count == 0
 
     def evict(self, page_id: int) -> None:
         """Flush (if dirty) and drop a frame."""
@@ -498,14 +500,18 @@ class BufferPool:
             frame = self._require(page_id)
             if frame.pin_count > 0:
                 raise BufferPoolError(f"cannot evict pinned page {page_id}")
-            if frame.dirty:
-                self.flush_page(page_id)
-            if frame.prefetched:
-                # Speculatively fetched, never demanded: wasted I/O.
-                self.stats.bump("prefetch_wasted")
-            del self._frames[page_id]
-            self._policy.removed(page_id)
-            self.stats.bump("pages_evicted")
+            self._evict_frame(page_id, frame)
+
+    def _evict_frame(self, page_id: int, frame: Frame) -> None:
+        # Callers hold the pool mutex and have found the frame unpinned.
+        if frame.dirty:
+            self.flush_page(page_id)
+        if frame.prefetched:
+            # Speculatively fetched, never demanded: wasted I/O.
+            self.stats.bump("prefetch_wasted")
+        del self._frames[page_id]
+        self._policy.removed(page_id)
+        self.stats.bump("pages_evicted")
 
     def drop_frame(self, page_id: int) -> None:
         """Discard one frame *without* writing it back.

@@ -28,11 +28,18 @@ class ClockEviction:
     def removed(self, page_id: int) -> None:
         if page_id in self._ref:
             del self._ref[page_id]
-            index = self._ring.index(page_id)
-            self._ring.pop(index)
+            ring = self._ring
+            # The victim the sweep just chose sits right behind the
+            # hand; any other page has to be searched for.
+            index = self._hand - 1
+            if ring[index] != page_id:
+                index = ring.index(page_id)
+            elif index < 0:
+                index += len(ring)
+            ring.pop(index)
             if self._hand > index:
                 self._hand -= 1
-            if self._ring and self._hand >= len(self._ring):
+            if ring and self._hand >= len(ring):
                 self._hand = 0
 
     def choose_victim(self, evictable: Callable[[int], bool]) -> int | None:

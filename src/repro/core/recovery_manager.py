@@ -5,7 +5,9 @@ Reading a page after a buffer fault:
 1. read the page from the device — an explicit device error is a
    single-page failure;
 2. run the in-page tests (magic, checksum, header and indirection
-   vector plausibility, embedded page id);
+   vector plausibility, embedded page id) — the single inspection
+   :func:`repro.page.slotted.inspect_page`, in its fixed precedence,
+   on the buffer the device handed over, which the page then adopts;
 3. cross-check the PageLSN against the page recovery index (the
    "Gary Smith" check: a valid-looking but *stale* page — a lost
    write — fails here);
@@ -33,20 +35,11 @@ from repro.errors import (
     SinglePageFailure,
     SystemFailure,
 )
-from repro.page.page import Page, PageType
-from repro.page.slotted import SlottedPage
+from repro.page.page import Page
+from repro.page.slotted import inspect_page
 from repro.sim.clock import SimClock
 from repro.sim.stats import Stats
 from repro.storage.device import DeviceReadError, StorageDevice
-
-#: Page types whose body is a slotted area (eligible for indirection-
-#: vector plausibility analysis).  Recovery-index pages hold raw
-#: serialized chunks, not slotted records, so they get only the
-#: header-level checks.
-_SLOTTED_TYPES = frozenset({
-    PageType.METADATA, PageType.BTREE_BRANCH, PageType.BTREE_LEAF,
-    PageType.HEAP,
-})
 
 
 class RecoveryManager:
@@ -91,23 +84,17 @@ class RecoveryManager:
         except DeviceReadError as exc:
             raise SinglePageFailure(
                 page_id, PageFailureKind.DEVICE_READ_ERROR, str(exc)) from exc
-        page = Page(self.device.page_size, raw)
-        # In-page tests: magic, checksum, header plausibility, page id.
-        page.verify(expected_page_id=page_id)
-        # Indirection-vector analysis for slotted page types.
-        if page.page_type in _SLOTTED_TYPES:
-            SlottedPage(page).check_plausible()
-        # PageLSN cross-check against the page recovery index.
-        self._check_page_lsn(page_id, page)
-        return page
+        # Every in-page test, on every read, then the PageLSN
+        # cross-check against the page recovery index.
+        page_lsn = inspect_page(raw, page_id)
+        if self.pri_lsn_check:
+            self._check_page_lsn(page_id, page_lsn)
+        return Page.adopt(raw)
 
-    def _check_page_lsn(self, page_id: int, page: Page) -> None:
-        if not self.pri_lsn_check:
-            return
+    def _check_page_lsn(self, page_id: int, actual: int) -> None:
         expected = self.pri.expected_page_lsn(page_id)
         if expected is None:
             return
-        actual = page.page_lsn
         if actual < expected:
             # The device returned an older version: a lost write that
             # every in-page test is structurally unable to catch.

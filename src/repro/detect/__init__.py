@@ -4,8 +4,10 @@ The detection stack, from cheapest to most powerful:
 
 1. device-reported read errors (latent sector errors);
 2. in-page tests: magic, checksum, header and indirection-vector
-   plausibility, embedded page id (:meth:`repro.page.Page.verify`,
-   :meth:`repro.page.SlottedPage.check_plausible`);
+   plausibility, embedded page id — one inspection, run in full on
+   every device read (:func:`repro.page.slotted.inspect_page`;
+   :meth:`repro.page.Page.verify` and
+   :meth:`repro.page.SlottedPage.check_plausible` are its two halves);
 3. the PageLSN cross-check against the page recovery index — the only
    field a B-tree's fence-key invariants cannot verify (Section 4.2);
 4. cross-page B-tree invariants verified on every root-to-leaf pass

@@ -1,9 +1,9 @@
-"""Non-raising in-page checks, for scrubbing and reporting.
+"""The in-page inspection as a reported outcome, not an exception.
 
-The raising variants (used on the hot read path) live on
-:class:`repro.page.Page` and :class:`repro.page.SlottedPage`; this
-module wraps them so a scrubber can enumerate *all* damage instead of
-stopping at the first failed page.
+There is one inspection, :func:`repro.page.slotted.inspect_page`; the
+read path lets its :class:`SinglePageFailure` propagate into repair,
+and this module returns it as a :class:`CheckOutcome` so a caller can
+enumerate *all* damage instead of stopping at the first failed page.
 """
 
 from __future__ import annotations
@@ -11,13 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import PageFailureKind, SinglePageFailure
-from repro.page.page import Page, PageType
-from repro.page.slotted import SlottedPage
-
-_SLOTTED_TYPES = frozenset({
-    PageType.METADATA, PageType.BTREE_BRANCH, PageType.BTREE_LEAF,
-    PageType.HEAP,
-})
+from repro.page.page import Page
+from repro.page.slotted import inspect_page
 
 
 @dataclass(frozen=True)
@@ -42,13 +37,11 @@ def run_in_page_checks(page: Page, expected_page_id: int,
                        expected_lsn: int | None = None) -> CheckOutcome:
     """All in-page tests plus the optional PRI LSN cross-check."""
     try:
-        page.verify(expected_page_id=expected_page_id)
-        if page.page_type in _SLOTTED_TYPES:
-            SlottedPage(page).check_plausible()
+        page_lsn = inspect_page(page.data, expected_page_id)
     except SinglePageFailure as failure:
         return CheckOutcome.failed(failure)
-    if expected_lsn is not None and page.page_lsn < expected_lsn:
+    if expected_lsn is not None and page_lsn < expected_lsn:
         return CheckOutcome(
             expected_page_id, False, PageFailureKind.STALE_LSN,
-            f"PageLSN {page.page_lsn} < expected {expected_lsn}")
+            f"PageLSN {page_lsn} < expected {expected_lsn}")
     return CheckOutcome.passed(expected_page_id)

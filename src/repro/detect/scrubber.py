@@ -16,7 +16,7 @@ from typing import Callable
 
 from repro.core.recovery_manager import RecoveryManager
 from repro.errors import MediaFailure, PageFailureKind, SinglePageFailure, SystemFailure
-from repro.page.page import Page
+from repro.page.slotted import inspect_page
 from repro.sim.stats import Stats
 from repro.storage.device import DeviceReadError, StorageDevice
 
@@ -109,14 +109,13 @@ class Scrubber:
         except DeviceReadError as exc:
             return SinglePageFailure(
                 page_id, PageFailureKind.DEVICE_READ_ERROR, str(exc))
-        page = Page(self.device.page_size, raw)
         try:
-            page.verify(expected_page_id=page_id)
-            expected = self.manager.pri.expected_page_lsn(page_id)
-            if expected is not None and page.page_lsn < expected:
-                return SinglePageFailure(
-                    page_id, PageFailureKind.STALE_LSN,
-                    f"PageLSN {page.page_lsn} < expected {expected}")
+            page_lsn = inspect_page(raw, page_id)
         except SinglePageFailure as failure:
             return failure
+        expected = self.manager.pri.expected_page_lsn(page_id)
+        if expected is not None and page_lsn < expected:
+            return SinglePageFailure(
+                page_id, PageFailureKind.STALE_LSN,
+                f"PageLSN {page_lsn} < expected {expected}")
         return None

@@ -477,15 +477,21 @@ class Checkpointer:
         below the master checkpoint first get fresh page copies (up to
         ``copy_budget`` of them) — the copy-forward step familiar from
         log-structured systems, here driven by the page recovery
-        index's backup-page field.
+        index's backup-page field.  The copies' BACKUP_PAGE records are
+        forced before anything is reclaimed: the retention bound is
+        computed from the in-memory index, and a crash that lost those
+        records would rebuild an index whose backup references point
+        into the truncated head.
         """
         db = self.db
         target = db.log.master_checkpoint_lsn or db.log.durable_lsn
         if copy_forward and db.config.spf_enabled:
-            self._copy_forward_pinning_pages(target, copy_budget)
+            if self._copy_forward_pinning_pages(target, copy_budget):
+                db.log.force()
         return db.log.truncate(self.log_retention_bound())
 
-    def _copy_forward_pinning_pages(self, target: int, budget: int) -> None:
+    def _copy_forward_pinning_pages(self, target: int, budget: int) -> int:
+        """Returns the number of page copies taken."""
         db = self.db
         pri_region = range(db.config.pri_region_start,
                            db.config.pri_region_end)
@@ -499,10 +505,12 @@ class Checkpointer:
                     continue  # a huge stale range needs a full backup
                 pinning.extend(pid for pid in range(start, end)
                                if pid not in pri_region)
-        for page_id in sorted(set(pinning))[:budget]:
+        copied = sorted(set(pinning))[:budget]
+        for page_id in copied:
             page = db.pool.fix(page_id)
             try:
                 self.take_page_copy(page)
             finally:
                 db.pool.unfix(page_id)
             db.stats.bump("copy_forward_backups")
+        return len(copied)

@@ -189,7 +189,7 @@ class DeviceImage(ImageSource):
                         f"no image on the device, yet redo starts at LSN "
                         f"{records[0].lsn}, past the page's formatting")
                 return Page.format(page_size, page_id)
-            page = Page(page_size, db.device.read(page_id))
+            page = Page.adopt(db.device.read(page_id))
             page.verify(expected_page_id=page_id)
             if db.config.spf_enabled and db.config.pri_lsn_check:
                 # The stale-LSN cross-check of the normal read path

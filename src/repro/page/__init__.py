@@ -7,6 +7,8 @@ The header is what makes in-page failure detection (Section 4.2 of the
 paper) possible: checksum mismatches catch bit rot, the embedded page
 id catches misdirected writes, and the PageLSN anchors the per-page log
 chain and the page-recovery-index cross-check.
+:func:`inspect_page` is those tests, written once: every device read
+runs it, whoever issued the read.
 """
 
 from repro.page.checksum import compute_checksum, verify_checksum
@@ -17,7 +19,12 @@ from repro.page.page import (
     PageHeader,
     PageType,
 )
-from repro.page.slotted import Record, SlottedPage
+from repro.page.slotted import (
+    SLOTTED_TYPES,
+    Record,
+    SlottedPage,
+    inspect_page,
+)
 
 __all__ = [
     "Page",
@@ -27,6 +34,8 @@ __all__ = [
     "HEADER_SIZE",
     "SlottedPage",
     "Record",
+    "SLOTTED_TYPES",
+    "inspect_page",
     "compute_checksum",
     "verify_checksum",
 ]

@@ -19,18 +19,27 @@ Header layout (little-endian, 32 bytes)::
 The ``update_count`` field implements the paper's backup-freshness
 policy hook: a page backup can be triggered "after a number of updates"
 counted within the page itself.
+
+:func:`check_header` is the header half of the single in-page
+inspection every device read runs
+(:func:`repro.page.slotted.inspect_page` adds the indirection-vector
+half): one unpack of the fields it tests, one CRC call, and a fixed
+precedence — magic, checksum, page type, PageLSN, page id.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
+import zlib
 
 from repro.errors import PageFailureKind, SinglePageFailure
 from repro.page import checksum as _checksum
+from repro.page.checksum import BODY_OFFSET, MAGIC_SEED, PAGE_MAGIC
 
-PAGE_MAGIC = b"SPF1"
 HEADER_SIZE = 32
+#: Byte offset of the page-type tag within the header.
+TYPE_OFFSET = 24
 
 _HEADER_STRUCT = struct.Struct("<4sIqqBBHI")
 assert _HEADER_STRUCT.size == HEADER_SIZE  # final "I" is 4 reserved bytes
@@ -55,6 +64,44 @@ class PageType(enum.IntEnum):
     HEAP = 4
     RECOVERY_INDEX = 5
     ALLOCATION = 6
+
+
+#: The fields the inspection tests — magic, checksum, page id, PageLSN,
+#: type byte — in one unpack.
+_INSPECTED = struct.Struct("<4sIqqB")
+_KNOWN_TYPES = frozenset(int(page_type) for page_type in PageType)
+
+
+def check_header(data: bytes | bytearray,
+                 expected_page_id: int | None = None) -> tuple[int, int, int]:
+    """The header tests of Section 4.2; raise on the first failure.
+
+    Precedence: magic, checksum, page type, PageLSN, then the page-id
+    cross-check against where the page was read from.  Returns
+    ``(page id, PageLSN, type byte)`` as found in the header.  Once the
+    magic is known to match, the CRC is one call over the body continued
+    from :data:`~repro.page.checksum.MAGIC_SEED` — the same value as
+    :func:`~repro.page.checksum.compute_checksum`.
+    """
+    magic, crc, page_id, page_lsn, page_type = _INSPECTED.unpack_from(data)
+    pid_for_error = page_id if expected_page_id is None else expected_page_id
+    if magic != PAGE_MAGIC:
+        raise SinglePageFailure(pid_for_error, PageFailureKind.BAD_MAGIC,
+                                f"magic={magic!r}")
+    if zlib.crc32(memoryview(data)[BODY_OFFSET:], MAGIC_SEED) != crc:
+        raise SinglePageFailure(pid_for_error, PageFailureKind.CHECKSUM_MISMATCH)
+    if page_type not in _KNOWN_TYPES:
+        raise SinglePageFailure(
+            pid_for_error, PageFailureKind.HEADER_IMPLAUSIBLE,
+            f"unknown page type {page_type}")
+    if page_lsn < 0:
+        raise SinglePageFailure(pid_for_error, PageFailureKind.HEADER_IMPLAUSIBLE,
+                                f"negative PageLSN {page_lsn}")
+    if expected_page_id is not None and page_id != expected_page_id:
+        raise SinglePageFailure(
+            expected_page_id, PageFailureKind.WRONG_PAGE_ID,
+            f"page claims to be {page_id}")
+    return page_id, page_lsn, page_type
 
 
 class PageHeader:
@@ -120,6 +167,23 @@ class Page:
         page.seal()
         return page
 
+    @classmethod
+    def adopt(cls, data: bytearray) -> "Page":
+        """Wrap a buffer the caller owns and gives up — no copy.
+
+        For the fetch path: :meth:`StorageDevice.read` returns a private
+        ``bytearray``, so copying it again buys nothing.  Anything that
+        is not the caller's own (stored images, backups) goes through
+        the copying constructor.
+        """
+        if type(data) is not bytearray or len(data) < HEADER_SIZE + 64:
+            raise ValueError("only a private page-sized bytearray can be adopted")
+        page = cls.__new__(cls)
+        page.size = len(data)
+        page.data = data
+        page.view = None
+        return page
+
     def copy(self) -> "Page":
         """A deep copy (used for backups and buffer-pool frames)."""
         return Page(self.size, bytes(self.data))
@@ -165,11 +229,11 @@ class Page:
 
     @property
     def page_type(self) -> PageType:
-        return PageType(self.data[24])
+        return PageType(self.data[TYPE_OFFSET])
 
     @page_type.setter
     def page_type(self, value: PageType) -> None:
-        self.data[24] = int(value)
+        self.data[TYPE_OFFSET] = int(value)
 
     @property
     def update_count(self) -> int:
@@ -202,27 +266,10 @@ class Page:
 
         This is the first two layers of the detection stack of
         Section 4.2: magic + checksum, then header plausibility, then
-        the page-id cross-check against where the page was read from.
+        the page-id cross-check against where the page was read from —
+        :func:`check_header`, the same code a device read runs.
         """
-        pid_for_error = expected_page_id if expected_page_id is not None else self.page_id
-        if bytes(self.data[:4]) != PAGE_MAGIC:
-            raise SinglePageFailure(pid_for_error, PageFailureKind.BAD_MAGIC,
-                                    f"magic={bytes(self.data[:4])!r}")
-        if not self.checksum_ok():
-            raise SinglePageFailure(pid_for_error, PageFailureKind.CHECKSUM_MISMATCH)
-        try:
-            PageType(self.data[24])
-        except ValueError:
-            raise SinglePageFailure(
-                pid_for_error, PageFailureKind.HEADER_IMPLAUSIBLE,
-                f"unknown page type {self.data[24]}") from None
-        if self.page_lsn < 0:
-            raise SinglePageFailure(pid_for_error, PageFailureKind.HEADER_IMPLAUSIBLE,
-                                    f"negative PageLSN {self.page_lsn}")
-        if expected_page_id is not None and self.page_id != expected_page_id:
-            raise SinglePageFailure(
-                expected_page_id, PageFailureKind.WRONG_PAGE_ID,
-                f"page claims to be {self.page_id}")
+        check_header(self.data, expected_page_id)
 
     # ------------------------------------------------------------------
     # Payload access

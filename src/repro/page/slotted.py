@@ -28,7 +28,13 @@ contents-neutral structural change performed by a system transaction.
 The indirection vector is exactly the structure the paper's in-page
 plausibility analysis inspects ("analysis of all byte offsets and
 lengths in the page header and in the indirection vector").
-:meth:`SlottedPage.check_plausible` implements that analysis.
+:func:`check_slot_directory` implements that analysis, and
+:func:`inspect_page` is the single in-page inspection every device
+read runs: the header tests (:func:`repro.page.page.check_header`),
+then, for slotted page types, the directory analysis — precedence
+magic, checksum, type, PageLSN, page id, heap end, slot count, heap /
+directory overlap, then per slot in slot order: outside the heap, too
+short, key length.
 """
 
 from __future__ import annotations
@@ -37,19 +43,93 @@ import struct
 from dataclasses import dataclass
 
 from repro.errors import PageFailureKind, ReproError, SinglePageFailure
-from repro.page.page import HEADER_SIZE, Page
+from repro.page.page import HEADER_SIZE, Page, PageType, check_header
 
 _SLOTTED_HEADER = struct.Struct("<HHHH")
 SLOTTED_HEADER_SIZE = _SLOTTED_HEADER.size
 SLOT_SIZE = 4
 _GHOST_BIT = 0x8000
-_LENGTH_MASK = 0x7FFF
+LENGTH_MASK = 0x7FFF
 
 # Precompiled field structs: these accessors run tens of times per
 # engine operation; skipping struct's format-string lookup is free
 # speed.
 _U16 = struct.Struct("<H")
 _SLOT = struct.Struct("<HH")
+
+
+#: Page types whose body is a slotted area (eligible for indirection-
+#: vector plausibility analysis), as header type bytes.  Recovery-index
+#: pages hold raw serialized chunks, not slotted records, so they get
+#: only the header-level checks.
+SLOTTED_TYPES = frozenset({
+    int(PageType.METADATA), int(PageType.BTREE_BRANCH),
+    int(PageType.BTREE_LEAF), int(PageType.HEAP),
+})
+
+_HEAP_START = HEADER_SIZE + SLOTTED_HEADER_SIZE
+
+#: ``slot count -> Struct`` unpacking a whole directory of that many
+#: slots in one call; a memo, filled as counts are first seen.
+_DIRECTORY_STRUCTS: dict[int, struct.Struct] = {}
+
+
+def _implausible(page_id: int, detail: str) -> SinglePageFailure:
+    return SinglePageFailure(page_id, PageFailureKind.HEADER_IMPLAUSIBLE,
+                             detail)
+
+
+def check_slot_directory(data: bytes | bytearray, page_id: int) -> None:
+    """Analyze all byte offsets and lengths; raise on implausibility.
+
+    Three bounds tests on the slotted header make one unpack of the
+    whole directory safe; one loop over its words then tests every slot
+    in slot order, the bounds before the key-length bytes are read.
+    """
+    size = len(data)
+    count, heap_end, _frag, _reserved = _SLOTTED_HEADER.unpack_from(
+        data, HEADER_SIZE)
+    if heap_end < _HEAP_START or heap_end > size:
+        raise _implausible(page_id, f"heap_end {heap_end} out of range")
+    if count * SLOT_SIZE > size - _HEAP_START:
+        raise _implausible(page_id, f"slot count {count} impossible")
+    slots_start = size - count * SLOT_SIZE
+    if heap_end > slots_start:
+        raise _implausible(page_id, "heap overlaps slot directory")
+    directory = _DIRECTORY_STRUCTS.get(count)
+    if directory is None:
+        directory = _DIRECTORY_STRUCTS[count] = struct.Struct(f"<{2 * count}H")
+    # The directory grows downwards, so its words read backwards are
+    # (length_flags, offset) of slot 0, slot 1, ...
+    words = iter(directory.unpack_from(data, slots_start)[::-1])
+    for index, (length_flags, offset) in enumerate(zip(words, words)):
+        length = length_flags & LENGTH_MASK
+        if (_HEAP_START <= offset <= heap_end - length and 2 <= length
+                and data[offset] + (data[offset + 1] << 8) + 2 <= length):
+            continue
+        if offset < _HEAP_START or offset + length > heap_end:
+            raise _implausible(
+                page_id,
+                f"slot {index} points outside heap ({offset}, len {length})")
+        if length < 2:
+            raise _implausible(page_id, f"slot {index} record too short")
+        key_len = _U16.unpack_from(data, offset)[0]
+        raise _implausible(
+            page_id, f"slot {index} key length {key_len} exceeds record")
+
+
+def inspect_page(data: bytes | bytearray,
+                 expected_page_id: int | None = None) -> int:
+    """The single in-page inspection (Section 4.2); returns the PageLSN.
+
+    Every device read runs all of it, the fetch path
+    (:class:`repro.core.recovery_manager.RecoveryManager`), the scrubber
+    and :func:`repro.detect.checks.run_in_page_checks` alike.
+    """
+    page_id, page_lsn, page_type = check_header(data, expected_page_id)
+    if page_type in SLOTTED_TYPES:
+        check_slot_directory(data, page_id)
+    return page_lsn
 
 
 class PageFullError(ReproError):
@@ -126,10 +206,10 @@ class SlottedPage:
     def _read_slot(self, index: int) -> tuple[int, int, bool]:
         pos = self.page.size - (index + 1) * SLOT_SIZE
         offset, length_flags = _SLOT.unpack_from(self.page.data, pos)
-        return offset, length_flags & _LENGTH_MASK, bool(length_flags & _GHOST_BIT)
+        return offset, length_flags & LENGTH_MASK, bool(length_flags & _GHOST_BIT)
 
     def _write_slot(self, index: int, offset: int, length: int, ghost: bool) -> None:
-        if length > _LENGTH_MASK:
+        if length > LENGTH_MASK:
             raise ValueError(f"record length {length} exceeds slot encoding")
         length_flags = length | (_GHOST_BIT if ghost else 0)
         _SLOT.pack_into(self.page.data, self._slot_pos(index),
@@ -159,7 +239,7 @@ class SlottedPage:
             data, self.page.size - (index + 1) * SLOT_SIZE)
         needed = 2 + _U16.unpack_from(data, offset)[0] + len(value)
         return (self.free_space + self.frag_bytes
-                + (length_flags & _LENGTH_MASK) >= needed)
+                + (length_flags & LENGTH_MASK) >= needed)
 
     # ------------------------------------------------------------------
     # Record access
@@ -171,7 +251,7 @@ class SlottedPage:
         data = self.page.data
         offset, length_flags = _SLOT.unpack_from(
             data, self.page.size - (index + 1) * SLOT_SIZE)
-        length = length_flags & _LENGTH_MASK
+        length = length_flags & LENGTH_MASK
         key_end = offset + 2 + _U16.unpack_from(data, offset)[0]
         return Record(bytes(data[offset + 2:key_end]),
                       bytes(data[key_end:offset + length]),
@@ -399,34 +479,9 @@ class SlottedPage:
     # Plausibility analysis (failure detection, Section 4.2)
     # ------------------------------------------------------------------
     def check_plausible(self) -> None:
-        """Analyze all byte offsets and lengths; raise on implausibility."""
-        pid = self.page.page_id
-        heap_start = HEADER_SIZE + SLOTTED_HEADER_SIZE
-        heap_end = self.heap_end
-        count = self.slot_count
-        if heap_end < heap_start or heap_end > self.page.size:
-            raise SinglePageFailure(pid, PageFailureKind.HEADER_IMPLAUSIBLE,
-                                    f"heap_end {heap_end} out of range")
-        if count * SLOT_SIZE > self.page.size - heap_start:
-            raise SinglePageFailure(pid, PageFailureKind.HEADER_IMPLAUSIBLE,
-                                    f"slot count {count} impossible")
-        if heap_end > self.slots_start:
-            raise SinglePageFailure(pid, PageFailureKind.HEADER_IMPLAUSIBLE,
-                                    "heap overlaps slot directory")
-        for i in range(count):
-            offset, length, _ghost = self._read_slot(i)
-            if offset < heap_start or offset + length > heap_end:
-                raise SinglePageFailure(
-                    pid, PageFailureKind.HEADER_IMPLAUSIBLE,
-                    f"slot {i} points outside heap ({offset}, len {length})")
-            if length < 2:
-                raise SinglePageFailure(pid, PageFailureKind.HEADER_IMPLAUSIBLE,
-                                        f"slot {i} record too short")
-            key_len = struct.unpack_from("<H", self.page.data, offset)[0]
-            if 2 + key_len > length:
-                raise SinglePageFailure(
-                    pid, PageFailureKind.HEADER_IMPLAUSIBLE,
-                    f"slot {i} key length {key_len} exceeds record")
+        """Analyze all byte offsets and lengths; raise on implausibility
+        (:func:`check_slot_directory`, the same code a device read runs)."""
+        check_slot_directory(self.page.data, self.page.page_id)
 
     def __len__(self) -> int:
         return self.slot_count

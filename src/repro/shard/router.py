@@ -39,6 +39,7 @@ import heapq
 import itertools
 import threading
 from collections import deque
+from collections.abc import Sequence
 
 from repro.errors import (
     ConfigError,
@@ -109,13 +110,19 @@ class ProcessShard:
     shards proceed fully in parallel.
     """
 
-    def __init__(self, shard_id: int, config) -> None:  # noqa: ANN001
+    def __init__(self, shard_id: int, config,  # noqa: ANN001
+                 earlier: Sequence[ProcessShard] = ()) -> None:
         import multiprocessing
         import socket
 
         self.shard_id = shard_id
         ctx = multiprocessing.get_context("fork")
         parent_sock, child_sock = socket.socketpair()
+        # The fork hands the child a copy of every router-side socket
+        # open at that moment: this shard's and each earlier shard's.
+        # The child closes them, or no worker would ever read EOF.
+        router_side = [parent_sock, *(shard._sock for shard in earlier
+                                      if shard._sock is not None)]
         #: ``None`` once the connection is lost or out of step: every
         #: later call fails typed instead of misparsing the stream
         self._sock = parent_sock
@@ -124,7 +131,8 @@ class ProcessShard:
         #: first; the router's boot-time ``set_slots`` supplies one)
         self.durable_lsn: int | None = None
         self._proc = ctx.Process(
-            target=worker_main, args=(shard_id, config, child_sock),
+            target=worker_main,
+            args=(shard_id, config, child_sock, router_side),
             daemon=True, name=f"shard-{shard_id}")
         self._proc.start()
         child_sock.close()  # the child holds its own copy
@@ -186,12 +194,13 @@ class ShardRouter:
                        else ShardConfig()).validate()
         self.coordinator = coordinator if coordinator is not None \
             else CoordinatorLog()
-        transport = (LocalShard if self.config.transport == "inproc"
-                     else ProcessShard)
-        self.shards = [
-            transport(i, self.config.shard_engine_config(i))
-            for i in range(self.config.n_shards)
-        ]
+        self.shards: list = []
+        for i in range(self.config.n_shards):
+            engine_config = self.config.shard_engine_config(i)
+            self.shards.append(
+                LocalShard(i, engine_config)
+                if self.config.transport == "inproc"
+                else ProcessShard(i, engine_config, earlier=self.shards))
         #: the slot -> shard assignment; rebuilt from the coordinator
         #: log's durable epoch records, so a router handed the log of a
         #: crashed predecessor adopts its cutover history instead of

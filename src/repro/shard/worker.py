@@ -538,10 +538,15 @@ def serve(worker: ShardWorker, sock) -> None:  # noqa: ANN001
             break
 
 
-def worker_main(shard_id: int, config: EngineConfig, sock) -> None:  # noqa: ANN001
-    """Entry point of a forked shard process: build the engine *in the
-    child* (each process gets private device/log/pool state) and serve
-    until the router hangs up."""
+def worker_main(shard_id: int, config: EngineConfig, sock,  # noqa: ANN001
+                router_side=()) -> None:  # noqa: ANN001
+    """Entry point of a forked shard process: close the inherited copies
+    of the router's sockets (``router_side``: while any process holds
+    one, its peer never reads EOF), build the engine *in the child*
+    (each process gets private device/log/pool state) and serve until
+    the router hangs up."""
+    for inherited in router_side:
+        inherited.close()
     worker = ShardWorker(shard_id, config)
     try:
         serve(worker, sock)

@@ -153,7 +153,9 @@ class StorageDevice:
     def read(self, page_id: int) -> bytearray:
         """Read a logical page; raises :class:`DeviceReadError` on LSE.
 
-        Returns the raw bytes — possibly silently corrupted or stale.
+        Returns the raw bytes — possibly silently corrupted or stale —
+        in a fresh ``bytearray`` the caller owns (the fetch path adopts
+        it as the page's buffer; the stored image is never aliased).
         Detection of such corruption is the job of the layer above
         (checksums, plausibility checks, PageLSN cross-check).
         """

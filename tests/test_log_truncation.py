@@ -66,6 +66,53 @@ class TestLogTruncate:
         assert log.truncate(lsns[5]) == 0
 
 
+class TestCopyForwardDurability:
+    def test_copy_forward_survives_a_crash_right_after_truncation(self):
+        """The copies a truncation takes move the retention bound, so
+        their BACKUP_PAGE records must be durable before the head goes:
+        otherwise a crash rebuilds an index whose backup references
+        point into the truncated head and the next single-page failure
+        cannot be repaired."""
+        db = Database(fast_config(capacity_pages=4096))
+        tree = db.create_index()
+        txn = db.begin()
+        for i in range(3000):
+            tree.insert(txn, key_of(i), value_of(i, 0))
+        db.commit(txn)
+        db.checkpoint()
+        txn = db.begin()
+        for i in range(0, 3000, 7):
+            tree.update(txn, key_of(i), value_of(i, 1))
+        db.commit(txn)
+        db.checkpoint()
+        copies_before = db.stats.get("copy_forward_backups")
+        assert db.truncate_log() > 0
+        assert db.stats.get("copy_forward_backups") > copies_before
+        db.crash()
+        db.restart()
+        tree = db.tree(tree.index_id)
+        for page_id in range(db.config.data_start, db.allocated_pages()):
+            if db.device.raw_image(page_id) is not None:
+                db.device.inject_bit_rot(page_id)
+        for i in range(3000):
+            assert tree.lookup(key_of(i)) == value_of(i, 1 if i % 7 == 0 else 0)
+        assert db.stats.get("single_page_recoveries") > 0
+        assert db.stats.get("escalations_to_media") == 0
+
+    def test_truncation_without_copies_forces_nothing(self):
+        db = Database(fast_config())
+        tree = db.create_index()
+        txn = db.begin()
+        tree.insert(txn, key_of(1), value_of(1, 0))
+        db.commit(txn)
+        db.checkpoint()
+        db.log.append(LogRecord(LogRecordKind.COMMIT, txn_id=0))
+        durable = db.log.durable_lsn
+        db.truncate_log(copy_budget=0)
+        assert db.stats.get("copy_forward_backups") == 0
+        assert db.log.durable_lsn == durable < db.log.end_lsn
+
+
 class TestIncrementalScrub:
     def build(self):
         db = Database(fast_config())

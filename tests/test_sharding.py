@@ -287,3 +287,22 @@ class TestProcessTransport:
         procs = [shard._proc for shard in router.shards]
         router.close()
         assert all(not proc.is_alive() for proc in procs)
+
+    def test_losing_the_router_ends_every_worker(self):
+        """A forked worker must not keep a copy of any router-side
+        socket — its own or an earlier shard's — or no worker ever sees
+        EOF when the router goes away without a ``close`` verb."""
+        router = ShardRouter(ShardConfig(n_shards=2, transport="process"))
+        procs = [shard._proc for shard in router.shards]
+        try:
+            router.put(b"k1", b"v1")
+            for shard in router.shards:
+                shard._sock.close()
+            for proc in procs:
+                proc.join(timeout=5)
+            assert [proc.is_alive() for proc in procs] == [False, False]
+        finally:
+            for proc in procs:
+                proc.terminate()
+                proc.join(timeout=5)
+
