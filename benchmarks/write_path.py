@@ -1,0 +1,201 @@
+"""Time the autocommit put alone, stage by stage.
+
+Loads the layered benchmark's key-value tree (``bench/``'s
+``kv_hot_embedded`` set-up, seed 1: every page stays in the pool),
+then rewrites existing keys with same-length values — the workload's
+``put`` — three ways: through ``client.put`` whole, through its four
+public steps (``begin`` / ``locks.acquire`` / ``upsert`` / ``commit``),
+and through an unrolled copy of the path with a clock read between
+every two stages.  Microseconds per put, median of ``--reps`` passes;
+each stage of the unrolled put carries one ``perf_counter_ns`` call
+(~0.07 us) of its own.  The whole-benchmark claim (``python3 -m
+bench.run``) is made of these.
+
+The unrolled put must stay what ``FosterBTree._write`` +
+``TransactionManager.log_update`` / ``commit`` do; the script checks
+that it logs byte for byte what ``client.put`` logs and stops if not.
+
+Usage (pin to one core for steady numbers)::
+
+    taskset -c 1 python3 benchmarks/write_path.py [--reps N] [--puts N]
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import os
+import random
+import statistics
+import sys
+import time
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for _path in (_ROOT, os.path.join(_ROOT, "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
+
+from bench.runner import Runner  # noqa: E402
+from bench.workloads import WORKLOADS  # noqa: E402
+from repro.txn.transaction import TxnState  # noqa: E402
+from repro.wal.records import (LogicalUndo, LogRecord,  # noqa: E402
+                               LogRecordKind, UndoAction)
+
+now = time.perf_counter_ns
+
+STAGES = (
+    "db.begin", "locks.acquire",
+    "descent (shared with get)", "node.find",
+    "probe_value (ghost bit, before-image, room: one slot read)",
+    "op + LogicalUndo", "LogRecord(...)", "log.append", "op.apply_redo",
+    "PageLSN + note_logged + bump", "mark_dirty", "bump + unfix",
+    "log.commit_in_place", "log.commit_force",
+    "finish (active table, release_all, bumps)",
+)
+
+
+def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
+    """One autocommit rewrite of a live key, a clock read per stage."""
+    log, tm, stats = db.log, db.tm, db.stats
+    t0 = now()
+    txn = db.begin()
+    t1 = now()
+    db.locks.acquire(txn.txn_id, key)
+    t2 = now()
+    page, node = tree._descend(key, for_write=True)
+    t3 = now()
+    i, _found = node.find(key)
+    t4 = now()
+    _ghost, old, _room = node.probe_value(i)
+    t5 = now()
+    op = node.op_update_value(i, value, old)
+    undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, old)
+    t6 = now()
+    record = LogRecord(LogRecordKind.UPDATE, txn_id=txn.txn_id,
+                       prev_lsn=txn.last_lsn, page_id=page.page_id,
+                       page_prev_lsn=page.page_lsn, index_id=tree.index_id,
+                       op=op, undo=undo)
+    t7 = now()
+    lsn = log.append(record)
+    t8 = now()
+    op.apply_redo(page)
+    t9 = now()
+    page.page_lsn = lsn
+    txn.note_logged(lsn)
+    stats.bump("page_updates_logged")
+    t10 = now()
+    db.mark_dirty(page.page_id, lsn)
+    t11 = now()
+    stats.bump("btree_updates")
+    db.unfix(page.page_id)
+    t12 = now()
+    end = log.commit_in_place(lsn, txn.txn_id)
+    t13 = now()
+    log.commit_force(lsn, end)
+    t14 = now()
+    stats.bump("user_txns_committed")
+    txn.state = TxnState.COMMITTED
+    tm._finish(txn)
+    t15 = now()
+    for stage, (a, b) in enumerate(zip(
+            (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14),
+            (t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14,
+             t15))):
+        spent[stage] += b - a
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--reps", type=int, default=9)
+    parser.add_argument("--puts", type=int, default=2000)
+    args = parser.parse_args()
+
+    workload = WORKLOADS["kv_hot_embedded"]
+    runner = Runner(workload, 1, workload.records, workload.round_ops(10), 1)
+    runner.setup()
+    client, db = runner.client, runner.db
+    tree = db.tree(client.index_id)
+    # As bench.run does once its deployments are built: the loaded tree
+    # is not garbage, and a collector that keeps re-walking it would be
+    # charged to whichever stage allocates next.
+    gc.collect()
+    gc.freeze()
+    rng = random.Random("write-path")
+    keys = rng.sample(runner.sorted_keys, min(args.puts, len(runner.sorted_keys)))
+    size = len(runner.oracle[keys[0]])
+    values = [bytes([65 + rep % 26]) * size for rep in range(args.reps + 2)]
+    print(f"{len(runner.sorted_keys)} records, {len(keys)} puts per pass of "
+          f"{len(keys[0])} B key / {size} B value, {args.reps} passes")
+
+    def per_put(step) -> float:  # noqa: ANN001
+        """Median over the passes of a pass's mean ns inside ``step``
+        (which returns the ns it spent)."""
+        passes = []
+        for rep in range(args.reps):
+            value = values[rep]
+            passes.append(sum(step(key, value) for key in keys) / len(keys))
+        return statistics.median(passes) / 1e3
+
+    def whole(fn):  # noqa: ANN001, ANN202
+        def step(key: bytes, value: bytes) -> int:
+            start = now()
+            fn(key, value)
+            return now() - start
+        return step
+
+    # -- the four public steps, each timed around the real call --------
+    public = [0, 0, 0, 0]
+
+    def by_public_steps(key: bytes, value: bytes) -> int:
+        t0 = now()
+        txn = db.begin()
+        t1 = now()
+        db.locks.acquire(txn.txn_id, key)
+        t2 = now()
+        tree.upsert(txn, key, value)
+        t3 = now()
+        db.commit(txn)
+        t4 = now()
+        for i, dt in enumerate((t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            public[i] += dt
+        return t4 - t0
+
+    # -- the unrolled put must log what client.put logs ----------------
+    before = db.log.end_lsn, db.stats.get("log_records")
+    client.put(keys[0], values[-1])
+    real = db.log.end_lsn - before[0], db.stats.get("log_records") - before[1]
+    before = db.log.end_lsn, db.stats.get("log_records")
+    unrolled_put(db, tree, keys[0], values[-2], [0] * len(STAGES))
+    mine = db.log.end_lsn - before[0], db.stats.get("log_records") - before[1]
+    if real != mine or client.get(keys[0]) != values[-2]:
+        raise SystemExit(f"unrolled put drifted from client.put: logs {mine} "
+                         f"(bytes, records), client.put logs {real}")
+    print(f"an autocommit put logs {real[1]} record(s), {real[0]} B")
+
+    rows = [("client.get (same keys)",
+             per_put(whole(lambda key, _value: client.get(key)))),
+            ("client.put", per_put(whole(client.put)))]
+    total = per_put(by_public_steps)
+    calls = args.reps * len(keys)
+    rows.append(("begin + acquire + upsert + commit, called directly", total))
+    for name, ns in zip(("  db.begin", "  locks.acquire", "  tree.upsert",
+                         "  db.commit"), public):
+        rows.append((name, ns / calls / 1e3))
+
+    spent = [0] * len(STAGES)
+
+    def unrolled(key: bytes, value: bytes) -> int:
+        start = now()
+        unrolled_put(db, tree, key, value, spent)
+        return now() - start
+
+    rows.append(("unrolled put, a clock read per stage", per_put(unrolled)))
+    for name, ns in zip(STAGES, spent):
+        rows.append(("  " + name, ns / calls / 1e3))
+    for name, micros in rows:
+        print(f"{micros:8.2f} us  {name}")
+    runner.close()
+
+
+if __name__ == "__main__":
+    main()

@@ -288,6 +288,11 @@ class BTreeNode:
     def is_ghost(self, i: int) -> bool:
         return self.slotted.is_ghost(DATA_START + i)
 
+    def probe_value(self, i: int) -> tuple[bool, bytes, int]:
+        """``(ghost, value, room)`` of data record ``i``, one slot read
+        (:meth:`repro.page.slotted.SlottedPage.probe_value`)."""
+        return self.slotted.probe_value(DATA_START + i)
+
     def child_pid(self, i: int) -> int:
         return decode_pid(self.value(i))
 
@@ -481,12 +486,19 @@ class BTreeNode:
             entries.append((rec.key, rec.value, rec.ghost))
         return OpBulkDelete(DATA_START + start, tuple(entries))
 
-    def op_update_value(self, index: int, new_value: bytes) -> PageOp:
-        old = self.value(index)
+    def op_update_value(self, index: int, new_value: bytes,
+                        old: bytes | None = None) -> PageOp:
+        """``old``: the current value, if the caller has read it."""
+        if old is None:
+            old = self.value(index)
         return OpUpdateValue(DATA_START + index, old, new_value)
 
-    def op_set_ghost(self, index: int, ghost: bool) -> PageOp:
-        return OpSetGhost(DATA_START + index, self.is_ghost(index), ghost)
+    def op_set_ghost(self, index: int, ghost: bool,
+                     old: bool | None = None) -> PageOp:
+        """``old``: the current ghost bit, if the caller has read it."""
+        if old is None:
+            old = self.is_ghost(index)
+        return OpSetGhost(DATA_START + index, old, ghost)
 
     def ops_set_foster(self, foster_key: bytes, foster_pid: int) -> list[PageOp]:
         """Replace the foster record (re-keying = delete + insert)."""

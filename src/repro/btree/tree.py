@@ -296,7 +296,13 @@ class FosterBTree:
             page, node = self._descend(key, for_write=True)
             try:
                 i, found = node.find(key)
-                live = found and not node.is_ghost(i)
+                if found:
+                    # One read of the record's slot serves every decision
+                    # below: live or ghost, the before-image, the room.
+                    ghost, old, room = node.probe_value(i)
+                    live = not ghost
+                else:
+                    live = False
                 if value is None:
                     if expect_live is None and not live:
                         return False  # nothing to write: a pure read
@@ -311,29 +317,33 @@ class FosterBTree:
                 if expect_live is not None and live != expect_live:
                     raise KeyNotFound(key) if expect_live else DuplicateKey(key)
                 if value is None:
-                    undo = LogicalUndo(UndoAction.INSERT_KEY, key,
-                                       node.value(i))
-                    self._log(txn, page, node.op_set_ghost(i, True), undo)
+                    undo = LogicalUndo(UndoAction.INSERT_KEY, key, old)
+                    self._log(txn, page, node.op_set_ghost(i, True, old=False),
+                              undo)
                     self.stats.bump("btree_deletes")
                     return True
                 if live:
-                    if node.room_for_value(i, value):
-                        op = node.op_update_value(i, value)
-                        self._log(txn, page, op, LogicalUndo(
-                            UndoAction.RESTORE_VALUE, key, op.old_value))
+                    if len(value) <= room:
+                        # The before-image is the undo's and the op's at
+                        # once: one object, logged once.
+                        self._log(txn, page,
+                                  node.op_update_value(i, value, old),
+                                  LogicalUndo(UndoAction.RESTORE_VALUE, key,
+                                              old))
                         self.stats.bump("btree_updates")
                         return True
                 elif found:
-                    if node.room_for_value(i, value):
+                    if len(value) <= room:
                         # Revive the ghost: restore value, then clear the
                         # bit.  The value write carries a *no-op logical
                         # undo*: rolling back the revive only needs to
                         # re-ghost the record (the DELETE_KEY below); a
                         # physical slot-indexed undo would be unsafe once
                         # later inserts have shifted the slots.
-                        self._log(txn, page, node.op_update_value(i, value),
+                        self._log(txn, page,
+                                  node.op_update_value(i, value, old),
                                   LogicalUndo(UndoAction.NONE, key))
-                        self._log(txn, page, node.op_set_ghost(i, False),
+                        self._log(txn, page, node.op_set_ghost(i, False, old=True),
                                   LogicalUndo(UndoAction.DELETE_KEY, key))
                         self.stats.bump("btree_inserts")
                         return False

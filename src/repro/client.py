@@ -190,13 +190,17 @@ class SingleNodeClient(Client):
 
     def put(self, key: bytes, value: bytes) -> None:
         self._require_open()
-        with self.txn() as t:
-            t.put(key, value)
+        db = self.db
+        with db.autocommit() as txn:
+            db.locks.acquire(txn.txn_id, key)
+            self._tree.upsert(txn, key, value)
 
     def delete(self, key: bytes) -> bool:
         self._require_open()
-        with self.txn() as t:
-            return t.delete(key)
+        db = self.db
+        with db.autocommit() as txn:
+            db.locks.acquire(txn.txn_id, key)
+            return self._tree.remove(txn, key)
 
     def scan(self, low: bytes = b"",
              high: bytes | None = None) -> list[tuple[bytes, bytes]]:
@@ -206,22 +210,28 @@ class SingleNodeClient(Client):
 
     def apply_batch(self, ops: list[tuple]) -> int:
         self._require_open()
-        with self.txn() as t:
+        db = self.db
+        with db.autocommit() as txn:
+            txn_id, acquire, tree = txn.txn_id, db.locks.acquire, self._tree
             for op in ops:
                 if op[0] == "put":
-                    t.put(op[1], op[2])
+                    acquire(txn_id, op[1])
+                    tree.upsert(txn, op[1], op[2])
                 elif op[0] == "delete":
-                    t.delete(op[1])
+                    acquire(txn_id, op[1])
+                    tree.remove(txn, op[1])
                 else:
                     raise ConfigError(f"unknown batch op {op[0]!r}")
         return len(ops)
 
 
 class _SingleNodeTxn:
-    """Transaction handle over one engine: upserts decided against
-    live tree state under the key lock, exactly like the shard
-    worker's branch operations — the differential suite depends on the
-    two interpreting intents identically."""
+    """Handle of a multi-statement user transaction (``Client.txn()``)
+    over one engine: upserts decided against live tree state under the
+    key lock, exactly like the shard worker's branch operations — the
+    differential suite depends on the two interpreting intents
+    identically.  Autocommit calls do not come through here: they use
+    :meth:`repro.engine.database.Database.autocommit`."""
 
     def __init__(self, db: Database, index_id: int) -> None:
         self.db = db
@@ -257,13 +267,7 @@ class _SingleNodeTxn:
         if self._done:
             return
         self._done = True
-        try:
-            self.db.abort(self.txn)
-        except Exception:
-            # The engine failed under us mid-transaction (e.g. an
-            # injected crash): analysis will undo the branch; the
-            # original error is already propagating.
-            pass
+        self.db.abort_quietly(self.txn)
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,6 @@ from repro.engine.config import EngineConfig
 from repro.errors import (
     ConfigError,
     MediaFailure,
-    ReproError,
     SinglePageFailure,
     SystemFailure,
 )
@@ -340,6 +339,35 @@ class Database:
     def abort(self, txn: Transaction) -> None:
         self.tm.abort(txn, self)
 
+    def abort_quietly(self, txn: Transaction) -> None:
+        """Roll back on the way out of a failed operation, keeping the
+        original error the one the caller sees.  A transaction the
+        engine no longer lists — finished, or disowned by the very
+        failure being reported (a crash wiped the active table, a media
+        failure killed it) — is left to recovery's analysis, as is one
+        whose rollback fails (a repair escalating mid-undo)."""
+        if txn.txn_id not in self.tm.active:
+            return
+        try:
+            self.abort(txn)
+        except Exception:  # noqa: BLE001 - the original error propagates
+            pass
+
+    def autocommit(self) -> "_Autocommit":
+        """A private transaction around one operation::
+
+            with db.autocommit() as txn:
+                db.locks.acquire(txn.txn_id, key)
+                tree.upsert(txn, key, value)
+
+        commits when the body returns and rolls back — quietly, see
+        :meth:`abort_quietly` — on *any* exception, so no failure of the
+        body can leave the transaction active and its keys locked.  The
+        one autocommit path: the embedded client, the shard worker and
+        the single-operation helpers below all use it.
+        """
+        return _Autocommit(self)
+
     def group_commit(self):  # noqa: ANN201 - context manager
         """Batch user commits into one log force (group commit)."""
         return self.tm.group_commit()
@@ -411,31 +439,28 @@ class Database:
     # Convenience single-operation transactions ------------------------
     def insert(self, tree: FosterBTree, key: bytes, value: bytes,
                txn: Transaction | None = None) -> None:
-        self._one_op(tree.insert, key, value, txn=txn)
+        self._locked_write(tree.insert, txn, key, value)
 
     def update(self, tree: FosterBTree, key: bytes, value: bytes,
                txn: Transaction | None = None) -> None:
-        self._one_op(tree.update, key, value, txn=txn)
+        self._locked_write(tree.update, txn, key, value)
 
     def delete(self, tree: FosterBTree, key: bytes,
                txn: Transaction | None = None) -> None:
-        self._one_op(tree.delete, key, txn=txn)
+        self._locked_write(tree.delete, txn, key)
 
-    def _one_op(self, op, *args, txn: Transaction | None = None) -> None:  # noqa: ANN001
+    def _locked_write(self, write, txn: Transaction | None,  # noqa: ANN001
+                      key: bytes, *value: bytes) -> None:
+        """Lock ``key`` and run one tree write in ``txn`` — or, given
+        none, in an :meth:`autocommit` transaction of its own."""
         self._require_running()
-        if txn is not None:
-            self.locks.acquire(txn.txn_id, args[0])
-            op(txn, *args)
-            return
-        auto = self.begin()
-        try:
-            self.locks.acquire(auto.txn_id, args[0])
-            op(auto, *args)
-        except ReproError:
-            if auto.active:
-                self.abort(auto)
-            raise
-        self.commit(auto)
+        if txn is None:
+            with self.autocommit() as txn:
+                self.locks.acquire(txn.txn_id, key)
+                write(txn, key, *value)
+        else:
+            self.locks.acquire(txn.txn_id, key)
+            write(txn, key, *value)
 
     # ------------------------------------------------------------------
     # Replication (PR 7)
@@ -705,3 +730,29 @@ class Database:
         for page_id in list(self.pool.resident_pages()):
             if self.pool.pin_count(page_id) == 0:
                 self.pool.evict(page_id)
+
+
+class _Autocommit:
+    """The context manager behind :meth:`Database.autocommit`.  It goes
+    through the engine's public ``begin`` / ``commit`` / ``abort``, so
+    whatever wraps those sees every autocommit transaction."""
+
+    __slots__ = ("_db", "_txn")
+
+    def __init__(self, db: Database) -> None:
+        self._db = db
+
+    def __enter__(self) -> Transaction:
+        self._txn = txn = self._db.begin()
+        return txn
+
+    def __exit__(self, exc_type, exc, tb) -> None:  # noqa: ANN001
+        db, txn = self._db, self._txn
+        if exc_type is None:
+            try:
+                db.commit(txn)
+            except BaseException:
+                db.abort_quietly(txn)
+                raise
+        else:
+            db.abort_quietly(txn)

@@ -12,14 +12,16 @@ many-readers-or-one-writer plus a lock-free commit wait:
   proceed concurrently, contending only inside the buffer pool (frame
   table mutex, per-page load latches) — which is where fetch races,
   pin races, and eviction-under-pins are actually exercised;
-* **commit** appends the COMMIT record and releases the transaction's
-  locks under the exclusive latch, then waits for durability on the
-  log's cross-thread group-commit barrier with *no latch held*.  While
-  one committer (the group leader) forces, every other thread keeps
-  working; their commits ride the next force.  This is early lock
-  release with log-order durability: a dependent transaction's commit
-  record always lands after the one it read from, and forces harden
-  prefixes, so no transaction is ever durable before one it depends on.
+* **commit** logs the commit (the bit on the transaction's last
+  record, or a COMMIT record when that record has already hardened)
+  and releases the transaction's locks under the exclusive latch, then
+  waits for durability on the log's cross-thread group-commit barrier
+  with *no latch held*.  While one committer (the group leader)
+  forces, every other thread keeps working; their commits ride the
+  next force.  This is early lock release with log-order durability:
+  the record carrying a dependent transaction's commit always lands
+  after the one it read from, and forces harden prefixes, so no
+  transaction is ever durable before one it depends on.
 
 Creating the first session flips the log into cross-thread commit mode
 (the single-threaded ``Database`` API and the deterministic chaos
@@ -61,9 +63,9 @@ class Session:
     def commit(self) -> int:
         """Commit the open transaction; returns its commit LSN.
 
-        The commit record is appended (and locks released) under the
-        exclusive latch; the durability wait happens on the group-commit
-        barrier *outside* it, so concurrent committers amortize forces.
+        The commit is logged (and locks released) under the exclusive
+        latch; the durability wait happens on the group-commit barrier
+        *outside* it, so concurrent committers amortize forces.
         """
         txn = self._require_txn()
         with self.db.latch.exclusive():

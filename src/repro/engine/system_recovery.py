@@ -149,11 +149,6 @@ def run_restart(db, mode: str | None = None) -> RestartReport:  # noqa: ANN001
 # ----------------------------------------------------------------------
 # Pass 1: log analysis
 # ----------------------------------------------------------------------
-#: record kinds that end a transaction (it is no longer a loser)
-TERMINAL_TXN_KINDS = (LogRecordKind.COMMIT, LogRecordKind.SYS_COMMIT,
-                      LogRecordKind.ABORT, LogRecordKind.TXN_END)
-
-
 @dataclass
 class InDoubtTxn:
     """A prepared transaction awaiting its 2PC coordinator decision.
@@ -228,7 +223,9 @@ def note_txn_record(att: dict[int, tuple[int, bool]],
     """
     if not record.txn_id:
         return
-    if record.kind in TERMINAL_TXN_KINDS:
+    if record.commits_txn or record.kind == LogRecordKind.ABORT:
+        # Committed (by its last record's bit or a commit record) or
+        # rolled back: no longer a loser.
         att.pop(record.txn_id, None)
     else:
         prior = att.get(record.txn_id)

@@ -241,6 +241,24 @@ class SlottedPage:
         return (self.free_space + self.frag_bytes
                 + (length_flags & LENGTH_MASK) >= needed)
 
+    def probe_value(self, index: int) -> tuple[bool, bytes, int]:
+        """``(ghost, value, room)`` of slot ``index`` from one read of
+        its slot word — what a value rewrite decides on: whether the
+        record is a ghost, the value it replaces, and the longest value
+        :meth:`update_value` can store there, possibly after compaction
+        (:meth:`room_for_value` is ``len(value) <= room``)."""
+        data = self.page.data
+        size = self.page.size
+        offset, length_flags = _SLOT.unpack_from(
+            data, size - (index + 1) * SLOT_SIZE)
+        end = offset + (length_flags & LENGTH_MASK)
+        key_end = offset + 2 + _U16.unpack_from(data, offset)[0]
+        count, heap_end, frag_bytes, _reserved = _SLOTTED_HEADER.unpack_from(
+            data, HEADER_SIZE)
+        return (bool(length_flags & _GHOST_BIT), bytes(data[key_end:end]),
+                size - count * SLOT_SIZE - heap_end + frag_bytes
+                + end - key_end)
+
     # ------------------------------------------------------------------
     # Record access
     # ------------------------------------------------------------------
@@ -342,13 +360,22 @@ class SlottedPage:
 
     def update_value(self, index: int, value: bytes) -> None:
         """Replace the value of the record in slot ``index``."""
-        if not 0 <= index < self.slot_count:
+        page = self.page
+        data = page.data
+        if not 0 <= index < _U16.unpack_from(data, HEADER_SIZE)[0]:
             raise IndexError(f"slot {index} out of range")
-        self.page.invalidate_view(index)
-        data = self.page.data
-        offset, length, ghost = self._read_slot(index)
+        page.invalidate_view(index)
+        offset, length_flags = _SLOT.unpack_from(
+            data, page.size - (index + 1) * SLOT_SIZE)
+        length = length_flags & LENGTH_MASK
         key_end = offset + 2 + _U16.unpack_from(data, offset)[0]
         needed = key_end - offset + len(value)
+        if needed == length:
+            # Same length — most rewrites: the bytes change, the slot
+            # word and the fragmentation count do not.
+            data[key_end:offset + length] = value
+            return
+        ghost = bool(length_flags & _GHOST_BIT)
         if needed <= length:
             # Overwrite in place; excess bytes become fragmentation.
             data[key_end:key_end + len(value)] = value

@@ -256,9 +256,11 @@ class ShardRouter:
         the shard's durable LSN at the moment the command arrives: the
         worker is passive, so nothing reaches its log between its last
         reply and this request (a queued message flushed just above
-        has replied too), and every earlier COMMIT was forced below
+        has replied too), and every earlier commit was forced below
         the mark.  If the command dies in a system failure the
-        post-restart log is consulted — a COMMIT record past the mark
+        post-restart log is consulted — a user transaction's commit
+        past the mark (``LogRecord.commits_user_txn``: the bit on its
+        last write, or a COMMIT record)
         means the first attempt succeeded and only its reply was lost,
         so the answer is reconstructed from the log instead of
         re-executing (a blind retry would double-apply the command, or
@@ -275,7 +277,7 @@ class ShardRouter:
         except SystemFailure:
             indoubt = shard.call(("restart", None))
             # Probe *between* analysis and in-doubt resolution: the
-            # resolution path writes fresh COMMIT records that would
+            # resolution path writes fresh commit records that would
             # otherwise be indistinguishable from the lost reply's.
             outcome = (shard.call(("outcome_since", watermark))
                        if watermark is not None else None)
@@ -547,8 +549,9 @@ class RouterTxn:
             self._finish()
             return
         if len(participants) == 1:
-            # Single-shard passthrough: the branch's own COMMIT record
-            # is the commit point; no coordinator state at all.
+            # Single-shard passthrough: the branch's own commit (made
+            # durable by its force) is the commit point; no coordinator
+            # state at all.
             idx = participants[0]
             try:
                 self.router._call(idx, "txn_commit", self.xid)

@@ -118,7 +118,7 @@ class ShardWorker:
         db = self.db
         db._require_running()
         self._check_owner(key)
-        with _Autocommit(db) as txn:
+        with db.autocommit() as txn:
             db.locks.acquire(txn.txn_id, key)
             self._tree.upsert(txn, key, value)
 
@@ -126,7 +126,7 @@ class ShardWorker:
         db = self.db
         db._require_running()
         self._check_owner(key)
-        with _Autocommit(db) as txn:
+        with db.autocommit() as txn:
             db.locks.acquire(txn.txn_id, key)
             return self._tree.remove(txn, key)
 
@@ -137,7 +137,7 @@ class ShardWorker:
         db._require_running()
         for op in ops:
             self._check_owner(op[1])
-        with _Autocommit(db) as txn:
+        with db.autocommit() as txn:
             txn_id, acquire, tree = txn.txn_id, db.locks.acquire, self._tree
             for op in ops:
                 if op[0] == "put":
@@ -164,7 +164,7 @@ class ShardWorker:
     def _abort_quietly(self, xid: int) -> None:
         txn = self._live.pop(xid, None)
         if txn is not None:
-            _rollback_quietly(self.db, txn)
+            self.db.abort_quietly(txn)
 
     # ------------------------------------------------------------------
     # Transactional branches
@@ -282,7 +282,7 @@ class ShardWorker:
                    if self._slot_of(key) == slot]
         if not victims:
             return 0
-        with _Autocommit(self.db) as txn:
+        with self.db.autocommit() as txn:
             for key in victims:
                 self.db.locks.acquire(txn.txn_id, key)
                 self._tree.delete(txn, key)
@@ -357,7 +357,7 @@ class ShardWorker:
         self.db._require_running()
         records = self.db.log.records_from(since_lsn)
         committed = {record.txn_id for record in records
-                     if record.kind == LogRecordKind.COMMIT}
+                     if record.commits_txn}
         changed: set[bytes] = set()
         for record in records:
             undo = record.undo
@@ -382,7 +382,7 @@ class ShardWorker:
         apply a catch-up delta (``clear=False``) in one local
         transaction.  ``items`` is ``[(key, value | None), ...]``."""
         self.db._require_running()
-        with _Autocommit(self.db) as txn:
+        with self.db.autocommit() as txn:
             tree = self._tree
             if clear and self._n_slots:
                 incoming = {key for key, _ in items}
@@ -422,8 +422,7 @@ class ShardWorker:
         """
         self.db._require_running()
         records = self.db.log.records_from(lsn)
-        commit = next(
-            (r for r in records if r.kind == LogRecordKind.COMMIT), None)
+        commit = next((r for r in records if r.commits_user_txn), None)
         if commit is None:
             return None
         updates = sum(1 for r in records
@@ -473,40 +472,6 @@ class ShardWorker:
     def _cmd_close(self) -> None:
         for xid in list(self._live):
             self._abort_quietly(xid)
-
-
-# ----------------------------------------------------------------------
-# Private transactions
-# ----------------------------------------------------------------------
-class _Autocommit:
-    """A private transaction around one command: commits when the body
-    returns, rolls back when it raises.  It never enters ``_live`` —
-    no other command can name it."""
-
-    __slots__ = ("_db", "_txn")
-
-    def __init__(self, db: Database) -> None:
-        self._db = db
-
-    def __enter__(self):  # noqa: ANN204 - Transaction
-        self._txn = self._db.begin()
-        return self._txn
-
-    def __exit__(self, exc_type, exc, tb) -> None:  # noqa: ANN001
-        if exc_type is None:
-            self._db.commit(self._txn)
-        else:
-            _rollback_quietly(self._db, self._txn)
-
-
-def _rollback_quietly(db: Database, txn) -> None:  # noqa: ANN001
-    try:
-        db.abort(txn)
-    except Exception:  # noqa: BLE001
-        # The failed operation already escalated (e.g. to a system
-        # failure that wiped the active table); the original error is
-        # the one the router needs to see.
-        pass
 
 
 # ----------------------------------------------------------------------

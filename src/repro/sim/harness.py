@@ -71,7 +71,6 @@ from repro.sim.iomodel import HDD_PROFILE
 from repro.sim.scheduler import Event, EventScheduler
 from repro.storage.faults import FaultKind
 from repro.txn.locks import DeadlockError, LockConflict
-from repro.wal.records import LogRecordKind
 from repro.workloads.fleet import ClientFleet
 
 MODE_COMBOS = (("eager", "eager"), ("eager", "on_demand"),
@@ -289,7 +288,7 @@ class DurabilityOracle:
     ``model`` maps key -> committed value; a delete removes the key.
     Transactions whose commit acknowledgement was cut off by a failure
     are parked in ``uncertain`` and resolved against the durable log
-    after recovery: a surviving COMMIT record folds the staged effects
+    after recovery: a surviving commit folds the staged effects
     into the model, an absent one discards them — and the subsequent
     visibility check then enforces atomicity in both directions.
     """
@@ -335,7 +334,7 @@ class DurabilityOracle:
             return
         committed_lsns = {record.txn_id: record.lsn
                           for record in db.log.all_records()
-                          if record.kind == LogRecordKind.COMMIT}
+                          if record.commits_txn}
         for txn_id in sorted(self.uncertain):
             staged = self.uncertain.pop(txn_id)
             if txn_id in committed_lsns:
@@ -356,7 +355,7 @@ class DurabilityOracle:
         rebases from a consistent lineage.
         """
         committed_ids = {record.txn_id for record in db.log.all_records()
-                         if record.kind == LogRecordKind.COMMIT}
+                         if record.commits_txn}
         horizon = db.log.truncated_below
         violations: list[str] = []
         survivors: list[tuple] = []

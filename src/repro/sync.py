@@ -41,26 +41,16 @@ from contextlib import contextmanager
 from typing import Iterator
 
 
-class Mutex:
-    """A reentrant lock that deep-copies to a fresh, unlocked one."""
+class Mutex(type(threading.RLock())):
+    """A reentrant lock that deep-copies to a fresh, unlocked one.
 
-    __slots__ = ("_lock",)
+    It *is* the interpreter's ``RLock`` (the C type wherever there is
+    one), so ``acquire`` / ``release`` / ``with`` cost what they cost
+    there — the engine enters a mutex a dozen times per operation —
+    and only copying and pickling are ours.
+    """
 
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        return self._lock.acquire(blocking, timeout)
-
-    def release(self) -> None:
-        self._lock.release()
-
-    def __enter__(self) -> "Mutex":
-        self._lock.acquire()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._lock.release()
+    __slots__ = ()
 
     def __deepcopy__(self, memo: dict) -> "Mutex":  # noqa: ARG002
         return type(self)()
@@ -81,7 +71,7 @@ class ConditionMutex(Mutex):
 
     def __init__(self) -> None:
         super().__init__()
-        self._cond = threading.Condition(self._lock)
+        self._cond = threading.Condition(self)
 
     def wait(self, timeout: float | None = None) -> bool:
         return self._cond.wait(timeout)

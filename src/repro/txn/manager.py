@@ -1,16 +1,26 @@
 """The transaction manager: begin/commit/abort and rollback.
 
-Commit semantics follow Figure 5:
+Commit semantics follow Figure 5.  A commit is one bit — "this
+transaction's last record was its last" — made durable by a force:
 
-* user transaction commit appends a COMMIT record and **forces** the
-  log (durability);
-* system transaction commit appends SYS_COMMIT without forcing — it
-  becomes durable with the next force, and if a crash intervenes the
-  (contents-neutral) transaction simply never happened.
+* the bit is set on the transaction's last log record while that
+  record is still in the log's volatile tail
+  (:meth:`repro.wal.log_manager.LogManager.commit_in_place`); a COMMIT
+  / SYS_COMMIT record is appended only as the fallback, when the
+  transaction logged nothing or its last record has already hardened
+  (another transaction's group force, a checkpoint, a write-back, a
+  2PC PREPARE).  One rule for every transaction: an autocommit put, a
+  32-write batch and a node split lose their commit record alike;
+* user transaction commit then **forces** the log through the record
+  that carries the commit (durability);
+* system transaction commit does not force — it becomes durable with
+  the next force, and if a crash intervenes the (contents-neutral)
+  transaction simply never happened: its records, bit included, are
+  gone with the tail.
 
 Group commit: within a :meth:`TransactionManager.group_commit` block,
 user commits defer their log force; leaving the block hardens every
-batched commit record with **one** sequential write.  Durability is
+batched commit with **one** sequential write.  Durability is
 batch-scoped — a crash inside the block loses the whole batch, which
 is the standard group-commit trade the caller opts into.
 
@@ -101,19 +111,27 @@ class TransactionManager:
             self._next_txn_id = max(self._next_txn_id, floor + 1)
 
     def commit(self, txn: Transaction, defer_force: bool = False) -> int:
-        """Commit; returns the commit record's LSN.
+        """Commit; returns the LSN of the record that carries the commit
+        (the transaction's last update, or a commit record of its own).
 
-        With ``defer_force`` the commit record is appended but the
-        durability force is left to the caller — :class:`repro.engine.
-        session.Session` uses this to append under the engine latch
-        and then wait on the cross-thread group-commit barrier with no
-        latch held, so riders never block writers.
+        With ``defer_force`` the commit is logged but the durability
+        force is left to the caller — :class:`repro.engine.session.
+        Session` uses this to commit under the engine latch and then
+        wait on the cross-thread group-commit barrier with no latch
+        held, so riders never block writers.
         """
         self._require_active(txn)
-        kind = LogRecordKind.SYS_COMMIT if txn.is_system else LogRecordKind.COMMIT
-        record = LogRecord(kind, txn_id=txn.txn_id, prev_lsn=txn.last_lsn)
-        lsn = self.log.append(record)
-        txn.note_logged(lsn)
+        log = self.log
+        lsn = txn.last_lsn
+        record_end = log.commit_in_place(lsn, txn.txn_id)
+        if not record_end:
+            record = LogRecord(
+                LogRecordKind.SYS_COMMIT if txn.is_system
+                else LogRecordKind.COMMIT,
+                txn_id=txn.txn_id, prev_lsn=lsn)
+            lsn = log.append(record)
+            txn.note_logged(lsn)
+            record_end = lsn + record.encoded_size()
         await_ack = False
         if not txn.is_system:
             if self._commit_batch is not None:
@@ -126,7 +144,7 @@ class TransactionManager:
                 # ("prior to or with the commit record of any dependent
                 # user transaction") — with group commit enabled the
                 # whole buffered tail shares this one write.
-                self.log.commit_force(lsn)
+                log.commit_force(lsn, record_end)
                 await_ack = self.ack_mode == "replicated_durable"
             self.stats.bump("user_txns_committed")
         else:
@@ -137,7 +155,7 @@ class TransactionManager:
             # After _finish: the transaction IS committed and locally
             # durable; this only blocks on (or fails for want of) the
             # standby's ship-ack.
-            self.log.ensure_replicated(lsn)
+            log.ensure_replicated(lsn)
         return lsn
 
     @contextlib.contextmanager

@@ -35,8 +35,7 @@ class Transaction:
       exactly because it was contents-neutral.
     """
 
-    __slots__ = ("txn_id", "is_system", "state", "last_lsn", "locks",
-                 "first_lsn")
+    __slots__ = ("txn_id", "is_system", "state", "last_lsn", "first_lsn")
 
     def __init__(self, txn_id: int, is_system: bool = False) -> None:
         self.txn_id = txn_id
@@ -44,7 +43,6 @@ class Transaction:
         self.state = TxnState.ACTIVE
         self.last_lsn = NULL_LSN
         self.first_lsn = NULL_LSN
-        self.locks: set[bytes] = set()
 
     @property
     def active(self) -> bool:

@@ -15,11 +15,14 @@ The log manager owns:
   backup's log position without materializing the log;
 * the *durable* prefix (``durable_lsn``) and force semantics:
   user-transaction commits force the log, system transactions do not
-  (Figure 5) — their commit records ride along with the next force;
+  (Figure 5) — their commits ride along with the next force;
+* the **commit bit** (:meth:`LogManager.commit_in_place`): a record
+  still in the volatile tail can be told it is its transaction's last,
+  so a commit costs a force but no record of its own;
 * **group commit**: a commit-triggered force hardens the whole buffered
   tail in one sequential write, so ride-along records (system-txn
   commits, PRI updates, and — under ``TransactionManager.
-  group_commit()`` — other transactions' commit records) share the
+  group_commit()`` — other transactions' commits) share the
   force they would otherwise each pay for;
 * crash semantics: :meth:`crash` discards everything after the durable
   prefix, which is how experiments create torn states (e.g. a data
@@ -41,18 +44,9 @@ from repro.sim.iomodel import IOProfile
 from repro.sim.stats import Stats
 from repro.sync import ConditionMutex
 from repro.wal.lsn import LOG_START, NULL_LSN
+from repro.wal.records import CHAIN_KINDS as _CHAIN_KINDS
 from repro.wal.records import LogRecord, LogRecordKind
 from repro.wal.segments import DEFAULT_SEGMENT_BYTES, SegmentDirectory
-
-#: Record kinds that advance a page's PageLSN and therefore form the
-#: per-page chain (Section 5.1.4).  FULL_PAGE_IMAGE and PRI_UPDATE
-#: records carry a page id but are chain *roots* / bookkeeping, not
-#: chain members.
-_CHAIN_KINDS = frozenset({
-    LogRecordKind.UPDATE,
-    LogRecordKind.COMPENSATION,
-    LogRecordKind.FORMAT_PAGE,
-})
 
 
 class LogManager:
@@ -157,6 +151,32 @@ class LogManager:
         self.stats.bump("log_bytes", size)
         return lsn
 
+    def commit_in_place(self, lsn: int, txn_id: int) -> int:
+        """Make the record at ``lsn`` carry transaction ``txn_id``'s
+        commit, if it still can: returns the record's end LSN (what
+        :meth:`commit_force` must cover), or ``NULL_LSN`` when the
+        caller has to append a commit record instead.
+
+        It can while it sits in the volatile tail — the bit then
+        hardens (and ships) with the record, and a crash before the
+        force loses both, as it would lose an unforced COMMIT record.
+        A record some other force already hardened (a rider's commit, a
+        checkpoint, a PREPARE, a write-back obeying the WAL rule) is
+        immutable, and ``NULL_LSN`` (a transaction that logged nothing)
+        names no record.  Atomic with :meth:`force` under the log mutex.
+        """
+        with self._mutex:
+            if lsn < self._durable_lsn:
+                return NULL_LSN
+            entry = self._dir.entry(lsn)
+            if entry is None:
+                return NULL_LSN
+            record, size = entry
+            if record.txn_id != txn_id or record.kind not in _CHAIN_KINDS:
+                return NULL_LSN
+            record.commits = True
+            return lsn + size
+
     def force(self, up_to_lsn: int | None = None) -> None:
         """Flush the log buffer to stable storage up to ``up_to_lsn``.
 
@@ -178,8 +198,10 @@ class LogManager:
         if shipper is not None:
             shipper.on_durable(target)
 
-    def commit_force(self, commit_lsn: int) -> None:
-        """Force on behalf of a commit record at ``commit_lsn``.
+    def commit_force(self, commit_lsn: int,
+                     record_end: int | None = None) -> None:
+        """Force on behalf of a commit carried by the record at
+        ``commit_lsn`` (``record_end``: its end, when the caller knows).
 
         With group commit (the default) the force extends to the end of
         the buffer: every buffered record — ride-along system-txn
@@ -192,8 +214,9 @@ class LogManager:
         :meth:`_barrier_commit`); callers must not hold any other
         engine lock, as riders block until a leader's force covers them.
         """
-        with self._mutex:
-            record_end = commit_lsn + (self._dir.size_of(commit_lsn) or 0)
+        if record_end is None:
+            with self._mutex:
+                record_end = commit_lsn + (self._dir.size_of(commit_lsn) or 0)
         if self.cross_thread_commit:
             self._barrier_commit(record_end)
             return

@@ -28,14 +28,19 @@ _BB = struct.Struct("<BB")
 _BHI = struct.Struct("<BHI")
 
 
-def _pack_bytes(buf: bytes) -> bytes:
-    return _U32.pack(len(buf)) + buf
+#: What a decoder can raise on bytes that are not an encoding: every
+#: decode boundary turns these into :class:`LogError`.
+MALFORMED = (struct.error, IndexError, ValueError, OverflowError)
 
 
 def _unpack_bytes(data, offset: int) -> tuple[bytes, int]:
     (length,) = _U32.unpack_from(data, offset)
     start = offset + 4
     end = start + length
+    if end > len(data):
+        # A slice would silently come back short.
+        raise LogError(f"byte string of {length} bytes at offset {offset} "
+                       f"runs past the end of the record")
     return bytes(data[start:end]), end
 
 
@@ -81,14 +86,20 @@ class PageOp:
 
     @staticmethod
     def decode(data, offset: int = 0) -> "PageOp":
-        if offset >= len(data):
+        """The op encoded at ``offset``, or :class:`LogError`: bytes
+        that are not an op encoding never surface as anything else."""
+        if not 0 <= offset < len(data):
             raise LogError("empty page-op payload")
         kind = data[offset]
         try:
             cls = _OP_REGISTRY[kind]
         except KeyError:
             raise LogError(f"unknown page-op kind {kind}") from None
-        return cls._decode_body(data, offset)
+        try:
+            return cls._decode_body(data, offset)
+        except MALFORMED as exc:
+            raise LogError(
+                f"malformed {cls.__name__} payload: {exc}") from None
 
     @classmethod
     def _decode_body(cls, data, offset: int) -> "PageOp":
@@ -425,6 +436,10 @@ class OpInverse(PageOp):
 
     @classmethod
     def _decode_body(cls, data, offset: int) -> "OpInverse":
+        if data[offset + 1] == cls.kind:
+            # Rollback never compensates a CLR, so no writer nests these;
+            # a run of 99s must not recurse once per byte.
+            raise LogError("nested compensation op")
         return cls(PageOp.decode(data, offset + 1))
 
 

@@ -3,7 +3,7 @@
 Record header (45 bytes)::
 
     total_len      u32   length of the whole serialized record
-    kind           u8    LogRecordKind
+    kind           u8    low 7 bits LogRecordKind, high bit = commits
     txn_id         i64   owning transaction (0 = none)
     prev_lsn       i64   per-transaction chain (Section 5.1.1)
     page_id        i64   affected page (-1 = none)
@@ -14,6 +14,31 @@ followed by a kind-specific payload.  The ``page_prev_lsn`` field is
 the heart of the paper's recovery design: it lets single-page recovery
 walk backwards from the current PageLSN to the last backup without
 scanning the log.
+
+**The commit bit.**  A transaction's commit is one bit of information
+about its last record, so it is stored there: the high bit of the kind
+byte of an UPDATE / COMPENSATION / FORMAT_PAGE record (``commits``)
+says "this record is the last of its transaction, which committed".
+The bit never changes a record's length, hence no LSN.  It is set while
+the record is still in the log's volatile tail
+(:meth:`repro.wal.log_manager.LogManager.commit_in_place`); a
+transaction whose last record has already hardened — or that logged
+nothing — gets a COMMIT / SYS_COMMIT record instead.  Readers ask
+:attr:`LogRecord.commits_txn`, never the kind.
+
+**The before-image is logged once.**  An UPDATE payload is a flags
+byte (bit 0: a page op follows, length-prefixed; bit 1: a
+:class:`LogicalUndo` follows; bit 2: that undo's value is the op's
+``old_value`` and is not written again), the op, the undo.  Undo is
+logical (Section 5.1.2), so the old value of a rewritten record belongs
+to the key-level undo; the physical op carries the same bytes, and the
+encoding stores them one time.  Decoding hands both fields the same
+``bytes`` object.
+
+Every decode boundary here and in :mod:`repro.wal.ops` returns a value
+or raises :class:`repro.errors.LogError` — for truncated input, an
+unknown kind, an unknown flag bit, a length that runs past the record,
+or a commit bit on a kind that cannot carry one.
 """
 
 from __future__ import annotations
@@ -24,7 +49,8 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.errors import LogError
-from repro.wal.ops import PageOp, _put_bytes, _unpack_bytes
+from repro.wal.ops import (MALFORMED, OpUpdateValue, PageOp, _put_bytes,
+                           _unpack_bytes)
 
 _HEADER = struct.Struct("<IBqqqqq")
 HEADER_SIZE = _HEADER.size
@@ -36,6 +62,13 @@ _QQB = struct.Struct("<qqB")
 _QBQ = struct.Struct("<qBq")
 _III = struct.Struct("<III")
 
+#: high bit of the header's kind byte (see the module docstring)
+_COMMITS_BIT = 0x80
+#: UPDATE flags byte
+_HAS_OP = 1
+_HAS_UNDO = 2
+_SHARED_BEFORE_IMAGE = 4
+
 
 class LogRecordKind(enum.IntEnum):
     """All record kinds written by the engine."""
@@ -44,7 +77,6 @@ class LogRecordKind(enum.IntEnum):
     COMPENSATION = 2        #: CLR written during rollback
     COMMIT = 3              #: user-transaction commit (forces the log)
     ABORT = 4               #: transaction rollback finished
-    TXN_END = 5             #: transaction fully finished
     SYS_COMMIT = 6          #: system-transaction commit (no log force)
     FORMAT_PAGE = 7         #: page (re)formatted after allocation
     FULL_PAGE_IMAGE = 8     #: compressed full image (in-log page backup)
@@ -54,6 +86,18 @@ class LogRecordKind(enum.IntEnum):
     BACKUP_PAGE = 12        #: an explicit per-page backup copy was taken
     BACKUP_FULL = 13        #: a full database backup completed
     PREPARE = 14            #: 2PC participant vote: txn is in doubt
+
+
+#: Kinds that advance a page's PageLSN and so form the per-page chain
+#: (Section 5.1.4) — also the only kinds a transaction logs about its
+#: own work, hence the only ones that can carry its commit bit.
+CHAIN_KINDS = frozenset({
+    LogRecordKind.UPDATE,
+    LogRecordKind.COMPENSATION,
+    LogRecordKind.FORMAT_PAGE,
+})
+
+_COMMIT_KINDS = (LogRecordKind.COMMIT, LogRecordKind.SYS_COMMIT)
 
 
 class BackupRefKind(enum.IntEnum):
@@ -104,6 +148,9 @@ class UndoAction(enum.IntEnum):
     RESTORE_VALUE = 3  #: compensate an update
 
 
+_RESTORE_VALUE = UndoAction.RESTORE_VALUE
+
+
 @dataclass(frozen=True, slots=True)
 class LogicalUndo:
     """Key-level undo information carried by user-transaction updates."""
@@ -127,9 +174,12 @@ class LogicalUndo:
 
     @classmethod
     def decode(cls, data: bytes, offset: int) -> tuple["LogicalUndo", int]:
-        action = UndoAction(data[offset])
-        key, pos = _unpack_bytes(data, offset + 1)
-        value, pos = _unpack_bytes(data, pos)
+        try:
+            action = UndoAction(data[offset])
+            key, pos = _unpack_bytes(data, offset + 1)
+            value, pos = _unpack_bytes(data, pos)
+        except MALFORMED as exc:
+            raise LogError(f"malformed logical undo: {exc}") from None
         return cls(action, key, value), pos
 
 
@@ -174,7 +224,17 @@ class CheckpointData:
 
     @classmethod
     def decode(cls, data, offset: int = 0) -> "CheckpointData":
+        try:
+            return cls._decode(data, offset)
+        except MALFORMED as exc:
+            raise LogError(f"malformed checkpoint payload: {exc}") from None
+
+    @classmethod
+    def _decode(cls, data, offset: int) -> "CheckpointData":
         n_dirty, n_txns, n_images = _III.unpack_from(data, offset)
+        if (offset + 12 + 16 * n_dirty + 17 * n_txns + 16 * n_images
+                > len(data)):
+            raise LogError("checkpoint tables run past the end of the record")
         pos = offset + 12
         dirty = {}
         for _ in range(n_dirty):
@@ -220,6 +280,9 @@ class LogRecord:
     checkpoint: CheckpointData | None = None #: CHECKPOINT_END
     backup_id: int = 0                       #: BACKUP_FULL
     gtid: int = 0                            #: PREPARE (global txn id)
+    #: this record is the last of its transaction, which committed
+    #: (``CHAIN_KINDS`` only; see the module docstring)
+    commits: bool = False
 
     # ------------------------------------------------------------------
     # Serialization
@@ -239,8 +302,11 @@ class LogRecord:
             size = 1
             if self.op:
                 size += 4 + self.op.encoded_size()
-            if self.undo:
-                size += self.undo.encoded_size()
+            undo = self.undo
+            if undo:
+                size += undo.encoded_size()
+                if self._shares_before_image():
+                    size -= 4 + len(undo.value)
             return size
         if kind == LogRecordKind.COMPENSATION:
             return 12 + (self.op.encoded_size() if self.op else 0)
@@ -254,15 +320,29 @@ class LogRecord:
             return 4 + (self.checkpoint or CheckpointData()).encoded_size()
         if kind in (LogRecordKind.BACKUP_FULL, LogRecordKind.PREPARE):
             return 8
-        # COMMIT, ABORT, TXN_END, SYS_COMMIT, CHECKPOINT_BEGIN
+        # COMMIT, ABORT, SYS_COMMIT, CHECKPOINT_BEGIN
         return 0
+
+    def _shares_before_image(self) -> bool:
+        """Is the undo's value the op's ``old_value`` (an in-place
+        rewrite of one key's value)?  Then it is encoded once."""
+        undo = self.undo
+        op = self.op
+        return (undo.action is _RESTORE_VALUE
+                and type(op) is OpUpdateValue
+                and (undo.value is op.old_value
+                     or undo.value == op.old_value))
 
     def encode(self) -> bytes:
         """Serialize into one preallocated buffer (no join of pieces)."""
+        kind = self.kind
+        if self.commits and kind not in CHAIN_KINDS:
+            raise LogError(f"a {kind.name} record cannot carry a commit")
         total = HEADER_SIZE + self._payload_size()
         buf = bytearray(total)
-        _HEADER.pack_into(buf, 0, total, int(self.kind), self.txn_id,
-                          self.prev_lsn, self.page_id,
+        _HEADER.pack_into(buf, 0, total,
+                          kind | _COMMITS_BIT if self.commits else kind,
+                          self.txn_id, self.prev_lsn, self.page_id,
                           self.page_prev_lsn, self.index_id)
         self._encode_payload_into(buf, HEADER_SIZE)
         return bytes(buf)
@@ -270,14 +350,20 @@ class LogRecord:
     def _encode_payload_into(self, buf: bytearray, pos: int) -> int:
         kind = self.kind
         if kind == LogRecordKind.UPDATE:
-            flags = (1 if self.op else 0) | (2 if self.undo else 0)
-            buf[pos] = flags
+            op = self.op
+            undo = self.undo
+            shared = bool(undo) and self._shares_before_image()
+            buf[pos] = ((_HAS_OP if op else 0) | (_HAS_UNDO if undo else 0)
+                        | (_SHARED_BEFORE_IMAGE if shared else 0))
             pos += 1
-            if self.op:
-                _U32.pack_into(buf, pos, self.op.encoded_size())
-                pos = self.op.encode_into(buf, pos + 4)
-            if self.undo:
-                pos = self.undo.encode_into(buf, pos)
+            if op:
+                _U32.pack_into(buf, pos, op.encoded_size())
+                pos = op.encode_into(buf, pos + 4)
+            if shared:
+                buf[pos] = int(undo.action)
+                pos = _put_bytes(buf, pos + 1, undo.key)
+            elif undo:
+                pos = undo.encode_into(buf, pos)
             return pos
         if kind == LogRecordKind.COMPENSATION:
             _I64.pack_into(buf, pos, self.undo_next_lsn)
@@ -318,13 +404,38 @@ class LogRecord:
             _HEADER.unpack_from(data, 0))
         if total != len(data):
             raise LogError(f"log record length mismatch: {total} != {len(data)}")
-        kind = LogRecordKind(kind_raw)
+        try:
+            kind = LogRecordKind(kind_raw & ~_COMMITS_BIT)
+        except ValueError:
+            raise LogError(f"unknown log record kind {kind_raw}") from None
         record = cls(kind, txn_id, prev_lsn, page_id, page_prev_lsn, index_id)
-        record._decode_payload(data, HEADER_SIZE)
+        if kind_raw & _COMMITS_BIT:
+            if kind not in CHAIN_KINDS:
+                raise LogError(f"commit bit on a {kind.name} record")
+            record.commits = True
+        try:
+            end = record._decode_payload(data, HEADER_SIZE)
+        except MALFORMED as exc:
+            raise LogError(f"malformed {kind.name} record: {exc}") from None
+        if end != total:
+            raise LogError(f"{kind.name} payload ends at byte {end} of a "
+                           f"{total}-byte record")
         return record
 
-    def _decode_payload(self, data, pos: int) -> None:
-        """Decode the payload reading ``data`` at absolute offsets.
+    def _decode_op(self, data, pos: int) -> int:
+        """Decode a length-prefixed page op at ``pos``; returns its end.
+        The op must fill its declared length exactly."""
+        (op_size,) = _U32.unpack_from(data, pos)
+        pos += 4
+        self.op = op = PageOp.decode(data, pos)
+        if op.encoded_size() != op_size:
+            raise LogError(f"page op of {op.encoded_size()} bytes in a "
+                           f"{op_size}-byte field")
+        return pos + op_size
+
+    def _decode_payload(self, data, pos: int) -> int:
+        """Decode the payload reading ``data`` at absolute offsets;
+        returns the offset one past it.
 
         No intermediate payload slice is materialized; only the actual
         byte fields (keys, values, images) are copied out.
@@ -333,35 +444,55 @@ class LogRecord:
         if kind == LogRecordKind.UPDATE:
             flags = data[pos]
             pos += 1
-            if flags & 1:
-                (op_size,) = _U32.unpack_from(data, pos)
-                pos += 4
-                self.op = PageOp.decode(data, pos)
-                pos += op_size
-            if flags & 2:
+            if flags & ~(_HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE):
+                raise LogError(f"unknown UPDATE flag bits {flags:#x}")
+            if flags & _HAS_OP:
+                pos = self._decode_op(data, pos)
+            if flags & _SHARED_BEFORE_IMAGE:
+                op = self.op
+                if not flags & _HAS_UNDO or type(op) is not OpUpdateValue:
+                    raise LogError("shared before-image without a value "
+                                   "update and its undo")
+                action = UndoAction(data[pos])
+                if action is not _RESTORE_VALUE:
+                    raise LogError(f"shared before-image on a {action.name} undo")
+                key, pos = _unpack_bytes(data, pos + 1)
+                self.undo = LogicalUndo(action, key, op.old_value)
+            elif flags & _HAS_UNDO:
                 self.undo, pos = LogicalUndo.decode(data, pos)
-        elif kind == LogRecordKind.COMPENSATION:
+            return pos
+        if kind == LogRecordKind.COMPENSATION:
             (self.undo_next_lsn,) = _I64.unpack_from(data, pos)
-            (op_size,) = _U32.unpack_from(data, pos + 8)
-            if op_size:
-                self.op = PageOp.decode(data, pos + 12)
-        elif kind == LogRecordKind.FORMAT_PAGE:
-            (op_size,) = _U32.unpack_from(data, pos)
-            if op_size:
-                self.op = PageOp.decode(data, pos + 4)
-        elif kind == LogRecordKind.FULL_PAGE_IMAGE:
+            if _U32.unpack_from(data, pos + 8)[0]:
+                return self._decode_op(data, pos + 8)
+            return pos + 12
+        if kind == LogRecordKind.FORMAT_PAGE:
+            if _U32.unpack_from(data, pos)[0]:
+                return self._decode_op(data, pos)
+            return pos + 4
+        if kind == LogRecordKind.FULL_PAGE_IMAGE:
             (self.page_lsn,) = _I64.unpack_from(data, pos)
-            self.image, _pos = _unpack_bytes(data, pos + 8)
-        elif kind in (LogRecordKind.PRI_UPDATE, LogRecordKind.BACKUP_PAGE):
+            self.image, pos = _unpack_bytes(data, pos + 8)
+            return pos
+        if kind in (LogRecordKind.PRI_UPDATE, LogRecordKind.BACKUP_PAGE):
             page_lsn, ref_kind, ref_value = _QBQ.unpack_from(data, pos)
             self.page_lsn = page_lsn
             self.backup_ref = BackupRef(BackupRefKind(ref_kind), ref_value)
-        elif kind == LogRecordKind.CHECKPOINT_END:
-            self.checkpoint = CheckpointData.decode(data, pos + 4)
-        elif kind == LogRecordKind.BACKUP_FULL:
+            return pos + 17
+        if kind == LogRecordKind.CHECKPOINT_END:
+            (size,) = _U32.unpack_from(data, pos)
+            self.checkpoint = checkpoint = CheckpointData.decode(data, pos + 4)
+            if checkpoint.encoded_size() != size:
+                raise LogError(f"checkpoint of {checkpoint.encoded_size()} "
+                               f"bytes in a {size}-byte field")
+            return pos + 4 + size
+        if kind == LogRecordKind.BACKUP_FULL:
             (self.backup_id,) = _I64.unpack_from(data, pos)
-        elif kind == LogRecordKind.PREPARE:
+            return pos + 8
+        if kind == LogRecordKind.PREPARE:
             (self.gtid,) = _I64.unpack_from(data, pos)
+            return pos + 8
+        return pos
 
     # ------------------------------------------------------------------
     # Helpers
@@ -373,8 +504,30 @@ class LogRecord:
                              LogRecordKind.FORMAT_PAGE,
                              LogRecordKind.FULL_PAGE_IMAGE)
 
+    @property
+    def commits_txn(self) -> bool:
+        """Does this record end its transaction as committed?
+
+        The one definition of "committed" every log reader shares:
+        the commit bit on the transaction's last record, or the
+        COMMIT / SYS_COMMIT record written when no record could take
+        the bit."""
+        return self.commits or self.kind in _COMMIT_KINDS
+
+    @property
+    def commits_user_txn(self) -> bool:
+        """:attr:`commits_txn`, for a *user* transaction only.
+
+        A COMMIT record names its kind of transaction; a commit bit
+        does not, but the record under it does: user updates carry
+        key-level undo (B-tree and heap alike), structural updates by
+        system transactions never do."""
+        return (self.kind == LogRecordKind.COMMIT
+                or (self.commits and self.undo is not None))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        bits = [f"lsn={self.lsn}", self.kind.name]
+        bits = [f"lsn={self.lsn}",
+                self.kind.name + ("+commit" if self.commits else "")]
         if self.txn_id:
             bits.append(f"txn={self.txn_id}")
         if self.page_id >= 0:

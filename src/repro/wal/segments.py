@@ -133,6 +133,15 @@ class SegmentDirectory:
             return None
         return self._segments[pos].sizes.get(lsn)
 
+    def entry(self, lsn: int) -> tuple[LogRecord, int] | None:
+        """``(record, encoded size)`` at ``lsn``, from one bisect."""
+        pos = self._segment_index(lsn)
+        if pos is None:
+            return None
+        segment = self._segments[pos]
+        record = segment.records.get(lsn)
+        return None if record is None else (record, segment.sizes[lsn])
+
     # ------------------------------------------------------------------
     # Iteration
     # ------------------------------------------------------------------

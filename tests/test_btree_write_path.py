@@ -9,7 +9,14 @@
 * a cached branch directory never disagrees with the page's bytes,
   whatever mutated them;
 * a warm directory in the parent does not weaken the fence check on
-  the child.
+  the child;
+* the leaf write reads its slot once: ``SlottedPage.probe_value`` agrees
+  with the three accessors it replaced, and the ``update_value`` with a
+  same-length fast path leaves the page bytes the parent commit's
+  implementation (kept below as the reference) leaves — redo and the
+  forward path are that one method;
+* an update's before-image, logged once, still rolls the update back
+  after the record went through encode -> decode.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ from repro.btree.node import BTreeNode
 from repro.btree.verify import verify_tree
 from repro.engine.database import Database
 from repro.errors import DuplicateKey, KeyNotFound
-from repro.page.page import Page
-from repro.page.slotted import Record, SlottedPage
+from repro.page.page import Page, PageType
+from repro.page.slotted import PageFullError, Record, SlottedPage
+from repro.wal.records import LogRecord, UndoAction
 from tests.conftest import device_images, fast_config
 
 
@@ -382,3 +390,153 @@ def test_verify_tree_reports_a_stale_directory():
     db.unfix(root_pid)
     report = verify_tree(tree)
     assert any("directory" in problem for problem in report.problems)
+
+
+# ----------------------------------------------------------------------
+# The leaf write reads its slot once
+# ----------------------------------------------------------------------
+def reference_update_value(slotted: SlottedPage, index: int,
+                           value: bytes) -> None:
+    """``SlottedPage.update_value`` as of the parent commit (no
+    same-length case): the reference the fast one must match byte for
+    byte."""
+    if not 0 <= index < slotted.slot_count:
+        raise IndexError(f"slot {index} out of range")
+    slotted.page.invalidate_view(index)
+    data = slotted.page.data
+    offset, length, ghost = slotted._read_slot(index)
+    key_end = offset + 2 + int.from_bytes(data[offset:offset + 2], "little")
+    needed = key_end - offset + len(value)
+    if needed <= length:
+        data[key_end:key_end + len(value)] = value
+        slotted._write_slot(index, offset, needed, ghost)
+        slotted._set_frag_bytes(slotted.frag_bytes + (length - needed))
+        return
+    if not slotted.room_for_value(index, value):
+        raise PageFullError(f"cannot grow record to {needed} bytes")
+    new = Record(bytes(data[offset + 2:key_end]), value, ghost)
+    slotted._set_frag_bytes(slotted.frag_bytes + length)
+    slotted._write_slot(index, 0, 0, ghost)
+    if slotted.free_space < needed:
+        slotted.compact()
+    new_offset = slotted._append_to_heap(new)
+    slotted._write_slot(index, new_offset, needed, ghost)
+
+
+@st.composite
+def fragmented_pages(draw):
+    """A 1 KiB slotted page with records of random sizes, some ghosts,
+    and fragmentation from removals and shrinking rewrites; plus a slot
+    to rewrite and the new value's length."""
+    page = Page.format(1024, 7, PageType.BTREE_LEAF)
+    slotted = SlottedPage(page)
+    slotted.initialize()
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=90),
+                          min_size=2, max_size=9))
+    for i, size in enumerate(sizes):
+        record = Record(b"key%02d" % i, bytes([65 + i]) * size,
+                        ghost=draw(st.booleans()))
+        if slotted.room_for(record):
+            slotted.insert(slotted.slot_count, record)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if slotted.slot_count > 2:
+            slotted.remove(draw(st.integers(
+                min_value=0, max_value=slotted.slot_count - 1)))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        slot = draw(st.integers(min_value=0, max_value=slotted.slot_count - 1))
+        old = slotted.read_record(slot).value
+        slotted.update_value(slot, old[:len(old) // 2])
+    slot = draw(st.integers(min_value=0, max_value=slotted.slot_count - 1))
+    old_len = len(slotted.read_record(slot).value)
+    new_len = draw(st.one_of(st.just(old_len),
+                             st.integers(min_value=0, max_value=400)))
+    return page, slot, new_len
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fragmented_pages())
+def test_update_value_matches_the_reference_byte_for_byte(case):
+    page, slot, new_len = case
+    value = b"\xee" * new_len
+    ours, reference = page.copy(), page.copy()
+    fits = SlottedPage(page).room_for_value(slot, value)
+    # The one-read probe agrees with the accessors it replaced.
+    ghost, old, room = SlottedPage(page).probe_value(slot)
+    record = SlottedPage(page).read_record(slot)
+    assert (ghost, old) == (record.ghost, record.value)
+    assert (new_len <= room) == fits
+    if not fits:
+        with pytest.raises(PageFullError):
+            SlottedPage(ours).update_value(slot, value)
+        with pytest.raises(PageFullError):
+            reference_update_value(SlottedPage(reference), slot, value)
+        return
+    SlottedPage(ours).update_value(slot, value)
+    reference_update_value(SlottedPage(reference), slot, value)
+    assert bytes(ours.data) == bytes(reference.data)
+    assert SlottedPage(ours).read_record(slot).value == value
+    SlottedPage(ours).check_plausible()
+
+
+def test_same_length_rewrite_touches_only_the_value_bytes():
+    page = Page.format(1024, 7, PageType.BTREE_LEAF)
+    slotted = SlottedPage(page)
+    slotted.initialize()
+    slotted.insert(0, Record(b"a", b"1111"))
+    slotted.insert(1, Record(b"b", b"2222", ghost=True))
+    before = bytes(page.data)
+    slotted.update_value(1, b"3333")
+    changed = [i for i, (x, y) in enumerate(zip(before, page.data)) if x != y]
+    assert len(changed) == 4 and changed == list(range(changed[0],
+                                                       changed[0] + 4))
+    assert slotted.read_record(1) == Record(b"b", b"3333", ghost=True)
+    assert slotted.frag_bytes == 0
+    with pytest.raises(IndexError):
+        slotted.update_value(2, b"3333")
+
+
+def test_a_rewrite_logs_its_before_image_once_and_reads_the_slot_once():
+    db = Database(fast_config())
+    tree = db.create_index()
+    db.insert(tree, b"key", b"v" * 100)
+    before = db.log.end_lsn
+    with db.autocommit() as txn:
+        tree.update(txn, b"key", b"w" * 100)
+    (record,) = db.log.records_from(before)
+    assert record.undo.value is record.op.old_value == b"v" * 100
+    assert record.undo.action is UndoAction.RESTORE_VALUE
+    # 45 header + 1 flags + 4 + op (11 + 100 + 100) + undo (1 + 4 + 3)
+    assert record.encoded_size() == db.log.end_lsn - before == 269
+    assert record.encoded_size() == len(record.encode())
+
+
+def test_rollback_restores_a_shared_before_image_after_encode_decode():
+    """Recovery reads records, not objects: swap the logged update for
+    its decoded encoding (where undo and op share one decoded value)
+    and roll back through it."""
+    db = Database(fast_config())
+    tree = db.create_index()
+    db.insert(tree, b"key", b"old-value")
+    txn = db.begin()
+    db.update(tree, b"key", b"new-value", txn=txn)
+    logged = db.log.record_at(txn.last_lsn)
+    decoded = LogRecord.decode(logged.encode())
+    decoded.lsn = logged.lsn
+    assert decoded == logged and decoded is not logged
+    assert decoded.undo.value is decoded.op.old_value
+    for segment in db.log._dir._segments:
+        if logged.lsn in segment.records:
+            segment.records[logged.lsn] = decoded
+    assert db.log.record_at(txn.last_lsn) is decoded
+    db.abort(txn)
+    assert tree.lookup(b"key") == b"old-value"
+    assert db.tm.chain_summary(logged.lsn)[0] == {b"key"}
+    # Physical undo of the same decoded op (the CLR path for records
+    # without logical undo) sees the same before-image.
+    page = db.fix(decoded.page_id)
+    try:
+        decoded.op.apply_redo(page)
+        decoded.op.apply_undo(page)
+        assert tree.lookup(b"key") == b"old-value"
+    finally:
+        db.unfix(decoded.page_id)

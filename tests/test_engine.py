@@ -98,6 +98,43 @@ class TestAutoCommitHelpers:
         assert tree.lookup(b"k") == b"v"
         assert db.stats.get("txns_aborted") == 1
 
+    def test_any_failure_of_an_auto_op_releases_its_lock(self, db):
+        """Regression: the helpers rolled back on ``ReproError`` only —
+        a ``TypeError`` out of the tree (a value that is not bytes)
+        left the private transaction active and its key locked for the
+        life of the engine, and every checkpoint carried it."""
+        import repro
+
+        tree = db.create_index()
+        db.insert(tree, b"a", b"1")
+        for failing in (lambda: db.insert(tree, b"b", 12345),
+                        lambda: db.update(tree, b"a", 12345),
+                        lambda: repro.connect(db).put(b"b", 12345)):
+            with pytest.raises(TypeError):
+                failing()
+            assert not db.tm.active
+            assert db.locks.held_keys() == []
+        client = repro.connect(db)
+        client.put(b"b", b"2")
+        assert client.get(b"b") == b"2" and client.get(b"a") == b"1"
+        db.checkpoint()
+        assert db.log.record_at(
+            db.log.master_checkpoint_lsn).checkpoint.active_txns == []
+
+    def test_autocommit_commits_or_rolls_back(self, db):
+        tree = db.create_index()
+        with db.autocommit() as txn:
+            db.locks.acquire(txn.txn_id, b"k")
+            tree.insert(txn, b"k", b"v")
+        assert tree.lookup(b"k") == b"v" and not db.tm.active
+        with pytest.raises(KeyboardInterrupt):
+            with db.autocommit() as txn:
+                db.locks.acquire(txn.txn_id, b"k")
+                tree.update(txn, b"k", b"doomed")
+                raise KeyboardInterrupt
+        assert tree.lookup(b"k") == b"v"
+        assert not db.tm.active and db.locks.held_keys() == []
+
     def test_explicit_txn_passthrough(self, db):
         tree = db.create_index()
         txn = db.begin()

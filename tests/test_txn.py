@@ -101,7 +101,9 @@ class TestChains:
         l1 = tm.log_update(txn, page, 1, OpInsert(0, b"a", b"1"))
         l2 = tm.log_update(txn, page, 1, OpInsert(1, b"b", b"2"))
         commit = tm.commit(txn)
-        assert log.record_at(commit).prev_lsn == l2
+        # The commit rides on the transaction's last record.
+        assert commit == l2 and log.record_at(l2).commits_txn
+        assert not log.record_at(l1).commits_txn
         assert log.record_at(l2).prev_lsn == l1
         assert log.record_at(l1).prev_lsn == NULL_LSN
 

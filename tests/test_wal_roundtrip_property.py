@@ -7,14 +7,23 @@ every record kind.  Hypothesis drives both invariants across every
 :class:`PageOp` kind — including the bulk run ops structural
 maintenance emits — every :class:`LogRecordKind`, checkpoint payloads
 and logical undo descriptors, with boundary payloads (empty keys and
-values, zero-length runs, maximal slot numbers) mixed in.
+values, zero-length runs, maximal slot numbers) mixed in; the commit
+bit rides on every chain kind, and an UPDATE's before-image is shared
+with, distinct from, or as empty as its op's.
+
+The other direction is hostile bytes: whatever a decode boundary is
+handed — arbitrary bytes, or a valid encoding with a few bytes
+overwritten — it returns a value or raises ``LogError``, never a
+``struct.error`` / ``IndexError`` / ``ValueError``.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import LogError
 from repro.page.page import PageType
 from repro.wal.ops import (
     OpBulkDelete,
@@ -146,17 +155,20 @@ def _record_strategy():
                   page_id=st.integers(min_value=-1, max_value=2**62),
                   page_prev_lsn=lsns, index_id=ids)
     bare_kinds = st.sampled_from([
-        LogRecordKind.COMMIT, LogRecordKind.ABORT, LogRecordKind.TXN_END,
+        LogRecordKind.COMMIT, LogRecordKind.ABORT,
         LogRecordKind.SYS_COMMIT, LogRecordKind.CHECKPOINT_BEGIN,
     ])
+    commits = st.booleans()  # every chain kind can carry the commit bit
     return st.one_of(
         st.builds(LogRecord, st.just(LogRecordKind.UPDATE), **header,
-                  op=st.none() | any_op, undo=st.none() | logical_undos),
+                  op=st.none() | any_op, undo=st.none() | logical_undos,
+                  commits=commits),
+        _value_rewrites(header, commits),
         st.builds(LogRecord, st.just(LogRecordKind.COMPENSATION), **header,
-                  op=st.none() | any_op, undo_next_lsn=lsns),
+                  op=st.none() | any_op, undo_next_lsn=lsns, commits=commits),
         st.builds(LogRecord, bare_kinds, **header),
         st.builds(LogRecord, st.just(LogRecordKind.FORMAT_PAGE), **header,
-                  op=st.none() | _op_init_slotted()),
+                  op=st.none() | _op_init_slotted(), commits=commits),
         st.builds(LogRecord, st.just(LogRecordKind.FULL_PAGE_IMAGE), **header,
                   page_lsn=lsns, image=payloads),
         st.builds(LogRecord,
@@ -172,13 +184,182 @@ def _record_strategy():
     )
 
 
-@settings(max_examples=300)
+def _value_rewrites(header, commits):
+    """UPDATEs shaped like the B-tree's in-place rewrite: a value op
+    plus a RESTORE_VALUE undo whose value is the op's old value (the
+    same object or an equal copy: encoded once), a different value
+    (encoded twice), with empty values in the mix."""
+    def build(slot, old, new, key, other, share, **fields):
+        op = OpUpdateValue(slot, old, new)
+        before = {"same": old, "equal": bytes(bytearray(old)),
+                  "distinct": other}[share]
+        return LogRecord(LogRecordKind.UPDATE, op=op,
+                         undo=LogicalUndo(UndoAction.RESTORE_VALUE, key, before),
+                         **fields)
+    return st.builds(build, slots, payloads, payloads, payloads, payloads,
+                     st.sampled_from(["same", "equal", "distinct"]),
+                     commits=commits, **header)
+
+
+@settings(max_examples=400)
 @given(record=_record_strategy())
 def test_log_record_round_trip(record):
     encoded = record.encode()
     assert len(encoded) == record.encoded_size()
     decoded = LogRecord.decode(encoded)
     assert decoded == record
+    assert decoded.commits == record.commits
+    assert decoded.encode() == encoded
+
+
+def test_shared_before_image_is_logged_once_and_shared_on_decode():
+    old, new, key = b"o" * 100, b"n" * 100, b"k" * 16
+    op = OpUpdateValue(7, old, new)
+    shared = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2, op=op,
+                       undo=LogicalUndo(UndoAction.RESTORE_VALUE, key, old))
+    distinct = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2, op=op,
+                         undo=LogicalUndo(UndoAction.RESTORE_VALUE, key,
+                                          b"x" * 100))
+    assert shared.encoded_size() == 45 + 1 + 4 + (11 + 200) + (1 + 4 + 16)
+    assert distinct.encoded_size() == shared.encoded_size() + 4 + 100
+    decoded = LogRecord.decode(shared.encode())
+    assert decoded == shared
+    assert decoded.undo.value is decoded.op.old_value
+    # Only a value rewrite shares: an insert's undo has no before-image,
+    # and a delete's (INSERT_KEY) is not the ghost op's to share.
+    other = LogRecord(LogRecordKind.UPDATE, op=OpSetGhost(3, False, True),
+                      undo=LogicalUndo(UndoAction.INSERT_KEY, key, old))
+    assert other.encoded_size() == 45 + 1 + 4 + 5 + (9 + 16 + 100)
+    assert LogRecord.decode(other.encode()) == other
+
+
+def test_commit_bit_is_the_high_bit_of_the_kind_byte_and_free():
+    for kind in (LogRecordKind.UPDATE, LogRecordKind.COMPENSATION,
+                 LogRecordKind.FORMAT_PAGE):
+        plain = LogRecord(kind, txn_id=5, page_id=9)
+        carrying = LogRecord(kind, txn_id=5, page_id=9, commits=True)
+        assert carrying.encoded_size() == plain.encoded_size()
+        a, b = plain.encode(), carrying.encode()
+        assert a[4] == int(kind) and b[4] == int(kind) | 0x80
+        assert a[:4] + a[5:] == b[:4] + b[5:]
+        assert LogRecord.decode(b).commits and not LogRecord.decode(a).commits
+        assert carrying.commits_txn and not plain.commits_txn
+
+
+def test_commit_bit_only_on_chain_kinds():
+    for kind in LogRecordKind:
+        if kind in (LogRecordKind.UPDATE, LogRecordKind.COMPENSATION,
+                    LogRecordKind.FORMAT_PAGE):
+            continue
+        with pytest.raises(LogError):
+            LogRecord(kind, commits=True).encode()
+        raw = bytearray(LogRecord(kind).encode())
+        raw[4] |= 0x80
+        with pytest.raises(LogError):
+            LogRecord.decode(bytes(raw))
+
+
+def test_committed_predicates():
+    undo = LogicalUndo(UndoAction.DELETE_KEY, b"k")
+    user_bit = LogRecord(LogRecordKind.UPDATE, txn_id=1, undo=undo,
+                         commits=True)
+    system_bit = LogRecord(LogRecordKind.UPDATE, txn_id=2, commits=True)
+    assert user_bit.commits_txn and user_bit.commits_user_txn
+    assert system_bit.commits_txn and not system_bit.commits_user_txn
+    commit = LogRecord(LogRecordKind.COMMIT, txn_id=1)
+    sys_commit = LogRecord(LogRecordKind.SYS_COMMIT, txn_id=2)
+    assert commit.commits_txn and commit.commits_user_txn
+    assert sys_commit.commits_txn and not sys_commit.commits_user_txn
+    for kind in (LogRecordKind.ABORT, LogRecordKind.PREPARE,
+                 LogRecordKind.UPDATE, LogRecordKind.CHECKPOINT_BEGIN):
+        assert not LogRecord(kind, txn_id=1).commits_txn
+
+
+# ----------------------------------------------------------------------
+# Hostile bytes: a value or LogError, nothing else.
+# ----------------------------------------------------------------------
+def _decodes_or_log_error(decode, data):
+    try:
+        decode(data)
+    except LogError:
+        pass
+
+
+@settings(max_examples=400)
+@given(data=st.binary(max_size=200))
+def test_decoders_fail_typed_on_arbitrary_bytes(data):
+    _decodes_or_log_error(LogRecord.decode, data)
+    _decodes_or_log_error(PageOp.decode, data)
+    _decodes_or_log_error(lambda d: LogicalUndo.decode(d, 0), data)
+    _decodes_or_log_error(CheckpointData.decode, data)
+    # A well-formed header over arbitrary payload bytes, so the payload
+    # decoders are reached (random bytes rarely get the length right).
+    if data:
+        kind = data[0]
+        framed = (len(data) + 44).to_bytes(4, "little") + bytes([kind]) \
+            + bytes(40) + data[1:]
+        _decodes_or_log_error(LogRecord.decode, framed)
+
+
+mutations = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=10_000),
+              st.integers(min_value=0, max_value=255)),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=600)
+@given(record=_record_strategy(), edits=mutations)
+def test_log_record_decode_fails_typed_on_mutated_encodings(record, edits):
+    raw = bytearray(record.encode())
+    for position, byte in edits:
+        raw[position % len(raw)] = byte
+    _decodes_or_log_error(LogRecord.decode, bytes(raw))
+
+
+@settings(max_examples=300)
+@given(op=any_op, edits=mutations)
+def test_page_op_decode_fails_typed_on_mutated_encodings(op, edits):
+    raw = bytearray(op.encode())
+    for position, byte in edits:
+        raw[position % len(raw)] = byte
+    _decodes_or_log_error(PageOp.decode, bytes(raw))
+
+
+@settings(max_examples=200)
+@given(undo=logical_undos, checkpoint=checkpoints, edits=mutations)
+def test_undo_and_checkpoint_decode_fail_typed_on_mutation(undo, checkpoint,
+                                                           edits):
+    for encoded, decode in ((undo.encode(), lambda d: LogicalUndo.decode(d, 0)),
+                            (checkpoint.encode(), CheckpointData.decode)):
+        raw = bytearray(encoded)
+        for position, byte in edits:
+            raw[position % len(raw)] = byte
+        _decodes_or_log_error(decode, bytes(raw))
+
+
+def test_decode_rejects_what_no_writer_produces():
+    update = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2,
+                       op=OpUpdateValue(3, b"old", b"new"),
+                       undo=LogicalUndo(UndoAction.RESTORE_VALUE, b"k", b"old"))
+    good = update.encode()
+    cases = {
+        "unknown kind": good[:4] + bytes([5]) + good[5:],
+        "unknown flag bit": good[:45] + bytes([good[45] | 0x10]) + good[46:],
+        "length past the end": good[:53] + (0xFFFFFF).to_bytes(4, "little")
+        + good[57:],
+    }
+    for raw in cases.values():
+        with pytest.raises(LogError):
+            LogRecord.decode(raw)
+    # A run of compensation-op kinds must not recurse once per byte.
+    with pytest.raises(LogError):
+        PageOp.decode(bytes([99]) * 5000)
+    # Trailing bytes after a complete payload.
+    padded = bytearray(LogRecord(LogRecordKind.COMMIT, txn_id=1).encode())
+    padded += b"\0"
+    padded[:4] = len(padded).to_bytes(4, "little")
+    with pytest.raises(LogError):
+        LogRecord.decode(bytes(padded))
 
 
 # ----------------------------------------------------------------------
