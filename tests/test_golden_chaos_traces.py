@@ -33,36 +33,45 @@ SEEDS = (11, 42)
 SHARD_SEED = 5
 
 
-def _digest(text: str) -> str:
+def _digest(config) -> str:
+    module = (harness if isinstance(config, harness.ChaosConfig)
+              else shard_harness)
+    events = module.generate_schedule(config)
+    text = module.execute_schedule(config, events).trace_text()
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _engine_case(seed: int, restart_mode: str, restore_mode: str) -> str:
-    config = harness.ChaosConfig(seed=seed, restart_mode=restart_mode,
-                                 restore_mode=restore_mode)
-    events = harness.generate_schedule(config)
-    return _digest(harness.execute_schedule(config, events).trace_text())
+LAZY = {"restart_mode": "on_demand", "restore_mode": "on_demand"}
 
-
-def _shard_case() -> str:
-    config = shard_harness.ShardChaosConfig(seed=SHARD_SEED)
-    events = shard_harness.generate_schedule(config)
-    return _digest(shard_harness.execute_schedule(config, events).trace_text())
-
-
+#: name -> the config whose trace is pinned
 CASES = {
     f"engine seed={seed} restart={restart} restore={restore}":
-        (_engine_case, (seed, restart, restore))
+        harness.ChaosConfig(seed=seed, restart_mode=restart,
+                            restore_mode=restore)
     for seed in SEEDS for restart, restore in harness.MODE_COMBOS
 }
-CASES[f"shard seed={SHARD_SEED}"] = (_shard_case, ())
+CASES[f"shard seed={SHARD_SEED}"] = shard_harness.ShardChaosConfig(
+    seed=SHARD_SEED)
+# The schedules only an option reaches: the replication and prefetch
+# event families, a rebalance-heavy fleet run and an eager fleet.
+CASES.update({
+    "engine seed=42 standby ack=replicated_durable": harness.ChaosConfig(
+        seed=42, standby=True, ack_mode="replicated_durable"),
+    "engine seed=42 standby ship=segment on_demand": harness.ChaosConfig(
+        seed=42, standby=True, ship_mode="segment", **LAZY),
+    "engine seed=11 prefetch=semantic on_demand": harness.ChaosConfig(
+        seed=11, prefetch="semantic", **LAZY),
+    "shard seed=7 events=50": shard_harness.ShardChaosConfig(
+        seed=7, n_events=50),
+    "shard seed=2 events=40 restart=eager": shard_harness.ShardChaosConfig(
+        seed=2, n_events=40, restart_mode="eager"),
+})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_digest_matches_golden(name: str) -> None:
     golden = json.loads(GOLDEN.read_text())
-    compute, args = CASES[name]
-    assert compute(*args) == golden[name], (
+    assert _digest(CASES[name]) == golden[name], (
         f"chaos trace '{name}' moved; see this module's docstring")
 
 
@@ -70,6 +79,6 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit(__doc__)
     GOLDEN.write_text(json.dumps(
-        {name: compute(*args) for name, (compute, args) in sorted(CASES.items())},
+        {name: _digest(config) for name, config in sorted(CASES.items())},
         indent=2) + "\n")
     print(f"wrote {GOLDEN}")
