@@ -14,35 +14,29 @@ writes a ``BENCH_<tag>.json`` snapshot next to the repo root:
 * **instant restore**: time-to-first-transaction after a media
   failure, eager vs. on-demand, as the device grows 10x — plus a
   byte-identical differential oracle across the two modes;
-* **chaos scenario coverage**: a fixed-seed chaos campaign
-  (``repro/sim/harness.py``) must cover all five failure-event kinds
-  and all four restart x restore mode combinations with the
-  durability oracle clean;
 * **replication** (``benchmarks/test_ext_replication.py``): the warm
   replica as a repair source (zero backup fetches, zero chain replay)
   versus the backup + chain path, the simulated per-commit cost of
   ``local_durable`` vs. ``replicated_durable`` acks with and without
-  group commit, and a replicated chaos campaign covering standby
-  crashes, link loss, and failover — written to
-  ``BENCH_replication.json``;
+  group commit — written to ``BENCH_replication.json``;
 * **sharded throughput**: the same batched workload through
   ``repro.connect`` against one embedded engine and against four
   engine processes behind the sharded client — the 4-process run
-  must clear >= 2.5x the single engine's ops/s — plus a fixed-seed
-  sharded chaos campaign (``repro/sim/shard_harness.py``: shard
-  crashes at 2PC failpoints, partitions, per-shard restart) with the
-  cross-shard atomicity oracle clean — written to
+  must clear >= 2.5x the single engine's ops/s — written to
   ``BENCH_sharding.json``;
 * **online rebalancing**: a 90/10-skewed workload whose hot slots all
   start on shard 0, measured on simulated per-shard makespan before
   and after ``move_slot`` spreads them over the fleet (gated at
-  >= 1.5x speedup with a no-lost-key scan diff), plus a fixed-seed
-  chaos campaign where slot moves race crashes and partitions —
-  written to ``BENCH_rebalance.json``;
+  >= 1.5x speedup with a no-lost-key scan diff) — written to
+  ``BENCH_rebalance.json``;
 * **per-operation latency** (``benchmarks/latency.py``): p50/p99/p999
   for insert, lookup and commit plus single-thread ops/s on the
   free-I/O profile, best-of-5, gated at >= 3x the pre-rewrite
   throughput — written to its own ``BENCH_latency.json``.
+
+Chaos campaigns are not perf probes: the tier-1 suites
+(``tests/test_chaos_sim.py``, ``tests/test_chaos_property.py``,
+``tests/test_shard_chaos.py``) and CI's ``chaos-smoke`` job own them.
 
 Every probe carries explicit pass criteria; the process exits
 non-zero if any probe fails, so the CI benchmarks job cannot pass
@@ -301,41 +295,6 @@ def bench_commit_throughput(commits_per_thread: int = 120) -> dict:
     }
 
 
-def bench_chaos_coverage(n_schedules: int = 8) -> dict:
-    """Scenario-coverage probe: a fixed-seed chaos campaign must cover
-    all five failure-event kinds and all four restart x restore mode
-    combinations, with the durability oracle clean throughout (see
-    ``repro/sim/harness.py``)."""
-    from repro.sim.harness import run_campaign
-
-    campaign = run_campaign(n_schedules, base_seed=7000, n_events=35,
-                            differential=True, shrink=False)
-    summary = campaign.summary()
-    summary["all_passed"] = campaign.ok
-    summary["failing_seeds"] = [f.config.seed for f in campaign.failures]
-    return summary
-
-
-def bench_replication_chaos(n_schedules: int = 8) -> dict:
-    """Replicated chaos coverage: a fixed-seed campaign with a live
-    standby and ``replicated_durable`` acks must exercise every
-    replication event kind (standby crash, link loss, failover) with
-    the durability and replica-divergence oracles clean."""
-    from repro.sim.harness import REPLICATION_FAILURE_KINDS, run_campaign
-
-    campaign = run_campaign(n_schedules, base_seed=7100, n_events=35,
-                            differential=False, shrink=False,
-                            standby=True, ack_mode="replicated_durable",
-                            ship_mode="tail")
-    summary = campaign.summary()
-    summary["all_passed"] = campaign.ok
-    summary["failing_seeds"] = [f.config.seed for f in campaign.failures]
-    summary["replication_kinds_covered"] = all(
-        campaign.coverage.get(kind, 0) > 0
-        for kind in REPLICATION_FAILURE_KINDS)
-    return summary
-
-
 def bench_sharded_throughput(n_txns: int = 1200, n_shards: int = 4) -> dict:
     """Commit throughput through the facade: one embedded engine vs.
     ``n_shards`` engine *processes* behind the sharded client.
@@ -415,32 +374,6 @@ def bench_sharded_throughput(n_txns: int = 1200, n_shards: int = 4) -> dict:
         },
         "speedup": round(speedup, 3),
         "parallel_speedup_ok": speedup >= 2.5,
-    }
-
-
-def bench_shard_chaos(n_schedules: int = 8) -> dict:
-    """Sharded chaos coverage: a fixed-seed campaign over the 2PC
-    router (``repro/sim/shard_harness.py``) must keep the cross-shard
-    atomicity and durability oracle clean while actually exercising
-    the machinery — commits interrupted at 2PC failpoints, per-shard
-    crash + on-demand reopen, surviving shards serving throughout."""
-    from repro.sim.shard_harness import ShardChaosConfig
-    from repro.sim.shard_harness import run_campaign as run_shard_campaign
-
-    campaign = run_shard_campaign(n_schedules, ShardChaosConfig(n_events=50))
-    return {
-        "runs": campaign.runs,
-        "committed_txns": campaign.committed_txns,
-        "cross_shard_committed": campaign.xtxn_committed,
-        "interrupted_commits": campaign.interrupted_commits,
-        "shard_reopens": campaign.reopens,
-        "served_while_down": campaign.served_while_down,
-        "all_passed": campaign.ok,
-        "failing_seeds": [f.config.seed for f in campaign.failures],
-        "machinery_exercised": (campaign.xtxn_committed > 0
-                                and campaign.interrupted_commits > 0
-                                and campaign.reopens > 0
-                                and campaign.served_while_down > 0),
     }
 
 
@@ -538,37 +471,12 @@ def bench_rebalance(n_ops: int = 1200, n_shards: int = 4) -> dict:
     }
 
 
-def bench_rebalance_chaos(n_schedules: int = 4) -> dict:
-    """Rebalance under fire: a fixed-seed campaign (distinct seed
-    range from ``bench_shard_chaos``) where slot moves race crashes,
-    partitions, and 2PC failpoints; the no-lost-key / single-owner /
-    lock-drain oracles must stay clean while moves actually land."""
-    from repro.sim.shard_harness import ShardChaosConfig
-    from repro.sim.shard_harness import run_campaign as run_shard_campaign
-
-    campaign = run_shard_campaign(
-        n_schedules, ShardChaosConfig(n_events=50), start_seed=200)
-    return {
-        "runs": campaign.runs,
-        "slot_moves": campaign.rebalances,
-        "committed_txns": campaign.committed_txns,
-        "shard_reopens": campaign.reopens,
-        "all_passed": campaign.ok,
-        "failing_seeds": [f.config.seed for f in campaign.failures],
-        "machinery_exercised": (campaign.rebalances > 0
-                                and campaign.reopens > 0
-                                and campaign.committed_txns > 0),
-    }
-
-
 #: probe name -> (section key, list of boolean pass-criterion keys)
 PROBE_CRITERIA = {
     "recovery_ios_vs_log_volume": ["reads_flat"],
     "instant_restart_ttft": ["eager_grows", "on_demand_flat"],
     "instant_restore_ttft": ["eager_grows", "on_demand_flat",
                              "modes_byte_identical"],
-    "chaos_scenario_coverage": ["all_passed", "all_failure_kinds_covered",
-                                "all_mode_combos_run"],
 }
 
 
@@ -605,10 +513,6 @@ def check_replication_snapshot(snapshot: dict) -> list[str]:
     for key in ("replicated_costs_more", "ack_amortizes"):
         if not acks.get(key):
             failures.append(f"ack_modes.{key} is falsy")
-    chaos = snapshot.get("replicated_chaos", {})
-    for key in ("all_passed", "replication_kinds_covered"):
-        if not chaos.get(key):
-            failures.append(f"replicated_chaos.{key} is falsy")
     return failures
 
 
@@ -632,10 +536,6 @@ def check_sharding_snapshot(snapshot: dict) -> list[str]:
     if not data.get("parallel_speedup_ok"):
         failures.append("sharded_throughput.parallel_speedup_ok is falsy "
                         f"(speedup={data.get('speedup')})")
-    chaos = snapshot.get("shard_chaos", {})
-    for key in ("all_passed", "machinery_exercised"):
-        if not chaos.get(key):
-            failures.append(f"shard_chaos.{key} is falsy")
     return failures
 
 
@@ -647,10 +547,6 @@ def check_rebalance_snapshot(snapshot: dict) -> list[str]:
         if not data.get(key):
             failures.append(f"skewed_rebalance.{key} is falsy "
                             f"(speedup={data.get('speedup')})")
-    chaos = snapshot.get("rebalance_chaos", {})
-    for key in ("all_passed", "machinery_exercised"):
-        if not chaos.get(key):
-            failures.append(f"rebalance_chaos.{key} is falsy")
     return failures
 
 
@@ -665,7 +561,6 @@ def main() -> int:
         "group_commit": bench_group_commit(),
         "instant_restart_ttft": bench_instant_restart(),
         "instant_restore_ttft": bench_instant_restore(),
-        "chaos_scenario_coverage": bench_chaos_coverage(),
     }
     failures = check_snapshot(snapshot)
     snapshot["probe_failures"] = failures
@@ -695,8 +590,7 @@ def main() -> int:
     print(json.dumps(concurrency, indent=2))
 
     # Replication snapshot (PR 7): deterministic simulated costs of
-    # the replica repair source and the two commit-ack modes, plus the
-    # replicated chaos campaign.
+    # the replica repair source and the two commit-ack modes.
     from benchmarks.test_ext_replication import (
         run_ack_mode_costs,
         run_repair_source_comparison,
@@ -707,7 +601,6 @@ def main() -> int:
         "python": sys.version.split()[0],
         "repair_source": run_repair_source_comparison(),
         "ack_modes": run_ack_mode_costs(),
-        "replicated_chaos": bench_replication_chaos(),
     }
     replication_failures = check_replication_snapshot(replication)
     replication["probe_failures"] = replication_failures
@@ -721,12 +614,11 @@ def main() -> int:
 
     # Sharding snapshot (PR 8): the multi-process speedup is wall
     # clock (it measures real cores), so it keeps its own file like
-    # the concurrency probe; the chaos campaign is deterministic.
+    # the concurrency probe.
     sharding = {
         "generated_unix": int(time.time()),
         "python": sys.version.split()[0],
         "sharded_throughput": bench_sharded_throughput(),
-        "shard_chaos": bench_shard_chaos(),
     }
     sharding_failures = check_sharding_snapshot(sharding)
     sharding["probe_failures"] = sharding_failures
@@ -738,15 +630,13 @@ def main() -> int:
     print(f"wrote {path}")
     print(json.dumps(sharding, indent=2))
 
-    # Rebalance snapshot (PR 10): both probes score on simulated
+    # Rebalance snapshot (PR 10): the probe scores on simulated
     # per-shard time, so the numbers are deterministic; the skewed
-    # workload must speed up >= 1.5x after the hot slots move, and the
-    # rebalance-heavy chaos campaign must keep its oracles clean.
+    # workload must speed up >= 1.5x after the hot slots move.
     rebalance = {
         "generated_unix": int(time.time()),
         "python": sys.version.split()[0],
         "skewed_rebalance": bench_rebalance(),
-        "rebalance_chaos": bench_rebalance_chaos(),
     }
     rebalance_failures = check_rebalance_snapshot(rebalance)
     rebalance["probe_failures"] = rebalance_failures

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.single_page import replay_records
 from repro.errors import RecoveryError
 from repro.page.page import Page
 from repro.sim.clock import SimClock
 from repro.sim.iomodel import IOProfile
 from repro.sim.stats import Stats
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecordKind, decompress_image
+from repro.wal.records import LogRecordKind
 
 
 @dataclass
@@ -94,21 +95,9 @@ class LogShippingMirror:
                 self._pages[record.page_id] = page
             if page is None:
                 continue  # page outside the mirrored snapshot
-            if record.kind == LogRecordKind.FULL_PAGE_IMAGE:
-                as_of = record.page_lsn if record.page_lsn else record.lsn
-                if page.page_lsn < as_of:
-                    page.load_image(decompress_image(record.image or b""))
-                    if page.page_lsn != as_of:
-                        page.page_lsn = as_of
-                    applied += 1
-                    touched.add(record.page_id)
-                continue
-            if record.op is None or page.page_lsn >= record.lsn:
-                continue
-            record.op.apply_redo(page)
-            page.page_lsn = record.lsn
-            applied += 1
-            touched.add(record.page_id)
+            if replay_records(page, [record]):
+                applied += 1
+                touched.add(record.page_id)
         for _page_id in touched:
             self.clock.advance(self.profile.write_cost(self.page_size))
         self._applied_up_to = target

@@ -5,11 +5,12 @@ The reproduction performs all page-level work for real, but charges the
 the benchmarks reproduce the paper's Section-6 arithmetic (e.g. a
 100 GB restore at 100 MB/s taking about 1000 s) at laptop scale.
 
-On top of the clock sits the deterministic chaos layer: a discrete-
-event scheduler (:mod:`repro.sim.scheduler`) and the seeded
-any-failure-any-time harness with its durability oracle
-(:mod:`repro.sim.harness`).  The harness is imported lazily (it pulls
-in the whole engine); use ``from repro.sim.harness import ...``.
+On top of the clock sits the deterministic chaos layer: the seeded
+any-failure-any-time core (:mod:`repro.sim.chaos`) and its two
+plug-ins, one engine (:mod:`repro.sim.harness`) and a sharded fleet
+(:mod:`repro.sim.shard_harness`).  None of them is imported here (the
+plug-ins pull in the whole engine, and the core is a ``python -m``
+entry point); use ``from repro.sim.chaos import ...``.
 """
 
 from repro.sim.clock import SimClock
@@ -19,7 +20,6 @@ from repro.sim.iomodel import (
     HDD_PROFILE,
     IOProfile,
 )
-from repro.sim.scheduler import Event, EventScheduler
 from repro.sim.stats import Stats
 
 __all__ = [
@@ -29,6 +29,4 @@ __all__ = [
     "FLASH_PROFILE",
     "ARCHIVE_PROFILE",
     "Stats",
-    "Event",
-    "EventScheduler",
 ]

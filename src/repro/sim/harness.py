@@ -1,28 +1,23 @@
-"""Deterministic chaos simulation with a durability oracle.
+"""The engine plug-in of the chaos core: one database, every failure class.
 
-The paper's claim is structural: single-page failures join transaction,
-media, and system failures in one taxonomy, and all of them — singly
-or *composed* — are repaired without losing committed work.  The
-point-wise matrices (``tests/test_crash_matrix.py``,
-``tests/test_media_matrix.py``) pin hand-picked protocol points; this
-module is the FoundationDB-style generalization: a **seeded
-discrete-event harness** that interleaves a multi-client workload with
-injected failures of *every* class at *arbitrary* points, against the
-real :class:`repro.engine.database.Database`, and proves after every
-recovery that committed data survived.
+:mod:`repro.sim.chaos` owns the seeded generate -> execute -> shrink ->
+campaign loop; this module is what is specific to one
+:class:`repro.engine.database.Database`:
 
-Building blocks:
-
-* :func:`generate_schedule` — expands ``(seed, config)`` into an
-  ordered list of :class:`repro.sim.scheduler.Event` objects: client
-  transactions (:class:`repro.workloads.fleet.ClientFleet`, one RNG
-  stream per client), maintenance (checkpoint, backup, drain,
-  truncate, retire), and the five failure kinds — ``corrupt`` (any
+* the **event table** at the bottom — client transactions
+  (:class:`repro.workloads.fleet.ClientFleet`, one RNG stream per
+  client), maintenance (checkpoint, backup, drain, truncate, retire),
+  and the five failure kinds — ``corrupt`` (any
   :class:`repro.storage.faults.FaultKind` on any page), ``crash``
   (optionally *mid-operation*, via a :meth:`repro.sim.clock.SimClock.
   arm` deadline that fires inside whatever engine I/O crosses it),
   ``device_loss``, ``backup_loss``, and ``double`` (crash during a
-  pending restore, media failure during a pending restart).
+  pending restore, media failure during a pending restart) — then the
+  replication family (``standby_crash``, ``link_loss``, ``failover``),
+  enabled by ``ChaosConfig.standby``, and the prefetch family
+  (``prefetch_tick``, ``prefetch_toggle``), enabled by any
+  ``ChaosConfig.prefetch`` but "off".  A config that enables neither
+  draws from exactly the base rows, so old seeds expand bit-identically;
 * :class:`DurabilityOracle` — shadows every committed transaction's
   effects.  After each recovery it checks (a) all committed effects
   visible, (b) no aborted effects visible, (c) B-tree invariants hold
@@ -31,92 +26,54 @@ Building blocks:
   image converge to byte-identical end states.  Commits interrupted
   mid-acknowledgement are *uncertain* and resolved from the durable
   log: present commit record means the effects must all be visible,
-  absent means none may be (atomicity either way).
-* :func:`execute_schedule` — a pure function of ``(config, events)``:
-  same inputs, bit-identical trace.  That purity is what makes
-  failures replayable from their seed and shrinkable.
-* :func:`shrink_schedule` — greedy event deletion: a failing schedule
-  is minimized by repeatedly re-running with one event removed,
-  keeping removals that still fail.  Per-client RNG streams make this
-  sound: deleting an event never changes what surviving events do.
+  absent means none may be (atomicity either way);
+* the run object the handlers share: the database, the oracle, the
+  mid-operation crash deadline and the media-failure absorption.
 
-Command line::
-
-    PYTHONPATH=src python -m repro.sim.harness --seed 7
-    PYTHONPATH=src python -m repro.sim.harness --campaign 200 --events 40
+Command line: ``python -m repro.sim.chaos engine --help``.
 """
 
 from __future__ import annotations
 
-import argparse
 import copy
-import os
 import random
-import sys
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 from repro.btree.verify import verify_tree
 from repro.core.backup import BackupPolicy
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.errors import (
+    ConfigError,
     KeyNotFound,
     MediaFailure,
     RecoveryError,
     ReplicationLagError,
+    ReproError,
     SinglePageFailure,
+    StorageError,
+)
+from repro.page.page import Page
+from repro.sim.chaos import (
+    BaseChaosConfig,
+    ChaosRun,
+    Event,
+    EventKind,
+    Plugin,
+    apply_staged,
+    key_of,
 )
 from repro.sim.iomodel import HDD_PROFILE
-from repro.sim.scheduler import Event, EventScheduler
 from repro.storage.faults import FaultKind
 from repro.txn.locks import DeadlockError, LockConflict
 from repro.workloads.fleet import ClientFleet
 
+__all__ = ["MODE_COMBOS", "ChaosConfig", "DurabilityOracle",
+           "ScheduledCrashInterrupt"]
+
 MODE_COMBOS = (("eager", "eager"), ("eager", "on_demand"),
                ("on_demand", "eager"), ("on_demand", "on_demand"))
-
-#: the five injected failure-event kinds (transaction failures ride in
-#: the client stream itself: a fraction of fleet actions abort)
-FAILURE_KINDS = ("corrupt", "crash", "device_loss", "backup_loss", "double")
-
-#: replication failure kinds, mixed in only when ``ChaosConfig.standby``
-#: is on — so every pre-replication seed expands to a bit-identical
-#: schedule
-REPLICATION_FAILURE_KINDS = ("standby_crash", "link_loss", "failover")
-
-#: every kind a pending mid-op crash deadline must fire before
-ALL_FAILURE_KINDS = FAILURE_KINDS + REPLICATION_FAILURE_KINDS
-
-#: event kind -> relative weight in a generated schedule
-EVENT_MIX = (
-    ("client", 50),
-    ("drain", 8),
-    ("checkpoint", 5),
-    ("backup", 4),
-    ("truncate", 3),
-    ("retire", 2),
-    ("corrupt", 9),
-    ("crash", 8),
-    ("device_loss", 5),
-    ("backup_loss", 3),
-    ("double", 3),
-)
-
-#: extra weights when a standby is configured
-REPLICATION_EVENT_MIX = (
-    ("standby_crash", 5),
-    ("link_loss", 5),
-    ("failover", 3),
-)
-
-#: extra weights when prefetching is enabled (``ChaosConfig.prefetch``
-#: != "off") — gated exactly like the replication mix, so every
-#: prefetch-off seed expands to a bit-identical schedule
-PREFETCH_EVENT_MIX = (
-    ("prefetch_tick", 6),
-    ("prefetch_toggle", 2),
-)
 
 
 class ScheduledCrashInterrupt(Exception):
@@ -130,13 +87,9 @@ def _raise_scheduled_crash() -> None:
 
 
 @dataclass
-class ChaosConfig:
-    """Everything needed to reproduce one chaos run."""
+class ChaosConfig(BaseChaosConfig):
+    """Everything needed to reproduce one engine chaos run."""
 
-    seed: int = 0
-    n_events: int = 40
-    n_clients: int = 4
-    n_keys: int = 120
     restart_mode: str = "eager"
     restore_mode: str = "eager"
     #: attach a hot standby (PR 7): the schedule then mixes in the
@@ -155,12 +108,6 @@ class ChaosConfig:
     #: run the eager-vs-on-demand differential oracle on designated
     #: failure events (check (d))
     differential: bool = True
-    #: shrink a failing schedule by greedy event deletion
-    shrink: bool = True
-    max_shrink_runs: int = 150
-    #: engine sizing
-    capacity_pages: int = 1024
-    buffer_capacity: int = 48
 
     def engine_config(self) -> EngineConfig:
         return EngineConfig(
@@ -177,106 +124,23 @@ class ChaosConfig:
             seed=self.seed,
         )
 
+    def header(self) -> str:
+        return (f"chaos seed={self.seed} "
+                f"restart={self.restart_mode} "
+                f"restore={self.restore_mode} "
+                f"standby={self.standby} "
+                f"ack={self.ack_mode} "
+                f"prefetch={self.prefetch}")
 
-@dataclass
-class ChaosResult:
-    """Outcome of one executed schedule."""
-
-    config: ChaosConfig
-    events: list[Event]
-    ok: bool = True
-    violations: list[str] = field(default_factory=list)
-    trace: list[str] = field(default_factory=list)
-    event_counts: dict[str, int] = field(default_factory=dict)
-    recoveries: int = 0
-    committed_txns: int = 0
-    shrunk: list[Event] | None = None
-
-    def trace_text(self) -> str:
-        header = (f"chaos seed={self.config.seed} "
-                  f"restart={self.config.restart_mode} "
-                  f"restore={self.config.restore_mode} "
-                  f"standby={self.config.standby} "
-                  f"ack={self.config.ack_mode} "
-                  f"prefetch={self.config.prefetch} "
-                  f"events={len(self.events)}")
-        lines = [header, *self.trace,
-                 "RESULT " + ("PASS" if self.ok else "FAIL")]
-        lines.extend(f"VIOLATION {v}" for v in self.violations)
-        if self.shrunk is not None:
-            lines.append(f"SHRUNK to {len(self.shrunk)} events:")
-            lines.extend("  " + event.describe() for event in self.shrunk)
-        return "\n".join(lines)
-
-
-def key_of(i: int) -> bytes:
-    return b"k%06d" % i
-
-
-# ----------------------------------------------------------------------
-# Schedule generation: (seed, config) -> ordered event list
-# ----------------------------------------------------------------------
-def generate_schedule(config: ChaosConfig) -> list[Event]:
-    """Expand ``(seed, config)`` into an ordered chaos schedule.
-
-    When the schedule is long enough, one event of each failure kind
-    is guaranteed, so a default campaign run covers the whole failure
-    taxonomy; everything else is drawn from :data:`EVENT_MIX`.
-    """
-    rng = random.Random(f"chaos/{config.seed}")
-    guaranteed = FAILURE_KINDS
-    mix = EVENT_MIX
-    if config.standby:
-        # Only a standby-enabled config draws replication kinds, so
-        # every pre-replication (seed, config) expands bit-identically.
-        guaranteed = ALL_FAILURE_KINDS
-        mix = EVENT_MIX + REPLICATION_EVENT_MIX
-    if config.prefetch != "off":
-        # Same gating for the prefetch events: prefetch-off seeds
-        # (every schedule that predates PR 9) stay bit-identical.
-        mix = mix + PREFETCH_EVENT_MIX
-    kinds: list[str] = []
-    if config.n_events >= 2 * len(guaranteed):
-        kinds.extend(guaranteed)
-    pool = [kind for kind, weight in mix for _ in range(weight)]
-    while len(kinds) < config.n_events:
-        kinds.append(rng.choice(pool))
-    rng.shuffle(kinds)
-    scheduler = EventScheduler()
-    for step, kind in enumerate(kinds, start=1):
-        scheduler.schedule(float(step), kind, **_draw_params(kind, rng, config))
-    return list(scheduler.drain())
-
-
-def _draw_params(kind: str, rng: random.Random,
-                 config: ChaosConfig) -> dict:
-    if kind == "client":
-        return {"client": rng.randrange(config.n_clients)}
-    if kind == "drain":
-        return {"pages": rng.randrange(2, 11), "losers": rng.randrange(0, 3)}
-    if kind == "corrupt":
-        return {"fault": rng.choice([fk.value for fk in FaultKind]),
-                "rank": rng.randrange(1_000_000),
-                "victim_rank": rng.randrange(1_000_000),
-                "nbits": rng.randrange(1, 9)}
-    if kind == "crash":
-        mid_op = rng.random() < 0.6
-        return {"delay": round(rng.uniform(0.002, 0.05), 4) if mid_op else 0.0,
-                "diff": rng.random() < 0.35}
-    if kind == "device_loss":
-        return {"diff": rng.random() < 0.35}
-    if kind == "backup_loss":
-        return {"rank": rng.randrange(1_000_000),
-                "copy_failures": rng.randrange(0, 3)}
-    if kind == "double":
-        return {"direction": rng.choice(["crash_during_restore",
-                                         "media_during_restart"]),
-                "budget": rng.randrange(1, 7)}
-    if kind == "prefetch_tick":
-        return {"budget": rng.randrange(1, 9)}
-    if kind == "prefetch_toggle":
-        return {"mode_rank": rng.randrange(1_000_000)}
-    return {}
+    def campaign(self, n_schedules: int,
+                 base_seed: int = 0) -> Iterator[ChaosConfig]:
+        """Seeds ``base_seed .. base_seed + n - 1``, cycling through
+        all four restart x restore mode combinations."""
+        for index, config in enumerate(super().campaign(n_schedules,
+                                                        base_seed)):
+            restart_mode, restore_mode = MODE_COMBOS[index % len(MODE_COMBOS)]
+            yield replace(config, restart_mode=restart_mode,
+                          restore_mode=restore_mode)
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +182,7 @@ class DurabilityOracle:
         ``replicated_durable`` — one that must survive even the total
         loss of the primary."""
         self.journal.append((txn_id, dict(staged), lsn, replicated))
-        self._apply(staged)
+        apply_staged(self.model, staged)
 
     def record_uncertain(self, txn_id: int,
                          staged: dict[bytes, bytes | None]) -> None:
@@ -367,11 +231,7 @@ class DurabilityOracle:
                         or txn_id in committed_ids)
             if survives:
                 survivors.append(entry)
-                for key, value in staged.items():
-                    if value is None:
-                        model.pop(key, None)
-                    else:
-                        model[key] = value
+                apply_staged(model, staged)
             else:
                 lost += 1
                 if replicated:
@@ -382,13 +242,6 @@ class DurabilityOracle:
         self.model = model
         self.lost_at_last_rebase = lost
         return violations
-
-    def _apply(self, staged: dict[bytes, bytes | None]) -> None:
-        for key, value in staged.items():
-            if value is None:
-                self.model.pop(key, None)
-            else:
-                self.model[key] = value
 
     # -- checks --------------------------------------------------------
     def full_check(self, db: Database, context: str,
@@ -507,12 +360,11 @@ def _compare_recoveries(eager_db: Database, lazy_db: Database,
 # ----------------------------------------------------------------------
 # Schedule execution
 # ----------------------------------------------------------------------
-class _Run:
-    """Mutable state of one schedule execution."""
+class _Run(ChaosRun):
+    """One schedule against one :class:`Database`."""
 
     def __init__(self, config: ChaosConfig, events: list[Event]) -> None:
-        self.config = config
-        self.result = ChaosResult(config=config, events=list(events))
+        super().__init__(config, events)
         self.db = Database(config.engine_config())
         self.oracle = DurabilityOracle()
         self.fleet = ClientFleet(config.n_clients, config.seed,
@@ -561,7 +413,7 @@ class _Run:
         self.trace("crash")
 
     def _on_recovery(self, db: Database, kind: str, report) -> None:  # noqa: ANN001
-        self.result.recoveries += 1
+        self.count("recoveries")
         # The catalog's volatile tree objects did not survive the
         # failure; re-resolve the working tree.
         self.tree = db.tree(self.index_id)
@@ -570,10 +422,6 @@ class _Run:
         self.trace(f"recovered kind={kind} mode={report.mode} "
                    f"pending={pending}")
         db.stats.note_max("chaos_max_pending_after_recovery", pending)
-
-    def violation(self, message: str) -> None:
-        self.result.violations.append(message)
-        self.result.ok = False
 
     def _newest_backup_id(self) -> int:
         """The backup the next media recovery should use: the one a
@@ -589,16 +437,22 @@ class _Run:
         raise RecoveryError("no usable full backup retained")
 
     # -- failure primitives --------------------------------------------
+    def _park_inflight(self) -> None:
+        """A failure cut the executing transaction short (possibly
+        inside its commit acknowledgement): the oracle decides from
+        the log, after recovery, whether it committed."""
+        if self.inflight is not None:
+            txn, staged = self.inflight
+            self.oracle.record_uncertain(txn.txn_id, staged)
+            self.inflight = None
+
     def crash_now(self, diff: bool = False) -> None:
         """Process crash at this exact point, then recovery (which is
         a restore re-run when the crash interrupted a pending
         restore), then the oracle."""
         db = self.db
         db.clock.disarm()
-        if self.inflight is not None:
-            txn, staged = self.inflight
-            self.oracle.record_uncertain(txn.txn_id, staged)
-            self.inflight = None
+        self._park_inflight()
         db.crash()
         if db._media_failed:
             # The crash interrupted an on-demand restore: the device is
@@ -621,10 +475,7 @@ class _Run:
         """Lose the device through the real escalation path."""
         db = self.db
         db.clock.disarm()
-        if self.inflight is not None:
-            txn, staged = self.inflight
-            self.oracle.record_uncertain(txn.txn_id, staged)
-            self.inflight = None
+        self._park_inflight()
         db.device.fail_device("chaos device loss")
         db._on_media_failure(MediaFailure(db.device.name, "chaos device loss"))
         self.trace("device_loss")
@@ -678,21 +529,7 @@ class _Run:
         for violation in violations:
             self.violation(violation)
 
-    # -- event dispatch ------------------------------------------------
-    def dispatch(self, event: Event) -> None:
-        kind = event.kind
-        counts = self.result.event_counts
-        counts[kind] = counts.get(kind, 0) + 1
-        payload = event.payload
-        db = self.db
-        # A failure event while a mid-op crash deadline is still armed:
-        # fire the pending crash first (with the differential setting
-        # its crash event drew) so schedules stay well-ordered.
-        if db.clock.armed and kind in ALL_FAILURE_KINDS:
-            self.crash_now(diff=self._armed_diff)
-        handler = getattr(self, f"_do_{kind}")
-        handler(payload)
-
+    # -- event handlers ------------------------------------------------
     def _do_client(self, payload: dict) -> None:
         db, tree, oracle = self.db, self.tree, self.oracle
         action = self.fleet.next_action(payload["client"])
@@ -746,7 +583,7 @@ class _Run:
                     db.stats.bump("chaos_replication_lag_commits")
                 oracle.commit_applied(staged, txn_id=txn.txn_id, lsn=lsn,
                                       replicated=replicated)
-                self.result.committed_txns += 1
+                self.count("committed_txns")
             self.inflight = None
             self.trace(f"client={action.client} seq={action.seq} "
                        f"ops={len(action.ops)} fate={action.fate}")
@@ -777,8 +614,6 @@ class _Run:
                        f"restore={idle if restart else done}")
 
     def _do_truncate(self, payload: dict) -> None:
-        from repro.errors import StorageError
-
         try:
             dropped = self.db.truncate_log()
         except StorageError as exc:
@@ -923,11 +758,9 @@ class _Run:
         self.db = promoted
         promoted.crash_hooks.append(self._on_crash)
         promoted.recovery_hooks.append(self._on_recovery)
-        self.result.recoveries += 1
+        self.count("recoveries")
         for violation in self.oracle.rebase_to_log(promoted, "failover"):
             self.violation(violation)
-        from repro.errors import ConfigError
-
         try:
             self.tree = promoted.tree(self.index_id)
         except ConfigError:
@@ -954,9 +787,6 @@ class _Run:
         PageLSN*.  Pages whose device image is corrupt, missing, or at
         a different LSN (dirty in the primary's pool, or the standby
         lagging/leading the flush) are incomparable and skipped."""
-        from repro.errors import ReproError
-        from repro.page.page import Page
-
         db = self.db
         standby = db.standby
         if standby is None or not standby.running or db.device.failed:
@@ -995,30 +825,35 @@ class _Run:
         self.db.insert(self.tree, key_of(999_999), b"poison")
         self.trace("poison")
 
-    # -- the loop ------------------------------------------------------
-    def run(self, events: list[Event]) -> ChaosResult:
-        for event in sorted(events, key=Event.sort_key):
+    # -- the core's hooks ----------------------------------------------
+    def step(self, kind: EventKind, event: Event) -> None:
+        try:
+            # Inner try: a mid-op crash interrupt whose own recovery
+            # escalates to a media failure must still reach the
+            # MediaFailure handler below (a sibling except clause
+            # would not catch it).
             try:
-                # Inner try: a mid-op crash interrupt whose own
-                # recovery escalates to a media failure must still
-                # reach the MediaFailure handler below (a sibling
-                # except clause would not catch it).
-                try:
-                    self.dispatch(event)
-                except ScheduledCrashInterrupt:
+                # A failure event while a mid-op crash deadline is
+                # still armed: fire the pending crash first (with the
+                # differential setting its crash event drew) so
+                # schedules stay well-ordered.
+                if self.db.clock.armed and kind.failure:
                     self.crash_now(diff=self._armed_diff)
-            except MediaFailure:
-                self._absorb_media_failure()
-            except SinglePageFailure as exc:
-                self.violation(f"unrepaired single-page failure escaped: "
-                               f"{exc}")
-            if not self.result.ok:
-                break
+                kind.handler(self, event.payload)
+            except ScheduledCrashInterrupt:
+                self.crash_now(diff=self._armed_diff)
+        except MediaFailure:
+            self._absorb_media_failure()
+        except SinglePageFailure as exc:
+            self.violation(f"unrepaired single-page failure escaped: "
+                           f"{exc}")
+
+    def finish(self) -> None:
         # A crash armed but never fired (not enough I/O followed):
         # fire it now rather than dropping a scheduled failure.  The
         # epilogue gets the same media-escalation absorption as the
         # loop: recovery here may legitimately escalate too.
-        if self.db.clock.armed and self.result.ok:
+        if self.db.clock.armed:
             try:
                 self.crash_now(diff=self._armed_diff)
             except MediaFailure:
@@ -1033,277 +868,88 @@ class _Run:
         if self.result.ok and self.config.standby:
             for violation in self._check_replica_divergence("final"):
                 self.violation(violation)
-        self.result.ok = not self.result.violations
-        return self.result
 
     def _absorb_media_failure(self) -> None:
         """The device died (or single-page recovery escalated) inside
         an event or the epilogue: account the in-flight transaction,
         then restore."""
-        if self.inflight is not None:
-            txn, staged = self.inflight
-            self.oracle.record_uncertain(txn.txn_id, staged)
-            self.inflight = None
+        self._park_inflight()
         if not self.db.device.failed:
             self.db.device.fail_device("escalated media failure")
         self.trace("media failure escaped to harness")
         self.recover_media_now(diff=False)
 
 
-def execute_schedule(config: ChaosConfig, events: list[Event]) -> ChaosResult:
-    """Execute a schedule; a pure function of ``(config, events)``.
-
-    Never raises: an unexpected exception becomes a violation in the
-    result (so campaigns and the shrinker treat engine crashes-of-the-
-    harness-itself as failures to reproduce, not as aborts)."""
-    try:
-        run = _Run(config, events)
-    except Exception as exc:  # noqa: BLE001 - report, don't abort
-        result = ChaosResult(config=config, events=list(events))
-        result.ok = False
-        result.violations.append(
-            f"setup raised {type(exc).__name__}: {exc}")
-        return result
-    try:
-        return run.run(events)
-    except Exception as exc:  # noqa: BLE001 - report, don't abort
-        run.violation(f"unhandled {type(exc).__name__}: {exc}")
-        run.result.ok = False
-        return run.result
-
-
 # ----------------------------------------------------------------------
-# Shrinking: greedy event deletion
+# The event table
 # ----------------------------------------------------------------------
-def shrink_schedule(config: ChaosConfig,
-                    events: list[Event]) -> list[Event]:
-    """Minimize a failing schedule by greedy event deletion.
-
-    Repeatedly re-executes the schedule with one event removed and
-    keeps every removal that still fails, looping to a fixed point
-    (bounded by ``config.max_shrink_runs`` executions).  Sound because
-    per-client RNG streams make each event's behaviour independent of
-    which other events survive.
-    """
-    def fails(candidate: list[Event]) -> bool:
-        return not execute_schedule(config, candidate).ok
-
-    current = list(events)
-    runs = 0
-    changed = True
-    while changed and runs < config.max_shrink_runs:
-        changed = False
-        index = 0
-        while index < len(current) and runs < config.max_shrink_runs:
-            candidate = current[:index] + current[index + 1:]
-            runs += 1
-            if fails(candidate):
-                current = candidate
-                changed = True
-            else:
-                index += 1
-    return current
+def _draw_crash(rng: random.Random, config: ChaosConfig) -> dict:
+    mid_op = rng.random() < 0.6
+    return {"delay": round(rng.uniform(0.002, 0.05), 4) if mid_op else 0.0,
+            "diff": rng.random() < 0.35}
 
 
-def run_chaos(config: ChaosConfig) -> ChaosResult:
-    """Generate, execute, and (on failure) shrink one chaos schedule."""
-    events = generate_schedule(config)
-    result = execute_schedule(config, events)
-    if not result.ok and config.shrink:
-        result.shrunk = shrink_schedule(config, events)
-    return result
+def _standby(config: ChaosConfig) -> bool:
+    return config.standby
 
 
-# ----------------------------------------------------------------------
-# Campaigns
-# ----------------------------------------------------------------------
-@dataclass
-class CampaignResult:
-    """Aggregate outcome of a multi-schedule chaos campaign."""
-
-    schedules: int = 0
-    failures: list[ChaosResult] = field(default_factory=list)
-    coverage: Counter = field(default_factory=Counter)
-    mode_combos: Counter = field(default_factory=Counter)
-    recoveries: int = 0
-    committed_txns: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def all_failure_kinds_covered(self) -> bool:
-        return all(self.coverage.get(kind, 0) > 0 for kind in FAILURE_KINDS)
-
-    def all_mode_combos_run(self) -> bool:
-        return all(self.mode_combos.get(combo, 0) > 0
-                   for combo in MODE_COMBOS)
-
-    def summary(self) -> dict:
-        return {
-            "schedules": self.schedules,
-            "failed": len(self.failures),
-            "recoveries": self.recoveries,
-            "committed_txns": self.committed_txns,
-            "event_coverage": {k: self.coverage[k]
-                               for k in sorted(self.coverage)},
-            "mode_combos": {"/".join(combo): self.mode_combos[combo]
-                            for combo in MODE_COMBOS},
-            "all_failure_kinds_covered": self.all_failure_kinds_covered(),
-            "all_mode_combos_run": self.all_mode_combos_run(),
-        }
+def _prefetching(config: ChaosConfig) -> bool:
+    return config.prefetch != "off"
 
 
-def run_campaign(n_schedules: int, base_seed: int = 0, n_events: int = 40,
-                 n_clients: int = 4, n_keys: int = 120,
-                 differential: bool = True, shrink: bool = True,
-                 standby: bool = False, ack_mode: str = "local_durable",
-                 ship_mode: str = "tail", prefetch: str = "off",
-                 on_result=None) -> CampaignResult:  # noqa: ANN001
-    """Run ``n_schedules`` seeded schedules, cycling through all four
-    restart x restore mode combinations."""
-    campaign = CampaignResult()
-    for index in range(n_schedules):
-        restart_mode, restore_mode = MODE_COMBOS[index % len(MODE_COMBOS)]
-        config = ChaosConfig(seed=base_seed + index, n_events=n_events,
-                             n_clients=n_clients, n_keys=n_keys,
-                             restart_mode=restart_mode,
-                             restore_mode=restore_mode,
-                             standby=standby, ack_mode=ack_mode,
-                             ship_mode=ship_mode, prefetch=prefetch,
-                             differential=differential, shrink=shrink)
-        result = run_chaos(config)
-        campaign.schedules += 1
-        campaign.coverage.update(result.event_counts)
-        campaign.mode_combos[(restart_mode, restore_mode)] += 1
-        campaign.recoveries += result.recoveries
-        campaign.committed_txns += result.committed_txns
-        if not result.ok:
-            campaign.failures.append(result)
-        if on_result is not None:
-            on_result(result)
-    return campaign
-
-
-# ----------------------------------------------------------------------
-# Command line
-# ----------------------------------------------------------------------
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sim.harness",
-        description="Seeded deterministic chaos simulation with a "
-                    "durability oracle.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--events", type=int, default=40)
-    parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--keys", type=int, default=120)
-    parser.add_argument("--restart-mode", choices=["eager", "on_demand"],
-                        default="eager")
-    parser.add_argument("--restore-mode", choices=["eager", "on_demand"],
-                        default="eager")
-    parser.add_argument("--standby", action="store_true",
-                        help="attach a hot standby and mix in the "
-                             "replication failure kinds (standby crash, "
-                             "link loss, failover)")
-    parser.add_argument("--ack-mode",
-                        choices=["local_durable", "replicated_durable"],
-                        default="local_durable",
-                        help="commit acknowledgement mode (replicated_"
-                             "durable implies --standby)")
-    parser.add_argument("--ship-mode", choices=["tail", "segment"],
-                        default="tail", help="log shipping granularity")
-    parser.add_argument("--prefetch",
-                        choices=["off", "sequential", "semantic"],
-                        default="off",
-                        help="initial prefetch mode; any value but off "
-                             "also mixes prefetch ticks and runtime mode "
-                             "toggles into the schedule")
-    parser.add_argument("--no-differential", action="store_true",
-                        help="skip the eager-vs-on-demand byte-identity "
-                             "check (faster)")
-    parser.add_argument("--no-shrink", action="store_true",
-                        help="do not minimize failing schedules")
-    parser.add_argument("--campaign", type=int, metavar="N",
-                        help="run N schedules (seeds base..base+N-1), "
-                             "cycling all four mode combinations")
-    parser.add_argument("--base-seed", type=int, default=0,
-                        help="first seed of a campaign")
-    parser.add_argument("--artifacts", metavar="DIR",
-                        help="write failing traces into DIR")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-event trace output")
-    return parser
-
-
-def _write_artifact(directory: str, result: ChaosResult) -> str:
-    os.makedirs(directory, exist_ok=True)
-    name = (f"chaos-seed{result.config.seed}"
-            f"-{result.config.restart_mode}-{result.config.restore_mode}"
-            f".trace")
-    path = os.path.join(directory, name)
-    with open(path, "w") as fh:
-        fh.write(result.trace_text() + "\n")
-    return path
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.campaign is not None:
-        def report(result: ChaosResult) -> None:
-            status = "ok" if result.ok else "FAIL"
-            print(f"seed={result.config.seed} "
-                  f"modes={result.config.restart_mode}/"
-                  f"{result.config.restore_mode} "
-                  f"commits={result.committed_txns} "
-                  f"recoveries={result.recoveries} {status}")
-            if not result.ok and args.artifacts:
-                path = _write_artifact(args.artifacts, result)
-                print(f"  trace written to {path}")
-
-        campaign = run_campaign(args.campaign, base_seed=args.base_seed,
-                                n_events=args.events,
-                                n_clients=args.clients, n_keys=args.keys,
-                                differential=not args.no_differential,
-                                shrink=not args.no_shrink,
-                                standby=args.standby or args.ack_mode
-                                == "replicated_durable",
-                                ack_mode=args.ack_mode,
-                                ship_mode=args.ship_mode,
-                                prefetch=args.prefetch,
-                                on_result=report)
-        summary = campaign.summary()
-        print("campaign " + " ".join(
-            f"{key}={summary[key]}" for key in
-            ("schedules", "failed", "recoveries", "committed_txns")))
-        print(f"coverage {summary['event_coverage']}")
-        print(f"mode_combos {summary['mode_combos']}")
-        if not campaign.all_failure_kinds_covered():
-            print("WARNING: not all failure kinds were exercised")
-        return 0 if campaign.ok else 1
-
-    config = ChaosConfig(seed=args.seed, n_events=args.events,
-                         n_clients=args.clients, n_keys=args.keys,
-                         restart_mode=args.restart_mode,
-                         restore_mode=args.restore_mode,
-                         standby=args.standby or args.ack_mode
-                         == "replicated_durable",
-                         ack_mode=args.ack_mode,
-                         ship_mode=args.ship_mode,
-                         prefetch=args.prefetch,
-                         differential=not args.no_differential,
-                         shrink=not args.no_shrink)
-    result = run_chaos(config)
-    if args.quiet:
-        print(result.trace_text().splitlines()[0])
-        print("RESULT " + ("PASS" if result.ok else "FAIL"))
-        for violation in result.violations:
-            print(f"VIOLATION {violation}")
-    else:
-        print(result.trace_text())
-    if not result.ok and args.artifacts:
-        print(f"trace written to {_write_artifact(args.artifacts, result)}")
-    return 0 if result.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+ChaosConfig.plugin = Plugin(
+    label="chaos",
+    run=_Run,
+    counters=("recoveries", "committed_txns"),
+    guarantee_factor=2,
+    kinds=(
+        EventKind("client", 50, _Run._do_client,
+                  lambda rng, config: {
+                      "client": rng.randrange(config.n_clients)}),
+        EventKind("drain", 8, _Run._do_drain,
+                  lambda rng, config: {"pages": rng.randrange(2, 11),
+                                       "losers": rng.randrange(0, 3)}),
+        EventKind("checkpoint", 5, _Run._do_checkpoint),
+        EventKind("backup", 4, _Run._do_backup),
+        EventKind("truncate", 3, _Run._do_truncate),
+        EventKind("retire", 2, _Run._do_retire),
+        # The five injected failure kinds (transaction failures ride in
+        # the client stream itself: a fraction of fleet actions abort).
+        EventKind("corrupt", 9, _Run._do_corrupt,
+                  lambda rng, config: {
+                      "fault": rng.choice([fk.value for fk in FaultKind]),
+                      "rank": rng.randrange(1_000_000),
+                      "victim_rank": rng.randrange(1_000_000),
+                      "nbits": rng.randrange(1, 9)},
+                  failure=True),
+        EventKind("crash", 8, _Run._do_crash, _draw_crash, failure=True),
+        EventKind("device_loss", 5, _Run._do_device_loss,
+                  lambda rng, config: {"diff": rng.random() < 0.35},
+                  failure=True),
+        EventKind("backup_loss", 3, _Run._do_backup_loss,
+                  lambda rng, config: {"rank": rng.randrange(1_000_000),
+                                       "copy_failures": rng.randrange(0, 3)},
+                  failure=True),
+        EventKind("double", 3, _Run._do_double,
+                  lambda rng, config: {
+                      "direction": rng.choice(["crash_during_restore",
+                                               "media_during_restart"]),
+                      "budget": rng.randrange(1, 7)},
+                  failure=True),
+        # The replication family (PR 7).
+        EventKind("standby_crash", 5, _Run._do_standby_crash,
+                  failure=True, enabled=_standby),
+        EventKind("link_loss", 5, _Run._do_link_loss,
+                  failure=True, enabled=_standby),
+        EventKind("failover", 3, _Run._do_failover,
+                  failure=True, enabled=_standby),
+        # The prefetch family (PR 9).
+        EventKind("prefetch_tick", 6, _Run._do_prefetch_tick,
+                  lambda rng, config: {"budget": rng.randrange(1, 9)},
+                  enabled=_prefetching),
+        EventKind("prefetch_toggle", 2, _Run._do_prefetch_toggle,
+                  lambda rng, config: {"mode_rank": rng.randrange(1_000_000)},
+                  enabled=_prefetching),
+        EventKind("poison", 0, _Run._do_poison),
+    ),
+)

@@ -1,9 +1,9 @@
-"""Chaos testing for the sharded engine: crashes, partitions, 2PC.
+"""The fleet plug-in of the chaos core: crashes, partitions, 2PC, moves.
 
-The single-node harness (:mod:`repro.sim.harness`) proves the
-durability oracle for one engine.  This harness proves the *sharded*
-contract on top of it, with two additional event kinds and one
-additional oracle:
+The engine plug-in (:mod:`repro.sim.harness`) proves the durability
+oracle for one engine.  This one proves the *sharded* contract on top
+of it, through the same :mod:`repro.sim.chaos` loop, with its own event
+table (at the bottom of this module) and its own oracles:
 
 * ``shard_crash`` — one shard's engine loses its volatile state.
   ``when="now"`` crashes it between events; the armed variants crash
@@ -34,22 +34,13 @@ is down, a probe through a surviving shard must still be served
 (``served_while_down``), because per-shard instant restart means a
 shard failure degrades one key-range slice, not the service.
 
-Schedules are pure functions of ``(seed, config)`` — same replay and
-greedy event-deletion shrinking as the single-node harness.
-
-Command line::
-
-    PYTHONPATH=src python -m repro.sim.shard_harness --seed 7
-    PYTHONPATH=src python -m repro.sim.shard_harness --campaign 50
+Command line: ``python -m repro.sim.chaos fleet --help``.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
-import sys
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.config import EngineConfig
 from repro.errors import (
@@ -59,26 +50,22 @@ from repro.errors import (
 )
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter
-from repro.sim.scheduler import Event, EventScheduler
+from repro.sim.chaos import (
+    BaseChaosConfig,
+    ChaosRun,
+    Event,
+    EventKind,
+    Plugin,
+    apply_staged,
+    key_of,
+)
 from repro.txn.locks import DeadlockError, LockConflict
 from repro.workloads.fleet import ClientFleet
 
-#: the two shard-level failure kinds (every generated schedule of
-#: sufficient length contains each at least once)
-SHARD_FAILURE_KINDS = ("shard_crash", "shard_partition")
+__all__ = ["FAILPOINTS", "ShardChaosConfig", "ShardChaosInterrupt"]
 
 #: protocol points an armed shard_crash can cut a 2PC commit at
 FAILPOINTS = ("after_one_prepare", "after_decision", "after_partial_commit")
-
-EVENT_MIX = (
-    ("client", 44),
-    ("xtxn", 20),
-    ("shard_crash", 12),
-    ("shard_partition", 6),
-    ("rebalance", 5),
-    ("drain", 5),
-    ("checkpoint", 4),
-)
 
 VALUE_WIDTH = 24
 
@@ -90,19 +77,14 @@ class ShardChaosInterrupt(Exception):
 
 
 @dataclass
-class ShardChaosConfig:
+class ShardChaosConfig(BaseChaosConfig):
     """Everything needed to reproduce one sharded chaos run."""
 
-    seed: int = 0
-    n_shards: int = 3
     n_events: int = 60
-    n_clients: int = 4
     n_keys: int = 80
-    restart_mode: str = "on_demand"
-    shrink: bool = True
     max_shrink_runs: int = 120
-    capacity_pages: int = 1024
-    buffer_capacity: int = 48
+    n_shards: int = 3
+    restart_mode: str = "on_demand"
 
     def shard_config(self) -> ShardConfig:
         return ShardConfig(
@@ -117,113 +99,24 @@ class ShardChaosConfig:
             seed=self.seed,
         )
 
-
-@dataclass
-class ShardChaosResult:
-    """Outcome of one executed schedule."""
-
-    config: ShardChaosConfig
-    events: list[Event]
-    ok: bool = True
-    violations: list[str] = field(default_factory=list)
-    trace: list[str] = field(default_factory=list)
-    event_counts: dict[str, int] = field(default_factory=dict)
-    committed_txns: int = 0
-    xtxn_committed: int = 0
-    interrupted_commits: int = 0
-    served_while_down: int = 0
-    reopens: int = 0
-    rebalances: int = 0
-    shrunk: list[Event] | None = None
-
-    def trace_text(self) -> str:
-        header = (f"shard-chaos seed={self.config.seed} "
-                  f"shards={self.config.n_shards} "
-                  f"restart={self.config.restart_mode} "
-                  f"events={len(self.events)}")
-        lines = [header, *self.trace,
-                 "RESULT " + ("PASS" if self.ok else "FAIL")]
-        lines.extend(f"VIOLATION {v}" for v in self.violations)
-        if self.shrunk is not None:
-            lines.append(f"SHRUNK to {len(self.shrunk)} events:")
-            lines.extend("  " + event.describe() for event in self.shrunk)
-        return "\n".join(lines)
-
-
-def key_of(i: int) -> bytes:
-    return b"k%06d" % i
-
-
-# ----------------------------------------------------------------------
-# Schedule generation
-# ----------------------------------------------------------------------
-def generate_schedule(config: ShardChaosConfig) -> list[Event]:
-    """Expand ``(seed, config)`` into an ordered shard-chaos schedule;
-    long enough schedules contain every shard failure kind and every
-    2PC failpoint at least once."""
-    rng = random.Random(f"shard-chaos/{config.seed}")
-    kinds: list[str] = []
-    if config.n_events >= 4 * len(SHARD_FAILURE_KINDS):
-        kinds.extend(SHARD_FAILURE_KINDS)
-        kinds.extend("shard_crash" for _ in FAILPOINTS)
-        kinds.extend("xtxn" for _ in FAILPOINTS)  # fuel for the armed crashes
-        kinds.extend(("rebalance", "rebalance"))  # at least two slot moves
-    pool = [kind for kind, weight in EVENT_MIX for _ in range(weight)]
-    while len(kinds) < config.n_events:
-        kinds.append(rng.choice(pool))
-    rng.shuffle(kinds)
-    # Guaranteed failpoints ride the first three guaranteed crashes.
-    forced_failpoints = list(FAILPOINTS)
-    scheduler = EventScheduler()
-    for step, kind in enumerate(kinds, start=1):
-        params = _draw_params(kind, rng, config)
-        if kind == "shard_crash" and forced_failpoints:
-            params["when"] = forced_failpoints.pop()
-        scheduler.schedule(float(step), kind, **params)
-    return list(scheduler.drain())
-
-
-def _draw_params(kind: str, rng: random.Random,
-                 config: ShardChaosConfig) -> dict:
-    if kind == "client":
-        return {"client": rng.randrange(config.n_clients)}
-    if kind == "xtxn":
-        n_ops = rng.randrange(2, 6)
-        keys = tuple(rng.sample(range(config.n_keys),
-                                min(n_ops, config.n_keys)))
-        return {"keys": keys,
-                "rank": rng.randrange(1_000_000),
-                "fate": "abort" if rng.random() < 0.1 else "commit"}
-    if kind == "shard_crash":
-        when = "now" if rng.random() < 0.55 else rng.choice(FAILPOINTS)
-        return {"shard": rng.randrange(1_000_000), "when": when,
-                "probe": rng.random() < 0.7}
-    if kind == "shard_partition":
-        return {"shard": rng.randrange(1_000_000)}
-    if kind == "rebalance":
-        return {"slot": rng.randrange(1_000_000),
-                "dst": rng.randrange(1_000_000),
-                "traffic": rng.random() < 0.5}
-    if kind == "drain":
-        return {"pages": rng.randrange(2, 11)}
-    if kind == "checkpoint":
-        return {"shard": rng.randrange(1_000_000)}
-    return {}
+    def header(self) -> str:
+        return (f"shard-chaos seed={self.seed} "
+                f"shards={self.n_shards} "
+                f"restart={self.restart_mode}")
 
 
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-class _Run:
-    """One deterministic execution of ``(config, events)``."""
+class _Run(ChaosRun):
+    """One schedule against one in-process fleet."""
 
-    def __init__(self, config: ShardChaosConfig) -> None:
-        self.config = config
+    def __init__(self, config: ShardChaosConfig, events: list[Event]) -> None:
+        super().__init__(config, events)
         self.router = ShardRouter(config.shard_config())
         self.fleet = ClientFleet(n_clients=config.n_clients,
                                  seed=config.seed,
                                  key_space=config.n_keys)
-        self.result = ShardChaosResult(config, [])
         #: committed key -> value shadow
         self.model: dict[bytes, bytes] = {}
         #: gtid -> staged effects of commits cut at a failpoint,
@@ -235,13 +128,6 @@ class _Run:
         self._armed: tuple[str, int] | None = None  # (failpoint, rank)
 
     # -- plumbing ------------------------------------------------------
-    def trace(self, line: str) -> None:
-        self.result.trace.append(line)
-
-    def violation(self, message: str) -> None:
-        self.result.ok = False
-        self.result.violations.append(message)
-
     def _crashed_shards(self) -> list[int]:
         return [i for i, shard in enumerate(self.router.shards)
                 if shard.worker.db._crashed]
@@ -292,26 +178,17 @@ class _Run:
             gtid = gtid_before  # the gtid this commit allocated
             verdict = self.router.coordinator.decision_of(gtid)
             if verdict == "commit":
-                for key, value in staged.items():
-                    if value is None:
-                        self.model.pop(key, None)
-                    else:
-                        self.model[key] = value
+                apply_staged(self.model, staged)
             self.uncertain[gtid] = staged
             self._orphan_xids.append(txn.xid)
-            self.result.interrupted_commits += 1
+            self.count("interrupted_commits")
             self.trace(f"  {tag} interrupted mid-2PC "
                        f"(gtid {gtid}: {verdict})")
             return
-        if staged:
-            for key, value in staged.items():
-                if value is None:
-                    self.model.pop(key, None)
-                else:
-                    self.model[key] = value
-        self.result.committed_txns += 1
+        apply_staged(self.model, staged)
+        self.count("committed_txns")
         if cross:
-            self.result.xtxn_committed += 1
+            self.count("xtxn_committed")
 
     def _abandon(self, txn) -> None:  # noqa: ANN001
         try:
@@ -386,7 +263,7 @@ class _Run:
         if healthy is not None:
             try:
                 self.router._call(healthy, "ping")
-                self.result.served_while_down += 1
+                self.count("served_while_down")
             except ReproError as exc:
                 self.violation(
                     f"healthy shard {healthy} refused service while "
@@ -438,7 +315,7 @@ class _Run:
         except (LockConflict, DeadlockError) as exc:
             self.trace(f"  rebalance of slot {slot} lock conflict: {exc}")
             return
-        self.result.rebalances += 1
+        self.count("rebalances")
         self.trace(f"  slot {slot}: shard {src} -> shard {dst} "
                    f"(epoch {epoch})")
 
@@ -467,8 +344,22 @@ class _Run:
             return
         self.router._call(target, "checkpoint")
 
-    # -- finalize: recover everything, settle 2PC, check ---------------
-    def finalize(self) -> None:
+    def _do_poison(self, payload: dict) -> None:
+        """Test-only: commit a write the model never hears about, so
+        the final oracle fails.  Exists to prove the harness and the
+        shrinker detect and minimize real divergence."""
+        self.router.put(key_of(999_999), b"poison")
+
+    # -- the core's hooks ----------------------------------------------
+    def step(self, kind: EventKind, event: Event) -> None:
+        self.trace(event.describe())
+        kind.handler(self, event.payload)
+
+    def close(self) -> None:
+        self.router.close()
+
+    def finish(self) -> None:
+        """Recover everything, settle 2PC, check."""
         router = self.router
         # 1. Heal partitions and disarm any unfired failpoint.
         for shard in router.shards:
@@ -555,155 +446,68 @@ class _Run:
             self.violation(
                 f"final state diverged from model: missing={missing} "
                 f"extra={extra} wrong={wrong}")
-        self.result.reopens = router.reopens
-
-    # -- driver --------------------------------------------------------
-    def run(self, events: list[Event]) -> ShardChaosResult:
-        self.result.events = events
-        self.result.event_counts = dict(Counter(e.kind for e in events))
-        handlers = {
-            "client": self._do_client,
-            "xtxn": self._do_xtxn,
-            "shard_crash": self._do_shard_crash,
-            "shard_partition": self._do_shard_partition,
-            "rebalance": self._do_rebalance,
-            "drain": self._do_drain,
-            "checkpoint": self._do_checkpoint,
-        }
-        try:
-            for event in events:
-                self.trace(event.describe())
-                handlers[event.kind](dict(event.payload))
-            self.finalize()
-        except Exception as exc:  # noqa: BLE001 - any escape is a failure
-            self.violation(f"harness exception: {type(exc).__name__}: {exc}")
-        finally:
-            try:
-                self.router.close()
-            except Exception:  # noqa: BLE001
-                pass
-        return self.result
+        self.count("reopens", router.reopens)
 
 
-def execute_schedule(config: ShardChaosConfig,
-                     events: list[Event]) -> ShardChaosResult:
-    """Pure function of ``(config, events)`` — bit-identical traces."""
-    return _Run(config).run(events)
+# ----------------------------------------------------------------------
+# The event table
+# ----------------------------------------------------------------------
+def _draw_xtxn(rng: random.Random, config: ShardChaosConfig) -> dict:
+    n_ops = rng.randrange(2, 6)
+    keys = tuple(rng.sample(range(config.n_keys),
+                            min(n_ops, config.n_keys)))
+    return {"keys": keys,
+            "rank": rng.randrange(1_000_000),
+            "fate": "abort" if rng.random() < 0.1 else "commit"}
 
 
-def shrink_schedule(config: ShardChaosConfig,
-                    events: list[Event]) -> list[Event]:
-    """Greedy event deletion: keep removals that still fail."""
-    current = list(events)
-    runs = 0
-    improved = True
-    while improved and runs < config.max_shrink_runs:
-        improved = False
-        for i in range(len(current)):
-            candidate = current[:i] + current[i + 1:]
-            runs += 1
-            if runs > config.max_shrink_runs:
-                break
-            if not execute_schedule(config, candidate).ok:
-                current = candidate
-                improved = True
-                break
-    return current
+def _draw_shard_crash(rng: random.Random, config: ShardChaosConfig) -> dict:
+    when = "now" if rng.random() < 0.55 else rng.choice(FAILPOINTS)
+    return {"shard": rng.randrange(1_000_000), "when": when,
+            "probe": rng.random() < 0.7}
 
 
-def run_chaos(config: ShardChaosConfig) -> ShardChaosResult:
-    """Generate, execute, and (on failure) shrink one seed's schedule."""
-    events = generate_schedule(config)
-    result = execute_schedule(config, events)
-    if not result.ok and config.shrink:
-        result.shrunk = shrink_schedule(config, events)
-    return result
+def _draw_shard(rng: random.Random, config: ShardChaosConfig) -> dict:
+    return {"shard": rng.randrange(1_000_000)}
 
 
-@dataclass
-class ShardCampaignResult:
-    """Aggregate of a multi-seed campaign."""
-
-    runs: int = 0
-    failures: list[ShardChaosResult] = field(default_factory=list)
-    committed_txns: int = 0
-    xtxn_committed: int = 0
-    interrupted_commits: int = 0
-    served_while_down: int = 0
-    reopens: int = 0
-    rebalances: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+def _pin_failpoints(events: list[Event]) -> None:
+    """Every 2PC failpoint at least once: they ride the first three
+    ``shard_crash`` events of the schedule, whatever those drew."""
+    forced = list(FAILPOINTS)
+    for event in events:
+        if event.kind == "shard_crash" and forced:
+            event.payload["when"] = forced.pop()
 
 
-def run_campaign(n_seeds: int, base: ShardChaosConfig | None = None,
-                 start_seed: int = 0) -> ShardCampaignResult:
-    campaign = ShardCampaignResult()
-    template = base if base is not None else ShardChaosConfig()
-    for seed in range(start_seed, start_seed + n_seeds):
-        config = ShardChaosConfig(
-            seed=seed, n_shards=template.n_shards,
-            n_events=template.n_events, n_clients=template.n_clients,
-            n_keys=template.n_keys, restart_mode=template.restart_mode,
-            shrink=template.shrink,
-            max_shrink_runs=template.max_shrink_runs,
-            capacity_pages=template.capacity_pages,
-            buffer_capacity=template.buffer_capacity)
-        result = run_chaos(config)
-        campaign.runs += 1
-        campaign.committed_txns += result.committed_txns
-        campaign.xtxn_committed += result.xtxn_committed
-        campaign.interrupted_commits += result.interrupted_commits
-        campaign.served_while_down += result.served_while_down
-        campaign.reopens += result.reopens
-        campaign.rebalances += result.rebalances
-        if not result.ok:
-            campaign.failures.append(result)
-    return campaign
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="sharded chaos harness (2PC + per-shard restart)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--events", type=int, default=60)
-    parser.add_argument("--shards", type=int, default=3)
-    parser.add_argument("--restart", choices=("eager", "on_demand"),
-                        default="on_demand")
-    parser.add_argument("--campaign", type=int, default=0,
-                        help="run this many seeds instead of one")
-    parser.add_argument("--trace", action="store_true")
-    args = parser.parse_args(argv)
-    base = ShardChaosConfig(seed=args.seed, n_events=args.events,
-                            n_shards=args.shards,
-                            restart_mode=args.restart)
-    if args.campaign:
-        campaign = run_campaign(args.campaign, base, start_seed=args.seed)
-        print(f"campaign: {campaign.runs} runs, "
-              f"{campaign.committed_txns} commits "
-              f"({campaign.xtxn_committed} cross-shard), "
-              f"{campaign.interrupted_commits} interrupted mid-2PC, "
-              f"{campaign.reopens} shard reopens, "
-              f"{campaign.rebalances} slot moves, "
-              f"{campaign.served_while_down} served-while-down probes, "
-              f"{len(campaign.failures)} failures")
-        for failure in campaign.failures:
-            print(failure.trace_text())
-        return 0 if campaign.ok else 1
-    result = run_chaos(base)
-    if args.trace or not result.ok:
-        print(result.trace_text())
-    else:
-        print(f"seed {args.seed}: PASS "
-              f"({result.committed_txns} commits, "
-              f"{result.xtxn_committed} cross-shard, "
-              f"{result.interrupted_commits} interrupted, "
-              f"{result.reopens} reopens, "
-              f"{result.rebalances} slot moves)")
-    return 0 if result.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+ShardChaosConfig.plugin = Plugin(
+    label="shard-chaos",
+    run=_Run,
+    counters=("committed_txns", "xtxn_committed", "interrupted_commits",
+              "served_while_down", "reopens", "rebalances"),
+    guarantee_factor=4,
+    # One crash per failpoint to pin, cross-shard commits as fuel for
+    # the armed crashes, and at least two slot moves.
+    also_guaranteed=(("shard_crash",) * len(FAILPOINTS)
+                     + ("xtxn",) * len(FAILPOINTS)
+                     + ("rebalance",) * 2),
+    pin=_pin_failpoints,
+    kinds=(
+        EventKind("client", 44, _Run._do_client,
+                  lambda rng, config: {
+                      "client": rng.randrange(config.n_clients)}),
+        EventKind("xtxn", 20, _Run._do_xtxn, _draw_xtxn),
+        EventKind("shard_crash", 12, _Run._do_shard_crash, _draw_shard_crash,
+                  failure=True),
+        EventKind("shard_partition", 6, _Run._do_shard_partition, _draw_shard,
+                  failure=True),
+        EventKind("rebalance", 5, _Run._do_rebalance,
+                  lambda rng, config: {"slot": rng.randrange(1_000_000),
+                                       "dst": rng.randrange(1_000_000),
+                                       "traffic": rng.random() < 0.5}),
+        EventKind("drain", 5, _Run._do_drain,
+                  lambda rng, config: {"pages": rng.randrange(2, 11)}),
+        EventKind("checkpoint", 4, _Run._do_checkpoint, _draw_shard),
+        EventKind("poison", 0, _Run._do_poison),
+    ),
+)

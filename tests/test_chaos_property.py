@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.engine.database import Database
 from repro.errors import MediaFailure
-from repro.sim.harness import MODE_COMBOS, DurabilityOracle
+from repro.sim.chaos import failure_kinds, run_campaign
+from repro.sim.harness import MODE_COMBOS, ChaosConfig, DurabilityOracle
 from tests.conftest import fast_config, key_of
 
 EXAMPLES = max(1, int(os.environ.get("TORTURE_EXAMPLES_MULTIPLIER", "1")))
@@ -194,12 +195,14 @@ class TestReplicatedChaosCampaigns:
         ("replicated_durable", "segment"),
     ], ids=lambda v: v)
     def test_campaign_clean(self, ack_mode, ship_mode):
-        from repro.sim.harness import run_campaign
-
-        campaign = run_campaign(4, base_seed=9100, n_events=28,
-                                n_clients=3, n_keys=60,
-                                differential=False, shrink=False,
-                                standby=True, ack_mode=ack_mode,
-                                ship_mode=ship_mode)
+        base = ChaosConfig(n_events=28, n_clients=3, n_keys=60,
+                           differential=False, shrink=False,
+                           standby=True, ack_mode=ack_mode,
+                           ship_mode=ship_mode)
+        campaign = run_campaign(base.campaign(4, base_seed=9100))
         assert campaign.ok, campaign.summary()
-        assert campaign.recoveries > 0
+        assert campaign.counters["recoveries"] > 0
+        # standby_crash, link_loss and failover count as failure kinds
+        # of a standby config, next to the five base ones
+        assert len(failure_kinds(base)) == 8
+        assert campaign.all_failure_kinds_covered()

@@ -1,6 +1,7 @@
-"""The chaos simulation layer: scheduler, clock deadlines, schedulable
+"""The chaos simulation layer: events, clock deadlines, schedulable
 faults, per-client fleet streams, the durability oracle, and the
-harness itself (reproducibility, campaigns, shrinking, CLI).
+chaos core itself over both plug-ins (reproducibility, campaigns,
+shrinking, CLI).
 
 The nightly CI job runs :class:`TestNightlyCampaign` (``slow`` marker)
 with hundreds of random seeds and uploads failing traces as artifacts;
@@ -13,61 +14,37 @@ import os
 
 import pytest
 
-from repro.sim.clock import SimClock
-from repro.sim.harness import (
-    FAILURE_KINDS,
-    MODE_COMBOS,
-    ChaosConfig,
-    DurabilityOracle,
+from repro.sim.chaos import (
+    Event,
+    _write_artifact,
     execute_schedule,
+    failure_kinds,
     generate_schedule,
     main,
     run_campaign,
     run_chaos,
     shrink_schedule,
 )
-from repro.sim.scheduler import Event, EventScheduler
+from repro.sim.clock import SimClock
+from repro.sim.harness import MODE_COMBOS, ChaosConfig, DurabilityOracle
+from repro.sim.shard_harness import ShardChaosConfig
 from repro.sim.stats import Stats
 from repro.storage.faults import FaultInjector, FaultKind
 from repro.workloads.fleet import ClientFleet
 
 
+#: the two plug-ins, by CLI name
+PLUGIN_CONFIGS = {"engine": ChaosConfig, "fleet": ShardChaosConfig}
+both_plugins = pytest.mark.parametrize("plugin", sorted(PLUGIN_CONFIGS))
+
+
 # ----------------------------------------------------------------------
-# Scheduler
+# Events
 # ----------------------------------------------------------------------
 class TestEventScheduler:
-    def test_orders_by_time_then_insertion(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(2.0, "b")
-        scheduler.schedule(1.0, "a")
-        scheduler.schedule(2.0, "c")  # same time as "b", scheduled later
-        assert [e.kind for e in scheduler.drain()] == ["a", "b", "c"]
-
-    def test_replay_preserves_order(self):
-        scheduler = EventScheduler()
-        for i, kind in enumerate(["x", "y", "z"]):
-            scheduler.schedule(float(i), kind, n=i)
-        events = list(scheduler.drain())
-        replay = EventScheduler()
-        for event in reversed(events):  # insertion order must not matter
-            replay.schedule_event(event)
-        assert [e.kind for e in replay.drain()] == ["x", "y", "z"]
-
     def test_describe_is_deterministic(self):
         event = Event(3.0, 7, "corrupt", {"rank": 5, "fault": "bit-rot"})
         assert event.describe() == "t=3 corrupt fault='bit-rot' rank=5"
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventScheduler().pop()
-
-    def test_seq_collision_orders_by_insertion(self):
-        """A replayed event colliding with a live one on (time, seq)
-        must order by insertion, not blow up comparing Events."""
-        scheduler = EventScheduler()
-        live = scheduler.schedule(1.0, "live")  # seq 0
-        scheduler.schedule_event(Event(1.0, live.seq, "replayed"))
-        assert [e.kind for e in scheduler.drain()] == ["live", "replayed"]
 
 
 # ----------------------------------------------------------------------
@@ -196,8 +173,11 @@ class TestScheduleGeneration:
                 != generate_schedule(ChaosConfig(seed=6)))
 
     def test_all_failure_kinds_guaranteed(self):
-        kinds = {e.kind for e in generate_schedule(ChaosConfig(seed=1))}
-        assert set(FAILURE_KINDS) <= kinds
+        config = ChaosConfig(seed=1)
+        kinds = {e.kind for e in generate_schedule(config)}
+        assert failure_kinds(config) == (
+            "corrupt", "crash", "device_loss", "backup_loss", "double")
+        assert set(failure_kinds(config)) <= kinds
 
 
 class TestHarnessReproducibility:
@@ -210,11 +190,18 @@ class TestHarnessReproducibility:
         assert first.trace_text() == second.trace_text()
 
     def test_cli_output_bit_identical(self, capsys):
-        assert main(["--seed", "3", "--events", "25"]) == 0
+        assert main(["engine", "--seed", "3", "--events", "25"]) == 0
         first = capsys.readouterr().out
-        assert main(["--seed", "3", "--events", "25"]) == 0
+        assert main(["engine", "--seed", "3", "--events", "25"]) == 0
         assert capsys.readouterr().out == first
         assert "RESULT PASS" in first
+
+    @both_plugins
+    def test_quiet_cli_run_prints_header_and_verdict(self, plugin, capsys):
+        assert main([plugin, "--seed", "3", "--events", "25", "--quiet"]) == 0
+        header, verdict = capsys.readouterr().out.splitlines()
+        assert "seed=3" in header and header.endswith("events=25")
+        assert verdict == "RESULT PASS"
 
     @pytest.mark.parametrize("restart_mode,restore_mode",
                              [("eager", "eager"),
@@ -226,8 +213,7 @@ class TestHarnessReproducibility:
         cross-thread commit barrier, so ``(seed, config)`` must still
         expand to bit-identical traces *and* identical engine-visible
         event counts across two fresh executions — including schedules
-        heavy on crashes and mode-specific lazy recovery.  (CI's
-        chaos-smoke job diffs two whole CLI runs on top of this.)"""
+        heavy on crashes and mode-specific lazy recovery."""
         config = ChaosConfig(seed=11, n_events=30, shrink=False,
                              restart_mode=restart_mode,
                              restore_mode=restore_mode)
@@ -237,8 +223,7 @@ class TestHarnessReproducibility:
         assert first.ok, first.violations
         assert first.trace_text() == second.trace_text()
         assert first.event_counts == second.event_counts
-        assert first.committed_txns == second.committed_txns
-        assert first.recoveries == second.recoveries
+        assert first.counters == second.counters
 
 
 class TestDurabilityOracle:
@@ -296,15 +281,16 @@ class TestChaosSmoke:
                              restore_mode=restore_mode, shrink=False)
         result = execute_schedule(config, generate_schedule(config))
         assert result.ok, result.trace_text()
-        assert result.recoveries > 0
-        assert result.committed_txns > 0
+        assert result.counters["recoveries"] > 0
+        assert result.counters["committed_txns"] > 0
 
     def test_small_campaign_covers_taxonomy(self):
-        campaign = run_campaign(4, base_seed=60, n_events=30,
-                                differential=True, shrink=False)
+        campaign = run_campaign(
+            ChaosConfig(n_events=30, shrink=False).campaign(4, base_seed=60))
         assert campaign.ok, [f.trace_text() for f in campaign.failures]
         assert campaign.all_failure_kinds_covered()
-        assert campaign.all_mode_combos_run()
+        assert ({(c.restart_mode, c.restore_mode) for c in campaign.configs}
+                == set(MODE_COMBOS))
         summary = campaign.summary()
         assert summary["schedules"] == 4
         assert summary["failed"] == 0
@@ -346,22 +332,25 @@ class TestPrefetchChaos:
         """The CI chaos-smoke prefetch cell: a fixed-seed campaign with
         prefetch mixed into every schedule passes the durability
         oracle."""
-        campaign = run_campaign(3, base_seed=7300, n_events=30,
-                                differential=False, shrink=False,
-                                prefetch="semantic")
+        base = ChaosConfig(n_events=30, differential=False, shrink=False,
+                           prefetch="semantic")
+        campaign = run_campaign(base.campaign(3, base_seed=7300))
         assert campaign.ok, [f.trace_text() for f in campaign.failures]
-        assert campaign.recoveries > 0
+        assert campaign.counters["recoveries"] > 0
 
 
 class TestShrinking:
-    def test_poison_schedule_shrinks_to_the_poison(self):
+    """``poison`` is a row of weight 0 in both event tables, so the
+    detection and shrinking machinery is proven on either plug-in."""
+
+    @both_plugins
+    def test_poison_schedule_shrinks_to_the_poison(self, plugin):
         """A deliberately divergent event (a commit the oracle never
         hears about) must be detected, and greedy deletion must strip
         the surrounding noise down to (almost) just the poison."""
-        config = ChaosConfig(seed=13, n_events=20, shrink=False,
-                             differential=False)
+        config = PLUGIN_CONFIGS[plugin](seed=13, n_events=20, shrink=False)
         events = [e for e in generate_schedule(config)
-                  if e.kind not in FAILURE_KINDS]
+                  if e.kind not in failure_kinds(config)]
         poisoned = events + [Event(999.0, 10_000, "poison")]
         result = execute_schedule(config, poisoned)
         assert not result.ok
@@ -370,34 +359,54 @@ class TestShrinking:
         assert len(shrunk) <= 2
         assert not execute_schedule(config, shrunk).ok
 
-    def test_failing_run_attaches_shrunk_schedule(self):
-        config = ChaosConfig(seed=13, n_events=12, shrink=True,
-                             differential=False)
+    @both_plugins
+    def test_failing_run_attaches_shrunk_schedule(self, plugin):
+        config = PLUGIN_CONFIGS[plugin](seed=13, n_events=12)
 
         # run_chaos generates its own events; emulate by running the
-        # poisoned schedule through execute + shrink exactly as the
-        # CLI does for a failing seed.
+        # poisoned schedule through execute + shrink exactly as
+        # run_chaos does for a failing seed.
         events = generate_schedule(config)
         poisoned = events + [Event(999.0, 10_000, "poison")]
         result = execute_schedule(config, poisoned)
         assert not result.ok
         assert "poison" in result.event_counts
+        result.shrunk = shrink_schedule(config, poisoned)
+        assert "SHRUNK to 1 events:\n  t=999 poison" in result.trace_text()
+
+    @pytest.mark.parametrize("plugin,options", [
+        ("engine", {"buffer_capacity": 2}),
+        ("fleet", {"buffer_capacity": 2}),
+        ("fleet", {"n_shards": 0}),
+    ])
+    def test_setup_failure_is_a_result_not_an_exception(self, plugin,
+                                                        options):
+        """A config the system under test refuses must come back as a
+        failed result from every entry point — run, shrink, campaign —
+        never as an exception out of them."""
+        config = PLUGIN_CONFIGS[plugin](seed=1, n_events=6, **options)
+        result = run_chaos(config)
+        assert not result.ok
+        assert result.violations[0].startswith("setup raised ")
+        assert result.shrunk == []
+        campaign = run_campaign(config.campaign(2))
+        assert len(campaign.failures) == 2
 
 
 class TestArtifacts:
-    def test_failing_cli_run_writes_trace(self, tmp_path, capsys):
-        # No public way to force a failure from the CLI without a bug,
-        # so drive the artifact writer directly.
-        from repro.sim.harness import _write_artifact
-
-        config = ChaosConfig(seed=99, restart_mode="on_demand")
-        result = execute_schedule(config, [Event(1.0, 0, "poison")])
-        assert not result.ok
-        path = _write_artifact(str(tmp_path), result)
-        assert os.path.exists(path)
-        content = open(path).read()
+    @both_plugins
+    def test_failing_cli_run_writes_trace(self, plugin, tmp_path, capsys):
+        """A seed that fails from the command line leaves its trace in
+        ``--artifacts`` (here the failure is a config the system
+        refuses; a violation takes the same path)."""
+        assert main([plugin, "--seed", "99", "--buffer-capacity", "2",
+                     "--artifacts", str(tmp_path)]) == 1
+        assert "trace written to" in capsys.readouterr().out
+        (path,) = tmp_path.iterdir()
+        content = path.read_text()
         assert "RESULT FAIL" in content
         assert "seed=99" in content
+        assert "VIOLATION setup raised ConfigError" in content
 
 
 @pytest.mark.slow
@@ -411,14 +420,13 @@ class TestNightlyCampaign:
         artifacts = os.environ.get("CHAOS_ARTIFACTS", "chaos-traces")
         print(f"chaos nightly: schedules={n_schedules} "
               f"base_seed={base_seed}")
-        campaign = run_campaign(n_schedules, base_seed=base_seed,
-                                n_events=40)
+        campaign = run_campaign(
+            ChaosConfig(n_events=40).campaign(n_schedules, base_seed))
         for failure in campaign.failures:
-            from repro.sim.harness import _write_artifact
-
             print("failing trace:", _write_artifact(artifacts, failure))
         assert campaign.ok, (
             f"{len(campaign.failures)} of {n_schedules} schedules failed; "
             f"traces in {artifacts}/")
         assert campaign.all_failure_kinds_covered()
-        assert campaign.all_mode_combos_run()
+        assert ({(c.restart_mode, c.restore_mode) for c in campaign.configs}
+                == set(MODE_COMBOS))

@@ -1,11 +1,12 @@
 """Chaos traces pinned *across commits*.
 
-CI's ``chaos-smoke`` job diffs two runs of the same commit, so it proves
-determinism but not stability: a refactor that shifts every trace (one
-more log record, one more simulated microsecond before an armed crash)
-still passes.  This test recomputes the sha256 of
-``execute_schedule(...).trace_text()`` for fixed seeds of both harnesses
-and compares it with ``tests/golden_chaos_traces.json``.
+Two runs of one commit agreeing proves determinism but not stability: a
+refactor that shifts every trace (one more log record, one more
+simulated microsecond before an armed crash) still agrees with itself.
+This test recomputes the sha256 of ``execute_schedule(...).trace_text()``
+for fixed seeds of both chaos plug-ins and compares it with
+``tests/golden_chaos_traces.json`` — the same digest in every process
+and at every commit, which is why CI carries no run-twice-and-diff step.
 
 A digest may change only when the change *means* to move simulated time,
 log bytes or recovery order; then regenerate in the same diff and say
@@ -13,8 +14,9 @@ why in CHANGES.md::
 
     PYTHONPATH=src python tests/test_golden_chaos_traces.py --regen
 
-To see *what* moved, run ``python -m repro.sim.harness --seed N
---restart-mode M --restore-mode M`` at both commits and diff the output.
+To see *what* moved, run ``python -m repro.sim.chaos engine --seed N
+--restart-mode M --restore-mode M`` (or ``... fleet --seed N``) at both
+commits and diff the output.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import harness, shard_harness
+from repro.sim import chaos, harness, shard_harness
 
 GOLDEN = Path(__file__).with_name("golden_chaos_traces.json")
 SEEDS = (11, 42)
@@ -34,10 +36,8 @@ SHARD_SEED = 5
 
 
 def _digest(config) -> str:
-    module = (harness if isinstance(config, harness.ChaosConfig)
-              else shard_harness)
-    events = module.generate_schedule(config)
-    text = module.execute_schedule(config, events).trace_text()
+    events = chaos.generate_schedule(config)
+    text = chaos.execute_schedule(config, events).trace_text()
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -1,13 +1,12 @@
-"""The sharded chaos harness: determinism, oracles, fixed-seed campaign."""
+"""The fleet chaos plug-in: determinism, oracles, fixed-seed campaign."""
 
-from repro.sim.shard_harness import (
-    FAILPOINTS,
-    ShardChaosConfig,
+from repro.sim.chaos import (
     execute_schedule,
     generate_schedule,
     run_campaign,
     run_chaos,
 )
+from repro.sim.shard_harness import FAILPOINTS, ShardChaosConfig
 
 
 def test_schedule_is_deterministic():
@@ -36,15 +35,17 @@ def test_execution_is_deterministic():
 
 
 def test_fixed_seed_campaign_no_violations():
-    campaign = run_campaign(8, ShardChaosConfig(n_events=50))
+    campaign = run_campaign(ShardChaosConfig(n_events=50).campaign(8))
     assert campaign.ok, "\n\n".join(
         failure.trace_text() for failure in campaign.failures)
     # The campaign must actually have exercised the machinery.
-    assert campaign.committed_txns > 50
-    assert campaign.xtxn_committed > 5
-    assert campaign.interrupted_commits >= 1
-    assert campaign.reopens >= 1
-    assert campaign.served_while_down >= 1
+    assert campaign.all_failure_kinds_covered()
+    assert campaign.counters["committed_txns"] > 50
+    assert campaign.counters["xtxn_committed"] > 5
+    assert campaign.counters["interrupted_commits"] >= 1
+    assert campaign.counters["reopens"] >= 1
+    assert campaign.counters["served_while_down"] >= 1
+    assert campaign.counters["rebalances"] > 0
 
 
 def test_eager_restart_mode_also_passes():
@@ -56,5 +57,5 @@ def test_eager_restart_mode_also_passes():
 def test_single_run_reports_counters():
     result = run_chaos(ShardChaosConfig(seed=0))
     assert result.ok, result.trace_text()
-    assert result.committed_txns > 0
+    assert result.counters["committed_txns"] > 0
     assert result.event_counts.get("client", 0) > 0
