@@ -4,8 +4,13 @@ Loads the layered benchmark's DBLP-shaped tree (``bench/``'s
 ``dblp_cold_embedded`` set-up, seed 1), makes every page cold, and
 times each step between ``BufferPool.fix`` noticing a page is absent and
 the B-tree holding a decoded node — over every node page, median of
-``--reps`` passes, in microseconds per page.  The whole-benchmark claim
-(``python3 -m bench.run``) is made of these.
+``--reps`` passes, in microseconds per page.  Then the search inside a
+leaf: in the raw bytes (a decode's first search), through the key
+directory (every search after the second), the second search itself
+(which builds the directory) — the ratio the "build on the second
+search" rule of ``repro.btree.node`` rests on — and a range scan's cost
+per row.  The whole-benchmark claim (``python3 -m bench.run``) is made
+of these.
 
 Usage (pin to one core for steady numbers)::
 
@@ -27,7 +32,7 @@ for _path in (_ROOT, os.path.join(_ROOT, "src")):
 
 from bench.runner import Runner  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
-from repro.btree.node import BTreeNode  # noqa: E402
+from repro.btree.node import DATA_START, BTreeNode  # noqa: E402
 from repro.page.page import TYPE_OFFSET, Page, PageType  # noqa: E402
 from repro.page.slotted import SlottedPage  # noqa: E402
 
@@ -90,6 +95,44 @@ def main() -> None:
         fix_unfix(pid)
     rows.append(("BufferPool.fix hit + unfix",
                  per_page(fix_unfix, pages=hot)))
+
+    # -- the search inside a leaf, on a fresh decode each time ---------
+    leaves = [pid for pid in nodes
+              if (node := BTreeNode(cold_page(pid))).is_leaf and node.nrecs]
+
+    def searched(times: int):  # noqa: ANN202
+        """A leaf decode already searched ``times`` times, and a key of it."""
+        def prepare(pid: int) -> tuple[BTreeNode, bytes]:
+            node = BTreeNode(cold_page(pid))
+            key = node.full_key(node.nrecs // 2)
+            for _ in range(times):
+                node.find(key)
+            return node, key
+        return prepare
+
+    def find(arg: tuple[BTreeNode, bytes]) -> None:
+        arg[0].find(arg[1])
+
+    rows += [
+        ("leaf find, raw bytes (first search of a decode)",
+         per_page(find, searched(0), leaves)),
+        ("leaf find + key directory build (second search)",
+         per_page(find, searched(1), leaves)),
+        ("leaf find, warm key directory (every later search)",
+         per_page(find, searched(2), leaves)),
+    ]
+    tree = db.tree(runner.client.index_id)
+    # A quarter of the pool's worth of leaves: the first pass makes them
+    # resident, the timed ones find them there.
+    low, high = runner.sorted_keys[0], runner.sorted_keys[
+        int(pool.capacity // 4 * (slots - DATA_START))]
+    scans = []
+    for _ in range(reps + 1):
+        start = time.perf_counter_ns()
+        n_rows = sum(1 for _row in tree.range_scan(low, high))
+        scans.append((time.perf_counter_ns() - start) / n_rows / 1e3)
+    rows.append((f"range_scan per row ({n_rows} rows, resident leaves, "
+                 f"a descent per leaf included)", statistics.median(scans[1:])))
     for name, micros in rows:
         print(f"{micros:8.2f} us  {name}")
     runner.close()

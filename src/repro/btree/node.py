@@ -37,24 +37,28 @@ Prefix truncation: the prefix is fixed when the node is initialized
 data key — for the node's lifetime, even if later fence tightening
 (adoption) would permit a longer one.
 
-Decoded views: the bytes are the truth, but the bookkeeping records —
-and, on a branch page, the whole ``(separator keys, child pids)``
-directory — are decoded once per page version into a
-:class:`NodeView` kept on the :class:`~repro.page.page.Page` object.
-The bookkeeping fields are sliced straight out of the buffer from one
-unpack of the three slot words (a cold page pays this decode on its
-first fix).
-Branch levels are small, hot and rarely change, so a descent routes
-through them with a C ``bisect`` over the decoded keys
-(:meth:`BTreeNode.route`).  Leaves keep the raw in-page binary search
-(:meth:`BTreeNode.find`): a cold leaf is searched about once per fix,
-and decoding all its keys would cost more than the search saves.
+Decoded views: the bytes are the truth, but the bookkeeping records and
+the node's *key directory* — the full keys of its data records in slot
+order, plus the child pids on a branch — are decoded once into a
+:class:`NodeView` kept on the :class:`~repro.page.page.Page` object and
+searched with a C ``bisect`` (:meth:`BTreeNode.find`,
+:meth:`BTreeNode.route`).  The bookkeeping fields are sliced straight
+out of the buffer from one unpack of the three slot words (a cold page
+pays this decode on its first fix).  The directory is built by
+observation: a branch builds it on its first ``route``; a leaf that is
+fetched, searched once and evicted never pays for it — its first search
+runs in the raw bytes (:meth:`SlottedPage.key_bisect_left`) and leaves a
+mark, and only the second search of the same decode, which proves the
+leaf resident and re-touched, builds it.  From then on the slot
+mutators keep it current (:meth:`NodeView.after_mutation`).
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import islice
+from typing import Iterator
 
 from repro.errors import BTreeError
 from repro.page.page import TYPE_OFFSET, Page, PageType
@@ -100,25 +104,40 @@ def decode_pid(value: bytes) -> int:
 class NodeView:
     """Decode of one node page, cached on the page as ``page.view``.
 
-    The bookkeeping fields come from slots below ``DATA_START`` and are
-    decoded on first use; ``directory`` (branch pages only, ``None``
-    until a descent passes through) is ``(keys, pids, last_inf)``: the
-    full separator keys of the data records followed by the last
-    child's high boundary, the child pids, and whether that last
-    boundary is +infinity.
+    The bookkeeping fields come from slots below ``DATA_START``.
+    ``keys`` is the key directory — the full key (prefix + stored) of
+    every data record, list index = slot - ``DATA_START`` — or ``None``
+    until built; ``pids`` is the child pid beside each key on a branch,
+    ``None`` on a leaf; ``searched`` marks that the raw bytes have been
+    searched once since this decode.
     """
 
     __slots__ = ("level", "flags", "prefix", "low_fence", "high_fence",
-                 "foster_pid", "foster_key", "directory")
+                 "foster_pid", "foster_key", "keys", "pids", "searched")
 
-    def after_mutation(self, lowest_slot: int) -> "NodeView | None":
-        """What survives a change to the records from ``lowest_slot`` up
+    def after_mutation(self, slot: int, removed: int | None,
+                       records: tuple | list,
+                       value: bytes | None) -> "NodeView | None":
+        """What survives a mutator's report
         (:meth:`repro.page.page.Page.invalidate_view`): nothing if a
-        bookkeeping record changed, else everything but the directory —
-        slot shifts never move slots below the mutation index."""
-        if lowest_slot < DATA_START:
+        bookkeeping record changed or the report does not say what
+        moved; else everything, the directory spliced to match — slot
+        shifts never move slots below the mutation index.  Runs under
+        the exclusive latch, like the mutator itself."""
+        if slot < DATA_START or removed is None:
             return None
-        self.directory = None
+        keys, pids = self.keys, self.pids
+        if keys is not None:
+            i = slot - DATA_START
+            if value is not None:
+                if pids is not None:
+                    pids[i] = decode_pid(value)
+            elif removed or records:
+                prefix = self.prefix
+                keys[i:i + removed] = [prefix + rec.key for rec in records]
+                if pids is not None:
+                    pids[i:i + removed] = [decode_pid(rec.value)
+                                           for rec in records]
         return self
 
 
@@ -136,7 +155,8 @@ class BTreeNode:
     read, backup fetch and frame copy builds a new :class:`Page` object
     (which starts without a view), and every in-place byte mutator —
     the slotted-page mutation methods, ``OpWriteBytes`` and
-    ``Page.load_image`` — reports through ``Page.invalidate_view``.
+    ``Page.load_image`` — reports through ``Page.invalidate_view``,
+    saying what it moved or forfeiting the decode.
     Readers under the shared engine latch may both build the same
     decode; the build is idempotent and published with a single
     attribute store, and mutators run only under the exclusive latch.
@@ -206,7 +226,8 @@ class BTreeNode:
             raise BTreeError(
                 f"page {page.page_id}: bookkeeping records out of bounds "
                 f"({exc})") from None
-        view.directory = None
+        view.keys = view.pids = None
+        view.searched = False
         page.view = view
         return view
 
@@ -283,10 +304,14 @@ class BTreeNode:
         return self.prefix + self.stored_key(i)
 
     def value(self, i: int) -> bytes:
-        return self.slotted.read_record(DATA_START + i).value
+        return self.slotted.read_value(DATA_START + i)[1]
 
     def is_ghost(self, i: int) -> bool:
         return self.slotted.is_ghost(DATA_START + i)
+
+    def read_value(self, i: int) -> tuple[bool, bytes]:
+        """``(ghost, value)`` of data record ``i``, one slot read."""
+        return self.slotted.read_value(DATA_START + i)
 
     def probe_value(self, i: int) -> tuple[bool, bytes, int]:
         """``(ghost, value, room)`` of data record ``i``, one slot read
@@ -315,25 +340,30 @@ class BTreeNode:
         """Binary search for ``key`` among data records.
 
         Returns ``(index, found)`` where ``index`` is the insert
-        position if not found.  The search itself runs inside the
-        slotted page (one pass over the raw buffer, no per-probe
-        record materialization) — this is the innermost loop of every
-        descent.
+        position if not found — the innermost loop of every descent.
+        A C ``bisect`` over the key directory once it is there; the
+        first search of a decode runs inside the slotted page instead
+        (one pass over the raw buffer, no per-probe record
+        materialization), the second builds the directory.
         """
-        prefix = (self.page.view or self._decode()).prefix
-        if prefix:
-            if not key.startswith(prefix):
-                raise BTreeError(
-                    f"key {key!r} outside node prefix {prefix!r} "
-                    f"(page {self.page.page_id})")
-            target = key[len(prefix):]
-        else:
-            target = key
-        slotted = self.slotted
-        slot = slotted.key_bisect_left(target, DATA_START)
-        found = (slot < slotted.slot_count
-                 and slotted.record_key(slot) == target)
-        return slot - DATA_START, found
+        view = self.page.view or self._decode()
+        prefix = view.prefix
+        if prefix and not key.startswith(prefix):
+            raise BTreeError(
+                f"key {key!r} outside node prefix {prefix!r} "
+                f"(page {self.page.page_id})")
+        keys = view.keys
+        if keys is None:
+            if not view.searched:
+                view.searched = True
+                target = key[len(prefix):]
+                slotted = self.slotted
+                slot = slotted.key_bisect_left(target, DATA_START)
+                return slot - DATA_START, (slot < slotted.slot_count and
+                                           slotted.record_key(slot) == target)
+            keys = self._decode_directory(view)
+        i = bisect_left(keys, key)
+        return i, i < len(keys) and keys[i] == key
 
     def covers(self, key: bytes) -> bool:
         """Is ``key`` within this node's [low, high) fence range?
@@ -367,35 +397,35 @@ class BTreeNode:
         responsible for ``key`` — one hop of a descent.
 
         Same answer as :meth:`branch_child_index` + :meth:`child_pid` +
-        :meth:`child_boundaries`, but from the page's decoded directory
+        :meth:`child_boundaries`, but from the page's key directory
         (built here on first use): a C ``bisect`` over full keys instead
         of re-parsing separators from the raw bytes on every hop.
         """
         view = self.page.view or self._decode()
-        keys, pids, last_inf = view.directory or self._decode_directory(view)
-        n = len(pids)
-        i = bisect_right(keys, key, 0, n) - 1
+        if view.level == 0:
+            raise BTreeError("route on a leaf")
+        keys = view.keys
+        if keys is None:
+            keys = self._decode_directory(view)
+        i = bisect_right(keys, key) - 1
         if i < 0:
             raise BTreeError(
                 f"key {key!r} below first child of page {self.page.page_id}")
-        return pids[i], keys[i], keys[i + 1], last_inf and i + 1 == n
+        pid = view.pids[i]
+        if i + 1 < len(keys):
+            return pid, keys[i], keys[i + 1], False
+        if view.foster_pid != NO_FOSTER:
+            return pid, keys[i], view.foster_key, False
+        return pid, keys[i], view.high_fence, bool(view.flags & FLAG_HIGH_INF)
 
-    def _decode_directory(self, view: NodeView) -> tuple:
-        if view.level == 0:
-            raise BTreeError("route on a leaf")
-        prefix = view.prefix
-        slotted = self.slotted
-        keys = []
-        pids = []
-        for slot in range(DATA_START, slotted.slot_count):
-            rec = slotted.read_record(slot)
-            keys.append(prefix + rec.key)
-            pids.append(decode_pid(rec.value))
-        has_foster = view.foster_pid != NO_FOSTER
-        keys.append(view.foster_key if has_foster else view.high_fence)
-        view.directory = directory = (
-            keys, pids, bool(view.flags & FLAG_HIGH_INF) and not has_foster)
-        return directory
+    def _decode_directory(self, view: NodeView) -> list[bytes]:
+        """Build the key directory from the raw records.  Idempotent;
+        ``keys`` is stored last, so a reader that sees it sees ``pids``."""
+        if view.level:
+            view.pids = [decode_pid(value)
+                         for _key, value, _ghost in self.rows()]
+        view.keys = keys = self.slotted.keys(DATA_START, view.prefix)
+        return keys
 
     def child_boundaries(self, i: int) -> tuple[bytes, bytes, bool]:
         """(low, high, high_is_inf) boundaries of child ``i``.
@@ -449,19 +479,15 @@ class BTreeNode:
         rec = self.slotted.read_record(DATA_START + index)
         return OpDelete(DATA_START + index, rec.key, rec.value, rec.ghost)
 
-    def record_entries(self, start: int, end: int) -> list[tuple[bytes, bytes, bool]]:
-        """(full_key, value, ghost) for data records [start, end).
+    def rows(self, start: int = 0) -> Iterator[tuple[bytes, bytes, bool]]:
+        """(full_key, value, ghost) of the data records from ``start``
+        up, each decoded once, as it is consumed
+        (:meth:`repro.page.slotted.SlottedPage.rows`)."""
+        return self.slotted.rows(DATA_START + start, self.prefix)
 
-        One :meth:`SlottedPage.read_record` per record — the split path
-        previously read every moved record three times.
-        """
-        prefix = self.prefix
-        slotted = self.slotted
-        out = []
-        for i in range(DATA_START + start, DATA_START + end):
-            rec = slotted.read_record(i)
-            out.append((prefix + rec.key, rec.value, rec.ghost))
-        return out
+    def record_entries(self, start: int, end: int) -> list[tuple[bytes, bytes, bool]]:
+        """(full_key, value, ghost) for data records [start, end)."""
+        return list(islice(self.rows(start), end - start))
 
     def op_bulk_insert(self, index: int,
                        entries: list[tuple[bytes, bytes, bool]]) -> PageOp:
@@ -479,12 +505,8 @@ class BTreeNode:
 
     def op_bulk_delete(self, start: int, end: int) -> PageOp:
         """One op removing this node's data records [start, end)."""
-        slotted = self.slotted
-        entries = []
-        for i in range(DATA_START + start, DATA_START + end):
-            rec = slotted.read_record(i)
-            entries.append((rec.key, rec.value, rec.ghost))
-        return OpBulkDelete(DATA_START + start, tuple(entries))
+        return OpBulkDelete(DATA_START + start, tuple(islice(
+            self.slotted.rows(DATA_START + start), end - start)))
 
     def op_update_value(self, index: int, new_value: bytes,
                         old: bytes | None = None) -> PageOp:

@@ -22,11 +22,16 @@ leaf, under the caller's key lock, whether to update, revive a ghost,
 insert, ghost, or split and retry; they differ only in which states of
 the key they accept.  A descent is a pure read — the structural
 maintenance a write passes (root growth, adoption) is noted on the way
-down and performed only once the operation is known to write — and a
-branch hop picks its child from the parent page's decoded directory
-(:meth:`repro.btree.node.BTreeNode.route`) instead of re-parsing the
-separators; the child is still fixed through the normal read path and
-its fences still compared with the parent's adjacent keys on every hop.
+down and performed only once the operation is known to write.  Every
+search inside a node — the branch hop that picks a child
+(:meth:`repro.btree.node.BTreeNode.route`), the leaf search that ends a
+descent (:meth:`~repro.btree.node.BTreeNode.find`) — goes through the
+page's decoded key directory once it has one, instead of re-parsing keys
+from the bytes; that shortens the search, never the path: every child is
+still fixed through the normal read path and its fences still compared
+with the parent's adjacent keys on every hop.  A read takes what it
+needs of a found record from one read of its slot, and a scan decodes
+each row of a leaf once.
 """
 
 from __future__ import annotations
@@ -362,10 +367,12 @@ class FosterBTree:
         page, node = self._descend(key, for_write=False)
         try:
             i, found = node.find(key)
-            if not found or node.is_ghost(i):
-                raise KeyNotFound(key)
-            self.stats.bump("btree_lookups")
-            return node.value(i)
+            if found:
+                ghost, value = node.read_value(i)
+                if not ghost:
+                    self.stats.bump("btree_lookups")
+                    return value
+            raise KeyNotFound(key)
         finally:
             self.ctx.unfix(page.page_id)
 
@@ -398,12 +405,13 @@ class FosterBTree:
         try:
             out: list[tuple[bytes, bytes]] = []
             i, _found = node.find(key)
-            for j in range(i, node.nrecs):
-                full = node.full_key(j)
+            # One pass over the leaf from there: each row decoded once,
+            # none past ``high``.
+            for full, value, ghost in node.rows(i):
                 if high is not None and full >= high:
                     return out, None
-                if not node.is_ghost(j):
-                    out.append((full, node.value(j)))
+                if not ghost:
+                    out.append((full, value))
             if node.has_foster:
                 next_key = node.foster_key
             elif node.high_inf:

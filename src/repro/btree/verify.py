@@ -74,8 +74,10 @@ def verify_node(node: BTreeNode, exp_low: bytes, exp_high: bytes,
     previous: bytes | None = None
     upper = node.foster_key if node.has_foster else node.high_fence
     upper_inf = node.high_inf and not node.has_foster
+    raw_keys = []
     for i in range(node.nrecs):
         key = node.full_key(i)
+        raw_keys.append(key)
         report.records_verified += 1
         if previous is not None and key <= previous:
             report.complain(pid, f"keys out of order at slot {i}")
@@ -85,19 +87,15 @@ def verify_node(node: BTreeNode, exp_low: bytes, exp_high: bytes,
         if not upper_inf and key >= upper:
             bound = "foster key" if node.has_foster else "high fence"
             report.complain(pid, f"key {key!r} at/above {bound}")
-    if not node.is_leaf and node.nrecs > 0:
-        if node.full_key(0) != node.low_fence:
-            report.complain(
-                pid, f"first branch key {node.full_key(0)!r} != low fence")
-        # A decoded directory cached on the page must say what the raw
-        # bytes say (a descent routes by it without re-parsing them).
-        cached = node.view.directory
-        if cached is not None:
-            _low, high, high_inf = node.child_boundaries(node.nrecs - 1)
-            raw = ([node.full_key(i) for i in range(node.nrecs)] + [high],
-                   [node.child_pid(i) for i in range(node.nrecs)], high_inf)
-            if cached != raw:
-                report.complain(pid, "cached branch directory is stale")
+    if not node.is_leaf and node.nrecs > 0 and raw_keys[0] != node.low_fence:
+        report.complain(pid, f"first branch key {raw_keys[0]!r} != low fence")
+    # A key directory cached on the page must say what the raw bytes say
+    # (searches go by it without re-parsing them).
+    if view.keys is not None:
+        raw_pids = (None if node.is_leaf else
+                    [node.child_pid(i) for i in range(node.nrecs)])
+        if (view.keys, view.pids) != (raw_keys, raw_pids):
+            report.complain(pid, "cached key directory is stale")
     if node.has_foster:
         fkey = node.foster_key
         if fkey < node.low_fence or (not node.high_inf and fkey > node.high_fence):

@@ -193,16 +193,22 @@ class Page:
         self.data[:] = image
         self.view = None
 
-    def invalidate_view(self, lowest_slot: int = 0) -> None:
-        """The one invalidation point for decoded views.
+    def invalidate_view(self, lowest_slot: int = 0, removed: int | None = None,
+                        records: tuple | list = (), value: bytes | None = None) -> None:
+        """The one channel from byte mutators to decoded views.
 
-        Every mutator of the record area calls this with the lowest
-        slot whose record it changes or moves (0 for raw byte writes);
-        the view decides which of its decodes survive.
+        Every mutator of the record area reports here once it can no
+        longer refuse and before it moves a byte: ``removed`` slots from
+        ``lowest_slot`` up gave way to ``records``, or the record in
+        ``lowest_slot`` now holds ``value``; neither (``removed`` 0)
+        means no key or value moved.  An unqualified report (raw byte
+        writes, formatting) says only that bytes changed.  The view
+        decides what of its decode survives, and brings that up to date.
         """
         view = self.view
         if view is not None:
-            self.view = view.after_mutation(lowest_slot)
+            self.view = view.after_mutation(lowest_slot, removed, records,
+                                            value)
 
     # ------------------------------------------------------------------
     # Header accessors

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.errors import PageFailureKind, ReproError, SinglePageFailure
 from repro.page.page import HEADER_SIZE, Page, PageType, check_header
@@ -74,6 +75,13 @@ _HEAP_START = HEADER_SIZE + SLOTTED_HEADER_SIZE
 _DIRECTORY_STRUCTS: dict[int, struct.Struct] = {}
 
 
+def _slot_words(count: int) -> struct.Struct:
+    words = _DIRECTORY_STRUCTS.get(count)
+    if words is None:
+        words = _DIRECTORY_STRUCTS[count] = struct.Struct(f"<{2 * count}H")
+    return words
+
+
 def _implausible(page_id: int, detail: str) -> SinglePageFailure:
     return SinglePageFailure(page_id, PageFailureKind.HEADER_IMPLAUSIBLE,
                              detail)
@@ -96,12 +104,9 @@ def check_slot_directory(data: bytes | bytearray, page_id: int) -> None:
     slots_start = size - count * SLOT_SIZE
     if heap_end > slots_start:
         raise _implausible(page_id, "heap overlaps slot directory")
-    directory = _DIRECTORY_STRUCTS.get(count)
-    if directory is None:
-        directory = _DIRECTORY_STRUCTS[count] = struct.Struct(f"<{2 * count}H")
     # The directory grows downwards, so its words read backwards are
     # (length_flags, offset) of slot 0, slot 1, ...
-    words = iter(directory.unpack_from(data, slots_start)[::-1])
+    words = iter(_slot_words(count).unpack_from(data, slots_start)[::-1])
     for index, (length_flags, offset) in enumerate(zip(words, words)):
         length = length_flags & LENGTH_MASK
         if (_HEAP_START <= offset <= heap_end - length and 2 <= length
@@ -259,6 +264,16 @@ class SlottedPage:
                 size - count * SLOT_SIZE - heap_end + frag_bytes
                 + end - key_end)
 
+    def read_value(self, index: int) -> tuple[bool, bytes]:
+        """``(ghost, value)`` of slot ``index`` from one read of its
+        slot word — what a point read needs of the record it found."""
+        data = self.page.data
+        offset, length_flags = _SLOT.unpack_from(
+            data, self.page.size - (index + 1) * SLOT_SIZE)
+        return (bool(length_flags & _GHOST_BIT),
+                bytes(data[offset + 2 + _U16.unpack_from(data, offset)[0]:
+                           offset + (length_flags & LENGTH_MASK)]))
+
     # ------------------------------------------------------------------
     # Record access
     # ------------------------------------------------------------------
@@ -317,6 +332,38 @@ class SlottedPage:
             out.append(rec)
         return out
 
+    def _words_from(self, start: int) -> tuple[int, ...]:
+        """One unpack of the slot words of ``[start, slot_count)``:
+        ``offset, length_flags`` per slot, the highest slot first."""
+        data = self.page.data
+        count = _U16.unpack_from(data, HEADER_SIZE)[0]
+        if start >= count:
+            return ()
+        return _slot_words(count - start).unpack_from(
+            data, self.page.size - count * SLOT_SIZE)
+
+    def keys(self, start: int, prefix: bytes = b"") -> list[bytes]:
+        """The keys of the slots from ``start`` up, ``prefix`` prepended
+        to each (for callers that store keys truncated)."""
+        data = self.page.data
+        return [prefix + data[at + 2:at + 2 + data[at] + (data[at + 1] << 8)]
+                for at in self._words_from(start)[-2::-2]]
+
+    def rows(self, start: int,
+             prefix: bytes = b"") -> Iterator[tuple[bytes, bytes, bool]]:
+        """``(prefix + key, value, ghost)`` of the slots from ``start``
+        up, in slot order, each row decoded as it is consumed — a reader
+        that stops early never parses the rest."""
+        data = self.page.data
+        words = self._words_from(start)
+        for i in range(len(words) - 2, -1, -2):
+            at = words[i]
+            length_flags = words[i + 1]
+            key_end = at + 2 + data[at] + (data[at + 1] << 8)
+            yield (prefix + data[at + 2:key_end],
+                   bytes(data[key_end:at + (length_flags & LENGTH_MASK)]),
+                   bool(length_flags & _GHOST_BIT))
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -324,7 +371,6 @@ class SlottedPage:
         """Insert ``record`` at slot position ``index``, shifting slots up."""
         if not 0 <= index <= self.slot_count:
             raise IndexError(f"insert position {index} out of range")
-        self.page.invalidate_view(index)
         needed = record.stored_length + SLOT_SIZE
         if self.free_space < needed:
             if self.free_space + self.frag_bytes >= needed:
@@ -333,6 +379,7 @@ class SlottedPage:
                 raise PageFullError(
                     f"need {needed} bytes, have {self.free_space} "
                     f"(+{self.frag_bytes} fragmented)")
+        self.page.invalidate_view(index, 0, (record,))
         offset = self._append_to_heap(record)
         # Shift slot entries [index, slot_count) one position outward —
         # they are contiguous, so this is a single 4-byte-down block
@@ -364,12 +411,14 @@ class SlottedPage:
         data = page.data
         if not 0 <= index < _U16.unpack_from(data, HEADER_SIZE)[0]:
             raise IndexError(f"slot {index} out of range")
-        page.invalidate_view(index)
         offset, length_flags = _SLOT.unpack_from(
             data, page.size - (index + 1) * SLOT_SIZE)
         length = length_flags & LENGTH_MASK
         key_end = offset + 2 + _U16.unpack_from(data, offset)[0]
         needed = key_end - offset + len(value)
+        if needed > length and not self.room_for_value(index, value):
+            raise PageFullError(f"cannot grow record to {needed} bytes")
+        page.invalidate_view(index, 0, (), value)
         if needed == length:
             # Same length — most rewrites: the bytes change, the slot
             # word and the fragmentation count do not.
@@ -383,8 +432,6 @@ class SlottedPage:
             self._set_frag_bytes(self.frag_bytes + (length - needed))
             return
         # Relocate within the heap.
-        if not self.room_for_value(index, value):
-            raise PageFullError(f"cannot grow record to {needed} bytes")
         new = Record(bytes(data[offset + 2:key_end]), value, ghost)
         # Retire the old bytes so compaction can reclaim them.
         self._set_frag_bytes(self.frag_bytes + length)
@@ -396,7 +443,7 @@ class SlottedPage:
 
     def mark_ghost(self, index: int, ghost: bool = True) -> None:
         """Toggle the ghost (pseudo-deleted) bit of slot ``index``."""
-        self.page.invalidate_view(index)
+        self.page.invalidate_view(index, 0)
         offset, length, _old = self._read_slot(index)
         self._write_slot(index, offset, length, ghost)
 
@@ -404,7 +451,7 @@ class SlottedPage:
         """Physically remove slot ``index`` (ghost removal / compaction)."""
         if not 0 <= index < self.slot_count:
             raise IndexError(f"slot {index} out of range")
-        self.page.invalidate_view(index)
+        self.page.invalidate_view(index, 1)
         _offset, length, _ghost = self._read_slot(index)
         self._set_frag_bytes(self.frag_bytes + length)
         # Shift slot entries [index + 1, slot_count) one position in —
@@ -433,7 +480,6 @@ class SlottedPage:
         count = self.slot_count
         if not 0 <= index <= count:
             raise IndexError(f"insert position {index} out of range")
-        self.page.invalidate_view(index)
         needed = sum(r.stored_length for r in records) + SLOT_SIZE * n
         if self.free_space < needed:
             if self.free_space + self.frag_bytes >= needed:
@@ -442,6 +488,7 @@ class SlottedPage:
                 raise PageFullError(
                     f"need {needed} bytes, have {self.free_space} "
                     f"(+{self.frag_bytes} fragmented)")
+        self.page.invalidate_view(index, 0, records)
         if count > index:
             data = self.page.data
             size = self.page.size
@@ -463,7 +510,7 @@ class SlottedPage:
         if n < 0 or not 0 <= index <= count - n:
             raise IndexError(
                 f"slot run [{index}, {index + n}) out of range")
-        self.page.invalidate_view(index)
+        self.page.invalidate_view(index, n)
         freed = 0
         for i in range(index, index + n):
             _offset, length, _ghost = self._read_slot(i)

@@ -1,4 +1,4 @@
-"""The single write path and the decoded branch directory.
+"""The single write path and the decoded key directory.
 
 * a growing value on a full leaf splits instead of poisoning the log
   (regression: the UPDATE record used to be appended before
@@ -6,10 +6,11 @@
 * ``upsert``/``remove`` are byte-for-byte the ``lookup`` +
   ``insert|update|delete`` sequence they replaced — same log records,
   same page images;
-* a cached branch directory never disagrees with the page's bytes,
-  whatever mutated them;
+* a cached key directory — branch or leaf — never disagrees with the
+  page's bytes, whatever mutated them, and a mutator that refuses
+  (``PageFullError``) leaves it alone;
 * a warm directory in the parent does not weaken the fence check on
-  the child;
+  the child, and a warm leaf does not outlive its bytes;
 * the leaf write reads its slot once: ``SlottedPage.probe_value`` agrees
   with the three accessors it replaced, and the ``update_value`` with a
   same-length fast path leaves the page bytes the parent commit's
@@ -26,12 +27,14 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 import repro
-from repro.btree.node import BTreeNode
-from repro.btree.verify import verify_tree
+from repro.btree.node import DATA_START, BTreeNode, encode_pid
+from repro.btree.verify import VerificationReport, verify_node, verify_tree
 from repro.engine.database import Database
-from repro.errors import DuplicateKey, KeyNotFound
+from repro.errors import BTreeError, DuplicateKey, KeyNotFound
 from repro.page.page import Page, PageType
 from repro.page.slotted import PageFullError, Record, SlottedPage
 from repro.wal.records import LogRecord, UndoAction
@@ -203,10 +206,28 @@ def test_upsert_remove_log_and_pages_identical_to_lookup_then_write(intents):
 # ----------------------------------------------------------------------
 # (b) directory coherence
 # ----------------------------------------------------------------------
+def raw_find(node: BTreeNode, key: bytes) -> tuple[int, bool]:
+    """``BTreeNode.find`` in the raw bytes, whatever the view holds: the
+    reference the directory's answers are compared against."""
+    target = key[len(node.prefix):]
+    slotted = node.slotted
+    slot = slotted.key_bisect_left(target, DATA_START)
+    return slot - DATA_START, (slot < slotted.slot_count
+                               and slotted.record_key(slot) == target)
+
+
+def raw_child_index(node: BTreeNode, key: bytes) -> int:
+    """``BTreeNode.branch_child_index`` in the raw bytes."""
+    index, found = raw_find(node, key)
+    return index if found else index - 1
+
+
 def assert_directories_coherent(db: Database, tree, keys) -> None:  # noqa: ANN001
-    """On every hop towards every key, the (possibly cached) directory
-    answers exactly what the page's raw bytes answer; a directory left
-    warm by an earlier call and missed by an invalidation fails here."""
+    """On every hop towards every key, and in the leaf it ends at, the
+    (possibly cached) directory answers exactly what the page's raw
+    bytes answer; a directory left warm by an earlier call and missed
+    or mis-spliced by a mutator's report fails here.  Searching each
+    leaf twice leaves its directory warm for the mutations that follow."""
     for key in keys:
         pid = db.get_root(tree.index_id)
         while True:
@@ -216,12 +237,15 @@ def assert_directories_coherent(db: Database, tree, keys) -> None:  # noqa: ANN0
                 if node.has_foster and key >= node.foster_key:
                     next_pid = node.foster_pid
                 elif node.is_leaf:
+                    assert node.find(key) == node.find(key) == raw_find(node, key)
+                    assert page.view.keys is not None
                     break
                 else:
-                    i = node.branch_child_index(key)
+                    i = raw_child_index(node, key)
                     next_pid = node.child_pid(i)
                     assert node.route(key) == (next_pid,
                                                *node.child_boundaries(i))
+                    assert node.find(key) == raw_find(node, key)
             finally:
                 db.unfix(pid)
             pid = next_pid
@@ -298,8 +322,11 @@ def test_directory_coherent_across_every_mutation(seed: int) -> None:
     assert stats.get("btree_ghosts_removed") > 0
     check()
 
-    # Migration of branch pages: the parent's child pid changes.
-    for pid in list(_branches(db, tree))[:4]:
+    # Migration of branch pages and of a (warm) leaf: the parent's
+    # child pid changes.
+    page, _node = tree._descend(probes[3], for_write=False)
+    db.unfix(page.page_id)
+    for pid in [*list(_branches(db, tree))[:4], page.page_id]:
         tree.migrate_node(pid)
         check()
 
@@ -316,21 +343,221 @@ def test_directory_coherent_across_every_mutation(seed: int) -> None:
     db.finish_restart()
     check()
 
-    # Single-page repair of a branch page other than the root.
+    # Single-page repair of a branch page other than the root, and of
+    # a leaf whose directory was warm.
     db.take_full_backup()
     victim = next(pid for pid in _branches(db, tree)
                   if pid != db.get_root(tree.index_id))
+    page, _node = tree._descend(probes[7], for_write=False)
+    db.unfix(page.page_id)
     db.flush_everything()
     db.evict_everything()
     db.device.inject_bit_rot(victim)
+    db.device.inject_bit_rot(page.page_id)
     check()
-    assert stats.get("single_page_recoveries") >= 1
+    assert stats.get("single_page_recoveries") >= 2
+
+
+def _standalone_node(level: int, n: int = 12) -> BTreeNode:
+    """A node page outside any engine: fences ``user/0000`` ..
+    ``user/9999`` (so keys are stored without ``user/``), ``n`` records."""
+    page = Page.format(1024, 7, PageType.BTREE_BRANCH if level
+                       else PageType.BTREE_LEAF)
+    SlottedPage(page).initialize()
+    for op in BTreeNode.ops_initialize(level, b"user/0000", b"user/9999",
+                                       high_inf=False):
+        op.apply_redo(page)
+    node = BTreeNode(page)
+    for i in range(n):
+        value = encode_pid(100 + i) if level else b"v" * (i + 1)
+        node.op_insert(i, b"user/%04d" % (i * 500), value).apply_redo(page)
+    return node
+
+
+def _verify_alone(node: BTreeNode) -> list[str]:
+    report = VerificationReport()
+    verify_node(node, node.low_fence, node.high_fence, node.high_inf,
+                node.level, report)
+    return report.problems
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_a_refused_mutation_leaves_the_directory_alone(level: int):
+    """Regression: ``insert``, ``insert_run`` and ``update_value``
+    reported the mutation before their ``PageFullError`` checks, so a
+    refused call threw a valid directory away — and, once reports
+    splice, would leave a phantom key or a wrong pid in it."""
+    node = _standalone_node(level)
+    page, slotted = node.page, node.slotted
+    if level:
+        node.route(b"user/2500")
+    else:
+        assert node.find(b"user/2500") == node.find(b"user/2500") == (5, True)
+    view, keys, pids = page.view, page.view.keys, page.view.pids
+    assert keys is not None and (pids is not None) == bool(level)
+    snapshot = list(keys), pids and list(pids), bytes(page.data)
+    huge = Record(b"2600", b"x" * page.size)
+    for refused in (lambda: slotted.insert(DATA_START + 6, huge),
+                    lambda: slotted.insert_run(
+                        DATA_START + 6, [huge, Record(b"2700", b"")]),
+                    lambda: slotted.update_value(DATA_START + 5, huge.value)):
+        with pytest.raises(PageFullError):
+            refused()
+        assert page.view is view and view.keys is keys and view.pids is pids
+        assert (keys, pids, bytes(page.data)) == snapshot
+        assert _verify_alone(node) == []
+
+
+class DirectoryDifferential(RuleBasedStateMachine):
+    """One node page under the slot mutators the tree uses, its key
+    directory kept warm: after every step ``find`` / ``route`` through
+    the directory answer what the raw bytes answer — for present keys,
+    absent keys, ghosts and both fences — and ``verify_node`` finds the
+    directory equal to the records.  Mutators that move no key keep the
+    identical list objects."""
+
+    level = 0
+    numbers = st.integers(min_value=0, max_value=9998)  # below the high fence
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.node = _standalone_node(self.level)
+        self.warm()
+
+    def warm(self) -> None:
+        probe = self.node.low_fence
+        self.node.find(probe)
+        self.node.find(probe)
+        if self.level:
+            self.node.route(probe)
+        assert self.node.page.view.keys is not None
+
+    def apply(self, op, keeps_lists: bool = False) -> None:  # noqa: ANN001
+        view = self.node.page.view
+        keys, pids = view.keys, view.pids
+        op.apply_redo(self.node.page)
+        assert self.node.page.view is view and view.keys is keys
+        assert view.pids is pids
+        if keeps_lists:
+            assert (keys, pids) == self.lists_before
+
+    def value(self, n: int, size: int) -> bytes:
+        return encode_pid(n) if self.level else bytes([65 + n % 26]) * size
+
+    @rule(n=numbers, size=st.integers(0, 90), ghost=st.booleans())
+    def insert(self, n: int, size: int, ghost: bool) -> None:
+        node, key = self.node, b"user/%04d" % n
+        i, found = raw_find(node, key)
+        value = self.value(n, size)
+        if found or (self.level and i == 0):
+            return
+        if not node.room_for(key, value):
+            with pytest.raises(PageFullError):
+                node.op_insert(i, key, value).apply_redo(node.page)
+            return
+        self.apply(node.op_insert(i, key, value, ghost and not self.level))
+
+    @precondition(lambda self: self.node.nrecs > 2)
+    @rule(data=st.data())
+    def remove(self, data) -> None:  # noqa: ANN001
+        i = data.draw(st.integers(1, self.node.nrecs - 1))
+        self.apply(self.node.op_delete(i))
+
+    @precondition(lambda self: self.node.nrecs > 3)
+    @rule(data=st.data())
+    def move_a_run_out_and_back(self, data) -> None:  # noqa: ANN001
+        """A split's ``remove_run``; its undo's ``insert_run``."""
+        node = self.node
+        start = data.draw(st.integers(1, node.nrecs - 2))
+        end = data.draw(st.integers(start + 1, node.nrecs))
+        entries = node.record_entries(start, end)
+        self.apply(node.op_bulk_delete(start, end))
+        self.check()
+        self.apply(node.op_bulk_insert(start, entries))
+
+    @precondition(lambda self: self.node.nrecs > 0)
+    @rule(data=st.data(), n=numbers,
+          size=st.one_of(st.none(), st.integers(0, 300)))
+    def rewrite(self, data, n: int, size: int | None) -> None:  # noqa: ANN001
+        """Same length, shrinking, growing (relocation + ``compact``)."""
+        node = self.node
+        i = data.draw(st.integers(0, node.nrecs - 1))
+        old = node.value(i)
+        value = self.value(n, len(old) if size is None else size)
+        if not node.room_for_value(i, value):
+            with pytest.raises(PageFullError):
+                node.op_update_value(i, value).apply_redo(node.page)
+            return
+        view = node.page.view
+        self.lists_before = (
+            list(view.keys),
+            view.pids and [*view.pids[:i], n, *view.pids[i + 1:]])
+        self.apply(node.op_update_value(i, value), keeps_lists=True)
+        assert node.value(i) == value
+
+    @precondition(lambda self: self.level == 0 and self.node.nrecs > 0)
+    @rule(data=st.data())
+    def toggle_ghost(self, data) -> None:  # noqa: ANN001
+        node = self.node
+        i = data.draw(st.integers(0, node.nrecs - 1))
+        view = node.page.view
+        self.lists_before = list(view.keys), None
+        self.apply(node.op_set_ghost(i, not node.is_ghost(i)),
+                   keeps_lists=True)
+
+    @rule()
+    def refetch(self) -> None:
+        """Evict + refetch: a new ``Page`` starts without a view; its
+        first search is raw, its second builds the directory."""
+        self.node = node = BTreeNode(self.node.page.copy())
+        assert node.page.view.keys is None
+        probe = node.high_fence
+        assert node.find(probe) == raw_find(node, probe)
+        assert node.page.view.keys is None
+        self.warm()
+
+    @invariant()
+    def check(self) -> None:
+        node = self.node
+        stored = node.keys(include_ghosts=True)
+        probes = {node.low_fence, node.high_fence, b"user/0000\x00",
+                  *stored, *(key + b"!" for key in stored)}
+        for key in probes:
+            assert node.find(key) == raw_find(node, key), key
+            if self.level and key >= node.low_fence:
+                i = raw_child_index(node, key)
+                assert node.route(key) == (node.child_pid(i),
+                                           *node.child_boundaries(i)), key
+        if self.level:
+            with pytest.raises(BTreeError):
+                node.route(b"user/")   # below the first child
+        with pytest.raises(BTreeError):
+            node.find(b"other")        # outside the node's prefix
+        assert _verify_alone(node) == []
+
+
+class BranchDirectoryDifferential(DirectoryDifferential):
+    level = 1
+
+
+_stateful = settings(max_examples=25, stateful_step_count=30, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+TestLeafDirectoryDifferential = DirectoryDifferential.TestCase
+TestLeafDirectoryDifferential.settings = _stateful
+TestBranchDirectoryDifferential = BranchDirectoryDifferential.TestCase
+TestBranchDirectoryDifferential.settings = _stateful
 
 
 # ----------------------------------------------------------------------
 # (c) detection with a warm directory
 # ----------------------------------------------------------------------
-def test_warm_directory_still_detects_a_forged_child_fence():
+@pytest.mark.parametrize("fault", ["forged_fence", "bit_rot", "lost_write"])
+def test_warm_directory_still_detects_a_forged_child_fence(fault: str):
+    """Warm directories all the way down, then damage on the device: a
+    branch's forged fence is caught by the parent's adjacent keys, a
+    leaf's bit rot or lost write by the fetch — the refetched ``Page``
+    starts without a view, so nothing decoded from the old bytes
+    answers for the new ones."""
     db = small_page_db()
     tree = db.create_index()
     txn = db.begin()
@@ -348,34 +575,59 @@ def test_warm_directory_still_detects_a_forged_child_fence():
         assert tree.lookup(target) == expected
         return db.stats.get("btree_hops_verified") - before
 
-    hops = hops_for_one_lookup()   # also warms every directory on the path
+    hops = hops_for_one_lookup()   # warms every branch directory on the path
     assert hops >= depth - 1
+    assert hops_for_one_lookup() == hops  # and, searched twice, the leaf's
     root = BTreeNode(db.fix(db.get_root(tree.index_id)))
-    victim = root.route(target)[0]
-    assert root.page.view.directory is not None
+    assert root.page.view.keys is not None
     db.unfix(root.page.page_id)
+    leaf, _node = tree._descend(target, for_write=False)
+    assert leaf.view.keys is not None
+    db.unfix(leaf.page_id)
 
-    # Forge the child's low fence on the device with a valid checksum:
-    # only the comparison with the parent's adjacent key can see it.
-    db.pool.evict(victim)
-    forged = Page(db.config.page_size, db.device.read(victim))
-    slotted = SlottedPage(forged)
-    meta = slotted.read_record(0)
-    slotted.remove(0)
-    slotted.insert(0, Record(b"forged-fence", meta.value, meta.ghost))
-    forged.seal()
-    db.device.write(victim, forged.data)
+    if fault == "forged_fence":
+        # Forge the child's low fence on the device with a valid
+        # checksum: only the comparison with the parent's adjacent key
+        # can see it.
+        victim = root.route(target)[0]
+        db.pool.evict(victim)
+        forged = Page(db.config.page_size, db.device.read(victim))
+        slotted = SlottedPage(forged)
+        meta = slotted.read_record(0)
+        slotted.remove(0)
+        slotted.insert(0, Record(b"forged-fence", meta.value, meta.ghost))
+        forged.seal()
+        db.device.write(victim, forged.data)
+    elif fault == "bit_rot":
+        victim = leaf.page_id
+        db.pool.evict(victim)
+        db.device.inject_bit_rot(victim)
+    else:
+        victim = leaf.page_id
+        db.device.inject_lost_write(victim)
+        expected = b"fresh".ljust(60, b".")
+        with db.autocommit() as txn:
+            tree.update(txn, target, expected)
+        assert leaf.view.keys is not None  # the rewrite kept it warm
+        db.flush_everything()
+        db.pool.evict(victim)
 
     failures = db.stats.get("btree_invariant_failures")
     repairs = db.stats.get("single_page_recoveries")
     assert tree.lookup(target) == expected
-    assert db.stats.get("btree_invariant_failures") == failures + 1
-    assert db.stats.get("single_page_recoveries") == repairs + 1
+    refetched = db.fix(leaf.page_id)
+    assert (refetched is leaf) == (fault == "forged_fence")
+    assert refetched is leaf or refetched.view.keys is None
+    db.unfix(leaf.page_id)
     assert hops_for_one_lookup() == hops
+    assert (db.stats.get("btree_invariant_failures")
+            == failures + (fault == "forged_fence"))
+    assert db.stats.get("single_page_recoveries") == repairs + 1
     assert verify_tree(tree).ok
 
 
-def test_verify_tree_reports_a_stale_directory():
+@pytest.mark.parametrize("kind", ["branch", "leaf"])
+def test_verify_tree_reports_a_stale_directory(kind: str):
     db = small_page_db()
     tree = db.create_index()
     txn = db.begin()
@@ -383,13 +635,19 @@ def test_verify_tree_reports_a_stale_directory():
         tree.insert(txn, key_of(i), b"v")
     db.commit(txn)
     tree.lookup(key_of(0))
-    root_pid = db.get_root(tree.index_id)
-    root = BTreeNode(db.fix(root_pid))
-    keys, pids, last_inf = root.page.view.directory
-    root.page.view.directory = (keys, pids[::-1], last_inf)
-    db.unfix(root_pid)
+    tree.lookup(key_of(0))  # the second search warms the leaf too
+    assert verify_tree(tree).ok
+    if kind == "branch":
+        page = db.fix(db.get_root(tree.index_id))
+        page.view.pids.reverse()
+    else:
+        page, _node = tree._descend(key_of(0), for_write=False)
+        keys = page.view.keys
+        keys[0], keys[1] = keys[1], keys[0]
+    db.unfix(page.page_id)
     report = verify_tree(tree)
-    assert any("directory" in problem for problem in report.problems)
+    assert [problem for problem in report.problems if "directory" in problem] \
+        == [f"page {page.page_id}: cached key directory is stale"]
 
 
 # ----------------------------------------------------------------------

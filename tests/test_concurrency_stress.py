@@ -235,13 +235,24 @@ def test_stress_battery_nightly(seed: int) -> None:
 # ----------------------------------------------------------------------
 # Writers splitting branches under descending readers
 # ----------------------------------------------------------------------
-def test_readers_descend_through_freshly_invalidated_directories() -> None:
-    """Writers on ``Session.upsert`` fill 1 KiB pages, so leaves and
-    branches split and adopt constantly and every structural change
-    drops a branch page's decoded directory; readers descend under the
-    shared latch in between and rebuild it, several at once.  No reader
-    may see a torn directory (wrong or missing answer for a key nobody
-    writes), and no writer's last committed value may be lost."""
+@pytest.mark.parametrize(
+    "n_stable, per_writer, rewrite_share, min_depth, min_adoptions", [
+        pytest.param(600, 450, 4, 3, 100, id="splitting"),
+        pytest.param(150, 120, 2, 2, 0, id="hot_leaves")])
+def test_readers_descend_through_freshly_invalidated_directories(
+        n_stable: int, per_writer: int, rewrite_share: int, min_depth: int,
+        min_adoptions: int) -> None:
+    """Writers on ``Session.upsert`` fill 1 KiB pages while readers
+    descend under the shared latch in between.  *splitting*: leaves and
+    branches split and adopt constantly, every structural change drops
+    or splices a page's key directory and several readers at once
+    rebuild it.  *hot_leaves*: a dozen leaves that the readers keep warm
+    (each is searched far more than twice between two changes) while
+    the writers rewrite values in them and insert new keys between the
+    stable ones, so nearly every write splices a warm leaf directory.
+    No reader may see a torn or mis-spliced directory (wrong or missing
+    answer for a key nobody writes), and no writer's last committed
+    value may be lost."""
     import random
     import sys
 
@@ -252,12 +263,12 @@ def test_readers_descend_through_freshly_invalidated_directories() -> None:
                               commit_window_seconds=0.001))
     tree = db.create_index()
     stable = {key_of(2 * i): value_of(i, 0).ljust(60, b".")
-              for i in range(600)}
+              for i in range(n_stable)}
     txn = db.begin()
     for key, value in stable.items():
         tree.insert(txn, key, value)
     db.commit(txn)
-    n_writers, n_readers, per_writer = 4, 8, 450
+    n_writers, n_readers = 4, 8
     final: list[dict[bytes, bytes]] = [{} for _ in range(n_writers)]
     errors: list[BaseException] = []
     done = threading.Event()
@@ -267,10 +278,12 @@ def test_readers_descend_through_freshly_invalidated_directories() -> None:
             session = db.session()
             rng = random.Random(w)
             for n in range(per_writer):
-                # Odd keys, interleaved with the stable ones and owned
-                # by exactly one writer; one in four is a rewrite.
-                i = rng.randrange(n + 1) if n % 4 == 3 else n
-                key = key_of(2 * (i * n_writers + w) + 1)
+                # Keys owned by exactly one writer, each right behind
+                # a stable one; one in ``rewrite_share`` is a rewrite.
+                i = (rng.randrange(n + 1) if n % rewrite_share
+                     == rewrite_share - 1 else n)
+                lap, behind = divmod(i * n_writers + w, n_stable)
+                key = key_of(2 * behind) + b"+%d" % lap
                 value = (b"w%d.%d" % (w, n)).ljust(60, b".")
                 if n % 5 == 0:
                     session.begin()
@@ -317,7 +330,15 @@ def test_readers_descend_through_freshly_invalidated_directories() -> None:
     for mine in final:
         expected.update(mine)
     assert dict(tree.range_scan()) == expected
-    assert tree.depth() >= 3 and db.stats.get("btree_adoptions") > 100
+    assert tree.depth() >= min_depth
+    assert db.stats.get("btree_adoptions") >= min_adoptions
+    warm = set()
+    for key in stable:
+        page, _node = tree._descend(key, for_write=False)
+        db.unfix(page.page_id)
+        if page.view.keys is not None:
+            warm.add(page.page_id)
+    assert len(warm) >= 12
     report = verify_tree(tree)
     assert report.ok, report.problems
 
