@@ -9,8 +9,12 @@ leaf: in the raw bytes (a decode's first search), through the key
 directory (every search after the second), the second search itself
 (which builds the directory) — the ratio the "build on the second
 search" rule of ``repro.btree.node`` rests on — and a range scan's cost
-per row.  The whole-benchmark claim (``python3 -m bench.run``) is made
-of these.
+per row.  Last, one hop of a resident descent on the key-value tree
+(``kv_hot_embedded``'s set-up, where every page hits): a warm descent
+per level, the pool entry of a hop (``BufferPool.fix`` hit with
+``release``), the fence compare alone, and what is left — the hop's
+bookkeeping.  The whole-benchmark claim (``python3 -m bench.run``) is
+made of these.
 
 Usage (pin to one core for steady numbers)::
 
@@ -33,6 +37,7 @@ for _path in (_ROOT, os.path.join(_ROOT, "src")):
 from bench.runner import Runner  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
 from repro.btree.node import DATA_START, BTreeNode  # noqa: E402
+from repro.btree.tree import FosterBTree  # noqa: E402
 from repro.page.page import TYPE_OFFSET, Page, PageType  # noqa: E402
 from repro.page.slotted import SlottedPage  # noqa: E402
 
@@ -133,6 +138,46 @@ def main() -> None:
         scans.append((time.perf_counter_ns() - start) / n_rows / 1e3)
     rows.append((f"range_scan per row ({n_rows} rows, resident leaves, "
                  f"a descent per leaf included)", statistics.median(scans[1:])))
+    runner.close()
+
+    # -- one hop of a resident descent, on the kv-shaped tree ----------
+    workload = WORKLOADS["kv_hot_embedded"]
+    runner = Runner(workload, 1, workload.records, workload.round_ops(10), 1)
+    runner.setup()
+    db, pool = runner.db, runner.db.pool
+    tree = db.tree(runner.client.index_id)
+    levels = tree.depth()
+    keys = runner.sorted_keys[::max(1, len(runner.sorted_keys) // 2000)]
+
+    def descend(key: bytes) -> None:
+        page, _node = tree._descend(key, for_write=False)
+        pool.unfix(page.page_id)
+
+    for key in keys:
+        descend(key)  # every directory on the way built
+    root = db.get_root(tree.index_id)
+    child, low, high, inf = BTreeNode(pool.fix(root)).route(keys[0])
+    node = BTreeNode(pool.fix(child, release=root))
+
+    def swap(_key: bytes) -> None:
+        pool.fix(root, release=child)
+        pool.fix(child, release=root)
+
+    def compare(_key: bytes) -> None:
+        FosterBTree._fence_mismatch(node, low, high, inf, node.level)
+
+    per_level = per_page(descend, pages=keys) / levels
+    hit = per_page(swap, pages=keys) / 2
+    fences = per_page(compare, pages=keys)
+    pool.unfix(child)
+    rows += [
+        (f"warm descent per level (kv tree, {levels} levels, resident; "
+         f"the last unfix included)", per_level),
+        ("BufferPool.fix hit with release (a hop's one pool entry)", hit),
+        ("the fence compare alone (level, both fences, +inf flag)", fences),
+        ("hop bookkeeping = per level - fix - compare (route, the loop)",
+         per_level - hit - fences),
+    ]
     for name, micros in rows:
         print(f"{micros:8.2f} us  {name}")
     runner.close()

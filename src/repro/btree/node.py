@@ -42,7 +42,7 @@ the node's *key directory* — the full keys of its data records in slot
 order, plus the child pids on a branch — are decoded once into a
 :class:`NodeView` kept on the :class:`~repro.page.page.Page` object and
 searched with a C ``bisect`` (:meth:`BTreeNode.find`,
-:meth:`BTreeNode.route`).  The bookkeeping fields are sliced straight
+:meth:`NodeView.route`).  The bookkeeping fields are sliced straight
 out of the buffer from one unpack of the three slot words (a cold page
 pays this decode on its first fix).  The directory is built by
 observation: a branch builds it on its first ``route``; a leaf that is
@@ -114,6 +114,27 @@ class NodeView:
 
     __slots__ = ("level", "flags", "prefix", "low_fence", "high_fence",
                  "foster_pid", "foster_key", "keys", "pids", "searched")
+
+    def route(self, key: bytes) -> tuple[int, bytes, bytes, bool]:
+        """``(child pid, low, high, high_is_inf)`` of the child
+        responsible for ``key`` — one hop of a descent, for a branch
+        whose key directory is built (:meth:`BTreeNode.route` builds it).
+
+        Same answer as :meth:`BTreeNode.branch_child_index` +
+        :meth:`~BTreeNode.child_pid` + :meth:`~BTreeNode.child_boundaries`,
+        but from the directory: a C ``bisect`` over full keys instead of
+        re-parsing separators from the raw bytes on every hop.
+        """
+        keys = self.keys
+        i = bisect_right(keys, key) - 1
+        if i < 0:
+            raise BTreeError(f"key {key!r} below the branch's first child")
+        pid = self.pids[i]
+        if i + 1 < len(keys):
+            return pid, keys[i], keys[i + 1], False
+        if self.foster_pid != NO_FOSTER:
+            return pid, keys[i], self.foster_key, False
+        return pid, keys[i], self.high_fence, bool(self.flags & FLAG_HIGH_INF)
 
     def after_mutation(self, slot: int, removed: int | None,
                        records: tuple | list,
@@ -393,30 +414,14 @@ class BTreeNode:
         return index
 
     def route(self, key: bytes) -> tuple[int, bytes, bytes, bool]:
-        """``(child pid, low, high, high_is_inf)`` of the child
-        responsible for ``key`` — one hop of a descent.
-
-        Same answer as :meth:`branch_child_index` + :meth:`child_pid` +
-        :meth:`child_boundaries`, but from the page's key directory
-        (built here on first use): a C ``bisect`` over full keys instead
-        of re-parsing separators from the raw bytes on every hop.
-        """
+        """:meth:`NodeView.route` of this node, its key directory built
+        here on first use."""
         view = self.page.view or self._decode()
         if view.level == 0:
             raise BTreeError("route on a leaf")
-        keys = view.keys
-        if keys is None:
-            keys = self._decode_directory(view)
-        i = bisect_right(keys, key) - 1
-        if i < 0:
-            raise BTreeError(
-                f"key {key!r} below first child of page {self.page.page_id}")
-        pid = view.pids[i]
-        if i + 1 < len(keys):
-            return pid, keys[i], keys[i + 1], False
-        if view.foster_pid != NO_FOSTER:
-            return pid, keys[i], view.foster_key, False
-        return pid, keys[i], view.high_fence, bool(view.flags & FLAG_HIGH_INF)
+        if view.keys is None:
+            self._decode_directory(view)
+        return view.route(key)
 
     def _decode_directory(self, view: NodeView) -> list[bytes]:
         """Build the key directory from the raw records.  Idempotent;

@@ -22,16 +22,20 @@ leaf, under the caller's key lock, whether to update, revive a ghost,
 insert, ghost, or split and retry; they differ only in which states of
 the key they accept.  A descent is a pure read — the structural
 maintenance a write passes (root growth, adoption) is noted on the way
-down and performed only once the operation is known to write.  Every
-search inside a node — the branch hop that picks a child
-(:meth:`repro.btree.node.BTreeNode.route`), the leaf search that ends a
-descent (:meth:`~repro.btree.node.BTreeNode.find`) — goes through the
-page's decoded key directory once it has one, instead of re-parsing keys
-from the bytes; that shortens the search, never the path: every child is
-still fixed through the normal read path and its fences still compared
-with the parent's adjacent keys on every hop.  A read takes what it
-needs of a found record from one read of its slot, and a scan decodes
-each row of a leaf once.
+down and performed only once the operation is known to write.  It is one
+loop over the decoded views the resident pages carry
+(:meth:`FosterBTree._descend`): a hop routes in the parent's key
+directory (:meth:`repro.btree.node.NodeView.route`, as the leaf search
+that ends the descent uses the leaf's,
+:meth:`~repro.btree.node.BTreeNode.find`), fixes the child — the pool
+hands the parent's pin back in the same entry — and compares the
+child's fences with the parent's adjacent keys in place; no node object
+is built above the leaf.  That shortens the bookkeeping, never the path:
+every child is still fixed through the normal read path and checked on
+every hop, a page without a view is still validated and decoded before
+it is trusted, and a hop that fails for good leaves no pin behind.  A
+read takes what it needs of a found record from one read of its slot,
+and a scan decodes each row of a leaf once.
 """
 
 from __future__ import annotations
@@ -57,7 +61,9 @@ from repro.wal.records import LogicalUndo, UndoAction
 class TreeContext(Protocol):
     """Engine services the tree depends on."""
 
-    def fix(self, page_id: int) -> Page: ...
+    def fix(self, page_id: int, release: int | None = None) -> Page:
+        """Pin ``page_id`` and give back one pin on ``release``."""
+        ...
     def unfix(self, page_id: int) -> None: ...
     def mark_dirty(self, page_id: int, lsn: int) -> None: ...
     def allocate_page(self, txn: Transaction, page_type: PageType,
@@ -135,33 +141,45 @@ class FosterBTree:
     # Verified traversal
     # ------------------------------------------------------------------
     def _fix_node(self, page_id: int) -> tuple[Page, BTreeNode]:
-        page = self.ctx.fix(page_id)
+        return self._as_node(self.ctx.fix(page_id))
+
+    def _as_node(self, page: Page) -> tuple[Page, BTreeNode]:
+        """A pinned page as a node: one without a decoded view is
+        type-checked and decoded in place before it is trusted, one that
+        fails is repaired as a single-page failure."""
         try:
             return page, BTreeNode(page)
         except BTreeError as exc:
-            self.ctx.unfix(page_id)
-            failure = SinglePageFailure(page_id, PageFailureKind.BTREE_INVARIANT,
-                                        str(exc))
-            page = self.ctx.handle_invariant_failure(failure)
-            return page, BTreeNode(page)
+            return self._repaired(page.page_id, str(exc))
 
-    def _fix_verified(self, page_id: int, exp_low: bytes, exp_high: bytes,
-                      exp_inf: bool, exp_level: int) -> tuple[Page, BTreeNode]:
-        """Fix a child and verify its fences against the parent's keys."""
-        page, node = self._fix_node(page_id)
-        problem = self._fence_mismatch(node, exp_low, exp_high, exp_inf, exp_level)
+    def _verify(self, page: Page, *expected) -> tuple[Page, BTreeNode, bool]:  # noqa: ANN002
+        """A hop the descent's inline check did not pass: the pinned
+        child has no decoded view yet, or differs from the parent's
+        ``(low, high, high is +inf, level)``.  Returns it pinned,
+        decoded and matching, and whether it matched as found."""
+        page, node = self._as_node(page)
+        problem = self._fence_mismatch(node, *expected)
         if problem is None:
-            self.stats.bump("btree_hops_verified")
-            return page, node
+            return page, node, True
         # Cross-page invariant violated: treat as a single-page failure
         # of the child and ask the engine to repair it (Figure 8 path).
-        self.ctx.unfix(page_id)
-        failure = SinglePageFailure(page_id, PageFailureKind.BTREE_INVARIANT, problem)
         self.stats.bump("btree_invariant_failures")
-        page = self.ctx.handle_invariant_failure(failure)
-        node = BTreeNode(page)
-        problem = self._fence_mismatch(node, exp_low, exp_high, exp_inf, exp_level)
-        if problem is not None:
+        return *self._repaired(page.page_id, problem, expected), False
+
+    def _repaired(self, page_id: int, problem: str,
+                  expected: tuple | None = None) -> tuple[Page, BTreeNode]:
+        """Unpin a page that failed a check, have the engine repair it
+        and check the re-fixed page again.  Raises — the engine's
+        escalation, or ``unrepaired`` — with nothing pinned."""
+        self.ctx.unfix(page_id)
+        page = self.ctx.handle_invariant_failure(SinglePageFailure(
+            page_id, PageFailureKind.BTREE_INVARIANT, problem))
+        try:
+            node = BTreeNode(page)
+            problem = expected and self._fence_mismatch(node, *expected)
+        except BTreeError as exc:
+            problem = str(exc)
+        if problem:
             self.ctx.unfix(page_id)
             raise SinglePageFailure(page_id, PageFailureKind.BTREE_INVARIANT,
                                     f"unrepaired: {problem}")
@@ -186,44 +204,68 @@ class FosterBTree:
         """Root-to-leaf pass with continuous verification.
 
         Returns the pinned leaf whose range contains ``key``.  Every hop
-        fixes the child through the normal read path and compares its
-        fences with the two keys adjacent to its pointer in the parent;
-        the parent's side of that comparison comes from the parent's
-        decoded directory (:meth:`BTreeNode.route`), itself decoded from
-        a page that passed the same checks.
+        — to a child or along a foster chain — takes the pointer and the
+        two keys beside it from the parent's view, fixes the child
+        through the normal read path (which hands the parent's pin back)
+        and compares the child's level, fences and ``+inf`` flag with
+        them right here; a child not decoded yet, or one that differs,
+        goes to :meth:`_verify`.  The descent holds one pin at a time,
+        and a raise out of it leaves none.
 
         The descent never changes the tree.  With ``for_write`` it notes
         in ``self._owed`` the foster parents it stepped onto, for the
         caller to settle through :meth:`_maintain` once it knows it
         will write.
         """
-        ctx = self.ctx
-        pid = ctx.get_root(self.index_id)
-        page, node = self._fix_node(pid)
-        view = node.view
+        fix = self.ctx.fix
+        pid = self.ctx.get_root(self.index_id)
+        page = fix(pid)
+        view, node = page.view, None
+        if view is None:
+            page, node = self._as_node(page)
+            view = node.view
         if for_write:
             self._owed = owed = []
             if view.foster_pid != NO_FOSTER:
                 owed.append((None, pid))
-        while True:
-            # Walk along the foster chain to the responsible node.
-            while view.foster_pid != NO_FOSTER and key >= view.foster_key:
-                child_pid = view.foster_pid
-                child_page, child_node = self._fix_verified(
-                    child_pid, *node.foster_boundaries(), view.level)
-                ctx.unfix(pid)
-                pid, page, node = child_pid, child_page, child_node
-                view = node.view
-            if view.level == 0:
-                return page, node
-            child_pid, exp_low, exp_high, exp_inf = node.route(key)
-            child_page, child_node = self._fix_verified(
-                child_pid, exp_low, exp_high, exp_inf, view.level - 1)
-            ctx.unfix(pid)
-            view = child_node.view
-            if for_write and view.foster_pid != NO_FOSTER:
-                owed.append((pid, child_pid))
-            pid, page, node = child_pid, child_page, child_node
+        hops = 0
+        try:
+            while True:
+                if view.foster_pid != NO_FOSTER and key >= view.foster_key:
+                    # Along the foster chain to the responsible node.
+                    parent, child_pid = None, view.foster_pid
+                    low, high = view.foster_key, view.high_fence
+                    inf = bool(view.flags & FLAG_HIGH_INF)
+                    level = view.level
+                elif view.level == 0:
+                    return page, BTreeNode(page) if node is None else node
+                else:
+                    parent, level = pid, view.level - 1
+                    try:
+                        child_pid, low, high, inf = (
+                            view.route if view.keys is not None
+                            else BTreeNode(page).route)(key)
+                    except BTreeError:
+                        self.ctx.unfix(pid)
+                        raise
+                page = fix(child_pid, pid)
+                view, node = page.view, None
+                if (view is not None and view.level == level
+                        and view.low_fence == low
+                        and bool(view.flags & FLAG_HIGH_INF) == inf
+                        and (inf or view.high_fence == high)):
+                    hops += 1
+                else:
+                    page, node, clean = self._verify(page, low, high, inf, level)
+                    view = node.view
+                    hops += clean
+                if (for_write and parent is not None
+                        and view.foster_pid != NO_FOSTER):
+                    owed.append((parent, child_pid))
+                pid = child_pid
+        finally:
+            if hops:
+                self.stats.bump("btree_hops_verified", hops)
 
     def _maintain(self) -> bool:
         """Opportunistic maintenance for the latest write descent.
@@ -535,7 +577,11 @@ class FosterBTree:
         room for the separator (the caller splits the parent instead).
         """
         parent_page, parent = self._fix_node(parent_pid)
-        child_page, child = self._fix_node(child_pid)
+        try:
+            child_page, child = self._fix_node(child_pid)
+        except BaseException:
+            self.ctx.unfix(parent_pid)
+            raise
         try:
             separator = child.foster_key
             if not parent.room_for_branch_record(separator):

@@ -42,6 +42,13 @@ second blocks on the latch and re-checks — so the fetch/repair/redo
 work for a page runs exactly once, and eviction skips both pinned and
 loading frames.  The pool mutex is never held across a fetch, only
 across table bookkeeping and write-backs.
+
+Hand over hand: ``fix(child, release=parent)`` is one hop of a descent.
+On a hit the child's pin and the parent's unpin are one mutex hold; when
+the child is absent or loading the parent stays pinned until the load
+ends, and is unpinned then whether the load succeeded or not.  However
+such a ``fix`` ends, its caller is left holding at most the child — a
+descent holds one pin whenever it can raise.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ class Frame:
     """One buffer-pool frame."""
 
     __slots__ = ("page", "dirty", "rec_lsn", "pin_count", "latch", "loading",
-                 "prefetched")
+                 "prefetched", "referenced")
 
     def __init__(self, page: Page | None) -> None:
         self.page = page
@@ -78,6 +85,10 @@ class Frame:
         #: True for a speculatively fetched frame until its first
         #: demand hit (a prefetch that leaves without one was wasted)
         self.prefetched = False
+        #: the clock's reference bit: set at admission (a frame is built
+        #: to be admitted) and on every demand hit, cleared by the sweep
+        #: (:class:`repro.buffer.eviction.ClockEviction`)
+        self.referenced = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         page_id = None if self.page is None else self.page.page_id
@@ -127,6 +138,9 @@ class BufferPool:
         #: frame someone holds.
         self.prefetch_quota = max(1, capacity // 4)
         self._frames: dict[int, Frame] = {}
+        #: how many frames carry ``prefetched`` (kept beside the flag,
+        #: so a prefetch checks its quota without scanning the table)
+        self._speculative = 0
         self._policy = ClockEviction()
         self._mutex = Mutex()
         #: pages with a repair_failure dispatch in progress — a second
@@ -137,77 +151,101 @@ class BufferPool:
     # ------------------------------------------------------------------
     # Fixing
     # ------------------------------------------------------------------
-    def fix(self, page_id: int) -> Page:
-        """Pin ``page_id`` in the pool, reading it if absent.
+    def fix(self, page_id: int, release: int | None = None) -> Page:
+        """Pin ``page_id`` in the pool, reading it if absent, and give
+        back one pin on ``release`` (hand over hand, see the module
+        docstring; one that is not pinned is a :class:`BufferPoolError`
+        raised before anything is pinned).
 
-        The fetch of an absent page runs under that page's latch with a
-        pinned placeholder installed, so a concurrent fix of the same
-        page waits for the one in-flight read instead of issuing its
-        own (and instead of racing the recovery-on-fix hooks).
+        A resident page is tested for first and does nothing but count,
+        set the clock's reference bit and swap the pins.  The fetch of
+        an absent page runs under that page's latch with a pinned
+        placeholder installed, so a concurrent fix of the same page
+        waits for the one in-flight read instead of issuing its own (and
+        instead of racing the recovery-on-fix hooks).
         """
-        while True:
-            wait_frame = None
-            hit_page = None
-            with self._mutex:
-                frame = self._frames.get(page_id)
-                if frame is None:
-                    self.stats.bump("buffer_misses")
-                    self.stats.bump("fetch_demand")
-                    self._make_room()
-                    frame = Frame(None)
-                    frame.loading = True
-                    frame.pin_count = 1  # the loader's pin
-                    frame.latch.acquire()  # released when the load ends
-                    self._frames[page_id] = frame
-                    self._policy.admitted(page_id)
-                elif frame.loading:
-                    wait_frame = frame
-                else:
-                    self.stats.bump("buffer_hits")
-                    if frame.prefetched:
-                        # First demand hit on a speculative frame: the
-                        # prefetch paid off.
-                        frame.prefetched = False
-                        self.stats.bump("prefetch_hits")
-                    self._policy.touched(page_id)
-                    frame.pin_count += 1
-                    hit_page = frame.page
-            if wait_frame is not None:
-                # Block until the loader releases the latch, then retry
-                # the lookup — the load may have failed and vanished.
-                with wait_frame.latch:
-                    pass
-                continue
-            if hit_page is not None:
-                if self.prefetcher is not None:
-                    self.prefetcher.observe(page_id, hit_page)
-                return hit_page
-            try:
-                # Read the hook first: the fetch that resolves a pending
-                # recovery's last page detaches both hooks.
-                redo_on_fix = self.redo_on_fix
-                page = self.fetcher(page_id)
-                rec_lsn = (redo_on_fix(page)
-                           if redo_on_fix is not None else None)
-            except BaseException:
-                # Failed load: withdraw the placeholder so waiters (and
-                # retries) see an absent page, not a poisoned frame.
+        frames = self._frames
+        parent = None  # ``release``'s frame while its pin is ours to give back
+        try:
+            while True:
                 with self._mutex:
-                    del self._frames[page_id]
-                    self._policy.removed(page_id)
+                    if release is not None:
+                        held = frames.get(release)
+                        if held is None or held.pin_count <= 0:
+                            raise BufferPoolError(
+                                f"page {release} is not pinned")
+                        parent = held
+                    frame = frames.get(page_id)
+                    if frame is not None and not frame.loading:
+                        self.stats.bump("buffer_hits")
+                        if frame.prefetched:
+                            # First demand hit on a speculative frame:
+                            # the prefetch paid off.
+                            frame.prefetched = False
+                            self._speculative -= 1
+                            self.stats.bump("prefetch_hits")
+                        frame.referenced = True
+                        frame.pin_count += 1
+                        if parent is not None:
+                            parent.pin_count -= 1
+                            parent = None
+                        page = frame.page
+                        break
+                    if frame is None:
+                        self.stats.bump("buffer_misses")
+                        self.stats.bump("fetch_demand")
+                        self._make_room()
+                        frame = Frame(None)
+                        frame.loading = True
+                        frame.pin_count = 1  # the loader's pin
+                        frame.latch.acquire()  # released when the load ends
+                        frames[page_id] = frame
+                        self._policy.admitted(page_id)
+                        page = None
+                        break
+                # Another thread is loading the page: block until it
+                # releases the latch, then retry the lookup — the load
+                # may have failed and vanished.
+                with frame.latch:
+                    pass
+            if page is None:
+                page = self._load(page_id, frame)
                 frame.latch.release()
-                raise
-            frame.page = page
-            if rec_lsn is not None:
-                # Stale page rolled forward on fix (pending restart):
-                # the frame starts out dirty, like any redone page.
-                frame.dirty = True
-                frame.rec_lsn = rec_lsn
-            frame.loading = False
-            frame.latch.release()
             if self.prefetcher is not None:
                 self.prefetcher.observe(page_id, page)
             return page
+        finally:
+            if parent is not None:
+                with self._mutex:
+                    parent.pin_count -= 1
+
+    def _load(self, page_id: int, frame: Frame) -> Page:
+        """Run the fetch that ``frame`` — a loading placeholder, latched
+        by the caller — stands for.  On success the frame is loaded and
+        still latched; a failed load withdraws and unlatches it, so
+        waiters (and retries) see an absent page, not a poisoned frame."""
+        try:
+            # Read the hook first: the fetch that resolves a pending
+            # recovery's last page detaches both hooks.
+            redo_on_fix = self.redo_on_fix
+            page = self.fetcher(page_id)
+            rec_lsn = redo_on_fix(page) if redo_on_fix is not None else None
+        except BaseException:
+            with self._mutex:
+                del self._frames[page_id]
+                self._policy.removed(page_id)
+                if frame.prefetched:
+                    self._speculative -= 1
+            frame.latch.release()
+            raise
+        frame.page = page
+        if rec_lsn is not None:
+            # Stale page rolled forward on fix (pending restart): the
+            # frame starts out dirty, like any redone page.
+            frame.dirty = True
+            frame.rec_lsn = rec_lsn
+        frame.loading = False
+        return page
 
     def fix_new(self, page: Page) -> Page:
         """Install a freshly formatted (or recovered) page, pinned.
@@ -256,11 +294,10 @@ class BufferPool:
         ``[prefetch_floor, page_bound())`` are refused, and engine
         errors are swallowed (a speculative read's failure is the next
         demand fix's problem, which takes the full detection/repair
-        path).  The load itself uses the same placeholder +
-        frame-latch protocol as a demand fix and runs the same fetcher
-        and ``redo_on_fix`` hooks, so a racing demand fix waits on the
-        latch and any recovery-on-first-fix work still runs exactly
-        once.
+        path).  The load itself is the demand fix's (:meth:`_load`:
+        placeholder, frame latch, fetcher and ``redo_on_fix`` hooks), so
+        a racing demand fix waits on the latch and any
+        recovery-on-first-fix work still runs exactly once.
         """
         bound = self.page_bound() if self.page_bound is not None else None
         capacity_pages = getattr(self.device, "capacity_pages", None)
@@ -276,15 +313,12 @@ class BufferPool:
             if page_id in self._frames or page_id in self._repairing:
                 self.stats.bump("prefetch_skipped_resident")
                 return False
-            speculative = sum(1 for f in self._frames.values()
-                              if f.prefetched)
-            if speculative >= self.prefetch_quota:
+            if self._speculative >= self.prefetch_quota:
                 self.stats.bump("prefetch_skipped_quota")
                 return False
             while len(self._frames) >= self.capacity:
-                victim = self._policy.choose_victim(
-                    lambda pid: (self._frames[pid].pin_count == 0
-                                 and not self._frames[pid].dirty))
+                victim = self._policy.choose_victim(self._frames,
+                                                    clean_only=True)
                 if victim is None:
                     # Nothing clean and unpinned to displace: a
                     # speculative read never flushes or unpins.
@@ -294,29 +328,16 @@ class BufferPool:
             frame = Frame(None)
             frame.loading = True
             frame.prefetched = True
+            self._speculative += 1
             frame.pin_count = 1  # the loader's pin
             frame.latch.acquire()  # released when the load ends
             self._frames[page_id] = frame
             self._policy.admitted(page_id)
         try:
-            redo_on_fix = self.redo_on_fix  # before the fetch, as in fix()
-            page = self.fetcher(page_id)
-            rec_lsn = (redo_on_fix(page)
-                       if redo_on_fix is not None else None)
-        except BaseException as exc:
-            with self._mutex:
-                del self._frames[page_id]
-                self._policy.removed(page_id)
-            frame.latch.release()
-            if isinstance(exc, ReproError):
-                self.stats.bump("prefetch_errors")
-                return False
-            raise
-        frame.page = page
-        if rec_lsn is not None:
-            frame.dirty = True
-            frame.rec_lsn = rec_lsn
-        frame.loading = False
+            self._load(page_id, frame)
+        except ReproError:
+            self.stats.bump("prefetch_errors")
+            return False
         frame.pin_count = 0  # speculative frames sit unpinned
         frame.latch.release()
         self.stats.bump("fetch_prefetch")
@@ -324,8 +345,8 @@ class BufferPool:
 
     def unfix(self, page_id: int) -> None:
         with self._mutex:
-            frame = self._require(page_id)
-            if frame.pin_count <= 0:
+            frame = self._frames.get(page_id)
+            if frame is None or frame.pin_count <= 0:
                 raise BufferPoolError(f"page {page_id} is not pinned")
             frame.pin_count -= 1
 
@@ -486,13 +507,10 @@ class BufferPool:
         # than livelocking.
         frames = self._frames
         while len(frames) >= self.capacity:
-            victim = self._policy.choose_victim(self._unpinned)
+            victim = self._policy.choose_victim(frames)
             if victim is None:
                 raise BufferPoolError("all frames pinned; cannot evict")
             self._evict_frame(victim, frames[victim])
-
-    def _unpinned(self, page_id: int) -> bool:
-        return self._frames[page_id].pin_count == 0
 
     def evict(self, page_id: int) -> None:
         """Flush (if dirty) and drop a frame."""
@@ -508,6 +526,7 @@ class BufferPool:
             self.flush_page(page_id)
         if frame.prefetched:
             # Speculatively fetched, never demanded: wasted I/O.
+            self._speculative -= 1
             self.stats.bump("prefetch_wasted")
         del self._frames[page_id]
         self._policy.removed(page_id)
@@ -524,6 +543,7 @@ class BufferPool:
             if frame.pin_count > 0:
                 raise BufferPoolError(f"cannot drop pinned page {page_id}")
             if frame.prefetched:
+                self._speculative -= 1
                 self.stats.bump("prefetch_wasted")
             del self._frames[page_id]
             self._policy.removed(page_id)
@@ -532,11 +552,11 @@ class BufferPool:
     def drop_all(self) -> None:
         """Discard every frame without writing (crash simulation)."""
         with self._mutex:
-            lost = sum(1 for f in self._frames.values() if f.prefetched)
-            if lost:
+            if self._speculative:
                 # Speculative frames that never saw a demand hit before
                 # the crash took them: wasted I/O.
-                self.stats.bump("prefetch_wasted", lost)
+                self.stats.bump("prefetch_wasted", self._speculative)
+                self._speculative = 0
             self._frames.clear()
             self._policy = ClockEviction()
 

@@ -2,66 +2,69 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from repro.buffer.buffer_pool import Frame
 
 
 class ClockEviction:
-    """Classic clock sweep over a set of page ids.
+    """Classic clock sweep over the pool's frames.
 
-    The policy only chooses *which* unpinned page to evict; the buffer
-    pool handles flushing and the Figure-11 write-back protocol.
+    The policy keeps the ring (page ids in admission order) and the
+    hand; the reference bit is the frame's own ``referenced`` flag, set
+    by the pool when it admits a frame and on every demand hit — the
+    pool's frame table is the one residency table.  The policy only
+    chooses *which* frame to evict; the buffer pool handles flushing and
+    the Figure-11 write-back protocol.
     """
 
     def __init__(self) -> None:
         self._ring: list[int] = []
         self._hand = 0
-        self._ref: dict[int, bool] = {}
 
     def admitted(self, page_id: int) -> None:
         self._ring.append(page_id)
-        self._ref[page_id] = True
-
-    def touched(self, page_id: int) -> None:
-        if page_id in self._ref:
-            self._ref[page_id] = True
 
     def removed(self, page_id: int) -> None:
-        if page_id in self._ref:
-            del self._ref[page_id]
-            ring = self._ring
-            # The victim the sweep just chose sits right behind the
-            # hand; any other page has to be searched for.
-            index = self._hand - 1
-            if ring[index] != page_id:
-                index = ring.index(page_id)
-            elif index < 0:
-                index += len(ring)
-            ring.pop(index)
-            if self._hand > index:
-                self._hand -= 1
-            if ring and self._hand >= len(ring):
-                self._hand = 0
+        ring = self._ring
+        # The victim the sweep just chose sits right behind the hand;
+        # any other page has to be searched for.
+        index = self._hand - 1
+        if ring[index] != page_id:
+            index = ring.index(page_id)
+        elif index < 0:
+            index += len(ring)
+        ring.pop(index)
+        if self._hand > index:
+            self._hand -= 1
+        if ring and self._hand >= len(ring):
+            self._hand = 0
 
-    def choose_victim(self, evictable: Callable[[int], bool]) -> int | None:
-        """Pick a victim among pages for which ``evictable`` is true."""
-        if not self._ring:
+    def choose_victim(self, frames: Mapping[int, Frame],
+                      clean_only: bool = False) -> int | None:
+        """Pick a victim among the unpinned frames of ``frames`` (the
+        pool's table, page id -> frame, covering the whole ring) — with
+        ``clean_only``, among the unpinned *and clean* ones."""
+        ring = self._ring
+        if not ring:
             return None
-        sweeps = 0
-        max_steps = 2 * len(self._ring) + 1
-        while sweeps < max_steps:
-            page_id = self._ring[self._hand]
-            self._hand = (self._hand + 1) % len(self._ring)
-            sweeps += 1
-            if not evictable(page_id):
+        size = len(ring)
+        for _ in range(2 * size + 1):
+            page_id = ring[self._hand]
+            self._hand = (self._hand + 1) % size
+            frame = frames[page_id]
+            if frame.pin_count or (clean_only and frame.dirty):
                 continue
-            if self._ref.get(page_id, False):
-                self._ref[page_id] = False
+            if frame.referenced:
+                frame.referenced = False
                 continue
             return page_id
-        # Second full sweep cleared all reference bits; give up only if
-        # nothing is evictable at all.
-        for page_id in self._ring:
-            if evictable(page_id):
+        # Two full sweeps cleared every reference bit they could; give
+        # up only if nothing is evictable at all.
+        for page_id in ring:
+            frame = frames[page_id]
+            if not (frame.pin_count or (clean_only and frame.dirty)):
                 return page_id
         return None
 

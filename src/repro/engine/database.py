@@ -242,8 +242,8 @@ class Database:
     # ------------------------------------------------------------------
     # TreeContext protocol (used by FosterBTree and HeapFile)
     # ------------------------------------------------------------------
-    def fix(self, page_id: int) -> Page:
-        return self.pool.fix(page_id)
+    def fix(self, page_id: int, release: int | None = None) -> Page:
+        return self.pool.fix(page_id, release)
 
     def unfix(self, page_id: int) -> None:
         self.pool.unfix(page_id)

@@ -94,6 +94,14 @@ def value_of(i: int, version: int) -> bytes:
     return b"v%d.%d" % (i, version)
 
 
+def assert_no_pins(db: Database) -> None:
+    """No operation is in flight: every resident page is unpinned."""
+    pool = db.pool
+    pinned = {page_id: pool.pin_count(page_id)
+              for page_id in pool.resident_pages() if pool.pin_count(page_id)}
+    assert not pinned, f"pins left behind: {pinned}"
+
+
 # ----------------------------------------------------------------------
 # Differential recovery oracles (eager vs. on-demand restart)
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.buffer.buffer_pool import BufferPool
+from repro.buffer.buffer_pool import BufferPool, Frame
 from repro.buffer.eviction import ClockEviction
 from repro.errors import BufferPoolError
 from repro.page.page import Page, PageType
@@ -67,6 +67,115 @@ class TestFixUnfix:
         pool.fix(1)
         with pytest.raises(BufferPoolError):
             pool.fix_new(Page.format(PAGE_SIZE, 1, PageType.HEAP))
+
+
+class TestHandOverHand:
+    """``fix(child, release=parent)``: the pin swap of one descent hop."""
+
+    def test_hit_swaps_both_pins_in_one_mutex_hold(self, rig):
+        pool, *_ = rig
+        pool.fix(1)
+        pool.fix(2)
+        pool.unfix(2)  # resident, unpinned: the hit below pins it
+
+        class CountingMutex:
+            entries = 0
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __enter__(self):
+                CountingMutex.entries += 1
+                return self.inner.__enter__()
+
+            def __exit__(self, *exc):
+                return self.inner.__exit__(*exc)
+
+        pool._mutex = CountingMutex(pool._mutex)
+        assert pool.fix(2, release=1).page_id == 2
+        assert CountingMutex.entries == 1
+        assert (pool.pin_count(1), pool.pin_count(2)) == (0, 1)
+        assert pool.stats.get("buffer_hits") == 1
+
+    def test_miss_keeps_release_pinned_until_the_load_ends(self, rig):
+        pool, *_ = rig
+        pool.fix(1)
+        inner, seen = pool.fetcher, []
+
+        def watching_fetch(page_id):
+            seen.append((pool.pin_count(1), pool.pin_count(page_id)))
+            return inner(page_id)
+
+        pool.fetcher = watching_fetch
+        assert pool.fix(5, release=1).page_id == 5
+        assert seen == [(1, 1)]  # the parent and the loader's placeholder
+        assert (pool.pin_count(1), pool.pin_count(5)) == (0, 1)
+
+    def test_failed_fetch_withdraws_placeholder_and_releases(self, rig):
+        pool, *_ = rig
+        pool.fix(1)
+
+        def failing_fetch(page_id):
+            raise BufferPoolError("read failed")
+
+        pool.fetcher = failing_fetch
+        with pytest.raises(BufferPoolError, match="read failed"):
+            pool.fix(5, release=1)
+        assert not pool.resident(5) and len(pool) == 1
+        assert pool.pin_count(1) == 0
+
+    def test_no_room_releases_too(self, rig):
+        pool, *_ = rig
+        for page_id in range(4):
+            pool.fix(page_id)
+        with pytest.raises(BufferPoolError, match="all frames pinned"):
+            pool.fix(5, release=1)
+        assert [pool.pin_count(p) for p in range(4)] == [1, 0, 1, 1]
+        assert not pool.resident(5)
+
+    def test_waiter_keeps_release_pinned_until_the_loader_finishes(self, rig):
+        import threading
+
+        pool, *_ = rig
+        pool.fix(1)
+        started, finish = threading.Event(), threading.Event()
+        inner = pool.fetcher
+
+        def slow_fetch(page_id):
+            started.set()
+            assert finish.wait(5)
+            return inner(page_id)
+
+        pool.fetcher = slow_fetch
+        loader = threading.Thread(target=pool.fix, args=(5,))
+        loader.start()
+        assert started.wait(5)
+        waiter = threading.Thread(target=pool.fix, args=(5,),
+                                  kwargs={"release": 1})
+        waiter.start()
+        waiter.join(0.05)  # blocked on the loader's frame latch
+        assert waiter.is_alive()
+        assert pool.pin_count(1) == 1
+        finish.set()
+        loader.join(5)
+        waiter.join(5)
+        assert not loader.is_alive() and not waiter.is_alive()
+        assert (pool.pin_count(1), pool.pin_count(5)) == (0, 2)
+
+    @pytest.mark.parametrize("child", [2, 5], ids=["hit", "miss"])
+    @pytest.mark.parametrize("release", [3, 6], ids=["unpinned", "absent"])
+    def test_release_that_is_not_pinned_pins_nothing(self, rig, child,
+                                                     release):
+        pool, *_ = rig
+        for page_id in (2, 3):
+            pool.fix(page_id)
+            pool.unfix(page_id)
+        before = pool.stats.snapshot()
+        with pytest.raises(BufferPoolError, match=f"page {release} is not"):
+            pool.fix(child, release=release)
+        assert pool.resident_pages() == [2, 3] and len(pool) == 2
+        assert not any(pool.pin_count(p) for p in (2, 3))
+        assert pool.stats.delta(before) == {}
 
 
 class TestDirtyTracking:
@@ -308,36 +417,96 @@ class TestPrefetch:
         pool.unfix(5)
 
 
+def admit(policy: ClockEviction, frames: dict, *page_ids: int) -> None:
+    for page_id in page_ids:
+        frames[page_id] = Frame(None)  # a new frame carries the bit
+        policy.admitted(page_id)
+
+
 class TestClockEviction:
+    """The policy sweeps the pool's frames: pins, dirt and the reference
+    bit are read off (and the bit cleared on) the frame itself."""
+
     def test_second_chance(self):
-        policy = ClockEviction()
-        for page_id in (1, 2, 3):
-            policy.admitted(page_id)
+        policy, frames = ClockEviction(), {}
+        admit(policy, frames, 1, 2, 3)
         # All have the reference bit; first sweep clears, second picks 1.
-        victim = policy.choose_victim(lambda _pid: True)
-        assert victim == 1
+        assert policy.choose_victim(frames) == 1
 
     def test_touched_pages_survive_longer(self):
-        policy = ClockEviction()
-        for page_id in (1, 2, 3):
-            policy.admitted(page_id)
-        policy.choose_victim(lambda _pid: True)  # clears bits, picks 1
-        policy.touched(2)
-        victim = policy.choose_victim(lambda _pid: True)
-        assert victim == 3  # 2 got a second chance
+        policy, frames = ClockEviction(), {}
+        admit(policy, frames, 1, 2, 3)
+        policy.choose_victim(frames)  # clears bits, picks 1
+        frames[2].referenced = True  # what a demand hit does
+        assert policy.choose_victim(frames) == 3  # 2 got a second chance
 
     def test_removed_keeps_ring_consistent(self):
-        policy = ClockEviction()
-        for page_id in (1, 2, 3, 4):
-            policy.admitted(page_id)
+        policy, frames = ClockEviction(), {}
+        admit(policy, frames, 1, 2, 3, 4)
+        del frames[2]
         policy.removed(2)
         assert set(policy.pages()) == {1, 3, 4}
-        assert policy.choose_victim(lambda _pid: True) in {1, 3, 4}
+        assert policy.choose_victim(frames) in {1, 3, 4}
 
     def test_no_evictable_returns_none(self):
-        policy = ClockEviction()
-        policy.admitted(1)
-        assert policy.choose_victim(lambda _pid: False) is None
+        policy, frames = ClockEviction(), {}
+        admit(policy, frames, 1)
+        frames[1].pin_count = 1
+        assert policy.choose_victim(frames) is None
+
+    def test_clean_only_passes_over_dirty_frames(self):
+        policy, frames = ClockEviction(), {}
+        admit(policy, frames, 1, 2)
+        frames[1].dirty = True
+        assert policy.choose_victim(frames, clean_only=True) == 2
+        frames[2].dirty = True
+        assert policy.choose_victim(frames, clean_only=True) is None
+        assert policy.choose_victim(frames) in {1, 2}  # dirt is no pin
+
+    #: The victims of :meth:`test_replayed_script_picks_the_parents_victims`
+    #: under the policy of commit 3041322 (reference bits in a dict of its
+    #: own, evictability as a callable), recorded there.
+    PARENT_VICTIMS = [
+        0, 1, 2, 4, 5, 6, 7, 3, 10, 11, 13, 15, 18, 16, 21, 22, 23, 24, 25,
+        26, 27, 29, 28, 30, 33, 32, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43,
+        44, 45, 20, 46, 47, 49, 50, 51, 52, 53, 54, 55, 58, 59, 60, 64, 65,
+        66, 61, 67, 69, 73, 14, 70, 77, 19, 63, 75, 76, 17, 56, 74, 79, 80,
+        81, 82, 48, 83, 84, 85, 86, 87, 88, 90, 89, 91]
+
+    def test_replayed_script_picks_the_parents_victims(self):
+        """A seeded script of admissions, touches, pins, dirtyings,
+        drops and demand / clean-only evictions: same ring order, same
+        second-chance rule, same fallback sweep, so the same victims."""
+        import random
+
+        rng = random.Random(3)
+        policy, frames = ClockEviction(), {}
+        victims, next_pid = [], 0
+        for _ in range(320):
+            resident = sorted(frames)
+            roll = rng.random()
+            if len(resident) < 8 or roll < 0.20:
+                admit(policy, frames, next_pid)
+                next_pid += 1
+            elif roll < 0.50:
+                frames[rng.choice(resident)].referenced = True
+            elif roll < 0.62:
+                frame = frames[rng.choice(resident)]
+                frame.pin_count = 0 if frame.pin_count else 1
+            elif roll < 0.70:
+                frames[rng.choice(resident)].dirty = True
+            elif roll < 0.74:
+                page_id = rng.choice(resident)
+                if not frames[page_id].pin_count:
+                    del frames[page_id]
+                    policy.removed(page_id)
+            else:
+                victim = policy.choose_victim(frames, clean_only=roll > 0.94)
+                victims.append(victim)
+                if victim is not None:
+                    del frames[victim]
+                    policy.removed(victim)
+        assert victims == self.PARENT_VICTIMS
 
 
 class TestEvictionUnderPins:

@@ -36,7 +36,7 @@ from repro.workloads.fleet import (
     ConcurrentOracle,
     ThreadedFleetRunner,
 )
-from tests.conftest import fast_config, key_of, value_of
+from tests.conftest import assert_no_pins, fast_config, key_of, value_of
 
 N_THREADS = 8
 #: enough committed pages that the 24-frame pool must evict constantly
@@ -236,12 +236,15 @@ def test_stress_battery_nightly(seed: int) -> None:
 # Writers splitting branches under descending readers
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "n_stable, per_writer, rewrite_share, min_depth, min_adoptions", [
-        pytest.param(600, 450, 4, 3, 100, id="splitting"),
-        pytest.param(150, 120, 2, 2, 0, id="hot_leaves")])
+    "n_stable, per_writer, rewrite_share, min_depth, min_adoptions, "
+    "frames, n_writers, min_warm", [
+        pytest.param(600, 450, 4, 3, 100, 4096, 4, 12, id="splitting"),
+        pytest.param(150, 120, 2, 2, 0, 4096, 4, 12, id="hot_leaves"),
+        pytest.param(600, 300, 4, 3, 30, 24, 2, 0, id="evicting")])
 def test_readers_descend_through_freshly_invalidated_directories(
         n_stable: int, per_writer: int, rewrite_share: int, min_depth: int,
-        min_adoptions: int) -> None:
+        min_adoptions: int, frames: int, n_writers: int,
+        min_warm: int) -> None:
     """Writers on ``Session.upsert`` fill 1 KiB pages while readers
     descend under the shared latch in between.  *splitting*: leaves and
     branches split and adopt constantly, every structural change drops
@@ -250,16 +253,20 @@ def test_readers_descend_through_freshly_invalidated_directories(
     (each is searched far more than twice between two changes) while
     the writers rewrite values in them and insert new keys between the
     stable ones, so nearly every write splices a warm leaf directory.
+    *evicting*: the same splitting tree under a 24-frame pool, so every
+    descent misses, evicts and hands its pins over hand-over-hand while
+    seven other readers do the same.
     No reader may see a torn or mis-spliced directory (wrong or missing
-    answer for a key nobody writes), and no writer's last committed
-    value may be lost."""
+    answer for a key nobody writes), no writer's last committed value
+    may be lost, no thread may meet a ``BufferPoolError`` and no pin may
+    be left."""
     import random
     import sys
 
     from repro.errors import KeyNotFound
 
     db = Database(fast_config(page_size=1024, capacity_pages=8192,
-                              buffer_capacity=4096,
+                              buffer_capacity=frames,
                               commit_window_seconds=0.001))
     tree = db.create_index()
     stable = {key_of(2 * i): value_of(i, 0).ljust(60, b".")
@@ -268,7 +275,7 @@ def test_readers_descend_through_freshly_invalidated_directories(
     for key, value in stable.items():
         tree.insert(txn, key, value)
     db.commit(txn)
-    n_writers, n_readers = 4, 8
+    n_readers = 8
     final: list[dict[bytes, bytes]] = [{} for _ in range(n_writers)]
     errors: list[BaseException] = []
     done = threading.Event()
@@ -338,9 +345,12 @@ def test_readers_descend_through_freshly_invalidated_directories(
         db.unfix(page.page_id)
         if page.view.keys is not None:
             warm.add(page.page_id)
-    assert len(warm) >= 12
+    assert len(warm) >= min_warm
     report = verify_tree(tree)
     assert report.ok, report.problems
+    assert_no_pins(db)
+    # The small pool really did turn over under the readers.
+    assert (db.stats.get("pages_evicted") > 300) == (frames < 100)
 
 
 # ----------------------------------------------------------------------

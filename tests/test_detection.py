@@ -1,11 +1,15 @@
 """Integration tests: the detection stack (Section 4, Figure 8)."""
 
+import pytest
+
+import repro
 from repro.btree.node import BTreeNode
 from repro.detect.checks import run_in_page_checks
 from repro.engine.database import Database
-from repro.errors import PageFailureKind
-from repro.page.page import Page, PageType
-from tests.conftest import fast_config, key_of, value_of
+from repro.errors import (BTreeError, MediaFailure, PageFailureKind,
+                          SinglePageFailure)
+from repro.page.page import TYPE_OFFSET, Page, PageType
+from tests.conftest import assert_no_pins, fast_config, key_of, value_of
 
 
 def loaded(**overrides):
@@ -194,3 +198,173 @@ class TestScrubbing:
         tree.lookup(key_of(0))  # pulls pages into the pool
         report = db.scrub()
         assert report.pages_skipped > 0
+
+
+# ----------------------------------------------------------------------
+# A hop that fails for good leaves no pin behind
+# ----------------------------------------------------------------------
+def walk(db, tree, key):
+    """Page ids on ``key``'s path: permanent parents first, then the
+    foster chain inside the leaf level."""
+    path = [db.get_root(tree.index_id)]
+    while True:
+        node = BTreeNode(db.fix(path[-1]))
+        if node.has_foster and key >= node.foster_key:
+            nxt = node.foster_pid
+        elif node.is_leaf:
+            nxt = None
+        else:
+            nxt = node.route(key)[0]
+        db.unfix(path[-1])
+        if nxt is None:
+            return path
+        path.append(nxt)
+
+
+def deep_tree(**overrides):
+    """A resident three-level tree whose path to ``key`` ends in a
+    foster hop: ``(db, client, tree, key, {where: page id})``."""
+    db = Database(fast_config(page_size=512, buffer_capacity=256,
+                              **overrides))
+    client = repro.connect(db)
+    tree = db.tree(client.index_id)
+    client.apply_batch([("put", key_of(i), value_of(i, 0))
+                        for i in range(400)])
+    assert tree.depth() == 3
+    leaf = walk(db, tree, key_of(200))[-1]
+    tree._split(leaf)  # reads do no adoption: the chain stays
+    node = BTreeNode(db.fix(leaf))
+    key = node.foster_key
+    db.unfix(leaf)
+    root, interior, leaf, foster = walk(db, tree, key)
+    assert client.get(key) is not None  # every view on the path is built
+    return db, client, tree, key, dict(root=root, interior=interior,
+                                       leaf=leaf, foster=foster)
+
+
+def break_page(db, where, pid):
+    """Make the resident page fail its hop: the root (which no parent
+    vouches for) stops being a node at all, any other page's fences stop
+    matching the keys beside its pointer."""
+    page = db.pool.page_if_resident(pid)
+    if where == "root":
+        page.data[TYPE_OFFSET] = int(PageType.HEAP)
+        page.view = None
+    else:
+        page.view.low_fence = b"forged"
+
+
+def run_op(op, db, client, tree, key, spoil):
+    """``spoil()`` breaks the page; the op must then raise."""
+    if op == "compensate":
+        txn = db.begin()
+        db.locks.acquire(txn.txn_id, key)
+        tree.upsert(txn, key, b"to be rolled back")
+        spoil()
+        db.abort(txn)  # the rollback descends to compensate
+        return
+    spoil()
+    if op == "get":
+        client.get(key)
+    elif op == "put":
+        client.put(key, b"new")
+    elif op == "delete":
+        client.delete(key)
+    else:
+        client.scan(key)
+
+
+OPS = ("get", "put", "delete", "scan", "compensate")
+PLACES = ("root", "interior", "leaf", "foster")
+
+
+class TestNoPinLeftBehind:
+    """Red on the parent of this change: ``_descend`` unfixed the parent
+    only after the child verified, so a hop that raised left the parent
+    pinned for the life of the pool."""
+
+    @pytest.mark.parametrize("where", PLACES)
+    @pytest.mark.parametrize("op", OPS)
+    def test_unrepairable_hop_raises_typed_and_unpins(self, op, where):
+        db, client, tree, key, pids = deep_tree()
+        db.pool.repairer = None  # nothing can repair: the failure is final
+
+        with pytest.raises(SinglePageFailure) as raised:
+            run_op(op, db, client, tree, key,
+                   lambda: break_page(db, where, pids[where]))
+        assert raised.value.page_id == pids[where]
+        assert_no_pins(db)
+
+    @pytest.mark.parametrize("where", PLACES)
+    def test_escalating_hop_raises_typed_and_unpins(self, where):
+        """Without single-page recovery the repair escalates (Figure 1)."""
+        db, client, tree, key, pids = deep_tree(spf_enabled=False)
+        with pytest.raises(MediaFailure):
+            run_op("get", db, client, tree, key,
+                   lambda: break_page(db, where, pids[where]))
+        assert db.stats.get("escalations_to_media") == 1
+        assert_no_pins(db)
+
+    @pytest.mark.parametrize("where", ("interior", "leaf", "foster"))
+    def test_unrepaired_hop_raises_typed_and_unpins(self, where):
+        """The repair succeeds but the child still differs — it is the
+        *parent's* key that is wrong: ``unrepaired``, and no pin."""
+        db, client, tree, key, pids = deep_tree()
+        above = {"interior": "root", "leaf": "interior", "foster": "leaf"}
+        parent = db.pool.page_if_resident(pids[above[where]])
+        if where == "foster":
+            parent.view.foster_key = key + b"!"
+            probe = key + b"!!"
+        else:
+            keys = parent.view.keys
+            slot = keys.index(BTreeNode(parent).route(key)[1])
+            keys[slot] = keys[slot][:-1]  # still sorted, still routes key
+            probe = key
+        with pytest.raises(SinglePageFailure, match="unrepaired"):
+            client.get(probe)
+        assert db.stats.get("single_page_recoveries") == 1
+        assert_no_pins(db)
+
+    def test_route_error_unpins(self):
+        """A branch that cannot route the key is a ``BTreeError`` out of
+        the descent, not a page failure — and still no pin."""
+        db, client, tree, key, pids = deep_tree()
+        del db.pool.page_if_resident(pids["interior"]).view.keys[:]
+        with pytest.raises(BTreeError, match="first child"):
+            client.get(key)
+        assert_no_pins(db)
+
+    def test_second_decode_failure_is_a_page_failure(self):
+        """``_fix_node``'s twin: a page that is still no node after a
+        "successful" repair is a ``SinglePageFailure`` (the parent let a
+        bare ``BTreeError`` escape) and is unpinned."""
+        db, client, tree, key, pids = deep_tree()
+        inner = db.pool.repairer
+
+        def repair_then_break(failure):
+            inner(failure)
+            db.pool.fix(failure.page_id)
+            break_page(db, "root", failure.page_id)
+            db.pool.unfix(failure.page_id)
+
+        db.pool.repairer = repair_then_break
+        break_page(db, "root", pids["root"])
+        with pytest.raises(SinglePageFailure, match="unrepaired"):
+            tree.depth()  # _fix_node, no descent
+        assert_no_pins(db)
+
+    def test_adoption_unpins_the_parent_when_the_child_cannot_be_read(self):
+        db, client, tree, key, pids = deep_tree()
+        db.pool.evict(pids["leaf"])
+        inner = db.pool.fetcher
+
+        def unreadable(page_id):
+            if page_id == pids["leaf"]:
+                raise SinglePageFailure(page_id, PageFailureKind.DEVICE_READ_ERROR,
+                                        "gone for good")
+            return inner(page_id)
+
+        db.pool.fetcher = unreadable
+        with pytest.raises(SinglePageFailure, match="gone for good"):
+            tree._adopt(pids["interior"], pids["leaf"])
+        assert_no_pins(db)
