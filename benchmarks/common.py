@@ -1,19 +1,20 @@
 """Shared helpers for the experiment benchmarks.
 
-Every benchmark regenerates one of the paper's figures/tables (see
-DESIGN.md's per-experiment index).  Each prints the paper-shaped rows
-(visible with ``pytest benchmarks/ --benchmark-only -s`` and collected
-into EXPERIMENTS.md) and asserts the qualitative *shape* — who wins,
+Every ``test_*.py`` here regenerates one of the paper's figures or
+tables, or one claim of an extension built on it.  Each prints the
+paper-shaped rows (visible with ``pytest benchmarks -s``) and asserts
+the claim where it computes it: the qualitative *shape* — who wins,
 by roughly what factor — since our substrate is a simulator, not the
-authors' hardware.
+authors' hardware, and a literal bound on every simulated-time or
+I/O-count quantity a change could quietly make worse.
 
 Two kinds of measurements appear side by side:
 
 * **simulated seconds** — charged by the I/O cost models; these are
-  the quantities Section 6 reasons about;
-* **wall time** — measured by pytest-benchmark on a representative
-  kernel, demonstrating the implementation itself is not the
-  bottleneck.
+  the quantities Section 6 reasons about, and the ones asserted;
+* **wall time** — what pytest-benchmark prints for the kernel it
+  wraps: for the record only.  A wall-clock number that is compared
+  with anything comes from ``bench/`` (``python3 -m bench.run``).
 """
 
 from __future__ import annotations

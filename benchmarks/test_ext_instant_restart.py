@@ -109,6 +109,9 @@ def test_time_to_first_transaction_flat_on_demand(benchmark):
     # ...while on-demand stays ~flat and beats eager decisively.
     assert lazy_large <= 2 * lazy_small
     assert lazy_large < eager_large / 5
+    # In absolute terms: the analysis scan plus a handful of pages.
+    assert lazy_small <= 0.0915
+    assert lazy_large <= 0.10175
 
     print_table(
         "Instant restart: time-to-first-transaction (simulated seconds, "

@@ -106,6 +106,9 @@ def test_time_to_first_transaction_flat_on_demand(benchmark):
     # pays the analysis scan plus a handful of page restores).
     assert lazy_large <= 2 * lazy_small
     assert lazy_large < eager_large / 3
+    # In absolute terms: the analysis scan plus a handful of pages.
+    assert lazy_small <= 0.062375
+    assert lazy_large <= 0.092875
 
     print_table(
         "Instant restore: time-to-first-transaction (simulated seconds, "
@@ -144,8 +147,8 @@ def test_on_demand_drain_converges_with_traffic(benchmark):
 
 
 def restore_both_modes(n_keys: int = 1200) -> tuple[Database, Database]:
-    """Restore one failure image both ways (the shared setup of the
-    differential oracle, also used by the run_all probe)."""
+    """Restore one failure image both ways (the setup of the
+    differential oracle)."""
     import copy
 
     db, backup_id = failed_db(n_keys)

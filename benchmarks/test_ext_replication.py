@@ -153,6 +153,8 @@ def test_ext_replica_repair_source(benchmark):
     assert result["replica_zero_replay"]
     assert result["chain_replays"]
     assert result["replica_fewer_ios"]
+    # Not merely fewer: the warm replica's repair pays no random I/O.
+    assert result["replica"]["total_random_ios"] == 0
 
 
 def test_ext_ack_mode_costs(benchmark):
@@ -166,3 +168,7 @@ def test_ext_ack_mode_costs(benchmark):
                 ["mode", "per-commit ms", "ship acks"], rows)
     assert result["replicated_costs_more"]
     assert result["ack_amortizes"]
+    # In absolute terms: one force plus one standby round trip per
+    # commit, and a batched ack overhead of a tenth of a millisecond.
+    assert result["replicated_durable_unbatched"]["per_commit_ms"] <= 11.102125
+    assert result["ack_overhead_ms_batched"] <= 0.101

@@ -73,6 +73,10 @@ def test_recovery_reads_independent_of_log_length(benchmark):
     # no growth in log I/O beyond the chain's own footprint.
     reads = [row[3] for row in rows]
     assert max(reads) <= max(1, min(reads)) + 2
+    # At the largest log the repair reads one log page and pays two
+    # random I/Os in all.
+    assert rows[-1][3] <= 1.25
+    assert rows[-1][5] <= 2.5
 
     print_table(
         "Segmented WAL: single-page recovery vs. total log volume "

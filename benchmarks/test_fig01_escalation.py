@@ -65,7 +65,7 @@ def run_scope(spf: bool, single_device: bool):
     return outcome
 
 
-def run_all():
+def run_scopes():
     return {
         "single-page (this paper)": run_scope(spf=True, single_device=False),
         "media failure (traditional)": run_scope(spf=False, single_device=False),
@@ -75,7 +75,7 @@ def run_all():
 
 
 def test_fig01_escalation_blast_radius(benchmark):
-    outcomes = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    outcomes = benchmark.pedantic(run_scopes, rounds=1, iterations=1)
     spf = outcomes["single-page (this paper)"]
     media = outcomes["media failure (traditional)"]
     system = outcomes["system failure (single-device node)"]

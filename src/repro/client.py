@@ -39,7 +39,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.errors import ClientClosedError, ConfigError, KeyNotFound
 from repro.shard.config import ShardConfig
-from repro.shard.router import ShardRouter
+from repro.shard.router import ShardRouter, check_batch_op
 
 
 def connect(config=None):  # noqa: ANN001, ANN201
@@ -214,14 +214,12 @@ class SingleNodeClient(Client):
         with db.autocommit() as txn:
             txn_id, acquire, tree = txn.txn_id, db.locks.acquire, self._tree
             for op in ops:
+                check_batch_op(op)
+                acquire(txn_id, op[1])
                 if op[0] == "put":
-                    acquire(txn_id, op[1])
                     tree.upsert(txn, op[1], op[2])
-                elif op[0] == "delete":
-                    acquire(txn_id, op[1])
-                    tree.remove(txn, op[1])
                 else:
-                    raise ConfigError(f"unknown batch op {op[0]!r}")
+                    tree.remove(txn, op[1])
         return len(ops)
 
 

@@ -64,6 +64,17 @@ from repro.shard.worker import ShardWorker, worker_main
 _RISKY_VERBS = frozenset({"put", "delete", "batch", "txn_commit"})
 
 
+def check_batch_op(op: tuple) -> None:
+    """The one definition of a well-formed ``apply_batch`` op, for every
+    backend: anything else is the caller's :class:`ConfigError`."""
+    kind = op[0] if op else None
+    if not (kind == "put" and len(op) >= 3
+            or kind == "delete" and len(op) >= 2):
+        raise ConfigError(
+            f"bad batch op {op!r:.80}: expected ('put', key, value) "
+            f"or ('delete', key)")
+
+
 # ----------------------------------------------------------------------
 # Transports
 # ----------------------------------------------------------------------
@@ -380,9 +391,12 @@ class ShardRouter:
         return self._call(idx, "batch", ops)
 
     def partition_batches(self, ops: list[tuple]) -> dict[int, list[tuple]]:
-        """Split ``[("put", k, v) | ("delete", k), ...]`` by shard."""
+        """Split ``[("put", k, v) | ("delete", k), ...]`` by shard; a
+        bad op fails the whole batch here, before any shard hears of
+        it."""
         batches: dict[int, list[tuple]] = {}
         for op in ops:
+            check_batch_op(op)
             batches.setdefault(self.shard_of(op[1]), []).append(op)
         return batches
 

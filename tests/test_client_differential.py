@@ -82,3 +82,20 @@ def test_sharded_survives_mid_workload_crashes_with_same_state(baseline):
         assert client.router.reopens >= 1
     finally:
         client.close()
+
+
+@pytest.mark.parametrize("config", [
+    None,
+    repro.ShardConfig(n_shards=2),
+    repro.ShardConfig(n_shards=2, transport="process"),
+], ids=["embedded", "inproc", "process"])
+def test_bad_batch_op_is_a_config_error_on_every_backend(config):
+    """A malformed or unknown batch op fails typed, the same way on
+    every backend, with nothing of the batch applied."""
+    with repro.connect(config) as client:
+        for bad in (("put", b"k"), ("put",), (), ("frob", b"k", b"v")):
+            with pytest.raises(repro.ConfigError):
+                client.apply_batch([("put", b"good", b"1"), bad])
+            assert client.get(b"good") is None
+        client.put(b"k", b"v")
+        assert client.get(b"k") == b"v"
