@@ -23,6 +23,7 @@ from repro.core.backup import BackupPolicy
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.sim.iomodel import HDD_PROFILE, NULL_PROFILE
+from repro.sim.stats import Handle
 
 
 def fast_db(n_keys: int = 300, **overrides) -> tuple[Database, object]:
@@ -54,6 +55,26 @@ def timed_db(n_keys: int = 300, **overrides) -> tuple[Database, object]:
     overrides.setdefault("log_profile", HDD_PROFILE)
     overrides.setdefault("backup_profile", HDD_PROFILE)
     return fast_db(n_keys, **overrides)
+
+
+def incs_during(call) -> int:  # noqa: ANN001
+    """How many counter ``inc()`` calls ``call()`` makes, whatever the
+    amounts: what an operation pays for being counted is this times the
+    price of one ``inc()``."""
+    made = 0
+    plain = Handle.inc
+
+    def counting(handle: Handle, n: int = 1) -> None:
+        nonlocal made
+        made += 1
+        plain(handle, n)
+
+    Handle.inc = counting
+    try:
+        call()
+    finally:
+        Handle.inc = plain
+    return made
 
 
 def key_of(i: int) -> bytes:

@@ -12,8 +12,9 @@ search" rule of ``repro.btree.node`` rests on — and a range scan's cost
 per row.  Last, one hop of a resident descent on the key-value tree
 (``kv_hot_embedded``'s set-up, where every page hits): a warm descent
 per level, the pool entry of a hop (``BufferPool.fix`` hit with
-``release``), the fence compare alone, and what is left — the hop's
-bookkeeping.  The whole-benchmark claim (``python3 -m bench.run``) is
+``release``), the fence compare alone, what is left — the hop's
+bookkeeping — and what being counted costs: one ``inc()``, and how many
+of them a hop makes.  The whole-benchmark claim (``python3 -m bench.run``) is
 made of these.
 
 Usage (pin to one core for steady numbers)::
@@ -36,6 +37,7 @@ for _path in (_ROOT, os.path.join(_ROOT, "src")):
 
 from bench.runner import Runner  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
+from benchmarks.common import incs_during  # noqa: E402
 from repro.btree.node import DATA_START, BTreeNode  # noqa: E402
 from repro.btree.tree import FosterBTree  # noqa: E402
 from repro.page.page import TYPE_OFFSET, Page, PageType  # noqa: E402
@@ -170,6 +172,8 @@ def main() -> None:
     hit = per_page(swap, pages=keys) / 2
     fences = per_page(compare, pages=keys)
     pool.unfix(child)
+    hits = db.stats.counter("buffer_hits")
+    counts = incs_during(lambda: descend(keys[0])) / levels
     rows += [
         (f"warm descent per level (kv tree, {levels} levels, resident; "
          f"the last unfix included)", per_level),
@@ -177,9 +181,13 @@ def main() -> None:
         ("the fence compare alone (level, both fences, +inf flag)", fences),
         ("hop bookkeeping = per level - fix - compare (route, the loop)",
          per_level - hit - fences),
+        ("one counter inc() (a handle resolved at construction)",
+         per_page(hits.inc, pages=[1] * len(keys))),
     ]
     for name, micros in rows:
         print(f"{micros:8.2f} us  {name}")
+    print(f"{counts:8.2f} counts per resident hop (inc() calls of a warm "
+          f"descent / {levels} levels)")
     runner.close()
 
 

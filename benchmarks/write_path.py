@@ -12,8 +12,10 @@ each stage of the unrolled put carries one ``perf_counter_ns`` call
 bench.run``) is made of these.
 
 The unrolled put must stay what ``FosterBTree._write`` +
-``TransactionManager.log_update`` / ``commit`` do; the script checks
-that it logs byte for byte what ``client.put`` logs and stops if not.
+``TransactionManager.log_update`` / ``commit`` do, counted through the
+handles they count through; the script checks that it moves the log end
+and every counter (the whole ``Stats.delta``) exactly as ``client.put``
+does and stops if not.
 
 Usage (pin to one core for steady numbers)::
 
@@ -37,6 +39,7 @@ for _path in (_ROOT, os.path.join(_ROOT, "src")):
 
 from bench.runner import Runner  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
+from benchmarks.common import incs_during  # noqa: E402
 from repro.txn.transaction import TxnState  # noqa: E402
 from repro.wal.records import (LogicalUndo, LogRecord,  # noqa: E402
                                LogRecordKind, UndoAction)
@@ -48,15 +51,15 @@ STAGES = (
     "descent (shared with get)", "node.find",
     "probe_value (ghost bit, before-image, room: one slot read)",
     "op + LogicalUndo", "LogRecord(...)", "log.append", "op.apply_redo",
-    "PageLSN + note_logged + bump", "mark_dirty", "bump + unfix",
+    "PageLSN + note_logged + inc", "mark_dirty", "inc + unfix",
     "log.commit_in_place", "log.commit_force",
-    "finish (active table, release_all, bumps)",
+    "finish (active table, release_all, inc)",
 )
 
 
 def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     """One autocommit rewrite of a live key, a clock read per stage."""
-    log, tm, stats = db.log, db.tm, db.stats
+    log, tm = db.log, db.tm
     t0 = now()
     txn = db.begin()
     t1 = now()
@@ -82,18 +85,18 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     t9 = now()
     page.page_lsn = lsn
     txn.note_logged(lsn)
-    stats.bump("page_updates_logged")
+    tm._page_updates_logged.inc()
     t10 = now()
     db.mark_dirty(page.page_id, lsn)
     t11 = now()
-    stats.bump("btree_updates")
+    tree._btree_updates.inc()
     db.unfix(page.page_id)
     t12 = now()
     end = log.commit_in_place(lsn, txn.txn_id)
     t13 = now()
     log.commit_force(lsn, end)
     t14 = now()
-    stats.bump("user_txns_committed")
+    tm._user_txns_committed.inc()
     txn.state = TxnState.COMMITTED
     tm._finish(txn)
     t15 = now()
@@ -160,17 +163,21 @@ def main() -> None:
             public[i] += dt
         return t4 - t0
 
-    # -- the unrolled put must log what client.put logs ----------------
-    before = db.log.end_lsn, db.stats.get("log_records")
-    client.put(keys[0], values[-1])
-    real = db.log.end_lsn - before[0], db.stats.get("log_records") - before[1]
-    before = db.log.end_lsn, db.stats.get("log_records")
-    unrolled_put(db, tree, keys[0], values[-2], [0] * len(STAGES))
-    mine = db.log.end_lsn - before[0], db.stats.get("log_records") - before[1]
+    # -- the unrolled put must log and count what client.put does -------
+    def effect(put, value: bytes) -> tuple[int, dict[str, int]]:  # noqa: ANN001
+        end, before = db.log.end_lsn, db.stats.snapshot()
+        put(keys[0], value)
+        return db.log.end_lsn - end, db.stats.delta(before)
+
+    real = effect(client.put, values[-1])
+    mine = effect(lambda key, value: unrolled_put(
+        db, tree, key, value, [0] * len(STAGES)), values[-2])
     if real != mine or client.get(keys[0]) != values[-2]:
-        raise SystemExit(f"unrolled put drifted from client.put: logs {mine} "
-                         f"(bytes, records), client.put logs {real}")
-    print(f"an autocommit put logs {real[1]} record(s), {real[0]} B")
+        raise SystemExit(f"unrolled put drifted from client.put: (log bytes, "
+                         f"Stats.delta) {mine}, client.put {real}")
+    counts = incs_during(lambda: client.put(keys[0], values[-1]))
+    print(f"an autocommit put logs {real[1]['log_records']} record(s), "
+          f"{real[0]} B; counts per put: {counts} inc() calls")
 
     rows = [("client.get (same keys)",
              per_put(whole(lambda key, _value: client.get(key)))),

@@ -52,6 +52,8 @@ class LogShippingMirror:
         self.clock = clock
         self.profile = profile
         self.stats = stats
+        self._mirror_page_repairs = stats.counter("mirror_page_repairs")
+        self._mirror_records_applied = stats.counter("mirror_records_applied")
         self.page_size = page_size
         self._pages: dict[int, Page] = {}
         self._applied_up_to = 0
@@ -102,7 +104,7 @@ class LogShippingMirror:
             self.clock.advance(self.profile.write_cost(self.page_size))
         self._applied_up_to = target
         self.total_records_applied += applied
-        self.stats.bump("mirror_records_applied", applied)
+        self._mirror_records_applied.inc(applied)
         return applied, len(touched)
 
     # ------------------------------------------------------------------
@@ -121,7 +123,7 @@ class LogShippingMirror:
             raise RecoveryError(f"page {page_id} not present in the mirror")
         # Ship the page back to the primary (one read + transfer).
         self.clock.advance(self.profile.read_cost(self.page_size))
-        self.stats.bump("mirror_page_repairs")
+        self._mirror_page_repairs.inc()
         result = MirrorRepairResult(
             page_id=page_id,
             records_applied_to_mirror=applied,

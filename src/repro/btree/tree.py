@@ -91,6 +91,19 @@ class FosterBTree:
         self.ctx = ctx
         self.tm = tm
         self.stats = stats
+        counter = stats.counter
+        self._btree_lookups = counter("btree_lookups")
+        self._btree_inserts = counter("btree_inserts")
+        self._btree_updates = counter("btree_updates")
+        self._btree_deletes = counter("btree_deletes")
+        self._btree_hops_verified = counter("btree_hops_verified")
+        self._btree_invariant_failures = counter("btree_invariant_failures")
+        self._btree_splits = counter("btree_splits")
+        self._btree_adoptions = counter("btree_adoptions")
+        self._btree_root_growths = counter("btree_root_growths")
+        self._btree_migrations = counter("btree_migrations")
+        self._btree_compensations = counter("btree_compensations")
+        self._btree_ghosts_removed = counter("btree_ghosts_removed")
         #: Adoption is opportunistic and amortized: only every N-th
         #: write that passes a foster chain performs the adoption.
         #: Chains are therefore short-lived but *observable* between
@@ -163,7 +176,7 @@ class FosterBTree:
             return page, node, True
         # Cross-page invariant violated: treat as a single-page failure
         # of the child and ask the engine to repair it (Figure 8 path).
-        self.stats.bump("btree_invariant_failures")
+        self._btree_invariant_failures.inc()
         return *self._repaired(page.page_id, problem, expected), False
 
     def _repaired(self, page_id: int, problem: str,
@@ -265,7 +278,7 @@ class FosterBTree:
                 pid = child_pid
         finally:
             if hops:
-                self.stats.bump("btree_hops_verified", hops)
+                self._btree_hops_verified.inc(hops)
 
     def _maintain(self) -> bool:
         """Opportunistic maintenance for the latest write descent.
@@ -367,7 +380,7 @@ class FosterBTree:
                     undo = LogicalUndo(UndoAction.INSERT_KEY, key, old)
                     self._log(txn, page, node.op_set_ghost(i, True, old=False),
                               undo)
-                    self.stats.bump("btree_deletes")
+                    self._btree_deletes.inc()
                     return True
                 if live:
                     if len(value) <= room:
@@ -377,7 +390,7 @@ class FosterBTree:
                                   node.op_update_value(i, value, old),
                                   LogicalUndo(UndoAction.RESTORE_VALUE, key,
                                               old))
-                        self.stats.bump("btree_updates")
+                        self._btree_updates.inc()
                         return True
                 elif found:
                     if len(value) <= room:
@@ -392,12 +405,12 @@ class FosterBTree:
                                   LogicalUndo(UndoAction.NONE, key))
                         self._log(txn, page, node.op_set_ghost(i, False, old=True),
                                   LogicalUndo(UndoAction.DELETE_KEY, key))
-                        self.stats.bump("btree_inserts")
+                        self._btree_inserts.inc()
                         return False
                 elif node.room_for(key, value):
                     self._log(txn, page, node.op_insert(i, key, value),
                               LogicalUndo(UndoAction.DELETE_KEY, key))
-                    self.stats.bump("btree_inserts")
+                    self._btree_inserts.inc()
                     return False
             finally:
                 self.ctx.unfix(page.page_id)
@@ -412,7 +425,7 @@ class FosterBTree:
             if found:
                 ghost, value = node.read_value(i)
                 if not ghost:
-                    self.stats.bump("btree_lookups")
+                    self._btree_lookups.inc()
                     return value
             raise KeyNotFound(key)
         finally:
@@ -509,7 +522,7 @@ class FosterBTree:
                                       node.op_insert(i, key, undo.value),
                                       undo_next_lsn)
                 if fits:
-                    self.stats.bump("btree_compensations")
+                    self._btree_compensations.inc()
                     return
             finally:
                 self.ctx.unfix(page.page_id)
@@ -562,7 +575,7 @@ class FosterBTree:
             finally:
                 self.ctx.unfix(foster_page.page_id)
             self.tm.commit(sys_txn)
-            self.stats.bump("btree_splits")
+            self._btree_splits.inc()
         except BaseException:
             if sys_txn.active:
                 self.tm.commit(sys_txn)  # contents-neutral; safe to keep
@@ -598,7 +611,7 @@ class FosterBTree:
                 self._log(sys_txn, child_page, op)
             self._maybe_extend_prefix(sys_txn, child_page, child)
             self.tm.commit(sys_txn)
-            self.stats.bump("btree_adoptions")
+            self._btree_adoptions.inc()
             return True
         finally:
             self.ctx.unfix(child_pid)
@@ -645,7 +658,7 @@ class FosterBTree:
             finally:
                 self.ctx.unfix(new_root_page.page_id)
             self.tm.commit(sys_txn)
-            self.stats.bump("btree_root_growths")
+            self._btree_root_growths.inc()
         finally:
             self.ctx.unfix(old_root_pid)
 
@@ -699,7 +712,7 @@ class FosterBTree:
         free = getattr(self.ctx, "free_page", None)
         if free is not None:
             free(page_id)
-        self.stats.bump("btree_migrations")
+        self._btree_migrations.inc()
         return new_pid
 
     def _find_incoming_pointer(self, target_pid: int, target: BTreeNode):
@@ -776,7 +789,7 @@ class FosterBTree:
                     j += 1
             self.tm.commit(sys_txn)
             if removed:
-                self.stats.bump("btree_ghosts_removed", removed)
+                self._btree_ghosts_removed.inc(removed)
             return removed
         finally:
             self.ctx.unfix(page_id)

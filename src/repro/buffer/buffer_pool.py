@@ -111,6 +111,22 @@ class BufferPool:
         self.device = device
         self.log = log
         self.stats = stats
+        counter = stats.counter
+        self._buffer_hits = counter("buffer_hits")
+        self._buffer_misses = counter("buffer_misses")
+        self._fetch_demand = counter("fetch_demand")
+        self._fetch_prefetch = counter("fetch_prefetch")
+        self._prefetch_hits = counter("prefetch_hits")
+        self._prefetch_wasted = counter("prefetch_wasted")
+        self._prefetch_skipped_bounds = counter("prefetch_skipped_bounds")
+        self._prefetch_skipped_resident = counter("prefetch_skipped_resident")
+        self._prefetch_skipped_quota = counter("prefetch_skipped_quota")
+        self._prefetch_skipped_full = counter("prefetch_skipped_full")
+        self._prefetch_errors = counter("prefetch_errors")
+        self._pool_repairs = counter("pool_repairs")
+        self._pages_written_back = counter("pages_written_back")
+        self._pages_evicted = counter("pages_evicted")
+        self._frames_dropped = counter("frames_dropped")
         self.capacity = capacity
         self.fetcher = fetcher or self._default_fetch
         self.on_page_cleaned = on_page_cleaned
@@ -177,13 +193,13 @@ class BufferPool:
                         parent = held
                     frame = frames.get(page_id)
                     if frame is not None and not frame.loading:
-                        self.stats.bump("buffer_hits")
+                        self._buffer_hits.inc()
                         if frame.prefetched:
                             # First demand hit on a speculative frame:
                             # the prefetch paid off.
                             frame.prefetched = False
                             self._speculative -= 1
-                            self.stats.bump("prefetch_hits")
+                            self._prefetch_hits.inc()
                         frame.referenced = True
                         frame.pin_count += 1
                         if parent is not None:
@@ -192,8 +208,8 @@ class BufferPool:
                         page = frame.page
                         break
                     if frame is None:
-                        self.stats.bump("buffer_misses")
-                        self.stats.bump("fetch_demand")
+                        self._buffer_misses.inc()
+                        self._fetch_demand.inc()
                         self._make_room()
                         frame = Frame(None)
                         frame.loading = True
@@ -307,14 +323,14 @@ class BufferPool:
             bound = min(bound, capacity_pages)
         if (page_id < self.prefetch_floor
                 or (bound is not None and page_id >= bound)):
-            self.stats.bump("prefetch_skipped_bounds")
+            self._prefetch_skipped_bounds.inc()
             return False
         with self._mutex:
             if page_id in self._frames or page_id in self._repairing:
-                self.stats.bump("prefetch_skipped_resident")
+                self._prefetch_skipped_resident.inc()
                 return False
             if self._speculative >= self.prefetch_quota:
-                self.stats.bump("prefetch_skipped_quota")
+                self._prefetch_skipped_quota.inc()
                 return False
             while len(self._frames) >= self.capacity:
                 victim = self._policy.choose_victim(self._frames,
@@ -322,7 +338,7 @@ class BufferPool:
                 if victim is None:
                     # Nothing clean and unpinned to displace: a
                     # speculative read never flushes or unpins.
-                    self.stats.bump("prefetch_skipped_full")
+                    self._prefetch_skipped_full.inc()
                     return False
                 self.evict(victim)
             frame = Frame(None)
@@ -336,11 +352,11 @@ class BufferPool:
         try:
             self._load(page_id, frame)
         except ReproError:
-            self.stats.bump("prefetch_errors")
+            self._prefetch_errors.inc()
             return False
         frame.pin_count = 0  # speculative frames sit unpinned
         frame.latch.release()
-        self.stats.bump("fetch_prefetch")
+        self._fetch_prefetch.inc()
         return True
 
     def unfix(self, page_id: int) -> None:
@@ -394,7 +410,7 @@ class BufferPool:
                         # Do not write the corrupt image back.
                         self.drop_frame(page_id)
                     self._repairing.add(page_id)
-                    self.stats.bump("pool_repairs")
+                    self._pool_repairs.inc()
                     break
                 waited_for_repair = busy or waited_for_repair
             if time.monotonic() >= deadline:
@@ -481,7 +497,7 @@ class BufferPool:
             self.device.write(page_id, page.data)
             frame.dirty = False
             frame.rec_lsn = NULL_LSN
-            self.stats.bump("pages_written_back")
+            self._pages_written_back.inc()
             if self.on_page_cleaned is not None:
                 self.on_page_cleaned(page)
             return True
@@ -527,10 +543,10 @@ class BufferPool:
         if frame.prefetched:
             # Speculatively fetched, never demanded: wasted I/O.
             self._speculative -= 1
-            self.stats.bump("prefetch_wasted")
+            self._prefetch_wasted.inc()
         del self._frames[page_id]
         self._policy.removed(page_id)
-        self.stats.bump("pages_evicted")
+        self._pages_evicted.inc()
 
     def drop_frame(self, page_id: int) -> None:
         """Discard one frame *without* writing it back.
@@ -544,10 +560,10 @@ class BufferPool:
                 raise BufferPoolError(f"cannot drop pinned page {page_id}")
             if frame.prefetched:
                 self._speculative -= 1
-                self.stats.bump("prefetch_wasted")
+                self._prefetch_wasted.inc()
             del self._frames[page_id]
             self._policy.removed(page_id)
-            self.stats.bump("frames_dropped")
+            self._frames_dropped.inc()
 
     def drop_all(self) -> None:
         """Discard every frame without writing (crash simulation)."""
@@ -555,7 +571,7 @@ class BufferPool:
             if self._speculative:
                 # Speculative frames that never saw a demand hit before
                 # the crash took them: wasted I/O.
-                self.stats.bump("prefetch_wasted", self._speculative)
+                self._prefetch_wasted.inc(self._speculative)
                 self._speculative = 0
             self._frames.clear()
             self._policy = ClockEviction()

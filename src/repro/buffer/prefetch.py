@@ -65,6 +65,8 @@ class Prefetcher:
                 f"prefetcher mode must be 'sequential' or 'semantic', "
                 f"got {mode!r}")
         self.stats = stats or Stats()
+        self._prefetch_queue_overflow = self.stats.counter(
+            "prefetch_queue_overflow")
         self.mode = mode
         self.depth = depth
         self.window = window
@@ -162,7 +164,7 @@ class Prefetcher:
             return
         if len(self._queue) >= self.queue_limit:
             self._queue.popitem(last=False)  # oldest prediction staled
-            self.stats.bump("prefetch_queue_overflow")
+            self._prefetch_queue_overflow.inc()
         self._queue[page_id] = None
 
     # ------------------------------------------------------------------

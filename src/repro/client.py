@@ -152,6 +152,12 @@ class Client:
         transactionally per backend unit (the benchmark path)."""
         raise NotImplementedError
 
+    def metrics(self) -> dict[str, int | float]:
+        """What the backend has counted so far, by declared name (the
+        catalogue is :data:`repro.sim.stats.CATALOGUE`; a name appears
+        once it has been counted)."""
+        raise NotImplementedError
+
 
 # ----------------------------------------------------------------------
 # Single node
@@ -221,6 +227,10 @@ class SingleNodeClient(Client):
                 else:
                     tree.remove(txn, op[1])
         return len(ops)
+
+    def metrics(self) -> dict[str, int | float]:
+        self._require_open()
+        return self.db.stats.snapshot()
 
 
 class _SingleNodeTxn:
@@ -346,3 +356,17 @@ class ShardedClient(Client):
         if errors:
             raise errors[0]
         return len(ops)
+
+    def metrics(self) -> dict[str, int | float]:
+        """Every shard's counters, summed.  What is a level and not a
+        count — a worker's ``shard_*`` gauges, a shard's simulated
+        clock — stays per shard, as ``name[<shard>]``."""
+        self._require_open()
+        merged: dict[str, int | float] = {}
+        for shard, counters in self.router.stats().items():
+            for name, value in counters.items():
+                if name.startswith("shard_") or name == "sim_clock_seconds":
+                    merged[f"{name}[{shard}]"] = value
+                else:
+                    merged[name] = merged.get(name, 0) + value
+        return merged

@@ -79,6 +79,14 @@ class BackupStore:
         self.clock = clock
         self.profile = profile
         self.stats = stats
+        counter = stats.counter
+        self._full_backups_taken = counter("full_backups_taken")
+        self._full_backups_restored = counter("full_backups_restored")
+        self._full_backups_retired = counter("full_backups_retired")
+        self._backup_page_fetches = counter("backup_page_fetches")
+        self._page_copies_taken = counter("page_copies_taken")
+        self._page_copies_freed = counter("page_copies_freed")
+        self._page_copy_write_failures = counter("page_copy_write_failures")
         self.page_size = page_size
         self._full_backups: dict[int, dict[int, bytes]] = {}
         self._full_backup_lsns: dict[int, dict[int, int]] = {}
@@ -116,7 +124,7 @@ class BackupStore:
         self._full_backup_lsns[backup_id] = dict(page_lsns)
         if checkpoint_lsn is not None:
             self._full_backup_checkpoints[backup_id] = checkpoint_lsn
-        self.stats.bump("full_backups_taken")
+        self._full_backups_taken.inc()
         return backup_id
 
     def full_backup_checkpoint_lsn(self, backup_id: int) -> int | None:
@@ -146,7 +154,7 @@ class BackupStore:
             raise RecoveryError(
                 f"page {page_id} not in full backup {backup_id}")
         self.clock.advance(self.profile.read_cost(self.page_size))
-        self.stats.bump("backup_page_fetches")
+        self._backup_page_fetches.inc()
         return image, self._full_backup_lsns[backup_id][page_id]
 
     def restore_full_backup(self, backup_id: int) -> dict[int, bytes]:
@@ -154,7 +162,7 @@ class BackupStore:
         images = self._require_full_backup(backup_id)
         total = sum(len(img) for img in images.values())
         self.clock.advance(self.profile.read_cost(total, sequential=True))
-        self.stats.bump("full_backups_restored")
+        self._full_backups_restored.inc()
         return dict(images)
 
     def full_backup_lsns(self, backup_id: int) -> dict[int, int]:
@@ -183,7 +191,7 @@ class BackupStore:
         del self._full_backup_lsns[backup_id]
         self._full_backup_checkpoints.pop(backup_id, None)
         self._retired_backup_ids.add(backup_id)
-        self.stats.bump("full_backups_retired")
+        self._full_backups_retired.inc()
 
     # ------------------------------------------------------------------
     # Explicit page copies
@@ -203,12 +211,12 @@ class BackupStore:
             # durable; the fresh location is burned, the old copy —
             # which this write deliberately did not touch — survives.
             self._copy_write_failures -= 1
-            self.stats.bump("page_copy_write_failures")
+            self._page_copy_write_failures.inc()
             raise StorageError(
                 f"backup medium: write of page copy to location "
                 f"{location} failed")
         self._page_copies[location] = (bytes(image), page_lsn)
-        self.stats.bump("page_copies_taken")
+        self._page_copies_taken.inc()
         return location
 
     def inject_copy_write_failures(self, count: int = 1) -> None:
@@ -225,7 +233,7 @@ class BackupStore:
                     f"reference dangles") from None
             raise RecoveryError(f"no page copy at location {location}") from None
         self.clock.advance(self.profile.read_cost(len(image)))
-        self.stats.bump("backup_page_fetches")
+        self._backup_page_fetches.inc()
         return image, lsn
 
     def free_page_copy(self, location: int) -> None:
@@ -234,7 +242,7 @@ class BackupStore:
         if location in self._page_copies:
             del self._page_copies[location]
             self._freed_locations.append(location)
-            self.stats.bump("page_copies_freed")
+            self._page_copies_freed.inc()
 
     def free_if_page_copy(self, ref: BackupRef | None) -> None:
         if ref is not None and ref.kind == BackupRefKind.PAGE_COPY:

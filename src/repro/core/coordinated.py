@@ -59,6 +59,9 @@ class CoordinatedRecovery:
         self.device = device
         self.clock = clock
         self.stats = stats
+        self._coordinated_recoveries = stats.counter("coordinated_recoveries")
+        self._coordinated_pages_recovered = stats.counter(
+            "coordinated_pages_recovered")
 
     def recover_many(self, page_ids: list[int]) -> CoordinatedResult:
         """Recover all of ``page_ids`` with shared log access.
@@ -115,6 +118,6 @@ class CoordinatedRecovery:
 
         result.log_pages_read = self.log_reader.pages_read - pages_before
         result.elapsed_simulated = self.clock.now - start_time
-        self.stats.bump("coordinated_recoveries")
-        self.stats.bump("coordinated_pages_recovered", result.pages_recovered)
+        self._coordinated_recoveries.inc()
+        self._coordinated_pages_recovered.inc(result.pages_recovered)
         return result

@@ -15,7 +15,7 @@ compares across engines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import FailureClass
@@ -31,7 +31,9 @@ class FailureOutcome(Enum):
 
 @dataclass
 class FailureEvent:
-    """Blast radius of one handled fault."""
+    """One handled fault: its blast radius and — for a repair — what an
+    operator asks afterwards: which source served the image, how many
+    records were replayed onto it, at what I/O cost."""
 
     page_id: int
     detected_by: str
@@ -39,12 +41,24 @@ class FailureEvent:
     failure_class: FailureClass
     transactions_aborted: int = 0
     pages_unavailable: int = 0
+    #: simulated seconds the repair took
     downtime_seconds: float = 0.0
+    #: :attr:`repro.core.single_page.RecoveryResult.source` of a repair;
+    #: empty for an escalation, whose reason is ``detail``
+    source: str = ""
+    records_replayed: int = 0
+    log_pages_read: int = 0
+    backup_fetches: int = 0
     detail: str = ""
-    extra: dict[str, float] = field(default_factory=dict)
 
     def summary(self) -> str:
-        return (f"page {self.page_id}: {self.detected_by} -> {self.outcome.value} "
-                f"({self.transactions_aborted} txns aborted, "
-                f"{self.pages_unavailable} pages unavailable, "
-                f"{self.downtime_seconds:.3f} s downtime)")
+        text = (f"page {self.page_id}: {self.detected_by} -> "
+                f"{self.outcome.value}")
+        if self.source:
+            return (f"{text} (source {self.source}, "
+                    f"{self.records_replayed} records replayed, "
+                    f"{self.log_pages_read} log pages read, "
+                    f"{self.backup_fetches} backup fetches, "
+                    f"{self.downtime_seconds:.6f} s simulated)")
+        return (f"{text} ({self.transactions_aborted} txns aborted, "
+                f"{self.pages_unavailable} pages unavailable: {self.detail})")

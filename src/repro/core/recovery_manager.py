@@ -22,6 +22,7 @@ Reading a page after a buffer fault:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable
 
 from repro.core.failure_classes import FailureEvent, FailureOutcome
@@ -41,6 +42,10 @@ from repro.sim.clock import SimClock
 from repro.sim.stats import Stats
 from repro.storage.device import DeviceReadError, StorageDevice
 
+#: how many :class:`FailureEvent` entries :attr:`RecoveryManager.events`
+#: keeps
+FAILURE_RING = 256
+
 
 class RecoveryManager:
     """Implements Figure 8; used as the buffer pool's page fetcher."""
@@ -51,16 +56,30 @@ class RecoveryManager:
                  clock: SimClock, stats: Stats,
                  single_device_node: bool = False,
                  on_media_failure: Callable[[MediaFailure], None] | None = None,
-                 pri_lsn_check: bool = True) -> None:
+                 pri_lsn_check: bool = True,
+                 events: deque[FailureEvent] | None = None) -> None:
         self.device = device
         self.pri = pri
         self.single_page = single_page
         self.clock = clock
         self.stats = stats
+        counter = stats.counter
+        self._pages_fetched_clean = counter("pages_fetched_clean")
+        self._pri_repaired_on_read = counter("pri_repaired_on_read")
+        self._page_failures_detected = counter("page_failures_detected")
+        self._spf_recovery_failures = counter("spf_recovery_failures")
+        self._escalations_to_media = counter("escalations_to_media")
+        self._escalations_to_system = counter("escalations_to_system")
         self.single_device_node = single_device_node
         self.on_media_failure = on_media_failure
         self.pri_lsn_check = pri_lsn_check
-        self.events: list[FailureEvent] = []
+        #: the most recent repairs and escalations, oldest first: a
+        #: ring, so an engine that repairs a page every few operations
+        #: for days keeps only the last :data:`FAILURE_RING` of them
+        #: (``events``: continue a predecessor's ring — the engine
+        #: rebuilds this object on every crash)
+        self.events = (events if events is not None
+                       else deque(maxlen=FAILURE_RING))
 
     @property
     def spf_supported(self) -> bool:
@@ -73,7 +92,7 @@ class RecoveryManager:
         """Read + verify a page; recover or escalate on failure."""
         try:
             page = self._read_and_verify(page_id)
-            self.stats.bump("pages_fetched_clean")
+            self._pages_fetched_clean.inc()
             return page
         except SinglePageFailure as failure:
             return self.handle_failure(failure)
@@ -107,7 +126,7 @@ class RecoveryManager:
             # repair the index (Figure 12's reconciliation, applied on
             # the read path).
             self.pri.record_write(page_id, actual)
-            self.stats.bump("pri_repaired_on_read")
+            self._pri_repaired_on_read.inc()
 
     # ------------------------------------------------------------------
     # Failure handling and escalation (Figures 1 and 8)
@@ -118,7 +137,7 @@ class RecoveryManager:
         Returns the recovered page, or raises :class:`MediaFailure` /
         :class:`SystemFailure` after recording the escalation.
         """
-        self.stats.bump("page_failures_detected")
+        self._page_failures_detected.inc()
         if self.single_page is not None:
             try:
                 start = self.clock.now
@@ -131,12 +150,14 @@ class RecoveryManager:
                     transactions_aborted=0,
                     pages_unavailable=0,
                     downtime_seconds=self.clock.now - start,
-                    detail=f"{result.records_applied} log records applied, "
-                           f"{result.total_random_ios} random I/Os",
+                    source=result.source,
+                    records_replayed=result.records_applied,
+                    log_pages_read=result.log_pages_read,
+                    backup_fetches=result.backup_fetches,
                 ))
                 return page
             except RecoveryError as exc:
-                self.stats.bump("spf_recovery_failures")
+                self._spf_recovery_failures.inc()
                 self._escalate(failure, f"single-page recovery failed: {exc}")
         else:
             self._escalate(failure, "single-page failures unsupported")
@@ -146,11 +167,11 @@ class RecoveryManager:
         """Figure 1: page failure -> media failure -> system failure."""
         media = MediaFailure(self.device.name,
                              f"page {failure.page_id}: {reason}")
-        self.stats.bump("escalations_to_media")
+        self._escalations_to_media.inc()
         if self.on_media_failure is not None:
             self.on_media_failure(media)
         if self.single_device_node:
-            self.stats.bump("escalations_to_system")
+            self._escalations_to_system.inc()
             self.events.append(FailureEvent(
                 page_id=failure.page_id,
                 detected_by=failure.kind.value,

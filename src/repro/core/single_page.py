@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.core.backup import BackupStore, fetch_backup_image
 from repro.core.recovery_index import PartitionedRecoveryIndex, PageRecoveryIndex
-from repro.errors import RecoveryError, SinglePageFailure
+from repro.errors import PageFailureKind, RecoveryError, SinglePageFailure
 from repro.page.page import Page
 from repro.sim.clock import SimClock
 from repro.sim.stats import Stats
@@ -111,6 +111,12 @@ class SinglePageRecovery:
         self.device = device
         self.clock = clock
         self.stats = stats
+        counter = stats.counter
+        self._single_page_recoveries = counter("single_page_recoveries")
+        self._spf_by_kind = {kind: counter(f"spf[{kind.value}]")
+                             for kind in PageFailureKind}
+        self._spf_from_replica = counter("spf_from_replica")
+        self._spf_records_applied = counter("spf_records_applied")
         #: fifth repair source (PR 7): a hot standby tried *before* the
         #: four backup sources — it holds the page already rolled
         #: forward, so a hit needs zero chain-replay records
@@ -127,8 +133,8 @@ class SinglePageRecovery:
         page_id = failure.page_id
         start_time = self.clock.now
         pages_before = self.log_reader.pages_read
-        self.stats.bump("single_page_recoveries")
-        self.stats.bump(f"spf[{failure.kind.value}]")
+        self._single_page_recoveries.inc()
+        self._spf_by_kind[failure.kind].inc()
 
         # Step 1: the page recovery index.
         if not self.pri.covers(page_id):
@@ -159,7 +165,7 @@ class SinglePageRecovery:
                     source="replica",
                 )
                 self.history.append(result)
-                self.stats.bump("spf_from_replica")
+                self._spf_from_replica.inc()
                 return served, result
 
         if not entry.has_backup:
@@ -198,5 +204,5 @@ class SinglePageRecovery:
             applied_lsns=[record.lsn for record in applied],
         )
         self.history.append(result)
-        self.stats.bump("spf_records_applied", len(applied))
+        self._spf_records_applied.inc(len(applied))
         return page, result

@@ -47,6 +47,8 @@ class Scrubber:
         self.device = device
         self.manager = manager
         self.stats = stats
+        self._scrub_passes = stats.counter("scrub_passes")
+        self._scrub_failures_found = stats.counter("scrub_failures_found")
         self.skip = skip or (lambda page_id: False)
 
     def scrub(self, first_page: int, last_page: int,
@@ -71,7 +73,7 @@ class Scrubber:
             if failure is None:
                 continue
             report.note_failure(failure.kind)
-            self.stats.bump("scrub_failures_found")
+            self._scrub_failures_found.inc()
             if not repair:
                 continue
             try:
@@ -80,7 +82,7 @@ class Scrubber:
             except (MediaFailure, SystemFailure):
                 report.unrepairable.append(page_id)
                 raise
-        self.stats.bump("scrub_passes")
+        self._scrub_passes.inc()
         return report
 
     def scrub_incremental(self, cursor: int, budget_pages: int,

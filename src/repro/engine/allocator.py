@@ -24,6 +24,7 @@ class PageAllocator:
 
     def __init__(self, db) -> None:  # noqa: ANN001 - Database facade
         self.db = db
+        self._pages_freed = db.stats.counter("pages_freed")
 
     def allocate_page(self, txn: Transaction, page_type: PageType,
                       index_id: int) -> Page:
@@ -67,7 +68,7 @@ class PageAllocator:
         db.catalog.set_blob(sys_txn, b"freelist",
                             blob + struct.pack("<q", page_id))
         db.tm.commit(sys_txn)
-        db.stats.bump("pages_freed")
+        self._pages_freed.inc()
 
     def _pop_free_list(self, txn: Transaction) -> int | None:
         blob = self.db.catalog.get_blob(b"freelist")

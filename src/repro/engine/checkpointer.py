@@ -37,6 +37,14 @@ class Checkpointer:
 
     def __init__(self, db) -> None:  # noqa: ANN001 - Database facade
         self.db = db
+        counter = db.stats.counter
+        self._checkpoints = counter("checkpoints")
+        self._pri_persists = counter("pri_persists")
+        self._pri_update_records = counter("pri_update_records")
+        self._policy_page_copies = counter("policy_page_copies")
+        self._page_copy_policy_failures = counter("page_copy_policy_failures")
+        self._copy_forward_backups = counter("copy_forward_backups")
+        self._backup_images_repaired = counter("backup_images_repaired")
         # Two threads must never interleave checkpoints (the PRI
         # region would interleave partition snapshots); sessions
         # already serialize via the engine latch, this guards direct
@@ -90,7 +98,7 @@ class Checkpointer:
         checkpoint = CheckpointData(db.pool.dirty_page_table(), att,
                                     pri_images)
         lsn = db.log.log_checkpoint_end(checkpoint)
-        db.stats.bump("checkpoints")
+        self._checkpoints.inc()
         return lsn
 
     def persist_pri(self) -> dict[int, int]:
@@ -153,7 +161,7 @@ class Checkpointer:
                 db.pri.set_backup(page_id, BackupRef.log_image(lsn), lsn,
                                   db.clock.now)
                 db.pri.record_write(page_id, lsn)
-        db.stats.bump("pri_persists")
+        self._pri_persists.inc()
         return image_lsns
 
     def _forget_vacated_pri_pages(self, region: list[list[int]],
@@ -227,7 +235,7 @@ class Checkpointer:
             # write it rides on: the old copy is still in place (a new
             # copy never overwrites it), so recoverability is unchanged
             # and the policy simply retries at the next write-back.
-            db.stats.bump("page_copy_policy_failures")
+            self._page_copy_policy_failures.inc()
 
     def on_page_cleaned(self, page: Page) -> None:
         """Figure 11: after the write, log the PRI update; no force."""
@@ -237,7 +245,7 @@ class Checkpointer:
         record = LogRecord(LogRecordKind.PRI_UPDATE, page_id=page.page_id,
                            page_lsn=page.page_lsn)
         db.log.append(record)
-        db.stats.bump("pri_update_records")
+        self._pri_update_records.inc()
         if db.config.spf_enabled:
             db.pri.record_write(page.page_id, page.page_lsn)
 
@@ -266,7 +274,7 @@ class Checkpointer:
                                     page.page_lsn, db.clock.now)
         db.backup_store.free_if_page_copy(old_ref)
         page.reset_update_count()
-        db.stats.bump("policy_page_copies")
+        self._policy_page_copies.inc()
         return location
 
     def take_log_image(self, page_id: int) -> int:
@@ -344,7 +352,7 @@ class Checkpointer:
                 return raw
         except ReproError:
             pass
-        db.stats.bump("backup_images_repaired")
+        self._backup_images_repaired.inc()
         page = db.pool.fix(page_id)
         try:
             image = bytes(page.data)
@@ -512,5 +520,5 @@ class Checkpointer:
                 self.take_page_copy(page)
             finally:
                 db.pool.unfix(page_id)
-            db.stats.bump("copy_forward_backups")
+            self._copy_forward_backups.inc()
         return len(copied)

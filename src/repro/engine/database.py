@@ -37,6 +37,7 @@ from repro.btree.tree import FosterBTree
 from repro.buffer.buffer_pool import BufferPool
 from repro.buffer.prefetch import Prefetcher
 from repro.core.backup import BackupStore
+from repro.core.failure_classes import FailureEvent
 from repro.core.recovery_index import PageRecoveryIndex, PartitionedRecoveryIndex
 from repro.core.recovery_manager import RecoveryManager
 from repro.core.single_page import SinglePageRecovery
@@ -67,6 +68,28 @@ from repro.wal.ops import OpInitSlotted, OpInsert
 from repro.wal.records import BackupRef, LogicalUndo
 
 
+class EngineCounters:
+    """Handles for what the engine counts outside its components: in
+    :class:`Database` itself and in the functions that take one
+    (restart, media recovery, loser undo, standby seeding)."""
+
+    def __init__(self, stats: Stats) -> None:
+        counter = stats.counter
+        self.system_crashes = counter("system_crashes")
+        self.restarts = counter("restarts")
+        self.instant_restarts = counter("instant_restarts")
+        self.restart_undo_txns = counter("restart_undo_txns")
+        self.indoubt_txns_recovered = counter("indoubt_txns_recovered")
+        self.pri_pages_repaired = counter("pri_pages_repaired")
+        self.media_recoveries = counter("media_recoveries")
+        self.instant_restores = counter("instant_restores")
+        self.txns_killed_by_media_failure = counter(
+            "txns_killed_by_media_failure")
+        self.standby_attaches = counter("standby_attaches")
+        self.standby_seed_images_repaired = counter(
+            "standby_seed_images_repaired")
+
+
 class Database:
     """A single-node database engine over one simulated device."""
 
@@ -78,6 +101,7 @@ class Database:
         self.config = config or EngineConfig()
         self.clock = clock or SimClock()
         self.stats = stats or Stats()
+        self.counters = EngineCounters(self.stats)
         self.injector = injector or FaultInjector(seed=self.config.seed)
         cfg = self.config
 
@@ -183,11 +207,15 @@ class Database:
                 standby=getattr(self, "standby", None))
         else:
             self.single_page = None
+        previous = getattr(self, "recovery_manager", None)
         self.recovery_manager = RecoveryManager(
             self.device, self.pri, self.single_page, self.clock, self.stats,
             single_device_node=cfg.single_device_node,
             on_media_failure=self._on_media_failure,
-            pri_lsn_check=cfg.pri_lsn_check and cfg.spf_enabled)
+            pri_lsn_check=cfg.pri_lsn_check and cfg.spf_enabled,
+            # the repair trace is the operator's, not the engine's
+            # volatile state: it survives the crash that rebuilds this
+            events=previous.events if previous is not None else None)
 
     def _build_pool(self, device: StorageDevice) -> BufferPool:
         """Buffer pool wired to the detection/repair/backup hooks."""
@@ -491,7 +519,7 @@ class Database:
         self.standby_link = self.log.shipper
         if self.single_page is not None:
             self.single_page.standby = standby
-        self.stats.bump("standby_attaches")
+        self.counters.standby_attaches.inc()
         return standby
 
     def detach_standby(self) -> None:
@@ -552,7 +580,7 @@ class Database:
         self._build_recovery_stack()
         self._wire_pool()
         self._crashed = True
-        self.stats.bump("system_crashes")
+        self.counters.system_crashes.inc()
         for hook in self.crash_hooks:
             hook(self)
 
@@ -610,7 +638,7 @@ class Database:
             self.tm.active.pop(txn_id, None)
             self.locks.release_all(txn_id)
         self._media_failed = True
-        self.stats.bump("txns_killed_by_media_failure", len(victims))
+        self.counters.txns_killed_by_media_failure.inc(len(victims))
         return len(victims)
 
     def recover_media(self, backup_id: int,
@@ -717,6 +745,13 @@ class Database:
             skip=lambda page_id: (self.pool.resident(page_id)
                                   or page_id in vacant))
         return scrubber.scrub(0, self.allocated_pages(), repair=repair)
+
+    def recent_failures(self) -> list[FailureEvent]:
+        """The most recent page repairs and escalations, oldest first
+        (a bounded ring, see :data:`repro.core.recovery_manager.
+        FAILURE_RING`): page, detected by what, repaired from which
+        source, replaying how many records, at what cost."""
+        return list(self.recovery_manager.events)
 
     def allocated_pages(self) -> int:
         return self.allocator.allocated_pages()

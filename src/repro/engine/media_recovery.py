@@ -177,13 +177,13 @@ def run_media_recovery(db, backup_id: int,  # noqa: ANN001
          for page_id in source.backup_pages | set(page_records)}, att)
     recovery.install()
     report.loser_txn_ids = sorted(att)
-    db.stats.bump("media_recoveries")
+    db.counters.media_recoveries.inc()
     if report.mode == "on_demand":
         # Open for traffic: every page is reachable (restored on fix).
         report.pending_restore_pages = recovery.pending_page_count
         report.pending_undo_txns = recovery.pending_loser_count
         db._media_failed = False
-        db.stats.bump("instant_restores")
+        db.counters.instant_restores.inc()
         db.log.force()
         return report
 

@@ -75,6 +75,7 @@ from repro.errors import (
 )
 from repro.page.page import Page
 from repro.sim.clock import StopWatch
+from repro.sim.stats import Handle
 from repro.storage.device import DeviceReadError
 from repro.sync import Mutex
 from repro.txn.transaction import Transaction
@@ -101,7 +102,7 @@ def undo_loser(db, txn_id: int, last_lsn: int,  # noqa: ANN001
     db.tm.rollback_work(txn, db)
     db.log.append(LogRecord(LogRecordKind.ABORT, txn_id=txn_id,
                             prev_lsn=txn.last_lsn))
-    db.stats.bump("restart_undo_txns")
+    db.counters.restart_undo_txns.inc()
 
 
 # ----------------------------------------------------------------------
@@ -113,10 +114,10 @@ class ImageSource:
     ``"restore"``): it selects the ``db.last_<kind>_completion_lsn``
     watermark and the ``<kind>_pending_*`` / ``<kind>_drain_*``
     counters; ``counters`` maps the registry's per-item events to the
-    counter names tests and ``bench/metrics.py`` read."""
+    handles of the counters tests and ``bench/metrics.py`` read."""
 
     kind: str
-    counters: dict[str, str]
+    counters: dict[str, Handle]
 
     def __init__(self, db) -> None:  # noqa: ANN001 - Database facade
         self.db = db
@@ -155,16 +156,20 @@ class DeviceImage(ImageSource):
     pending record."""
 
     kind = "restart"
-    counters = {
-        "page": "lazy_redo_pages", "records": "lazy_redo_records",
-        "chain_fallback": "chain_forward_fallbacks",
-        "superseded": "lazy_redo_superseded",
-        "undo_on_conflict": "lazy_undo_on_conflict",
-        "undo": "lazy_undo_txns",
-    }
 
     def __init__(self, db) -> None:  # noqa: ANN001
         super().__init__(db)
+        counter = db.stats.counter
+        self.counters = {
+            "page": counter("lazy_redo_pages"),
+            "records": counter("lazy_redo_records"),
+            "chain_fallback": counter("chain_forward_fallbacks"),
+            "superseded": counter("lazy_redo_superseded"),
+            "undo_on_conflict": counter("lazy_undo_on_conflict"),
+            "undo": counter("lazy_undo_txns"),
+        }
+        self._pri_repair_records = counter("pri_repair_records")
+        self._completions = counter("instant_restart_completions")
         #: PRI-update records regenerated for already-current pages
         self.pri_repairs = 0
 
@@ -229,14 +234,14 @@ class DeviceImage(ImageSource):
             db.log.append(LogRecord(LogRecordKind.PRI_UPDATE,
                                     page_id=page.page_id,
                                     page_lsn=page.page_lsn))
-            db.stats.bump("pri_repair_records")
+            self._pri_repair_records.inc()
             self.pri_repairs += 1
             if db.config.spf_enabled:
                 db.pri.record_write(page.page_id, page.page_lsn)
         return None
 
     def completed(self) -> None:
-        self.db.stats.bump("instant_restart_completions")
+        self._completions.inc()
 
 
 class BackupImage(ImageSource):
@@ -248,17 +253,20 @@ class BackupImage(ImageSource):
     replay walks every pending page back to it."""
 
     kind = "restore"
-    counters = {
-        "page": "restore_pages", "records": "restore_records",
-        "chain_fallback": "restore_chain_fallbacks",
-        "superseded": "restore_superseded",
-        "undo_on_conflict": "restore_undo_on_conflict",
-        "undo": "restore_undo_txns",
-    }
 
     def __init__(self, db, backup_lsn: int,  # noqa: ANN001
                  backup_pages: set[int]) -> None:
         super().__init__(db)
+        counter = db.stats.counter
+        self.counters = {
+            "page": counter("restore_pages"),
+            "records": counter("restore_records"),
+            "chain_fallback": counter("restore_chain_fallbacks"),
+            "superseded": counter("restore_superseded"),
+            "undo_on_conflict": counter("restore_undo_on_conflict"),
+            "undo": counter("restore_undo_txns"),
+        }
+        self._completions = counter("instant_restore_completions")
         self.backup_lsn = backup_lsn
         #: pages with an image in the full backup
         self.backup_pages = backup_pages
@@ -351,7 +359,7 @@ class BackupImage(ImageSource):
         # retired, and the watermark is made durable.
         self._image_cache.clear()
         self.db._pending_restore_backup_id = None
-        self.db.stats.bump("instant_restore_completions")
+        self._completions.inc()
         self.db.log.force()
 
 
@@ -367,6 +375,11 @@ class PendingRecovery:
                  att: dict[int, tuple[int, bool]]) -> None:
         self.db = db
         self.source = source
+        counter, kind = db.stats.counter, source.kind
+        self._pending_pages = counter(f"{kind}_pending_pages")
+        self._pending_losers = counter(f"{kind}_pending_losers")
+        self._drain_pages = counter(f"{kind}_drain_pages")
+        self._drain_losers = counter(f"{kind}_drain_losers")
         #: every page awaiting recovery -> its analysis record list (the
         #: drain's record source, the demand fix's fallback)
         self.pending_pages = pending_pages
@@ -413,9 +426,8 @@ class PendingRecovery:
         for loser in self.pending_losers.values():
             for key in loser.keys:
                 db.locks.acquire(loser.txn_id, key)
-        kind = self.source.kind
-        db.stats.bump(f"{kind}_pending_pages", len(self.pending_pages))
-        db.stats.bump(f"{kind}_pending_losers", len(self.pending_losers))
+        self._pending_pages.inc(len(self.pending_pages))
+        self._pending_losers.inc(len(self.pending_losers))
         self._maybe_finish()
 
     def abandon(self) -> None:
@@ -525,7 +537,7 @@ class PendingRecovery:
                 # walk itself links every record to the next, so replay
                 # can only fail at the first one — before anything was
                 # applied; the image is still the source's.
-                db.stats.bump(counters["chain_fallback"])
+                counters["chain_fallback"].inc()
         if applied is None:
             applied = replay_records(page, records)
         rec_lsn = self.source.deliver(page, records, applied, sequential)
@@ -540,8 +552,8 @@ class PendingRecovery:
         self.records_applied += len(applied)
         if not applied:
             self.pages_already_current += 1
-        db.stats.bump(counters["page"])
-        db.stats.bump(counters["records"], len(applied))
+        counters["page"].inc()
+        counters["records"].inc(len(applied))
         self._maybe_finish()
         return page, rec_lsn
 
@@ -551,7 +563,7 @@ class PendingRecovery:
         the same effect as a successful write", Section 5.1.2)."""
         with self._mutex:
             if self.pending_pages.pop(page_id, None) is not None:
-                self.db.stats.bump(self.source.counters["superseded"])
+                self.source.counters["superseded"].inc()
                 self._maybe_finish()
 
     # ------------------------------------------------------------------
@@ -562,7 +574,7 @@ class PendingRecovery:
         loser, roll it back now and let the requester retry."""
         if holder_txn_id not in self.pending_losers:
             return False
-        self.db.stats.bump(self.source.counters["undo_on_conflict"])
+        self.source.counters["undo_on_conflict"].inc()
         return self.undo_pending_loser(holder_txn_id)
 
     def undo_pending_loser(self, txn_id: int) -> bool:
@@ -589,7 +601,7 @@ class PendingRecovery:
             self._undoing.discard(txn_id)
             del self.pending_losers[txn_id]
             db.locks.release_all(txn_id)
-            db.stats.bump(self.source.counters["undo"])
+            self.source.counters["undo"].inc()
             self.undone_losers.append(txn_id)
             self._maybe_finish()
         return True
@@ -642,8 +654,8 @@ class PendingRecovery:
                 if self.undo_pending_loser(loser.txn_id):
                     losers_done += 1
         self.loser_seconds += watch.elapsed
-        db.stats.bump(f"{self.source.kind}_drain_pages", pages_done)
-        db.stats.bump(f"{self.source.kind}_drain_losers", losers_done)
+        self._drain_pages.inc(pages_done)
+        self._drain_losers.inc(losers_done)
         return pages_done, losers_done
 
     def drain_all(self) -> tuple[int, int]:

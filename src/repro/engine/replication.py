@@ -78,6 +78,13 @@ class SegmentShipper:
                             if standby.applied_lsn else log.truncated_below)
         self.ships = 0
         self._mutex = log._mutex
+        counter = log.stats.counter
+        self._ship_batches = counter("ship_batches")
+        self._ship_bytes = counter("ship_bytes")
+        self._ship_acks = counter("ship_acks")
+        self._ship_link_severs = counter("ship_link_severs")
+        self._ship_link_restores = counter("ship_link_restores")
+        self._ship_gap_breaks = counter("ship_gap_breaks")
 
     @property
     def acked_lsn(self) -> int:
@@ -107,17 +114,17 @@ class SegmentShipper:
             # shipping (on_durable) does not block anyone on it.
             self.log.clock.advance(
                 self.log.profile.write_cost(LOG_PAGE_SIZE))
-            self.log.stats.bump("ship_acks")
+            self._ship_acks.inc()
 
     def sever(self) -> None:
         """Take the shipping link down; forces stop streaming."""
         self.link_up = False
-        self.log.stats.bump("ship_link_severs")
+        self._ship_link_severs.inc()
 
     def restore(self) -> None:
         """Bring the link back up and catch the standby up."""
         self.link_up = True
-        self.log.stats.bump("ship_link_restores")
+        self._ship_link_restores.inc()
         self.on_durable(self.log.durable_lsn)
 
     def _ship_locked(self, target: int) -> None:
@@ -131,7 +138,7 @@ class SegmentShipper:
             # happen while the standby is alive.
             self.link_up = False
             self.standby.running = False
-            self.log.stats.bump("ship_gap_breaks")
+            self._ship_gap_breaks.inc()
             return
         records = [r for r in self.log.records_from(self.shipped_lsn)
                    if r.lsn < target]
@@ -142,8 +149,8 @@ class SegmentShipper:
         self.standby.apply_records(records)
         self.shipped_lsn = target
         self.ships += 1
-        self.log.stats.bump("ship_batches")
-        self.log.stats.bump("ship_bytes", nbytes)
+        self._ship_batches.inc()
+        self._ship_bytes.inc(nbytes)
 
 
 class Standby:
@@ -154,6 +161,13 @@ class Standby:
         self.config = config
         self.clock = clock
         self.stats = stats
+        counter = stats.counter
+        self._standby_seeds = counter("standby_seeds")
+        self._standby_seed_bytes = counter("standby_seed_bytes")
+        self._standby_pages_served = counter("standby_pages_served")
+        self._standby_serve_lagging = counter("standby_serve_lagging")
+        self._standby_crashes = counter("standby_crashes")
+        self._standby_promotions = counter("standby_promotions")
         self.name = name
         #: the standby's own device; promotion installs the applied
         #: pages here and the promoted engine adopts it
@@ -221,8 +235,8 @@ class Standby:
         self.att = {txn_id: (txn.last_lsn, txn.is_system)
                     for txn_id, txn in db.tm.active.items()}
         self.applied_lsn = self.log.end_lsn
-        self.stats.bump("standby_seeds")
-        self.stats.bump("standby_seed_bytes", copied_bytes)
+        self._standby_seeds.inc()
+        self._standby_seed_bytes.inc(copied_bytes)
 
     def _verified_seed_image(self, db, page_id: int, raw: bytes) -> bytes:  # noqa: ANN001
         """A raw device image, or — if it fails in-page checks or the
@@ -239,7 +253,7 @@ class Standby:
                 return raw
         except ReproError:
             pass
-        db.stats.bump("standby_seed_images_repaired")
+        db.counters.standby_seed_images_repaired.inc()
         page = db.pool.fix(page_id)
         try:
             return bytes(page.data)
@@ -296,11 +310,11 @@ class Standby:
         if page is None:
             return None
         if min_lsn != NULL_LSN and page.page_lsn < min_lsn:
-            self.stats.bump("standby_serve_lagging")
+            self._standby_serve_lagging.inc()
             return None
         self.clock.advance(
             self.config.device_profile.read_cost(self.config.page_size))
-        self.stats.bump("standby_pages_served")
+        self._standby_pages_served.inc()
         return page.copy()
 
     # ------------------------------------------------------------------
@@ -318,7 +332,7 @@ class Standby:
         self.att.clear()
         self.log = self._fresh_log()
         self.applied_lsn = NULL_LSN
-        self.stats.bump("standby_crashes")
+        self._standby_crashes.inc()
 
     def promote(self, restart_mode: str | None = None,
                 take_backup: bool = True):  # noqa: ANN201 - Database
@@ -352,7 +366,7 @@ class Standby:
             copy = self.pages[page_id].copy()
             copy.seal()
             self.device.write(page_id, copy.data)
-        self.stats.bump("standby_promotions")
+        self._standby_promotions.inc()
         db = Database(self.config, clock=self.clock, stats=self.stats,
                       adopt_storage=(self.device, self.log))
         db.tm.restore_txn_id_floor(self.max_txn_seen)

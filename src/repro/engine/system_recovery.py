@@ -124,14 +124,14 @@ def run_restart(db, mode: str | None = None) -> RestartReport:  # noqa: ANN001
         {page_id: records for page_id, records in page_records.items()
          if records}, att)
     recovery.install()
-    db.stats.bump("restarts")
+    db.counters.restarts.inc()
     if report.mode == "on_demand":
         # Open for traffic: pages redo on first fix, losers undo on
         # lock conflict, the background drain resolves the rest.
         report.pending_redo_pages = recovery.pending_page_count
         report.pending_undo_txns = recovery.pending_loser_count
         report.loser_txn_ids = sorted(att)
-        db.stats.bump("instant_restarts")
+        db.counters.instant_restarts.inc()
     else:
         recovery.drain_all()
         report.redo_pages_read = recovery.pages_resolved
@@ -208,7 +208,7 @@ def register_indoubt(db, indoubt: dict[int, tuple[int, int]]) -> list[int]:  # n
         db.indoubt[gtid] = InDoubtTxn(txn_id, gtid, last_lsn, first_lsn, keys)
         gtids.append(gtid)
     if gtids:
-        db.stats.bump("indoubt_txns_recovered", len(gtids))
+        db.counters.indoubt_txns_recovered.inc(len(gtids))
     return sorted(gtids)
 
 
@@ -402,5 +402,5 @@ def _load_pri_page(db, page_id: int, fpi: LogRecord,  # noqa: ANN001
         pass
     db.device.write(page_id, page.data)
     report.pri_pages_repaired += 1
-    db.stats.bump("pri_pages_repaired")
+    db.counters.pri_pages_repaired.inc()
     return page

@@ -61,6 +61,13 @@ class HeapFile:
         self.ctx = ctx
         self.tm = tm
         self.stats = stats
+        counter = stats.counter
+        self._heap_inserts = counter("heap_inserts")
+        self._heap_fetches = counter("heap_fetches")
+        self._heap_updates = counter("heap_updates")
+        self._heap_deletes = counter("heap_deletes")
+        self._heap_scans = counter("heap_scans")
+        self._heap_slots_vacuumed = counter("heap_slots_vacuumed")
 
     # ------------------------------------------------------------------
     # Page-list bookkeeping (crash-consistent via the metadata page)
@@ -102,7 +109,7 @@ class HeapFile:
                     self._log(txn, page, OpInsert(slot, b"", payload),
                               undo=LogicalUndo(UndoAction.DELETE_KEY,
                                                rid.encode()))
-                    self.stats.bump("heap_inserts")
+                    self._heap_inserts.inc()
                     return rid
             finally:
                 self.ctx.unfix(page_id)
@@ -112,7 +119,7 @@ class HeapFile:
             rid = RID(page.page_id, 0)
             self._log(txn, page, OpInsert(0, b"", payload),
                       undo=LogicalUndo(UndoAction.DELETE_KEY, rid.encode()))
-            self.stats.bump("heap_inserts")
+            self._heap_inserts.inc()
             return rid
         finally:
             self.ctx.unfix(page.page_id)
@@ -140,7 +147,7 @@ class HeapFile:
             slotted = SlottedPage(page)
             if rid.slot >= slotted.slot_count or slotted.is_ghost(rid.slot):
                 raise KeyNotFound(rid.encode())
-            self.stats.bump("heap_fetches")
+            self._heap_fetches.inc()
             return slotted.read_record(rid.slot).value
         finally:
             self.ctx.unfix(rid.page_id)
@@ -159,7 +166,7 @@ class HeapFile:
                 raise PageFullError(
                     f"no room to grow record at {rid} in place")
             self._log(txn, page, OpUpdateValue(rid.slot, old, payload))
-            self.stats.bump("heap_updates")
+            self._heap_updates.inc()
         finally:
             self.ctx.unfix(rid.page_id)
 
@@ -171,7 +178,7 @@ class HeapFile:
             if rid.slot >= slotted.slot_count or slotted.is_ghost(rid.slot):
                 raise KeyNotFound(rid.encode())
             self._log(txn, page, OpSetGhost(rid.slot, False, True))
-            self.stats.bump("heap_deletes")
+            self._heap_deletes.inc()
         finally:
             self.ctx.unfix(rid.page_id)
 
@@ -188,7 +195,7 @@ class HeapFile:
                                     slotted.read_record(slot).value))
             finally:
                 self.ctx.unfix(page_id)
-        self.stats.bump("heap_scans")
+        self._heap_scans.inc()
         return out
 
     def vacuum(self) -> int:
@@ -216,7 +223,7 @@ class HeapFile:
             finally:
                 self.ctx.unfix(page_id)
         if reclaimed:
-            self.stats.bump("heap_slots_vacuumed", reclaimed)
+            self._heap_slots_vacuumed.inc(reclaimed)
         return reclaimed
 
     def count(self) -> int:

@@ -209,6 +209,9 @@ class ChaosResult:
     event_counts: Counter = field(default_factory=Counter)
     #: the plug-in's counters (``config.plugin.counters``)
     counters: dict[str, int] = field(default_factory=dict)
+    #: the system's most recent page repairs and escalations when the
+    #: run ended (``Database.recent_failures()``, one line each)
+    repairs: list[str] = field(default_factory=list)
     shrunk: list[Event] | None = None
 
     def trace_text(self, quiet: bool = False) -> str:
@@ -290,7 +293,8 @@ class ChaosRun:
         and the final oracles."""
 
     def close(self) -> None:
-        """Release whatever the run holds, pass or fail."""
+        """Release whatever the run holds, pass or fail, after noting
+        the system's repair ring in ``result.repairs``."""
 
 
 def generate_schedule(config: BaseChaosConfig) -> list[Event]:
@@ -414,6 +418,7 @@ def _write_artifact(directory: str, result: ChaosResult) -> str:
     path = os.path.join(directory, name)
     with open(path, "w") as fh:
         fh.write(result.trace_text() + "\n")
+        fh.writelines(f"REPAIR {line}\n" for line in result.repairs)
     return path
 
 

@@ -366,6 +366,13 @@ class _Run(ChaosRun):
     def __init__(self, config: ChaosConfig, events: list[Event]) -> None:
         super().__init__(config, events)
         self.db = Database(config.engine_config())
+        # A promoted standby shares its primary's Stats, so these stay
+        # the run's counters across a failover.
+        counter = self.db.stats.counter
+        self._chaos_txn_failures = counter("chaos_txn_failures")
+        self._chaos_replication_lag_commits = counter(
+            "chaos_replication_lag_commits")
+        self._chaos_backup_losses = counter("chaos_backup_losses")
         self.oracle = DurabilityOracle()
         self.fleet = ClientFleet(config.n_clients, config.seed,
                                  key_space=config.n_keys + 40)
@@ -568,7 +575,7 @@ class _Run(ChaosRun):
                     staged[key] = value
             if action.fate == "abort":
                 db.abort(txn)
-                db.stats.bump("chaos_txn_failures")
+                self._chaos_txn_failures.inc()
             else:
                 replicated = False
                 try:
@@ -580,7 +587,7 @@ class _Run(ChaosRun):
                     # or link severed).  The oracle records it like a
                     # local_durable commit: it may be lost at failover.
                     lsn = txn.last_lsn
-                    db.stats.bump("chaos_replication_lag_commits")
+                    self._chaos_replication_lag_commits.inc()
                 oracle.commit_applied(staged, txn_id=txn.txn_id, lsn=lsn,
                                       replicated=replicated)
                 self.count("committed_txns")
@@ -592,7 +599,7 @@ class _Run(ChaosRun):
             self.inflight = None
             if txn.active:
                 db.abort(txn)
-            db.stats.bump("chaos_txn_failures")
+            self._chaos_txn_failures.inc()
             self.trace(f"client={action.client} seq={action.seq} "
                        f"fate=lock-abort")
 
@@ -670,7 +677,7 @@ class _Run(ChaosRun):
         if candidates:
             victim = candidates[payload["rank"] % len(candidates)]
             db.backup_store.retire_full_backup(victim)
-            db.stats.bump("chaos_backup_losses")
+            self._chaos_backup_losses.inc()
             self.trace(f"backup_loss id={victim}")
         else:
             self.trace("backup_loss skipped (last backup is sacred)")
@@ -847,6 +854,10 @@ class _Run(ChaosRun):
         except SinglePageFailure as exc:
             self.violation(f"unrepaired single-page failure escaped: "
                            f"{exc}")
+
+    def close(self) -> None:
+        self.result.repairs = [event.summary()
+                               for event in self.db.recent_failures()]
 
     def finish(self) -> None:
         # A crash armed but never fired (not enough I/O followed):

@@ -356,6 +356,10 @@ class _Run(ChaosRun):
         kind.handler(self, event.payload)
 
     def close(self) -> None:
+        self.result.repairs = [
+            f"shard {shard.shard_id} {event.summary()}"
+            for shard in self.router.shards
+            for event in shard.worker.db.recent_failures()]
         self.router.close()
 
     def finish(self) -> None:

@@ -85,10 +85,14 @@ class StorageDevice:
         self.bad_blocks = BadBlockList()
         self._failed = False
         self._last_sector_touched = -1
-        # Per-device counter names, precomputed: building the f-string
-        # on every I/O showed up in profiles of the free-I/O substrate.
-        self._reads_key = f"device_reads[{name}]"
-        self._writes_key = f"device_writes[{name}]"
+        counter = stats.counter
+        self._device_reads = counter("device_reads")
+        self._device_writes = counter("device_writes")
+        self._device_reads_here = counter(f"device_reads[{name}]")
+        self._device_writes_here = counter(f"device_writes[{name}]")
+        self._device_read_errors = counter("device_read_errors")
+        self._device_remaps = counter("device_remaps")
+        self._proof_read_failures = counter("proof_read_failures")
         # Serializes page I/O, remapping, and fault application so a
         # concurrently injected fault never interleaves with a read's
         # byte copy (torn pages come from the injector, not from races).
@@ -120,7 +124,7 @@ class StorageDevice:
             new = self._allocate_spare()
             self.bad_blocks.add(old, reason, self.clock.now)
             self._l2p[page_id] = new
-            self.stats.bump("device_remaps")
+            self._device_remaps.inc()
             return new
 
     def _allocate_spare(self) -> int:
@@ -170,7 +174,7 @@ class StorageDevice:
             else:
                 data = bytearray(stored)
             if not self.injector.on_read(sector, data):
-                self.stats.bump("device_read_errors")
+                self._device_read_errors.inc()
                 raise DeviceReadError(self.name, page_id, sector)
             return data
 
@@ -208,7 +212,7 @@ class StorageDevice:
             ok = self.injector.on_read(sector, check)
             if ok and bytes(check) == expected:
                 return
-            self.stats.bump("proof_read_failures")
+            self._proof_read_failures.inc()
             new_sector = self.remap(page_id, "proof-read failure")
             self._charge_write(new_sector, False)
             apply, target = self.injector.before_write(new_sector)
@@ -222,15 +226,15 @@ class StorageDevice:
         sequential = sector == self._last_sector_touched + 1
         self.clock.advance(self.profile.read_cost(self.page_size, sequential))
         self._last_sector_touched = sector
-        self.stats.bump("device_reads")
-        self.stats.bump(self._reads_key)
+        self._device_reads.inc()
+        self._device_reads_here.inc()
 
     def _charge_write(self, sector: int, sequential_hint: bool) -> None:
         sequential = sequential_hint or sector == self._last_sector_touched + 1
         self.clock.advance(self.profile.write_cost(self.page_size, sequential))
         self._last_sector_touched = sector
-        self.stats.bump("device_writes")
-        self.stats.bump(self._writes_key)
+        self._device_writes.inc()
+        self._device_writes_here.inc()
 
     # ------------------------------------------------------------------
     # Fault-injection conveniences (translate logical -> physical)

@@ -76,6 +76,21 @@ class TransactionManager:
     def __init__(self, log: LogManager, stats: Stats) -> None:
         self.log = log
         self.stats = stats
+        counter = stats.counter
+        self._user_txns_started = counter("user_txns_started")
+        self._system_txns_started = counter("system_txns_started")
+        self._user_txns_committed = counter("user_txns_committed")
+        self._system_txns_committed = counter("system_txns_committed")
+        self._txns_aborted = counter("txns_aborted")
+        self._txns_prepared = counter("txns_prepared")
+        self._prepared_txns_committed = counter("prepared_txns_committed")
+        self._prepared_txns_aborted = counter("prepared_txns_aborted")
+        self._group_commit_batches = counter("group_commit_batches")
+        self._group_commit_batched_commits = counter(
+            "group_commit_batched_commits")
+        self._page_updates_logged = counter("page_updates_logged")
+        self._pages_formatted = counter("pages_formatted")
+        self._compensations_logged = counter("compensations_logged")
         self._next_txn_id = 1
         self.active: dict[int, Transaction] = {}
         #: guards transaction identity and the active-set registry so
@@ -102,7 +117,8 @@ class TransactionManager:
             txn = Transaction(self._next_txn_id, is_system=system)
             self._next_txn_id += 1
             self.active[txn.txn_id] = txn
-        self.stats.bump("system_txns_started" if system else "user_txns_started")
+        (self._system_txns_started if system
+         else self._user_txns_started).inc()
         return txn
 
     def restore_txn_id_floor(self, floor: int) -> None:
@@ -146,9 +162,9 @@ class TransactionManager:
                 # whole buffered tail shares this one write.
                 log.commit_force(lsn, record_end)
                 await_ack = self.ack_mode == "replicated_durable"
-            self.stats.bump("user_txns_committed")
+            self._user_txns_committed.inc()
         else:
-            self.stats.bump("system_txns_committed")
+            self._system_txns_committed.inc()
         txn.state = TxnState.COMMITTED
         self._finish(txn)
         if await_ack:
@@ -181,8 +197,8 @@ class TransactionManager:
             batch, self._commit_batch = self._commit_batch, None
             if batch:
                 self.log.force()
-                self.stats.bump("group_commit_batches")
-                self.stats.bump("group_commit_batched_commits", len(batch))
+                self._group_commit_batches.inc()
+                self._group_commit_batched_commits.inc(len(batch))
                 if self.ack_mode == "replicated_durable":
                     # One ship-ack covers the whole batch: the force
                     # above shipped every batched commit in one send.
@@ -212,7 +228,7 @@ class TransactionManager:
         txn.note_logged(lsn)
         self.log.commit_force(lsn)
         txn.state = TxnState.PREPARED
-        self.stats.bump("txns_prepared")
+        self._txns_prepared.inc()
         return lsn
 
     def commit_prepared(self, txn: Transaction) -> int:
@@ -224,8 +240,8 @@ class TransactionManager:
         txn.note_logged(lsn)
         self.log.commit_force(lsn)
         txn.state = TxnState.COMMITTED
-        self.stats.bump("user_txns_committed")
-        self.stats.bump("prepared_txns_committed")
+        self._user_txns_committed.inc()
+        self._prepared_txns_committed.inc()
         self._finish(txn)
         return lsn
 
@@ -234,7 +250,7 @@ class TransactionManager:
         self._require_prepared(txn)
         txn.state = TxnState.ACTIVE  # rollback logs against an active txn
         self.abort(txn, ctx)
-        self.stats.bump("prepared_txns_aborted")
+        self._prepared_txns_aborted.inc()
 
     def _require_prepared(self, txn: Transaction) -> None:
         if txn.state != TxnState.PREPARED:
@@ -251,7 +267,7 @@ class TransactionManager:
         lsn = self.log.append(record)
         txn.note_logged(lsn)
         txn.state = TxnState.ABORTED
-        self.stats.bump("txns_aborted")
+        self._txns_aborted.inc()
         self._finish(txn)
 
     def _require_active(self, txn: Transaction) -> None:
@@ -286,7 +302,7 @@ class TransactionManager:
         op.apply_redo(page)
         page.page_lsn = lsn
         txn.note_logged(lsn)
-        self.stats.bump("page_updates_logged")
+        self._page_updates_logged.inc()
         return lsn
 
     def log_format(self, txn: Transaction, page: Page, index_id: int,
@@ -301,7 +317,7 @@ class TransactionManager:
         page.page_lsn = lsn
         page.reset_update_count()
         txn.note_logged(lsn)
-        self.stats.bump("pages_formatted")
+        self._pages_formatted.inc()
         return lsn
 
     def log_compensation(self, txn: Transaction, page: Page, index_id: int,
@@ -315,7 +331,7 @@ class TransactionManager:
         op.apply_redo(page)
         page.page_lsn = lsn
         txn.note_logged(lsn)
-        self.stats.bump("compensations_logged")
+        self._compensations_logged.inc()
         return lsn
 
     # ------------------------------------------------------------------

@@ -58,6 +58,19 @@ class LogManager:
         self.clock = clock
         self.profile = profile
         self.stats = stats
+        counter = stats.counter
+        self._log_records = counter("log_records")
+        self._log_bytes = counter("log_bytes")
+        self._log_forces = counter("log_forces")
+        self._log_forced_bytes = counter("log_forced_bytes")
+        self._group_commit_rider_bytes = counter("group_commit_rider_bytes")
+        self._group_commit_leads = counter("group_commit_leads")
+        self._group_commit_riders = counter("group_commit_riders")
+        self._log_truncations = counter("log_truncations")
+        self._log_bytes_truncated = counter("log_bytes_truncated")
+        self._log_crashes = counter("log_crashes")
+        self._standby_log_records = counter("standby_log_records")
+        self._standby_log_bytes = counter("standby_log_bytes")
         self.group_commit = group_commit
         self._dir = SegmentDirectory(segment_bytes)
         self._chain_heads: dict[int, int] = {}
@@ -147,8 +160,8 @@ class LogManager:
                 self._chain_heads[record.page_id] = lsn
             elif record.kind == LogRecordKind.BACKUP_FULL:
                 self._backup_full_lsns[record.backup_id] = lsn
-        self.stats.bump("log_records")
-        self.stats.bump("log_bytes", size)
+        self._log_records.inc()
+        self._log_bytes.inc(size)
         return lsn
 
     def commit_in_place(self, lsn: int, txn_id: int) -> int:
@@ -191,8 +204,8 @@ class LogManager:
             pending = target - self._durable_lsn
             self.clock.advance(self.profile.write_cost(pending,
                                                        sequential=True))
-            self.stats.bump("log_forces")
-            self.stats.bump("log_forced_bytes", pending)
+            self._log_forces.inc()
+            self._log_forced_bytes.inc(pending)
             self._durable_lsn = target
         shipper = self.shipper
         if shipper is not None:
@@ -225,7 +238,7 @@ class LogManager:
         if self.group_commit:
             rider_bytes = self._next_lsn - record_end
             if rider_bytes > 0:
-                self.stats.bump("group_commit_rider_bytes", rider_bytes)
+                self._group_commit_rider_bytes.inc(rider_bytes)
             self.force()
         else:
             self.force(record_end)
@@ -271,14 +284,14 @@ class LogManager:
             while True:
                 if record_end <= self._durable_lsn:
                     if rode_along:
-                        self.stats.bump("group_commit_riders")
+                        self._group_commit_riders.inc()
                     return
                 if not self._force_leader_active:
                     break
                 rode_along = True
                 self._mutex.wait()
             self._force_leader_active = True
-            self.stats.bump("group_commit_leads")
+            self._group_commit_leads.inc()
         try:
             # The window is skipped until a second committing thread
             # has ever been seen: strictly single-threaded phases
@@ -290,8 +303,7 @@ class LogManager:
                 try:
                     rider_bytes = self._next_lsn - record_end
                     if rider_bytes > 0:
-                        self.stats.bump("group_commit_rider_bytes",
-                                        rider_bytes)
+                        self._group_commit_rider_bytes.inc(rider_bytes)
                     if self.group_commit:
                         self.force()
                     else:
@@ -371,8 +383,8 @@ class LogManager:
                 self._backup_full_lsns[record.backup_id] = lsn
             elif record.kind == LogRecordKind.CHECKPOINT_END:
                 self.master_checkpoint_lsn = lsn
-        self.stats.bump("standby_log_records")
-        self.stats.bump("standby_log_bytes", size)
+        self._standby_log_records.inc()
+        self._standby_log_bytes.inc(size)
         return lsn
 
     # ------------------------------------------------------------------
@@ -448,8 +460,8 @@ class LogManager:
                 self._backup_full_lsns = {
                     bid: lsn for bid, lsn in self._backup_full_lsns.items()
                     if lsn >= limit}
-        self.stats.bump("log_truncations")
-        self.stats.bump("log_bytes_truncated", removed)
+        self._log_truncations.inc()
+        self._log_bytes_truncated.inc(removed)
         return removed
 
     @property
@@ -478,7 +490,7 @@ class LogManager:
             self._crash_locked()
         finally:
             self._mutex.release()
-        self.stats.bump("log_crashes")
+        self._log_crashes.inc()
 
     def _crash_locked(self) -> None:
         floor = self._durable_lsn if self._durable_lsn else LOG_START

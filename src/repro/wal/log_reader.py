@@ -36,6 +36,8 @@ class LogReader:
         self.clock = clock
         self.profile = profile
         self.stats = stats
+        self._log_page_reads = stats.counter("log_page_reads")
+        self._log_scans = stats.counter("log_scans")
         self.cache_pages = cache_pages
         self._cached: OrderedDict[int, None] = OrderedDict()  # LRU, O(1) touch
         self.pages_read = 0
@@ -73,7 +75,7 @@ class LogReader:
                 self._cached.move_to_end(page)
                 return
             self.clock.advance(self.profile.read_cost(LOG_PAGE_SIZE))
-            self.stats.bump("log_page_reads")
+            self._log_page_reads.inc()
             self.pages_read += 1
             self._cached[page] = None
             if len(self._cached) > self.cache_pages:
@@ -144,7 +146,7 @@ class LogReader:
         """
         span = max(0, self.log.end_lsn - start_lsn)
         self.clock.advance(self.profile.read_cost(span, sequential=True))
-        self.stats.bump("log_scans")
+        self._log_scans.inc()
         records = self.log.records_from(start_lsn)
         self.records_read += len(records)
         return records

@@ -11,6 +11,7 @@ PR CI runs the fixed-seed smoke below.
 from __future__ import annotations
 
 import os
+import re
 
 import pytest
 
@@ -88,13 +89,14 @@ class TestClockDeadline:
 class TestStatsGauges:
     def test_note_max_keeps_high_water_mark(self):
         stats = Stats()
-        stats.note_max("g", 3)
-        stats.note_max("g", 1)
-        stats.note_max("g", 9)
-        assert stats.get_max("g") == 9
+        gauge = "chaos_max_pending_after_recovery"
+        stats.note_max(gauge, 3)
+        stats.note_max(gauge, 1)
+        stats.note_max(gauge, 9)
+        assert stats.get_max(gauge) == 9
         assert stats.get_max("missing") == 0
         stats.reset()
-        assert stats.get_max("g") == 0
+        assert stats.get_max(gauge) == 0
 
 
 # ----------------------------------------------------------------------
@@ -407,6 +409,24 @@ class TestArtifacts:
         assert "RESULT FAIL" in content
         assert "seed=99" in content
         assert "VIOLATION setup raised ConfigError" in content
+
+    def test_failing_run_names_its_repairs(self, tmp_path):
+        """A failing seed's artifact says which pages the run repaired,
+        from which source, replaying how many records — the engine's
+        repair ring as it stood when the run ended."""
+        config = ChaosConfig(seed=13, n_events=30, shrink=False)
+        poisoned = generate_schedule(config) + [Event(999.0, 10_000, "poison")]
+        result = execute_schedule(config, poisoned)
+        assert not result.ok and result.repairs
+        content = open(_write_artifact(str(tmp_path), result)).read()
+        assert content.startswith(result.trace_text() + "\n")
+        repairs = [line for line in content.splitlines()
+                   if line.startswith("REPAIR ")]
+        assert repairs == ["REPAIR " + line for line in result.repairs]
+        assert re.fullmatch(
+            r"REPAIR page \d+: [a-z-]+ -> single-page recovery \(source "
+            r"(backup_chain|replica), \d+ records replayed, \d+ log pages "
+            r"read, \d+ backup fetches, \d+\.\d+ s simulated\)", repairs[0])
 
 
 @pytest.mark.slow

@@ -8,6 +8,8 @@ workload is run against each backend and the full visible state
 must match exactly.
 """
 
+import random
+
 import pytest
 
 import repro
@@ -99,3 +101,31 @@ def test_bad_batch_op_is_a_config_error_on_every_backend(config):
             assert client.get(b"good") is None
         client.put(b"k", b"v")
         assert client.get(b"k") == b"v"
+
+
+@pytest.mark.parametrize("config", [
+    None,
+    repro.ShardConfig(n_shards=2),
+    repro.ShardConfig(n_shards=2, transport="process"),
+], ids=["embedded", "inproc", "process"])
+def test_metrics_count_the_same_lookups_on_every_backend(config):
+    """``client.metrics()`` answers on every backend, and the same
+    seeded stream of present-key gets reads the same ``btree_lookups``
+    whether one engine served it or two shards' counters were summed."""
+    rng = random.Random(SEED)
+    keys = [b"key-%03d" % i for i in range(KEYS)]
+    with repro.connect(config) as client:
+        client.apply_batch([("put", key, b"v") for key in keys])
+        before = client.metrics()
+        for _ in range(200):
+            assert client.get(rng.choice(keys)) == b"v"
+        after = client.metrics()
+        assert after["btree_lookups"] - before.get("btree_lookups", 0) == 200
+        assert after["log_bytes"] == before["log_bytes"]  # reads log nothing
+        shards = 1 if config is None else config.n_shards
+        per_shard = [name for name in after if name.startswith("shard_")
+                     or name.startswith("sim_clock_seconds")]
+        assert len(per_shard) == (0 if config is None else 4 * shards)
+        if config is not None:
+            assert sum(after[f"shard_ops_served[{i}]"] - before[
+                f"shard_ops_served[{i}]"] for i in range(shards)) >= 200

@@ -154,7 +154,7 @@ class TestSharedContract:
             assert not thread.is_alive()
         assert not fix_errors and not drain_errors
         assert calls.count(page_id) == 1
-        assert db.stats.get(recovery.source.counters["page"]) == n_pending
+        assert recovery.source.counters["page"].value == n_pending
         assert_converged(db, kind, model)
 
     def test_drain_then_racing_fix_resolves_page_once(self, kind):
@@ -183,7 +183,7 @@ class TestSharedContract:
             thread.join(JOIN_SECONDS)
             assert not thread.is_alive()
         assert not fix_errors and not drain_errors
-        assert db.stats.get(recovery.source.counters["page"]) == n_pending
+        assert recovery.source.counters["page"].value == n_pending
         assert fixed_lsns[0] >= last_lsn  # never the stale image
         assert_converged(db, kind, model)
 
@@ -197,7 +197,7 @@ class TestSharedContract:
         db.commit(sys_txn)
         assert page.page_id == spare
         assert spare not in recovery.pending_pages
-        assert db.stats.get(recovery.source.counters["superseded"]) == 1
+        assert recovery.source.counters["superseded"].value == 1
         db.drain_pending()
         assert spare not in calls  # its image was never needed
         assert_converged(db, kind, model)
@@ -209,8 +209,8 @@ class TestSharedContract:
         db.update(tree, key_of(LOSER_KEYS[0]), b"winner")
         model[key_of(LOSER_KEYS[0])] = b"winner"
         counters = recovery.source.counters
-        assert db.stats.get(counters["undo_on_conflict"]) == 1
-        assert db.stats.get(counters["undo"]) == 1
+        assert counters["undo_on_conflict"].value == 1
+        assert counters["undo"].value == 1
         # Exactly the loser in the way, all of its keys, none of its locks.
         assert recovery.undone_losers == [early]
         assert list(recovery.pending_losers) == [late]

@@ -7,6 +7,8 @@ sees correct data with no abort — the paper's core promise.
 
 import pytest
 
+from repro.core.failure_classes import FailureOutcome
+from repro.core.recovery_manager import FAILURE_RING
 from repro.engine.database import Database
 from repro.errors import MediaFailure, SystemFailure
 from repro.wal.records import BackupRefKind
@@ -284,3 +286,56 @@ class TestEscalation:
         with pytest.raises(MediaFailure):
             tree.lookup(key_of(0))
         assert db.stats.get("spf_recovery_failures") == 1
+
+
+class TestRecentFailures:
+    """``Database.recent_failures()``: the bounded ring of what the
+    engine repaired and escalated, read without a debugger."""
+
+    def test_repair_entry_says_what_an_operator_asks(self):
+        db, tree = loaded()
+        victim = some_leaf(db, tree)
+        txn = db.begin()
+        tree.update(txn, key_of(0), b"newer")
+        db.commit(txn)
+        db.flush_everything()
+        db.evict_everything()
+        db.device.inject_bit_rot(victim, nbits=6)
+        assert tree.lookup(key_of(0)) == b"newer"
+        (event,) = db.recent_failures()
+        result = db.single_page.history[-1]
+        assert event.page_id == victim
+        assert event.detected_by == "checksum-mismatch"
+        assert event.outcome is FailureOutcome.RECOVERED_IN_PLACE
+        assert event.source == result.source == "backup_chain"
+        assert event.records_replayed == result.records_applied >= 1
+        assert event.log_pages_read == result.log_pages_read
+        assert event.backup_fetches == result.backup_fetches == 1
+        assert f"page {victim}: checksum-mismatch" in event.summary()
+        assert f"{result.records_applied} records replayed" in event.summary()
+
+    def test_ring_is_bounded_and_survives_a_crash(self):
+        """More repairs than the bound leave the newest ``FAILURE_RING``;
+        the crash that rebuilds the recovery stack keeps them."""
+        # every repair moves the page to a spare sector (5 % of capacity)
+        db, tree = loaded(capacity_pages=(FAILURE_RING + 5) * 24)
+        victim = some_leaf(db, tree)
+        for _ in range(FAILURE_RING + 5):
+            db.device.inject_read_error(victim)
+            assert tree.lookup(key_of(0)) == value_of(0, 0)
+            db.evict_everything()
+        assert db.stats.get("single_page_recoveries") == FAILURE_RING + 5
+        assert len(db.recent_failures()) == FAILURE_RING
+        assert len(db.recovery_manager.events) == FAILURE_RING
+        db.crash()
+        db.restart()
+        assert len(db.recent_failures()) == FAILURE_RING
+
+    def test_escalation_is_recorded_with_its_reason(self):
+        db, tree = loaded(spf_enabled=False)
+        db.device.inject_bit_rot(db.get_root(tree.index_id))
+        with pytest.raises(MediaFailure):
+            tree.lookup(key_of(0))
+        (event,) = db.recent_failures()
+        assert event.outcome is FailureOutcome.ESCALATED_TO_MEDIA
+        assert event.source == "" and "unsupported" in event.summary()
