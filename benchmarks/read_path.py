@@ -90,6 +90,9 @@ def main() -> None:
         ("SlottedPage.check_plausible (directory half)",
          per_page(lambda page: SlottedPage(page).check_plausible(),
                   cold_page)),
+        ("RecoveryManager.inspect (steps 2-3, bytes in hand)",
+         per_page(lambda image: manager.inspect(*image),
+                  lambda pid: (pid, device.read(pid)))),
         ("RecoveryManager.fetch_page (read + inspect + PRI LSN)",
          per_page(manager.fetch_page)),
         ("first BTreeNode of a cold page (bookkeeping decode)",

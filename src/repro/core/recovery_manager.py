@@ -18,6 +18,13 @@ Reading a page after a buffer fault:
    traditional system offers no choice but declare a media failure" —
    and on a single-device node, a media failure *is* a system failure
    (Figure 1).
+
+Steps 1-3 are :meth:`RecoveryManager.read` (2-3 alone, on bytes already
+in hand: :meth:`RecoveryManager.inspect`), 4-5
+:meth:`RecoveryManager.handle_failure`.  Whoever else consumes a device
+image — restart redo, the scrubber, the full backup, the standby seed —
+calls these; a weaker private verdict does not miss a failure, it
+launders it into a dirty frame, a backup or a replica.
 """
 
 from __future__ import annotations
@@ -89,44 +96,46 @@ class RecoveryManager:
     # The read path
     # ------------------------------------------------------------------
     def fetch_page(self, page_id: int) -> Page:
-        """Read + verify a page; recover or escalate on failure."""
+        """:meth:`read`; recover or escalate on failure."""
         try:
-            page = self._read_and_verify(page_id)
+            page = self.read(page_id)
             self._pages_fetched_clean.inc()
             return page
         except SinglePageFailure as failure:
             return self.handle_failure(failure)
 
-    def _read_and_verify(self, page_id: int) -> Page:
+    def read(self, page_id: int) -> Page:
+        """Steps 1-3: the device's copy of the page, or the
+        :class:`SinglePageFailure` that says why it cannot be trusted."""
         try:
             raw = self.device.read(page_id)
         except DeviceReadError as exc:
             raise SinglePageFailure(
                 page_id, PageFailureKind.DEVICE_READ_ERROR, str(exc)) from exc
-        # Every in-page test, on every read, then the PageLSN
-        # cross-check against the page recovery index.
-        page_lsn = inspect_page(raw, page_id)
-        if self.pri_lsn_check:
-            self._check_page_lsn(page_id, page_lsn)
+        self.inspect(page_id, raw)
         return Page.adopt(raw)
 
-    def _check_page_lsn(self, page_id: int, actual: int) -> None:
-        expected = self.pri.expected_page_lsn(page_id)
-        if expected is None:
-            return
+    def inspect(self, page_id: int, raw: bytes | bytearray) -> int:
+        """Steps 2-3 on an image already in hand: every in-page test,
+        then the PageLSN cross-check against the page recovery index.
+        Returns the PageLSN."""
+        actual = inspect_page(raw, page_id)
+        expected = (self.pri.expected_page_lsn(page_id)
+                    if self.pri_lsn_check else None)
+        if expected is None or actual == expected:
+            return actual
         if actual < expected:
             # The device returned an older version: a lost write that
             # every in-page test is structurally unable to catch.
             raise SinglePageFailure(
                 page_id, PageFailureKind.STALE_LSN,
                 f"PageLSN {actual} older than recovery index's {expected}")
-        if actual > expected:
-            # The page is newer than the index believes — a PRI update
-            # was lost (e.g. in a crash).  The page itself is fine;
-            # repair the index (Figure 12's reconciliation, applied on
-            # the read path).
-            self.pri.record_write(page_id, actual)
-            self._pri_repaired_on_read.inc()
+        # The page is newer than the index believes — a PRI update was
+        # lost (e.g. in a crash).  The page itself is fine; repair the
+        # index (Figure 12's reconciliation, applied on the read path).
+        self.pri.record_write(page_id, actual)
+        self._pri_repaired_on_read.inc()
+        return actual
 
     # ------------------------------------------------------------------
     # Failure handling and escalation (Figures 1 and 8)

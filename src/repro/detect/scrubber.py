@@ -16,9 +16,8 @@ from typing import Callable
 
 from repro.core.recovery_manager import RecoveryManager
 from repro.errors import MediaFailure, PageFailureKind, SinglePageFailure, SystemFailure
-from repro.page.slotted import inspect_page
 from repro.sim.stats import Stats
-from repro.storage.device import DeviceReadError, StorageDevice
+from repro.storage.device import StorageDevice
 
 
 @dataclass
@@ -106,18 +105,9 @@ class Scrubber:
         return next_cursor, report
 
     def _verify_one(self, page_id: int) -> SinglePageFailure | None:
+        """The fetch path's verdict, reported instead of acted on."""
         try:
-            raw = self.device.read(page_id)
-        except DeviceReadError as exc:
-            return SinglePageFailure(
-                page_id, PageFailureKind.DEVICE_READ_ERROR, str(exc))
-        try:
-            page_lsn = inspect_page(raw, page_id)
+            self.manager.read(page_id)
         except SinglePageFailure as failure:
             return failure
-        expected = self.manager.pri.expected_page_lsn(page_id)
-        if expected is not None and page_lsn < expected:
-            return SinglePageFailure(
-                page_id, PageFailureKind.STALE_LSN,
-                f"PageLSN {page_lsn} < expected {expected}")
         return None

@@ -20,7 +20,7 @@ import struct
 
 from repro.core.backup import BackupPolicy, make_log_image_payload
 from repro.core.recovery_index import PageRecoveryIndex, PartitionedRecoveryIndex
-from repro.errors import ConfigError, ReproError, StorageError
+from repro.errors import ConfigError, StorageError
 from repro.page.page import Page, PageType
 from repro.sync import Mutex
 from repro.wal.records import (
@@ -302,9 +302,10 @@ class Checkpointer:
     def take_full_backup(self) -> int:
         """Full database backup (checkpointed, verified, then copied).
 
-        Every image is verified before it enters the backup: in-page
-        checks plus the PageLSN cross-check against the page recovery
-        index.  A page that fails — e.g. a write the device silently
+        Every image is verified before it enters the backup: the fetch
+        path's own verdict (``RecoveryManager.inspect``: every in-page
+        test plus the PageLSN cross-check against the page recovery
+        index).  A page that fails — e.g. a write the device silently
         lost, leaving a stale-but-plausible image — is read through
         the buffer pool's detect-and-repair fix path instead, so the
         backup never archives damage.  (Found by the chaos harness:
@@ -338,26 +339,12 @@ class Checkpointer:
         return backup_id
 
     def _verified_backup_image(self, page_id: int, raw: bytes) -> bytes:
-        """Validate a raw device image before archiving it; on any
-        failure, fetch the page through the repair path instead."""
+        """``raw`` if Figure 8 trusts it; else the repaired page, which
+        is also written back to the device."""
         db = self.db
-        try:
-            page = Page(db.config.page_size, raw)
-            page.verify(expected_page_id=page_id)
-            stale = False
-            if db.config.spf_enabled and db.config.pri_lsn_check:
-                expected = db.pri.expected_page_lsn(page_id)
-                stale = expected is not None and page.page_lsn < expected
-            if not stale:
-                return raw
-        except ReproError:
-            pass
-        self._backup_images_repaired.inc()
-        page = db.pool.fix(page_id)
-        try:
-            image = bytes(page.data)
-        finally:
-            db.pool.unfix(page_id)
+        image = db.trusted_image(page_id, raw, self._backup_images_repaired)
+        if image is raw:
+            return raw
         # Resync the device: the range-backup reset below (set_range_
         # backup clears per-page LSN expectations) assumes the device
         # holds exactly what the backup archived, so a repaired image

@@ -55,7 +55,7 @@ from repro.errors import (
 from repro.page.page import Page, PageType
 from repro.page.slotted import SlottedPage
 from repro.sim.clock import SimClock
-from repro.sim.stats import Stats
+from repro.sim.stats import Handle, Stats
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
 from repro.sync import ReadWriteLatch
@@ -745,6 +745,22 @@ class Database:
             skip=lambda page_id: (self.pool.resident(page_id)
                                   or page_id in vacant))
         return scrubber.scrub(0, self.allocated_pages(), repair=repair)
+
+    def trusted_image(self, page_id: int, raw: bytes, repaired: Handle) -> bytes:
+        """``raw`` — a device image read beside the fetch path (the full
+        backup's, the standby seed's) — if the Figure 8 verdict passes
+        it; else, counted on ``repaired``, the page through the pool's
+        detect-and-repair fix path."""
+        try:
+            self.recovery_manager.inspect(page_id, raw)
+            return raw
+        except SinglePageFailure:
+            repaired.inc()
+        page = self.pool.fix(page_id)
+        try:
+            return bytes(page.data)
+        finally:
+            self.pool.unfix(page_id)
 
     def recent_failures(self) -> list[FailureEvent]:
         """The most recent page repairs and escalations, oldest first

@@ -76,7 +76,6 @@ from repro.errors import (
 from repro.page.page import Page
 from repro.sim.clock import StopWatch
 from repro.sim.stats import Handle
-from repro.storage.device import DeviceReadError
 from repro.sync import Mutex
 from repro.txn.transaction import Transaction
 from repro.wal.lsn import NULL_LSN
@@ -179,44 +178,26 @@ class DeviceImage(ImageSource):
 
     def image(self, page_id: int, records: list[LogRecord]) -> Page:
         db = self.db
-        page_size = db.config.page_size
+        manager = db.recovery_manager
         try:
-            if db.device.raw_image(page_id) is None:
-                # Never reached the device: an unformatted page is the
-                # right image only if the first record to replay is the
-                # page's formatting record.  If analysis starts later,
-                # a write had completed (the page left the dirty-page
-                # table) and the device lost it — the one lost write
-                # that leaves no stale image to cross-check.
-                if records[0].kind != LogRecordKind.FORMAT_PAGE:
-                    raise SinglePageFailure(
-                        page_id, PageFailureKind.STALE_LSN,
-                        f"no image on the device, yet redo starts at LSN "
-                        f"{records[0].lsn}, past the page's formatting")
-                return Page.format(page_size, page_id)
-            page = Page.adopt(db.device.read(page_id))
-            page.verify(expected_page_id=page_id)
-            if db.config.spf_enabled and db.config.pri_lsn_check:
-                # The stale-LSN cross-check of the normal read path
-                # (Figure 8): a lost write leaves a plausible page
-                # whose only tell is a PageLSN older than the recovery
-                # index expects.  Without it redo would hit the
-                # chain-mismatch guard instead of repairing the page.
-                expected = db.pri.expected_page_lsn(page_id)
-                if expected is not None and page.page_lsn < expected:
-                    raise SinglePageFailure(
-                        page_id, PageFailureKind.STALE_LSN,
-                        f"PageLSN {page.page_lsn} older than recovery "
-                        f"index's {expected} at restart redo")
-            return page
-        except DeviceReadError as exc:
-            failure = SinglePageFailure(
-                page_id, PageFailureKind.DEVICE_READ_ERROR, str(exc))
-        except SinglePageFailure as exc:
-            failure = exc
-        # Single-page recovery during restart: the PRI was already
-        # reconstructed by the load + analysis phases.
-        return db.recovery_manager.handle_failure(failure)
+            if db.device.raw_image(page_id) is not None:
+                return manager.read(page_id)
+            # Never reached the device: an unformatted page is the right
+            # image only if the first record to replay is the page's
+            # formatting record.  If analysis starts later, a write had
+            # completed (the page left the dirty-page table) and the
+            # device lost it — the one lost write that leaves no stale
+            # image to cross-check.
+            if records[0].kind == LogRecordKind.FORMAT_PAGE:
+                return Page.format(db.config.page_size, page_id)
+            raise SinglePageFailure(
+                page_id, PageFailureKind.STALE_LSN,
+                f"no image on the device, yet redo starts at LSN "
+                f"{records[0].lsn}, past the page's formatting")
+        except SinglePageFailure as failure:
+            # Single-page recovery during restart: the PRI was already
+            # reconstructed by the load + analysis phases.
+            return manager.handle_failure(failure)
 
     def deliver(self, page: Page, records: list[LogRecord],
                 applied: list[LogRecord], sequential: bool) -> int | None:

@@ -202,8 +202,9 @@ class Standby:
 
         Flushes and forces the primary first, so its device holds every
         page current to the durable log end; then copies verified page
-        images (repaired through the pool's fix path when the raw image
-        fails verification — same idiom as ``take_full_backup``) and
+        images (``Database.trusted_image``: the fetch path's verdict, and
+        the pool's fix path for an image it refuses — as
+        ``take_full_backup`` does) and
         adopts the retained durable log backlog into the standby's log
         replica.  Pages whose chains were truncated on the primary are
         covered by the images; everything after the seed arrives
@@ -217,8 +218,8 @@ class Standby:
             raw = db.device.raw_image(page_id)
             if raw is None:
                 continue
-            self.pages[page_id] = Page(
-                page_size, self._verified_seed_image(db, page_id, raw))
+            self.pages[page_id] = Page(page_size, db.trusted_image(
+                page_id, raw, db.counters.standby_seed_images_repaired))
             copied_bytes += page_size
         # One sequential transfer of the seed images.
         self.clock.advance(self.config.device_profile.read_cost(
@@ -237,28 +238,6 @@ class Standby:
         self.applied_lsn = self.log.end_lsn
         self._standby_seeds.inc()
         self._standby_seed_bytes.inc(copied_bytes)
-
-    def _verified_seed_image(self, db, page_id: int, raw: bytes) -> bytes:  # noqa: ANN001
-        """A raw device image, or — if it fails in-page checks or the
-        PRI LSN cross-check — the page fetched through the primary's
-        detect-and-repair fix path."""
-        try:
-            page = Page(db.config.page_size, raw)
-            page.verify(expected_page_id=page_id)
-            stale = False
-            if db.config.spf_enabled and db.config.pri_lsn_check:
-                expected = db.pri.expected_page_lsn(page_id)
-                stale = expected is not None and page.page_lsn < expected
-            if not stale:
-                return raw
-        except ReproError:
-            pass
-        db.counters.standby_seed_images_repaired.inc()
-        page = db.pool.fix(page_id)
-        try:
-            return bytes(page.data)
-        finally:
-            db.pool.unfix(page_id)
 
     # ------------------------------------------------------------------
     # Continuous apply

@@ -37,8 +37,11 @@ from dataclasses import dataclass, field
 
 from repro.core.recovery_index import PageRecoveryIndex, PartitionedRecoveryIndex
 from repro.engine.pending_recovery import DeviceImage, PendingRecovery
+from repro.errors import SinglePageFailure, StorageError
 from repro.page.page import Page
+from repro.page.slotted import inspect_page
 from repro.sim.clock import StopWatch
+from repro.storage.device import DeviceReadError
 from repro.wal.lsn import LOG_START, NULL_LSN
 from repro.wal.records import BackupRef, LogRecord, LogRecordKind, decompress_image
 
@@ -382,14 +385,15 @@ def _load_pri(db, report: RestartReport) -> None:  # noqa: ANN001
 
 def _load_pri_page(db, page_id: int, fpi: LogRecord,  # noqa: ANN001
                    report: RestartReport) -> Page:
+    # Figure 8 before the index exists: the PageLSN to expect is the
+    # in-log image's, not the PRI's, so this is the one device read that
+    # does not go through RecoveryManager.read.
     expected_lsn = fpi.lsn
     try:
         data = db.device.read(page_id)
-        page = Page(db.config.page_size, data)
-        page.verify(expected_page_id=page_id)
-        if page.page_lsn == expected_lsn:
-            return page
-    except Exception:  # noqa: BLE001 - any damage falls through to repair
+        if inspect_page(data, page_id) == expected_lsn:
+            return Page.adopt(data)
+    except (DeviceReadError, SinglePageFailure):
         pass
     # The device copy is damaged or stale: restore from the in-log
     # image (single-page recovery of the PRI, Section 5.2).
@@ -398,8 +402,8 @@ def _load_pri_page(db, page_id: int, fpi: LogRecord,  # noqa: ANN001
     page.seal()
     try:
         db.device.remap(page_id, "PRI page failure at restart")
-    except Exception:  # noqa: BLE001 - remap is best-effort here
-        pass
+    except StorageError:
+        pass  # spares exhausted: rewrite in place
     db.device.write(page_id, page.data)
     report.pri_pages_repaired += 1
     db.counters.pri_pages_repaired.inc()

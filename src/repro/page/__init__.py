@@ -7,8 +7,9 @@ The header is what makes in-page failure detection (Section 4.2 of the
 paper) possible: checksum mismatches catch bit rot, the embedded page
 id catches misdirected writes, and the PageLSN anchors the per-page log
 chain and the page-recovery-index cross-check.
-:func:`inspect_page` is those tests, written once: every device read
-runs it, whoever issued the read.
+:func:`inspect_page` is those tests, written once; the verdict around
+it (Figure 8) is :meth:`repro.core.recovery_manager.RecoveryManager.read`
+/ ``inspect``, which every consumer of a device image calls.
 """
 
 from repro.page.checksum import compute_checksum, verify_checksum

@@ -127,9 +127,9 @@ def inspect_page(data: bytes | bytearray,
                  expected_page_id: int | None = None) -> int:
     """The single in-page inspection (Section 4.2); returns the PageLSN.
 
-    Every device read runs all of it, the fetch path
-    (:class:`repro.core.recovery_manager.RecoveryManager`), the scrubber
-    and :func:`repro.detect.checks.run_in_page_checks` alike.
+    Step 2 of Figure 8; callers holding a device image reach it through
+    :meth:`repro.core.recovery_manager.RecoveryManager.inspect`, which
+    adds step 3, the PageLSN cross-check.
     """
     page_id, page_lsn, page_type = check_header(data, expected_page_id)
     if page_type in SLOTTED_TYPES:

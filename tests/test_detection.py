@@ -1,14 +1,16 @@
 """Integration tests: the detection stack (Section 4, Figure 8)."""
 
+import struct
+
 import pytest
 
 import repro
 from repro.btree.node import BTreeNode
-from repro.detect.checks import run_in_page_checks
 from repro.engine.database import Database
 from repro.errors import (BTreeError, MediaFailure, PageFailureKind,
                           SinglePageFailure)
-from repro.page.page import TYPE_OFFSET, Page, PageType
+from repro.page.page import HEADER_SIZE, TYPE_OFFSET, Page, PageType
+from repro.page.slotted import SlottedPage, inspect_page
 from tests.conftest import assert_no_pins, fast_config, key_of, value_of
 
 
@@ -24,33 +26,36 @@ def loaded(**overrides):
     return db, tree
 
 
+def heap_page() -> Page:
+    page = Page.format(1024, 3, PageType.HEAP)
+    SlottedPage(page).initialize()
+    page.seal()
+    return page
+
+
 class TestInPageChecks:
     def test_clean_page_passes(self):
-        page = Page.format(1024, 3, PageType.HEAP)
-        from repro.page.slotted import SlottedPage
-
-        SlottedPage(page).initialize()
-        page.seal()
-        outcome = run_in_page_checks(page, expected_page_id=3)
-        assert outcome.ok
+        assert inspect_page(heap_page().data, 3) == 0
 
     def test_each_layer_reports_its_kind(self):
-        from repro.page.slotted import SlottedPage
+        page = heap_page()
 
-        page = Page.format(1024, 3, PageType.HEAP)
-        SlottedPage(page).initialize()
-        page.seal()
+        rotten = bytearray(page.data)
+        rotten[500] ^= 0xFF
+        with pytest.raises(SinglePageFailure) as raised:
+            inspect_page(rotten, 3)
+        assert raised.value.kind == PageFailureKind.CHECKSUM_MISMATCH
 
-        rotten = Page(1024, bytes(page.data))
-        rotten.data[500] ^= 0xFF
-        assert run_in_page_checks(rotten, 3).kind == PageFailureKind.CHECKSUM_MISMATCH
+        with pytest.raises(SinglePageFailure) as raised:
+            inspect_page(page.data, 4)
+        assert raised.value.kind == PageFailureKind.WRONG_PAGE_ID
 
-        misdirected = Page(1024, bytes(page.data))
-        assert run_in_page_checks(misdirected, 4).kind == PageFailureKind.WRONG_PAGE_ID
-
-        stale = Page(1024, bytes(page.data))
-        assert run_in_page_checks(stale, 3, expected_lsn=10**6).kind == (
-            PageFailureKind.STALE_LSN)
+        # The stale-LSN verdict needs the index: RecoveryManager.inspect.
+        db = Database(fast_config())
+        db.pri.record_write(3, 10**6)
+        with pytest.raises(SinglePageFailure) as raised:
+            db.recovery_manager.inspect(3, page.data)
+        assert raised.value.kind == PageFailureKind.STALE_LSN
 
 
 class TestReadPathDispatch:
@@ -77,6 +82,122 @@ class TestReadPathDispatch:
         assert db.stats.get("pri_repaired_on_read") == 1
         assert db.pri.recorded_lsn(victim) == actual
         assert db.stats.get("single_page_recoveries") == 0
+
+
+# ----------------------------------------------------------------------
+# One verdict: every consumer of a device image refuses what the fetch
+# path refuses
+# ----------------------------------------------------------------------
+KEY = key_of(0)
+
+
+def damaged(damage: str, dirty: bool):
+    """``(db, victim, value)``: the leaf holding ``KEY`` is damaged on
+    the device.  ``dirty`` leaves a committed update the device never
+    saw in the pool — restart redo's work; otherwise the leaf is cold."""
+    db, tree = loaded()
+    db.checkpoint()
+    page, _node = tree._descend(KEY, for_write=False)
+    victim = page.page_id
+    db.unfix(victim)
+
+    def write(value: bytes) -> bytes:
+        txn = db.begin()
+        tree.update(txn, KEY, value)
+        db.commit(txn)
+        return value
+
+    value = write(b"first")
+    if damage == "lost write":
+        db.device.inject_lost_write(victim)
+    db.flush_everything()  # a lost write: the index now expects "first"
+    if dirty:
+        value = write(b"second")  # the leaf is resident: no fetch
+    else:
+        db.evict_everything()
+    raw = bytearray(db.device.raw_image(victim))
+    if damage == "forged directory":
+        # Plausible to the header tests and the index, resealed — only
+        # the slot-directory analysis ("heap overlaps slot directory").
+        struct.pack_into("<H", raw, HEADER_SIZE + 2, len(raw))
+        forged = Page.adopt(raw)
+        forged.seal()
+        db.device.write(victim, forged.data)
+    elif damage == "bit rot":
+        raw[500] ^= 0xFF
+        db.device.write(victim, raw)
+    elif damage == "read error":
+        db.device.inject_read_error(victim)
+    return db, victim, value
+
+
+def restart_redo(mode: str):
+    def consume(db, victim: int) -> bytes:
+        db.crash()
+        db.restart(mode=mode)
+        db.tree(1).lookup(KEY)  # on demand: the first fix is the redo
+        sealed = db.pool.page_if_resident(victim).copy()
+        sealed.seal()  # a frame's checksum is only current on the device
+        return sealed.data
+    return consume
+
+
+def full_backup(db, victim: int) -> bytes:
+    backup_id = db.take_full_backup()
+    assert db.stats.get("backup_images_repaired") == 1
+    return db.backup_store.fetch_from_full_backup(backup_id, victim)[0]
+
+
+def standby_seed(db, victim: int) -> bytes:
+    standby = db.attach_standby()
+    assert db.stats.get("standby_seed_images_repaired") == 1
+    return standby.pages[victim].data
+
+
+def scrub(db, victim: int) -> bytes:
+    assert db.scrub().failures_repaired == 1
+    return db.device.raw_image(victim)
+
+
+def plain_fetch(db, victim: int) -> bytes:
+    db.tree(1).lookup(KEY)
+    return db.pool.page_if_resident(victim).data
+
+
+#: name -> (consumer, reads through ``device.read``, wants redo work)
+CONSUMERS = {
+    "restart redo eager": (restart_redo("eager"), True, True),
+    "restart redo on_demand": (restart_redo("on_demand"), True, True),
+    "take_full_backup": (full_backup, False, False),
+    "attach_standby": (standby_seed, False, False),
+    "scrub": (scrub, True, False),
+    "plain fetch": (plain_fetch, True, False),
+}
+DAMAGES = ("forged directory", "lost write", "bit rot", "read error")
+#: ``raw_image`` bypasses read-side faults (ROADMAP: left on purpose)
+CASES = [(consumer, damage) for consumer, row in CONSUMERS.items()
+         for damage in DAMAGES if row[1] or damage != "read error"]
+
+
+class TestOneVerdict:
+    """Red on the parent of this change in the forged-directory rows of
+    restart redo (both modes), the full backup and the standby seed:
+    they ran the header half of the inspection only and laundered the
+    page into a dirty frame, the backup, the replica."""
+
+    @pytest.mark.parametrize("consumer,damage", CASES)
+    def test_consumer_detects_and_repairs(self, consumer, damage):
+        consume, _reads_device, dirty = CONSUMERS[consumer]
+        db, victim, value = damaged(damage, dirty)
+        before = db.stats.snapshot()
+        image = consume(db, victim)
+        moved = db.stats.delta(before)
+        assert moved.get("page_failures_detected") == 1
+        assert moved.get("single_page_recoveries") == 1  # handle_failure
+        assert not moved.get("escalations_to_media")
+        inspect_page(image, victim)
+        assert db.tree(1).lookup(KEY) == value
+        assert_no_pins(db)
 
 
 class TestBTreeCrossPageDetection:
@@ -192,6 +313,44 @@ class TestScrubbing:
         # Damage still present; the read path repairs it on demand.
         assert tree.lookup(key_of(0)) == value_of(0, 0)
         assert db.stats.get("single_page_recoveries") == 1
+
+    def test_scrub_reconciles_a_page_newer_than_the_index(self):
+        """The fetch path's verdict has two outcomes; a scrub takes
+        both (red on the parent, which ignored this one)."""
+        db, tree = loaded()
+        page, _n = tree._descend(key_of(0), for_write=False)
+        victim = page.page_id
+        db.unfix(victim)
+        db.evict_everything()
+        actual = db.pri.recorded_lsn(victim)
+        db.pri.record_write(victim, actual - 1)  # a lost PRI update
+        report = db.scrub()
+        assert report.failures_found == 0
+        assert db.stats.get("pri_repaired_on_read") == 1
+        assert db.pri.recorded_lsn(victim) == actual
+
+    def test_scrub_flags_what_a_fetch_would(self):
+        """``pri_lsn_check=False``: a stale-but-valid page is not a
+        failure to a fetch, so not to a scrub (red on the parent, which
+        cross-checked regardless); bit rot is one to both."""
+        db, tree = loaded(pri_lsn_check=False)
+        victims = []
+        for i in (0, 299):
+            page, _n = tree._descend(key_of(i), for_write=False)
+            victims.append(page.page_id)
+            db.unfix(page.page_id)
+        db.device.inject_lost_write(victims[0])
+        txn = db.begin()
+        tree.update(txn, key_of(0), b"lost")
+        db.commit(txn)
+        db.flush_everything()
+        db.evict_everything()
+        db.device.inject_bit_rot(victims[1])
+        report = db.scrub(repair=False)
+        assert report.failures_by_kind == {"checksum-mismatch": 1}
+        assert tree.lookup(key_of(0)) == value_of(0, 0)  # stale, unflagged
+        assert tree.lookup(key_of(299)) == value_of(299, 0)
+        assert db.stats.get("page_failures_detected") == 1
 
     def test_scrub_skips_buffered_pages(self):
         db, tree = loaded()

@@ -29,7 +29,6 @@ from repro.btree.node import (SLOT_FOSTER, SLOT_HIGH, SLOT_LOW, BTreeNode,
                               decode_meta, decode_pid)
 from repro.btree.verify import verify_tree
 from repro.buffer.buffer_pool import BufferPool
-from repro.detect.checks import run_in_page_checks
 from repro.engine.database import Database
 from repro.errors import BTreeError, PageFailureKind, SinglePageFailure
 from repro.page.checksum import compute_checksum
@@ -142,11 +141,6 @@ def assert_same_verdicts(data: bytearray, expected_page_id: int | None) -> None:
     if header is None and data[24] in SLOTTED_TYPES:
         assert (verdict(SlottedPage(page).check_plausible)
                 == verdict(reference_check_plausible, data))
-    if expected_page_id is not None:
-        outcome = run_in_page_checks(page, expected_page_id)
-        assert ((None if outcome.ok
-                 else (outcome.kind, outcome.page_id, outcome.detail))
-                == expected)
 
 
 # ----------------------------------------------------------------------

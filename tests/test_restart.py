@@ -150,6 +150,28 @@ class TestCheckpoints:
         assert tree.lookup(key_of(0)) == value_of(0, 0)
 
 
+    def test_pri_page_read_fails_typed(self, monkeypatch):
+        """Damage is a ``DeviceReadError`` or a ``SinglePageFailure``;
+        anything else out of ``device.read`` is a bug and must surface
+        (red on the parent, whose ``except Exception`` "repaired" the
+        page and counted it)."""
+        db, tree = loaded()
+        db.checkpoint()
+        victim = db.config.pri_region_start
+        db.crash()
+        real_read = db.device.read
+
+        def read(page_id):
+            if page_id == victim:
+                raise RuntimeError("a bug, not damage")
+            return real_read(page_id)
+
+        monkeypatch.setattr(db.device, "read", read)
+        with pytest.raises(RuntimeError, match="a bug, not damage"):
+            db.restart()
+        assert db.stats.get("pri_pages_repaired") == 0
+
+
 class TestFigure4RedoOptimization:
     """Logging completed writes lets redo skip already-written pages."""
 
