@@ -320,6 +320,168 @@ def test_commit_in_place_refuses_what_it_must():
     db.abort_prepared(other)
 
 
+# ----------------------------------------------------------------------
+# Where the commit lands: the bit on the transaction's last record while
+# that record is still volatile, whoever appended after it, else a
+# COMMIT / SYS_COMMIT record of its own
+# ----------------------------------------------------------------------
+def shape_of(db: Database, txn_id: int) -> list[tuple]:
+    return [(r.kind, r.commits) for r in records_of(db, txn_id)]
+
+
+UPDATE, COMMIT = LogRecordKind.UPDATE, LogRecordKind.COMMIT
+
+
+@pytest.mark.parametrize("hardener", ["log.force", "checkpoint", "write-back"])
+def test_a_force_between_append_and_commit_leaves_a_commit_record(hardener):
+    db, tree, _model = prepared()
+    txn = db.begin()
+    write(db, tree, txn, None, 3)
+    if hardener == "log.force":
+        db.log.force()
+    elif hardener == "checkpoint":
+        db.checkpoint()
+    else:
+        # The WAL rule: writing the page back forces the log through it.
+        db.pool.flush_page(leaf_of(db, tree, 3))
+    assert txn.last_lsn < db.log.durable_lsn
+    forces = db.stats.get("log_forces")
+    lsn = db.commit(txn)
+    assert shape_of(db, txn.txn_id) == [(UPDATE, False), (COMMIT, False)]
+    assert lsn == db.log.end_lsn - 45 < db.log.durable_lsn
+    assert db.stats.get("log_forces") == forces + 1
+
+
+@pytest.mark.parametrize("other_commits", [False, True])
+def test_the_bit_lands_on_a_volatile_record_that_is_not_the_tail(other_commits):
+    """Another transaction appended after ours; ours is still volatile,
+    so it takes the bit wherever it sits (inside a group_commit block,
+    even when the other transaction committed first)."""
+    db, tree, _model = prepared()
+    mine, other = db.begin(), db.begin()
+    write(db, tree, mine, None, 3)
+    write(db, tree, other, None, 50)
+    assert mine.last_lsn < other.last_lsn
+    with db.group_commit():
+        if other_commits:
+            db.commit(other)
+        durable = db.log.durable_lsn
+        lsn = db.commit(mine)
+        assert db.log.durable_lsn == durable     # the block's force is later
+    assert lsn == mine.last_lsn
+    assert shape_of(db, mine.txn_id) == [(UPDATE, True)]
+    if not other_commits:
+        db.abort(other)
+    assert db.log.durable_lsn > lsn
+
+
+@pytest.mark.parametrize("reused", [False, True],
+                         ids=["lsn-vacant", "lsn-reused"])
+def test_the_bit_never_lands_on_a_record_a_crash_discarded(reused):
+    """A handle that outlived a crash commits with a record of its own:
+    its last record is gone, and its LSN names no record or another
+    transaction's — which, still volatile behind that COMMIT record,
+    takes its own transaction's bit."""
+    db, tree, _model = prepared()
+    stale = db.begin()
+    write(db, tree, stale, None, 3)
+    lost_lsn = stale.last_lsn
+    db.crash()
+    db.restart(mode="eager")
+    assert db.log.end_lsn == lost_lsn
+    fresh = db.begin()
+    if reused:
+        write(db, db.tree(1), fresh, None, 50)
+        assert fresh.last_lsn == lost_lsn
+    db.tm.commit(stale, defer_force=True)
+    assert shape_of(db, stale.txn_id) == [(COMMIT, False)]
+    assert not reused or not db.log.record_at(lost_lsn).commits
+    db.commit(fresh)
+    assert shape_of(db, fresh.txn_id) == (
+        [(UPDATE, True)] if reused else [(COMMIT, False)])
+
+
+def test_a_truncated_log_still_takes_the_bit_on_its_new_tail():
+    db, tree, _model = prepared()
+    db.take_full_backup()
+    db.truncate_log()
+    assert db.log.truncated_below > 0
+    txn = db.begin()
+    write(db, tree, txn, None, 3)
+    lsn = db.commit(txn)
+    assert shape_of(db, txn.txn_id) == [(UPDATE, True)] and lsn < db.log.durable_lsn
+
+
+def test_a_promoted_standby_commits_by_the_same_rule():
+    """The standby's log adopts shipped records as durable; once
+    promoted, its first commit takes the bit on its own new record, and
+    an empty transaction still writes a COMMIT record."""
+    db, tree, model = prepared()
+    standby = db.attach_standby()
+    write_txn = db.begin()
+    write(db, tree, write_txn, model, 3)
+    db.commit(write_txn)
+    promoted = standby.promote()
+    assert promoted.log.durable_lsn == promoted.log.end_lsn
+    tree = promoted.tree(1)
+    txn = promoted.begin()
+    write(promoted, tree, txn, model, 50)
+    lsn = promoted.commit(txn)
+    assert shape_of(promoted, txn.txn_id) == [(UPDATE, True)]
+    assert lsn < promoted.log.durable_lsn
+    empty = promoted.begin()
+    assert promoted.log.record_at(promoted.commit(empty)).kind == COMMIT
+    assert dict(tree.range_scan()) == model
+
+
+def test_a_group_commit_sets_every_bit_and_forces_once():
+    db, tree, _model = prepared()
+    forces = db.stats.get("log_forces")
+    txns = []
+    with db.group_commit():
+        for i in (3, 50, 97):
+            txn = db.begin()
+            write(db, tree, txn, None, i)
+            db.commit(txn)
+            txns.append(txn)
+        assert db.stats.get("log_forces") == forces
+        assert db.log.durable_lsn <= txns[0].last_lsn
+    assert db.stats.get("log_forces") == forces + 1
+    for txn in txns:
+        assert shape_of(db, txn.txn_id) == [(UPDATE, True)]
+    assert db.log.durable_lsn == db.log.end_lsn
+
+
+def test_a_session_commit_sets_the_bit_and_forces_on_the_barrier():
+    db, tree, _model = prepared()
+    session = db.session()
+    session.begin()
+    session.update(tree, key_of(3), value_of(3, 1))
+    txn = session.txn
+    forces = db.stats.get("log_forces")
+    lsn = session.commit()
+    assert shape_of(db, txn.txn_id) == [(UPDATE, True)]
+    assert db.stats.get("log_forces") == forces + 1
+    assert db.stats.get("group_commit_leads") == 1
+    assert lsn < db.log.durable_lsn == db.log.end_lsn
+
+
+def test_a_system_transaction_commits_by_the_bit_without_a_force():
+    db, tree, _model = prepared()
+    forces, durable = db.stats.get("log_forces"), db.log.durable_lsn
+    end = db.log.end_lsn
+    tree._split(leaf_of(db, tree, 10))
+    (split_txn,) = {r.txn_id for r in db.log.records_from(end)}
+    shape = shape_of(db, split_txn)
+    assert shape[-1] == (UPDATE, True)
+    assert not any(commits for _kind, commits in shape[:-1])
+    empty = db.begin_system()
+    lsn = db.tm.commit(empty)
+    assert shape_of(db, empty.txn_id) == [(LogRecordKind.SYS_COMMIT, False)]
+    assert lsn == empty.last_lsn
+    assert (db.stats.get("log_forces"), db.log.durable_lsn) == (forces, durable)
+
+
 def test_an_empty_transaction_still_writes_a_commit_record():
     """Nothing logged: no record to carry the bit (and the router's
     retry probe tells a delete of an absent key by exactly this)."""
