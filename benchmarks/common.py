@@ -19,6 +19,8 @@ Two kinds of measurements appear side by side:
 
 from __future__ import annotations
 
+import sys
+
 from repro.core.backup import BackupPolicy
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
@@ -74,6 +76,27 @@ def incs_during(call) -> int:  # noqa: ANN001
         call()
     finally:
         Handle.inc = plain
+    return made
+
+
+def python_calls(call) -> int:  # noqa: ANN001
+    """How many Python functions of the ``repro`` package ``call()``
+    enters: ``sys.setprofile`` "call" events of frames that run in a
+    ``repro`` module, dataclass-generated ``__init__`` included.  C
+    functions and the caller's own frames do not count."""
+    made = 0
+
+    def profile(frame, event: str, _arg) -> None:  # noqa: ANN001
+        nonlocal made
+        if (event == "call"
+                and frame.f_globals.get("__name__", "").split(".")[0] == "repro"):
+            made += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
     return made
 
 

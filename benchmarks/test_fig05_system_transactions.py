@@ -39,11 +39,10 @@ def run_commits(system: bool, n: int = 80):
 
         node = BTreeNode(page)
         index, _found = node.find(key_of(i))
-        db.tm.log_update(txn, page, tree.index_id,
-                         node.op_insert(index, key_of(i), value_of(i, 0),
-                                        ghost=system))
-        db.mark_dirty(root, page.page_lsn)
-        db.unfix(root)
+        lsn = db.tm.log_update(txn, page, tree.index_id,
+                               node.op_insert(index, key_of(i), value_of(i, 0),
+                                              ghost=system))
+        db.unfix(root, lsn)
         db.tm.commit(txn)
     return {
         "commits": n,
@@ -123,10 +122,9 @@ def test_fig05_bench_system_txn_throughput(benchmark):
         page = db.fix(root)
         node = BTreeNode(page)
         index, _found = node.find(key_of(i))
-        db.tm.log_update(txn, page, tree.index_id,
-                         node.op_insert(index, key_of(i), b"", ghost=True))
-        db.mark_dirty(root, page.page_lsn)
-        db.unfix(root)
+        lsn = db.tm.log_update(txn, page, tree.index_id,
+                               node.op_insert(index, key_of(i), b"", ghost=True))
+        db.unfix(root, lsn)
         db.tm.commit(txn)
 
     benchmark.pedantic(one_system_txn, rounds=50, iterations=1)

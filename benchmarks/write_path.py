@@ -12,10 +12,14 @@ each stage of the unrolled put carries one ``perf_counter_ns`` call
 bench.run``) is made of these.
 
 The unrolled put must stay what ``FosterBTree._write`` +
-``TransactionManager.log_update`` / ``commit`` do, counted through the
-handles they count through; the script checks that it moves the log end
-and every counter (the whole ``Stats.delta``) exactly as ``client.put``
-does and stops if not.
+``TransactionManager.log_update`` / ``commit`` do — one pool exit
+(``unfix(page, dirty_lsn)``), the commit bit and the force in one
+``LogManager.commit`` — counted through the handles they count through;
+the script checks that it moves the log end and every counter (the
+whole ``Stats.delta``) exactly as ``client.put`` does and stops if not.
+It also prints how many Python functions of ``repro`` one warm put and
+one warm get enter (``tests/test_write_path_calls.py`` holds the
+budget).
 
 Usage (pin to one core for steady numbers)::
 
@@ -39,7 +43,7 @@ for _path in (_ROOT, os.path.join(_ROOT, "src")):
 
 from bench.runner import Runner  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
-from benchmarks.common import incs_during  # noqa: E402
+from benchmarks.common import incs_during, python_calls  # noqa: E402
 from repro.txn.transaction import TxnState  # noqa: E402
 from repro.wal.records import (LogicalUndo, LogRecord,  # noqa: E402
                                LogRecordKind, UndoAction)
@@ -51,9 +55,9 @@ STAGES = (
     "descent (shared with get)", "node.find",
     "probe_value (ghost bit, before-image, room: one slot read)",
     "op + LogicalUndo", "LogRecord(...)", "log.append", "op.apply_redo",
-    "PageLSN + note_logged + inc", "mark_dirty", "inc + unfix",
-    "log.commit_in_place", "log.commit_force",
-    "finish (active table, release_all, inc)",
+    "PageLSN + chain head + inc", "inc + unfix(page, dirty_lsn)",
+    "log.commit (bit + commit_force, one hold)",
+    "finish (inc, active table, release_all)",
 )
 
 
@@ -74,36 +78,30 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     op = node.op_update_value(i, value, old)
     undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, old)
     t6 = now()
-    record = LogRecord(LogRecordKind.UPDATE, txn_id=txn.txn_id,
-                       prev_lsn=txn.last_lsn, page_id=page.page_id,
-                       page_prev_lsn=page.page_lsn, index_id=tree.index_id,
-                       op=op, undo=undo)
+    record = LogRecord(LogRecordKind.UPDATE, txn.txn_id, txn.last_lsn,
+                       page.page_id, page.page_lsn, tree.index_id, 0, op, undo)
     t7 = now()
     lsn = log.append(record)
     t8 = now()
     op.apply_redo(page)
     t9 = now()
     page.page_lsn = lsn
-    txn.note_logged(lsn)
+    txn.first_lsn = txn.first_lsn or lsn
+    txn.last_lsn = lsn
     tm._page_updates_logged.inc()
     t10 = now()
-    db.mark_dirty(page.page_id, lsn)
-    t11 = now()
     tree._btree_updates.inc()
-    db.unfix(page.page_id)
+    db.unfix(page.page_id, lsn)
+    t11 = now()
+    log.commit(txn.txn_id, lsn)
     t12 = now()
-    end = log.commit_in_place(lsn, txn.txn_id)
-    t13 = now()
-    log.commit_force(lsn, end)
-    t14 = now()
     tm._user_txns_committed.inc()
     txn.state = TxnState.COMMITTED
     tm._finish(txn)
-    t15 = now()
+    t13 = now()
     for stage, (a, b) in enumerate(zip(
-            (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14),
-            (t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14,
-             t15))):
+            (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12),
+            (t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13))):
         spent[stage] += b - a
 
 
@@ -178,6 +176,9 @@ def main() -> None:
     counts = incs_during(lambda: client.put(keys[0], values[-1]))
     print(f"an autocommit put logs {real[1]['log_records']} record(s), "
           f"{real[0]} B; counts per put: {counts} inc() calls")
+    print(f"Python calls in repro: put "
+          f"{python_calls(lambda: client.put(keys[0], values[-2]))}, get "
+          f"{python_calls(lambda: client.get(keys[0]))}")
 
     rows = [("client.get (same keys)",
              per_put(whole(lambda key, _value: client.get(key)))),

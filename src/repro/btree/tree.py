@@ -64,8 +64,7 @@ class TreeContext(Protocol):
     def fix(self, page_id: int, release: int | None = None) -> Page:
         """Pin ``page_id`` and give back one pin on ``release``."""
         ...
-    def unfix(self, page_id: int) -> None: ...
-    def mark_dirty(self, page_id: int, lsn: int) -> None: ...
+    def unfix(self, page_id: int, dirty_lsn: int | None = None) -> None: ...
     def allocate_page(self, txn: Transaction, page_type: PageType,
                       index_id: int) -> Page:
         """Allocate, format, and log a new pinned page."""
@@ -138,17 +137,12 @@ class FosterBTree:
     # ------------------------------------------------------------------
     # Logging helper
     # ------------------------------------------------------------------
-    def _log(self, txn: Transaction, page: Page, op, undo=None) -> int:  # noqa: ANN001
-        lsn = self.tm.log_update(txn, page, self.index_id, op, undo)
-        self.ctx.mark_dirty(page.page_id, lsn)
-        return lsn
-
-    def _log_clr(self, txn: Transaction, page: Page, op,  # noqa: ANN001
-                 undo_next_lsn: int) -> int:
-        lsn = self.tm.log_compensation(txn, page, self.index_id, op,
-                                       undo_next_lsn)
-        self.ctx.mark_dirty(page.page_id, lsn)
-        return lsn
+    def _log(self, txn: Transaction, page: Page, op,  # noqa: ANN001
+             dirty: int | None = None) -> int:
+        """Log and apply ``op``; returns ``dirty``, else (the page's first
+        record) its LSN for ``ctx.unfix``, which a fresh page needs not."""
+        lsn = self.tm.log_update(txn, page, self.index_id, op)
+        return lsn if dirty is None else dirty
 
     # ------------------------------------------------------------------
     # Verified traversal
@@ -352,8 +346,10 @@ class FosterBTree:
         """
         if not key:
             raise BTreeError("empty keys are reserved for -infinity fences")
+        log, index_id = self.tm.log_update, self.index_id
         while True:
             page, node = self._descend(key, for_write=True)
+            dirty = None  # see _log
             try:
                 i, found = node.find(key)
                 if found:
@@ -378,18 +374,18 @@ class FosterBTree:
                     raise KeyNotFound(key) if expect_live else DuplicateKey(key)
                 if value is None:
                     undo = LogicalUndo(UndoAction.INSERT_KEY, key, old)
-                    self._log(txn, page, node.op_set_ghost(i, True, old=False),
-                              undo)
+                    dirty = log(txn, page, index_id, node.op_set_ghost(i, True, old=False),
+                                undo)
                     self._btree_deletes.inc()
                     return True
                 if live:
                     if len(value) <= room:
                         # The before-image is the undo's and the op's at
                         # once: one object, logged once.
-                        self._log(txn, page,
-                                  node.op_update_value(i, value, old),
-                                  LogicalUndo(UndoAction.RESTORE_VALUE, key,
-                                              old))
+                        dirty = log(txn, page, index_id,
+                                    node.op_update_value(i, value, old),
+                                    LogicalUndo(UndoAction.RESTORE_VALUE, key,
+                                                old))
                         self._btree_updates.inc()
                         return True
                 elif found:
@@ -400,20 +396,20 @@ class FosterBTree:
                         # re-ghost the record (the DELETE_KEY below); a
                         # physical slot-indexed undo would be unsafe once
                         # later inserts have shifted the slots.
-                        self._log(txn, page,
-                                  node.op_update_value(i, value, old),
-                                  LogicalUndo(UndoAction.NONE, key))
-                        self._log(txn, page, node.op_set_ghost(i, False, old=True),
-                                  LogicalUndo(UndoAction.DELETE_KEY, key))
+                        dirty = log(txn, page, index_id,
+                                    node.op_update_value(i, value, old),
+                                    LogicalUndo(UndoAction.NONE, key))
+                        log(txn, page, index_id, node.op_set_ghost(i, False, old=True),
+                            LogicalUndo(UndoAction.DELETE_KEY, key))
                         self._btree_inserts.inc()
                         return False
                 elif node.room_for(key, value):
-                    self._log(txn, page, node.op_insert(i, key, value),
-                              LogicalUndo(UndoAction.DELETE_KEY, key))
+                    dirty = log(txn, page, index_id, node.op_insert(i, key, value),
+                                LogicalUndo(UndoAction.DELETE_KEY, key))
                     self._btree_inserts.inc()
                     return False
             finally:
-                self.ctx.unfix(page.page_id)
+                self.ctx.unfix(page.page_id, dirty)
             # No room: split (system transaction) and try again.
             self._split(page.page_id)
 
@@ -484,9 +480,10 @@ class FosterBTree:
         """Key-level compensation during rollback (logged as CLRs)."""
         if undo.action == UndoAction.NONE:
             return  # value write whose effect the re-ghosting covers
-        key = undo.key
+        key, clr, index_id = undo.key, self.tm.log_compensation, self.index_id
         while True:
             page, node = self._descend(key, for_write=True)
+            dirty = None  # see _log
             try:
                 if self._owed and self._maintain():
                     continue
@@ -494,8 +491,8 @@ class FosterBTree:
                 if undo.action == UndoAction.DELETE_KEY:
                     # Undo an insert: ghost the record.
                     if found and not node.is_ghost(i):
-                        self._log_clr(txn, page, node.op_set_ghost(i, True),
-                                      undo_next_lsn)
+                        dirty = clr(txn, page, index_id, node.op_set_ghost(i, True),
+                                    undo_next_lsn)
                     fits = True
                 elif found:
                     # Undo an update, or a delete whose ghost is still
@@ -504,13 +501,11 @@ class FosterBTree:
                     # have given the room to other records.
                     fits = node.room_for_value(i, undo.value)
                     if fits:
-                        self._log_clr(txn, page,
-                                      node.op_update_value(i, undo.value),
-                                      undo_next_lsn)
+                        dirty = clr(txn, page, index_id,
+                                    node.op_update_value(i, undo.value), undo_next_lsn)
                         if undo.action == UndoAction.INSERT_KEY:
-                            self._log_clr(txn, page,
-                                          node.op_set_ghost(i, False),
-                                          undo_next_lsn)
+                            clr(txn, page, index_id, node.op_set_ghost(i, False),
+                                undo_next_lsn)
                 elif undo.action == UndoAction.RESTORE_VALUE:
                     raise BTreeError(
                         f"compensation target {key!r} disappeared")
@@ -518,14 +513,13 @@ class FosterBTree:
                     # Undo a delete whose ghost was reclaimed: re-insert.
                     fits = node.room_for(key, undo.value)
                     if fits:
-                        self._log_clr(txn, page,
-                                      node.op_insert(i, key, undo.value),
-                                      undo_next_lsn)
+                        dirty = clr(txn, page, index_id,
+                                    node.op_insert(i, key, undo.value), undo_next_lsn)
                 if fits:
                     self._btree_compensations.inc()
                     return
             finally:
-                self.ctx.unfix(page.page_id)
+                self.ctx.unfix(page.page_id, dirty)
             self._split(page.page_id)
 
     # ------------------------------------------------------------------
@@ -535,6 +529,7 @@ class FosterBTree:
         """Split a node: the upper half becomes its foster child."""
         sys_txn = self.tm.begin(system=True)
         page = self.ctx.fix(page_id)
+        dirty = None
         try:
             node = BTreeNode(page)
             n = node.nrecs
@@ -567,7 +562,7 @@ class FosterBTree:
                 moving = node.record_entries(mid, n)
                 self._log(sys_txn, foster_page,
                           foster_node.op_bulk_insert(0, moving))
-                self._log(sys_txn, page, node.op_bulk_delete(mid, n))
+                dirty = self._log(sys_txn, page, node.op_bulk_delete(mid, n))
                 # ... and link the chain: this node becomes the foster
                 # parent, keeping the chain-high fence (Figure 3).
                 for op in node.ops_set_foster(separator, foster_page.page_id):
@@ -581,7 +576,7 @@ class FosterBTree:
                 self.tm.commit(sys_txn)  # contents-neutral; safe to keep
             raise
         finally:
-            self.ctx.unfix(page_id)
+            self.ctx.unfix(page_id, dirty)
 
     def _adopt(self, parent_pid: int, child_pid: int) -> bool:
         """Move the child's foster child up into the permanent parent.
@@ -595,6 +590,7 @@ class FosterBTree:
         except BaseException:
             self.ctx.unfix(parent_pid)
             raise
+        parent_dirty = child_dirty = None
         try:
             separator = child.foster_key
             if not parent.room_for_branch_record(separator):
@@ -603,10 +599,10 @@ class FosterBTree:
             if found:
                 raise BTreeError(f"separator {separator!r} already in parent")
             sys_txn = self.tm.begin(system=True)
-            self._log(sys_txn, parent_page, parent.op_insert(
+            parent_dirty = self._log(sys_txn, parent_page, parent.op_insert(
                 i, separator, encode_pid(child.foster_pid)))
             for op in child.ops_set_high_fence(separator, high_inf=False):
-                self._log(sys_txn, child_page, op)
+                child_dirty = self._log(sys_txn, child_page, op, child_dirty)
             for op in child.ops_set_foster(b"", NO_FOSTER):
                 self._log(sys_txn, child_page, op)
             self._maybe_extend_prefix(sys_txn, child_page, child)
@@ -614,8 +610,8 @@ class FosterBTree:
             self._btree_adoptions.inc()
             return True
         finally:
-            self.ctx.unfix(child_pid)
-            self.ctx.unfix(parent_pid)
+            self.ctx.unfix(child_pid, child_dirty)
+            self.ctx.unfix(parent_pid, parent_dirty)
 
     def _maybe_extend_prefix(self, sys_txn: Transaction, page: Page,
                              node: BTreeNode) -> None:
@@ -634,6 +630,7 @@ class FosterBTree:
         """The root has a foster child: grow the tree by one level."""
         sys_txn = self.tm.begin(system=True)
         old_root_page = self.ctx.fix(old_root_pid)
+        dirty = None
         try:
             old_root = BTreeNode(old_root_page)
             separator = old_root.foster_key
@@ -650,7 +647,7 @@ class FosterBTree:
                 self._log(sys_txn, new_root_page,
                           new_root.op_insert(1, separator, encode_pid(foster_pid)))
                 for op in old_root.ops_set_high_fence(separator, high_inf=False):
-                    self._log(sys_txn, old_root_page, op)
+                    dirty = self._log(sys_txn, old_root_page, op, dirty)
                 for op in old_root.ops_set_foster(b"", NO_FOSTER):
                     self._log(sys_txn, old_root_page, op)
                 self._maybe_extend_prefix(sys_txn, old_root_page, old_root)
@@ -660,7 +657,7 @@ class FosterBTree:
             self.tm.commit(sys_txn)
             self._btree_root_growths.inc()
         finally:
-            self.ctx.unfix(old_root_pid)
+            self.ctx.unfix(old_root_pid, dirty)
 
     def migrate_node(self, page_id: int, retain_backup: bool = True) -> int:
         """Move a node to a freshly allocated page id (system txn).
@@ -752,20 +749,21 @@ class FosterBTree:
             self.ctx.set_root(sys_txn, self.index_id, new_pid)
             return
         parent_page = self.ctx.fix(parent_pid)
+        dirty = None
         try:
             parent = BTreeNode(parent_page)
             if kind == "branch":
                 if parent.child_pid(slot) != old_pid:
                     raise BTreeError("incoming pointer moved during migration")
-                self._log(sys_txn, parent_page,
-                          parent.op_update_value(slot, encode_pid(new_pid)))
+                dirty = self._log(sys_txn, parent_page,
+                                  parent.op_update_value(slot, encode_pid(new_pid)))
             else:
                 if parent.foster_pid != old_pid:
                     raise BTreeError("foster pointer moved during migration")
                 for op in parent.ops_set_foster(parent.foster_key, new_pid):
-                    self._log(sys_txn, parent_page, op)
+                    dirty = self._log(sys_txn, parent_page, op, dirty)
         finally:
-            self.ctx.unfix(parent_pid)
+            self.ctx.unfix(parent_pid, dirty)
 
     def remove_ghosts(self, page_id: int) -> int:
         """Physically remove ghost records from a leaf (system txn).
@@ -776,6 +774,7 @@ class FosterBTree:
         sys_txn = self.tm.begin(system=True)
         page = self.ctx.fix(page_id)
         removed = 0
+        dirty = None
         try:
             node = BTreeNode(page)
             if not node.is_leaf:
@@ -783,7 +782,7 @@ class FosterBTree:
             j = 0
             while j < node.nrecs:
                 if node.is_ghost(j):
-                    self._log(sys_txn, page, node.op_delete(j))
+                    dirty = self._log(sys_txn, page, node.op_delete(j), dirty)
                     removed += 1
                 else:
                     j += 1
@@ -792,7 +791,7 @@ class FosterBTree:
                 self._btree_ghosts_removed.inc(removed)
             return removed
         finally:
-            self.ctx.unfix(page_id)
+            self.ctx.unfix(page_id, dirty)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -359,12 +359,17 @@ class BufferPool:
         self._fetch_prefetch.inc()
         return True
 
-    def unfix(self, page_id: int) -> None:
+    def unfix(self, page_id: int, dirty_lsn: int | None = None) -> None:
+        """Give back one pin; ``dirty_lsn``, the first record logged on the
+        page while it was held, ends a write (a clean frame's ``rec_lsn``)."""
         with self._mutex:
             frame = self._frames.get(page_id)
             if frame is None or frame.pin_count <= 0:
                 raise BufferPoolError(f"page {page_id} is not pinned")
             frame.pin_count -= 1
+            if dirty_lsn is not None and not frame.dirty:
+                frame.dirty = True
+                frame.rec_lsn = dirty_lsn
 
     def _require(self, page_id: int) -> Frame:
         frame = self._frames.get(page_id)

@@ -37,7 +37,7 @@ from contextlib import contextmanager
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
-from repro.errors import ClientClosedError, ConfigError, KeyNotFound
+from repro.errors import ClientClosedError, ConfigError, KeyNotFound, TransactionError
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter, check_batch_op
 
@@ -174,10 +174,6 @@ class SingleNodeClient(Client):
         else:
             self.index_id = db.create_index().index_id
 
-    @property
-    def _tree(self):  # noqa: ANN202
-        return self.db.tree(self.index_id)
-
     def _txn_handle(self) -> "_SingleNodeTxn":
         return _SingleNodeTxn(self.db, self.index_id)
 
@@ -190,7 +186,7 @@ class SingleNodeClient(Client):
         self._require_open()
         self.db._require_running()
         try:
-            return self._tree.lookup(key)
+            return self.db.tree(self.index_id).lookup(key)
         except KeyNotFound:
             return None
 
@@ -199,31 +195,32 @@ class SingleNodeClient(Client):
         db = self.db
         with db.autocommit() as txn:
             db.locks.acquire(txn.txn_id, key)
-            self._tree.upsert(txn, key, value)
+            # FosterBTree.upsert, without its hop to insert()
+            db.tree(self.index_id).insert(txn, key, value, replace=True)
 
     def delete(self, key: bytes) -> bool:
         self._require_open()
         db = self.db
         with db.autocommit() as txn:
             db.locks.acquire(txn.txn_id, key)
-            return self._tree.remove(txn, key)
+            return db.tree(self.index_id).remove(txn, key)
 
     def scan(self, low: bytes = b"",
              high: bytes | None = None) -> list[tuple[bytes, bytes]]:
         self._require_open()
         self.db._require_running()
-        return list(self._tree.range_scan(low, high))
+        return list(self.db.tree(self.index_id).range_scan(low, high))
 
     def apply_batch(self, ops: list[tuple]) -> int:
         self._require_open()
         db = self.db
         with db.autocommit() as txn:
-            txn_id, acquire, tree = txn.txn_id, db.locks.acquire, self._tree
+            txn_id, acquire, tree = txn.txn_id, db.locks.acquire, db.tree(self.index_id)
             for op in ops:
                 check_batch_op(op)
                 acquire(txn_id, op[1])
                 if op[0] == "put":
-                    tree.upsert(txn, op[1], op[2])
+                    tree.insert(txn, op[1], op[2], replace=True)
                 else:
                     tree.remove(txn, op[1])
         return len(ops)
@@ -247,23 +244,29 @@ class _SingleNodeTxn:
         self.txn = db.begin()
         self._done = False
 
-    @property
-    def _tree(self):  # noqa: ANN202
+    def _open_tree(self):  # noqa: ANN202
+        """The index; a finished handle refuses before locking anything."""
+        if self._done:
+            raise TransactionError(
+                f"transaction {self.txn.txn_id} is already finished")
         return self.db.tree(self.index_id)
 
     def get(self, key: bytes) -> bytes | None:
+        tree = self._open_tree()
         try:
-            return self._tree.lookup(key)
+            return tree.lookup(key)
         except KeyNotFound:
             return None
 
     def put(self, key: bytes, value: bytes) -> None:
+        tree = self._open_tree()
         self.db.locks.acquire(self.txn.txn_id, key)
-        self._tree.upsert(self.txn, key, value)
+        tree.upsert(self.txn, key, value)
 
     def delete(self, key: bytes) -> bool:
+        tree = self._open_tree()
         self.db.locks.acquire(self.txn.txn_id, key)
-        return self._tree.remove(self.txn, key)
+        return tree.remove(self.txn, key)
 
     def commit(self) -> None:
         if self._done:

@@ -72,6 +72,7 @@ class Catalog:
 
     def set_blob(self, txn: Transaction, key: bytes, value: bytes) -> None:
         page = self.db.pool.fix(METADATA_PAGE)
+        lsn = None
         try:
             slotted = SlottedPage(page)
             slot = self._find(slotted, key)
@@ -80,9 +81,8 @@ class Catalog:
             else:
                 op = OpUpdateValue(slot, slotted.read_record(slot).value, value)
             lsn = self.db.tm.log_update(txn, page, 0, op)
-            self.db.pool.mark_dirty(METADATA_PAGE, lsn)
         finally:
-            self.db.pool.unfix(METADATA_PAGE)
+            self.db.pool.unfix(METADATA_PAGE, lsn)
 
     # ------------------------------------------------------------------
     # Index roots

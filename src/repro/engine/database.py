@@ -121,8 +121,7 @@ class Database:
                                   group_commit=cfg.group_commit)
         self.tm = TransactionManager(self.log, self.stats)
         self.tm.ack_mode = cfg.commit_ack_mode
-        self.locks = LockManager()
-        self.tm.on_finish = self._release_locks_of
+        self.locks = self.tm.locks = LockManager()
         self.backup_store = BackupStore(self.clock, cfg.backup_profile,
                                         self.stats, cfg.page_size)
 
@@ -249,17 +248,12 @@ class Database:
         slotted = SlottedPage(page)
         for key, value in ((b"next_free", self.config.data_start),
                            (b"next_index", 1)):
-            lsn = self.tm.log_update(
+            self.tm.log_update(
                 sys_txn, page, 0,
                 OpInsert(slotted.slot_count, key, struct.pack("<q", value)))
-            self.pool.mark_dirty(page.page_id, lsn)
-        self.pool.unfix(page.page_id)
+        self.pool.unfix(page.page_id)  # dirty since its format
         self.tm.commit(sys_txn)
         self.log.force()
-
-    def _release_locks_of(self, txn: Transaction) -> None:
-        """``on_finish`` hook: a finished transaction drops its locks."""
-        self.locks.release_all(txn.txn_id)
 
     def note_format(self, page_id: int, format_lsn: int) -> None:
         """A formatting record doubles as the page's backup image."""
@@ -268,16 +262,14 @@ class Database:
                                 format_lsn, self.clock.now)
 
     # ------------------------------------------------------------------
-    # TreeContext protocol (used by FosterBTree and HeapFile)
+    # TreeContext protocol (used by FosterBTree and HeapFile; ``fix`` and
+    # ``unfix`` serve the TransactionManager's UndoContext too)
     # ------------------------------------------------------------------
     def fix(self, page_id: int, release: int | None = None) -> Page:
         return self.pool.fix(page_id, release)
 
-    def unfix(self, page_id: int) -> None:
-        self.pool.unfix(page_id)
-
-    def mark_dirty(self, page_id: int, lsn: int) -> None:
-        self.pool.mark_dirty(page_id, lsn)
+    def unfix(self, page_id: int, dirty_lsn: int | None = None) -> None:
+        self.pool.unfix(page_id, dirty_lsn)
 
     def allocate_page(self, txn: Transaction, page_type: PageType,
                       index_id: int) -> Page:
@@ -310,13 +302,6 @@ class Database:
     # ------------------------------------------------------------------
     # UndoContext protocol (used by TransactionManager)
     # ------------------------------------------------------------------
-    def fix_for_undo(self, page_id: int) -> Page:
-        return self.pool.fix(page_id)
-
-    def done_with_undo_page(self, page_id: int, lsn: int) -> None:
-        self.pool.mark_dirty(page_id, lsn)
-        self.pool.unfix(page_id)
-
     def logical_compensate(self, txn: Transaction, index_id: int,
                            undo: LogicalUndo, undo_next_lsn: int) -> None:
         if index_id >= HEAP_INDEX_OFFSET:
@@ -334,7 +319,9 @@ class Database:
         return self.catalog.create_index()
 
     def tree(self, index_id: int) -> FosterBTree:
-        return self.catalog.tree(index_id)
+        # The registry hit in place: every client operation asks.
+        tree = self.catalog.trees.get(index_id)
+        return tree if tree is not None else self.catalog.tree(index_id)
 
     def create_heap(self):  # noqa: ANN201 - returns HeapFile
         self._require_running()
@@ -354,8 +341,9 @@ class Database:
     # Transactions
     # ------------------------------------------------------------------
     def begin(self) -> Transaction:
-        self._require_running()
-        return self.tm.begin(system=False)
+        if self._crashed or self._media_failed:
+            self._require_running()
+        return self.tm.begin()
 
     def begin_system(self) -> Transaction:
         self._require_running()
@@ -568,7 +556,7 @@ class Database:
         self.catalog.invalidate_volatile()
         self.tm.active.clear()
         self.indoubt.clear()  # rebuilt from durable PREPARE records
-        self.locks = LockManager()  # locks are volatile too
+        self.locks = self.tm.locks = LockManager()  # locks are volatile too
         if isinstance(self.pri, PartitionedRecoveryIndex):
             self.pri.partitions = (PageRecoveryIndex(), PageRecoveryIndex())
         else:

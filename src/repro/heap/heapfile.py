@@ -50,9 +50,9 @@ class RID:
 class HeapFile:
     """A heap of byte-string records over the engine's substrate.
 
-    ``ctx`` is the same engine context the B-tree uses (fix/unfix,
-    allocation, dirty marking); ``heap_id`` namespaces the page list in
-    the metadata page.
+    ``ctx`` is the same engine context the B-tree uses (fix, allocation,
+    and ``unfix`` with the first LSN a write logged on the page);
+    ``heap_id`` namespaces the page list in the metadata page.
     """
 
     def __init__(self, heap_id: int, ctx, tm: TransactionManager,  # noqa: ANN001
@@ -77,9 +77,7 @@ class HeapFile:
         return raw
 
     def _log(self, txn: Transaction, page: Page, op, undo=None) -> int:  # noqa: ANN001
-        lsn = self.tm.log_update(txn, page, self._index_tag(), op, undo)
-        self.ctx.mark_dirty(page.page_id, lsn)
-        return lsn
+        return self.tm.log_update(txn, page, self._index_tag(), op, undo)
 
     def _index_tag(self) -> int:
         # Heap ids share the index-id namespace, offset to avoid clashes.
@@ -101,19 +99,20 @@ class HeapFile:
         record = Record(b"", payload)
         for page_id in self._pages():
             page = self.ctx.fix(page_id)
+            lsn = None
             try:
                 slotted = SlottedPage(page)
                 if slotted.room_for(record):
                     slot = slotted.slot_count
                     rid = RID(page_id, slot)
-                    self._log(txn, page, OpInsert(slot, b"", payload),
-                              undo=LogicalUndo(UndoAction.DELETE_KEY,
-                                               rid.encode()))
+                    lsn = self._log(txn, page, OpInsert(slot, b"", payload),
+                                    undo=LogicalUndo(UndoAction.DELETE_KEY,
+                                                     rid.encode()))
                     self._heap_inserts.inc()
                     return rid
             finally:
-                self.ctx.unfix(page_id)
-        # No room anywhere: grow the heap by one page.
+                self.ctx.unfix(page_id, lsn)
+        # No room anywhere: grow the heap by one page (dirty since its format).
         page = self.ctx.allocate_heap_page(txn, self.heap_id)
         try:
             rid = RID(page.page_id, 0)
@@ -130,15 +129,15 @@ class HeapFile:
             raise ReproError(f"heap cannot compensate {undo.action}")
         rid = RID.decode(undo.key)
         page = self.ctx.fix(rid.page_id)
+        lsn = None
         try:
             slotted = SlottedPage(page)
             if rid.slot < slotted.slot_count and not slotted.is_ghost(rid.slot):
                 lsn = self.tm.log_compensation(
                     txn, page, self._index_tag(),
                     OpSetGhost(rid.slot, False, True), undo_next_lsn)
-                self.ctx.mark_dirty(rid.page_id, lsn)
         finally:
-            self.ctx.unfix(rid.page_id)
+            self.ctx.unfix(rid.page_id, lsn)
 
     def fetch(self, rid: RID) -> bytes:
         """The payload stored at ``rid``; raises if absent or deleted."""
@@ -155,6 +154,7 @@ class HeapFile:
     def update(self, txn: Transaction, rid: RID, payload: bytes) -> None:
         """Replace the payload at ``rid`` in place (RID unchanged)."""
         page = self.ctx.fix(rid.page_id)
+        lsn = None
         try:
             slotted = SlottedPage(page)
             if rid.slot >= slotted.slot_count or slotted.is_ghost(rid.slot):
@@ -165,22 +165,23 @@ class HeapFile:
                     or new_record.stored_length <= len(old) + 2):
                 raise PageFullError(
                     f"no room to grow record at {rid} in place")
-            self._log(txn, page, OpUpdateValue(rid.slot, old, payload))
+            lsn = self._log(txn, page, OpUpdateValue(rid.slot, old, payload))
             self._heap_updates.inc()
         finally:
-            self.ctx.unfix(rid.page_id)
+            self.ctx.unfix(rid.page_id, lsn)
 
     def delete(self, txn: Transaction, rid: RID) -> None:
         """Logical deletion: the slot becomes a ghost."""
         page = self.ctx.fix(rid.page_id)
+        lsn = None
         try:
             slotted = SlottedPage(page)
             if rid.slot >= slotted.slot_count or slotted.is_ghost(rid.slot):
                 raise KeyNotFound(rid.encode())
-            self._log(txn, page, OpSetGhost(rid.slot, False, True))
+            lsn = self._log(txn, page, OpSetGhost(rid.slot, False, True))
             self._heap_deletes.inc()
         finally:
-            self.ctx.unfix(rid.page_id)
+            self.ctx.unfix(rid.page_id, lsn)
 
     def scan(self) -> list[tuple[RID, bytes]]:
         """All live records in RID order."""
@@ -209,6 +210,7 @@ class HeapFile:
         for page_id in self._pages():
             sys_txn = self.tm.begin(system=True)
             page = self.ctx.fix(page_id)
+            dirty = None
             try:
                 slotted = SlottedPage(page)
                 for slot in range(slotted.slot_count):
@@ -216,12 +218,13 @@ class HeapFile:
                         continue
                     old = slotted.read_record(slot).value
                     if old:
-                        self._log(txn=sys_txn, page=page,
-                                  op=OpUpdateValue(slot, old, b""))
+                        lsn = self._log(sys_txn, page,
+                                        OpUpdateValue(slot, old, b""))
+                        dirty = dirty or lsn
                         reclaimed += 1
                 self.tm.commit(sys_txn)
             finally:
-                self.ctx.unfix(page_id)
+                self.ctx.unfix(page_id, dirty)
         if reclaimed:
             self._heap_slots_vacuumed.inc(reclaimed)
         return reclaimed

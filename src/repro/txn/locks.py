@@ -90,7 +90,7 @@ class LockManager:
         waiter on another thread either sees the old holder or none.
         """
         with self._mutex:
-            for key in self._held_by_txn.pop(txn_id, set()):
+            for key in self._held_by_txn.pop(txn_id, ()):
                 if self._holders.get(key) == txn_id:
                     del self._holders[key]
             self._waits_for.pop(txn_id, None)

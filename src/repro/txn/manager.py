@@ -5,14 +5,15 @@ transaction's last record was its last" — made durable by a force:
 
 * the bit is set on the transaction's last log record while that
   record is still in the log's volatile tail
-  (:meth:`repro.wal.log_manager.LogManager.commit_in_place`); a COMMIT
-  / SYS_COMMIT record is appended only as the fallback, when the
+  (:meth:`repro.wal.log_manager.LogManager.commit`); a COMMIT /
+  SYS_COMMIT record is appended only as the fallback, when the
   transaction logged nothing or its last record has already hardened
   (another transaction's group force, a checkpoint, a write-back, a
   2PC PREPARE).  One rule for every transaction: an autocommit put, a
   32-write batch and a node split lose their commit record alike;
 * user transaction commit then **forces** the log through the record
-  that carries the commit (durability);
+  that carries the commit (durability), in the same log-mutex hold as
+  the bit;
 * system transaction commit does not force — it becomes durable with
   the next force, and if a crash intervenes the (contents-neutral)
   transaction simply never happened: its records, bit included, are
@@ -35,28 +36,32 @@ otherwise.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterator, Protocol
+from typing import Iterator, Protocol
 
 from repro.errors import TransactionError
 from repro.page.page import Page
 from repro.sim.stats import Stats
 from repro.sync import Mutex
+from repro.txn.locks import LockManager
 from repro.txn.transaction import Transaction, TxnState
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
 from repro.wal.ops import OpInverse, PageOp
 from repro.wal.records import LogicalUndo, LogRecord, LogRecordKind
 
+_ACTIVE = TxnState.ACTIVE
+_UPDATE = LogRecordKind.UPDATE
+
 
 class UndoContext(Protocol):
     """What rollback needs from the engine."""
 
-    def fix_for_undo(self, page_id: int) -> Page:
+    def fix(self, page_id: int) -> Page:
         """Bring a page into the buffer pool and return it (pinned)."""
         ...
 
-    def done_with_undo_page(self, page_id: int, lsn: int) -> None:
-        """Unpin and mark dirty after an undo touched the page."""
+    def unfix(self, page_id: int, dirty_lsn: int) -> None:
+        """Unpin a page an undo logged ``dirty_lsn`` on."""
         ...
 
     def logical_compensate(self, txn: Transaction, index_id: int,
@@ -96,8 +101,9 @@ class TransactionManager:
         #: guards transaction identity and the active-set registry so
         #: concurrent sessions can begin/finish without losing entries
         self._mutex = Mutex()
-        #: called with each finished txn id (lock release etc.)
-        self.on_finish: Callable[[Transaction], None] | None = None
+        #: the key locks a finished transaction releases (the engine's
+        #: lock table; None where nothing locks)
+        self.locks: LockManager | None = None
         self._commit_batch: list[int] | None = None
         #: commit acknowledgement mode (PR 7): ``"local_durable"``
         #: returns once the commit record is forced locally;
@@ -114,7 +120,7 @@ class TransactionManager:
     # ------------------------------------------------------------------
     def begin(self, system: bool = False) -> Transaction:
         with self._mutex:
-            txn = Transaction(self._next_txn_id, is_system=system)
+            txn = Transaction(self._next_txn_id, system)
             self._next_txn_id += 1
             self.active[txn.txn_id] = txn
         (self._system_txns_started if system
@@ -136,42 +142,32 @@ class TransactionManager:
         wait on the cross-thread group-commit barrier with no latch
         held, so riders never block writers.
         """
-        self._require_active(txn)
-        log = self.log
-        lsn = txn.last_lsn
-        record_end = log.commit_in_place(lsn, txn.txn_id)
-        if not record_end:
-            record = LogRecord(
-                LogRecordKind.SYS_COMMIT if txn.is_system
-                else LogRecordKind.COMMIT,
-                txn_id=txn.txn_id, prev_lsn=lsn)
-            lsn = log.append(record)
-            txn.note_logged(lsn)
-            record_end = lsn + record.encoded_size()
-        await_ack = False
-        if not txn.is_system:
-            if self._commit_batch is not None:
-                # Group commit: the force is deferred to the end of the
-                # batch; this commit's durability rides with it.
-                self._commit_batch.append(lsn)
-            elif not defer_force:
-                # Durability: user commits force the log.  The force
-                # also hardens any earlier system-transaction commits
-                # ("prior to or with the commit record of any dependent
-                # user transaction") — with group commit enabled the
-                # whole buffered tail shares this one write.
-                log.commit_force(lsn, record_end)
-                await_ack = self.ack_mode == "replicated_durable"
-            self._user_txns_committed.inc()
-        else:
-            self._system_txns_committed.inc()
+        if txn.state is not _ACTIVE:
+            self._require_active(txn)
+        system = txn.is_system
+        batch = None if system else self._commit_batch
+        # Durability: user commits force the log (a group-commit batch
+        # forces at its end).  The force also hardens any earlier system
+        # commits ("prior to or with the commit record of any dependent
+        # user transaction"); the whole buffered tail shares the write.
+        force = not (system or defer_force or batch is not None)
+        lsn = self.log.commit(txn.txn_id, txn.last_lsn, system, force)
+        if lsn != txn.last_lsn:
+            txn.note_logged(lsn)  # a commit record of its own
+        if batch is not None:
+            batch.append(lsn)
+        (self._system_txns_committed if system
+         else self._user_txns_committed).inc()
         txn.state = TxnState.COMMITTED
-        self._finish(txn)
-        if await_ack:
+        with self._mutex:  # _finish, in place: every commit passes here
+            self.active.pop(txn.txn_id, None)
+        if self.locks is not None:
+            self.locks.release_all(txn.txn_id)
+        if force and self.ack_mode == "replicated_durable":
             # After _finish: the transaction IS committed and locally
             # durable; this only blocks on (or fails for want of) the
             # standby's ship-ack.
-            log.ensure_replicated(lsn)
+            self.log.ensure_replicated(lsn)
         return lsn
 
     @contextlib.contextmanager
@@ -234,11 +230,9 @@ class TransactionManager:
     def commit_prepared(self, txn: Transaction) -> int:
         """Phase two, decision = commit: finish a prepared transaction."""
         self._require_prepared(txn)
-        record = LogRecord(LogRecordKind.COMMIT, txn_id=txn.txn_id,
-                           prev_lsn=txn.last_lsn)
-        lsn = self.log.append(record)
+        # The PREPARE record is durable: a forced COMMIT record of its own.
+        lsn = self.log.commit(txn.txn_id, txn.last_lsn)
         txn.note_logged(lsn)
-        self.log.commit_force(lsn)
         txn.state = TxnState.COMMITTED
         self._user_txns_committed.inc()
         self._prepared_txns_committed.inc()
@@ -271,15 +265,15 @@ class TransactionManager:
         self._finish(txn)
 
     def _require_active(self, txn: Transaction) -> None:
-        if not txn.active:
+        if txn.state is not _ACTIVE:
             raise TransactionError(
                 f"transaction {txn.txn_id} is {txn.state.value}")
 
     def _finish(self, txn: Transaction) -> None:
         with self._mutex:
             self.active.pop(txn.txn_id, None)
-        if self.on_finish is not None:
-            self.on_finish(txn)
+        if self.locks is not None:
+            self.locks.release_all(txn.txn_id)
 
     # ------------------------------------------------------------------
     # Forward logging
@@ -293,15 +287,18 @@ class TransactionManager:
         the operation is applied, and the page's PageLSN advances to
         the new record's LSN.
         """
-        self._require_active(txn)
-        record = LogRecord(LogRecordKind.UPDATE, txn_id=txn.txn_id,
-                           prev_lsn=txn.last_lsn, page_id=page.page_id,
-                           page_prev_lsn=page.page_lsn, index_id=index_id,
-                           op=op, undo=undo)
-        lsn = self.log.append(record)
+        if txn.state is not _ACTIVE:
+            self._require_active(txn)
+        # Positional (every user write passes here): kind, txn_id,
+        # prev_lsn, page_id, page_prev_lsn, index_id, lsn, op, undo.
+        lsn = self.log.append(LogRecord(
+            _UPDATE, txn.txn_id, txn.last_lsn, page.page_id, page.page_lsn,
+            index_id, NULL_LSN, op, undo))
         op.apply_redo(page)
         page.page_lsn = lsn
-        txn.note_logged(lsn)
+        if not txn.first_lsn:  # Transaction.note_logged, in place
+            txn.first_lsn = lsn
+        txn.last_lsn = lsn
         self._page_updates_logged.inc()
         return lsn
 
@@ -383,9 +380,9 @@ class TransactionManager:
                                        record.prev_lsn)
             elif record.op is not None:
                 # Physical in-page undo.
-                page = ctx.fix_for_undo(record.page_id)
+                page = ctx.fix(record.page_id)
                 inverse = OpInverse(record.op)
                 clr_lsn = self.log_compensation(
                     txn, page, record.index_id, inverse, record.prev_lsn)
-                ctx.done_with_undo_page(record.page_id, clr_lsn)
+                ctx.unfix(record.page_id, clr_lsn)
             lsn = record.prev_lsn

@@ -16,9 +16,9 @@ The log manager owns:
 * the *durable* prefix (``durable_lsn``) and force semantics:
   user-transaction commits force the log, system transactions do not
   (Figure 5) — their commits ride along with the next force;
-* the **commit bit** (:meth:`LogManager.commit_in_place`): a record
-  still in the volatile tail can be told it is its transaction's last,
-  so a commit costs a force but no record of its own;
+* the **commit bit** (:meth:`LogManager.commit`): a record still in
+  the volatile tail can be told it is its transaction's last, so a
+  commit costs a force but no record of its own;
 * **group commit**: a commit-triggered force hardens the whole buffered
   tail in one sequential write, so ride-along records (system-txn
   commits, PRI updates, and — under ``TransactionManager.
@@ -81,6 +81,8 @@ class LogManager:
         self._backup_full_lsns: dict[int, int] = {}
         self._next_lsn = LOG_START
         self._durable_lsn = NULL_LSN
+        #: the record :meth:`append` placed last, where a commit's bit goes
+        self._tail: LogRecord | None = None
         #: LSN of the most recent CHECKPOINT_END record; modelled as the
         #: log's "master record", which survives crashes.
         self.master_checkpoint_lsn = NULL_LSN
@@ -153,6 +155,7 @@ class LogManager:
             record.lsn = lsn
             self._dir.append(lsn, record, size)
             self._next_lsn = lsn + size
+            self._tail = record
             if record.page_id >= 0 and record.kind in _CHAIN_KINDS:
                 if record.kind == LogRecordKind.FORMAT_PAGE:
                     self._format_displaced[lsn] = self._chain_heads.get(
@@ -164,31 +167,42 @@ class LogManager:
         self._log_bytes.inc(size)
         return lsn
 
-    def commit_in_place(self, lsn: int, txn_id: int) -> int:
-        """Make the record at ``lsn`` carry transaction ``txn_id``'s
-        commit, if it still can: returns the record's end LSN (what
-        :meth:`commit_force` must cover), or ``NULL_LSN`` when the
-        caller has to append a commit record instead.
+    def commit(self, txn_id: int, last_lsn: int, system: bool = False,
+               force: bool = True) -> int:
+        """Log transaction ``txn_id``'s commit and, with ``force``, make
+        it durable; returns the LSN of the record that carries it.
 
-        It can while it sits in the volatile tail — the bit then
-        hardens (and ships) with the record, and a crash before the
-        force loses both, as it would lose an unforced COMMIT record.
-        A record some other force already hardened (a rider's commit, a
-        checkpoint, a PREPARE, a write-back obeying the WAL rule) is
-        immutable, and ``NULL_LSN`` (a transaction that logged nothing)
-        names no record.  Atomic with :meth:`force` under the log mutex.
+        The commit is a bit on the transaction's last record,
+        ``last_lsn``, while that record is volatile: it hardens with the
+        record, and a crash before the force loses both, as it would an
+        unforced COMMIT record.  A hardened record (a rider's commit, a
+        checkpoint, a PREPARE, a write-back's WAL force) is immutable and
+        ``NULL_LSN`` names none: then a COMMIT (``system``: SYS_COMMIT)
+        record is appended.  Bit and force are one log-mutex hold; the
+        cross-thread barrier waits after it, with no lock held.
         """
         with self._mutex:
-            if lsn < self._durable_lsn:
-                return NULL_LSN
-            entry = self._dir.entry(lsn)
-            if entry is None:
-                return NULL_LSN
-            record, size = entry
-            if record.txn_id != txn_id or record.kind not in _CHAIN_KINDS:
-                return NULL_LSN
-            record.commits = True
-            return lsn + size
+            record = self._tail
+            if record is not None and record.lsn == last_lsn:
+                end = self._next_lsn
+            else:  # behind a later record (or none): look it up
+                record, size = self._dir.entry(last_lsn) or (None, 0)
+                end = last_lsn + size
+            if (record is not None and last_lsn >= self._durable_lsn
+                    and record.txn_id == txn_id and record.kind in _CHAIN_KINDS):
+                record.commits = True
+                lsn = last_lsn
+            else:
+                lsn = self.append(LogRecord(
+                    LogRecordKind.SYS_COMMIT if system else LogRecordKind.COMMIT,
+                    txn_id, last_lsn))
+                end = self._next_lsn
+            if force and not self.cross_thread_commit:
+                self.commit_force(lsn, end)
+                force = False
+        if force:
+            self.commit_force(lsn, end)
+        return lsn
 
     def force(self, up_to_lsn: int | None = None) -> None:
         """Flush the log buffer to stable storage up to ``up_to_lsn``.
@@ -229,7 +243,8 @@ class LogManager:
         """
         if record_end is None:
             with self._mutex:
-                record_end = commit_lsn + (self._dir.size_of(commit_lsn) or 0)
+                entry = self._dir.entry(commit_lsn)
+            record_end = commit_lsn + (entry[1] if entry else 0)
         if self.cross_thread_commit:
             self._barrier_commit(record_end)
             return
@@ -335,7 +350,8 @@ class LogManager:
                 f"commit {commit_lsn}: replicated_durable requires an "
                 f"attached standby")
         with self._mutex:
-            record_end = commit_lsn + (self._dir.size_of(commit_lsn) or 0)
+            entry = self._dir.entry(commit_lsn)
+        record_end = commit_lsn + (entry[1] if entry else 0)
         shipper.ship_until(record_end)
         if shipper.acked_lsn < record_end:
             raise ReplicationLagError(
@@ -373,6 +389,7 @@ class LogManager:
                     f"got {lsn}")
             self._dir.append(lsn, record, size)
             self._next_lsn = lsn + size
+            self._tail = record
             self._durable_lsn = self._next_lsn
             if record.page_id >= 0 and record.kind in _CHAIN_KINDS:
                 if record.kind == LogRecordKind.FORMAT_PAGE:
@@ -393,14 +410,14 @@ class LogManager:
     def record_at(self, lsn: int) -> LogRecord:
         """The record at ``lsn`` (no cost accounting; see LogReader)."""
         with self._mutex:
-            record = self._dir.get(lsn)
-        if record is None:
+            entry = self._dir.entry(lsn)
+        if entry is None:
             raise LogError(f"no log record at LSN {lsn}")
-        return record
+        return entry[0]
 
     def has_record(self, lsn: int) -> bool:
         with self._mutex:
-            return self._dir.get(lsn) is not None
+            return self._dir.entry(lsn) is not None
 
     def records_from(self, start_lsn: int) -> list[LogRecord]:
         """All records with ``lsn >= start_lsn`` in log order."""
@@ -513,6 +530,7 @@ class LogManager:
                 if self._backup_full_lsns.get(record.backup_id) == record.lsn:
                     self._backup_full_lsns.pop(record.backup_id, None)
         self._next_lsn = floor
+        self._tail = None
         if self.master_checkpoint_lsn >= self._next_lsn:
             # The checkpoint record itself was never forced; fall back.
             self.master_checkpoint_lsn = NULL_LSN

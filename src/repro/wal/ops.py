@@ -32,6 +32,9 @@ _BHI = struct.Struct("<BHI")
 #: decode boundary turns these into :class:`LogError`.
 MALFORMED = (struct.error, IndexError, ValueError, OverflowError)
 
+#: :class:`OpUpdateValue`'s bytes besides its values: kind, slot, lengths
+UPDATE_VALUE_FIXED = 11
+
 
 def _unpack_bytes(data, offset: int) -> tuple[bytes, int]:
     (length,) = _U32.unpack_from(data, offset)
@@ -189,7 +192,7 @@ class OpUpdateValue(PageOp):
         SlottedPage(page).update_value(self.slot, self.old_value)
 
     def encoded_size(self) -> int:
-        return 11 + len(self.old_value) + len(self.new_value)
+        return UPDATE_VALUE_FIXED + len(self.old_value) + len(self.new_value)
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
         _BH.pack_into(buf, pos, self.kind, self.slot)

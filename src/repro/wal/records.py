@@ -21,7 +21,7 @@ byte of an UPDATE / COMPENSATION / FORMAT_PAGE record (``commits``)
 says "this record is the last of its transaction, which committed".
 The bit never changes a record's length, hence no LSN.  It is set while
 the record is still in the log's volatile tail
-(:meth:`repro.wal.log_manager.LogManager.commit_in_place`); a
+(:meth:`repro.wal.log_manager.LogManager.commit`); a
 transaction whose last record has already hardened — or that logged
 nothing — gets a COMMIT / SYS_COMMIT record instead.  Readers ask
 :attr:`LogRecord.commits_txn`, never the kind.
@@ -49,8 +49,8 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.errors import LogError
-from repro.wal.ops import (MALFORMED, OpUpdateValue, PageOp, _put_bytes,
-                           _unpack_bytes)
+from repro.wal.ops import (MALFORMED, UPDATE_VALUE_FIXED, OpUpdateValue,
+                           PageOp, _put_bytes, _unpack_bytes)
 
 _HEADER = struct.Struct("<IBqqqqq")
 HEADER_SIZE = _HEADER.size
@@ -291,23 +291,26 @@ class LogRecord:
         """Exact serialized length, computed without materializing bytes.
 
         The append hot path only needs the length (LSNs are byte
-        offsets); keeping this in sync with :meth:`encode` is guarded
-        by the serialization round-trip property tests.
+        offsets) — a put's UPDATE, sharing its before-image, without a
+        call; keeping this in sync with :meth:`encode` (and its
+        :meth:`_shares_before_image`) is guarded by the serialization
+        round-trip property tests.
         """
+        if self.kind == LogRecordKind.UPDATE:
+            op, undo = self.op, self.undo
+            if (undo and undo.action is _RESTORE_VALUE
+                    and type(op) is OpUpdateValue
+                    and (undo.value is op.old_value
+                         or undo.value == op.old_value)):
+                # flags 1, op length 4, undo action 1, key length 4
+                return (HEADER_SIZE + 10 + UPDATE_VALUE_FIXED
+                        + len(op.old_value) + len(op.new_value) + len(undo.key))
+            return (HEADER_SIZE + 1 + (4 + op.encoded_size() if op else 0)
+                    + (undo.encoded_size() if undo else 0))
         return HEADER_SIZE + self._payload_size()
 
     def _payload_size(self) -> int:
         kind = self.kind
-        if kind == LogRecordKind.UPDATE:
-            size = 1
-            if self.op:
-                size += 4 + self.op.encoded_size()
-            undo = self.undo
-            if undo:
-                size += undo.encoded_size()
-                if self._shares_before_image():
-                    size -= 4 + len(undo.value)
-            return size
         if kind == LogRecordKind.COMPENSATION:
             return 12 + (self.op.encoded_size() if self.op else 0)
         if kind == LogRecordKind.FORMAT_PAGE:
@@ -338,7 +341,7 @@ class LogRecord:
         kind = self.kind
         if self.commits and kind not in CHAIN_KINDS:
             raise LogError(f"a {kind.name} record cannot carry a commit")
-        total = HEADER_SIZE + self._payload_size()
+        total = self.encoded_size()
         buf = bytearray(total)
         _HEADER.pack_into(buf, 0, total,
                           kind | _COMMITS_BIT if self.commits else kind,

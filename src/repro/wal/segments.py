@@ -47,12 +47,6 @@ class LogSegment:
         self.sizes: dict[int, int] = {}
         self.encoded_bytes = 0
 
-    def add(self, lsn: int, record: LogRecord, size: int) -> None:
-        self.records[lsn] = record
-        self.sizes[lsn] = size
-        self.encoded_bytes += size
-        self.end_lsn = lsn + size
-
     def remove(self, lsn: int) -> int:
         """Drop one record; returns its encoded size."""
         del self.records[lsn]
@@ -87,11 +81,16 @@ class SegmentDirectory:
     def append(self, lsn: int, record: LogRecord, size: int) -> None:
         """Place one record; opens a new segment when the current one
         has exhausted its encoded-byte budget."""
-        if (not self._segments
-                or self._segments[-1].encoded_bytes >= self.segment_bytes):
-            self._segments.append(LogSegment(lsn))
+        segments = self._segments
+        segment = segments[-1] if segments else None
+        if segment is None or segment.encoded_bytes >= self.segment_bytes:
+            segment = LogSegment(lsn)
+            segments.append(segment)
             self._starts.append(lsn)
-        self._segments[-1].add(lsn, record, size)
+        segment.records[lsn] = record
+        segment.sizes[lsn] = size
+        segment.encoded_bytes += size
+        segment.end_lsn = lsn + size
         self._total_bytes += size
         self._record_count += 1
 
@@ -114,29 +113,11 @@ class SegmentDirectory:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _segment_index(self, lsn: int) -> int | None:
-        pos = bisect.bisect_right(self._starts, lsn) - 1
-        if pos < 0 or lsn >= self._segments[pos].end_lsn:
-            return None
-        return pos
-
-    def get(self, lsn: int) -> LogRecord | None:
-        """The record at ``lsn``: one bisect + one dict hit."""
-        pos = self._segment_index(lsn)
-        if pos is None:
-            return None
-        return self._segments[pos].records.get(lsn)
-
-    def size_of(self, lsn: int) -> int | None:
-        pos = self._segment_index(lsn)
-        if pos is None:
-            return None
-        return self._segments[pos].sizes.get(lsn)
-
     def entry(self, lsn: int) -> tuple[LogRecord, int] | None:
-        """``(record, encoded size)`` at ``lsn``, from one bisect."""
-        pos = self._segment_index(lsn)
-        if pos is None:
+        """``(record, encoded size)`` at ``lsn``: one bisect + one dict
+        hit (the one lookup: a record, or its size, or both)."""
+        pos = bisect.bisect_right(self._starts, lsn) - 1
+        if pos < 0:
             return None
         segment = self._segments[pos]
         record = segment.records.get(lsn)

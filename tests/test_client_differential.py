@@ -13,6 +13,7 @@ import random
 import pytest
 
 import repro
+from repro.errors import TransactionError
 from repro.workloads.fleet import ClientFleet, FacadeFleetRunner
 
 SEED = 31
@@ -101,6 +102,27 @@ def test_bad_batch_op_is_a_config_error_on_every_backend(config):
             assert client.get(b"good") is None
         client.put(b"k", b"v")
         assert client.get(b"k") == b"v"
+
+
+@pytest.mark.parametrize("config", [None, repro.ShardConfig(n_shards=2)],
+                         ids=["embedded", "inproc"])
+def test_a_finished_txn_handle_refuses_before_it_locks(config):
+    """Using a ``client.txn()`` handle after its block committed fails
+    typed, the same way on every backend, before the lock table is
+    touched: no key is left locked by the finished transaction."""
+    with repro.connect(config) as client:
+        with client.txn() as txn:
+            txn.put(b"a", b"1")
+        for late in (lambda: txn.put(b"b", b"2"), lambda: txn.delete(b"a"),
+                     lambda: txn.get(b"a")):
+            with pytest.raises(TransactionError, match="already finished"):
+                late()
+        if config is None:
+            assert client.db.locks.holder_of(b"b") is None
+            assert client.db.locks.held_keys() == []
+        client.put(b"b", b"3")
+        assert client.delete(b"a")
+        assert (client.get(b"a"), client.get(b"b")) == (None, b"3")
 
 
 @pytest.mark.parametrize("config", [

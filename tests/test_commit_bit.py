@@ -298,26 +298,38 @@ def test_a_loser_whose_last_record_is_durable_still_rolls_back():
     assert dict(db.tree(1).range_scan()) == model
 
 
-def test_commit_in_place_refuses_what_it_must():
+def test_log_commit_takes_the_bit_only_where_it_may():
+    """``LogManager.commit`` sets the bit on the named transaction's own
+    chain record while it is volatile, else appends a COMMIT record:
+    for another transaction's record, an LSN naming no record, a
+    durable record, a PREPARE."""
     db, tree, _model = prepared()
     log = db.log
     txn = db.begin()
     write(db, tree, txn, None, 3)
     lsn = txn.last_lsn
-    assert log.commit_in_place(lsn, txn.txn_id + 1) == 0    # not its record
-    assert log.commit_in_place(lsn + 1, txn.txn_id) == 0    # no record there
+    for stranger, at in ((txn.txn_id + 100, lsn),     # not its record
+                         (txn.txn_id + 101, lsn + 1)):  # no record there
+        commit = log.commit(stranger, at, force=False)
+        assert commit > lsn and log.record_at(commit).kind == COMMIT
     assert not log.record_at(lsn).commits
-    end = log.commit_in_place(lsn, txn.txn_id)
-    assert end == log.end_lsn and log.record_at(lsn).commits
+    # No longer the tail, still volatile: the bit, and no force.
+    durable = log.durable_lsn
+    assert log.commit(txn.txn_id, lsn, force=False) == lsn
+    assert log.record_at(lsn).commits and log.durable_lsn == durable
     db.abort_quietly(txn)
     # A durable record is immutable; a PREPARE is not a chain record.
     other = db.begin()
     write(db, tree, other, None, 50)
     log.force()
-    assert log.commit_in_place(other.last_lsn, other.txn_id) == 0
-    db.prepare(other, gtid=5)
-    assert log.commit_in_place(other.last_lsn, other.txn_id) == 0
-    db.abort_prepared(other)
+    commit = log.commit(other.txn_id, other.last_lsn, force=False)
+    assert log.record_at(commit).kind == COMMIT
+    assert not log.record_at(other.last_lsn).commits
+    prepare = db.prepare(db.begin(), gtid=5)
+    commit = log.commit(log.record_at(prepare).txn_id, prepare)
+    assert log.record_at(commit).kind == COMMIT
+    assert not log.record_at(prepare).commits
+    assert log.durable_lsn == log.end_lsn    # force=True forced it
 
 
 # ----------------------------------------------------------------------

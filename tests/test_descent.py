@@ -50,9 +50,9 @@ def test_warm_lookup_is_three_fixes_one_unfix_one_node(monkeypatch):
         calls["fix"].append((page_id, release))
         return fix(pool, page_id, release)
 
-    def counted_unfix(pool, page_id):
+    def counted_unfix(pool, page_id, dirty_lsn=None):
         calls["unfix"].append(page_id)
-        return unfix(pool, page_id)
+        return unfix(pool, page_id, dirty_lsn)
 
     class CountedNode(BTreeNode):
         __slots__ = ()

@@ -61,7 +61,7 @@ class TestSegmentDirectory:
 
     def test_directory_get_outside_range(self):
         directory = SegmentDirectory(segment_bytes=64)
-        assert directory.get(100) is None
+        assert directory.entry(100) is None
         with pytest.raises(LogError):
             make_log().record_at(999)
 

@@ -26,10 +26,10 @@ class FakeUndoContext:
         self.pages = pages
         self.logical_calls: list[tuple[int, object, int]] = []
 
-    def fix_for_undo(self, page_id: int) -> Page:
+    def fix(self, page_id: int) -> Page:
         return self.pages[page_id]
 
-    def done_with_undo_page(self, page_id: int, lsn: int) -> None:
+    def unfix(self, page_id: int, dirty_lsn: int) -> None:
         pass
 
     def logical_compensate(self, txn, index_id, undo, undo_next_lsn):  # noqa: ANN001
