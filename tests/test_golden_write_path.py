@@ -51,7 +51,9 @@ def _key(i: int) -> bytes:
     return b"user%07d" % i
 
 
-def _run(seed: int, frames: int, preload: int, n_ops: int) -> dict:
+def write_stream(seed: int, frames: int, preload: int, n_ops: int):  # noqa: ANN201
+    """The seeded stream; returns its client, every transaction finished.
+    ``tests/test_golden_logical_state.py`` pins what it leaves behind."""
     rng = random.Random(seed)
     client = repro.connect(EngineConfig(page_size=2048, capacity_pages=4096,
                                         buffer_capacity=frames, seed=seed))
@@ -123,6 +125,11 @@ def _run(seed: int, frames: int, preload: int, n_ops: int) -> dict:
     session.commit()
     for _ in range(20):
         client.put(key(), value())
+    return client
+
+
+def _run(seed: int, frames: int, preload: int, n_ops: int) -> dict:
+    db = write_stream(seed, frames, preload, n_ops).db
     records = db.log.all_records()
     digest = hashlib.sha256()
     for record in records:
