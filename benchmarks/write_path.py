@@ -11,6 +11,13 @@ each stage of the unrolled put carries one ``perf_counter_ns`` call
 (~0.07 us) of its own.  The whole-benchmark claim (``python3 -m
 bench.run``) is made of these.
 
+Last, the rewrite next to ``dblp_cold_embedded``'s: for ``--puts``
+random 100-byte kv values and as many mdate rewrites of the bench's
+DBLP records, the bytes one rewrite's UPDATE logs with both values
+whole (the encoding before spans) and as built by ``value_rewrite``,
+and what the span rule costs per rewrite: building the op, and
+applying it to a leaf (a spanned op splices and checks its middle).
+
 The unrolled put must stay what ``FosterBTree._write`` +
 ``TransactionManager.log_update`` / ``commit`` do — one pool exit
 (``unfix(page, dirty_lsn)``), the commit bit and the force in one
@@ -43,8 +50,14 @@ for _path in (_ROOT, os.path.join(_ROOT, "src")):
 
 from bench.runner import Runner  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
-from benchmarks.common import incs_during, python_calls  # noqa: E402
+from bench.workloads import DblpCorpus, kv_key  # noqa: E402
+from benchmarks.common import (incs_during, print_table,  # noqa: E402
+                               python_calls)
+from repro.btree.node import DATA_START  # noqa: E402
+from repro.page.page import Page, PageType  # noqa: E402
+from repro.page.slotted import Record, SlottedPage  # noqa: E402
 from repro.txn.transaction import TxnState  # noqa: E402
+from repro.wal.ops import OpUpdateValue, value_rewrite  # noqa: E402
 from repro.wal.records import (LogicalUndo, LogRecord,  # noqa: E402
                                LogRecordKind, UndoAction)
 
@@ -54,7 +67,7 @@ STAGES = (
     "db.begin", "locks.acquire",
     "descent (shared with get)", "node.find",
     "probe_value (ghost bit, before-image, room: one slot read)",
-    "op + LogicalUndo", "LogRecord(...)", "log.append", "op.apply_redo",
+    "value_rewrite + LogicalUndo", "LogRecord(...)", "log.append", "op.apply_redo",
     "PageLSN + chain head + inc", "inc + unfix(page, dirty_lsn)",
     "log.commit (bit + commit_force, one hold)",
     "finish (inc, active table, release_all)",
@@ -75,8 +88,9 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     t4 = now()
     _ghost, old, _room = node.probe_value(i)
     t5 = now()
-    op = node.op_update_value(i, value, old)
-    undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, old)
+    op = value_rewrite(DATA_START + i, old, value)
+    undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, op.old_value,
+                       op.prefix, op.suffix)
     t6 = now()
     record = LogRecord(LogRecordKind.UPDATE, txn.txn_id, txn.last_lsn,
                        page.page_id, page.page_lsn, tree.index_id, 0, op, undo)
@@ -203,6 +217,83 @@ def main() -> None:
     for name, micros in rows:
         print(f"{micros:8.2f} us  {name}")
     runner.close()
+    rewrite_table(args.puts, args.reps)
+
+
+def _update_size(key: bytes, op: OpUpdateValue) -> int:
+    """The UPDATE a B-tree rewrite logs for ``op`` (undo shares it)."""
+    return LogRecord(LogRecordKind.UPDATE, op=op, undo=LogicalUndo(
+        UndoAction.RESTORE_VALUE, key, op.old_value, op.prefix,
+        op.suffix)).encoded_size()
+
+
+def rewrite_table(n: int, reps: int) -> None:
+    """Log bytes and span-rule cost of a kv rewrite and a DBLP one."""
+    rng = random.Random("write-path/rewrites")
+
+    def mdate() -> bytes:
+        return b"20%02d-%02d-%02d" % (rng.randint(10, 25), rng.randint(1, 12),
+                                      rng.randint(1, 28))
+
+    shapes = {
+        "kv_hot: random 100 B value": [
+            (kv_key(i), rng.randbytes(100), rng.randbytes(100))
+            for i in range(n)],
+        "dblp_cold: mdate of a record": [
+            (key, value, mdate() + value[10:])
+            for key, value in DblpCorpus(1, n).records],
+    }
+    rows = []
+    for name, rewrites in shapes.items():
+        whole = [OpUpdateValue(DATA_START, old, new) for _k, old, new in rewrites]
+        spanned = [value_rewrite(DATA_START, old, new)
+                   for _k, old, new in rewrites]
+        logged = [statistics.mean(_update_size(key, op) for (key, _o, _n), op
+                                  in zip(rewrites, ops))
+                  for ops in (whole, spanned)]
+        build = [_per_rewrite(lambda: [make(DATA_START, old, new)
+                                       for _k, old, new in rewrites],
+                              len(rewrites), reps)
+                 for make in (OpUpdateValue, value_rewrite)]
+        redo = [_redo_per_rewrite(rewrites, ops, reps)
+                for ops in (whole, spanned)]
+        rows.append([name, f"{logged[0]:.1f}", f"{logged[1]:.1f}",
+                     f"{build[0]:.2f} / {build[1]:.2f}",
+                     f"{redo[0]:.2f} / {redo[1]:.2f}",
+                     f"{build[1] + redo[1] - build[0] - redo[0]:+.2f}"])
+    print_table("One rewrite: bytes its UPDATE logs, us to build and apply "
+                "its op (whole value / spanned)",
+                ["rewrite", "whole B", "spanned B", "build us", "redo us",
+                 "span rule us"], rows)
+
+
+def _per_rewrite(run, count: int, reps: int) -> float:  # noqa: ANN001
+    """Median over ``reps`` passes of ``run()``'s us per rewrite."""
+    passes = []
+    for _ in range(reps):
+        start = now()
+        run()
+        passes.append((now() - start) / count / 1e3)
+    return statistics.median(passes)
+
+
+def _redo_per_rewrite(rewrites, ops, reps: int) -> float:  # noqa: ANN001
+    """us per ``op.apply_redo`` on a leaf holding the old value."""
+    page = Page.format(4096, 1, PageType.BTREE_LEAF)
+    slotted = SlottedPage(page)
+    slotted.initialize()
+    for slot in range(DATA_START + 1):
+        slotted.insert(slot, Record(b"k%d" % slot, b""))
+    passes = []
+    for _ in range(reps):
+        spent = 0
+        for (_key, old, _new), op in zip(rewrites, ops):
+            slotted.update_value(DATA_START, old)
+            start = now()
+            op.apply_redo(page)
+            spent += now() - start
+        passes.append(spent / len(rewrites) / 1e3)
+    return statistics.median(passes)
 
 
 if __name__ == "__main__":

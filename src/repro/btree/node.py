@@ -64,7 +64,7 @@ from repro.errors import BTreeError
 from repro.page.page import TYPE_OFFSET, Page, PageType
 from repro.page.slotted import LENGTH_MASK, SLOT_SIZE, Record, SlottedPage
 from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpDelete, OpInsert,
-                           OpSetGhost, OpUpdateValue, PageOp)
+                           OpSetGhost, PageOp, value_rewrite)
 
 SLOT_LOW = 0
 SLOT_HIGH = 1
@@ -518,7 +518,7 @@ class BTreeNode:
         """``old``: the current value, if the caller has read it."""
         if old is None:
             old = self.value(index)
-        return OpUpdateValue(DATA_START + index, old, new_value)
+        return value_rewrite(DATA_START + index, old, new_value)
 
     def op_set_ghost(self, index: int, ghost: bool,
                      old: bool | None = None) -> PageOp:
@@ -545,7 +545,7 @@ class BTreeNode:
         if new_flags != flags:
             old_meta = self.slotted.read_record(SLOT_LOW).value
             new_meta = _META.pack(view.level, new_flags) + view.prefix
-            ops.append(OpUpdateValue(SLOT_LOW, old_meta, new_meta))
+            ops.append(value_rewrite(SLOT_LOW, old_meta, new_meta))
         return ops
 
     def ops_reencode_prefix(self, new_prefix: bytes) -> list[PageOp]:
@@ -565,7 +565,7 @@ class BTreeNode:
         ops: list[PageOp] = []
         view = self.view
         old_meta = self.slotted.read_record(SLOT_LOW).value
-        ops.append(OpUpdateValue(
+        ops.append(value_rewrite(
             SLOT_LOW, old_meta, _META.pack(view.level, view.flags) + new_prefix))
         old_entries = []
         new_entries = []

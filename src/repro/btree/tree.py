@@ -43,7 +43,8 @@ from __future__ import annotations
 from typing import Iterator, Protocol
 
 from repro.btree.keys import shortest_separator
-from repro.btree.node import FLAG_HIGH_INF, NO_FOSTER, BTreeNode, encode_pid
+from repro.btree.node import (DATA_START, FLAG_HIGH_INF, NO_FOSTER, BTreeNode,
+                              encode_pid)
 from repro.errors import (
     BTreeError,
     DuplicateKey,
@@ -55,7 +56,10 @@ from repro.page.page import Page, PageType
 from repro.sim.stats import Stats
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
+from repro.wal.ops import value_rewrite
 from repro.wal.records import LogicalUndo, UndoAction
+
+_RESTORE_VALUE = UndoAction.RESTORE_VALUE
 
 
 class TreeContext(Protocol):
@@ -381,11 +385,12 @@ class FosterBTree:
                 if live:
                     if len(value) <= room:
                         # The before-image is the undo's and the op's at
-                        # once: one object, logged once.
-                        dirty = log(txn, page, index_id,
-                                    node.op_update_value(i, value, old),
-                                    LogicalUndo(UndoAction.RESTORE_VALUE, key,
-                                                old))
+                        # once, under the op's span: one object (the old
+                        # middle), logged once.
+                        op = value_rewrite(DATA_START + i, old, value)
+                        dirty = log(txn, page, index_id, op, LogicalUndo(
+                            _RESTORE_VALUE, key, op.old_value, op.prefix,
+                            op.suffix))
                         self._btree_updates.inc()
                         return True
                 elif found:
@@ -397,7 +402,7 @@ class FosterBTree:
                         # physical slot-indexed undo would be unsafe once
                         # later inserts have shifted the slots.
                         dirty = log(txn, page, index_id,
-                                    node.op_update_value(i, value, old),
+                                    value_rewrite(DATA_START + i, old, value),
                                     LogicalUndo(UndoAction.NONE, key))
                         log(txn, page, index_id, node.op_set_ghost(i, False, old=True),
                             LogicalUndo(UndoAction.DELETE_KEY, key))
@@ -496,13 +501,17 @@ class FosterBTree:
                     fits = True
                 elif found:
                     # Undo an update, or a delete whose ghost is still
-                    # there: put the old value back.  It may be larger
+                    # there: put the old value back — a spanned update's
+                    # old middle by the inverse splice.  It may be larger
                     # than what is stored now, and the leaf may since
                     # have given the room to other records.
-                    fits = node.room_for_value(i, undo.value)
+                    _ghost, current, room = node.probe_value(i)
+                    before = undo.restored(current)
+                    fits = len(before) <= room
                     if fits:
                         dirty = clr(txn, page, index_id,
-                                    node.op_update_value(i, undo.value), undo_next_lsn)
+                                    value_rewrite(DATA_START + i, current, before),
+                                    undo_next_lsn)
                         if undo.action == UndoAction.INSERT_KEY:
                             clr(txn, page, index_id, node.op_set_ghost(i, False),
                                 undo_next_lsn)

@@ -274,7 +274,7 @@ def fetch_backup_image(ref: BackupRef, page_id: int, page_size: int,
         if record.kind != LogRecordKind.FULL_PAGE_IMAGE or record.image is None:
             raise RecoveryError(
                 f"LSN {ref.value} is not a full page image record")
-        image = decompress_image(record.image)
+        image = decompress_image(record.image, page_size)
         page = Page(page_size, image)
         # The image is current as of the recorded PageLSN, or — for
         # images whose PageLSN could only be assigned after the record

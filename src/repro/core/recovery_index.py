@@ -294,15 +294,33 @@ class PageRecoveryIndex:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "PageRecoveryIndex":
+        """The index :meth:`serialize` wrote, or :class:`RecoveryError`
+        for a blob of any other length or with an unknown backup kind."""
+        try:
+            n_ranges, n_lsns = struct.unpack_from("<II", data, 0)
+        except struct.error:
+            raise RecoveryError(f"recovery-index blob of {len(data)} bytes "
+                                f"is shorter than its header") from None
+        size = (8 + n_ranges * cls._RANGE_STRUCT.size
+                + n_lsns * cls._LSN_STRUCT.size)
+        if size != len(data):
+            raise RecoveryError(
+                f"recovery-index blob of {len(data)} bytes declares "
+                f"{n_ranges} ranges and {n_lsns} LSNs ({size} bytes)")
         pri = cls()
-        n_ranges, n_lsns = struct.unpack_from("<II", data, 0)
         pos = 8
         for _ in range(n_ranges):
             start, end, kind, value, lsn, time = cls._RANGE_STRUCT.unpack_from(data, pos)
             pos += cls._RANGE_STRUCT.size
+            try:
+                ref_kind = BackupRefKind(kind)
+            except ValueError:
+                raise RecoveryError(
+                    f"recovery-index range {start}..{end} has unknown "
+                    f"backup kind {kind}") from None
             pri._starts.append(start)
             pri._ends.append(end)
-            pri._refs.append(BackupRef(BackupRefKind(kind), value))
+            pri._refs.append(BackupRef(ref_kind, value))
             pri._lsns.append(lsn)
             pri._times.append(time)
         for _ in range(n_lsns):

@@ -56,7 +56,7 @@ def replay_records(page: Page, records: list[LogRecord]) -> list[LogRecord]:
         if record.kind == LogRecordKind.FULL_PAGE_IMAGE:
             as_of = record.page_lsn if record.page_lsn else record.lsn
             if page.page_lsn < as_of:
-                page.load_image(decompress_image(record.image or b""))
+                page.load_image(decompress_image(record.image or b"", page.size))
                 if page.page_lsn != as_of:  # the setter counts an update
                     page.page_lsn = as_of
                 applied.append(record)

@@ -23,7 +23,7 @@ from repro.btree.tree import FosterBTree
 from repro.errors import ConfigError, StorageError
 from repro.page.slotted import SlottedPage
 from repro.txn.transaction import Transaction
-from repro.wal.ops import OpInsert, OpUpdateValue
+from repro.wal.ops import OpInsert, value_rewrite
 
 METADATA_PAGE = 0
 
@@ -79,7 +79,7 @@ class Catalog:
             if slot is None:
                 op = OpInsert(slotted.slot_count, key, value)
             else:
-                op = OpUpdateValue(slot, slotted.read_record(slot).value, value)
+                op = value_rewrite(slot, slotted.read_record(slot).value, value)
             lsn = self.db.tm.log_update(txn, page, 0, op)
         finally:
             self.db.pool.unfix(METADATA_PAGE, lsn)

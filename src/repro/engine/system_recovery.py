@@ -397,7 +397,8 @@ def _load_pri_page(db, page_id: int, fpi: LogRecord,  # noqa: ANN001
         pass
     # The device copy is damaged or stale: restore from the in-log
     # image (single-page recovery of the PRI, Section 5.2).
-    page = Page(db.config.page_size, decompress_image(fpi.image or b""))
+    page_size = db.config.page_size
+    page = Page(page_size, decompress_image(fpi.image or b"", page_size))
     page.page_lsn = expected_lsn
     page.seal()
     try:

@@ -27,7 +27,7 @@ from repro.page.slotted import PageFullError, Record, SlottedPage
 from repro.sim.stats import Stats
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
-from repro.wal.ops import OpInsert, OpSetGhost, OpUpdateValue
+from repro.wal.ops import OpInsert, OpSetGhost, value_rewrite
 from repro.wal.records import LogicalUndo, UndoAction
 
 
@@ -165,7 +165,7 @@ class HeapFile:
                     or new_record.stored_length <= len(old) + 2):
                 raise PageFullError(
                     f"no room to grow record at {rid} in place")
-            lsn = self._log(txn, page, OpUpdateValue(rid.slot, old, payload))
+            lsn = self._log(txn, page, value_rewrite(rid.slot, old, payload))
             self._heap_updates.inc()
         finally:
             self.ctx.unfix(rid.page_id, lsn)
@@ -219,7 +219,7 @@ class HeapFile:
                     old = slotted.read_record(slot).value
                     if old:
                         lsn = self._log(sys_txn, page,
-                                        OpUpdateValue(slot, old, b""))
+                                        value_rewrite(slot, old, b""))
                         dirty = dirty or lsn
                         reclaimed += 1
                 self.tm.commit(sys_txn)

@@ -33,7 +33,7 @@ import enum
 import struct
 import zlib
 
-from repro.errors import PageFailureKind, SinglePageFailure
+from repro.errors import PageFailureKind, RecoveryError, SinglePageFailure
 from repro.page import checksum as _checksum
 from repro.page.checksum import BODY_OFFSET, MAGIC_SEED, PAGE_MAGIC
 
@@ -189,7 +189,12 @@ class Page:
         return Page(self.size, bytes(self.data))
 
     def load_image(self, image: bytes | bytearray) -> None:
-        """Overwrite the whole page in place (full-image redo)."""
+        """Overwrite the whole page in place (full-image redo); an image
+        that is not page-sized is a :class:`RecoveryError`, never a
+        page of another size."""
+        if len(image) != self.size:
+            raise RecoveryError(f"a {len(image)}-byte image cannot be loaded "
+                                f"into a {self.size}-byte page")
         self.data[:] = image
         self.view = None
 

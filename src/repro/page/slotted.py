@@ -43,7 +43,8 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.errors import PageFailureKind, ReproError, SinglePageFailure
+from repro.errors import (PageFailureKind, RecoveryError, ReproError,
+                          SinglePageFailure)
 from repro.page.page import HEADER_SIZE, Page, PageType, check_header
 
 _SLOTTED_HEADER = struct.Struct("<HHHH")
@@ -405,8 +406,16 @@ class SlottedPage:
         self._set_heap_end(offset + record.stored_length)
         return offset
 
-    def update_value(self, index: int, value: bytes) -> None:
-        """Replace the value of the record in slot ``index``."""
+    def update_value(self, index: int, value: bytes, prefix: int = 0,
+                     suffix: int = 0, replaced: bytes = b"") -> None:
+        """Replace the value of the record in slot ``index``.
+
+        A *spliced* rewrite (``prefix`` or ``suffix`` nonzero, see
+        :class:`repro.wal.ops.OpUpdateValue`) replaces only the middle
+        between the value's first ``prefix`` and last ``suffix`` bytes,
+        which must be ``replaced``: a value that does not hold it is
+        refused before a byte is written, as :class:`RecoveryError`.
+        """
         page = self.page
         data = page.data
         if not 0 <= index < _U16.unpack_from(data, HEADER_SIZE)[0]:
@@ -415,6 +424,17 @@ class SlottedPage:
             data, page.size - (index + 1) * SLOT_SIZE)
         length = length_flags & LENGTH_MASK
         key_end = offset + 2 + _U16.unpack_from(data, offset)[0]
+        if prefix or suffix:
+            start = key_end + prefix
+            end = offset + length - suffix
+            if end - start != len(replaced) or data[start:end] != replaced:
+                raise RecoveryError(
+                    f"spliced rewrite of slot {index} on page "
+                    f"{page.page_id}: its {offset + length - key_end}-byte "
+                    f"value does not hold the {len(replaced)}-byte middle it "
+                    f"replaces at byte {prefix}")
+            value = (bytes(data[key_end:start]) + value
+                     + bytes(data[end:offset + length]))
         needed = key_end - offset + len(value)
         if needed > length and not self.room_for_value(index, value):
             raise PageFullError(f"cannot grow record to {needed} bytes")

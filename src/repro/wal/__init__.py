@@ -31,6 +31,7 @@ from repro.wal.ops import (
     OpUpdateValue,
     OpWriteBytes,
     PageOp,
+    value_rewrite,
 )
 from repro.wal.records import (
     CheckpointData,
@@ -56,6 +57,7 @@ __all__ = [
     "OpSetGhost",
     "OpWriteBytes",
     "OpInitSlotted",
+    "value_rewrite",
     "NULL_LSN",
     "LOG_START",
 ]

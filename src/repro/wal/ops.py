@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 from repro.errors import LogError
 from repro.page.page import Page, PageType
-from repro.page.slotted import Record, SlottedPage
+from repro.page.slotted import LENGTH_MASK, Record, SlottedPage
 
 
 _U32 = struct.Struct("<I")
 _BHB = struct.Struct("<BHB")
 _BH = struct.Struct("<BH")
+_BHHH = struct.Struct("<BHHH")
 _BHBB = struct.Struct("<BHBB")
 _BB = struct.Struct("<BB")
 _BHI = struct.Struct("<BHI")
@@ -34,6 +35,22 @@ MALFORMED = (struct.error, IndexError, ValueError, OverflowError)
 
 #: :class:`OpUpdateValue`'s bytes besides its values: kind, slot, lengths
 UPDATE_VALUE_FIXED = 11
+#: what a span adds to a value rewrite: its prefix and suffix lengths
+SPAN_SIZE = 4
+#: the kind byte of a spanned :class:`OpUpdateValue`
+_SPANNED_UPDATE_VALUE = 9
+_from_bytes = int.from_bytes
+
+
+def check_span(prefix: int, suffix: int, middle: int) -> None:
+    """A decoded span is one an encoder writes: not empty, and no
+    value it splices — ``middle`` is the longer middle's length — is
+    longer than a record can be."""
+    if not prefix + suffix:
+        raise LogError("empty span")
+    if prefix + suffix + middle > LENGTH_MASK:
+        raise LogError(f"span of {prefix} + {suffix} bytes around a "
+                       f"{middle}-byte middle is longer than any record")
 
 
 def _unpack_bytes(data, offset: int) -> tuple[bytes, int]:
@@ -175,36 +192,102 @@ class OpDelete(PageOp):
         return cls(slot, key, value, bool(ghost))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OpUpdateValue(PageOp):
-    """Replace the value of the record at a slot."""
+    """Replace the value of the record at a slot.
+
+    With a *span* (``prefix`` or ``suffix`` nonzero) the old and new
+    value share their first ``prefix`` and last ``suffix`` bytes, and
+    ``old_value`` / ``new_value`` hold only the middles between them: a
+    rewrite logs the bytes it changes, as PostgreSQL's heap UPDATE
+    records do with ``PREFIX_FROM_OLD`` / ``SUFFIX_FROM_OLD``.  Redo
+    and undo then splice one middle in place of the other in the
+    record's current value (:meth:`SlottedPage.update_value`), which
+    refuses — before a byte is written, as a redo chain mismatch is
+    refused — a value whose span does not hold the middle it replaces.
+    Build rewrites with :func:`value_rewrite`.
+
+    Not frozen, unlike the other ops: every user rewrite builds one, and
+    a frozen dataclass's ``__init__`` pays a call per field; nothing
+    assigns to an op once built.
+    """
 
     slot: int
     old_value: bytes
     new_value: bytes
+    prefix: int = 0
+    suffix: int = 0
 
     kind = 3
 
     def apply_redo(self, page: Page) -> None:
-        SlottedPage(page).update_value(self.slot, self.new_value)
+        SlottedPage(page).update_value(self.slot, self.new_value, self.prefix,
+                                       self.suffix, self.old_value)
 
     def apply_undo(self, page: Page) -> None:
-        SlottedPage(page).update_value(self.slot, self.old_value)
+        SlottedPage(page).update_value(self.slot, self.old_value, self.prefix,
+                                       self.suffix, self.new_value)
 
     def encoded_size(self) -> int:
-        return UPDATE_VALUE_FIXED + len(self.old_value) + len(self.new_value)
+        size = UPDATE_VALUE_FIXED + len(self.old_value) + len(self.new_value)
+        return size + SPAN_SIZE if self.prefix or self.suffix else size
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
-        _BH.pack_into(buf, pos, self.kind, self.slot)
-        pos = _put_bytes(buf, pos + 3, self.old_value)
+        if self.prefix or self.suffix:
+            _BHHH.pack_into(buf, pos, _SPANNED_UPDATE_VALUE, self.slot,
+                            self.prefix, self.suffix)
+            pos += 7
+        else:
+            _BH.pack_into(buf, pos, self.kind, self.slot)
+            pos += 3
+        pos = _put_bytes(buf, pos, self.old_value)
         return _put_bytes(buf, pos, self.new_value)
 
     @classmethod
     def _decode_body(cls, data, offset: int) -> "OpUpdateValue":
+        if data[offset] == _SPANNED_UPDATE_VALUE:
+            _kind, slot, prefix, suffix = _BHHH.unpack_from(data, offset)
+            old, pos = _unpack_bytes(data, offset + 7)
+            new, _pos = _unpack_bytes(data, pos)
+            check_span(prefix, suffix, max(len(old), len(new)))
+            return cls(slot, old, new, prefix, suffix)
         _kind, slot = _BH.unpack_from(data, offset)
         old, pos = _unpack_bytes(data, offset + 3)
         new, _pos = _unpack_bytes(data, pos)
         return cls(slot, old, new)
+
+
+def value_rewrite(slot: int, old: bytes, new: bytes) -> OpUpdateValue:
+    """The one builder of value rewrites: ``old`` becomes ``new`` at
+    ``slot``, spanned when the span makes the encoding smaller.
+
+    Values that share neither their first nor their last byte cannot
+    share a prefix or a suffix, so that test comes first: a random
+    value keeps the unspanned encoding at the cost of two comparisons.
+    Otherwise the XOR of the values read as big-endian integers gives
+    both without a per-byte loop: its leading zero bytes are the shared
+    prefix and, when the lengths are equal, its trailing zero bytes the
+    shared suffix; values of different lengths take a second XOR of
+    what remains, aligned at the end.
+    """
+    if old and new and (old[0] == new[0] or old[-1] == new[-1]):
+        old_end, new_end = len(old), len(new)
+        n = old_end if old_end < new_end else new_end
+        diff = _from_bytes(old[:n], "big") ^ _from_bytes(new[:n], "big")
+        prefix = n - ((diff.bit_length() + 7) >> 3)
+        if not diff:
+            suffix = 0
+        elif old_end == new_end:
+            suffix = ((diff & -diff).bit_length() - 1) >> 3
+        else:
+            rest = n - prefix
+            diff = (_from_bytes(old[old_end - rest:], "little")
+                    ^ _from_bytes(new[new_end - rest:], "little"))
+            suffix = rest - ((diff.bit_length() + 7) >> 3)
+        if prefix + suffix > SPAN_SIZE:
+            return OpUpdateValue(slot, old[prefix:old_end - suffix],
+                                 new[prefix:new_end - suffix], prefix, suffix)
+    return OpUpdateValue(slot, old, new)
 
 
 @dataclass(frozen=True, slots=True)
@@ -452,3 +535,4 @@ _OP_REGISTRY: dict[int, type[PageOp]] = {
                 OpWriteBytes, OpInitSlotted, OpBulkInsert, OpBulkDelete,
                 OpInverse)
 }
+_OP_REGISTRY[_SPANNED_UPDATE_VALUE] = OpUpdateValue

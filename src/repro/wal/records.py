@@ -35,10 +35,36 @@ to the key-level undo; the physical op carries the same bytes, and the
 encoding stores them one time.  Decoding hands both fields the same
 ``bytes`` object.
 
+**A rewrite logs what it changes.**  A value rewrite whose old and new
+value share their first and last bytes is *spanned*
+(:func:`repro.wal.ops.value_rewrite`): the op stores the lengths of the
+shared prefix and suffix and only the two middles between them, and
+the RESTORE_VALUE undo carries the same span, so the shared
+before-image is the old middle.  The spanned UPDATE of a rewrite::
+
+    flags          u8    _HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE
+    op length      u32
+      kind         u8    9 (spanned OpUpdateValue; unspanned is 3)
+      slot         u16
+      prefix       u16   bytes shared at the start ...
+      suffix       u16   ... and at the end of old and new value
+      old middle   u32 length + bytes   (the undo's value too)
+      new middle   u32 length + bytes
+    undo action    u8    RESTORE_VALUE
+    key            u32 length + bytes
+
+A :class:`LogicalUndo` written on its own marks a span with the high
+bit of its action byte, followed by the two u16 lengths.  Redo and
+undo splice the middle into the record's current value; compensation
+restores the before-image by the inverse splice, wherever the key
+lives by then.  An unspanned rewrite encodes exactly as before spans
+existed.
+
 Every decode boundary here and in :mod:`repro.wal.ops` returns a value
 or raises :class:`repro.errors.LogError` — for truncated input, an
 unknown kind, an unknown flag bit, a length that runs past the record,
-or a commit bit on a kind that cannot carry one.
+a span that is empty or longer than any record, or a commit bit on a
+kind that cannot carry one.
 """
 
 from __future__ import annotations
@@ -48,14 +74,16 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
-from repro.errors import LogError
-from repro.wal.ops import (MALFORMED, UPDATE_VALUE_FIXED, OpUpdateValue,
-                           PageOp, _put_bytes, _unpack_bytes)
+from repro.errors import LogError, RecoveryError
+from repro.wal.ops import (MALFORMED, SPAN_SIZE, UPDATE_VALUE_FIXED,
+                           OpUpdateValue, PageOp, _put_bytes, _unpack_bytes,
+                           check_span)
 
 _HEADER = struct.Struct("<IBqqqqq")
 HEADER_SIZE = _HEADER.size
 
 _U32 = struct.Struct("<I")
+_BHH = struct.Struct("<BHH")
 _I64 = struct.Struct("<q")
 _QQ = struct.Struct("<qq")
 _QQB = struct.Struct("<qqB")
@@ -68,6 +96,8 @@ _COMMITS_BIT = 0x80
 _HAS_OP = 1
 _HAS_UNDO = 2
 _SHARED_BEFORE_IMAGE = 4
+#: high bit of a standalone LogicalUndo's action byte: a span follows
+_SPANNED_UNDO = 0x80
 
 
 class LogRecordKind(enum.IntEnum):
@@ -151,20 +181,47 @@ class UndoAction(enum.IntEnum):
 _RESTORE_VALUE = UndoAction.RESTORE_VALUE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LogicalUndo:
-    """Key-level undo information carried by user-transaction updates."""
+    """Key-level undo information carried by user-transaction updates.
+
+    A RESTORE_VALUE undo may carry its rewrite's span (see the module
+    docstring): ``value`` is then the old middle, restored between the
+    first ``prefix`` and the last ``suffix`` bytes of whatever value the
+    key holds when it is compensated (:meth:`restored`).  Not frozen,
+    for the reason :class:`repro.wal.ops.OpUpdateValue` is not.
+    """
 
     action: UndoAction
     key: bytes
     value: bytes = b""
+    prefix: int = 0
+    suffix: int = 0
+
+    def restored(self, current: bytes) -> bytes:
+        """The value compensation writes over ``current``."""
+        if not (self.prefix or self.suffix):
+            return self.value
+        end = len(current) - self.suffix
+        if end < self.prefix:
+            raise RecoveryError(
+                f"undo span of {self.prefix} + {self.suffix} bytes does not "
+                f"fit the {len(current)}-byte value of {self.key!r}")
+        return current[:self.prefix] + self.value + current[end:]
 
     def encoded_size(self) -> int:
-        return 9 + len(self.key) + len(self.value)
+        size = 9 + len(self.key) + len(self.value)
+        return size + SPAN_SIZE if self.prefix or self.suffix else size
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
-        buf[pos] = int(self.action)
-        pos = _put_bytes(buf, pos + 1, self.key)
+        if self.prefix or self.suffix:
+            _BHH.pack_into(buf, pos, int(self.action) | _SPANNED_UNDO,
+                           self.prefix, self.suffix)
+            pos += 5
+        else:
+            buf[pos] = int(self.action)
+            pos += 1
+        pos = _put_bytes(buf, pos, self.key)
         return _put_bytes(buf, pos, self.value)
 
     def encode(self) -> bytes:
@@ -175,12 +232,21 @@ class LogicalUndo:
     @classmethod
     def decode(cls, data: bytes, offset: int) -> tuple["LogicalUndo", int]:
         try:
-            action = UndoAction(data[offset])
-            key, pos = _unpack_bytes(data, offset + 1)
+            if not data[offset] & _SPANNED_UNDO:
+                action = UndoAction(data[offset])
+                key, pos = _unpack_bytes(data, offset + 1)
+                value, pos = _unpack_bytes(data, pos)
+                return cls(action, key, value), pos
+            raw, prefix, suffix = _BHH.unpack_from(data, offset)
+            action = UndoAction(raw & ~_SPANNED_UNDO)
+            if action is not _RESTORE_VALUE:
+                raise LogError(f"span on a {action.name} undo")
+            key, pos = _unpack_bytes(data, offset + 5)
             value, pos = _unpack_bytes(data, pos)
+            check_span(prefix, suffix, len(value))
         except MALFORMED as exc:
             raise LogError(f"malformed logical undo: {exc}") from None
-        return cls(action, key, value), pos
+        return cls(action, key, value, prefix, suffix), pos
 
 
 @dataclass(slots=True)
@@ -301,10 +367,12 @@ class LogRecord:
             if (undo and undo.action is _RESTORE_VALUE
                     and type(op) is OpUpdateValue
                     and (undo.value is op.old_value
-                         or undo.value == op.old_value)):
+                         or undo.value == op.old_value)
+                    and undo.prefix == op.prefix and undo.suffix == op.suffix):
                 # flags 1, op length 4, undo action 1, key length 4
-                return (HEADER_SIZE + 10 + UPDATE_VALUE_FIXED
-                        + len(op.old_value) + len(op.new_value) + len(undo.key))
+                size = (HEADER_SIZE + 10 + UPDATE_VALUE_FIXED + len(op.old_value)
+                        + len(op.new_value) + len(undo.key))
+                return size + SPAN_SIZE if op.prefix or op.suffix else size
             return (HEADER_SIZE + 1 + (4 + op.encoded_size() if op else 0)
                     + (undo.encoded_size() if undo else 0))
         return HEADER_SIZE + self._payload_size()
@@ -327,14 +395,16 @@ class LogRecord:
         return 0
 
     def _shares_before_image(self) -> bool:
-        """Is the undo's value the op's ``old_value`` (an in-place
-        rewrite of one key's value)?  Then it is encoded once."""
+        """Is the undo's value the op's ``old_value``, under the same
+        span (an in-place rewrite of one key's value)?  Then it is
+        encoded once."""
         undo = self.undo
         op = self.op
         return (undo.action is _RESTORE_VALUE
                 and type(op) is OpUpdateValue
                 and (undo.value is op.old_value
-                     or undo.value == op.old_value))
+                     or undo.value == op.old_value)
+                and undo.prefix == op.prefix and undo.suffix == op.suffix)
 
     def encode(self) -> bytes:
         """Serialize into one preallocated buffer (no join of pieces)."""
@@ -460,7 +530,8 @@ class LogRecord:
                 if action is not _RESTORE_VALUE:
                     raise LogError(f"shared before-image on a {action.name} undo")
                 key, pos = _unpack_bytes(data, pos + 1)
-                self.undo = LogicalUndo(action, key, op.old_value)
+                self.undo = LogicalUndo(action, key, op.old_value,
+                                        op.prefix, op.suffix)
             elif flags & _HAS_UNDO:
                 self.undo, pos = LogicalUndo.decode(data, pos)
             return pos
@@ -544,5 +615,17 @@ def compress_image(data: bytes | bytearray) -> bytes:
     return zlib.compress(bytes(data), level=1)
 
 
-def decompress_image(blob: bytes) -> bytes:
-    return zlib.decompress(blob)
+def decompress_image(blob: bytes, page_size: int) -> bytes:
+    """The page image ``blob`` compresses, or :class:`LogError` — for
+    bytes zlib cannot inflate, and for a stream that does not inflate to
+    exactly one ``page_size`` page (inflating stops one byte past it)."""
+    inflater = zlib.decompressobj()
+    try:
+        image = inflater.decompress(blob, page_size + 1)
+    except zlib.error as exc:
+        raise LogError(f"page image does not inflate: {exc}") from None
+    if len(image) != page_size or not inflater.eof or inflater.unused_data:
+        raise LogError(f"page image is not one {page_size}-byte page "
+                       f"({len(image)} bytes inflated, stream "
+                       f"{'complete' if inflater.eof else 'incomplete'})")
+    return image

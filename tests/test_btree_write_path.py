@@ -17,7 +17,12 @@
   implementation (kept below as the reference) leaves — redo and the
   forward path are that one method;
 * an update's before-image, logged once, still rolls the update back
-  after the record went through encode -> decode.
+  after the record went through encode -> decode;
+* a spanned rewrite (only the changed middle logged) — rolled back,
+  after a split, across a crash in either restart mode, repaired from
+  a backup older than it, applied on a standby — leaves the key and its
+  leaf bytes where the whole-value rewrite leaves them, and a spliced
+  redo whose span does not hold its old middle writes nothing.
 """
 
 from __future__ import annotations
@@ -34,10 +39,12 @@ import repro
 from repro.btree.node import DATA_START, BTreeNode, encode_pid
 from repro.btree.verify import VerificationReport, verify_node, verify_tree
 from repro.engine.database import Database
-from repro.errors import BTreeError, DuplicateKey, KeyNotFound
+from repro.core.single_page import replay_records
+from repro.errors import BTreeError, DuplicateKey, KeyNotFound, RecoveryError
 from repro.page.page import Page, PageType
 from repro.page.slotted import PageFullError, Record, SlottedPage
-from repro.wal.records import LogRecord, UndoAction
+from repro.wal.ops import value_rewrite
+from repro.wal.records import LogRecord, LogRecordKind, UndoAction
 from tests.conftest import device_images, fast_config
 
 
@@ -798,3 +805,136 @@ def test_rollback_restores_a_shared_before_image_after_encode_decode():
         assert tree.lookup(b"key") == b"old-value"
     finally:
         db.unfix(decoded.page_id)
+
+
+# ----------------------------------------------------------------------
+# A rewrite logs what it changes: the spliced value update
+# ----------------------------------------------------------------------
+#: how the rewrite changes a 100-byte value: in its middle, by the
+#: same number of bytes, more, fewer, or not at all
+SPLICE_SHAPES = {
+    "same_length": lambda old: old[:40] + b"0123456789" + old[50:],
+    "growing": lambda old: old[:40] + b"0123456789abcdef" + old[50:],
+    "shrinking": lambda old: old[:40] + b"0123" + old[50:],
+    "identical": lambda old: old,
+}
+SPLICE_KEY = key_of(30)
+
+
+def _splice_value(i: int) -> bytes:
+    return bytes(33 + (i * 7 + j) % 90 for j in range(100))
+
+
+def _masked_leaf(data: bytes | bytearray) -> bytes:
+    """A page image without the fields that follow from LSNs."""
+    image = bytearray(data)
+    image[4:8] = bytes(4)
+    image[16:24] = bytes(8)
+    return bytes(image)
+
+
+def _rewrite_scenario(scenario: str, shape: str) -> tuple[bytes, bytes, int]:
+    """Rewrite SPLICE_KEY, then put it through ``scenario``; returns the
+    value the key ends at, the masked bytes of the leaf holding it, and
+    the size of the rewrite's UPDATE record."""
+    db = small_page_db(buffer_capacity=64)
+    tree = db.create_index()
+    txn = db.begin()
+    for i in range(60):
+        tree.insert(txn, key_of(i), _splice_value(i))
+    db.commit(txn)
+    if scenario == "repair_from_older_backup":
+        db.take_full_backup()
+    standby = db.attach_standby() if scenario == "standby" else None
+    new = SPLICE_SHAPES[shape](_splice_value(30))
+    txn = db.begin()
+    db.update(tree, SPLICE_KEY, new, txn=txn)
+    record = db.log.record_at(txn.last_lsn)
+    assert tree.lookup(SPLICE_KEY) == new
+    if scenario.startswith("abort"):
+        if scenario == "abort_after_split":
+            splits = db.stats.get("btree_splits")
+            other = db.begin()
+            for j in range(12):  # beside the key: its leaf must split
+                tree.insert(other, SPLICE_KEY + b"/%02d" % j, b"s" * 90)
+            db.commit(other)
+            assert db.stats.get("btree_splits") > splits
+        db.abort(txn)
+    elif scenario.startswith("crash"):
+        db.log.force()  # the rewrite is durable, its commit never is
+        db.crash()
+        db.restart(mode=scenario.removeprefix("crash_"))
+        db.drain_pending()
+        tree = db.tree(tree.index_id)
+    else:
+        db.commit(txn)
+    if scenario == "repair_from_older_backup":
+        page, _node = tree._descend(SPLICE_KEY, for_write=False)
+        victim = page.page_id
+        db.unfix(victim)
+        db.flush_everything()
+        db.evict_everything()
+        db.device.inject_bit_rot(victim)
+        repairs = db.stats.get("single_page_recoveries")
+        assert tree.lookup(SPLICE_KEY) == new
+        assert db.stats.get("single_page_recoveries") == repairs + 1
+        assert db.single_page.history[-1].records_applied >= 1
+    value = tree.lookup(SPLICE_KEY)
+    page, _node = tree._descend(SPLICE_KEY, for_write=False)
+    leaf = _masked_leaf(page.data)
+    db.unfix(page.page_id)
+    if standby is not None:
+        assert _masked_leaf(standby.pages[page.page_id].data) == leaf
+    assert verify_tree(tree).ok
+    return value, leaf, record.encoded_size()
+
+
+@pytest.mark.parametrize("shape", sorted(SPLICE_SHAPES))
+@pytest.mark.parametrize("scenario", [
+    "abort", "abort_after_split", "crash_eager", "crash_on_demand",
+    "repair_from_older_backup", "standby"])
+def test_a_spliced_rewrite_recovers_like_the_full_value(scenario, shape,
+                                                        monkeypatch):
+    """Rolled back or redone from the log — after a split moved the
+    key, after a crash, from a backup older than the rewrite, on a
+    standby — a spanned rewrite leaves the key where the whole-value
+    encoding leaves it, in the same leaf bytes, having logged less."""
+    old = _splice_value(30)
+    new = SPLICE_SHAPES[shape](old)
+    value, leaf, spanned_size = _rewrite_scenario(scenario, shape)
+    assert value == (old if scenario.startswith(("abort", "crash")) else new)
+    # The same run with every rewrite logged whole.
+    from repro.btree import node as node_module
+    from repro.btree import tree as tree_module
+    from repro.engine import catalog as catalog_module
+    from repro.wal.ops import OpUpdateValue
+    for module in (node_module, tree_module, catalog_module):
+        monkeypatch.setattr(module, "value_rewrite", OpUpdateValue)
+    full_value, full_leaf, full_size = _rewrite_scenario(scenario, shape)
+    assert (full_value, full_leaf) == (value, leaf)
+    assert spanned_size < full_size - 80
+
+
+def test_a_spliced_redo_refuses_a_value_its_span_does_not_hold():
+    """Replay checks the bytes a spliced redo replaces before it
+    writes, and fails as a chain mismatch does."""
+    page = Page.format(1024, 7, PageType.BTREE_LEAF)
+    slotted = SlottedPage(page)
+    slotted.initialize()
+    slotted.insert(0, Record(b"k", b"2019-03-04|the rest of the record"))
+    page.page_lsn = 100
+    op = value_rewrite(0, b"2011-01-01|the rest of the record",
+                       b"2022-02-02|the rest of the record")
+    assert (op.prefix, op.suffix) == (2, 23)
+    record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=7,
+                       page_prev_lsn=100, lsn=200, op=op)
+    before = bytes(page.data)
+    with pytest.raises(RecoveryError, match="does not hold"):
+        replay_records(page, [record])
+    assert bytes(page.data) == before
+    # The span past the end of a shorter value is refused the same way.
+    slotted.update_value(0, b"2011")
+    before = bytes(page.data)
+    with pytest.raises(RecoveryError):
+        replay_records(page, [record])
+    assert bytes(page.data) == before

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PageFailureKind, SinglePageFailure
+from repro.errors import PageFailureKind, RecoveryError, SinglePageFailure
 from repro.page.checksum import compute_checksum, store_checksum, verify_checksum
 from repro.page.page import HEADER_SIZE, NULL_LSN, Page, PageType
 from repro.page.slotted import PageFullError, Record, SlottedPage
@@ -96,6 +96,21 @@ class TestPage:
         clone = page.copy()
         clone.data[100] = 0xAB
         assert page.data[100] != 0xAB
+
+    def test_load_image_refuses_an_image_that_is_not_page_sized(self):
+        """Full-image redo used to resize the page to whatever it was
+        handed; a truncated or oversized image is refused, typed, and
+        the page keeps its bytes."""
+        page = Page.format(PAGE_SIZE, 1)
+        before = bytes(page.data)
+        for image in (b"", b"\x00" * 100, b"\x00" * (PAGE_SIZE - 1),
+                      b"\x00" * (PAGE_SIZE + 1)):
+            with pytest.raises(RecoveryError):
+                page.load_image(image)
+            assert bytes(page.data) == before and page.size == PAGE_SIZE
+        image = Page.format(PAGE_SIZE, 1, PageType.BTREE_LEAF).data
+        page.load_image(image)
+        assert page.page_type == PageType.BTREE_LEAF
 
 
 class TestSlottedPage:

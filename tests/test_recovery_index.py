@@ -224,6 +224,36 @@ class TestSerialization:
             assert (a.backup_ref, a.backup_page_lsn, a.last_lsn) == (
                 b.backup_ref, b.backup_page_lsn, b.last_lsn)
 
+    @staticmethod
+    def _blob() -> bytes:
+        pri = PageRecoveryIndex()
+        pri.set_range_backup(0, 50, BackupRef.full_backup(1), 10, now=2.5)
+        pri.set_backup(7, BackupRef.page_copy(99), 30, now=3.5)
+        pri.record_write(8, 44)
+        return pri.serialize()
+
+    def test_truncated_oversized_and_unknown_kind_blobs_fail_typed(self):
+        """A blob read back from damaged region pages is a
+        RecoveryError, never struct.error or ValueError."""
+        blob = self._blob()
+        cases = [blob[:cut] for cut in (0, 3, 8, 20, len(blob) - 1)]
+        cases.append(blob + b"\0")
+        cases.append(b"\xff" * 8 + blob[8:])   # 4 billion ranges declared
+        unknown_kind = bytearray(blob)
+        unknown_kind[8 + 16] = 200             # first range's backup kind
+        cases.append(bytes(unknown_kind))
+        for case in cases:
+            with pytest.raises(RecoveryError):
+                PageRecoveryIndex.deserialize(case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=120))
+    def test_garbage_blobs_fail_typed(self, data):
+        try:
+            PageRecoveryIndex.deserialize(data)
+        except RecoveryError:
+            pass
+
 
 class TestPartitioned:
     def test_self_coverage_invariant(self):

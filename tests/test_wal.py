@@ -168,7 +168,7 @@ class TestLogRecordSerialization:
         record = LogRecord(LogRecordKind.FULL_PAGE_IMAGE, page_id=6,
                            page_lsn=400, image=image)
         out = self.roundtrip(record)
-        assert decompress_image(out.image) == b"\xAA" * 512
+        assert decompress_image(out.image, 512) == b"\xAA" * 512
         assert out.page_lsn == 400
 
     def test_pri_update_record(self):

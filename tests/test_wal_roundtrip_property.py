@@ -9,15 +9,22 @@ maintenance emits — every :class:`LogRecordKind`, checkpoint payloads
 and logical undo descriptors, with boundary payloads (empty keys and
 values, zero-length runs, maximal slot numbers) mixed in; the commit
 bit rides on every chain kind, and an UPDATE's before-image is shared
-with, distinct from, or as empty as its op's.
+with, distinct from, or as empty as its op's.  Value rewrites come
+spanned and unspanned: built by ``value_rewrite`` from values that
+share a prefix and suffix (empty middles, a span covering the whole
+shorter value, growth, shrink) or given any span directly; their
+RESTORE_VALUE undo shares the span, or stands alone with one.
 
 The other direction is hostile bytes: whatever a decode boundary is
 handed — arbitrary bytes, or a valid encoding with a few bytes
 overwritten — it returns a value or raises ``LogError``, never a
-``struct.error`` / ``IndexError`` / ``ValueError``.
+``struct.error`` / ``IndexError`` / ``ValueError`` — truncated or
+out-of-range span fields included.
 """
 
 from __future__ import annotations
+
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +43,7 @@ from repro.wal.ops import (
     OpUpdateValue,
     OpWriteBytes,
     PageOp,
+    value_rewrite,
 )
 from repro.wal.records import (
     BackupRef,
@@ -45,6 +53,8 @@ from repro.wal.records import (
     LogRecord,
     LogRecordKind,
     UndoAction,
+    compress_image,
+    decompress_image,
 )
 
 # Payloads deliberately include the empty string (length-prefix
@@ -54,6 +64,9 @@ payloads = st.binary(min_size=0, max_size=48)
 slots = st.integers(min_value=0, max_value=0xFFFF)
 lsns = st.integers(min_value=0, max_value=2**62)
 ids = st.integers(min_value=0, max_value=2**62)
+#: prefix / suffix lengths of a span (encoded as u16; a spliced value
+#: stays within a record's 15-bit length)
+spans = st.integers(min_value=0, max_value=4000)
 
 
 def _op_insert():
@@ -65,7 +78,22 @@ def _op_delete():
 
 
 def _op_update_value():
-    return st.builds(OpUpdateValue, slots, payloads, payloads)
+    return st.one_of(st.builds(OpUpdateValue, slots, payloads, payloads),
+                     _spanned_update_value())
+
+
+def _spanned_update_value():
+    """Rewrites of values that share a prefix and a suffix, as the
+    builder spans them — empty middles, a prefix plus suffix covering
+    the whole shorter value, growth, shrink — or with any span given
+    directly."""
+    def built(slot, prefix, old_middle, new_middle, suffix):
+        return value_rewrite(slot, prefix + old_middle + suffix,
+                             prefix + new_middle + suffix)
+    direct = st.builds(OpUpdateValue, slots, payloads, payloads, spans,
+                       spans).filter(lambda op: op.prefix or op.suffix)
+    return st.one_of(st.builds(built, slots, payloads, payloads, payloads,
+                               payloads), direct)
 
 
 def _op_set_ghost():
@@ -106,8 +134,10 @@ plain_ops = st.one_of(
 #: Every op kind, plus compensation wrappers around each of them.
 any_op = st.one_of(plain_ops, st.builds(OpInverse, plain_ops))
 
-logical_undos = st.builds(
-    LogicalUndo, st.sampled_from(UndoAction), payloads, payloads)
+logical_undos = st.one_of(
+    st.builds(LogicalUndo, st.sampled_from(UndoAction), payloads, payloads),
+    st.builds(LogicalUndo, st.just(UndoAction.RESTORE_VALUE), payloads,
+              payloads, spans, spans).filter(lambda u: u.prefix or u.suffix))
 
 checkpoints = st.builds(
     CheckpointData,
@@ -185,19 +215,23 @@ def _record_strategy():
 
 
 def _value_rewrites(header, commits):
-    """UPDATEs shaped like the B-tree's in-place rewrite: a value op
-    plus a RESTORE_VALUE undo whose value is the op's old value (the
-    same object or an equal copy: encoded once), a different value
-    (encoded twice), with empty values in the mix."""
-    def build(slot, old, new, key, other, share, **fields):
-        op = OpUpdateValue(slot, old, new)
-        before = {"same": old, "equal": bytes(bytearray(old)),
-                  "distinct": other}[share]
-        return LogRecord(LogRecordKind.UPDATE, op=op,
-                         undo=LogicalUndo(UndoAction.RESTORE_VALUE, key, before),
-                         **fields)
-    return st.builds(build, slots, payloads, payloads, payloads, payloads,
-                     st.sampled_from(["same", "equal", "distinct"]),
+    """UPDATEs shaped like the B-tree's in-place rewrite: a value op,
+    spanned or not, plus a RESTORE_VALUE undo whose value is the op's
+    old value under the op's span (the same object or an equal copy:
+    encoded once), a different value, or the same value under another
+    span (encoded twice), with empty values in the mix."""
+    def build(op, key, other, share, **fields):
+        old = op.old_value
+        before, prefix = {"same": (old, op.prefix),
+                          "equal": (bytes(bytearray(old)), op.prefix),
+                          "distinct": (other, op.prefix),
+                          "other span": (old, op.prefix + 1)}[share]
+        undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, before, prefix,
+                           op.suffix)
+        return LogRecord(LogRecordKind.UPDATE, op=op, undo=undo, **fields)
+    return st.builds(build, _op_update_value(), payloads, payloads,
+                     st.sampled_from(["same", "equal", "distinct",
+                                      "other span"]),
                      commits=commits, **header)
 
 
@@ -394,3 +428,103 @@ def test_empty_checkpoint_and_update_round_trip():
     # An UPDATE with neither op nor undo is legal (flags byte = 0).
     bare = LogRecord(LogRecordKind.UPDATE, txn_id=9, page_id=4)
     assert LogRecord.decode(bare.encode()) == bare
+
+
+# ----------------------------------------------------------------------
+# Spanned value rewrites
+# ----------------------------------------------------------------------
+def test_an_unspanned_rewrite_encodes_as_before_spans_existed():
+    """Values that share no edge byte keep the encoding every earlier
+    log holds, byte for byte: kind 3, slot, both values whole."""
+    old, new = b"\x01" + b"o" * 98 + b"\x02", b"\x03" + b"n" * 98 + b"\x04"
+    op = value_rewrite(0x0102, old, new)
+    assert (op.prefix, op.suffix) == (0, 0)
+    assert op.encode() == (bytes([3, 0x02, 0x01]) + struct.pack("<I", 100)
+                           + old + struct.pack("<I", 100) + new)
+    record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2, op=op,
+                       undo=LogicalUndo(UndoAction.RESTORE_VALUE, b"k" * 16,
+                                        old))
+    payload = record.encode()[45:]
+    assert payload == (bytes([7]) + struct.pack("<I", 211) + op.encode()
+                       + bytes([3]) + struct.pack("<I", 16) + b"k" * 16)
+    # A span of four shared bytes or fewer does not pay for its fields.
+    assert value_rewrite(0, b"abcd" + old, b"abcd" + new).prefix == 0
+
+
+def test_a_spanned_rewrite_logs_the_middles_once():
+    old = b"2019-03-04" + bytes(33 + i % 90 for i in range(230))
+    new = b"2021-11-22" + old[10:]
+    op = value_rewrite(5, old, new)
+    assert (op.prefix, op.suffix) == (2, 230)
+    assert (op.old_value, op.new_value) == (b"19-03-04", b"21-11-22")
+    assert op.encode() == (bytes([9, 5, 0]) + struct.pack("<HH", 2, 230)
+                           + struct.pack("<I", 8) + op.old_value
+                           + struct.pack("<I", 8) + op.new_value)
+    undo = LogicalUndo(UndoAction.RESTORE_VALUE, b"k" * 27, op.old_value,
+                       op.prefix, op.suffix)
+    record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2, op=op,
+                       undo=undo)
+    # 45 header + 1 flags + 4 + op (15 + 8 + 8) + undo (1 + 4 + 27)
+    assert record.encoded_size() == len(record.encode()) == 113
+    decoded = LogRecord.decode(record.encode())
+    assert decoded == record
+    assert decoded.undo.value is decoded.op.old_value
+    assert decoded.undo.restored(new) == old
+    # The same undo on its own carries the span behind its action byte.
+    assert undo.encode()[:5] == bytes([0x83]) + struct.pack("<HH", 2, 230)
+    assert LogicalUndo.decode(undo.encode(), 0) == (undo, undo.encoded_size())
+
+
+def test_truncated_and_out_of_range_spans_fail_typed():
+    op = value_rewrite(5, b"2019-03-04" + b"x" * 30, b"2021-11-22" + b"x" * 30)
+    good = op.encode()
+    undo = LogicalUndo(UndoAction.RESTORE_VALUE, b"key", b"mid", 2, 30)
+    good_undo = undo.encode()
+    bad_ops = [good[:cut] for cut in range(1, 7)] + [
+        good[:3] + struct.pack("<HH", 0, 0) + good[7:],          # empty span
+        good[:3] + struct.pack("<HH", 0x7FF0, 0x7FF0) + good[7:],  # too long
+    ]
+    for raw in bad_ops:
+        with pytest.raises(LogError):
+            PageOp.decode(raw)
+        with pytest.raises(LogError):
+            PageOp.decode(bytes([99]) + raw)
+    bad_undos = [good_undo[:cut] for cut in range(1, 5)] + [
+        good_undo[:1] + struct.pack("<HH", 0, 0) + good_undo[5:],
+        good_undo[:1] + struct.pack("<HH", 0xFFFF, 0xFFFF) + good_undo[5:],
+        bytes([0x80 | UndoAction.INSERT_KEY]) + good_undo[1:],  # span, wrong kind
+        bytes([0x80 | 0x7F]) + good_undo[1:],                   # unknown kind
+    ]
+    for raw in bad_undos:
+        with pytest.raises(LogError):
+            LogicalUndo.decode(raw, 0)
+    # In a record: the shared before-image takes its span from the op.
+    record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2, op=op,
+                       undo=LogicalUndo(UndoAction.RESTORE_VALUE, b"k",
+                                        op.old_value, op.prefix, op.suffix))
+    raw = bytearray(record.encode())
+    raw[45 + 1 + 4 + 3:45 + 1 + 4 + 7] = struct.pack("<HH", 0, 0)
+    with pytest.raises(LogError):
+        LogRecord.decode(bytes(raw))
+
+
+# ----------------------------------------------------------------------
+# In-log page images
+# ----------------------------------------------------------------------
+def test_a_page_image_inflates_to_exactly_one_page_or_fails_typed():
+    page = bytes(range(256)) * 16
+    blob = compress_image(page)
+    assert decompress_image(blob, 4096) == page
+    for bad in (b"", b"garbage", blob[:-1], blob[:len(blob) // 2],
+                blob + b"trailing", compress_image(page[:100]),
+                compress_image(page + b"x"), compress_image(page * 100)):
+        with pytest.raises(LogError):
+            decompress_image(bad, 4096)
+    with pytest.raises(LogError):
+        decompress_image(blob, 2048)
+
+
+@settings(max_examples=300)
+@given(data=st.binary(max_size=200))
+def test_page_image_decoder_fails_typed_on_arbitrary_bytes(data):
+    _decodes_or_log_error(lambda d: decompress_image(d, 512), data)
