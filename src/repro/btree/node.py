@@ -291,26 +291,6 @@ class BTreeNode:
     def has_foster(self) -> bool:
         return (self.page.view or self._decode()).foster_pid != NO_FOSTER
 
-    @classmethod
-    def peek_foster(cls, page: Page) -> int | None:
-        """Foster sibling's page id, or ``None`` — without raising.
-
-        The prefetcher's hook (:mod:`repro.buffer.prefetch`): given any
-        page, report the B-tree sibling its fence-key metadata points
-        at.  Unlike the constructor this never raises — non-B-tree
-        pages, torn pages, anything that fails to parse just yields
-        ``None``, because a speculative hint must never fail the demand
-        fix that produced it.  Reuses (and primes) ``page.view`` like
-        every other metadata read.
-        """
-        try:
-            if page.data[TYPE_OFFSET] not in _NODE_TYPES:
-                return None
-            foster = cls(page).foster_pid
-        except Exception:  # noqa: BLE001 - hints are strictly best-effort
-            return None
-        return foster if foster != NO_FOSTER else None
-
     # ------------------------------------------------------------------
     # Data records
     # ------------------------------------------------------------------

@@ -57,7 +57,7 @@ import time
 from typing import Callable
 
 from repro.buffer.eviction import ClockEviction
-from repro.errors import BufferPoolError, ReproError, SinglePageFailure
+from repro.errors import BufferPoolError, SinglePageFailure
 from repro.page.page import Page
 from repro.sim.stats import Stats
 from repro.storage.device import StorageDevice
@@ -70,7 +70,7 @@ class Frame:
     """One buffer-pool frame."""
 
     __slots__ = ("page", "dirty", "rec_lsn", "pin_count", "latch", "loading",
-                 "prefetched", "referenced")
+                 "referenced")
 
     def __init__(self, page: Page | None) -> None:
         self.page = page
@@ -82,11 +82,8 @@ class Frame:
         #: running under the latch; such a frame is pinned by the
         #: loading thread and invisible to dirty/eviction bookkeeping.
         self.loading = False
-        #: True for a speculatively fetched frame until its first
-        #: demand hit (a prefetch that leaves without one was wasted)
-        self.prefetched = False
         #: the clock's reference bit: set at admission (a frame is built
-        #: to be admitted) and on every demand hit, cleared by the sweep
+        #: to be admitted) and on every hit, cleared by the sweep
         #: (:class:`repro.buffer.eviction.ClockEviction`)
         self.referenced = True
 
@@ -115,14 +112,6 @@ class BufferPool:
         self._buffer_hits = counter("buffer_hits")
         self._buffer_misses = counter("buffer_misses")
         self._fetch_demand = counter("fetch_demand")
-        self._fetch_prefetch = counter("fetch_prefetch")
-        self._prefetch_hits = counter("prefetch_hits")
-        self._prefetch_wasted = counter("prefetch_wasted")
-        self._prefetch_skipped_bounds = counter("prefetch_skipped_bounds")
-        self._prefetch_skipped_resident = counter("prefetch_skipped_resident")
-        self._prefetch_skipped_quota = counter("prefetch_skipped_quota")
-        self._prefetch_skipped_full = counter("prefetch_skipped_full")
-        self._prefetch_errors = counter("prefetch_errors")
         self._pool_repairs = counter("pool_repairs")
         self._pages_written_back = counter("pages_written_back")
         self._pages_evicted = counter("pages_evicted")
@@ -136,27 +125,7 @@ class BufferPool:
         #: returns the rec_lsn the new frame must be marked dirty with
         #: if the fetch rolled the page forward (None = page clean)
         self.redo_on_fix = None  # Callable[[Page], int | None] | None
-        #: access-pattern model fed by every demand fix; None = the
-        #: prefetch feature is off and the pool behaves exactly as it
-        #: always has (no observation, no speculative fetches)
-        self.prefetcher = None  # repro.buffer.prefetch.Prefetcher | None
-        #: lowest page id prefetch may touch (the engine sets this to
-        #: its first data page so metadata/PRI pages are never
-        #: speculatively fetched) and a callable upper bound (the
-        #: engine's allocated-page count); device capacity caps both
-        self.prefetch_floor = 0
-        self.page_bound = None  # Callable[[], int] | None
-        #: cap on concurrently resident speculative frames, so read-
-        #: ahead can never crowd out the demand working set.  To make
-        #: room a prefetch may evict a *clean, unpinned* frame (clock
-        #: order — the coldest), but never a pinned or dirty one: a
-        #: speculative read must never force a write-back or steal a
-        #: frame someone holds.
-        self.prefetch_quota = max(1, capacity // 4)
         self._frames: dict[int, Frame] = {}
-        #: how many frames carry ``prefetched`` (kept beside the flag,
-        #: so a prefetch checks its quota without scanning the table)
-        self._speculative = 0
         self._policy = ClockEviction()
         self._mutex = Mutex()
         #: pages with a repair_failure dispatch in progress — a second
@@ -194,12 +163,6 @@ class BufferPool:
                     frame = frames.get(page_id)
                     if frame is not None and not frame.loading:
                         self._buffer_hits.inc()
-                        if frame.prefetched:
-                            # First demand hit on a speculative frame:
-                            # the prefetch paid off.
-                            frame.prefetched = False
-                            self._speculative -= 1
-                            self._prefetch_hits.inc()
                         frame.referenced = True
                         frame.pin_count += 1
                         if parent is not None:
@@ -227,8 +190,6 @@ class BufferPool:
             if page is None:
                 page = self._load(page_id, frame)
                 frame.latch.release()
-            if self.prefetcher is not None:
-                self.prefetcher.observe(page_id, page)
             return page
         finally:
             if parent is not None:
@@ -250,8 +211,6 @@ class BufferPool:
             with self._mutex:
                 del self._frames[page_id]
                 self._policy.removed(page_id)
-                if frame.prefetched:
-                    self._speculative -= 1
             frame.latch.release()
             raise
         frame.page = page
@@ -297,67 +256,6 @@ class BufferPool:
             self._frames[page.page_id] = frame
             self._policy.admitted(page.page_id)
             return True
-
-    def prefetch(self, page_id: int) -> bool:
-        """Speculatively fetch one page, unpinned; returns True if a
-        read was issued.
-
-        The speculative twin of :meth:`fix`, with strictly weaker
-        claims on the pool: at most ``prefetch_quota`` speculative
-        frames may be resident at once, room is made only by evicting
-        a clean unpinned victim (never a pinned or dirty frame — a
-        full pool of those declines the fetch), pages outside
-        ``[prefetch_floor, page_bound())`` are refused, and engine
-        errors are swallowed (a speculative read's failure is the next
-        demand fix's problem, which takes the full detection/repair
-        path).  The load itself is the demand fix's (:meth:`_load`:
-        placeholder, frame latch, fetcher and ``redo_on_fix`` hooks), so
-        a racing demand fix waits on the latch and any
-        recovery-on-first-fix work still runs exactly once.
-        """
-        bound = self.page_bound() if self.page_bound is not None else None
-        capacity_pages = getattr(self.device, "capacity_pages", None)
-        if bound is None:
-            bound = capacity_pages
-        elif capacity_pages is not None:
-            bound = min(bound, capacity_pages)
-        if (page_id < self.prefetch_floor
-                or (bound is not None and page_id >= bound)):
-            self._prefetch_skipped_bounds.inc()
-            return False
-        with self._mutex:
-            if page_id in self._frames or page_id in self._repairing:
-                self._prefetch_skipped_resident.inc()
-                return False
-            if self._speculative >= self.prefetch_quota:
-                self._prefetch_skipped_quota.inc()
-                return False
-            while len(self._frames) >= self.capacity:
-                victim = self._policy.choose_victim(self._frames,
-                                                    clean_only=True)
-                if victim is None:
-                    # Nothing clean and unpinned to displace: a
-                    # speculative read never flushes or unpins.
-                    self._prefetch_skipped_full.inc()
-                    return False
-                self.evict(victim)
-            frame = Frame(None)
-            frame.loading = True
-            frame.prefetched = True
-            self._speculative += 1
-            frame.pin_count = 1  # the loader's pin
-            frame.latch.acquire()  # released when the load ends
-            self._frames[page_id] = frame
-            self._policy.admitted(page_id)
-        try:
-            self._load(page_id, frame)
-        except ReproError:
-            self._prefetch_errors.inc()
-            return False
-        frame.pin_count = 0  # speculative frames sit unpinned
-        frame.latch.release()
-        self._fetch_prefetch.inc()
-        return True
 
     def unfix(self, page_id: int, dirty_lsn: int | None = None) -> None:
         """Give back one pin; ``dirty_lsn``, the first record logged on the
@@ -545,10 +443,6 @@ class BufferPool:
         # Callers hold the pool mutex and have found the frame unpinned.
         if frame.dirty:
             self.flush_page(page_id)
-        if frame.prefetched:
-            # Speculatively fetched, never demanded: wasted I/O.
-            self._speculative -= 1
-            self._prefetch_wasted.inc()
         del self._frames[page_id]
         self._policy.removed(page_id)
         self._pages_evicted.inc()
@@ -563,9 +457,6 @@ class BufferPool:
             frame = self._require(page_id)
             if frame.pin_count > 0:
                 raise BufferPoolError(f"cannot drop pinned page {page_id}")
-            if frame.prefetched:
-                self._speculative -= 1
-                self._prefetch_wasted.inc()
             del self._frames[page_id]
             self._policy.removed(page_id)
             self._frames_dropped.inc()
@@ -573,11 +464,6 @@ class BufferPool:
     def drop_all(self) -> None:
         """Discard every frame without writing (crash simulation)."""
         with self._mutex:
-            if self._speculative:
-                # Speculative frames that never saw a demand hit before
-                # the crash took them: wasted I/O.
-                self._prefetch_wasted.inc(self._speculative)
-                self._speculative = 0
             self._frames.clear()
             self._policy = ClockEviction()
 

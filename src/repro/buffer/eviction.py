@@ -13,7 +13,7 @@ class ClockEviction:
 
     The policy keeps the ring (page ids in admission order) and the
     hand; the reference bit is the frame's own ``referenced`` flag, set
-    by the pool when it admits a frame and on every demand hit — the
+    by the pool when it admits a frame and on every hit — the
     pool's frame table is the one residency table.  The policy only
     chooses *which* frame to evict; the buffer pool handles flushing and
     the Figure-11 write-back protocol.
@@ -41,11 +41,9 @@ class ClockEviction:
         if ring and self._hand >= len(ring):
             self._hand = 0
 
-    def choose_victim(self, frames: Mapping[int, Frame],
-                      clean_only: bool = False) -> int | None:
+    def choose_victim(self, frames: Mapping[int, Frame]) -> int | None:
         """Pick a victim among the unpinned frames of ``frames`` (the
-        pool's table, page id -> frame, covering the whole ring) — with
-        ``clean_only``, among the unpinned *and clean* ones."""
+        pool's table, page id -> frame, covering the whole ring)."""
         ring = self._ring
         if not ring:
             return None
@@ -54,7 +52,7 @@ class ClockEviction:
             page_id = ring[self._hand]
             self._hand = (self._hand + 1) % size
             frame = frames[page_id]
-            if frame.pin_count or (clean_only and frame.dirty):
+            if frame.pin_count:
                 continue
             if frame.referenced:
                 frame.referenced = False
@@ -63,8 +61,7 @@ class ClockEviction:
         # Two full sweeps cleared every reference bit they could; give
         # up only if nothing is evictable at all.
         for page_id in ring:
-            frame = frames[page_id]
-            if not (frame.pin_count or (clean_only and frame.dirty)):
+            if not frames[page_id].pin_count:
                 return page_id
         return None
 

@@ -110,21 +110,9 @@ class EngineConfig:
     #: :class:`repro.errors.ReplicationLagError`.
     commit_ack_mode: str = "local_durable"
 
-    #: predictive prefetching (GrASP-style, PR 9):
-    #: ``"off"`` — no speculation, byte-identical to the classic
-    #: engine; ``"sequential"`` — read-ahead on detected ±1 page-id
-    #: runs only; ``"semantic"`` — sequential runs plus B-tree foster
-    #: links discovered through fence keys and per-client recent-window
-    #: correlation, and the same learned ranking reorders *budgeted*
-    #: recovery drains toward the predicted working set.  Speculative
-    #: I/O only happens at explicit service points
-    #: (:meth:`repro.engine.database.Database.prefetch_tick` and
-    #: budgeted drains), never behind a demand fix.
+    #: kept only as a spelling existing callers pass: ``prefetch_mode``
+    #: must be ``"off"``; a demand fix is the engine's only page read
     prefetch_mode: str = "off"
-    #: pages predicted ahead per trigger (run length / correlation fan-out)
-    prefetch_depth: int = 4
-    #: recent-access window per client stream used for correlation
-    prefetch_window: int = 8
 
     backup_policy: BackupPolicy = field(
         default_factory=lambda: BackupPolicy(every_n_updates=100))
@@ -168,18 +156,10 @@ class EngineConfig:
             raise ConfigError(
                 f"commit_ack_mode must be 'local_durable' or "
                 f"'replicated_durable', got {self.commit_ack_mode!r}")
-        if self.prefetch_mode not in ("off", "sequential", "semantic"):
+        if self.prefetch_mode != "off":
             raise ConfigError(
-                f"prefetch_mode must be 'off', 'sequential' or 'semantic', "
-                f"got {self.prefetch_mode!r}")
-        if self.prefetch_depth < 1:
-            raise ConfigError(
-                f"prefetch_depth must be at least 1, "
-                f"got {self.prefetch_depth}")
-        if self.prefetch_window < 1:
-            raise ConfigError(
-                f"prefetch_window must be at least 1, "
-                f"got {self.prefetch_window}")
+                f"prefetch_mode must be 'off' (predictive prefetch was "
+                f"removed), got {self.prefetch_mode!r}")
         if self.capacity_pages < self.data_start + 8:
             raise ConfigError("capacity too small for metadata + PRI region")
         if self.log_segment_bytes < 512:

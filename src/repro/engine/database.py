@@ -35,7 +35,6 @@ import struct
 
 from repro.btree.tree import FosterBTree
 from repro.buffer.buffer_pool import BufferPool
-from repro.buffer.prefetch import Prefetcher
 from repro.core.backup import BackupStore
 from repro.core.failure_classes import FailureEvent
 from repro.core.recovery_index import PageRecoveryIndex, PartitionedRecoveryIndex
@@ -47,7 +46,6 @@ from repro.engine.catalog import HEAP_INDEX_OFFSET, METADATA_PAGE, Catalog
 from repro.engine.checkpointer import Checkpointer
 from repro.engine.config import EngineConfig
 from repro.errors import (
-    ConfigError,
     MediaFailure,
     SinglePageFailure,
     SystemFailure,
@@ -140,17 +138,6 @@ class Database:
         self.allocator = PageAllocator(self)
         self.checkpointer = Checkpointer(self)
 
-        #: online access-pattern model shared by the buffer pool (which
-        #: feeds it demand fixes and serves its read-ahead queue) and
-        #: a pending recovery (which ranks budgeted drains with it);
-        #: None when ``prefetch_mode="off"`` so the classic engine
-        #: carries zero speculative machinery
-        self.prefetcher = None
-        if cfg.prefetch_mode != "off":
-            self.prefetcher = Prefetcher(
-                self.stats, mode=cfg.prefetch_mode,
-                depth=cfg.prefetch_depth, window=cfg.prefetch_window)
-
         self._build_recovery_stack()
         self.pool = self._build_pool(self.device)
 
@@ -218,17 +205,12 @@ class Database:
 
     def _build_pool(self, device: StorageDevice) -> BufferPool:
         """Buffer pool wired to the detection/repair/backup hooks."""
-        pool = BufferPool(
+        return BufferPool(
             device, self.log, self.stats, self.config.buffer_capacity,
             fetcher=self.recovery_manager.fetch_page,
             on_page_cleaned=self.checkpointer.on_page_cleaned,
             on_before_write=self.checkpointer.on_before_write,
             repairer=self.recovery_manager.handle_failure)
-        if self.prefetcher is not None:
-            pool.prefetcher = self.prefetcher
-            pool.prefetch_floor = self.config.data_start
-            pool.page_bound = self.allocated_pages
-        return pool
 
     def _wire_pool(self) -> None:
         """Re-point pool hooks after the recovery stack was rebuilt."""
@@ -561,10 +543,6 @@ class Database:
             self.pri.partitions = (PageRecoveryIndex(), PageRecoveryIndex())
         else:
             self.pri = PageRecoveryIndex()
-        if self.prefetcher is not None:
-            # Queued predictions and recent windows are volatile; the
-            # learned summary survives and seeds post-crash warmup.
-            self.prefetcher.on_crash()
         self._build_recovery_stack()
         self._wire_pool()
         self._crashed = True
@@ -664,50 +642,6 @@ class Database:
         (the completion watermark is recorded once the last item
         resolves)."""
         return self.drain_restore()
-
-    # ------------------------------------------------------------------
-    # Prefetching
-    # ------------------------------------------------------------------
-    def prefetch_tick(self, budget: int | None = None) -> int:
-        """Service the prefetch queue: issue up to ``budget`` queued
-        speculative fetches.
-
-        This is the engine's *only* inline prefetch service point —
-        demand fixes never trigger speculative I/O themselves, they
-        only enqueue predictions.  Callers run it between operations
-        (a client's idle gap, the chaos scheduler's ``prefetch_tick``
-        event, the dip harness's inter-op tick) so speculative reads
-        are never charged to a demand operation and never run with a
-        frame latch held.  Returns the number of fetches issued.
-        """
-        if self.prefetcher is None or self._crashed or self._media_failed:
-            return 0
-        return self.prefetcher.service(self.pool, budget)
-
-    def set_prefetch_mode(self, mode: str) -> None:
-        """Switch the prefetch mode at runtime (chaos harness uses
-        this to toggle modes mid-schedule).
-
-        Turning prefetching off drops the model; turning it on (or
-        switching flavors) starts a fresh one — learned state is not
-        carried across modes, so each mode's behavior is a function of
-        the traffic it actually observed.
-        """
-        if mode not in ("off", "sequential", "semantic"):
-            raise ConfigError(
-                f"prefetch_mode must be 'off', 'sequential' or 'semantic', "
-                f"got {mode!r}")
-        self.config.prefetch_mode = mode
-        if mode == "off":
-            self.prefetcher = None
-        else:
-            self.prefetcher = Prefetcher(
-                self.stats, mode=mode, depth=self.config.prefetch_depth,
-                window=self.config.prefetch_window)
-        self.pool.prefetcher = self.prefetcher
-        if self.prefetcher is not None:
-            self.pool.prefetch_floor = self.config.data_start
-            self.pool.page_bound = self.allocated_pages
 
     def retire_backups(self) -> list[int]:
         """Retire superseded full backups (gated on the restore

@@ -17,7 +17,7 @@ registry shared with restart recovery:
    registered with a :class:`repro.engine.pending_recovery.
    PendingRecovery` over the :class:`~repro.engine.pending_recovery.
    BackupImage` source, loser locks re-acquired;
-3. **restore** — ``"eager"`` prefetches the backup with one sequential
+3. **restore** — ``"eager"`` pulls the whole backup with one sequential
    read and drains everything before returning (the traditional
    offline restore, expressed as "drain before open"); ``"on_demand"``
    returns immediately with the database open: pages restore on first

@@ -24,7 +24,7 @@ image comes from and where the recovered page goes*, and that is an
 copy, rolled forward into a dirty frame) and :class:`BackupImage` for
 media restore (the backup copy, written through to the replacement
 device).  Everything else — the maps, the hooks, the completion
-watermark, log-retention pinning, the budgeted prefetch-ranked drain —
+watermark, log-retention pinning, the budgeted ascending drain —
 is written once, here.  Eager recovery is the degenerate case: install,
 then :meth:`~PendingRecovery.drain_all` *before* the database opens;
 both modes run the same per-page code, which is what makes them
@@ -251,7 +251,8 @@ class BackupImage(ImageSource):
         self.backup_lsn = backup_lsn
         #: pages with an image in the full backup
         self.backup_pages = backup_pages
-        #: eager prefetch: backup images pulled with one sequential read
+        #: eager restore: backup images pulled with one sequential read
+        #: (:meth:`prefetch_images`)
         self._image_cache: dict[int, bytes] = {}
 
     def install(self, recovery: "PendingRecovery") -> None:
@@ -595,23 +596,15 @@ class PendingRecovery:
         """Resolve pending work up to the budgets; returns
         ``(pages_resolved, losers_resolved)``.
 
-        Unbudgeted drains (``drain_all``: the checkpoint gate, and the
-        whole of eager recovery) keep the classic order — pages by
-        ascending id, a sequential sweep of the device, then losers
-        newest-first.  *Budgeted* drains are where order matters for
-        the latency dip: with a prefetcher attached they recover pages
-        in predicted-next-access order instead, warming the working set
-        before the cold tail; those pages are priced as random (not
-        sequential) I/O, since the ranking deliberately breaks the
-        sweep.
+        Every drain, budgeted or not (``drain_all``: the checkpoint
+        gate, and the whole of eager recovery), takes pages by
+        ascending id — a sequential sweep of the device, priced as
+        sequential I/O — then losers newest-first.
         """
         db = self.db
         pages_done = 0
         with self._mutex:
             pending_now = sorted(self.pending_pages)
-        ranked = page_budget is not None and db.prefetcher is not None
-        if ranked:
-            pending_now = db.prefetcher.rank(pending_now)
         with StopWatch(db.clock) as watch:
             for page_id in pending_now:
                 if page_budget is not None and pages_done >= page_budget:
@@ -620,7 +613,7 @@ class PendingRecovery:
                     if page_id not in self.pending_pages:
                         continue  # resolved by a racing fix
                     if self._resolve_locked(page_id, demand=False,
-                                            sequential=not ranked) is None:
+                                            sequential=True) is None:
                         continue  # claimed by a racing fix
                 pages_done += 1
         self.page_seconds += watch.elapsed

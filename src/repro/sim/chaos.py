@@ -36,7 +36,7 @@ every function here takes any plug-in's config:
 
 * ``engine`` — :mod:`repro.sim.harness`: one
   :class:`repro.engine.database.Database`, the five failure classes,
-  the replication and prefetch event families, the durability oracle.
+  the replication event family, the durability oracle.
 * ``fleet`` — :mod:`repro.sim.shard_harness`: a sharded router, shard
   crashes at 2PC failpoints, partitions, online rebalancing, the
   atomicity and single-owner oracles.

@@ -14,9 +14,7 @@ campaign loop; this module is what is specific to one
   ``device_loss``, ``backup_loss``, and ``double`` (crash during a
   pending restore, media failure during a pending restart) — then the
   replication family (``standby_crash``, ``link_loss``, ``failover``),
-  enabled by ``ChaosConfig.standby``, and the prefetch family
-  (``prefetch_tick``, ``prefetch_toggle``), enabled by any
-  ``ChaosConfig.prefetch`` but "off".  A config that enables neither
+  enabled by ``ChaosConfig.standby``.  A config that does not enable it
   draws from exactly the base rows, so old seeds expand bit-identically;
 * :class:`DurabilityOracle` — shadows every committed transaction's
   effects.  After each recovery it checks (a) all committed effects
@@ -101,10 +99,6 @@ class ChaosConfig(BaseChaosConfig):
     ack_mode: str = "local_durable"
     #: shipping granularity: ``"tail"`` or ``"segment"``
     ship_mode: str = "tail"
-    #: initial prefetch mode; any value but "off" also mixes the
-    #: prefetch events (service ticks, runtime mode toggles) into the
-    #: schedule
-    prefetch: str = "off"
     #: run the eager-vs-on-demand differential oracle on designated
     #: failure events (check (d))
     differential: bool = True
@@ -120,7 +114,6 @@ class ChaosConfig(BaseChaosConfig):
             restore_mode=self.restore_mode,
             backup_policy=BackupPolicy(every_n_updates=24),
             commit_ack_mode=self.ack_mode,
-            prefetch_mode=self.prefetch,
             seed=self.seed,
         )
 
@@ -130,7 +123,7 @@ class ChaosConfig(BaseChaosConfig):
                 f"restore={self.restore_mode} "
                 f"standby={self.standby} "
                 f"ack={self.ack_mode} "
-                f"prefetch={self.prefetch}")
+                f"prefetch=off")
 
     def campaign(self, n_schedules: int,
                  base_seed: int = 0) -> Iterator[ChaosConfig]:
@@ -701,23 +694,6 @@ class _Run(ChaosRun):
             self.media_fail_now()
             self.recover_media_now(diff=False)
 
-    # -- prefetch events (PR 9) ----------------------------------------
-    def _do_prefetch_tick(self, payload: dict) -> None:
-        """Service the prefetch queue — the only point of a schedule
-        where speculative I/O happens, so runs stay deterministic."""
-        issued = self.db.prefetch_tick(payload["budget"])
-        self.trace(f"prefetch_tick issued={issued}")
-
-    def _do_prefetch_toggle(self, payload: dict) -> None:
-        """Switch the prefetch mode at runtime, cycling off /
-        sequential / semantic (always to a *different* mode)."""
-        current = self.db.config.prefetch_mode
-        options = [m for m in ("off", "sequential", "semantic")
-                   if m != current]
-        mode = options[payload["mode_rank"] % len(options)]
-        self.db.set_prefetch_mode(mode)
-        self.trace(f"prefetch_toggle mode={mode}")
-
     # -- replication events (PR 7) -------------------------------------
     def _do_standby_crash(self, payload: dict) -> None:
         """Toggle: a running standby dies; a dead (or never-attached)
@@ -904,10 +880,6 @@ def _standby(config: ChaosConfig) -> bool:
     return config.standby
 
 
-def _prefetching(config: ChaosConfig) -> bool:
-    return config.prefetch != "off"
-
-
 ChaosConfig.plugin = Plugin(
     label="chaos",
     run=_Run,
@@ -954,13 +926,6 @@ ChaosConfig.plugin = Plugin(
                   failure=True, enabled=_standby),
         EventKind("failover", 3, _Run._do_failover,
                   failure=True, enabled=_standby),
-        # The prefetch family (PR 9).
-        EventKind("prefetch_tick", 6, _Run._do_prefetch_tick,
-                  lambda rng, config: {"budget": rng.randrange(1, 9)},
-                  enabled=_prefetching),
-        EventKind("prefetch_toggle", 2, _Run._do_prefetch_toggle,
-                  lambda rng, config: {"mode_rank": rng.randrange(1_000_000)},
-                  enabled=_prefetching),
         EventKind("poison", 0, _Run._do_poison),
     ),
 )

@@ -56,26 +56,6 @@ CATALOGUE: tuple[Metric, ...] = (
            "frames discarded without write-back (untrustworthy image)"),
     Metric("pool_repairs", "pages", "buffer",
            "resident pages that failed a cross-page check and were sent to repair"),
-    # -- buffer: the prefetcher, after GrASP's accounting -------------------
-    Metric("fetch_prefetch", "pages", "buffer",
-           "prefetch issued: speculative reads that completed"),
-    Metric("prefetch_hits", "pages", "buffer",
-           "prefetch used: first demand hit on a speculative frame"),
-    Metric("prefetch_wasted", "pages", "buffer",
-           "prefetch wasted: speculative frames evicted, dropped or lost in a "
-           "crash before any demand hit"),
-    Metric("prefetch_skipped_bounds", "pages", "buffer",
-           "prefetch skipped: page outside the allocated data range"),
-    Metric("prefetch_skipped_resident", "pages", "buffer",
-           "prefetch skipped: page already resident, loading or under repair"),
-    Metric("prefetch_skipped_quota", "pages", "buffer",
-           "prefetch skipped: speculative-frame quota exhausted"),
-    Metric("prefetch_skipped_full", "pages", "buffer",
-           "prefetch skipped: no clean unpinned frame to displace"),
-    Metric("prefetch_errors", "pages", "buffer",
-           "prefetch failed: the speculative read raised; left to the demand fix"),
-    Metric("prefetch_queue_overflow", "pages", "buffer",
-           "prefetch dropped: oldest queued prediction displaced by a newer one"),
     # -- btree (and the heap file, the other access method) -----------------
     Metric("btree_lookups", "ops", "btree", "point lookups that found a live record"),
     Metric("btree_inserts", "ops", "btree", "records inserted (ghost revivals included)"),

@@ -296,127 +296,6 @@ class TestEviction:
         assert len(pool) == 0
 
 
-class TestPrefetch:
-    """The pool's speculative-fetch path (PR 9): split demand/prefetch
-    counters, hit/waste accounting, bounds, quota, and the clean-
-    unpinned-victims-only room-making rule."""
-
-    def test_split_counters_demand_vs_prefetch(self, rig):
-        pool, _device, _log, _tm, stats, _events = rig
-        assert pool.prefetch(1)
-        pool.fix(2)
-        pool.unfix(2)
-        assert stats.get("fetch_prefetch") == 1
-        assert stats.get("fetch_demand") == 1
-        # A speculative fetch is not a demand miss.
-        assert stats.get("buffer_misses") == 1
-
-    def test_demand_hit_on_prefetched_frame_counts_once(self, rig):
-        pool, _device, _log, _tm, stats, _events = rig
-        pool.prefetch(1)
-        pool.fix(1)
-        pool.fix(1)
-        assert stats.get("prefetch_hits") == 1  # only the first hit
-        assert stats.get("buffer_hits") == 2
-        pool.unfix(1)
-        pool.unfix(1)
-        # The frame graduated to the demand working set: evicting it
-        # later is not waste.
-        pool.evict(1)
-        assert stats.get("prefetch_wasted") == 0
-
-    def test_eviction_of_unused_prefetch_counts_wasted(self, rig):
-        pool, _device, _log, _tm, stats, _events = rig
-        pool.prefetch(1)
-        pool.evict(1)
-        pool.prefetch(2)
-        pool.drop_frame(2)
-        pool.prefetch(3)
-        pool.drop_all()  # the crash path
-        assert stats.get("prefetch_wasted") == 3
-        assert stats.get("fetch_prefetch") == 3
-
-    def test_bounds_refused_and_counted(self, rig):
-        pool, _device, _log, _tm, stats, _events = rig
-        pool.prefetch_floor = 2
-        pool.page_bound = lambda: 6
-        assert not pool.prefetch(1)
-        assert not pool.prefetch(6)
-        assert pool.prefetch(2)
-        assert stats.get("prefetch_skipped_bounds") == 2
-        assert not pool.resident(1) and not pool.resident(6)
-
-    def test_resident_page_not_refetched(self, rig):
-        pool, _device, _log, _tm, stats, _events = rig
-        pool.fix(1)
-        pool.unfix(1)
-        assert not pool.prefetch(1)
-        assert stats.get("prefetch_skipped_quota") == 0
-        assert stats.get("prefetch_skipped_resident") == 1
-        assert stats.get("fetch_prefetch") == 0
-
-    def test_quota_caps_speculative_residency(self, rig):
-        pool, *_ = rig
-        stats = pool.stats
-        assert pool.prefetch_quota == 1  # capacity 4 -> one frame
-        assert pool.prefetch(1)
-        assert not pool.prefetch(2)
-        assert stats.get("prefetch_skipped_quota") == 1
-        # A demand hit converts the frame: quota frees up.
-        pool.fix(1)
-        pool.unfix(1)
-        assert pool.prefetch(2)
-
-    def test_full_pool_of_pinned_or_dirty_declines(self, rig):
-        pool, _device, _log, tm, stats, _events = rig
-        txn = tm.begin()
-        for page_id in (0, 1, 2):
-            pool.fix(page_id)  # stays pinned
-        page = pool.fix(3)
-        lsn = tm.log_update(txn, page, 1, OpInsert(0, b"a", b"1"))
-        pool.mark_dirty(3, lsn)
-        pool.unfix(3)  # unpinned but dirty
-        writes_before = stats.get("pages_written_back")
-        assert not pool.prefetch(5)
-        assert stats.get("prefetch_skipped_full") == 1
-        # Nothing displaced, nothing flushed.
-        for page_id in (0, 1, 2, 3):
-            assert pool.resident(page_id)
-        assert pool.is_dirty(3)
-        assert stats.get("pages_written_back") == writes_before
-
-    def test_makes_room_from_clean_unpinned_victim_only(self, rig):
-        pool, *_ = rig
-        for page_id in (0, 1, 2):
-            pool.fix(page_id)  # pinned
-        pool.fix(3)
-        pool.unfix(3)  # the one clean, unpinned frame
-        assert pool.prefetch(5)
-        assert not pool.resident(3)  # the clean victim went
-        for page_id in (0, 1, 2):
-            assert pool.resident(page_id)
-        assert pool.resident(5)
-        assert pool.pin_count(5) == 0  # speculative frames sit unpinned
-
-    def test_fetch_error_swallowed_and_counted(self, rig):
-        pool, *_ = rig
-        stats = pool.stats
-        inner = pool.fetcher
-
-        def failing_fetch(page_id):
-            if page_id == 5:
-                raise BufferPoolError("speculative read failed")
-            return inner(page_id)
-
-        pool.fetcher = failing_fetch
-        assert not pool.prefetch(5)
-        assert stats.get("prefetch_errors") == 1
-        assert not pool.resident(5)  # no poisoned placeholder left
-        pool.fetcher = inner
-        assert pool.fix(5).page_id == 5  # demand path unaffected
-        pool.unfix(5)
-
-
 def admit(policy: ClockEviction, frames: dict, *page_ids: int) -> None:
     for page_id in page_ids:
         frames[page_id] = Frame(None)  # a new frame carries the bit
@@ -424,8 +303,8 @@ def admit(policy: ClockEviction, frames: dict, *page_ids: int) -> None:
 
 
 class TestClockEviction:
-    """The policy sweeps the pool's frames: pins, dirt and the reference
-    bit are read off (and the bit cleared on) the frame itself."""
+    """The policy sweeps the pool's frames: pins and the reference bit
+    are read off (and the bit cleared on) the frame itself."""
 
     def test_second_chance(self):
         policy, frames = ClockEviction(), {}
@@ -437,7 +316,7 @@ class TestClockEviction:
         policy, frames = ClockEviction(), {}
         admit(policy, frames, 1, 2, 3)
         policy.choose_victim(frames)  # clears bits, picks 1
-        frames[2].referenced = True  # what a demand hit does
+        frames[2].referenced = True  # what a hit does
         assert policy.choose_victim(frames) == 3  # 2 got a second chance
 
     def test_removed_keeps_ring_consistent(self):
@@ -454,29 +333,22 @@ class TestClockEviction:
         frames[1].pin_count = 1
         assert policy.choose_victim(frames) is None
 
-    def test_clean_only_passes_over_dirty_frames(self):
-        policy, frames = ClockEviction(), {}
-        admit(policy, frames, 1, 2)
-        frames[1].dirty = True
-        assert policy.choose_victim(frames, clean_only=True) == 2
-        frames[2].dirty = True
-        assert policy.choose_victim(frames, clean_only=True) is None
-        assert policy.choose_victim(frames) in {1, 2}  # dirt is no pin
-
     #: The victims of :meth:`test_replayed_script_picks_the_parents_victims`
     #: under the policy of commit 3041322 (reference bits in a dict of its
-    #: own, evictability as a callable), recorded there.
+    #: own, evictability as a callable) agreed with commit 9bcd21d's; the
+    #: clean-only evictions the script drew there are gone, so the list
+    #: was recorded at 9bcd21d with every eviction a plain one.
     PARENT_VICTIMS = [
         0, 1, 2, 4, 5, 6, 7, 3, 10, 11, 13, 15, 18, 16, 21, 22, 23, 24, 25,
         26, 27, 29, 28, 30, 33, 32, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43,
         44, 45, 20, 46, 47, 49, 50, 51, 52, 53, 54, 55, 58, 59, 60, 64, 65,
-        66, 61, 67, 69, 73, 14, 70, 77, 19, 63, 75, 76, 17, 56, 74, 79, 80,
-        81, 82, 48, 83, 84, 85, 86, 87, 88, 90, 89, 91]
+        66, 61, 63, 67, 69, 72, 73, 14, 70, 75, 76, 77, 79, 80, 81, 82, 31,
+        71, 83, 84, 85, 86, 87, 88, 89, 91, 90, 92, 19]
 
     def test_replayed_script_picks_the_parents_victims(self):
         """A seeded script of admissions, touches, pins, dirtyings,
-        drops and demand / clean-only evictions: same ring order, same
-        second-chance rule, same fallback sweep, so the same victims."""
+        drops and evictions: same ring order, same second-chance rule,
+        same fallback sweep, so the same victims (dirt is no pin)."""
         import random
 
         rng = random.Random(3)
@@ -501,7 +373,7 @@ class TestClockEviction:
                     del frames[page_id]
                     policy.removed(page_id)
             else:
-                victim = policy.choose_victim(frames, clean_only=roll > 0.94)
+                victim = policy.choose_victim(frames)
                 victims.append(victim)
                 if victim is not None:
                     del frames[victim]

@@ -298,49 +298,6 @@ class TestChaosSmoke:
         assert summary["failed"] == 0
 
 
-class TestPrefetchChaos:
-    """Prefetch events in the chaos mix (PR 9): only when enabled —
-    existing seeds must expand bit-identically with prefetch off — and
-    fully deterministic when on."""
-
-    PREFETCH_KINDS = {"prefetch_tick", "prefetch_toggle"}
-
-    def test_off_schedules_contain_no_prefetch_events(self):
-        """A prefetch-off config (the default) draws from exactly the
-        pre-prefetch event mix, so every historical seed expands to a
-        bit-identical schedule."""
-        for seed in range(6):
-            kinds = {e.kind for e in generate_schedule(ChaosConfig(seed=seed))}
-            assert not (kinds & self.PREFETCH_KINDS)
-
-    def test_enabled_schedules_mix_prefetch_events(self):
-        kinds = {e.kind
-                 for e in generate_schedule(ChaosConfig(seed=1, n_events=40,
-                                                        prefetch="semantic"))}
-        assert "prefetch_tick" in kinds
-
-    def test_prefetch_trace_bit_identical(self):
-        config = ChaosConfig(seed=11, n_events=30, shrink=False,
-                             restart_mode="on_demand",
-                             prefetch="semantic")
-        events = generate_schedule(config)
-        first = execute_schedule(config, events)
-        second = execute_schedule(config, events)
-        assert first.ok, first.violations
-        assert first.trace_text() == second.trace_text()
-        assert first.event_counts == second.event_counts
-
-    def test_fixed_seed_prefetch_campaign_clean(self):
-        """The CI chaos-smoke prefetch cell: a fixed-seed campaign with
-        prefetch mixed into every schedule passes the durability
-        oracle."""
-        base = ChaosConfig(n_events=30, differential=False, shrink=False,
-                           prefetch="semantic")
-        campaign = run_campaign(base.campaign(3, base_seed=7300))
-        assert campaign.ok, [f.trace_text() for f in campaign.failures]
-        assert campaign.counters["recoveries"] > 0
-
-
 class TestShrinking:
     """``poison`` is a row of weight 0 in both event tables, so the
     detection and shrinking machinery is proven on either plug-in."""

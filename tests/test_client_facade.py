@@ -161,6 +161,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             repro.EngineConfig(log_segment_bytes=64)
 
+    def test_prefetch_mode_accepts_only_off(self):
+        """The bench still passes ``prefetch_mode="off"``; the predictive
+        modes were removed and fail typed, naming why."""
+        assert repro.EngineConfig(prefetch_mode="off").prefetch_mode == "off"
+        for mode in ("sequential", "semantic"):
+            with pytest.raises(ConfigError, match="predictive prefetch was removed"):
+                repro.EngineConfig(prefetch_mode=mode)
+
     def test_keyword_only_construction(self):
         with pytest.raises(TypeError):
             repro.EngineConfig(4096)  # noqa - positional must fail

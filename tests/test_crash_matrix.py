@@ -177,77 +177,6 @@ class TestCrashMatrix:
         assert verify_tree(tree).ok
 
 
-# ----------------------------------------------------------------------
-# The matrix with the prefetcher on (PR 9): speculative fetches of
-# prefetched-but-not-yet-recovered pages ride the registry's fetcher
-# and redo-on-fix hooks, so they must neither double-run a page's
-# first-fix recovery nor corrupt the completion watermark.
-# ----------------------------------------------------------------------
-def prepared_prefetching(point):
-    """The matrix's prepared state with semantic prefetch on and the
-    model warmed by real traffic (so post-crash ranked drains and
-    service ticks have genuine predictions to act on)."""
-    overrides, steps = PROTOCOL_POINTS[point]
-    db, tree, model = prepared(prefetch_mode="semantic", **overrides)
-    for i in range(0, 150, 3):
-        tree.lookup(key_of(i))
-    db.prefetch_tick(8)  # speculative frames resident at the crash
-    return db, tree, model, steps
-
-
-@pytest.mark.parametrize("point", sorted(PROTOCOL_POINTS))
-class TestCrashMatrixWithPrefetch:
-    def test_converges_with_speculative_warmup(self, point):
-        db, tree, model, steps = prepared_prefetching(point)
-        steps(db, tree)
-        db.crash()
-        db.restart(mode="on_demand")
-        registry = db.pending_recovery
-        pending = registry.pending_page_count if registry else 0
-        redone_before = db.stats.get("lazy_redo_pages")
-        superseded_before = db.stats.get("lazy_redo_superseded")
-        tree = db.tree(1)
-        # Speculative warmup interleaved with demand traffic and
-        # budgeted (ranked) drains.
-        for i in (0, 2, 40, 100):
-            db.prefetch_tick(4)
-            db.drain_restart(page_budget=2, loser_budget=1)
-            assert tree.lookup(key_of(i)) == model[key_of(i)]
-        db.finish_restart()
-        assert not db.restart_pending
-        # The watermark lifted exactly when the work drained, and every
-        # pending page's recovery ran exactly once — prefetched or not.
-        assert db.last_restart_completion_lsn is not None
-        redone = db.stats.get("lazy_redo_pages") - redone_before
-        superseded = (db.stats.get("lazy_redo_superseded")
-                      - superseded_before)
-        assert redone + superseded == pending
-        assert dict(tree.range_scan()) == model
-        assert verify_tree(tree).ok
-
-    def test_crash_with_prefetched_unrecovered_frames(self, point):
-        """Crash again while speculative frames cover pages whose lazy
-        redo may not have run: the watermark must reflect the true
-        pending set (never lifted early by a mere speculative read), and the
-        second restart converges from the durable log alone."""
-        db, tree, model, steps = prepared_prefetching(point)
-        steps(db, tree)
-        db.crash()
-        db.restart(mode="on_demand")
-        db.prefetch_tick(6)
-        # A speculative fetch that recovered pages is progress; one
-        # that did not must leave the watermark unset.  Either way the
-        # two must agree.
-        assert (db.last_restart_completion_lsn is not None) == (
-            not db.restart_pending)
-        db.crash()
-        db.restart(mode="on_demand")
-        db.finish_restart()
-        tree = db.tree(1)
-        assert dict(tree.range_scan()) == model
-        assert verify_tree(tree).ok
-
-
 @pytest.mark.parametrize("point", sorted(PROTOCOL_POINTS))
 def test_modes_recover_identically(point):
     """The differential oracle: one crash image, two recoveries —

@@ -52,15 +52,13 @@ CASES = {
 }
 CASES[f"shard seed={SHARD_SEED}"] = shard_harness.ShardChaosConfig(
     seed=SHARD_SEED)
-# The schedules only an option reaches: the replication and prefetch
-# event families, a rebalance-heavy fleet run and an eager fleet.
+# The schedules only an option reaches: the replication event family,
+# a rebalance-heavy fleet run and an eager fleet.
 CASES.update({
     "engine seed=42 standby ack=replicated_durable": harness.ChaosConfig(
         seed=42, standby=True, ack_mode="replicated_durable"),
     "engine seed=42 standby ship=segment on_demand": harness.ChaosConfig(
         seed=42, standby=True, ship_mode="segment", **LAZY),
-    "engine seed=11 prefetch=semantic on_demand": harness.ChaosConfig(
-        seed=11, prefetch="semantic", **LAZY),
     "shard seed=7 events=50": shard_harness.ShardChaosConfig(
         seed=7, n_events=50),
     "shard seed=2 events=40 restart=eager": shard_harness.ShardChaosConfig(

@@ -99,65 +99,6 @@ class TestMediaMatrix:
         assert verify_tree(tree).ok
 
 
-# ----------------------------------------------------------------------
-# The matrix with the prefetcher on (PR 9): speculative fetches of
-# not-yet-restored pages ride the restore-on-fix hook, so they must
-# neither double-restore a page nor corrupt the restore watermark.
-# ----------------------------------------------------------------------
-def prepared_media_prefetching(point):
-    """The media matrix's prepared state with semantic prefetch on and
-    the model warmed by real traffic."""
-    overrides, steps = PROTOCOL_POINTS[point]
-    db, tree, model, backup_id = prepared_media(prefetch_mode="semantic",
-                                                **overrides)
-    for i in range(0, 150, 3):
-        tree.lookup(key_of(i))
-    db.prefetch_tick(8)  # speculative frames resident at the failure
-    return db, tree, model, backup_id, steps
-
-
-@pytest.mark.parametrize("point", sorted(PROTOCOL_POINTS))
-class TestMediaMatrixWithPrefetch:
-    def test_converges_with_speculative_warmup(self, point):
-        db, tree, model, backup_id, steps = prepared_media_prefetching(point)
-        steps(db, tree)
-        media_fail(db)
-        db.recover_media(backup_id, mode="on_demand")
-        tree = db.tree(1)
-        # Speculative warmup interleaved with budgeted (ranked) drains:
-        # a tick's fetch of a pending page restores it through the same
-        # first-fix path a demand read would take.
-        while db.restore_pending:
-            db.prefetch_tick(4)
-            pages, losers = db.drain_restore(page_budget=3, loser_budget=1)
-            if pages == 0 and losers == 0:
-                break
-        db.finish_restore()
-        assert not db.restore_pending
-        assert db.last_restore_completion_lsn is not None
-        assert dict(tree.range_scan()) == model
-        assert verify_tree(tree).ok
-
-    def test_media_failure_with_prefetched_unrestored_frames(self, point):
-        """Lose the replacement device while speculative frames cover
-        pages whose restore may not have run: the watermark never
-        lifted early, and the re-run restore from the same retained
-        backup converges on its own."""
-        db, tree, model, backup_id, steps = prepared_media_prefetching(point)
-        steps(db, tree)
-        media_fail(db)
-        db.recover_media(backup_id, mode="on_demand")
-        db.prefetch_tick(6)
-        assert (db.last_restore_completion_lsn is not None) == (
-            not db.restore_pending)
-        media_fail(db)
-        db.recover_media(backup_id, mode="on_demand")
-        db.finish_restore()
-        tree = db.tree(1)
-        assert dict(tree.range_scan()) == model
-        assert verify_tree(tree).ok
-
-
 @pytest.mark.parametrize("point", sorted(PROTOCOL_POINTS))
 def test_modes_restore_identically(point):
     """The differential oracle: one media-failure image, two restores

@@ -87,15 +87,6 @@ def test_nothing_counts_by_name():
     assert not offenders
 
 
-def test_prefetch_rows_read_issued_used_wasted_skipped():
-    """GrASP's accounting, in that order, as one block of the table."""
-    prefetch = [metric.help.split(":")[0] for metric in CATALOGUE
-                if metric.help.startswith("prefetch ")]
-    assert prefetch[:3] == ["prefetch issued", "prefetch used",
-                            "prefetch wasted"]
-    assert prefetch[3:7] == ["prefetch skipped"] * 4
-
-
 def test_readme_table_is_the_one_the_module_prints(capsys: pytest.CaptureFixture):
     with warnings.catch_warnings():
         # ``python -m`` of a module its own package imports

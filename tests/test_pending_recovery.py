@@ -4,17 +4,21 @@ Everything :class:`repro.engine.pending_recovery.PendingRecovery` does
 for *both* recoveries is pinned here once, parametrised over the two
 image sources — a crashed image (restart, ``DeviceImage``) and a failed
 device (media restore, ``BackupImage``) built from the same prepared
-state as the crash and media matrices.  Then the lost-first-write
-regression (four variants) and the eager ``RestartReport`` on a fixed
-scenario.
+state as the crash and media matrices, and the exactly-once property
+over random interleavings of budgeted drains and demand reads.  Then
+the lost-first-write regression (four variants) and the eager
+``RestartReport`` on a fixed scenario.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.btree.verify import verify_tree
 from repro.engine import pending_recovery
@@ -35,6 +39,7 @@ KINDS = ("restart", "restore")
 #: key held by the second (newer) loser
 LATE_LOSER_KEY = 23
 JOIN_SECONDS = 10
+EXAMPLES = max(1, int(os.environ.get("TORTURE_EXAMPLES_MULTIPLIER", "1")))
 
 
 def failed(kind: str, **overrides):
@@ -257,39 +262,26 @@ class TestSharedContract:
         assert recovery.drain() == (0, 2)
         assert_converged(db, kind, model)
 
-    def test_budgeted_drain_honours_budgets_and_ranking(self, kind):
+    def test_budgeted_drain_honours_budgets(self, kind):
         db, recovery, model, _spare = pending(kind)
         ascending = sorted(recovery.pending_pages)
         assert len(ascending) >= 4
         assert recovery.drain(page_budget=1, loser_budget=0) == (1, 0)
         assert sorted(recovery.pending_pages) == ascending[1:]
         assert recovery.pending_loser_count == 2
-
-        class HottestLast:
-            """Stands in for the prefetcher: predicts the highest page
-            ids are needed first."""
-
-            @staticmethod
-            def rank(page_ids):
-                return sorted(page_ids, reverse=True)
-
-        db.prefetcher = HottestLast()
-        try:
-            assert recovery.drain(page_budget=2, loser_budget=0) == (2, 0)
-            assert sorted(recovery.pending_pages) == ascending[1:-2]
-            assert recovery.drain(page_budget=0, loser_budget=1) == (0, 1)
-            assert recovery.pending_loser_count == 1
-            # Unbudgeted drains ignore the ranking (the classic sweep);
-            # the rollback above may have fixed a few pages already.
-            first = []
-            recovery.source.image = (
-                lambda pid, records, image=recovery.source.image:
-                first.append(pid) or image(pid, records))
-            pages, losers = recovery.drain()
-            assert losers == 1 and first == sorted(first)
-            assert pages == len(first) <= len(ascending) - 3
-        finally:
-            db.prefetcher = None
+        assert recovery.drain(page_budget=2, loser_budget=0) == (2, 0)
+        assert sorted(recovery.pending_pages) == ascending[3:]
+        assert recovery.drain(page_budget=0, loser_budget=1) == (0, 1)
+        assert recovery.pending_loser_count == 1
+        # Every drain sweeps by ascending page id; the rollback above may
+        # have fixed a few pages already.
+        first = []
+        recovery.source.image = (
+            lambda pid, records, image=recovery.source.image:
+            first.append(pid) or image(pid, records))
+        pages, losers = recovery.drain()
+        assert losers == 1 and first == sorted(first)
+        assert pages == len(first) <= len(ascending) - 3
         assert_converged(db, kind, model)
 
     def test_retention_bound_is_source_floor_then_none(self, kind):
@@ -330,6 +322,56 @@ class TestSharedContract:
         lazy_db.drain_pending()
         assert_identical_recovery(eager_db, lazy_db)
         assert dict(eager_db.tree(1).range_scan()) == model
+
+
+# ----------------------------------------------------------------------
+# Exactly once, however budgeted drains and demand reads interleave
+# ----------------------------------------------------------------------
+#: one failed image per kind, built on first use and cloned per example
+FAILED_IMAGES: dict[str, tuple] = {}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=10 * EXAMPLES, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(data=st.data())
+def test_each_pending_page_recovers_exactly_once(kind, data):
+    """Pages recovered plus pages superseded equals the pending set at
+    open, and no page's image is read twice: a page a drain brought
+    current is never redone by the demand fix that follows, nor the
+    reverse."""
+    if kind not in FAILED_IMAGES:
+        FAILED_IMAGES[kind] = failed(kind)
+    crashed, model, _spare = FAILED_IMAGES[kind]
+    db = clone_crashed(crashed)
+    recover(db, kind)
+    recovery = db.pending_recovery
+    initial = recovery.pending_page_count
+    counters = recovery.source.counters
+    before = (counters["page"].value or 0) + (counters["superseded"].value or 0)
+    images = []
+    recovery.source.image = (
+        lambda pid, records, image=recovery.source.image:
+        images.append(pid) or image(pid, records))
+    drain = db.drain_restart if kind == "restart" else db.drain_restore
+    tree = db.tree(1)
+    loser_keys = {key_of(i) for i in (*LOSER_KEYS, LATE_LOSER_KEY)}
+    readable = sorted(key for key in model if key not in loser_keys)
+    actions = data.draw(st.lists(st.sampled_from(["drain", "read"]),
+                                 max_size=30), label="actions")
+    for action in actions:
+        if action == "drain":
+            drain(page_budget=data.draw(st.integers(1, 3), label="pages"),
+                  loser_budget=data.draw(st.integers(0, 1), label="losers"))
+        else:
+            key = data.draw(st.sampled_from(readable), label="key")
+            assert tree.lookup(key) == model[key]
+    drain()
+    after = counters["page"].value + (counters["superseded"].value or 0)
+    assert after - before == initial
+    assert len(images) == len(set(images))
+    assert_converged(db, kind, model)
 
 
 # ----------------------------------------------------------------------
