@@ -122,8 +122,7 @@ class ChaosConfig(BaseChaosConfig):
                 f"restart={self.restart_mode} "
                 f"restore={self.restore_mode} "
                 f"standby={self.standby} "
-                f"ack={self.ack_mode} "
-                f"prefetch=off")
+                f"ack={self.ack_mode}")
 
     def campaign(self, n_schedules: int,
                  base_seed: int = 0) -> Iterator[ChaosConfig]:
