@@ -111,7 +111,6 @@ class BufferPool:
         counter = stats.counter
         self._buffer_hits = counter("buffer_hits")
         self._buffer_misses = counter("buffer_misses")
-        self._fetch_demand = counter("fetch_demand")
         self._pool_repairs = counter("pool_repairs")
         self._pages_written_back = counter("pages_written_back")
         self._pages_evicted = counter("pages_evicted")
@@ -172,7 +171,6 @@ class BufferPool:
                         break
                     if frame is None:
                         self._buffer_misses.inc()
-                        self._fetch_demand.inc()
                         self._make_room()
                         frame = Frame(None)
                         frame.loading = True

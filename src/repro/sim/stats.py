@@ -48,7 +48,6 @@ CATALOGUE: tuple[Metric, ...] = (
     # -- buffer: the pool -------------------------------------------------
     Metric("buffer_hits", "fixes", "buffer", "demand fix found the page resident"),
     Metric("buffer_misses", "fixes", "buffer", "demand fix had to load the page"),
-    Metric("fetch_demand", "pages", "buffer", "pages loaded because a fix asked for them"),
     Metric("pages_written_back", "pages", "buffer",
            "dirty pages written to the device (Figure 11 write-back)"),
     Metric("pages_evicted", "pages", "buffer", "frames evicted to make room"),
