@@ -492,8 +492,7 @@ class PendingRecovery:
         with self._mutex:
             return self._fixed_dirty.pop(page.page_id, None)
 
-    def _resolve_locked(self, page_id: int, demand: bool,
-                        sequential: bool = False
+    def _resolve_locked(self, page_id: int, demand: bool
                         ) -> tuple[Page, int | None] | None:
         """Bring one pending page current and deliver it.
 
@@ -522,7 +521,9 @@ class PendingRecovery:
                 counters["chain_fallback"].inc()
         if applied is None:
             applied = replay_records(page, records)
-        rec_lsn = self.source.deliver(page, records, applied, sequential)
+        # A drain sweeps by ascending id, so its deliveries are priced
+        # sequential; a demand fix's is one random write.
+        rec_lsn = self.source.deliver(page, records, applied, not demand)
         if (rec_lsn is not None and not demand
                 and not db.pool.adopt_dirty(page, rec_lsn)):
             # Nobody is waiting for a drained page, so one left dirty
@@ -612,8 +613,7 @@ class PendingRecovery:
                 with self._mutex:
                     if page_id not in self.pending_pages:
                         continue  # resolved by a racing fix
-                    if self._resolve_locked(page_id, demand=False,
-                                            sequential=True) is None:
+                    if self._resolve_locked(page_id, demand=False) is None:
                         continue  # claimed by a racing fix
                 pages_done += 1
         self.page_seconds += watch.elapsed
