@@ -350,11 +350,8 @@ def test_each_pending_page_recovers_exactly_once(kind, data):
     initial = recovery.pending_page_count
     counters = recovery.source.counters
     before = (counters["page"].value or 0) + (counters["superseded"].value or 0)
-    images = []
-    recovery.source.image = (
-        lambda pid, records, image=recovery.source.image:
-        images.append(pid) or image(pid, records))
-    drain = db.drain_restart if kind == "restart" else db.drain_restore
+    images = gate_image(recovery, -1)[2]  # records every image read
+    drain =db.drain_restart if kind == "restart" else db.drain_restore
     tree = db.tree(1)
     loser_keys = {key_of(i) for i in (*LOSER_KEYS, LATE_LOSER_KEY)}
     readable = sorted(key for key in model if key not in loser_keys)
