@@ -1,6 +1,10 @@
 """Unit tests: buffer pool, eviction, and the Figure-11 write-back order."""
 
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.buffer.buffer_pool import BufferPool, Frame
 from repro.buffer.eviction import ClockEviction
@@ -16,10 +20,16 @@ from repro.wal.lsn import NULL_LSN
 from repro.wal.ops import OpInsert
 
 PAGE_SIZE = 512
+EXAMPLES = max(1, int(os.environ.get("TORTURE_EXAMPLES_MULTIPLIER", "1")))
 
 
 @pytest.fixture
 def rig():
+    return make_rig()
+
+
+def make_rig():
+    """A four-frame pool over a device holding formatted pages 0..7."""
     clock = SimClock()
     stats = Stats()
     device = StorageDevice("d", PAGE_SIZE, 64, clock, NULL_PROFILE, stats)
@@ -288,12 +298,225 @@ class TestEviction:
         stored = Page(PAGE_SIZE, device.read(2))
         assert stored.page_lsn == NULL_LSN  # never written
 
+    def test_drop_frame_refuses_a_pin(self, rig):
+        pool, *_ = rig
+        pool.fix(2)
+        with pytest.raises(BufferPoolError, match="cannot drop pinned"):
+            pool.drop_frame(2)
+        assert pool.resident(2) and pool.pin_count(2) == 1
+        pool.unfix(2)
+        pool.drop_frame(2)
+        assert not pool.resident(2)
+        assert pool.stats.get("frames_dropped") == 1
+
     def test_drop_all(self, rig):
         pool, *_ = rig
         pool.fix(1)
         pool.unfix(1)
         pool.drop_all()
         assert len(pool) == 0
+
+
+def dirty(pool: BufferPool, tm: TransactionManager, page_id: int) -> int:
+    """Log one update on the pinned ``page_id`` and mark it dirty."""
+    lsn = tm.log_update(tm.begin(), pool.page_if_resident(page_id), 1,
+                        OpInsert(0, b"k", b"v"))
+    pool.mark_dirty(page_id, lsn)
+    return lsn
+
+
+class TestDemandFetch:
+    """Every read is a demand fix: a miss reads the device once and a
+    hit never does; the room a fix makes never costs a pin or a dirty
+    image; a failed load or a crash leaves no frame half-done."""
+
+    def test_miss_reads_the_device_once_and_a_hit_not_at_all(self, rig):
+        pool, _device, _log, _tm, stats, _events = rig
+        before = stats.snapshot()
+        pool.fix(3)
+        assert stats.delta(before) == {"buffer_misses": 1, "device_reads": 1,
+                                       "device_reads[d]": 1}
+        before = stats.snapshot()
+        pool.fix(3)
+        assert stats.delta(before) == {"buffer_hits": 1}
+        pool.unfix(3)
+        pool.unfix(3)
+
+    def test_room_from_a_dirty_victim_writes_it_back_first(self, rig):
+        """Dirt is no pin: with three frames pinned and the fourth
+        dirty, a miss writes the dirty one back and takes its frame."""
+        pool, device, _log, tm, stats, events = rig
+        for page_id in (0, 1, 2):
+            pool.fix(page_id)
+        pool.fix(3)
+        lsn = dirty(pool, tm, 3)
+        pool.unfix(3)
+        pool.fix(5)
+        assert not pool.resident(3)
+        assert stats.get("pages_written_back") == 1
+        assert events == [("pre-write", 3), ("cleaned", 3)]
+        assert Page(PAGE_SIZE, device.read(3)).page_lsn == lsn
+        assert [pool.pin_count(p) for p in (0, 1, 2, 5)] == [1, 1, 1, 1]
+
+    def test_failed_load_leaves_no_frame_and_a_retry_reads_again(self, rig):
+        pool, *_ = rig
+        stats = pool.stats
+        inner = pool.fetcher
+
+        def failing_fetch(page_id):
+            raise BufferPoolError("read failed")
+
+        pool.fetcher = failing_fetch
+        with pytest.raises(BufferPoolError, match="read failed"):
+            pool.fix(5)
+        assert not pool.resident(5) and len(pool) == 0
+        pool.fetcher = inner
+        assert pool.fix(5).page_id == 5
+        assert stats.get("buffer_misses") == 2  # each attempt is a miss
+        assert pool.pin_count(5) == 1
+
+    def test_redo_on_fix_starts_the_frame_dirty(self, rig):
+        """The pending-recovery hook rides the one fetch: a page it
+        rolled forward is resident dirty at the returned rec_lsn; one
+        it left alone is clean."""
+        pool, *_ = rig
+        pool.redo_on_fix = lambda page: 7 if page.page_id == 2 else None
+        pool.fix(2)
+        pool.fix(4)
+        assert pool.dirty_page_table() == {2: 7}
+        pool.unfix(2)
+        pool.unfix(4)
+
+    def test_failed_redo_on_fix_withdraws_the_frame(self, rig):
+        pool, *_ = rig
+
+        def failing_redo(page):
+            raise RuntimeError("redo failed")
+
+        pool.redo_on_fix = failing_redo
+        with pytest.raises(RuntimeError, match="redo failed"):
+            pool.fix(2)
+        assert not pool.resident(2) and len(pool) == 0
+        pool.redo_on_fix = None
+        assert pool.fix(2).page_id == 2
+        assert not pool.is_dirty(2)
+        pool.unfix(2)
+
+    def test_evict_writes_back_only_dirt_and_refuses_pins(self, rig):
+        pool, device, _log, tm, stats, _events = rig
+        pool.fix(1)
+        pool.unfix(1)
+        pool.fix(2)
+        lsn = dirty(pool, tm, 2)
+        with pytest.raises(BufferPoolError, match="cannot evict pinned"):
+            pool.evict(2)
+        assert pool.resident(2) and pool.pin_count(2) == 1
+        pool.unfix(2)
+        pool.evict(1)
+        assert stats.get("pages_written_back") == 0
+        pool.evict(2)
+        assert stats.get("pages_written_back") == 1
+        assert stats.get("pages_evicted") == 2
+        assert Page(PAGE_SIZE, device.read(2)).page_lsn == lsn
+        assert len(pool) == 0
+
+    def test_drop_all_discards_dirty_frames_unwritten(self, rig):
+        """The crash path: every frame goes, none is written, and the
+        emptied pool serves the next fix from the device."""
+        pool, device, _log, tm, stats, _events = rig
+        for page_id in (1, 2):
+            pool.fix(page_id)
+        dirty(pool, tm, 2)
+        pool.drop_all()
+        assert len(pool) == 0 and pool.dirty_page_table() == {}
+        assert stats.get("pages_written_back") == 0
+        assert Page(PAGE_SIZE, device.read(2)).page_lsn == NULL_LSN
+        for page_id in range(4):
+            pool.fix(page_id)
+            pool.unfix(page_id)
+        assert pool.resident_pages() == [0, 1, 2, 3]
+
+    @settings(max_examples=40 * EXAMPLES, deadline=None)
+    @given(steps=st.lists(
+        st.tuples(st.sampled_from(["fix", "unfix", "write", "flush"]),
+                  st.integers(0, 7)),
+        max_size=60))
+    def test_fix_never_displaces_a_pin_or_loses_dirt(self, steps):
+        """Interleave pins, unpins, whole writes (fix, update, unfix)
+        and flushes over a tiny pool: across every fix, pinned frames
+        keep their pins, a dirty frame leaves only after its image
+        reached the device, and capacity holds."""
+        pool, device, _log, tm, _stats, _events = make_rig()
+        pins: dict[int, int] = {}
+
+        def fix(page_id: int) -> bool:
+            # A hit, or a free or unpinned frame to take: the all-pinned
+            # error has tests of its own.
+            pinned_before = {p: n for p, n in pins.items() if n}
+            if (page_id not in pinned_before
+                    and len(pinned_before) == pool.capacity):
+                return False
+            dirty_before = {p: pool.page_if_resident(p).page_lsn
+                            for p in pool.dirty_page_table()}
+            pool.fix(page_id)
+            pins[page_id] = pins.get(page_id, 0) + 1
+            for p, n in pinned_before.items():
+                assert pool.pin_count(p) == n + (p == page_id)
+            for p, lsn in dirty_before.items():
+                if not pool.resident(p):
+                    assert Page(PAGE_SIZE, device.read(p)).page_lsn == lsn
+            return True
+
+        def unfix(page_id: int) -> None:
+            pool.unfix(page_id)
+            pins[page_id] -= 1
+
+        for op, page_id in steps:
+            if op == "fix":
+                fix(page_id)
+            elif op == "unfix":
+                if pins.get(page_id):
+                    unfix(page_id)
+            elif op == "write":
+                if fix(page_id):
+                    dirty(pool, tm, page_id)
+                    unfix(page_id)
+            elif pool.resident(page_id):
+                pool.flush_page(page_id)
+            assert len(pool) <= pool.capacity
+
+
+class TestInstall:
+    """Pages produced in memory — a fresh allocation, a page a recovery
+    drain brought current — take a frame the way a miss does, with no
+    device read."""
+
+    def test_fix_new_takes_room_without_a_read(self, rig):
+        pool, _device, _log, _tm, stats, _events = rig
+        for page_id in range(4):
+            pool.fix(page_id)
+            pool.unfix(page_id)
+        before = stats.snapshot()
+        page = pool.fix_new(Page.format(PAGE_SIZE, 6, PageType.HEAP))
+        assert page.page_id == 6 and pool.pin_count(6) == 1
+        assert stats.delta(before) == {"pages_evicted": 1}
+        assert len(pool) == 4
+        pool.unfix(6)
+
+    def test_adopt_dirty_installs_unpinned_dirty_or_declines(self, rig):
+        pool, _device, _log, _tm, stats, _events = rig
+        pool.fix(1)
+        pool.unfix(1)
+        page = Page.format(PAGE_SIZE, 5, PageType.HEAP)
+        before = stats.snapshot()
+        assert pool.adopt_dirty(page, 9)
+        assert stats.delta(before) == {}
+        assert pool.pin_count(5) == 0
+        assert pool.dirty_page_table() == {5: 9}
+        # A page that already has a frame is not replaced.
+        assert not pool.adopt_dirty(Page.format(PAGE_SIZE, 1, PageType.HEAP),
+                                    11)
+        assert pool.dirty_page_table() == {5: 9}
 
 
 def admit(policy: ClockEviction, frames: dict, *page_ids: int) -> None:
@@ -326,6 +549,15 @@ class TestClockEviction:
         policy.removed(2)
         assert set(policy.pages()) == {1, 3, 4}
         assert policy.choose_victim(frames) in {1, 3, 4}
+
+    def test_dirty_frame_is_a_victim_like_any_other(self):
+        """Dirt is no pin: the pool writes a dirty victim back, so the
+        policy passes over pins only."""
+        policy, frames = ClockEviction(), {}
+        admit(policy, frames, 1, 2)
+        frames[1].dirty = True
+        frames[2].pin_count = 1
+        assert policy.choose_victim(frames) == 1
 
     def test_no_evictable_returns_none(self):
         policy, frames = ClockEviction(), {}

@@ -5,8 +5,9 @@ for *both* recoveries is pinned here once, parametrised over the two
 image sources — a crashed image (restart, ``DeviceImage``) and a failed
 device (media restore, ``BackupImage``) built from the same prepared
 state as the crash and media matrices, and the exactly-once property
-over random interleavings of budgeted drains and demand reads.  Then
-the lost-first-write regression (four variants) and the eager
+over random interleavings of budgeted drains and demand reads, and
+recovery in budgeted pieces at every protocol point of the matrices.
+Then the lost-first-write regression (four variants) and the eager
 ``RestartReport`` on a fixed scenario.
 """
 
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from repro.btree.verify import verify_tree
 from repro.engine import pending_recovery
 from repro.engine.database import Database
+from repro.errors import MediaFailure
 from repro.page.page import PageType
 from repro.sim.iomodel import HDD_PROFILE
 from tests.conftest import (
@@ -369,6 +371,104 @@ def test_each_pending_page_recovers_exactly_once(kind, data):
     assert after - before == initial
     assert len(images) == len(set(images))
     assert_converged(db, kind, model)
+
+
+# ----------------------------------------------------------------------
+# In budgeted pieces, at every protocol point of the matrices
+# ----------------------------------------------------------------------
+def failed_at(point: str, kind: str):
+    """The matrices' state at ``point`` — with a warm pool and a bulk of
+    new keys, so the recovery spreads over many drains — failed, then
+    recovered on demand."""
+    overrides, steps = PROTOCOL_POINTS[point]
+    db, tree, model = prepared(with_backup=(kind == "restore"), **overrides)
+    for i in range(0, 150, 3):
+        tree.lookup(key_of(i))
+    bulk = db.begin()
+    for i in range(200, 600):
+        tree.insert(bulk, key_of(i), value_of(i, 0))
+        model[key_of(i)] = value_of(i, 0)
+    db.commit(bulk)
+    steps(db, tree)
+    if kind == "restart":
+        db.crash()
+    else:
+        media_fail(db)
+    recover(db, kind)
+    return db, model
+
+
+def recover_in_pieces(db: Database, kind: str, model: dict) -> None:
+    """One-page drains between demand reads until nothing is pending;
+    the watermark is set exactly when nothing is."""
+    drain = getattr(db, f"drain_{kind}")
+    tree = db.tree(1)
+    # Not the loser keys, nor the keys mid-segment-seal's unforced bulk
+    # updates (a media failure keeps those records: a loser there).
+    for i in (0, 2, 40, 140):
+        drain(page_budget=1, loser_budget=1)
+        assert tree.lookup(key_of(i)) == model[key_of(i)]
+        assert (watermark(db, kind) is None) == (
+            db.pending_recovery is not None)
+    while db.pending_recovery is not None:
+        assert drain(page_budget=1, loser_budget=1) != (0, 0)
+    assert_converged(db, kind, model)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("point", sorted(PROTOCOL_POINTS))
+class TestInPiecesAtEveryPoint:
+    def test_each_pending_page_recovers_once(self, point, kind):
+        db, model = failed_at(point, kind)
+        recovery = db.pending_recovery
+        pending = recovery.pending_page_count
+        assert pending > 1
+        counters = recovery.source.counters
+        before = (counters["page"].value or 0) + (counters["superseded"].value or 0)
+        recover_in_pieces(db, kind, model)
+        after = counters["page"].value + (counters["superseded"].value or 0)
+        assert after - before == pending
+
+    def test_failure_with_only_losers_left(self, point, kind):
+        """Crash with part, then all, of the pages recovered and the
+        losers still pending: the watermark was never lifted early, and
+        the recovery run again converges — a restore from the same
+        backup, since restart refuses a half-restored device."""
+        db, model = failed_at(point, kind)
+        drain = getattr(db, f"drain_{kind}")
+        drain(page_budget=1, loser_budget=0)
+        assert db.tree(1).lookup(key_of(40)) == model[key_of(40)]
+        assert db.pending_recovery.pending_page_count > 0
+        assert watermark(db, kind) is None
+        drain(loser_budget=0)
+        assert db.pending_recovery.pending_page_count == 0
+        assert db.pending_recovery.pending_loser_count > 0
+        assert watermark(db, kind) is None
+        db.crash()
+        if kind == "restore":
+            with pytest.raises(MediaFailure):
+                db.restart()
+        recover(db, kind)
+        db.drain_pending()
+        assert_converged(db, kind, model)
+
+    def test_crash_after_the_pieces_is_a_plain_crash(self, point, kind):
+        """What the pieces left on the device and appended to the log
+        (compensations, PRI repairs, in the order drains and reads
+        resolved the work) is a sound redo substrate: commit more,
+        crash, and an eager restart converges."""
+        db, model = failed_at(point, kind)
+        recover_in_pieces(db, kind, model)
+        txn = db.begin()
+        for i in range(1, 150, 4):
+            db.tree(1).update(txn, key_of(i), value_of(i, 2))
+            model[key_of(i)] = value_of(i, 2)
+        db.commit(txn)
+        db.crash()
+        db.restart(mode="eager")
+        tree = db.tree(1)
+        assert dict(tree.range_scan()) == model
+        assert verify_tree(tree).ok
 
 
 # ----------------------------------------------------------------------
