@@ -387,7 +387,7 @@ class BufferPool:
                 return False
             page = frame.page
             # WAL rule: no page goes to disk before its log records do.
-            self.log.force(page.page_lsn + 1)
+            self.log.force_through(page.page_lsn)
             if self.on_before_write is not None:
                 # The engine's page-backup policy hook (Section 6): it
                 # may take a page copy and reset the in-page update

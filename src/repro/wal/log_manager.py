@@ -132,9 +132,10 @@ class LogManager:
         """All records with lsn < durable_lsn survive a crash...
 
         More precisely: a record survives iff its *entire* encoding lies
-        within the durable prefix, i.e. ``record.lsn + len < durable``.
-        Since forces always land on record boundaries here, the simpler
-        ``lsn < durable_lsn`` test is equivalent.
+        within the durable prefix, i.e. ``record.lsn + len <= durable``.
+        Since forces always land on record boundaries here (a write-back
+        forces through its PageLSN's record, :meth:`force_through`), the
+        simpler ``lsn < durable_lsn`` test is equivalent.
         """
         return self._durable_lsn
 
@@ -224,6 +225,16 @@ class LogManager:
         shipper = self.shipper
         if shipper is not None:
             shipper.on_durable(target)
+
+    def force_through(self, lsn: int) -> None:
+        """Force the log through the *end* of the record at ``lsn`` — the
+        WAL rule for a page whose PageLSN is ``lsn``.  No record there
+        (``NULL_LSN``, or one truncated away) means nothing to force:
+        truncation never passes the durable prefix."""
+        with self._mutex:
+            entry = self._dir.entry(lsn)
+        if entry is not None:
+            self.force(lsn + entry[1])
 
     def commit_force(self, commit_lsn: int,
                      record_end: int | None = None) -> None:

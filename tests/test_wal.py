@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import LogError
+from repro.engine.database import Database
+from repro.errors import KeyNotFound, LogError
 from repro.page.page import Page, PageType
 from repro.page.slotted import Record, SlottedPage
 from repro.sim.clock import SimClock
@@ -32,6 +33,7 @@ from repro.wal.records import (
     compress_image,
     decompress_image,
 )
+from tests.conftest import fast_config, key_of
 
 PAGE_SIZE = 1024
 
@@ -260,6 +262,48 @@ class TestLogManager:
         log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
         log.force()
         assert clock.now > 0
+
+
+def assert_records_abut(log: LogManager) -> None:
+    """Every retained record starts where the one before it ends."""
+    records = log.all_records()
+    for before, after in zip(records, records[1:]):
+        assert before.lsn + before.encoded_size() == after.lsn, (before, after)
+
+
+class TestForcesLandOnRecordBoundaries:
+    """A write-back forces the log through the whole of its PageLSN's
+    record.  Forcing one byte into it (``page_lsn + 1``) left
+    ``durable_lsn`` inside a volatile record: the record survived a
+    crash (its LSN is below the durable prefix), the log resumed at
+    ``page_lsn + 1``, and the next record was written over its tail."""
+
+    def test_write_back_of_an_open_transactions_page(self):
+        db = Database(fast_config())
+        tree = db.create_index()
+        db.log.force()
+        forced_at: list[int] = []
+        force = db.log.force
+
+        def checked_force(up_to_lsn=None):
+            force(up_to_lsn)
+            forced_at.append(db.log.durable_lsn)
+
+        db.log.force = checked_force
+        txn = db.begin()
+        tree.insert(txn, key_of(1), b"v" * 200)  # volatile: txn still open
+        update = db.log.record_at(txn.last_lsn)
+        assert db.log.durable_lsn <= update.lsn
+        db.pool.flush_page(update.page_id)
+        assert db.log.durable_lsn == update.lsn + update.encoded_size()
+        db.crash()
+        db.restart("eager")
+        boundaries = {r.lsn for r in db.log.all_records()} | {db.log.end_lsn}
+        assert forced_at and set(forced_at) <= boundaries
+        assert_records_abut(db.log)
+        # The loser's update survived the crash, was redone and undone.
+        with pytest.raises(KeyNotFound):
+            db.tree(tree.index_id).lookup(key_of(1))
 
 
 class TestLogReader:
