@@ -117,6 +117,33 @@ def leaf_of(db: Database, tree, i: int = 0) -> int:  # noqa: ANN001
     return pid
 
 
+class _Cut(Exception):
+    """The crash that stops a write-back run between two device writes."""
+
+
+def cut_run_after(db: Database, j: int) -> list[int]:
+    """Write every dirty page back as one run and stop it after ``j``
+    device writes, before the run's PRI record is forced (Figure 11's
+    window C); returns the pages written."""
+    written, write = [], db.device.write
+
+    def write_or_crash(page_id, data, sequential=False):  # noqa: ANN001
+        if len(written) == j:
+            raise _Cut
+        write(page_id, data, sequential)
+        written.append(page_id)
+
+    db.device.write = write_or_crash
+    try:
+        db.flush_everything()
+    except _Cut:
+        pass
+    finally:
+        del db.device.write
+    assert db.log.durable_lsn < db.log.end_lsn  # nothing forced the record
+    return written
+
+
 def print_table(title: str, headers: list[str],
                 rows: list[list[object]]) -> None:
     """Print one experiment table in a stable, grep-friendly format."""

@@ -6,13 +6,24 @@ Responsibilities:
 * dirty tracking with ARIES-style recovery LSNs (``rec_lsn`` = LSN of
   the first update that dirtied the frame since it was last clean) —
   the dirty page table for checkpoints comes from here;
-* the write-back protocol of Figure 11:
+* the write-back protocol of Figure 11, for a **run** of dirty pages:
 
-  1. force the log up to the page's PageLSN (the WAL rule);
-  2. seal (checksum) and write the page to the device;
-  3. invoke ``on_page_cleaned`` — the engine logs the
-     page-recovery-index update there (a system transaction);
-  4. only then may the frame be evicted.
+  1. one log force through the run's highest PageLSN (the WAL rule);
+  2. per page, in ascending page id: the ``on_before_write`` backup
+     hook, seal (checksum), device write, frame clean, then
+     ``on_page_cleaned`` — the engine's in-memory page recovery index
+     learns the page's new on-device PageLSN there;
+  3. ``on_run_cleaned`` with every ``(page id, PageLSN)`` written — the
+     engine logs them in one PRI update there (a system transaction);
+  4. only then may any frame of the run be evicted.
+
+  A miss whose clock victim is dirty writes back the victim plus up to
+  :data:`RUN_PAGES` - 1 more dirty, unpinned frames the sweep would
+  reach next with their reference bit clear; those leave clean, so the
+  misses after it find clean victims.  A checkpoint's sweep
+  (:meth:`BufferPool.flush_all`) and :meth:`BufferPool.evict_all` are
+  one run each; :meth:`BufferPool.flush_page` called on its own is a run
+  of one page.
 
 The pool never reads the device directly: the engine supplies a
 ``fetcher`` that performs the read *plus* detection and, if necessary,
@@ -65,6 +76,10 @@ from repro.sync import Mutex
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
 
+#: most pages a miss's write-back run cleans: its dirty victim and up to
+#: seven more
+RUN_PAGES = 8
+
 
 class Frame:
     """One buffer-pool frame."""
@@ -102,6 +117,8 @@ class BufferPool:
                  on_page_cleaned: Callable[[Page], None] | None = None,
                  on_before_write: Callable[[Page], None] | None = None,
                  repairer: Callable[[SinglePageFailure], Page] | None = None,
+                 on_run_cleaned: Callable[[list[tuple[int, int]]], None]
+                 | None = None,
                  ) -> None:
         if capacity < 1:
             raise ValueError("buffer pool needs at least one frame")
@@ -118,8 +135,12 @@ class BufferPool:
         self.capacity = capacity
         self.fetcher = fetcher or self._default_fetch
         self.on_page_cleaned = on_page_cleaned
+        self.on_run_cleaned = on_run_cleaned
         self.on_before_write = on_before_write
         self.repairer = repairer
+        #: ``(page id, PageLSN)`` of each page the write-back run in
+        #: progress has written (None: no run in progress)
+        self._run: list[tuple[int, int]] | None = None
         #: pending recovery: called with each freshly fetched page;
         #: returns the rec_lsn the new frame must be marked dirty with
         #: if the fetch rolled the page forward (None = page clean)
@@ -377,17 +398,18 @@ class BufferPool:
     def flush_page(self, page_id: int) -> bool:
         """Write a dirty page back; returns True if a write happened.
 
-        Implements the WAL rule plus the Figure-11 protocol: after the
-        device write, ``on_page_cleaned`` runs (the engine logs the PRI
-        update there) *before* the frame becomes evictable.
+        The per-page step of a write-back run (step 2 of the module
+        docstring's protocol).  Called on its own it is a run of one
+        page: the WAL force before it, the PRI update after it.
         """
         with self._mutex:
             frame = self._require(page_id)
             if not frame.dirty:
                 return False
+            run = self._run
+            if run is None:
+                return self._write_run([page_id]) == 1
             page = frame.page
-            # WAL rule: no page goes to disk before its log records do.
-            self.log.force_through(page.page_lsn)
             if self.on_before_write is not None:
                 # The engine's page-backup policy hook (Section 6): it
                 # may take a page copy and reset the in-page update
@@ -401,18 +423,37 @@ class BufferPool:
             self._pages_written_back.inc()
             if self.on_page_cleaned is not None:
                 self.on_page_cleaned(page)
+            run.append((page_id, page.page_lsn))
             return True
 
+    def _write_run(self, page_ids: list[int]) -> int:
+        """Write the dirty frames ``page_ids`` back as one run; returns
+        the pages written.  Callers hold the pool mutex.
+
+        WAL rule: no page goes to disk before its log records do, so one
+        force through the highest PageLSN comes first.  The pages a run
+        wrote reach ``on_run_cleaned`` even when a later write raises;
+        the frame that failed stays dirty.
+        """
+        frames = self._frames
+        self.log.force_through(max(frames[page_id].page.page_lsn
+                                   for page_id in page_ids))
+        self._run = run = []
+        try:
+            for page_id in sorted(page_ids):
+                self.flush_page(page_id)
+        finally:
+            self._run = None
+            if run and self.on_run_cleaned is not None:
+                self.on_run_cleaned(run)
+        return len(run)
+
     def flush_all(self) -> int:
-        """Flush every dirty page (checkpoint); returns pages written."""
-        written = 0
-        for page_id in self.resident_pages():
-            with self._mutex:
-                if page_id not in self._frames:
-                    continue
-                if self.flush_page(page_id):
-                    written += 1
-        return written
+        """Write every dirty frame back as one run (a checkpoint's
+        sweep); returns pages written."""
+        with self._mutex:
+            dirty = [pid for pid, f in self._frames.items() if f.dirty]
+            return self._write_run(dirty) if dirty else 0
 
     # ------------------------------------------------------------------
     # Eviction
@@ -423,11 +464,15 @@ class BufferPool:
         # victims; if everything is pinned the pool reports it rather
         # than livelocking.
         frames = self._frames
+        policy = self._policy
         while len(frames) >= self.capacity:
-            victim = self._policy.choose_victim(frames)
+            victim = policy.choose_victim(frames)
             if victim is None:
                 raise BufferPoolError("all frames pinned; cannot evict")
-            self._evict_frame(victim, frames[victim])
+            if frames[victim].dirty:
+                self._write_run(
+                    [victim, *policy.dirty_ahead(frames, RUN_PAGES - 1)])
+            self._drop_evicted(victim)
 
     def evict(self, page_id: int) -> None:
         """Flush (if dirty) and drop a frame."""
@@ -435,12 +480,24 @@ class BufferPool:
             frame = self._require(page_id)
             if frame.pin_count > 0:
                 raise BufferPoolError(f"cannot evict pinned page {page_id}")
-            self._evict_frame(page_id, frame)
+            if frame.dirty:
+                self._write_run([page_id])
+            self._drop_evicted(page_id)
 
-    def _evict_frame(self, page_id: int, frame: Frame) -> None:
-        # Callers hold the pool mutex and have found the frame unpinned.
-        if frame.dirty:
-            self.flush_page(page_id)
+    def evict_all(self) -> None:
+        """Write the dirty unpinned frames back as one run, then drop
+        every unpinned frame."""
+        with self._mutex:
+            unpinned = [pid for pid, f in self._frames.items()
+                        if not f.pin_count]
+            dirty = [pid for pid in unpinned if self._frames[pid].dirty]
+            if dirty:
+                self._write_run(dirty)
+            for page_id in unpinned:
+                self._drop_evicted(page_id)
+
+    def _drop_evicted(self, page_id: int) -> None:
+        # Callers hold the pool mutex and have written the frame back.
         del self._frames[page_id]
         self._policy.removed(page_id)
         self._pages_evicted.inc()

@@ -15,8 +15,9 @@ class ClockEviction:
     hand; the reference bit is the frame's own ``referenced`` flag, set
     by the pool when it admits a frame and on every hit — the
     pool's frame table is the one residency table.  The policy only
-    chooses *which* frame to evict; the buffer pool handles flushing and
-    the Figure-11 write-back protocol.
+    chooses *which* frame to evict — and, for a dirty victim, which
+    dirty frames to clean beside it (:meth:`dirty_ahead`); the buffer
+    pool handles flushing and the Figure-11 write-back protocol.
     """
 
     def __init__(self) -> None:
@@ -64,6 +65,27 @@ class ClockEviction:
             if not frames[page_id].pin_count:
                 return page_id
         return None
+
+    def dirty_ahead(self, frames: Mapping[int, Frame], limit: int) -> list[int]:
+        """Up to ``limit`` frames to write back beside a dirty victim:
+        dirty, unpinned (a loading placeholder is pinned by its loader)
+        and with the reference bit clear, in the order the sweep meets
+        them from the hand — the victims it would pick next if nothing
+        touched them.  Reads the bits, clears none: which frame is the
+        next victim does not change, only whether it is still dirty."""
+        ring = self._ring
+        size = len(ring)
+        hand = self._hand
+        found: list[int] = []
+        # The victim just chosen sits right behind the hand: stop there.
+        for i in range(size - 1):
+            page_id = ring[(hand + i) % size]
+            frame = frames[page_id]
+            if frame.dirty and not frame.pin_count and not frame.referenced:
+                found.append(page_id)
+                if len(found) == limit:
+                    break
+        return found
 
     def pages(self) -> Iterable[int]:
         return list(self._ring)

@@ -24,11 +24,13 @@ from repro.errors import ConfigError, StorageError
 from repro.page.page import Page, PageType
 from repro.sync import Mutex
 from repro.wal.records import (
+    PRI_UPDATE_MAX,
     BackupRef,
     BackupRefKind,
     CheckpointData,
     LogRecord,
     LogRecordKind,
+    pri_update,
 )
 
 
@@ -76,11 +78,6 @@ class Checkpointer:
             # strand a pending loser's rollback behind it.
             db.pending_recovery.drain_all()
         db.log.append(LogRecord(LogRecordKind.CHECKPOINT_BEGIN))
-        # Snapshot first: only pages dirty *now* are forced out —
-        # later PRI updates may add a few random reads to a subsequent
-        # restart, which Section 5.2.6 accepts to avoid a never-ending
-        # tail of writes.
-        dirty_snapshot = sorted(db.pool.dirty_page_table())
         att = [(txn.txn_id, txn.last_lsn, txn.is_system)
                for txn in db.tm.active.values()]
         # Recovered in-doubt (prepared) branches are not in tm.active
@@ -89,9 +86,11 @@ class Checkpointer:
         # PREPARE test re-classifies them as in doubt.
         att.extend((entry.txn_id, entry.last_lsn, False)
                    for entry in db.indoubt.values())
-        for page_id in dirty_snapshot:
-            if db.pool.resident(page_id):
-                db.pool.flush_page(page_id)
+        # Only pages dirty *now* are forced out, in one write-back run
+        # under the pool mutex — pages dirtied after it wait for the
+        # next checkpoint, which Section 5.2.6 accepts to avoid a
+        # never-ending tail of writes.
+        db.pool.flush_all()
         pri_images: dict[int, int] = {}
         if db.config.spf_enabled:
             pri_images = self.persist_pri()
@@ -238,16 +237,21 @@ class Checkpointer:
             self._page_copy_policy_failures.inc()
 
     def on_page_cleaned(self, page: Page) -> None:
-        """Figure 11: after the write, log the PRI update; no force."""
+        """Figure 11: after the write, the index learns the page's new
+        on-device PageLSN (the log hears of it once per run)."""
+        db = self.db
+        if db.config.log_completed_writes and db.config.spf_enabled:
+            db.pri.record_write(page.page_id, page.page_lsn)
+
+    def on_run_cleaned(self, writes: list[tuple[int, int]]) -> None:
+        """Figure 11: after a run's writes, one PRI update names them
+        all; no force."""
         db = self.db
         if not db.config.log_completed_writes:
             return
-        record = LogRecord(LogRecordKind.PRI_UPDATE, page_id=page.page_id,
-                           page_lsn=page.page_lsn)
-        db.log.append(record)
-        self._pri_update_records.inc()
-        if db.config.spf_enabled:
-            db.pri.record_write(page.page_id, page.page_lsn)
+        for start in range(0, len(writes), PRI_UPDATE_MAX):
+            db.log.append(pri_update(writes[start:start + PRI_UPDATE_MAX]))
+            self._pri_update_records.inc()
 
     # ------------------------------------------------------------------
     # Page backups (Section 5.2.1)

@@ -210,7 +210,8 @@ class Database:
             fetcher=self.recovery_manager.fetch_page,
             on_page_cleaned=self.checkpointer.on_page_cleaned,
             on_before_write=self.checkpointer.on_before_write,
-            repairer=self.recovery_manager.handle_failure)
+            repairer=self.recovery_manager.handle_failure,
+            on_run_cleaned=self.checkpointer.on_run_cleaned)
 
     def _wire_pool(self) -> None:
         """Re-point pool hooks after the recovery stack was rebuilt."""
@@ -695,14 +696,13 @@ class Database:
         return self.allocator.allocated_pages()
 
     def flush_everything(self) -> None:
-        """Force all dirty pages out (used by experiments)."""
+        """Force all dirty pages out, one write-back run (used by
+        experiments)."""
         self.pool.flush_all()
 
     def evict_everything(self) -> None:
-        """Flush and evict every unpinned frame."""
-        for page_id in list(self.pool.resident_pages()):
-            if self.pool.pin_count(page_id) == 0:
-                self.pool.evict(page_id)
+        """Flush and evict every unpinned frame, one write-back run."""
+        self.pool.evict_all()
 
 
 class _Autocommit:

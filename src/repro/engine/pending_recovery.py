@@ -79,7 +79,7 @@ from repro.sim.stats import Handle
 from repro.sync import Mutex
 from repro.txn.transaction import Transaction
 from repro.wal.lsn import NULL_LSN
-from repro.wal.records import BackupRef, LogRecord, LogRecordKind
+from repro.wal.records import BackupRef, LogRecord, LogRecordKind, pri_update
 
 
 @dataclass
@@ -212,9 +212,7 @@ class DeviceImage(ImageSource):
         # exactly as in normal forward processing.
         db = self.db
         if db.config.log_completed_writes:
-            db.log.append(LogRecord(LogRecordKind.PRI_UPDATE,
-                                    page_id=page.page_id,
-                                    page_lsn=page.page_lsn))
+            db.log.append(pri_update([(page.page_id, page.page_lsn)]))
             self._pri_repair_records.inc()
             self.pri_repairs += 1
             if db.config.spf_enabled:

@@ -271,17 +271,19 @@ def _analysis(db, report: RestartReport):  # noqa: ANN001
             if kind == LogRecordKind.FORMAT_PAGE and cfg.spf_enabled:
                 db.pri.set_backup(page_id, BackupRef.format_record(record.lsn),
                                   record.lsn, db.clock.now)
-        elif kind == LogRecordKind.PRI_UPDATE and page_id >= 0:
-            # A completed write: everything logged up to page_lsn is on
-            # disk; the page leaves the recovery requirements (Figure
-            # 12, analysis row 2 / the Figure-4 optimization).
-            if last_update.get(page_id, NULL_LSN) <= record.page_lsn:
-                if page_id in dpt:
+        elif kind == LogRecordKind.PRI_UPDATE:
+            # Completed writes: everything logged on each page up to its
+            # PageLSN is on disk; a page not updated since leaves the
+            # recovery requirements (Figure 12, analysis row 2 / the
+            # Figure-4 optimization).
+            for page_id, page_lsn in record.writes:
+                if (last_update.get(page_id, NULL_LSN) <= page_lsn
+                        and page_id in dpt):
                     dpt.pop(page_id)
                     page_records.pop(page_id, None)
                     report.pages_trimmed_by_write_logging += 1
-            if cfg.spf_enabled:
-                db.pri.record_write(page_id, record.page_lsn)
+                if cfg.spf_enabled:
+                    db.pri.record_write(page_id, page_lsn)
         elif kind == LogRecordKind.BACKUP_PAGE and page_id >= 0:
             if cfg.spf_enabled and record.backup_ref is not None:
                 db.pri.set_backup(page_id, record.backup_ref,

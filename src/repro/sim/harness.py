@@ -317,7 +317,7 @@ def _clone_failed(db: Database) -> Database:
 
 
 def _log_shape(db: Database) -> list[tuple]:
-    return [(r.lsn, r.kind, r.txn_id, r.page_id, r.page_lsn,
+    return [(r.lsn, r.kind, r.txn_id, r.page_id, r.page_lsn, r.writes,
              r.page_prev_lsn, r.prev_lsn)
             for r in db.log.all_records()]
 

@@ -159,7 +159,8 @@ CATALOGUE: tuple[Metric, ...] = (
     Metric("checkpoints", "ops", "engine", "checkpoints completed"),
     Metric("pri_persists", "ops", "engine", "recovery-index snapshots persisted"),
     Metric("pri_update_records", "records", "engine",
-           "PRI-update records logged after completed writes (Figure 11)"),
+           "PRI-update records logged after completed writes, one per "
+           "write-back run (Figure 11)"),
     Metric("policy_page_copies", "copies", "engine",
            "page copies the update-count policy took before a write-back"),
     Metric("page_copy_policy_failures", "copies", "engine",

@@ -60,11 +60,24 @@ restores the before-image by the inverse splice, wherever the key
 lives by then.  An unspanned rewrite encodes exactly as before spans
 existed.
 
+**One PRI update per write-back run.**  The buffer pool writes dirty
+pages back in runs (:mod:`repro.buffer.buffer_pool`), and one
+PRI_UPDATE (Figures 11 and 12) tells the page recovery index every
+page's new on-device PageLSN.  Its header's ``page_id`` is -1 — the
+record joins no page chain — and its payload is::
+
+    count          u16   pages written, at least one
+    page_id        i64   } count times,
+    page_lsn       i64   } in the run's write order
+
+:func:`pri_update` is the one builder.
+
 Every decode boundary here and in :mod:`repro.wal.ops` returns a value
 or raises :class:`repro.errors.LogError` — for truncated input, an
 unknown kind, an unknown flag bit, a length that runs past the record,
-a span that is empty or longer than any record, or a commit bit on a
-kind that cannot carry one.
+a span that is empty or longer than any record, a PRI update that names
+no page, a page in its header or a negative page id or LSN, or a commit
+bit on a kind that cannot carry one.
 """
 
 from __future__ import annotations
@@ -73,6 +86,7 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import LogError, RecoveryError
 from repro.wal.ops import (MALFORMED, SPAN_SIZE, UPDATE_VALUE_FIXED,
@@ -82,6 +96,7 @@ from repro.wal.ops import (MALFORMED, SPAN_SIZE, UPDATE_VALUE_FIXED,
 _HEADER = struct.Struct("<IBqqqqq")
 HEADER_SIZE = _HEADER.size
 
+_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _BHH = struct.Struct("<BHH")
 _I64 = struct.Struct("<q")
@@ -98,6 +113,8 @@ _HAS_UNDO = 2
 _SHARED_BEFORE_IMAGE = 4
 #: high bit of a standalone LogicalUndo's action byte: a span follows
 _SPANNED_UNDO = 0x80
+#: most pages one PRI_UPDATE names (its u16 count)
+PRI_UPDATE_MAX = 0xFFFF
 
 
 class LogRecordKind(enum.IntEnum):
@@ -110,7 +127,7 @@ class LogRecordKind(enum.IntEnum):
     SYS_COMMIT = 6          #: system-transaction commit (no log force)
     FORMAT_PAGE = 7         #: page (re)formatted after allocation
     FULL_PAGE_IMAGE = 8     #: compressed full image (in-log page backup)
-    PRI_UPDATE = 9          #: page-recovery-index update == completed write
+    PRI_UPDATE = 9          #: page-recovery-index update == completed writes
     CHECKPOINT_BEGIN = 10
     CHECKPOINT_END = 11
     BACKUP_PAGE = 12        #: an explicit per-page backup copy was taken
@@ -341,8 +358,10 @@ class LogRecord:
     undo: LogicalUndo | None = None          #: UPDATE by user transactions
     undo_next_lsn: int = 0                   #: COMPENSATION
     image: bytes | None = None               #: FULL_PAGE_IMAGE (compressed)
-    page_lsn: int = 0                        #: PRI_UPDATE / BACKUP_PAGE
-    backup_ref: BackupRef | None = None      #: PRI_UPDATE / BACKUP_PAGE
+    page_lsn: int = 0                        #: FULL_PAGE_IMAGE / BACKUP_PAGE
+    backup_ref: BackupRef | None = None      #: BACKUP_PAGE
+    #: PRI_UPDATE: ``(page_id, PageLSN)`` of every page a run wrote
+    writes: tuple[tuple[int, int], ...] = ()
     checkpoint: CheckpointData | None = None #: CHECKPOINT_END
     backup_id: int = 0                       #: BACKUP_FULL
     gtid: int = 0                            #: PREPARE (global txn id)
@@ -385,7 +404,9 @@ class LogRecord:
             return 4 + (self.op.encoded_size() if self.op else 0)
         if kind == LogRecordKind.FULL_PAGE_IMAGE:
             return 12 + len(self.image or b"")
-        if kind in (LogRecordKind.PRI_UPDATE, LogRecordKind.BACKUP_PAGE):
+        if kind == LogRecordKind.PRI_UPDATE:
+            return 2 + 16 * len(self.writes)
+        if kind == LogRecordKind.BACKUP_PAGE:
             return 17
         if kind == LogRecordKind.CHECKPOINT_END:
             return 4 + (self.checkpoint or CheckpointData()).encoded_size()
@@ -453,7 +474,14 @@ class LogRecord:
         if kind == LogRecordKind.FULL_PAGE_IMAGE:
             _I64.pack_into(buf, pos, self.page_lsn)
             return _put_bytes(buf, pos + 8, self.image or b"")
-        if kind in (LogRecordKind.PRI_UPDATE, LogRecordKind.BACKUP_PAGE):
+        if kind == LogRecordKind.PRI_UPDATE:
+            _U16.pack_into(buf, pos, len(self.writes))
+            pos += 2
+            for page_id, page_lsn in self.writes:
+                _QQ.pack_into(buf, pos, page_id, page_lsn)
+                pos += 16
+            return pos
+        if kind == LogRecordKind.BACKUP_PAGE:
             ref = self.backup_ref or BackupRef.none()
             _QBQ.pack_into(buf, pos, self.page_lsn, int(ref.kind), ref.value)
             return pos + 17
@@ -548,7 +576,9 @@ class LogRecord:
             (self.page_lsn,) = _I64.unpack_from(data, pos)
             self.image, pos = _unpack_bytes(data, pos + 8)
             return pos
-        if kind in (LogRecordKind.PRI_UPDATE, LogRecordKind.BACKUP_PAGE):
+        if kind == LogRecordKind.PRI_UPDATE:
+            return self._decode_writes(data, pos)
+        if kind == LogRecordKind.BACKUP_PAGE:
             page_lsn, ref_kind, ref_value = _QBQ.unpack_from(data, pos)
             self.page_lsn = page_lsn
             self.backup_ref = BackupRef(BackupRefKind(ref_kind), ref_value)
@@ -567,6 +597,25 @@ class LogRecord:
             (self.gtid,) = _I64.unpack_from(data, pos)
             return pos + 8
         return pos
+
+    def _decode_writes(self, data, pos: int) -> int:
+        """A PRI_UPDATE's payload at ``pos``; returns its end."""
+        if self.page_id != -1:
+            raise LogError(f"PRI_UPDATE names page {self.page_id} in its "
+                           f"header; its pages are in the payload")
+        (count,) = _U16.unpack_from(data, pos)
+        if not count:
+            raise LogError("PRI_UPDATE names no page")
+        start = pos + 2
+        end = start + 16 * count
+        if end > len(data):
+            raise LogError(f"PRI_UPDATE's {count} pages run past the end "
+                           f"of the record")
+        self.writes = writes = tuple(
+            _QQ.iter_unpack(memoryview(data)[start:end]))
+        if min(min(write) for write in writes) < 0:
+            raise LogError("PRI_UPDATE names a negative page id or LSN")
+        return end
 
     # ------------------------------------------------------------------
     # Helpers
@@ -607,6 +656,16 @@ class LogRecord:
         if self.page_id >= 0:
             bits.append(f"page={self.page_id}<-{self.page_prev_lsn}")
         return f"LogRecord({', '.join(bits)})"
+
+
+def pri_update(writes: Sequence[tuple[int, int]]) -> LogRecord:
+    """The PRI_UPDATE that records completed writes (Figures 11 and 12):
+    ``writes`` is ``(page_id, PageLSN)`` of each page, 1 to
+    :data:`PRI_UPDATE_MAX` of them."""
+    if not 0 < len(writes) <= PRI_UPDATE_MAX:
+        raise LogError(f"a PRI_UPDATE names 1 to {PRI_UPDATE_MAX} pages, "
+                       f"not {len(writes)}")
+    return LogRecord(LogRecordKind.PRI_UPDATE, writes=tuple(writes))
 
 
 def compress_image(data: bytes | bytearray) -> bytes:

@@ -117,7 +117,7 @@ def log_shape(db: Database) -> list[tuple]:
     """The log as a comparable sequence (identical recovery must
     append identical records at identical LSNs)."""
     return [(r.lsn, r.kind, r.commits, r.txn_id, r.page_id, r.page_lsn,
-             r.page_prev_lsn, r.prev_lsn)
+             r.writes, r.page_prev_lsn, r.prev_lsn)
             for r in db.log.all_records()]
 
 

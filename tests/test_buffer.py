@@ -29,17 +29,20 @@ def rig():
 
 
 def make_rig():
-    """A four-frame pool over a device holding formatted pages 0..7."""
+    """A four-frame pool over a device holding formatted pages 0..7;
+    ``events`` records the write-back hooks in the order they run (a
+    run's ``(page id, PageLSN)`` pairs as a tuple)."""
     clock = SimClock()
     stats = Stats()
     device = StorageDevice("d", PAGE_SIZE, 64, clock, NULL_PROFILE, stats)
     log = LogManager(clock, NULL_PROFILE, stats)
     tm = TransactionManager(log, stats)
-    events: list[tuple[str, int]] = []
+    events: list[tuple[str, object]] = []
     pool = BufferPool(
         device, log, stats, capacity=4,
         on_page_cleaned=lambda page: events.append(("cleaned", page.page_id)),
-        on_before_write=lambda page: events.append(("pre-write", page.page_id)))
+        on_before_write=lambda page: events.append(("pre-write", page.page_id)),
+        on_run_cleaned=lambda writes: events.append(("run", tuple(writes))))
     # Pre-populate the device with formatted pages.
     for page_id in range(8):
         page = Page.format(PAGE_SIZE, page_id, PageType.HEAP)
@@ -226,14 +229,15 @@ class TestWriteBackProtocol:
         pool.unfix(2)
 
     def test_figure_11_hook_order(self, rig):
-        """pre-write hook, then device write, then cleaned hook."""
+        """pre-write hook, then device write, then cleaned hook, then the
+        run's record — a direct flush is a run of one page."""
         pool, _device, _log, tm, _stats, events = rig
         page = pool.fix(2)
         txn = tm.begin()
         lsn = tm.log_update(txn, page, 1, OpInsert(0, b"a", b"1"))
         pool.mark_dirty(2, lsn)
         pool.flush_page(2)
-        assert events == [("pre-write", 2), ("cleaned", 2)]
+        assert events == [("pre-write", 2), ("cleaned", 2), ("run", ((2, lsn),))]
         pool.unfix(2)
 
     def test_page_sealed_before_write(self, rig):
@@ -354,7 +358,7 @@ class TestDemandFetch:
         pool.fix(5)
         assert not pool.resident(3)
         assert stats.get("pages_written_back") == 1
-        assert events == [("pre-write", 3), ("cleaned", 3)]
+        assert events == [("pre-write", 3), ("cleaned", 3), ("run", ((3, lsn),))]
         assert Page(PAGE_SIZE, device.read(3)).page_lsn == lsn
         assert [pool.pin_count(p) for p in (0, 1, 2, 5)] == [1, 1, 1, 1]
 
@@ -486,6 +490,83 @@ class TestDemandFetch:
             assert len(pool) <= pool.capacity
 
 
+class TestWriteBackRuns:
+    """A dirty victim is written back with the dirty frames the sweep
+    would evict next: one log force, the pages in ascending id, then one
+    ``on_run_cleaned`` naming them all — and a device write that fails
+    mid-run leaves the pages before it recorded, itself still dirty."""
+
+    def four_dirty(self, pool, tm) -> dict[int, int]:
+        """Pages 3, 1, 2, 0 resident, unpinned and dirty; their PageLSNs."""
+        lsns = {}
+        for page_id in (3, 1, 2, 0):
+            pool.fix(page_id)
+            lsns[page_id] = dirty(pool, tm, page_id)
+            pool.unfix(page_id)
+        return lsns
+
+    def test_dirty_victim_cleans_a_run_under_one_force(self, rig):
+        pool, device, _log, tm, stats, events = rig
+        lsns = self.four_dirty(pool, tm)
+        before = stats.snapshot()
+        pool.fix(5)
+        assert stats.get("log_forces") - before.get("log_forces", 0) == 1
+        # The sweep cleared every bit and took page 3; 1, 2, 0 follow it.
+        writes = tuple((p, lsns[p]) for p in (0, 1, 2, 3))
+        assert events[-1] == ("run", writes)
+        assert [p for kind, p in events[-9:-1] if kind == "cleaned"] == [0, 1, 2, 3]
+        assert pool.resident_pages() == [0, 1, 2, 5]
+        assert pool.dirty_page_table() == {}
+        for page_id, lsn in lsns.items():
+            assert Page(PAGE_SIZE, device.read(page_id)).page_lsn == lsn
+        # The next victims are clean: no write, no record.
+        del events[:]
+        pool.fix(6)
+        pool.fix(7)
+        assert events == []
+        assert stats.get("pages_written_back") == 4
+
+    def test_pinned_frames_stay_dirty(self, rig):
+        pool, _device, _log, tm, _stats, events = rig
+        lsns = self.four_dirty(pool, tm)
+        pool.fix(2)  # pinned across the miss
+        pool.fix(5)
+        assert events[-1] == ("run", ((0, lsns[0]), (1, lsns[1]), (3, lsns[3])))
+        assert pool.dirty_page_table() == {2: lsns[2]}
+        pool.unfix(2)
+
+    def test_direct_flushes_and_sweeps_are_runs(self, rig):
+        pool, _device, _log, tm, _stats, events = rig
+        lsns = self.four_dirty(pool, tm)
+        assert pool.flush_page(1) and events[-1] == ("run", ((1, lsns[1]),))
+        assert pool.flush_all() == 3
+        assert events[-1] == ("run", tuple((p, lsns[p]) for p in (0, 2, 3)))
+        assert pool.flush_all() == 0 and events[-1][0] == "run"
+        assert sum(kind == "run" for kind, _ in events) == 2
+
+    def test_device_write_failure_mid_run(self, rig):
+        """The pages written before the failure are recorded; the frame
+        that failed and those after it stay dirty for the next run."""
+        pool, device, _log, tm, stats, events = rig
+        lsns = self.four_dirty(pool, tm)
+        write = device.write
+
+        def failing_write(page_id, data, sequential=False):
+            if page_id == 2:
+                raise OSError("device write failed")
+            write(page_id, data, sequential)
+
+        device.write = failing_write
+        with pytest.raises(OSError, match="device write failed"):
+            pool.flush_all()
+        assert events[-1] == ("run", ((0, lsns[0]), (1, lsns[1])))
+        assert pool.dirty_page_table() == {2: lsns[2], 3: lsns[3]}
+        assert stats.get("pages_written_back") == 2
+        del device.write
+        assert pool.flush_all() == 2
+        assert events[-1] == ("run", ((2, lsns[2]), (3, lsns[3])))
+
+
 class TestInstall:
     """Pages produced in memory — a fresh allocation, a page a recovery
     drain brought current — take a frame the way a miss does, with no
@@ -564,6 +645,22 @@ class TestClockEviction:
         admit(policy, frames, 1)
         frames[1].pin_count = 1
         assert policy.choose_victim(frames) is None
+
+    def test_dirty_ahead_is_the_next_dirty_victims_in_sweep_order(self):
+        policy, frames = ClockEviction(), {}
+        admit(policy, frames, 1, 2, 3, 4, 5, 6, 7)
+        assert policy.choose_victim(frames) == 1  # every bit now clear
+        for page_id in (1, 2, 3, 4, 6, 7):
+            frames[page_id].dirty = True
+        frames[3].referenced = True  # touched since the sweep passed
+        frames[4].pin_count = 1      # pinned (a loading frame is too)
+        assert policy.dirty_ahead(frames, 7) == [2, 6, 7]  # never the victim
+        assert policy.dirty_ahead(frames, 2) == [2, 6]
+        assert frames[3].referenced  # read, not cleared
+        # The look-ahead wraps around the ring and stops short of the
+        # victim just chosen, dirty or not.
+        assert policy.choose_victim(frames) == 2
+        assert policy.dirty_ahead(frames, 7) == [6, 7, 1]
 
     #: The victims of :meth:`test_replayed_script_picks_the_parents_victims`
     #: under the policy of commit 3041322 (reference bits in a dict of its

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.common import cut_run_after
 from repro.btree.verify import verify_tree
 from repro.engine.database import Database
 from repro.wal.records import LogRecord, LogRecordKind
@@ -115,6 +116,16 @@ def point_between_force_and_pri(db: Database, tree) -> None:
     assert db.log.durable_lsn < db.log.end_lsn
 
 
+def point_mid_run(db: Database, tree) -> None:
+    """Figure 11's window C: a write-back run cut after half its device
+    writes, before its PRI record — those pages are current on the
+    device and no log record says so (Figure 12 repairs each).  Half-KB
+    pages spread the committed wave and the loser over six pages."""
+    dirty = db.pool.dirty_page_table()
+    assert len(dirty) >= 4
+    assert len(cut_run_after(db, len(dirty) // 2)) == len(dirty) // 2
+
+
 def point_mid_segment_seal(db: Database, tree) -> None:
     """An unforced log tail spanning a freshly opened segment: a crash
     unwinds the tail across the segment boundary (chain heads must
@@ -133,6 +144,7 @@ PROTOCOL_POINTS = {
     "mid-checkpoint": ({}, point_mid_checkpoint),
     "mid-pri-persist": ({}, point_mid_pri_persist),
     "between-force-and-pri": ({}, point_between_force_and_pri),
+    "mid-run": ({"page_size": 512}, point_mid_run),
     "mid-segment-seal": ({"log_segment_bytes": 2048}, point_mid_segment_seal),
 }
 

@@ -9,7 +9,7 @@ Figure 12.
 import pytest
 
 from repro.engine.database import Database
-from repro.wal.records import LogRecordKind
+from repro.wal.records import LogRecordKind, pri_update
 from tests.conftest import fast_config, key_of, value_of
 
 
@@ -207,6 +207,39 @@ class TestFigure4RedoOptimization:
         _db, report = self.scenario(log_completed_writes=False)
         assert report.pages_trimmed_by_write_logging == 0
         assert report.redo_pages_read > 0
+
+    def test_one_run_record_trims_only_pages_not_redirtied(self):
+        """Analysis applies a run's PRI record entry by entry: a page
+        updated again after its entry's PageLSN stays in the dirty-page
+        table, every other page of the run leaves it."""
+        db, tree = loaded(page_size=512)
+        db.checkpoint()
+        txn = db.begin()
+        for i in range(0, 200, 10):
+            tree.update(txn, key_of(i), b"written")
+        db.commit(txn)
+        run: list[tuple[int, int]] = []
+        db.pool.on_run_cleaned = run.extend  # hold the run's record back
+        db.flush_everything()
+        db.pool.on_run_cleaned = db.checkpointer.on_run_cleaned
+        pages = {page_id for page_id, _lsn in run}
+        txn = db.begin()
+        for i in (0, 100):
+            tree.update(txn, key_of(i), b"re-dirtied")
+        db.commit(txn)
+        redirtied = set(db.pool.dirty_page_table())
+        assert len(redirtied) == 2 and redirtied < pages
+        db.log.append(pri_update(run))  # names all, after the re-dirtying
+        db.log.force()
+        db.crash()
+        report = db.restart()
+        assert report.pages_trimmed_by_write_logging == len(pages) - 2
+        assert report.redo_pages_read == 2
+        assert report.redo_pages_already_current == 0
+        tree = db.tree(1)
+        for i in range(0, 200, 10):
+            assert tree.lookup(key_of(i)) == (
+                b"re-dirtied" if i in (0, 100) else b"written")
 
     def test_figure4_page_63_vs_47(self):
         """The paper's concrete example: page 63 (write not logged)

@@ -13,7 +13,8 @@ from repro.wal.log_manager import LogManager
 from repro.wal.log_reader import LogReader
 from repro.wal.lsn import NULL_LSN
 from repro.wal.ops import OpInsert
-from repro.wal.records import BackupRef, BackupRefKind, LogRecord, LogRecordKind
+from repro.wal.records import (BackupRef, BackupRefKind, LogRecord, LogRecordKind,
+                                pri_update)
 from repro.wal.segments import SegmentDirectory
 from tests.conftest import fast_config, key_of, value_of
 
@@ -79,7 +80,7 @@ class TestChainHeadIndex:
     def test_pri_update_records_are_not_chain_members(self):
         log = make_log()
         l1 = log.append(update_record(7, NULL_LSN))
-        log.append(LogRecord(LogRecordKind.PRI_UPDATE, page_id=7, page_lsn=l1))
+        log.append(pri_update([(7, l1)]))
         assert log.page_chain_head(7) == l1
 
     def test_head_retreats_across_crash(self):

@@ -32,6 +32,7 @@ from repro.wal.records import (
     UndoAction,
     compress_image,
     decompress_image,
+    pri_update,
 )
 from tests.conftest import fast_config, key_of
 
@@ -174,7 +175,13 @@ class TestLogRecordSerialization:
         assert out.page_lsn == 400
 
     def test_pri_update_record(self):
-        record = LogRecord(LogRecordKind.PRI_UPDATE, page_id=12, page_lsn=90,
+        out = self.roundtrip(pri_update([(12, 90), (3, 700)]))
+        assert out.kind == LogRecordKind.PRI_UPDATE
+        assert out.writes == ((12, 90), (3, 700))
+        assert out.page_id == -1
+
+    def test_backup_page_record(self):
+        record = LogRecord(LogRecordKind.BACKUP_PAGE, page_id=12, page_lsn=90,
                            backup_ref=BackupRef.page_copy(44))
         out = self.roundtrip(record)
         assert out.backup_ref == BackupRef(BackupRefKind.PAGE_COPY, 44)

@@ -13,13 +13,15 @@ with, distinct from, or as empty as its op's.  Value rewrites come
 spanned and unspanned: built by ``value_rewrite`` from values that
 share a prefix and suffix (empty middles, a span covering the whole
 shorter value, growth, shrink) or given any span directly; their
-RESTORE_VALUE undo shares the span, or stands alone with one.
+RESTORE_VALUE undo shares the span, or stands alone with one.  A PRI
+update names the pages of one write-back run, one to many.
 
 The other direction is hostile bytes: whatever a decode boundary is
 handed — arbitrary bytes, or a valid encoding with a few bytes
 overwritten — it returns a value or raises ``LogError``, never a
 ``struct.error`` / ``IndexError`` / ``ValueError`` — truncated or
-out-of-range span fields included.
+out-of-range span fields included, and a PRI update with no entries, a
+count that runs past the record, a negative page id or trailing bytes.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.wal.ops import (
     value_rewrite,
 )
 from repro.wal.records import (
+    PRI_UPDATE_MAX,
     BackupRef,
     BackupRefKind,
     CheckpointData,
@@ -55,6 +58,7 @@ from repro.wal.records import (
     UndoAction,
     compress_image,
     decompress_image,
+    pri_update,
 )
 
 # Payloads deliberately include the empty string (length-prefix
@@ -148,6 +152,9 @@ checkpoints = st.builds(
 
 backup_refs = st.builds(BackupRef, st.sampled_from(BackupRefKind), lsns)
 
+#: a write-back run's (page id, PageLSN) pairs
+pri_writes = st.lists(st.tuples(ids, lsns), min_size=1, max_size=40)
+
 
 @settings(max_examples=200)
 @given(op=any_op)
@@ -201,10 +208,9 @@ def _record_strategy():
                   op=st.none() | _op_init_slotted(), commits=commits),
         st.builds(LogRecord, st.just(LogRecordKind.FULL_PAGE_IMAGE), **header,
                   page_lsn=lsns, image=payloads),
-        st.builds(LogRecord,
-                  st.sampled_from([LogRecordKind.PRI_UPDATE,
-                                   LogRecordKind.BACKUP_PAGE]),
-                  **header, page_lsn=lsns, backup_ref=backup_refs),
+        st.builds(LogRecord, st.just(LogRecordKind.BACKUP_PAGE), **header,
+                  page_lsn=lsns, backup_ref=backup_refs),
+        st.builds(pri_update, pri_writes),
         st.builds(LogRecord, st.just(LogRecordKind.CHECKPOINT_END), **header,
                   checkpoint=checkpoints),
         st.builds(LogRecord, st.just(LogRecordKind.BACKUP_FULL), **header,
@@ -506,6 +512,55 @@ def test_truncated_and_out_of_range_spans_fail_typed():
     raw[45 + 1 + 4 + 3:45 + 1 + 4 + 7] = struct.pack("<HH", 0, 0)
     with pytest.raises(LogError):
         LogRecord.decode(bytes(raw))
+
+
+# ----------------------------------------------------------------------
+# The vectored PRI update: one record per write-back run
+# ----------------------------------------------------------------------
+@settings(max_examples=200)
+@given(writes=pri_writes)
+def test_pri_update_round_trips_its_run(writes):
+    record = pri_update(writes)
+    encoded = record.encode()
+    assert len(encoded) == record.encoded_size() == 45 + 2 + 16 * len(writes)
+    decoded = LogRecord.decode(encoded)
+    assert decoded == record
+    assert decoded.writes == tuple(writes)
+    assert decoded.page_id == -1  # the record joins no page chain
+
+
+def _pri_frame(payload: bytes, page_id: int = -1) -> bytes:
+    """A PRI_UPDATE header (kind 9) around ``payload``."""
+    return struct.pack("<IBqqqqq", 45 + len(payload), LogRecordKind.PRI_UPDATE,
+                       0, 0, page_id, 0, 0) + payload
+
+
+def test_pri_update_decode_rejects_hostile_payloads():
+    entries = struct.pack("<qq", 7, 100) + struct.pack("<qq", 9, 200)
+    assert LogRecord.decode(_pri_frame(struct.pack("<H", 2) + entries)
+                            ).writes == ((7, 100), (9, 200))
+    cases = {
+        "zero entries": struct.pack("<H", 0),
+        "no count": b"",
+        "count past the record": struct.pack("<H", 3) + entries,
+        "count far past the record": struct.pack("<H", 0xFFFF) + entries,
+        "a torn entry": struct.pack("<H", 2) + entries[:-3],
+        "negative page id": struct.pack("<H", 1) + struct.pack("<qq", -4, 100),
+        "negative LSN": struct.pack("<H", 1) + struct.pack("<qq", 4, -1),
+        "trailing bytes": struct.pack("<H", 1) + entries,
+    }
+    for name, payload in cases.items():
+        with pytest.raises(LogError):
+            LogRecord.decode(_pri_frame(payload))
+            pytest.fail(f"{name} decoded")
+    # The pages are in the payload, never in the header.
+    with pytest.raises(LogError):
+        LogRecord.decode(_pri_frame(struct.pack("<H", 2) + entries, page_id=7))
+    # The builder writes only what the decoder reads back.
+    for writes in ([], [(1, 64)] * (PRI_UPDATE_MAX + 1)):
+        with pytest.raises(LogError):
+            pri_update(writes)
+    assert len(pri_update([(1, 64)] * PRI_UPDATE_MAX).writes) == PRI_UPDATE_MAX
 
 
 # ----------------------------------------------------------------------
