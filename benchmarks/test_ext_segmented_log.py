@@ -18,7 +18,7 @@ from repro.sim.clock import SimClock
 from repro.sim.iomodel import NULL_PROFILE
 from repro.sim.stats import Stats
 from repro.wal.log_manager import LogManager
-from repro.wal.lsn import NULL_LSN
+from repro.wal.lsn import NULL_LSN, log_page_of
 from repro.wal.ops import OpInsert
 from repro.wal.records import LogRecord, LogRecordKind
 
@@ -41,6 +41,12 @@ def run_recovery_with_foreign_traffic(foreign_updates: int):
         txn = db.begin()
         tree.update(txn, first_key, b"version-%04d" % version)
         db.commit(txn)
+    # The log pages the chain's records start on: all a repair may read.
+    chain_pages = set()
+    lsn = db.log.page_chain_head(victim)
+    for _ in range(CHAIN_LENGTH):
+        chain_pages.add(log_page_of(lsn))
+        lsn = db.log.record_at(lsn).page_prev_lsn
     for i in range(foreign_updates):
         spread = 200 + i % 180
         txn = db.begin()
@@ -51,7 +57,7 @@ def run_recovery_with_foreign_traffic(foreign_updates: int):
     db.device.inject_read_error(victim)
     assert tree.lookup(first_key) == b"version-%04d" % (CHAIN_LENGTH - 1)
     result = db.single_page.history[-1]
-    return result, db.log.encoded_size(), db.log.segment_count
+    return result, len(chain_pages), db.log.encoded_size(), db.log.segment_count
 
 
 def test_recovery_reads_independent_of_log_length(benchmark):
@@ -62,28 +68,30 @@ def test_recovery_reads_independent_of_log_length(benchmark):
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = []
-    for n, result, log_bytes, segments in results:
+    for n, result, chain_pages, log_bytes, segments in results:
         assert result.records_applied == CHAIN_LENGTH
-        rows.append([n, log_bytes, segments, result.log_pages_read,
-                     result.records_applied, result.total_random_ios])
+        # Recovery reads exactly the log pages the chain starts records
+        # on — never a foreign one — plus the one backup fetch.
+        assert result.log_pages_read == chain_pages
+        assert result.total_random_ios == chain_pages + 1
+        rows.append([n, log_bytes, segments, chain_pages,
+                     result.log_pages_read, result.records_applied,
+                     result.total_random_ios])
 
     # The log grows severalfold (~10x in record count)...
     assert rows[-1][1] > 5 * rows[0][1]
     # ...but recovery reads the same chain: identical record count and
     # no growth in log I/O beyond the chain's own footprint.
-    reads = [row[3] for row in rows]
+    reads = [row[4] for row in rows]
     assert max(reads) <= max(1, min(reads)) + 2
-    # At the largest log the repair reads the chain's two log pages (its
-    # 24 records straddle a log-page boundary) and pays three random
-    # I/Os in all.
-    assert rows[-1][3] <= 2
-    assert rows[-1][5] <= 3
+    # The 24-record chain fits in one log page, so it spans at most two.
+    assert all(row[3] <= 2 for row in rows)
 
     print_table(
         "Segmented WAL: single-page recovery vs. total log volume "
         f"(chain length fixed at {CHAIN_LENGTH})",
-        ["foreign updates", "log bytes", "segments", "log pages read",
-         "records applied", "total random I/Os"],
+        ["foreign updates", "log bytes", "segments", "chain log pages",
+         "log pages read", "records applied", "total random I/Os"],
         rows)
 
 

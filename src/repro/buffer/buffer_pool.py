@@ -10,11 +10,11 @@ Responsibilities:
 
   1. one log force through the run's highest PageLSN (the WAL rule);
   2. per page, in ascending page id: the ``on_before_write`` backup
-     hook, seal (checksum), device write, frame clean, then
-     ``on_page_cleaned`` — the engine's in-memory page recovery index
-     learns the page's new on-device PageLSN there;
+     hook, seal (checksum), device write, frame clean;
   3. ``on_run_cleaned`` with every ``(page id, PageLSN)`` written — the
-     engine logs them in one PRI update there (a system transaction);
+     engine's in-memory page recovery index learns each page's new
+     on-device PageLSN there, and one PRI update (a system transaction)
+     logs them all;
   4. only then may any frame of the run be evicted.
 
   A miss whose clock victim is dirty writes back the victim plus up to
@@ -23,7 +23,10 @@ Responsibilities:
   misses after it find clean victims.  A checkpoint's sweep
   (:meth:`BufferPool.flush_all`) and :meth:`BufferPool.evict_all` are
   one run each; :meth:`BufferPool.flush_page` called on its own is a run
-  of one page.
+  of one page.  A page whose device write fails for good
+  (:class:`~repro.storage.device.DeviceWriteError`) stays dirty and the
+  run goes on without it; a miss fails only if its own victim could not
+  be written.
 
 The pool never reads the device directly: the engine supplies a
 ``fetcher`` that performs the read *plus* detection and, if necessary,
@@ -68,10 +71,10 @@ import time
 from typing import Callable
 
 from repro.buffer.eviction import ClockEviction
-from repro.errors import BufferPoolError, SinglePageFailure
+from repro.errors import BufferPoolError, SinglePageFailure, StorageError
 from repro.page.page import Page
 from repro.sim.stats import Stats
-from repro.storage.device import StorageDevice
+from repro.storage.device import DeviceWriteError, StorageDevice
 from repro.sync import Mutex
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
@@ -114,7 +117,6 @@ class BufferPool:
     def __init__(self, device: StorageDevice, log: LogManager, stats: Stats,
                  capacity: int,
                  fetcher: Callable[[int], Page] | None = None,
-                 on_page_cleaned: Callable[[Page], None] | None = None,
                  on_before_write: Callable[[Page], None] | None = None,
                  repairer: Callable[[SinglePageFailure], Page] | None = None,
                  on_run_cleaned: Callable[[list[tuple[int, int]]], None]
@@ -134,7 +136,6 @@ class BufferPool:
         self._frames_dropped = counter("frames_dropped")
         self.capacity = capacity
         self.fetcher = fetcher or self._default_fetch
-        self.on_page_cleaned = on_page_cleaned
         self.on_run_cleaned = on_run_cleaned
         self.on_before_write = on_before_write
         self.repairer = repairer
@@ -398,54 +399,71 @@ class BufferPool:
     def flush_page(self, page_id: int) -> bool:
         """Write a dirty page back; returns True if a write happened.
 
-        The per-page step of a write-back run (step 2 of the module
-        docstring's protocol).  Called on its own it is a run of one
-        page: the WAL force before it, the PRI update after it.
+        Inside a write-back run this is the run's per-page step (step 2
+        of the module docstring's protocol), so each page a run writes
+        is one ``flush_page`` call.  Called on its own it is a run of
+        one page: the WAL force before the write, the PRI update after.
         """
         with self._mutex:
-            frame = self._require(page_id)
-            if not frame.dirty:
+            if self._run is not None:
+                return self._write_page(page_id)
+            if not self._require(page_id).dirty:
                 return False
-            run = self._run
-            if run is None:
-                return self._write_run([page_id]) == 1
-            page = frame.page
-            if self.on_before_write is not None:
-                # The engine's page-backup policy hook (Section 6): it
-                # may take a page copy and reset the in-page update
-                # counter, so it must run before the image is sealed
-                # and written.
-                self.on_before_write(page)
-            page.seal()
-            self.device.write(page_id, page.data)
-            frame.dirty = False
-            frame.rec_lsn = NULL_LSN
-            self._pages_written_back.inc()
-            if self.on_page_cleaned is not None:
-                self.on_page_cleaned(page)
-            run.append((page_id, page.page_lsn))
-            return True
+            return self._write_run([page_id], self._write_page) == 1
 
-    def _write_run(self, page_ids: list[int]) -> int:
+    def _write_page(self, page_id: int) -> bool:
+        """Step 2 for one page of the open run.  Callers hold the pool
+        mutex."""
+        frame = self._require(page_id)
+        if not frame.dirty:
+            return False
+        page = frame.page
+        if self.on_before_write is not None:
+            # The engine's page-backup policy hook (Section 6): it may
+            # take a page copy and reset the in-page update counter, so
+            # it must run before the image is sealed and written.
+            self.on_before_write(page)
+        page.seal()
+        self.device.write(page_id, page.data)
+        frame.dirty = False
+        frame.rec_lsn = NULL_LSN
+        self._pages_written_back.inc()
+        self._run.append((page_id, page.page_lsn))
+        return True
+
+    def _write_run(self, page_ids: list[int],
+                   write_page: Callable[[int], bool] | None = None) -> int:
         """Write the dirty frames ``page_ids`` back as one run; returns
         the pages written.  Callers hold the pool mutex.
 
         WAL rule: no page goes to disk before its log records do, so one
-        force through the highest PageLSN comes first.  The pages a run
-        wrote reach ``on_run_cleaned`` even when a later write raises;
-        the frame that failed stays dirty.
+        force through the highest PageLSN comes first.  Each page is
+        written by ``write_page`` (default: :meth:`flush_page`).  A page
+        whose write fails for good stays dirty and the run goes on; any
+        other error ends the run.  Either way the pages written reach
+        ``on_run_cleaned`` before the (first) error is raised.
         """
         frames = self._frames
         self.log.force_through(max(frames[page_id].page.page_lsn
                                    for page_id in page_ids))
+        write_page = write_page or self.flush_page
         self._run = run = []
+        failure = None
+        for page_id in sorted(page_ids):
+            try:
+                write_page(page_id)
+            except DeviceWriteError as exc:
+                failure = failure or exc
+            except BaseException as exc:
+                failure = exc
+                break
+        self._run = None
         try:
-            for page_id in sorted(page_ids):
-                self.flush_page(page_id)
-        finally:
-            self._run = None
             if run and self.on_run_cleaned is not None:
                 self.on_run_cleaned(run)
+        finally:
+            if failure is not None:
+                raise failure
         return len(run)
 
     def flush_all(self) -> int:
@@ -470,8 +488,15 @@ class BufferPool:
             if victim is None:
                 raise BufferPoolError("all frames pinned; cannot evict")
             if frames[victim].dirty:
-                self._write_run(
-                    [victim, *policy.dirty_ahead(frames, RUN_PAGES - 1)])
+                try:
+                    self._write_run(
+                        [victim, *policy.dirty_ahead(frames, RUN_PAGES - 1)])
+                except StorageError:
+                    # A look-ahead page that failed stays dirty for a
+                    # later run; only the victim's own failure fails the
+                    # miss.
+                    if frames[victim].dirty:
+                        raise
             self._drop_evicted(victim)
 
     def evict(self, page_id: int) -> None:

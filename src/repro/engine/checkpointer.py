@@ -236,19 +236,16 @@ class Checkpointer:
             # and the policy simply retries at the next write-back.
             self._page_copy_policy_failures.inc()
 
-    def on_page_cleaned(self, page: Page) -> None:
-        """Figure 11: after the write, the index learns the page's new
-        on-device PageLSN (the log hears of it once per run)."""
-        db = self.db
-        if db.config.log_completed_writes and db.config.spf_enabled:
-            db.pri.record_write(page.page_id, page.page_lsn)
-
     def on_run_cleaned(self, writes: list[tuple[int, int]]) -> None:
-        """Figure 11: after a run's writes, one PRI update names them
-        all; no force."""
+        """Figure 11: after a run's writes, the index learns each page's
+        new on-device PageLSN and one PRI update names them all; no
+        force."""
         db = self.db
         if not db.config.log_completed_writes:
             return
+        if db.config.spf_enabled:
+            for page_id, page_lsn in writes:
+                db.pri.record_write(page_id, page_lsn)
         for start in range(0, len(writes), PRI_UPDATE_MAX):
             db.log.append(pri_update(writes[start:start + PRI_UPDATE_MAX]))
             self._pri_update_records.inc()

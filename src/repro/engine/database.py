@@ -208,7 +208,6 @@ class Database:
         return BufferPool(
             device, self.log, self.stats, self.config.buffer_capacity,
             fetcher=self.recovery_manager.fetch_page,
-            on_page_cleaned=self.checkpointer.on_page_cleaned,
             on_before_write=self.checkpointer.on_before_write,
             repairer=self.recovery_manager.handle_failure,
             on_run_cleaned=self.checkpointer.on_run_cleaned)

@@ -231,10 +231,14 @@ class LogManager:
         WAL rule for a page whose PageLSN is ``lsn``.  No record there
         (``NULL_LSN``, or one truncated away) means nothing to force:
         truncation never passes the durable prefix."""
+        self.force(self._record_end(lsn))
+
+    def _record_end(self, lsn: int) -> int:
+        """The end of the record at ``lsn``: ``lsn`` itself when no
+        record is retained there."""
         with self._mutex:
             entry = self._dir.entry(lsn)
-        if entry is not None:
-            self.force(lsn + entry[1])
+        return lsn + (entry[1] if entry else 0)
 
     def commit_force(self, commit_lsn: int,
                      record_end: int | None = None) -> None:
@@ -253,9 +257,7 @@ class LogManager:
         engine lock, as riders block until a leader's force covers them.
         """
         if record_end is None:
-            with self._mutex:
-                entry = self._dir.entry(commit_lsn)
-            record_end = commit_lsn + (entry[1] if entry else 0)
+            record_end = self._record_end(commit_lsn)
         if self.cross_thread_commit:
             self._barrier_commit(record_end)
             return

@@ -13,7 +13,7 @@ from repro.page.page import Page, PageType
 from repro.sim.clock import SimClock
 from repro.sim.iomodel import NULL_PROFILE
 from repro.sim.stats import Stats
-from repro.storage.device import StorageDevice
+from repro.storage.device import DeviceWriteError, StorageDevice
 from repro.txn.manager import TransactionManager
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
@@ -40,7 +40,6 @@ def make_rig():
     events: list[tuple[str, object]] = []
     pool = BufferPool(
         device, log, stats, capacity=4,
-        on_page_cleaned=lambda page: events.append(("cleaned", page.page_id)),
         on_before_write=lambda page: events.append(("pre-write", page.page_id)),
         on_run_cleaned=lambda writes: events.append(("run", tuple(writes))))
     # Pre-populate the device with formatted pages.
@@ -229,15 +228,22 @@ class TestWriteBackProtocol:
         pool.unfix(2)
 
     def test_figure_11_hook_order(self, rig):
-        """pre-write hook, then device write, then cleaned hook, then the
-        run's record — a direct flush is a run of one page."""
-        pool, _device, _log, tm, _stats, events = rig
+        """pre-write hook, then device write, then the run's hook — a
+        direct flush is a run of one page."""
+        pool, device, _log, tm, _stats, events = rig
         page = pool.fix(2)
         txn = tm.begin()
         lsn = tm.log_update(txn, page, 1, OpInsert(0, b"a", b"1"))
         pool.mark_dirty(2, lsn)
+        write = device.write
+
+        def logged_write(page_id, data, sequential=False):
+            events.append(("write", page_id))
+            write(page_id, data, sequential)
+
+        device.write = logged_write
         pool.flush_page(2)
-        assert events == [("pre-write", 2), ("cleaned", 2), ("run", ((2, lsn),))]
+        assert events == [("pre-write", 2), ("write", 2), ("run", ((2, lsn),))]
         pool.unfix(2)
 
     def test_page_sealed_before_write(self, rig):
@@ -287,7 +293,7 @@ class TestEviction:
             pool.fix(page_id)
             pool.unfix(page_id)
         assert not pool.resident(2)
-        assert ("cleaned", 2) in events
+        assert ("run", ((2, lsn),)) in events
         stored = Page(PAGE_SIZE, device.read(2))
         assert stored.page_lsn == lsn
 
@@ -358,7 +364,7 @@ class TestDemandFetch:
         pool.fix(5)
         assert not pool.resident(3)
         assert stats.get("pages_written_back") == 1
-        assert events == [("pre-write", 3), ("cleaned", 3), ("run", ((3, lsn),))]
+        assert events == [("pre-write", 3), ("run", ((3, lsn),))]
         assert Page(PAGE_SIZE, device.read(3)).page_lsn == lsn
         assert [pool.pin_count(p) for p in (0, 1, 2, 5)] == [1, 1, 1, 1]
 
@@ -494,7 +500,7 @@ class TestWriteBackRuns:
     """A dirty victim is written back with the dirty frames the sweep
     would evict next: one log force, the pages in ascending id, then one
     ``on_run_cleaned`` naming them all — and a device write that fails
-    mid-run leaves the pages before it recorded, itself still dirty."""
+    mid-run leaves the pages written recorded, itself still dirty."""
 
     def four_dirty(self, pool, tm) -> dict[int, int]:
         """Pages 3, 1, 2, 0 resident, unpinned and dirty; their PageLSNs."""
@@ -514,7 +520,7 @@ class TestWriteBackRuns:
         # The sweep cleared every bit and took page 3; 1, 2, 0 follow it.
         writes = tuple((p, lsns[p]) for p in (0, 1, 2, 3))
         assert events[-1] == ("run", writes)
-        assert [p for kind, p in events[-9:-1] if kind == "cleaned"] == [0, 1, 2, 3]
+        assert events[-5:-1] == [("pre-write", p) for p in (0, 1, 2, 3)]
         assert pool.resident_pages() == [0, 1, 2, 5]
         assert pool.dirty_page_table() == {}
         for page_id, lsn in lsns.items():
@@ -544,19 +550,24 @@ class TestWriteBackRuns:
         assert pool.flush_all() == 0 and events[-1][0] == "run"
         assert sum(kind == "run" for kind, _ in events) == 2
 
-    def test_device_write_failure_mid_run(self, rig):
-        """The pages written before the failure are recorded; the frame
+    @staticmethod
+    def fail_writes(device, page_id, error) -> None:
+        """Make every device write of ``page_id`` raise ``error``."""
+        write = device.write
+
+        def failing_write(target, data, sequential=False):
+            if target == page_id:
+                raise error
+            write(target, data, sequential)
+
+        device.write = failing_write
+
+    def test_error_mid_run_ends_it(self, rig):
+        """The pages written before an error are recorded; the frame
         that failed and those after it stay dirty for the next run."""
         pool, device, _log, tm, stats, events = rig
         lsns = self.four_dirty(pool, tm)
-        write = device.write
-
-        def failing_write(page_id, data, sequential=False):
-            if page_id == 2:
-                raise OSError("device write failed")
-            write(page_id, data, sequential)
-
-        device.write = failing_write
+        self.fail_writes(device, 2, OSError("device write failed"))
         with pytest.raises(OSError, match="device write failed"):
             pool.flush_all()
         assert events[-1] == ("run", ((0, lsns[0]), (1, lsns[1])))
@@ -565,6 +576,54 @@ class TestWriteBackRuns:
         del device.write
         assert pool.flush_all() == 2
         assert events[-1] == ("run", ((2, lsns[2]), (3, lsns[3])))
+
+    def test_unwritable_page_mid_run_is_skipped(self, rig):
+        """A page the device cannot write even after remaps stays dirty;
+        the run writes and records the rest, then raises."""
+        pool, device, _log, tm, stats, events = rig
+        lsns = self.four_dirty(pool, tm)
+        self.fail_writes(device, 1, DeviceWriteError("page 1 unwritable"))
+        with pytest.raises(DeviceWriteError):
+            pool.flush_all()
+        assert events[-1] == ("run", tuple((p, lsns[p]) for p in (0, 2, 3)))
+        assert pool.dirty_page_table() == {1: lsns[1]}
+        assert stats.get("pages_written_back") == 3
+
+    def test_unwritable_neighbour_does_not_fail_the_miss(self, rig):
+        """The victim (page 3) is written and evicted although page 1,
+        written before it in the same run, failed; page 1 stays dirty."""
+        pool, device, _log, tm, _stats, events = rig
+        lsns = self.four_dirty(pool, tm)
+        self.fail_writes(device, 1, DeviceWriteError("page 1 unwritable"))
+        assert pool.fix(5).page_id == 5
+        assert events[-1] == ("run", tuple((p, lsns[p]) for p in (0, 2, 3)))
+        assert pool.resident_pages() == [0, 1, 2, 5]
+        assert pool.dirty_page_table() == {1: lsns[1]}
+        pool.unfix(5)
+
+    def test_unwritable_victim_fails_the_miss(self, rig):
+        pool, device, _log, tm, _stats, events = rig
+        lsns = self.four_dirty(pool, tm)
+        self.fail_writes(device, 3, DeviceWriteError("page 3 unwritable"))
+        with pytest.raises(DeviceWriteError):
+            pool.fix(5)
+        assert events[-1] == ("run", tuple((p, lsns[p]) for p in (0, 1, 2)))
+        assert pool.resident_pages() == [0, 1, 2, 3]
+        assert pool.dirty_page_table() == {3: lsns[3]}
+
+    def test_write_error_outranks_a_failing_run_hook(self, rig):
+        """The run's hook still runs after a failed write; if it raises
+        too, the write's error is the one the caller sees."""
+        pool, device, _log, tm, _stats, _events = rig
+        self.four_dirty(pool, tm)
+        self.fail_writes(device, 2, OSError("device write failed"))
+
+        def failing_hook(writes):
+            raise RuntimeError("log append failed")
+
+        pool.on_run_cleaned = failing_hook
+        with pytest.raises(OSError, match="device write failed"):
+            pool.flush_all()
 
 
 class TestInstall:
