@@ -10,7 +10,11 @@ transaction's last record before it commits, and, last, one
 barrier with its deferred force — must leave the same log at every
 commit: the sha256 of every record's encoding in LSN order (commit bits
 included), the log's end and durable LSNs, the full
-``Stats.snapshot()`` and the simulated clock.  A change to how a write
+``Stats.snapshot()`` and the simulated clock.  ``records_sha256`` hashes
+what every record *says* in LSN order, without its LSN-valued fields or
+its compressed image (:func:`lsn_free`): a change to how records are
+encoded moves the byte counts and the digest of the encodings, but
+must reproduce this one.  A change to how a write
 is logged, committed or forced that moves one byte, one force or one
 count fails here before a client could see it.
 
@@ -33,7 +37,7 @@ import pytest
 
 import repro
 from repro import EngineConfig
-from repro.wal.records import LogRecordKind
+from repro.wal.records import BackupRefKind, LogRecordKind
 
 GOLDEN = Path(__file__).with_name("golden_write_path.json")
 
@@ -128,13 +132,34 @@ def write_stream(seed: int, frames: int, preload: int, n_ops: int):  # noqa: ANN
     return client
 
 
+#: backup references whose value is an LSN, not a location or an id
+_LSN_REFS = (BackupRefKind.LOG_IMAGE, BackupRefKind.FORMAT_RECORD)
+
+
+def lsn_free(record) -> bytes:  # noqa: ANN001
+    """What ``record`` says besides LSNs: kind, commit bit, txn, page,
+    index, the op and undo with all their fields, the pages of a PRI
+    update, backup and 2PC ids.  Left out: prev_lsn, page_prev_lsn,
+    undo_next_lsn, page_lsn, PRI entry LSNs, checkpoint tables, LSN-valued
+    backup references and compressed images."""
+    ref = record.backup_ref
+    return repr((
+        int(record.kind), record.commits, record.txn_id, record.page_id,
+        record.index_id, record.op, record.undo,
+        [page_id for page_id, _page_lsn in record.writes],
+        record.backup_id, record.gtid,
+        ref and (int(ref.kind), None if ref.kind in _LSN_REFS else ref.value),
+    )).encode()
+
+
 def _run(seed: int, frames: int, preload: int, n_ops: int) -> dict:
     db = write_stream(seed, frames, preload, n_ops).db
     records = db.log.all_records()
-    digest = hashlib.sha256()
+    digest, content = hashlib.sha256(), hashlib.sha256()
     for record in records:
         digest.update(record.lsn.to_bytes(8, "little"))
         digest.update(record.encode())
+        content.update(lsn_free(record))
     return {
         "log_records": len(records),
         "commit_bits": sum(r.commits for r in records),
@@ -142,6 +167,7 @@ def _run(seed: int, frames: int, preload: int, n_ops: int) -> dict:
                                          LogRecordKind.SYS_COMMIT)
                               for r in records),
         "log_sha256": digest.hexdigest(),
+        "records_sha256": content.hexdigest(),
         "end_lsn": db.log.end_lsn, "durable_lsn": db.log.durable_lsn,
         "clock_now": db.clock.now,
         "stats": dict(sorted(db.stats.snapshot().items())),
