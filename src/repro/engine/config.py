@@ -26,6 +26,10 @@ from repro.errors import ConfigError
 from repro.sim.iomodel import HDD_PROFILE, IOProfile
 from repro.wal.segments import DEFAULT_SEGMENT_BYTES
 
+#: largest page: the slotted page's offsets and the log's length
+#: prefixes (:mod:`repro.wal.records`) are u16
+MAX_PAGE_SIZE = 32768
+
 
 @dataclass(kw_only=True)
 class EngineConfig:
@@ -140,6 +144,9 @@ class EngineConfig:
         if self.page_size < 512:
             raise ConfigError(
                 f"page_size must be at least 512 bytes, got {self.page_size}")
+        if self.page_size > MAX_PAGE_SIZE:
+            raise ConfigError(f"page_size must be at most {MAX_PAGE_SIZE} "
+                              f"bytes, got {self.page_size}")
         if self.buffer_capacity < 4:
             raise ConfigError(
                 f"buffer_capacity must be at least 4 frames, "

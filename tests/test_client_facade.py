@@ -161,6 +161,42 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             repro.EngineConfig(log_segment_bytes=64)
 
+    def test_page_size_is_capped_at_32_kib(self):
+        """A larger page would overflow the slotted page's u16 offsets on
+        its first full leaf (a raw ``struct.error`` mid-batch); the cap
+        fails at construction, and at ``connect`` for a config mutated
+        after it."""
+        with pytest.raises(ConfigError, match="at most 32768"):
+            repro.connect(repro.EngineConfig(page_size=131072))
+        config = repro.EngineConfig()
+        config.page_size = 65536
+        with pytest.raises(ConfigError, match="at most 32768"):
+            repro.connect(config)
+
+    def test_a_32_kib_page_round_trips_a_full_leaf(self):
+        """The largest page fills, splits and logs whole leaves of
+        records; every record round-trips through its encoding (u16
+        lengths) and the keys survive a crash."""
+        from repro.wal.ops import OpBulkInsert
+        from repro.wal.records import LogRecord
+        client = repro.connect(repro.EngineConfig(
+            page_size=32768, capacity_pages=256, buffer_capacity=16))
+        items = [(b"k%06d" % i, bytes([65 + i % 26]) * 90) for i in range(3000)]
+        client.apply_batch([("put", key, value) for key, value in items])
+        db = client.db
+        records = db.log.all_records()
+        for record in records:
+            decoded = LogRecord.decode(record.encode())
+            decoded.lsn = record.lsn  # an LSN is where a record lies
+            assert decoded == record
+        moved = max(record.op.encoded_size() for record in records
+                    if type(record.op) is OpBulkInsert)
+        assert moved > 32768 // 2  # half a full leaf moved by one op
+        db.crash()
+        db.restart()
+        assert all(client.get(key) == value for key, value in items)
+        client.close()
+
     def test_prefetch_mode_accepts_only_off(self):
         """The bench still passes ``prefetch_mode="off"``; the predictive
         modes were removed and fail typed, naming why."""
