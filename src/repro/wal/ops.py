@@ -7,7 +7,10 @@ handled one level up, in the transaction manager).
 
 Operations serialize to explicit byte formats — no pickling — so log
 volume is measured honestly and the log could in principle be read by
-another implementation.
+another implementation.  Every byte string an op carries (a key, a
+value, a middle, a bulk record's key and value) lies within one page,
+and a page is at most 32 KiB (:data:`repro.engine.config.MAX_PAGE_SIZE`),
+so its length prefix is a u16.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.page.page import Page, PageType
 from repro.page.slotted import LENGTH_MASK, Record, SlottedPage
 
 
-_U32 = struct.Struct("<I")
+_U16 = struct.Struct("<H")
 _BHB = struct.Struct("<BHB")
 _BH = struct.Struct("<BH")
 _BHHH = struct.Struct("<BHHH")
@@ -34,7 +37,7 @@ _BHI = struct.Struct("<BHI")
 MALFORMED = (struct.error, IndexError, ValueError, OverflowError)
 
 #: :class:`OpUpdateValue`'s bytes besides its values: kind, slot, lengths
-UPDATE_VALUE_FIXED = 11
+UPDATE_VALUE_FIXED = 7
 #: what a span adds to a value rewrite: its prefix and suffix lengths
 SPAN_SIZE = 4
 #: the kind byte of a spanned :class:`OpUpdateValue`
@@ -54,8 +57,8 @@ def check_span(prefix: int, suffix: int, middle: int) -> None:
 
 
 def _unpack_bytes(data, offset: int) -> tuple[bytes, int]:
-    (length,) = _U32.unpack_from(data, offset)
-    start = offset + 4
+    (length,) = _U16.unpack_from(data, offset)
+    start = offset + 2
     end = start + length
     if end > len(data):
         # A slice would silently come back short.
@@ -65,9 +68,9 @@ def _unpack_bytes(data, offset: int) -> tuple[bytes, int]:
 
 
 def _put_bytes(buf: bytearray, pos: int, payload: bytes) -> int:
-    """Write a length-prefixed byte string into ``buf`` at ``pos``."""
-    _U32.pack_into(buf, pos, len(payload))
-    pos += 4
+    """Write a u16-length-prefixed byte string into ``buf`` at ``pos``."""
+    _U16.pack_into(buf, pos, len(payload))
+    pos += 2
     end = pos + len(payload)
     buf[pos:end] = payload
     return end
@@ -144,7 +147,7 @@ class OpInsert(PageOp):
         SlottedPage(page).remove(self.slot)
 
     def encoded_size(self) -> int:
-        return 12 + len(self.key) + len(self.value)
+        return 8 + len(self.key) + len(self.value)
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
         _BHB.pack_into(buf, pos, self.kind, self.slot, int(self.ghost))
@@ -177,7 +180,7 @@ class OpDelete(PageOp):
         SlottedPage(page).insert(self.slot, Record(self.key, self.value, self.ghost))
 
     def encoded_size(self) -> int:
-        return 12 + len(self.key) + len(self.value)
+        return 8 + len(self.key) + len(self.value)
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
         _BHB.pack_into(buf, pos, self.kind, self.slot, int(self.ghost))
@@ -353,7 +356,7 @@ class OpWriteBytes(PageOp):
         self._write(page, self.old_bytes)
 
     def encoded_size(self) -> int:
-        return 11 + len(self.old_bytes) + len(self.new_bytes)
+        return 7 + len(self.old_bytes) + len(self.new_bytes)
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
         _BH.pack_into(buf, pos, self.kind, self.offset)
@@ -429,7 +432,7 @@ class OpBulkInsert(PageOp):
         SlottedPage(page).remove_run(self.slot, len(self.records))
 
     def encoded_size(self) -> int:
-        return 7 + sum(9 + len(k) + len(v) for k, v, _g in self.records)
+        return 7 + sum(5 + len(k) + len(v) for k, v, _g in self.records)
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
         _BHI.pack_into(buf, pos, self.kind, self.slot, len(self.records))
@@ -470,7 +473,7 @@ class OpBulkDelete(PageOp):
             self.slot, [Record(k, v, g) for k, v, g in self.records])
 
     def encoded_size(self) -> int:
-        return 7 + sum(9 + len(k) + len(v) for k, v, _g in self.records)
+        return 7 + sum(5 + len(k) + len(v) for k, v, _g in self.records)
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
         _BHI.pack_into(buf, pos, self.kind, self.slot, len(self.records))

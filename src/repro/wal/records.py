@@ -1,19 +1,42 @@
 """Typed log records with explicit byte serialization.
 
-Record header (45 bytes)::
+A record is a header followed by a kind-specific payload.  The header
+comes in two forms, told apart by its first byte, the kind byte::
 
-    total_len      u32   length of the whole serialized record
-    kind           u8    low 7 bits LogRecordKind, high bit = commits
-    txn_id         i64   owning transaction (0 = none)
-    prev_lsn       i64   per-transaction chain (Section 5.1.1)
-    page_id        i64   affected page (-1 = none)
-    page_prev_lsn  i64   per-page chain (Section 5.1.4)
-    index_id       i64   owning index/table (0 = none)
+    kind byte      u8    bits 0-5 LogRecordKind, 0x40 wide, 0x80 commits
 
-followed by a kind-specific payload.  The ``page_prev_lsn`` field is
-the heart of the paper's recovery design: it lets single-page recovery
-walk backwards from the current PageLSN to the last backup without
-scanning the log.
+    narrow (21 B)                  wide (45 B)
+    kind byte      u8              kind byte      u8
+    total_len      u16             total_len      u32
+    txn_id         u32             txn_id         i64
+    prev_lsn       u32             prev_lsn       i64
+    page_id        u32             page_id        i64
+    page_prev_lsn  u32             page_prev_lsn  i64
+    index_id       u16             index_id       i64
+
+``total_len`` is the length of the whole serialized record, ``txn_id``
+the owning transaction (0 = none), ``prev_lsn`` its per-transaction
+chain (Section 5.1.1), ``page_id`` the affected page (-1 = none,
+``0xFFFFFFFF`` in a narrow header), ``page_prev_lsn`` the per-page
+chain (Section 5.1.4) and ``index_id`` the owning index or table
+(0 = none).  A record takes the narrow form whenever every field fits
+it — a total below 64 KiB, ids and LSNs below 2**32 (page ids below
+2**32 - 1), an index id below 2**16, and, in a PRI update, every entry
+below 2**32 — and the wide form otherwise; :meth:`LogRecord.decode`
+refuses a wide header on a record the narrow one fits, so every record
+has exactly one encoding.  :meth:`LogRecord.encoded_size` makes the
+choice in one expression, without a call.  The ``page_prev_lsn`` field
+is the heart of the paper's recovery design: it lets single-page
+recovery walk backwards from the current PageLSN to the last backup
+without scanning the log.
+
+**Lengths are u16.**  Every byte string a payload frames — keys,
+values, middles, bulk records, an undo's key and value — and the op
+length of an UPDATE / COMPENSATION / FORMAT_PAGE lie within one page,
+and a page is at most 32 KiB
+(:data:`repro.engine.config.MAX_PAGE_SIZE`).  Two lengths stay u32: a
+FULL_PAGE_IMAGE's compressed image (zlib can grow a page) and a
+CHECKPOINT_END's tables.
 
 **The commit bit.**  A transaction's commit is one bit of information
 about its last record, so it is stored there: the high bit of the kind
@@ -27,7 +50,7 @@ nothing — gets a COMMIT / SYS_COMMIT record instead.  Readers ask
 :attr:`LogRecord.commits_txn`, never the kind.
 
 **The before-image is logged once.**  An UPDATE payload is a flags
-byte (bit 0: a page op follows, length-prefixed; bit 1: a
+byte (bit 0: a page op follows, u16-length-prefixed; bit 1: a
 :class:`LogicalUndo` follows; bit 2: that undo's value is the op's
 ``old_value`` and is not written again), the op, the undo.  Undo is
 logical (Section 5.1.2), so the old value of a rewritten record belongs
@@ -40,18 +63,23 @@ value share their first and last bytes is *spanned*
 (:func:`repro.wal.ops.value_rewrite`): the op stores the lengths of the
 shared prefix and suffix and only the two middles between them, and
 the RESTORE_VALUE undo carries the same span, so the shared
-before-image is the old middle.  The spanned UPDATE of a rewrite::
+before-image is the old middle.  The spanned UPDATE of a rewrite, after
+its header::
 
     flags          u8    _HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE
-    op length      u32
+    op length      u16
       kind         u8    9 (spanned OpUpdateValue; unspanned is 3)
       slot         u16
       prefix       u16   bytes shared at the start ...
       suffix       u16   ... and at the end of old and new value
-      old middle   u32 length + bytes   (the undo's value too)
-      new middle   u32 length + bytes
+      old middle   u16 length + bytes   (the undo's value too)
+      new middle   u16 length + bytes
     undo action    u8    RESTORE_VALUE
-    key            u32 length + bytes
+    key            u16 length + bytes
+
+An unspanned put of a 100-byte value under a 16-byte key — every
+``kv_hot`` write — is 250 bytes: 21 of header, 1 + 2 of flags and op
+length, 3 + 2 + 100 + 2 + 100 of op, 1 + 2 + 16 of undo.
 
 A :class:`LogicalUndo` written on its own marks a span with the high
 bit of its action byte, followed by the two u16 lengths.  Redo and
@@ -67,8 +95,8 @@ page's new on-device PageLSN.  Its header's ``page_id`` is -1 — the
 record joins no page chain — and its payload is::
 
     count          u16   pages written, at least one
-    page_id        i64   } count times,
-    page_lsn       i64   } in the run's write order
+    page_id        u32   } count times, in the run's write order;
+    page_lsn       u32   } each i64 under a wide header
 
 :func:`pri_update` is the one builder.
 
@@ -76,8 +104,9 @@ Every decode boundary here and in :mod:`repro.wal.ops` returns a value
 or raises :class:`repro.errors.LogError` — for truncated input, an
 unknown kind, an unknown flag bit, a length that runs past the record,
 a span that is empty or longer than any record, a PRI update that names
-no page, a page in its header or a negative page id or LSN, or a commit
-bit on a kind that cannot carry one.
+no page, a page in its header or a negative page id or LSN, a commit
+bit on a kind that cannot carry one, or any encoding but the one
+:meth:`LogRecord.encode` writes (a wide header the narrow one fits).
 """
 
 from __future__ import annotations
@@ -93,19 +122,35 @@ from repro.wal.ops import (MALFORMED, SPAN_SIZE, UPDATE_VALUE_FIXED,
                            OpUpdateValue, PageOp, _put_bytes, _unpack_bytes,
                            check_span)
 
-_HEADER = struct.Struct("<IBqqqqq")
-HEADER_SIZE = _HEADER.size
+_NARROW = struct.Struct("<BHIIIIH")
+_WIDE = struct.Struct("<BIqqqqq")
+NARROW_HEADER_SIZE = _NARROW.size
+WIDE_HEADER_SIZE = _WIDE.size
+#: what a wide header adds to a record; a wide PRI update's entries add
+#: 8 bytes each besides
+_WIDENING = WIDE_HEADER_SIZE - NARROW_HEADER_SIZE
+#: a narrow header's page_id -1
+_NO_PAGE = 0xFFFFFFFF
+#: a shared-before-image UPDATE besides its op's values and its key:
+#: narrow header, flags, op length, the op's fixed part, undo action,
+#: key length
+_SHARED_UPDATE_FIXED = NARROW_HEADER_SIZE + 3 + UPDATE_VALUE_FIXED + 3
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _BHH = struct.Struct("<BHH")
 _I64 = struct.Struct("<q")
+_II = struct.Struct("<II")
+_QI = struct.Struct("<qI")
+_QH = struct.Struct("<qH")
 _QQ = struct.Struct("<qq")
 _QQB = struct.Struct("<qqB")
 _QBQ = struct.Struct("<qBq")
 _III = struct.Struct("<III")
 
-#: high bit of the header's kind byte (see the module docstring)
+#: the header's kind byte (see the module docstring)
+_KIND_BITS = 0x3F
+_WIDE_BIT = 0x40
 _COMMITS_BIT = 0x80
 #: UPDATE flags byte
 _HAS_OP = 1
@@ -227,7 +272,7 @@ class LogicalUndo:
         return current[:self.prefix] + self.value + current[end:]
 
     def encoded_size(self) -> int:
-        size = 9 + len(self.key) + len(self.value)
+        size = 5 + len(self.key) + len(self.value)
         return size + SPAN_SIZE if self.prefix or self.suffix else size
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
@@ -377,35 +422,49 @@ class LogRecord:
 
         The append hot path only needs the length (LSNs are byte
         offsets) — a put's UPDATE, sharing its before-image, without a
-        call; keeping this in sync with :meth:`encode` (and its
-        :meth:`_shares_before_image`) is guarded by the serialization
-        round-trip property tests.
+        call.  This is also where a record's header form is chosen: the
+        narrow size, unless one expression finds a field the narrow
+        header cannot hold (see the module docstring).  Keeping this in
+        sync with :meth:`encode` (and its :meth:`_shares_before_image`)
+        is guarded by the serialization round-trip property tests.
         """
-        if self.kind == LogRecordKind.UPDATE:
-            op, undo = self.op, self.undo
-            if (undo and undo.action is _RESTORE_VALUE
-                    and type(op) is OpUpdateValue
-                    and (undo.value is op.old_value
-                         or undo.value == op.old_value)
-                    and undo.prefix == op.prefix and undo.suffix == op.suffix):
-                # flags 1, op length 4, undo action 1, key length 4
-                size = (HEADER_SIZE + 10 + UPDATE_VALUE_FIXED + len(op.old_value)
-                        + len(op.new_value) + len(undo.key))
-                return size + SPAN_SIZE if op.prefix or op.suffix else size
-            return (HEADER_SIZE + 1 + (4 + op.encoded_size() if op else 0)
-                    + (undo.encoded_size() if undo else 0))
-        return HEADER_SIZE + self._payload_size()
+        op, undo = self.op, self.undo
+        if (self.kind == LogRecordKind.UPDATE and undo
+                and undo.action is _RESTORE_VALUE
+                and type(op) is OpUpdateValue
+                and (undo.value is op.old_value or undo.value == op.old_value)
+                and undo.prefix == op.prefix and undo.suffix == op.suffix):
+            size = (_SHARED_UPDATE_FIXED + len(op.old_value)
+                    + len(op.new_value) + len(undo.key))
+            if op.prefix or op.suffix:
+                size += SPAN_SIZE
+        else:
+            size = NARROW_HEADER_SIZE + self._payload_size()
+        if (size <= 0xFFFF and -1 <= self.page_id < _NO_PAGE
+                and not ((self.txn_id | self.prev_lsn | self.page_prev_lsn) >> 32
+                         or self.index_id >> 16
+                         or self.writes and max(map(max, self.writes)) >> 32)):
+            return size
+        return size + _WIDENING + 8 * len(self.writes)
 
     def _payload_size(self) -> int:
+        """The payload's length under a narrow header."""
         kind = self.kind
+        op = self.op
+        if kind == LogRecordKind.UPDATE:
+            undo = self.undo
+            if undo and self._shares_before_image():
+                return 6 + op.encoded_size() + len(undo.key)
+            return (1 + (2 + op.encoded_size() if op else 0)
+                    + (undo.encoded_size() if undo else 0))
         if kind == LogRecordKind.COMPENSATION:
-            return 12 + (self.op.encoded_size() if self.op else 0)
+            return 10 + (op.encoded_size() if op else 0)
         if kind == LogRecordKind.FORMAT_PAGE:
-            return 4 + (self.op.encoded_size() if self.op else 0)
+            return 2 + (op.encoded_size() if op else 0)
         if kind == LogRecordKind.FULL_PAGE_IMAGE:
             return 12 + len(self.image or b"")
         if kind == LogRecordKind.PRI_UPDATE:
-            return 2 + 16 * len(self.writes)
+            return 2 + 8 * len(self.writes)
         if kind == LogRecordKind.BACKUP_PAGE:
             return 17
         if kind == LogRecordKind.CHECKPOINT_END:
@@ -434,14 +493,22 @@ class LogRecord:
             raise LogError(f"a {kind.name} record cannot carry a commit")
         total = self.encoded_size()
         buf = bytearray(total)
-        _HEADER.pack_into(buf, 0, total,
-                          kind | _COMMITS_BIT if self.commits else kind,
-                          self.txn_id, self.prev_lsn, self.page_id,
-                          self.page_prev_lsn, self.index_id)
-        self._encode_payload_into(buf, HEADER_SIZE)
+        kind_byte = kind | _COMMITS_BIT if self.commits else kind
+        # encoded_size chose the form: any size but the narrow one is wide
+        wide = total != NARROW_HEADER_SIZE + self._payload_size()
+        if wide:
+            _WIDE.pack_into(buf, 0, kind_byte | _WIDE_BIT, total, self.txn_id,
+                            self.prev_lsn, self.page_id, self.page_prev_lsn,
+                            self.index_id)
+        else:
+            _NARROW.pack_into(buf, 0, kind_byte, total, self.txn_id,
+                              self.prev_lsn, self.page_id & _NO_PAGE,
+                              self.page_prev_lsn, self.index_id)
+        self._encode_payload_into(buf, _WIDE.size if wide else _NARROW.size,
+                                  wide)
         return bytes(buf)
 
-    def _encode_payload_into(self, buf: bytearray, pos: int) -> int:
+    def _encode_payload_into(self, buf: bytearray, pos: int, wide: bool) -> int:
         kind = self.kind
         if kind == LogRecordKind.UPDATE:
             op = self.op
@@ -451,8 +518,8 @@ class LogRecord:
                         | (_SHARED_BEFORE_IMAGE if shared else 0))
             pos += 1
             if op:
-                _U32.pack_into(buf, pos, op.encoded_size())
-                pos = op.encode_into(buf, pos + 4)
+                _U16.pack_into(buf, pos, op.encoded_size())
+                pos = op.encode_into(buf, pos + 2)
             if shared:
                 buf[pos] = int(undo.action)
                 pos = _put_bytes(buf, pos + 1, undo.key)
@@ -460,26 +527,27 @@ class LogRecord:
                 pos = undo.encode_into(buf, pos)
             return pos
         if kind == LogRecordKind.COMPENSATION:
-            _I64.pack_into(buf, pos, self.undo_next_lsn)
-            pos += 8
-            op_size = self.op.encoded_size() if self.op else 0
-            _U32.pack_into(buf, pos, op_size)
-            pos += 4
+            _QH.pack_into(buf, pos, self.undo_next_lsn,
+                          self.op.encoded_size() if self.op else 0)
+            pos += 10
             return self.op.encode_into(buf, pos) if self.op else pos
         if kind == LogRecordKind.FORMAT_PAGE:
-            op_size = self.op.encoded_size() if self.op else 0
-            _U32.pack_into(buf, pos, op_size)
-            pos += 4
+            _U16.pack_into(buf, pos, self.op.encoded_size() if self.op else 0)
+            pos += 2
             return self.op.encode_into(buf, pos) if self.op else pos
         if kind == LogRecordKind.FULL_PAGE_IMAGE:
-            _I64.pack_into(buf, pos, self.page_lsn)
-            return _put_bytes(buf, pos + 8, self.image or b"")
+            image = self.image or b""
+            _QI.pack_into(buf, pos, self.page_lsn, len(image))
+            pos += 12
+            buf[pos:pos + len(image)] = image
+            return pos + len(image)
         if kind == LogRecordKind.PRI_UPDATE:
             _U16.pack_into(buf, pos, len(self.writes))
             pos += 2
+            entry = _QQ if wide else _II
             for page_id, page_lsn in self.writes:
-                _QQ.pack_into(buf, pos, page_id, page_lsn)
-                pos += 16
+                entry.pack_into(buf, pos, page_id, page_lsn)
+                pos += entry.size
             return pos
         if kind == LogRecordKind.BACKUP_PAGE:
             ref = self.backup_ref or BackupRef.none()
@@ -499,14 +567,23 @@ class LogRecord:
 
     @classmethod
     def decode(cls, data) -> "LogRecord":
-        if len(data) < HEADER_SIZE:
+        """The record ``data`` encodes, or :class:`LogError`: anything
+        but exactly what :meth:`encode` writes for it is refused."""
+        if not data:
+            raise LogError("empty log record")
+        kind_raw = data[0]
+        wide = bool(kind_raw & _WIDE_BIT)
+        header = _WIDE if wide else _NARROW
+        if len(data) < header.size:
             raise LogError("truncated log record header")
-        total, kind_raw, txn_id, prev_lsn, page_id, page_prev_lsn, index_id = (
-            _HEADER.unpack_from(data, 0))
+        _, total, txn_id, prev_lsn, page_id, page_prev_lsn, index_id = (
+            header.unpack_from(data, 0))
         if total != len(data):
             raise LogError(f"log record length mismatch: {total} != {len(data)}")
+        if not wide and page_id == _NO_PAGE:
+            page_id = -1
         try:
-            kind = LogRecordKind(kind_raw & ~_COMMITS_BIT)
+            kind = LogRecordKind(kind_raw & _KIND_BITS)
         except ValueError:
             raise LogError(f"unknown log record kind {kind_raw}") from None
         record = cls(kind, txn_id, prev_lsn, page_id, page_prev_lsn, index_id)
@@ -515,26 +592,33 @@ class LogRecord:
                 raise LogError(f"commit bit on a {kind.name} record")
             record.commits = True
         try:
-            end = record._decode_payload(data, HEADER_SIZE)
+            end = record._decode_payload(data, header.size, wide)
         except MALFORMED as exc:
             raise LogError(f"malformed {kind.name} record: {exc}") from None
         if end != total:
             raise LogError(f"{kind.name} payload ends at byte {end} of a "
                            f"{total}-byte record")
+        size = record.encoded_size()
+        if size != total:
+            raise LogError(
+                f"a {total}-byte {'wide' if wide else 'narrow'} {kind.name} "
+                f"record whose own encoding is {size} bytes"
+                + (" (a wide header the narrow one fits)" if size < total
+                   and wide else ""))
         return record
 
     def _decode_op(self, data, pos: int) -> int:
-        """Decode a length-prefixed page op at ``pos``; returns its end.
-        The op must fill its declared length exactly."""
-        (op_size,) = _U32.unpack_from(data, pos)
-        pos += 4
+        """Decode a u16-length-prefixed page op at ``pos``; returns its
+        end.  The op must fill its declared length exactly."""
+        (op_size,) = _U16.unpack_from(data, pos)
+        pos += 2
         self.op = op = PageOp.decode(data, pos)
         if op.encoded_size() != op_size:
             raise LogError(f"page op of {op.encoded_size()} bytes in a "
                            f"{op_size}-byte field")
         return pos + op_size
 
-    def _decode_payload(self, data, pos: int) -> int:
+    def _decode_payload(self, data, pos: int, wide: bool) -> int:
         """Decode the payload reading ``data`` at absolute offsets;
         returns the offset one past it.
 
@@ -564,20 +648,24 @@ class LogRecord:
                 self.undo, pos = LogicalUndo.decode(data, pos)
             return pos
         if kind == LogRecordKind.COMPENSATION:
-            (self.undo_next_lsn,) = _I64.unpack_from(data, pos)
-            if _U32.unpack_from(data, pos + 8)[0]:
+            self.undo_next_lsn, op_size = _QH.unpack_from(data, pos)
+            if op_size:
                 return self._decode_op(data, pos + 8)
-            return pos + 12
+            return pos + 10
         if kind == LogRecordKind.FORMAT_PAGE:
-            if _U32.unpack_from(data, pos)[0]:
+            if _U16.unpack_from(data, pos)[0]:
                 return self._decode_op(data, pos)
-            return pos + 4
+            return pos + 2
         if kind == LogRecordKind.FULL_PAGE_IMAGE:
-            (self.page_lsn,) = _I64.unpack_from(data, pos)
-            self.image, pos = _unpack_bytes(data, pos + 8)
-            return pos
+            self.page_lsn, length = _QI.unpack_from(data, pos)
+            pos += 12
+            if pos + length > len(data):
+                raise LogError(f"page image of {length} bytes runs past the "
+                               f"end of the record")
+            self.image = bytes(data[pos:pos + length])
+            return pos + length
         if kind == LogRecordKind.PRI_UPDATE:
-            return self._decode_writes(data, pos)
+            return self._decode_writes(data, pos, _QQ if wide else _II)
         if kind == LogRecordKind.BACKUP_PAGE:
             page_lsn, ref_kind, ref_value = _QBQ.unpack_from(data, pos)
             self.page_lsn = page_lsn
@@ -598,8 +686,9 @@ class LogRecord:
             return pos + 8
         return pos
 
-    def _decode_writes(self, data, pos: int) -> int:
-        """A PRI_UPDATE's payload at ``pos``; returns its end."""
+    def _decode_writes(self, data, pos: int, entry: struct.Struct) -> int:
+        """A PRI_UPDATE's payload at ``pos``, ``entry`` per page;
+        returns its end."""
         if self.page_id != -1:
             raise LogError(f"PRI_UPDATE names page {self.page_id} in its "
                            f"header; its pages are in the payload")
@@ -607,13 +696,13 @@ class LogRecord:
         if not count:
             raise LogError("PRI_UPDATE names no page")
         start = pos + 2
-        end = start + 16 * count
+        end = start + entry.size * count
         if end > len(data):
             raise LogError(f"PRI_UPDATE's {count} pages run past the end "
                            f"of the record")
         self.writes = writes = tuple(
-            _QQ.iter_unpack(memoryview(data)[start:end]))
-        if min(min(write) for write in writes) < 0:
+            entry.iter_unpack(memoryview(data)[start:end]))
+        if min(map(min, writes)) < 0:
             raise LogError("PRI_UPDATE names a negative page id or LSN")
         return end
 
@@ -665,6 +754,8 @@ def pri_update(writes: Sequence[tuple[int, int]]) -> LogRecord:
     if not 0 < len(writes) <= PRI_UPDATE_MAX:
         raise LogError(f"a PRI_UPDATE names 1 to {PRI_UPDATE_MAX} pages, "
                        f"not {len(writes)}")
+    if min(map(min, writes)) < 0:
+        raise LogError("a PRI_UPDATE names a negative page id or LSN")
     return LogRecord(LogRecordKind.PRI_UPDATE, writes=tuple(writes))
 
 

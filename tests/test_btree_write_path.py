@@ -770,8 +770,8 @@ def test_a_rewrite_logs_its_before_image_once_and_reads_the_slot_once():
     (record,) = db.log.records_from(before)
     assert record.undo.value is record.op.old_value == b"v" * 100
     assert record.undo.action is UndoAction.RESTORE_VALUE
-    # 45 header + 1 flags + 4 + op (11 + 100 + 100) + undo (1 + 4 + 3)
-    assert record.encoded_size() == db.log.end_lsn - before == 269
+    # 21 header + 1 flags + 2 + op (7 + 100 + 100) + undo (1 + 2 + 3)
+    assert record.encoded_size() == db.log.end_lsn - before == 237
     assert record.encoded_size() == len(record.encode())
 
 

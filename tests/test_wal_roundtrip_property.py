@@ -22,6 +22,14 @@ overwritten — it returns a value or raises ``LogError``, never a
 ``struct.error`` / ``IndexError`` / ``ValueError`` — truncated or
 out-of-range span fields included, and a PRI update with no entries, a
 count that runs past the record, a negative page id or trailing bytes.
+
+Every field a header carries is drawn from both sides of the narrow
+form's range, so records come narrow and wide; the boundaries
+themselves — ids and LSNs at 2**32 - 1 and 2**32, page ids -1,
+2**32 - 2 and 2**32 - 1, index ids at 2**16 - 1 and 2**16, totals at
+65 535 and 65 536 bytes, PRI entries at 2**32 - 1 and 2**32 — are
+round-tripped for every kind, and a wide header around a record the
+narrow one fits is refused.
 """
 
 from __future__ import annotations
@@ -66,8 +74,10 @@ from repro.wal.records import (
 # large payloads exercise nothing new.
 payloads = st.binary(min_size=0, max_size=48)
 slots = st.integers(min_value=0, max_value=0xFFFF)
-lsns = st.integers(min_value=0, max_value=2**62)
-ids = st.integers(min_value=0, max_value=2**62)
+#: ids and LSNs from both sides of a narrow header's u32 range
+lsns = st.one_of(st.integers(min_value=0, max_value=2**32 - 1),
+                 st.integers(min_value=0, max_value=2**62))
+ids = lsns
 #: prefix / suffix lengths of a span (encoded as u16; a spliced value
 #: stays within a record's 15-bit length)
 spans = st.integers(min_value=0, max_value=4000)
@@ -189,8 +199,13 @@ def test_checkpoint_round_trip(checkpoint):
 # ----------------------------------------------------------------------
 def _record_strategy():
     header = dict(txn_id=ids, prev_lsn=lsns,
-                  page_id=st.integers(min_value=-1, max_value=2**62),
-                  page_prev_lsn=lsns, index_id=ids)
+                  page_id=st.one_of(st.integers(min_value=-1,
+                                                max_value=2**32 - 1),
+                                    st.integers(min_value=-1,
+                                                max_value=2**62)),
+                  page_prev_lsn=lsns,
+                  index_id=st.one_of(st.integers(min_value=0,
+                                                 max_value=2**16), ids))
     bare_kinds = st.sampled_from([
         LogRecordKind.COMMIT, LogRecordKind.ABORT,
         LogRecordKind.SYS_COMMIT, LogRecordKind.CHECKPOINT_BEGIN,
@@ -260,8 +275,9 @@ def test_shared_before_image_is_logged_once_and_shared_on_decode():
     distinct = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2, op=op,
                          undo=LogicalUndo(UndoAction.RESTORE_VALUE, key,
                                           b"x" * 100))
-    assert shared.encoded_size() == 45 + 1 + 4 + (11 + 200) + (1 + 4 + 16)
-    assert distinct.encoded_size() == shared.encoded_size() + 4 + 100
+    # narrow header, flags, op length, op, undo action + key
+    assert shared.encoded_size() == 21 + 1 + 2 + (7 + 200) + (1 + 2 + 16) == 250
+    assert distinct.encoded_size() == shared.encoded_size() + 2 + 100
     decoded = LogRecord.decode(shared.encode())
     assert decoded == shared
     assert decoded.undo.value is decoded.op.old_value
@@ -269,7 +285,7 @@ def test_shared_before_image_is_logged_once_and_shared_on_decode():
     # and a delete's (INSERT_KEY) is not the ghost op's to share.
     other = LogRecord(LogRecordKind.UPDATE, op=OpSetGhost(3, False, True),
                       undo=LogicalUndo(UndoAction.INSERT_KEY, key, old))
-    assert other.encoded_size() == 45 + 1 + 4 + 5 + (9 + 16 + 100)
+    assert other.encoded_size() == 21 + 1 + 2 + 5 + (5 + 16 + 100)
     assert LogRecord.decode(other.encode()) == other
 
 
@@ -280,8 +296,8 @@ def test_commit_bit_is_the_high_bit_of_the_kind_byte_and_free():
         carrying = LogRecord(kind, txn_id=5, page_id=9, commits=True)
         assert carrying.encoded_size() == plain.encoded_size()
         a, b = plain.encode(), carrying.encode()
-        assert a[4] == int(kind) and b[4] == int(kind) | 0x80
-        assert a[:4] + a[5:] == b[:4] + b[5:]
+        assert a[0] == int(kind) and b[0] == int(kind) | 0x80
+        assert a[1:] == b[1:]
         assert LogRecord.decode(b).commits and not LogRecord.decode(a).commits
         assert carrying.commits_txn and not plain.commits_txn
 
@@ -294,7 +310,7 @@ def test_commit_bit_only_on_chain_kinds():
         with pytest.raises(LogError):
             LogRecord(kind, commits=True).encode()
         raw = bytearray(LogRecord(kind).encode())
-        raw[4] |= 0x80
+        raw[0] |= 0x80
         with pytest.raises(LogError):
             LogRecord.decode(bytes(raw))
 
@@ -332,13 +348,17 @@ def test_decoders_fail_typed_on_arbitrary_bytes(data):
     _decodes_or_log_error(PageOp.decode, data)
     _decodes_or_log_error(lambda d: LogicalUndo.decode(d, 0), data)
     _decodes_or_log_error(CheckpointData.decode, data)
-    # A well-formed header over arbitrary payload bytes, so the payload
-    # decoders are reached (random bytes rarely get the length right).
+    # Well-formed headers of both forms over arbitrary payload bytes,
+    # so the payload decoders are reached (random bytes rarely get the
+    # length right).
     if data:
         kind = data[0]
-        framed = (len(data) + 44).to_bytes(4, "little") + bytes([kind]) \
-            + bytes(40) + data[1:]
-        _decodes_or_log_error(LogRecord.decode, framed)
+        narrow = (bytes([kind & ~0x40]) + (len(data) + 20).to_bytes(2, "little")
+                  + bytes(18) + data[1:])
+        wide = (bytes([kind | 0x40]) + (len(data) + 44).to_bytes(4, "little")
+                + bytes(40) + data[1:])
+        _decodes_or_log_error(LogRecord.decode, narrow)
+        _decodes_or_log_error(LogRecord.decode, wide)
 
 
 mutations = st.lists(
@@ -383,10 +403,12 @@ def test_decode_rejects_what_no_writer_produces():
                        undo=LogicalUndo(UndoAction.RESTORE_VALUE, b"k", b"old"))
     good = update.encode()
     cases = {
-        "unknown kind": good[:4] + bytes([5]) + good[5:],
-        "unknown flag bit": good[:45] + bytes([good[45] | 0x10]) + good[46:],
-        "length past the end": good[:53] + (0xFFFFFF).to_bytes(4, "little")
-        + good[57:],
+        "unknown kind": bytes([5]) + good[1:],
+        "unknown flag bit": good[:21] + bytes([good[21] | 0x10]) + good[22:],
+        "op length past the end": good[:22] + (0xFFFF).to_bytes(2, "little")
+        + good[24:],
+        "key length past the end": good[:-3] + (0xFFFF).to_bytes(2, "little")
+        + good[-1:],
     }
     for raw in cases.values():
         with pytest.raises(LogError):
@@ -397,7 +419,7 @@ def test_decode_rejects_what_no_writer_produces():
     # Trailing bytes after a complete payload.
     padded = bytearray(LogRecord(LogRecordKind.COMMIT, txn_id=1).encode())
     padded += b"\0"
-    padded[:4] = len(padded).to_bytes(4, "little")
+    padded[1:3] = len(padded).to_bytes(2, "little")
     with pytest.raises(LogError):
         LogRecord.decode(bytes(padded))
 
@@ -445,14 +467,14 @@ def test_an_unspanned_rewrite_encodes_as_before_spans_existed():
     old, new = b"\x01" + b"o" * 98 + b"\x02", b"\x03" + b"n" * 98 + b"\x04"
     op = value_rewrite(0x0102, old, new)
     assert (op.prefix, op.suffix) == (0, 0)
-    assert op.encode() == (bytes([3, 0x02, 0x01]) + struct.pack("<I", 100)
-                           + old + struct.pack("<I", 100) + new)
+    assert op.encode() == (bytes([3, 0x02, 0x01]) + struct.pack("<H", 100)
+                           + old + struct.pack("<H", 100) + new)
     record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2, op=op,
                        undo=LogicalUndo(UndoAction.RESTORE_VALUE, b"k" * 16,
                                         old))
-    payload = record.encode()[45:]
-    assert payload == (bytes([7]) + struct.pack("<I", 211) + op.encode()
-                       + bytes([3]) + struct.pack("<I", 16) + b"k" * 16)
+    payload = record.encode()[21:]
+    assert payload == (bytes([7]) + struct.pack("<H", 207) + op.encode()
+                       + bytes([3]) + struct.pack("<H", 16) + b"k" * 16)
     # A span of four shared bytes or fewer does not pay for its fields.
     assert value_rewrite(0, b"abcd" + old, b"abcd" + new).prefix == 0
 
@@ -464,14 +486,14 @@ def test_a_spanned_rewrite_logs_the_middles_once():
     assert (op.prefix, op.suffix) == (2, 230)
     assert (op.old_value, op.new_value) == (b"19-03-04", b"21-11-22")
     assert op.encode() == (bytes([9, 5, 0]) + struct.pack("<HH", 2, 230)
-                           + struct.pack("<I", 8) + op.old_value
-                           + struct.pack("<I", 8) + op.new_value)
+                           + struct.pack("<H", 8) + op.old_value
+                           + struct.pack("<H", 8) + op.new_value)
     undo = LogicalUndo(UndoAction.RESTORE_VALUE, b"k" * 27, op.old_value,
                        op.prefix, op.suffix)
     record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2, op=op,
                        undo=undo)
-    # 45 header + 1 flags + 4 + op (15 + 8 + 8) + undo (1 + 4 + 27)
-    assert record.encoded_size() == len(record.encode()) == 113
+    # 21 header + 1 flags + 2 + op (11 + 8 + 8) + undo (1 + 2 + 27)
+    assert record.encoded_size() == len(record.encode()) == 81
     decoded = LogRecord.decode(record.encode())
     assert decoded == record
     assert decoded.undo.value is decoded.op.old_value
@@ -509,7 +531,7 @@ def test_truncated_and_out_of_range_spans_fail_typed():
                        undo=LogicalUndo(UndoAction.RESTORE_VALUE, b"k",
                                         op.old_value, op.prefix, op.suffix))
     raw = bytearray(record.encode())
-    raw[45 + 1 + 4 + 3:45 + 1 + 4 + 7] = struct.pack("<HH", 0, 0)
+    raw[21 + 1 + 2 + 3:21 + 1 + 2 + 7] = struct.pack("<HH", 0, 0)
     with pytest.raises(LogError):
         LogRecord.decode(bytes(raw))
 
@@ -522,45 +544,187 @@ def test_truncated_and_out_of_range_spans_fail_typed():
 def test_pri_update_round_trips_its_run(writes):
     record = pri_update(writes)
     encoded = record.encode()
-    assert len(encoded) == record.encoded_size() == 45 + 2 + 16 * len(writes)
+    narrow = max(map(max, writes)) < 2**32
+    assert len(encoded) == record.encoded_size() == (
+        21 + 2 + 8 * len(writes) if narrow else 45 + 2 + 16 * len(writes))
+    assert bool(encoded[0] & 0x40) is not narrow
     decoded = LogRecord.decode(encoded)
     assert decoded == record
     assert decoded.writes == tuple(writes)
     assert decoded.page_id == -1  # the record joins no page chain
 
 
-def _pri_frame(payload: bytes, page_id: int = -1) -> bytes:
-    """A PRI_UPDATE header (kind 9) around ``payload``."""
-    return struct.pack("<IBqqqqq", 45 + len(payload), LogRecordKind.PRI_UPDATE,
-                       0, 0, page_id, 0, 0) + payload
+def _pri_frame(payload: bytes, page_id: int = -1, wide: bool = False) -> bytes:
+    """A PRI_UPDATE header (kind 9) of either form around ``payload``."""
+    if wide:
+        return struct.pack("<BIqqqqq", LogRecordKind.PRI_UPDATE | 0x40,
+                           45 + len(payload), 0, 0, page_id, 0, 0) + payload
+    return struct.pack("<BHIIIIH", LogRecordKind.PRI_UPDATE, 21 + len(payload),
+                       0, 0, page_id & 0xFFFFFFFF, 0, 0) + payload
 
 
 def test_pri_update_decode_rejects_hostile_payloads():
-    entries = struct.pack("<qq", 7, 100) + struct.pack("<qq", 9, 200)
-    assert LogRecord.decode(_pri_frame(struct.pack("<H", 2) + entries)
-                            ).writes == ((7, 100), (9, 200))
-    cases = {
-        "zero entries": struct.pack("<H", 0),
-        "no count": b"",
-        "count past the record": struct.pack("<H", 3) + entries,
-        "count far past the record": struct.pack("<H", 0xFFFF) + entries,
-        "a torn entry": struct.pack("<H", 2) + entries[:-3],
-        "negative page id": struct.pack("<H", 1) + struct.pack("<qq", -4, 100),
-        "negative LSN": struct.pack("<H", 1) + struct.pack("<qq", 4, -1),
-        "trailing bytes": struct.pack("<H", 1) + entries,
-    }
-    for name, payload in cases.items():
+    big = 2**32  # a wide header's entries must need it
+    for wide, entry, first in ((False, "<II", 7), (True, "<qq", big)):
+        entries = struct.pack(entry, first, 100) + struct.pack(entry, 9, 200)
+        assert LogRecord.decode(_pri_frame(struct.pack("<H", 2) + entries,
+                                           wide=wide)
+                                ).writes == ((first, 100), (9, 200))
+        cases = {
+            "zero entries": struct.pack("<H", 0),
+            "no count": b"",
+            "count past the record": struct.pack("<H", 3) + entries,
+            "count far past the record": struct.pack("<H", 0xFFFF) + entries,
+            "a torn entry": struct.pack("<H", 2) + entries[:-3],
+            "trailing bytes": struct.pack("<H", 1) + entries,
+        }
+        if wide:
+            cases["negative page id"] = (struct.pack("<H", 1)
+                                         + struct.pack("<qq", -4, big))
+            cases["negative LSN"] = (struct.pack("<H", 1)
+                                     + struct.pack("<qq", big, -1))
+            cases["entries a narrow header holds"] = (
+                struct.pack("<H", 2) + struct.pack("<qq", 7, 100)
+                + struct.pack("<qq", 9, 200))
+        for name, payload in cases.items():
+            with pytest.raises(LogError):
+                LogRecord.decode(_pri_frame(payload, wide=wide))
+                pytest.fail(f"{name} decoded")
+        # The pages are in the payload, never in the header.
         with pytest.raises(LogError):
-            LogRecord.decode(_pri_frame(payload))
-            pytest.fail(f"{name} decoded")
-    # The pages are in the payload, never in the header.
-    with pytest.raises(LogError):
-        LogRecord.decode(_pri_frame(struct.pack("<H", 2) + entries, page_id=7))
+            LogRecord.decode(_pri_frame(struct.pack("<H", 2) + entries,
+                                        page_id=7, wide=wide))
     # The builder writes only what the decoder reads back.
-    for writes in ([], [(1, 64)] * (PRI_UPDATE_MAX + 1)):
+    for writes in ([], [(1, 64)] * (PRI_UPDATE_MAX + 1), [(-1, 64)],
+                   [(1, -64)]):
         with pytest.raises(LogError):
             pri_update(writes)
     assert len(pri_update([(1, 64)] * PRI_UPDATE_MAX).writes) == PRI_UPDATE_MAX
+
+
+# ----------------------------------------------------------------------
+# Narrow and wide headers
+# ----------------------------------------------------------------------
+def _one_of_each_kind() -> list[LogRecord]:
+    """A record of every kind, payload and all, with header fields the
+    narrow form holds."""
+    op = OpUpdateValue(4, b"old", b"new")
+    undo = LogicalUndo(UndoAction.RESTORE_VALUE, b"key", b"old")
+    fields = dict(txn_id=3, prev_lsn=64, page_id=9, page_prev_lsn=32,
+                  index_id=2)
+    kinds = {
+        LogRecordKind.UPDATE: dict(op=op, undo=undo, commits=True),
+        LogRecordKind.COMPENSATION: dict(op=OpInverse(op), undo_next_lsn=16),
+        LogRecordKind.FORMAT_PAGE: dict(op=OpInitSlotted(PageType.BTREE_LEAF)),
+        LogRecordKind.FULL_PAGE_IMAGE: dict(page_lsn=8, image=b"zlib"),
+        LogRecordKind.BACKUP_PAGE: dict(page_lsn=8,
+                                        backup_ref=BackupRef.page_copy(1)),
+        LogRecordKind.CHECKPOINT_END: dict(checkpoint=CheckpointData(
+            {9: 16}, [(3, 64, False)], {1: 8})),
+        LogRecordKind.BACKUP_FULL: dict(backup_id=5),
+        LogRecordKind.PREPARE: dict(gtid=7),
+    }
+    records = [LogRecord(kind, **fields, **kinds.get(kind, {}))
+               for kind in LogRecordKind if kind != LogRecordKind.PRI_UPDATE]
+    return records + [pri_update([(9, 64), (10, 96)])]
+
+
+#: header field -> (values the narrow form holds, values it does not)
+_BOUNDARIES = {
+    "txn_id": ((0, 2**32 - 1), (2**32, 2**63 - 1)),
+    "prev_lsn": ((0, 2**32 - 1), (2**32,)),
+    "page_prev_lsn": ((0, 2**32 - 1), (2**32,)),
+    "page_id": ((-1, 0, 2**32 - 2), (2**32 - 1, 2**32, -2)),
+    "index_id": ((0, 2**16 - 1), (2**16, 2**32)),
+}
+
+
+def _round_trips(record: LogRecord, narrow: bool) -> None:
+    encoded = record.encode()
+    assert len(encoded) == record.encoded_size()
+    assert bool(encoded[0] & 0x40) is not narrow, (record, narrow)
+    decoded = LogRecord.decode(encoded)
+    assert decoded == record
+    assert decoded.encode() == encoded
+
+
+def test_every_kind_round_trips_on_both_sides_of_every_boundary():
+    for record in _one_of_each_kind():
+        _round_trips(record, narrow=True)
+        for name, (fits, does_not) in _BOUNDARIES.items():
+            if record.kind == LogRecordKind.PRI_UPDATE and name == "page_id":
+                continue  # a PRI update's header names no page
+            for value, narrow in ([(v, True) for v in fits]
+                                  + [(v, False) for v in does_not]):
+                setattr(record, name, value)
+                _round_trips(record, narrow)
+            setattr(record, name, fits[0])
+
+
+def test_the_total_and_pri_entries_decide_the_form_too():
+    """A record of 65 535 bytes is narrow and one more byte makes it
+    wide (24 bytes more); a PRI update is narrow while every entry is
+    below 2**32 and the whole fits 65 535 bytes."""
+    for extra, narrow in ((0, True), (1, False)):
+        # 21 header + 1 flags + 2 op length + 8 insert fixed
+        update = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2,
+                           op=OpInsert(0, b"", bytes(65_535 - 32 + extra)))
+        image = LogRecord(LogRecordKind.FULL_PAGE_IMAGE, page_id=2,
+                          image=bytes(65_535 - 33 + extra))
+        for record in (update, image):
+            _round_trips(record, narrow)
+            assert record.encoded_size() == (65_535 + extra
+                                             + (0 if narrow else 24))
+    # 21 header + 2 count + 8 per entry: 8 189 entries fill 65 535 bytes
+    for count, narrow in ((8_189, True), (8_190, False)):
+        record = pri_update([(page, 2**32 - 1) for page in range(count)])
+        _round_trips(record, narrow)
+    for entry, narrow in (((2**32 - 1, 5), True), ((2**32, 5), False),
+                          ((5, 2**32 - 1), True), ((5, 2**32), False)):
+        _round_trips(pri_update([(1, 2), entry]), narrow)
+
+
+def _widened(encoded: bytes) -> bytes:
+    """``encoded`` (a narrow record, not a PRI update) under the wide
+    header its fields would fit without."""
+    kind, total, txn, prev, page, page_prev, index = struct.unpack_from(
+        "<BHIIIIH", encoded)
+    page = -1 if page == 0xFFFFFFFF else page
+    return struct.pack("<BIqqqqq", kind | 0x40, total + 24, txn, prev, page,
+                       page_prev, index) + encoded[21:]
+
+
+def test_decode_refuses_a_second_encoding_of_any_record():
+    for record in _one_of_each_kind():
+        if record.kind == LogRecordKind.PRI_UPDATE:
+            continue  # its wide entries: see the PRI update's own test
+        widened = _widened(record.encode())
+        with pytest.raises(LogError, match="narrow one fits"):
+            LogRecord.decode(widened)
+        # The same frame is accepted once a field needs it.
+        needed = bytearray(widened)
+        struct.pack_into("<q", needed, 5, 2**32)
+        assert LogRecord.decode(bytes(needed)).txn_id == 2**32
+    # Unknown kinds in the low six bits, under either form and with the
+    # commit bit.
+    good = LogRecord(LogRecordKind.COMMIT, txn_id=1).encode()
+    for low in (0, 5, 15, 16, 0x3F):
+        for high in (0, 0x40, 0x80, 0xC0):
+            raw = bytes([low | high]) + good[1:]
+            with pytest.raises(LogError):
+                LogRecord.decode(raw)
+    # An UPDATE that spells out a before-image its op already holds is
+    # not what the encoder writes.
+    op = OpUpdateValue(1, b"same", b"new")
+    shared = LogRecord(LogRecordKind.UPDATE, op=op, undo=LogicalUndo(
+        UndoAction.RESTORE_VALUE, b"k", b"same"))
+    raw = bytearray(shared.encode())
+    written_twice = (raw[:21] + bytes([raw[21] & ~4]) + raw[22:-4]
+                     + LogicalUndo(UndoAction.RESTORE_VALUE, b"k",
+                                   b"same").encode())
+    struct.pack_into("<H", written_twice, 1, len(written_twice))
+    with pytest.raises(LogError, match="own encoding"):
+        LogRecord.decode(bytes(written_twice))
 
 
 # ----------------------------------------------------------------------
