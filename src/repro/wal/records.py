@@ -190,6 +190,7 @@ CHAIN_KINDS = frozenset({
 })
 
 _COMMIT_KINDS = (LogRecordKind.COMMIT, LogRecordKind.SYS_COMMIT)
+_UPDATE = LogRecordKind.UPDATE
 
 
 class BackupRefKind(enum.IntEnum):
@@ -429,29 +430,36 @@ class LogRecord:
         is guarded by the serialization round-trip property tests.
         """
         op, undo = self.op, self.undo
-        if (self.kind == LogRecordKind.UPDATE and undo
-                and undo.action is _RESTORE_VALUE
-                and type(op) is OpUpdateValue
-                and (undo.value is op.old_value or undo.value == op.old_value)
-                and undo.prefix == op.prefix and undo.suffix == op.suffix):
-            size = (_SHARED_UPDATE_FIXED + len(op.old_value)
-                    + len(op.new_value) + len(undo.key))
-            if op.prefix or op.suffix:
-                size += SPAN_SIZE
+        if self.kind is _UPDATE:
+            if (undo and undo.action is _RESTORE_VALUE
+                    and type(op) is OpUpdateValue
+                    and (undo.value is op.old_value
+                         or undo.value == op.old_value)
+                    and undo.prefix == op.prefix and undo.suffix == op.suffix):
+                size = (_SHARED_UPDATE_FIXED + len(op.old_value)
+                        + len(op.new_value) + len(undo.key))
+                if op.prefix or op.suffix:
+                    size += SPAN_SIZE
+            else:
+                size = (NARROW_HEADER_SIZE + 1
+                        + (2 + op.encoded_size() if op else 0)
+                        + (undo.encoded_size() if undo else 0))
         else:
             size = NARROW_HEADER_SIZE + self._payload_size()
-        if (size <= 0xFFFF and -1 <= self.page_id < _NO_PAGE
-                and not ((self.txn_id | self.prev_lsn | self.page_prev_lsn) >> 32
-                         or self.index_id >> 16
-                         or self.writes and max(map(max, self.writes)) >> 32)):
-            return size
-        return size + _WIDENING + 8 * len(self.writes)
+        # The fits test.  ``page_id + 1`` maps -1 .. 2**32 - 2 onto the
+        # u32 range, and a negative value sets the high bits.
+        if ((self.txn_id | self.prev_lsn | self.page_prev_lsn
+                | self.page_id + 1) >> 32 | (self.index_id | size) >> 16
+                or self.writes and max(map(max, self.writes)) >> 32):
+            return size + _WIDENING + 8 * len(self.writes)
+        return size
 
     def _payload_size(self) -> int:
-        """The payload's length under a narrow header."""
+        """The payload's length under a narrow header (for an UPDATE,
+        what :meth:`encoded_size` computes inline)."""
         kind = self.kind
         op = self.op
-        if kind == LogRecordKind.UPDATE:
+        if kind is _UPDATE:
             undo = self.undo
             if undo and self._shares_before_image():
                 return 6 + op.encoded_size() + len(undo.key)
@@ -504,8 +512,8 @@ class LogRecord:
             _NARROW.pack_into(buf, 0, kind_byte, total, self.txn_id,
                               self.prev_lsn, self.page_id & _NO_PAGE,
                               self.page_prev_lsn, self.index_id)
-        self._encode_payload_into(buf, _WIDE.size if wide else _NARROW.size,
-                                  wide)
+        self._encode_payload_into(
+            buf, WIDE_HEADER_SIZE if wide else NARROW_HEADER_SIZE, wide)
         return bytes(buf)
 
     def _encode_payload_into(self, buf: bytearray, pos: int, wide: bool) -> int:
