@@ -37,7 +37,7 @@ from __future__ import annotations
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LogError
@@ -343,6 +343,14 @@ def _decodes_or_log_error(decode, data):
 
 @settings(max_examples=400)
 @given(data=st.binary(max_size=200))
+# a wide COMMIT header whose fields the narrow one holds
+@example(struct.pack("<BIqqqqq", 0x40 | LogRecordKind.COMMIT, 45, 1, 0, -1, 0, 0))
+# a narrow UPDATE whose u16 op length runs past the record
+@example(struct.pack("<BHIIIIH", LogRecordKind.UPDATE, 24, 1, 0, 2, 0, 0)
+         + bytes([1]) + struct.pack("<H", 0xFFFF))
+# unknown kinds in the kind byte's low six bits, narrow and wide
+@example(bytes([0x3F]) + struct.pack("<H", 21) + bytes(18))
+@example(bytes([0x40 | 0x05]) + struct.pack("<I", 45) + bytes(40))
 def test_decoders_fail_typed_on_arbitrary_bytes(data):
     _decodes_or_log_error(LogRecord.decode, data)
     _decodes_or_log_error(PageOp.decode, data)
