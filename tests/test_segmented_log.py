@@ -4,6 +4,7 @@ transparent repair-on-read through the buffer pool's fix path."""
 import pytest
 
 from repro.core.recovery_index import PageRecoveryIndex
+from repro.engine.catalog import METADATA_PAGE
 from repro.engine.database import Database
 from repro.errors import LogError, RecoveryError
 from repro.sim.clock import SimClock
@@ -309,19 +310,45 @@ class TestRepairOnRead:
         assert db.stats.get("single_page_recoveries") == before + 1
         assert tree.lookup(key_of(0)) == value_of(0, 0)
 
-    def test_heap_read_repairs_transparently(self):
-        """A heap fetch (a different reader) rides the same fix path."""
+    @pytest.mark.parametrize(
+        "kind", ["read-error", "bit-rot", "lost-write", "misdirected-write"])
+    def test_metadata_page_repairs_transparently(self, kind):
+        """A fault on the catalogue's page 0 — slotted records, not a
+        B-tree node — rides the same fix path: every index stays
+        reachable through its root record."""
         db = Database(fast_config())
-        heap = db.create_heap()
+        trees = [db.create_index(), db.create_index()]
         txn = db.begin()
-        rids = [heap.insert(txn, b"payload-%d" % i) for i in range(50)]
+        for tree in trees:
+            for i in range(50):
+                tree.insert(txn, key_of(i), value_of(i, tree.index_id))
         db.commit(txn)
         db.flush_everything()
+        if kind == "lost-write":
+            db.device.inject_lost_write(METADATA_PAGE)
+        elif kind == "misdirected-write":
+            unused = db.config.capacity_pages - 1
+            db.device.inject_misdirected_write(METADATA_PAGE, unused)
+        if kind in ("lost-write", "misdirected-write"):
+            # A third index rewrites page 0; that write never reaches it.
+            db.create_index()
+            db.flush_everything()
         db.evict_everything()
-        victim = rids[0].page_id
-        db.device.inject_bit_rot(victim, nbits=6)
-        assert heap.fetch(rids[0]) == b"payload-0"
-        assert db.stats.get("single_page_recoveries") >= 1
+        db.catalog.invalidate_volatile()
+        if kind == "read-error":
+            db.device.inject_read_error(METADATA_PAGE)
+        elif kind == "bit-rot":
+            db.device.inject_bit_rot(METADATA_PAGE, nbits=6)
+        before = db.stats.snapshot()
+        for tree in trees:
+            reached = db.tree(tree.index_id)
+            for i in (0, 49):
+                assert reached.lookup(key_of(i)) == value_of(i, tree.index_id)
+        delta = db.stats.delta(before)
+        assert delta.get("single_page_recoveries") == 1
+        assert not delta.get("spf_recovery_failures")
+        assert not delta.get("escalations_to_media")
+        assert not delta.get("txns_aborted")
 
     def test_resident_frame_repair_goes_through_pool(self):
         """Invariant failures on already-fixed pages route through
