@@ -62,6 +62,14 @@ from repro.wal.records import LogicalUndo, UndoAction
 _RESTORE_VALUE = UndoAction.RESTORE_VALUE
 
 
+def _not_bytes(key: object, value: object) -> BTreeError:
+    """The refusal of a write whose key or value is not ``bytes``: a
+    ``str`` would fail only once its record is logged, and a ``None``
+    value would read as a delete."""
+    return BTreeError(f"keys and values are bytes, not "
+                      f"{type(key).__name__} -> {type(value).__name__}")
+
+
 class TreeContext(Protocol):
     """Engine services the tree depends on."""
 
@@ -306,11 +314,15 @@ class FosterBTree:
                replace: bool = False) -> None:
         """Insert ``key`` -> ``value``; a live duplicate is rejected
         (:class:`DuplicateKey`) unless ``replace``, which updates it."""
+        if key.__class__ is not bytes or value.__class__ is not bytes:
+            raise _not_bytes(key, value)
         self._write(txn, key, value, None if replace else False)
 
     def update(self, txn: Transaction, key: bytes, value: bytes) -> None:
         """Replace the value stored under ``key`` (:class:`KeyNotFound`
         if there is none)."""
+        if key.__class__ is not bytes or value.__class__ is not bytes:
+            raise _not_bytes(key, value)
         self._write(txn, key, value, True)
 
     def upsert(self, txn: Transaction, key: bytes, value: bytes) -> None:

@@ -98,22 +98,30 @@ class TestAutoCommitHelpers:
         assert tree.lookup(b"k") == b"v"
         assert db.stats.get("txns_aborted") == 1
 
-    def test_any_failure_of_an_auto_op_releases_its_lock(self, db):
+    def test_any_failure_of_an_auto_op_releases_its_lock(self, db, monkeypatch):
         """Regression: the helpers rolled back on ``ReproError`` only —
-        a ``TypeError`` out of the tree (a value that is not bytes)
-        left the private transaction active and its key locked for the
-        life of the engine, and every checkpoint carried it."""
+        a ``TypeError`` out of the tree (once: a value that is not
+        bytes; the tree now refuses that as a ``BTreeError``) left the
+        private transaction active and its key locked for the life of
+        the engine, and every checkpoint carried it."""
         import repro
+        from repro.btree.tree import FosterBTree
 
         tree = db.create_index()
         db.insert(tree, b"a", b"1")
-        for failing in (lambda: db.insert(tree, b"b", 12345),
-                        lambda: db.update(tree, b"a", 12345),
-                        lambda: repro.connect(db).put(b"b", 12345)):
+
+        def write(*_args, **_kwargs):  # noqa: ANN002, ANN003, ANN202
+            raise TypeError("not a ReproError")
+
+        monkeypatch.setattr(FosterBTree, "_write", write)
+        for failing in (lambda: db.insert(tree, b"b", b"2"),
+                        lambda: db.update(tree, b"a", b"2"),
+                        lambda: repro.connect(db).put(b"b", b"2")):
             with pytest.raises(TypeError):
                 failing()
             assert not db.tm.active
             assert db.locks.held_keys() == []
+        monkeypatch.undo()
         client = repro.connect(db)
         client.put(b"b", b"2")
         assert client.get(b"b") == b"2" and client.get(b"a") == b"1"
