@@ -15,16 +15,28 @@ the first worn-out read.
 Run:  python examples/flash_wearout.py
 """
 
+import random
+
 from repro import Database, EngineConfig, MediaFailure, SystemFailure
 from repro.baselines.media_only import traditional_config
 from repro.core.backup import BackupPolicy
 from repro.sim.iomodel import FLASH_PROFILE
 from repro.storage.faults import FaultInjector
-from repro.workloads.generator import KeyValueWorkload, WorkloadSpec
 
 WEAR_LIMIT = 20          # writes per sector before it wears out
 ROUNDS = 40              # update waves
 WAVE = 120               # updates per wave
+N_KEYS = 800
+SKEW = 1.1               # Zipf exponent: key i is picked ~ 1 / (i + 1) ** SKEW
+ZIPF = [1.0 / (rank + 1) ** SKEW for rank in range(N_KEYS)]
+
+
+def key(i: int) -> bytes:
+    return b"k%011d" % i
+
+
+def value(i: int, version: int) -> bytes:
+    return (b"v%d.%d|" % (i, version)).ljust(32, b"x")
 
 
 def run(spf: bool) -> dict:
@@ -43,11 +55,13 @@ def run(spf: bool) -> dict:
     injector = FaultInjector(seed=2, wear_limit=WEAR_LIMIT)
     db = Database(cfg, injector=injector)
     tree = db.create_index()
-    workload = KeyValueWorkload(WorkloadSpec(n_keys=800, skew=1.1, seed=5))
+    rng = random.Random(5)
+    order = list(range(N_KEYS))
+    rng.shuffle(order)
 
     txn = db.begin()
-    for key, value in workload.load_stream():
-        tree.insert(txn, key, value)
+    for i in order:
+        tree.insert(txn, key(i), value(i, 0))
     db.commit(txn)
     db.flush_everything()
 
@@ -56,14 +70,15 @@ def run(spf: bool) -> dict:
     for round_no in range(ROUNDS):
         try:
             txn = db.begin()
-            for key, value in workload.update_stream(WAVE):
-                tree.update(txn, key, value)
+            hot = rng.choices(range(N_KEYS), ZIPF, k=WAVE)
+            for version, i in enumerate(hot, 1):
+                tree.update(txn, key(i), value(i, version))
             db.commit(txn)
             db.flush_everything()
             db.evict_everything()
             # Touch data again: worn sectors surface as read failures.
             for probe in (0, 100, 400, 799):
-                tree.lookup(workload.key(probe))
+                tree.lookup(key(probe))
             waves_survived += 1
         except (MediaFailure, SystemFailure) as failure:
             outage = f"{type(failure).__name__} in wave {round_no}"

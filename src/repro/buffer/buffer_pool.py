@@ -31,7 +31,7 @@ Responsibilities:
 The pool never reads the device directly: the engine supplies a
 ``fetcher`` that performs the read *plus* detection and, if necessary,
 single-page recovery (Figure 8's page-retrieval logic).  Detection is
-therefore *on the fix path*: any reader — B-tree, heap, baseline,
+therefore *on the fix path*: any reader — B-tree, catalogue, baseline,
 scrubber — that faults a page in transparently triggers Figure-10
 recovery.  The fetcher is also the hook a pending recovery rides
 (:mod:`repro.engine.pending_recovery`, restart and media restore

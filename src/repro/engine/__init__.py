@@ -2,12 +2,12 @@
 
 :class:`repro.engine.Database` wires every substrate together — the
 simulated device, the segmented recovery log, the buffer pool,
-transactions, Foster B-trees, heaps, the page recovery index, and the
+transactions, Foster B-trees, the page recovery index, and the
 three recovery procedures (single-page, system/restart, media).  The
 engine core is decomposed:
 
 * :mod:`repro.engine.catalog` — metadata-page records and the
-  index/heap registries (names → roots/pages/handles);
+  index registry (names → roots/handles);
 * :mod:`repro.engine.allocator` — page allocation and the free-space
   pool (crash-consistent via logged metadata updates);
 * :mod:`repro.engine.checkpointer` — checkpoints, PRI persistence,
@@ -18,7 +18,7 @@ engine core is decomposed:
   registry that brings pages current and undoes losers for both.
 
 The facade retains the engine-context protocols (TreeContext,
-UndoContext) that the B-tree, heap, and transaction manager program
+UndoContext) that the B-tree and the transaction manager program
 against, so storage structures stay decoupled from the decomposition.
 """
 

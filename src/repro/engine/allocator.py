@@ -78,18 +78,6 @@ class PageAllocator:
         self.db.catalog.set_blob(txn, b"freelist", blob[:-8])
         return page_id
 
-    def allocate_heap_page(self, txn: Transaction, heap_id: int) -> Page:
-        """Grow a heap by one page (logged, crash-consistent)."""
-        from repro.engine.catalog import HEAP_INDEX_OFFSET
-
-        catalog = self.db.catalog
-        pages = catalog.get_heap_pages(heap_id)
-        page = self.allocate_page(txn, PageType.HEAP,
-                                  index_id=HEAP_INDEX_OFFSET + heap_id)
-        pages.append(page.page_id)
-        catalog.set_heap_pages(txn, heap_id, pages)
-        return page
-
     def allocated_pages(self) -> int:
         """Device high-water mark (first never-allocated page id)."""
         return (self.db.catalog.get_int(b"next_free")

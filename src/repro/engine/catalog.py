@@ -3,11 +3,9 @@
 Everything the engine knows about *names* lives here:
 
 * the slotted **metadata page** (page 0) holding typed key/value
-  records — allocation state, index roots, heap page lists;
+  records — allocation state, index roots, the free list;
 * the **index registry**: index-id assignment, root-page lookup with a
-  volatile cache, and the live :class:`FosterBTree` handles;
-* the **heap registry**: heap-id assignment, crash-consistent per-heap
-  page lists, and the live :class:`HeapFile` handles.
+  volatile cache, and the live :class:`FosterBTree` handles.
 
 All durable state is ordinary logged page updates on the metadata
 page, so the catalog is crash-consistent for free; the caches and
@@ -27,9 +25,6 @@ from repro.wal.ops import OpInsert, value_rewrite
 
 METADATA_PAGE = 0
 
-#: Heap ids share the index-id namespace, offset to avoid clashes.
-HEAP_INDEX_OFFSET = 1_000_000
-
 
 class Catalog:
     """Metadata and object catalogs over the engine's metadata page."""
@@ -37,7 +32,6 @@ class Catalog:
     def __init__(self, db) -> None:  # noqa: ANN001 - Database facade
         self.db = db
         self.trees: dict[int, FosterBTree] = {}
-        self.heaps: dict[int, object] = {}
         self._root_cache: dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -104,7 +98,7 @@ class Catalog:
     # Object-id assignment
     # ------------------------------------------------------------------
     def reserve_object_id(self, txn: Transaction) -> int:
-        """Claim the next index/heap id (one shared namespace)."""
+        """Claim the next index id."""
         next_id = self.get_int(b"next_index")
         if next_id is None:
             raise StorageError(
@@ -139,51 +133,9 @@ class Catalog:
         return tree
 
     # ------------------------------------------------------------------
-    # Heaps
-    # ------------------------------------------------------------------
-    def create_heap(self):  # noqa: ANN201 - returns HeapFile
-        """Create a new heap file; returns the heap handle."""
-        from repro.heap.heapfile import HeapFile
-
-        db = self.db
-        sys_txn = db.tm.begin(system=True)
-        next_id = self.reserve_object_id(sys_txn)
-        self.set_blob(sys_txn, b"heap:%d" % next_id, b"")
-        db.tm.commit(sys_txn)
-        heap = HeapFile(next_id, db, db.tm, db.stats)
-        self.heaps[next_id] = heap
-        # DDL durability, as for create_index.
-        db.log.force()
-        return heap
-
-    def heap(self, heap_id: int):  # noqa: ANN201
-        heap = self.heaps.get(heap_id)
-        if heap is None:
-            from repro.heap.heapfile import HeapFile
-
-            if self.get_blob(b"heap:%d" % heap_id) is None:
-                raise ConfigError(f"heap {heap_id} does not exist")
-            heap = HeapFile(heap_id, self.db, self.db.tm, self.db.stats)
-            self.heaps[heap_id] = heap
-        return heap
-
-    def get_heap_pages(self, heap_id: int) -> list[int]:
-        blob = self.get_blob(b"heap:%d" % heap_id)
-        if blob is None:
-            raise ConfigError(f"heap {heap_id} does not exist")
-        count = len(blob) // 8
-        return [struct.unpack_from("<q", blob, i * 8)[0] for i in range(count)]
-
-    def set_heap_pages(self, txn: Transaction, heap_id: int,
-                       pages: list[int]) -> None:
-        blob = b"".join(struct.pack("<q", pid) for pid in pages)
-        self.set_blob(txn, b"heap:%d" % heap_id, blob)
-
-    # ------------------------------------------------------------------
     # Volatile state
     # ------------------------------------------------------------------
     def invalidate_volatile(self) -> None:
         """Drop caches and handles (crash / media-failure simulation)."""
         self._root_cache.clear()
         self.trees.clear()
-        self.heaps.clear()

@@ -7,7 +7,7 @@ recovery machinery of Sections 5.2.2–5.2.6.  The engine core is
 decomposed into cohesive components that the facade wires together:
 
 * :class:`repro.engine.catalog.Catalog` — metadata-page records and
-  the index/heap registries;
+  the index registry;
 * :class:`repro.engine.allocator.PageAllocator` — page allocation and
   the free-space pool;
 * :class:`repro.engine.checkpointer.Checkpointer` — checkpoints, PRI
@@ -42,7 +42,7 @@ from repro.core.recovery_manager import RecoveryManager
 from repro.core.single_page import SinglePageRecovery
 from repro.detect.scrubber import Scrubber, ScrubReport
 from repro.engine.allocator import PageAllocator
-from repro.engine.catalog import HEAP_INDEX_OFFSET, METADATA_PAGE, Catalog
+from repro.engine.catalog import METADATA_PAGE, Catalog
 from repro.engine.checkpointer import Checkpointer
 from repro.engine.config import EngineConfig
 from repro.errors import (
@@ -244,7 +244,7 @@ class Database:
                                 format_lsn, self.clock.now)
 
     # ------------------------------------------------------------------
-    # TreeContext protocol (used by FosterBTree and HeapFile; ``fix`` and
+    # TreeContext protocol (used by FosterBTree; ``fix`` and
     # ``unfix`` serve the TransactionManager's UndoContext too)
     # ------------------------------------------------------------------
     def fix(self, page_id: int, release: int | None = None) -> Page:
@@ -259,9 +259,6 @@ class Database:
 
     def free_page(self, page_id: int) -> None:
         self.allocator.free_page(page_id)
-
-    def allocate_heap_page(self, txn: Transaction, heap_id: int) -> Page:
-        return self.allocator.allocate_heap_page(txn, heap_id)
 
     def get_root(self, index_id: int) -> int:
         return self.catalog.get_root(index_id)
@@ -286,11 +283,6 @@ class Database:
     # ------------------------------------------------------------------
     def logical_compensate(self, txn: Transaction, index_id: int,
                            undo: LogicalUndo, undo_next_lsn: int) -> None:
-        if index_id >= HEAP_INDEX_OFFSET:
-            # Heap ops use RID-level compensation (slot stability).
-            self.heap(index_id - HEAP_INDEX_OFFSET).compensate(
-                txn, undo, undo_next_lsn)
-            return
         self.tree(index_id).compensate(txn, undo, undo_next_lsn)
 
     # ------------------------------------------------------------------
@@ -304,16 +296,6 @@ class Database:
         # The registry hit in place: every client operation asks.
         tree = self.catalog.trees.get(index_id)
         return tree if tree is not None else self.catalog.tree(index_id)
-
-    def create_heap(self):  # noqa: ANN201 - returns HeapFile
-        self._require_running()
-        return self.catalog.create_heap()
-
-    def heap(self, heap_id: int):  # noqa: ANN201
-        return self.catalog.heap(heap_id)
-
-    def get_heap_pages(self, heap_id: int) -> list[int]:
-        return self.catalog.get_heap_pages(heap_id)
 
     @property
     def indexes(self) -> list[int]:

@@ -55,7 +55,7 @@ CATALOGUE: tuple[Metric, ...] = (
            "frames discarded without write-back (untrustworthy image)"),
     Metric("pool_repairs", "pages", "buffer",
            "resident pages that failed a cross-page check and were sent to repair"),
-    # -- btree (and the heap file, the other access method) -----------------
+    # -- btree --------------------------------------------------------------
     Metric("btree_lookups", "ops", "btree", "point lookups that found a live record"),
     Metric("btree_inserts", "ops", "btree", "records inserted (ghost revivals included)"),
     Metric("btree_updates", "ops", "btree", "values replaced in place"),
@@ -70,12 +70,6 @@ CATALOGUE: tuple[Metric, ...] = (
     Metric("btree_migrations", "pages", "btree", "nodes moved to a fresh page"),
     Metric("btree_compensations", "ops", "btree", "logical undo actions applied"),
     Metric("btree_ghosts_removed", "records", "btree", "ghost records reclaimed"),
-    Metric("heap_inserts", "ops", "btree", "heap file: records inserted"),
-    Metric("heap_fetches", "ops", "btree", "heap file: records read by RID"),
-    Metric("heap_updates", "ops", "btree", "heap file: records updated"),
-    Metric("heap_deletes", "ops", "btree", "heap file: records deleted"),
-    Metric("heap_scans", "ops", "btree", "heap file: full scans started"),
-    Metric("heap_slots_vacuumed", "slots", "btree", "heap file: dead slots reclaimed"),
     # -- txn ----------------------------------------------------------------
     Metric("user_txns_started", "txns", "txn", "user transactions begun"),
     Metric("system_txns_started", "txns", "txn", "system transactions begun"),

@@ -740,8 +740,8 @@ class LogRecord:
 
         A COMMIT record names its kind of transaction; a commit bit
         does not, but the record under it does: user updates carry
-        key-level undo (B-tree and heap alike), structural updates by
-        system transactions never do."""
+        key-level undo, structural updates by system transactions
+        never do."""
         return (self.kind == LogRecordKind.COMMIT
                 or (self.commits and self.undo is not None))
 

@@ -1,4 +1,4 @@
-"""Workload generators, the fleet failure model, and the chaos fleet."""
+"""The fleet failure model and the chaos fleet."""
 
 from repro.workloads.fleet import (
     ClientAction,
@@ -6,11 +6,8 @@ from repro.workloads.fleet import (
     FleetModel,
     FleetOutcome,
 )
-from repro.workloads.generator import KeyValueWorkload, WorkloadSpec
 
 __all__ = [
-    "KeyValueWorkload",
-    "WorkloadSpec",
     "FleetModel",
     "FleetOutcome",
     "ClientFleet",

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.btree.verify import verify_tree
 from repro.detect.scrubber import Scrubber
 from repro.engine.database import Database
+from repro.errors import KeyNotFound
 from repro.sim.clock import SimClock
 from repro.sim.iomodel import NULL_PROFILE
 from repro.sim.stats import Stats
@@ -166,25 +168,26 @@ class TestIncrementalScrub:
         assert report.pages_scanned == 0
 
 
-class TestHeapAbortInterleaving:
-    def test_interleaved_heap_insert_aborts(self):
+class TestAbortInterleaving:
+    def test_interleaved_insert_aborts_on_one_leaf(self):
         """Regression companion to the B-tree slot-shift bug: aborting
-        heap inserts in any order must not disturb other records."""
+        two open inserts on one leaf in insertion order must not disturb
+        the neighbouring records."""
         db = Database(fast_config())
-        heap = db.create_heap()
+        tree = db.create_index()
         t_keep = db.begin()
-        keep = heap.insert(t_keep, b"keeper")
+        tree.insert(t_keep, b"k-1", b"keeper")
         db.commit(t_keep)
         t_a = db.begin()
-        a = heap.insert(t_a, b"a-record")
+        tree.insert(t_a, b"k-3", b"a-record")
         t_b = db.begin()
-        b = heap.insert(t_b, b"b-record")
-        # Abort in insertion order (a first): b's slot must survive.
+        tree.insert(t_b, b"k-2", b"b-record")
+        # b's key sorts first, so a's record moved a slot after a logged
+        # it; abort in insertion order (a first).
         db.abort(t_a)
         db.abort(t_b)
-        assert heap.fetch(keep) == b"keeper"
-        from repro.errors import KeyNotFound
-
-        for rid in (a, b):
+        assert tree.lookup(b"k-1") == b"keeper"
+        for key in (b"k-2", b"k-3"):
             with pytest.raises(KeyNotFound):
-                heap.fetch(rid)
+                tree.lookup(key)
+        assert verify_tree(tree).ok

@@ -3,14 +3,12 @@
 import pytest
 
 from repro.errors import MediaFailure
-from repro.page.page import Page, PageType
 from repro.sim.clock import SimClock
 from repro.sim.iomodel import HDD_PROFILE, NULL_PROFILE
 from repro.sim.stats import Stats
 from repro.storage.badblocks import BadBlockList
 from repro.storage.device import DeviceReadError, StorageDevice
 from repro.storage.faults import FaultInjector, FaultKind
-from repro.storage.mirror import MirroredDevice
 from repro.storage.raid import Raid5Array
 
 PAGE = 512
@@ -194,36 +192,6 @@ class TestBadBlockList:
         bad.add(2, "wear", 0)
         bad.add(3, "rot", 0)
         assert bad.reasons() == {"wear": 2, "rot": 1}
-
-
-class TestMirroredDevice:
-    def make_mirror(self):
-        primary = make_device("p")
-        mirror = make_device("m")
-        return MirroredDevice(primary, mirror), primary, mirror
-
-    def test_writes_go_to_both(self):
-        duo, primary, mirror = self.make_mirror()
-        duo.write(3, image(4))
-        assert bytes(primary.read(3)) == image(4)
-        assert bytes(mirror.read(3)) == image(4)
-
-    def test_normal_read_uses_primary_only(self):
-        """Silent corruption on the primary passes through (Section 2)."""
-        duo, primary, _mirror = self.make_mirror()
-        duo.write(3, image(4))
-        primary.inject_bit_rot(3)
-        assert bytes(duo.read(3)) != image(4)
-
-    def test_fallback_on_explicit_error(self):
-        duo, primary, _mirror = self.make_mirror()
-        duo.write(3, image(4))
-        primary.inject_read_error(3)
-        assert bytes(duo.read_with_fallback(3)) == image(4)
-
-    def test_mismatched_halves_rejected(self):
-        with pytest.raises(ValueError):
-            MirroredDevice(make_device("a", pages=8), make_device("b", pages=16))
 
 
 class TestRaid5:

@@ -1,90 +1,12 @@
-"""Unit tests: workload generators and the fleet failure model."""
+"""Unit tests: the fleet failure model."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.workloads.fleet import (
     NEARLINE_LSE_ANNUAL_RATE,
     FleetModel,
     FleetOutcome,
 )
-from repro.workloads.generator import KeyValueWorkload, WorkloadSpec
-
-
-class TestWorkloadSpec:
-    def test_defaults_valid(self):
-        spec = WorkloadSpec()
-        assert spec.n_keys > 0
-
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadSpec(n_keys=0)
-        with pytest.raises(ValueError):
-            WorkloadSpec(skew=-1)
-
-
-class TestKeyValueWorkload:
-    def test_keys_sort_numerically(self):
-        wl = KeyValueWorkload(WorkloadSpec(n_keys=50))
-        keys = wl.all_keys()
-        assert keys == sorted(keys)
-        assert len(set(keys)) == 50
-
-    def test_deterministic_across_instances(self):
-        a = KeyValueWorkload(WorkloadSpec(seed=9))
-        b = KeyValueWorkload(WorkloadSpec(seed=9))
-        assert [a.pick() for _ in range(50)] == [b.pick() for _ in range(50)]
-        assert list(a.load_stream()) == list(b.load_stream())
-
-    def test_load_stream_covers_every_key_once(self):
-        wl = KeyValueWorkload(WorkloadSpec(n_keys=100))
-        pairs = list(wl.load_stream())
-        assert len(pairs) == 100
-        assert {k for k, _v in pairs} == set(wl.all_keys())
-
-    def test_uniform_spread(self):
-        wl = KeyValueWorkload(WorkloadSpec(n_keys=10, skew=0.0, seed=1))
-        picks = [wl.pick() for _ in range(2000)]
-        counts = [picks.count(i) for i in range(10)]
-        assert min(counts) > 100  # roughly even
-
-    def test_zipf_concentrates_on_low_ranks(self):
-        wl = KeyValueWorkload(WorkloadSpec(n_keys=100, skew=1.2, seed=1))
-        picks = [wl.pick() for _ in range(3000)]
-        hot = sum(1 for p in picks if p < 10)
-        assert hot > len(picks) * 0.5
-
-    def test_update_stream_versions_increase(self):
-        wl = KeyValueWorkload(WorkloadSpec(n_keys=10))
-        updates = list(wl.update_stream(20))
-        assert len(updates) == 20
-        for key, value in updates:
-            assert key in wl.all_keys()
-            assert value.startswith(b"v")
-
-    def test_mixed_stream_is_applicable(self):
-        """Every op in the stream is valid against a dict model that
-        starts fully loaded."""
-        wl = KeyValueWorkload(WorkloadSpec(n_keys=30, seed=3))
-        model = {wl.key(i): wl.value(i) for i in range(30)}
-        for action, key, value in wl.mixed_stream(300):
-            if action == "insert":
-                assert key not in model
-                model[key] = value
-            elif action == "update":
-                assert key in model
-                model[key] = value
-            else:
-                assert key in model
-                del model[key]
-
-    @settings(max_examples=20, deadline=None)
-    @given(skew=st.floats(0, 2), seed=st.integers(0, 1000))
-    def test_pick_always_in_range(self, skew, seed):
-        wl = KeyValueWorkload(WorkloadSpec(n_keys=37, skew=skew, seed=seed))
-        for _ in range(100):
-            assert 0 <= wl.pick() < 37
 
 
 class TestFleetModel:
