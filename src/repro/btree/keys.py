@@ -55,8 +55,3 @@ def strip_prefix(key: bytes, prefix: bytes) -> bytes:
     if not key.startswith(prefix):
         raise ValueError(f"key {key!r} lacks prefix {prefix!r}")
     return key[len(prefix):]
-
-
-def truncation_savings(keys: list[bytes], prefix: bytes) -> int:
-    """Bytes saved by storing ``keys`` without ``prefix`` (reporting)."""
-    return sum(len(prefix) for key in keys if key.startswith(prefix))

@@ -88,10 +88,6 @@ class RecoveryManager:
         self.events = (events if events is not None
                        else deque(maxlen=FAILURE_RING))
 
-    @property
-    def spf_supported(self) -> bool:
-        return self.single_page is not None
-
     # ------------------------------------------------------------------
     # The read path
     # ------------------------------------------------------------------

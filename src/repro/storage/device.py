@@ -274,6 +274,3 @@ class StorageDevice:
         """Current stored bytes of a page, bypassing faults and costs."""
         with self._mutex:
             return self._sectors[self.sector_of(page_id)]
-
-    def size_bytes(self) -> int:
-        return self.capacity_pages * self.page_size

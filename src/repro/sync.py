@@ -171,12 +171,3 @@ class ReadWriteLatch:
             yield
         finally:
             self.release_exclusive()
-
-    # -- introspection (tests) -----------------------------------------
-    @property
-    def held_exclusive(self) -> bool:
-        return self._writer is not None
-
-    @property
-    def active_readers(self) -> int:
-        return self._readers

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.sync import Mutex
@@ -400,10 +400,6 @@ class FacadeFleetRunner:
         self.report = ThreadedFleetReport()
         #: committed key -> value shadow (None entries are removed)
         self.model: dict[bytes, bytes] = {}
-
-    def seed_key(self, key: bytes, value: bytes) -> None:
-        self.client.put(key, value)
-        self.model[key] = value
 
     def run(self) -> ThreadedFleetReport:
         for seq in range(self.actions_per_client):
