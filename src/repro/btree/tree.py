@@ -66,7 +66,7 @@ def _not_bytes(key: object, value: object) -> BTreeError:
     """The refusal of a write whose key or value is not ``bytes``: a
     ``str`` would fail only once its record is logged, and a ``None``
     value would read as a delete."""
-    return BTreeError(f"keys and values are bytes, not "
+    return BTreeError(f"a write takes bytes -> bytes, not "
                       f"{type(key).__name__} -> {type(value).__name__}")
 
 
