@@ -93,6 +93,53 @@ class TestBasicRestart:
         assert verify_tree(tree).ok
 
 
+class TestCompensationPerIndex:
+    """Undo compensates each write in the tree named by its record's
+    index id: one loser that inserts, updates and deletes in two
+    indexes leaves both as they were, by abort and by restart."""
+
+    def scenario(self):
+        db, first = loaded(50)
+        second = db.create_index()
+        txn = db.begin()
+        for i in range(50):
+            second.insert(txn, key_of(i), value_of(i, 1))
+        db.commit(txn)
+        loser = db.begin()
+        for tree in (first, second):
+            tree.insert(loser, key_of(500), b"new")
+            tree.update(loser, key_of(10), b"changed")
+            tree.delete(loser, key_of(20))
+        return db, loser
+
+    @staticmethod
+    def assert_untouched(db):
+        from repro.btree.verify import verify_tree
+
+        for index_id, version in ((1, 0), (2, 1)):
+            tree = db.tree(index_id)
+            assert not tree.contains(key_of(500))
+            assert tree.lookup(key_of(10)) == value_of(10, version)
+            assert tree.lookup(key_of(20)) == value_of(20, version)
+            assert tree.count() == 50
+            assert verify_tree(tree).ok
+
+    def test_abort_undoes_both_indexes(self):
+        db, loser = self.scenario()
+        db.abort(loser)
+        self.assert_untouched(db)
+
+    @pytest.mark.parametrize("mode", ["eager", "on_demand"])
+    def test_restart_undoes_both_indexes(self, mode):
+        db, _loser = self.scenario()
+        db.log.force()
+        db.crash()
+        report = db.restart(mode=mode)
+        db.drain_pending()
+        assert len(report.loser_txn_ids) == 1
+        self.assert_untouched(db)
+
+
 class TestCheckpoints:
     def test_restart_starts_at_checkpoint(self):
         db, tree = loaded()
