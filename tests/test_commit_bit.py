@@ -19,6 +19,7 @@ import threading
 
 import pytest
 
+import repro
 from repro.btree.verify import verify_tree
 from repro.engine.database import Database
 from repro.shard.config import ShardConfig
@@ -284,6 +285,81 @@ def test_media_recovery_sees_the_same_commits(scenario, mode, crash_first):
     tree = db.tree(1)
     assert dict(tree.range_scan()) == model
     assert verify_tree(tree).ok
+
+
+# ----------------------------------------------------------------------
+# An autocommit put between its append and its force: ``client.put``
+# inside ``db.group_commit()`` defers the force to the block's end, so a
+# crash inside the block finds the put's record in the volatile tail —
+# unless another transaction's force hardened it first.
+# ----------------------------------------------------------------------
+def recovered(db: Database, recovery: str, backup_id: int | None) -> Database:
+    """``db`` (crashed) recovered by ``recovery``: a restart in either
+    mode, or an eager restart, then a media failure and an on-demand
+    restore from ``backup_id``."""
+    if recovery == "media":
+        db.restart(mode="eager")
+        db.device.fail_device("injected media failure")
+        assert db.recover_media(backup_id, mode="on_demand").loser_txn_ids == []
+        db.finish_restore()
+    else:
+        assert db.restart(mode=recovery).loser_txn_ids == []
+        if recovery == "on_demand":
+            db.finish_restart()
+    return db
+
+
+def put_inside_a_group_commit(db: Database, model: dict,
+                              hardened: bool) -> None:
+    """An autocommit put whose force the block defers, then (with
+    ``hardened``) another transaction's force, then the crash — all
+    inside the block."""
+    client = repro.connect(db)
+    end = db.log.end_lsn
+    with db.group_commit():
+        client.put(key_of(3), value_of(3, 1))
+        (record,) = db.log.records_from(end)     # appended, not forced
+        assert record.kind == UPDATE and record.commits
+        assert record.lsn >= db.log.durable_lsn
+        assert client.get(key_of(3)) == value_of(3, 1)
+        assert db.locks.held_keys() == [] and not db.tm.active
+        if hardened:
+            # A prepared branch's vote forces the log whatever the block
+            # defers: the put's record hardens with its bit.
+            other = db.begin()
+            write(db, db.tree(1), other, model, 50)
+            db.prepare(other, gtid=41)
+            db.commit_prepared(other)
+            assert record.lsn < db.log.durable_lsn
+            model[key_of(3)] = value_of(3, 1)
+            assert shape_of(db, record.txn_id) == [(UPDATE, True)]
+        db.crash()
+
+
+@pytest.mark.parametrize("recovery", ["eager", "on_demand", "media"])
+@pytest.mark.parametrize("hardened", [False, True],
+                         ids=["appended-not-forced", "hardened-by-another"])
+def test_an_autocommit_put_is_as_durable_as_its_record(hardened, recovery):
+    db, _tree, model = prepared(with_backup=True)
+    backup_id = db.backup_store.full_backup_ids()[-1]
+    put_inside_a_group_commit(db, model, hardened)
+    tree = recovered(db, recovery, backup_id).tree(1)
+    assert dict(tree.range_scan()) == model
+    assert verify_tree(tree).ok
+    assert db.locks.held_keys() == [] and not db.tm.active
+
+
+@pytest.mark.parametrize("hardened", [False, True],
+                         ids=["appended-not-forced", "hardened-by-another"])
+def test_an_autocommit_put_recovers_identically_in_both_modes(hardened):
+    db, _tree, model = prepared()
+    put_inside_a_group_commit(db, model, hardened)
+    eager_db, lazy_db = clone_crashed(db), clone_crashed(db)
+    eager_db.restart(mode="eager")
+    lazy_db.restart(mode="on_demand")
+    lazy_db.finish_restart()
+    assert_identical_recovery(eager_db, lazy_db)
+    assert dict(eager_db.tree(1).range_scan()) == model
 
 
 def test_a_loser_whose_last_record_is_durable_still_rolls_back():

@@ -14,7 +14,12 @@ included), the log's end and durable LSNs, the full
 what every record *says* in LSN order, without its LSN-valued fields or
 its compressed image (:func:`lsn_free`): a change to how records are
 encoded moves the byte counts and the digest of the encodings, but
-must reproduce this one.  A change to how a write
+must reproduce this one.  ``redo_sha256`` hashes the same with every
+op's before-image and every undo masked (:func:`redo_only`), and
+``autocommit_single_record_txns`` counts the autocommit transactions
+whose only record is an UPDATE: a change that stops logging what those
+records need only to roll back moves ``records_sha256`` and must
+reproduce both.  A change to how a write
 is logged, committed or forced that moves one byte, one force or one
 count fails here before a client could see it.
 
@@ -26,6 +31,7 @@ regenerate in the same diff and say why in CHANGES.md::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -37,6 +43,7 @@ import pytest
 
 import repro
 from repro import EngineConfig
+from repro.engine.database import _Autocommit
 from repro.wal.records import BackupRefKind, LogRecordKind
 
 GOLDEN = Path(__file__).with_name("golden_write_path.json")
@@ -152,22 +159,59 @@ def lsn_free(record) -> bytes:  # noqa: ANN001
     )).encode()
 
 
+def redo_only(record) -> bytes:  # noqa: ANN001
+    """:func:`lsn_free` of what ``record`` redoes: every op's
+    ``old_value`` and the undo masked, so a record that stops logging
+    its before-image and undo hashes as before."""
+    op = record.op
+    if hasattr(op, "old_value"):
+        op = dataclasses.replace(op, old_value=None)
+    return lsn_free(dataclasses.replace(record, op=op, undo=None))
+
+
+def _autocommit_txn_ids(seed: int, frames: int, preload: int,
+                        n_ops: int) -> tuple:
+    """The stream's database and the ids of its autocommit
+    transactions, seen by wrapping ``_Autocommit.__enter__``."""
+    ids: set[int] = set()
+    enter = _Autocommit.__enter__
+
+    def counting_enter(self):  # noqa: ANN001, ANN202
+        txn = enter(self)
+        ids.add(txn.txn_id)
+        return txn
+
+    _Autocommit.__enter__ = counting_enter
+    try:
+        db = write_stream(seed, frames, preload, n_ops).db
+    finally:
+        _Autocommit.__enter__ = enter
+    return db, ids
+
+
 def _run(seed: int, frames: int, preload: int, n_ops: int) -> dict:
-    db = write_stream(seed, frames, preload, n_ops).db
+    db, autocommit_ids = _autocommit_txn_ids(seed, frames, preload, n_ops)
     records = db.log.all_records()
-    digest, content = hashlib.sha256(), hashlib.sha256()
+    digest, content, redo = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    by_txn: dict[int, list] = {}
     for record in records:
         digest.update(record.lsn.to_bytes(8, "little"))
         digest.update(record.encode())
         content.update(lsn_free(record))
+        redo.update(redo_only(record))
+        if record.txn_id in autocommit_ids:
+            by_txn.setdefault(record.txn_id, []).append(record.kind)
     return {
         "log_records": len(records),
         "commit_bits": sum(r.commits for r in records),
         "commit_records": sum(r.kind in (LogRecordKind.COMMIT,
                                          LogRecordKind.SYS_COMMIT)
                               for r in records),
+        "autocommit_single_record_txns": sum(
+            kinds == [LogRecordKind.UPDATE] for kinds in by_txn.values()),
         "log_sha256": digest.hexdigest(),
         "records_sha256": content.hexdigest(),
+        "redo_sha256": redo.hexdigest(),
         "end_lsn": db.log.end_lsn, "durable_lsn": db.log.durable_lsn,
         "clock_now": db.clock.now,
         "stats": dict(sorted(db.stats.snapshot().items())),
