@@ -11,16 +11,20 @@ idea of PostgreSQL's ``PREFIX_FROM_OLD`` / ``SUFFIX_FROM_OLD``); a
 value that shares no edge byte with its predecessor keeps the whole-
 value encoding, byte for byte.
 
-Each row is one autocommit put of a live key through ``repro.connect``,
-measured as the log bytes it appends, beside what the whole-value
-encoding of the same rewrite costs:
+Each row rewrites a live key through ``repro.connect``, measured as
+the log bytes one rewrite appends, beside what the whole-value encoding
+of the same rewrite costs:
 
 * a DBLP-shaped record (SNIPPETS.md): its 10-byte mdate rewritten at
-  the front of a 240-byte value — 84 B instead of 544;
+  the front of a 240-byte value — 84 B instead of 544 inside a
+  ``client.txn()``, which logs the old middle for its undo, and 43 B as
+  an autocommit put, whose one record is redo-only (no undo, no
+  before-image: only the old middle's length);
 * the key-value workloads' rewrite: a random 100-byte value over a
-  random one under a 16-byte key — exactly 250 B, as before spans;
+  random one under a 16-byte key — exactly 250 B in a transaction, as
+  before spans, and 129 B as an autocommit put;
 * its rollback: the compensation record restores the old middle by the
-  inverse splice and is as small.
+  inverse splice and is as small as the transaction's rewrite.
 """
 
 from __future__ import annotations
@@ -68,15 +72,19 @@ def measure() -> list[dict]:
         client.put(key, new)
         put = log.end_lsn - start
         start = log.end_lsn
+        with client.txn() as txn:   # back again: the same span, with undo
+            txn.put(key, old)
+        in_txn = log.end_lsn - start
         try:
             with client.txn() as txn:
-                txn.put(key, old)
+                txn.put(key, new)
                 raise LookupError  # roll back: one compensation record
         except LookupError:
             pass
-        assert client.get(key) == new
+        assert client.get(key) == old
         rows.append({"rewrite": name, "value_bytes": len(new),
-                     "logged": put, "whole_value": _whole_value_size(key, old, new),
+                     "autocommit": put, "in_txn": in_txn,
+                     "whole_value": _whole_value_size(key, old, new),
                      "rollback_clr": _last_clr_size(log)})
     return rows
 
@@ -90,15 +98,19 @@ def test_ext_rewrite_log_volume(benchmark):
     dblp, kv = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     # A 10-byte change to a 240-byte value: the two middles, not the
-    # two values.
-    assert dblp["logged"] <= 84
+    # two values — and as an autocommit put, the new middle alone.
+    assert dblp["in_txn"] <= 84
+    assert dblp["autocommit"] <= 43
     assert dblp["whole_value"] >= 544
     assert dblp["rollback_clr"] <= 58
-    # A random rewrite shares no span worth its fields: today's bytes.
-    assert kv["logged"] == kv["whole_value"] == 250
+    # A random rewrite shares no span worth its fields: the bytes of
+    # both whole values in a transaction, the new one alone in a put.
+    assert kv["in_txn"] == kv["whole_value"] == 250
+    assert kv["autocommit"] == 129
 
     print_table(
         "Extension: log bytes of one value rewrite (spanned vs whole value)",
-        ["rewrite", "value B", "logged B", "whole-value B", "rollback CLR B"],
-        [[r["rewrite"], r["value_bytes"], r["logged"], r["whole_value"],
-          r["rollback_clr"]] for r in (dblp, kv)])
+        ["rewrite", "value B", "autocommit put B", "in a txn B",
+         "whole-value B", "rollback CLR B"],
+        [[r["rewrite"], r["value_bytes"], r["autocommit"], r["in_txn"],
+          r["whole_value"], r["rollback_clr"]] for r in (dblp, kv)])

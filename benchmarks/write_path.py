@@ -14,14 +14,16 @@ bench.run``) is made of these.
 Last, the rewrite next to ``dblp_cold_embedded``'s: for ``--puts``
 random 100-byte kv values and as many mdate rewrites of the bench's
 DBLP records, the bytes one rewrite's UPDATE logs with both values
-whole (the encoding before spans) and as built by ``value_rewrite``,
-and what the span rule costs per rewrite: building the op, and
-applying it to a leaf (a spanned op splices and checks its middle).
+whole (the encoding before spans), as built by ``value_rewrite`` in a
+transaction, and as an autocommit put's redo-only record, and what the
+span rule costs per rewrite: building the op, and applying it to a leaf
+(a spanned op splices and checks its middle).
 
 The unrolled put must stay what ``FosterBTree._write`` +
-``TransactionManager.log_update`` / ``commit`` do — one pool exit
-(``unfix(page, dirty_lsn)``), the commit bit and the force in one
-``LogManager.commit`` — counted through the handles they count through;
+``TransactionManager.log_update`` / ``commit`` do — a redo-only record
+that takes its commit bit at append, one pool exit
+(``unfix(page, dirty_lsn)``), the force in ``LogManager.commit`` —
+counted through the handles they count through;
 the script checks that it moves the log end and every counter (the
 whole ``Stats.delta``) exactly as ``client.put`` does and stops if not.
 It also prints how many Python functions of ``repro`` one warm put and
@@ -67,9 +69,10 @@ STAGES = (
     "db.begin", "locks.acquire",
     "descent (shared with get)", "node.find",
     "probe_value (ghost bit, before-image, room: one slot read)",
-    "value_rewrite + LogicalUndo", "LogRecord(...)", "log.append", "op.apply_redo",
+    "value_rewrite (redo-only: no undo)", "LogRecord(...)",
+    "log.append (+ the commit bit)", "op.apply_redo",
     "PageLSN + chain head + inc", "inc + unfix(page, dirty_lsn)",
-    "log.commit (bit + commit_force, one hold)",
+    "log.commit (the force alone)",
     "finish (inc, active table, release_all)",
 )
 
@@ -79,6 +82,7 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     log, tm = db.log, db.tm
     t0 = now()
     txn = db.begin()
+    txn.redo_only = True        # Database.autocommit(redo_only=True)
     t1 = now()
     db.locks.acquire(txn.txn_id, key)
     t2 = now()
@@ -88,14 +92,14 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     t4 = now()
     _ghost, old, _room = node.probe_value(i)
     t5 = now()
-    op = value_rewrite(DATA_START + i, old, value)
-    undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, op.old_value,
-                       op.prefix, op.suffix)
+    op = value_rewrite(DATA_START + i, old, value, True)
     t6 = now()
     record = LogRecord(LogRecordKind.UPDATE, txn.txn_id, txn.last_lsn,
-                       page.page_id, page.page_lsn, tree.index_id, 0, op, undo)
+                       page.page_id, page.page_lsn, tree.index_id, 0, op, None)
+    record.redo_only = True
     t7 = now()
     lsn = log.append(record)
+    txn.state = TxnState.COMMITTED
     t8 = now()
     op.apply_redo(page)
     t9 = now()
@@ -110,7 +114,7 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     log.commit(txn.txn_id, lsn)
     t12 = now()
     tm._user_txns_committed.inc()
-    txn.state = TxnState.COMMITTED
+    txn.redo_only = False
     tm._finish(txn)
     t13 = now()
     for stage, (a, b) in enumerate(zip(
@@ -164,6 +168,7 @@ def main() -> None:
     def by_public_steps(key: bytes, value: bytes) -> int:
         t0 = now()
         txn = db.begin()
+        txn.redo_only = True
         t1 = now()
         db.locks.acquire(txn.txn_id, key)
         t2 = now()
@@ -221,7 +226,11 @@ def main() -> None:
 
 
 def _update_size(key: bytes, op: OpUpdateValue) -> int:
-    """The UPDATE a B-tree rewrite logs for ``op`` (undo shares it)."""
+    """The UPDATE a B-tree rewrite logs for ``op``: in a transaction
+    with undo (which shares its before-image), or redo-only."""
+    if op.old_value is None:
+        return LogRecord(LogRecordKind.UPDATE, op=op, commits=True,
+                         redo_only=True).encoded_size()
     return LogRecord(LogRecordKind.UPDATE, op=op, undo=LogicalUndo(
         UndoAction.RESTORE_VALUE, key, op.old_value, op.prefix,
         op.suffix)).encoded_size()
@@ -248,9 +257,11 @@ def rewrite_table(n: int, reps: int) -> None:
         whole = [OpUpdateValue(DATA_START, old, new) for _k, old, new in rewrites]
         spanned = [value_rewrite(DATA_START, old, new)
                    for _k, old, new in rewrites]
+        redo_only = [value_rewrite(DATA_START, old, new, True)
+                     for _k, old, new in rewrites]
         logged = [statistics.mean(_update_size(key, op) for (key, _o, _n), op
                                   in zip(rewrites, ops))
-                  for ops in (whole, spanned)]
+                  for ops in (whole, spanned, redo_only)]
         build = [_per_rewrite(lambda: [make(DATA_START, old, new)
                                        for _k, old, new in rewrites],
                               len(rewrites), reps)
@@ -258,13 +269,13 @@ def rewrite_table(n: int, reps: int) -> None:
         redo = [_redo_per_rewrite(rewrites, ops, reps)
                 for ops in (whole, spanned)]
         rows.append([name, f"{logged[0]:.1f}", f"{logged[1]:.1f}",
-                     f"{build[0]:.2f} / {build[1]:.2f}",
+                     f"{logged[2]:.1f}", f"{build[0]:.2f} / {build[1]:.2f}",
                      f"{redo[0]:.2f} / {redo[1]:.2f}",
                      f"{build[1] + redo[1] - build[0] - redo[0]:+.2f}"])
     print_table("One rewrite: bytes its UPDATE logs, us to build and apply "
                 "its op (whole value / spanned)",
-                ["rewrite", "whole B", "spanned B", "build us", "redo us",
-                 "span rule us"], rows)
+                ["rewrite", "whole B", "spanned B", "redo-only B", "build us",
+                 "redo us", "span rule us"], rows)
 
 
 def _per_rewrite(run, count: int, reps: int) -> float:  # noqa: ANN001

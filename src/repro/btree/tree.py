@@ -388,31 +388,42 @@ class FosterBTree:
                     continue
                 if expect_live is not None and live != expect_live:
                     raise KeyNotFound(key) if expect_live else DuplicateKey(key)
+                # A write of one record in a redo-only transaction logs
+                # neither undo nor before-image: the record commits as it
+                # is appended (TransactionManager.log_update), and every
+                # check that may refuse it is behind us.
                 if value is None:
-                    undo = LogicalUndo(UndoAction.INSERT_KEY, key, old)
-                    dirty = log(txn, page, index_id, node.op_set_ghost(i, True, old=False),
-                                undo)
+                    dirty = log(txn, page, index_id,
+                                node.op_set_ghost(i, True, old=False),
+                                None if txn.redo_only
+                                else LogicalUndo(UndoAction.INSERT_KEY, key, old))
                     self._btree_deletes.inc()
                     return True
                 if live:
                     if len(value) <= room:
-                        # The before-image is the undo's and the op's at
-                        # once, under the op's span: one object (the old
-                        # middle), logged once.
-                        op = value_rewrite(DATA_START + i, old, value)
-                        dirty = log(txn, page, index_id, op, LogicalUndo(
-                            _RESTORE_VALUE, key, op.old_value, op.prefix,
-                            op.suffix))
+                        if txn.redo_only:
+                            dirty = log(txn, page, index_id, value_rewrite(
+                                DATA_START + i, old, value, True))
+                        else:
+                            # The before-image is the undo's and the op's
+                            # at once, under the op's span: one object
+                            # (the old middle), logged once.
+                            op = value_rewrite(DATA_START + i, old, value)
+                            dirty = log(txn, page, index_id, op, LogicalUndo(
+                                _RESTORE_VALUE, key, op.old_value, op.prefix,
+                                op.suffix))
                         self._btree_updates.inc()
                         return True
                 elif found:
                     if len(value) <= room:
                         # Revive the ghost: restore value, then clear the
-                        # bit.  The value write carries a *no-op logical
-                        # undo*: rolling back the revive only needs to
-                        # re-ghost the record (the DELETE_KEY below); a
-                        # physical slot-indexed undo would be unsafe once
-                        # later inserts have shifted the slots.
+                        # bit — two records, so both log their undo, even
+                        # in a redo-only transaction.  The value write
+                        # carries a *no-op logical undo*: rolling back the
+                        # revive only needs to re-ghost the record (the
+                        # DELETE_KEY below); a physical slot-indexed undo
+                        # would be unsafe once later inserts have shifted
+                        # the slots.
                         dirty = log(txn, page, index_id,
                                     value_rewrite(DATA_START + i, old, value),
                                     LogicalUndo(UndoAction.NONE, key))
@@ -422,7 +433,8 @@ class FosterBTree:
                         return False
                 elif node.room_for(key, value):
                     dirty = log(txn, page, index_id, node.op_insert(i, key, value),
-                                LogicalUndo(UndoAction.DELETE_KEY, key))
+                                None if txn.redo_only
+                                else LogicalUndo(UndoAction.DELETE_KEY, key))
                     self._btree_inserts.inc()
                     return False
             finally:

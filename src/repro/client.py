@@ -193,7 +193,7 @@ class SingleNodeClient(Client):
     def put(self, key: bytes, value: bytes) -> None:
         self._require_open()
         db = self.db
-        with db.autocommit() as txn:
+        with db.autocommit(redo_only=True) as txn:
             db.locks.acquire(txn.txn_id, key)
             # FosterBTree.upsert, without its hop to insert()
             db.tree(self.index_id).insert(txn, key, value, replace=True)
@@ -201,7 +201,7 @@ class SingleNodeClient(Client):
     def delete(self, key: bytes) -> bool:
         self._require_open()
         db = self.db
-        with db.autocommit() as txn:
+        with db.autocommit(redo_only=True) as txn:
             db.locks.acquire(txn.txn_id, key)
             return db.tree(self.index_id).remove(txn, key)
 

@@ -79,7 +79,7 @@ class Checkpointer:
             db.pending_recovery.drain_all()
         db.log.append(LogRecord(LogRecordKind.CHECKPOINT_BEGIN))
         att = [(txn.txn_id, txn.last_lsn, txn.is_system)
-               for txn in db.tm.active.values()]
+               for txn in db.tm.unfinished()]
         # Recovered in-doubt (prepared) branches are not in tm.active
         # but must survive into the checkpoint's ATT: a crash after
         # this checkpoint starts analysis here, and the chain-head

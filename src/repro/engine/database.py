@@ -59,7 +59,7 @@ from repro.storage.faults import FaultInjector
 from repro.sync import ReadWriteLatch
 from repro.txn.locks import LockManager
 from repro.txn.manager import TransactionManager
-from repro.txn.transaction import Transaction
+from repro.txn.transaction import Transaction, TxnState
 from repro.wal.log_manager import LogManager
 from repro.wal.log_reader import LogReader
 from repro.wal.ops import OpInitSlotted, OpInsert
@@ -333,10 +333,10 @@ class Database:
         except Exception:  # noqa: BLE001 - the original error propagates
             pass
 
-    def autocommit(self) -> "_Autocommit":
+    def autocommit(self, redo_only: bool = False) -> "_Autocommit":
         """A private transaction around one operation::
 
-            with db.autocommit() as txn:
+            with db.autocommit(redo_only=True) as txn:
                 db.locks.acquire(txn.txn_id, key)
                 tree.upsert(txn, key, value)
 
@@ -345,8 +345,17 @@ class Database:
         body can leave the transaction active and its keys locked.  The
         one autocommit path: the embedded client, the shard worker and
         the single-operation helpers below all use it.
+
+        ``redo_only`` is for a body of one tree write: a write that logs
+        one record logs it redo-only, and the transaction is committed
+        the moment it is appended (see
+        :meth:`repro.txn.manager.TransactionManager.log_update`).  Such
+        a transaction is never rolled back: an exception after the
+        append — a repair escalating as the leaf is unpinned — leaves
+        the write committed, forced and its lock released, and
+        propagates; from there an escalation is a crash.
         """
-        return _Autocommit(self)
+        return _Autocommit(self, redo_only)
 
     def group_commit(self):  # noqa: ANN201 - context manager
         """Batch user commits into one log force (group commit)."""
@@ -379,7 +388,6 @@ class Database:
         :attr:`indoubt` membership first.
         """
         from repro.errors import RecoveryError
-        from repro.txn.transaction import TxnState
 
         self._require_running()
         entry = self.indoubt.get(gtid)
@@ -435,7 +443,7 @@ class Database:
         none, in an :meth:`autocommit` transaction of its own."""
         self._require_running()
         if txn is None:
-            with self.autocommit() as txn:
+            with self.autocommit(redo_only=True) as txn:
                 self.locks.acquire(txn.txn_id, key)
                 write(txn, key, *value)
         else:
@@ -686,18 +694,23 @@ class Database:
         self.pool.evict_all()
 
 
+_COMMITTED = TxnState.COMMITTED
+
+
 class _Autocommit:
     """The context manager behind :meth:`Database.autocommit`.  It goes
     through the engine's public ``begin`` / ``commit`` / ``abort``, so
     whatever wraps those sees every autocommit transaction."""
 
-    __slots__ = ("_db", "_txn")
+    __slots__ = ("_db", "_txn", "_redo_only")
 
-    def __init__(self, db: Database) -> None:
+    def __init__(self, db: Database, redo_only: bool) -> None:
         self._db = db
+        self._redo_only = redo_only
 
     def __enter__(self) -> Transaction:
         self._txn = txn = self._db.begin()
+        txn.redo_only = self._redo_only
         return txn
 
     def __exit__(self, exc_type, exc, tb) -> None:  # noqa: ANN001
@@ -708,5 +721,11 @@ class _Autocommit:
             except BaseException:
                 db.abort_quietly(txn)
                 raise
+        elif txn.state is _COMMITTED and txn.redo_only:
+            # Committed at its append: the failure came after, so the
+            # commit finishes (force, release) and the error propagates
+            # — unless a crash or media failure already disowned it.
+            if txn.txn_id in db.tm.active:
+                db.commit(txn)
         else:
             db.abort_quietly(txn)

@@ -233,8 +233,8 @@ class Standby:
             self.log.adopt(record)
             if record.txn_id > self.max_txn_seen:
                 self.max_txn_seen = record.txn_id
-        self.att = {txn_id: (txn.last_lsn, txn.is_system)
-                    for txn_id, txn in db.tm.active.items()}
+        self.att = {txn.txn_id: (txn.last_lsn, txn.is_system)
+                    for txn in db.tm.unfinished()}
         self.applied_lsn = self.log.end_lsn
         self._standby_seeds.inc()
         self._standby_seed_bytes.inc(copied_bytes)

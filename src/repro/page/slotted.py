@@ -407,14 +407,16 @@ class SlottedPage:
         return offset
 
     def update_value(self, index: int, value: bytes, prefix: int = 0,
-                     suffix: int = 0, replaced: bytes = b"") -> None:
+                     suffix: int = 0, replaced: bytes | int = b"") -> None:
         """Replace the value of the record in slot ``index``.
 
         A *spliced* rewrite (``prefix`` or ``suffix`` nonzero, see
         :class:`repro.wal.ops.OpUpdateValue`) replaces only the middle
         between the value's first ``prefix`` and last ``suffix`` bytes,
-        which must be ``replaced``: a value that does not hold it is
-        refused before a byte is written, as :class:`RecoveryError`.
+        which must be ``replaced`` — or, for a redo-only rewrite, which
+        logs no before-image, ``replaced`` bytes long: a value that does
+        not hold it is refused before a byte is written, as
+        :class:`RecoveryError`.
         """
         page = self.page
         data = page.data
@@ -427,11 +429,13 @@ class SlottedPage:
         if prefix or suffix:
             start = key_end + prefix
             end = offset + length - suffix
-            if end - start != len(replaced) or data[start:end] != replaced:
+            checked = replaced.__class__ is not int
+            middle = len(replaced) if checked else replaced
+            if end - start != middle or checked and data[start:end] != replaced:
                 raise RecoveryError(
                     f"spliced rewrite of slot {index} on page "
                     f"{page.page_id}: its {offset + length - key_end}-byte "
-                    f"value does not hold the {len(replaced)}-byte middle it "
+                    f"value does not hold the {middle}-byte middle it "
                     f"replaces at byte {prefix}")
             value = (bytes(data[key_end:start]) + value
                      + bytes(data[end:offset + length]))

@@ -426,7 +426,8 @@ class ShardRouter:
         4. run ``copy_hook`` if given — the test/benchmark window for
            concurrent traffic against the still-serving source;
         5. catch up from the delta of *committed* changes since the
-           snapshot LSN, read off the source's log (``slot_delta``);
+           snapshot: the source's live slot against the snapshot's
+           backup (``slot_delta``);
         6. force the epoch record into the coordinator log — **the
            cutover's commit point** — then flip the routing table;
         7. grant the slot on the destination and drop it (ownership +

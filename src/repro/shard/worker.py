@@ -118,7 +118,7 @@ class ShardWorker:
         db = self.db
         db._require_running()
         self._check_owner(key)
-        with db.autocommit() as txn:
+        with db.autocommit(redo_only=True) as txn:
             db.locks.acquire(txn.txn_id, key)
             self._tree.upsert(txn, key, value)
 
@@ -126,7 +126,7 @@ class ShardWorker:
         db = self.db
         db._require_running()
         self._check_owner(key)
-        with db.autocommit() as txn:
+        with db.autocommit(redo_only=True) as txn:
             db.locks.acquire(txn.txn_id, key)
             return self._tree.remove(txn, key)
 
@@ -313,10 +313,22 @@ class ShardWorker:
                 self._abort_quietly(xid)
         backup_id = self.db.take_full_backup()
         snapshot_lsn = self.db.log.backup_full_lsn(backup_id)
-        images = self.db.backup_store.restore_full_backup(backup_id)
+        items = self._backup_slot(backup_id, slot)
+        for key, _value in items:
+            if self.db.locks.holder_of(key) is not None:
+                raise ShardError(
+                    f"slot {slot} is not quiescent: {key!r} is "
+                    f"locked by an unresolved branch")
+        items.sort()
+        return snapshot_lsn, items
+
+    def _backup_slot(self, backup_id: int, slot: int) -> list:
+        """The live ``(key, value)`` records of ``slot`` in the leaf
+        images of full backup ``backup_id``, in page order."""
         from repro.btree.node import BTreeNode
         from repro.page.page import Page, PageType
 
+        images = self.db.backup_store.restore_full_backup(backup_id)
         items: list[tuple[bytes, bytes]] = []
         for page_id in sorted(images):
             try:
@@ -330,50 +342,48 @@ class ShardWorker:
                 if node.is_ghost(i):
                     continue
                 key = node.full_key(i)
-                if self._slot_of(key) != slot:
-                    continue
-                if self.db.locks.holder_of(key) is not None:
-                    raise ShardError(
-                        f"slot {slot} is not quiescent: {key!r} is "
-                        f"locked by an unresolved branch")
-                items.append((key, node.value(i)))
-        items.sort()
-        return snapshot_lsn, items
+                if self._slot_of(key) == slot:
+                    items.append((key, node.value(i)))
+        return items
 
     def _cmd_slot_delta(self, slot: int, since_lsn: int) -> list:
-        """Committed changes to the slot's keys since the snapshot.
+        """Committed changes to the slot's keys since the snapshot
+        :meth:`_cmd_export_slot` took at ``since_lsn``.
 
-        Changed keys are read off the log's key-level undo information
-        (only *committed* transactions count — presumed abort for the
-        rest), values off the live tree: a key whose lock is free is
-        committed state, a locked key means the slot is not quiescent
-        and the export protocol was violated.  Returns ``[(key,
-        value | None), ...]`` (``None`` = deleted since the snapshot).
+        An autocommit write logs a redo-only record, which names its
+        slot on a page but not its key, so the delta is not read off
+        the log: it is the difference between the slot's live records
+        and the snapshot, read again from the export's full backup.  A
+        changed key whose lock is free is committed state; a locked one
+        means the slot is not quiescent and the export protocol was
+        violated.  Returns ``[(key, value | None), ...]`` sorted by key
+        (``None`` = gone since the snapshot).
         """
         if self._n_slots == 0:
             raise ShardError(
                 f"shard {self.shard_id} has no slot assignment; "
                 f"set_slots must precede slot_delta")
         self.db._require_running()
-        records = self.db.log.records_from(since_lsn)
-        committed = {record.txn_id for record in records
-                     if record.commits_txn}
-        changed: set[bytes] = set()
-        for record in records:
-            undo = record.undo
-            if undo is None or record.txn_id not in committed:
-                continue
-            if self._slot_of(undo.key) == slot:
-                changed.add(undo.key)
+        log = self.db.log
+        backup_id = next(
+            (backup_id for backup_id in self.db.backup_store.full_backup_ids()
+             if log.backup_full_lsn(backup_id) == since_lsn), None)
+        if backup_id is None:
+            raise ShardError(
+                f"no snapshot of shard {self.shard_id} at LSN {since_lsn} "
+                f"is retained; export slot {slot} again")
+        before = dict(self._backup_slot(backup_id, slot))
+        live = {key: value for key, value in self._tree.range_scan()
+                if self._slot_of(key) == slot}
         delta: list[tuple[bytes, bytes | None]] = []
-        for key in sorted(changed):
+        for key in sorted(before.keys() | live.keys()):
+            value = live.get(key)
+            if value == before.get(key):
+                continue
             if self.db.locks.holder_of(key) is not None:
                 raise ShardError(
                     f"slot {slot} is not quiescent: {key!r} is locked")
-            try:
-                delta.append((key, self._tree.lookup(key)))
-            except KeyNotFound:
-                delta.append((key, None))
+            delta.append((key, value))
         return delta
 
     def _cmd_import_slot(self, slot: int, items, clear: bool = True) -> int:  # noqa: ANN001

@@ -288,7 +288,7 @@ class _Run(ChaosRun):
     def _do_rebalance(self, payload: dict) -> None:
         """Move one slot online; optionally inject committed traffic
         against the still-serving source between the snapshot install
-        and the delta catch-up (the window the log-chain delta must
+        and the delta catch-up (the window the snapshot delta must
         carry across the cutover)."""
         router = self.router
         slot = payload["slot"] % router.config.n_slots

@@ -11,6 +11,10 @@ transaction's last record was its last" — made durable by a force:
   (another transaction's group force, a checkpoint, a write-back, a
   2PC PREPARE).  One rule for every transaction: an autocommit put, a
   32-write batch and a node split lose their commit record alike;
+* an autocommit transaction of one write goes further: its one record
+  is *redo-only* (no undo, no before-image) and takes the bit as it is
+  appended (:meth:`TransactionManager.log_update`), so the transaction
+  is committed from there and its commit is the force alone;
 * user transaction commit then **forces** the log through the record
   that carries the commit (durability), in the same log-mutex hold as
   the bit;
@@ -50,6 +54,7 @@ from repro.wal.ops import OpInverse, PageOp
 from repro.wal.records import LogicalUndo, LogRecord, LogRecordKind
 
 _ACTIVE = TxnState.ACTIVE
+_COMMITTED = TxnState.COMMITTED
 _UPDATE = LogRecordKind.UPDATE
 
 
@@ -127,6 +132,14 @@ class TransactionManager:
          else self._user_txns_started).inc()
         return txn
 
+    def unfinished(self) -> list[Transaction]:
+        """The active transactions a restart would have to finish — all
+        but those committed at their redo-only record's append
+        (:meth:`log_update`), whose force and release alone are due."""
+        with self._mutex:
+            return [txn for txn in self.active.values()
+                    if txn.state is not _COMMITTED]
+
     def restore_txn_id_floor(self, floor: int) -> None:
         """After restart recovery, never reuse pre-crash txn ids."""
         with self._mutex:
@@ -141,9 +154,15 @@ class TransactionManager:
         Session` uses this to commit under the engine latch and then
         wait on the cross-thread group-commit barrier with no latch
         held, so riders never block writers.
+
+        A transaction that logged its one write redo-only
+        (:meth:`log_update`) is COMMITTED already, by that record's
+        bit: for it this is the force and the release alone.
         """
         if txn.state is not _ACTIVE:
-            self._require_active(txn)
+            if txn.state is not _COMMITTED or not txn.redo_only:
+                self._require_active(txn)
+            txn.redo_only = False  # finished below: no second commit
         system = txn.is_system
         batch = None if system else self._commit_batch
         # Durability: user commits force the log (a group-commit batch
@@ -286,14 +305,29 @@ class TransactionManager:
         PageLSN as ``page_prev_lsn`` (extending the per-page chain),
         the operation is applied, and the page's PageLSN advances to
         the new record's LSN.
+
+        A user transaction marked ``redo_only`` that logs a write with
+        no ``undo`` logs it as its only record, redo-only: the log sets
+        its commit bit at append, and the transaction is COMMITTED from
+        there — nothing may roll it back, so its caller makes every
+        fallible check before this call.  :meth:`commit` forces it.
         """
         if txn.state is not _ACTIVE:
             self._require_active(txn)
         # Positional (every user write passes here): kind, txn_id,
         # prev_lsn, page_id, page_prev_lsn, index_id, lsn, op, undo.
-        lsn = self.log.append(LogRecord(
-            _UPDATE, txn.txn_id, txn.last_lsn, page.page_id, page.page_lsn,
-            index_id, NULL_LSN, op, undo))
+        record = LogRecord(_UPDATE, txn.txn_id, txn.last_lsn, page.page_id,
+                           page.page_lsn, index_id, NULL_LSN, op, undo)
+        if undo is None and txn.redo_only:
+            if txn.last_lsn:
+                raise TransactionError(
+                    f"transaction {txn.txn_id} logged before its redo-only "
+                    f"record, which must be its only one")
+            record.redo_only = True
+            lsn = self.log.append(record)
+            txn.state = _COMMITTED
+        else:
+            lsn = self.log.append(record)
         op.apply_redo(page)
         page.page_lsn = lsn
         if not txn.first_lsn:  # Transaction.note_logged, in place

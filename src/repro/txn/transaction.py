@@ -35,7 +35,8 @@ class Transaction:
       exactly because it was contents-neutral.
     """
 
-    __slots__ = ("txn_id", "is_system", "state", "last_lsn", "first_lsn")
+    __slots__ = ("txn_id", "is_system", "state", "last_lsn", "first_lsn",
+                 "redo_only")
 
     def __init__(self, txn_id: int, is_system: bool = False) -> None:
         self.txn_id = txn_id
@@ -43,6 +44,12 @@ class Transaction:
         self.state = TxnState.ACTIVE
         self.last_lsn = NULL_LSN
         self.first_lsn = NULL_LSN
+        #: set by ``Database.autocommit(redo_only=True)`` around one
+        #: write: a write that logs a single record logs it redo-only
+        #: (no undo, the commit bit at append) and leaves the
+        #: transaction COMMITTED, its force and lock release still due
+        #: (``TransactionManager.commit``)
+        self.redo_only = False
 
     @property
     def active(self) -> bool:

@@ -18,7 +18,9 @@ The log manager owns:
   (Figure 5) — their commits ride along with the next force;
 * the **commit bit** (:meth:`LogManager.commit`): a record still in
   the volatile tail can be told it is its transaction's last, so a
-  commit costs a force but no record of its own;
+  commit costs a force but no record of its own; a redo-only record,
+  its transaction's only one, takes the bit as :meth:`append` places
+  it;
 * **group commit**: a commit-triggered force hardens the whole buffered
   tail in one sequential write, so ride-along records (system-txn
   commits, PRI updates, and — under ``TransactionManager.
@@ -148,12 +150,17 @@ class LogManager:
 
         Only the record's *size* is needed here (LSNs are byte
         offsets); the buffered tail holds decoded records, so the
-        append path never materializes the serialized bytes.
+        append path never materializes the serialized bytes.  A
+        redo-only record (its transaction's only one) takes its
+        commit bit here, in the hold that places it: no force can
+        harden it without the bit.
         """
         size = record.encoded_size()
         with self._mutex:
             lsn = self._next_lsn
             record.lsn = lsn
+            if record.redo_only:
+                record.commits = True
             self._dir.append(lsn, record, size)
             self._next_lsn = lsn + size
             self._tail = record
@@ -176,7 +183,9 @@ class LogManager:
         The commit is a bit on the transaction's last record,
         ``last_lsn``, while that record is volatile: it hardens with the
         record, and a crash before the force loses both, as it would an
-        unforced COMMIT record.  A hardened record (a rider's commit, a
+        unforced COMMIT record.  A redo-only record took its bit at
+        append, so its commit is the force alone, hardened or not.  A
+        hardened record (a rider's commit, a
         checkpoint, a PREPARE, a write-back's WAL force) is immutable and
         ``NULL_LSN`` names none: then a COMMIT (``system``: SYS_COMMIT)
         record is appended.  Bit and force are one log-mutex hold; the
@@ -189,8 +198,9 @@ class LogManager:
             else:  # behind a later record (or none): look it up
                 record, size = self._dir.entry(last_lsn) or (None, 0)
                 end = last_lsn + size
-            if (record is not None and last_lsn >= self._durable_lsn
-                    and record.txn_id == txn_id and record.kind in _CHAIN_KINDS):
+            if (record is not None and record.txn_id == txn_id
+                    and (record.redo_only or last_lsn >= self._durable_lsn
+                         and record.kind in _CHAIN_KINDS)):
                 record.commits = True
                 lsn = last_lsn
             else:

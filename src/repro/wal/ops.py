@@ -16,7 +16,7 @@ so its length prefix is a u16.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import LogError
 from repro.page.page import Page, PageType
@@ -27,6 +27,7 @@ _U16 = struct.Struct("<H")
 _BHB = struct.Struct("<BHB")
 _BH = struct.Struct("<BH")
 _BHHH = struct.Struct("<BHHH")
+_BHHHH = struct.Struct("<BHHHH")
 _BHBB = struct.Struct("<BHBB")
 _BB = struct.Struct("<BB")
 _BHI = struct.Struct("<BHI")
@@ -42,6 +43,14 @@ UPDATE_VALUE_FIXED = 7
 SPAN_SIZE = 4
 #: the kind byte of a spanned :class:`OpUpdateValue`
 _SPANNED_UPDATE_VALUE = 9
+#: the kind bytes of a redo-only :class:`OpUpdateValue`, unspanned and
+#: spanned
+_REDO_VALUE = 10
+_SPANNED_REDO_VALUE = 11
+#: a redo-only rewrite's bytes besides its new value: kind, slot, length
+REDO_VALUE_FIXED = 5
+#: what a span adds to a redo-only rewrite: prefix, suffix, old length
+REDO_SPAN_SIZE = 6
 _from_bytes = int.from_bytes
 
 
@@ -210,32 +219,60 @@ class OpUpdateValue(PageOp):
     refused — a value whose span does not hold the middle it replaces.
     Build rewrites with :func:`value_rewrite`.
 
+    A *redo-only* rewrite (``old_value`` None) is the op of a
+    transaction that can never roll back (see
+    :mod:`repro.wal.records`): it carries no before-image, only, when
+    spanned, the old middle's length ``old_length`` — redo checks that
+    the span leaves exactly that many bytes between prefix and suffix.
+    It cannot be undone.
+
     Not frozen, unlike the other ops: every user rewrite builds one, and
     a frozen dataclass's ``__init__`` pays a call per field; nothing
     assigns to an op once built.
     """
 
     slot: int
-    old_value: bytes
+    old_value: bytes | None
     new_value: bytes
     prefix: int = 0
     suffix: int = 0
+    #: a redo-only op's old middle length (0 when unspanned); an op with
+    #: an ``old_value`` leaves it 0
+    old_length: int = field(default=0, repr=False)
 
     kind = 3
 
     def apply_redo(self, page: Page) -> None:
+        old = self.old_value
         SlottedPage(page).update_value(self.slot, self.new_value, self.prefix,
-                                       self.suffix, self.old_value)
+                                       self.suffix,
+                                       self.old_length if old is None else old)
 
     def apply_undo(self, page: Page) -> None:
+        if self.old_value is None:
+            raise LogError("a redo-only value rewrite cannot be undone")
         SlottedPage(page).update_value(self.slot, self.old_value, self.prefix,
                                        self.suffix, self.new_value)
 
     def encoded_size(self) -> int:
-        size = UPDATE_VALUE_FIXED + len(self.old_value) + len(self.new_value)
+        old = self.old_value
+        if old is None:
+            size = REDO_VALUE_FIXED + len(self.new_value)
+            return size + REDO_SPAN_SIZE if self.prefix or self.suffix else size
+        size = UPDATE_VALUE_FIXED + len(old) + len(self.new_value)
         return size + SPAN_SIZE if self.prefix or self.suffix else size
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
+        old = self.old_value
+        if old is None:
+            if self.prefix or self.suffix:
+                _BHHHH.pack_into(buf, pos, _SPANNED_REDO_VALUE, self.slot,
+                                 self.prefix, self.suffix, self.old_length)
+                pos += 9
+            else:
+                _BH.pack_into(buf, pos, _REDO_VALUE, self.slot)
+                pos += 3
+            return _put_bytes(buf, pos, self.new_value)
         if self.prefix or self.suffix:
             _BHHH.pack_into(buf, pos, _SPANNED_UPDATE_VALUE, self.slot,
                             self.prefix, self.suffix)
@@ -243,12 +280,23 @@ class OpUpdateValue(PageOp):
         else:
             _BH.pack_into(buf, pos, self.kind, self.slot)
             pos += 3
-        pos = _put_bytes(buf, pos, self.old_value)
+        pos = _put_bytes(buf, pos, old)
         return _put_bytes(buf, pos, self.new_value)
 
     @classmethod
     def _decode_body(cls, data, offset: int) -> "OpUpdateValue":
-        if data[offset] == _SPANNED_UPDATE_VALUE:
+        kind = data[offset]
+        if kind == _REDO_VALUE:
+            _kind, slot = _BH.unpack_from(data, offset)
+            new, _pos = _unpack_bytes(data, offset + 3)
+            return cls(slot, None, new)
+        if kind == _SPANNED_REDO_VALUE:
+            _kind, slot, prefix, suffix, old_length = _BHHHH.unpack_from(
+                data, offset)
+            new, _pos = _unpack_bytes(data, offset + 9)
+            check_span(prefix, suffix, max(old_length, len(new)))
+            return cls(slot, None, new, prefix, suffix, old_length)
+        if kind == _SPANNED_UPDATE_VALUE:
             _kind, slot, prefix, suffix = _BHHH.unpack_from(data, offset)
             old, pos = _unpack_bytes(data, offset + 7)
             new, _pos = _unpack_bytes(data, pos)
@@ -260,9 +308,18 @@ class OpUpdateValue(PageOp):
         return cls(slot, old, new)
 
 
-def value_rewrite(slot: int, old: bytes, new: bytes) -> OpUpdateValue:
+def is_redo_only(op: PageOp | None) -> bool:
+    """Is ``op`` a redo-only value rewrite (no before-image)?"""
+    return type(op) is OpUpdateValue and op.old_value is None
+
+
+def value_rewrite(slot: int, old: bytes, new: bytes,
+                  redo_only: bool = False) -> OpUpdateValue:
     """The one builder of value rewrites: ``old`` becomes ``new`` at
-    ``slot``, spanned when the span makes the encoding smaller.
+    ``slot``, spanned when the span makes the encoding smaller.  With
+    ``redo_only`` the op keeps no before-image (see
+    :class:`OpUpdateValue`); the span is chosen by the same rule, so a
+    redo-only rewrite redoes exactly what the full one would.
 
     Values that share neither their first nor their last byte cannot
     share a prefix or a suffix, so that test comes first: a random
@@ -288,9 +345,14 @@ def value_rewrite(slot: int, old: bytes, new: bytes) -> OpUpdateValue:
                     ^ _from_bytes(new[new_end - rest:], "little"))
             suffix = rest - ((diff.bit_length() + 7) >> 3)
         if prefix + suffix > SPAN_SIZE:
+            if redo_only:
+                return OpUpdateValue(slot, None, new[prefix:new_end - suffix],
+                                     prefix, suffix,
+                                     old_end - suffix - prefix)
             return OpUpdateValue(slot, old[prefix:old_end - suffix],
                                  new[prefix:new_end - suffix], prefix, suffix)
-    return OpUpdateValue(slot, old, new)
+    return OpUpdateValue(slot, None, new) if redo_only else OpUpdateValue(
+        slot, old, new)
 
 
 @dataclass(frozen=True, slots=True)
@@ -529,7 +591,10 @@ class OpInverse(PageOp):
             # Rollback never compensates a CLR, so no writer nests these;
             # a run of 99s must not recurse once per byte.
             raise LogError("nested compensation op")
-        return cls(PageOp.decode(data, offset + 1))
+        original = PageOp.decode(data, offset + 1)
+        if is_redo_only(original):
+            raise LogError("compensation of a redo-only op")
+        return cls(original)
 
 
 _OP_REGISTRY: dict[int, type[PageOp]] = {
@@ -538,4 +603,5 @@ _OP_REGISTRY: dict[int, type[PageOp]] = {
                 OpWriteBytes, OpInitSlotted, OpBulkInsert, OpBulkDelete,
                 OpInverse)
 }
-_OP_REGISTRY[_SPANNED_UPDATE_VALUE] = OpUpdateValue
+for _kind in (_SPANNED_UPDATE_VALUE, _REDO_VALUE, _SPANNED_REDO_VALUE):
+    _OP_REGISTRY[_kind] = OpUpdateValue

@@ -49,14 +49,34 @@ transaction whose last record has already hardened — or that logged
 nothing — gets a COMMIT / SYS_COMMIT record instead.  Readers ask
 :attr:`LogRecord.commits_txn`, never the kind.
 
-**The before-image is logged once.**  An UPDATE payload is a flags
-byte (bit 0: a page op follows, u16-length-prefixed; bit 1: a
-:class:`LogicalUndo` follows; bit 2: that undo's value is the op's
-``old_value`` and is not written again), the op, the undo.  Undo is
-logical (Section 5.1.2), so the old value of a rewritten record belongs
-to the key-level undo; the physical op carries the same bytes, and the
-encoding stores them one time.  Decoding hands both fields the same
-``bytes`` object.
+**The UPDATE flags byte.**  An UPDATE payload is a flags byte, the op,
+the undo::
+
+    bit 0  _HAS_OP                a page op follows, u16-length-prefixed
+    bit 1  _HAS_UNDO              a LogicalUndo follows
+    bit 2  _SHARED_BEFORE_IMAGE   that undo's value is the op's old_value
+    bit 3  _REDO_ONLY             the record is its transaction's only one
+
+**The before-image is logged once.**  Undo is logical (Section 5.1.2),
+so the old value of a rewritten record belongs to the key-level undo;
+the physical op carries the same bytes, and with bit 2 the encoding
+stores them one time.  Decoding hands both fields the same ``bytes``
+object.
+
+**A transaction of one record logs no undo.**  An autocommit write
+(``Database.autocommit(redo_only=True)``: a client's put or delete, the
+shard worker's, the engine's single-operation helpers) that logs one
+record can never be rolled back: the record carries its commit bit from
+the append on (:meth:`repro.wal.log_manager.LogManager.append`), so it
+is *redo-only* (``redo_only``): flags ``_HAS_OP | _REDO_ONLY`` exactly,
+no undo, the commit bit set.  Its value rewrite keeps no before-image —
+op kinds 10 (unspanned: kind, slot, new value) and 11 (spanned: kind,
+slot, prefix, suffix, the old middle's u16 length, the new middle), see
+:class:`repro.wal.ops.OpUpdateValue` — and its insert or ghosting op is
+the one a transaction logs.  Such an op appears in a redo-only UPDATE
+and nowhere else.  A ghost revival logs two records, so it keeps its
+undo in any transaction, as do ``client.txn()``, ``apply_batch``, a
+``Session`` and a 2PC branch.
 
 **A rewrite logs what it changes.**  A value rewrite whose old and new
 value share their first and last bytes is *spanned*
@@ -77,9 +97,11 @@ its header::
     undo action    u8    RESTORE_VALUE
     key            u16 length + bytes
 
-An unspanned put of a 100-byte value under a 16-byte key — every
-``kv_hot`` write — is 250 bytes: 21 of header, 1 + 2 of flags and op
-length, 3 + 2 + 100 + 2 + 100 of op, 1 + 2 + 16 of undo.
+An unspanned rewrite of a 100-byte value under a 16-byte key is 129
+bytes as an autocommit put — 21 of header, 1 + 2 of flags and op length,
+3 + 2 + 100 of op — and 250 as an UPDATE of a multi-record transaction:
+21 of header, 1 + 2 of flags and op length, 3 + 2 + 100 + 2 + 100 of
+op, 1 + 2 + 16 of undo.
 
 A :class:`LogicalUndo` written on its own marks a span with the high
 bit of its action byte, followed by the two u16 lengths.  Redo and
@@ -105,8 +127,10 @@ or raises :class:`repro.errors.LogError` — for truncated input, an
 unknown kind, an unknown flag bit, a length that runs past the record,
 a span that is empty or longer than any record, a PRI update that names
 no page, a page in its header or a negative page id or LSN, a commit
-bit on a kind that cannot carry one, or any encoding but the one
-:meth:`LogRecord.encode` writes (a wide header the narrow one fits).
+bit on a kind that cannot carry one, a redo-only UPDATE without its
+commit bit or with an undo, a redo-only op outside a redo-only UPDATE,
+or any encoding but the one :meth:`LogRecord.encode` writes (a wide
+header the narrow one fits).
 """
 
 from __future__ import annotations
@@ -118,9 +142,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import LogError, RecoveryError
-from repro.wal.ops import (MALFORMED, SPAN_SIZE, UPDATE_VALUE_FIXED,
-                           OpUpdateValue, PageOp, _put_bytes, _unpack_bytes,
-                           check_span)
+from repro.wal.ops import (MALFORMED, REDO_SPAN_SIZE, REDO_VALUE_FIXED,
+                           SPAN_SIZE, UPDATE_VALUE_FIXED, OpUpdateValue,
+                           PageOp, _put_bytes, _unpack_bytes, check_span,
+                           is_redo_only)
 
 _NARROW = struct.Struct("<BHIIIIH")
 _WIDE = struct.Struct("<BIqqqqq")
@@ -135,6 +160,9 @@ _NO_PAGE = 0xFFFFFFFF
 #: narrow header, flags, op length, the op's fixed part, undo action,
 #: key length
 _SHARED_UPDATE_FIXED = NARROW_HEADER_SIZE + 3 + UPDATE_VALUE_FIXED + 3
+#: a redo-only value rewrite's UPDATE besides its new value: narrow
+#: header, flags, op length, the op's fixed part
+_REDO_UPDATE_FIXED = NARROW_HEADER_SIZE + 3 + REDO_VALUE_FIXED
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -156,6 +184,7 @@ _COMMITS_BIT = 0x80
 _HAS_OP = 1
 _HAS_UNDO = 2
 _SHARED_BEFORE_IMAGE = 4
+_REDO_ONLY = 8
 #: high bit of a standalone LogicalUndo's action byte: a span follows
 _SPANNED_UNDO = 0x80
 #: most pages one PRI_UPDATE names (its u16 count)
@@ -414,6 +443,9 @@ class LogRecord:
     #: this record is the last of its transaction, which committed
     #: (``CHAIN_KINDS`` only; see the module docstring)
     commits: bool = False
+    #: an UPDATE that is its user transaction's only record: it commits
+    #: at append and logs no undo (see the module docstring)
+    redo_only: bool = False
 
     # ------------------------------------------------------------------
     # Serialization
@@ -422,8 +454,8 @@ class LogRecord:
         """Exact serialized length, computed without materializing bytes.
 
         The append hot path only needs the length (LSNs are byte
-        offsets) — a put's UPDATE, sharing its before-image, without a
-        call.  This is also where a record's header form is chosen: the
+        offsets) — a put's UPDATE, redo-only or sharing its
+        before-image, without a call.  This is also where a record's header form is chosen: the
         narrow size, unless one expression finds a field the narrow
         header cannot hold (see the module docstring).  Keeping this in
         sync with :meth:`encode` (and its :meth:`_shares_before_image`)
@@ -431,7 +463,11 @@ class LogRecord:
         """
         op, undo = self.op, self.undo
         if self.kind is _UPDATE:
-            if (undo and undo.action is _RESTORE_VALUE
+            if undo is None and type(op) is OpUpdateValue and op.old_value is None:
+                size = _REDO_UPDATE_FIXED + len(op.new_value)
+                if op.prefix or op.suffix:
+                    size += REDO_SPAN_SIZE
+            elif (undo and undo.action is _RESTORE_VALUE
                     and type(op) is OpUpdateValue
                     and (undo.value is op.old_value
                          or undo.value == op.old_value)
@@ -499,6 +535,10 @@ class LogRecord:
         kind = self.kind
         if self.commits and kind not in CHAIN_KINDS:
             raise LogError(f"a {kind.name} record cannot carry a commit")
+        if self.redo_only and not (kind is _UPDATE and self.commits
+                                   and self.op and self.undo is None):
+            raise LogError("a redo-only record is an UPDATE with an op, "
+                           "its commit bit and no undo")
         total = self.encoded_size()
         buf = bytearray(total)
         kind_byte = kind | _COMMITS_BIT if self.commits else kind
@@ -523,7 +563,8 @@ class LogRecord:
             undo = self.undo
             shared = bool(undo) and self._shares_before_image()
             buf[pos] = ((_HAS_OP if op else 0) | (_HAS_UNDO if undo else 0)
-                        | (_SHARED_BEFORE_IMAGE if shared else 0))
+                        | (_SHARED_BEFORE_IMAGE if shared else 0)
+                        | (_REDO_ONLY if self.redo_only else 0))
             pos += 1
             if op:
                 _U16.pack_into(buf, pos, op.encoded_size())
@@ -621,6 +662,9 @@ class LogRecord:
         (op_size,) = _U16.unpack_from(data, pos)
         pos += 2
         self.op = op = PageOp.decode(data, pos)
+        if not self.redo_only and is_redo_only(op):
+            raise LogError(f"a redo-only op in a {self.kind.name} record "
+                           f"that is not redo-only")
         if op.encoded_size() != op_size:
             raise LogError(f"page op of {op.encoded_size()} bytes in a "
                            f"{op_size}-byte field")
@@ -637,8 +681,16 @@ class LogRecord:
         if kind == LogRecordKind.UPDATE:
             flags = data[pos]
             pos += 1
-            if flags & ~(_HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE):
+            if flags & ~(_HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE
+                         | _REDO_ONLY):
                 raise LogError(f"unknown UPDATE flag bits {flags:#x}")
+            if flags & _REDO_ONLY:
+                if flags != _HAS_OP | _REDO_ONLY:
+                    raise LogError("a redo-only UPDATE carries its op and "
+                                   "no undo")
+                if not self.commits:
+                    raise LogError("a redo-only UPDATE without the commit bit")
+                self.redo_only = True
             if flags & _HAS_OP:
                 pos = self._decode_op(data, pos)
             if flags & _SHARED_BEFORE_IMAGE:
@@ -740,10 +792,10 @@ class LogRecord:
 
         A COMMIT record names its kind of transaction; a commit bit
         does not, but the record under it does: user updates carry
-        key-level undo, structural updates by system transactions
-        never do."""
+        key-level undo or are redo-only, structural updates by system
+        transactions are neither."""
         return (self.kind == LogRecordKind.COMMIT
-                or (self.commits and self.undo is not None))
+                or (self.commits and (self.undo is not None or self.redo_only)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         bits = [f"lsn={self.lsn}",

@@ -634,8 +634,8 @@ def test_slot_delta_counts_bit_carried_commits_only(router):
     worker = router.shards[0].worker
     key, other = keys_on(router, 0, 2)
     slot = worker._slot_of(key)
-    since = worker.db.log.end_lsn
-    worker.execute(("put", key, b"committed"))
+    since, _items = worker.execute(("export_slot", slot))
+    worker.execute(("put", key, b"committed"))          # redo-only
     worker.execute(("txn_put", 9, other, b"in flight", True))   # no commit
     if worker._slot_of(other) != slot:  # else: locked, not quiescent
         delta = worker.execute(("slot_delta", slot, since))

@@ -13,15 +13,21 @@ with, distinct from, or as empty as its op's.  Value rewrites come
 spanned and unspanned: built by ``value_rewrite`` from values that
 share a prefix and suffix (empty middles, a span covering the whole
 shorter value, growth, shrink) or given any span directly; their
-RESTORE_VALUE undo shares the span, or stands alone with one.  A PRI
-update names the pages of one write-back run, one to many.
+RESTORE_VALUE undo shares the span, or stands alone with one.  A
+redo-only UPDATE — an autocommit write's one record: its commit bit, no
+undo — carries any op, or a redo-only value rewrite that keeps no
+before-image (spanned: only the old middle's length).  A PRI update
+names the pages of one write-back run, one to many.
 
 The other direction is hostile bytes: whatever a decode boundary is
 handed — arbitrary bytes, or a valid encoding with a few bytes
 overwritten — it returns a value or raises ``LogError``, never a
 ``struct.error`` / ``IndexError`` / ``ValueError`` — truncated or
 out-of-range span fields included, and a PRI update with no entries, a
-count that runs past the record, a negative page id or trailing bytes.
+count that runs past the record, a negative page id or trailing bytes,
+a redo-only UPDATE without its commit bit or with an undo, a redo-only
+op anywhere but in a redo-only UPDATE, and a spanned redo-only op whose
+old middle is longer than a page.
 
 Every field a header carries is drawn from both sides of the narrow
 form's range, so records come narrow and wide; the boundaries
@@ -110,6 +116,20 @@ def _spanned_update_value():
                                payloads), direct)
 
 
+def _redo_only_update_value():
+    """Redo-only rewrites as the builder makes them, or with any span
+    and old-middle length given directly."""
+    def built(slot, prefix, old_middle, new_middle, suffix):
+        return value_rewrite(slot, prefix + old_middle + suffix,
+                             prefix + new_middle + suffix, True)
+    direct = st.builds(OpUpdateValue, slots, st.none(), payloads, spans, spans,
+                       spans).filter(lambda op: op.prefix or op.suffix)
+    return st.one_of(st.builds(built, slots, payloads, payloads, payloads,
+                               payloads),
+                     st.builds(OpUpdateValue, slots, st.none(), payloads),
+                     direct)
+
+
 def _op_set_ghost():
     return st.builds(OpSetGhost, slots, st.booleans(), st.booleans())
 
@@ -148,6 +168,10 @@ plain_ops = st.one_of(
 #: Every op kind, plus compensation wrappers around each of them.
 any_op = st.one_of(plain_ops, st.builds(OpInverse, plain_ops))
 
+#: What a redo-only UPDATE carries: any op a write logs, or a redo-only
+#: value rewrite.
+redo_only_ops = st.one_of(plain_ops, _redo_only_update_value())
+
 logical_undos = st.one_of(
     st.builds(LogicalUndo, st.sampled_from(UndoAction), payloads, payloads),
     st.builds(LogicalUndo, st.just(UndoAction.RESTORE_VALUE), payloads,
@@ -167,7 +191,7 @@ pri_writes = st.lists(st.tuples(ids, lsns), min_size=1, max_size=40)
 
 
 @settings(max_examples=200)
-@given(op=any_op)
+@given(op=st.one_of(any_op, _redo_only_update_value()))
 def test_page_op_round_trip(op):
     encoded = op.encode()
     assert len(encoded) == op.encoded_size()
@@ -216,6 +240,9 @@ def _record_strategy():
                   op=st.none() | any_op, undo=st.none() | logical_undos,
                   commits=commits),
         _value_rewrites(header, commits),
+        st.builds(LogRecord, st.just(LogRecordKind.UPDATE), **header,
+                  op=redo_only_ops, commits=st.just(True),
+                  redo_only=st.just(True)),
         st.builds(LogRecord, st.just(LogRecordKind.COMPENSATION), **header,
                   op=st.none() | any_op, undo_next_lsn=lsns, commits=commits),
         st.builds(LogRecord, bare_kinds, **header),
@@ -264,6 +291,7 @@ def test_log_record_round_trip(record):
     decoded = LogRecord.decode(encoded)
     assert decoded == record
     assert decoded.commits == record.commits
+    assert decoded.redo_only == record.redo_only
     assert decoded.encode() == encoded
 
 
@@ -341,8 +369,51 @@ def _decodes_or_log_error(decode, data):
         pass
 
 
+def _hostile_redo_only() -> dict[str, bytes]:
+    """Bytes no writer produces around a redo-only op or record."""
+    op = OpUpdateValue(3, None, b"new")
+    ids = dict(txn_id=1, page_id=2)
+    good = LogRecord(LogRecordKind.UPDATE, **ids, op=op, commits=True,
+                     redo_only=True).encode()
+    with_undo = LogRecord(LogRecordKind.UPDATE, **ids, op=op, commits=True,
+                          undo=LogicalUndo(UndoAction.DELETE_KEY, b"k")).encode()
+    return {
+        "no commit bit": bytes([good[0] & ~0x80]) + good[1:],
+        "under a COMPENSATION": LogRecord(LogRecordKind.COMPENSATION, **ids,
+                                          op=op).encode(),
+        "compensated": LogRecord(LogRecordKind.COMPENSATION, **ids,
+                                 op=OpInverse(op)).encode(),
+        "under a FORMAT_PAGE": LogRecord(LogRecordKind.FORMAT_PAGE, **ids,
+                                         op=op).encode(),
+        "with an undo": with_undo,
+        "flagged redo-only with an undo": (with_undo[:21]
+                                           + bytes([with_undo[21] | 0x08])
+                                           + with_undo[22:]),
+        "in an UPDATE not flagged redo-only": LogRecord(
+            LogRecordKind.UPDATE, **ids, op=op, commits=True).encode(),
+        "old middle longer than a page": LogRecord(
+            LogRecordKind.UPDATE, **ids, commits=True, redo_only=True,
+            op=OpUpdateValue(3, None, b"new", 1, 1, 0xFFFF)).encode(),
+    }
+
+
+HOSTILE_REDO_ONLY = _hostile_redo_only()
+
+
+@pytest.mark.parametrize("shape", sorted(HOSTILE_REDO_ONLY))
+def test_redo_only_shapes_no_writer_produces_fail_typed(shape):
+    with pytest.raises(LogError):
+        LogRecord.decode(HOSTILE_REDO_ONLY[shape])
+
+
 @settings(max_examples=400)
 @given(data=st.binary(max_size=200))
+@example(HOSTILE_REDO_ONLY["no commit bit"])
+@example(HOSTILE_REDO_ONLY["under a COMPENSATION"])
+@example(HOSTILE_REDO_ONLY["compensated"])
+@example(HOSTILE_REDO_ONLY["with an undo"])
+@example(HOSTILE_REDO_ONLY["flagged redo-only with an undo"])
+@example(HOSTILE_REDO_ONLY["old middle longer than a page"])
 # a wide COMMIT header whose fields the narrow one holds
 @example(struct.pack("<BIqqqqq", 0x40 | LogRecordKind.COMMIT, 45, 1, 0, -1, 0, 0))
 # a narrow UPDATE whose u16 op length runs past the record
@@ -385,7 +456,7 @@ def test_log_record_decode_fails_typed_on_mutated_encodings(record, edits):
 
 
 @settings(max_examples=300)
-@given(op=any_op, edits=mutations)
+@given(op=st.one_of(any_op, _redo_only_update_value()), edits=mutations)
 def test_page_op_decode_fails_typed_on_mutated_encodings(op, edits):
     raw = bytearray(op.encode())
     for position, byte in edits:
@@ -509,6 +580,32 @@ def test_a_spanned_rewrite_logs_the_middles_once():
     # The same undo on its own carries the span behind its action byte.
     assert undo.encode()[:5] == bytes([0x83]) + struct.pack("<HH", 2, 230)
     assert LogicalUndo.decode(undo.encode(), 0) == (undo, undo.encoded_size())
+
+
+def test_a_redo_only_rewrite_logs_its_new_value_alone():
+    """An autocommit put's record: the op keeps the new value (or new
+    middle) and, when spanned, the old middle's length; no undo."""
+    old, new = b"\x01" + b"o" * 98 + b"\x02", b"\x03" + b"n" * 98 + b"\x04"
+    op = value_rewrite(0x0102, old, new, True)
+    assert op.old_value is None and (op.prefix, op.suffix) == (0, 0)
+    assert op.encode() == bytes([10, 0x02, 0x01]) + struct.pack("<H", 100) + new
+    record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2, op=op,
+                       commits=True, redo_only=True)
+    encoded = record.encode()
+    # 21 header + 1 flags + 2 op length + 105 op
+    assert len(encoded) == record.encoded_size() == 129
+    assert encoded[0] == 0x80 | LogRecordKind.UPDATE
+    assert encoded[21:24] == bytes([0x09]) + struct.pack("<H", 105)
+    decoded = LogRecord.decode(encoded)
+    assert decoded == record and decoded.commits_user_txn
+    spanned = value_rewrite(5, b"2019-03-04" + b"x" * 230,
+                            b"2021-11-22" + b"x" * 230, True)
+    assert spanned.encode() == (bytes([11, 5, 0])
+                                + struct.pack("<HHH", 2, 230, 8)
+                                + struct.pack("<H", 8) + b"21-11-22")
+    assert PageOp.decode(spanned.encode()) == spanned
+    with pytest.raises(LogError):
+        spanned.apply_undo(None)
 
 
 def test_truncated_and_out_of_range_spans_fail_typed():

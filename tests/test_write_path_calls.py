@@ -1,7 +1,8 @@
 """A put at the price of its work, counted in calls.
 
 A warm autocommit rewrite of a live key on a resident three-level tree
-may enter at most 68 Python functions of ``repro`` (91 while every
+may enter at most 67 Python functions of ``repro`` (68 while it still
+built a ``LogicalUndo`` — its record is redo-only now; 91 while every
 layer still went through its own helpers: the commit bit found by a
 segment lookup and forced in a second log-mutex hold, ``mark_dirty``
 beside ``unfix``, a four-call record size, a ``Transaction.active``
@@ -17,7 +18,7 @@ import repro
 from benchmarks.common import python_calls
 from repro import EngineConfig
 
-PUT_CALLS = 68
+PUT_CALLS = 67
 GET_CALLS = 31
 
 
