@@ -2,7 +2,7 @@
 
 ``test_golden_write_path.py`` pins the log's bytes; this pins the state
 those bytes produce, so a change to the log format (record sizes, hence
-LSNs) can prove it moved nothing else.  Three seeded streams:
+LSNs) can prove it moved nothing else.  Four seeded streams:
 
 * ``write_path`` — the write-path golden's stream, verbatim;
 * ``dblp`` — bibliographic records of 120-470 bytes whose first 10
@@ -13,7 +13,12 @@ LSNs) can prove it moved nothing else.  Three seeded streams:
   most misses meet a dirty victim: a ``client.txn()`` held open across
   evictions and a checkpoint, a leaf whose write-back the device loses
   (detected stale and repaired), and a crash that loses the last
-  write-back's page-recovery-index record.
+  write-back's page-recovery-index record;
+* ``sorted_load`` — sorted batches of new keys, as the benchmark loads
+  its records, through a 16-frame pool: 8 000 kv keys in 500-put
+  batches, a sorted DBLP-shaped batch into a populated tree, a batch
+  whose runs an existing key, a ghost, a duplicate, a descending pair
+  and a delete break, and a sorted batch that rolls back.
 
 For each, the sha256 of the key -> value map and of every B-tree page
 (device image, checksum and PageLSN fields masked: both follow from the
@@ -232,6 +237,56 @@ def dirty_victims_stream(seed: int, frames: int, n_records: int,  # noqa: ANN201
     return client
 
 
+def sorted_load_stream(seed: int, frames: int, n_kv: int,  # noqa: ANN201
+                       n_dblp: int):
+    """Sorted batches of new keys, the bench's set-up shape, through a
+    ``frames``-frame pool: ``n_kv`` kv puts of 100-byte values in
+    500-put batches; ``n_dblp`` DBLP-shaped records in random order,
+    then as many again as one sorted batch among them; then batches
+    that break sorted runs — an existing key, a ghost, a duplicate, a
+    descending pair, a delete — and a sorted batch that rolls back on a
+    malformed last op.  Returns the client."""
+    rng = random.Random(seed)
+    # Capacity for the spare sectors every leaf's repair remaps into.
+    client = repro.connect(EngineConfig(page_size=4096, capacity_pages=16384,
+                                        buffer_capacity=frames, seed=seed))
+    db = client.db
+    for start in range(0, n_kv, 500):
+        client.apply_batch([("put", b"user%012d" % i, rng.randbytes(100))
+                            for i in range(start, min(start + 500, n_kv))])
+    db.checkpoint()
+    shape = _DblpShape(rng)
+    client.apply_batch([("put", *shape.paper()) for _ in range(n_dblp)])
+    client.apply_batch(sorted(("put", *shape.paper()) for _ in range(n_dblp)))
+    db.checkpoint()
+    values = dict(client.scan())
+    live = sorted(values)
+    ghost = live[len(live) // 3]
+    assert client.delete(ghost)
+    del values[ghost]
+    existing = live[len(live) // 2]
+    news = sorted(b"user%012d/%03d" % (i, j)
+                  for i in rng.sample(range(n_kv), 40) for j in range(3))
+    ops = [("put", key, rng.randbytes(rng.choice((20, 100, 300))))
+           for key in news]
+    ops[3:3] = [("put", existing, b"rewritten")]
+    ops[9:9] = [("put", ghost, b"revived")]
+    ops[15:15] = [ops[14]]                       # a duplicate
+    ops[20], ops[21] = ops[21], ops[20]          # a descending pair
+    ops[30:30] = [("delete", live[len(live) // 4])]
+    client.apply_batch(ops)
+    for op in ops:
+        if op[0] == "put":
+            values[op[1]] = op[2]
+        else:
+            values.pop(op[1], None)
+    with pytest.raises(repro.ConfigError):
+        client.apply_batch(sorted(("put", *shape.paper()) for _ in range(60))
+                           + [("frob",)])
+    assert dict(client.scan()) == values
+    return client
+
+
 def write_back_under(db, index_id: int, seed: int) -> None:  # noqa: ANN001
     """Read far and wide until the loser's dirty pages have been
     written back as victims: the last write-back's PRI record is left in
@@ -250,6 +305,7 @@ CASES = {
     "dblp": (dblp_stream, (26, 48, 1_200, 2_500), None),
     "dirty_victims": (dirty_victims_stream, (27, 16, 600, 1_500),
                       write_back_under),
+    "sorted_load": (sorted_load_stream, (28, 16, 8_000, 600), None),
     "write_path": (write_stream, WRITE_CASES["stream"], None),
 }
 
