@@ -40,7 +40,8 @@ and a scan decodes each row of a leaf once.
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol
+from itertools import islice
+from typing import Callable, Iterator, Protocol
 
 from repro.btree.keys import shortest_separator
 from repro.btree.node import (DATA_START, FLAG_HIGH_INF, NO_FOSTER, BTreeNode,
@@ -53,6 +54,7 @@ from repro.errors import (
     SinglePageFailure,
 )
 from repro.page.page import Page, PageType
+from repro.page.slotted import SLOT_SIZE
 from repro.sim.stats import Stats
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
@@ -60,6 +62,9 @@ from repro.wal.ops import value_rewrite
 from repro.wal.records import LogicalUndo, UndoAction
 
 _RESTORE_VALUE = UndoAction.RESTORE_VALUE
+#: what a data record takes of a leaf besides its stored key and value:
+#: the key's length prefix and its slot
+_ROW_OVERHEAD = 2 + SLOT_SIZE
 
 
 def _not_bytes(key: object, value: object) -> BTreeError:
@@ -68,6 +73,17 @@ def _not_bytes(key: object, value: object) -> BTreeError:
     value would read as a delete."""
     return BTreeError(f"a write takes bytes -> bytes, not "
                       f"{type(key).__name__} -> {type(value).__name__}")
+
+
+class _Batch:
+    """One :meth:`FosterBTree.apply_batch`: its ops and the index of the
+    next one to write, which a leaf run moves past the puts it takes."""
+
+    __slots__ = ("ops", "next")
+
+    def __init__(self, ops: list[tuple]) -> None:
+        self.ops = ops
+        self.next = 0
 
 
 class TreeContext(Protocol):
@@ -311,12 +327,13 @@ class FosterBTree:
     # Public operations
     # ------------------------------------------------------------------
     def insert(self, txn: Transaction, key: bytes, value: bytes, *,
-               replace: bool = False) -> None:
+               replace: bool = False, batch: _Batch | None = None) -> None:
         """Insert ``key`` -> ``value``; a live duplicate is rejected
-        (:class:`DuplicateKey`) unless ``replace``, which updates it."""
+        (:class:`DuplicateKey`) unless ``replace``, which updates it.
+        ``batch``: the :meth:`apply_batch` this put belongs to."""
         if key.__class__ is not bytes or value.__class__ is not bytes:
             raise _not_bytes(key, value)
-        self._write(txn, key, value, None if replace else False)
+        self._write(txn, key, value, None if replace else False, batch)
 
     def update(self, txn: Transaction, key: bytes, value: bytes) -> None:
         """Replace the value stored under ``key`` (:class:`KeyNotFound`
@@ -343,8 +360,38 @@ class FosterBTree:
         """Delete if present, in one descent; True if a record went."""
         return self.delete(txn, key, missing_ok=True)
 
+    def apply_batch(self, txn: Transaction, ops: list[tuple],
+                    check: Callable[[tuple], None]) -> None:
+        """Apply ``[("put", k, v) | ("delete", k), ...]`` in ``txn``, in
+        order: each op passes ``check`` (which raises the caller's error
+        for a malformed one), its key is locked, and it is written
+        through :meth:`insert` / :meth:`delete` — the one batch loop of
+        the embedded client and the shard worker.
+
+        A put of a new key takes the well-formed puts after it that
+        extend a *leaf run* — sorted new keys its leaf takes as they
+        come — into its own write: one UPDATE for the run
+        (:meth:`_take_run`), and the loop resumes after its last op.
+        """
+        locks = self.tm.locks
+        acquire = None if locks is None else locks.acquire
+        insert, delete = self.insert, self.delete
+        txn_id = txn.txn_id
+        batch = _Batch(ops)
+        n = len(ops)
+        while batch.next < n:
+            op = ops[batch.next]
+            check(op)
+            if acquire is not None:
+                acquire(txn_id, op[1])
+            batch.next += 1
+            if op[0] == "put":
+                insert(txn, op[1], op[2], replace=True, batch=batch)
+            else:
+                delete(txn, op[1], missing_ok=True)
+
     def _write(self, txn: Transaction, key: bytes, value: bytes | None,
-               expect_live: bool | None) -> bool:
+               expect_live: bool | None, batch: _Batch | None = None) -> bool:
         """The one user-write path: descend once, decide at the leaf.
 
         ``value`` of ``None`` deletes.  ``expect_live`` states what the
@@ -359,6 +406,8 @@ class FosterBTree:
         replay.  A leaf without room is split (system transaction) and
         the descent repeated, for a growing value exactly as for a new
         key.
+
+        A new key of a ``batch`` may start a leaf run (:meth:`_take_run`).
         """
         if not key:
             raise BTreeError("empty keys are reserved for -infinity fences")
@@ -432,6 +481,16 @@ class FosterBTree:
                         self._btree_inserts.inc()
                         return False
                 elif node.room_for(key, value):
+                    run = batch and self._take_run(txn, node, i, key, value,
+                                                   batch)
+                    if run:
+                        dirty = log(txn, page, index_id,
+                                    node.op_bulk_insert(i, run), LogicalUndo(
+                                        UndoAction.DELETE_KEYS, key,
+                                        keys=tuple(row[0] for row in run)))
+                        page.count_updates(len(run) - 1)
+                        self._btree_inserts.inc(len(run))
+                        return False
                     dirty = log(txn, page, index_id, node.op_insert(i, key, value),
                                 None if txn.redo_only
                                 else LogicalUndo(UndoAction.DELETE_KEY, key))
@@ -441,6 +500,75 @@ class FosterBTree:
                 self.ctx.unfix(page.page_id, dirty)
             # No room: split (system transaction) and try again.
             self._split(page.page_id)
+
+    def _take_run(self, txn: Transaction, node: BTreeNode, i: int,
+                  key: bytes, value: bytes, batch: _Batch
+                  ) -> list[tuple[bytes, bytes, bool]] | None:
+        """The rows of a leaf run that the insert of ``key`` at data slot
+        ``i`` of the pinned leaf starts: ``(key, value, False)`` of it and
+        of the puts ``batch`` holds next, each advancing ``batch.next``;
+        ``None`` when not even one more put joins (a lone insert is
+        logged as it always is).
+
+        A put joins only while its own write — descend, maintain, decide
+        at the leaf — would insert it at the next slot of this leaf with
+        no structural change between: its key is bytes, strictly above
+        the previous one and below the leaf's next record, its foster key
+        and its high fence; its entry is within the size limit; the run
+        fits the contiguous free space, or — when the first row needs it,
+        as its own insert would — the space compaction frees, so no row
+        but the first compacts; no adoption falls due, as each row takes
+        one adoption opportunity per foster parent the descent noted;
+        and its key lock is free or already ours (the leaf is pinned: no
+        waiting, no loser rolled back here).  So the pages come out as
+        the per-key writes leave them, byte for byte, and the update
+        counter advances by the row count.
+        """
+        ops, at = batch.ops, batch.next
+        if at >= len(ops) or txn.redo_only:
+            return None
+        view = node.view
+        prefix = view.prefix
+        cut = len(prefix)
+        bound = None if view.flags & FLAG_HIGH_INF else view.high_fence
+        if view.foster_pid != NO_FOSTER:
+            bound = view.foster_key
+        if i < node.nrecs:
+            bound = node.full_key(i)
+        slotted = node.slotted
+        free = slotted.free_space
+        used = _ROW_OVERHEAD + len(key) - cut + len(value)
+        room = free if used <= free else free + slotted.frag_bytes
+        owed = len(self._owed)
+        every = self.adopt_every
+        seen = self._adopt_opportunities
+        limit = node.page.size // 8
+        locks = self.tm.locks
+        txn_id = txn.txn_id
+        run = [(key, value, False)]
+        prev = key
+        for op in islice(ops, at, None):
+            if len(op) < 3 or op[0] != "put":
+                break
+            k, v = op[1], op[2]
+            if (k.__class__ is not bytes or v.__class__ is not bytes
+                    or not prev < k or bound is not None and not k < bound
+                    or cut and not k.startswith(prefix)
+                    or len(k) + len(v) > limit):
+                break
+            used += _ROW_OVERHEAD + len(k) - cut + len(v)
+            if (used > room or owed and seen % every + owed >= every
+                    or locks is not None
+                    and not locks.try_acquire(txn_id, k)):
+                break
+            seen += owed
+            run.append((k, v, False))
+            prev = k
+        if len(run) == 1:
+            return None
+        self._adopt_opportunities = seen
+        batch.next = at + len(run) - 1
+        return run
 
     def lookup(self, key: bytes) -> bytes:
         """Value stored under ``key``; raises :class:`KeyNotFound`."""

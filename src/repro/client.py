@@ -215,14 +215,7 @@ class SingleNodeClient(Client):
         self._require_open()
         db = self.db
         with db.autocommit() as txn:
-            txn_id, acquire, tree = txn.txn_id, db.locks.acquire, db.tree(self.index_id)
-            for op in ops:
-                check_batch_op(op)
-                acquire(txn_id, op[1])
-                if op[0] == "put":
-                    tree.insert(txn, op[1], op[2], replace=True)
-                else:
-                    tree.remove(txn, op[1])
+            db.tree(self.index_id).apply_batch(txn, ops, check_batch_op)
         return len(ops)
 
     def metrics(self) -> dict[str, int | float]:

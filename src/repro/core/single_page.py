@@ -71,6 +71,9 @@ def replay_records(page: Page, records: list[LogRecord]) -> list[LogRecord]:
                 f"page has {page.page_lsn}")
         record.op.apply_redo(page)
         page.page_lsn = record.lsn
+        undo = record.undo
+        if undo is not None and undo.keys:
+            page.count_updates(len(undo.keys) - 1)  # a leaf run's rows
         applied.append(record)
     return applied
 

@@ -258,6 +258,13 @@ class Page:
     def reset_update_count(self) -> None:
         struct.pack_into("<H", self.data, 26, 0)
 
+    def count_updates(self, n: int) -> None:
+        """Count ``n`` updates more than setting the PageLSN counts: the
+        rows of a leaf run past its first, which one record writes
+        (:mod:`repro.wal.records`)."""
+        count = _U16.unpack_from(self.data, 26)[0] + n
+        _U16.pack_into(self.data, 26, count if count < 0xFFFF else 0xFFFF)
+
     @property
     def header(self) -> PageHeader:
         return PageHeader.unpack(self.data)

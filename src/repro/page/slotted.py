@@ -491,9 +491,10 @@ class SlottedPage:
     def insert_run(self, index: int, records: list[Record]) -> None:
         """Insert ``records`` at consecutive slots starting at ``index``.
 
-        One directory shift covers the whole run, so structural moves
-        (splits, prefix re-encoding) cost one block move instead of one
-        per record.
+        The bytes :meth:`insert` of each record in turn leaves, in one
+        directory shift, one heap write and one slot-directory write:
+        a leaf run of a sorted batch, a split's moved half and a prefix
+        re-encoding cost one block move each instead of one per record.
         """
         n = len(records)
         if n == 0:
@@ -501,30 +502,46 @@ class SlottedPage:
         if n == 1:
             self.insert(index, records[0])
             return
-        count = self.slot_count
+        page = self.page
+        data = page.data
+        size = page.size
+        count, heap_end, frag_bytes, _reserved = _SLOTTED_HEADER.unpack_from(
+            data, HEADER_SIZE)
         if not 0 <= index <= count:
             raise IndexError(f"insert position {index} out of range")
         needed = sum(r.stored_length for r in records) + SLOT_SIZE * n
-        if self.free_space < needed:
-            if self.free_space + self.frag_bytes >= needed:
+        free = size - count * SLOT_SIZE - heap_end
+        if free < needed:
+            if free + frag_bytes >= needed:
                 self.compact()
-            if self.free_space < needed:
+                heap_end = self.heap_end
+                free = size - count * SLOT_SIZE - heap_end
+            if free < needed:
                 raise PageFullError(
-                    f"need {needed} bytes, have {self.free_space} "
-                    f"(+{self.frag_bytes} fragmented)")
-        self.page.invalidate_view(index, 0, records)
+                    f"need {needed} bytes, have {free} "
+                    f"(+{frag_bytes} fragmented)")
+        page.invalidate_view(index, 0, records)
         if count > index:
-            data = self.page.data
-            size = self.page.size
             start = size - count * SLOT_SIZE
             end = size - index * SLOT_SIZE
             shift = n * SLOT_SIZE
             data[start - shift:end - shift] = data[start:end]
+        heap: list[bytes] = []
+        words: list[int] = []
+        offset = heap_end
+        for record in records:
+            key = record.key
+            length = 2 + len(key) + len(record.value)
+            heap += (_U16.pack(len(key)), key, record.value)
+            words += (length | _GHOST_BIT if record.ghost else length, offset)
+            offset += length
+        data[heap_end:offset] = b"".join(heap)
+        # Slots grow downwards: the run's last slot lies lowest, and each
+        # slot is (offset, length_flags), hence the reversed words.
+        words.reverse()
+        _slot_words(n).pack_into(data, size - (index + n) * SLOT_SIZE, *words)
         self._set_slot_count(count + n)
-        for i, record in enumerate(records):
-            offset = self._append_to_heap(record)
-            self._write_slot(index + i, offset, record.stored_length,
-                             record.ghost)
+        self._set_heap_end(offset)
 
     def remove_run(self, index: int, n: int) -> None:
         """Remove ``n`` consecutive slots starting at ``index``."""

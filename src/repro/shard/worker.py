@@ -42,6 +42,13 @@ from repro.shard.rpc import marshal_error, recv_msg, send_msg
 from repro.wal.records import LogRecordKind
 
 
+def _check_batch_op(op: tuple) -> None:
+    """A batch op the worker can apply: a put or a delete (the router
+    has checked its shape, :func:`repro.shard.router.check_batch_op`)."""
+    if op[0] not in ("put", "delete"):
+        raise ShardError(f"unknown batch op {op[0]!r}")
+
+
 class ShardWorker:
     """Executes shard command tuples against one engine instance."""
 
@@ -138,16 +145,7 @@ class ShardWorker:
         for op in ops:
             self._check_owner(op[1])
         with db.autocommit() as txn:
-            txn_id, acquire, tree = txn.txn_id, db.locks.acquire, self._tree
-            for op in ops:
-                if op[0] == "put":
-                    acquire(txn_id, op[1])
-                    tree.upsert(txn, op[1], op[2])
-                elif op[0] == "delete":
-                    acquire(txn_id, op[1])
-                    tree.remove(txn, op[1])
-                else:
-                    raise ShardError(f"unknown batch op {op[0]!r}")
+            self._tree.apply_batch(txn, ops, _check_batch_op)
         return len(ops)
 
     def _cmd_scan(self, low: bytes = b"",

@@ -70,6 +70,20 @@ class LockManager:
                 del self._waits_for[txn_id]
                 raise LockConflict(txn_id, key, holder)
 
+    def try_acquire(self, txn_id: int, key: bytes) -> bool:
+        """Acquire ``key`` for ``txn_id`` if no other transaction holds
+        it; False, with nothing registered, if one does.  For a caller
+        that must not wait, resolve a conflict or roll a loser back —
+        one holding a page pinned (a leaf run, see
+        :meth:`repro.btree.tree.FosterBTree.apply_batch`)."""
+        with self._mutex:
+            holder = self._holders.get(key)
+            if holder is None:
+                self._holders[key] = txn_id
+                self._held_by_txn.setdefault(txn_id, set()).add(key)
+                return True
+            return holder == txn_id
+
     def _has_cycle(self, start: int) -> bool:
         seen = set()
         node = start

@@ -51,7 +51,7 @@ from repro.txn.transaction import Transaction, TxnState
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
 from repro.wal.ops import OpInverse, PageOp
-from repro.wal.records import LogicalUndo, LogRecord, LogRecordKind
+from repro.wal.records import LogicalUndo, LogRecord, LogRecordKind, UndoAction
 
 _ACTIVE = TxnState.ACTIVE
 _COMMITTED = TxnState.COMMITTED
@@ -372,8 +372,8 @@ class TransactionManager:
         """Walk a transaction's log chain backwards from ``last_lsn``.
 
         Returns the set of keys its update records touched (from their
-        logical-undo payloads — the keys the transaction must have
-        locked) and the LSN of its first record.  Used by on-demand
+        logical-undo payloads, every key of a leaf run's — the keys the
+        transaction must have locked) and the LSN of its first record.  Used by on-demand
         restart to re-acquire a loser's locks and to bound log
         truncation while its rollback is pending.
         """
@@ -383,8 +383,12 @@ class TransactionManager:
         while lsn != NULL_LSN:
             record = self.log.record_at(lsn)
             first_lsn = record.lsn
-            if record.undo is not None:
-                keys.add(record.undo.key)
+            undo = record.undo
+            if undo is not None:
+                if undo.keys:
+                    keys.update(undo.keys)
+                else:
+                    keys.add(undo.key)
             lsn = record.prev_lsn
         return keys, first_lsn
 
@@ -398,6 +402,13 @@ class TransactionManager:
         Used both by :meth:`abort` and by restart undo.  CLRs are never
         undone; their ``undo_next_lsn`` skips over already-compensated
         work, making rollback idempotent across crashes.
+
+        A leaf run's record is undone key by key, newest first, as the
+        per-key records it stands for would be.  Every CLR but the last
+        names the run record itself as ``undo_next_lsn``: a crash in
+        between redoes the run's whole undo, and a key compensated
+        already is a ghost, whose compensation logs nothing.  Handing
+        each CLR the run's ``prev_lsn`` would strand the keys left.
         """
         lsn = txn.last_lsn
         while lsn != NULL_LSN and lsn > to_lsn:
@@ -408,9 +419,17 @@ class TransactionManager:
             if record.kind != LogRecordKind.UPDATE:
                 lsn = record.prev_lsn
                 continue
-            if record.undo is not None:
+            undo = record.undo
+            if undo is not None and undo.keys:
+                keys = undo.keys
+                for j in range(len(keys) - 1, -1, -1):
+                    ctx.logical_compensate(
+                        txn, record.index_id,
+                        LogicalUndo(UndoAction.DELETE_KEY, keys[j]),
+                        lsn if j else record.prev_lsn)
+            elif undo is not None:
                 # Logical (key-level) compensation through the index.
-                ctx.logical_compensate(txn, record.index_id, record.undo,
+                ctx.logical_compensate(txn, record.index_id, undo,
                                        record.prev_lsn)
             elif record.op is not None:
                 # Physical in-page undo.

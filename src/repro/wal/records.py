@@ -103,6 +103,29 @@ bytes as an autocommit put — 21 of header, 1 + 2 of flags and op length,
 21 of header, 1 + 2 of flags and op length, 3 + 2 + 100 + 2 + 100 of
 op, 1 + 2 + 16 of undo.
 
+**A leaf run is one record.**  A batch put of a new key, with the
+sorted new keys after it that land in the same leaf, is written as one
+*leaf run* (:meth:`repro.btree.tree.FosterBTree.apply_batch`): one
+UPDATE whose op is an :class:`repro.wal.ops.OpBulkInsert` of every row
+and whose undo is a DELETE_KEYS :class:`LogicalUndo` naming every key,
+where a per-key write logs an OpInsert UPDATE with a DELETE_KEY undo
+per row.  The undo, after the op::
+
+    undo action    u8    DELETE_KEYS (4)
+    count          u16   keys, at least one: the run's rows
+    key            u16 length + bytes, count times, in row order
+
+Each key is its row's stored key behind the one prefix the leaf strips;
+decoding refuses a count that is not the op's row count, a key that is
+not its row's, and the undo under any op but OpBulkInsert.  Rollback
+ghosts the keys newest first, one CLR each; every CLR but the last names
+the run record itself as its ``undo_next_lsn``, so a crash mid-way
+redoes the run's whole undo, in which a key already a ghost logs
+nothing (:meth:`repro.txn.manager.TransactionManager.rollback_work`).
+The run counts one page update per row towards the page's update
+counter (:meth:`repro.page.page.Page.count_updates`), forward and in
+redo alike.
+
 A :class:`LogicalUndo` written on its own marks a span with the high
 bit of its action byte, followed by the two u16 lengths.  Redo and
 undo splice the middle into the record's current value; compensation
@@ -129,6 +152,7 @@ a span that is empty or longer than any record, a PRI update that names
 no page, a page in its header or a negative page id or LSN, a commit
 bit on a kind that cannot carry one, a redo-only UPDATE without its
 commit bit or with an undo, a redo-only op outside a redo-only UPDATE,
+a DELETE_KEYS undo that names no key or not exactly its run's keys,
 or any encoding but the one :meth:`LogRecord.encode` writes (a wide
 header the narrow one fits).
 """
@@ -143,9 +167,9 @@ from typing import Sequence
 
 from repro.errors import LogError, RecoveryError
 from repro.wal.ops import (MALFORMED, REDO_SPAN_SIZE, REDO_VALUE_FIXED,
-                           SPAN_SIZE, UPDATE_VALUE_FIXED, OpUpdateValue,
-                           PageOp, _put_bytes, _unpack_bytes, check_span,
-                           is_redo_only)
+                           SPAN_SIZE, UPDATE_VALUE_FIXED, OpBulkInsert,
+                           OpUpdateValue, PageOp, _put_bytes, _unpack_bytes,
+                           check_span, is_redo_only)
 
 _NARROW = struct.Struct("<BHIIIIH")
 _WIDE = struct.Struct("<BIqqqqq")
@@ -167,6 +191,7 @@ _REDO_UPDATE_FIXED = NARROW_HEADER_SIZE + 3 + REDO_VALUE_FIXED
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _BHH = struct.Struct("<BHH")
+_BH = struct.Struct("<BH")
 _I64 = struct.Struct("<q")
 _II = struct.Struct("<II")
 _QI = struct.Struct("<qI")
@@ -268,9 +293,11 @@ class UndoAction(enum.IntEnum):
     DELETE_KEY = 1     #: compensate an insert
     INSERT_KEY = 2     #: compensate a delete
     RESTORE_VALUE = 3  #: compensate an update
+    DELETE_KEYS = 4    #: compensate a leaf run: ghost every key it names
 
 
 _RESTORE_VALUE = UndoAction.RESTORE_VALUE
+_DELETE_KEYS = UndoAction.DELETE_KEYS
 
 
 @dataclass(slots=True)
@@ -282,6 +309,9 @@ class LogicalUndo:
     first ``prefix`` and the last ``suffix`` bytes of whatever value the
     key holds when it is compensated (:meth:`restored`).  Not frozen,
     for the reason :class:`repro.wal.ops.OpUpdateValue` is not.
+
+    A DELETE_KEYS undo — a leaf run's — names every key of the run in
+    ``keys``, in row order; its ``key`` is the first of them.
     """
 
     action: UndoAction
@@ -289,6 +319,8 @@ class LogicalUndo:
     value: bytes = b""
     prefix: int = 0
     suffix: int = 0
+    #: a DELETE_KEYS undo's keys (empty for every other action)
+    keys: tuple[bytes, ...] = field(default=(), repr=False)
 
     def restored(self, current: bytes) -> bytes:
         """The value compensation writes over ``current``."""
@@ -302,10 +334,19 @@ class LogicalUndo:
         return current[:self.prefix] + self.value + current[end:]
 
     def encoded_size(self) -> int:
+        if self.action is _DELETE_KEYS:
+            return 3 + sum(2 + len(key) for key in self.keys)
         size = 5 + len(self.key) + len(self.value)
         return size + SPAN_SIZE if self.prefix or self.suffix else size
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
+        if self.action is _DELETE_KEYS:
+            keys = self.keys
+            _BH.pack_into(buf, pos, _DELETE_KEYS, len(keys))
+            pos += 3
+            for key in keys:
+                pos = _put_bytes(buf, pos, key)
+            return pos
         if self.prefix or self.suffix:
             _BHH.pack_into(buf, pos, int(self.action) | _SPANNED_UNDO,
                            self.prefix, self.suffix)
@@ -326,6 +367,8 @@ class LogicalUndo:
         try:
             if not data[offset] & _SPANNED_UNDO:
                 action = UndoAction(data[offset])
+                if action is _DELETE_KEYS:
+                    return cls._decode_keys(data, offset)
                 key, pos = _unpack_bytes(data, offset + 1)
                 value, pos = _unpack_bytes(data, pos)
                 return cls(action, key, value), pos
@@ -339,6 +382,20 @@ class LogicalUndo:
         except MALFORMED as exc:
             raise LogError(f"malformed logical undo: {exc}") from None
         return cls(action, key, value, prefix, suffix), pos
+
+    @classmethod
+    def _decode_keys(cls, data: bytes, offset: int) -> tuple["LogicalUndo", int]:
+        """A DELETE_KEYS undo at ``offset``: its u16 count, then that
+        many u16-length-prefixed keys."""
+        _action, count = _BH.unpack_from(data, offset)
+        if not count:
+            raise LogError("a DELETE_KEYS undo names no key")
+        pos = offset + 3
+        keys = []
+        for _ in range(count):
+            key, pos = _unpack_bytes(data, pos)
+            keys.append(key)
+        return cls(_DELETE_KEYS, keys[0], keys=tuple(keys)), pos
 
 
 @dataclass(slots=True)
@@ -705,7 +762,10 @@ class LogRecord:
                 self.undo = LogicalUndo(action, key, op.old_value,
                                         op.prefix, op.suffix)
             elif flags & _HAS_UNDO:
-                self.undo, pos = LogicalUndo.decode(data, pos)
+                undo, pos = LogicalUndo.decode(data, pos)
+                self.undo = undo
+                if undo.keys:
+                    self._check_run_undo()
             return pos
         if kind == LogRecordKind.COMPENSATION:
             self.undo_next_lsn, op_size = _QH.unpack_from(data, pos)
@@ -745,6 +805,25 @@ class LogRecord:
             (self.gtid,) = _I64.unpack_from(data, pos)
             return pos + 8
         return pos
+
+    def _check_run_undo(self) -> None:
+        """A DELETE_KEYS undo rides on the OpBulkInsert of its leaf run
+        and names that op's rows: one key per row, in row order, each the
+        row's stored key behind the one prefix the leaf strips."""
+        op, keys = self.op, self.undo.keys
+        if type(op) is not OpBulkInsert:
+            raise LogError(f"a DELETE_KEYS undo under "
+                           f"{type(op).__name__ if op else 'no op'}")
+        rows = op.records
+        if len(rows) != len(keys):
+            raise LogError(f"a DELETE_KEYS undo of {len(keys)} keys over "
+                           f"a run of {len(rows)} rows")
+        cut = len(keys[0]) - len(rows[0][0])
+        prefix = keys[0][:cut]
+        if cut < 0 or any(key[:cut] != prefix or key[cut:] != row[0]
+                          for key, row in zip(keys, rows)):
+            raise LogError("a DELETE_KEYS undo names keys its run does "
+                           "not insert")
 
     def _decode_writes(self, data, pos: int, entry: struct.Struct) -> int:
         """A PRI_UPDATE's payload at ``pos``, ``entry`` per page;

@@ -16,7 +16,9 @@ shorter value, growth, shrink) or given any span directly; their
 RESTORE_VALUE undo shares the span, or stands alone with one.  A
 redo-only UPDATE — an autocommit write's one record: its commit bit, no
 undo — carries any op, or a redo-only value rewrite that keeps no
-before-image (spanned: only the old middle's length).  A PRI update
+before-image (spanned: only the old middle's length).  A leaf run's
+UPDATE carries an ``OpBulkInsert`` of one to many rows and the
+DELETE_KEYS undo naming their keys under any prefix.  A PRI update
 names the pages of one write-back run, one to many.
 
 The other direction is hostile bytes: whatever a decode boundary is
@@ -26,8 +28,10 @@ overwritten — it returns a value or raises ``LogError``, never a
 out-of-range span fields included, and a PRI update with no entries, a
 count that runs past the record, a negative page id or trailing bytes,
 a redo-only UPDATE without its commit bit or with an undo, a redo-only
-op anywhere but in a redo-only UPDATE, and a spanned redo-only op whose
-old middle is longer than a page.
+op anywhere but in a redo-only UPDATE, a spanned redo-only op whose
+old middle is longer than a page, and a DELETE_KEYS undo that names no
+key, not its run's keys, or rides on anything but an ``OpBulkInsert``
+in an UPDATE that is not redo-only.
 
 Every field a header carries is drawn from both sides of the narrow
 form's range, so records come narrow and wide; the boundaries
@@ -172,10 +176,23 @@ any_op = st.one_of(plain_ops, st.builds(OpInverse, plain_ops))
 #: value rewrite.
 redo_only_ops = st.one_of(plain_ops, _redo_only_update_value())
 
-logical_undos = st.one_of(
-    st.builds(LogicalUndo, st.sampled_from(UndoAction), payloads, payloads),
+#: one key's undo, plain or (RESTORE_VALUE) spanned
+key_undos = st.one_of(
+    st.builds(LogicalUndo, st.sampled_from(
+        [action for action in UndoAction
+         if action is not UndoAction.DELETE_KEYS]), payloads, payloads),
     st.builds(LogicalUndo, st.just(UndoAction.RESTORE_VALUE), payloads,
               payloads, spans, spans).filter(lambda u: u.prefix or u.suffix))
+
+
+def _run_undo(keys: list[bytes]) -> LogicalUndo:
+    return LogicalUndo(UndoAction.DELETE_KEYS, keys[0], keys=tuple(keys))
+
+
+#: a leaf run's undo: one to many keys, empty ones included
+run_undos = st.builds(_run_undo, st.lists(payloads, min_size=1, max_size=6))
+
+logical_undos = st.one_of(key_undos, run_undos)
 
 checkpoints = st.builds(
     CheckpointData,
@@ -237,9 +254,10 @@ def _record_strategy():
     commits = st.booleans()  # every chain kind can carry the commit bit
     return st.one_of(
         st.builds(LogRecord, st.just(LogRecordKind.UPDATE), **header,
-                  op=st.none() | any_op, undo=st.none() | logical_undos,
+                  op=st.none() | any_op, undo=st.none() | key_undos,
                   commits=commits),
         _value_rewrites(header, commits),
+        _leaf_runs(header, commits),
         st.builds(LogRecord, st.just(LogRecordKind.UPDATE), **header,
                   op=redo_only_ops, commits=st.just(True),
                   redo_only=st.just(True)),
@@ -281,6 +299,24 @@ def _value_rewrites(header, commits):
                      st.sampled_from(["same", "equal", "distinct",
                                       "other span"]),
                      commits=commits, **header)
+
+
+def _leaf_run(rows, prefix: bytes, slot: int, **fields) -> LogRecord:  # noqa: ANN001, ANN003
+    """The UPDATE of a leaf run: an OpBulkInsert of ``rows`` (stored
+    keys) and the DELETE_KEYS undo of their full keys."""
+    return LogRecord(LogRecordKind.UPDATE,
+                     op=OpBulkInsert(slot, tuple((key, value, False)
+                                                 for key, value in rows)),
+                     undo=_run_undo([prefix + key for key, _value in rows]),
+                     **fields)
+
+
+def _leaf_runs(header, commits):
+    """Leaf runs of one to many rows under any prefix, empty keys,
+    values and prefixes included."""
+    return st.builds(_leaf_run, st.lists(st.tuples(payloads, payloads),
+                                         min_size=1, max_size=6),
+                     payloads, slots, commits=commits, **header)
 
 
 @settings(max_examples=400)
@@ -400,6 +436,53 @@ def _hostile_redo_only() -> dict[str, bytes]:
 HOSTILE_REDO_ONLY = _hostile_redo_only()
 
 
+def _hostile_runs() -> dict[str, bytes]:
+    """Bytes no writer produces around a leaf run's DELETE_KEYS undo."""
+    ids = dict(txn_id=1, page_id=2)
+    rows = ((b"01", b"a"), (b"02", b"b"), (b"03", b"c"))
+    good = _leaf_run(rows, b"key", 5, **ids).encode()
+    assert LogRecord.decode(good).undo.keys == (b"key01", b"key02", b"key03")
+    bulk = OpBulkInsert(5, tuple((key, value, False) for key, value in rows))
+    run_undo = _run_undo([b"key01", b"key02", b"key03"])
+
+    def update(op, undo, **fields) -> bytes:  # noqa: ANN001, ANN003
+        return LogRecord(LogRecordKind.UPDATE, **ids, op=op, undo=undo,
+                         **fields).encode()
+
+    truncated = bytearray(good[:-1])
+    truncated[1:3] = len(truncated).to_bytes(2, "little")
+    return {
+        "an empty key list": update(
+            OpBulkInsert(5, ()),
+            LogicalUndo(UndoAction.DELETE_KEYS, b"", keys=())),
+        "fewer keys than rows": update(bulk, _run_undo([b"key01", b"key02"])),
+        "more keys than rows": update(
+            bulk, _run_undo([b"key01", b"key02", b"key03", b"key04"])),
+        "keys its run does not insert": update(
+            bulk, _run_undo([b"key01", b"key03", b"key02"])),
+        "keys under two prefixes": update(
+            bulk, _run_undo([b"key01", b"kez02", b"key03"])),
+        "under an OpInsert": update(OpInsert(5, b"01", b"a"), run_undo),
+        "under an OpBulkDelete": update(OpBulkDelete(5, bulk.records),
+                                        run_undo),
+        "under no op": update(None, run_undo),
+        "under a redo-only UPDATE": (bytes([good[0] | 0x80]) + good[1:21]
+                                     + bytes([good[21] | 0x08]) + good[22:]),
+        "under a COMPENSATION": (bytes([LogRecordKind.COMPENSATION])
+                                 + good[1:]),
+        "a truncated key": bytes(truncated),
+    }
+
+
+HOSTILE_RUNS = _hostile_runs()
+
+
+@pytest.mark.parametrize("shape", sorted(HOSTILE_RUNS))
+def test_leaf_run_shapes_no_writer_produces_fail_typed(shape):
+    with pytest.raises(LogError):
+        LogRecord.decode(HOSTILE_RUNS[shape])
+
+
 @pytest.mark.parametrize("shape", sorted(HOSTILE_REDO_ONLY))
 def test_redo_only_shapes_no_writer_produces_fail_typed(shape):
     with pytest.raises(LogError):
@@ -414,6 +497,12 @@ def test_redo_only_shapes_no_writer_produces_fail_typed(shape):
 @example(HOSTILE_REDO_ONLY["with an undo"])
 @example(HOSTILE_REDO_ONLY["flagged redo-only with an undo"])
 @example(HOSTILE_REDO_ONLY["old middle longer than a page"])
+@example(HOSTILE_RUNS["an empty key list"])
+@example(HOSTILE_RUNS["fewer keys than rows"])
+@example(HOSTILE_RUNS["under an OpInsert"])
+@example(HOSTILE_RUNS["under a redo-only UPDATE"])
+@example(HOSTILE_RUNS["under a COMPENSATION"])
+@example(HOSTILE_RUNS["a truncated key"])
 # a wide COMMIT header whose fields the narrow one holds
 @example(struct.pack("<BIqqqqq", 0x40 | LogRecordKind.COMMIT, 45, 1, 0, -1, 0, 0))
 # a narrow UPDATE whose u16 op length runs past the record
