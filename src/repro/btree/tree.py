@@ -488,7 +488,6 @@ class FosterBTree:
                                     node.op_bulk_insert(i, run), LogicalUndo(
                                         UndoAction.DELETE_KEYS, key,
                                         keys=tuple(row[0] for row in run)))
-                        page.count_updates(len(run) - 1)
                         self._btree_inserts.inc(len(run))
                         return False
                     dirty = log(txn, page, index_id, node.op_insert(i, key, value),
@@ -521,8 +520,9 @@ class FosterBTree:
         one adoption opportunity per foster parent the descent noted;
         and its key lock is free or already ours (the leaf is pinned: no
         waiting, no loser rolled back here).  So the pages come out as
-        the per-key writes leave them, byte for byte, and the update
-        counter advances by the row count.
+        the per-key writes leave them, byte for byte (the page's update
+        counter, too, advances by the row count:
+        :meth:`repro.txn.manager.TransactionManager.log_update`).
         """
         ops, at = batch.ops, batch.next
         if at >= len(ops) or txn.redo_only:

@@ -311,6 +311,9 @@ class TransactionManager:
         its commit bit at append, and the transaction is COMMITTED from
         there — nothing may roll it back, so its caller makes every
         fallible check before this call.  :meth:`commit` forces it.
+
+        A leaf run's record counts one page update per row, as its redo
+        does (:func:`repro.core.single_page.replay_records`).
         """
         if txn.state is not _ACTIVE:
             self._require_active(txn)
@@ -330,6 +333,8 @@ class TransactionManager:
             lsn = self.log.append(record)
         op.apply_redo(page)
         page.page_lsn = lsn
+        if undo is not None and undo.keys:
+            page.count_updates(len(undo.keys) - 1)  # a leaf run's rows
         if not txn.first_lsn:  # Transaction.note_logged, in place
             txn.first_lsn = lsn
         txn.last_lsn = lsn
