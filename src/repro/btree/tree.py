@@ -20,9 +20,12 @@ Each piece of work is done once.  There is one user-write path
 ``delete`` and ``remove`` all descend once and decide at the pinned
 leaf, under the caller's key lock, whether to update, revive a ghost,
 insert, ghost, or split and retry; they differ only in which states of
-the key they accept.  A descent is a pure read — the structural
-maintenance a write passes (root growth, adoption) is noted on the way
-down and performed only once the operation is known to write.  It is one
+the key they accept.  A batch (:meth:`FosterBTree.apply_batch`) writes
+through it too: a put of a new key may take the sorted new keys after
+it that land in its leaf into the same record, a *leaf run*.  A
+descent is a pure read — the structural maintenance a write passes
+(root growth, adoption) is noted on the way down and performed only
+once the operation is known to write.  It is one
 loop over the decoded views the resident pages carry
 (:meth:`FosterBTree._descend`): a hop routes in the parent's key
 directory (:meth:`repro.btree.node.NodeView.route`, as the leaf search
@@ -373,17 +376,14 @@ class FosterBTree:
         come — into its own write: one UPDATE for the run
         (:meth:`_take_run`), and the loop resumes after its last op.
         """
-        locks = self.tm.locks
-        acquire = None if locks is None else locks.acquire
-        insert, delete = self.insert, self.delete
+        acquire, insert, delete = self.tm.locks.acquire, self.insert, self.delete
         txn_id = txn.txn_id
         batch = _Batch(ops)
         n = len(ops)
         while batch.next < n:
             op = ops[batch.next]
             check(op)
-            if acquire is not None:
-                acquire(txn_id, op[1])
+            acquire(txn_id, op[1])
             batch.next += 1
             if op[0] == "put":
                 insert(txn, op[1], op[2], replace=True, batch=batch)
@@ -525,11 +525,8 @@ class FosterBTree:
         :meth:`repro.txn.manager.TransactionManager.log_update`).
         """
         ops, at = batch.ops, batch.next
-        if at >= len(ops) or txn.redo_only:
-            return None
         view = node.view
-        prefix = view.prefix
-        cut = len(prefix)
+        cut = len(view.prefix)  # every key between the fences has it
         bound = None if view.flags & FLAG_HIGH_INF else view.high_fence
         if view.foster_pid != NO_FOSTER:
             bound = view.foster_key
@@ -543,7 +540,7 @@ class FosterBTree:
         every = self.adopt_every
         seen = self._adopt_opportunities
         limit = node.page.size // 8
-        locks = self.tm.locks
+        try_acquire = self.tm.locks.try_acquire
         txn_id = txn.txn_id
         run = [(key, value, False)]
         prev = key
@@ -553,13 +550,11 @@ class FosterBTree:
             k, v = op[1], op[2]
             if (k.__class__ is not bytes or v.__class__ is not bytes
                     or not prev < k or bound is not None and not k < bound
-                    or cut and not k.startswith(prefix)
                     or len(k) + len(v) > limit):
                 break
             used += _ROW_OVERHEAD + len(k) - cut + len(v)
             if (used > room or owed and seen % every + owed >= every
-                    or locks is not None
-                    and not locks.try_acquire(txn_id, k)):
+                    or not try_acquire(txn_id, k)):
                 break
             seen += owed
             run.append((k, v, False))

@@ -139,11 +139,10 @@ def test_a_sorted_load_into_a_populated_tree(abort):
 # ----------------------------------------------------------------------
 # The log of a leaf run, its rollback, and recovery through it
 # ----------------------------------------------------------------------
-def _run_db(**overrides) -> tuple[Database, object]:  # noqa: ANN003
+def _run_db() -> tuple[Database, object]:
     """1 KiB pages holding keys 0, 3, 6 .. 297, committed and flushed."""
-    config = dict(page_size=1024, capacity_pages=2048, buffer_capacity=256)
-    config.update(overrides)
-    db = Database(fast_config(**config))
+    db = Database(fast_config(page_size=1024, capacity_pages=2048,
+                              buffer_capacity=256))
     tree = db.create_index()
     txn = db.begin()
     for i in range(0, 300, 3):
