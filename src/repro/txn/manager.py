@@ -378,9 +378,9 @@ class TransactionManager:
 
         Returns the set of keys its update records touched (from their
         logical-undo payloads, every key of a leaf run's — the keys the
-        transaction must have locked) and the LSN of its first record.  Used by on-demand
-        restart to re-acquire a loser's locks and to bound log
-        truncation while its rollback is pending.
+        transaction must have locked) and the LSN of its first record.
+        Used by on-demand restart to re-acquire a loser's locks and to
+        bound log truncation while its rollback is pending.
         """
         keys: set[bytes] = set()
         first_lsn = last_lsn

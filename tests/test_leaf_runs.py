@@ -7,6 +7,13 @@ transaction leave it — the same key -> value map, the same page images
 same splits, adoptions and adoption opportunities — after commit and
 after abort, whatever mix of sorted new keys, existing keys, ghosts,
 duplicates, deletes and value sizes the batch holds.
+
+And a leaf run's record: one UPDATE per run, the records of ops that
+start none unchanged; a rollback that ghosts every key once, its CLRs
+naming the run as the next record to undo until the last; a crash
+after the first of those CLRs, under eager and on-demand restart, that
+still undoes the whole run; on-demand restart re-locking every key of
+a loser's run; a standby replaying runs to the primary's pages.
 """
 
 from __future__ import annotations
