@@ -46,7 +46,8 @@ def replay_records(page: Page, records: list[LogRecord]) -> list[LogRecord]:
     find exactly the PageLSN its ``page_prev_lsn`` predicts — the
     defensive check of Section 5.1.4, raised as :class:`RecoveryError`.
     A formatting record is a chain root: it resets the page whatever
-    the old incarnation holds.  A full-page image is current as of its
+    the old incarnation holds, its update counter included
+    (:meth:`repro.txn.manager.TransactionManager.log_format`).  A full-page image is current as of its
     recorded PageLSN (or, when that could only be assigned after the
     record was appended, as of its own LSN), exactly as
     :func:`repro.core.backup.fetch_backup_image` reads it.
@@ -63,14 +64,16 @@ def replay_records(page: Page, records: list[LogRecord]) -> list[LogRecord]:
             continue
         if record.op is None or page.page_lsn >= record.lsn:
             continue
-        if (record.kind != LogRecordKind.FORMAT_PAGE
-                and record.page_prev_lsn != page.page_lsn):
+        formats = record.kind == LogRecordKind.FORMAT_PAGE
+        if not formats and record.page_prev_lsn != page.page_lsn:
             raise RecoveryError(
                 f"redo chain mismatch on page {page.page_id}: record "
                 f"{record.lsn} expects PageLSN {record.page_prev_lsn}, "
                 f"page has {page.page_lsn}")
         record.op.apply_redo(page)
         page.page_lsn = record.lsn
+        if formats:
+            page.reset_update_count()  # as formatting it in place does
         undo = record.undo
         if undo is not None and undo.keys:
             page.count_updates(len(undo.keys) - 1)  # a leaf run's rows

@@ -31,7 +31,8 @@ import pytest
 
 from repro.btree.node import BTreeNode
 from repro.engine.database import Database
-from repro.page.page import TYPE_OFFSET, PageType
+from repro.core.single_page import replay_records
+from repro.page.page import TYPE_OFFSET, Page, PageType
 from repro.wal.ops import OpBulkDelete
 from repro.wal.records import LogRecordKind
 from tests.conftest import clone_crashed, fast_config
@@ -151,7 +152,7 @@ def _arm(db: Database, tree, monkeypatch, cut: str) -> dict:  # noqa: ANN001
 #: cut -> sha256 of the tree's images after the loser is undone
 PINNED = {
     "adoption, before the commit":
-        "6e08a10c72ef531c6d4dee7ec20b3c454970821fec1c8fb022d47de9837b984b",
+        "fc4293db7a531dd09f46146a672d991bb8df5802c82db9772a6d2d81b69ec758",
     "split, after the removal":
         "e2b7b47be771f98e87dd99fbe7c6cbcdb9aa703ebfa5f34ad8422f0c7c3a1e15",
     "split, before the commit":
@@ -235,22 +236,36 @@ def _structure_since_backup(db: Database, tree) -> list[int]:  # noqa: ANN001
 def test_a_standby_replays_splits_and_prefix_extensions_to_the_same_pages():
     db, tree = _loaded()
     standby = db.attach_standby()
-    old = set(tree_pages(db, tree.index_id))
     assert _structure_since_backup(db, tree)
     db.log.force()
     assert standby.applied_lsn == db.log.durable_lsn
     for pid in tree_pages(db, tree.index_id):
         page = db.fix(pid)
         try:
-            ours = _masked(page.data)
-            theirs = _masked(standby.pages[pid].data)
+            assert _masked(page.data) == _masked(standby.pages[pid].data)
         finally:
             db.unfix(pid)
-        if pid not in old:
-            # A page formatted since the standby's seed: replaying its
-            # FORMAT_PAGE record counts an update formatting does not.
-            ours, theirs = ours[:26] + ours[28:], theirs[:26] + theirs[28:]
-        assert ours == theirs
+
+
+def test_replaying_a_format_record_counts_no_update():
+    """Formatting a page resets its update counter
+    (``TransactionManager.log_format``); replaying the FORMAT_PAGE
+    record resets it too, whatever the old incarnation counted."""
+    db, tree = _loaded()
+    txn = db.tm.begin(system=True)
+    page = db.allocate_page(txn, PageType.BTREE_LEAF, tree.index_id)
+    try:
+        assert page.update_count == 0
+        formatted = _masked(page.data)
+        record = db.log.record_at(page.page_lsn)
+    finally:
+        db.unfix(page.page_id)
+    db.tm.commit(txn)
+    assert record.kind == LogRecordKind.FORMAT_PAGE
+    old = Page.format(1024, page.page_id)
+    old.count_updates(5)
+    assert replay_records(old, [record]) == [record]
+    assert _masked(old.data) == formatted
 
 
 def test_repair_replays_splits_and_prefix_extensions_to_the_same_page():
