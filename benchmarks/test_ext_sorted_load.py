@@ -13,10 +13,19 @@ The load is the key-value workloads' own: 8 000 keys of 16 bytes with
 100-byte values, in ascending order, in 500-put batches through
 ``Client.apply_batch``.  Beside it, the same rows written one key at a
 time (``upsert`` in transactions of 500) — the per-key path every batch
-took before runs.  Asserted: at most 1 100 user UPDATEs and 10 500 log
-records for the batched load (the per-key path logs 8 000 and about
-17 000), and the two leave every tree page byte for byte the same,
-checksum and PageLSN masked (both follow from LSNs).
+took before runs.  Asserted: at most 1 100 user UPDATEs, 9 700 log
+records and 2.7 MB of log for the batched load (the per-key path logs
+8 000 user UPDATEs and about 16 500 records), and the two leave every
+tree page byte for byte the same, checksum and PageLSN masked (both
+follow from LSNs).
+
+The load's splits and prefix extensions log each row they move once:
+the split's foster child receives the moved half in one
+``OpBulkInsert``, the source page's ``OpBulkDelete`` names only the
+slot range, and a prefix extension is one ``OpExtendPrefix`` naming the
+range and the stripped bytes.  While the removal logged its rows again
+and an extension logged every row of the node twice, the batched load
+logged 10 099 records and 5.30 MB; it now logs 9 597 and 2.48 MB.
 """
 
 from __future__ import annotations
@@ -99,7 +108,8 @@ def test_ext_sorted_load(benchmark):
     per_key = load(False)
 
     assert runs["user_updates"] <= 1_100
-    assert runs["records"] <= 10_500
+    assert runs["records"] <= 9_700
+    assert runs["log_bytes"] <= 2_700_000
     assert per_key["user_updates"] == N_KEYS
     assert runs["pages_sha256"] == per_key["pages_sha256"]
 

@@ -63,8 +63,9 @@ from typing import Iterator
 from repro.errors import BTreeError
 from repro.page.page import TYPE_OFFSET, Page, PageType
 from repro.page.slotted import LENGTH_MASK, SLOT_SIZE, Record, SlottedPage
-from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpDelete, OpInsert,
-                           OpSetGhost, PageOp, value_rewrite)
+from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpDelete,
+                           OpExtendPrefix, OpInsert, OpSetGhost, PageOp,
+                           value_rewrite)
 
 SLOT_LOW = 0
 SLOT_HIGH = 1
@@ -489,9 +490,10 @@ class BTreeNode:
         return OpBulkInsert(DATA_START + index, tuple(recs))
 
     def op_bulk_delete(self, start: int, end: int) -> PageOp:
-        """One op removing this node's data records [start, end)."""
-        return OpBulkDelete(DATA_START + start, tuple(islice(
-            self.slotted.rows(DATA_START + start), end - start)))
+        """One op removing this node's data records [start, end), naming
+        no row: a split's removal, whose rows its foster child's insert
+        logs (:class:`repro.wal.ops.OpBulkDelete`)."""
+        return OpBulkDelete(DATA_START + start, end - start)
 
     def op_update_value(self, index: int, new_value: bytes,
                         old: bytes | None = None) -> PageOp:
@@ -533,35 +535,29 @@ class BTreeNode:
 
         Adoption tightens a node's high fence, which usually permits a
         longer common prefix; re-encoding is contents-neutral and runs
-        inside the same system transaction as the adoption.  Returns an
-        empty list when nothing would change.
+        inside the same system transaction as the adoption.  The
+        metadata's prefix is rewritten, then one
+        :class:`repro.wal.ops.OpExtendPrefix` strips the new bytes from
+        every data key where it lies.  Returns an empty list when
+        nothing would change.
         """
         old_prefix = self.prefix
         if new_prefix == old_prefix:
             return []
         if not new_prefix.startswith(old_prefix):
             raise BTreeError("prefix can only be extended")
-        extra = len(new_prefix) - len(old_prefix)
-        ops: list[PageOp] = []
+        stripped = new_prefix[len(old_prefix):]
         view = self.view
         old_meta = self.slotted.read_record(SLOT_LOW).value
-        ops.append(value_rewrite(
-            SLOT_LOW, old_meta, _META.pack(view.level, view.flags) + new_prefix))
-        old_entries = []
-        new_entries = []
-        for i in range(self.nrecs):
-            rec = self.slotted.read_record(DATA_START + i)
-            if not (old_prefix + rec.key).startswith(new_prefix):
-                raise BTreeError(
-                    f"key {old_prefix + rec.key!r} outside new prefix")
-            old_entries.append((rec.key, rec.value, rec.ghost))
-            new_entries.append((rec.key[extra:], rec.value, rec.ghost))
-        if old_entries:
-            # Two bulk ops re-encode the whole run; per-record
-            # delete/insert pairs made adoption cost scale with the
-            # node's record count.
-            ops.append(OpBulkDelete(DATA_START, tuple(old_entries)))
-            ops.append(OpBulkInsert(DATA_START, tuple(new_entries)))
+        ops = [value_rewrite(
+            SLOT_LOW, old_meta, _META.pack(view.level, view.flags) + new_prefix)]
+        keys = self.slotted.keys(DATA_START)
+        if keys:
+            for key in keys:
+                if not key.startswith(stripped):
+                    raise BTreeError(
+                        f"key {old_prefix + key!r} outside new prefix")
+            ops.append(OpExtendPrefix(DATA_START, len(keys), stripped))
         return ops
 
     @staticmethod

@@ -714,7 +714,8 @@ class FosterBTree:
                 # Copy the upper half into the foster child and remove
                 # it from the foster parent — one bulk op each, so a
                 # split costs two data log records regardless of how
-                # many records move.
+                # many records move, and logs the rows once: the
+                # removal names only its slot range.
                 moving = node.record_entries(mid, n)
                 self._log(sys_txn, foster_page,
                           foster_node.op_bulk_insert(0, moving))

@@ -47,9 +47,10 @@ def replay_records(page: Page, records: list[LogRecord]) -> list[LogRecord]:
     defensive check of Section 5.1.4, raised as :class:`RecoveryError`.
     A formatting record is a chain root: it resets the page whatever
     the old incarnation holds, its update counter included
-    (:meth:`repro.txn.manager.TransactionManager.log_format`).  A full-page image is current as of its
-    recorded PageLSN (or, when that could only be assigned after the
-    record was appended, as of its own LSN), exactly as
+    (:meth:`repro.txn.manager.TransactionManager.log_format`).  A
+    full-page image is current as of its recorded PageLSN (or, when
+    that could only be assigned after the record was appended, as of
+    its own LSN), exactly as
     :func:`repro.core.backup.fetch_backup_image` reads it.
     """
     applied: list[LogRecord] = []

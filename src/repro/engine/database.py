@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import struct
 
+from repro.btree.node import BTreeNode
 from repro.btree.tree import FosterBTree
 from repro.buffer.buffer_pool import BufferPool
 from repro.core.backup import BackupStore
@@ -284,6 +285,9 @@ class Database:
     def logical_compensate(self, txn: Transaction, index_id: int,
                            undo: LogicalUndo, undo_next_lsn: int) -> None:
         self.tree(index_id).compensate(txn, undo, undo_next_lsn)
+
+    def key_prefix(self, page: Page) -> bytes:
+        return BTreeNode(page).prefix
 
     # ------------------------------------------------------------------
     # Catalog objects

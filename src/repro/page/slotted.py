@@ -566,6 +566,35 @@ class SlottedPage:
             data[start + shift:end + shift] = data[start:end]
         self._set_slot_count(count - n)
 
+    def reprefix_run(self, index: int, n: int, old: bytes,
+                     new: bytes) -> None:
+        """Replace the leading ``old`` of the keys of the ``n`` slots
+        from ``index`` up by ``new``, leaving the bytes
+        :meth:`remove_run` and :meth:`insert_run` of the re-keyed
+        records leave (a B-tree node's prefix extension and its undo,
+        :class:`repro.wal.ops.OpExtendPrefix`).  A run past the last
+        slot, or a key that does not start with ``old``, is refused
+        before a byte is written, as :class:`RecoveryError`."""
+        page = self.page
+        if not 0 <= index <= self.slot_count - n:
+            raise RecoveryError(
+                f"slot run [{index}, {index + n}) out of range on page "
+                f"{page.page_id}")
+        cut = len(old)
+        records = []
+        for key, value, ghost in self.rows(index):
+            if len(records) == n:
+                break
+            if key[:cut] != old:
+                raise RecoveryError(
+                    f"key {key!r} in slot {index + len(records)} on "
+                    f"page {page.page_id} lacks the prefix {old!r} it is "
+                    f"re-encoded from")
+            records.append(Record(new + key[cut:], value, ghost))
+        page.invalidate_view()
+        self.remove_run(index, n)
+        self.insert_run(index, records)
+
     def compact(self) -> None:
         """Rewrite the heap to reclaim fragmented free space.
 

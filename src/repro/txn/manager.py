@@ -42,7 +42,7 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, Protocol
 
-from repro.errors import TransactionError
+from repro.errors import RecoveryError, TransactionError
 from repro.page.page import Page
 from repro.sim.stats import Stats
 from repro.sync import Mutex
@@ -50,7 +50,7 @@ from repro.txn.locks import LockManager
 from repro.txn.transaction import Transaction, TxnState
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
-from repro.wal.ops import OpInverse, PageOp
+from repro.wal.ops import OpBulkDelete, OpBulkInsert, OpInverse, PageOp
 from repro.wal.records import LogicalUndo, LogRecord, LogRecordKind, UndoAction
 
 _ACTIVE = TxnState.ACTIVE
@@ -65,8 +65,13 @@ class UndoContext(Protocol):
         """Bring a page into the buffer pool and return it (pinned)."""
         ...
 
-    def unfix(self, page_id: int, dirty_lsn: int) -> None:
+    def unfix(self, page_id: int, dirty_lsn: int | None = None) -> None:
         """Unpin a page an undo logged ``dirty_lsn`` on."""
+        ...
+
+    def key_prefix(self, page: Page) -> bytes:
+        """The prefix a pinned index page strips from the keys it
+        stores."""
         ...
 
     def logical_compensate(self, txn: Transaction, index_id: int,
@@ -414,6 +419,9 @@ class TransactionManager:
         between redoes the run's whole undo, and a key compensated
         already is a ghost, whose compensation logs nothing.  Handing
         each CLR the run's ``prev_lsn`` would strand the keys left.
+
+        A split's removal names no row; its CLR inserts them again, from
+        the split's other copy of them (:meth:`_split_compensation`).
         """
         lsn = txn.last_lsn
         while lsn != NULL_LSN and lsn > to_lsn:
@@ -439,8 +447,47 @@ class TransactionManager:
             elif record.op is not None:
                 # Physical in-page undo.
                 page = ctx.fix(record.page_id)
-                inverse = OpInverse(record.op)
+                try:
+                    inverse = (self._split_compensation(ctx, page, record)
+                               if type(record.op) is OpBulkDelete
+                               else OpInverse(record.op))
+                except BaseException:
+                    ctx.unfix(record.page_id)
+                    raise
                 clr_lsn = self.log_compensation(
                     txn, page, record.index_id, inverse, record.prev_lsn)
                 ctx.unfix(record.page_id, clr_lsn)
             lsn = record.prev_lsn
+
+    def _split_compensation(self, ctx: UndoContext, page: Page,
+                            record: LogRecord) -> PageOp:
+        """The compensation of a split's row-free removal from the
+        pinned ``page``: an insert of the rows it removed.
+
+        They are the rows of the split's one other copy of them, its
+        foster child's OpBulkInsert — the removal's ``prev_lsn`` in the
+        same system transaction — stored there behind the foster child's
+        prefix, which extends this page's: re-prefixed here with the
+        bytes between the two.  The foster child still holds them, as
+        rollback has not reached its insert yet.
+        """
+        moved = self.log.record_at(record.prev_lsn)
+        if moved.txn_id != record.txn_id or type(moved.op) is not OpBulkInsert:
+            raise RecoveryError(f"the removal at LSN {record.lsn} does not "
+                                f"follow its split's moved rows")
+        rows = moved.op.records
+        prefix = ctx.key_prefix(page)
+        foster = ctx.fix(moved.page_id)
+        try:
+            foster_prefix = ctx.key_prefix(foster)
+        finally:
+            ctx.unfix(moved.page_id)
+        if not foster_prefix.startswith(prefix):
+            raise RecoveryError(
+                f"foster prefix {foster_prefix!r} of page {moved.page_id} "
+                f"does not extend prefix {prefix!r} of page {record.page_id}")
+        extra = foster_prefix[len(prefix):]
+        if extra:
+            rows = tuple((extra + key, value, ghost)
+                         for key, value, ghost in rows)
+        return record.op.restoring(rows)

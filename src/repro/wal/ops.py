@@ -11,6 +11,12 @@ another implementation.  Every byte string an op carries (a key, a
 value, a middle, a bulk record's key and value) lies within one page,
 and a page is at most 32 KiB (:data:`repro.engine.config.MAX_PAGE_SIZE`),
 so its length prefix is a u16.
+
+A structural change logs the rows it moves once: a split's foster child
+receives them in an :class:`OpBulkInsert`, while the source page's
+:class:`OpBulkDelete` names only the slot range, and a prefix extension
+(:class:`OpExtendPrefix`) names the range and the bytes it strips from
+every key, re-encoding the rows where they lie.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.errors import LogError
+from repro.errors import LogError, RecoveryError
 from repro.page.page import Page, PageType
 from repro.page.slotted import LENGTH_MASK, Record, SlottedPage
 
@@ -26,6 +32,7 @@ from repro.page.slotted import LENGTH_MASK, Record, SlottedPage
 _U16 = struct.Struct("<H")
 _BHB = struct.Struct("<BHB")
 _BH = struct.Struct("<BH")
+_BHH = struct.Struct("<BHH")
 _BHHH = struct.Struct("<BHHH")
 _BHHHH = struct.Struct("<BHHHH")
 _BHBB = struct.Struct("<BHBB")
@@ -474,11 +481,10 @@ class OpInitSlotted(PageOp):
 class OpBulkInsert(PageOp):
     """Insert a run of records at consecutive slots.
 
-    Structural maintenance (splits, prefix re-encoding) moves dozens of
-    records in one system transaction; carrying the run in a single
-    operation keeps the log-record count proportional to structural
-    events rather than to records moved, and applies with one slot-
-    directory shift.
+    A split's moved half and a leaf run of a sorted batch move dozens
+    of records at once; carrying the run in a single operation keeps the
+    log-record count proportional to structural events rather than to
+    records moved, and applies with one slot-directory shift.
     """
 
     slot: int
@@ -520,43 +526,113 @@ class OpBulkInsert(PageOp):
 
 @dataclass(frozen=True, slots=True)
 class OpBulkDelete(PageOp):
-    """Remove a run of consecutive slots (stores the records for undo)."""
+    """Remove ``count`` consecutive slots from ``slot`` up, naming no row.
+
+    A split's removal from its source page: the rows it removes are the
+    ones the split logs once, as its foster child's :class:`OpBulkInsert`
+    — the removal's ``prev_lsn`` in the same system transaction — so the
+    removal logs a range and redo needs no more.  Only the rollback of
+    a split that a crash left uncommitted needs the rows:
+    :meth:`repro.txn.manager.TransactionManager.rollback_work` takes
+    them from that insert and logs them in its compensation record, so
+    the op itself cannot be undone in place.
+    """
 
     slot: int
-    records: tuple[tuple[bytes, bytes, bool], ...]  #: (key, value, ghost)
+    count: int
 
     kind = 8
 
     def apply_redo(self, page: Page) -> None:
-        SlottedPage(page).remove_run(self.slot, len(self.records))
+        SlottedPage(page).remove_run(self.slot, self.count)
 
     def apply_undo(self, page: Page) -> None:
-        SlottedPage(page).insert_run(
-            self.slot, [Record(k, v, g) for k, v, g in self.records])
+        raise LogError("a row-free removal is undone from its split's "
+                       "moved rows, not in place")
+
+    def restoring(self, rows: tuple[tuple[bytes, bytes, bool], ...]
+                  ) -> "OpBulkInsert":
+        """The compensation of this removal: an insert of ``rows`` —
+        the ``count`` rows it removed, as this page stores them — at
+        its slot."""
+        if len(rows) != self.count:
+            raise RecoveryError(f"a removal of {self.count} rows restored "
+                                f"from {len(rows)}")
+        return OpBulkInsert(self.slot, rows)
 
     def encoded_size(self) -> int:
-        return 7 + sum(5 + len(k) + len(v) for k, v, _g in self.records)
+        return 5
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
-        _BHI.pack_into(buf, pos, self.kind, self.slot, len(self.records))
-        pos += 7
-        for key, value, ghost in self.records:
-            buf[pos] = int(ghost)
-            pos = _put_bytes(buf, pos + 1, key)
-            pos = _put_bytes(buf, pos, value)
-        return pos
+        _BHH.pack_into(buf, pos, self.kind, self.slot, self.count)
+        return pos + 5
 
     @classmethod
     def _decode_body(cls, data, offset: int) -> "OpBulkDelete":
-        _kind, slot, count = _BHI.unpack_from(data, offset)
-        pos = offset + 7
-        records = []
-        for _ in range(count):
-            ghost = bool(data[pos])
-            key, pos = _unpack_bytes(data, pos + 1)
-            value, pos = _unpack_bytes(data, pos)
-            records.append((key, value, ghost))
-        return cls(slot, tuple(records))
+        _kind, slot, count = _BHH.unpack_from(data, offset)
+        if not count:
+            raise LogError("a removal of no row")
+        return cls(slot, count)
+
+
+@dataclass(frozen=True, slots=True)
+class OpExtendPrefix(PageOp):
+    """Strip ``stripped`` from the stored key of each of ``count``
+    consecutive slots from ``slot`` up.
+
+    A B-tree node's prefix extension: an adoption that tightens a
+    node's fences may lengthen the prefix its keys are stored under
+    (:meth:`repro.btree.node.BTreeNode.ops_reencode_prefix`), and this
+    op re-encodes every row where it lies, so the log carries the range
+    and the stripped bytes, not the rows.  Undo prepends the bytes
+    again.  A key that does not start with them is refused before a
+    byte is written, as :class:`repro.errors.RecoveryError`
+    (:meth:`repro.page.slotted.SlottedPage.reprefix_run`).
+
+    The page comes out as removing and re-inserting the re-keyed rows
+    leaves it, byte for byte, and an application — forward, in redo
+    and in undo alike — counts one update towards the page's update
+    counter beside the one setting the PageLSN counts
+    (:meth:`repro.page.page.Page.count_updates`): two, as many as the
+    removal and the re-insertion would, so Section 6's copy policy
+    fires where it would.
+    """
+
+    slot: int
+    count: int
+    stripped: bytes
+
+    kind = 12
+
+    def apply_redo(self, page: Page) -> None:
+        SlottedPage(page).reprefix_run(self.slot, self.count, self.stripped,
+                                       b"")
+        page.count_updates(1)
+
+    def apply_undo(self, page: Page) -> None:
+        SlottedPage(page).reprefix_run(self.slot, self.count, b"",
+                                       self.stripped)
+        page.count_updates(1)
+
+    def encoded_size(self) -> int:
+        return 7 + len(self.stripped)
+
+    def encode_into(self, buf: bytearray, pos: int) -> int:
+        _BHH.pack_into(buf, pos, self.kind, self.slot, self.count)
+        return _put_bytes(buf, pos + 5, self.stripped)
+
+    @classmethod
+    def _decode_body(cls, data, offset: int) -> "OpExtendPrefix":
+        _kind, slot, count = _BHH.unpack_from(data, offset)
+        stripped, _pos = _unpack_bytes(data, offset + 5)
+        if not count:
+            raise LogError("a prefix extension of no row")
+        if not stripped:
+            raise LogError("a prefix extension that strips no byte")
+        if len(stripped) > LENGTH_MASK:
+            raise LogError(f"a prefix extension strips {len(stripped)} "
+                           f"bytes, more than any key holds")
+        return cls(slot, count, stripped)
 
 
 @dataclass(frozen=True, slots=True)
@@ -594,6 +670,8 @@ class OpInverse(PageOp):
         original = PageOp.decode(data, offset + 1)
         if is_redo_only(original):
             raise LogError("compensation of a redo-only op")
+        if type(original) is OpBulkDelete:
+            raise LogError("compensation of a row-free removal")
         return cls(original)
 
 
@@ -601,7 +679,7 @@ _OP_REGISTRY: dict[int, type[PageOp]] = {
     cls.kind: cls
     for cls in (OpInsert, OpDelete, OpUpdateValue, OpSetGhost,
                 OpWriteBytes, OpInitSlotted, OpBulkInsert, OpBulkDelete,
-                OpInverse)
+                OpExtendPrefix, OpInverse)
 }
 for _kind in (_SPANNED_UPDATE_VALUE, _REDO_VALUE, _SPANNED_REDO_VALUE):
     _OP_REGISTRY[_kind] = OpUpdateValue

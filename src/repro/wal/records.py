@@ -126,6 +126,34 @@ The run counts one page update per row towards the page's update
 counter (:meth:`repro.page.page.Page.count_updates`), forward and in
 redo alike.
 
+**A structural change logs the rows it moves once.**  A split is a
+system transaction (no undo) that formats its foster child, inserts the
+moved half there and removes it from its source page; an adoption that
+tightens a node's fences may extend the prefix its keys are stored
+under.  Their ops, as an UPDATE carries them::
+
+    OpBulkInsert (7)     kind u8, slot u16, count u32, then per row:
+                         ghost u8, key and value u16 length + bytes
+    OpBulkDelete (8)     kind u8, slot u16, count u16 — no row
+    OpExtendPrefix (12)  kind u8, slot u16, count u16,
+                         stripped u16 length + bytes
+
+The split's moved rows are logged once, in the foster child's
+OpBulkInsert; the source's OpBulkDelete names only the slot range, 5
+bytes however many rows move.  A prefix extension is the metadata's
+value rewrite and one OpExtendPrefix, whose redo strips the bytes from
+every key of the range where it lies and whose undo prepends them; it
+counts two updates towards the page's counter, as the OpBulkDelete and
+OpBulkInsert pair it replaces did.  A crash that hardens a split but
+not its commit leaves a loser: rollback compensates the removal with an
+OpBulkInsert of the rows the split's own OpBulkInsert (the removal's
+``prev_lsn``) carries, re-prefixed to the source page's prefix
+(:meth:`repro.txn.manager.TransactionManager.rollback_work`), so the
+compensation record is as self-contained as any other.  Decoding
+refuses a count of zero, stripped bytes that are empty or longer than
+any key, bytes trailing a removal's five, and a compensation
+(:class:`repro.wal.ops.OpInverse`) of a removal.
+
 A :class:`LogicalUndo` written on its own marks a span with the high
 bit of its action byte, followed by the two u16 lengths.  Redo and
 undo splice the middle into the record's current value; compensation
@@ -153,8 +181,10 @@ no page, a page in its header or a negative page id or LSN, a commit
 bit on a kind that cannot carry one, a redo-only UPDATE without its
 commit bit or with an undo, a redo-only op outside a redo-only UPDATE,
 a DELETE_KEYS undo that names no key or not exactly its run's keys,
-or any encoding but the one :meth:`LogRecord.encode` writes (a wide
-header the narrow one fits).
+a removal or prefix extension of no row, a prefix extension that strips
+no byte or more than a key holds, a compensated removal, or any
+encoding but the one :meth:`LogRecord.encode` writes (a wide header the
+narrow one fits, bytes trailing an op).
 """
 
 from __future__ import annotations

@@ -20,7 +20,11 @@ then leaves a loser that restart must undo:
 
 And replay elsewhere: a standby's pages and a single-page repair of a
 page whose chain since its backup holds a split and a prefix extension
-are the primary's, byte for byte.
+are the primary's, byte for byte — a page formatted since the standby's
+seed too, as replaying a FORMAT_PAGE record resets the update counter
+formatting resets.  A prefix extension's op leaves the bytes removing
+and re-inserting the re-keyed rows left, and refuses a key without the
+bytes it strips.
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ import hashlib
 import pytest
 
 from repro.btree.node import BTreeNode
-from repro.engine.database import Database
 from repro.core.single_page import replay_records
+from repro.engine.database import Database
+from repro.errors import RecoveryError
 from repro.page.page import TYPE_OFFSET, Page, PageType
-from repro.wal.ops import OpBulkDelete
+from repro.page.slotted import Record, SlottedPage
+from repro.wal.ops import OpBulkDelete, OpExtendPrefix
 from repro.wal.records import LogRecordKind
 from tests.conftest import clone_crashed, fast_config
 from tests.test_golden_logical_state import _MASKED, tree_pages
@@ -47,11 +53,11 @@ def _value(i: int) -> bytes:
     return bytes([65 + i % 26]) * 40
 
 
-def _loaded(**overrides) -> tuple[Database, object]:  # noqa: ANN003
+def _loaded() -> tuple[Database, object]:
     """1 KiB pages holding keys 0, 3, 6 .. 297, committed and flushed:
     ten splits, eight adoptions, every one of them extending a prefix."""
     db = Database(fast_config(page_size=1024, capacity_pages=2048,
-                              buffer_capacity=256, **overrides))
+                              buffer_capacity=256))
     tree = db.create_index()
     _put(db, tree, range(0, 300, 3))
     db.flush_everything()
@@ -289,3 +295,52 @@ def test_repair_replays_splits_and_prefix_extensions_to_the_same_page():
             assert _masked(page.data) == _masked(images[pid])
         finally:
             db.unfix(pid)
+
+
+def _slotted(keys: list[bytes]) -> Page:
+    """A 1 KiB slotted page: two records ahead of ``keys``, one of
+    them grown in place (fragmented), the last key a ghost."""
+    page = Page.format(1024, 7, PageType.BTREE_LEAF)
+    slotted = SlottedPage(page)
+    slotted.initialize()
+    slotted.insert_run(0, [Record(b"low", b"meta"), Record(b"", b"")])
+    slotted.insert_run(2, [Record(key, key * 3, key == keys[-1])
+                           for key in keys])
+    slotted.update_value(0, b"longer meta")
+    return page
+
+
+def test_a_prefix_extension_leaves_what_removing_and_reinserting_left():
+    """Redo strips the bytes from every key of the range, undo prepends
+    them: the bytes the two records ``remove_run`` and ``insert_run`` of
+    the re-keyed rows leave, the update counter advanced by two either
+    way."""
+    keys = [b"k0012", b"k0015", b"k0019", b"k001A"]
+    op = OpExtendPrefix(2, 4, b"k001")
+    page, pair = _slotted(keys), _slotted(keys)
+    op.apply_redo(page)
+    page.page_lsn = 10
+    rows = SlottedPage(pair).records(include_ghosts=True)[2:]
+    SlottedPage(pair).remove_run(2, 4)
+    pair.page_lsn = 9
+    SlottedPage(pair).insert_run(2, [Record(r.key[4:], r.value, r.ghost)
+                                     for r in rows])
+    pair.page_lsn = 10
+    assert page.data == pair.data
+    assert [r.key for r in SlottedPage(page).records(True)[2:]] == [
+        b"2", b"5", b"9", b"A"]
+    op.apply_undo(page)
+    page.page_lsn = 11
+    back = _slotted(keys)
+    assert SlottedPage(page).records(True) == SlottedPage(back).records(True)
+    assert page.update_count == back.update_count + 4
+
+
+def test_a_prefix_extension_refuses_a_key_without_its_bytes():
+    page = _slotted([b"k0012", b"k0015", b"k0029"])
+    before = bytes(page.data)
+    with pytest.raises(RecoveryError):
+        OpExtendPrefix(2, 3, b"k001").apply_redo(page)
+    with pytest.raises(RecoveryError):
+        OpExtendPrefix(2, 4, b"k00").apply_redo(page)
+    assert page.data == before

@@ -18,8 +18,11 @@ redo-only UPDATE — an autocommit write's one record: its commit bit, no
 undo — carries any op, or a redo-only value rewrite that keeps no
 before-image (spanned: only the old middle's length).  A leaf run's
 UPDATE carries an ``OpBulkInsert`` of one to many rows and the
-DELETE_KEYS undo naming their keys under any prefix.  A PRI update
-names the pages of one write-back run, one to many.
+DELETE_KEYS undo naming their keys under any prefix.  A split's
+removal names a range of one to 65 535 rows and no row; a prefix
+extension names a range and the one to 32 767 bytes it strips, and is
+compensated like any op but the removal.  A PRI update names the pages
+of one write-back run, one to many.
 
 The other direction is hostile bytes: whatever a decode boundary is
 handed — arbitrary bytes, or a valid encoding with a few bytes
@@ -31,7 +34,10 @@ a redo-only UPDATE without its commit bit or with an undo, a redo-only
 op anywhere but in a redo-only UPDATE, a spanned redo-only op whose
 old middle is longer than a page, and a DELETE_KEYS undo that names no
 key, not its run's keys, or rides on anything but an ``OpBulkInsert``
-in an UPDATE that is not redo-only.
+in an UPDATE that is not redo-only; a removal or prefix extension of no
+row, a prefix extension stripping no byte, more than a key holds or
+more than the record holds, rows trailing a removal and a compensated
+removal.
 
 Every field a header carries is drawn from both sides of the narrow
 form's range, so records come narrow and wide; the boundaries
@@ -56,6 +62,7 @@ from repro.wal.ops import (
     OpBulkDelete,
     OpBulkInsert,
     OpDelete,
+    OpExtendPrefix,
     OpInitSlotted,
     OpInsert,
     OpInverse,
@@ -159,18 +166,33 @@ def _op_bulk_insert():
     return st.builds(OpBulkInsert, slots, _bulk_records())
 
 
+#: a run's row count, as a removal or a prefix extension logs it
+row_counts = st.integers(min_value=1, max_value=0xFFFF)
+
+
 def _op_bulk_delete():
-    return st.builds(OpBulkDelete, slots, _bulk_records())
+    return st.builds(OpBulkDelete, slots, row_counts)
 
 
-plain_ops = st.one_of(
+def _op_extend_prefix():
+    """Prefix extensions of one to many rows, stripping one byte to a
+    key's worth."""
+    return st.builds(OpExtendPrefix, slots, row_counts,
+                     st.one_of(st.binary(min_size=1, max_size=48),
+                               st.just(b"p" * 0x7FFF)))
+
+
+#: every op a compensation can wrap: all but the row-free removal
+compensable_ops = st.one_of(
     _op_insert(), _op_delete(), _op_update_value(), _op_set_ghost(),
     _op_write_bytes(), _op_init_slotted(), _op_bulk_insert(),
-    _op_bulk_delete(),
+    _op_extend_prefix(),
 )
 
-#: Every op kind, plus compensation wrappers around each of them.
-any_op = st.one_of(plain_ops, st.builds(OpInverse, plain_ops))
+plain_ops = st.one_of(compensable_ops, _op_bulk_delete())
+
+#: Every op kind, plus compensation wrappers around each that has one.
+any_op = st.one_of(plain_ops, st.builds(OpInverse, compensable_ops))
 
 #: What a redo-only UPDATE carries: any op a write logs, or a redo-only
 #: value rewrite.
@@ -463,8 +485,7 @@ def _hostile_runs() -> dict[str, bytes]:
         "keys under two prefixes": update(
             bulk, _run_undo([b"key01", b"kez02", b"key03"])),
         "under an OpInsert": update(OpInsert(5, b"01", b"a"), run_undo),
-        "under an OpBulkDelete": update(OpBulkDelete(5, bulk.records),
-                                        run_undo),
+        "under an OpBulkDelete": update(OpBulkDelete(5, 3), run_undo),
         "under no op": update(None, run_undo),
         "under a redo-only UPDATE": (bytes([good[0] | 0x80]) + good[1:21]
                                      + bytes([good[21] | 0x08]) + good[22:]),
@@ -475,6 +496,49 @@ def _hostile_runs() -> dict[str, bytes]:
 
 
 HOSTILE_RUNS = _hostile_runs()
+
+
+def _system_update(op_bytes: bytes) -> bytes:
+    """A narrow system-transaction UPDATE whose op field is
+    ``op_bytes``, whatever they say."""
+    total = 21 + 3 + len(op_bytes)
+    return (struct.pack("<BHIIIIH", LogRecordKind.UPDATE, total, 1, 0, 2, 0, 0)
+            + bytes([1]) + struct.pack("<H", len(op_bytes)) + op_bytes)
+
+
+def _hostile_structure() -> dict[str, bytes]:
+    """Bytes no writer produces for a split's removal or a prefix
+    extension."""
+    ids = dict(txn_id=1, page_id=2)
+    good = OpExtendPrefix(5, 3, b"k00").encode()
+    assert LogRecord.decode(_system_update(good)).op == OpExtendPrefix(
+        5, 3, b"k00")
+    row = bytes([0]) + struct.pack("<H", 3) + b"k01" + struct.pack("<H", 1) + b"a"
+    return {
+        "a removal of no row": _system_update(bytes([8]) + struct.pack("<HH", 5, 0)),
+        "a prefix extension of no row": _system_update(
+            bytes([12]) + struct.pack("<HHH", 5, 0, 3) + b"k00"),
+        "a prefix extension stripping no byte": _system_update(
+            bytes([12]) + struct.pack("<HHH", 5, 3, 0)),
+        "stripped bytes longer than any key": _system_update(
+            bytes([12]) + struct.pack("<HHH", 5, 3, 0x8000) + b"k" * 0x8000),
+        "stripped bytes past the record": _system_update(
+            good[:5] + struct.pack("<H", 0xFFFF) + good[7:]),
+        "rows trailing a row-free removal": _system_update(
+            bytes([8]) + struct.pack("<HI", 5, 1) + row),
+        "a compensated row-free removal": LogRecord(
+            LogRecordKind.COMPENSATION, **ids,
+            op=OpInverse(OpBulkDelete(5, 3))).encode(),
+    }
+
+
+HOSTILE_STRUCTURE = _hostile_structure()
+
+
+@pytest.mark.parametrize("shape", sorted(HOSTILE_STRUCTURE))
+def test_structure_op_shapes_no_writer_produces_fail_typed(shape):
+    with pytest.raises(LogError):
+        LogRecord.decode(HOSTILE_STRUCTURE[shape])
 
 
 @pytest.mark.parametrize("shape", sorted(HOSTILE_RUNS))
@@ -503,6 +567,13 @@ def test_redo_only_shapes_no_writer_produces_fail_typed(shape):
 @example(HOSTILE_RUNS["under a redo-only UPDATE"])
 @example(HOSTILE_RUNS["under a COMPENSATION"])
 @example(HOSTILE_RUNS["a truncated key"])
+@example(HOSTILE_STRUCTURE["a removal of no row"])
+@example(HOSTILE_STRUCTURE["a prefix extension of no row"])
+@example(HOSTILE_STRUCTURE["a prefix extension stripping no byte"])
+@example(HOSTILE_STRUCTURE["stripped bytes longer than any key"])
+@example(HOSTILE_STRUCTURE["stripped bytes past the record"])
+@example(HOSTILE_STRUCTURE["rows trailing a row-free removal"])
+@example(HOSTILE_STRUCTURE["a compensated row-free removal"])
 # a wide COMMIT header whose fields the narrow one holds
 @example(struct.pack("<BIqqqqq", 0x40 | LogRecordKind.COMMIT, 45, 1, 0, -1, 0, 0))
 # a narrow UPDATE whose u16 op length runs past the record
@@ -596,10 +667,24 @@ def test_decode_rejects_what_no_writer_produces():
 # Deterministic boundary cases the shrinker should not have to find.
 # ----------------------------------------------------------------------
 def test_empty_bulk_run_round_trips():
-    for cls in (OpBulkInsert, OpBulkDelete):
-        op = cls(0, ())
+    op = OpBulkInsert(0, ())
+    assert PageOp.decode(op.encode()) == op
+    assert op.encoded_size() == len(op.encode()) == 7
+
+
+def test_structure_ops_log_a_range():
+    """A split's removal is its kind, slot and count; a prefix
+    extension adds the bytes it strips."""
+    removal = OpBulkDelete(0x0102, 0x0304)
+    assert removal.encode() == bytes([8, 0x02, 0x01, 0x04, 0x03])
+    extension = OpExtendPrefix(3, 40, b"k002")
+    assert extension.encode() == (bytes([12]) + struct.pack("<HHH", 3, 40, 4)
+                                  + b"k002")
+    for op in (removal, extension, OpInverse(extension)):
+        assert op.encoded_size() == len(op.encode())
         assert PageOp.decode(op.encode()) == op
-        assert op.encoded_size() == len(op.encode()) == 7
+    with pytest.raises(LogError):
+        removal.apply_undo(None)
 
 
 def test_empty_payload_boundaries():
@@ -609,7 +694,8 @@ def test_empty_payload_boundaries():
         OpUpdateValue(1, b"", b""),
         OpWriteBytes(0, b"", b""),
         OpBulkInsert(3, ((b"", b"", False), (b"", b"", True))),
-        OpInverse(OpBulkDelete(0xFFFF, ((b"k", b"", False),))),
+        OpBulkDelete(0xFFFF, 0xFFFF),
+        OpInverse(OpExtendPrefix(0xFFFF, 0xFFFF, b"k")),
     ]
     for op in cases:
         encoded = op.encode()
