@@ -37,7 +37,8 @@ from contextlib import contextmanager
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
-from repro.errors import ClientClosedError, ConfigError, KeyNotFound, TransactionError
+from repro.errors import (ClientClosedError, ConfigError, KeyNotFound,
+                          SystemFailure, TransactionError)
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter, check_batch_op
 
@@ -175,7 +176,7 @@ class SingleNodeClient(Client):
             self.index_id = db.create_index().index_id
 
     def _txn_handle(self) -> "_SingleNodeTxn":
-        return _SingleNodeTxn(self.db, self.index_id)
+        return _SingleNodeTxn(self)
 
     def _close_backend(self) -> None:
         # The embedded engine has no external resources to release;
@@ -229,19 +230,39 @@ class _SingleNodeTxn:
     key lock, exactly like the shard worker's branch operations — the
     differential suite depends on the two interpreting intents
     identically.  Autocommit calls do not come through here: they use
-    :meth:`repro.engine.database.Database.autocommit`."""
+    :meth:`repro.engine.database.Database.end_autocommit`.
 
-    def __init__(self, db: Database, index_id: int) -> None:
-        self.db = db
-        self.index_id = index_id
+    The handle lives no longer than its client and its transaction: once
+    the client is closed every operation raises
+    :class:`ClientClosedError`, and once a crash (or a media failure)
+    took the transaction, :class:`repro.errors.SystemFailure` — before
+    anything is read, locked or logged.  ``abort`` stays allowed: it
+    rolls back what is still live and leaves a dead transaction alone."""
+
+    def __init__(self, client: SingleNodeClient) -> None:
+        self.client = client
+        self.db = db = client.db
+        self.index_id = client.index_id
         self.txn = db.begin()
         self._done = False
 
-    def _open_tree(self):  # noqa: ANN202
-        """The index; a finished handle refuses before locking anything."""
+    def _require_live(self) -> None:
+        txn = self.txn
         if self._done:
             raise TransactionError(
-                f"transaction {self.txn.txn_id} is already finished")
+                f"transaction {txn.txn_id} is already finished")
+        if self.client._closed:
+            raise ClientClosedError(
+                f"transaction {txn.txn_id} outlived its closed client")
+        db = self.db
+        if db.tm.active.get(txn.txn_id) is not txn:
+            db._require_running()
+            raise SystemFailure(
+                f"transaction {txn.txn_id} died with its engine's failure")
+
+    def _open_tree(self):  # noqa: ANN202
+        """The index; a handle that may not go on refuses first."""
+        self._require_live()
         return self.db.tree(self.index_id)
 
     def get(self, key: bytes) -> bytes | None:
@@ -264,6 +285,7 @@ class _SingleNodeTxn:
     def commit(self) -> None:
         if self._done:
             return
+        self._require_live()
         self._done = True
         self.db.commit(self.txn)
 

@@ -329,8 +329,10 @@ class Database:
         engine no longer lists — finished, or disowned by the very
         failure being reported (a crash wiped the active table, a media
         failure killed it) — is left to recovery's analysis, as is one
-        whose rollback fails (a repair escalating mid-undo)."""
-        if txn.txn_id not in self.tm.active:
+        whose rollback fails (a repair escalating mid-undo).  The
+        engine lists it as this very object: after a crash and restart
+        a new transaction may hold the same id."""
+        if self.tm.active.get(txn.txn_id) is not txn:
             return
         try:
             self.abort(txn)
@@ -729,7 +731,7 @@ class _Autocommit:
             # Committed at its append: the failure came after, so the
             # commit finishes (force, release) and the error propagates
             # — unless a crash or media failure already disowned it.
-            if txn.txn_id in db.tm.active:
+            if db.tm.active.get(txn.txn_id) is txn:
                 db.commit(txn)
         else:
             db.abort_quietly(txn)

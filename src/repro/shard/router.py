@@ -42,6 +42,7 @@ from collections import deque
 from collections.abc import Sequence
 
 from repro.errors import (
+    ClientClosedError,
     ConfigError,
     ReproError,
     ShardError,
@@ -521,6 +522,9 @@ class RouterTxn:
         if self._done:
             raise TransactionError(
                 f"transaction {self.xid} is already finished")
+        if self.router._closed:
+            raise ClientClosedError(
+                f"transaction {self.xid} outlived its closed client")
 
     def _finish(self) -> None:
         self._done = True

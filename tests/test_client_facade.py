@@ -10,6 +10,7 @@ from repro.errors import (
     ReproError,
     ShardError,
     ShardUnavailableError,
+    SystemFailure,
     TwoPhaseCommitError,
 )
 
@@ -117,12 +118,20 @@ class TestClientSemantics:
         assert client.get(b"b00") is None
 
     def test_operations_after_close_raise_typed_error(self, client):
+        client.put(b"k", b"v")
+        block = client.txn()  # held: a dropped block aborts its handle
+        handle = block.__enter__()  # a handle the close outlives
+        handle.put(b"k", b"w")
         client.close()
         for call in (lambda: client.get(b"k"),
                      lambda: client.put(b"k", b"v"),
                      lambda: client.delete(b"k"),
                      lambda: client.scan(),
-                     lambda: client.txn().__enter__()):
+                     lambda: client.txn().__enter__(),
+                     lambda: handle.get(b"k"),
+                     lambda: handle.put(b"k", b"x"),
+                     lambda: handle.delete(b"k"),
+                     handle.commit):
             with pytest.raises(ClientClosedError):
                 call()
 
@@ -135,6 +144,72 @@ class TestClientSemantics:
             client.put(b"k", b"v")
         with pytest.raises(ClientClosedError):
             client.get(b"k")
+
+
+class TestHandleOutlivesItsEngine:
+    """A ``Client.txn()`` handle opened before ``db.crash()`` refuses
+    every operation with :class:`SystemFailure` and logs nothing: its
+    transaction died with the crash.  It neither reads the pre-crash
+    device image nor logs into the crashed engine, and ``restart()``
+    then serves every acknowledged write."""
+
+    @staticmethod
+    def _crashed_with_handle(flush: bool):  # noqa: ANN205
+        client = repro.connect()
+        client.put(b"k", b"old")
+        if flush:
+            client.db.flush_everything()  # the device image holds "old"
+        block = client.txn()  # held: a dropped block aborts its handle
+        handle = block.__enter__()
+        client.put(b"k", b"new")  # committed and forced
+        client.db.crash()
+        return client, handle, block
+
+    def test_a_read_refuses_instead_of_serving_the_device_image(self):
+        client, handle, _block = self._crashed_with_handle(flush=True)
+        with pytest.raises(SystemFailure):
+            handle.get(b"k")
+        client.db.restart()
+        assert client.get(b"k") == b"new"
+
+    def test_writes_and_commit_refuse_and_log_nothing(self):
+        client, handle, _block = self._crashed_with_handle(flush=True)
+        db = client.db
+        end = db.log.end_lsn
+        for call in (lambda: handle.put(b"k", b"lost"),
+                     lambda: handle.delete(b"k"),
+                     handle.commit):
+            with pytest.raises(SystemFailure):
+                call()
+        assert db.log.end_lsn == end
+        db.restart()
+        assert client.get(b"k") == b"new"
+
+    def test_an_unflushed_catalogue_page_is_never_read(self):
+        """Page 0 never reached the device: a read through the dead
+        handle used to escalate to a media failure, after which
+        ``restart()`` refused to run."""
+        client, handle, _block = self._crashed_with_handle(flush=False)
+        with pytest.raises(SystemFailure):
+            handle.get(b"k")
+        client.db.restart()
+        assert client.get(b"k") == b"new"
+
+    def test_the_handle_stays_dead_after_restart(self):
+        """After the restart its transaction id may belong to a new
+        transaction: the dead handle refuses, and its abort leaves the
+        new one alone."""
+        client, handle, _block = self._crashed_with_handle(flush=True)
+        client.db.restart()
+        with client.txn() as live:
+            for call in (lambda: handle.get(b"k"),
+                         lambda: handle.put(b"k", b"lost"),
+                         handle.commit):
+                with pytest.raises(SystemFailure):
+                    call()
+            handle.abort()
+            live.put(b"k", b"newer")
+        assert client.get(b"k") == b"newer"
 
 
 class TestConfigValidation:
