@@ -110,9 +110,9 @@ def value_of(i: int, version: int) -> bytes:
 
 def leaf_of(db: Database, tree, i: int = 0) -> int:  # noqa: ANN001
     """Page id of the leaf holding key i; leaves the buffer pool cold."""
-    page, _node = tree._descend(key_of(i), for_write=False)
+    page, _node, _pid = tree._descend(key_of(i), for_write=False)
     pid = page.page_id
-    db.unfix(pid)
+    db.pool.unfix(pid)
     db.evict_everything()
     return pid
 

@@ -9,9 +9,9 @@ leaf: in the raw bytes (a decode's first search), through the key
 directory (every search after the second), the second search itself
 (which builds the directory) — the ratio the "build on the second
 search" rule of ``repro.btree.node`` rests on — and a range scan's cost
-per row.  Last, one hop of a resident descent on the key-value tree
-(``kv_hot_embedded``'s set-up, where every page hits): a warm descent
-per level, the pool entry of a hop (``BufferPool.fix`` hit with
+per row.  Last, on the key-value tree (``kv_hot_embedded``'s set-up,
+where every page hits): a warm ``client.get`` whole, then one hop of
+its resident descent — a warm descent per level, the pool entry of a hop (``BufferPool.fix`` hit with
 ``release``), the fence compare alone, what is left — the hop's
 bookkeeping — and what being counted costs: one ``inc()``, and how many
 of them a hop makes.  The whole-benchmark claim (``python3 -m bench.run``) is
@@ -155,12 +155,12 @@ def main() -> None:
     keys = runner.sorted_keys[::max(1, len(runner.sorted_keys) // 2000)]
 
     def descend(key: bytes) -> None:
-        page, _node = tree._descend(key, for_write=False)
-        pool.unfix(page.page_id)
+        _page, _node, pid = tree._descend(key, for_write=False)
+        pool.unfix(pid)
 
     for key in keys:
         descend(key)  # every directory on the way built
-    root = db.get_root(tree.index_id)
+    root = db.catalog.get_root(tree.index_id)
     child, low, high, inf = BTreeNode(pool.fix(root)).route(keys[0])
     node = BTreeNode(pool.fix(child, release=root))
 
@@ -171,6 +171,7 @@ def main() -> None:
     def compare(_key: bytes) -> None:
         FosterBTree._fence_mismatch(node, low, high, inf, node.level)
 
+    whole_get = per_page(runner.client.get, pages=keys)
     per_level = per_page(descend, pages=keys) / levels
     hit = per_page(swap, pages=keys) / 2
     fences = per_page(compare, pages=keys)
@@ -178,6 +179,8 @@ def main() -> None:
     hits = db.stats.counter("buffer_hits")
     counts = incs_during(lambda: descend(keys[0])) / levels
     rows += [
+        (f"warm client.get, whole (kv tree, {levels} levels, resident)",
+         whole_get),
         (f"warm descent per level (kv tree, {levels} levels, resident; "
          f"the last unfix included)", per_level),
         ("BufferPool.fix hit with release (a hop's one pool entry)", hit),

@@ -41,7 +41,7 @@ def run(adopt_every: int):
 
     def visit(pid):  # noqa: ANN001
         nonlocal chains, longest
-        page = db.fix(pid)
+        page = db.pool.fix(pid)
         node = BTreeNode(page)
         if node.has_foster:
             chains += 1
@@ -49,22 +49,22 @@ def run(adopt_every: int):
             current = node
             while current.has_foster:
                 nxt = current.foster_pid
-                nxt_page = db.fix(nxt)
+                nxt_page = db.pool.fix(nxt)
                 if current_pid != pid:
-                    db.unfix(current_pid)
+                    db.pool.unfix(current_pid)
                 current, current_pid = BTreeNode(nxt_page), nxt
                 length += 1
             if current_pid != pid:
-                db.unfix(current_pid)
+                db.pool.unfix(current_pid)
             longest = max(longest, length)
         if not node.is_leaf:
             for i in range(node.nrecs):
                 visit(node.child_pid(i))
         if node.has_foster:
             visit(node.foster_pid)
-        db.unfix(pid)
+        db.pool.unfix(pid)
 
-    visit(db.get_root(tree.index_id))
+    visit(db.catalog.get_root(tree.index_id))
     report = verify_tree(tree)
     assert report.ok, report.problems
     # Point-lookup hop cost over the final structure.

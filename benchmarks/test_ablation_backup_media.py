@@ -36,9 +36,9 @@ def build(backup_profile):
 
 
 def victim_of(db, tree):
-    page, _n = tree._descend(key_of(0), for_write=False)
+    page, _n, _pid = tree._descend(key_of(0), for_write=False)
     pid = page.page_id
-    db.unfix(pid)
+    db.pool.unfix(pid)
     db.evict_everything()
     return pid
 

@@ -49,9 +49,9 @@ def crashed_db(n_keys: int, scatter: bool = True) -> Database:
     if scatter:
         leaves: dict[int, int] = {}  # leaf page id -> one resident key
         for i in range(n_keys):
-            page, _node = tree._descend(key_of(i), for_write=False)
+            page, _node, _pid = tree._descend(key_of(i), for_write=False)
             leaves.setdefault(page.page_id, i)
-            db.unfix(page.page_id)
+            db.pool.unfix(page.page_id)
         victims = [i for page_id, i in sorted(leaves.items())
                    if page_id % 2 == 0]
     else:

@@ -50,9 +50,9 @@ def _loaded(with_standby: bool) -> tuple[Database, object]:
 
 
 def _repair_leaf(db: Database, tree) -> dict:
-    page, _node = tree._descend(key_of(0), for_write=False)
+    page, _node, _pid = tree._descend(key_of(0), for_write=False)
     victim = page.page_id
-    db.unfix(victim)
+    db.pool.unfix(victim)
     db.flush_everything()
     db.evict_everything()
     db.device.inject_bit_rot(victim, nbits=6)

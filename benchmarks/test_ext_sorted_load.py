@@ -53,11 +53,11 @@ def _records() -> list[tuple[bytes, bytes]]:
 def _tree_pages_sha256(db, index_id: int) -> str:  # noqa: ANN001
     """sha256 of every tree page's masked device image, in page order."""
     db.flush_everything()
-    found, stack = [], [db.get_root(index_id)]
+    found, stack = [], [db.catalog.get_root(index_id)]
     while stack:
         pid = stack.pop()
         found.append(pid)
-        page = db.fix(pid)
+        page = db.pool.fix(pid)
         try:
             node = BTreeNode(page)
             if node.has_foster:
@@ -65,7 +65,7 @@ def _tree_pages_sha256(db, index_id: int) -> str:  # noqa: ANN001
             if not node.is_leaf:
                 stack.extend(node.child_pid(i) for i in range(node.nrecs))
         finally:
-            db.unfix(pid)
+            db.pool.unfix(pid)
     digest = hashlib.sha256()
     for pid in sorted(found):
         image = bytearray(db.device.raw_image(pid))

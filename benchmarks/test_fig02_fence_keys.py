@@ -39,7 +39,7 @@ def collect_nodes(db, tree):  # noqa: ANN001
     rows = []
 
     def visit(pid, exp_low, exp_high, exp_inf, exp_level):  # noqa: ANN001
-        page = db.fix(pid)
+        page = db.pool.fix(pid)
         node = BTreeNode(page)
         report = VerificationReport()
         verify_node(node, exp_low, exp_high, exp_inf, exp_level, report)
@@ -62,12 +62,12 @@ def collect_nodes(db, tree):  # noqa: ANN001
         if node.has_foster:
             low, high, inf = node.foster_boundaries()
             visit(node.foster_pid, low, high, inf, node.level)
-        db.unfix(pid)
+        db.pool.unfix(pid)
 
-    root = db.get_root(tree.index_id)
-    root_page = db.fix(root)
+    root = db.catalog.get_root(tree.index_id)
+    root_page = db.pool.fix(root)
     level = BTreeNode(root_page).level
-    db.unfix(root)
+    db.pool.unfix(root)
     visit(root, b"", b"", True, level)
     return rows
 
@@ -120,8 +120,8 @@ def test_fig02_fence_key_properties(benchmark):
 def test_fig02_bench_node_verification(benchmark):
     """Wall time of the per-node invariant check (runs on every hop)."""
     db, tree = build_tree(with_prefix=True)
-    root = db.get_root(tree.index_id)
-    page = db.fix(root)
+    root = db.catalog.get_root(tree.index_id)
+    page = db.pool.fix(root)
     node = BTreeNode(page)
 
     def verify():
@@ -131,4 +131,4 @@ def test_fig02_bench_node_verification(benchmark):
 
     report = benchmark(verify)
     assert report.ok
-    db.unfix(root)
+    db.pool.unfix(root)

@@ -37,7 +37,7 @@ def chain_stats(db, tree):  # noqa: ANN001
 
     def visit(pid):  # noqa: ANN001
         nonlocal chains, longest, nodes
-        page = db.fix(pid)
+        page = db.pool.fix(pid)
         node = BTreeNode(page)
         nodes += 1
         if node.has_foster:
@@ -49,18 +49,18 @@ def chain_stats(db, tree):  # noqa: ANN001
             current_pid = pid
             while current.has_foster:
                 foster_pid = current.foster_pid
-                foster_page = db.fix(foster_pid)
+                foster_page = db.pool.fix(foster_pid)
                 foster = BTreeNode(foster_page)
                 assert foster.high_inf == chain_inf
                 if not chain_inf:
                     assert foster.high_fence == chain_high
                 assert foster.low_fence == current.foster_key
                 if current_pid != pid:
-                    db.unfix(current_pid)
+                    db.pool.unfix(current_pid)
                 current, current_pid = foster, foster_pid
                 length += 1
             if current_pid != pid:
-                db.unfix(current_pid)
+                db.pool.unfix(current_pid)
             chains += 1
             longest = max(longest, length)
         if not node.is_leaf:
@@ -68,9 +68,9 @@ def chain_stats(db, tree):  # noqa: ANN001
                 visit(node.child_pid(i))
         if node.has_foster:
             visit(node.foster_pid)
-        db.unfix(pid)
+        db.pool.unfix(pid)
 
-    visit(db.get_root(tree.index_id))
+    visit(db.catalog.get_root(tree.index_id))
     return {"nodes": nodes, "chains": chains, "longest": longest}
 
 

@@ -29,20 +29,20 @@ def build(profile):
 def run_commits(system: bool, n: int = 80):
     """n single-record transactions, as user or system transactions."""
     db, tree = build(HDD_PROFILE)
-    root = db.get_root(tree.index_id)
+    root = db.catalog.get_root(tree.index_id)
     forces_before = db.stats.get("log_forces")
     t0 = db.clock.now
     for i in range(n):
         txn = db.tm.begin(system=system)
-        page = db.fix(root)
+        page = db.pool.fix(root)
         from repro.btree.node import BTreeNode
 
         node = BTreeNode(page)
         index, _found = node.find(key_of(i))
-        lsn = db.tm.log_update(txn, page, tree.index_id,
+        lsn = db.tm.log_update(txn, page.page_id, page, tree.index_id,
                                node.op_insert(index, key_of(i), value_of(i, 0),
                                               ghost=system))
-        db.unfix(root, lsn)
+        db.pool.unfix(root, lsn)
         db.tm.commit(txn)
     return {
         "commits": n,
@@ -110,7 +110,7 @@ def test_fig05_lost_system_txn_is_harmless(benchmark):
 def test_fig05_bench_system_txn_throughput(benchmark):
     """Wall time per structural system transaction (ghost insert)."""
     db, tree = build(NULL_PROFILE)
-    root = db.get_root(tree.index_id)
+    root = db.catalog.get_root(tree.index_id)
     counter = [0]
 
     def one_system_txn():
@@ -119,12 +119,12 @@ def test_fig05_bench_system_txn_throughput(benchmark):
         i = counter[0]
         counter[0] += 1
         txn = db.tm.begin(system=True)
-        page = db.fix(root)
+        page = db.pool.fix(root)
         node = BTreeNode(page)
         index, _found = node.find(key_of(i))
-        lsn = db.tm.log_update(txn, page, tree.index_id,
+        lsn = db.tm.log_update(txn, page.page_id, page, tree.index_id,
                                node.op_insert(index, key_of(i), b"", ghost=True))
-        db.unfix(root, lsn)
+        db.pool.unfix(root, lsn)
         db.tm.commit(txn)
 
     benchmark.pedantic(one_system_txn, rounds=50, iterations=1)

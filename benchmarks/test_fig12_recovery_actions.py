@@ -73,9 +73,9 @@ def scenario_write_without_pri_record():
     txn = db.begin()
     tree.update(txn, key_of(3), b"row3")
     db.commit(txn)
-    page, _n = tree._descend(key_of(3), for_write=False)
+    page, _n, _pid = tree._descend(key_of(3), for_write=False)
     victim = page.page_id
-    db.unfix(victim)
+    db.pool.unfix(victim)
     db.pool.flush_page(victim)  # write-back; PRI record NOT forced
     db.crash()
     report = db.restart()

@@ -59,9 +59,9 @@ def run_volume(total_updates: int):
               for pid in range(db.allocated_pages())
               if db.device.raw_image(pid) is not None}
     mirror.seed_from_images(images, db.log.end_lsn)
-    page, _n = tree._descend(key_of(0), for_write=False)
+    page, _n, _pid = tree._descend(key_of(0), for_write=False)
     victim = page.page_id
-    db.unfix(victim)
+    db.pool.unfix(victim)
     db.evict_everything()
     # Spread updates evenly over the whole key range (stride walk).
     txn = db.begin()

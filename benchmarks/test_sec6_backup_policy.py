@@ -37,9 +37,9 @@ def run_policy(every_n: int | None):
     db.commit(txn)
     db.flush_everything()
     db.evict_everything()
-    page, _n = tree._descend(key_of(0), for_write=False)
+    page, _n, _pid = tree._descend(key_of(0), for_write=False)
     victim = page.page_id
-    db.unfix(victim)
+    db.pool.unfix(victim)
     db.evict_everything()
     # Sustained update traffic on one page, with periodic write-back so
     # the policy can trigger.

@@ -21,9 +21,10 @@ span rule costs per rewrite: building the op, and applying it to a leaf
 
 The unrolled put must stay what ``FosterBTree._write`` +
 ``TransactionManager.log_update`` / ``commit`` do — a redo-only record
-that takes its commit bit at append, one pool exit
-(``unfix(page, dirty_lsn)``), the force in ``LogManager.commit`` —
-counted through the handles they count through;
+that takes its commit bit at append, the leaf's page id taken from the
+descent (no header re-read), one pool exit (``pool.unfix(page_id,
+dirty_lsn)``), the force in ``LogManager.commit`` — counted through the
+handles they count through;
 the script checks that it moves the log end and every counter (the
 whole ``Stats.delta``) exactly as ``client.put`` does and stops if not.
 It also prints how many Python functions of ``repro`` one warm put and
@@ -57,7 +58,7 @@ from benchmarks.common import (incs_during, print_table,  # noqa: E402
                                python_calls)
 from repro.btree.node import DATA_START  # noqa: E402
 from repro.page.page import Page, PageType  # noqa: E402
-from repro.page.slotted import Record, SlottedPage  # noqa: E402
+from repro.page.slotted import Record, SlottedPage, update_value  # noqa: E402
 from repro.txn.transaction import TxnState  # noqa: E402
 from repro.wal.ops import OpUpdateValue, value_rewrite  # noqa: E402
 from repro.wal.records import (LogicalUndo, LogRecord,  # noqa: E402
@@ -71,7 +72,7 @@ STAGES = (
     "probe_value (ghost bit, before-image, room: one slot read)",
     "value_rewrite (redo-only: no undo)", "LogRecord(...)",
     "log.append (+ the commit bit)", "op.apply_redo",
-    "PageLSN + chain head + inc", "inc + unfix(page, dirty_lsn)",
+    "PageLSN + chain head + inc", "inc + unfix(page_id, dirty_lsn)",
     "log.commit (the force alone)",
     "finish (inc, active table, release_all)",
 )
@@ -82,11 +83,11 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     log, tm = db.log, db.tm
     t0 = now()
     txn = db.begin()
-    txn.redo_only = True        # Database.autocommit(redo_only=True)
+    txn.redo_only = True        # as client.put sets it
     t1 = now()
     db.locks.acquire(txn.txn_id, key)
     t2 = now()
-    page, node = tree._descend(key, for_write=True)
+    page, node, pid = tree._descend(key, for_write=True)
     t3 = now()
     i, _found = node.find(key)
     t4 = now()
@@ -95,7 +96,7 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     op = value_rewrite(DATA_START + i, old, value, True)
     t6 = now()
     record = LogRecord(LogRecordKind.UPDATE, txn.txn_id, txn.last_lsn,
-                       page.page_id, page.page_lsn, tree.index_id, 0, op, None)
+                       pid, page.page_lsn, tree.index_id, 0, op, None)
     record.redo_only = True
     t7 = now()
     lsn = log.append(record)
@@ -109,7 +110,7 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     tm._page_updates_logged.inc()
     t10 = now()
     tree._btree_updates.inc()
-    db.unfix(page.page_id, lsn)
+    db.pool.unfix(pid, lsn)
     t11 = now()
     log.commit(txn.txn_id, lsn)
     t12 = now()
@@ -299,7 +300,7 @@ def _redo_per_rewrite(rewrites, ops, reps: int) -> float:  # noqa: ANN001
     for _ in range(reps):
         spent = 0
         for (_key, old, _new), op in zip(rewrites, ops):
-            slotted.update_value(DATA_START, old)
+            update_value(slotted.page, DATA_START, old)
             start = now()
             op.apply_redo(page)
             spent += now() - start

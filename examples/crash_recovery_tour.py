@@ -62,9 +62,9 @@ def main() -> None:
     print("== 3. single-page failure (the fourth class) ==")
     db.flush_everything()
     db.evict_everything()
-    page, _n = tree._descend(b"item:000400", for_write=False)
+    page, _n, _pid = tree._descend(b"item:000400", for_write=False)
     victim = page.page_id
-    db.unfix(victim)
+    db.pool.unfix(victim)
     db.evict_everything()
     db.device.inject_bit_rot(victim, nbits=6)
     t0 = db.clock.now

@@ -35,9 +35,9 @@ def main() -> None:
     db.evict_everything()
 
     # Find the page holding one row so we can attack it.
-    page, _node = tree._descend(b"user:000123", for_write=False)
+    page, _node, _pid = tree._descend(b"user:000123", for_write=False)
     victim = page.page_id
-    db.unfix(victim)
+    db.pool.unfix(victim)
     db.evict_everything()
 
     print("\n== fault 1: latent sector error (device refuses the read) ==")

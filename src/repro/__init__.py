@@ -38,7 +38,7 @@ experiments::
     db.commit(txn)
 
     db.flush_everything()
-    db.device.inject_bit_rot(db.get_root(tree.index_id))
+    db.device.inject_bit_rot(db.catalog.get_root(tree.index_id))
     db.evict_everything()
     assert tree.lookup(b"hello") == b"world"   # recovered transparently
 """

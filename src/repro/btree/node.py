@@ -62,7 +62,8 @@ from typing import Iterator
 
 from repro.errors import BTreeError
 from repro.page.page import TYPE_OFFSET, Page, PageType
-from repro.page.slotted import LENGTH_MASK, SLOT_SIZE, Record, SlottedPage
+from repro.page.slotted import (LENGTH_MASK, SLOT_SIZE, Record, SlotReader,
+                                SlottedPage)
 from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpDelete,
                            OpExtendPrefix, OpInsert, OpSetGhost, PageOp,
                            value_rewrite)
@@ -163,7 +164,7 @@ class NodeView:
         return self
 
 
-class BTreeNode:
+class BTreeNode(SlotReader):
     """Read-mostly view of a B-tree node page.
 
     Mutations are *not* performed here: the tree constructs page
@@ -184,11 +185,16 @@ class BTreeNode:
     attribute store, and mutators run only under the exclusive latch.
     """
 
-    __slots__ = ("page", "slotted")
+    __slots__ = ("_slotted",)
+
+    #: data record ``i`` is slot ``DATA_START + i``: the point reads
+    #: :meth:`read_value` and :meth:`probe_value` (one slot read each,
+    #: inherited from :class:`~repro.page.slotted.SlotReader`) take ``i``
+    first_slot = DATA_START
 
     def __init__(self, page: Page) -> None:
         self.page = page
-        self.slotted = SlottedPage(page)
+        self._slotted = None
         if page.view is not None:
             # A cached decode proves the page validated as a B-tree node
             # since its last byte mutation, so the structural checks and
@@ -201,6 +207,15 @@ class BTreeNode:
         if self.slotted.slot_count < DATA_START:
             raise BTreeError(f"page {page.page_id} lacks bookkeeping records")
         self._decode()
+
+    @property
+    def slotted(self) -> SlottedPage:
+        """The page's record-level view, built on first use: a point
+        access needs none."""
+        slotted = self._slotted
+        if slotted is None:
+            slotted = self._slotted = SlottedPage(self.page)
+        return slotted
 
     # ------------------------------------------------------------------
     # Metadata
@@ -306,19 +321,10 @@ class BTreeNode:
         return self.prefix + self.stored_key(i)
 
     def value(self, i: int) -> bytes:
-        return self.slotted.read_value(DATA_START + i)[1]
+        return self.read_value(i)[1]
 
     def is_ghost(self, i: int) -> bool:
         return self.slotted.is_ghost(DATA_START + i)
-
-    def read_value(self, i: int) -> tuple[bool, bytes]:
-        """``(ghost, value)`` of data record ``i``, one slot read."""
-        return self.slotted.read_value(DATA_START + i)
-
-    def probe_value(self, i: int) -> tuple[bool, bytes, int]:
-        """``(ghost, value, room)`` of data record ``i``, one slot read
-        (:meth:`repro.page.slotted.SlottedPage.probe_value`)."""
-        return self.slotted.probe_value(DATA_START + i)
 
     def child_pid(self, i: int) -> int:
         return decode_pid(self.value(i))

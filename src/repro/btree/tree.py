@@ -44,7 +44,7 @@ and a scan decodes each row of a leaf once.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterator, Protocol
+from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 
 from repro.btree.keys import shortest_separator
 from repro.btree.node import (DATA_START, FLAG_HIGH_INF, NO_FOSTER, BTreeNode,
@@ -63,6 +63,10 @@ from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
 from repro.wal.ops import value_rewrite
 from repro.wal.records import LogicalUndo, UndoAction
+
+if TYPE_CHECKING:
+    from repro.buffer.buffer_pool import BufferPool
+    from repro.engine.catalog import Catalog
 
 _RESTORE_VALUE = UndoAction.RESTORE_VALUE
 #: what a data record takes of a leaf besides its stored key and value:
@@ -92,15 +96,17 @@ class _Batch:
 class TreeContext(Protocol):
     """Engine services the tree depends on."""
 
-    def fix(self, page_id: int, release: int | None = None) -> Page:
-        """Pin ``page_id`` and give back one pin on ``release``."""
-        ...
-    def unfix(self, page_id: int, dirty_lsn: int | None = None) -> None: ...
+    #: every node is pinned through it: ``fix(page_id, release)`` (hand
+    #: over hand) and ``unfix(page_id, dirty_lsn)``
+    pool: BufferPool
+    #: the index registry: ``roots`` caches each index's root page id,
+    #: ``get_root`` fills it from the metadata page
+    catalog: Catalog
+
     def allocate_page(self, txn: Transaction, page_type: PageType,
                       index_id: int) -> Page:
         """Allocate, format, and log a new pinned page."""
         ...
-    def get_root(self, index_id: int) -> int: ...
     def set_root(self, txn: Transaction, index_id: int, root_pid: int) -> None: ...
     def handle_invariant_failure(self, failure: SinglePageFailure) -> Page:
         """Recover a page that failed cross-page verification.
@@ -161,7 +167,7 @@ class FosterBTree:
                                            high_inf=True):
             tree._log(sys_txn, root, op)
         ctx.set_root(sys_txn, index_id, root.page_id)
-        ctx.unfix(root.page_id)
+        ctx.pool.unfix(root.page_id)
         tm.commit(sys_txn)
         return tree
 
@@ -171,15 +177,15 @@ class FosterBTree:
     def _log(self, txn: Transaction, page: Page, op,  # noqa: ANN001
              dirty: int | None = None) -> int:
         """Log and apply ``op``; returns ``dirty``, else (the page's first
-        record) its LSN for ``ctx.unfix``, which a fresh page needs not."""
-        lsn = self.tm.log_update(txn, page, self.index_id, op)
+        record) its LSN for ``pool.unfix``, which a fresh page needs not."""
+        lsn = self.tm.log_update(txn, page.page_id, page, self.index_id, op)
         return lsn if dirty is None else dirty
 
     # ------------------------------------------------------------------
     # Verified traversal
     # ------------------------------------------------------------------
     def _fix_node(self, page_id: int) -> tuple[Page, BTreeNode]:
-        return self._as_node(self.ctx.fix(page_id))
+        return self._as_node(self.ctx.pool.fix(page_id))
 
     def _as_node(self, page: Page) -> tuple[Page, BTreeNode]:
         """A pinned page as a node: one without a decoded view is
@@ -209,7 +215,7 @@ class FosterBTree:
         """Unpin a page that failed a check, have the engine repair it
         and check the re-fixed page again.  Raises — the engine's
         escalation, or ``unrepaired`` — with nothing pinned."""
-        self.ctx.unfix(page_id)
+        self.ctx.pool.unfix(page_id)
         page = self.ctx.handle_invariant_failure(SinglePageFailure(
             page_id, PageFailureKind.BTREE_INVARIANT, problem))
         try:
@@ -218,7 +224,7 @@ class FosterBTree:
         except BTreeError as exc:
             problem = str(exc)
         if problem:
-            self.ctx.unfix(page_id)
+            self.ctx.pool.unfix(page_id)
             raise SinglePageFailure(page_id, PageFailureKind.BTREE_INVARIANT,
                                     f"unrepaired: {problem}")
         return page, node
@@ -238,10 +244,14 @@ class FosterBTree:
             return f"high fence {view.high_fence!r} != parent key {exp_high!r}"
         return None
 
-    def _descend(self, key: bytes, for_write: bool) -> tuple[Page, BTreeNode]:
+    def _descend(self, key: bytes,
+                 for_write: bool) -> tuple[Page, BTreeNode, int]:
         """Root-to-leaf pass with continuous verification.
 
-        Returns the pinned leaf whose range contains ``key``.  Every hop
+        Returns the pinned leaf whose range contains ``key``: its page,
+        node and page id (the caller unpins by that id, reading no
+        header for it).  The root's id comes from the catalogue's cache,
+        and every node is pinned through the pool itself.  Every hop
         — to a child or along a foster chain — takes the pointer and the
         two keys beside it from the parent's view, fixes the child
         through the normal read path (which hands the parent's pin back)
@@ -255,8 +265,12 @@ class FosterBTree:
         caller to settle through :meth:`_maintain` once it knows it
         will write.
         """
-        fix = self.ctx.fix
-        pid = self.ctx.get_root(self.index_id)
+        ctx = self.ctx
+        pid = ctx.catalog.roots.get(self.index_id)
+        if pid is None:
+            pid = ctx.catalog.get_root(self.index_id)
+        pool = ctx.pool
+        fix = pool.fix
         page = fix(pid)
         view, node = page.view, None
         if view is None:
@@ -276,7 +290,7 @@ class FosterBTree:
                     inf = bool(view.flags & FLAG_HIGH_INF)
                     level = view.level
                 elif view.level == 0:
-                    return page, BTreeNode(page) if node is None else node
+                    return page, BTreeNode(page) if node is None else node, pid
                 else:
                     parent, level = pid, view.level - 1
                     try:
@@ -284,7 +298,7 @@ class FosterBTree:
                             view.route if view.keys is not None
                             else BTreeNode(page).route)(key)
                     except BTreeError:
-                        self.ctx.unfix(pid)
+                        pool.unfix(pid)
                         raise
                 page = fix(child_pid, pid)
                 view, node = page.view, None
@@ -411,9 +425,9 @@ class FosterBTree:
         """
         if not key:
             raise BTreeError("empty keys are reserved for -infinity fences")
-        log, index_id = self.tm.log_update, self.index_id
+        log, index_id, pool = self.tm.log_update, self.index_id, self.ctx.pool
         while True:
-            page, node = self._descend(key, for_write=True)
+            page, node, pid = self._descend(key, for_write=True)
             dirty = None  # see _log
             try:
                 i, found = node.find(key)
@@ -442,7 +456,7 @@ class FosterBTree:
                 # is appended (TransactionManager.log_update), and every
                 # check that may refuse it is behind us.
                 if value is None:
-                    dirty = log(txn, page, index_id,
+                    dirty = log(txn, pid, page, index_id,
                                 node.op_set_ghost(i, True, old=False),
                                 None if txn.redo_only
                                 else LogicalUndo(UndoAction.INSERT_KEY, key, old))
@@ -451,14 +465,14 @@ class FosterBTree:
                 if live:
                     if len(value) <= room:
                         if txn.redo_only:
-                            dirty = log(txn, page, index_id, value_rewrite(
+                            dirty = log(txn, pid, page, index_id, value_rewrite(
                                 DATA_START + i, old, value, True))
                         else:
                             # The before-image is the undo's and the op's
                             # at once, under the op's span: one object
                             # (the old middle), logged once.
                             op = value_rewrite(DATA_START + i, old, value)
-                            dirty = log(txn, page, index_id, op, LogicalUndo(
+                            dirty = log(txn, pid, page, index_id, op, LogicalUndo(
                                 _RESTORE_VALUE, key, op.old_value, op.prefix,
                                 op.suffix))
                         self._btree_updates.inc()
@@ -473,10 +487,10 @@ class FosterBTree:
                         # DELETE_KEY below); a physical slot-indexed undo
                         # would be unsafe once later inserts have shifted
                         # the slots.
-                        dirty = log(txn, page, index_id,
+                        dirty = log(txn, pid, page, index_id,
                                     value_rewrite(DATA_START + i, old, value),
                                     LogicalUndo(UndoAction.NONE, key))
-                        log(txn, page, index_id, node.op_set_ghost(i, False, old=True),
+                        log(txn, pid, page, index_id, node.op_set_ghost(i, False, old=True),
                             LogicalUndo(UndoAction.DELETE_KEY, key))
                         self._btree_inserts.inc()
                         return False
@@ -484,21 +498,21 @@ class FosterBTree:
                     run = batch and self._take_run(txn, node, i, key, value,
                                                    batch)
                     if run:
-                        dirty = log(txn, page, index_id,
+                        dirty = log(txn, pid, page, index_id,
                                     node.op_bulk_insert(i, run), LogicalUndo(
                                         UndoAction.DELETE_KEYS, key,
                                         keys=tuple(row[0] for row in run)))
                         self._btree_inserts.inc(len(run))
                         return False
-                    dirty = log(txn, page, index_id, node.op_insert(i, key, value),
+                    dirty = log(txn, pid, page, index_id, node.op_insert(i, key, value),
                                 None if txn.redo_only
                                 else LogicalUndo(UndoAction.DELETE_KEY, key))
                     self._btree_inserts.inc()
                     return False
             finally:
-                self.ctx.unfix(page.page_id, dirty)
+                pool.unfix(pid, dirty)
             # No room: split (system transaction) and try again.
-            self._split(page.page_id)
+            self._split(pid)
 
     def _take_run(self, txn: Transaction, node: BTreeNode, i: int,
                   key: bytes, value: bytes, batch: _Batch
@@ -567,7 +581,7 @@ class FosterBTree:
 
     def lookup(self, key: bytes) -> bytes:
         """Value stored under ``key``; raises :class:`KeyNotFound`."""
-        page, node = self._descend(key, for_write=False)
+        _page, node, pid = self._descend(key, for_write=False)
         try:
             i, found = node.find(key)
             if found:
@@ -577,7 +591,7 @@ class FosterBTree:
                     return value
             raise KeyNotFound(key)
         finally:
-            self.ctx.unfix(page.page_id)
+            self.ctx.pool.unfix(pid)
 
     def contains(self, key: bytes) -> bool:
         try:
@@ -596,14 +610,14 @@ class FosterBTree:
         """
         key = low
         while True:
-            page, node = self._descend(key, for_write=False)
-            batch, next_key = self._scan_leaf(page, node, key, high)
+            _page, node, pid = self._descend(key, for_write=False)
+            batch, next_key = self._scan_leaf(pid, node, key, high)
             yield from batch
             if next_key is None:
                 return
             key = next_key
 
-    def _scan_leaf(self, page: Page, node: BTreeNode, key: bytes,
+    def _scan_leaf(self, pid: int, node: BTreeNode, key: bytes,
                    high: bytes | None) -> tuple[list[tuple[bytes, bytes]], bytes | None]:
         try:
             out: list[tuple[bytes, bytes]] = []
@@ -625,7 +639,7 @@ class FosterBTree:
                 next_key = None
             return out, next_key
         finally:
-            self.ctx.unfix(page.page_id)
+            self.ctx.pool.unfix(pid)
 
     def compensate(self, txn: Transaction, undo: LogicalUndo,
                    undo_next_lsn: int) -> None:
@@ -634,7 +648,7 @@ class FosterBTree:
             return  # value write whose effect the re-ghosting covers
         key, clr, index_id = undo.key, self.tm.log_compensation, self.index_id
         while True:
-            page, node = self._descend(key, for_write=True)
+            page, node, pid = self._descend(key, for_write=True)
             dirty = None  # see _log
             try:
                 if self._owed and self._maintain():
@@ -675,8 +689,8 @@ class FosterBTree:
                     self._btree_compensations.inc()
                     return
             finally:
-                self.ctx.unfix(page.page_id, dirty)
-            self._split(page.page_id)
+                self.ctx.pool.unfix(pid, dirty)
+            self._split(pid)
 
     # ------------------------------------------------------------------
     # Structural maintenance (system transactions)
@@ -684,7 +698,7 @@ class FosterBTree:
     def _split(self, page_id: int) -> None:
         """Split a node: the upper half becomes its foster child."""
         sys_txn = self.tm.begin(system=True)
-        page = self.ctx.fix(page_id)
+        page = self.ctx.pool.fix(page_id)
         dirty = None
         try:
             node = BTreeNode(page)
@@ -725,7 +739,7 @@ class FosterBTree:
                 for op in node.ops_set_foster(separator, foster_page.page_id):
                     self._log(sys_txn, page, op)
             finally:
-                self.ctx.unfix(foster_page.page_id)
+                self.ctx.pool.unfix(foster_page.page_id)
             self.tm.commit(sys_txn)
             self._btree_splits.inc()
         except BaseException:
@@ -733,7 +747,7 @@ class FosterBTree:
                 self.tm.commit(sys_txn)  # contents-neutral; safe to keep
             raise
         finally:
-            self.ctx.unfix(page_id, dirty)
+            self.ctx.pool.unfix(page_id, dirty)
 
     def _adopt(self, parent_pid: int, child_pid: int) -> bool:
         """Move the child's foster child up into the permanent parent.
@@ -745,7 +759,7 @@ class FosterBTree:
         try:
             child_page, child = self._fix_node(child_pid)
         except BaseException:
-            self.ctx.unfix(parent_pid)
+            self.ctx.pool.unfix(parent_pid)
             raise
         parent_dirty = child_dirty = None
         try:
@@ -767,8 +781,8 @@ class FosterBTree:
             self._btree_adoptions.inc()
             return True
         finally:
-            self.ctx.unfix(child_pid, child_dirty)
-            self.ctx.unfix(parent_pid, parent_dirty)
+            self.ctx.pool.unfix(child_pid, child_dirty)
+            self.ctx.pool.unfix(parent_pid, parent_dirty)
 
     def _maybe_extend_prefix(self, sys_txn: Transaction, page: Page,
                              node: BTreeNode) -> None:
@@ -786,7 +800,7 @@ class FosterBTree:
     def _grow_root(self, old_root_pid: int) -> None:
         """The root has a foster child: grow the tree by one level."""
         sys_txn = self.tm.begin(system=True)
-        old_root_page = self.ctx.fix(old_root_pid)
+        old_root_page = self.ctx.pool.fix(old_root_pid)
         dirty = None
         try:
             old_root = BTreeNode(old_root_page)
@@ -810,11 +824,11 @@ class FosterBTree:
                 self._maybe_extend_prefix(sys_txn, old_root_page, old_root)
                 self.ctx.set_root(sys_txn, self.index_id, new_root_page.page_id)
             finally:
-                self.ctx.unfix(new_root_page.page_id)
+                self.ctx.pool.unfix(new_root_page.page_id)
             self.tm.commit(sys_txn)
             self._btree_root_growths.inc()
         finally:
-            self.ctx.unfix(old_root_pid, dirty)
+            self.ctx.pool.unfix(old_root_pid, dirty)
 
     def migrate_node(self, page_id: int, retain_backup: bool = True) -> int:
         """Move a node to a freshly allocated page id (system txn).
@@ -831,7 +845,7 @@ class FosterBTree:
         engine's free list.
         """
         sys_txn = self.tm.begin(system=True)
-        page = self.ctx.fix(page_id)
+        page = self.ctx.pool.fix(page_id)
         try:
             node = BTreeNode(page)
             pointer = self._find_incoming_pointer(page_id, node)
@@ -859,10 +873,10 @@ class FosterBTree:
                         take_copy(new_page)
                 new_pid = new_page.page_id
             finally:
-                self.ctx.unfix(new_page.page_id)
+                self.ctx.pool.unfix(new_page.page_id)
             self.tm.commit(sys_txn)
         finally:
-            self.ctx.unfix(page_id)
+            self.ctx.pool.unfix(page_id)
         free = getattr(self.ctx, "free_page", None)
         if free is not None:
             free(page_id)
@@ -875,7 +889,7 @@ class FosterBTree:
         Returns ("root", None, None), ("branch", parent_pid, slot), or
         ("foster", parent_pid, None).
         """
-        root_pid = self.ctx.get_root(self.index_id)
+        root_pid = self.ctx.catalog.get_root(self.index_id)
         if root_pid == target_pid:
             return ("root", None, None)
         key = target.low_fence
@@ -896,7 +910,7 @@ class FosterBTree:
                         return ("branch", pid, i)
                     next_pid = node.child_pid(i)
             finally:
-                self.ctx.unfix(pid)
+                self.ctx.pool.unfix(pid)
             pid = next_pid
 
     def _repoint(self, sys_txn: Transaction, pointer, old_pid: int,
@@ -905,7 +919,7 @@ class FosterBTree:
         if kind == "root":
             self.ctx.set_root(sys_txn, self.index_id, new_pid)
             return
-        parent_page = self.ctx.fix(parent_pid)
+        parent_page = self.ctx.pool.fix(parent_pid)
         dirty = None
         try:
             parent = BTreeNode(parent_page)
@@ -920,7 +934,7 @@ class FosterBTree:
                 for op in parent.ops_set_foster(parent.foster_key, new_pid):
                     dirty = self._log(sys_txn, parent_page, op, dirty)
         finally:
-            self.ctx.unfix(parent_pid, dirty)
+            self.ctx.pool.unfix(parent_pid, dirty)
 
     def remove_ghosts(self, page_id: int) -> int:
         """Physically remove ghost records from a leaf (system txn).
@@ -929,7 +943,7 @@ class FosterBTree:
         the number of ghosts removed.
         """
         sys_txn = self.tm.begin(system=True)
-        page = self.ctx.fix(page_id)
+        page = self.ctx.pool.fix(page_id)
         removed = 0
         dirty = None
         try:
@@ -948,17 +962,17 @@ class FosterBTree:
                 self._btree_ghosts_removed.inc(removed)
             return removed
         finally:
-            self.ctx.unfix(page_id, dirty)
+            self.ctx.pool.unfix(page_id, dirty)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def depth(self) -> int:
         """Number of levels (1 = a single leaf)."""
-        pid = self.ctx.get_root(self.index_id)
+        pid = self.ctx.catalog.get_root(self.index_id)
         page, node = self._fix_node(pid)
         levels = node.level + 1
-        self.ctx.unfix(pid)
+        self.ctx.pool.unfix(pid)
         return levels
 
     def count(self) -> int:

@@ -106,18 +106,18 @@ def verify_tree(tree, report: VerificationReport | None = None) -> VerificationR
     """Exhaustive structural verification; reads each node once.
 
     ``tree`` is a :class:`~repro.btree.tree.FosterBTree`; the traversal
-    uses its context for page access.
+    uses its context's buffer pool for page access.
     """
     from repro.btree.tree import FosterBTree
 
     assert isinstance(tree, FosterBTree)
     report = report or VerificationReport()
-    ctx = tree.ctx
-    root_pid = ctx.get_root(tree.index_id)
+    pool = tree.ctx.pool
+    root_pid = tree.ctx.catalog.get_root(tree.index_id)
 
     def visit(pid: int, exp_low: bytes, exp_high: bytes, exp_inf: bool,
               exp_level: int) -> None:
-        page = ctx.fix(pid)
+        page = pool.fix(pid)
         try:
             try:
                 node = BTreeNode(page)
@@ -137,21 +137,21 @@ def verify_tree(tree, report: VerificationReport | None = None) -> VerificationR
                 low, high, inf = node.foster_boundaries()
                 visit(node.foster_pid, low, high, inf, node.level)
         finally:
-            ctx.unfix(pid)
+            pool.unfix(pid)
 
     visit(root_pid, b"", b"", True, _root_level(tree, root_pid))
     return report
 
 
 def _root_level(tree, root_pid: int) -> int:  # noqa: ANN001
-    page = tree.ctx.fix(root_pid)
+    page = tree.ctx.pool.fix(root_pid)
     try:
         try:
             return BTreeNode(page).level
         except BTreeError:
             return 0
     finally:
-        tree.ctx.unfix(root_pid)
+        tree.ctx.pool.unfix(root_pid)
 
 
 def collect_leaf_coverage(tree) -> list[tuple[bytes, bytes, bool]]:  # noqa: ANN001
@@ -163,11 +163,11 @@ def collect_leaf_coverage(tree) -> list[tuple[bytes, bytes, bool]]:  # noqa: ANN
     from repro.btree.tree import FosterBTree
 
     assert isinstance(tree, FosterBTree)
-    ctx = tree.ctx
+    pool = tree.ctx.pool
     out: list[tuple[bytes, bytes, bool]] = []
 
     def visit(pid: int) -> None:
-        page = ctx.fix(pid)
+        page = pool.fix(pid)
         try:
             node = BTreeNode(page)
             if node.is_leaf:
@@ -181,8 +181,8 @@ def collect_leaf_coverage(tree) -> list[tuple[bytes, bytes, bool]]:  # noqa: ANN
             if node.has_foster:
                 visit(node.foster_pid)
         finally:
-            ctx.unfix(pid)
+            pool.unfix(pid)
 
-    visit(ctx.get_root(tree.index_id))
+    visit(tree.ctx.catalog.get_root(tree.index_id))
     out.sort(key=lambda entry: entry[0])
     return out

@@ -183,28 +183,54 @@ class SingleNodeClient(Client):
         # a wrapped caller-owned engine stays fully usable.
         pass
 
+    # The point operations test the closed and failed states in place
+    # and hit the tree registry themselves: each is one call into the
+    # traced engine methods, with no frame between.
     def get(self, key: bytes) -> bytes | None:
-        self._require_open()
-        self.db._require_running()
+        if self._closed:
+            self._require_open()
+        db = self.db
+        if db._crashed or db._media_failed:
+            db._require_running()
+        tree = db.catalog.trees.get(self.index_id) or db.tree(self.index_id)
         try:
-            return self.db.tree(self.index_id).lookup(key)
+            return tree.lookup(key)
         except KeyNotFound:
             return None
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._require_open()
+        if self._closed:
+            self._require_open()
         db = self.db
-        with db.autocommit(redo_only=True) as txn:
+        txn = db.begin()
+        txn.redo_only = True
+        try:
             db.locks.acquire(txn.txn_id, key)
             # FosterBTree.upsert, without its hop to insert()
-            db.tree(self.index_id).insert(txn, key, value, replace=True)
+            (db.catalog.trees.get(self.index_id) or db.tree(self.index_id)
+             ).insert(txn, key, value, replace=True)
+        except BaseException:
+            db.end_autocommit(txn, failed=True)
+            raise
+        db.end_autocommit(txn)
 
     def delete(self, key: bytes) -> bool:
-        self._require_open()
+        if self._closed:
+            self._require_open()
         db = self.db
-        with db.autocommit(redo_only=True) as txn:
+        txn = db.begin()
+        txn.redo_only = True
+        try:
             db.locks.acquire(txn.txn_id, key)
-            return db.tree(self.index_id).remove(txn, key)
+            # FosterBTree.remove, without its hop to delete()
+            removed = (db.catalog.trees.get(self.index_id)
+                       or db.tree(self.index_id)).delete(txn, key,
+                                                         missing_ok=True)
+        except BaseException:
+            db.end_autocommit(txn, failed=True)
+            raise
+        db.end_autocommit(txn)
+        return removed
 
     def scan(self, low: bytes = b"",
              high: bytes | None = None) -> list[tuple[bytes, bytes]]:
@@ -215,8 +241,13 @@ class SingleNodeClient(Client):
     def apply_batch(self, ops: list[tuple]) -> int:
         self._require_open()
         db = self.db
-        with db.autocommit() as txn:
+        txn = db.begin()
+        try:
             db.tree(self.index_id).apply_batch(txn, ops, check_batch_op)
+        except BaseException:
+            db.end_autocommit(txn, failed=True)
+            raise
+        db.end_autocommit(txn)
         return len(ops)
 
     def metrics(self) -> dict[str, int | float]:
@@ -229,8 +260,8 @@ class _SingleNodeTxn:
     over one engine: upserts decided against live tree state under the
     key lock, exactly like the shard worker's branch operations — the
     differential suite depends on the two interpreting intents
-    identically.  Autocommit calls do not come through here: they use
-    :meth:`repro.engine.database.Database.end_autocommit`.
+    identically.  Autocommit calls do not come through here: they end
+    through :meth:`repro.engine.database.Database.end_autocommit`.
 
     The handle lives no longer than its client and its transaction: once
     the client is closed every operation raises

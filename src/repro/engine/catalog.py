@@ -32,7 +32,9 @@ class Catalog:
     def __init__(self, db) -> None:  # noqa: ANN001 - Database facade
         self.db = db
         self.trees: dict[int, FosterBTree] = {}
-        self._root_cache: dict[int, int] = {}
+        #: index id -> root page id, the volatile cache :meth:`get_root`
+        #: fills (a descent reads it in place)
+        self.roots: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Metadata-page record primitives
@@ -74,7 +76,7 @@ class Catalog:
                 op = OpInsert(slotted.slot_count, key, value)
             else:
                 op = value_rewrite(slot, slotted.read_record(slot).value, value)
-            lsn = self.db.tm.log_update(txn, page, 0, op)
+            lsn = self.db.tm.log_update(txn, METADATA_PAGE, page, 0, op)
         finally:
             self.db.pool.unfix(METADATA_PAGE, lsn)
 
@@ -82,17 +84,17 @@ class Catalog:
     # Index roots
     # ------------------------------------------------------------------
     def get_root(self, index_id: int) -> int:
-        root = self._root_cache.get(index_id)
+        root = self.roots.get(index_id)
         if root is None:
             root = self.get_int(b"root:%d" % index_id)
             if root is None:
                 raise ConfigError(f"index {index_id} does not exist")
-            self._root_cache[index_id] = root
+            self.roots[index_id] = root
         return root
 
     def set_root(self, txn: Transaction, index_id: int, root_pid: int) -> None:
         self.set_int(txn, b"root:%d" % index_id, root_pid)
-        self._root_cache[index_id] = root_pid
+        self.roots[index_id] = root_pid
 
     # ------------------------------------------------------------------
     # Object-id assignment
@@ -137,5 +139,5 @@ class Catalog:
     # ------------------------------------------------------------------
     def invalidate_volatile(self) -> None:
         """Drop caches and handles (crash / media-failure simulation)."""
-        self._root_cache.clear()
+        self.roots.clear()
         self.trees.clear()

@@ -67,6 +67,9 @@ from repro.wal.ops import OpInitSlotted, OpInsert
 from repro.wal.records import BackupRef, LogicalUndo
 
 
+_COMMITTED = TxnState.COMMITTED
+
+
 class EngineCounters:
     """Handles for what the engine counts outside its components: in
     :class:`Database` itself and in the functions that take one
@@ -232,7 +235,7 @@ class Database:
         for key, value in ((b"next_free", self.config.data_start),
                            (b"next_index", 1)):
             self.tm.log_update(
-                sys_txn, page, 0,
+                sys_txn, METADATA_PAGE, page, 0,
                 OpInsert(slotted.slot_count, key, struct.pack("<q", value)))
         self.pool.unfix(page.page_id)  # dirty since its format
         self.tm.commit(sys_txn)
@@ -245,24 +248,16 @@ class Database:
                                 format_lsn, self.clock.now)
 
     # ------------------------------------------------------------------
-    # TreeContext protocol (used by FosterBTree; ``fix`` and
-    # ``unfix`` serve the TransactionManager's UndoContext too)
+    # TreeContext protocol (used by FosterBTree, which pins through
+    # ``pool`` and reads ``catalog.roots`` in place; ``pool`` serves the
+    # TransactionManager's UndoContext too)
     # ------------------------------------------------------------------
-    def fix(self, page_id: int, release: int | None = None) -> Page:
-        return self.pool.fix(page_id, release)
-
-    def unfix(self, page_id: int, dirty_lsn: int | None = None) -> None:
-        self.pool.unfix(page_id, dirty_lsn)
-
     def allocate_page(self, txn: Transaction, page_type: PageType,
                       index_id: int) -> Page:
         return self.allocator.allocate_page(txn, page_type, index_id)
 
     def free_page(self, page_id: int) -> None:
         self.allocator.free_page(page_id)
-
-    def get_root(self, index_id: int) -> int:
-        return self.catalog.get_root(index_id)
 
     def set_root(self, txn: Transaction, index_id: int, root_pid: int) -> None:
         self.catalog.set_root(txn, index_id, root_pid)
@@ -297,9 +292,7 @@ class Database:
         return self.catalog.create_index()
 
     def tree(self, index_id: int) -> FosterBTree:
-        # The registry hit in place: every client operation asks.
-        tree = self.catalog.trees.get(index_id)
-        return tree if tree is not None else self.catalog.tree(index_id)
+        return self.catalog.tree(index_id)
 
     @property
     def indexes(self) -> list[int]:
@@ -339,29 +332,49 @@ class Database:
         except Exception:  # noqa: BLE001 - the original error propagates
             pass
 
-    def autocommit(self, redo_only: bool = False) -> "_Autocommit":
-        """A private transaction around one operation::
+    def end_autocommit(self, txn: Transaction, failed: bool = False) -> None:
+        """End ``txn``, a private transaction around one operation, by
+        the one set of exit rules every autocommit caller shares — the
+        embedded client, the shard worker, the single-operation helpers
+        below and the batch::
 
-            with db.autocommit(redo_only=True) as txn:
+            txn = db.begin()
+            txn.redo_only = True       # a body of one tree write
+            try:
                 db.locks.acquire(txn.txn_id, key)
-                tree.upsert(txn, key, value)
+                tree.insert(txn, key, value, replace=True)
+            except BaseException:
+                db.end_autocommit(txn, failed=True)
+                raise
+            db.end_autocommit(txn)
 
-        commits when the body returns and rolls back — quietly, see
-        :meth:`abort_quietly` — on *any* exception, so no failure of the
-        body can leave the transaction active and its keys locked.  The
-        one autocommit path: the embedded client, the shard worker and
-        the single-operation helpers below all use it.
+        A body that returned (``failed`` False) commits; a commit that
+        raises rolls back — quietly, see :meth:`abort_quietly` — so no
+        failure can leave the transaction active and its keys locked.
 
         ``redo_only`` is for a body of one tree write: a write that logs
         one record logs it redo-only, and the transaction is committed
         the moment it is appended (see
         :meth:`repro.txn.manager.TransactionManager.log_update`).  Such
-        a transaction is never rolled back: an exception after the
-        append — a repair escalating as the leaf is unpinned — leaves
-        the write committed, forced and its lock released, and
-        propagates; from there an escalation is a crash.
+        a transaction is never rolled back: a failure after the append —
+        a repair escalating as the leaf is unpinned — finishes its commit
+        (force, release) and the caller's error propagates; from there
+        an escalation is a crash.  Any other failed body rolls back
+        quietly.
         """
-        return _Autocommit(self, redo_only)
+        if not failed:
+            try:
+                self.commit(txn)
+            except BaseException:
+                self.abort_quietly(txn)
+                raise
+        elif txn.state is _COMMITTED and txn.redo_only:
+            # Committed at its append — unless a crash or media failure
+            # already disowned it.
+            if self.tm.active.get(txn.txn_id) is txn:
+                self.commit(txn)
+        else:
+            self.abort_quietly(txn)
 
     def group_commit(self):  # noqa: ANN201 - context manager
         """Batch user commits into one log force (group commit)."""
@@ -446,12 +459,19 @@ class Database:
     def _locked_write(self, write, txn: Transaction | None,  # noqa: ANN001
                       key: bytes, *value: bytes) -> None:
         """Lock ``key`` and run one tree write in ``txn`` — or, given
-        none, in an :meth:`autocommit` transaction of its own."""
+        none, in an autocommit transaction of its own
+        (:meth:`end_autocommit`)."""
         self._require_running()
         if txn is None:
-            with self.autocommit(redo_only=True) as txn:
+            txn = self.begin()
+            txn.redo_only = True
+            try:
                 self.locks.acquire(txn.txn_id, key)
                 write(txn, key, *value)
+            except BaseException:
+                self.end_autocommit(txn, failed=True)
+                raise
+            self.end_autocommit(txn)
         else:
             self.locks.acquire(txn.txn_id, key)
             write(txn, key, *value)
@@ -698,40 +718,3 @@ class Database:
     def evict_everything(self) -> None:
         """Flush and evict every unpinned frame, one write-back run."""
         self.pool.evict_all()
-
-
-_COMMITTED = TxnState.COMMITTED
-
-
-class _Autocommit:
-    """The context manager behind :meth:`Database.autocommit`.  It goes
-    through the engine's public ``begin`` / ``commit`` / ``abort``, so
-    whatever wraps those sees every autocommit transaction."""
-
-    __slots__ = ("_db", "_txn", "_redo_only")
-
-    def __init__(self, db: Database, redo_only: bool) -> None:
-        self._db = db
-        self._redo_only = redo_only
-
-    def __enter__(self) -> Transaction:
-        self._txn = txn = self._db.begin()
-        txn.redo_only = self._redo_only
-        return txn
-
-    def __exit__(self, exc_type, exc, tb) -> None:  # noqa: ANN001
-        db, txn = self._db, self._txn
-        if exc_type is None:
-            try:
-                db.commit(txn)
-            except BaseException:
-                db.abort_quietly(txn)
-                raise
-        elif txn.state is _COMMITTED and txn.redo_only:
-            # Committed at its append: the failure came after, so the
-            # commit finishes (force, release) and the error propagates
-            # — unless a crash or media failure already disowned it.
-            if db.tm.active.get(txn.txn_id) is txn:
-                db.commit(txn)
-        else:
-            db.abort_quietly(txn)

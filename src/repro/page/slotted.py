@@ -155,7 +155,51 @@ class Record:
         return 2 + len(self.key) + len(self.value)
 
 
-class SlottedPage:
+class SlotReader:
+    """What a point access needs of one record, each from one read of
+    its slot word.  Shared by :class:`SlottedPage` and
+    :class:`repro.btree.node.BTreeNode`, which numbers its data records
+    from its first data slot (:attr:`first_slot`), so a node's point
+    read is one call and builds no :class:`SlottedPage`."""
+
+    __slots__ = ("page",)
+
+    #: the slot of record 0
+    first_slot = 0
+
+    def probe_value(self, index: int) -> tuple[bool, bytes, int]:
+        """``(ghost, value, room)`` of record ``index`` from one read of
+        its slot word — what a value rewrite decides on: whether the
+        record is a ghost, the value it replaces, and the longest value
+        :func:`update_value` can store there, possibly after
+        compaction (:meth:`SlottedPage.room_for_value` is
+        ``len(value) <= room``)."""
+        page = self.page
+        data = page.data
+        size = page.size
+        offset, length_flags = _SLOT.unpack_from(
+            data, size - (index + self.first_slot + 1) * SLOT_SIZE)
+        end = offset + (length_flags & LENGTH_MASK)
+        key_end = offset + 2 + _U16.unpack_from(data, offset)[0]
+        count, heap_end, frag_bytes, _reserved = _SLOTTED_HEADER.unpack_from(
+            data, HEADER_SIZE)
+        return (bool(length_flags & _GHOST_BIT), bytes(data[key_end:end]),
+                size - count * SLOT_SIZE - heap_end + frag_bytes
+                + end - key_end)
+
+    def read_value(self, index: int) -> tuple[bool, bytes]:
+        """``(ghost, value)`` of record ``index`` from one read of its
+        slot word — what a point read needs of the record it found."""
+        page = self.page
+        data = page.data
+        offset, length_flags = _SLOT.unpack_from(
+            data, page.size - (index + self.first_slot + 1) * SLOT_SIZE)
+        return (bool(length_flags & _GHOST_BIT),
+                bytes(data[offset + 2 + _U16.unpack_from(data, offset)[0]:
+                           offset + (length_flags & LENGTH_MASK)]))
+
+
+class SlottedPage(SlotReader):
     """Record-level view over a :class:`Page`.
 
     The class never allocates; it reads and writes the page buffer in
@@ -164,7 +208,7 @@ class SlottedPage:
     injection on the raw bytes).
     """
 
-    __slots__ = ("page",)
+    __slots__ = ()
 
     def __init__(self, page: Page) -> None:
         self.page = page
@@ -237,7 +281,7 @@ class SlottedPage:
         return self.free_space + self.frag_bytes >= needed
 
     def room_for_value(self, index: int, value: bytes) -> bool:
-        """Can :meth:`update_value` store ``value`` in slot ``index``,
+        """Can :func:`update_value` store ``value`` in slot ``index``,
         possibly after compaction?  Callers that log the update first
         must ask this *before* logging."""
         data = self.page.data
@@ -246,34 +290,6 @@ class SlottedPage:
         needed = 2 + _U16.unpack_from(data, offset)[0] + len(value)
         return (self.free_space + self.frag_bytes
                 + (length_flags & LENGTH_MASK) >= needed)
-
-    def probe_value(self, index: int) -> tuple[bool, bytes, int]:
-        """``(ghost, value, room)`` of slot ``index`` from one read of
-        its slot word — what a value rewrite decides on: whether the
-        record is a ghost, the value it replaces, and the longest value
-        :meth:`update_value` can store there, possibly after compaction
-        (:meth:`room_for_value` is ``len(value) <= room``)."""
-        data = self.page.data
-        size = self.page.size
-        offset, length_flags = _SLOT.unpack_from(
-            data, size - (index + 1) * SLOT_SIZE)
-        end = offset + (length_flags & LENGTH_MASK)
-        key_end = offset + 2 + _U16.unpack_from(data, offset)[0]
-        count, heap_end, frag_bytes, _reserved = _SLOTTED_HEADER.unpack_from(
-            data, HEADER_SIZE)
-        return (bool(length_flags & _GHOST_BIT), bytes(data[key_end:end]),
-                size - count * SLOT_SIZE - heap_end + frag_bytes
-                + end - key_end)
-
-    def read_value(self, index: int) -> tuple[bool, bytes]:
-        """``(ghost, value)`` of slot ``index`` from one read of its
-        slot word — what a point read needs of the record it found."""
-        data = self.page.data
-        offset, length_flags = _SLOT.unpack_from(
-            data, self.page.size - (index + 1) * SLOT_SIZE)
-        return (bool(length_flags & _GHOST_BIT),
-                bytes(data[offset + 2 + _U16.unpack_from(data, offset)[0]:
-                           offset + (length_flags & LENGTH_MASK)]))
 
     # ------------------------------------------------------------------
     # Record access
@@ -405,71 +421,6 @@ class SlottedPage:
         data[value_start:value_start + len(record.value)] = record.value
         self._set_heap_end(offset + record.stored_length)
         return offset
-
-    def update_value(self, index: int, value: bytes, prefix: int = 0,
-                     suffix: int = 0, replaced: bytes | int = b"") -> None:
-        """Replace the value of the record in slot ``index``.
-
-        A *spliced* rewrite (``prefix`` or ``suffix`` nonzero, see
-        :class:`repro.wal.ops.OpUpdateValue`) replaces only the middle
-        between the value's first ``prefix`` and last ``suffix`` bytes,
-        which must be ``replaced`` — or, for a redo-only rewrite, which
-        logs no before-image, ``replaced`` bytes long: a value that does
-        not hold it is refused before a byte is written, as
-        :class:`RecoveryError`.
-        """
-        page = self.page
-        data = page.data
-        if not 0 <= index < _U16.unpack_from(data, HEADER_SIZE)[0]:
-            raise IndexError(f"slot {index} out of range")
-        offset, length_flags = _SLOT.unpack_from(
-            data, page.size - (index + 1) * SLOT_SIZE)
-        length = length_flags & LENGTH_MASK
-        key_end = offset + 2 + _U16.unpack_from(data, offset)[0]
-        if prefix or suffix:
-            start = key_end + prefix
-            end = offset + length - suffix
-            checked = replaced.__class__ is not int
-            middle = len(replaced) if checked else replaced
-            if end - start != middle or checked and data[start:end] != replaced:
-                raise RecoveryError(
-                    f"spliced rewrite of slot {index} on page "
-                    f"{page.page_id}: its {offset + length - key_end}-byte "
-                    f"value does not hold the {middle}-byte middle it "
-                    f"replaces at byte {prefix}")
-            value = (bytes(data[key_end:start]) + value
-                     + bytes(data[end:offset + length]))
-        needed = key_end - offset + len(value)
-        if needed > length and not self.room_for_value(index, value):
-            raise PageFullError(f"cannot grow record to {needed} bytes")
-        page.invalidate_view(index, 0, (), value)
-        if needed == length:
-            # Same length — most rewrites: the bytes change, the slot
-            # word and the fragmentation count do not.
-            data[key_end:offset + length] = value
-            return
-        ghost = bool(length_flags & _GHOST_BIT)
-        if needed <= length:
-            # Overwrite in place; excess bytes become fragmentation.
-            data[key_end:key_end + len(value)] = value
-            self._write_slot(index, offset, needed, ghost)
-            self._set_frag_bytes(self.frag_bytes + (length - needed))
-            return
-        # Relocate within the heap.
-        new = Record(bytes(data[offset + 2:key_end]), value, ghost)
-        # Retire the old bytes so compaction can reclaim them.
-        self._set_frag_bytes(self.frag_bytes + length)
-        self._write_slot(index, 0, 0, ghost)
-        if self.free_space < needed:
-            self.compact()
-        new_offset = self._append_to_heap(new)
-        self._write_slot(index, new_offset, needed, ghost)
-
-    def mark_ghost(self, index: int, ghost: bool = True) -> None:
-        """Toggle the ghost (pseudo-deleted) bit of slot ``index``."""
-        self.page.invalidate_view(index, 0)
-        offset, length, _old = self._read_slot(index)
-        self._write_slot(index, offset, length, ghost)
 
     def remove(self, index: int) -> None:
         """Physically remove slot ``index`` (ghost removal / compaction)."""
@@ -629,3 +580,78 @@ class SlottedPage:
 
     def __len__(self) -> int:
         return self.slot_count
+
+
+# ----------------------------------------------------------------------
+# The record mutators a point write's redo runs: functions of the page,
+# so redo and the forward path build no SlottedPage for them.
+# ----------------------------------------------------------------------
+def update_value(page: Page, index: int, value: bytes, prefix: int = 0,
+                 suffix: int = 0, replaced: bytes | int = b"") -> None:
+    """Replace the value of the record in slot ``index`` of ``page``.
+
+    A *spliced* rewrite (``prefix`` or ``suffix`` nonzero, see
+    :class:`repro.wal.ops.OpUpdateValue`) replaces only the middle
+    between the value's first ``prefix`` and last ``suffix`` bytes,
+    which must be ``replaced`` — or, for a redo-only rewrite, which
+    logs no before-image, ``replaced`` bytes long: a value that does
+    not hold it is refused before a byte is written, as
+    :class:`RecoveryError`.
+    """
+    data = page.data
+    if not 0 <= index < _U16.unpack_from(data, HEADER_SIZE)[0]:
+        raise IndexError(f"slot {index} out of range")
+    offset, length_flags = _SLOT.unpack_from(
+        data, page.size - (index + 1) * SLOT_SIZE)
+    length = length_flags & LENGTH_MASK
+    key_end = offset + 2 + _U16.unpack_from(data, offset)[0]
+    if prefix or suffix:
+        start = key_end + prefix
+        end = offset + length - suffix
+        checked = replaced.__class__ is not int
+        middle = len(replaced) if checked else replaced
+        if end - start != middle or checked and data[start:end] != replaced:
+            raise RecoveryError(
+                f"spliced rewrite of slot {index} on page "
+                f"{page.page_id}: its {offset + length - key_end}-byte "
+                f"value does not hold the {middle}-byte middle it "
+                f"replaces at byte {prefix}")
+        value = (bytes(data[key_end:start]) + value
+                 + bytes(data[end:offset + length]))
+    needed = key_end - offset + len(value)
+    if needed == length:
+        # Same length — most rewrites: the bytes change, the slot word
+        # and the fragmentation count do not.
+        page.invalidate_view(index, 0, (), value)
+        data[key_end:offset + length] = value
+        return
+    slotted = SlottedPage(page)
+    if needed > length and not slotted.room_for_value(index, value):
+        raise PageFullError(f"cannot grow record to {needed} bytes")
+    page.invalidate_view(index, 0, (), value)
+    ghost = bool(length_flags & _GHOST_BIT)
+    if needed < length:
+        # Overwrite in place; excess bytes become fragmentation.
+        data[key_end:key_end + len(value)] = value
+        slotted._write_slot(index, offset, needed, ghost)
+        slotted._set_frag_bytes(slotted.frag_bytes + (length - needed))
+        return
+    # Relocate within the heap.
+    new = Record(bytes(data[offset + 2:key_end]), value, ghost)
+    # Retire the old bytes so compaction can reclaim them.
+    slotted._set_frag_bytes(slotted.frag_bytes + length)
+    slotted._write_slot(index, 0, 0, ghost)
+    if slotted.free_space < needed:
+        slotted.compact()
+    new_offset = slotted._append_to_heap(new)
+    slotted._write_slot(index, new_offset, needed, ghost)
+
+
+def mark_ghost(page: Page, index: int, ghost: bool = True) -> None:
+    """Set or clear the ghost (pseudo-deleted) bit of slot ``index``."""
+    page.invalidate_view(index, 0)
+    data = page.data
+    pos = page.size - (index + 1) * SLOT_SIZE
+    offset, length_flags = _SLOT.unpack_from(data, pos)
+    _SLOT.pack_into(data, pos, offset, (length_flags & LENGTH_MASK)
+                    | (_GHOST_BIT if ghost else 0))

@@ -94,15 +94,16 @@ class LocalShard:
         #: the shard log's durable LSN as of the last command — what a
         #: process shard's last reply carried, so the deterministic
         #: transport retries on exactly the information the real one has
-        self.durable_lsn = self.worker.durable_lsn
+        self.durable_lsn = self.worker.db.log.durable_lsn
 
     def call(self, command: tuple):  # noqa: ANN201
         if self.partitioned:
             raise ShardUnavailableError(self.shard_id, "network partition")
+        worker = self.worker
         try:
-            return self.worker.execute(command)
+            return worker.execute(command)
         finally:
-            self.durable_lsn = self.worker.durable_lsn
+            self.durable_lsn = worker.db.log.durable_lsn
 
     def close(self) -> None:
         if not self.partitioned:

@@ -98,7 +98,7 @@ class ShardWorker:
     def _check_owner(self, key: bytes) -> None:
         if self._owned is None:
             return
-        slot = self._slot_of(key)
+        slot = slot_of(key, self._n_slots)
         if slot not in self._owned:
             raise WrongShardError(
                 f"shard {self.shard_id} does not own slot {slot} "
@@ -110,32 +110,55 @@ class ShardWorker:
     def _cmd_ping(self) -> str:
         return "pong"
 
+    # The point verbs test the failed states in place and hit the tree
+    # registry themselves, as the embedded client does.  Crashed-state
+    # check first: a crashed shard must escalate to a system failure (the
+    # router's reopen signal), not refuse on ownership grounds.
     def _cmd_get(self, key: bytes) -> bytes | None:
-        # Crashed-state check first: a crashed shard must escalate to
-        # a system failure (the router's reopen signal), not refuse on
-        # ownership grounds.
-        self.db._require_running()
+        db = self.db
+        if db._crashed or db._media_failed:
+            db._require_running()
         self._check_owner(key)
+        tree = db.catalog.trees.get(self.index_id) or self._tree
         try:
-            return self._tree.lookup(key)
+            return tree.lookup(key)
         except KeyNotFound:
             return None
 
     def _cmd_put(self, key: bytes, value: bytes) -> None:
         db = self.db
-        db._require_running()
+        if db._crashed or db._media_failed:
+            db._require_running()
         self._check_owner(key)
-        with db.autocommit(redo_only=True) as txn:
+        txn = db.begin()
+        txn.redo_only = True
+        try:
             db.locks.acquire(txn.txn_id, key)
-            self._tree.upsert(txn, key, value)
+            # FosterBTree.upsert, without its hop to insert()
+            (db.catalog.trees.get(self.index_id) or self._tree).insert(
+                txn, key, value, replace=True)
+        except BaseException:
+            db.end_autocommit(txn, failed=True)
+            raise
+        db.end_autocommit(txn)
 
     def _cmd_delete(self, key: bytes) -> bool:
         db = self.db
-        db._require_running()
+        if db._crashed or db._media_failed:
+            db._require_running()
         self._check_owner(key)
-        with db.autocommit(redo_only=True) as txn:
+        txn = db.begin()
+        txn.redo_only = True
+        try:
             db.locks.acquire(txn.txn_id, key)
-            return self._tree.remove(txn, key)
+            # FosterBTree.remove, without its hop to delete()
+            removed = (db.catalog.trees.get(self.index_id) or self._tree).delete(
+                txn, key, missing_ok=True)
+        except BaseException:
+            db.end_autocommit(txn, failed=True)
+            raise
+        db.end_autocommit(txn)
+        return removed
 
     def _cmd_batch(self, ops: list[tuple]) -> int:
         """Apply ``[("put", k, v) | ("delete", k), ...]`` in one local
@@ -144,8 +167,13 @@ class ShardWorker:
         db._require_running()
         for op in ops:
             self._check_owner(op[1])
-        with db.autocommit() as txn:
+        txn = db.begin()
+        try:
             self._tree.apply_batch(txn, ops, _check_batch_op)
+        except BaseException:
+            db.end_autocommit(txn, failed=True)
+            raise
+        db.end_autocommit(txn)
         return len(ops)
 
     def _cmd_scan(self, low: bytes = b"",
@@ -280,10 +308,16 @@ class ShardWorker:
                    if self._slot_of(key) == slot]
         if not victims:
             return 0
-        with self.db.autocommit() as txn:
+        db = self.db
+        txn = db.begin()
+        try:
             for key in victims:
-                self.db.locks.acquire(txn.txn_id, key)
+                db.locks.acquire(txn.txn_id, key)
                 self._tree.delete(txn, key)
+        except BaseException:
+            db.end_autocommit(txn, failed=True)
+            raise
+        db.end_autocommit(txn)
         return len(victims)
 
     def _cmd_export_slot(self, slot: int) -> tuple[int, list]:
@@ -389,8 +423,10 @@ class ShardWorker:
         the slot are deleted first, making re-imports idempotent) or
         apply a catch-up delta (``clear=False``) in one local
         transaction.  ``items`` is ``[(key, value | None), ...]``."""
-        self.db._require_running()
-        with self.db.autocommit() as txn:
+        db = self.db
+        db._require_running()
+        txn = db.begin()
+        try:
             tree = self._tree
             if clear and self._n_slots:
                 incoming = {key for key, _ in items}
@@ -398,28 +434,23 @@ class ShardWorker:
                          if self._slot_of(key) == slot
                          and key not in incoming]
                 for key in stale:
-                    self.db.locks.acquire(txn.txn_id, key)
+                    db.locks.acquire(txn.txn_id, key)
                     tree.delete(txn, key)
             for key, value in items:
-                self.db.locks.acquire(txn.txn_id, key)
+                db.locks.acquire(txn.txn_id, key)
                 if value is None:
                     tree.remove(txn, key)
                 else:
                     tree.upsert(txn, key, value)
+        except BaseException:
+            db.end_autocommit(txn, failed=True)
+            raise
+        db.end_autocommit(txn)
         return len(items)
 
     # ------------------------------------------------------------------
     # Recovery probes (the router's outcome-aware retry path)
     # ------------------------------------------------------------------
-    @property
-    def durable_lsn(self) -> int:
-        """The shard log's durable high-water mark, sent back with every
-        reply.  The router keeps the last one it saw; if a state-
-        changing command's reply is then lost to a crash, it asks what
-        committed past the mark instead of blindly re-executing.
-        Readable on a crashed shard: the durable log outlives a crash."""
-        return self.db.log.durable_lsn
-
     def _cmd_outcome_since(self, lsn: int) -> tuple[int, int] | None:
         """Did a user transaction commit at or after ``lsn``?
 
@@ -488,8 +519,12 @@ class ShardWorker:
 def serve(worker: ShardWorker, sock) -> None:  # noqa: ANN001
     """Request loop for one connection: read a command tuple, reply
     ``("ok", result, durable_lsn)`` or ``("err", class_name, message,
-    durable_lsn)`` — the watermark read after the command, crashed
-    shard or not."""
+    durable_lsn)`` — the shard log's durable high-water mark, read after
+    the command, crashed shard or not (the durable log outlives a
+    crash).  The router keeps the last one it saw; if a state-changing
+    command's reply is then lost to a crash, it asks what committed past
+    the mark (``outcome_since``) instead of blindly re-executing."""
+    log = worker.db.log
     while True:
         try:
             command = recv_msg(sock)
@@ -500,9 +535,9 @@ def serve(worker: ShardWorker, sock) -> None:  # noqa: ANN001
         try:
             result = worker.execute(command)
         except Exception as exc:  # marshalled, never kills the loop
-            reply = ("err", *marshal_error(exc), worker.durable_lsn)
+            reply = ("err", *marshal_error(exc), log.durable_lsn)
         else:
-            reply = ("ok", result, worker.durable_lsn)
+            reply = ("ok", result, log.durable_lsn)
         try:
             send_msg(sock, reply)
         except (ConnectionError, OSError, BrokenPipeError):

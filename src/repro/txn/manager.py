@@ -40,7 +40,7 @@ otherwise.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Protocol
+from typing import TYPE_CHECKING, Iterator, Protocol
 
 from repro.errors import RecoveryError, TransactionError
 from repro.page.page import Page
@@ -53,6 +53,9 @@ from repro.wal.lsn import NULL_LSN
 from repro.wal.ops import OpBulkDelete, OpBulkInsert, OpInverse, PageOp
 from repro.wal.records import LogicalUndo, LogRecord, LogRecordKind, UndoAction
 
+if TYPE_CHECKING:
+    from repro.buffer.buffer_pool import BufferPool
+
 _ACTIVE = TxnState.ACTIVE
 _COMMITTED = TxnState.COMMITTED
 _UPDATE = LogRecordKind.UPDATE
@@ -61,13 +64,10 @@ _UPDATE = LogRecordKind.UPDATE
 class UndoContext(Protocol):
     """What rollback needs from the engine."""
 
-    def fix(self, page_id: int) -> Page:
-        """Bring a page into the buffer pool and return it (pinned)."""
-        ...
-
-    def unfix(self, page_id: int, dirty_lsn: int | None = None) -> None:
-        """Unpin a page an undo logged ``dirty_lsn`` on."""
-        ...
+    #: where a physical undo pins its page (``fix(page_id)``) and unpins
+    #: it, naming the first LSN it logged there (``unfix(page_id,
+    #: dirty_lsn)``)
+    pool: BufferPool
 
     def key_prefix(self, page: Page) -> bytes:
         """The prefix a pinned index page strips from the keys it
@@ -302,9 +302,11 @@ class TransactionManager:
     # ------------------------------------------------------------------
     # Forward logging
     # ------------------------------------------------------------------
-    def log_update(self, txn: Transaction, page: Page, index_id: int,
-                   op: PageOp, undo: LogicalUndo | None = None) -> int:
-        """Log and apply one page operation on behalf of ``txn``.
+    def log_update(self, txn: Transaction, page_id: int, page: Page,
+                   index_id: int, op: PageOp,
+                   undo: LogicalUndo | None = None) -> int:
+        """Log and apply one page operation on behalf of ``txn`` to the
+        pinned ``page``, whose id the caller holds as ``page_id``.
 
         Ordering matters: the record captures the page's current
         PageLSN as ``page_prev_lsn`` (extending the per-page chain),
@@ -324,7 +326,7 @@ class TransactionManager:
             self._require_active(txn)
         # Positional (every user write passes here): kind, txn_id,
         # prev_lsn, page_id, page_prev_lsn, index_id, lsn, op, undo.
-        record = LogRecord(_UPDATE, txn.txn_id, txn.last_lsn, page.page_id,
+        record = LogRecord(_UPDATE, txn.txn_id, txn.last_lsn, page_id,
                            page.page_lsn, index_id, NULL_LSN, op, undo)
         if undo is None and txn.redo_only:
             if txn.last_lsn:
@@ -446,17 +448,17 @@ class TransactionManager:
                                        record.prev_lsn)
             elif record.op is not None:
                 # Physical in-page undo.
-                page = ctx.fix(record.page_id)
+                page = ctx.pool.fix(record.page_id)
                 try:
                     inverse = (self._split_compensation(ctx, page, record)
                                if type(record.op) is OpBulkDelete
                                else OpInverse(record.op))
                 except BaseException:
-                    ctx.unfix(record.page_id)
+                    ctx.pool.unfix(record.page_id)
                     raise
                 clr_lsn = self.log_compensation(
                     txn, page, record.index_id, inverse, record.prev_lsn)
-                ctx.unfix(record.page_id, clr_lsn)
+                ctx.pool.unfix(record.page_id, clr_lsn)
             lsn = record.prev_lsn
 
     def _split_compensation(self, ctx: UndoContext, page: Page,
@@ -477,11 +479,11 @@ class TransactionManager:
                                 f"follow its split's moved rows")
         rows = moved.op.records
         prefix = ctx.key_prefix(page)
-        foster = ctx.fix(moved.page_id)
+        foster = ctx.pool.fix(moved.page_id)
         try:
             foster_prefix = ctx.key_prefix(foster)
         finally:
-            ctx.unfix(moved.page_id)
+            ctx.pool.unfix(moved.page_id)
         if not foster_prefix.startswith(prefix):
             raise RecoveryError(
                 f"foster prefix {foster_prefix!r} of page {moved.page_id} "

@@ -44,8 +44,8 @@ class Transaction:
         self.state = TxnState.ACTIVE
         self.last_lsn = NULL_LSN
         self.first_lsn = NULL_LSN
-        #: set by ``Database.autocommit(redo_only=True)`` around one
-        #: write: a write that logs a single record logs it redo-only
+        #: set by an autocommit caller around one write (see
+        #: ``Database.end_autocommit``): a write that logs a single record logs it redo-only
         #: (no undo, the commit bit at append) and leaves the
         #: transaction COMMITTED, its force and lock release still due
         #: (``TransactionManager.commit``)

@@ -59,6 +59,10 @@ class LogManager:
                  group_commit: bool = True) -> None:
         self.clock = clock
         self.profile = profile
+        #: a force is one sequential write: ``profile.write_cost(pending,
+        #: sequential=True)``, its two terms taken once here
+        self._force_latency = profile.write_latency * profile.sequential_factor
+        self._bandwidth = profile.bandwidth
         self.stats = stats
         counter = stats.counter
         self._log_records = counter("log_records")
@@ -227,8 +231,7 @@ class LogManager:
             if target <= self._durable_lsn:
                 return
             pending = target - self._durable_lsn
-            self.clock.advance(self.profile.write_cost(pending,
-                                                       sequential=True))
+            self.clock.advance(self._force_latency + pending / self._bandwidth)
             self._log_forces.inc()
             self._log_forced_bytes.inc(pending)
             self._durable_lsn = target

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import LogError, RecoveryError
 from repro.page.page import Page, PageType
-from repro.page.slotted import LENGTH_MASK, Record, SlottedPage
+from repro.page.slotted import (LENGTH_MASK, Record, SlottedPage, mark_ghost,
+                                update_value)
 
 
 _U16 = struct.Struct("<H")
@@ -221,7 +222,7 @@ class OpUpdateValue(PageOp):
     rewrite logs the bytes it changes, as PostgreSQL's heap UPDATE
     records do with ``PREFIX_FROM_OLD`` / ``SUFFIX_FROM_OLD``.  Redo
     and undo then splice one middle in place of the other in the
-    record's current value (:meth:`SlottedPage.update_value`), which
+    record's current value (:func:`repro.page.slotted.update_value`), which
     refuses — before a byte is written, as a redo chain mismatch is
     refused — a value whose span does not hold the middle it replaces.
     Build rewrites with :func:`value_rewrite`.
@@ -251,15 +252,14 @@ class OpUpdateValue(PageOp):
 
     def apply_redo(self, page: Page) -> None:
         old = self.old_value
-        SlottedPage(page).update_value(self.slot, self.new_value, self.prefix,
-                                       self.suffix,
-                                       self.old_length if old is None else old)
+        update_value(page, self.slot, self.new_value, self.prefix, self.suffix,
+                     self.old_length if old is None else old)
 
     def apply_undo(self, page: Page) -> None:
         if self.old_value is None:
             raise LogError("a redo-only value rewrite cannot be undone")
-        SlottedPage(page).update_value(self.slot, self.old_value, self.prefix,
-                                       self.suffix, self.new_value)
+        update_value(page, self.slot, self.old_value, self.prefix, self.suffix,
+                     self.new_value)
 
     def encoded_size(self) -> int:
         old = self.old_value
@@ -377,10 +377,10 @@ class OpSetGhost(PageOp):
     kind = 4
 
     def apply_redo(self, page: Page) -> None:
-        SlottedPage(page).mark_ghost(self.slot, self.new_ghost)
+        mark_ghost(page, self.slot, self.new_ghost)
 
     def apply_undo(self, page: Page) -> None:
-        SlottedPage(page).mark_ghost(self.slot, self.old_ghost)
+        mark_ghost(page, self.slot, self.old_ghost)
 
     def encoded_size(self) -> int:
         return 5

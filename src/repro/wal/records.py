@@ -64,9 +64,10 @@ stores them one time.  Decoding hands both fields the same ``bytes``
 object.
 
 **A transaction of one record logs no undo.**  An autocommit write
-(``Database.autocommit(redo_only=True)``: a client's put or delete, the
-shard worker's, the engine's single-operation helpers) that logs one
-record can never be rolled back: the record carries its commit bit from
+(``txn.redo_only`` set, ended by ``Database.end_autocommit``: a
+client's put or delete, the shard worker's, the engine's
+single-operation helpers) that logs one record can never be rolled
+back: the record carries its commit bit from
 the append on (:meth:`repro.wal.log_manager.LogManager.append`), so it
 is *redo-only* (``redo_only``): flags ``_HAS_OP | _REDO_ONLY`` exactly,
 no undo, the commit bit set.  Its value rewrite keeps no before-image —

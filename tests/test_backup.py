@@ -236,9 +236,9 @@ class TestCopyWriteFailureInvariant:
             tree.insert(txn, key_of(i), value_of(i, 0))
         db.commit(txn)
         db.flush_everything()  # policy takes initial page copies
-        page, _node = tree._descend(key_of(0), for_write=False)
+        page, _node, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         old_ref = db.pri.lookup(victim).backup_ref
         copies_before = db.backup_store.live_page_copies
 
@@ -316,9 +316,9 @@ class TestMaxAgeBackupPolicy:
         db.flush_everything()
         assert db.stats.get("policy_page_copies") >= 1
         # The fresh copy becomes the page's backup source.
-        page, _node = tree._descend(key_of(0), for_write=False)
+        page, _node, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         from repro.wal.records import BackupRefKind
 
         assert (db.pri.lookup(victim).backup_ref.kind

@@ -78,9 +78,9 @@ class TestLogShippingMirror:
         """The baseline applies the *entire* log stream, not just the
         failed page's chain (Section 2)."""
         db, tree, mirror = self.rig()
-        page, _n = tree._descend(key_of(0), for_write=False)
+        page, _n, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         # Traffic after the mirror snapshot.
         txn = db.begin()
         for i in range(200):
@@ -122,9 +122,9 @@ class TestLogShippingMirror:
                   for pid in range(db.allocated_pages())
                   if db.device.raw_image(pid) is not None}
         mirror.seed_from_images(images, db.log.end_lsn)
-        page, _n = tree._descend(key_of(0), for_write=False)
+        page, _n, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         txn = db.begin()
         for i in range(1500):
             tree.update(txn, key_of(i), value_of(i, 1))

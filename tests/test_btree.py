@@ -122,11 +122,11 @@ class TestBasicOperations:
         tree.insert(txn, b"k", b"v")
         tree.delete(txn, b"k")
         db.commit(txn)
-        root = db.get_root(tree.index_id)
-        page = db.fix(root)
+        root = db.catalog.get_root(tree.index_id)
+        page = db.pool.fix(root)
         node = BTreeNode(page)
         ghosts = [i for i in range(node.nrecs) if node.is_ghost(i)]
-        db.unfix(root)
+        db.pool.unfix(root)
         assert len(ghosts) == 1
 
     def test_insert_revives_ghost(self, db, tree):
@@ -210,20 +210,20 @@ class TestSplitsAndStructure:
     def test_fence_keys_match_parent_separators(self, db, tree):
         """Figure 2/3: child fences equal adjacent parent key values."""
         self.fill(db, tree, 700)
-        root_pid = db.get_root(tree.index_id)
-        page = db.fix(root_pid)
+        root_pid = db.catalog.get_root(tree.index_id)
+        page = db.pool.fix(root_pid)
         node = BTreeNode(page)
         assert not node.is_leaf
         for i in range(node.nrecs):
             low, high, inf = node.child_boundaries(i)
-            child = db.fix(node.child_pid(i))
+            child = db.pool.fix(node.child_pid(i))
             child_node = BTreeNode(child)
             assert child_node.low_fence == low
             assert child_node.high_inf == inf
             if not inf:
                 assert child_node.high_fence == high
-            db.unfix(child.page_id)
-        db.unfix(root_pid)
+            db.pool.unfix(child.page_id)
+        db.pool.unfix(root_pid)
 
     def test_prefix_truncation_active(self, db, tree):
         """With a long shared prefix, stored keys are truncated."""
@@ -234,22 +234,22 @@ class TestSplitsAndStructure:
         db.commit(txn)
         # Find a leaf deep in the shared range and check its prefix.
         found_truncation = False
-        root_pid = db.get_root(tree.index_id)
-        page = db.fix(root_pid)
+        root_pid = db.catalog.get_root(tree.index_id)
+        page = db.pool.fix(root_pid)
         node = BTreeNode(page)
         stack = []
         if node.is_leaf:
             stack.append(node)
         else:
             for i in range(node.nrecs):
-                child_page = db.fix(node.child_pid(i))
+                child_page = db.pool.fix(node.child_pid(i))
                 stack.append(BTreeNode(child_page))
         for child in stack:
             if child.prefix:
                 found_truncation = True
             if child is not node:
-                db.unfix(child.page.page_id)
-        db.unfix(root_pid)
+                db.pool.unfix(child.page.page_id)
+        db.pool.unfix(root_pid)
         assert found_truncation
 
     def test_range_scan_bounds(self, db, tree):
@@ -274,7 +274,7 @@ class TestSplitsAndStructure:
         for i in range(10):
             tree.delete(txn, b"key%06d" % i)
         db.commit(txn)
-        root = db.get_root(tree.index_id)
+        root = db.catalog.get_root(tree.index_id)
         removed = tree.remove_ghosts(root)
         assert removed == 10
         assert tree.count() == 20

@@ -42,7 +42,7 @@ from repro.engine.database import Database
 from repro.core.single_page import replay_records
 from repro.errors import BTreeError, DuplicateKey, KeyNotFound, RecoveryError
 from repro.page.page import Page, PageType
-from repro.page.slotted import PageFullError, Record, SlottedPage
+from repro.page.slotted import PageFullError, Record, SlottedPage, update_value
 from repro.wal.ops import value_rewrite
 from repro.wal.records import LogRecord, LogRecordKind, UndoAction
 from tests.conftest import device_images, fast_config
@@ -110,9 +110,9 @@ class TestGrowingValues:
         # these inserts only ghosts them, so the space stays taken when
         # "m" has to grow back.
         def old_value_fits() -> bool:
-            page, node = tree._descend(b"m", for_write=False)
+            page, node, _pid = tree._descend(b"m", for_write=False)
             fits = node.room_for_value(node.find(b"m")[0], b"B" * 100)
-            db.unfix(page.page_id)
+            db.pool.unfix(page.page_id)
             return fits
 
         filler = 0
@@ -236,9 +236,9 @@ def assert_directories_coherent(db: Database, tree, keys) -> None:  # noqa: ANN0
     or mis-spliced by a mutator's report fails here.  Searching each
     leaf twice leaves its directory warm for the mutations that follow."""
     for key in keys:
-        pid = db.get_root(tree.index_id)
+        pid = db.catalog.get_root(tree.index_id)
         while True:
-            page = db.fix(pid)
+            page = db.pool.fix(pid)
             try:
                 node = BTreeNode(page)
                 if node.has_foster and key >= node.foster_key:
@@ -254,7 +254,7 @@ def assert_directories_coherent(db: Database, tree, keys) -> None:  # noqa: ANN0
                                                *node.child_boundaries(i))
                     assert node.find(key) == raw_find(node, key)
             finally:
-                db.unfix(pid)
+                db.pool.unfix(pid)
             pid = next_pid
     report = verify_tree(tree)
     assert report.ok, report.problems
@@ -262,16 +262,16 @@ def assert_directories_coherent(db: Database, tree, keys) -> None:  # noqa: ANN0
 
 def _branches(db: Database, tree) -> dict[int, bytes]:  # noqa: ANN001
     """pid -> truncation prefix of every branch page."""
-    out, todo = {}, [db.get_root(tree.index_id)]
+    out, todo = {}, [db.catalog.get_root(tree.index_id)]
     while todo:
         pid = todo.pop()
-        node = BTreeNode(db.fix(pid))
+        node = BTreeNode(db.pool.fix(pid))
         if not node.is_leaf:
             out[pid] = node.prefix
             todo.extend(node.child_pid(i) for i in range(node.nrecs))
         if node.has_foster:
             todo.append(node.foster_pid)
-        db.unfix(pid)
+        db.pool.unfix(pid)
     return out
 
 
@@ -323,16 +323,16 @@ def test_directory_coherent_across_every_mutation(seed: int) -> None:
         del present[key_of(i)]
     db.commit(txn)
     for key in probes[::5]:
-        page, _node = tree._descend(key, for_write=False)
-        db.unfix(page.page_id)
+        page, _node, _pid = tree._descend(key, for_write=False)
+        db.pool.unfix(page.page_id)
         tree.remove_ghosts(page.page_id)
     assert stats.get("btree_ghosts_removed") > 0
     check()
 
     # Migration of branch pages and of a (warm) leaf: the parent's
     # child pid changes.
-    page, _node = tree._descend(probes[3], for_write=False)
-    db.unfix(page.page_id)
+    page, _node, _pid = tree._descend(probes[3], for_write=False)
+    db.pool.unfix(page.page_id)
     for pid in [*list(_branches(db, tree))[:4], page.page_id]:
         tree.migrate_node(pid)
         check()
@@ -354,9 +354,9 @@ def test_directory_coherent_across_every_mutation(seed: int) -> None:
     # a leaf whose directory was warm.
     db.take_full_backup()
     victim = next(pid for pid in _branches(db, tree)
-                  if pid != db.get_root(tree.index_id))
-    page, _node = tree._descend(probes[7], for_write=False)
-    db.unfix(page.page_id)
+                  if pid != db.catalog.get_root(tree.index_id))
+    page, _node, _pid = tree._descend(probes[7], for_write=False)
+    db.pool.unfix(page.page_id)
     db.flush_everything()
     db.evict_everything()
     db.device.inject_bit_rot(victim)
@@ -407,7 +407,7 @@ def test_a_refused_mutation_leaves_the_directory_alone(level: int):
     for refused in (lambda: slotted.insert(DATA_START + 6, huge),
                     lambda: slotted.insert_run(
                         DATA_START + 6, [huge, Record(b"2700", b"")]),
-                    lambda: slotted.update_value(DATA_START + 5, huge.value)):
+                    lambda: update_value(slotted.page, DATA_START + 5, huge.value)):
         with pytest.raises(PageFullError):
             refused()
         assert page.view is view and view.keys is keys and view.pids is pids
@@ -585,12 +585,12 @@ def test_warm_directory_still_detects_a_forged_child_fence(fault: str):
     hops = hops_for_one_lookup()   # warms every branch directory on the path
     assert hops >= depth - 1
     assert hops_for_one_lookup() == hops  # and, searched twice, the leaf's
-    root = BTreeNode(db.fix(db.get_root(tree.index_id)))
+    root = BTreeNode(db.pool.fix(db.catalog.get_root(tree.index_id)))
     assert root.page.view.keys is not None
-    db.unfix(root.page.page_id)
-    leaf, _node = tree._descend(target, for_write=False)
+    db.pool.unfix(root.page.page_id)
+    leaf, _node, _pid = tree._descend(target, for_write=False)
     assert leaf.view.keys is not None
-    db.unfix(leaf.page_id)
+    db.pool.unfix(leaf.page_id)
 
     if fault == "forged_fence":
         # Forge the child's low fence on the device with a valid
@@ -613,8 +613,9 @@ def test_warm_directory_still_detects_a_forged_child_fence(fault: str):
         victim = leaf.page_id
         db.device.inject_lost_write(victim)
         expected = b"fresh".ljust(60, b".")
-        with db.autocommit() as txn:
-            tree.update(txn, target, expected)
+        txn = db.begin()
+        tree.update(txn, target, expected)
+        db.commit(txn)
         assert leaf.view.keys is not None  # the rewrite kept it warm
         db.flush_everything()
         db.pool.evict(victim)
@@ -622,10 +623,10 @@ def test_warm_directory_still_detects_a_forged_child_fence(fault: str):
     failures = db.stats.get("btree_invariant_failures")
     repairs = db.stats.get("single_page_recoveries")
     assert tree.lookup(target) == expected
-    refetched = db.fix(leaf.page_id)
+    refetched = db.pool.fix(leaf.page_id)
     assert (refetched is leaf) == (fault == "forged_fence")
     assert refetched is leaf or refetched.view.keys is None
-    db.unfix(leaf.page_id)
+    db.pool.unfix(leaf.page_id)
     assert hops_for_one_lookup() == hops
     assert (db.stats.get("btree_invariant_failures")
             == failures + (fault == "forged_fence"))
@@ -645,13 +646,13 @@ def test_verify_tree_reports_a_stale_directory(kind: str):
     tree.lookup(key_of(0))  # the second search warms the leaf too
     assert verify_tree(tree).ok
     if kind == "branch":
-        page = db.fix(db.get_root(tree.index_id))
+        page = db.pool.fix(db.catalog.get_root(tree.index_id))
         page.view.pids.reverse()
     else:
-        page, _node = tree._descend(key_of(0), for_write=False)
+        page, _node, _pid = tree._descend(key_of(0), for_write=False)
         keys = page.view.keys
         keys[0], keys[1] = keys[1], keys[0]
-    db.unfix(page.page_id)
+    db.pool.unfix(page.page_id)
     report = verify_tree(tree)
     assert [problem for problem in report.problems if "directory" in problem] \
         == [f"page {page.page_id}: cached key directory is stale"]
@@ -710,7 +711,7 @@ def fragmented_pages(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         slot = draw(st.integers(min_value=0, max_value=slotted.slot_count - 1))
         old = slotted.read_record(slot).value
-        slotted.update_value(slot, old[:len(old) // 2])
+        update_value(slotted.page, slot, old[:len(old) // 2])
     slot = draw(st.integers(min_value=0, max_value=slotted.slot_count - 1))
     old_len = len(slotted.read_record(slot).value)
     new_len = draw(st.one_of(st.just(old_len),
@@ -732,11 +733,11 @@ def test_update_value_matches_the_reference_byte_for_byte(case):
     assert (new_len <= room) == fits
     if not fits:
         with pytest.raises(PageFullError):
-            SlottedPage(ours).update_value(slot, value)
+            update_value(ours, slot, value)
         with pytest.raises(PageFullError):
             reference_update_value(SlottedPage(reference), slot, value)
         return
-    SlottedPage(ours).update_value(slot, value)
+    update_value(ours, slot, value)
     reference_update_value(SlottedPage(reference), slot, value)
     assert bytes(ours.data) == bytes(reference.data)
     assert SlottedPage(ours).read_record(slot).value == value
@@ -750,14 +751,14 @@ def test_same_length_rewrite_touches_only_the_value_bytes():
     slotted.insert(0, Record(b"a", b"1111"))
     slotted.insert(1, Record(b"b", b"2222", ghost=True))
     before = bytes(page.data)
-    slotted.update_value(1, b"3333")
+    update_value(slotted.page, 1, b"3333")
     changed = [i for i, (x, y) in enumerate(zip(before, page.data)) if x != y]
     assert len(changed) == 4 and changed == list(range(changed[0],
                                                        changed[0] + 4))
     assert slotted.read_record(1) == Record(b"b", b"3333", ghost=True)
     assert slotted.frag_bytes == 0
     with pytest.raises(IndexError):
-        slotted.update_value(2, b"3333")
+        update_value(slotted.page, 2, b"3333")
 
 
 def test_a_rewrite_logs_its_before_image_once_and_reads_the_slot_once():
@@ -765,8 +766,9 @@ def test_a_rewrite_logs_its_before_image_once_and_reads_the_slot_once():
     tree = db.create_index()
     db.insert(tree, b"key", b"v" * 100)
     before = db.log.end_lsn
-    with db.autocommit() as txn:
-        tree.update(txn, b"key", b"w" * 100)
+    txn = db.begin()
+    tree.update(txn, b"key", b"w" * 100)
+    db.commit(txn)
     (record,) = db.log.records_from(before)
     assert record.undo.value is record.op.old_value == b"v" * 100
     assert record.undo.action is UndoAction.RESTORE_VALUE
@@ -798,13 +800,13 @@ def test_rollback_restores_a_shared_before_image_after_encode_decode():
     assert db.tm.chain_summary(logged.lsn)[0] == {b"key"}
     # Physical undo of the same decoded op (the CLR path for records
     # without logical undo) sees the same before-image.
-    page = db.fix(decoded.page_id)
+    page = db.pool.fix(decoded.page_id)
     try:
         decoded.op.apply_redo(page)
         decoded.op.apply_undo(page)
         assert tree.lookup(b"key") == b"old-value"
     finally:
-        db.unfix(decoded.page_id)
+        db.pool.unfix(decoded.page_id)
 
 
 # ----------------------------------------------------------------------
@@ -869,9 +871,9 @@ def _rewrite_scenario(scenario: str, shape: str) -> tuple[bytes, bytes, int]:
     else:
         db.commit(txn)
     if scenario == "repair_from_older_backup":
-        page, _node = tree._descend(SPLICE_KEY, for_write=False)
+        page, _node, _pid = tree._descend(SPLICE_KEY, for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.flush_everything()
         db.evict_everything()
         db.device.inject_bit_rot(victim)
@@ -880,9 +882,9 @@ def _rewrite_scenario(scenario: str, shape: str) -> tuple[bytes, bytes, int]:
         assert db.stats.get("single_page_recoveries") == repairs + 1
         assert db.single_page.history[-1].records_applied >= 1
     value = tree.lookup(SPLICE_KEY)
-    page, _node = tree._descend(SPLICE_KEY, for_write=False)
+    page, _node, _pid = tree._descend(SPLICE_KEY, for_write=False)
     leaf = _masked_leaf(page.data)
-    db.unfix(page.page_id)
+    db.pool.unfix(page.page_id)
     if standby is not None:
         assert _masked_leaf(standby.pages[page.page_id].data) == leaf
     assert verify_tree(tree).ok
@@ -933,7 +935,7 @@ def test_a_spliced_redo_refuses_a_value_its_span_does_not_hold():
         replay_records(page, [record])
     assert bytes(page.data) == before
     # The span past the end of a shorter value is refused the same way.
-    slotted.update_value(0, b"2011")
+    update_value(slotted.page, 0, b"2011")
     before = bytes(page.data)
     with pytest.raises(RecoveryError):
         replay_records(page, [record])

@@ -69,8 +69,8 @@ def records_of(db: Database, txn_id: int) -> list:
 
 
 def leaf_of(db: Database, tree, i: int) -> int:
-    page, _node = tree._descend(key_of(i), for_write=False)
-    db.unfix(page.page_id)
+    page, _node, _pid = tree._descend(key_of(i), for_write=False)
+    db.pool.unfix(page.page_id)
     return page.page_id
 
 
@@ -608,7 +608,7 @@ def test_outcome_since_reads_the_bit_past_a_system_commit(router):
     *keys, absent = keys_on(router, 0, 401)
     splits = worker.db.stats.get("btree_splits")
     for key in keys:
-        mark = worker.durable_lsn
+        mark = worker.db.log.durable_lsn
         worker.execute(("put", key, b"v" * 120))
         if worker.db.stats.get("btree_splits") > splits:
             break
@@ -621,13 +621,13 @@ def test_outcome_since_reads_the_bit_past_a_system_commit(router):
     assert worker.db.log.record_at(lsn).commits_user_txn and n_updates == 1
     # A delete of an absent key commits with a record and no update;
     # a delete that found its key, with the bit on its one update.
-    mark = worker.durable_lsn
+    mark = worker.db.log.durable_lsn
     assert worker.execute(("delete", absent)) is False
     assert worker.execute(("outcome_since", mark))[1] == 0
-    mark = worker.durable_lsn
+    mark = worker.db.log.durable_lsn
     assert worker.execute(("delete", keys[0])) is True
     assert worker.execute(("outcome_since", mark))[1] == 1
-    assert worker.execute(("outcome_since", worker.durable_lsn)) is None
+    assert worker.execute(("outcome_since", worker.db.log.durable_lsn)) is None
 
 
 def test_slot_delta_counts_bit_carried_commits_only(router):

@@ -341,8 +341,8 @@ def test_readers_descend_through_freshly_invalidated_directories(
     assert db.stats.get("btree_adoptions") >= min_adoptions
     warm = set()
     for key in stable:
-        page, _node = tree._descend(key, for_write=False)
-        db.unfix(page.page_id)
+        page, _node, _pid = tree._descend(key, for_write=False)
+        db.pool.unfix(page.page_id)
         if page.view.keys is not None:
             warm.add(page.page_id)
     assert len(warm) >= min_warm

@@ -35,10 +35,10 @@ def coordinator(db) -> CoordinatedRecovery:
 def data_leaves(db, tree, keys):
     pages = []
     for i in keys:
-        page, _n = tree._descend(key_of(i), for_write=False)
+        page, _n, _pid = tree._descend(key_of(i), for_write=False)
         if page.page_id not in pages:
             pages.append(page.page_id)
-        db.unfix(page.page_id)
+        db.pool.unfix(page.page_id)
     db.evict_everything()
     return pages
 

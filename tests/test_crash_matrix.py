@@ -109,9 +109,9 @@ def point_between_force_and_pri(db: Database, tree) -> None:
     """Figure 12, bottom row: the group-commit force hardened the
     update, the data page was written back, but the PRI-update record
     is still in the log buffer."""
-    page, _node = tree._descend(key_of(0), for_write=False)
+    page, _node, _pid = tree._descend(key_of(0), for_write=False)
     victim = page.page_id
-    db.unfix(victim)
+    db.pool.unfix(victim)
     db.pool.flush_page(victim)  # device write + unforced PRI_UPDATE
     assert db.log.durable_lsn < db.log.end_lsn
 

@@ -98,20 +98,34 @@ class Repaired(Exception):
     """The stub engine was asked to repair a page."""
 
 
-class StubContext:
-    """Pages by id, no pool: ``fix`` hands the page out."""
+class StubPool:
+    """Pages by id, no frames: ``fix`` hands the page out."""
 
     def __init__(self, pages: dict[int, Page]) -> None:
         self.pages = pages
 
-    def get_root(self, index_id: int) -> int:
-        return 1
-
     def fix(self, page_id: int, release: int | None = None) -> Page:
         return self.pages[page_id]
 
-    def unfix(self, page_id: int) -> None:
+    def unfix(self, page_id: int, dirty_lsn: int | None = None) -> None:
         pass
+
+
+class StubCatalog:
+    """Every index's root is page 1."""
+
+    roots: dict[int, int] = {}
+
+    def get_root(self, index_id: int) -> int:
+        return 1
+
+
+class StubContext:
+    """A stub pool and catalogue, and a repair that only reports."""
+
+    def __init__(self, pages: dict[int, Page]) -> None:
+        self.pool = StubPool(pages)
+        self.catalog = StubCatalog()
 
     def handle_invariant_failure(self, failure):
         raise Repaired(failure.page_id)
@@ -153,7 +167,7 @@ def test_inline_compare_is_the_boolean_of_fence_mismatch(
             with pytest.raises(BTreeError):  # the child routes nothing
                 tree._descend(key, for_write=False)
         else:
-            page, _node = tree._descend(key, for_write=False)
+            page, _node, _pid = tree._descend(key, for_write=False)
             assert page is child
         assert not slow
         assert tree.stats.get("btree_hops_verified") == 1
@@ -192,8 +206,8 @@ class PinsBalance(RuleBasedStateMachine):
         return bytes([65 + n % 26]) * size
 
     def leaf_of(self, n: int) -> int:
-        page, _node = self.tree._descend(key_of(n), for_write=False)
-        self.db.unfix(page.page_id)
+        page, _node, _pid = self.tree._descend(key_of(n), for_write=False)
+        self.db.pool.unfix(page.page_id)
         return page.page_id
 
     @rule(n=numbers)

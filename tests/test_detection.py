@@ -70,9 +70,9 @@ class TestReadPathDispatch:
         repaired on the read path (the lost-PRI-update case applied to
         normal processing)."""
         db, tree = loaded()
-        page, _node = tree._descend(key_of(0), for_write=False)
+        page, _node, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.evict_everything()
         # Make the PRI believe an older LSN was the last write.
         actual = db.pri.recorded_lsn(victim)
@@ -97,9 +97,9 @@ def damaged(damage: str, dirty: bool):
     saw in the pool — restart redo's work; otherwise the leaf is cold."""
     db, tree = loaded()
     db.checkpoint()
-    page, _node = tree._descend(KEY, for_write=False)
+    page, _node, _pid = tree._descend(KEY, for_write=False)
     victim = page.page_id
-    db.unfix(victim)
+    db.pool.unfix(victim)
 
     def write(value: bytes) -> bytes:
         txn = db.begin()
@@ -216,9 +216,9 @@ class TestBTreeCrossPageDetection:
         db.commit(txn)
         db.flush_everything()
         db.evict_everything()
-        page, _n = tree._descend(key_of(500), for_write=False)
+        page, _n, _pid = tree._descend(key_of(500), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.evict_everything()
         db.device.inject_lost_write(victim)
         txn = db.begin()
@@ -238,12 +238,12 @@ class TestBTreeCrossPageDetection:
             tree.insert(txn, key_of(i), value_of(i, 0))
         db.commit(txn)
         db.flush_everything()
-        root_pid = db.get_root(tree.index_id)
-        root_page = db.fix(root_pid)
+        root_pid = db.catalog.get_root(tree.index_id)
+        root_page = db.pool.fix(root_pid)
         root = BTreeNode(root_page)
         assert not root.is_leaf
         victim = root.child_pid(0)
-        db.unfix(root_pid)
+        db.pool.unfix(root_pid)
         db.evict_everything()
         # Forge the stored page: rewrite it with a wrong low fence but
         # valid checksum, bypassing the engine (simulates firmware bugs
@@ -282,9 +282,9 @@ class TestScrubbing:
         db, tree = loaded()
         victims = []
         for i in (0, 299):
-            page, _n = tree._descend(key_of(i), for_write=False)
+            page, _n, _pid = tree._descend(key_of(i), for_write=False)
             victims.append(page.page_id)
-            db.unfix(page.page_id)
+            db.pool.unfix(page.page_id)
         db.evict_everything()
         db.device.inject_bit_rot(victims[0])
         db.device.inject_read_error(victims[1])
@@ -302,9 +302,9 @@ class TestScrubbing:
 
     def test_scrub_report_only_mode(self):
         db, tree = loaded()
-        page, _n = tree._descend(key_of(0), for_write=False)
+        page, _n, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.evict_everything()
         db.device.inject_bit_rot(victim)
         report = db.scrub(repair=False)
@@ -318,9 +318,9 @@ class TestScrubbing:
         """The fetch path's verdict has two outcomes; a scrub takes
         both (red on the parent, which ignored this one)."""
         db, tree = loaded()
-        page, _n = tree._descend(key_of(0), for_write=False)
+        page, _n, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.evict_everything()
         actual = db.pri.recorded_lsn(victim)
         db.pri.record_write(victim, actual - 1)  # a lost PRI update
@@ -336,9 +336,9 @@ class TestScrubbing:
         db, tree = loaded(pri_lsn_check=False)
         victims = []
         for i in (0, 299):
-            page, _n = tree._descend(key_of(i), for_write=False)
+            page, _n, _pid = tree._descend(key_of(i), for_write=False)
             victims.append(page.page_id)
-            db.unfix(page.page_id)
+            db.pool.unfix(page.page_id)
         db.device.inject_lost_write(victims[0])
         txn = db.begin()
         tree.update(txn, key_of(0), b"lost")
@@ -365,16 +365,16 @@ class TestScrubbing:
 def walk(db, tree, key):
     """Page ids on ``key``'s path: permanent parents first, then the
     foster chain inside the leaf level."""
-    path = [db.get_root(tree.index_id)]
+    path = [db.catalog.get_root(tree.index_id)]
     while True:
-        node = BTreeNode(db.fix(path[-1]))
+        node = BTreeNode(db.pool.fix(path[-1]))
         if node.has_foster and key >= node.foster_key:
             nxt = node.foster_pid
         elif node.is_leaf:
             nxt = None
         else:
             nxt = node.route(key)[0]
-        db.unfix(path[-1])
+        db.pool.unfix(path[-1])
         if nxt is None:
             return path
         path.append(nxt)
@@ -392,9 +392,9 @@ def deep_tree(**overrides):
     assert tree.depth() == 3
     leaf = walk(db, tree, key_of(200))[-1]
     tree._split(leaf)  # reads do no adoption: the chain stays
-    node = BTreeNode(db.fix(leaf))
+    node = BTreeNode(db.pool.fix(leaf))
     key = node.foster_key
-    db.unfix(leaf)
+    db.pool.unfix(leaf)
     root, interior, leaf, foster = walk(db, tree, key)
     assert client.get(key) is not None  # every view on the path is built
     return db, client, tree, key, dict(root=root, interior=interior,

@@ -35,7 +35,7 @@ class TestAllocation:
         first = db.allocated_pages()
         tree = db.create_index()
         assert db.allocated_pages() == first + 1
-        assert db.get_root(tree.index_id) == first
+        assert db.catalog.get_root(tree.index_id) == first
 
     def test_allocation_exhaustion_is_media_failure(self):
         db = Database(fast_config(capacity_pages=24,
@@ -50,7 +50,7 @@ class TestAllocation:
         from repro.wal.records import BackupRefKind
 
         tree = db.create_index()
-        root = db.get_root(tree.index_id)
+        root = db.catalog.get_root(tree.index_id)
         entry = db.pri.lookup(root)
         assert entry.backup_ref.kind == BackupRefKind.FORMAT_RECORD
 
@@ -131,15 +131,15 @@ class TestAutoCommitHelpers:
 
     def test_autocommit_commits_or_rolls_back(self, db):
         tree = db.create_index()
-        with db.autocommit() as txn:
-            db.locks.acquire(txn.txn_id, b"k")
-            tree.insert(txn, b"k", b"v")
+        txn = db.begin()
+        db.locks.acquire(txn.txn_id, b"k")
+        tree.insert(txn, b"k", b"v")
+        db.end_autocommit(txn)
         assert tree.lookup(b"k") == b"v" and not db.tm.active
-        with pytest.raises(KeyboardInterrupt):
-            with db.autocommit() as txn:
-                db.locks.acquire(txn.txn_id, b"k")
-                tree.update(txn, b"k", b"doomed")
-                raise KeyboardInterrupt
+        txn = db.begin()
+        db.locks.acquire(txn.txn_id, b"k")
+        tree.update(txn, b"k", b"doomed")
+        db.end_autocommit(txn, failed=True)  # the body raised
         assert tree.lookup(b"k") == b"v"
         assert not db.tm.active and db.locks.held_keys() == []
 
@@ -196,7 +196,7 @@ class TestInLogImages:
         for i in range(20):
             tree.insert(txn, key_of(i), value_of(i, 0))
         db.commit(txn)
-        root = db.get_root(tree.index_id)
+        root = db.catalog.get_root(tree.index_id)
         db.take_log_image(root)
         entry = db.pri.lookup(root)
         assert entry.backup_ref.kind == BackupRefKind.LOG_IMAGE

@@ -21,9 +21,9 @@ class TestUnpartitionedPri:
         db, tree = loaded(pri_partitioned=False)
         db.flush_everything()
         db.evict_everything()
-        page, _n = tree._descend(key_of(0), for_write=False)
+        page, _n, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.evict_everything()
         db.device.inject_bit_rot(victim, nbits=5)
         assert tree.lookup(key_of(0)) == value_of(0, 0)
@@ -58,9 +58,9 @@ class TestProofReadMode:
         db, tree = loaded(proof_read_writes=True)
         db.flush_everything()
         db.evict_everything()
-        page, _n = tree._descend(key_of(0), for_write=False)
+        page, _n, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.evict_everything()
         db.device.inject_lost_write(victim)
         txn = db.begin()
@@ -97,9 +97,9 @@ class TestLogRetention:
         assert db.log.retained_bytes() < size_before
         # Single-page recovery still works for every data page.
         db.evict_everything()
-        page, _n = tree._descend(key_of(0), for_write=False)
+        page, _n, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.evict_everything()
         db.device.inject_read_error(victim)
         assert tree.lookup(key_of(0)) == value_of(0, 4)

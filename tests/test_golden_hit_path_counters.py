@@ -73,9 +73,9 @@ def _run(seed: int, frames: int, preload: int, n_ops: int) -> dict:
         if step % 1000 == 700:
             # A resident leaf whose fences stop matching its parent's
             # keys: the op below detects it on the hop and repairs it.
-            page, _node = tree._descend(key, for_write=False)
+            page, _node, _pid = tree._descend(key, for_write=False)
             page.view.low_fence = b"forged"
-            db.unfix(page.page_id)
+            db.pool.unfix(page.page_id)
         if roll < 0.45:
             client.get(key)
         elif roll < 0.75:

@@ -156,8 +156,8 @@ def dblp_stream(seed: int, frames: int, n_records: int, n_ops: int):  # noqa: AN
 
 
 def leaf_of(db, index_id: int, key: bytes) -> int:  # noqa: ANN001
-    page, _node = db.tree(index_id)._descend(key, for_write=False)
-    db.unfix(page.page_id)
+    page, _node, _pid = db.tree(index_id)._descend(key, for_write=False)
+    db.pool.unfix(page.page_id)
     return page.page_id
 
 
@@ -313,11 +313,11 @@ CASES = {
 def tree_pages(db, index_id: int) -> list[int]:  # noqa: ANN001
     """Every page reachable from the tree's root (children, foster
     children), in page-id order."""
-    found, stack = [], [db.get_root(index_id)]
+    found, stack = [], [db.catalog.get_root(index_id)]
     while stack:
         pid = stack.pop()
         found.append(pid)
-        page = db.fix(pid)
+        page = db.pool.fix(pid)
         try:
             node = BTreeNode(page)
             if node.has_foster:
@@ -325,7 +325,7 @@ def tree_pages(db, index_id: int) -> list[int]:  # noqa: ANN001
             if not node.is_leaf:
                 stack.extend(node.child_pid(i) for i in range(node.nrecs))
         finally:
-            db.unfix(pid)
+            db.pool.unfix(pid)
     return sorted(found)
 
 

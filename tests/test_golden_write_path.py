@@ -43,7 +43,7 @@ import pytest
 
 import repro
 from repro import EngineConfig
-from repro.engine.database import _Autocommit
+from repro.engine.database import Database
 from repro.wal.records import BackupRefKind, LogRecordKind
 
 GOLDEN = Path(__file__).with_name("golden_write_path.json")
@@ -172,20 +172,20 @@ def redo_only(record) -> bytes:  # noqa: ANN001
 def _autocommit_txn_ids(seed: int, frames: int, preload: int,
                         n_ops: int) -> tuple:
     """The stream's database and the ids of its autocommit
-    transactions, seen by wrapping ``_Autocommit.__enter__``."""
+    transactions, seen by wrapping ``Database.end_autocommit`` (every
+    autocommit transaction ends there, once)."""
     ids: set[int] = set()
-    enter = _Autocommit.__enter__
+    end = Database.end_autocommit
 
-    def counting_enter(self):  # noqa: ANN001, ANN202
-        txn = enter(self)
+    def counting_end(self, txn, failed=False):  # noqa: ANN001, ANN202
         ids.add(txn.txn_id)
-        return txn
+        return end(self, txn, failed)
 
-    _Autocommit.__enter__ = counting_enter
+    Database.end_autocommit = counting_end
     try:
         db = write_stream(seed, frames, preload, n_ops).db
     finally:
-        _Autocommit.__enter__ = enter
+        Database.end_autocommit = end
     return db, ids
 
 

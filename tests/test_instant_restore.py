@@ -125,9 +125,9 @@ class TestOnDemandRestore:
         """An eager restore that dies mid-drain must leave the
         database refusing traffic on the half-restored device."""
         db, tree, backup_id = restorable_db()
-        page, _node = tree._descend(key_of(0), for_write=False)
+        page, _node, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id  # updated since the backup, so pending
-        db.unfix(victim)
+        db.pool.unfix(victim)
         fail_media(db)
         # Sabotage the backup medium: the victim's image is gone and
         # its first tail record is no formatting record.
@@ -217,9 +217,9 @@ class TestRestoreSpfInterplay:
         db.recover_media(backup_id, mode="on_demand")
         tree = db.tree(1)
         assert tree.lookup(key_of(0)) == value_of(0, 1)  # restores path
-        page, _node = tree._descend(key_of(0), for_write=False)
+        page, _node, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.evict_everything()
         db.device.inject_read_error(victim)
         assert tree.lookup(key_of(0)) == value_of(0, 1)

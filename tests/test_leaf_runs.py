@@ -305,11 +305,11 @@ def test_a_standby_replays_leaf_runs_to_the_same_pages():
     assert _runs(db, db.log.all_records()[-1].txn_id)
     assert standby.applied_lsn == db.log.durable_lsn
     for pid in tree_pages(db, tree.index_id):
-        page = db.fix(pid)
+        page = db.pool.fix(pid)
         try:
             assert _masked(page.data) == _masked(standby.pages[pid].data)
         finally:
-            db.unfix(pid)
+            db.pool.unfix(pid)
 
 
 def _masked(data: bytes | bytearray) -> bytes:

@@ -143,9 +143,9 @@ class TestIncrementalScrub:
 
     def test_incremental_finds_damage_in_its_slice(self):
         db, tree = self.build()
-        page, _n = tree._descend(key_of(0), for_write=False)
+        page, _n, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.evict_everything()
         db.device.inject_bit_rot(victim, nbits=5)
         scrubber = Scrubber(db.device, db.recovery_manager, db.stats,

@@ -97,9 +97,9 @@ class TestMediaRecovery:
         db._media_failed = True
         db.recover_media(backup_id)
         tree = db.tree(1)
-        page, _n = tree._descend(key_of(0), for_write=False)
+        page, _n, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.evict_everything()
         db.device.inject_read_error(victim)
         assert tree.lookup(key_of(0)) == value_of(0, 0)

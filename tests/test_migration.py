@@ -30,9 +30,9 @@ def load(db, n=500):
 
 
 def leaf_holding(db, tree, i):
-    page, _node = tree._descend(key_of(i), for_write=False)
+    page, _node, _pid = tree._descend(key_of(i), for_write=False)
     pid = page.page_id
-    db.unfix(pid)
+    db.pool.unfix(pid)
     return pid
 
 
@@ -50,23 +50,23 @@ class TestMigration:
     def test_migrated_node_contents_identical(self, db):
         tree = load(db)
         victim = leaf_holding(db, tree, 0)
-        page = db.fix(victim)
+        page = db.pool.fix(victim)
         before = [(n.full_key(i), n.value(i), n.is_ghost(i))
                   for n in [BTreeNode(page)] for i in range(n.nrecs)]
-        db.unfix(victim)
+        db.pool.unfix(victim)
         new_pid = tree.migrate_node(victim)
-        page = db.fix(new_pid)
+        page = db.pool.fix(new_pid)
         node = BTreeNode(page)
         after = [(node.full_key(i), node.value(i), node.is_ghost(i))
                  for i in range(node.nrecs)]
-        db.unfix(new_pid)
+        db.pool.unfix(new_pid)
         assert before == after
 
     def test_root_migration_updates_root_pointer(self, db):
         tree = load(db, n=20)  # single-leaf tree: the root is a leaf
-        old_root = db.get_root(tree.index_id)
+        old_root = db.catalog.get_root(tree.index_id)
         new_pid = tree.migrate_node(old_root)
-        assert db.get_root(tree.index_id) == new_pid
+        assert db.catalog.get_root(tree.index_id) == new_pid
         assert tree.lookup(key_of(3)) == value_of(3, 0)
         assert verify_tree(tree).ok
 
@@ -75,13 +75,13 @@ class TestMigration:
         db = Database(fast_config(page_size=1024, capacity_pages=2048,
                                   buffer_capacity=256))
         tree = load(db, n=1600)
-        root_pid = db.get_root(tree.index_id)
-        root_page = db.fix(root_pid)
+        root_pid = db.catalog.get_root(tree.index_id)
+        root_page = db.pool.fix(root_pid)
         root = BTreeNode(root_page)
         assert not root.is_leaf
         assert root.level > 1, "expected a depth-3 tree"
         branch_pid = root.child_pid(0)
-        db.unfix(root_pid)
+        db.pool.unfix(root_pid)
         new_pid = tree.migrate_node(branch_pid)
         assert new_pid != branch_pid
         assert verify_tree(tree).ok
@@ -115,7 +115,7 @@ class TestMigration:
         # The next allocation reuses the freed page id instead of
         # growing the high-water mark.
         tree2 = db.create_index()
-        assert db.get_root(tree2.index_id) == victim
+        assert db.catalog.get_root(tree2.index_id) == victim
         assert db.allocated_pages() == allocated_before + 1  # only migration's page
 
     def test_migration_survives_crash(self, db):
@@ -134,7 +134,7 @@ class TestMigration:
     def test_unreachable_page_rejected(self, db):
         tree = load(db)
         with pytest.raises(BTreeError):
-            tree._find_incoming_pointer(999, BTreeNode(db.fix(
+            tree._find_incoming_pointer(999, BTreeNode(db.pool.fix(
                 leaf_holding(db, tree, 0))))
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import PageFailureKind, RecoveryError, SinglePageFailure
 from repro.page.checksum import compute_checksum, store_checksum, verify_checksum
 from repro.page.page import HEADER_SIZE, NULL_LSN, Page, PageType
-from repro.page.slotted import PageFullError, Record, SlottedPage
+from repro.page.slotted import (PageFullError, Record, SlottedPage, mark_ghost,
+                                update_value)
 
 PAGE_SIZE = 1024
 
@@ -144,15 +145,15 @@ class TestSlottedPage:
     def test_mark_ghost_toggle(self):
         _page, slotted = make_slotted()
         slotted.insert(0, Record(b"a", b"1"))
-        slotted.mark_ghost(0, True)
+        mark_ghost(slotted.page, 0, True)
         assert slotted.is_ghost(0)
-        slotted.mark_ghost(0, False)
+        mark_ghost(slotted.page, 0, False)
         assert not slotted.is_ghost(0)
 
     def test_update_value_in_place(self):
         _page, slotted = make_slotted()
         slotted.insert(0, Record(b"a", b"long-original"))
-        slotted.update_value(0, b"short")
+        update_value(slotted.page, 0, b"short")
         assert slotted.read_record(0).value == b"short"
         assert slotted.frag_bytes > 0
 
@@ -160,7 +161,7 @@ class TestSlottedPage:
         _page, slotted = make_slotted()
         slotted.insert(0, Record(b"a", b"s"))
         slotted.insert(1, Record(b"b", b"t"))
-        slotted.update_value(0, b"x" * 100)
+        update_value(slotted.page, 0, b"x" * 100)
         assert slotted.read_record(0).value == b"x" * 100
         assert slotted.read_record(1).value == b"t"
         slotted.check_plausible()
@@ -193,7 +194,7 @@ class TestSlottedPage:
             count += 1
         # Shrink every record, creating fragmentation only.
         for i in range(count):
-            slotted.update_value(i, b"s")
+            update_value(slotted.page, i, b"s")
         # Now a large insert must succeed via compaction.
         slotted.insert(count, Record(b"zzz", big))
         assert slotted.read_record(count).key == b"zzz"
@@ -203,7 +204,7 @@ class TestSlottedPage:
         _page, slotted = make_slotted()
         slotted.insert(0, Record(b"a", b"x"))
         with pytest.raises(PageFullError):
-            slotted.update_value(0, b"y" * 5000)
+            update_value(slotted.page, 0, b"y" * 5000)
         assert slotted.read_record(0).value == b"x"
 
     def test_plausibility_catches_bad_slot_offset(self):

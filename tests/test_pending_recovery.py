@@ -58,7 +58,7 @@ def failed(kind: str, **overrides):
     # the next allocation reuses its id.
     sys_txn = db.begin_system()
     spare = db.allocate_page(sys_txn, PageType.BTREE_LEAF, 1).page_id
-    db.unfix(spare)
+    db.pool.unfix(spare)
     db.commit(sys_txn)
     db.free_page(spare)
     late = db.begin()
@@ -200,7 +200,7 @@ class TestSharedContract:
         calls = gate_image(recovery, -1)[2]
         sys_txn = db.begin_system()
         page = db.allocate_page(sys_txn, PageType.BTREE_LEAF, 1)
-        db.unfix(page.page_id)
+        db.pool.unfix(page.page_id)
         db.commit(sys_txn)
         assert page.page_id == spare
         assert spare not in recovery.pending_pages

@@ -419,7 +419,7 @@ class TestBookkeepingDecode:
 
     def test_stale_view_is_reported(self):
         db, tree = build_tree(300)
-        page = db.pool.fix(db.get_root(tree.index_id))
+        page = db.pool.fix(db.catalog.get_root(tree.index_id))
         try:
             BTreeNode(page).view.low_fence = b"not the fence"
         finally:

@@ -168,19 +168,20 @@ class Escalated(Exception):
 
 
 def fail_the_write_unfix(db, hook=None):  # noqa: ANN001, ANN201
-    """Make the next ``unfix`` that names a dirty LSN — the leaf the
-    write just logged on — raise after it has unpinned the page."""
-    unfix = db.unfix
+    """Make the next pool ``unfix`` that names a dirty LSN — the leaf
+    the write just logged on — raise after it has unpinned the page."""
+    pool = db.pool
+    unfix = pool.unfix
 
     def failing(page_id: int, dirty_lsn: int | None = None) -> None:
         unfix(page_id, dirty_lsn)
         if dirty_lsn is not None:
-            del db.unfix
+            del pool.unfix
             if hook is not None:
                 hook()
             raise Escalated(page_id)
 
-    db.unfix = failing
+    pool.unfix = failing
 
 
 @pytest.mark.parametrize("mode", ["eager", "on_demand"])

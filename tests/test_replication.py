@@ -31,9 +31,9 @@ def loaded(**overrides):
 
 def some_leaf(db, tree, i: int = 0) -> int:
     """Page id of the leaf holding key_of(i); leaves the pool cold."""
-    page, _node = tree._descend(key_of(i), for_write=False)
+    page, _node, _pid = tree._descend(key_of(i), for_write=False)
     pid = page.page_id
-    db.unfix(pid)
+    db.pool.unfix(pid)
     db.flush_everything()
     db.evict_everything()
     return pid

@@ -189,9 +189,9 @@ class TestCheckpoints:
         assert report.pri_pages_repaired >= 1
         # And the PRI still protects data pages.
         tree = db.tree(1)
-        page, _n = tree._descend(key_of(0), for_write=False)
+        page, _n, _pid = tree._descend(key_of(0), for_write=False)
         data_victim = page.page_id
-        db.unfix(data_victim)
+        db.pool.unfix(data_victim)
         db.evict_everything()
         db.device.inject_read_error(data_victim)
         assert tree.lookup(key_of(0)) == value_of(0, 0)
@@ -382,9 +382,9 @@ class TestFigure12CrashMatrix:
         db.commit(txn)  # update durable
         # Write the page back, but crash before the PRI-update record
         # (appended, unforced) becomes durable.
-        page, _n = tree._descend(key_of(3), for_write=False)
+        page, _n, _pid = tree._descend(key_of(3), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.pool.flush_page(victim)   # device write + unforced PRI record
         assert db.log.durable_lsn < db.log.end_lsn
         db.crash()
@@ -420,9 +420,9 @@ class TestFigure12CrashMatrix:
         txn = db.begin()
         tree.update(txn, key_of(7), b"v1")
         db.commit(txn)
-        page, _n = tree._descend(key_of(7), for_write=False)
+        page, _n, _pid = tree._descend(key_of(7), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.pool.flush_page(victim)
         db.crash()
         db.restart()
@@ -456,9 +456,9 @@ class TestFigure12CrashMatrix:
         db.crash()
         db.restart()
         tree = db.tree(1)
-        page, _n = tree._descend(key_of(0), for_write=False)
+        page, _n, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         db.evict_everything()
         db.device.inject_read_error(victim)
         assert tree.lookup(key_of(0)) == value_of(0, 0)

@@ -301,7 +301,7 @@ class TestRepairOnRead:
         """A raw BufferPool.fix — no B-tree, no explicit handler — must
         detect and repair a damaged page (Figure 8 on the read path)."""
         db, tree = self.build()
-        victim = db.get_root(tree.index_id)
+        victim = db.catalog.get_root(tree.index_id)
         db.device.inject_bit_rot(victim, nbits=6)
         before = db.stats.get("single_page_recoveries")
         page = db.pool.fix(victim)  # the read itself triggers recovery
@@ -356,7 +356,7 @@ class TestRepairOnRead:
         from repro.errors import PageFailureKind, SinglePageFailure
 
         db, tree = self.build()
-        victim = db.get_root(tree.index_id)
+        victim = db.catalog.get_root(tree.index_id)
         page = db.pool.fix(victim)
         db.pool.unfix(victim)
         assert db.pool.resident(victim)
@@ -377,9 +377,9 @@ class TestRepairOnRead:
         txn = db.begin()
         tree.update(txn, key_of(5), b"fresh-but-unflushed")
         db.commit(txn)
-        page, _n = tree._descend(key_of(5), for_write=False)
+        page, _n, _pid = tree._descend(key_of(5), for_write=False)
         victim = page.page_id
-        db.unfix(victim)
+        db.pool.unfix(victim)
         assert db.pool.is_dirty(victim)  # newest state only in memory + log
         recorded = db.pri.recorded_lsn(victim)
         head = db.log.page_chain_head(victim)
@@ -394,7 +394,7 @@ class TestRepairOnRead:
         from repro.errors import PageFailureKind, SinglePageFailure
 
         db, tree = self.build()
-        victim = db.get_root(tree.index_id)
+        victim = db.catalog.get_root(tree.index_id)
         db.pool.fix(victim)  # stays pinned
         failure = SinglePageFailure(victim, PageFailureKind.BTREE_INVARIANT)
         with pytest.raises(SinglePageFailure):

@@ -29,9 +29,9 @@ def loaded(**overrides):
 
 def some_leaf(db, tree, i: int = 0) -> int:
     """Page id of the leaf holding key_of(i); leaves the pool cold."""
-    page, _node = tree._descend(key_of(i), for_write=False)
+    page, _node, _pid = tree._descend(key_of(i), for_write=False)
     pid = page.page_id
-    db.unfix(pid)
+    db.pool.unfix(pid)
     db.evict_everything()
     return pid
 
@@ -221,7 +221,7 @@ class TestEscalation:
         db.commit(txn)
         db.flush_everything()
         db.evict_everything()
-        victim = db.get_root(tree.index_id)
+        victim = db.catalog.get_root(tree.index_id)
         db.device.inject_bit_rot(victim)
         with pytest.raises(MediaFailure):
             tree.lookup(key_of(0))
@@ -244,7 +244,7 @@ class TestEscalation:
         db.commit(txn)
         db.flush_everything()
         db.evict_everything()
-        db.device.inject_bit_rot(db.get_root(tree.index_id))
+        db.device.inject_bit_rot(db.catalog.get_root(tree.index_id))
         with pytest.raises(SystemFailure):
             tree.lookup(key_of(0))
         assert db.stats.get("escalations_to_system") == 1
@@ -265,7 +265,7 @@ class TestEscalation:
         db.flush_everything()
         db.evict_everything()
         bystander = db.begin()
-        db.device.inject_bit_rot(db.get_root(tree.index_id))
+        db.device.inject_bit_rot(db.catalog.get_root(tree.index_id))
         with pytest.raises(MediaFailure):
             tree.lookup(key_of(0))
         assert db.stats.get("txns_killed_by_media_failure") == 1
@@ -333,7 +333,7 @@ class TestRecentFailures:
 
     def test_escalation_is_recorded_with_its_reason(self):
         db, tree = loaded(spf_enabled=False)
-        db.device.inject_bit_rot(db.get_root(tree.index_id))
+        db.device.inject_bit_rot(db.catalog.get_root(tree.index_id))
         with pytest.raises(MediaFailure):
             tree.lookup(key_of(0))
         (event,) = db.recent_failures()

@@ -38,7 +38,7 @@ from repro.core.single_page import replay_records
 from repro.engine.database import Database
 from repro.errors import RecoveryError
 from repro.page.page import TYPE_OFFSET, Page, PageType
-from repro.page.slotted import Record, SlottedPage
+from repro.page.slotted import Record, SlottedPage, update_value
 from repro.wal.ops import OpBulkDelete, OpExtendPrefix
 from repro.wal.records import LogRecordKind
 from tests.conftest import clone_crashed, fast_config
@@ -76,14 +76,14 @@ def _holds(db: Database, tree) -> dict:  # noqa: ANN001
     """What every page of the tree holds: its bookkeeping and its rows."""
     held = {}
     for pid in tree_pages(db, tree.index_id):
-        page = db.fix(pid)
+        page = db.pool.fix(pid)
         try:
             node = BTreeNode(page)
             held[pid] = (node.level, node.low_fence, node.high_fence,
                          node.high_inf, node.foster_key, node.foster_pid,
                          node.prefix, list(node.rows()))
         finally:
-            db.unfix(pid)
+            db.pool.unfix(pid)
     return held
 
 
@@ -133,8 +133,8 @@ def _arm(db: Database, tree, monkeypatch, cut: str) -> dict:  # noqa: ANN001
         if BTreeNode(page).prefix != prefix:
             state["in"] = "adoption"
 
-    def logging(txn, page, index_id, op, undo=None):  # noqa: ANN001, ANN202
-        lsn = log_update(txn, page, index_id, op, undo)
+    def logging(txn, page_id, page, index_id, op, undo=None):  # noqa: ANN001, ANN202
+        lsn = log_update(txn, page_id, page, index_id, op, undo)
         if (cut == "split, after the removal" and not state["fired"]
                 and state["in"] == "split" and isinstance(op, OpBulkDelete)):
             fire(txn)
@@ -246,11 +246,11 @@ def test_a_standby_replays_splits_and_prefix_extensions_to_the_same_pages():
     db.log.force()
     assert standby.applied_lsn == db.log.durable_lsn
     for pid in tree_pages(db, tree.index_id):
-        page = db.fix(pid)
+        page = db.pool.fix(pid)
         try:
             assert _masked(page.data) == _masked(standby.pages[pid].data)
         finally:
-            db.unfix(pid)
+            db.pool.unfix(pid)
 
 
 def test_replaying_a_format_record_counts_no_update():
@@ -265,7 +265,7 @@ def test_replaying_a_format_record_counts_no_update():
         formatted = _masked(page.data)
         record = db.log.record_at(page.page_lsn)
     finally:
-        db.unfix(page.page_id)
+        db.pool.unfix(page.page_id)
     db.tm.commit(txn)
     assert record.kind == LogRecordKind.FORMAT_PAGE
     old = Page.format(1024, page.page_id)
@@ -289,12 +289,12 @@ def test_repair_replays_splits_and_prefix_extensions_to_the_same_page():
     assert db.stats.get("single_page_recoveries") - repairs == len(leaves)
     assert len(kv) == 300
     for pid in leaves:
-        page = db.fix(pid)
+        page = db.pool.fix(pid)
         try:
             assert page.data[TYPE_OFFSET] == PageType.BTREE_LEAF
             assert _masked(page.data) == _masked(images[pid])
         finally:
-            db.unfix(pid)
+            db.pool.unfix(pid)
 
 
 def _slotted(keys: list[bytes]) -> Page:
@@ -306,7 +306,7 @@ def _slotted(keys: list[bytes]) -> Page:
     slotted.insert_run(0, [Record(b"low", b"meta"), Record(b"", b"")])
     slotted.insert_run(2, [Record(key, key * 3, key == keys[-1])
                            for key in keys])
-    slotted.update_value(0, b"longer meta")
+    update_value(slotted.page, 0, b"longer meta")
     return page
 
 

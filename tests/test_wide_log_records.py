@@ -95,9 +95,9 @@ def test_eager_and_on_demand_restart_recover_identically():
 
 def test_a_leaf_is_repaired_through_a_chain_of_both_forms():
     db, tree, model, _backup, _start = prepared()
-    page, _node = tree._descend(key_of(0), for_write=False)
+    page, _node, _pid = tree._descend(key_of(0), for_write=False)
     leaf = page.page_id
-    db.unfix(leaf)
+    db.pool.unfix(leaf)
     db.flush_everything()
     db.evict_everything()
     db.device.inject_bit_rot(leaf)
@@ -105,9 +105,9 @@ def test_a_leaf_is_repaired_through_a_chain_of_both_forms():
     event = db.recent_failures()[-1]
     assert event.page_id == leaf and event.records_replayed > 0
     # The replayed records are the last ones of the leaf's chain.
-    page, _node = tree._descend(key_of(0), for_write=False)
+    page, _node, _pid = tree._descend(key_of(0), for_write=False)
     lsn = page.page_lsn
-    db.unfix(leaf)
+    db.pool.unfix(leaf)
     replayed = []
     for _ in range(event.records_replayed):
         record = db.log.record_at(lsn)
