@@ -11,11 +11,11 @@ directory (every search after the second), the second search itself
 search" rule of ``repro.btree.node`` rests on — and a range scan's cost
 per row.  Last, on the key-value tree (``kv_hot_embedded``'s set-up,
 where every page hits): a warm ``client.get`` whole, then one hop of
-its resident descent — a warm descent per level, the pool entry of a hop (``BufferPool.fix`` hit with
-``release``), the fence compare alone, what is left — the hop's
-bookkeeping — and what being counted costs: one ``inc()``, and how many
-of them a hop makes.  The whole-benchmark claim (``python3 -m bench.run``) is
-made of these.
+its resident descent — a warm descent per level, the pool entry of a
+hop (``BufferPool.fix`` hit with ``release``), the fence compare alone,
+what is left — the hop's bookkeeping — and what being counted costs:
+one ``inc()``, and how many of them a hop makes.  The whole-benchmark
+claim (``python3 -m bench.run``) is made of these.
 
 Usage (pin to one core for steady numbers)::
 

@@ -204,7 +204,10 @@ class BTreeNode(SlotReader):
             raise BTreeError(
                 f"page {page.page_id} has type {page.data[TYPE_OFFSET]}, "
                 f"not a B-tree node")
-        if self.slotted.slot_count < DATA_START:
+        # A cold page's first search runs in the raw bytes: its
+        # record-level view is built here, with the check.
+        slotted = self._slotted = SlottedPage(page)
+        if slotted.slot_count < DATA_START:
             raise BTreeError(f"page {page.page_id} lacks bookkeeping records")
         self._decode()
 
