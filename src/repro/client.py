@@ -184,15 +184,17 @@ class SingleNodeClient(Client):
         pass
 
     # The point operations test the closed and failed states in place
-    # and hit the tree registry themselves: each is one call into the
-    # traced engine methods, with no frame between.
+    # and hit the tree registry themselves (a hit is a dict lookup, see
+    # repro.engine.catalog.TreeRegistry): each is one call into the
+    # traced engine methods, with no frame between.  The writes spell
+    # Database.run_autocommit out in place.
     def get(self, key: bytes) -> bytes | None:
         if self._closed:
             self._require_open()
         db = self.db
         if db._crashed or db._media_failed:
             db._require_running()
-        tree = db.catalog.trees.get(self.index_id) or db.tree(self.index_id)
+        tree = db.catalog.trees[self.index_id]
         try:
             return tree.lookup(key)
         except KeyNotFound:
@@ -207,8 +209,8 @@ class SingleNodeClient(Client):
         try:
             db.locks.acquire(txn.txn_id, key)
             # FosterBTree.upsert, without its hop to insert()
-            (db.catalog.trees.get(self.index_id) or db.tree(self.index_id)
-             ).insert(txn, key, value, replace=True)
+            db.catalog.trees[self.index_id].insert(txn, key, value,
+                                                   replace=True)
         except BaseException:
             db.end_autocommit(txn, failed=True)
             raise
@@ -223,9 +225,8 @@ class SingleNodeClient(Client):
         try:
             db.locks.acquire(txn.txn_id, key)
             # FosterBTree.remove, without its hop to delete()
-            removed = (db.catalog.trees.get(self.index_id)
-                       or db.tree(self.index_id)).delete(txn, key,
-                                                         missing_ok=True)
+            removed = db.catalog.trees[self.index_id].delete(
+                txn, key, missing_ok=True)
         except BaseException:
             db.end_autocommit(txn, failed=True)
             raise
@@ -241,13 +242,8 @@ class SingleNodeClient(Client):
     def apply_batch(self, ops: list[tuple]) -> int:
         self._require_open()
         db = self.db
-        txn = db.begin()
-        try:
-            db.tree(self.index_id).apply_batch(txn, ops, check_batch_op)
-        except BaseException:
-            db.end_autocommit(txn, failed=True)
-            raise
-        db.end_autocommit(txn)
+        db.run_autocommit(db.tree(self.index_id).apply_batch, ops,
+                          check_batch_op)
         return len(ops)
 
     def metrics(self) -> dict[str, int | float]:

@@ -292,7 +292,7 @@ class Database:
         return self.catalog.create_index()
 
     def tree(self, index_id: int) -> FosterBTree:
-        return self.catalog.tree(index_id)
+        return self.catalog.trees[index_id]
 
     @property
     def indexes(self) -> list[int]:
@@ -332,11 +332,29 @@ class Database:
         except Exception:  # noqa: BLE001 - the original error propagates
             pass
 
+    def run_autocommit(self, body, *args, redo_only: bool = False):  # noqa: ANN001, ANN201
+        """Run ``body(txn, *args)`` in a private transaction of its own
+        and end it by :meth:`end_autocommit`; returns what ``body``
+        returned.  ``redo_only`` is for a body of one tree write.  The
+        cold autocommit callers — the single-operation helpers below,
+        the client's and the worker's batch, the worker's slot moves —
+        come through here; the warm point writes of the embedded client
+        and the shard worker spell the same four steps out in place."""
+        txn = self.begin()
+        txn.redo_only = redo_only
+        try:
+            result = body(txn, *args)
+        except BaseException:
+            self.end_autocommit(txn, failed=True)
+            raise
+        self.end_autocommit(txn)
+        return result
+
     def end_autocommit(self, txn: Transaction, failed: bool = False) -> None:
         """End ``txn``, a private transaction around one operation, by
-        the one set of exit rules every autocommit caller shares — the
-        embedded client, the shard worker, the single-operation helpers
-        below and the batch::
+        the one set of exit rules every autocommit caller shares
+        (:meth:`run_autocommit`, and the embedded client's and the shard
+        worker's point writes, which inline it)::
 
             txn = db.begin()
             txn.redo_only = True       # a body of one tree write
@@ -460,21 +478,18 @@ class Database:
                       key: bytes, *value: bytes) -> None:
         """Lock ``key`` and run one tree write in ``txn`` — or, given
         none, in an autocommit transaction of its own
-        (:meth:`end_autocommit`)."""
+        (:meth:`run_autocommit`)."""
         self._require_running()
         if txn is None:
-            txn = self.begin()
-            txn.redo_only = True
-            try:
-                self.locks.acquire(txn.txn_id, key)
-                write(txn, key, *value)
-            except BaseException:
-                self.end_autocommit(txn, failed=True)
-                raise
-            self.end_autocommit(txn)
+            self.run_autocommit(self._lock_and_write, write, key, *value,
+                                redo_only=True)
         else:
-            self.locks.acquire(txn.txn_id, key)
-            write(txn, key, *value)
+            self._lock_and_write(txn, write, key, *value)
+
+    def _lock_and_write(self, txn: Transaction, write,  # noqa: ANN001
+                        key: bytes, *value: bytes) -> None:
+        self.locks.acquire(txn.txn_id, key)
+        write(txn, key, *value)
 
     # ------------------------------------------------------------------
     # Replication (PR 7)

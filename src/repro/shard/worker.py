@@ -83,7 +83,7 @@ class ShardWorker:
     def _tree(self):  # noqa: ANN202 - FosterBTree
         # Re-fetched every time: a restart rebuilds the catalog, and a
         # cached handle would point at dead buffer-pool state.
-        return self.db.tree(self.index_id)
+        return self.db.catalog.trees[self.index_id]
 
     def _branch(self, xid: int):  # noqa: ANN202 - Transaction
         txn = self._live.get(xid)
@@ -110,8 +110,9 @@ class ShardWorker:
     def _cmd_ping(self) -> str:
         return "pong"
 
-    # The point verbs test the failed states in place and hit the tree
-    # registry themselves, as the embedded client does.  Crashed-state
+    # The point verbs test the failed states in place, hit the tree
+    # registry themselves and spell Database.run_autocommit out in
+    # place, as the embedded client does.  Crashed-state
     # check first: a crashed shard must escalate to a system failure (the
     # router's reopen signal), not refuse on ownership grounds.
     def _cmd_get(self, key: bytes) -> bytes | None:
@@ -119,7 +120,7 @@ class ShardWorker:
         if db._crashed or db._media_failed:
             db._require_running()
         self._check_owner(key)
-        tree = db.catalog.trees.get(self.index_id) or self._tree
+        tree = db.catalog.trees[self.index_id]
         try:
             return tree.lookup(key)
         except KeyNotFound:
@@ -135,8 +136,8 @@ class ShardWorker:
         try:
             db.locks.acquire(txn.txn_id, key)
             # FosterBTree.upsert, without its hop to insert()
-            (db.catalog.trees.get(self.index_id) or self._tree).insert(
-                txn, key, value, replace=True)
+            db.catalog.trees[self.index_id].insert(txn, key, value,
+                                                   replace=True)
         except BaseException:
             db.end_autocommit(txn, failed=True)
             raise
@@ -152,7 +153,7 @@ class ShardWorker:
         try:
             db.locks.acquire(txn.txn_id, key)
             # FosterBTree.remove, without its hop to delete()
-            removed = (db.catalog.trees.get(self.index_id) or self._tree).delete(
+            removed = db.catalog.trees[self.index_id].delete(
                 txn, key, missing_ok=True)
         except BaseException:
             db.end_autocommit(txn, failed=True)
@@ -167,13 +168,7 @@ class ShardWorker:
         db._require_running()
         for op in ops:
             self._check_owner(op[1])
-        txn = db.begin()
-        try:
-            self._tree.apply_batch(txn, ops, _check_batch_op)
-        except BaseException:
-            db.end_autocommit(txn, failed=True)
-            raise
-        db.end_autocommit(txn)
+        db.run_autocommit(self._tree.apply_batch, ops, _check_batch_op)
         return len(ops)
 
     def _cmd_scan(self, low: bytes = b"",
@@ -308,16 +303,7 @@ class ShardWorker:
                    if self._slot_of(key) == slot]
         if not victims:
             return 0
-        db = self.db
-        txn = db.begin()
-        try:
-            for key in victims:
-                db.locks.acquire(txn.txn_id, key)
-                self._tree.delete(txn, key)
-        except BaseException:
-            db.end_autocommit(txn, failed=True)
-            raise
-        db.end_autocommit(txn)
+        self.db.run_autocommit(self._write_slot, victims, ())
         return len(victims)
 
     def _cmd_export_slot(self, slot: int) -> tuple[int, list]:
@@ -425,28 +411,28 @@ class ShardWorker:
         transaction.  ``items`` is ``[(key, value | None), ...]``."""
         db = self.db
         db._require_running()
-        txn = db.begin()
-        try:
-            tree = self._tree
-            if clear and self._n_slots:
-                incoming = {key for key, _ in items}
-                stale = [key for key, _ in tree.range_scan(b"", None)
-                         if self._slot_of(key) == slot
-                         and key not in incoming]
-                for key in stale:
-                    db.locks.acquire(txn.txn_id, key)
-                    tree.delete(txn, key)
-            for key, value in items:
-                db.locks.acquire(txn.txn_id, key)
-                if value is None:
-                    tree.remove(txn, key)
-                else:
-                    tree.upsert(txn, key, value)
-        except BaseException:
-            db.end_autocommit(txn, failed=True)
-            raise
-        db.end_autocommit(txn)
+        stale = []
+        if clear and self._n_slots:
+            incoming = {key for key, _ in items}
+            stale = [key for key, _ in self._tree.range_scan(b"", None)
+                     if self._slot_of(key) == slot and key not in incoming]
+        db.run_autocommit(self._write_slot, stale, items)
         return len(items)
+
+    def _write_slot(self, txn, stale: list[bytes], items) -> None:  # noqa: ANN001
+        """In ``txn``: delete the ``stale`` keys, then apply ``items``
+        (``[(key, value | None), ...]``), each write under its key
+        lock — the one body of a slot's drop and its import."""
+        acquire, tree = self.db.locks.acquire, self._tree
+        for key in stale:
+            acquire(txn.txn_id, key)
+            tree.delete(txn, key)
+        for key, value in items:
+            acquire(txn.txn_id, key)
+            if value is None:
+                tree.remove(txn, key)
+            else:
+                tree.upsert(txn, key, value)
 
     # ------------------------------------------------------------------
     # Recovery probes (the router's outcome-aware retry path)

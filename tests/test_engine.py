@@ -11,6 +11,7 @@ from repro.errors import (
     MediaFailure,
     SystemFailure,
 )
+from repro.shard.routing import slot_of
 from tests.conftest import fast_config, key_of, value_of
 
 
@@ -98,48 +99,83 @@ class TestAutoCommitHelpers:
         assert tree.lookup(b"k") == b"v"
         assert db.stats.get("txns_aborted") == 1
 
-    def test_any_failure_of_an_auto_op_releases_its_lock(self, db, monkeypatch):
+    @pytest.mark.parametrize("error", [TypeError, KeyboardInterrupt])
+    def test_any_failure_of_an_auto_op_releases_its_lock(self, db, monkeypatch,
+                                                         error):
         """Regression: the helpers rolled back on ``ReproError`` only —
         a ``TypeError`` out of the tree (once: a value that is not
         bytes; the tree now refuses that as a ``BTreeError``) left the
         private transaction active and its key locked for the life of
-        the engine, and every checkpoint carried it."""
+        the engine, and every checkpoint carried it.
+
+        Every autocommit site is driven — the engine's helpers, the
+        embedded client's point writes and batch, the in-process shard
+        worker's point writes, batch and slot import — with an
+        ``Exception`` and with a ``BaseException`` that is not one: the
+        error propagates, and the private transaction is gone with its
+        lock."""
         import repro
+        from repro import ShardConfig
         from repro.btree.tree import FosterBTree
 
         tree = db.create_index()
         db.insert(tree, b"a", b"1")
+        client = repro.connect(db)
+        fleet = repro.connect(ShardConfig(n_shards=2, transport="inproc",
+                                          engine=fast_config()))
+        fleet.put(b"a", b"1")
+        shard = fleet.router.shards[fleet.router.shard_of(b"a")]
+        worker = shard.worker
+        slot = slot_of(b"a", worker._n_slots)
 
         def write(*_args, **_kwargs):  # noqa: ANN002, ANN003, ANN202
-            raise TypeError("not a ReproError")
+            raise error("not a ReproError")
 
         monkeypatch.setattr(FosterBTree, "_write", write)
-        for failing in (lambda: db.insert(tree, b"b", b"2"),
-                        lambda: db.update(tree, b"a", b"2"),
-                        lambda: repro.connect(db).put(b"b", b"2")):
-            with pytest.raises(TypeError):
+        sites = [
+            (db, lambda: db.insert(tree, b"b", b"2")),
+            (db, lambda: db.update(tree, b"a", b"2")),
+            (db, lambda: db.delete(tree, b"a")),
+            (db, lambda: client.put(b"b", b"2")),
+            (db, lambda: client.delete(b"a")),
+            (db, lambda: client.apply_batch([("put", b"b", b"2")])),
+            (worker.db, lambda: shard.call(("put", b"a", b"2"))),
+            (worker.db, lambda: shard.call(("delete", b"a"))),
+            (worker.db, lambda: shard.call(("batch", [("put", b"a", b"2")]))),
+            (worker.db, lambda: shard.call(
+                ("import_slot", slot, [(b"a", b"2")], False))),
+        ]
+        for engine, failing in sites:
+            with pytest.raises(error):
                 failing()
-            assert not db.tm.active
-            assert db.locks.held_keys() == []
+            assert not engine.tm.active
+            assert engine.locks.held_keys() == []
         monkeypatch.undo()
-        client = repro.connect(db)
         client.put(b"b", b"2")
         assert client.get(b"b") == b"2" and client.get(b"a") == b"1"
         db.checkpoint()
         assert db.log.record_at(
             db.log.master_checkpoint_lsn).checkpoint.active_txns == []
+        fleet.put(b"b", b"2")
+        assert fleet.get(b"b") == b"2" and fleet.get(b"a") == b"1"
+        fleet.close()
 
     def test_autocommit_commits_or_rolls_back(self, db):
         tree = db.create_index()
-        txn = db.begin()
-        db.locks.acquire(txn.txn_id, b"k")
-        tree.insert(txn, b"k", b"v")
-        db.end_autocommit(txn)
+
+        def insert(txn):  # noqa: ANN001, ANN202
+            db.locks.acquire(txn.txn_id, b"k")
+            tree.insert(txn, b"k", b"v")
+
+        def doomed(txn):  # noqa: ANN001, ANN202
+            db.locks.acquire(txn.txn_id, b"k")
+            tree.update(txn, b"k", b"doomed")
+            raise KeyboardInterrupt
+
+        db.run_autocommit(insert)
         assert tree.lookup(b"k") == b"v" and not db.tm.active
-        txn = db.begin()
-        db.locks.acquire(txn.txn_id, b"k")
-        tree.update(txn, b"k", b"doomed")
-        db.end_autocommit(txn, failed=True)  # the body raised
+        with pytest.raises(KeyboardInterrupt):
+            db.run_autocommit(doomed)
         assert tree.lookup(b"k") == b"v"
         assert not db.tm.active and db.locks.held_keys() == []
 
