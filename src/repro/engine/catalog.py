@@ -26,12 +26,30 @@ from repro.wal.ops import OpInsert, value_rewrite
 METADATA_PAGE = 0
 
 
+class TreeRegistry(dict):
+    """Index id -> attached tree handle.  A hit is a plain dict lookup,
+    ``catalog.trees[index_id]`` with no Python frame (the embedded
+    client and the shard worker ask on every operation); a miss
+    re-attaches the index, as after a restart, whose root lives in the
+    metadata page."""
+
+    def __init__(self, catalog: "Catalog") -> None:
+        super().__init__()
+        self.catalog = catalog
+
+    def __missing__(self, index_id: int) -> FosterBTree:
+        db = self.catalog.db
+        self.catalog.get_root(index_id)
+        tree = self[index_id] = FosterBTree(index_id, db, db.tm, db.stats)
+        return tree
+
+
 class Catalog:
     """Metadata and object catalogs over the engine's metadata page."""
 
     def __init__(self, db) -> None:  # noqa: ANN001 - Database facade
         self.db = db
-        self.trees: dict[int, FosterBTree] = {}
+        self.trees = TreeRegistry(self)
         #: index id -> root page id, the volatile cache :meth:`get_root`
         #: fills (a descent reads it in place)
         self.roots: dict[int, int] = {}
@@ -123,15 +141,6 @@ class Catalog:
         # DDL durability: creating an index must survive a crash even
         # before the first user commit forces the log.
         db.log.force()
-        return tree
-
-    def tree(self, index_id: int) -> FosterBTree:
-        tree = self.trees.get(index_id)
-        if tree is None:
-            # Re-attach after restart: the root lives in the metadata page.
-            self.get_root(index_id)
-            tree = FosterBTree(index_id, self.db, self.db.tm, self.db.stats)
-            self.trees[index_id] = tree
         return tree
 
     # ------------------------------------------------------------------
