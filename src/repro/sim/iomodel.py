@@ -13,7 +13,7 @@ different device simply construct their own :class:`IOProfile`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,9 @@ class IOProfile:
         sequential_factor: multiplier (< 1) applied to per-operation
             latency when an access is sequential with respect to the
             previous one, modelling elevator-friendly access patterns.
+        sequential_write_latency: derived, ``write_latency *
+            sequential_factor`` — the fixed cost of a sequential write,
+            taken once (the log's force reads it in place).
     """
 
     name: str
@@ -35,6 +38,8 @@ class IOProfile:
     write_latency: float
     bandwidth: float
     sequential_factor: float = 0.0
+    sequential_write_latency: float = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self) -> None:
         if self.read_latency < 0 or self.write_latency < 0:
@@ -43,6 +48,8 @@ class IOProfile:
             raise ValueError("bandwidth must be positive")
         if not 0.0 <= self.sequential_factor <= 1.0:
             raise ValueError("sequential_factor must be in [0, 1]")
+        object.__setattr__(self, "sequential_write_latency",
+                           self.write_latency * self.sequential_factor)
 
     def read_cost(self, nbytes: int, sequential: bool = False) -> float:
         """Seconds needed to read ``nbytes`` in one operation."""
@@ -53,9 +60,8 @@ class IOProfile:
 
     def write_cost(self, nbytes: int, sequential: bool = False) -> float:
         """Seconds needed to write ``nbytes`` in one operation."""
-        latency = self.write_latency
-        if sequential:
-            latency *= self.sequential_factor
+        latency = (self.sequential_write_latency if sequential
+                   else self.write_latency)
         return latency + nbytes / self.bandwidth
 
 

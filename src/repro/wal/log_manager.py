@@ -59,9 +59,9 @@ class LogManager:
                  group_commit: bool = True) -> None:
         self.clock = clock
         self.profile = profile
-        #: a force is one sequential write: ``profile.write_cost(pending,
-        #: sequential=True)``, its two terms taken once here
-        self._force_latency = profile.write_latency * profile.sequential_factor
+        #: a force is one sequential write, ``profile.write_cost(pending,
+        #: sequential=True)``: its two terms read in place
+        self._force_latency = profile.sequential_write_latency
         self._bandwidth = profile.bandwidth
         self.stats = stats
         counter = stats.counter

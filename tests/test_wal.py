@@ -7,7 +7,14 @@ from repro.errors import KeyNotFound, LogError
 from repro.page.page import Page, PageType
 from repro.page.slotted import Record, SlottedPage
 from repro.sim.clock import SimClock
-from repro.sim.iomodel import HDD_PROFILE, NULL_PROFILE
+from repro.sim.iomodel import (
+    ARCHIVE_PROFILE,
+    FLASH_PROFILE,
+    HDD_2012_PROFILE,
+    HDD_PROFILE,
+    NULL_PROFILE,
+    IOProfile,
+)
 from repro.sim.stats import Stats
 from repro.wal.log_manager import LogManager
 from repro.wal.log_reader import LogReader
@@ -221,6 +228,24 @@ class TestLogManager:
         assert log.durable_lsn == NULL_LSN
         log.force()
         assert log.durable_lsn > lsn
+
+    @pytest.mark.parametrize("profile", [
+        HDD_PROFILE, HDD_2012_PROFILE, FLASH_PROFILE, ARCHIVE_PROFILE,
+        NULL_PROFILE, IOProfile("odd", 0.003, 0.0007, 3e7, 0.37)],
+        ids=lambda profile: profile.name)
+    def test_a_force_costs_one_sequential_write(self, profile):
+        """The force charges exactly ``write_cost(pending, sequential=
+        True)`` — the same float, so simulated time stays bit-identical
+        to the I/O model's."""
+        clock = SimClock()
+        log = LogManager(clock, profile, Stats())
+        for txn_id in range(1, 4):
+            log.append(LogRecord(LogRecordKind.COMMIT, txn_id=txn_id))
+        pending = log.end_lsn - log.durable_lsn
+        before = clock.now
+        log.force()
+        assert clock.now == before + profile.write_cost(pending,
+                                                        sequential=True)
 
     def test_force_is_idempotent(self):
         stats = Stats()
