@@ -20,7 +20,9 @@ Three more paths hold budgets of their own: a warm autocommit delete of
 a live key (72 with the forwarding frames), and the in-process shard
 worker's get and put, each one ``LocalShard.call`` (36 and 76 while the
 worker also hopped through ``_require_running``, ``_slot_of``, ``_tree``,
-``upsert`` and its ``durable_lsn`` property).  The counts are
+``upsert`` and its ``durable_lsn`` property).  So do a warm get and
+put of a ``process`` fleet's client, counted on the router's side of
+the socket (the worker is another process).  The counts are
 deterministic: what ``sys.setprofile`` sees, not a clock
 (``benchmarks/write_path.py`` prints both and times the stages).
 """
@@ -36,6 +38,8 @@ GET_CALLS = 17
 DELETE_CALLS = 51
 WORKER_GET_CALLS = 22
 WORKER_PUT_CALLS = 55
+ROUTER_GET_CALLS = 12
+ROUTER_PUT_CALLS = 12
 
 _CONFIG = dict(page_size=1024, capacity_pages=8192, buffer_capacity=4096)
 _KEYS = [b"user%07d" % (7 * i) for i in range(2_000)]
@@ -122,3 +126,34 @@ def test_the_shard_workers_warm_put_stays_under_its_call_budget():
     assert after["log_forces"] - before["log_forces"] == 1
     assert shard.call(("get", key)) == b"d" * 60
     assert calls <= WORKER_PUT_CALLS, f"a worker put made {calls} calls"
+
+
+def _resident_fleet():  # noqa: ANN202
+    """A warm 2-shard process fleet and one of its keys."""
+    client = repro.connect(ShardConfig(n_shards=2, transport="process",
+                                       engine=EngineConfig(**_CONFIG)))
+    client.apply_batch([("put", key, b"v" * 60) for key in _KEYS[:200]])
+    key = _KEYS[50]
+    for value in (b"a" * 60, b"b" * 60, b"c" * 60):
+        client.put(key, value)
+        assert client.get(key) == value
+    return client, key
+
+
+def test_a_fleet_clients_warm_get_stays_under_its_call_budget():
+    client, key = _resident_fleet()
+    try:
+        calls = python_calls(lambda: client.get(key))
+    finally:
+        client.close()
+    assert calls <= ROUTER_GET_CALLS, f"a fleet get made {calls} calls"
+
+
+def test_a_fleet_clients_warm_put_stays_under_its_call_budget():
+    client, key = _resident_fleet()
+    try:
+        calls = python_calls(lambda: client.put(key, b"d" * 60))
+        assert client.get(key) == b"d" * 60
+    finally:
+        client.close()
+    assert calls <= ROUTER_PUT_CALLS, f"a fleet put made {calls} calls"
