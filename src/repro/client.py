@@ -357,16 +357,22 @@ class ShardedClient(Client):
         self._require_open()
         return self.router.routing.assignments()
 
+    # The point operations test the closed state in place, as the
+    # single-node client does: one call into the router, no frame
+    # between.
     def get(self, key: bytes) -> bytes | None:
-        self._require_open()
+        if self._closed:
+            self._require_open()
         return self.router.get(key)
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._require_open()
+        if self._closed:
+            self._require_open()
         self.router.put(key, value)
 
     def delete(self, key: bytes) -> bool:
-        self._require_open()
+        if self._closed:
+            self._require_open()
         return self.router.delete(key)
 
     def scan(self, low: bytes = b"",

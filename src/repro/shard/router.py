@@ -40,6 +40,7 @@ import itertools
 import threading
 from collections import deque
 from collections.abc import Sequence
+from zlib import crc32
 
 from repro.errors import (
     ClientClosedError,
@@ -288,16 +289,24 @@ class ShardRouter:
         try:
             return shard.call(command)
         except SystemFailure:
-            indoubt = shard.call(("restart", None))
-            # Probe *between* analysis and in-doubt resolution: the
-            # resolution path writes fresh commit records that would
-            # otherwise be indistinguishable from the lost reply's.
-            outcome = (shard.call(("outcome_since", watermark))
-                       if watermark is not None else None)
-            self._finish_reopen(idx, indoubt)
-            if outcome is not None:
-                return self._synthesize(command, outcome)
-            return shard.call(command)
+            return self._reopen_and_retry(idx, command, watermark)
+
+    def _reopen_and_retry(self, idx: int, command: tuple,
+                          watermark: int | None):  # noqa: ANN202
+        """The rest of :meth:`_call` once ``command`` met a crashed
+        shard: reopen it, then answer from the log past ``watermark``
+        (``None`` for a verb that is safe to re-run) or retry once."""
+        shard = self.shards[idx]
+        indoubt = shard.call(("restart", None))
+        # Probe *between* analysis and in-doubt resolution: the
+        # resolution path writes fresh commit records that would
+        # otherwise be indistinguishable from the lost reply's.
+        outcome = (shard.call(("outcome_since", watermark))
+                   if watermark is not None else None)
+        self._finish_reopen(idx, indoubt)
+        if outcome is not None:
+            return self._synthesize(command, outcome)
+        return shard.call(command)
 
     @staticmethod
     def _synthesize(command: tuple, outcome: tuple[int, int]):  # noqa: ANN205
@@ -370,14 +379,57 @@ class ShardRouter:
             self._install_ownership(idx)
             return self._call(self.shard_of(key), *command)
 
+    def _rerouted(self, key: bytes, idx: int, command: tuple,
+                  watermark: int | None, failure: Exception):  # noqa: ANN202
+        """What :meth:`_routed` answers once the warm path's one attempt
+        at shard ``idx`` raised ``failure``: the reopen and retry of a
+        :class:`SystemFailure`, then the redirect of a
+        :class:`WrongShardError`."""
+        if isinstance(failure, SystemFailure):
+            try:
+                return self._reopen_and_retry(idx, command, watermark)
+            except WrongShardError:
+                pass
+        self._install_ownership(idx)
+        return self._call(self.shard_of(key), *command)
+
+    # The point operations are _routed spelled out for the warm case: the
+    # owner from the routing table (RoutingTable.shard_for, in place), one
+    # round trip, and the closed check, a queued message or a failure
+    # handing over to _routed / _rerouted with the same semantics.
     def get(self, key: bytes) -> bytes | None:
-        return self._routed(key, "get", key)
+        idx = self.routing._owner[crc32(key) % self.routing.n_slots]
+        if self._closed or self._pending[idx]:
+            return self._routed(key, "get", key)
+        try:
+            return self.shards[idx].call(("get", key))
+        except (SystemFailure, WrongShardError) as failure:
+            return self._rerouted(key, idx, ("get", key), None, failure)
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._routed(key, "put", key, value)
+        idx = self.routing._owner[crc32(key) % self.routing.n_slots]
+        if self._closed or self._pending[idx]:
+            self._routed(key, "put", key, value)
+            return
+        shard = self.shards[idx]
+        watermark = shard.durable_lsn  # see _call
+        try:
+            shard.call(("put", key, value))
+        except (SystemFailure, WrongShardError) as failure:
+            self._rerouted(key, idx, ("put", key, value), watermark,
+                           failure)
 
     def delete(self, key: bytes) -> bool:
-        return self._routed(key, "delete", key)
+        idx = self.routing._owner[crc32(key) % self.routing.n_slots]
+        if self._closed or self._pending[idx]:
+            return self._routed(key, "delete", key)
+        shard = self.shards[idx]
+        watermark = shard.durable_lsn  # see _call
+        try:
+            return shard.call(("delete", key))
+        except (SystemFailure, WrongShardError) as failure:
+            return self._rerouted(key, idx, ("delete", key), watermark,
+                                  failure)
 
     def scan(self, low: bytes = b"",
              high: bytes | None = None) -> list[tuple[bytes, bytes]]:

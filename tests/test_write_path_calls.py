@@ -22,7 +22,10 @@ worker's get and put, each one ``LocalShard.call`` (36 and 76 while the
 worker also hopped through ``_require_running``, ``_slot_of``, ``_tree``,
 ``upsert`` and its ``durable_lsn`` property).  So do a warm get and
 put of a ``process`` fleet's client, counted on the router's side of
-the socket (the worker is another process).  The counts are
+the socket (the worker is another process): 12 each while the client
+and the router hopped through ``_require_open`` twice, ``_routed``,
+``shard_of`` / ``RoutingTable.shard_for`` / ``slot_of`` and ``_call``
+to reach ``ProcessShard.call``.  The counts are
 deterministic: what ``sys.setprofile`` sees, not a clock
 (``benchmarks/write_path.py`` prints both and times the stages).
 """
@@ -38,8 +41,8 @@ GET_CALLS = 17
 DELETE_CALLS = 51
 WORKER_GET_CALLS = 22
 WORKER_PUT_CALLS = 55
-ROUTER_GET_CALLS = 12
-ROUTER_PUT_CALLS = 12
+ROUTER_GET_CALLS = 6
+ROUTER_PUT_CALLS = 6
 
 _CONFIG = dict(page_size=1024, capacity_pages=8192, buffer_capacity=4096)
 _KEYS = [b"user%07d" % (7 * i) for i in range(2_000)]
