@@ -13,7 +13,8 @@ fleet creation.  Each shard is reached through a transport:
   the differential suite run here; a ``partitioned`` flag models a
   network partition by refusing every command.
 * :class:`ProcessShard` — the worker is a forked child serving the
-  length-prefixed socket protocol.  N shards then run on N real
+  checksummed struct frames of :mod:`repro.shard.rpc` over a
+  socketpair.  N shards then run on N real
   cores: the multi-process path the throughput benchmark measures.
 
 Cross-shard transactions commit with WAL-logged two-phase commit
@@ -55,7 +56,7 @@ from repro.errors import (
 )
 from repro.shard.config import ShardConfig
 from repro.shard.routing import RoutingTable, slot_of
-from repro.shard.rpc import recv_msg, send_msg, unmarshal_error
+from repro.shard.rpc import encode, recv_msg, unmarshal_error
 from repro.shard.twopc import CoordinatorLog
 from repro.shard.worker import ShardWorker, worker_main
 
@@ -157,8 +158,11 @@ class ProcessShard:
             if sock is None:
                 raise ShardUnavailableError(
                     self.shard_id, "worker connection closed")
+            # Encoded before the send: a value the codec refuses leaves
+            # the stream in step.
+            frame = encode(command)
             try:
-                send_msg(sock, command)
+                sock.sendall(frame)
                 reply = recv_msg(sock)
                 if reply is None:
                     raise ConnectionError("worker process exited")
@@ -167,7 +171,7 @@ class ProcessShard:
                     return result
                 if reply[0] != "err":
                     raise ValueError(f"malformed rpc reply {reply!r:.80}")
-                _, name, message, self.durable_lsn = reply
+                _, name, message, fields, self.durable_lsn = reply
             except BaseException as exc:
                 # Anything short of a complete, well-formed reply leaves
                 # the byte stream out of step (an unread body would be
@@ -180,7 +184,7 @@ class ProcessShard:
                         self.shard_id,
                         f"worker connection lost: {exc}") from exc
                 raise
-        raise unmarshal_error(name, message)
+        raise unmarshal_error(name, message, fields)
 
     def close(self) -> None:
         try:

@@ -38,7 +38,7 @@ from repro.errors import (
     WrongShardError,
 )
 from repro.shard.routing import slot_of
-from repro.shard.rpc import marshal_error, recv_msg, send_msg
+from repro.shard.rpc import encode, marshal_error, recv_msg
 from repro.wal.records import LogRecordKind
 
 
@@ -47,6 +47,13 @@ def _check_batch_op(op: tuple) -> None:
     has checked its shape, :func:`repro.shard.router.check_batch_op`)."""
     if op[0] not in ("put", "delete"):
         raise ShardError(f"unknown batch op {op[0]!r}")
+
+
+class _Verbs(dict):
+    """Verb -> bound handler; a verb with no handler is refused."""
+
+    def __missing__(self, verb):  # noqa: ANN001, ANN204
+        raise ShardError(f"unknown shard command {verb!r}")
 
 
 class ShardWorker:
@@ -64,18 +71,16 @@ class ShardWorker:
         self._owned: set[int] | None = None
         self._n_slots = 0
         #: verb -> bound handler, built once (every ``_cmd_*`` method)
-        self._handlers = {
-            name[len("_cmd_"):]: getattr(self, name)
-            for name in dir(type(self)) if name.startswith("_cmd_")}
+        self._handlers = _Verbs(
+            (name[len("_cmd_"):], getattr(self, name))
+            for name in dir(type(self)) if name.startswith("_cmd_"))
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def execute(self, command: tuple):  # noqa: ANN201
         """Run one ``(verb, *operands)`` tuple; exceptions propagate."""
-        handler = self._handlers.get(command[0])
-        if handler is None:
-            raise ShardError(f"unknown shard command {command[0]!r}")
+        handler = self._handlers[command[0]]
         self.ops_served += 1
         return handler(*command[1:])
 
@@ -505,30 +510,39 @@ class ShardWorker:
 def serve(worker: ShardWorker, sock) -> None:  # noqa: ANN001
     """Request loop for one connection: read a command tuple, reply
     ``("ok", result, durable_lsn)`` or ``("err", class_name, message,
-    durable_lsn)`` — the shard log's durable high-water mark, read after
-    the command, crashed shard or not (the durable log outlives a
-    crash).  The router keeps the last one it saw; if a state-changing
-    command's reply is then lost to a crash, it asks what committed past
-    the mark (``outcome_since``) instead of blindly re-executing."""
+    fields, durable_lsn)`` — the shard log's durable high-water mark,
+    read after the command, crashed shard or not (the durable log
+    outlives a crash).  The router keeps the last one it saw; if a
+    state-changing command's reply is then lost to a crash, it asks
+    what committed past the mark (``outcome_since``) instead of blindly
+    re-executing.  The loop is :meth:`ShardWorker.execute` in place:
+    decode, dispatch and encode with no frame between."""
     log = worker.db.log
+    handlers = worker._handlers
     while True:
         try:
             command = recv_msg(sock)
-        except (ConnectionError, OSError, EOFError):
+        except (ConnectionError, OSError):
             break
         if command is None:
             break
+        verb = None
         try:
-            result = worker.execute(command)
+            verb = command[0]
+            handler = handlers[verb]
+            worker.ops_served += 1
+            reply = ("ok", handler(*command[1:]), log.durable_lsn)
         except Exception as exc:  # marshalled, never kills the loop
             reply = ("err", *marshal_error(exc), log.durable_lsn)
-        else:
-            reply = ("ok", result, log.durable_lsn)
         try:
-            send_msg(sock, reply)
-        except (ConnectionError, OSError, BrokenPipeError):
+            frame = encode(reply)
+        except ShardError as exc:  # a result the codec cannot carry
+            frame = encode(("err", *marshal_error(exc), log.durable_lsn))
+        try:
+            sock.sendall(frame)
+        except OSError:
             break
-        if command[0] == "close":
+        if verb == "close":
             break
 
 

@@ -168,10 +168,10 @@ class TestWorkerOwnership:
     def test_wrong_shard_error_survives_rpc_marshalling(self):
         original = WrongShardError("shard 1 does not own slot 9",
                                    shard=1, slot=9)
-        name, message = marshal_error(original)
-        rebuilt = unmarshal_error(name, message)
+        rebuilt = unmarshal_error(*marshal_error(original))
         assert isinstance(rebuilt, WrongShardError)
         assert "slot 9" in str(rebuilt)
+        assert (rebuilt.shard, rebuilt.slot) == (1, 9)
 
 
 # ----------------------------------------------------------------------

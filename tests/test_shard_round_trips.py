@@ -6,13 +6,18 @@
   value: whichever command loses its reply (or never runs) to a crash
   is applied exactly once and answered as if nothing happened;
 * a branch opens with its first write and never silently re-opens;
-* a broken frame kills the connection instead of desynchronising it.
+* a broken frame kills the connection instead of desynchronising it,
+  and no bytes — random, checksummed or one bit off a valid frame —
+  decode to anything but a message or a :class:`ConnectionError`.
 """
 
-import pickle
 import socket
+import struct
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.errors import (
@@ -22,7 +27,7 @@ from repro.errors import (
 )
 from repro.shard.config import ShardConfig
 from repro.shard.router import LocalShard, ProcessShard, ShardRouter
-from repro.shard.rpc import MAX_MESSAGE_BYTES
+from repro.shard.rpc import MAX_MESSAGE_BYTES, decode, encode
 from repro.wal.records import LogRecordKind
 
 
@@ -344,20 +349,29 @@ class TestFirstWriteEnlist:
 # ----------------------------------------------------------------------
 # A framing error ends the connection, typed
 # ----------------------------------------------------------------------
-def _frame(payload: bytes) -> bytes:
-    return len(payload).to_bytes(4, "little") + payload
+def _frame(body: bytes) -> bytes:
+    """A frame around ``body`` with a correct count and CRC."""
+    counted = struct.pack("<I", len(body) + 4) + body
+    return counted + struct.pack("<I", zlib.crc32(counted))
+
+
+def _flipped(frame: bytes) -> bytes:
+    """``frame`` with one bit of its body flipped."""
+    damaged = bytearray(frame)
+    damaged[5] ^= 0x01
+    return bytes(damaged)
 
 
 BROKEN_REPLIES = {
     "oversized_header": ((MAX_MESSAGE_BYTES + 1).to_bytes(4, "little")
                          + b"x" * 32, False),
-    "truncated_body": ((100).to_bytes(4, "little") + b"x" * 10, True),
+    "truncated_body": (encode(("ok", b"v" * 100, 7))[:20], True),
     "garbage_bytes": (_frame(b"\xff\x00garbage!"), False),
-    "not_an_envelope": (_frame(pickle.dumps(42)), False),
-    "short_envelope": (_frame(pickle.dumps(("ok", None))), False),
-    "unknown_status": (_frame(pickle.dumps(("meh", 1, 2))), False),
-    "bytes_after_the_frame": (_frame(pickle.dumps(("ok", "pong", 7)))
-                              + b"tail", False),
+    "crc_mismatch": (_flipped(encode(("ok", b"value", 7))), False),
+    "not_an_envelope": (encode(42), False),
+    "short_envelope": (encode(("ok", None)), False),
+    "unknown_status": (encode(("meh", 1, 2)), False),
+    "bytes_after_the_frame": (encode(("ok", "pong", 7)) + b"tail", False),
 }
 
 
@@ -385,3 +399,99 @@ def test_broken_reply_fails_typed_and_stays_failed(name):
         far.close()
         client.close()
     assert not shard._proc.is_alive()
+
+
+# ----------------------------------------------------------------------
+# Hostile bytes: a message or a ConnectionError, nothing else
+# ----------------------------------------------------------------------
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.binary(max_size=24) | st.text(max_size=12))
+_values = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.binary(max_size=8)
+                                     | st.text(max_size=8)
+                                     | st.integers(), inner, max_size=4)),
+    max_leaves=24)
+_keys = st.binary(max_size=40)
+_batch_ops = st.lists(st.tuples(st.just("put"), _keys, st.binary(max_size=60))
+                      | st.tuples(st.just("delete"), _keys), max_size=8)
+#: every shape a message can take on the wire, and the tagged fallback
+_messages = st.one_of(
+    st.tuples(st.sampled_from(["get", "delete"]), _keys),
+    st.tuples(st.just("put"), _keys, st.binary(max_size=200)),
+    st.tuples(st.just("batch"), _batch_ops),
+    st.tuples(st.just("ok"),
+              st.none() | st.booleans() | st.binary() | st.integers()
+              | st.sampled_from(["pong", "eager", "not a word"]),
+              st.integers()),
+    st.tuples(st.just("ping")),
+    st.tuples(st.sampled_from(["txn_commit", "txn_abort"]), st.integers()),
+    st.tuples(st.just("prepare"), st.integers(), st.integers()),
+    st.tuples(st.just("resolve"), st.integers(), st.booleans()),
+    st.tuples(st.just("txn_get"), st.integers(), _keys),
+    st.tuples(st.just("txn_delete"), st.integers(), _keys, st.booleans()),
+    st.tuples(st.just("txn_put"), st.integers(), _keys, st.binary(max_size=60),
+              st.booleans()),
+    st.tuples(st.just("err"), st.text(max_size=12), st.text(),
+              st.dictionaries(st.text(max_size=8), _values, max_size=3),
+              st.integers(min_value=0, max_value=2**40)),
+    _values)
+
+
+def _decodes_or_refuses(frame: bytes) -> None:
+    """The decoder's contract on any bytes; a message it accepts must
+    survive its own round trip."""
+    try:
+        message = decode(frame)
+    except ConnectionError:
+        return
+    assert repr(decode(encode(message))) == repr(message)
+
+
+@settings(max_examples=300)
+@given(message=_messages)
+def test_every_message_decodes_to_what_was_encoded(message):
+    frame = encode(message)
+    assert repr(decode(frame)) == repr(message)
+
+
+@settings(max_examples=400)
+@given(data=st.binary(max_size=160))
+def test_random_bytes_decode_or_fail_typed(data):
+    _decodes_or_refuses(data)
+
+
+@settings(max_examples=800)
+@given(shape=st.integers(min_value=0, max_value=12),
+       body=st.binary(max_size=160))
+def test_checksummed_garbage_of_every_shape_decodes_or_fails_typed(shape,
+                                                                   body):
+    # A correct length and CRC get the bytes past the frame checks and
+    # into the request and reply decoders.
+    _decodes_or_refuses(_frame(bytes((shape,)) + body))
+
+
+@settings(max_examples=300)
+@given(message=_messages, cut=st.integers(min_value=0))
+def test_a_truncated_body_with_a_fixed_header_fails_typed(message, cut):
+    body = encode(message)[4:-4]
+    _decodes_or_refuses(_frame(body[:cut % (len(body) + 1)]))
+
+
+@pytest.mark.parametrize("message", [
+    ("get", b"key"), ("put", b"key", b"v" * 40), ("delete", b"key"),
+    ("batch", [("put", b"a", b"1"), ("delete", b"b")]),
+    ("ok", b"value", 7), ("ok", None, 7), ("ok", True, 7), ("ok", 12, 7),
+    ("ok", "pong", 7), ("txn_put", 3, b"key", b"value", True), ("ping",),
+    ("err", "LockConflict", "blocked", {"key": b"k", "holder": 3}, 7),
+    ("scan", b"", None),
+], ids=lambda message: str(message[0]))
+def test_any_one_flipped_bit_of_a_frame_is_refused(message):
+    frame = encode(message)
+    for bit in range(8 * len(frame)):
+        damaged = bytearray(frame)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(ConnectionError):
+            decode(bytes(damaged))

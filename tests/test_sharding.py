@@ -1,6 +1,5 @@
 """The shard layer: partitioning, RPC framing, worker, transports."""
 
-import pickle
 import socket
 
 import pytest
@@ -10,7 +9,9 @@ from repro.errors import (
     ShardError,
     ShardUnavailableError,
     SystemFailure,
+    TransactionAborted,
     TransactionError,
+    WrongShardError,
 )
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter
@@ -23,6 +24,7 @@ from repro.shard.rpc import (
     unmarshal_error,
 )
 from repro.shard.worker import ShardWorker
+from repro.txn.locks import LockConflict
 
 
 # ----------------------------------------------------------------------
@@ -89,8 +91,8 @@ class TestRpcFraming:
         b.close()
 
     def test_error_marshalling_taxonomy(self):
-        name, message = marshal_error(SystemFailure("crashed"))
-        err = unmarshal_error(name, message)
+        name, message, fields = marshal_error(SystemFailure("crashed"))
+        err = unmarshal_error(name, message, fields)
         assert isinstance(err, SystemFailure)
         assert "crashed" in str(err)
 
@@ -99,12 +101,14 @@ class TestRpcFraming:
         assert isinstance(err, ShardError)
         assert "SomethingWeird" in str(err)
 
-    def test_error_marshalling_structured_ctor_falls_back(self):
-        # ShardUnavailableError wants (shard, reason); rehydration by
-        # message alone must not crash, it degrades to ShardError.
-        name, message = marshal_error(ShardUnavailableError(3, "gone"))
-        err = unmarshal_error(name, message)
-        assert isinstance(err, ShardError)
+    def test_error_marshalling_structured_ctor_keeps_its_class(self):
+        # ShardUnavailableError wants (shard, reason): it is rebuilt
+        # without its constructor, message and fields as they were.
+        original = ShardUnavailableError(3, "gone")
+        err = unmarshal_error(*marshal_error(original))
+        assert type(err) is ShardUnavailableError
+        assert str(err) == str(original)
+        assert (err.shard, err.reason) == (3, "gone")
 
 
 # ----------------------------------------------------------------------
@@ -306,3 +310,57 @@ class TestProcessTransport:
                 proc.terminate()
                 proc.join(timeout=5)
 
+
+
+# ----------------------------------------------------------------------
+# Errors keep their class across the process transport
+# ----------------------------------------------------------------------
+def _raised(call) -> Exception:  # noqa: ANN001
+    with pytest.raises(Exception) as info:
+        call()
+    return info.value
+
+
+def _as_seen(exc: Exception) -> tuple:
+    return type(exc), str(exc), vars(exc)
+
+
+class TestErrorsKeepTheirClass:
+    """What the process router raises is what the in-process router
+    raises: the same class, message and fields."""
+
+    def _both(self, build):  # noqa: ANN001, ANN202
+        seen = []
+        for transport in ("inproc", "process"):
+            router = ShardRouter(ShardConfig(n_shards=2, transport=transport))
+            try:
+                seen.append(_as_seen(build(router)))
+            finally:
+                router.close()
+        return seen
+
+    def test_a_lock_conflict(self):
+        def conflict(router):  # noqa: ANN001, ANN202
+            holder = router.txn()
+            holder.put(b"k", b"held")
+            return _raised(lambda: router.txn().put(b"k", b"v"))
+
+        inproc, process = self._both(conflict)
+        assert inproc[0] is LockConflict
+        assert process == inproc
+
+    @pytest.mark.parametrize("error", [
+        TransactionAborted(9, "deadlock on key b'k'"),
+        WrongShardError("shard 1 does not own slot 9", shard=1, slot=9),
+        LockConflict(7, b"k", 3),
+    ], ids=lambda error: type(error).__name__)
+    def test_a_raised_taxonomy_error(self, error, monkeypatch):
+        def fail(_worker):  # noqa: ANN001, ANN202
+            raise error
+
+        # Patched before the fork, so the process worker raises it too.
+        monkeypatch.setattr(ShardWorker, "_cmd_ping", fail)
+        inproc, process = self._both(
+            lambda router: _raised(lambda: router._call(0, "ping")))
+        assert inproc == _as_seen(error)
+        assert process == inproc
