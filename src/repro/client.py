@@ -32,7 +32,6 @@ can move one at a time.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 
 from repro.engine.config import EngineConfig
@@ -331,9 +330,12 @@ class ShardedClient(Client):
 
     All single-key autocommit calls route straight through; the
     transaction handle is the router's (single-shard passthrough,
-    cross-shard 2PC).  ``apply_batch`` splits by shard and — on the
-    process transport — dispatches the per-shard batches from
-    concurrent threads, so N engine processes execute on N cores.
+    cross-shard 2PC).  ``apply_batch`` splits by shard and fans the
+    per-shard batches out from the caller's thread
+    (:meth:`ShardRouter.fan_out`): on the process transport every
+    shard's frame is in flight before the first reply is read, so the
+    worker processes execute at once; each reply is then read through
+    :meth:`ShardRouter.apply_batch`.
     """
 
     def __init__(self, router: ShardRouter) -> None:
@@ -382,30 +384,11 @@ class ShardedClient(Client):
 
     def apply_batch(self, ops: list[tuple]) -> int:
         self._require_open()
-        batches = self.router.partition_batches(ops)
-        if self.router.config.transport != "process" or len(batches) <= 1:
-            for idx in sorted(batches):
-                self.router.apply_batch(idx, batches[idx])
-            return len(ops)
-        # Process transport: per-shard batches run in real parallel —
-        # each thread blocks on its own worker's socket while that
-        # worker's engine burns its own core.
-        errors: list[BaseException] = []
-
-        def run(idx: int) -> None:
-            try:
-                self.router.apply_batch(idx, batches[idx])
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=run, args=(idx,), daemon=True)
-                   for idx in sorted(batches)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
+        router = self.router
+        batches = router.partition_batches(ops)
+        router.fan_out(
+            [(idx, ("batch", batches[idx])) for idx in sorted(batches)],
+            lambda idx, _verb, batch: router.apply_batch(idx, batch))
         return len(ops)
 
     def metrics(self) -> dict[str, int | float]:

@@ -14,8 +14,10 @@ fleet creation.  Each shard is reached through a transport:
   network partition by refusing every command.
 * :class:`ProcessShard` — the worker is a forked child serving the
   checksummed struct frames of :mod:`repro.shard.rpc` over a
-  socketpair.  N shards then run on N real
-  cores: the multi-process path the throughput benchmark measures.
+  socketpair: the multi-process path the throughput benchmark
+  measures.  A fan-out (:meth:`ShardRouter.fan_out`) puts every
+  shard's frame in flight before it reads the first reply, so N
+  workers execute at once from the caller's one thread.
 
 Cross-shard transactions commit with WAL-logged two-phase commit
 (participant PREPARE records + the router's forced decision log).  The
@@ -38,9 +40,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from zlib import crc32
 
 from repro.errors import (
@@ -59,6 +60,7 @@ from repro.shard.routing import RoutingTable, slot_of
 from repro.shard.rpc import encode, recv_msg, unmarshal_error
 from repro.shard.twopc import CoordinatorLog
 from repro.shard.worker import ShardWorker, worker_main
+from repro.sync import Mutex
 
 
 #: verbs whose blind re-execution after a crashed reply is unsafe: the
@@ -98,6 +100,10 @@ class LocalShard:
         #: transport retries on exactly the information the real one has
         self.durable_lsn = self.worker.db.log.durable_lsn
 
+    def post(self, command: tuple) -> None:
+        """The send half of a fan-out: nothing to send in process; the
+        work runs in :meth:`call`, in the order the calls come."""
+
     def call(self, command: tuple):  # noqa: ANN201
         if self.partitioned:
             raise ShardUnavailableError(self.shard_id, "network partition")
@@ -122,7 +128,10 @@ class ProcessShard:
     configuration objects, and the engine itself is constructed *in the
     child*, so no device or pool state is ever shared.  One lock per
     shard serializes request/reply pairs on the connection; different
-    shards proceed fully in parallel.
+    shards proceed fully in parallel.  A round trip is :meth:`call`; a
+    fan-out splits it in two — :meth:`post` sends the frame and keeps
+    the lock, and the :meth:`call` that follows with the same command
+    only reads the reply — so one thread can keep every shard busy.
     """
 
     def __init__(self, shard_id: int, config,  # noqa: ANN001
@@ -141,7 +150,9 @@ class ProcessShard:
         #: ``None`` once the connection is lost or out of step: every
         #: later call fails typed instead of misparsing the stream
         self._sock = parent_sock
-        self._lock = threading.Lock()
+        self._lock = Mutex()
+        #: the command :meth:`post` sent whose reply is still unread
+        self._posted: tuple | None = None
         #: the durable LSN the last reply carried (``None`` before the
         #: first; the router's boot-time ``set_slots`` supplies one)
         self.durable_lsn: int | None = None
@@ -152,17 +163,45 @@ class ProcessShard:
         self._proc.start()
         child_sock.close()  # the child holds its own copy
 
+    def post(self, command: tuple) -> None:
+        """Send ``command``'s frame and hold the shard's lock until the
+        :meth:`call` with the same command reads its reply."""
+        self._lock.acquire()
+        sock = self._sock
+        try:
+            if sock is None:
+                raise ShardUnavailableError(
+                    self.shard_id, "worker connection closed")
+            frame = encode(command)
+            try:
+                sock.sendall(frame)
+            except BaseException as exc:
+                self._hang_up(sock, exc)
+        except BaseException:
+            self._lock.release()
+            raise
+        self._posted = command
+
     def call(self, command: tuple):  # noqa: ANN201
         with self._lock:
+            posted = self._posted
+            if posted is not None:
+                self._posted = None
+                self._lock.release()  # the hold post() took
             sock = self._sock
             if sock is None:
                 raise ShardUnavailableError(
                     self.shard_id, "worker connection closed")
             # Encoded before the send: a value the codec refuses leaves
             # the stream in step.
-            frame = encode(command)
+            frame = encode(command) if posted is None else None
             try:
-                sock.sendall(frame)
+                if frame is not None:
+                    sock.sendall(frame)
+                elif posted != command:
+                    raise ConnectionError(
+                        f"the reply in flight answers {posted[0]!r}, "
+                        f"not {command[0]!r}")
                 reply = recv_msg(sock)
                 if reply is None:
                     raise ConnectionError("worker process exited")
@@ -173,18 +212,21 @@ class ProcessShard:
                     raise ValueError(f"malformed rpc reply {reply!r:.80}")
                 _, name, message, fields, self.durable_lsn = reply
             except BaseException as exc:
-                # Anything short of a complete, well-formed reply leaves
-                # the byte stream out of step (an unread body would be
-                # parsed as the next header): hang up for good.
-                self._sock = None
-                sock.close()
-                if isinstance(exc, (ConnectionError, OSError, TypeError,
-                                    ValueError, LookupError)):
-                    raise ShardUnavailableError(
-                        self.shard_id,
-                        f"worker connection lost: {exc}") from exc
-                raise
+                self._hang_up(sock, exc)
         raise unmarshal_error(name, message, fields)
+
+    def _hang_up(self, sock, exc: BaseException) -> None:  # noqa: ANN001
+        """Anything short of a complete, well-formed exchange leaves the
+        byte stream out of step (an unread body would be parsed as the
+        next header): close the connection for good and re-raise,
+        typed when the stream is what failed."""
+        self._sock = None
+        sock.close()
+        if isinstance(exc, (ConnectionError, OSError, TypeError,
+                            ValueError, LookupError)):
+            raise ShardUnavailableError(
+                self.shard_id, f"worker connection lost: {exc}") from exc
+        raise exc
 
     def close(self) -> None:
         try:
@@ -371,6 +413,44 @@ class ShardRouter:
         if self.commit_hook is not None:
             self.commit_hook(stage, shard_id)
 
+    # -- fan-out -------------------------------------------------------
+    def post(self, idx: int, *command) -> None:
+        """The send half of :meth:`_call`, for :meth:`fan_out`: flush
+        the shard's queue, then put ``command``'s frame in flight.  The
+        :meth:`_call` with the same command that follows reads the
+        reply and handles its failures; a shard whose queue could not
+        be delivered is left for that call to find unreachable."""
+        self._require_open()
+        if self._pending[idx]:
+            self._flush_pending(idx)
+        if not self._pending[idx]:
+            self.shards[idx].post(command)
+
+    def fan_out(self, commands: Sequence[tuple[int, tuple]],
+                call: Callable) -> list:
+        """Run ``(shard, command)`` pairs at once from this thread:
+        post every frame, then read each reply through ``call(shard,
+        *command)`` in order.  Every posted reply is read, even after
+        a failure; the first error is raised once they are all in."""
+        posted, error = [], None
+        for idx, command in commands:
+            try:
+                self.post(idx, *command)
+            except BaseException as exc:
+                error = exc
+                break
+            posted.append((idx, command))
+        results = []
+        for idx, command in posted:
+            try:
+                results.append(call(idx, *command))
+            except BaseException as exc:
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
+        return results
+
     # -- autocommit operations -----------------------------------------
     def _routed(self, key: bytes, *command):  # noqa: ANN201
         """Key-addressed command with one cutover-race redirect: if the
@@ -438,10 +518,12 @@ class ShardRouter:
     def scan(self, low: bytes = b"",
              high: bytes | None = None) -> list[tuple[bytes, bytes]]:
         """Global key order across all shards (k-way merge of the
-        per-shard sorted scans; each shard filters to slots it owns,
-        so a moved slot's not-yet-dropped leftovers appear once)."""
-        per_shard = [self._call(i, "scan", low, high)
-                     for i in range(self.config.n_shards)]
+        per-shard sorted scans, fanned out; each shard filters to slots
+        it owns, so a moved slot's not-yet-dropped leftovers appear
+        once)."""
+        command = ("scan", low, high)
+        per_shard = self.fan_out(
+            [(i, command) for i in range(self.config.n_shards)], self._call)
         return list(heapq.merge(*per_shard))
 
     def apply_batch(self, idx: int, ops: list[tuple]) -> int:

@@ -13,6 +13,7 @@
 
 import socket
 import struct
+import threading
 import zlib
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.errors import (
+    BTreeError,
     ShardUnavailableError,
     SystemFailure,
     TransactionError,
@@ -344,6 +346,111 @@ class TestFirstWriteEnlist:
         txn.put(a1, b"v")
         txn.commit()
         assert router.get(a1) == b"v"
+
+
+# ----------------------------------------------------------------------
+# (d) Fan-out: every frame in flight before the first reply is read
+# ----------------------------------------------------------------------
+class TestFanOut:
+    @pytest.fixture
+    def fleet(self, monkeypatch):
+        """A 2-shard process client and the ``(event, shard, verb,
+        thread)`` log of every post and call."""
+        client = repro.connect(ShardConfig(n_shards=2, transport="process"))
+        events: list[tuple] = []
+        for name in ("post", "call"):
+            real = getattr(ProcessShard, name)
+
+            def logged(self, command, real=real, name=name):
+                events.append((name, self.shard_id, command[0],
+                               threading.get_ident()))
+                return real(self, command)
+
+            monkeypatch.setattr(ProcessShard, name, logged)
+        yield client, events
+        monkeypatch.undo()
+        client.close()
+
+    def test_a_batch_posts_every_frame_before_the_first_read(self, fleet):
+        client, events = fleet
+        router = client.router
+        ops = [("put", key, b"v") for idx in (0, 1)
+               for key in keys_on(router, idx, 4)]
+        before = threading.active_count()
+        assert client.apply_batch(ops) == 8
+        assert threading.active_count() == before
+        assert [event[:3] for event in events] == [
+            ("post", 0, "batch"), ("post", 1, "batch"),
+            ("call", 0, "batch"), ("call", 1, "batch")]
+        assert {event[3] for event in events} == {threading.get_ident()}
+        assert all(client.get(key) == b"v" for _, key, _ in ops)
+
+    def test_a_scan_fans_out_the_same_way(self, fleet):
+        client, events = fleet
+        router = client.router
+        for idx in (0, 1):
+            for key in keys_on(router, idx, 3):
+                client.put(key, b"v")
+        del events[:]
+        assert len(client.scan()) == 6
+        assert [event[:3] for event in events] == [
+            ("post", 0, "scan"), ("post", 1, "scan"),
+            ("call", 0, "scan"), ("call", 1, "scan")]
+
+    def test_every_reply_is_read_and_the_first_error_raised(self, fleet):
+        client, _events = fleet
+        router = client.router
+        (bad,) = keys_on(router, 0, 1)
+        good = keys_on(router, 1, 2)
+        ops = [("put", bad, "not bytes")] + [("put", key, b"v")
+                                              for key in good]
+        with pytest.raises(BTreeError):
+            client.apply_batch(ops)
+        # Shard 1's batch ran and its reply was read: both connections
+        # are still in step.
+        assert [client.get(key) for key in good] == [b"v", b"v"]
+        assert client.get(bad) is None
+        assert all(shard._sock is not None for shard in router.shards)
+
+    def test_a_queued_message_goes_out_before_the_posted_frame(self, fleet):
+        client, events = fleet
+        router = client.router
+        slot = router.routing.slots_of(1)[0]
+        router._pending[1].append(("grant_slot", slot))
+        client.apply_batch([("put", key, b"v")
+                            for key in keys_on(router, 1, 2)])
+        assert [event[:3] for event in events] == [
+            ("call", 1, "grant_slot"), ("post", 1, "batch"),
+            ("call", 1, "batch")]
+        assert not router._pending[1]
+
+    def test_the_shard_stays_locked_from_post_to_reply(self):
+        router = ShardRouter(ShardConfig(n_shards=1, transport="process"))
+        shard = router.shards[0]
+        try:
+            shard.post(("scan", b"", None))
+            answers = []
+            other = threading.Thread(
+                target=lambda: answers.append(shard.call(("ping",))))
+            other.start()
+            other.join(timeout=0.2)
+            assert other.is_alive() and answers == []
+            assert shard.call(("scan", b"", None)) == []
+            other.join(timeout=5)
+            assert not other.is_alive() and answers == ["pong"]
+        finally:
+            router.close()
+
+    def test_a_call_that_does_not_match_the_posted_frame_hangs_up(self):
+        router = ShardRouter(ShardConfig(n_shards=1, transport="process"))
+        shard = router.shards[0]
+        try:
+            shard.post(("ping",))
+            with pytest.raises(ShardUnavailableError):
+                shard.call(("get", b"k"))
+            assert shard._sock is None
+        finally:
+            router.close()
 
 
 # ----------------------------------------------------------------------
