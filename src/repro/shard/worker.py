@@ -27,6 +27,8 @@ received an assignment owns everything (the embedded/standalone case).
 
 from __future__ import annotations
 
+from zlib import crc32
+
 from repro.btree.tree import FosterBTree
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
@@ -115,16 +117,19 @@ class ShardWorker:
     def _cmd_ping(self) -> str:
         return "pong"
 
-    # The point verbs test the failed states in place, hit the tree
-    # registry themselves and spell Database.run_autocommit out in
-    # place, as the embedded client does.  Crashed-state
-    # check first: a crashed shard must escalate to a system failure (the
+    # The point verbs test the failed states and the slot's owner
+    # (routing.slot_of) in place, hit the tree registry themselves and
+    # spell Database.run_autocommit out in place, as the embedded client
+    # does; _check_owner only raises the redirect.  Crashed-state check
+    # first: a crashed shard must escalate to a system failure (the
     # router's reopen signal), not refuse on ownership grounds.
     def _cmd_get(self, key: bytes) -> bytes | None:
         db = self.db
         if db._crashed or db._media_failed:
             db._require_running()
-        self._check_owner(key)
+        owned = self._owned
+        if owned is not None and crc32(key) % self._n_slots not in owned:
+            self._check_owner(key)
         tree = db.catalog.trees[self.index_id]
         try:
             return tree.lookup(key)
@@ -135,7 +140,9 @@ class ShardWorker:
         db = self.db
         if db._crashed or db._media_failed:
             db._require_running()
-        self._check_owner(key)
+        owned = self._owned
+        if owned is not None and crc32(key) % self._n_slots not in owned:
+            self._check_owner(key)
         txn = db.begin()
         txn.redo_only = True
         try:
@@ -152,7 +159,9 @@ class ShardWorker:
         db = self.db
         if db._crashed or db._media_failed:
             db._require_running()
-        self._check_owner(key)
+        owned = self._owned
+        if owned is not None and crc32(key) % self._n_slots not in owned:
+            self._check_owner(key)
         txn = db.begin()
         txn.redo_only = True
         try:

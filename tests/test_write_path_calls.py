@@ -20,7 +20,8 @@ Three more paths hold budgets of their own: a warm autocommit delete of
 a live key (72 with the forwarding frames), and the in-process shard
 worker's get and put, each one ``LocalShard.call`` (36 and 76 while the
 worker also hopped through ``_require_running``, ``_slot_of``, ``_tree``,
-``upsert`` and its ``durable_lsn`` property).  So do a warm get and
+``upsert`` and its ``durable_lsn`` property; 22 and 55 while a point
+verb asked ``_check_owner`` and ``slot_of`` for its slot).  So do a warm get and
 put of a ``process`` fleet's client, counted on the router's side of
 the socket (the worker is another process): 12 each while the client
 and the router hopped through ``_require_open`` twice, ``_routed``,
@@ -39,8 +40,8 @@ from repro import EngineConfig, ShardConfig
 PUT_CALLS = 50
 GET_CALLS = 17
 DELETE_CALLS = 51
-WORKER_GET_CALLS = 22
-WORKER_PUT_CALLS = 55
+WORKER_GET_CALLS = 20
+WORKER_PUT_CALLS = 53
 ROUTER_GET_CALLS = 6
 ROUTER_PUT_CALLS = 6
 
