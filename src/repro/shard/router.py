@@ -459,16 +459,16 @@ class ShardRouter:
         idx = self.shard_of(key)
         try:
             return self._call(idx, *command)
-        except WrongShardError:
-            self._install_ownership(idx)
-            return self._call(self.shard_of(key), *command)
+        except WrongShardError as failure:
+            return self._rerouted(key, idx, command, None, failure)
 
     def _rerouted(self, key: bytes, idx: int, command: tuple,
                   watermark: int | None, failure: Exception):  # noqa: ANN202
-        """What :meth:`_routed` answers once the warm path's one attempt
-        at shard ``idx`` raised ``failure``: the reopen and retry of a
-        :class:`SystemFailure`, then the redirect of a
-        :class:`WrongShardError`."""
+        """What a key-addressed command answers once its one attempt at
+        shard ``idx`` raised ``failure``: the reopen and retry of a
+        :class:`SystemFailure` (past ``watermark``, see :meth:`_call`),
+        then the redirect of a :class:`WrongShardError` — resync the
+        shard's slot view and retry at the routing table's owner."""
         if isinstance(failure, SystemFailure):
             try:
                 return self._reopen_and_retry(idx, command, watermark)
