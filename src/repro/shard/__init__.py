@@ -4,8 +4,8 @@ A :class:`~repro.shard.router.ShardRouter` hash-partitions the key
 space (stable CRC-32, never Python's randomized ``hash()``) across N
 :class:`repro.engine.database.Database` instances — each with its own
 device, WAL, buffer pool, and pending-recovery registry — behind a
-small length-prefixed socket protocol (:mod:`repro.shard.rpc`,
-:mod:`repro.shard.worker`).
+small command protocol of checksummed struct frames
+(:mod:`repro.shard.rpc`, :mod:`repro.shard.worker`).
 
 Single-shard transactions pass through untouched; cross-shard
 transactions run a WAL-logged two-phase commit: a PREPARE record in
