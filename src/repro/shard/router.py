@@ -42,7 +42,6 @@ import heapq
 import itertools
 from collections import deque
 from collections.abc import Callable, Sequence
-from zlib import crc32
 
 from repro.errors import (
     ClientClosedError,
@@ -56,7 +55,7 @@ from repro.errors import (
     WrongShardError,
 )
 from repro.shard.config import ShardConfig
-from repro.shard.routing import RoutingTable, slot_of
+from repro.shard.routing import RoutingTable, slot_hash, slot_of
 from repro.shard.rpc import encode, recv_msg, unmarshal_error
 from repro.shard.twopc import CoordinatorLog
 from repro.shard.worker import ShardWorker, worker_main
@@ -430,15 +429,18 @@ class ShardRouter:
                 call: Callable) -> list:
         """Run ``(shard, command)`` pairs at once from this thread:
         post every frame, then read each reply through ``call(shard,
-        *command)`` in order.  Every posted reply is read, even after
-        a failure; the first error is raised once they are all in."""
+        *command)`` in order.  A shard that cannot be posted to does
+        not stop the others: every reachable shard is posted and every
+        posted reply read, and the first error is raised once they are
+        all in."""
         posted, error = [], None
         for idx, command in commands:
             try:
                 self.post(idx, *command)
             except BaseException as exc:
-                error = exc
-                break
+                if error is None:
+                    error = exc
+                continue
             posted.append((idx, command))
         results = []
         for idx, command in posted:
@@ -452,23 +454,14 @@ class ShardRouter:
         return results
 
     # -- autocommit operations -----------------------------------------
-    def _routed(self, key: bytes, *command):  # noqa: ANN201
-        """Key-addressed command with one cutover-race redirect: if the
-        owner refuses because its slot view is stale relative to the
-        routing table, resync it and retry at the table's owner."""
-        idx = self.shard_of(key)
-        try:
-            return self._call(idx, *command)
-        except WrongShardError as failure:
-            return self._rerouted(key, idx, command, None, failure)
-
     def _rerouted(self, key: bytes, idx: int, command: tuple,
                   watermark: int | None, failure: Exception):  # noqa: ANN202
         """What a key-addressed command answers once its one attempt at
         shard ``idx`` raised ``failure``: the reopen and retry of a
         :class:`SystemFailure` (past ``watermark``, see :meth:`_call`),
-        then the redirect of a :class:`WrongShardError` — resync the
-        shard's slot view and retry at the routing table's owner."""
+        then the one cutover-race redirect of a :class:`WrongShardError`
+        — the owner's slot view was stale relative to the routing
+        table, so resync it and retry at the table's owner."""
         if isinstance(failure, SystemFailure):
             try:
                 return self._reopen_and_retry(idx, command, watermark)
@@ -477,24 +470,27 @@ class ShardRouter:
         self._install_ownership(idx)
         return self._call(self.shard_of(key), *command)
 
-    # The point operations are _routed spelled out for the warm case: the
-    # owner from the routing table (RoutingTable.shard_for, in place), one
-    # round trip, and the closed check, a queued message or a failure
-    # handing over to _routed / _rerouted with the same semantics.
+    # The point operations are _call spelled out in place: the owner from
+    # the routing table (RoutingTable.shard_for), the closed check and a
+    # queued message's delivery only when one is due, the watermark of a
+    # risky verb, one round trip, and a failure handed to _rerouted.
     def get(self, key: bytes) -> bytes | None:
-        idx = self.routing._owner[crc32(key) % self.routing.n_slots]
+        routing = self.routing
+        idx = routing.owners[slot_hash(key) % routing.n_slots]
         if self._closed or self._pending[idx]:
-            return self._routed(key, "get", key)
+            self._require_open()
+            self._flush_pending(idx)
         try:
             return self.shards[idx].call(("get", key))
         except (SystemFailure, WrongShardError) as failure:
             return self._rerouted(key, idx, ("get", key), None, failure)
 
     def put(self, key: bytes, value: bytes) -> None:
-        idx = self.routing._owner[crc32(key) % self.routing.n_slots]
+        routing = self.routing
+        idx = routing.owners[slot_hash(key) % routing.n_slots]
         if self._closed or self._pending[idx]:
-            self._routed(key, "put", key, value)
-            return
+            self._require_open()
+            self._flush_pending(idx)
         shard = self.shards[idx]
         watermark = shard.durable_lsn  # see _call
         try:
@@ -504,9 +500,11 @@ class ShardRouter:
                            failure)
 
     def delete(self, key: bytes) -> bool:
-        idx = self.routing._owner[crc32(key) % self.routing.n_slots]
+        routing = self.routing
+        idx = routing.owners[slot_hash(key) % routing.n_slots]
         if self._closed or self._pending[idx]:
-            return self._routed(key, "delete", key)
+            self._require_open()
+            self._flush_pending(idx)
         shard = self.shards[idx]
         watermark = shard.durable_lsn  # see _call
         try:

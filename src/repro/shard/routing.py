@@ -28,9 +28,15 @@ from repro.errors import ConfigError
 DEFAULT_SLOTS = 64
 
 
+#: the stable key hash slots are taken from: ``slot_of`` is
+#: ``slot_hash(key) % n_slots``, and the router's and worker's point
+#: verbs spell exactly that in place (no frame on the warm path)
+slot_hash = zlib.crc32
+
+
 def slot_of(key: bytes, n_slots: int) -> int:
     """Stable hash slot of ``key`` (CRC-32 mod the slot count)."""
-    return zlib.crc32(key) % n_slots
+    return slot_hash(key) % n_slots
 
 
 class RoutingTable:
@@ -51,25 +57,28 @@ class RoutingTable:
         self.n_slots = n_slots
         self.n_shards = n_shards
         self.epoch = 0
-        self._owner = [slot % n_shards for slot in range(n_slots)]
+        #: slot -> owning shard (index = slot); read in place by the
+        #: router's point verbs, changed only by :meth:`move` and
+        #: :meth:`apply_epochs`
+        self.owners = [slot % n_shards for slot in range(n_slots)]
 
     # -- queries -------------------------------------------------------
     def owner_of(self, slot: int) -> int:
         """The shard currently assigned ``slot``."""
-        return self._owner[slot]
+        return self.owners[slot]
 
     def shard_for(self, key: bytes) -> int:
         """The shard currently serving ``key``."""
-        return self._owner[slot_of(key, self.n_slots)]
+        return self.owners[slot_of(key, self.n_slots)]
 
     def slots_of(self, shard: int) -> tuple[int, ...]:
         """Every slot assigned to ``shard``, ascending."""
-        return tuple(slot for slot, owner in enumerate(self._owner)
+        return tuple(slot for slot, owner in enumerate(self.owners)
                      if owner == shard)
 
     def assignments(self) -> tuple[int, ...]:
         """The full slot -> shard map (index = slot)."""
-        return tuple(self._owner)
+        return tuple(self.owners)
 
     # -- mutation ------------------------------------------------------
     def move(self, slot: int, dst: int) -> int:
@@ -83,7 +92,7 @@ class RoutingTable:
             raise ConfigError(f"slot {slot} out of range 0..{self.n_slots - 1}")
         if not 0 <= dst < self.n_shards:
             raise ConfigError(f"shard {dst} out of range 0..{self.n_shards - 1}")
-        self._owner[slot] = dst
+        self.owners[slot] = dst
         self.epoch += 1
         return self.epoch
 
@@ -100,6 +109,6 @@ class RoutingTable:
                 raise ConfigError(
                     f"epoch record {record.epoch} does not follow "
                     f"current epoch {self.epoch}")
-            self._owner[record.slot] = record.dst
+            self.owners[record.slot] = record.dst
             self.epoch = record.epoch
         return self.epoch

@@ -27,8 +27,6 @@ received an assignment owns everything (the embedded/standalone case).
 
 from __future__ import annotations
 
-from zlib import crc32
-
 from repro.btree.tree import FosterBTree
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
@@ -39,7 +37,7 @@ from repro.errors import (
     TransactionError,
     WrongShardError,
 )
-from repro.shard.routing import slot_of
+from repro.shard.routing import slot_hash, slot_of
 from repro.shard.rpc import encode, marshal_error, recv_msg
 from repro.wal.records import LogRecordKind
 
@@ -118,7 +116,7 @@ class ShardWorker:
         return "pong"
 
     # The point verbs test the failed states and the slot's owner
-    # (routing.slot_of) in place, hit the tree registry themselves and
+    # (routing.slot_of, as slot_hash mod the slot count) in place, hit the tree registry themselves and
     # spell Database.run_autocommit out in place, as the embedded client
     # does; _check_owner only raises the redirect.  Crashed-state check
     # first: a crashed shard must escalate to a system failure (the
@@ -128,7 +126,7 @@ class ShardWorker:
         if db._crashed or db._media_failed:
             db._require_running()
         owned = self._owned
-        if owned is not None and crc32(key) % self._n_slots not in owned:
+        if owned is not None and slot_hash(key) % self._n_slots not in owned:
             self._check_owner(key)
         tree = db.catalog.trees[self.index_id]
         try:
@@ -141,7 +139,7 @@ class ShardWorker:
         if db._crashed or db._media_failed:
             db._require_running()
         owned = self._owned
-        if owned is not None and crc32(key) % self._n_slots not in owned:
+        if owned is not None and slot_hash(key) % self._n_slots not in owned:
             self._check_owner(key)
         txn = db.begin()
         txn.redo_only = True
@@ -160,7 +158,7 @@ class ShardWorker:
         if db._crashed or db._media_failed:
             db._require_running()
         owned = self._owned
-        if owned is not None and crc32(key) % self._n_slots not in owned:
+        if owned is not None and slot_hash(key) % self._n_slots not in owned:
             self._check_owner(key)
         txn = db.begin()
         txn.redo_only = True

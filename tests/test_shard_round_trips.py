@@ -412,6 +412,23 @@ class TestFanOut:
         assert client.get(bad) is None
         assert all(shard._sock is not None for shard in router.shards)
 
+    def test_a_shard_that_cannot_be_posted_to_stops_no_other(self):
+        client = repro.connect(ShardConfig(n_shards=3, transport="process"))
+        router = client.router
+        try:
+            keys = {idx: keys_on(router, idx, 2) for idx in range(3)}
+            sock = router.shards[1]._sock
+            sock.close()  # the middle shard's connection is gone
+            ops = [("put", key, b"v") for idx in range(3)
+                   for key in keys[idx]]
+            with pytest.raises(ShardUnavailableError):
+                client.apply_batch(ops)
+            for idx in (0, 2):
+                assert [client.get(key) for key in keys[idx]] == [b"v", b"v"]
+            assert router.shards[1]._sock is None
+        finally:
+            client.close()
+
     def test_a_queued_message_goes_out_before_the_posted_frame(self, fleet):
         client, events = fleet
         router = client.router

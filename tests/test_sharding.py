@@ -1,5 +1,6 @@
 """The shard layer: partitioning, RPC framing, worker, transports."""
 
+import random
 import socket
 
 import pytest
@@ -48,6 +49,53 @@ class TestPartitioning:
         table = RoutingTable(64, n)
         hit = {table.shard_for(b"k%06d" % i) for i in range(2000)}
         assert hit == set(range(n))
+
+    @pytest.mark.parametrize("n_slots", [3, 16, 64, 97])
+    def test_the_point_verbs_agree_with_slot_of(self, n_slots):
+        """The router's and the worker's point verbs spell the slot in
+        place (``slot_hash`` mod the slot count): each must pick the
+        shard and refuse the slot ``slot_of`` names."""
+        rng = random.Random(n_slots)
+        keys = [rng.randbytes(rng.randrange(1, 24)) for _ in range(200)]
+        router = ShardRouter(ShardConfig(n_shards=3, n_slots=n_slots))
+        try:
+            for slot in range(0, n_slots, 2):  # not the owner map mod 3
+                router.routing.move(slot, (slot + 1) % 3)
+            for idx in range(3):
+                router._install_ownership(idx)
+            routed = []
+            for shard in router.shards:
+                real = shard.call
+
+                def call(command, real=real, shard=shard):  # noqa: ANN001
+                    routed.append((command[0], shard.shard_id))
+                    return real(command)
+
+                shard.call = call
+            for key in keys:
+                owner = router.routing.owner_of(slot_of(key, n_slots))
+                for verb, run in (("put", lambda: router.put(key, b"v")),
+                                  ("get", lambda: router.get(key)),
+                                  ("delete", lambda: router.delete(key))):
+                    del routed[:]
+                    run()
+                    assert routed == [(verb, owner)]
+        finally:
+            router.close()
+
+        worker = ShardWorker(0, EngineConfig())
+        owned = tuple(range(0, n_slots, 2))
+        worker.execute(("set_slots", n_slots, owned))
+        for key in keys:
+            slot = slot_of(key, n_slots)
+            for command in (("put", key, b"v"), ("get", key),
+                            ("delete", key)):
+                if slot in owned:
+                    worker.execute(command)
+                    continue
+                with pytest.raises(WrongShardError) as info:
+                    worker.execute(command)
+                assert info.value.slot == slot
 
 
 # ----------------------------------------------------------------------
