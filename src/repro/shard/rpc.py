@@ -41,7 +41,10 @@ execute anything.
 
 from __future__ import annotations
 
+import enum
+import inspect
 import struct
+import typing
 from zlib import crc32
 
 from repro.errors import ShardError
@@ -481,16 +484,31 @@ def _take_value(data: bytes, pos: int):  # noqa: ANN202
 # ----------------------------------------------------------------------
 def marshal_error(exc: BaseException) -> tuple[str, str, dict]:
     """Flatten an exception into ``(class_name, message, fields)``:
-    ``fields`` are its instance attributes the codec can carry
-    (``txn_id``, ``key``, ``holder``, ``shard``, ``slot``, ...)."""
+    ``fields`` are its instance attributes (``txn_id``, ``key``,
+    ``holder``, ``shard``, ``slot``, ``kind``, ...), an enum as its
+    value.  An exception with a field the codec cannot carry crosses as
+    the :class:`repro.errors.ShardError` an unknown class becomes, so
+    no class arrives without a field its readers expect."""
     fields = {}
     for name, value in vars(exc).items():
+        if isinstance(value, enum.Enum):
+            value = value.value
         try:
             _put_value(value, [])
         except ShardError:
-            continue  # e.g. an enum: the message still names it
+            return "ShardError", f"{type(exc).__name__}: {exc}", {}
         fields[name] = value
     return type(exc).__name__, str(exc), fields
+
+
+def _enum_fields(cls: type) -> dict[str, type]:
+    """The parameters of ``cls``'s constructor annotated with an enum
+    type (a :class:`~repro.errors.SinglePageFailure`'s ``kind``)."""
+    init = cls.__init__
+    if not inspect.isfunction(init):
+        return {}
+    return {name: hint for name, hint in typing.get_type_hints(init).items()
+            if isinstance(hint, type) and issubclass(hint, enum.Enum)}
 
 
 def unmarshal_error(name: str, message: str,
@@ -501,8 +519,10 @@ def unmarshal_error(name: str, message: str,
     manager's conflict types).  The instance is made without running
     ``__init__`` — several classes take structured arguments and
     format their own message — so it carries the worker's message
-    verbatim and the marshalled fields.  An unresolvable name comes
-    back as a :class:`repro.errors.ShardError` carrying it.
+    verbatim and the marshalled fields, an enum field rebuilt from its
+    value through the constructor's annotation.  An unresolvable name,
+    or an enum value its type does not know, comes back as a
+    :class:`repro.errors.ShardError` carrying it.
     """
     import repro.errors as errors_mod
     import repro.txn.locks as locks_mod
@@ -510,8 +530,15 @@ def unmarshal_error(name: str, message: str,
     for mod in (errors_mod, locks_mod):
         cls = getattr(mod, name, None)
         if isinstance(cls, type) and issubclass(cls, Exception):
+            fields = dict(fields or {})
+            try:
+                for field, kind in _enum_fields(cls).items():
+                    if field in fields:
+                        fields[field] = kind(fields[field])
+            except ValueError:
+                break
             exc = cls.__new__(cls)
             exc.args = (message,)
-            exc.__dict__.update(fields or {})
+            exc.__dict__.update(fields)
             return exc
     return errors_mod.ShardError(f"{name}: {message}")

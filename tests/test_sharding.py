@@ -7,8 +7,10 @@ import pytest
 
 from repro.engine.config import EngineConfig
 from repro.errors import (
+    PageFailureKind,
     ShardError,
     ShardUnavailableError,
+    SinglePageFailure,
     SystemFailure,
     TransactionAborted,
     TransactionError,
@@ -157,6 +159,26 @@ class TestRpcFraming:
         assert type(err) is ShardUnavailableError
         assert str(err) == str(original)
         assert (err.shard, err.reason) == (3, "gone")
+
+    def test_error_marshalling_rebuilds_an_enum_field(self):
+        original = SinglePageFailure(5, PageFailureKind.WRONG_PAGE_ID)
+        err = unmarshal_error(*marshal_error(original))
+        assert type(err) is SinglePageFailure
+        assert str(err) == str(original)
+        assert vars(err) == vars(original)
+        assert err.kind is PageFailureKind.WRONG_PAGE_ID
+
+    def test_error_marshalling_an_uncarried_field_falls_back(self):
+        # A field the codec cannot carry: rather than a class missing a
+        # field, the router gets the ShardError an unknown class becomes.
+        original = SystemFailure("crashed")
+        original.device = object()
+        err = unmarshal_error(*marshal_error(original))
+        assert type(err) is ShardError
+        assert str(err) == f"SystemFailure: {original}"
+        unknown = unmarshal_error("SinglePageFailure", "page 5",
+                                  {"kind": "no-such-kind"})
+        assert type(unknown) is ShardError
 
 
 # ----------------------------------------------------------------------
@@ -401,6 +423,7 @@ class TestErrorsKeepTheirClass:
         TransactionAborted(9, "deadlock on key b'k'"),
         WrongShardError("shard 1 does not own slot 9", shard=1, slot=9),
         LockConflict(7, b"k", 3),
+        SinglePageFailure(5, PageFailureKind.CHECKSUM_MISMATCH, "bit rot"),
     ], ids=lambda error: type(error).__name__)
     def test_a_raised_taxonomy_error(self, error, monkeypatch):
         def fail(_worker):  # noqa: ANN001, ANN202
