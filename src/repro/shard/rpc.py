@@ -141,12 +141,21 @@ _WORD_INDEX = {word: i for i, word in enumerate(_WORDS)}
 _OPERANDS = {
     "ping": "", "txn_get": "qs", "txn_put": "qss?", "txn_delete": "qs?",
     "txn_commit": "q", "txn_abort": "q", "prepare": "qq", "resolve": "q?"}
-#: verb -> (word index, the shape's struct, the operands' types)
-_VERB_SHAPES = {
-    verb: (_WORD_INDEX[verb],
-           struct.Struct("<IBB" + letters.replace("s", "I")),
-           tuple({"q": int, "?": bool, "s": bytes}[c] for c in letters))
-    for verb, letters in _OPERANDS.items()}
+
+
+def _verb_shape(verb: str, letters: str) -> tuple:
+    """``verb``'s ``_VERB`` layout: its word index, the struct of the
+    frame's fixed part, the operands' types, the positions of the bytes
+    operands, and the frame's count less those bytes."""
+    shape = struct.Struct("<IBB" + letters.replace("s", "I"))
+    return (_WORD_INDEX[verb], shape,
+            tuple({"q": int, "?": bool, "s": bytes}[c] for c in letters),
+            tuple(i for i, c in enumerate(letters) if c == "s"),
+            shape.size + _CRC_SIZE - _COUNT_SIZE)
+
+
+_VERB_SHAPES = {verb: _verb_shape(verb, letters)
+                for verb, letters in _OPERANDS.items()}
 
 
 # ----------------------------------------------------------------------
@@ -203,21 +212,19 @@ def _verb_frame(message: tuple) -> bytes | None:
     """A ``_VERB`` frame but its CRC, or ``None`` when the operands are
     not exactly the verb's (the request then travels as a tagged
     value)."""
-    word, shape, types = _VERB_SHAPES[message[0]]
-    if len(message) != len(types) + 1:
+    word, shape, types, blobs, count = _VERB_SHAPES[message[0]]
+    operands = message[1:]
+    if tuple(map(type, operands)) != types:
         return None
-    fields, parts = [], [None]
-    size = shape.size + _CRC_SIZE - _COUNT_SIZE
-    for operand, kind in zip(message[1:], types):
-        if type(operand) is not kind:
-            return None
-        if kind is bytes:
-            fields.append(len(operand))
-            parts.append(operand)
-            size += len(operand)
-        else:
-            fields.append(operand)
-    parts[0] = shape.pack(size, _VERB, word, *fields)
+    if not blobs:
+        return shape.pack(count, _VERB, word, *operands)
+    fields, parts = list(operands), [None]
+    for i in blobs:
+        blob = operands[i]
+        fields[i] = len(blob)
+        parts.append(blob)
+        count += len(blob)
+    parts[0] = shape.pack(count, _VERB, word, *fields)
     return b"".join(parts)
 
 
@@ -397,19 +404,21 @@ def decode(frame: bytes):  # noqa: ANN201
 def _verb_request(frame: bytes, end: int) -> tuple:
     """The request in a ``_VERB`` frame whose body ends at ``end``."""
     verb = _WORDS[frame[_FIELDS_AT]]
-    _, shape, types = _VERB_SHAPES[verb]
-    request = [verb]
+    _, shape, _, blobs, _ = _VERB_SHAPES[verb]
     pos = shape.size
-    for kind, field in zip(types, shape.unpack_from(frame)[3:]):
-        if kind is bytes:
-            request.append(frame[pos:pos + field])
-            pos += field
-        else:
-            request.append(field)
-    if pos != end:
-        raise ValueError(f"a {verb} request's operands end at {pos}, "
-                         f"its body at {end}")
-    return tuple(request)
+    if not blobs:
+        if pos == end:
+            return (verb, *shape.unpack_from(frame)[3:])
+    else:
+        fields = list(shape.unpack_from(frame)[3:])
+        for i in blobs:
+            size = fields[i]
+            fields[i] = frame[pos:pos + size]
+            pos += size
+        if pos == end:
+            return (verb, *fields)
+    raise ValueError(f"a {verb} request's operands end at {pos}, "
+                     f"its body at {end}")
 
 
 def _batch_ops(body: bytes) -> list[tuple]:

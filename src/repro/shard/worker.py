@@ -116,9 +116,10 @@ class ShardWorker:
         return "pong"
 
     # The point verbs test the failed states and the slot's owner
-    # (routing.slot_of, as slot_hash mod the slot count) in place, hit the tree registry themselves and
-    # spell Database.run_autocommit out in place, as the embedded client
-    # does; _check_owner only raises the redirect.  Crashed-state check
+    # (routing.slot_of, as slot_hash mod the slot count) in place, hit
+    # the tree registry themselves and spell Database.run_autocommit out
+    # in place, as the embedded client does; _check_owner only raises
+    # the redirect.  Crashed-state check
     # first: a crashed shard must escalate to a system failure (the
     # router's reopen signal), not refuse on ownership grounds.
     def _cmd_get(self, key: bytes) -> bytes | None:
