@@ -160,14 +160,6 @@ class TestRpcFraming:
         assert str(err) == str(original)
         assert (err.shard, err.reason) == (3, "gone")
 
-    def test_error_marshalling_rebuilds_an_enum_field(self):
-        original = SinglePageFailure(5, PageFailureKind.WRONG_PAGE_ID)
-        err = unmarshal_error(*marshal_error(original))
-        assert type(err) is SinglePageFailure
-        assert str(err) == str(original)
-        assert vars(err) == vars(original)
-        assert err.kind is PageFailureKind.WRONG_PAGE_ID
-
     def test_error_marshalling_an_uncarried_field_falls_back(self):
         # A field the codec cannot carry: rather than a class missing a
         # field, the router gets the ShardError an unknown class becomes.
