@@ -113,6 +113,30 @@ def clone_crashed(db: Database) -> Database:
     return copy.deepcopy(db)
 
 
+def reopen_over_copy(db: Database) -> Database:
+    """A fresh engine, as a new process would open it, over a copy of a
+    crashed engine's durable parts: device, log, backup store and the
+    backup a pending restore reads from.  The transaction-id counter is
+    carried over explicitly (see ROADMAP item 2)."""
+    import copy
+
+    twin = copy.deepcopy(db)
+    fresh = Database(twin.config, clock=twin.clock, stats=twin.stats,
+                     injector=twin.injector,
+                     adopt_storage=(twin.device, twin.log))
+    fresh.backup_store = twin.backup_store
+    fresh._pending_restore_backup_id = twin._pending_restore_backup_id
+    fresh._build_recovery_stack()
+    fresh._wire_pool()
+    fresh.tm.restore_txn_id_floor(twin.tm._next_txn_id - 1)
+    return fresh
+
+
+def index_ids(db: Database) -> list[int]:
+    """Every index the catalog has handed out, attached or not."""
+    return list(range(1, db.catalog.get_int(b"next_index")))
+
+
 def log_shape(db: Database) -> list[tuple]:
     """The log as a comparable sequence (identical recovery must
     append identical records at identical LSNs)."""

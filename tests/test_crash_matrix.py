@@ -17,6 +17,8 @@ steps only, with the failure finale supplied by the caller.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from benchmarks.common import cut_run_after
@@ -26,8 +28,12 @@ from repro.wal.records import LogRecord, LogRecordKind
 from tests.conftest import (
     assert_identical_recovery,
     clone_crashed,
+    device_images,
     fast_config,
+    index_ids,
     key_of,
+    log_shape,
+    reopen_over_copy,
     value_of,
 )
 
@@ -203,3 +209,49 @@ def test_modes_recover_identically(point):
     lazy_db.restart(mode="on_demand")
     lazy_db.finish_restart()
     assert_identical_recovery(eager_db, lazy_db)
+
+
+#: the in-doubt 2PC branch the fresh-open pin leaves behind each point
+INDOUBT_GTID, INDOUBT_KEY = 7, key_of(140)
+
+
+def restarted_state(db: Database, mode: str) -> dict:
+    """Restart ``db`` and describe everything restart decides: the
+    report, the in-doubt set, and — once pending work drained — the log,
+    the device and the logical state."""
+    report = dataclasses.asdict(db.restart(mode=mode))
+    indoubt = sorted(db.indoubt)
+    db.finish_restart()
+    opened_shape = log_shape(db)
+    return {
+        "report": report,
+        "indoubt": indoubt,
+        "log_at_open": opened_shape,
+        "scans": {index_id: list(db.tree(index_id).range_scan())
+                  for index_id in index_ids(db)},
+        "next_txn_id": db.begin().txn_id,
+        "device": device_images(db),
+        "log": log_shape(db),
+    }
+
+
+@pytest.mark.parametrize("mode", ["eager", "on_demand"])
+@pytest.mark.parametrize("point", sorted(PROTOCOL_POINTS))
+def test_fresh_engine_restarts_like_the_crashed_one(point, mode):
+    """What crosses a crash is the durable state: restarting the
+    crashed engine in place and opening a fresh engine over a copy of
+    its durable parts must decide exactly the same things."""
+    overrides, steps = PROTOCOL_POINTS[point]
+    db, tree, model = prepared(**overrides)
+    branch = db.begin()
+    db.locks.acquire(branch.txn_id, INDOUBT_KEY)
+    tree.update(branch, INDOUBT_KEY, b"IN-DOUBT")
+    db.prepare(branch, INDOUBT_GTID)
+    steps(db, tree)
+    db.crash()
+    fresh = reopen_over_copy(db)
+    in_place = restarted_state(db, mode)
+    assert in_place["indoubt"] == [INDOUBT_GTID]
+    assert in_place["scans"][1] == sorted(
+        {**model, INDOUBT_KEY: b"IN-DOUBT"}.items())
+    assert restarted_state(fresh, mode) == in_place
