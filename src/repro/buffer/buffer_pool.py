@@ -541,12 +541,6 @@ class BufferPool:
             self._policy.removed(page_id)
             self._frames_dropped.inc()
 
-    def drop_all(self) -> None:
-        """Discard every frame without writing (crash simulation)."""
-        with self._mutex:
-            self._frames.clear()
-            self._policy = ClockEviction()
-
     def __len__(self) -> int:
         with self._mutex:
             return len(self._frames)

@@ -329,6 +329,17 @@ class PageRecoveryIndex:
             pri._page_lsns[page_id] = lsn
         return pri
 
+    def load(self, data: bytes) -> None:
+        """Replace every entry with those of the snapshot ``data``
+        (restart loads the persisted index into the one the engine
+        holds)."""
+        loaded = self.deserialize(data)
+        with self._mutex:
+            self._starts, self._ends, self._refs = (
+                loaded._starts, loaded._ends, loaded._refs)
+            self._lsns, self._times, self._page_lsns = (
+                loaded._lsns, loaded._times, loaded._page_lsns)
+
     def __len__(self) -> int:
         return len(self._starts)
 

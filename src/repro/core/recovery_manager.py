@@ -83,8 +83,8 @@ class RecoveryManager:
         #: the most recent repairs and escalations, oldest first: a
         #: ring, so an engine that repairs a page every few operations
         #: for days keeps only the last :data:`FAILURE_RING` of them
-        #: (``events``: continue a predecessor's ring — the engine
-        #: rebuilds this object on every crash)
+        #: (``events``: the engine's ring, which outlives this object
+        #: across a crash)
         self.events = (events if events is not None
                        else deque(maxlen=FAILURE_RING))
 

@@ -9,8 +9,8 @@ Everything the engine knows about *names* lives here:
 
 All durable state is ordinary logged page updates on the metadata
 page, so the catalog is crash-consistent for free; the caches and
-handle registries are volatile and dropped by
-:meth:`invalidate_volatile` on crash or media failure.
+handle registries are volatile, and a crash or a media failure drops
+them with the catalog itself (the engine opens a new one).
 """
 
 from __future__ import annotations
@@ -142,11 +142,3 @@ class Catalog:
         # before the first user commit forces the log.
         db.log.force()
         return tree
-
-    # ------------------------------------------------------------------
-    # Volatile state
-    # ------------------------------------------------------------------
-    def invalidate_volatile(self) -> None:
-        """Drop caches and handles (crash / media-failure simulation)."""
-        self.roots.clear()
-        self.trees.clear()

@@ -377,9 +377,9 @@ class Checkpointer:
             return []
         newest = ids[-1]
         in_use: set[int] = {newest}
-        if db._pending_restore_backup_id is not None:
+        if db.durable.restore_backup_id is not None:
             # The restore completion watermark gates retirement.
-            in_use.add(db._pending_restore_backup_id)
+            in_use.add(db.durable.restore_backup_id)
         if db.config.spf_enabled:
             for partition in self._partitions():
                 for ref in partition._refs:

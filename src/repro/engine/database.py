@@ -24,14 +24,18 @@ Page layout on the device::
                                 even pids hold partition 0, odd partition 1)
     pages 2K+1 ..               data pages (B-tree nodes etc.)
 
-Crash simulation: :meth:`crash` discards the buffer pool, all unforced
-log records, and all volatile state; :meth:`restart` then runs ARIES
-restart with the paper's Figure-12 PRI reconciliation.
+Crash simulation: :meth:`crash` keeps the :class:`DurableState` —
+device, durable log prefix, backup store, pending-restore slot — and
+rebuilds every other component through the same :meth:`Database._open`
+a new engine runs; :meth:`restart` then runs ARIES restart with the
+paper's Figure-12 PRI reconciliation.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import deque
+from dataclasses import dataclass
 
 from repro.btree.node import BTreeNode
 from repro.btree.tree import FosterBTree
@@ -39,7 +43,7 @@ from repro.buffer.buffer_pool import BufferPool
 from repro.core.backup import BackupStore
 from repro.core.failure_classes import FailureEvent
 from repro.core.recovery_index import PageRecoveryIndex, PartitionedRecoveryIndex
-from repro.core.recovery_manager import RecoveryManager
+from repro.core.recovery_manager import FAILURE_RING, RecoveryManager
 from repro.core.single_page import SinglePageRecovery
 from repro.detect.scrubber import Scrubber, ScrubReport
 from repro.engine.allocator import PageAllocator
@@ -92,6 +96,21 @@ class EngineCounters:
             "standby_seed_images_repaired")
 
 
+@dataclass
+class DurableState:
+    """What a system failure leaves: everything a new process opens the
+    engine over (:meth:`Database._open`), and all a crash keeps."""
+
+    device: StorageDevice
+    #: the durable log prefix, with the master checkpoint pointer
+    log: LogManager
+    backup_store: BackupStore
+    #: the full backup an unfinished media restore reads from: set by
+    #: media recovery, cleared at the restore's completion watermark, so
+    #: a crash in between re-runs the restore from the same backup
+    restore_backup_id: int | None = None
+
+
 class Database:
     """A single-node database engine over one simulated device."""
 
@@ -99,51 +118,66 @@ class Database:
                  clock: SimClock | None = None,
                  stats: Stats | None = None,
                  injector: FaultInjector | None = None,
-                 adopt_storage: tuple[StorageDevice, LogManager] | None = None) -> None:
-        self.config = config or EngineConfig()
+                 durable: DurableState | None = None) -> None:
+        # What follows up to ``durable`` survives a crash, each for its
+        # reason.  The constructor's arguments are the environment the
+        # process runs in, not the process.
+        self.config = cfg = config or EngineConfig()
         self.clock = clock or SimClock()
         self.stats = stats or Stats()
         self.counters = EngineCounters(self.stats)
-        self.injector = injector or FaultInjector(seed=self.config.seed)
-        cfg = self.config
+        self.injector = injector or FaultInjector(seed=cfg.seed)
 
-        if adopt_storage is not None:
-            # Failover promotion (PR 7): adopt an existing device + log
-            # replica — the standby's — instead of formatting fresh
-            # ones.  The engine comes up crashed; the caller runs
-            # restart() to finish recovery before use.
-            self.device, self.log = adopt_storage
-        else:
-            self.device = StorageDevice(
-                "db0", cfg.page_size, cfg.capacity_pages, self.clock,
-                cfg.device_profile, self.stats, self.injector,
-                proof_read=cfg.proof_read_writes)
-            self.log = LogManager(self.clock, cfg.log_profile, self.stats,
-                                  segment_bytes=cfg.log_segment_bytes,
-                                  group_commit=cfg.group_commit)
-        self.tm = TransactionManager(self.log, self.stats)
-        self.tm.ack_mode = cfg.commit_ack_mode
-        self.locks = self.tm.locks = LockManager()
-        self.backup_store = BackupStore(self.clock, cfg.backup_profile,
-                                        self.stats, cfg.page_size)
+        #: observation hooks, kept because they belong to whoever installed
+        #: them (the chaos harness): ``crash_hooks`` fire at the end of
+        #: :meth:`crash`; ``recovery_hooks`` fire with ``(kind, report)``
+        #: after a :meth:`restart` ("restart") or :meth:`recover_media`
+        #: ("media") returns, whatever code path initiated it
+        self.crash_hooks: list = []
+        self.recovery_hooks: list = []
 
         #: hot standby replicating *from* this node, plus its shipping
-        #: link (a SegmentShipper); see :meth:`attach_standby`
+        #: link (a SegmentShipper), kept because it is another node; see
+        #: :meth:`attach_standby`
         self.standby = None
         self.standby_link = None
 
-        if cfg.pri_partitioned:
-            self.pri: PageRecoveryIndex | PartitionedRecoveryIndex = (
-                PartitionedRecoveryIndex())
-        else:
-            self.pri = PageRecoveryIndex()
+        #: the repair trace (:meth:`recent_failures`), kept because it is
+        #: the operator's record, not the engine's volatile state
+        self.repair_events: deque[FailureEvent] = deque(maxlen=FAILURE_RING)
 
-        self.catalog = Catalog(self)
+        self.durable = durable or DurableState(
+            StorageDevice("db0", cfg.page_size, cfg.capacity_pages,
+                          self.clock, cfg.device_profile, self.stats,
+                          self.injector, proof_read=cfg.proof_read_writes),
+            LogManager(self.clock, cfg.log_profile, self.stats,
+                       segment_bytes=cfg.log_segment_bytes,
+                       group_commit=cfg.group_commit),
+            BackupStore(self.clock, cfg.backup_profile, self.stats,
+                        cfg.page_size))
+        self._open()
+        if durable is None:
+            # A new database has nothing to recover; over existing durable
+            # state (a promotion) it stays crashed until restart().
+            self._bootstrap()
+            self._crashed = False
+
+    # ------------------------------------------------------------------
+    # Opening over the durable state
+    # ------------------------------------------------------------------
+    def _open(self) -> None:
+        """Build every volatile component over :attr:`durable`, as a new
+        process would; the engine is crashed until :meth:`restart`."""
+        durable = self.durable
+        self.log = durable.log
+        self.backup_store = durable.backup_store
+        self.tm = TransactionManager(self.log, self.stats)
+        self.tm.ack_mode = self.config.commit_ack_mode
+        self.locks = self.tm.locks = LockManager()
+        self.pri = (PartitionedRecoveryIndex() if self.config.pri_partitioned
+                    else PageRecoveryIndex())
         self.allocator = PageAllocator(self)
         self.checkpointer = Checkpointer(self)
-
-        self._build_recovery_stack()
-        self.pool = self._build_pool(self.device)
 
         #: the one pending recovery — restart or media restore, never
         #: both (None = idle); see repro.engine.pending_recovery
@@ -151,25 +185,13 @@ class Database:
         #: completion watermarks of the most recent restart / restore
         self.last_restart_completion_lsn: int | None = None
         self.last_restore_completion_lsn: int | None = None
-        #: backup a not-yet-complete restore depends on: set by media
-        #: recovery, cleared at the completion watermark, and surviving
-        #: a crash in between so the interrupted restore can be re-run
-        self._pending_restore_backup_id: int | None = None
 
         #: in-doubt (prepared, undecided) 2PC transactions recovered by
         #: restart/media analysis, keyed by global transaction id; each
         #: holds its key locks until :meth:`resolve_indoubt` delivers
-        #: the coordinator's decision.  Volatile — a crash clears it
-        #: and the next analysis rebuilds it from the PREPARE records.
+        #: the coordinator's decision.  The next analysis rebuilds it
+        #: from the PREPARE records.
         self.indoubt: dict[int, object] = {}
-
-        #: observation hooks for failure/recovery tooling (the chaos
-        #: harness): ``crash_hooks`` fire at the end of :meth:`crash`;
-        #: ``recovery_hooks`` fire with ``(kind, report)`` after a
-        #: :meth:`restart` ("restart") or :meth:`recover_media`
-        #: ("media") returns, whatever code path initiated it
-        self.crash_hooks: list = []
-        self.recovery_hooks: list = []
 
         #: the engine read/write latch: sessions take it shared for
         #: lookups and exclusive for structural work (see
@@ -178,48 +200,39 @@ class Database:
         #: chaos harness are unaffected
         self.latch = ReadWriteLatch()
 
-        self._crashed = adopt_storage is not None
-        self._media_failed = False
-        if adopt_storage is None:
-            self._bootstrap()
+        self._open_device()
+        self._crashed = True
+        self._media_failed = (durable.device.failed
+                              or durable.restore_backup_id is not None)
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    def _build_recovery_stack(self) -> None:
+    def _open_device(self) -> None:
+        """The half of :meth:`_open` bound to ``durable.device``: the
+        catalog, the recovery stack and the buffer pool (media recovery
+        reruns it over the replacement device)."""
         cfg = self.config
+        self.device = device = self.durable.device
+        self.catalog = Catalog(self)
         self.log_reader = LogReader(self.log, self.clock, cfg.log_profile,
                                     self.stats)
         if cfg.spf_enabled:
             self.single_page = SinglePageRecovery(
-                self.pri, self.backup_store, self.log_reader, self.device,
-                self.clock, self.stats,
-                standby=getattr(self, "standby", None))
+                self.pri, self.backup_store, self.log_reader, device,
+                self.clock, self.stats, standby=self.standby)
         else:
             self.single_page = None
-        previous = getattr(self, "recovery_manager", None)
         self.recovery_manager = RecoveryManager(
-            self.device, self.pri, self.single_page, self.clock, self.stats,
+            device, self.pri, self.single_page, self.clock, self.stats,
             single_device_node=cfg.single_device_node,
             on_media_failure=self._on_media_failure,
             pri_lsn_check=cfg.pri_lsn_check and cfg.spf_enabled,
-            # the repair trace is the operator's, not the engine's
-            # volatile state: it survives the crash that rebuilds this
-            events=previous.events if previous is not None else None)
-
-    def _build_pool(self, device: StorageDevice) -> BufferPool:
-        """Buffer pool wired to the detection/repair/backup hooks."""
-        return BufferPool(
-            device, self.log, self.stats, self.config.buffer_capacity,
+            events=self.repair_events)
+        # The pool is wired to the detection/repair/backup hooks.
+        self.pool = BufferPool(
+            device, self.log, self.stats, cfg.buffer_capacity,
             fetcher=self.recovery_manager.fetch_page,
             on_before_write=self.checkpointer.on_before_write,
             repairer=self.recovery_manager.handle_failure,
             on_run_cleaned=self.checkpointer.on_run_cleaned)
-
-    def _wire_pool(self) -> None:
-        """Re-point pool hooks after the recovery stack was rebuilt."""
-        self.pool.fetcher = self.recovery_manager.fetch_page
-        self.pool.repairer = self.recovery_manager.handle_failure
 
     def _bootstrap(self) -> None:
         """Create the metadata page of a fresh database."""
@@ -558,25 +571,17 @@ class Database:
     # Crash / restart / media failure
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Simulate a system failure: volatile state vanishes."""
-        if self.pending_recovery is not None:
-            # Pending recovery work dies with the rest of the volatile
-            # state; the next analysis rediscovers it from the durable
-            # log (an interrupted *restore* leaves the media failed).
-            self.pending_recovery.abandon()
+        """Simulate a system failure: the log keeps its durable prefix,
+        every volatile structure is lost, and the engine reopens over
+        :attr:`durable` alone, crashed until :meth:`restart`."""
+        # The one stand-in on the keep-list: a fresh transaction manager
+        # floored by restart analysis could reuse the ids of transactions
+        # that logged nothing since the last checkpoint, until the
+        # checkpoint carries the next id (ROADMAP item 2).
+        txn_id_floor = self.tm.next_txn_id - 1
         self.log.crash()
-        self.pool.drop_all()
-        self.catalog.invalidate_volatile()
-        self.tm.active.clear()
-        self.indoubt.clear()  # rebuilt from durable PREPARE records
-        self.locks = self.tm.locks = LockManager()  # locks are volatile too
-        if isinstance(self.pri, PartitionedRecoveryIndex):
-            self.pri.partitions = (PageRecoveryIndex(), PageRecoveryIndex())
-        else:
-            self.pri = PageRecoveryIndex()
-        self._build_recovery_stack()
-        self._wire_pool()
-        self._crashed = True
+        self._open()
+        self.tm.restore_txn_id_floor(txn_id_floor)
         self.counters.system_crashes.inc()
         for hook in self.crash_hooks:
             hook(self)
@@ -593,7 +598,6 @@ class Database:
         from repro.engine.system_recovery import run_restart
 
         report = run_restart(self, mode)
-        self._crashed = False
         for hook in self.recovery_hooks:
             hook(self, "restart", report)
         return report
@@ -720,7 +724,7 @@ class Database:
         (a bounded ring, see :data:`repro.core.recovery_manager.
         FAILURE_RING`): page, detected by what, repaired from which
         source, replaying how many records, at what cost."""
-        return list(self.recovery_manager.events)
+        return list(self.repair_events)
 
     def allocated_pages(self) -> int:
         return self.allocator.allocated_pages()

@@ -162,14 +162,12 @@ def run_media_recovery(db, backup_id: int,  # noqa: ANN001
         db.clock, cfg.device_profile, db.stats,
         FaultInjector(seed=cfg.seed + 1),
         proof_read=cfg.proof_read_writes)
-    db.device = replacement
-    db.catalog.invalidate_volatile()
-    db._build_recovery_stack()
-    db.pool = db._build_pool(replacement)
+    db.durable.device = replacement
+    db._open_device()
 
     # The backup this restore reads from stays pinned (across a crash
     # too: the re-run needs it) until the completion watermark.
-    db._pending_restore_backup_id = backup_id
+    db.durable.restore_backup_id = backup_id
     source = BackupImage(db, backup_lsn, set(backup_page_lsns))
     recovery = PendingRecovery(
         db, source,

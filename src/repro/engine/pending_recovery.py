@@ -225,7 +225,7 @@ class DeviceImage(ImageSource):
 
 class BackupImage(ImageSource):
     """Media restore: the device is gone.  The image is the page's copy
-    in the full backup ``db._pending_restore_backup_id`` names (or a
+    in the full backup ``db.durable.restore_backup_id`` names (or a
     fresh page, for one formatted since), and the recovered page is
     sealed, written through to the replacement device and recorded in
     the PRI; the log is pinned at the backup's own record, since chain
@@ -268,7 +268,7 @@ class BackupImage(ImageSource):
             # records (Section 5.2.1's fourth source).
             db.pri.set_range_backup(
                 0, max(pending) + 1,
-                BackupRef.full_backup(db._pending_restore_backup_id),
+                BackupRef.full_backup(db.durable.restore_backup_id),
                 self.backup_lsn, db.clock.now)
             # A recovery-index page the region grew onto after the
             # backup only ever receives whole images; the newest one is
@@ -291,7 +291,7 @@ class BackupImage(ImageSource):
         per page instead, which is exactly its trade)."""
         if self.backup_pages:
             self._image_cache = self.db.backup_store.restore_full_backup(
-                self.db._pending_restore_backup_id)
+                self.db.durable.restore_backup_id)
 
     def page_floor(self, pending_pages: dict[int, list[LogRecord]]) -> int | None:
         return self.backup_lsn if pending_pages else None
@@ -299,7 +299,7 @@ class BackupImage(ImageSource):
     def image(self, page_id: int, records: list[LogRecord]) -> Page:
         db = self.db
         page_size = db.config.page_size
-        backup_id = db._pending_restore_backup_id
+        backup_id = db.durable.restore_backup_id
         cached = self._image_cache.pop(page_id, None)
         if cached is not None:
             return Page(page_size, cached)
@@ -338,7 +338,7 @@ class BackupImage(ImageSource):
         # The replacement device is fully caught up: the backup may be
         # retired, and the watermark is made durable.
         self._image_cache.clear()
-        self.db._pending_restore_backup_id = None
+        self.db.durable.restore_backup_id = None
         self._completions.inc()
         self.db.log.force()
 

@@ -317,10 +317,11 @@ class Standby:
                 take_backup: bool = True):  # noqa: ANN201 - Database
         """Failover: open the standby as the new primary.
 
-        Installs the applied pages on the standby's device, then builds
-        a :class:`~repro.engine.database.Database` that *adopts* the
-        device and the log replica and runs the normal restart
-        machinery — analysis from the shipped master checkpoint, redo
+        Installs the applied pages on the standby's device, then opens
+        a :class:`~repro.engine.database.Database` over a
+        :class:`~repro.engine.database.DurableState` of that device, the
+        log replica and a new backup store — the path a crashed engine
+        reopens by — and runs the normal restart machinery — analysis from the shipped master checkpoint, redo
         (a near no-op: the pages are already rolled forward), and loser
         undo through the shared primitives.  In-flight transactions
         whose commit never shipped are exactly the losers analysis
@@ -336,7 +337,8 @@ class Standby:
         The standby is consumed: it stops running and its device and
         log now belong to the promoted engine.
         """
-        from repro.engine.database import Database
+        from repro.core.backup import BackupStore
+        from repro.engine.database import Database, DurableState
 
         if not self.running:
             raise ReplicationError(
@@ -346,8 +348,11 @@ class Standby:
             copy.seal()
             self.device.write(page_id, copy.data)
         self._standby_promotions.inc()
-        db = Database(self.config, clock=self.clock, stats=self.stats,
-                      adopt_storage=(self.device, self.log))
+        cfg = self.config
+        backups = BackupStore(self.clock, cfg.backup_profile, self.stats,
+                              cfg.page_size)
+        db = Database(cfg, clock=self.clock, stats=self.stats,
+                      durable=DurableState(self.device, self.log, backups))
         db.tm.restore_txn_id_floor(self.max_txn_seen)
         db.restart(mode=restart_mode)
         if take_backup:

@@ -35,7 +35,7 @@ import bisect
 import struct
 from dataclasses import dataclass, field
 
-from repro.core.recovery_index import PageRecoveryIndex, PartitionedRecoveryIndex
+from repro.core.recovery_index import PartitionedRecoveryIndex
 from repro.engine.pending_recovery import DeviceImage, PendingRecovery
 from repro.errors import SinglePageFailure, StorageError
 from repro.page.page import Page
@@ -350,9 +350,9 @@ def _load_pri(db, report: RestartReport) -> None:  # noqa: ANN001
     if not fpi_by_page:
         return
 
-    partitioned = isinstance(db.pri, PartitionedRecoveryIndex)
-    n_partitions = 2 if partitioned else 1
-    for p in range(n_partitions):
+    partitions = (db.pri.partitions
+                  if isinstance(db.pri, PartitionedRecoveryIndex) else (db.pri,))
+    for p, partition in enumerate(partitions):
         chunks: dict[int, bytes] = {}
         total_pages = None
         for page_id in db.checkpointer.pri_partition_pages(p):
@@ -365,16 +365,7 @@ def _load_pri(db, report: RestartReport) -> None:  # noqa: ANN001
             chunks[seq] = bytes(page.data[40:40 + length])
         if total_pages is None:
             continue
-        blob = b"".join(chunks[i] for i in sorted(chunks))
-        partition = PageRecoveryIndex.deserialize(blob)
-        if partitioned:
-            parts = list(db.pri.partitions)
-            parts[p] = partition
-            db.pri.partitions = tuple(parts)
-        else:
-            db.pri = partition
-            db._build_recovery_stack()
-            db._wire_pool()
+        partition.load(b"".join(chunks[i] for i in sorted(chunks)))
 
     # The region pages' own entries were created *after* the snapshots
     # were serialized (self-coverage ordering); re-derive them from the

@@ -427,7 +427,7 @@ class _Run(ChaosRun):
         pending/interrupted restore depends on if it is retained,
         otherwise the newest retained backup with a log record."""
         db = self.db
-        pinned = db._pending_restore_backup_id
+        pinned = db.durable.restore_backup_id
         if pinned is not None and db.backup_store.has_full_backup(pinned):
             return pinned
         for backup_id in reversed(db.backup_store.full_backup_ids()):
@@ -665,7 +665,7 @@ class _Run(ChaosRun):
         db = self.db
         ids = db.backup_store.full_backup_ids()
         candidates = [b for b in ids[:-1]
-                      if b != db._pending_restore_backup_id]
+                      if b != db.durable.restore_backup_id]
         if candidates:
             victim = candidates[payload["rank"] % len(candidates)]
             db.backup_store.retire_full_backup(victim)

@@ -52,9 +52,6 @@ class Mutex(type(threading.RLock())):
 
     __slots__ = ()
 
-    def __deepcopy__(self, memo: dict) -> "Mutex":  # noqa: ARG002
-        return type(self)()
-
     def __reduce__(self) -> tuple:
         return (type(self), ())
 
@@ -102,9 +99,6 @@ class ReadWriteLatch:
         self._writer: int | None = None  # owning thread ident
         self._writer_depth = 0
         self._writers_waiting = 0
-
-    def __deepcopy__(self, memo: dict) -> "ReadWriteLatch":  # noqa: ARG002
-        return type(self)()
 
     def __reduce__(self) -> tuple:
         return (type(self), ())

@@ -145,6 +145,11 @@ class TransactionManager:
             return [txn for txn in self.active.values()
                     if txn.state is not _COMMITTED]
 
+    @property
+    def next_txn_id(self) -> int:
+        """The id the next :meth:`begin` hands out."""
+        return self._next_txn_id
+
     def restore_txn_id_floor(self, floor: int) -> None:
         """After restart recovery, never reuse pre-crash txn ids."""
         with self._mutex:

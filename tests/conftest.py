@@ -122,13 +122,8 @@ def reopen_over_copy(db: Database) -> Database:
 
     twin = copy.deepcopy(db)
     fresh = Database(twin.config, clock=twin.clock, stats=twin.stats,
-                     injector=twin.injector,
-                     adopt_storage=(twin.device, twin.log))
-    fresh.backup_store = twin.backup_store
-    fresh._pending_restore_backup_id = twin._pending_restore_backup_id
-    fresh._build_recovery_stack()
-    fresh._wire_pool()
-    fresh.tm.restore_txn_id_floor(twin.tm._next_txn_id - 1)
+                     injector=twin.injector, durable=twin.durable)
+    fresh.tm.restore_txn_id_floor(twin.tm.next_txn_id - 1)
     return fresh
 
 

@@ -319,13 +319,6 @@ class TestEviction:
         assert not pool.resident(2)
         assert pool.stats.get("frames_dropped") == 1
 
-    def test_drop_all(self, rig):
-        pool, *_ = rig
-        pool.fix(1)
-        pool.unfix(1)
-        pool.drop_all()
-        assert len(pool) == 0
-
 
 def dirty(pool: BufferPool, tm: TransactionManager, page_id: int) -> int:
     """Log one update on the pinned ``page_id`` and mark it dirty."""
@@ -429,22 +422,6 @@ class TestDemandFetch:
         assert stats.get("pages_evicted") == 2
         assert Page(PAGE_SIZE, device.read(2)).page_lsn == lsn
         assert len(pool) == 0
-
-    def test_drop_all_discards_dirty_frames_unwritten(self, rig):
-        """The crash path: every frame goes, none is written, and the
-        emptied pool serves the next fix from the device."""
-        pool, device, _log, tm, stats, _events = rig
-        for page_id in (1, 2):
-            pool.fix(page_id)
-        dirty(pool, tm, 2)
-        pool.drop_all()
-        assert len(pool) == 0 and pool.dirty_page_table() == {}
-        assert stats.get("pages_written_back") == 0
-        assert Page(PAGE_SIZE, device.read(2)).page_lsn == NULL_LSN
-        for page_id in range(4):
-            pool.fix(page_id)
-            pool.unfix(page_id)
-        assert pool.resident_pages() == [0, 1, 2, 3]
 
     @settings(max_examples=40 * EXAMPLES, deadline=None)
     @given(steps=st.lists(

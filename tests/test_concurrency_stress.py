@@ -22,6 +22,7 @@ long-run variant sweeps ``STRESS_NIGHTLY_SEEDS`` seeds under the
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 import time
@@ -31,6 +32,7 @@ import pytest
 from repro import Database
 from repro.btree.verify import verify_tree
 from repro.storage.faults import FaultKind
+from repro.sync import ConditionMutex, Mutex, ReadWriteLatch
 from repro.workloads.fleet import (
     ClientFleet,
     ConcurrentOracle,
@@ -443,3 +445,21 @@ def test_failed_concurrent_load_retries_cleanly() -> None:
     assert len(real) == 1 and real[0].page_id == 3
     assert len(calls) == 2
     assert pool.resident(3)
+
+
+@pytest.mark.parametrize("cls, take", [
+    (Mutex, Mutex.acquire),
+    (ConditionMutex, ConditionMutex.acquire),
+    (ReadWriteLatch, ReadWriteLatch.acquire_exclusive),
+], ids=["Mutex", "ConditionMutex", "ReadWriteLatch"])
+def test_deepcopy_of_a_held_primitive_is_free(cls, take) -> None:
+    """The engine clones (``copy.deepcopy(db)``) rely on it: a held
+    primitive copies to a fresh, unlocked one another thread can take."""
+    original = cls()
+    take(original)
+    clone = copy.deepcopy(original)
+    assert type(clone) is cls
+    taker = threading.Thread(target=take, args=(clone,), daemon=True)
+    taker.start()
+    taker.join(timeout=5)
+    assert not taker.is_alive()

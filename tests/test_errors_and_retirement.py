@@ -185,7 +185,7 @@ class TestRetireFullBackups:
 
     def test_interrupted_restore_pins_backup_across_crash(self):
         """A crash during a pending restore retains the backup the
-        re-run will need (``_pending_restore_backup_id``)."""
+        re-run will need (``durable.restore_backup_id``)."""
         db, tree = loaded_db_with_traffic()
         b1 = db.take_full_backup()
         touch(db, tree, 1)
@@ -194,10 +194,10 @@ class TestRetireFullBackups:
         db.recover_media(b1, mode="on_demand")
         db.drain_restore(page_budget=2)
         db.crash()
-        assert db._pending_restore_backup_id == b1
+        assert db.durable.restore_backup_id == b1
         assert db.retire_backups() == []
         db.recover_media(b1, mode="eager")
-        assert db._pending_restore_backup_id is None
+        assert db.durable.restore_backup_id is None
 
     def test_store_retire_unknown_backup_raises(self):
         db, _tree = loaded_db_with_traffic()

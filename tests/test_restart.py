@@ -9,6 +9,7 @@ Figure 12.
 import pytest
 
 from repro.engine.database import Database
+from repro.page.page import Page
 from repro.wal.records import LogRecordKind, pri_update
 from tests.conftest import fast_config, key_of, value_of
 
@@ -400,13 +401,22 @@ class TestFigure12CrashMatrix:
 
     def test_update_durable_but_page_never_written(self):
         """Figure 12 top rows: the update record exists, no completed
-        write; redo must read the page and re-apply."""
+        write; redo must read the page and re-apply.  The crash itself
+        discards the dirty frame unwritten."""
         db, tree = loaded()
         db.flush_everything()
         txn = db.begin()
         tree.update(txn, key_of(4), b"replay-me")
         db.commit(txn)
+        page, _node, victim = tree._descend(key_of(4), for_write=False)
+        db.pool.unfix(victim)
+        assert victim in db.pool.dirty_page_table()
+        written = db.stats.get("pages_written_back")
         db.crash()  # page never written back
+        assert len(db.pool) == 0
+        assert db.stats.get("pages_written_back") == written
+        on_device = Page(db.config.page_size, db.device.raw_image(victim))
+        assert on_device.page_lsn < page.page_lsn
         report = db.restart()
         assert report.redo_records_applied >= 1
         tree = db.tree(1)

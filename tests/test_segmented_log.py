@@ -334,7 +334,11 @@ class TestRepairOnRead:
             db.create_index()
             db.flush_everything()
         db.evict_everything()
-        db.catalog.invalidate_volatile()
+        # A checkpointed crash: restart has no page to redo, so the
+        # first read of page 0 is the lookups' (through the new catalog).
+        db.checkpoint()
+        db.crash()
+        db.restart()
         if kind == "read-error":
             db.device.inject_read_error(METADATA_PAGE)
         elif kind == "bit-rot":
