@@ -71,6 +71,21 @@ class TestBasicRestart:
         db.restart()
         assert db.begin().txn_id > old_id
 
+    def test_group_commit_block_open_at_the_crash_dies_with_it(self):
+        """A group-commit batch is volatile: a commit after the crash and
+        restart forces on its own, not when the dead block exits."""
+        db, tree = loaded()
+        with db.group_commit():
+            txn = db.begin()
+            tree.update(txn, key_of(0), b"batched")
+            db.commit(txn)
+            db.crash()
+            db.restart()
+            txn = db.begin()
+            db.tree(1).update(txn, key_of(1), b"after the crash")
+            lsn = db.commit(txn)
+            assert db.log.durable_lsn > lsn
+
     def test_uncommitted_system_txn_rolls_back(self):
         """An unlogged system-transaction commit means the structural
         change never happened; contents are unaffected."""
