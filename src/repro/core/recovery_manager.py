@@ -61,10 +61,10 @@ class RecoveryManager:
                  pri: PageRecoveryIndex | PartitionedRecoveryIndex,
                  single_page: SinglePageRecovery | None,
                  clock: SimClock, stats: Stats,
+                 events: deque[FailureEvent],
                  single_device_node: bool = False,
                  on_media_failure: Callable[[MediaFailure], None] | None = None,
-                 pri_lsn_check: bool = True,
-                 events: deque[FailureEvent] | None = None) -> None:
+                 pri_lsn_check: bool = True) -> None:
         self.device = device
         self.pri = pri
         self.single_page = single_page
@@ -80,13 +80,11 @@ class RecoveryManager:
         self.single_device_node = single_device_node
         self.on_media_failure = on_media_failure
         self.pri_lsn_check = pri_lsn_check
-        #: the most recent repairs and escalations, oldest first: a
-        #: ring, so an engine that repairs a page every few operations
-        #: for days keeps only the last :data:`FAILURE_RING` of them
-        #: (``events``: the engine's ring, which outlives this object
-        #: across a crash)
-        self.events = (events if events is not None
-                       else deque(maxlen=FAILURE_RING))
+        #: the most recent repairs and escalations, oldest first: the
+        #: engine's ring, which outlives this object across a crash (so
+        #: an engine that repairs a page every few operations for days
+        #: keeps only the last :data:`FAILURE_RING` of them)
+        self.events = events
 
     # ------------------------------------------------------------------
     # The read path

@@ -222,11 +222,10 @@ class Database:
             self.single_page = None
         self.recovery_manager = RecoveryManager(
             device, self.pri, self.single_page, self.clock, self.stats,
+            self.repair_events,
             single_device_node=cfg.single_device_node,
             on_media_failure=self._on_media_failure,
-            pri_lsn_check=cfg.pri_lsn_check and cfg.spf_enabled,
-            events=self.repair_events)
-        # The pool is wired to the detection/repair/backup hooks.
+            pri_lsn_check=cfg.pri_lsn_check and cfg.spf_enabled)
         self.pool = BufferPool(
             device, self.log, self.stats, cfg.buffer_capacity,
             fetcher=self.recovery_manager.fetch_page,

@@ -320,12 +320,12 @@ class Standby:
         Installs the applied pages on the standby's device, then opens
         a :class:`~repro.engine.database.Database` over a
         :class:`~repro.engine.database.DurableState` of that device, the
-        log replica and a new backup store — the path a crashed engine
-        reopens by — and runs the normal restart machinery — analysis from the shipped master checkpoint, redo
-        (a near no-op: the pages are already rolled forward), and loser
-        undo through the shared primitives.  In-flight transactions
-        whose commit never shipped are exactly the losers analysis
-        finds.
+        log replica and a new backup store (the path a crashed engine
+        reopens by) and runs the normal restart machinery: analysis
+        from the shipped master checkpoint, redo (a near no-op: the
+        pages are already rolled forward), and loser undo through the
+        shared primitives.  In-flight transactions whose commit never
+        shipped are exactly the losers analysis finds.
 
         ``take_backup`` (default) takes a fresh full backup on the
         promoted node: recovery-index entries shipped from the old
