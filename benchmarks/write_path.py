@@ -3,10 +3,11 @@
 Loads the layered benchmark's key-value tree (``bench/``'s
 ``kv_hot_embedded`` set-up, seed 1: every page stays in the pool),
 then rewrites existing keys with same-length values — the workload's
-``put`` — three ways: through ``client.put`` whole, through its four
-public steps (``begin`` / ``locks.acquire`` / ``upsert`` / ``commit``),
-and through an unrolled copy of the path with a clock read between
-every two stages.  Microseconds per put, median of ``--reps`` passes;
+``put`` — three ways: through ``client.put`` whole, through the one
+engine call it makes (``Database.autocommit_write``) and that call's
+four steps (``begin_unlisted`` / ``locks.check`` / ``insert`` /
+``end_autocommit``), and through an unrolled copy of the path with a
+clock read between every two stages.  Microseconds per put, median of ``--reps`` passes;
 each stage of the unrolled put carries one ``perf_counter_ns`` call
 (~0.07 us) of its own.  The whole-benchmark claim (``python3 -m
 bench.run``) is made of these.
@@ -19,8 +20,10 @@ transaction, and as an autocommit put's redo-only record, and what the
 span rule costs per rewrite: building the op, and applying it to a leaf
 (a spanned op splices and checks its middle).
 
-The unrolled put must stay what ``FosterBTree._write`` +
-``TransactionManager.log_update`` / ``commit`` do — a redo-only record
+The unrolled put must stay what ``Database.autocommit_write`` +
+``FosterBTree._write`` + ``TransactionManager.log_update`` / ``commit``
+do — an unlisted write (no active-table entry, no registered lock)
+whose key is checked free, a redo-only record
 that takes its commit bit at append, the leaf's page id taken from the
 descent (no header re-read), one pool exit (``pool.unfix(page_id,
 dirty_lsn)``), the force in ``LogManager.commit`` — counted through the
@@ -67,14 +70,14 @@ from repro.wal.records import (LogicalUndo, LogRecord,  # noqa: E402
 now = time.perf_counter_ns
 
 STAGES = (
-    "db.begin", "locks.acquire",
+    "tm.begin_unlisted (id + inc)", "locks.check (nothing registered)",
     "descent (shared with get)", "node.find",
     "probe_value (ghost bit, before-image, room: one slot read)",
     "value_rewrite (redo-only: no undo)", "LogRecord(...)",
     "log.append (+ the commit bit)", "op.apply_redo",
     "PageLSN + chain head + inc", "inc + unfix(page_id, dirty_lsn)",
     "log.commit (the force alone)",
-    "finish (inc, active table, release_all)",
+    "finish (inc)",
 )
 
 
@@ -82,10 +85,10 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     """One autocommit rewrite of a live key, a clock read per stage."""
     log, tm = db.log, db.tm
     t0 = now()
-    txn = db.begin()
-    txn.redo_only = True        # as client.put sets it
+    txn = tm.begin_unlisted()
+    txn.redo_only = True        # as Database.autocommit_write sets it
     t1 = now()
-    db.locks.acquire(txn.txn_id, key)
+    db.locks.check(txn.txn_id, key)
     t2 = now()
     page, node, pid = tree._descend(key, for_write=True)
     t3 = now()
@@ -116,7 +119,6 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     t12 = now()
     tm._user_txns_committed.inc()
     txn.redo_only = False
-    tm._finish(txn)
     t13 = now()
     for stage, (a, b) in enumerate(zip(
             (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12),
@@ -163,22 +165,22 @@ def main() -> None:
             return now() - start
         return step
 
-    # -- the four public steps, each timed around the real call --------
-    public = [0, 0, 0, 0]
+    # -- the engine call, and its four steps timed around each --------
+    steps = [0, 0, 0, 0]
 
-    def by_public_steps(key: bytes, value: bytes) -> int:
+    def by_steps(key: bytes, value: bytes) -> int:
         t0 = now()
-        txn = db.begin()
+        txn = db.tm.begin_unlisted()
         txn.redo_only = True
         t1 = now()
-        db.locks.acquire(txn.txn_id, key)
+        db.locks.check(txn.txn_id, key)
         t2 = now()
-        tree.upsert(txn, key, value)
+        tree.insert(txn, key, value, replace=True)
         t3 = now()
-        db.commit(txn)
+        db.end_autocommit(txn)
         t4 = now()
         for i, dt in enumerate((t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
-            public[i] += dt
+            steps[i] += dt
         return t4 - t0
 
     # -- the unrolled put must log and count what client.put does -------
@@ -202,12 +204,14 @@ def main() -> None:
 
     rows = [("client.get (same keys)",
              per_put(whole(lambda key, _value: client.get(key)))),
-            ("client.put", per_put(whole(client.put)))]
-    total = per_put(by_public_steps)
+            ("client.put", per_put(whole(client.put))),
+            ("db.autocommit_write, called directly", per_put(whole(
+                lambda key, value: db.autocommit_write(tree, key, value))))]
+    total = per_put(by_steps)
     calls = args.reps * len(keys)
-    rows.append(("begin + acquire + upsert + commit, called directly", total))
-    for name, ns in zip(("  db.begin", "  locks.acquire", "  tree.upsert",
-                         "  db.commit"), public):
+    rows.append(("its four steps, called directly", total))
+    for name, ns in zip(("  tm.begin_unlisted", "  locks.check",
+                         "  tree.insert", "  db.end_autocommit"), steps):
         rows.append((name, ns / calls / 1e3))
 
     spent = [0] * len(STAGES)

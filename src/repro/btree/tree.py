@@ -18,7 +18,7 @@ corruptions" made operational.
 Each piece of work is done once.  There is one user-write path
 (:meth:`FosterBTree._write`): ``insert``, ``update``, ``upsert``,
 ``delete`` and ``remove`` all descend once and decide at the pinned
-leaf, under the caller's key lock, whether to update, revive a ghost,
+leaf, under the caller's key lock (or check), whether to update, revive a ghost,
 insert, ghost, or split and retry; they differ only in which states of
 the key they accept.  A batch (:meth:`FosterBTree.apply_batch`) writes
 through it too: a put of a new key may take the sorted new keys after
@@ -74,10 +74,12 @@ _RESTORE_VALUE = UndoAction.RESTORE_VALUE
 _ROW_OVERHEAD = 2 + SLOT_SIZE
 
 
-def _not_bytes(key: object, value: object) -> BTreeError:
+def not_bytes(key: object, value: object) -> BTreeError:
     """The refusal of a write whose key or value is not ``bytes``: a
     ``str`` would fail only once its record is logged, and a ``None``
-    value would read as a delete."""
+    value would read as a delete — which is what it means to
+    :meth:`repro.engine.database.Database.autocommit_write`, so a put
+    refuses one before it calls that."""
     return BTreeError(f"a write takes bytes -> bytes, not "
                       f"{type(key).__name__} -> {type(value).__name__}")
 
@@ -349,14 +351,14 @@ class FosterBTree:
         (:class:`DuplicateKey`) unless ``replace``, which updates it.
         ``batch``: the :meth:`apply_batch` this put belongs to."""
         if key.__class__ is not bytes or value.__class__ is not bytes:
-            raise _not_bytes(key, value)
+            raise not_bytes(key, value)
         self._write(txn, key, value, None if replace else False, batch)
 
     def update(self, txn: Transaction, key: bytes, value: bytes) -> None:
         """Replace the value stored under ``key`` (:class:`KeyNotFound`
         if there is none)."""
         if key.__class__ is not bytes or value.__class__ is not bytes:
-            raise _not_bytes(key, value)
+            raise not_bytes(key, value)
         self._write(txn, key, value, True)
 
     def upsert(self, txn: Transaction, key: bytes, value: bytes) -> None:
@@ -412,8 +414,10 @@ class FosterBTree:
         caller requires of the key — ``True`` a live record
         (:class:`KeyNotFound` otherwise), ``False`` none
         (:class:`DuplicateKey` otherwise), ``None`` either — and the
-        return value says which it was.  The caller holds the key lock,
-        so the decision made at the pinned leaf stays true until commit.
+        return value says which it was.  The caller holds the key lock —
+        or, for an unlisted write, checked it free, and its record
+        commits as it is appended — so the decision made at the pinned
+        leaf stays true until commit.
 
         Room is tested *before* anything is logged: a logged operation
         that then fails to apply would leave a record redo cannot
@@ -451,10 +455,10 @@ class FosterBTree:
                     continue
                 if expect_live is not None and live != expect_live:
                     raise KeyNotFound(key) if expect_live else DuplicateKey(key)
-                # A write of one record in a redo-only transaction logs
-                # neither undo nor before-image: the record commits as it
-                # is appended (TransactionManager.log_update), and every
-                # check that may refuse it is behind us.
+                # An unlisted write (Database.autocommit_write) of one
+                # record logs neither undo nor before-image: the record
+                # commits as it is appended (TransactionManager.log_update),
+                # and every check that may refuse it is behind us.
                 if value is None:
                     dirty = log(txn, pid, page, index_id,
                                 node.op_set_ghost(i, True, old=False),
@@ -480,13 +484,15 @@ class FosterBTree:
                 elif found:
                     if len(value) <= room:
                         # Revive the ghost: restore value, then clear the
-                        # bit — two records, so both log their undo, even
-                        # in a redo-only transaction.  The value write
-                        # carries a *no-op logical undo*: rolling back the
-                        # revive only needs to re-ghost the record (the
-                        # DELETE_KEY below); a physical slot-indexed undo
-                        # would be unsafe once later inserts have shifted
-                        # the slots.
+                        # bit — two records, so both log their undo, and
+                        # an unlisted write enlists before the first.  The
+                        # value write carries a *no-op logical undo*:
+                        # rolling back the revive only needs to re-ghost
+                        # the record (the DELETE_KEY below); a physical
+                        # slot-indexed undo would be unsafe once later
+                        # inserts have shifted the slots.
+                        if txn.redo_only:
+                            self.tm.enlist(txn, key)
                         dirty = log(txn, pid, page, index_id,
                                     value_rewrite(DATA_START + i, old, value),
                                     LogicalUndo(UndoAction.NONE, key))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+from repro.btree.tree import not_bytes
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.errors import (ClientClosedError, ConfigError, KeyNotFound,
@@ -185,8 +186,8 @@ class SingleNodeClient(Client):
     # The point operations test the closed and failed states in place
     # and hit the tree registry themselves (a hit is a dict lookup, see
     # repro.engine.catalog.TreeRegistry): each is one call into the
-    # traced engine methods, with no frame between.  The writes spell
-    # Database.run_autocommit out in place.
+    # engine, with no frame between — the writes' is
+    # Database.autocommit_write.
     def get(self, key: bytes) -> bytes | None:
         if self._closed:
             self._require_open()
@@ -202,35 +203,16 @@ class SingleNodeClient(Client):
     def put(self, key: bytes, value: bytes) -> None:
         if self._closed:
             self._require_open()
+        if value is None:
+            raise not_bytes(key, value)
         db = self.db
-        txn = db.begin()
-        txn.redo_only = True
-        try:
-            db.locks.acquire(txn.txn_id, key)
-            # FosterBTree.upsert, without its hop to insert()
-            db.catalog.trees[self.index_id].insert(txn, key, value,
-                                                   replace=True)
-        except BaseException:
-            db.end_autocommit(txn, failed=True)
-            raise
-        db.end_autocommit(txn)
+        db.autocommit_write(db.catalog.trees[self.index_id], key, value)
 
     def delete(self, key: bytes) -> bool:
         if self._closed:
             self._require_open()
         db = self.db
-        txn = db.begin()
-        txn.redo_only = True
-        try:
-            db.locks.acquire(txn.txn_id, key)
-            # FosterBTree.remove, without its hop to delete()
-            removed = db.catalog.trees[self.index_id].delete(
-                txn, key, missing_ok=True)
-        except BaseException:
-            db.end_autocommit(txn, failed=True)
-            raise
-        db.end_autocommit(txn)
-        return removed
+        return db.autocommit_write(db.catalog.trees[self.index_id], key, None)
 
     def scan(self, low: bytes = b"",
              high: bytes | None = None) -> list[tuple[bytes, bytes]]:

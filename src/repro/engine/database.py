@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.btree.node import BTreeNode
-from repro.btree.tree import FosterBTree
+from repro.btree.tree import FosterBTree, not_bytes
 from repro.buffer.buffer_pool import BufferPool
 from repro.core.backup import BackupStore
 from repro.core.failure_classes import FailureEvent
@@ -336,24 +336,70 @@ class Database:
         failure killed it) — is left to recovery's analysis, as is one
         whose rollback fails (a repair escalating mid-undo).  The
         engine lists it as this very object: after a crash and restart
-        a new transaction may hold the same id."""
-        if self.tm.active.get(txn.txn_id) is not txn:
+        a new transaction may hold the same id.  An unlisted write
+        (:meth:`autocommit_write`) is listed nowhere: its caller,
+        :meth:`end_autocommit`, has ruled out its disowning."""
+        if not txn.redo_only and self.tm.active.get(txn.txn_id) is not txn:
             return
         try:
             self.abort(txn)
         except Exception:  # noqa: BLE001 - the original error propagates
             pass
 
-    def run_autocommit(self, body, *args, redo_only: bool = False):  # noqa: ANN001, ANN201
-        """Run ``body(txn, *args)`` in a private transaction of its own
-        and end it by :meth:`end_autocommit`; returns what ``body``
-        returned.  ``redo_only`` is for a body of one tree write.  The
-        cold autocommit callers — the single-operation helpers below,
-        the client's and the worker's batch, the worker's slot moves —
-        come through here; the warm point writes of the embedded client
-        and the shard worker spell the same four steps out in place."""
+    def autocommit_write(self, tree: FosterBTree, key: bytes,
+                         value: bytes | None,
+                         expect_live: bool | None = None) -> bool | None:
+        """Write ``key`` -> ``value`` into ``tree`` (``None`` deletes) in
+        a transaction of its own; returns what the tree's write returned
+        (for a delete: whether a record went).  ``expect_live`` is
+        :meth:`repro.btree.tree.FosterBTree._write`'s: ``None`` writes
+        whatever the key's state (the client's and the shard worker's
+        put and delete), ``True`` requires a live record
+        (:meth:`update`, :meth:`delete`), ``False`` none
+        (:meth:`insert`).
+
+        The write is *unlisted*: it takes the next transaction id, as
+        :meth:`begin` does, but no entry in the active table and no key
+        lock.  The key is checked by the lock table's own conflict rules
+        (:meth:`repro.txn.locks.LockManager.check`: a pending loser of
+        an on-demand restart is rolled back first, any other holder
+        raises ``LockConflict``), and nothing can come between that
+        check and the write's commit: its one record is redo-only and
+        commits as it is appended
+        (:meth:`repro.txn.manager.TransactionManager.log_update`), so
+        only the force is left to :meth:`end_autocommit`.  A write that
+        needs undo after all — a ghost's revival logs two records —
+        enlists in the active table and takes its key lock before its
+        first record (:meth:`repro.txn.manager.TransactionManager.
+        enlist`), and is a listed transaction from there.
+        """
+        if self._crashed or self._media_failed:
+            self._require_running()
+        txn = self.tm.begin_unlisted()
+        txn.redo_only = True
+        try:
+            self.locks.check(txn.txn_id, key)
+            if value is None:
+                done = tree.delete(txn, key, missing_ok=not expect_live)
+            elif expect_live is None:
+                done = tree.insert(txn, key, value, replace=True)
+            elif expect_live:
+                done = tree.update(txn, key, value)
+            else:
+                done = tree.insert(txn, key, value)
+        except BaseException:
+            self.end_autocommit(txn, failed=True)
+            raise
+        self.end_autocommit(txn)
+        return done
+
+    def run_autocommit(self, body, *args):  # noqa: ANN001, ANN201
+        """Run ``body(txn, *args)`` in a private, listed transaction of
+        its own and end it by :meth:`end_autocommit`; returns what
+        ``body`` returned.  The autocommit callers of more than one key
+        — the client's and the worker's batch, the worker's slot moves —
+        come through here; a one-key write is :meth:`autocommit_write`."""
         txn = self.begin()
-        txn.redo_only = redo_only
         try:
             result = body(txn, *args)
         except BaseException:
@@ -364,33 +410,27 @@ class Database:
 
     def end_autocommit(self, txn: Transaction, failed: bool = False) -> None:
         """End ``txn``, a private transaction around one operation, by
-        the one set of exit rules every autocommit caller shares
-        (:meth:`run_autocommit`, and the embedded client's and the shard
-        worker's point writes, which inline it)::
-
-            txn = db.begin()
-            txn.redo_only = True       # a body of one tree write
-            try:
-                db.locks.acquire(txn.txn_id, key)
-                tree.insert(txn, key, value, replace=True)
-            except BaseException:
-                db.end_autocommit(txn, failed=True)
-                raise
-            db.end_autocommit(txn)
+        the one set of exit rules every autocommit caller shares — the
+        unlisted write of :meth:`autocommit_write` and the listed
+        transaction of :meth:`run_autocommit` alike.
 
         A body that returned (``failed`` False) commits; a commit that
         raises rolls back — quietly, see :meth:`abort_quietly` — so no
         failure can leave the transaction active and its keys locked.
+        A listed transaction whose body failed rolls back quietly.
 
-        ``redo_only`` is for a body of one tree write: a write that logs
-        one record logs it redo-only, and the transaction is committed
-        the moment it is appended (see
-        :meth:`repro.txn.manager.TransactionManager.log_update`).  Such
-        a transaction is never rolled back: a failure after the append —
-        a repair escalating as the leaf is unpinned — finishes its commit
-        (force, release) and the caller's error propagates; from there
-        an escalation is a crash.  Any other failed body rolls back
-        quietly.
+        An unlisted write (``txn.redo_only``) that failed is in no
+        table, so no table can say whether the failure disowned it; the
+        engine's state does.  A crash leaves the engine crashed, under a
+        new transaction manager that never knew the write, until
+        :meth:`restart` — which no write outlives: the write is left to
+        recovery, nothing forced.  A media failure leaves the engine
+        failed: it killed the write, which counts as one of the
+        transactions it killed, nothing forced.  Otherwise a write
+        committed at its append — a failure after it, such as a repair
+        escalating as the leaf is unpinned — gets its force and the
+        caller's error propagates; a write that logged nothing rolls
+        back, which logs its ABORT alone.
         """
         if not failed:
             try:
@@ -398,11 +438,14 @@ class Database:
             except BaseException:
                 self.abort_quietly(txn)
                 raise
-        elif txn.state is _COMMITTED and txn.redo_only:
-            # Committed at its append — unless a crash or media failure
-            # already disowned it.
-            if self.tm.active.get(txn.txn_id) is txn:
-                self.commit(txn)
+        elif not txn.redo_only:
+            self.abort_quietly(txn)
+        elif self._crashed:
+            return  # disowned: left to restart
+        elif self._media_failed:
+            self.counters.txns_killed_by_media_failure.inc()
+        elif txn.state is _COMMITTED:
+            self.commit(txn)
         else:
             self.abort_quietly(txn)
 
@@ -474,34 +517,39 @@ class Database:
         return Session(self)
 
     # Convenience single-operation transactions ------------------------
+    # Each runs in ``txn`` under its key lock or, given none, as an
+    # autocommit write of its own (autocommit_write).
     def insert(self, tree: FosterBTree, key: bytes, value: bytes,
                txn: Transaction | None = None) -> None:
-        self._locked_write(tree.insert, txn, key, value)
+        if txn is None:
+            if value is None:
+                raise not_bytes(key, value)
+            self.autocommit_write(tree, key, value, False)
+        else:
+            self._lock(txn, key)
+            tree.insert(txn, key, value)
 
     def update(self, tree: FosterBTree, key: bytes, value: bytes,
                txn: Transaction | None = None) -> None:
-        self._locked_write(tree.update, txn, key, value)
+        if txn is None:
+            if value is None:
+                raise not_bytes(key, value)
+            self.autocommit_write(tree, key, value, True)
+        else:
+            self._lock(txn, key)
+            tree.update(txn, key, value)
 
     def delete(self, tree: FosterBTree, key: bytes,
                txn: Transaction | None = None) -> None:
-        self._locked_write(tree.delete, txn, key)
-
-    def _locked_write(self, write, txn: Transaction | None,  # noqa: ANN001
-                      key: bytes, *value: bytes) -> None:
-        """Lock ``key`` and run one tree write in ``txn`` — or, given
-        none, in an autocommit transaction of its own
-        (:meth:`run_autocommit`)."""
-        self._require_running()
         if txn is None:
-            self.run_autocommit(self._lock_and_write, write, key, *value,
-                                redo_only=True)
+            self.autocommit_write(tree, key, None, True)
         else:
-            self._lock_and_write(txn, write, key, *value)
+            self._lock(txn, key)
+            tree.delete(txn, key)
 
-    def _lock_and_write(self, txn: Transaction, write,  # noqa: ANN001
-                        key: bytes, *value: bytes) -> None:
+    def _lock(self, txn: Transaction, key: bytes) -> None:
+        self._require_running()
         self.locks.acquire(txn.txn_id, key)
-        write(txn, key, *value)
 
     # ------------------------------------------------------------------
     # Replication (PR 7)
@@ -628,7 +676,10 @@ class Database:
         return self.drain_restart()
 
     def _on_media_failure(self, media: MediaFailure) -> int:
-        """Escalation callback: abort every active user transaction."""
+        """Escalation callback: abort every active user transaction.  An
+        unlisted write in flight (:meth:`autocommit_write`) is in no
+        table: it counts itself killed as it unwinds
+        (:meth:`end_autocommit`)."""
         victims = [txn for txn in list(self.tm.active.values())
                    if not txn.is_system]
         for txn in victims:

@@ -27,7 +27,7 @@ received an assignment owns everything (the embedded/standalone case).
 
 from __future__ import annotations
 
-from repro.btree.tree import FosterBTree
+from repro.btree.tree import FosterBTree, not_bytes
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.errors import (
@@ -116,10 +116,10 @@ class ShardWorker:
         return "pong"
 
     # The point verbs test the failed states and the slot's owner
-    # (routing.slot_of, as slot_hash mod the slot count) in place, hit
-    # the tree registry themselves and spell Database.run_autocommit out
-    # in place, as the embedded client does; _check_owner only raises
-    # the redirect.  Crashed-state check first: a crashed shard must
+    # (routing.slot_of, as slot_hash mod the slot count) in place and
+    # hit the tree registry themselves; a write is one
+    # Database.autocommit_write, as the embedded client's.  _check_owner
+    # only raises the redirect.  Crashed-state check first: a crashed shard must
     # escalate to a system failure (the router's reopen signal), not
     # refuse on ownership grounds.
     def _cmd_get(self, key: bytes) -> bytes | None:
@@ -142,17 +142,9 @@ class ShardWorker:
         owned = self._owned
         if owned is not None and slot_hash(key) % self._n_slots not in owned:
             self._check_owner(key)
-        txn = db.begin()
-        txn.redo_only = True
-        try:
-            db.locks.acquire(txn.txn_id, key)
-            # FosterBTree.upsert, without its hop to insert()
-            db.catalog.trees[self.index_id].insert(txn, key, value,
-                                                   replace=True)
-        except BaseException:
-            db.end_autocommit(txn, failed=True)
-            raise
-        db.end_autocommit(txn)
+        if value is None:
+            raise not_bytes(key, value)
+        db.autocommit_write(db.catalog.trees[self.index_id], key, value)
 
     def _cmd_delete(self, key: bytes) -> bool:
         db = self.db
@@ -161,18 +153,7 @@ class ShardWorker:
         owned = self._owned
         if owned is not None and slot_hash(key) % self._n_slots not in owned:
             self._check_owner(key)
-        txn = db.begin()
-        txn.redo_only = True
-        try:
-            db.locks.acquire(txn.txn_id, key)
-            # FosterBTree.remove, without its hop to delete()
-            removed = db.catalog.trees[self.index_id].delete(
-                txn, key, missing_ok=True)
-        except BaseException:
-            db.end_autocommit(txn, failed=True)
-            raise
-        db.end_autocommit(txn)
-        return removed
+        return db.autocommit_write(db.catalog.trees[self.index_id], key, None)
 
     def _cmd_batch(self, ops: list[tuple]) -> int:
         """Apply ``[("put", k, v) | ("delete", k), ...]`` in one local

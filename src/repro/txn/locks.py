@@ -52,23 +52,43 @@ class LockManager:
         lock manager, so cross-thread waits cannot deadlock here.
         """
         with self._mutex:
-            while True:
-                holder = self._holders.get(key)
-                if holder is None:
-                    self._holders[key] = txn_id
-                    self._held_by_txn.setdefault(txn_id, set()).add(key)
-                    return
-                if holder == txn_id:
-                    return
-                if (self.conflict_resolver is not None
-                        and self.conflict_resolver(holder)):
-                    continue  # the loser in the way is gone; retry
-                self._waits_for[txn_id] = holder
-                if self._has_cycle(txn_id):
-                    del self._waits_for[txn_id]
-                    raise DeadlockError(txn_id, f"deadlock on key {key!r}")
+            if key in self._holders and self._admit(txn_id, key):
+                return  # ours already
+            self._holders[key] = txn_id
+            self._held_by_txn.setdefault(txn_id, set()).add(key)
+
+    def check(self, txn_id: int, key: bytes) -> None:
+        """Apply :meth:`acquire`'s conflict rules to ``txn_id``'s
+        request for ``key``, and register nothing: returns once no other
+        transaction holds it (a pending loser in the way rolled back),
+        raises what :meth:`acquire` would raise otherwise.  For a write
+        that holds no lock because nothing can come between its check
+        and its commit — the unlisted write of
+        :meth:`repro.engine.database.Database.autocommit_write`."""
+        with self._mutex:
+            if key in self._holders:
+                self._admit(txn_id, key)
+
+    def _admit(self, txn_id: int, key: bytes) -> bool:
+        """The conflict rules for ``txn_id``'s request of a held
+        ``key`` (the caller holds the mutex): True if ``txn_id`` holds
+        it, False once a pending loser in the way is rolled back and
+        the key is free; raises if another transaction keeps it."""
+        while True:
+            holder = self._holders.get(key)
+            if holder is None:
+                return False
+            if holder == txn_id:
+                return True
+            if (self.conflict_resolver is not None
+                    and self.conflict_resolver(holder)):
+                continue  # the loser in the way is gone; retry
+            self._waits_for[txn_id] = holder
+            if self._has_cycle(txn_id):
                 del self._waits_for[txn_id]
-                raise LockConflict(txn_id, key, holder)
+                raise DeadlockError(txn_id, f"deadlock on key {key!r}")
+            del self._waits_for[txn_id]
+            raise LockConflict(txn_id, key, holder)
 
     def try_acquire(self, txn_id: int, key: bytes) -> bool:
         """Acquire ``key`` for ``txn_id`` if no other transaction holds

@@ -11,10 +11,19 @@ transaction's last record was its last" — made durable by a force:
   (another transaction's group force, a checkpoint, a write-back, a
   2PC PREPARE).  One rule for every transaction: an autocommit put, a
   32-write batch and a node split lose their commit record alike;
-* an autocommit transaction of one write goes further: its one record
-  is *redo-only* (no undo, no before-image) and takes the bit as it is
+* an autocommit write of one key goes further: its one record is
+  *redo-only* (no undo, no before-image) and takes the bit as it is
   appended (:meth:`TransactionManager.log_update`), so the transaction
-  is committed from there and its commit is the force alone;
+  is committed from there and its commit is the force alone.  Nothing
+  can roll it back, so it is *unlisted*: it takes an id
+  (:meth:`TransactionManager.begin_unlisted`) but no entry in the
+  active table and no key lock, and its commit unregisters nothing.
+  A write that turns out to need undo — a ghost's revival logs two
+  records — enlists before its first one
+  (:meth:`TransactionManager.enlist`).  No table says that a failure
+  disowned an unlisted write: a crash leaves a new transaction manager
+  that never knew it, a media failure a failed engine (see
+  :meth:`repro.engine.database.Database.end_autocommit`);
 * user transaction commit then **forces** the log through the record
   that carries the commit (durability), in the same log-mutex hold as
   the bit;
@@ -137,13 +146,37 @@ class TransactionManager:
          else self._user_txns_started).inc()
         return txn
 
-    def unfinished(self) -> list[Transaction]:
-        """The active transactions a restart would have to finish — all
-        but those committed at their redo-only record's append
-        (:meth:`log_update`), whose force and release alone are due."""
+    def begin_unlisted(self) -> Transaction:
+        """A user transaction as :meth:`begin` starts one — the next id,
+        counted as started — entered in no table: the unlisted write of
+        :meth:`repro.engine.database.Database.autocommit_write`."""
         with self._mutex:
-            return [txn for txn in self.active.values()
-                    if txn.state is not _COMMITTED]
+            txn = Transaction(self._next_txn_id)
+            self._next_txn_id += 1
+        self._user_txns_started.inc()
+        return txn
+
+    def enlist(self, txn: Transaction, key: bytes) -> None:
+        """List the unlisted write ``txn``, about to log a write that
+        needs undo, in the active table and lock ``key`` for it, before
+        its first record: from there rollback, checkpoints and a media
+        failure's kill see it as any transaction.  The caller holds the
+        key's leaf pinned, so the lock is taken without waiting; the
+        write checked the key free, and nothing ran since."""
+        txn.redo_only = False
+        with self._mutex:
+            self.active[txn.txn_id] = txn
+        if self.locks is not None and not self.locks.try_acquire(
+                txn.txn_id, key):
+            raise TransactionError(
+                f"transaction {txn.txn_id} found key {key!r} locked "
+                f"after its check")
+
+    def unfinished(self) -> list[Transaction]:
+        """The active transactions a restart would have to finish: every
+        listed one (an unlisted write is committed at its append)."""
+        with self._mutex:
+            return list(self.active.values())
 
     @property
     def next_txn_id(self) -> int:
@@ -165,14 +198,16 @@ class TransactionManager:
         wait on the cross-thread group-commit barrier with no latch
         held, so riders never block writers.
 
-        A transaction that logged its one write redo-only
-        (:meth:`log_update`) is COMMITTED already, by that record's
-        bit: for it this is the force and the release alone.
+        An unlisted write (``txn.redo_only``, see :meth:`begin_unlisted`)
+        that logged its one record is COMMITTED already, by that
+        record's bit: for it this is the force alone, as it is listed in
+        no table and holds no lock.
         """
+        unlisted = txn.redo_only
         if txn.state is not _ACTIVE:
-            if txn.state is not _COMMITTED or not txn.redo_only:
+            if txn.state is not _COMMITTED or not unlisted:
                 self._require_active(txn)
-            txn.redo_only = False  # finished below: no second commit
+        txn.redo_only = False  # finished below: no second commit
         system = txn.is_system
         batch = None if system else self._commit_batch
         # Durability: user commits force the log (a group-commit batch
@@ -188,10 +223,11 @@ class TransactionManager:
         (self._system_txns_committed if system
          else self._user_txns_committed).inc()
         txn.state = TxnState.COMMITTED
-        with self._mutex:  # _finish, in place: every commit passes here
-            self.active.pop(txn.txn_id, None)
-        if self.locks is not None:
-            self.locks.release_all(txn.txn_id)
+        if not unlisted:
+            with self._mutex:  # _finish, in place
+                self.active.pop(txn.txn_id, None)
+            if self.locks is not None:
+                self.locks.release_all(txn.txn_id)
         if force and self.ack_mode == "replicated_durable":
             # After _finish: the transaction IS committed and locally
             # durable; this only blocks on (or fails for want of) the
@@ -318,9 +354,9 @@ class TransactionManager:
         the operation is applied, and the page's PageLSN advances to
         the new record's LSN.
 
-        A user transaction marked ``redo_only`` that logs a write with
-        no ``undo`` logs it as its only record, redo-only: the log sets
-        its commit bit at append, and the transaction is COMMITTED from
+        An unlisted write (``txn.redo_only``) that logs a write with no
+        ``undo`` logs it as its only record, redo-only: the log sets its
+        commit bit at append, and the transaction is COMMITTED from
         there — nothing may roll it back, so its caller makes every
         fallible check before this call.  :meth:`commit` forces it.
 

@@ -44,11 +44,15 @@ class Transaction:
         self.state = TxnState.ACTIVE
         self.last_lsn = NULL_LSN
         self.first_lsn = NULL_LSN
-        #: set by an autocommit caller around one write (see
-        #: ``Database.end_autocommit``): a write that logs a single record logs it redo-only
-        #: (no undo, the commit bit at append) and leaves the
-        #: transaction COMMITTED, its force and lock release still due
-        #: (``TransactionManager.commit``)
+        #: an *unlisted* write (``Database.autocommit_write``): in no
+        #: active table and holding no lock, it logs its single record
+        #: redo-only (no undo, the commit bit at append) and is
+        #: COMMITTED from there, its force alone still due
+        #: (``TransactionManager.commit``).  A write that needs undo
+        #: enlists first and clears it (``TransactionManager.enlist``).
+        #: No table says a failure disowned it: a crash leaves a new
+        #: transaction manager, a media failure a failed engine
+        #: (``Database.end_autocommit``)
         self.redo_only = False
 
     @property

@@ -172,8 +172,10 @@ def redo_only(record) -> bytes:  # noqa: ANN001
 def _autocommit_txn_ids(seed: int, frames: int, preload: int,
                         n_ops: int) -> tuple:
     """The stream's database and the ids of its autocommit
-    transactions, seen by wrapping ``Database.end_autocommit`` (every
-    autocommit transaction ends there, once)."""
+    transactions, seen by wrapping ``Database.end_autocommit``: every
+    autocommit transaction ends there, once — the unlisted write of
+    ``Database.autocommit_write`` and the listed transaction of
+    ``Database.run_autocommit`` alike."""
     ids: set[int] = set()
     end = Database.end_autocommit
 

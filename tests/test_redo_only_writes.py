@@ -226,9 +226,8 @@ def test_a_committed_at_append_transaction_cannot_abort_or_commit_twice():
     client = loaded_client()
     db = client.db
     tree = db.tree(client.index_id)
-    txn = db.begin()
+    txn = db.tm.begin_unlisted()  # as Database.autocommit_write opens it
     txn.redo_only = True
-    db.locks.acquire(txn.txn_id, key_of(6))
     tree.update(txn, key_of(6), value_of(6, 1))
     with pytest.raises(TransactionError):
         db.abort(txn)
@@ -236,6 +235,7 @@ def test_a_committed_at_append_transaction_cannot_abort_or_commit_twice():
     with pytest.raises(TransactionError):
         db.commit(txn)
     assert client.get(key_of(6)) == value_of(6, 1)
+    assert not db.tm.active and db.locks.held_keys() == []
     # A redo-only record must be its transaction's only one: refused,
     # before anything is logged, after a record of the transaction's own.
     txn = db.begin()

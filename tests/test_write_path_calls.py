@@ -1,27 +1,33 @@
 """A get and a put at the price of their hops, counted in calls.
 
 A warm autocommit rewrite of a live key on a resident three-level tree
-may enter at most 50 Python functions of ``repro``, and a warm
+may enter at most 49 Python functions of ``repro``, and a warm
 ``client.get`` at most 17 — the descent and the leaf search are the
-get's, and the put shares them.  History: 67 and 29 while frames that
-only forwarded stood between the client and the pool (``Database.fix``,
-``unfix`` and ``get_root`` in front of the pool and the catalogue, the
-client's ``_require_open`` / ``_require_running`` / ``Database.tree``
-hops, the autocommit context-manager object, the leaf's throwaway
-``SlottedPage``, a second ``read_value`` / ``probe_value`` frame, header
-re-reads of a page id the caller held, the force's ``write_cost``); 68
-while the put still built a ``LogicalUndo``; 91 while every layer still
-went through its own helpers (the commit bit found by a segment lookup
-and forced in a second log-mutex hold, ``mark_dirty`` beside ``unfix``,
-a four-call record size, a ``Transaction.active`` property asked
-twice).
+get's, and the put shares them.  History: 50 while a put began a listed
+transaction and registered its key lock (``Database.begin``,
+``TransactionManager.begin``, ``LockManager.acquire`` and
+``release_all``, where ``Database.autocommit_write``,
+``TransactionManager.begin_unlisted`` and ``LockManager.check`` stand
+now); 67 and 29 while frames that only forwarded stood between the
+client and the pool (``Database.fix``, ``unfix`` and ``get_root`` in
+front of the pool and the catalogue, the client's ``_require_open`` /
+``_require_running`` / ``Database.tree`` hops, the autocommit
+context-manager object, the leaf's throwaway ``SlottedPage``, a second
+``read_value`` / ``probe_value`` frame, header re-reads of a page id
+the caller held, the force's ``write_cost``); 68 while the put still
+built a ``LogicalUndo``; 91 while every layer still went through its
+own helpers (the commit bit found by a segment lookup and forced in a
+second log-mutex hold, ``mark_dirty`` beside ``unfix``, a four-call
+record size, a ``Transaction.active`` property asked twice).
 
 Three more paths hold budgets of their own: a warm autocommit delete of
-a live key (72 with the forwarding frames), and the in-process shard
-worker's get and put, each one ``LocalShard.call`` (36 and 76 while the
-worker also hopped through ``_require_running``, ``_slot_of``, ``_tree``,
-``upsert`` and its ``durable_lsn`` property; 22 and 55 while a point
-verb asked ``_check_owner`` and ``slot_of`` for its slot).  So do a warm get and
+a live key (51 with a listed transaction, 72 with the forwarding
+frames), and the in-process shard worker's get and put, each one
+``LocalShard.call`` (the put 53 with a listed transaction; 36 and 76
+while the worker also hopped through ``_require_running``,
+``_slot_of``, ``_tree``, ``upsert`` and its ``durable_lsn`` property;
+22 and 55 while a point verb asked ``_check_owner`` and ``slot_of`` for
+its slot).  So do a warm get and
 put of a ``process`` fleet's client, counted on the router's side of
 the socket (the worker is another process): 12 each while the client
 and the router hopped through ``_require_open`` twice, ``_routed``,
@@ -37,11 +43,11 @@ import repro
 from benchmarks.common import python_calls
 from repro import EngineConfig, ShardConfig
 
-PUT_CALLS = 50
+PUT_CALLS = 49
 GET_CALLS = 17
-DELETE_CALLS = 51
+DELETE_CALLS = 50
 WORKER_GET_CALLS = 20
-WORKER_PUT_CALLS = 53
+WORKER_PUT_CALLS = 52
 ROUTER_GET_CALLS = 6
 ROUTER_PUT_CALLS = 6
 
