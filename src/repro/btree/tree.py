@@ -18,9 +18,9 @@ corruptions" made operational.
 Each piece of work is done once.  There is one user-write path
 (:meth:`FosterBTree._write`): ``insert``, ``update``, ``upsert``,
 ``delete`` and ``remove`` all descend once and decide at the pinned
-leaf, under the caller's key lock (or check), whether to update, revive a ghost,
-insert, ghost, or split and retry; they differ only in which states of
-the key they accept.  A batch (:meth:`FosterBTree.apply_batch`) writes
+leaf, under the caller's key lock (or its check), whether to update,
+revive a ghost, insert, ghost, or split and retry; they differ only in
+which states of the key they accept.  A batch (:meth:`FosterBTree.apply_batch`) writes
 through it too: a put of a new key may take the sorted new keys after
 it that land in its leaf into the same record, a *leaf run*.  A
 descent is a pure read — the structural maintenance a write passes

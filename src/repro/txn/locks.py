@@ -64,9 +64,11 @@ class LockManager:
         raises what :meth:`acquire` would raise otherwise.  For a write
         that holds no lock because nothing can come between its check
         and its commit — the unlisted write of
-        :meth:`repro.engine.database.Database.autocommit_write`."""
-        with self._mutex:
-            if key in self._holders:
+        :meth:`repro.engine.database.Database.autocommit_write`.  A
+        free key needs no mutex: nothing is registered, so the answer is
+        no staler than one given under it."""
+        if key in self._holders:
+            with self._mutex:
                 self._admit(txn_id, key)
 
     def _admit(self, txn_id: int, key: bytes) -> bool:

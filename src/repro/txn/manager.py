@@ -160,17 +160,12 @@ class TransactionManager:
         """List the unlisted write ``txn``, about to log a write that
         needs undo, in the active table and lock ``key`` for it, before
         its first record: from there rollback, checkpoints and a media
-        failure's kill see it as any transaction.  The caller holds the
-        key's leaf pinned, so the lock is taken without waiting; the
-        write checked the key free, and nothing ran since."""
+        failure's kill see it as any transaction.  The lock is free: the
+        write checked it, and nothing has run since."""
         txn.redo_only = False
         with self._mutex:
             self.active[txn.txn_id] = txn
-        if self.locks is not None and not self.locks.try_acquire(
-                txn.txn_id, key):
-            raise TransactionError(
-                f"transaction {txn.txn_id} found key {key!r} locked "
-                f"after its check")
+        self.locks.acquire(txn.txn_id, key)
 
     def unfinished(self) -> list[Transaction]:
         """The active transactions a restart would have to finish: every

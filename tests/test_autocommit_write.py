@@ -14,7 +14,9 @@ by one of three holders:
 
 And every site is struck by a media failure escalating inside it, before
 and after its one record's append: a typed error, no force by the
-write, one transaction killed, no lock and no active transaction left.
+write, one transaction killed, no lock and no active transaction left;
+and by a crash at the same two points: nothing logged or forced for the
+write after the crash, and restart finds no loser.
 A ghost revival (two records, with undo) whose second record fails
 rolls back to the ghost.
 """
@@ -25,7 +27,7 @@ import pytest
 
 import repro
 from repro import Database, ShardConfig
-from repro.errors import MediaFailure
+from repro.errors import MediaFailure, SystemFailure
 from repro.txn.locks import LockConflict
 from repro.txn.manager import TransactionManager
 from repro.wal.log_manager import LogManager
@@ -220,22 +222,31 @@ def test_a_key_held_by_a_pending_loser_rolls_it_back_and_commits(site):
         env.close()
 
 
-def _escalate_at_append(monkeypatch, db, after: bool) -> None:  # noqa: ANN001
-    """The first UPDATE appended fails the device, before or after it
-    is placed, as a repair escalating to a media failure would."""
+def _fail_at_append(monkeypatch, db, after: bool, fail) -> None:  # noqa: ANN001
+    """The first UPDATE appended calls ``fail()``, which raises, before
+    or after the record is placed."""
     append = LogManager.append
 
-    def escalating(log, record):  # noqa: ANN001, ANN202
+    def failing(log, record):  # noqa: ANN001, ANN202
         if record.kind is not UPDATE or log is not db.log:
             return append(log, record)
         monkeypatch.setattr(LogManager, "append", append)
         if after:
             append(log, record)
+        fail()
+
+    monkeypatch.setattr(LogManager, "append", failing)
+
+
+def _escalate_at_append(monkeypatch, db, after: bool) -> None:  # noqa: ANN001
+    """The first UPDATE appended fails the device, before or after it
+    is placed, as a repair escalating to a media failure would."""
+    def escalate() -> None:
         media = MediaFailure(db.device.name, "injected device loss")
         db.recovery_manager.on_media_failure(media)
         raise media
 
-    monkeypatch.setattr(LogManager, "append", escalating)
+    _fail_at_append(monkeypatch, db, after, escalate)
 
 
 @pytest.mark.parametrize("after", [False, True], ids=["before", "after"])
@@ -260,6 +271,35 @@ def test_a_media_failure_inside_the_write_kills_it(site, after, monkeypatch):
         assert delta.get("txns_aborted", 0) == 0
         assert db.locks.held_keys() == [] and not db.tm.active
         assert db._media_failed
+    finally:
+        env.close()
+
+
+@pytest.mark.parametrize("after", [False, True], ids=["before", "after"])
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_a_crash_inside_the_write_leaves_it_to_restart(site, after, monkeypatch):
+    """The crash's new engine never knew the write: nothing is logged
+    or forced for it after the crash, and restart finds no loser."""
+    make, write, key, _after = SITES[site]
+    env = make()
+    try:
+        db = env.db
+        was = env.read(key)
+        before, durable = db.stats.snapshot(), db.log.durable_lsn
+
+        def crash() -> None:
+            db.crash()
+            raise SystemFailure("injected crash")
+
+        _fail_at_append(monkeypatch, db, after, crash)
+        with pytest.raises(SystemFailure):
+            write(env, key)
+        monkeypatch.undo()
+        assert db.log.end_lsn == db.log.durable_lsn == durable
+        assert db.stats.delta(before).get("log_forces", 0) == 0
+        assert db.restart().loser_txn_ids == []
+        assert env.read(key) == was
+        assert db.locks.held_keys() == [] and not db.tm.active
     finally:
         env.close()
 
