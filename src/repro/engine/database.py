@@ -336,9 +336,8 @@ class Database:
         failure killed it) — is left to recovery's analysis, as is one
         whose rollback fails (a repair escalating mid-undo).  The
         engine lists it as this very object: after a crash and restart
-        a new transaction may hold the same id.  An unlisted write
-        (:meth:`autocommit_write`) is listed nowhere: its caller,
-        :meth:`end_autocommit`, has ruled out its disowning."""
+        a new transaction may hold the same id.  An unlisted write is
+        listed nowhere: :meth:`end_autocommit` rules out its disowning."""
         if not txn.redo_only and self.tm.active.get(txn.txn_id) is not txn:
             return
         try:
@@ -358,20 +357,16 @@ class Database:
         (:meth:`update`, :meth:`delete`), ``False`` none
         (:meth:`insert`).
 
-        The write is *unlisted*: it takes the next transaction id, as
-        :meth:`begin` does, but no entry in the active table and no key
-        lock.  The key is checked by the lock table's own conflict rules
-        (:meth:`repro.txn.locks.LockManager.check`: a pending loser of
-        an on-demand restart is rolled back first, any other holder
-        raises ``LockConflict``), and nothing can come between that
-        check and the write's commit: its one record is redo-only and
-        commits as it is appended
-        (:meth:`repro.txn.manager.TransactionManager.log_update`), so
-        only the force is left to :meth:`end_autocommit`.  A write that
-        needs undo after all — a ghost's revival logs two records —
-        enlists in the active table and takes its key lock before its
-        first record (:meth:`repro.txn.manager.TransactionManager.
-        enlist`), and is a listed transaction from there.
+        The write is *unlisted*: the next transaction id, as
+        :meth:`begin` takes it, but no active-table entry and no key
+        lock.  The key is checked by the lock table's conflict rules
+        (:meth:`repro.txn.locks.LockManager.check`: a pending loser is
+        rolled back, any other holder raises ``LockConflict``), and
+        nothing comes between the check and the commit: the one record
+        is redo-only and commits as it is appended, so
+        :meth:`end_autocommit` owes it the force alone.  A ghost's
+        revival, two records with undo, enlists before the first
+        (:meth:`repro.txn.manager.TransactionManager.enlist`).
         """
         if self._crashed or self._media_failed:
             self._require_running()
@@ -420,17 +415,14 @@ class Database:
         A listed transaction whose body failed rolls back quietly.
 
         An unlisted write (``txn.redo_only``) that failed is in no
-        table, so no table can say whether the failure disowned it; the
-        engine's state does.  A crash leaves the engine crashed, under a
-        new transaction manager that never knew the write, until
-        :meth:`restart` — which no write outlives: the write is left to
-        recovery, nothing forced.  A media failure leaves the engine
-        failed: it killed the write, which counts as one of the
-        transactions it killed, nothing forced.  Otherwise a write
-        committed at its append — a failure after it, such as a repair
-        escalating as the leaf is unpinned — gets its force and the
-        caller's error propagates; a write that logged nothing rolls
-        back, which logs its ABORT alone.
+        table, so the engine's state says whether the failure disowned
+        it.  Crashed — a new transaction manager, until a restart no
+        write outlives — it is left to recovery.  Media failed, it is
+        counted among the transactions the failure killed.  Neither, a
+        write committed at its append (a repair escalating as the leaf
+        is unpinned) gets its force, and one that logged nothing rolls
+        back, logging its ABORT alone.  Nothing is forced for a
+        disowned write; the caller's error propagates.
         """
         if not failed:
             try:
@@ -676,10 +668,8 @@ class Database:
         return self.drain_restart()
 
     def _on_media_failure(self, media: MediaFailure) -> int:
-        """Escalation callback: abort every active user transaction.  An
-        unlisted write in flight (:meth:`autocommit_write`) is in no
-        table: it counts itself killed as it unwinds
-        (:meth:`end_autocommit`)."""
+        """Escalation callback: abort every active user transaction (an
+        unlisted write in flight counts itself, :meth:`end_autocommit`)."""
         victims = [txn for txn in list(self.tm.active.values())
                    if not txn.is_system]
         for txn in victims:

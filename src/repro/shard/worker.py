@@ -119,9 +119,9 @@ class ShardWorker:
     # (routing.slot_of, as slot_hash mod the slot count) in place and
     # hit the tree registry themselves; a write is one
     # Database.autocommit_write, as the embedded client's.  _check_owner
-    # only raises the redirect.  Crashed-state check first: a crashed shard must
-    # escalate to a system failure (the router's reopen signal), not
-    # refuse on ownership grounds.
+    # only raises the redirect.  Crashed-state check first: a crashed
+    # shard must escalate to a system failure (the router's reopen
+    # signal), not refuse on ownership grounds.
     def _cmd_get(self, key: bytes) -> bytes | None:
         db = self.db
         if db._crashed or db._media_failed:

@@ -58,15 +58,14 @@ class LockManager:
             self._held_by_txn.setdefault(txn_id, set()).add(key)
 
     def check(self, txn_id: int, key: bytes) -> None:
-        """Apply :meth:`acquire`'s conflict rules to ``txn_id``'s
-        request for ``key``, and register nothing: returns once no other
-        transaction holds it (a pending loser in the way rolled back),
-        raises what :meth:`acquire` would raise otherwise.  For a write
-        that holds no lock because nothing can come between its check
-        and its commit — the unlisted write of
-        :meth:`repro.engine.database.Database.autocommit_write`.  A
-        free key needs no mutex: nothing is registered, so the answer is
-        no staler than one given under it."""
+        """:meth:`acquire`'s conflict rules, registering nothing: returns
+        once no other transaction holds ``key`` (a pending loser in the
+        way rolled back), raises what :meth:`acquire` would otherwise.
+        For the unlisted write of
+        :meth:`repro.engine.database.Database.autocommit_write`, which
+        nothing can come between its check and its commit.  A free key
+        needs no mutex: with nothing registered, the answer is no
+        staler than one given under it."""
         if key in self._holders:
             with self._mutex:
                 self._admit(txn_id, key)

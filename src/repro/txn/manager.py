@@ -15,15 +15,10 @@ transaction's last record was its last" — made durable by a force:
   *redo-only* (no undo, no before-image) and takes the bit as it is
   appended (:meth:`TransactionManager.log_update`), so the transaction
   is committed from there and its commit is the force alone.  Nothing
-  can roll it back, so it is *unlisted*: it takes an id
-  (:meth:`TransactionManager.begin_unlisted`) but no entry in the
-  active table and no key lock, and its commit unregisters nothing.
-  A write that turns out to need undo — a ghost's revival logs two
-  records — enlists before its first one
-  (:meth:`TransactionManager.enlist`).  No table says that a failure
-  disowned an unlisted write: a crash leaves a new transaction manager
-  that never knew it, a media failure a failed engine (see
-  :meth:`repro.engine.database.Database.end_autocommit`);
+  can roll it back, so it is *unlisted*
+  (:meth:`TransactionManager.begin_unlisted`): no active-table entry,
+  no key lock, nothing to unregister.  One that needs undo after all —
+  a ghost's revival — enlists first (:meth:`TransactionManager.enlist`);
 * user transaction commit then **forces** the log through the record
   that carries the commit (durability), in the same log-mutex hold as
   the bit;

@@ -45,14 +45,10 @@ class Transaction:
         self.last_lsn = NULL_LSN
         self.first_lsn = NULL_LSN
         #: an *unlisted* write (``Database.autocommit_write``): in no
-        #: active table and holding no lock, it logs its single record
-        #: redo-only (no undo, the commit bit at append) and is
-        #: COMMITTED from there, its force alone still due
-        #: (``TransactionManager.commit``).  A write that needs undo
-        #: enlists first and clears it (``TransactionManager.enlist``).
-        #: No table says a failure disowned it: a crash leaves a new
-        #: transaction manager, a media failure a failed engine
-        #: (``Database.end_autocommit``)
+        #: table and holding no lock, it logs its one record redo-only
+        #: and is COMMITTED from there, its force alone still due
+        #: (``TransactionManager.commit``); cleared by
+        #: ``TransactionManager.enlist`` when it needs undo after all
         self.redo_only = False
 
     @property
