@@ -1,6 +1,16 @@
-"""Integration tests: the detection stack (Section 4, Figure 8)."""
+"""Integration tests: the detection stack (Section 4, Figure 8).
 
+``golden_fetch_verdicts.json`` pins :class:`TestPlainFetchVerdicts`;
+a change that means to move a row regenerates it in the same diff and
+says why::
+
+    PYTHONPATH=src python -m tests.test_detection --regen
+"""
+
+import json
 import struct
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +21,7 @@ from repro.errors import (BTreeError, MediaFailure, PageFailureKind,
                           SinglePageFailure)
 from repro.page.page import HEADER_SIZE, TYPE_OFFSET, Page, PageType
 from repro.page.slotted import SlottedPage, inspect_page
+from repro.sim.iomodel import HDD_PROFILE
 from tests.conftest import assert_no_pins, fast_config, key_of, value_of
 
 
@@ -179,6 +190,88 @@ CASES = [(consumer, damage) for consumer, row in CONSUMERS.items()
          for damage in DAMAGES if row[1] or damage != "read error"]
 
 
+# Plain fetch, every verdict it can reach, on a cold leaf and a cold
+# branch: what each one counts, what the repair says detected it, what
+# the read returns and what it costs in simulated time, pinned in
+# ``golden_fetch_verdicts.json``.
+FETCH_GOLDEN = Path(__file__).with_name("golden_fetch_verdicts.json")
+FETCH_DAMAGES = ("forged directory", "lost write", "bit rot", "read error",
+                 "bad magic", "unknown page type", "misdirected write",
+                 "not a node", "fence mismatch", "index behind")
+FETCH_PLACES = ("leaf", "branch")
+FETCH_KEY = key_of(200)
+
+
+def fetch_row(where: str, damage: str) -> dict:
+    """Damage the cold ``where`` page on ``FETCH_KEY``'s path of a
+    three-level tree (simulated disks), then ``client.get`` it once:
+    the counter delta, the repair's ``detected_by`` (None: no repair),
+    the value and the clock delta."""
+    disk = dict(device_profile=HDD_PROFILE, log_profile=HDD_PROFILE,
+                backup_profile=HDD_PROFILE)
+    db = Database(fast_config(page_size=512, buffer_capacity=256, **disk))
+    client = repro.connect(db)
+    tree = db.tree(client.index_id)
+    client.apply_batch([("put", key_of(i), value_of(i, 0))
+                        for i in range(400)])
+    db.checkpoint()
+    root, branch, leaf = walk(db, tree, FETCH_KEY)
+    victim = {"leaf": leaf, "branch": branch}[where]
+    if damage == "lost write":
+        # The split's write of the victim never reaches the device.
+        db.device.inject_lost_write(victim)
+        tree._split(victim)
+    db.flush_everything()
+    db.evict_everything()
+    raw = bytearray(db.device.raw_image(victim))
+
+    def reseal() -> None:
+        page = Page.adopt(raw)
+        page.seal()
+        db.device.write(victim, page.data)
+
+    if damage == "forged directory":
+        struct.pack_into("<H", raw, HEADER_SIZE + 2, len(raw))
+        reseal()
+    elif damage == "bit rot":
+        raw[300] ^= 0xFF
+        db.device.write(victim, raw)
+    elif damage == "read error":
+        db.device.inject_read_error(victim)
+    elif damage == "bad magic":
+        raw[0:4] = b"JUNK"
+        db.device.write(victim, raw)
+    elif damage == "unknown page type":
+        raw[TYPE_OFFSET] = 99
+        reseal()
+    elif damage == "misdirected write":
+        db.device.write(victim, db.device.raw_image(root))
+    elif damage == "not a node":
+        raw[TYPE_OFFSET] = int(PageType.HEAP)
+        reseal()
+    elif damage == "fence mismatch":
+        # The low fence's last byte, in place: plausible to every
+        # in-page test, wrong to the parent's key beside the pointer.
+        at = struct.unpack_from("<H", raw, len(raw) - 4)[0]
+        assert struct.unpack_from("<H", raw, at)[0] > 0
+        raw[at + 1 + struct.unpack_from("<H", raw, at)[0]] ^= 0x01
+        reseal()
+    elif damage == "index behind":
+        partition = db.pri.partitions[db.pri.partition_of_data_page(victim)]
+        partition._page_lsns[victim] = max(1, db.pri.recorded_lsn(victim) - 1)
+    events = len(db.recent_failures())
+    before, start = db.stats.snapshot(), db.clock.now
+    value = client.get(FETCH_KEY)
+    moved = db.stats.delta(before)
+    elapsed = db.clock.now - start
+    assert_no_pins(db)
+    repairs = db.recent_failures()[events:]
+    assert len(repairs) <= 1
+    return {"delta": dict(sorted(moved.items())),
+            "detected_by": repairs[0].detected_by if repairs else None,
+            "value": value.decode(), "clock_delta": elapsed}
+
+
 class TestOneVerdict:
     """Red on the parent of this change in the forged-directory rows of
     restart redo (both modes), the full backup and the standby seed:
@@ -198,6 +291,18 @@ class TestOneVerdict:
         inspect_page(image, victim)
         assert db.tree(1).lookup(KEY) == value
         assert_no_pins(db)
+
+    @pytest.mark.parametrize("damage", FETCH_DAMAGES)
+    @pytest.mark.parametrize("where", FETCH_PLACES)
+    def test_plain_fetch_matches_golden(self, where, damage):
+        """Every plain-fetch row repairs (index behind: reconciles)
+        transparently and reproduces its golden exactly: a change to the
+        fetch path that skips a check, a counter or a simulated charge
+        moves a row here."""
+        golden = json.loads(FETCH_GOLDEN.read_text())[f"{where}: {damage}"]
+        row = fetch_row(where, damage)
+        assert row["value"] == value_of(200, 0).decode()
+        assert row == golden
 
 
 class TestBTreeCrossPageDetection:
@@ -527,3 +632,13 @@ class TestNoPinLeftBehind:
         with pytest.raises(SinglePageFailure, match="gone for good"):
             tree._adopt(pids["interior"], pids["leaf"])
         assert_no_pins(db)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit(__doc__)
+    FETCH_GOLDEN.write_text(json.dumps(
+        {f"{where}: {damage}": fetch_row(where, damage)
+         for where in FETCH_PLACES for damage in FETCH_DAMAGES},
+        indent=1) + "\n")
+    print(f"wrote {FETCH_GOLDEN}")
