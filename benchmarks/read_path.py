@@ -9,7 +9,10 @@ leaf: in the raw bytes (a decode's first search), through the key
 directory (every search after the second), the second search itself
 (which builds the directory) — the ratio the "build on the second
 search" rule of ``repro.btree.node`` rests on — and a range scan's cost
-per row.  Last, on the key-value tree (``kv_hot_embedded``'s set-up,
+per row, and a whole ``client.get`` in context: one whose leaf misses in
+a full pool of clean frames (the class most gets of ``dblp_cold_embedded``
+fall in), one whose branch and leaf both miss, with the ``repro``
+functions each enters.  Last, on the key-value tree (``kv_hot_embedded``'s set-up,
 where every page hits): a warm ``client.get`` whole, then one hop of
 its resident descent — a warm descent per level, the pool entry of a
 hop (``BufferPool.fix`` hit with ``release``), the fence compare alone,
@@ -25,6 +28,7 @@ Usage (pin to one core for steady numbers)::
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import statistics
 import sys
@@ -37,7 +41,7 @@ for _path in (_ROOT, os.path.join(_ROOT, "src")):
 
 from bench.runner import Runner  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
-from benchmarks.common import incs_during  # noqa: E402
+from benchmarks.common import incs_during, python_calls  # noqa: E402
 from repro.btree.node import DATA_START, BTreeNode  # noqa: E402
 from repro.btree.tree import FosterBTree  # noqa: E402
 from repro.page.page import TYPE_OFFSET, Page, PageType  # noqa: E402
@@ -132,6 +136,72 @@ def main() -> None:
          per_page(find, searched(2), leaves)),
     ]
     tree = db.tree(runner.client.index_id)
+
+    # -- a whole get in context: its lowest pages absent from a full pool
+    def path_of(key: bytes) -> list[int]:
+        """Page ids from the root to ``key``'s leaf, foster hops included."""
+        path = [db.catalog.get_root(tree.index_id)]
+        while True:
+            node = BTreeNode(pool.fix(path[-1]))
+            if node.has_foster and key >= node.foster_key:
+                step = node.foster_pid
+            else:
+                step = None if node.is_leaf else node.route(key)[0]
+            pool.unfix(path[-1])
+            if step is None:
+                return path
+            path.append(step)
+
+    depth = tree.depth()
+    probes = [key for key in runner.sorted_keys[::max(
+        1, len(runner.sorted_keys) // 400)] if len(path_of(key)) == depth]
+    fillers = itertools.cycle(leaves)
+
+    def evicting(misses: int):  # noqa: ANN202
+        """Make ``key``'s lowest ``misses`` pages absent and refill the
+        pool with clean frames off its path: its get then misses
+        ``misses`` times, each evicting a clean victim."""
+        def prepare(key: bytes) -> bytes:
+            path = path_of(key)
+            for pid in path[-misses:]:
+                pool.evict(pid)
+            while len(pool) < pool.capacity:
+                filler = next(fillers)
+                if filler not in path and not pool.resident(filler):
+                    pool.fix(filler)
+                    pool.unfix(filler)
+            return key
+        return prepare
+
+    def whole_get(misses: int) -> tuple[float, int]:
+        """µs per get of the class, median of ``reps`` passes, and the
+        repro functions one of them enters; stops if a get strays from
+        its class (a hit, a write-back, a repair)."""
+        prepare, get, stats = evicting(misses), runner.client.get, db.stats
+        medians = []
+        for _ in range(reps):
+            spent = 0
+            for key in probes:
+                prepare(key)
+                before = stats.snapshot()
+                start = time.perf_counter_ns()
+                get(key)
+                spent += time.perf_counter_ns() - start
+                moved = stats.delta(before)
+                if (moved.get("pages_fetched_clean") != misses
+                        or moved.get("pages_evicted") != misses
+                        or "pages_written_back" in moved):
+                    sys.exit(f"a {misses}-miss get left its class: {moved}")
+            medians.append(spent / len(probes))
+        key = prepare(probes[0])
+        calls = python_calls(lambda: get(key))
+        return statistics.median(medians) / 1e3, calls
+
+    for misses, name in ((1, "one clean miss (the leaf)"),
+                         (2, "two clean misses (branch and leaf)")):
+        micros, calls = whole_get(misses)
+        rows.append((f"client.get, {name}, {depth} levels: {calls} repro "
+                     f"calls", micros))
     # A quarter of the pool's worth of leaves: the first pass makes them
     # resident, the timed ones find them there.
     low, high = runner.sorted_keys[0], runner.sorted_keys[

@@ -44,12 +44,13 @@ order, plus the child pids on a branch — are decoded once into a
 searched with a C ``bisect`` (:meth:`BTreeNode.find`,
 :meth:`NodeView.route`).  The bookkeeping fields are sliced straight
 out of the buffer from one unpack of the three slot words (a cold page
-pays this decode on its first fix).  The directory is built by
-observation: a branch builds it on its first ``route``; a leaf that is
-fetched, searched once and evicted never pays for it — its first search
-runs in the raw bytes (:meth:`SlottedPage.key_bisect_left`) and leaves a
-mark, and only the second search of the same decode, which proves the
-leaf resident and re-touched, builds it.  From then on the slot
+pays this decode on its first fix).  A branch, decoded to be routed,
+builds its directory with the decode — one pass over its slot words that
+checks every record holds a page id.  A leaf's is built by observation:
+a leaf that is fetched, searched once and evicted never pays for it —
+its first search runs in the raw bytes (:meth:`SlotReader.search`) and
+leaves a mark, and only the second search of the same decode, which
+proves the leaf resident and re-touched, builds it.  From then on the slot
 mutators keep it current (:meth:`NodeView.after_mutation`).
 """
 
@@ -61,7 +62,7 @@ from itertools import islice
 from typing import Iterator
 
 from repro.errors import BTreeError
-from repro.page.page import TYPE_OFFSET, Page, PageType
+from repro.page.page import HEADER_SIZE, TYPE_OFFSET, Page, PageType
 from repro.page.slotted import (LENGTH_MASK, SLOT_SIZE, Record, SlotReader,
                                 SlottedPage)
 from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpDelete,
@@ -120,7 +121,7 @@ class NodeView:
     def route(self, key: bytes) -> tuple[int, bytes, bytes, bool]:
         """``(child pid, low, high, high_is_inf)`` of the child
         responsible for ``key`` — one hop of a descent, for a branch
-        whose key directory is built (:meth:`BTreeNode.route` builds it).
+        whose key directory is built (a branch's decode builds it).
 
         Same answer as :meth:`BTreeNode.branch_child_index` +
         :meth:`~BTreeNode.child_pid` + :meth:`~BTreeNode.child_boundaries`,
@@ -200,14 +201,15 @@ class BTreeNode(SlotReader):
             # since its last byte mutation, so the structural checks and
             # the decode below can be skipped.
             return
-        if page.data[TYPE_OFFSET] not in _NODE_TYPES:
+        data = page.data
+        if data[TYPE_OFFSET] not in _NODE_TYPES:
             raise BTreeError(
-                f"page {page.page_id} has type {page.data[TYPE_OFFSET]}, "
+                f"page {page.page_id} has type {data[TYPE_OFFSET]}, "
                 f"not a B-tree node")
-        # A cold page's first search runs in the raw bytes: its
-        # record-level view is built here, with the check.
-        slotted = self._slotted = SlottedPage(page)
-        if slotted.slot_count < DATA_START:
+        # The slot count read in place: a cold page's first search runs
+        # in the raw bytes (:meth:`SlotReader.search`) and needs no
+        # record-level view.
+        if data[HEADER_SIZE] + (data[HEADER_SIZE + 1] << 8) < DATA_START:
             raise BTreeError(f"page {page.page_id} lacks bookkeeping records")
         self._decode()
 
@@ -268,6 +270,11 @@ class BTreeNode(SlotReader):
                 f"({exc})") from None
         view.keys = view.pids = None
         view.searched = False
+        if view.level:
+            # A branch is decoded to be routed: its directory is built
+            # with the decode, so a record that holds no page id fails
+            # here, where the tree repairs a page that is no node.
+            self._decode_directory(view)
         page.view = view
         return view
 
@@ -367,11 +374,7 @@ class BTreeNode(SlotReader):
         if keys is None:
             if not view.searched:
                 view.searched = True
-                target = key[len(prefix):]
-                slotted = self.slotted
-                slot = slotted.key_bisect_left(target, DATA_START)
-                return slot - DATA_START, (slot < slotted.slot_count and
-                                           slotted.record_key(slot) == target)
+                return self.search(key[len(prefix):])
             keys = self._decode_directory(view)
         i = bisect_left(keys, key)
         return i, i < len(keys) and keys[i] == key
@@ -405,7 +408,7 @@ class BTreeNode(SlotReader):
 
     def route(self, key: bytes) -> tuple[int, bytes, bytes, bool]:
         """:meth:`NodeView.route` of this node, its key directory built
-        here on first use."""
+        here if its view lacks one."""
         view = self.page.view or self._decode()
         if view.level == 0:
             raise BTreeError("route on a leaf")
@@ -415,11 +418,30 @@ class BTreeNode(SlotReader):
 
     def _decode_directory(self, view: NodeView) -> list[bytes]:
         """Build the key directory from the raw records.  Idempotent;
-        ``keys`` is stored last, so a reader that sees it sees ``pids``."""
-        if view.level:
-            view.pids = [decode_pid(value)
-                         for _key, value, _ghost in self.rows()]
-        view.keys = keys = self.slotted.keys(DATA_START, view.prefix)
+        ``keys`` is stored last, so a reader that sees it sees ``pids``.
+
+        A branch's is one pass over its slot words, each record's value
+        checked to be a page id: one that is not is a
+        :class:`BTreeError`, never a ``struct.error``."""
+        prefix = view.prefix
+        if not view.level:
+            view.keys = keys = self.slotted.keys(DATA_START, prefix)
+            return keys
+        page = self.page
+        data = page.data
+        words = self._words_from(DATA_START)
+        keys, pids = [], []
+        for i in range(len(words) - 2, -1, -2):
+            at = words[i]
+            key_end = at + 2 + data[at] + (data[at + 1] << 8)
+            if at + (words[i + 1] & LENGTH_MASK) - key_end != _PID.size:
+                raise BTreeError(
+                    f"page {page.page_id}: branch record {len(keys)} holds "
+                    f"no page id")
+            keys.append(prefix + data[at + 2:key_end])
+            pids.append(_PID.unpack_from(data, key_end)[0])
+        view.pids = pids
+        view.keys = keys
         return keys
 
     def child_boundaries(self, i: int) -> tuple[bytes, bytes, bool]:

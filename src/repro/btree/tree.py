@@ -200,7 +200,7 @@ class FosterBTree:
 
     def _verify(self, page: Page, *expected) -> tuple[Page, BTreeNode, bool]:  # noqa: ANN002
         """A hop the descent's inline check did not pass: the pinned
-        child has no decoded view yet, or differs from the parent's
+        child cannot be decoded, or differs from the parent's
         ``(low, high, high is +inf, level)``.  Returns it pinned,
         decoded and matching, and whether it matched as found."""
         page, node = self._as_node(page)
@@ -258,8 +258,9 @@ class FosterBTree:
         two keys beside it from the parent's view, fixes the child
         through the normal read path (which hands the parent's pin back)
         and compares the child's level, fences and ``+inf`` flag with
-        them right here; a child not decoded yet, or one that differs,
-        goes to :meth:`_verify`.  The descent holds one pin at a time,
+        them right here; a child not decoded yet is decoded in place
+        first, and one that cannot be, or that differs, goes to
+        :meth:`_verify`.  The descent holds one pin at a time,
         and a raise out of it leaves none.
 
         The descent never changes the tree.  With ``for_write`` it notes
@@ -304,6 +305,15 @@ class FosterBTree:
                         raise
                 page = fix(child_pid, pid)
                 view, node = page.view, None
+                if view is None:
+                    # A cold child is decoded in place; the compare below
+                    # is its check.  A decode that fails goes to _verify,
+                    # which decodes again to repair it.
+                    try:
+                        node = BTreeNode(page)
+                        view = page.view
+                    except BTreeError:
+                        pass
                 if (view is not None and view.level == level
                         and view.low_fence == low
                         and bool(view.flags & FLAG_HIGH_INF) == inf

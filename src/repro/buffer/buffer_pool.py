@@ -208,39 +208,35 @@ class BufferPool:
                 with frame.latch:
                     pass
             if page is None:
-                page = self._load(page_id, frame)
+                # The fetch the placeholder stands for.  A failed load
+                # withdraws and unlatches it, so waiters (and retries)
+                # see an absent page, not a poisoned frame.
+                try:
+                    # Read the hook first: the fetch that resolves a
+                    # pending recovery's last page detaches both hooks.
+                    redo_on_fix = self.redo_on_fix
+                    page = self.fetcher(page_id)
+                    rec_lsn = (redo_on_fix(page) if redo_on_fix is not None
+                               else None)
+                except BaseException:
+                    with self._mutex:
+                        del frames[page_id]
+                        self._policy.removed(page_id)
+                    frame.latch.release()
+                    raise
+                frame.page = page
+                if rec_lsn is not None:
+                    # Stale page rolled forward on fix (pending restart):
+                    # the frame starts out dirty, like any redone page.
+                    frame.dirty = True
+                    frame.rec_lsn = rec_lsn
+                frame.loading = False
                 frame.latch.release()
             return page
         finally:
             if parent is not None:
                 with self._mutex:
                     parent.pin_count -= 1
-
-    def _load(self, page_id: int, frame: Frame) -> Page:
-        """Run the fetch that ``frame`` — a loading placeholder, latched
-        by the caller — stands for.  On success the frame is loaded and
-        still latched; a failed load withdraws and unlatches it, so
-        waiters (and retries) see an absent page, not a poisoned frame."""
-        try:
-            # Read the hook first: the fetch that resolves a pending
-            # recovery's last page detaches both hooks.
-            redo_on_fix = self.redo_on_fix
-            page = self.fetcher(page_id)
-            rec_lsn = redo_on_fix(page) if redo_on_fix is not None else None
-        except BaseException:
-            with self._mutex:
-                del self._frames[page_id]
-                self._policy.removed(page_id)
-            frame.latch.release()
-            raise
-        frame.page = page
-        if rec_lsn is not None:
-            # Stale page rolled forward on fix (pending restart): the
-            # frame starts out dirty, like any redone page.
-            frame.dirty = True
-            frame.rec_lsn = rec_lsn
-        frame.loading = False
-        return page
 
     def fix_new(self, page: Page) -> Page:
         """Install a freshly formatted (or recovered) page, pinned.
@@ -497,7 +493,10 @@ class BufferPool:
                     # miss.
                     if frames[victim].dirty:
                         raise
-            self._drop_evicted(victim)
+            # _drop_evicted in place: a miss evicts on every call.
+            del frames[victim]
+            policy.removed(victim)
+            self._pages_evicted.inc()
 
     def evict(self, page_id: int) -> None:
         """Flush (if dirty) and drop a frame."""

@@ -368,13 +368,12 @@ class PartitionedRecoveryIndex:
         """Which *index* partition covers this data page."""
         return 1 - (page_id % 2)
 
-    def _for_page(self, page_id: int) -> PageRecoveryIndex:
-        return self.partitions[self.partition_of_data_page(page_id)]
-
-    # The facade mirrors PageRecoveryIndex, dispatching by page id.
+    # The facade mirrors PageRecoveryIndex, dispatching by page id:
+    # ``partitions[1 - page_id % 2]`` is :meth:`partition_of_data_page`
+    # spelled in place (a PRI lookup runs on every device read).
     def set_backup(self, page_id: int, ref: BackupRef, page_lsn: int,
                    now: float = 0.0) -> BackupRef | None:
-        return self._for_page(page_id).set_backup(page_id, ref, page_lsn, now)
+        return self.partitions[1 - page_id % 2].set_backup(page_id, ref, page_lsn, now)
 
     def set_range_backup(self, start: int, end: int, ref: BackupRef,
                          page_lsn: int, now: float = 0.0) -> None:
@@ -384,22 +383,22 @@ class PartitionedRecoveryIndex:
             partition.set_range_backup(start, end, ref, page_lsn, now)
 
     def record_write(self, page_id: int, page_lsn: int) -> None:
-        self._for_page(page_id).record_write(page_id, page_lsn)
+        self.partitions[1 - page_id % 2].record_write(page_id, page_lsn)
 
     def forget(self, page_id: int) -> None:
-        self._for_page(page_id).forget(page_id)
+        self.partitions[1 - page_id % 2].forget(page_id)
 
     def lookup(self, page_id: int) -> PriEntry:
-        return self._for_page(page_id).lookup(page_id)
+        return self.partitions[1 - page_id % 2].lookup(page_id)
 
     def covers(self, page_id: int) -> bool:
-        return self._for_page(page_id).covers(page_id)
+        return self.partitions[1 - page_id % 2].covers(page_id)
 
     def expected_page_lsn(self, page_id: int) -> int | None:
-        return self._for_page(page_id).expected_page_lsn(page_id)
+        return self.partitions[1 - page_id % 2].expected_page_lsn(page_id)
 
     def recorded_lsn(self, page_id: int) -> int | None:
-        return self._for_page(page_id).recorded_lsn(page_id)
+        return self.partitions[1 - page_id % 2].recorded_lsn(page_id)
 
     def estimated_bytes(self) -> int:
         return sum(p.estimated_bytes() for p in self.partitions)

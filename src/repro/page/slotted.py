@@ -106,8 +106,10 @@ def check_slot_directory(data: bytes | bytearray, page_id: int) -> None:
     if heap_end > slots_start:
         raise _implausible(page_id, "heap overlaps slot directory")
     # The directory grows downwards, so its words read backwards are
-    # (length_flags, offset) of slot 0, slot 1, ...
-    words = iter(_slot_words(count).unpack_from(data, slots_start)[::-1])
+    # (length_flags, offset) of slot 0, slot 1, ...  (The memo is read
+    # in place: a count seen before costs no _slot_words frame.)
+    words = iter((_DIRECTORY_STRUCTS.get(count) or _slot_words(count))
+                 .unpack_from(data, slots_start)[::-1])
     for index, (length_flags, offset) in enumerate(zip(words, words)):
         length = length_flags & LENGTH_MASK
         if (_HEAP_START <= offset <= heap_end - length and 2 <= length
@@ -157,10 +159,11 @@ class Record:
 
 class SlotReader:
     """What a point access needs of one record, each from one read of
-    its slot word.  Shared by :class:`SlottedPage` and
-    :class:`repro.btree.node.BTreeNode`, which numbers its data records
-    from its first data slot (:attr:`first_slot`), so a node's point
-    read is one call and builds no :class:`SlottedPage`."""
+    its slot word, and the raw search that finds it.  Shared by
+    :class:`SlottedPage` and :class:`repro.btree.node.BTreeNode`, which
+    numbers its data records from its first data slot
+    (:attr:`first_slot`), so a node's first search and point read are
+    one call each and build no :class:`SlottedPage`."""
 
     __slots__ = ("page",)
 
@@ -197,6 +200,39 @@ class SlotReader:
         return (bool(length_flags & _GHOST_BIT),
                 bytes(data[offset + 2 + _U16.unpack_from(data, offset)[0]:
                            offset + (length_flags & LENGTH_MASK)]))
+
+    def search(self, target: bytes) -> tuple[int, bool]:
+        """``(index, found)``: the first record whose key is >= ``target``
+        and whether its key is ``target`` — a binary search in the raw
+        buffer, no slot tuples or records per probe (the first search of
+        a node's decode, :meth:`repro.btree.node.BTreeNode.find`)."""
+        page = self.page
+        data = page.data
+        size = page.size
+        first = lo = self.first_slot
+        hi = count = _U16.unpack_from(data, HEADER_SIZE)[0]
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            at = _U16.unpack_from(data, size - (mid + 1) * SLOT_SIZE)[0]
+            if data[at + 2:at + 2 + data[at] + (data[at + 1] << 8)] < target:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo >= count:
+            return lo - first, False
+        at = _U16.unpack_from(data, size - (lo + 1) * SLOT_SIZE)[0]
+        return lo - first, (data[at + 2:at + 2 + data[at] + (data[at + 1] << 8)]
+                            == target)
+
+    def _words_from(self, start: int) -> tuple[int, ...]:
+        """One unpack of the slot words of ``[start, slot_count)``:
+        ``offset, length_flags`` per slot, the highest slot first."""
+        data = self.page.data
+        count = _U16.unpack_from(data, HEADER_SIZE)[0]
+        if start >= count:
+            return ()
+        return _slot_words(count - start).unpack_from(
+            data, self.page.size - count * SLOT_SIZE)
 
 
 class SlottedPage(SlotReader):
@@ -315,26 +351,6 @@ class SlottedPage(SlotReader):
         key_len = _U16.unpack_from(data, offset)[0]
         return bytes(data[offset + 2:offset + 2 + key_len])
 
-    def key_bisect_left(self, target: bytes, start: int) -> int:
-        """First slot in ``[start, slot_count)`` whose key >= ``target``.
-
-        The innermost loop of every B-tree descent: raw buffer reads
-        only, no slot tuples or Record objects per probe.
-        """
-        data = self.page.data
-        size = self.page.size
-        lo = start
-        hi = _U16.unpack_from(data, HEADER_SIZE)[0]
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            offset = _U16.unpack_from(data, size - (mid + 1) * SLOT_SIZE)[0]
-            key_len = _U16.unpack_from(data, offset)[0]
-            if data[offset + 2:offset + 2 + key_len] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     def is_ghost(self, index: int) -> bool:
         _offset, _length, ghost = self._read_slot(index)
         return ghost
@@ -348,16 +364,6 @@ class SlottedPage(SlotReader):
                 continue
             out.append(rec)
         return out
-
-    def _words_from(self, start: int) -> tuple[int, ...]:
-        """One unpack of the slot words of ``[start, slot_count)``:
-        ``offset, length_flags`` per slot, the highest slot first."""
-        data = self.page.data
-        count = _U16.unpack_from(data, HEADER_SIZE)[0]
-        if start >= count:
-            return ()
-        return _slot_words(count - start).unpack_from(
-            data, self.page.size - count * SLOT_SIZE)
 
     def keys(self, start: int, prefix: bytes = b"") -> list[bytes]:
         """The keys of the slots from ``start`` up, ``prefix`` prepended

@@ -164,9 +164,21 @@ class StorageDevice:
         (checksums, plausibility checks, PageLSN cross-check).
         """
         with self._mutex:
-            self._ensure_alive()
-            sector = self.sector_of(page_id)
-            self._charge_read(sector)
+            if self._failed:
+                raise MediaFailure(self.name, self._fail_reason)
+            if not 0 <= page_id < self.capacity_pages:
+                self._check_logical(page_id)  # raises
+            sector = self._l2p.get(page_id, page_id)
+            # _charge_read in place, the cost as IOProfile.read_cost
+            # computes it: the same float, one frame fewer per read.
+            profile = self.profile
+            latency = profile.read_latency
+            if sector == self._last_sector_touched + 1:
+                latency *= profile.sequential_factor
+            self.clock.advance(latency + self.page_size / profile.bandwidth)
+            self._last_sector_touched = sector
+            self._device_reads.inc()
+            self._device_reads_here.inc()
             stored = self._sectors[sector]
             if stored is None:
                 # Never-written page reads back as zeroes (fresh device).

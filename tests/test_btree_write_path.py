@@ -216,11 +216,7 @@ def test_upsert_remove_log_and_pages_identical_to_lookup_then_write(intents):
 def raw_find(node: BTreeNode, key: bytes) -> tuple[int, bool]:
     """``BTreeNode.find`` in the raw bytes, whatever the view holds: the
     reference the directory's answers are compared against."""
-    target = key[len(node.prefix):]
-    slotted = node.slotted
-    slot = slotted.key_bisect_left(target, DATA_START)
-    return slot - DATA_START, (slot < slotted.slot_count
-                               and slotted.record_key(slot) == target)
+    return node.search(key[len(node.prefix):])
 
 
 def raw_child_index(node: BTreeNode, key: bytes) -> int:
@@ -514,13 +510,17 @@ class DirectoryDifferential(RuleBasedStateMachine):
 
     @rule()
     def refetch(self) -> None:
-        """Evict + refetch: a new ``Page`` starts without a view; its
-        first search is raw, its second builds the directory."""
+        """Evict + refetch: a new ``Page`` starts without a view.  A
+        branch's decode builds its directory; a leaf's first search is
+        raw, its second builds it."""
         self.node = node = BTreeNode(self.node.page.copy())
-        assert node.page.view.keys is None
-        probe = node.high_fence
-        assert node.find(probe) == raw_find(node, probe)
-        assert node.page.view.keys is None
+        if self.level:
+            assert node.page.view.keys is not None
+        else:
+            assert node.page.view.keys is None
+            probe = node.high_fence
+            assert node.find(probe) == raw_find(node, probe)
+            assert node.page.view.keys is None
         self.warm()
 
     @invariant()

@@ -15,12 +15,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.btree.node import BTreeNode
+from repro.btree.node import DATA_START, BTreeNode
 from repro.engine.database import Database
 from repro.errors import (BTreeError, MediaFailure, PageFailureKind,
                           SinglePageFailure)
 from repro.page.page import HEADER_SIZE, TYPE_OFFSET, Page, PageType
-from repro.page.slotted import SlottedPage, inspect_page
+from repro.page.slotted import SLOT_SIZE, SlottedPage, inspect_page
 from repro.sim.iomodel import HDD_PROFILE
 from tests.conftest import assert_no_pins, fast_config, key_of, value_of
 
@@ -596,6 +596,38 @@ class TestNoPinLeftBehind:
         del db.pool.page_if_resident(pids["interior"]).view.keys[:]
         with pytest.raises(BTreeError, match="first child"):
             client.get(key)
+        assert_no_pins(db)
+
+    @pytest.mark.parametrize("repairable", (True, False))
+    def test_a_branch_record_without_a_page_id_fails_the_branch(
+            self, repairable):
+        """A cold branch whose first data record holds a 7-byte value
+        passes every in-page test; its decode fails, the branch is
+        repaired on the hop like any page that is no node, or (nothing
+        can repair it) a typed failure is raised — no pin either way.
+        Red on the parent: a ``struct.error`` out of the key directory's
+        build, the branch left pinned."""
+        db, client, tree, key, pids = deep_tree()
+        value = client.get(key)
+        interior = pids["interior"]
+        db.pool.evict(interior)
+        raw = bytearray(db.device.raw_image(interior))
+        pos = len(raw) - SLOT_SIZE * (DATA_START + 1)
+        length_flags = struct.unpack_from("<H", raw, pos + 2)[0]
+        struct.pack_into("<H", raw, pos + 2, length_flags - 1)
+        page = Page.adopt(raw)
+        page.seal()
+        inspect_page(page.data, interior)  # plausible to the inspection
+        db.device.write(interior, page.data)
+        if repairable:
+            assert client.get(key) == value
+            assert db.stats.get("spf[btree-invariant]") == 1
+            assert db.recent_failures()[-1].page_id == interior
+        else:
+            db.pool.repairer = None
+            with pytest.raises(SinglePageFailure) as raised:
+                client.get(key)
+            assert raised.value.page_id == interior
         assert_no_pins(db)
 
     def test_second_decode_failure_is_a_page_failure(self):

@@ -20,6 +20,20 @@ own helpers (the commit bit found by a segment lookup and forced in a
 second log-mutex hold, ``mark_dirty`` beside ``unfix``, a four-call
 record size, a ``Transaction.active`` property asked twice).
 
+A ``client.get`` whose leaf is not resident — one clean miss: the
+leaf read, inspected and cross-checked against the page recovery index,
+a clean victim evicted, nothing written back — may enter at most 40.
+History: 60 while frames that only forwarded stood between
+``BufferPool.fix`` finding the page absent and the tree holding the
+searched leaf (the device's ``_ensure_alive``, ``sector_of`` /
+``_check_logical`` and ``_charge_read`` / ``IOProfile.read_cost``, the
+recovery index's ``_for_page`` / ``partition_of_data_page``, the pool's
+``_load`` and ``_drop_evicted``, ``_slot_words`` on a memo hit, the leaf's
+``SlottedPage`` with ``slot_count`` twice, ``key_bisect_left`` and
+``record_key``, and the tree's ``_verify`` / ``_as_node`` /
+``_fence_mismatch`` with two ``view`` properties for a child that only
+needed decoding).
+
 Three more paths hold budgets of their own: a warm autocommit delete of
 a live key (51 with a listed transaction, 72 with the forwarding
 frames), and the in-process shard worker's get and put, each one
@@ -45,6 +59,7 @@ from repro import EngineConfig, ShardConfig
 
 PUT_CALLS = 49
 GET_CALLS = 17
+COLD_GET_CALLS = 40
 DELETE_CALLS = 50
 WORKER_GET_CALLS = 20
 WORKER_PUT_CALLS = 52
@@ -87,6 +102,26 @@ def test_a_warm_get_stays_under_its_call_budget():
         assert client.get(key) == b"v" * 60
     calls = python_calls(lambda: client.get(key))
     assert calls <= GET_CALLS, f"a warm get made {calls} calls"
+
+
+def test_a_clean_miss_get_stays_under_its_call_budget():
+    client = repro.connect(EngineConfig(**{**_CONFIG, "buffer_capacity": 24}))
+    client.apply_batch([("put", key, b"v" * 60) for key in _KEYS])
+    db = client.db
+    assert db.tree(client.index_id).depth() == 3
+    db.flush_everything()
+    db.evict_everything()
+    for key in _KEYS[::100]:  # a full pool of clean frames
+        client.get(key)
+    client.get(_KEYS[1000])  # the root and the branch above 1040 referenced
+    before = client.metrics()
+    calls = python_calls(lambda: client.get(_KEYS[1040]))
+    delta = _delta(client, before)
+    # The leaf alone misses; its clean victim is evicted, nothing written.
+    assert delta["buffer_misses"] == 1 and delta["buffer_hits"] == 2
+    assert delta["pages_fetched_clean"] == delta["pages_evicted"] == 1
+    assert "pages_written_back" not in delta
+    assert calls <= COLD_GET_CALLS, f"a clean-miss get made {calls} calls"
 
 
 def test_a_warm_autocommit_delete_stays_under_its_call_budget():
