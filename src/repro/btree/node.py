@@ -407,13 +407,10 @@ class BTreeNode(SlotReader):
         return index
 
     def route(self, key: bytes) -> tuple[int, bytes, bytes, bool]:
-        """:meth:`NodeView.route` of this node, its key directory built
-        here if its view lacks one."""
+        """:meth:`NodeView.route` of this node."""
         view = self.page.view or self._decode()
         if view.level == 0:
             raise BTreeError("route on a leaf")
-        if view.keys is None:
-            self._decode_directory(view)
         return view.route(key)
 
     def _decode_directory(self, view: NodeView) -> list[bytes]:

@@ -297,9 +297,7 @@ class FosterBTree:
                 else:
                     parent, level = pid, view.level - 1
                     try:
-                        child_pid, low, high, inf = (
-                            view.route if view.keys is not None
-                            else BTreeNode(page).route)(key)
+                        child_pid, low, high, inf = view.route(key)
                     except BTreeError:
                         pool.unfix(pid)
                         raise

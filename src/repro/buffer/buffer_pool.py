@@ -493,7 +493,7 @@ class BufferPool:
                     # miss.
                     if frames[victim].dirty:
                         raise
-            # _drop_evicted in place: a miss evicts on every call.
+            # _drop_evicted in place: one frame fewer per evicting miss.
             del frames[victim]
             policy.removed(victim)
             self._pages_evicted.inc()
