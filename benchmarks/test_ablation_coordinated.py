@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from benchmarks.common import key_of, print_table, value_of
 from repro.core.backup import BackupPolicy
-from repro.core.coordinated import CoordinatedRecovery
 from repro.core.single_page import SinglePageRecovery
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
@@ -67,11 +66,8 @@ def run_independent(db, victims):
 
 
 def run_coordinated(db, victims):
-    coordinator = CoordinatedRecovery(db.pri, db.backup_store,
-                                      db.log_reader, db.device,
-                                      db.clock, db.stats)
     t0 = db.clock.now
-    result = coordinator.recover_many(victims)
+    result = db.single_page.recover_many(victims)
     return result.log_pages_read, db.clock.now - t0
 
 

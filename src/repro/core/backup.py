@@ -262,14 +262,16 @@ def fetch_backup_image(ref: BackupRef, page_id: int, page_size: int,
 
     Returns ``(page, backup_page_lsn)``; the chain walk replays log
     records *newer* than ``backup_page_lsn`` onto the page (Figure 9).
+    An image that claims another page id is refused with
+    :class:`RecoveryError` before any caller can write it in place.
     """
     if ref.kind == BackupRefKind.PAGE_COPY:
         image, lsn = store.fetch_page_copy(ref.value)
-        return Page(page_size, image), lsn
-    if ref.kind == BackupRefKind.FULL_BACKUP:
+        page = Page(page_size, image)
+    elif ref.kind == BackupRefKind.FULL_BACKUP:
         image, lsn = store.fetch_from_full_backup(ref.value, page_id)
-        return Page(page_size, image), lsn
-    if ref.kind == BackupRefKind.LOG_IMAGE:
+        page = Page(page_size, image)
+    elif ref.kind == BackupRefKind.LOG_IMAGE:
         record = log_reader.read(ref.value)
         if record.kind != LogRecordKind.FULL_PAGE_IMAGE or record.image is None:
             raise RecoveryError(
@@ -280,20 +282,24 @@ def fetch_backup_image(ref: BackupRef, page_id: int, page_size: int,
         # images whose PageLSN could only be assigned after the record
         # itself was appended (checkpoint-written recovery-index pages)
         # — as of the image record's own LSN.
-        as_of = record.page_lsn if record.page_lsn else record.lsn
-        if page.page_lsn != as_of:
-            page.page_lsn = as_of
-        return page, as_of
-    if ref.kind == BackupRefKind.FORMAT_RECORD:
+        lsn = record.page_lsn if record.page_lsn else record.lsn
+        if page.page_lsn != lsn:
+            page.page_lsn = lsn
+    elif ref.kind == BackupRefKind.FORMAT_RECORD:
         record = log_reader.read(ref.value)
         if record.kind != LogRecordKind.FORMAT_PAGE or record.op is None:
             raise RecoveryError(
                 f"LSN {ref.value} is not a page formatting record")
         page = Page.format(page_size, page_id)
         record.op.apply_redo(page)
-        page.page_lsn = record.lsn
-        return page, record.lsn
-    raise RecoveryError(f"page {page_id} has no usable backup ({ref.kind.name})")
+        page.page_lsn = lsn = record.lsn
+    else:
+        raise RecoveryError(
+            f"page {page_id} has no usable backup ({ref.kind.name})")
+    if page.page_id != page_id:
+        raise RecoveryError(
+            f"backup image for page {page_id} claims id {page.page_id}")
+    return page, lsn
 
 
 def make_log_image_payload(page: Page) -> bytes:

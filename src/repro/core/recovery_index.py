@@ -18,8 +18,8 @@ backup of the entire database.  If only one page within such a range is
 given a new backup page, the range must be split as appropriate."  The
 worst case is one entry per page at ~16 bytes, about 1 permille of the
 database size, small enough to keep in memory at all times — which is
-exactly how this implementation treats it (with explicit checkpoint
-persistence and log-based reconstruction handled by the engine).
+exactly how this implementation treats it.  The engine persists it at
+checkpoints into a page region whose format this module alone declares.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.errors import RecoveryError
+from repro.page.page import HEADER_SIZE, Page, PageType
 from repro.sync import Mutex
 from repro.wal.records import BackupRef, BackupRefKind
 
@@ -38,6 +39,14 @@ from repro.wal.records import BackupRef, BackupRefKind
 POINT_ENTRY_BYTES = 16
 #: A range entry additionally stores the range end.
 RANGE_ENTRY_BYTES = 24
+
+#: The region format (Section 5.2.6): a region page holds one chunk of
+#: its partition's snapshot — after the page header, ``(chunk length,
+#: sequence number, chunks in the snapshot)``, then the chunk.  A page
+#: holds ``page_size - REGION_PAGE_OVERHEAD`` bytes of snapshot.
+CHUNK_HEADER = struct.Struct("<IHH")
+CHUNK_AT = HEADER_SIZE + CHUNK_HEADER.size
+REGION_PAGE_OVERHEAD = 64
 
 
 @dataclass(frozen=True)
@@ -340,9 +349,6 @@ class PageRecoveryIndex:
             self._lsns, self._times, self._page_lsns = (
                 loaded._lsns, loaded._times, loaded._page_lsns)
 
-    def __len__(self) -> int:
-        return len(self._starts)
-
 
 class PartitionedRecoveryIndex:
     """Two-partition PRI for self-coverage (Section 5.2.2).
@@ -400,13 +406,81 @@ class PartitionedRecoveryIndex:
     def recorded_lsn(self, page_id: int) -> int | None:
         return self.partitions[1 - page_id % 2].recorded_lsn(page_id)
 
-    def estimated_bytes(self) -> int:
-        return sum(p.estimated_bytes() for p in self.partitions)
+    # What log retention, backup retirement and copy-forward derive from
+    # the entries.
+    def full_backups_in_use(self) -> set[int]:
+        """Ids of the full backups any entry references."""
+        return {ref.value for partition in self.partitions
+                for ref in partition._refs
+                if ref.kind == BackupRefKind.FULL_BACKUP}
 
-    @property
-    def range_count(self) -> int:
-        return sum(p.range_count for p in self.partitions)
+    def log_floor(self) -> int | None:
+        """Oldest LSN single-page recovery may read, or None: backups
+        that live in the log, and the backup LSN of each page updated
+        since its backup (Figure 7: the LSN field is only valid then)."""
+        lsns = [ref.value for partition in self.partitions
+                for ref in partition._refs
+                if ref.kind in (BackupRefKind.LOG_IMAGE,
+                                BackupRefKind.FORMAT_RECORD)]
+        for partition in self.partitions:
+            for page_id in partition._page_lsns:
+                pos = partition._find_range(page_id)
+                if pos is not None:
+                    lsns.append(partition._lsns[pos])
+        return min(lsns, default=None)
 
-    @property
-    def point_lsn_count(self) -> int:
-        return sum(p.point_lsn_count for p in self.partitions)
+    def pages_backed_up_before(self, lsn: int, budget: int) -> list[int]:
+        """Sorted ids of the pages whose backup predates ``lsn``, taken
+        from entries of at most ``budget`` pages (a huge stale range
+        needs a full backup, not page copies)."""
+        pages: set[int] = set()
+        for partition in self.partitions:
+            for i in range(len(partition._starts)):
+                start, end = partition._starts[i], partition._ends[i]
+                if partition._lsns[i] < lsn and end - start <= budget:
+                    pages.update(range(start, end))
+        return sorted(pages)
+
+    # The region (Section 5.2.6): partition p's snapshot is cut into
+    # chunks, one per region page of parity p.
+    @staticmethod
+    def region_pages(start: int, end: int,
+                     per_partition: int) -> tuple[list[int], list[int]]:
+        """Each partition's region pages in ``[start, end)``: parity-p
+        pages hold partition p, which covers only parity-(1-p) pages, so
+        no page holds what its own recovery needs (Section 5.2.2)."""
+        return tuple([pid for pid in range(start, end)
+                      if pid % 2 == partition][:per_partition]
+                     for partition in (0, 1))
+
+    def snapshot_chunks(self, page_size: int) -> list[list[bytes]]:
+        """Each partition's snapshot as the chunks its region pages hold
+        (at least one: a snapshot is never empty)."""
+        capacity = page_size - REGION_PAGE_OVERHEAD
+        chunks = []
+        for partition in self.partitions:
+            blob = partition.serialize()
+            chunks.append([blob[at:at + capacity]
+                           for at in range(0, len(blob), capacity)])
+        return chunks
+
+    @staticmethod
+    def region_page(page_size: int, page_id: int, chunk: bytes, seq: int,
+                    total: int) -> Page:
+        """The sealed region page holding chunk ``seq`` of ``total``."""
+        page = Page.format(page_size, page_id, PageType.RECOVERY_INDEX)
+        CHUNK_HEADER.pack_into(page.data, HEADER_SIZE, len(chunk), seq, total)
+        page.data[CHUNK_AT:CHUNK_AT + len(chunk)] = chunk
+        page.seal()
+        return page
+
+    def load_region(self, partition: int, pages: list[bytearray]) -> None:
+        """Replace ``partition``'s entries with its region pages'
+        snapshot (pages in any order)."""
+        chunks: dict[int, bytes] = {}
+        for data in pages:
+            length, seq, _total = CHUNK_HEADER.unpack_from(data, HEADER_SIZE)
+            chunks[seq] = bytes(data[CHUNK_AT:CHUNK_AT + length])
+        self.partitions[partition].load(
+            b"".join(chunks[seq] for seq in sorted(chunks)))
+

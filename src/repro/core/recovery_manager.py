@@ -33,7 +33,7 @@ from collections import deque
 from typing import Callable
 
 from repro.core.failure_classes import FailureEvent, FailureOutcome
-from repro.core.recovery_index import PartitionedRecoveryIndex, PageRecoveryIndex
+from repro.core.recovery_index import PartitionedRecoveryIndex
 from repro.core.single_page import SinglePageRecovery
 from repro.errors import (
     FailureClass,
@@ -58,7 +58,7 @@ class RecoveryManager:
     """Implements Figure 8; used as the buffer pool's page fetcher."""
 
     def __init__(self, device: StorageDevice,
-                 pri: PageRecoveryIndex | PartitionedRecoveryIndex,
+                 pri: PartitionedRecoveryIndex,
                  single_page: SinglePageRecovery | None,
                  clock: SimClock, stats: Stats,
                  events: deque[FailureEvent],

@@ -17,6 +17,12 @@ The procedure, for one failed page:
 
 If any step fails, the caller escalates to a media failure (Figure 8) —
 "it is always possible to treat the failure as a media failure".
+
+Section 5.2's coordinated recovery of many failed pages is the same
+procedure (:meth:`SinglePageRecovery.recover_many`): fetch every backup
+image, walk every chain over one shared log-page cache, replay, then
+write back in page-id order — as the victims approach the whole device,
+media recovery's access pattern, as the paper predicts.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.backup import BackupStore, fetch_backup_image
-from repro.core.recovery_index import PartitionedRecoveryIndex, PageRecoveryIndex
+from repro.core.recovery_index import PartitionedRecoveryIndex, PriEntry
 from repro.errors import PageFailureKind, RecoveryError, SinglePageFailure
 from repro.page.page import Page
 from repro.sim.clock import SimClock
@@ -105,10 +111,22 @@ class RecoveryResult:
         return self.log_pages_read + self.backup_fetches
 
 
+@dataclass
+class CoordinatedResult:
+    """Telemetry of one coordinated multi-page recovery."""
+
+    pages_recovered: int = 0
+    records_applied: int = 0
+    log_pages_read: int = 0
+    backup_fetches: int = 0
+    elapsed_simulated: float = 0.0
+    per_page_records: dict[int, int] = field(default_factory=dict)
+
+
 class SinglePageRecovery:
     """Executes Figure 10 against the engine's components."""
 
-    def __init__(self, pri: PageRecoveryIndex | PartitionedRecoveryIndex,
+    def __init__(self, pri: PartitionedRecoveryIndex,
                  backup_store: BackupStore, log_reader: LogReader,
                  device: StorageDevice, clock: SimClock, stats: Stats,
                  standby=None) -> None:
@@ -124,6 +142,9 @@ class SinglePageRecovery:
                              for kind in PageFailureKind}
         self._spf_from_replica = counter("spf_from_replica")
         self._spf_records_applied = counter("spf_records_applied")
+        self._coordinated_recoveries = counter("coordinated_recoveries")
+        self._coordinated_pages_recovered = counter(
+            "coordinated_pages_recovered")
         #: fifth repair source (PR 7): a hot standby tried *before* the
         #: four backup sources — it holds the page already rolled
         #: forward, so a hit needs zero chain-replay records
@@ -143,11 +164,7 @@ class SinglePageRecovery:
         self._single_page_recoveries.inc()
         self._spf_by_kind[failure.kind].inc()
 
-        # Step 1: the page recovery index.
-        if not self.pri.covers(page_id):
-            raise RecoveryError(
-                f"page {page_id} not covered by the page recovery index")
-        entry = self.pri.lookup(page_id)
+        entry = self._entry(page_id)
 
         # Fifth source, tried first (PR 7): a hot standby that has
         # applied the page's chain at least up to the LSN the repair
@@ -175,16 +192,7 @@ class SinglePageRecovery:
                 self._spf_from_replica.inc()
                 return served, result
 
-        if not entry.has_backup:
-            raise RecoveryError(f"page {page_id} has no backup image")
-
-        # Step 2: restore the backup copy into the buffer pool.
-        page, backup_lsn = fetch_backup_image(
-            entry.backup_ref, page_id, self.device.page_size,
-            self.backup_store, self.log_reader)
-        if page.page_id != page_id:
-            raise RecoveryError(
-                f"backup image for page {page_id} claims id {page.page_id}")
+        page, backup_lsn = self._backup_image(page_id, entry)
 
         # Steps 3-4: walk the per-page chain back to the backup, then
         # apply the records oldest-first (the LIFO stack of Figure 10).
@@ -213,3 +221,53 @@ class SinglePageRecovery:
         self.history.append(result)
         self._spf_records_applied.inc(len(applied))
         return page, result
+
+    def recover_many(self, page_ids: list[int]) -> CoordinatedResult:
+        """Recover all of ``page_ids`` with shared log access; raises
+        :class:`RecoveryError` as :meth:`recover` does."""
+        start_time = self.clock.now
+        pages_before = self.log_reader.pages_read
+        result = CoordinatedResult()
+        fetched = []
+        for page_id in sorted(set(page_ids)):
+            entry = self._entry(page_id)
+            fetched.append((page_id, entry, *self._backup_image(page_id, entry)))
+            result.backup_fetches += 1
+        # The walks share the log reader's page cache: each distinct log
+        # page is fetched once for the whole batch.
+        restored = []
+        for page_id, entry, page, backup_lsn in fetched:
+            start_lsn = self.log_reader.chain_start_lsn(page_id, entry.last_lsn)
+            restored.append((page_id, page, self.log_reader.walk_page_chain(
+                start_lsn, backup_lsn, page_id=page_id)))
+        for page_id, page, records in restored:
+            applied = len(replay_records(page, records))
+            result.records_applied += applied
+            result.per_page_records[page_id] = applied
+        # Write back in page-id order: media recovery's sequential pattern.
+        for page_id, page, _records in restored:
+            self.device.remap(page_id, "coordinated single-page recovery")
+            page.seal()
+            self.device.write(page_id, page.data, sequential=True)
+            self.pri.record_write(page_id, page.page_lsn)
+            result.pages_recovered += 1
+        result.log_pages_read = self.log_reader.pages_read - pages_before
+        result.elapsed_simulated = self.clock.now - start_time
+        self._coordinated_recoveries.inc()
+        self._coordinated_pages_recovered.inc(result.pages_recovered)
+        return result
+
+    def _entry(self, page_id: int) -> PriEntry:
+        """Step 1: the page's entry in the page recovery index."""
+        if not self.pri.covers(page_id):
+            raise RecoveryError(
+                f"page {page_id} not covered by the page recovery index")
+        return self.pri.lookup(page_id)
+
+    def _backup_image(self, page_id: int, entry: PriEntry) -> tuple[Page, int]:
+        """Step 2: the backup image and the PageLSN it is current as of."""
+        if not entry.has_backup:
+            raise RecoveryError(f"page {page_id} has no backup image")
+        return fetch_backup_image(entry.backup_ref, page_id,
+                                  self.device.page_size, self.backup_store,
+                                  self.log_reader)

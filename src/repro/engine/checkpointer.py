@@ -16,12 +16,9 @@ This component owns everything that bounds recovery work:
 
 from __future__ import annotations
 
-import struct
-
 from repro.core.backup import BackupPolicy, make_log_image_payload
-from repro.core.recovery_index import PageRecoveryIndex, PartitionedRecoveryIndex
 from repro.errors import ConfigError, StorageError
-from repro.page.page import Page, PageType
+from repro.page.page import Page
 from repro.sync import Mutex
 from repro.wal.records import (
     PRI_UPDATE_MAX,
@@ -52,12 +49,6 @@ class Checkpointer:
         # already serialize via the engine latch, this guards direct
         # concurrent Database.checkpoint() calls too.
         self._mutex = Mutex()
-
-    def _partitions(self) -> tuple[PageRecoveryIndex, ...]:
-        pri = self.db.pri
-        if isinstance(pri, PartitionedRecoveryIndex):
-            return pri.partitions
-        return (pri,)
 
     # ------------------------------------------------------------------
     # Checkpoints (Section 5.2.6)
@@ -116,37 +107,29 @@ class Checkpointer:
         db = self.db
         cfg = db.config
         per_partition = cfg.pri_region_pages_per_partition
-        chunk_capacity = cfg.page_size - 64
-        region = [self.pri_partition_pages(p)
-                  for p in range(len(self._partitions()))]
+        region = db.pri.region_pages(cfg.pri_region_start, cfg.pri_region_end,
+                                     per_partition)
         while True:
-            blobs = [partition.serialize() for partition in self._partitions()]
-            needed = [max(1, -(-len(blob) // chunk_capacity))
-                      for blob in blobs]
+            snapshots = db.pri.snapshot_chunks(cfg.page_size)
             # A page that held a chunk of a larger earlier snapshot
             # would keep its in-log image as backup and pin log
             # retention there for ever.  The entries live in the index
             # being serialized, so dropping any means serializing again.
-            if not self._forget_vacated_pri_pages(region, needed):
+            if not self._forget_vacated_pri_pages(region, snapshots):
                 break
-        image_lsns: dict[int, int] = {}
-        for p, blob in enumerate(blobs):
-            pages_needed = needed[p]
-            if pages_needed > per_partition:
+        # Both snapshots are sized before any region page is written: a
+        # refused checkpoint leaves the region as the master lists it.
+        for p, chunks in enumerate(snapshots):
+            if len(chunks) > per_partition:
                 raise ConfigError(
-                    f"PRI partition {p} needs {pages_needed} pages, "
+                    f"PRI partition {p} needs {len(chunks)} pages, "
                     f"region holds {per_partition}")
-            page_ids = region[p]
-            for seq in range(pages_needed):
+        image_lsns: dict[int, int] = {}
+        for page_ids, chunks in zip(region, snapshots):
+            for seq, chunk in enumerate(chunks):
                 page_id = page_ids[seq]
-                chunk = blob[seq * chunk_capacity:(seq + 1) * chunk_capacity]
-                page = Page.format(cfg.page_size, page_id,
-                                   PageType.RECOVERY_INDEX)
-                header = struct.pack("<IHH", len(chunk), seq, pages_needed)
-                start = 32 + 8  # page header + chunk header
-                page.data[32:start] = header
-                page.data[start:start + len(chunk)] = chunk
-                page.seal()
+                page = db.pri.region_page(cfg.page_size, page_id, chunk, seq,
+                                          len(chunks))
                 record = LogRecord(LogRecordKind.FULL_PAGE_IMAGE,
                                    page_id=page_id,
                                    image=make_log_image_payload(page))
@@ -163,16 +146,16 @@ class Checkpointer:
         self._pri_persists.inc()
         return image_lsns
 
-    def _forget_vacated_pri_pages(self, region: list[list[int]],
-                                  needed: list[int]) -> bool:
+    def _forget_vacated_pri_pages(self, region: tuple[list[int], ...],
+                                  snapshots: list[list[bytes]]) -> bool:
         """Drop the index entries of region pages beyond each
         snapshot's last chunk; returns whether any were dropped.
         Snapshots occupy a prefix of their pages, so the walk stops at
         the first page that holds no in-log image."""
         pri = self.db.pri
         dropped = False
-        for page_ids, pages_needed in zip(region, needed):
-            for page_id in page_ids[pages_needed:]:
+        for page_ids, chunks in zip(region, snapshots):
+            for page_id in page_ids[len(chunks):]:
                 if not (pri.covers(page_id)
                         and pri.lookup(page_id).backup_ref.kind
                         == BackupRefKind.LOG_IMAGE):
@@ -198,18 +181,6 @@ class Checkpointer:
             if checkpoint is not None:
                 vacant.difference_update(checkpoint.pri_images)
         return vacant
-
-    def pri_partition_pages(self, partition: int) -> list[int]:
-        """Page ids of the region pages holding ``partition``'s blob.
-
-        Partition p's blob lives on parity-p pages; a parity-p page is
-        covered by index partition 1-p.  Hence no page holds the
-        information needed for its own recovery (Section 5.2.2).
-        """
-        cfg = self.db.config
-        pages = [pid for pid in range(cfg.pri_region_start, cfg.pri_region_end)
-                 if pid % 2 == partition]
-        return pages[:cfg.pri_region_pages_per_partition]
 
     # ------------------------------------------------------------------
     # Write-back hooks (Figure 11 and the Section-6 backup policy)
@@ -381,10 +352,7 @@ class Checkpointer:
             # The restore completion watermark gates retirement.
             in_use.add(db.durable.restore_backup_id)
         if db.config.spf_enabled:
-            for partition in self._partitions():
-                for ref in partition._refs:
-                    if ref.kind == BackupRefKind.FULL_BACKUP:
-                        in_use.add(ref.value)
+            in_use |= db.pri.full_backups_in_use()
         retired = [bid for bid in ids if bid not in in_use]
         for backup_id in retired:
             db.backup_store.retire_full_backup(backup_id)
@@ -439,20 +407,9 @@ class Checkpointer:
             if pending is not None:
                 bound = min(bound, pending)
         if db.config.spf_enabled:
-            for partition in self._partitions():
-                # Backups that *live in the log* must be retained.
-                for ref in partition._refs:
-                    if ref.kind in (BackupRefKind.LOG_IMAGE,
-                                    BackupRefKind.FORMAT_RECORD):
-                        bound = min(bound, ref.value)
-                # A page updated since its backup needs its chain back
-                # to the backup; a page whose backup is current needs
-                # nothing (Figure 7: the LSN field is only valid for
-                # pages updated since the last backup).
-                for page_id in partition._page_lsns:
-                    pos = partition._find_range(page_id)
-                    if pos is not None:
-                        bound = min(bound, partition._lsns[pos])
+            floor = db.pri.log_floor()
+            if floor is not None:
+                bound = min(bound, floor)
         standby = getattr(db, "standby", None)
         link = getattr(db, "standby_link", None)
         if standby is not None and standby.running and link is not None:
@@ -491,17 +448,8 @@ class Checkpointer:
         db = self.db
         pri_region = range(db.config.pri_region_start,
                            db.config.pri_region_end)
-        pinning: list[int] = []
-        for partition in self._partitions():
-            for i in range(len(partition._starts)):
-                if partition._lsns[i] >= target:
-                    continue
-                start, end = partition._starts[i], partition._ends[i]
-                if end - start > budget:
-                    continue  # a huge stale range needs a full backup
-                pinning.extend(pid for pid in range(start, end)
-                               if pid not in pri_region)
-        copied = sorted(set(pinning))[:budget]
+        copied = [pid for pid in db.pri.pages_backed_up_before(target, budget)
+                  if pid not in pri_region][:budget]
         for page_id in copied:
             page = db.pool.fix(page_id)
             try:

@@ -15,6 +15,9 @@ The configuration axes correspond to the comparisons the paper draws:
   per-page chain length and hence recovery time;
 * ``backup_profile`` — direct-access vs archive backup media
   (Section 5.2.1's "less than ideal" remark, quantified).
+
+The page recovery index is always split into two partitions for
+self-coverage (Section 5.2.2); no axis turns that off.
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ class EngineConfig:
     log_completed_writes: bool = True
     #: a media failure on this node is a system failure (Figure 1)
     single_device_node: bool = False
-    #: partition the PRI for self-coverage (Section 5.2.2)
-    pri_partitioned: bool = True
     #: proof-read pages after writing them (Section 2)
     proof_read_writes: bool = False
     #: cross-check the PageLSN of newly read pages against the PRI

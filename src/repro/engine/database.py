@@ -42,7 +42,7 @@ from repro.btree.tree import FosterBTree, not_bytes
 from repro.buffer.buffer_pool import BufferPool
 from repro.core.backup import BackupStore
 from repro.core.failure_classes import FailureEvent
-from repro.core.recovery_index import PageRecoveryIndex, PartitionedRecoveryIndex
+from repro.core.recovery_index import PartitionedRecoveryIndex
 from repro.core.recovery_manager import FAILURE_RING, RecoveryManager
 from repro.core.single_page import SinglePageRecovery
 from repro.detect.scrubber import Scrubber, ScrubReport
@@ -174,8 +174,7 @@ class Database:
         self.tm = TransactionManager(self.log, self.stats)
         self.tm.ack_mode = self.config.commit_ack_mode
         self.locks = self.tm.locks = LockManager()
-        self.pri = (PartitionedRecoveryIndex() if self.config.pri_partitioned
-                    else PageRecoveryIndex())
+        self.pri = PartitionedRecoveryIndex()
         self.allocator = PageAllocator(self)
         self.checkpointer = Checkpointer(self)
 

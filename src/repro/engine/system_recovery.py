@@ -32,10 +32,8 @@ covered by its own mechanism (Section 5.2).
 from __future__ import annotations
 
 import bisect
-import struct
 from dataclasses import dataclass, field
 
-from repro.core.recovery_index import PartitionedRecoveryIndex
 from repro.engine.pending_recovery import DeviceImage, PendingRecovery
 from repro.errors import SinglePageFailure, StorageError
 from repro.page.page import Page
@@ -350,22 +348,14 @@ def _load_pri(db, report: RestartReport) -> None:  # noqa: ANN001
     if not fpi_by_page:
         return
 
-    partitions = (db.pri.partitions
-                  if isinstance(db.pri, PartitionedRecoveryIndex) else (db.pri,))
-    for p, partition in enumerate(partitions):
-        chunks: dict[int, bytes] = {}
-        total_pages = None
-        for page_id in db.checkpointer.pri_partition_pages(p):
-            record = fpi_by_page.get(page_id)
-            if record is None:
-                continue
-            page = _load_pri_page(db, page_id, record, report)
-            length, seq, total = struct.unpack_from("<IHH", page.data, 32)
-            total_pages = total
-            chunks[seq] = bytes(page.data[40:40 + length])
-        if total_pages is None:
-            continue
-        partition.load(b"".join(chunks[i] for i in sorted(chunks)))
+    cfg = db.config
+    region = db.pri.region_pages(cfg.pri_region_start, cfg.pri_region_end,
+                                 cfg.pri_region_pages_per_partition)
+    for p, page_ids in enumerate(region):
+        pages = [_load_pri_page(db, page_id, fpi_by_page[page_id], report).data
+                 for page_id in page_ids if page_id in fpi_by_page]
+        if pages:
+            db.pri.load_region(p, pages)
 
     # The region pages' own entries were created *after* the snapshots
     # were serialized (self-coverage ordering); re-derive them from the

@@ -7,7 +7,7 @@ coordinated, e.g., with respect to access to the recovery log."
 import pytest
 
 from repro.core.backup import BackupPolicy
-from repro.core.coordinated import CoordinatedRecovery
+from repro.core.single_page import SinglePageRecovery
 from repro.engine.database import Database
 from repro.errors import RecoveryError
 from tests.conftest import fast_config, key_of, value_of
@@ -27,11 +27,6 @@ def loaded(n=600, **overrides):
     return db, tree
 
 
-def coordinator(db) -> CoordinatedRecovery:
-    return CoordinatedRecovery(db.pri, db.backup_store, db.log_reader,
-                               db.device, db.clock, db.stats)
-
-
 def data_leaves(db, tree, keys):
     pages = []
     for i in keys:
@@ -49,7 +44,7 @@ class TestCoordinatedRecovery:
         victims = data_leaves(db, tree, [0, 200, 400, 599])
         for pid in victims:
             db.device.inject_read_error(pid)
-        result = coordinator(db).recover_many(victims)
+        result = db.single_page.recover_many(victims)
         assert result.pages_recovered == len(victims)
         db.evict_everything()
         for i in range(600):
@@ -58,14 +53,14 @@ class TestCoordinatedRecovery:
     def test_per_page_record_counts_reported(self):
         db, tree = loaded()
         victims = data_leaves(db, tree, [0, 300])
-        result = coordinator(db).recover_many(victims)
+        result = db.single_page.recover_many(victims)
         assert set(result.per_page_records) == set(victims)
         assert result.records_applied == sum(result.per_page_records.values())
 
     def test_duplicates_collapsed(self):
         db, tree = loaded()
         victims = data_leaves(db, tree, [0])
-        result = coordinator(db).recover_many(victims * 3)
+        result = db.single_page.recover_many(victims * 3)
         assert result.pages_recovered == 1
 
     def test_shared_log_cache_saves_reads(self):
@@ -77,7 +72,6 @@ class TestCoordinatedRecovery:
 
         # Independent recoveries, each with a cold reader.
         from repro.wal.log_reader import LogReader
-        from repro.core.single_page import SinglePageRecovery
 
         independent_pages = 0
         for pid in victims:
@@ -94,7 +88,7 @@ class TestCoordinatedRecovery:
         # The same victims, coordinated (fresh engine for a fair start).
         db2, tree2 = loaded()
         victims2 = data_leaves(db2, tree2, [0, 150, 300, 450, 599])
-        result = coordinator(db2).recover_many(victims2)
+        result = db2.single_page.recover_many(victims2)
         assert result.log_pages_read <= independent_pages
 
     def test_all_pages_failing_resembles_media_recovery(self):
@@ -103,7 +97,7 @@ class TestCoordinatedRecovery:
         victims = list(range(db.config.data_start, db.allocated_pages()))
         for pid in victims:
             db.device.inject_read_error(pid)
-        result = coordinator(db).recover_many(victims)
+        result = db.single_page.recover_many(victims)
         assert result.pages_recovered == len(victims)
         db.evict_everything()
         for i in range(400):
@@ -112,4 +106,4 @@ class TestCoordinatedRecovery:
     def test_uncovered_page_raises(self):
         db, tree = loaded()
         with pytest.raises(RecoveryError):
-            coordinator(db).recover_many([db.config.capacity_pages - 1])
+            db.single_page.recover_many([db.config.capacity_pages - 1])

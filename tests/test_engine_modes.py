@@ -14,43 +14,6 @@ def loaded(n=200, **overrides):
     return db, tree
 
 
-class TestUnpartitionedPri:
-    """The engine with a single (non-partitioned) recovery index."""
-
-    def test_recovery_works(self):
-        db, tree = loaded(pri_partitioned=False)
-        db.flush_everything()
-        db.evict_everything()
-        page, _n, _pid = tree._descend(key_of(0), for_write=False)
-        victim = page.page_id
-        db.pool.unfix(victim)
-        db.evict_everything()
-        db.device.inject_bit_rot(victim, nbits=5)
-        assert tree.lookup(key_of(0)) == value_of(0, 0)
-        assert db.stats.get("single_page_recoveries") == 1
-
-    def test_checkpoint_persist_and_reload(self):
-        db, tree = loaded(pri_partitioned=False)
-        db.checkpoint()
-        recorded = {pid: db.pri.recorded_lsn(pid)
-                    for pid in range(db.allocated_pages())
-                    if db.pri.recorded_lsn(pid) is not None}
-        assert recorded
-        db.crash()
-        db.restart()
-        for pid, lsn in recorded.items():
-            assert db.pri.recorded_lsn(pid) == lsn
-
-    def test_crash_recovery(self):
-        db, tree = loaded(pri_partitioned=False)
-        txn = db.begin()
-        tree.update(txn, key_of(0), b"loser")
-        db.crash()
-        db.restart()
-        tree = db.tree(1)
-        assert tree.lookup(key_of(0)) == value_of(0, 0)
-
-
 class TestProofReadMode:
     def test_lost_write_caught_at_write_time(self):
         """Proof-reading turns a lost write into a write-time remap,

@@ -167,13 +167,7 @@ class TestRetireFullBackups:
         db.device.fail_device("test")
         db._on_media_failure(MediaFailure(db.device.name, "test"))
         db.recover_media(b1, mode="eager")
-        from repro.wal.records import BackupRefKind
-
-        refs = {ref.value
-                for partition in db.checkpointer._partitions()
-                for ref in partition._refs
-                if ref.kind == BackupRefKind.FULL_BACKUP}
-        assert b1 in refs
+        assert b1 in db.pri.full_backups_in_use()
         # No restore is pending, yet b1 must survive: the PRI would
         # hand single-page recovery a dangling reference otherwise.
         assert db.retire_backups() == []

@@ -8,6 +8,8 @@ import copy
 import pytest
 
 from repro.engine.database import Database
+from repro.errors import ConfigError
+from repro.wal.records import BackupRef, LogRecordKind
 from tests.conftest import fast_config, key_of, value_of
 
 
@@ -28,9 +30,7 @@ def grown_db(n_keys: int) -> tuple[Database, object]:
 
 
 def pages_needed(db: Database) -> list[int]:
-    capacity = db.config.page_size - 64
-    return [max(1, -(-len(partition.serialize()) // capacity))
-            for partition in db.checkpointer._partitions()]
+    return [len(chunks) for chunks in db.pri.snapshot_chunks(db.config.page_size)]
 
 
 def occupied(db: Database) -> list[int]:
@@ -50,7 +50,7 @@ def index_shape(db: Database) -> list:
     """The index without backup times (restart stamps its own)."""
     return [(list(zip(p._starts, p._ends, p._refs, p._lsns)),
              sorted(p._page_lsns.items()))
-            for p in db.checkpointer._partitions()]
+            for p in db.pri.partitions]
 
 
 def assert_restart_loads_same_index(db: Database) -> None:
@@ -201,3 +201,38 @@ class TestRestoreAfterTheRegionGrew:
         report = db.restart()
         assert report.pri_pages_repaired == 0
         assert db.tree(tree.index_id).lookup(key_of(11999)) is not None
+
+
+class TestOverflowRefusedBeforeWriting:
+    def test_refused_checkpoint_writes_nothing(self):
+        """Both snapshots are sized before any region page is written:
+        a checkpoint whose index overflows the region refuses without
+        touching the device or the log, so the region still holds what
+        the master checkpoint lists and the next restart repairs
+        nothing."""
+        db = Database(fast_config(pri_region_pages_per_partition=1,
+                                  capacity_pages=1024))
+        tree = db.create_index()
+        txn = db.begin()
+        for i in range(50):
+            tree.insert(txn, key_of(i), value_of(i, 0))
+        db.commit(txn)
+        db.checkpoint()
+        # Single-page backups for 400 even pages: partition 1, which
+        # covers them, outgrows its one region page; partition 0's
+        # snapshot still fits and comes first.
+        even = [pid for pid in range(db.config.data_start, 1024)
+                if pid % 2 == 0]
+        for page_id in even[:400]:
+            db.pri.set_backup(page_id, BackupRef.page_copy(page_id), 1)
+        writes = db.stats.get("device_writes")
+        end_lsn = db.log.end_lsn
+        with pytest.raises(ConfigError, match="partition 1 needs"):
+            db.checkpoint()
+        assert db.stats.get("device_writes") == writes
+        assert not [record for record in db.log.all_records()
+                    if record.lsn >= end_lsn
+                    and record.kind == LogRecordKind.FULL_PAGE_IMAGE]
+        db.crash()
+        db.restart()
+        assert db.stats.get("pri_pages_repaired") == 0

@@ -10,7 +10,13 @@ import pytest
 from repro.core.failure_classes import FailureOutcome
 from repro.core.recovery_manager import FAILURE_RING
 from repro.engine.database import Database
-from repro.errors import MediaFailure, SystemFailure
+from repro.errors import (
+    MediaFailure,
+    PageFailureKind,
+    RecoveryError,
+    SinglePageFailure,
+    SystemFailure,
+)
 from repro.wal.records import BackupRefKind
 from tests.conftest import fast_config, key_of, value_of
 
@@ -339,3 +345,31 @@ class TestRecentFailures:
         (event,) = db.recent_failures()
         assert event.outcome is FailureOutcome.ESCALATED_TO_MEDIA
         assert event.source == "" and "unsupported" in event.summary()
+
+
+class TestBackupIdentity:
+    """A backup image that names another page is refused before any
+    write, whichever body of Figure 10 fetched it."""
+
+    @pytest.mark.parametrize("method", ["recover", "recover_many"])
+    def test_foreign_backup_image_refused(self, method):
+        db, tree = loaded()
+        victim = some_leaf(db, tree, 0)
+        other = some_leaf(db, tree, 299)
+        assert other != victim
+        backup_id = db.take_full_backup()
+        db.evict_everything()
+        images = db.backup_store._full_backups[backup_id]
+        images[victim] = images[other]
+        db.device.inject_read_error(victim)
+        writes = db.stats.get("device_writes")
+        remaps = db.stats.get("device_remaps")
+        with pytest.raises(RecoveryError, match=f"claims id {other}"):
+            if method == "recover":
+                db.single_page.recover(SinglePageFailure(
+                    victim, PageFailureKind.DEVICE_READ_ERROR))
+            else:
+                db.single_page.recover_many([victim])
+        assert db.stats.get("device_writes") == writes
+        assert db.stats.get("device_remaps") == remaps
+        assert db.stats.get("coordinated_pages_recovered") == 0
