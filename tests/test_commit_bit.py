@@ -564,7 +564,7 @@ def test_a_system_transaction_commits_by_the_bit_without_a_force():
     shape = shape_of(db, split_txn)
     assert shape[-1] == (UPDATE, True)
     assert not any(commits for _kind, commits in shape[:-1])
-    empty = db.begin_system()
+    empty = db.tm.begin(system=True)
     lsn = db.tm.commit(empty)
     assert shape_of(db, empty.txn_id) == [(LogRecordKind.SYS_COMMIT, False)]
     assert lsn == empty.last_lsn

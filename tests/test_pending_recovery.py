@@ -44,23 +44,26 @@ JOIN_SECONDS = 10
 EXAMPLES = max(1, int(os.environ.get("TORTURE_EXAMPLES_MULTIPLIER", "1")))
 
 
-def failed(kind: str, **overrides):
+def failed(kind: str, spare: bool = False, **overrides):
     """The matrices' prepared state plus a few more dirty leaves, a
-    freed page and a second, newer loser — then the failure ``kind``
-    recovers from."""
+    second, newer loser and, with ``spare``, a loser's allocated page —
+    then the failure ``kind`` recovers from."""
     db, tree, model = prepared(with_backup=(kind == "restore"), **overrides)
     bulk = db.begin()
     for i in range(200, 600):
         tree.insert(bulk, key_of(i), value_of(i, 0))
         model[key_of(i)] = value_of(i, 0)
     db.commit(bulk)
-    # A formatted page on the free list: pending after the failure, and
-    # the next allocation reuses its id.
-    sys_txn = db.begin_system()
-    spare = db.allocate_page(sys_txn, PageType.BTREE_LEAF, 1).page_id
-    db.pool.unfix(spare)
-    db.commit(sys_txn)
-    db.free_page(spare)
+    spare_id = None
+    if spare:
+        # A hardened allocation by a system transaction that never
+        # commits: the page is pending after the failure, the loser's
+        # rollback gives its id back to ``next_free``, and the next
+        # allocation reuses it.
+        sys_txn = db.tm.begin(system=True)
+        spare_id = db.allocate_page(sys_txn, PageType.BTREE_LEAF, 1).page_id
+        db.pool.unfix(spare_id)
+        db.log.force()
     late = db.begin()
     tree.update(late, key_of(LATE_LOSER_KEY), b"DOOMED-LATE")
     rider = db.begin()  # its commit force hardens the loser's records
@@ -71,7 +74,7 @@ def failed(kind: str, **overrides):
         db.crash()
     else:
         media_fail(db)
-    return db, model, spare
+    return db, model, spare_id
 
 
 def recover(db: Database, kind: str, mode: str = "on_demand"):
@@ -195,10 +198,15 @@ class TestSharedContract:
         assert_converged(db, kind, model)
 
     def test_reallocation_discards_pending_page(self, kind):
-        db, recovery, model, spare = pending(kind)
+        db, recovery, model, spare = pending(kind, spare=True)
         assert spare in recovery.pending_pages
         calls = gate_image(recovery, -1)[2]
-        sys_txn = db.begin_system()
+        losers = recovery.pending_loser_count
+        assert losers == 3
+        assert db.drain_pending(page_budget=0, loser_budget=losers) == (0, 3)
+        assert spare in recovery.pending_pages
+        assert db.catalog.get_int(b"next_free") == spare
+        sys_txn = db.tm.begin(system=True)
         page = db.allocate_page(sys_txn, PageType.BTREE_LEAF, 1)
         db.pool.unfix(page.page_id)
         db.commit(sys_txn)
