@@ -14,7 +14,8 @@ processing (Section 4.2, Figures 2 and 3):
   *adopted* by the permanent parent; each foster parent carries the
   high fence of the entire chain;
 * every node has exactly **one incoming pointer** at all times
-  (write-optimized-B-tree style), enabling cheap page migration;
+  (write-optimized-B-tree style), so each hop checks a node against
+  the one parent or foster parent that points to it;
 * structural changes (split, adoption, ghost removal) run as system
   transactions.
 """

@@ -139,7 +139,6 @@ class FosterBTree:
         self._btree_splits = counter("btree_splits")
         self._btree_adoptions = counter("btree_adoptions")
         self._btree_root_growths = counter("btree_root_growths")
-        self._btree_migrations = counter("btree_migrations")
         self._btree_compensations = counter("btree_compensations")
         self._btree_ghosts_removed = counter("btree_ghosts_removed")
         #: Adoption is opportunistic and amortized: only every N-th
@@ -843,112 +842,6 @@ class FosterBTree:
             self._btree_root_growths.inc()
         finally:
             self.ctx.pool.unfix(old_root_pid, dirty)
-
-    def migrate_node(self, page_id: int, retain_backup: bool = True) -> int:
-        """Move a node to a freshly allocated page id (system txn).
-
-        This is the page migration that write-optimized B-trees and
-        wear levelling rely on (Sections 2 and 5.2.1): because every
-        node has exactly one incoming pointer, the move updates one
-        parent record (or the root pointer).  With ``retain_backup``,
-        an image of the migrated node is retained as its page backup —
-        the paper's "the old, pre-move image might be retained and
-        serve as single-page backup".
-
-        Returns the new page id.  The old page id is released to the
-        engine's free list.
-        """
-        sys_txn = self.tm.begin(system=True)
-        page = self.ctx.pool.fix(page_id)
-        try:
-            node = BTreeNode(page)
-            pointer = self._find_incoming_pointer(page_id, node)
-            new_page = self.ctx.allocate_page(
-                sys_txn,
-                PageType.BTREE_LEAF if node.is_leaf else PageType.BTREE_BRANCH,
-                self.index_id)
-            try:
-                high_key = b"" if node.high_inf else node.high_fence
-                for op in BTreeNode.ops_initialize(
-                        node.level, node.low_fence, high_key, node.high_inf,
-                        node.foster_key if node.has_foster else b"",
-                        node.foster_pid if node.has_foster else NO_FOSTER):
-                    self._log(sys_txn, new_page, op)
-                new_node = BTreeNode(new_page)
-                n = node.nrecs
-                if n:
-                    self._log(sys_txn, new_page,
-                              new_node.op_bulk_insert(
-                                  0, node.record_entries(0, n)))
-                self._repoint(sys_txn, pointer, page_id, new_page.page_id)
-                if retain_backup:
-                    take_copy = getattr(self.ctx, "take_page_copy", None)
-                    if take_copy is not None:
-                        take_copy(new_page)
-                new_pid = new_page.page_id
-            finally:
-                self.ctx.pool.unfix(new_page.page_id)
-            self.tm.commit(sys_txn)
-        finally:
-            self.ctx.pool.unfix(page_id)
-        free = getattr(self.ctx, "free_page", None)
-        if free is not None:
-            free(page_id)
-        self._btree_migrations.inc()
-        return new_pid
-
-    def _find_incoming_pointer(self, target_pid: int, target: BTreeNode):
-        """Locate the single incoming pointer of ``target_pid``.
-
-        Returns ("root", None, None), ("branch", parent_pid, slot), or
-        ("foster", parent_pid, None).
-        """
-        root_pid = self.ctx.catalog.get_root(self.index_id)
-        if root_pid == target_pid:
-            return ("root", None, None)
-        key = target.low_fence
-        pid = root_pid
-        while True:
-            page, node = self._fix_node(pid)
-            try:
-                if node.has_foster and node.foster_pid == target_pid:
-                    return ("foster", pid, None)
-                if node.has_foster and key >= node.foster_key:
-                    next_pid = node.foster_pid
-                elif node.is_leaf:
-                    raise BTreeError(
-                        f"page {target_pid} unreachable from the root")
-                else:
-                    i = node.branch_child_index(key)
-                    if node.child_pid(i) == target_pid:
-                        return ("branch", pid, i)
-                    next_pid = node.child_pid(i)
-            finally:
-                self.ctx.pool.unfix(pid)
-            pid = next_pid
-
-    def _repoint(self, sys_txn: Transaction, pointer, old_pid: int,
-                 new_pid: int) -> None:
-        kind, parent_pid, slot = pointer
-        if kind == "root":
-            self.ctx.set_root(sys_txn, self.index_id, new_pid)
-            return
-        parent_page = self.ctx.pool.fix(parent_pid)
-        dirty = None
-        try:
-            parent = BTreeNode(parent_page)
-            if kind == "branch":
-                if parent.child_pid(slot) != old_pid:
-                    raise BTreeError("incoming pointer moved during migration")
-                dirty = self._log(sys_txn, parent_page,
-                                  parent.op_update_value(slot, encode_pid(new_pid)))
-            else:
-                if parent.foster_pid != old_pid:
-                    raise BTreeError("foster pointer moved during migration")
-                for op in parent.ops_set_foster(parent.foster_key, new_pid):
-                    dirty = self._log(sys_txn, parent_page, op, dirty)
-        finally:
-            self.ctx.pool.unfix(parent_pid, dirty)
 
     def remove_ghosts(self, page_id: int) -> int:
         """Physically remove ghost records from a leaf (system txn).

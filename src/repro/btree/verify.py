@@ -152,37 +152,3 @@ def _root_level(tree, root_pid: int) -> int:  # noqa: ANN001
             return 0
     finally:
         tree.ctx.pool.unfix(root_pid)
-
-
-def collect_leaf_coverage(tree) -> list[tuple[bytes, bytes, bool]]:  # noqa: ANN001
-    """(low, high, high_inf) of every leaf in key order.
-
-    A correct tree yields contiguous ranges from -infinity to
-    +infinity; used by property-based tests.
-    """
-    from repro.btree.tree import FosterBTree
-
-    assert isinstance(tree, FosterBTree)
-    pool = tree.ctx.pool
-    out: list[tuple[bytes, bytes, bool]] = []
-
-    def visit(pid: int) -> None:
-        page = pool.fix(pid)
-        try:
-            node = BTreeNode(page)
-            if node.is_leaf:
-                if node.has_foster:
-                    out.append((node.low_fence, node.foster_key, False))
-                else:
-                    out.append((node.low_fence, node.high_fence, node.high_inf))
-            else:
-                for i in range(node.nrecs):
-                    visit(node.child_pid(i))
-            if node.has_foster:
-                visit(node.foster_pid)
-        finally:
-            pool.unfix(pid)
-
-    visit(tree.ctx.catalog.get_root(tree.index_id))
-    out.sort(key=lambda entry: entry[0])
-    return out

@@ -19,9 +19,9 @@ Four sources, matching the paper:
 4. **Formatting log records** — for a freshly allocated page, the
    format record *is* the backup.
 
-Retained pre-move images from page migration (wear levelling,
-defragmentation) are page copies taken at migration time, so they fall
-out of source 2.
+The paper's fifth source, a pre-move image retained by page migration,
+has no counterpart: the engine moves a page only at the device, by a
+sector remap onto the bad-block list.
 """
 
 from __future__ import annotations

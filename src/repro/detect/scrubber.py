@@ -84,26 +84,6 @@ class Scrubber:
         self._scrub_passes.inc()
         return report
 
-    def scrub_incremental(self, cursor: int, budget_pages: int,
-                          last_page: int, repair: bool = True
-                          ) -> tuple[int, ScrubReport]:
-        """Continuous scrubbing with a per-call page budget.
-
-        Borisov et al. (cited in Section 2) advocate running integrity
-        checks "proactively and continuously" at bounded cost; this is
-        the scrubbing variant of that idea: each call verifies at most
-        ``budget_pages`` starting at ``cursor`` and returns the next
-        cursor (wrapping at ``last_page``), so a background loop can
-        amortize a full device pass over many idle slices.
-        """
-        if last_page <= 0:
-            return 0, ScrubReport()
-        cursor %= last_page
-        end = min(cursor + budget_pages, last_page)
-        report = self.scrub(cursor, end, repair=repair)
-        next_cursor = end % last_page
-        return next_cursor, report
-
     def _verify_one(self, page_id: int) -> SinglePageFailure | None:
         """The fetch path's verdict, reported instead of acted on."""
         try:

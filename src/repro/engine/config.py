@@ -96,10 +96,10 @@ class EngineConfig:
     #: barrier — the single-threaded engine and the chaos harness
     #: never pay (or observe) this window.
     commit_window_seconds: float = 0.002
-    #: group commit: commit-triggered forces harden the whole buffered
-    #: tail, and :meth:`TransactionManager.group_commit` batches may
-    #: share one force across many commits.  Disabled, every user
-    #: commit forces its own prefix (the ablation baseline).
+    #: kept only as a spelling existing callers pass: ``group_commit``
+    #: must be ``True``; a commit's force always hardens the whole
+    #: buffered tail, and :meth:`TransactionManager.group_commit`
+    #: blocks share one force across many commits
     group_commit: bool = True
 
     #: commit acknowledgement mode (PR 7):
@@ -164,6 +164,10 @@ class EngineConfig:
             raise ConfigError(
                 f"commit_ack_mode must be 'local_durable' or "
                 f"'replicated_durable', got {self.commit_ack_mode!r}")
+        if self.group_commit is not True:
+            raise ConfigError(
+                f"group_commit must be True (the per-commit-force "
+                f"ablation was removed), got {self.group_commit!r}")
         if self.prefetch_mode != "off":
             raise ConfigError(
                 f"prefetch_mode must be 'off' (predictive prefetch was "

@@ -151,8 +151,7 @@ class Database:
                           self.clock, cfg.device_profile, self.stats,
                           self.injector, proof_read=cfg.proof_read_writes),
             LogManager(self.clock, cfg.log_profile, self.stats,
-                       segment_bytes=cfg.log_segment_bytes,
-                       group_commit=cfg.group_commit),
+                       segment_bytes=cfg.log_segment_bytes),
             BackupStore(self.clock, cfg.backup_profile, self.stats,
                         cfg.page_size))
         self._open()
@@ -267,9 +266,6 @@ class Database:
                       index_id: int) -> Page:
         return self.allocator.allocate_page(txn, page_type, index_id)
 
-    def free_page(self, page_id: int) -> None:
-        self.allocator.free_page(page_id)
-
     def set_root(self, txn: Transaction, index_id: int, root_pid: int) -> None:
         self.catalog.set_root(txn, index_id, root_pid)
 
@@ -316,10 +312,6 @@ class Database:
         if self._crashed or self._media_failed:
             self._require_running()
         return self.tm.begin()
-
-    def begin_system(self) -> Transaction:
-        self._require_running()
-        return self.tm.begin(system=True)
 
     def commit(self, txn: Transaction) -> int:
         return self.tm.commit(txn)

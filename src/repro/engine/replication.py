@@ -191,8 +191,7 @@ class Standby:
 
     def _fresh_log(self) -> LogManager:
         return LogManager(self.clock, self.config.log_profile, self.stats,
-                          segment_bytes=self.config.log_segment_bytes,
-                          group_commit=self.config.group_commit)
+                          segment_bytes=self.config.log_segment_bytes)
 
     # ------------------------------------------------------------------
     # Seeding

@@ -67,7 +67,6 @@ CATALOGUE: tuple[Metric, ...] = (
     Metric("btree_splits", "ops", "btree", "node splits (foster child created)"),
     Metric("btree_adoptions", "ops", "btree", "foster children adopted by the parent"),
     Metric("btree_root_growths", "ops", "btree", "root splits that grew the tree a level"),
-    Metric("btree_migrations", "pages", "btree", "nodes moved to a fresh page"),
     Metric("btree_compensations", "ops", "btree", "logical undo actions applied"),
     Metric("btree_ghosts_removed", "records", "btree", "ghost records reclaimed"),
     # -- txn ----------------------------------------------------------------
@@ -163,7 +162,6 @@ CATALOGUE: tuple[Metric, ...] = (
            "page copies taken so the log below them could be truncated"),
     Metric("backup_images_repaired", "pages", "engine",
            "failed device images repaired while taking a full backup"),
-    Metric("pages_freed", "pages", "engine", "pages returned to the free list"),
     Metric("system_crashes", "events", "engine", "simulated system failures"),
     Metric("restarts", "ops", "engine", "restarts (analysis completed)"),
     Metric("instant_restarts", "ops", "engine",

@@ -203,6 +203,3 @@ class FaultInjector:
         for _ in range(nbits):
             bit = rng.randrange(len(data) * 8)
             data[bit // 8] ^= 1 << (bit % 8)
-
-    def write_count(self, sector: int) -> int:
-        return self._write_counts.get(sector, 0)

@@ -231,13 +231,8 @@ class TransactionManager:
 
         Nested blocks join the outermost batch.  The closing force runs
         even if the block raises, so every commit that *did* return is
-        durable once the block exits.  With group commit disabled on
-        the log (the ablation baseline), the block is a no-op and every
-        commit forces individually.
+        durable once the block exits.
         """
-        if not self.log.group_commit:
-            yield  # ablation: batching disabled, per-commit forces
-            return
         if self._commit_batch is not None:
             yield  # nested: the outer block's force covers us
             return

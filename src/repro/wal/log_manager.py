@@ -55,8 +55,7 @@ class LogManager:
     """Segmented append-only log with an explicit durable prefix."""
 
     def __init__(self, clock: SimClock, profile: IOProfile, stats: Stats,
-                 segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-                 group_commit: bool = True) -> None:
+                 segment_bytes: int = DEFAULT_SEGMENT_BYTES) -> None:
         self.clock = clock
         self.profile = profile
         #: a force is one sequential write, ``profile.write_cost(pending,
@@ -77,7 +76,6 @@ class LogManager:
         self._log_crashes = counter("log_crashes")
         self._standby_log_records = counter("standby_log_records")
         self._standby_log_bytes = counter("standby_log_bytes")
-        self.group_commit = group_commit
         self._dir = SegmentDirectory(segment_bytes)
         self._chain_heads: dict[int, int] = {}
         #: FORMAT record LSN -> the chain head it displaced (page
@@ -258,11 +256,10 @@ class LogManager:
         """Force on behalf of a commit carried by the record at
         ``commit_lsn`` (``record_end``: its end, when the caller knows).
 
-        With group commit (the default) the force extends to the end of
-        the buffer: every buffered record — ride-along system-txn
-        commits, PRI updates, other batched commits — hardens in the
-        same sequential write.  A commit whose record is already
-        durable costs nothing.
+        The force extends to the end of the buffer (group commit): every
+        buffered record — ride-along system-txn commits, PRI updates,
+        other batched commits — hardens in the same sequential write.
+        A commit whose record is already durable costs nothing.
 
         With :attr:`cross_thread_commit` enabled, concurrent committers
         share forces through the leader/rider barrier instead (see
@@ -276,13 +273,10 @@ class LogManager:
             return
         if record_end <= self._durable_lsn:
             return
-        if self.group_commit:
-            rider_bytes = self._next_lsn - record_end
-            if rider_bytes > 0:
-                self._group_commit_rider_bytes.inc(rider_bytes)
-            self.force()
-        else:
-            self.force(record_end)
+        rider_bytes = self._next_lsn - record_end
+        if rider_bytes > 0:
+            self._group_commit_rider_bytes.inc(rider_bytes)
+        self.force()
 
     def enable_cross_thread_commit(self, window_seconds: float = 0.0) -> None:
         """Switch :meth:`commit_force` to the leader/rider barrier.
@@ -345,10 +339,7 @@ class LogManager:
                     rider_bytes = self._next_lsn - record_end
                     if rider_bytes > 0:
                         self._group_commit_rider_bytes.inc(rider_bytes)
-                    if self.group_commit:
-                        self.force()
-                    else:
-                        self.force(record_end)
+                    self.force()
                 finally:
                     # Even a failed force must hand off leadership, or
                     # every later committer blocks forever.

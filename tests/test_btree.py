@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.btree.keys import common_prefix, shortest_separator, strip_prefix
 from repro.btree.node import BTreeNode
-from repro.btree.verify import collect_leaf_coverage, verify_tree
+from repro.btree.verify import verify_tree
 from repro.errors import BTreeError, DuplicateKey, KeyNotFound
 from repro.engine.database import Database
 from tests.conftest import fast_config
@@ -21,6 +21,34 @@ def db() -> Database:
 @pytest.fixture
 def tree(db):
     return db.create_index()
+
+
+def collect_leaf_coverage(tree) -> list[tuple[bytes, bytes, bool]]:  # noqa: ANN001
+    """(low, high, high_inf) of every leaf in key order: a correct tree
+    yields contiguous ranges from -infinity to +infinity."""
+    pool = tree.ctx.pool
+    out: list[tuple[bytes, bytes, bool]] = []
+
+    def visit(pid: int) -> None:
+        page = pool.fix(pid)
+        try:
+            node = BTreeNode(page)
+            if node.is_leaf:
+                if node.has_foster:
+                    out.append((node.low_fence, node.foster_key, False))
+                else:
+                    out.append((node.low_fence, node.high_fence, node.high_inf))
+            else:
+                for i in range(node.nrecs):
+                    visit(node.child_pid(i))
+            if node.has_foster:
+                visit(node.foster_pid)
+        finally:
+            pool.unfix(pid)
+
+    visit(tree.ctx.catalog.get_root(tree.index_id))
+    out.sort(key=lambda entry: entry[0])
+    return out
 
 
 class TestKeyArithmetic:

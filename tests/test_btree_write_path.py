@@ -325,14 +325,6 @@ def test_directory_coherent_across_every_mutation(seed: int) -> None:
     assert stats.get("btree_ghosts_removed") > 0
     check()
 
-    # Migration of branch pages and of a (warm) leaf: the parent's
-    # child pid changes.
-    page, _node, _pid = tree._descend(probes[3], for_write=False)
-    db.pool.unfix(page.page_id)
-    for pid in [*list(_branches(db, tree))[:4], page.page_id]:
-        tree.migrate_node(pid)
-        check()
-
     # Crash with a loser in flight, on-demand restart.
     txn = db.begin()
     for i in universe[1700:1800]:

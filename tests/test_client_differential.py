@@ -14,7 +14,8 @@ import pytest
 
 import repro
 from repro.errors import TransactionError
-from repro.workloads.fleet import ClientFleet, FacadeFleetRunner
+from repro.workloads.fleet import ClientFleet
+from tests.fleet_drivers import FacadeFleetRunner
 
 SEED = 31
 CLIENTS = 4

@@ -281,6 +281,14 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="predictive prefetch was removed"):
                 repro.EngineConfig(prefetch_mode=mode)
 
+    def test_group_commit_accepts_only_true(self):
+        """The bench still passes ``group_commit=True``; the per-commit
+        force ablation was removed and fails typed, naming why."""
+        assert repro.EngineConfig(group_commit=True).group_commit is True
+        for value in (False, 1, None):
+            with pytest.raises(ConfigError, match="ablation was removed"):
+                repro.EngineConfig(group_commit=value)
+
     def test_keyword_only_construction(self):
         with pytest.raises(TypeError):
             repro.EngineConfig(4096)  # noqa - positional must fail

@@ -5,7 +5,7 @@ shared-latch lookups, exclusive-latch writes, cross-thread group
 commit — with corruption injected and checkpoints taken *while they
 run*, then a mid-stress crash freezes in-flight transactions and
 recovery must roll them back.  After every phase the
-:class:`repro.workloads.fleet.ConcurrentOracle` invariants are
+:class:`tests.fleet_drivers.ConcurrentOracle` invariants are
 checked exactly:
 
 * **committed-visible** — every committed key/value (serialized by
@@ -33,12 +33,9 @@ from repro import Database
 from repro.btree.verify import verify_tree
 from repro.storage.faults import FaultKind
 from repro.sync import ConditionMutex, Mutex, ReadWriteLatch
-from repro.workloads.fleet import (
-    ClientFleet,
-    ConcurrentOracle,
-    ThreadedFleetRunner,
-)
+from repro.workloads.fleet import ClientFleet
 from tests.conftest import assert_no_pins, fast_config, key_of, value_of
+from tests.fleet_drivers import ConcurrentOracle, ThreadedFleetRunner
 
 N_THREADS = 8
 #: enough committed pages that the 24-frame pool must evict constantly

@@ -115,7 +115,10 @@ class TestCopyForwardDurability:
         assert db.log.durable_lsn == durable < db.log.end_lsn
 
 
-class TestIncrementalScrub:
+class TestRangedScrub:
+    """A full device pass amortized over budgeted ``scrub(start, end)``
+    slices, as a background loop would run it."""
+
     def build(self):
         db = Database(fast_config())
         tree = db.create_index()
@@ -127,21 +130,23 @@ class TestIncrementalScrub:
         db.evict_everything()
         return db, tree
 
-    def test_budgeted_pass_covers_whole_device(self):
+    @staticmethod
+    def slices(last: int, budget: int):
+        return [(start, min(start + budget, last))
+                for start in range(0, last, budget)]
+
+    def test_budgeted_slices_cover_whole_device(self):
         db, _tree = self.build()
         scrubber = Scrubber(db.device, db.recovery_manager, db.stats,
                             skip=db.pool.resident)
         last = db.allocated_pages()
-        cursor = 0
         total_scanned = 0
-        for _slice in range(0, last, 4):
-            cursor, report = scrubber.scrub_incremental(cursor, 4, last)
+        for start, end in self.slices(last, 4):
+            report = scrubber.scrub(start, end)
             total_scanned += report.pages_scanned + report.pages_skipped
-            if cursor == 0:
-                break
         assert total_scanned == last
 
-    def test_incremental_finds_damage_in_its_slice(self):
+    def test_a_slice_finds_damage_in_its_range(self):
         db, tree = self.build()
         page, _n, _pid = tree._descend(key_of(0), for_write=False)
         victim = page.page_id
@@ -150,22 +155,18 @@ class TestIncrementalScrub:
         db.device.inject_bit_rot(victim, nbits=5)
         scrubber = Scrubber(db.device, db.recovery_manager, db.stats,
                             skip=db.pool.resident)
-        last = db.allocated_pages()
-        cursor, found = 0, 0
-        for _slice in range(0, last, 3):
-            cursor, report = scrubber.scrub_incremental(cursor, 3, last)
-            found += report.failures_repaired
-            if cursor == 0:
-                break
-        assert found == 1
+        found = {}
+        for start, end in self.slices(db.allocated_pages(), 3):
+            found[start] = scrubber.scrub(start, end).failures_repaired
+        assert sum(found.values()) == 1
+        assert found[victim - victim % 3] == 1
         assert tree.lookup(key_of(0)) == value_of(0, 0)
 
     def test_empty_range(self):
         db, _tree = self.build()
         scrubber = Scrubber(db.device, db.recovery_manager, db.stats)
-        cursor, report = scrubber.scrub_incremental(0, 8, 0)
-        assert cursor == 0
-        assert report.pages_scanned == 0
+        report = scrubber.scrub(0, 0)
+        assert report.pages_scanned == report.pages_skipped == 0
 
 
 class TestAbortInterleaving:

@@ -168,14 +168,6 @@ class TestGroupCommit:
         assert log.durable_lsn == log.end_lsn  # the rider hardened too
         assert stats.get("group_commit_rider_bytes") > 0
 
-    def test_without_group_commit_only_the_prefix_hardens(self):
-        log = make_log(group_commit=False)
-        commit = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
-        rider = log.append(LogRecord(LogRecordKind.SYS_COMMIT, txn_id=2))
-        log.commit_force(commit)
-        assert log.durable_lsn == rider  # commit record durable, rider not
-        assert log.durable_lsn < log.end_lsn
-
     def test_batched_commits_share_one_force(self):
         db = Database(fast_config())
         tree = db.create_index()
@@ -194,20 +186,6 @@ class TestGroupCommit:
         tree = db.tree(tree.index_id)
         for i in range(10):
             assert tree.lookup(key_of(i)) == value_of(i, 0)
-
-    def test_group_commit_disabled_forces_per_commit(self):
-        """The ablation baseline: with group commit off, the batch
-        block is inert and every commit pays its own force."""
-        db = Database(fast_config(group_commit=False))
-        tree = db.create_index()
-        forces_before = db.stats.get("log_forces")
-        with db.group_commit():
-            for i in range(8):
-                txn = db.begin()
-                tree.insert(txn, key_of(i), value_of(i, 0))
-                db.commit(txn)
-        assert db.stats.get("log_forces") - forces_before == 8
-        assert db.stats.get("group_commit_batches") == 0
 
     def test_unbatched_commits_force_individually(self):
         db = Database(fast_config())
