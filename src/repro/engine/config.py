@@ -34,6 +34,16 @@ from repro.wal.segments import DEFAULT_SEGMENT_BYTES
 MAX_PAGE_SIZE = 32768
 
 
+def check_recovery_mode(name: str, mode: str) -> str:
+    """Return ``mode`` if it names a restart or restore strategy;
+    raises :class:`ConfigError` otherwise.  The one check for the
+    configured modes and for every per-call override."""
+    if mode not in ("eager", "on_demand"):
+        raise ConfigError(
+            f"{name} must be 'eager' or 'on_demand', got {mode!r}")
+    return mode
+
+
 @dataclass(kw_only=True)
 class EngineConfig:
     """Everything needed to build a :class:`repro.engine.Database`.
@@ -152,14 +162,8 @@ class EngineConfig:
             raise ConfigError(
                 f"buffer_capacity must be at least 4 frames, "
                 f"got {self.buffer_capacity}")
-        if self.restart_mode not in ("eager", "on_demand"):
-            raise ConfigError(
-                f"restart_mode must be 'eager' or 'on_demand', "
-                f"got {self.restart_mode!r}")
-        if self.restore_mode not in ("eager", "on_demand"):
-            raise ConfigError(
-                f"restore_mode must be 'eager' or 'on_demand', "
-                f"got {self.restore_mode!r}")
+        check_recovery_mode("restart_mode", self.restart_mode)
+        check_recovery_mode("restore_mode", self.restore_mode)
         if self.commit_ack_mode not in ("local_durable", "replicated_durable"):
             raise ConfigError(
                 f"commit_ack_mode must be 'local_durable' or "

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.engine.config import check_recovery_mode
 from repro.engine.pending_recovery import BackupImage, PendingRecovery
 from repro.engine.system_recovery import (
     note_txn_record,
@@ -118,10 +119,7 @@ def run_media_recovery(db, backup_id: int,  # noqa: ANN001
     """
     report = MediaRecoveryReport()
     cfg = db.config
-    report.mode = mode or cfg.restore_mode
-    if report.mode not in ("eager", "on_demand"):
-        raise ValueError(f"restore mode must be 'eager' or 'on_demand', "
-                         f"got {report.mode!r}")
+    report.mode = check_recovery_mode("restore mode", mode or cfg.restore_mode)
 
     # Find the backup's position via the log's backup-record index —
     # an O(1) lookup, not a scan of the whole log.

@@ -43,6 +43,7 @@ durable, hence never shipped.
 from __future__ import annotations
 
 from repro.core.single_page import replay_records
+from repro.engine.config import check_recovery_mode
 from repro.errors import ReplicationError, ReproError
 from repro.page.page import Page
 from repro.sim.clock import SimClock
@@ -342,6 +343,8 @@ class Standby:
         if not self.running:
             raise ReplicationError(
                 f"cannot promote standby '{self.name}': it is down")
+        check_recovery_mode("restart mode",
+                            restart_mode or self.config.restart_mode)
         for page_id in sorted(self.pages):
             copy = self.pages[page_id].copy()
             copy.seal()

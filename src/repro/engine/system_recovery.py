@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
+from repro.engine.config import check_recovery_mode
 from repro.engine.pending_recovery import DeviceImage, PendingRecovery
 from repro.errors import SinglePageFailure, StorageError
 from repro.page.page import Page
@@ -85,6 +86,7 @@ def run_restart(db, mode: str | None = None) -> RestartReport:  # noqa: ANN001
     returns with the database already open for traffic, eager mode
     drains everything first.
     """
+    mode = check_recovery_mode("restart mode", mode or db.config.restart_mode)
     if db._media_failed:
         # A crash interrupted an on-demand restore (or hit an already
         # media-failed node): the device is not a trustworthy redo
@@ -98,9 +100,8 @@ def run_restart(db, mode: str | None = None) -> RestartReport:  # noqa: ANN001
             "device not restored; run recover_media() first (a restore "
             "interrupted by a crash re-runs from the same backup)")
 
-    report = RestartReport()
+    report = RestartReport(mode=mode)
     cfg = db.config
-    report.mode = mode or cfg.restart_mode
     db._crashed = False  # recovery itself may use engine services
 
     if cfg.spf_enabled:

@@ -1,7 +1,11 @@
 """Integration tests: engine configuration modes and log retention."""
 
+import pytest
+
 from repro.engine.database import Database
+from repro.errors import ConfigError
 from tests.conftest import fast_config, key_of, value_of
+from tests.test_media_matrix import media_fail
 
 
 def loaded(n=200, **overrides):
@@ -35,6 +39,36 @@ class TestProofReadMode:
         # Caught at write time: the read path never sees a failure.
         assert tree.lookup(key_of(0)) == b"proofed"
         assert db.stats.get("single_page_recoveries") == 0
+
+
+class TestPerCallRecoveryMode:
+    @pytest.mark.parametrize("surface", ["restart", "recover_media", "promote"])
+    def test_mistyped_mode_is_refused_before_recovery(self, surface):
+        """A per-call mode is checked like the configured one: a typo
+        fails typed and leaves the engine as it was, not recovered
+        eagerly under the wrong name."""
+        db, tree = loaded()
+        if surface == "restart":
+            db.crash()
+            with pytest.raises(ConfigError, match="'ondemand'"):
+                db.restart(mode="ondemand")
+            assert db._crashed
+            assert db.restart(mode="on_demand").mode == "on_demand"
+        elif surface == "recover_media":
+            backup_id = db.take_full_backup()
+            media_fail(db)
+            with pytest.raises(ConfigError, match="'lazy'"):
+                db.recover_media(backup_id, mode="lazy")
+            assert db._media_failed
+            report = db.recover_media(backup_id, mode="on_demand")
+            assert report.mode == "on_demand"
+        else:
+            standby = db.attach_standby()
+            with pytest.raises(ConfigError, match="'instant'"):
+                standby.promote(restart_mode="instant")
+            assert standby.running
+            db = standby.promote(restart_mode="on_demand")
+        assert db.tree(tree.index_id).lookup(key_of(0)) == value_of(0, 0)
 
 
 class TestLogRetention:
