@@ -313,8 +313,7 @@ class Standby:
         self.applied_lsn = NULL_LSN
         self._standby_crashes.inc()
 
-    def promote(self, restart_mode: str | None = None,
-                take_backup: bool = True):  # noqa: ANN201 - Database
+    def promote(self, restart_mode: str | None = None):  # noqa: ANN201 - Database
         """Failover: open the standby as the new primary.
 
         Installs the applied pages on the standby's device, then opens
@@ -327,10 +326,10 @@ class Standby:
         shared primitives.  In-flight transactions whose commit never
         shipped are exactly the losers analysis finds.
 
-        ``take_backup`` (default) takes a fresh full backup on the
-        promoted node: recovery-index entries shipped from the old
-        primary reference *its* backup media, which the new primary
-        does not have — dereferencing them would raise
+        The promoted node then takes a fresh full backup:
+        recovery-index entries shipped from the old primary reference
+        *its* backup media, which the new primary does not have —
+        dereferencing them would raise
         :class:`repro.errors.BackupRetired` and escalate.  The fresh
         backup re-covers every page locally.
 
@@ -357,7 +356,6 @@ class Standby:
                       durable=DurableState(self.device, self.log, backups))
         db.tm.restore_txn_id_floor(self.max_txn_seen)
         db.restart(mode=restart_mode)
-        if take_backup:
-            db.take_full_backup()
+        db.take_full_backup()
         self.running = False
         return db

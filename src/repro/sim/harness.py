@@ -72,6 +72,8 @@ __all__ = ["MODE_COMBOS", "ChaosConfig", "DurabilityOracle",
 
 MODE_COMBOS = (("eager", "eager"), ("eager", "on_demand"),
                ("on_demand", "eager"), ("on_demand", "on_demand"))
+#: keys a light check looks up (plus one absent key)
+SAMPLE_PROBES = 8
 
 
 class ScheduledCrashInterrupt(Exception):
@@ -272,8 +274,7 @@ class DurabilityOracle:
         return violations
 
     def sample_check(self, db: Database, rng: random.Random,
-                     context: str, n_probes: int = 8,
-                     index_id: int = 1) -> list[str]:
+                     context: str, index_id: int = 1) -> list[str]:
         """A light (a)+(b) probe that rides the lazy fix paths instead
         of draining pending work: look up a sample of keys and compare
         with the model.  Keys locked by pending losers are skipped —
@@ -283,7 +284,7 @@ class DurabilityOracle:
         violations: list[str] = []
         tree = db.tree(index_id)
         population = sorted(self.model)
-        probes = (rng.sample(population, min(n_probes, len(population)))
+        probes = (rng.sample(population, min(SAMPLE_PROBES, len(population)))
                   if population else [])
         probes += [key_of(10**6 + rng.randrange(100))]  # an absent key
         for key in probes:
