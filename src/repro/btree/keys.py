@@ -48,10 +48,3 @@ def shortest_separator(left: bytes, right: bytes) -> bytes:
     # domain candidate > left always holds when len(prefix) < len(left)
     # is false; fall back to right itself, which always separates.
     return right
-
-
-def strip_prefix(key: bytes, prefix: bytes) -> bytes:
-    """Remove a known prefix (prefix truncation of stored keys)."""
-    if not key.startswith(prefix):
-        raise ValueError(f"key {key!r} lacks prefix {prefix!r}")
-    return key[len(prefix):]

@@ -523,13 +523,6 @@ class BTreeNode(SlotReader):
         logs (:class:`repro.wal.ops.OpBulkDelete`)."""
         return OpBulkDelete(DATA_START + start, end - start)
 
-    def op_update_value(self, index: int, new_value: bytes,
-                        old: bytes | None = None) -> PageOp:
-        """``old``: the current value, if the caller has read it."""
-        if old is None:
-            old = self.value(index)
-        return value_rewrite(DATA_START + index, old, new_value)
-
     def op_set_ghost(self, index: int, ghost: bool,
                      old: bool | None = None) -> PageOp:
         """``old``: the current ghost bit, if the caller has read it."""

@@ -63,17 +63,6 @@ class PriEntry:
     def has_backup(self) -> bool:
         return self.backup_ref.kind != BackupRefKind.NONE
 
-    @property
-    def recovery_start_lsn(self) -> int:
-        """The PRI's *own* lower bound for the chain walk (Figure 9).
-
-        Recovery does not start here: the entry "may fall behind" while
-        the page is buffered (Figure 6), so the actual start is
-        :meth:`repro.wal.log_reader.LogReader.chain_start_lsn`, which
-        also consults the log's chain-head index.
-        """
-        return self.last_lsn if self.last_lsn is not None else self.backup_page_lsn
-
 
 class PageRecoveryIndex:
     """Ordered, range-compressed page recovery index.

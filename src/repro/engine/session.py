@@ -151,15 +151,6 @@ class Session:
         with self.db.latch.shared():
             return tree.lookup(key)
 
-    def lookup_or_none(self, tree, key: bytes):  # noqa: ANN001, ANN201
-        """:meth:`lookup`, with an absent key as ``None``."""
-        from repro.errors import KeyNotFound
-
-        try:
-            return self.lookup(tree, key)
-        except KeyNotFound:
-            return None
-
     # ------------------------------------------------------------------
     # Maintenance (exclusive; safe to run from a background thread
     # while other sessions keep executing between its latch holds)

@@ -276,9 +276,6 @@ class Page:
         """Recompute and store the checksum (done before every write)."""
         return _checksum.store_checksum(self.data)
 
-    def checksum_ok(self) -> bool:
-        return _checksum.verify_checksum(self.data)
-
     def verify(self, expected_page_id: int | None = None) -> None:
         """Run all in-page plausibility tests; raise on the first failure.
 

@@ -74,10 +74,6 @@ class SimClock:
         """Is a deadline currently armed?"""
         return self._on_deadline is not None
 
-    def elapsed_since(self, mark: float) -> float:
-        """Seconds elapsed since a previously recorded ``mark``."""
-        return self._now - mark
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.6f})"
 

@@ -178,6 +178,3 @@ class ClientFleet:
             ops.append((verb, key_index, payload))
         fate = "abort" if rng.random() < self.abort_fraction else "commit"
         return ClientAction(client, seq, fate, tuple(ops))
-
-    def actions_emitted(self, client: int) -> int:
-        return self._cursors[client]

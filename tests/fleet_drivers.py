@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.errors import DeadlockError, TransactionAborted
+from repro.errors import DeadlockError, KeyNotFound, TransactionAborted
 from repro.sync import Mutex
 from repro.txn.locks import LockConflict
 from repro.workloads.fleet import ClientAction, ClientFleet
@@ -182,7 +182,10 @@ class ThreadedFleetRunner:
             payload = payload[:self.VALUE_WIDTH].ljust(self.VALUE_WIDTH, b".")
             self._tally("ops")
             if verb == "lookup":
-                session.lookup_or_none(self.tree, key)
+                try:
+                    session.lookup(self.tree, key)
+                except KeyNotFound:
+                    pass
                 self._tally("lookups")
             elif verb == "delete":
                 if session.delete(self.tree, key):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.btree.keys import common_prefix, shortest_separator, strip_prefix
+from repro.btree.keys import common_prefix, shortest_separator
 from repro.btree.node import BTreeNode
 from repro.btree.verify import verify_tree
 from repro.errors import BTreeError, DuplicateKey, KeyNotFound
@@ -86,11 +86,6 @@ class TestKeyArithmetic:
         sep = shortest_separator(lo, hi)
         assert lo < sep <= hi
         assert len(sep) <= len(hi)
-
-    def test_strip_prefix(self):
-        assert strip_prefix(b"abcdef", b"abc") == b"def"
-        with pytest.raises(ValueError):
-            strip_prefix(b"xyz", b"abc")
 
 
 class TestBasicOperations:

@@ -479,15 +479,16 @@ class DirectoryDifferential(RuleBasedStateMachine):
         i = data.draw(st.integers(0, node.nrecs - 1))
         old = node.value(i)
         value = self.value(n, len(old) if size is None else size)
+        op = value_rewrite(DATA_START + i, old, value)
         if not node.room_for_value(i, value):
             with pytest.raises(PageFullError):
-                node.op_update_value(i, value).apply_redo(node.page)
+                op.apply_redo(node.page)
             return
         view = node.page.view
         self.lists_before = (
             list(view.keys),
             view.pids and [*view.pids[:i], n, *view.pids[i + 1:]])
-        self.apply(node.op_update_value(i, value), keeps_lists=True)
+        self.apply(op, keeps_lists=True)
         assert node.value(i) == value
 
     @precondition(lambda self: self.level == 0 and self.node.nrecs > 0)

@@ -153,7 +153,7 @@ class TestClientFleet:
     def test_resumable_cursor(self):
         fleet = ClientFleet(1, seed=9, key_space=50)
         first = fleet.next_action(0)
-        assert (first.seq, fleet.actions_emitted(0)) == (0, 1)
+        assert first.seq == 0
         assert fleet.next_action(0).seq == 1
 
     def test_some_actions_abort(self):

@@ -46,7 +46,6 @@ class TestPage:
         assert page.page_id == 42
         assert page.page_type == PageType.BTREE_LEAF
         assert page.page_lsn == NULL_LSN
-        assert page.checksum_ok()
         page.verify(expected_page_id=42)
 
     def test_minimum_size_enforced(self):

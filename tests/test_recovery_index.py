@@ -28,7 +28,6 @@ class TestPointEntries:
         assert entry.backup_page_lsn == 50
         assert entry.backup_time == 1.0
         assert entry.last_lsn is None
-        assert entry.recovery_start_lsn == 50
 
     def test_set_backup_returns_old_ref_for_freeing(self):
         """Figure 7: the backup-page field exists to free the old copy."""
@@ -43,7 +42,6 @@ class TestPointEntries:
         pri.record_write(5, 90)
         entry = pri.lookup(5)
         assert entry.last_lsn == 90
-        assert entry.recovery_start_lsn == 90
 
     def test_new_backup_clears_stale_write_lsn(self):
         """'Valid only if ... updated since the last backup' (Fig. 7)."""

@@ -38,12 +38,6 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-0.1)
 
-    def test_elapsed_since(self):
-        clock = SimClock()
-        mark = clock.now
-        clock.advance(2.0)
-        assert clock.elapsed_since(mark) == pytest.approx(2.0)
-
     def test_stopwatch(self):
         clock = SimClock()
         with StopWatch(clock) as watch:
