@@ -27,8 +27,8 @@ WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 #: name -> why it stays although only tests reach it
 ALLOWED = {
-    "remove_ghosts": "ghost reclamation (ROADMAP item 5) is its engine "
-                     "caller; until then the B-tree tests drive it",
+    "remove_ghosts": "ghost reclamation before a leaf split will be its "
+                     "engine caller; until then the B-tree tests drive it",
     "resident_pages": "test oracle: the leftover-pin check walks the "
                       "pool's frames (tests/conftest.assert_no_pins)",
     "point_lsn_count": "test oracle: the recovery index's serialization "
