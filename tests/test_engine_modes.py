@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.errors import ConfigError
+from repro.shard.worker import ShardWorker
 from tests.conftest import fast_config, key_of, value_of
 from tests.test_media_matrix import media_fail
 
@@ -42,11 +43,13 @@ class TestProofReadMode:
 
 
 class TestPerCallRecoveryMode:
-    @pytest.mark.parametrize("surface", ["restart", "recover_media", "promote"])
+    @pytest.mark.parametrize(
+        "surface", ["restart", "recover_media", "promote", "shard_restart"])
     def test_mistyped_mode_is_refused_before_recovery(self, surface):
         """A per-call mode is checked like the configured one: a typo
         fails typed and leaves the engine as it was, not recovered
-        eagerly under the wrong name."""
+        eagerly under the wrong name.  The shard ``restart`` verb passes
+        its operand through, so it refuses the same way."""
         db, tree = loaded()
         if surface == "restart":
             db.crash()
@@ -62,6 +65,15 @@ class TestPerCallRecoveryMode:
             assert db._media_failed
             report = db.recover_media(backup_id, mode="on_demand")
             assert report.mode == "on_demand"
+        elif surface == "shard_restart":
+            worker = ShardWorker(0, fast_config())
+            worker.execute(("put", key_of(0), value_of(0, 0)))
+            worker.execute(("crash",))
+            with pytest.raises(ConfigError, match="'eagerly'"):
+                worker.execute(("restart", "eagerly"))
+            assert worker.db._crashed
+            assert worker.execute(("restart", "eager")) == []
+            db, tree = worker.db, worker._tree
         else:
             standby = db.attach_standby()
             with pytest.raises(ConfigError, match="'instant'"):

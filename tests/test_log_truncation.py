@@ -162,6 +162,33 @@ class TestRangedScrub:
         assert found[victim - victim % 3] == 1
         assert tree.lookup(key_of(0)) == value_of(0, 0)
 
+    def test_a_pass_resumed_mid_device_wraps_around(self):
+        """A loop resuming at a saved cursor scans to the end, then from
+        page 0 back to the cursor: every page once, and damage behind
+        the cursor is found on the wrap."""
+        db, tree = self.build()
+        page, _n, _pid = tree._descend(key_of(0), for_write=False)
+        victim = page.page_id
+        db.pool.unfix(victim)
+        db.evict_everything()
+        db.device.inject_bit_rot(victim, nbits=5)
+        scrubber = Scrubber(db.device, db.recovery_manager, db.stats,
+                            skip=db.pool.resident)
+        last = db.allocated_pages()
+        cursor = victim + 1
+        covered, before_wrap, after_wrap = 0, 0, 0
+        for start in range(cursor, last, 4):
+            report = scrubber.scrub(start, min(start + 4, last))
+            covered += report.pages_scanned + report.pages_skipped
+            before_wrap += report.failures_repaired
+        for start in range(0, cursor, 4):
+            report = scrubber.scrub(start, min(start + 4, cursor))
+            covered += report.pages_scanned + report.pages_skipped
+            after_wrap += report.failures_repaired
+        assert covered == last
+        assert (before_wrap, after_wrap) == (0, 1)
+        assert tree.lookup(key_of(0)) == value_of(0, 0)
+
     def test_empty_range(self):
         db, _tree = self.build()
         scrubber = Scrubber(db.device, db.recovery_manager, db.stats)

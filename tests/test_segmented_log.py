@@ -168,6 +168,16 @@ class TestGroupCommit:
         assert log.durable_lsn == log.end_lsn  # the rider hardened too
         assert stats.get("group_commit_rider_bytes") > 0
 
+    def test_records_after_the_commit_survive_a_crash(self):
+        """A commit force hardens the whole buffered tail, so a record
+        appended behind the commit outlives the crash with it."""
+        log = make_log()
+        commit = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
+        rider = log.append(LogRecord(LogRecordKind.SYS_COMMIT, txn_id=2))
+        log.commit_force(commit)
+        log.crash()
+        assert [r.lsn for r in log.records_from(commit)] == [commit, rider]
+
     def test_batched_commits_share_one_force(self):
         db = Database(fast_config())
         tree = db.create_index()
@@ -185,6 +195,40 @@ class TestGroupCommit:
         db.restart()
         tree = db.tree(tree.index_id)
         for i in range(10):
+            assert tree.lookup(key_of(i)) == value_of(i, 0)
+
+    def test_nested_blocks_join_the_outer_force(self):
+        db = Database(fast_config())
+        tree = db.create_index()
+        forces_before = db.stats.get("log_forces")
+        with db.group_commit():
+            for i in range(6):
+                with db.group_commit():
+                    txn = db.begin()
+                    tree.insert(txn, key_of(i), value_of(i, 0))
+                    db.commit(txn)
+            assert db.stats.get("log_forces") == forces_before
+        assert db.stats.get("log_forces") - forces_before == 1
+        assert db.stats.get("group_commit_batches") == 1
+        assert db.stats.get("group_commit_batched_commits") == 6
+
+    def test_a_raising_block_still_forces_its_commits(self):
+        """The closing force runs even if the block raises: every commit
+        that returned is durable once the block exits."""
+        db = Database(fast_config())
+        tree = db.create_index()
+        with pytest.raises(RuntimeError, match="client gave up"):
+            with db.group_commit():
+                for i in range(4):
+                    txn = db.begin()
+                    tree.insert(txn, key_of(i), value_of(i, 0))
+                    db.commit(txn)
+                raise RuntimeError("client gave up")
+        assert db.log.durable_lsn == db.log.end_lsn
+        db.crash()
+        db.restart()
+        tree = db.tree(tree.index_id)
+        for i in range(4):
             assert tree.lookup(key_of(i)) == value_of(i, 0)
 
     def test_unbatched_commits_force_individually(self):
