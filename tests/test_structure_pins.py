@@ -1,0 +1,174 @@
+"""Page and log bytes of three write streams, pinned unmasked.
+
+The slotted-page mutators are the engine's one redo primitive: a
+split, an adoption and a prefix extension run them forward, and every
+replay of a page's chain runs them again.  Whatever their code looks
+like, the bytes they leave are fixed, so each stream below pins the
+sha256 of every device page image — checksum, PageLSN, update counter
+and heap garbage included — and of the log's encoded records:
+
+* ``kv_load``: the first 2 000 records of the bench's kv load, in the
+  bench's 500-record ``apply_batch`` calls on its engine config;
+* ``dblp_load``: the first 1 500 records of the bench's DBLP corpus,
+  loaded the same way on the DBLP workload's config (a 72-frame pool,
+  so write-back runs and their PRI records are in the log too);
+* ``random_stream``: a seeded stream of puts, deletes and ghost
+  removals on 1 KiB pages in which some prefix extension fits only
+  after compaction, then an adoption whose prefix extension hardened
+  cut before its commit and rolled back as a restart loser — which
+  runs ``OpExtendPrefix.apply_undo``.
+
+A change that means to move these bytes is a change to the page or
+log format and says so; ``PYTHONPATH=src python -m
+tests.test_structure_pins`` prints the digests.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+
+import repro
+from bench.workloads import WORKLOADS, DblpCorpus, kv_records
+from repro.engine.database import Database
+from repro.page.slotted import SLOT_SIZE, SlottedPage
+from repro.wal.ops import OpExtendPrefix
+from tests.conftest import fast_config
+from tests.test_structure_records import _arm, _Cut, _put
+
+PINNED = {
+    "kv_load": (
+        "4dfa60ee4c695595856104fa3610e1f6ccf4398c7f82c41ebc493a93369e9732",
+        "b16253412a895f2721dcd7306b293b66452c685e812c06a54e29936408a19968",
+    ),
+    "dblp_load": (
+        "3236a986ef8569ade0d35843ca35876d333211417d91f9dec3e0074b47649e8f",
+        "cf9e9da15afdd6eae857b0afd9ca26da9ae6b446026f61148944cfe0d57c8fc5",
+    ),
+    "random_stream": (
+        "32863aa7e29484ceef33adf8c1b24da44d41bb800d2838a0775ec0c7d350ecde",
+        "d968456832c3b347a33626b47225676a7cf8a7d08f9813a8757b7d46586e7676",
+    ),
+}
+
+_BATCH = 500
+
+
+def _digests(db: Database) -> tuple[str, str]:
+    """(sha256 of every device page image, sha256 of the log's records)
+    after everything resident is written back."""
+    db.flush_everything()
+    pages = hashlib.sha256()
+    for pid in range(db.config.capacity_pages):
+        image = db.device.raw_image(pid)
+        if image is not None:
+            pages.update(pid.to_bytes(8, "little") + image)
+    log = hashlib.sha256()
+    for record in db.log.all_records():
+        log.update(record.lsn.to_bytes(8, "little") + record.encode())
+    return pages.hexdigest(), log.hexdigest()
+
+
+def _load(workload: str, records: list[tuple[bytes, bytes]]) -> tuple[str, str]:
+    client = repro.connect(WORKLOADS[workload].engine_config(1))
+    for i in range(0, len(records), _BATCH):
+        client.apply_batch([("put", key, value)
+                            for key, value in records[i:i + _BATCH]])
+    return _digests(client.db)
+
+
+def kv_load() -> tuple[str, str]:
+    return _load("kv_hot_embedded", kv_records(1, 8_000)[:2_000])
+
+
+def dblp_load() -> tuple[str, str]:
+    return _load("dblp_cold_embedded", DblpCorpus(1, 6_000).records[:1_500])
+
+
+def _after_compaction(page, op: OpExtendPrefix) -> bool:  # noqa: ANN001
+    """Does ``op``'s re-encoded run fit only once the page compacts?"""
+    slotted = SlottedPage(page)
+    run = sum(2 + len(r.key) + len(r.value) for r in
+              slotted.records(include_ghosts=True)[op.slot:op.slot + op.count])
+    free = page.size - slotted.slot_count * SLOT_SIZE - slotted.heap_end
+    return free < run - op.count * len(op.stripped)
+
+
+def random_stream(monkeypatch) -> tuple[str, str]:  # noqa: ANN001
+    seen = {"compacting": 0, "undone": 0}
+    redo, undo = OpExtendPrefix.apply_redo, OpExtendPrefix.apply_undo
+
+    def extending(op, page):  # noqa: ANN001, ANN202
+        if _after_compaction(page, op):
+            seen["compacting"] += 1
+        return redo(op, page)
+
+    def undoing(op, page):  # noqa: ANN001, ANN202
+        seen["undone"] += 1
+        return undo(op, page)
+
+    db = Database(fast_config(page_size=1024, capacity_pages=2048,
+                              buffer_capacity=256))
+    tree = db.create_index()
+    rng = random.Random("structure-pins")
+    live: list[int] = []
+    with monkeypatch.context() as patch:
+        patch.setattr(OpExtendPrefix, "apply_redo", extending)
+        for _round in range(12):
+            txn = db.begin()
+            for _ in range(40):
+                if live and rng.random() < 0.3:
+                    i = live.pop(rng.randrange(len(live)))
+                    db.locks.acquire(txn.txn_id, b"k%05d" % i)
+                    tree.delete(txn, b"k%05d" % i)
+                else:
+                    i = rng.randrange(3_000)
+                    db.locks.acquire(txn.txn_id, b"k%05d" % i)
+                    tree.upsert(txn, b"k%05d" % i, bytes([65 + i % 26])
+                                * rng.randrange(4, 60))
+                    if i not in live:
+                        live.append(i)
+            db.commit(txn)
+            leaf = tree._descend(b"k%05d" % rng.randrange(3_000),
+                                 for_write=False)[2]
+            db.pool.unfix(leaf)
+            tree.remove_ghosts(leaf)
+    assert seen["compacting"], "no prefix extension needed compaction"
+    _arm(db, tree, monkeypatch, "adoption, before the commit")
+    for i in range(3_000, 6_000):
+        try:
+            _put(db, tree, [i])
+        except _Cut:
+            break
+    else:
+        raise AssertionError("no adoption extended a prefix")
+    db.crash()
+    monkeypatch.undo()
+    monkeypatch.setattr(OpExtendPrefix, "apply_undo", undoing)
+    db.restart("eager")
+    assert seen["undone"], "restart undid no prefix extension"
+    return _digests(db)
+
+
+def test_the_kv_load_leaves_its_pinned_bytes():
+    assert kv_load() == PINNED["kv_load"]
+
+
+def test_the_dblp_load_leaves_its_pinned_bytes():
+    assert dblp_load() == PINNED["dblp_load"]
+
+
+def test_a_random_stream_with_a_rolled_back_adoption_leaves_its_pinned_bytes(
+        monkeypatch):
+    assert random_stream(monkeypatch) == PINNED["random_stream"]
+
+
+if __name__ == "__main__":
+    from _pytest.monkeypatch import MonkeyPatch
+
+    if sys.argv[1:]:
+        sys.exit(__doc__)
+    with MonkeyPatch().context() as patch:
+        print({"kv_load": kv_load(), "dblp_load": dblp_load(),
+               "random_stream": random_stream(patch)})
