@@ -63,8 +63,7 @@ from typing import Iterator
 
 from repro.errors import BTreeError
 from repro.page.page import HEADER_SIZE, TYPE_OFFSET, Page, PageType
-from repro.page.slotted import (LENGTH_MASK, SLOT_SIZE, Record, SlotReader,
-                                SlottedPage)
+from repro.page.slotted import LENGTH_MASK, SLOT_SIZE, SlotReader, SlottedPage
 from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpDelete,
                            OpExtendPrefix, OpInsert, OpSetGhost, PageOp,
                            value_rewrite)
@@ -83,6 +82,8 @@ FLAG_HIGH_INF = 1
 
 #: pid value meaning "no foster child"
 NO_FOSTER = 0
+#: a page id's bytes, as a room check sizes a branch record
+_NO_PID = _PID.pack(NO_FOSTER)
 
 
 def encode_meta(level: int, high_inf: bool, prefix: bytes) -> bytes:
@@ -158,10 +159,10 @@ class NodeView:
                     pids[i] = decode_pid(value)
             elif removed or records:
                 prefix = self.prefix
-                keys[i:i + removed] = [prefix + rec.key for rec in records]
+                keys[i:i + removed] = [prefix + key for key, _v, _g in records]
                 if pids is not None:
-                    pids[i:i + removed] = [decode_pid(rec.value)
-                                           for rec in records]
+                    pids[i:i + removed] = [_PID.unpack(value)[0]
+                                           for _k, value, _g in records]
         return self
 
 
@@ -467,8 +468,7 @@ class BTreeNode(SlotReader):
     # Space accounting
     # ------------------------------------------------------------------
     def room_for(self, key: bytes, value: bytes) -> bool:
-        record = Record(self._strip(key), value)
-        return self.slotted.room_for(record)
+        return self.slotted.room_for((self._strip(key), value, False))
 
     def room_for_value(self, i: int, value: bytes) -> bool:
         """Can data record ``i`` take ``value`` without a split?"""
@@ -479,8 +479,7 @@ class BTreeNode(SlotReader):
             # An adoption may post a key outside the stale prefix; the
             # caller must split first.
             return False
-        record = Record(key[len(self.prefix):], encode_pid(0))
-        return self.slotted.room_for(record)
+        return self.slotted.room_for((key[len(self.prefix):], _NO_PID, False))
 
     # ------------------------------------------------------------------
     # Operation builders (logged and applied by the tree)

@@ -40,8 +40,7 @@ short, key length.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.errors import (PageFailureKind, RecoveryError, ReproError,
                           SinglePageFailure)
@@ -58,6 +57,9 @@ LENGTH_MASK = 0x7FFF
 # speed.
 _U16 = struct.Struct("<H")
 _SLOT = struct.Struct("<HH")
+#: the slotted header's three counts — slot_count, heap_end, frag_bytes
+#: — read once and written once by each mutator
+_COUNTS = struct.Struct("<HHH")
 
 
 #: Page types whose body is a slotted area (eligible for indirection-
@@ -81,6 +83,40 @@ def _slot_words(count: int) -> struct.Struct:
     if words is None:
         words = _DIRECTORY_STRUCTS[count] = struct.Struct(f"<{2 * count}H")
     return words
+
+
+def _compact(data: bytearray, size: int, count: int, skip: int = 0,
+             n: int = 0) -> int:
+    """Rewrite the live records of a page's ``count`` slots, but the
+    ``n`` from ``skip`` up, one after another from the heap start in
+    slot order, and point their slot words at them; returns the new
+    heap end.  A retired slot (offset and length 0,
+    :func:`update_value`) stays as it is, and so do the skipped slots'
+    words; the header and the bytes past the new heap end are left to
+    the caller."""
+    if not count:
+        return _HEAP_START
+    start = size - count * SLOT_SIZE
+    words = list(_slot_words(count).unpack_from(data, start))
+    heap = []
+    offset = _HEAP_START
+    # Read backwards, the words are the slots in slot order; the
+    # skipped run's words lie at [2 * (count - skip - n), 2 * (count - skip)).
+    below = 2 * (count - skip - n)
+    above = 2 * (count - skip)
+    for i in range(2 * count - 2, -1, -2):
+        if below <= i < above:
+            continue
+        at = words[i]
+        length = words[i + 1] & LENGTH_MASK
+        if not at and not length:
+            continue
+        heap.append(data[at:at + length])
+        words[i] = offset
+        offset += length
+    data[_HEAP_START:offset] = b"".join(heap)
+    _slot_words(count).pack_into(data, start, *words)
+    return offset
 
 
 def _implausible(page_id: int, detail: str) -> SinglePageFailure:
@@ -144,17 +180,15 @@ class PageFullError(ReproError):
     """Not enough contiguous or reclaimable space for an insertion."""
 
 
-@dataclass(frozen=True, slots=True)
-class Record:
-    """A logical record: key, value, and ghost flag."""
+class Record(NamedTuple):
+    """A logical record: key, value, and ghost flag — the read type
+    (:meth:`SlottedPage.read_record`, :meth:`SlottedPage.records`).
+    The mutators take any ``(key, value, ghost)`` row, a record among
+    them: a log record's rows reach the page as the tuples they are."""
 
     key: bytes
     value: bytes
     ghost: bool = False
-
-    @property
-    def stored_length(self) -> int:
-        return 2 + len(self.key) + len(self.value)
 
 
 class SlotReader:
@@ -265,9 +299,6 @@ class SlottedPage(SlotReader):
     def slot_count(self) -> int:
         return _U16.unpack_from(self.page.data, HEADER_SIZE)[0]
 
-    def _set_slot_count(self, n: int) -> None:
-        _U16.pack_into(self.page.data, HEADER_SIZE, n)
-
     @property
     def heap_end(self) -> int:
         return _U16.unpack_from(self.page.data, HEADER_SIZE + 2)[0]
@@ -311,10 +342,14 @@ class SlottedPage(SlotReader):
         """Contiguous free bytes between the heap and the slot directory."""
         return self.slots_start - self.heap_end
 
-    def room_for(self, record: Record) -> bool:
-        """Can ``record`` be inserted, possibly after compaction?"""
-        needed = record.stored_length + SLOT_SIZE
-        return self.free_space + self.frag_bytes >= needed
+    def room_for(self, record: tuple[bytes, bytes, bool]) -> bool:
+        """Can ``record`` — a ``(key, value, ghost)`` row — be inserted,
+        possibly after compaction?"""
+        key, value, _ghost = record
+        count, heap_end, frag_bytes = _COUNTS.unpack_from(self.page.data,
+                                                          HEADER_SIZE)
+        return (self.page.size - count * SLOT_SIZE - heap_end + frag_bytes
+                >= 2 + len(key) + len(value) + SLOT_SIZE)
 
     def room_for_value(self, index: int, value: bytes) -> bool:
         """Can :func:`update_value` store ``value`` in slot ``index``,
@@ -390,138 +425,110 @@ class SlottedPage(SlotReader):
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def insert(self, index: int, record: Record) -> None:
-        """Insert ``record`` at slot position ``index``, shifting slots up."""
-        if not 0 <= index <= self.slot_count:
-            raise IndexError(f"insert position {index} out of range")
-        needed = record.stored_length + SLOT_SIZE
-        if self.free_space < needed:
-            if self.free_space + self.frag_bytes >= needed:
-                self.compact()
-            if self.free_space < needed:
-                raise PageFullError(
-                    f"need {needed} bytes, have {self.free_space} "
-                    f"(+{self.frag_bytes} fragmented)")
-        self.page.invalidate_view(index, 0, (record,))
-        offset = self._append_to_heap(record)
-        # Shift slot entries [index, slot_count) one position outward —
-        # they are contiguous, so this is a single 4-byte-down block
-        # move (bytearray slice assignment copies the source first, so
-        # the overlap is safe).
-        count = self.slot_count
-        if count > index:
-            data = self.page.data
-            start = self.page.size - count * SLOT_SIZE
-            end = self.page.size - index * SLOT_SIZE
-            data[start - SLOT_SIZE:end - SLOT_SIZE] = data[start:end]
-        self._set_slot_count(count + 1)
-        self._write_slot(index, offset, record.stored_length, record.ghost)
+    def insert(self, index: int, record: tuple[bytes, bytes, bool]) -> None:
+        """Insert ``record`` — a ``(key, value, ghost)`` row — at slot
+        position ``index``, shifting slots up: a run of one."""
+        self.insert_run(index, (record,))
 
-    def _append_to_heap(self, record: Record) -> int:
+    def _append_to_heap(self, record: tuple[bytes, bytes, bool]) -> int:
         offset = self.heap_end
-        data = self.page.data
-        struct.pack_into("<H", data, offset, len(record.key))
-        body_start = offset + 2
-        data[body_start:body_start + len(record.key)] = record.key
-        value_start = body_start + len(record.key)
-        data[value_start:value_start + len(record.value)] = record.value
-        self._set_heap_end(offset + record.stored_length)
+        key, value, _ghost = record
+        end = offset + 2 + len(key) + len(value)
+        self.page.data[offset:end] = _U16.pack(len(key)) + key + value
+        self._set_heap_end(end)
         return offset
 
     def remove(self, index: int) -> None:
         """Physically remove slot ``index`` (ghost removal / compaction)."""
-        if not 0 <= index < self.slot_count:
+        page = self.page
+        data = page.data
+        count, heap_end, frag_bytes = _COUNTS.unpack_from(data, HEADER_SIZE)
+        if not 0 <= index < count:
             raise IndexError(f"slot {index} out of range")
-        self.page.invalidate_view(index, 1)
-        _offset, length, _ghost = self._read_slot(index)
-        self._set_frag_bytes(self.frag_bytes + length)
+        page.invalidate_view(index, 1)
         # Shift slot entries [index + 1, slot_count) one position in —
         # a single 4-byte-up block move of the contiguous directory.
-        count = self.slot_count
-        if index < count - 1:
-            data = self.page.data
-            start = self.page.size - count * SLOT_SIZE
-            end = self.page.size - (index + 1) * SLOT_SIZE
-            data[start + SLOT_SIZE:end + SLOT_SIZE] = data[start:end]
-        self._set_slot_count(count - 1)
+        end = page.size - (index + 1) * SLOT_SIZE
+        length = _U16.unpack_from(data, end + 2)[0] & LENGTH_MASK
+        start = page.size - count * SLOT_SIZE
+        data[start + SLOT_SIZE:end + SLOT_SIZE] = data[start:end]
+        _COUNTS.pack_into(data, HEADER_SIZE, count - 1, heap_end,
+                          frag_bytes + length)
 
-    def insert_run(self, index: int, records: list[Record]) -> None:
-        """Insert ``records`` at consecutive slots starting at ``index``.
+    def insert_run(self, index: int,
+                   rows: tuple | list) -> None:
+        """Insert ``rows`` — ``(key, value, ghost)`` each — at
+        consecutive slots starting at ``index``.
 
-        The bytes :meth:`insert` of each record in turn leaves, in one
-        directory shift, one heap write and one slot-directory write:
-        a leaf run of a sorted batch, a split's moved half and a prefix
-        re-encoding cost one block move each instead of one per record.
+        One header read, one directory shift, one heap write, one
+        slot-directory write and one header write, compacting first when
+        only the fragmented space makes room: a leaf run of a sorted
+        batch, a split's moved half and a single insert alike.
         """
-        n = len(records)
+        n = len(rows)
         if n == 0:
-            return
-        if n == 1:
-            self.insert(index, records[0])
             return
         page = self.page
         data = page.data
         size = page.size
-        count, heap_end, frag_bytes, _reserved = _SLOTTED_HEADER.unpack_from(
-            data, HEADER_SIZE)
+        count, heap_end, frag_bytes = _COUNTS.unpack_from(data, HEADER_SIZE)
         if not 0 <= index <= count:
             raise IndexError(f"insert position {index} out of range")
-        needed = sum(r.stored_length for r in records) + SLOT_SIZE * n
+        heap: list[bytes] = []
+        words: list[int] = []
+        offset = heap_end
+        for key, value, ghost in rows:
+            length = 2 + len(key) + len(value)
+            heap += (_U16.pack(len(key)), key, value)
+            words += (length | _GHOST_BIT if ghost else length, offset)
+            offset += length
+        needed = offset - heap_end + SLOT_SIZE * n
         free = size - count * SLOT_SIZE - heap_end
         if free < needed:
             if free + frag_bytes >= needed:
-                self.compact()
-                heap_end = self.heap_end
-                free = size - count * SLOT_SIZE - heap_end
+                compacted = _compact(data, size, count)
+                free += heap_end - compacted
+                words[1::2] = [at - heap_end + compacted
+                               for at in words[1::2]]
+                offset += compacted - heap_end
+                heap_end, frag_bytes = compacted, 0
             if free < needed:
                 raise PageFullError(
                     f"need {needed} bytes, have {free} "
                     f"(+{frag_bytes} fragmented)")
-        page.invalidate_view(index, 0, records)
+        page.invalidate_view(index, 0, rows)
         if count > index:
             start = size - count * SLOT_SIZE
             end = size - index * SLOT_SIZE
             shift = n * SLOT_SIZE
             data[start - shift:end - shift] = data[start:end]
-        heap: list[bytes] = []
-        words: list[int] = []
-        offset = heap_end
-        for record in records:
-            key = record.key
-            length = 2 + len(key) + len(record.value)
-            heap += (_U16.pack(len(key)), key, record.value)
-            words += (length | _GHOST_BIT if record.ghost else length, offset)
-            offset += length
         data[heap_end:offset] = b"".join(heap)
         # Slots grow downwards: the run's last slot lies lowest, and each
         # slot is (offset, length_flags), hence the reversed words.
         words.reverse()
         _slot_words(n).pack_into(data, size - (index + n) * SLOT_SIZE, *words)
-        self._set_slot_count(count + n)
-        self._set_heap_end(offset)
+        _COUNTS.pack_into(data, HEADER_SIZE, count + n, offset, frag_bytes)
 
     def remove_run(self, index: int, n: int) -> None:
         """Remove ``n`` consecutive slots starting at ``index``."""
         if n == 0:
             return
-        count = self.slot_count
+        page = self.page
+        data = page.data
+        size = page.size
+        count, heap_end, frag_bytes = _COUNTS.unpack_from(data, HEADER_SIZE)
         if n < 0 or not 0 <= index <= count - n:
             raise IndexError(
                 f"slot run [{index}, {index + n}) out of range")
-        self.page.invalidate_view(index, n)
-        freed = 0
-        for i in range(index, index + n):
-            _offset, length, _ghost = self._read_slot(i)
-            freed += length
-        self._set_frag_bytes(self.frag_bytes + freed)
-        if index + n < count:
-            data = self.page.data
-            size = self.page.size
-            start = size - count * SLOT_SIZE
-            end = size - (index + n) * SLOT_SIZE
-            shift = n * SLOT_SIZE
-            data[start + shift:end + shift] = data[start:end]
-        self._set_slot_count(count - n)
+        page.invalidate_view(index, n)
+        end = size - (index + n) * SLOT_SIZE
+        freed = sum(map(LENGTH_MASK.__and__,
+                        _slot_words(n).unpack_from(data, end)[1::2]))
+        start = size - count * SLOT_SIZE
+        shift = n * SLOT_SIZE
+        data[start + shift:end + shift] = data[start:end]
+        _COUNTS.pack_into(data, HEADER_SIZE, count - n, heap_end,
+                          frag_bytes + freed)
 
     def reprefix_run(self, index: int, n: int, old: bytes,
                      new: bytes) -> None:
@@ -529,28 +536,61 @@ class SlottedPage(SlotReader):
         from ``index`` up by ``new``, leaving the bytes
         :meth:`remove_run` and :meth:`insert_run` of the re-keyed
         records leave (a B-tree node's prefix extension and its undo,
-        :class:`repro.wal.ops.OpExtendPrefix`).  A run past the last
-        slot, or a key that does not start with ``old``, is refused
-        before a byte is written, as :class:`RecoveryError`."""
+        :class:`repro.wal.ops.OpExtendPrefix`), in one pass: the
+        re-keyed rows go to the heap end, after the live records outside
+        the run are compacted when only that makes room.  A run past the
+        last slot, or a key that does not start with ``old``, is refused
+        as :class:`RecoveryError`, and a run that does not fit as
+        :class:`PageFullError` — each before a byte is written."""
         page = self.page
-        if not 0 <= index <= self.slot_count - n:
+        data = page.data
+        size = page.size
+        count, heap_end, frag_bytes = _COUNTS.unpack_from(data, HEADER_SIZE)
+        if not 0 <= index <= count - n:
             raise RecoveryError(
                 f"slot run [{index}, {index + n}) out of range on page "
                 f"{page.page_id}")
         cut = len(old)
-        records = []
-        for key, value, ghost in self.rows(index):
-            if len(records) == n:
-                break
-            if key[:cut] != old:
+        grow = len(new) - cut
+        run_at = size - (index + n) * SLOT_SIZE
+        words = list(_slot_words(n).unpack_from(data, run_at))
+        heap: list[bytes] = []
+        removed = 0
+        # The run's words read backwards are its slots in slot order.
+        for i in range(2 * n - 2, -1, -2):
+            at = words[i]
+            length = words[i + 1] & LENGTH_MASK
+            key_len = data[at] + (data[at + 1] << 8)
+            if key_len < cut or data[at + 2:at + 2 + cut] != old:
                 raise RecoveryError(
-                    f"key {key!r} in slot {index + len(records)} on "
-                    f"page {page.page_id} lacks the prefix {old!r} it is "
-                    f"re-encoded from")
-            records.append(Record(new + key[cut:], value, ghost))
-        page.invalidate_view()
-        self.remove_run(index, n)
-        self.insert_run(index, records)
+                    f"key {bytes(data[at + 2:at + 2 + key_len])!r} in slot "
+                    f"{index + n - 1 - i // 2} on page {page.page_id} lacks "
+                    f"the prefix {old!r} it is re-encoded from")
+            heap += (_U16.pack(key_len + grow), new,
+                     data[at + 2 + cut:at + length])
+            removed += length
+            words[i + 1] += grow
+        added = removed + n * grow
+        free = size - count * SLOT_SIZE - heap_end
+        if free < added:
+            if free + frag_bytes + removed < added:
+                raise PageFullError(
+                    f"need {added + n * SLOT_SIZE} bytes, have "
+                    f"{free + n * SLOT_SIZE} "
+                    f"(+{frag_bytes + removed} fragmented)")
+            page.invalidate_view()
+            heap_end = _compact(data, size, count, index, n)
+            frag_bytes = 0
+        else:
+            page.invalidate_view()
+            frag_bytes += removed
+        offset = heap_end
+        for i in range(2 * n - 2, -1, -2):
+            words[i] = offset
+            offset += words[i + 1] & LENGTH_MASK
+        data[heap_end:offset] = b"".join(heap)
+        _slot_words(n).pack_into(data, run_at, *words)
+        _COUNTS.pack_into(data, HEADER_SIZE, count, offset, frag_bytes)
 
     def compact(self) -> None:
         """Rewrite the heap to reclaim fragmented free space.
@@ -561,20 +601,10 @@ class SlottedPage(SlotReader):
         values are unchanged, so decoded views (which hold copies, not
         offsets) stay valid.
         """
-        live: list[tuple[int, Record]] = []
-        dead: list[int] = []
-        for i in range(self.slot_count):
-            offset, length, ghost = self._read_slot(i)
-            if offset == 0 and length == 0:
-                dead.append(i)  # slot temporarily retired by update_value
-            else:
-                live.append((i, self.read_record(i)))
-        heap_start = HEADER_SIZE + SLOTTED_HEADER_SIZE
-        self._set_heap_end(heap_start)
-        self._set_frag_bytes(0)
-        for index, record in live:
-            offset = self._append_to_heap(record)
-            self._write_slot(index, offset, record.stored_length, record.ghost)
+        data = self.page.data
+        count = _U16.unpack_from(data, HEADER_SIZE)[0]
+        _COUNTS.pack_into(data, HEADER_SIZE, count,
+                          _compact(data, self.page.size, count), 0)
 
     # ------------------------------------------------------------------
     # Plausibility analysis (failure detection, Section 4.2)
@@ -643,7 +673,7 @@ def update_value(page: Page, index: int, value: bytes, prefix: int = 0,
         slotted._set_frag_bytes(slotted.frag_bytes + (length - needed))
         return
     # Relocate within the heap.
-    new = Record(bytes(data[offset + 2:key_end]), value, ghost)
+    new = (bytes(data[offset + 2:key_end]), value, ghost)
     # Retire the old bytes so compaction can reclaim them.
     slotted._set_frag_bytes(slotted.frag_bytes + length)
     slotted._write_slot(index, 0, 0, ghost)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import LogError, RecoveryError
 from repro.page.page import Page, PageType
-from repro.page.slotted import (LENGTH_MASK, Record, SlottedPage, mark_ghost,
+from repro.page.slotted import (LENGTH_MASK, SlottedPage, mark_ghost,
                                 update_value)
 
 
@@ -158,7 +158,7 @@ class OpInsert(PageOp):
     kind = 1
 
     def apply_redo(self, page: Page) -> None:
-        SlottedPage(page).insert(self.slot, Record(self.key, self.value, self.ghost))
+        SlottedPage(page).insert(self.slot, (self.key, self.value, self.ghost))
 
     def apply_undo(self, page: Page) -> None:
         SlottedPage(page).remove(self.slot)
@@ -194,7 +194,7 @@ class OpDelete(PageOp):
         SlottedPage(page).remove(self.slot)
 
     def apply_undo(self, page: Page) -> None:
-        SlottedPage(page).insert(self.slot, Record(self.key, self.value, self.ghost))
+        SlottedPage(page).insert(self.slot, (self.key, self.value, self.ghost))
 
     def encoded_size(self) -> int:
         return 8 + len(self.key) + len(self.value)
@@ -493,8 +493,7 @@ class OpBulkInsert(PageOp):
     kind = 7
 
     def apply_redo(self, page: Page) -> None:
-        SlottedPage(page).insert_run(
-            self.slot, [Record(k, v, g) for k, v, g in self.records])
+        SlottedPage(page).insert_run(self.slot, self.records)
 
     def apply_undo(self, page: Page) -> None:
         SlottedPage(page).remove_run(self.slot, len(self.records))
