@@ -567,9 +567,8 @@ class FosterBTree:
         every = self.adopt_every
         seen = self._adopt_opportunities
         limit = node.page.size // 8
-        try_acquire = self.tm.locks.try_acquire
-        txn_id = txn.txn_id
         run = [(key, value, False)]
+        keys = []
         prev = key
         for op in islice(ops, at, None):
             if len(op) < 3 or op[0] != "put":
@@ -580,16 +579,20 @@ class FosterBTree:
                     or len(k) + len(v) > limit):
                 break
             used += _ROW_OVERHEAD + len(k) - cut + len(v)
-            if (used > room or owed and seen % every + owed >= every
-                    or not try_acquire(txn_id, k)):
+            if used > room or owed and seen % every + owed >= every:
                 break
             seen += owed
             run.append((k, v, False))
+            keys.append(k)
             prev = k
-        if len(run) == 1:
+        # The locks, in key order up to the first another transaction
+        # holds: the run ends before that key, as if its turn had come.
+        taken = self.tm.locks.try_acquire_run(txn.txn_id, keys) if keys else 0
+        if not taken:
             return None
-        self._adopt_opportunities = seen
-        batch.next = at + len(run) - 1
+        del run[1 + taken:]
+        self._adopt_opportunities = seen - owed * (len(keys) - taken)
+        batch.next = at + taken
         return run
 
     def lookup(self, key: bytes) -> bytes:

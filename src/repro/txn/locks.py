@@ -91,19 +91,24 @@ class LockManager:
             del self._waits_for[txn_id]
             raise LockConflict(txn_id, key, holder)
 
-    def try_acquire(self, txn_id: int, key: bytes) -> bool:
-        """Acquire ``key`` for ``txn_id`` if no other transaction holds
-        it; False, with nothing registered, if one does.  For a caller
-        that must not wait, resolve a conflict or roll a loser back —
-        one holding a page pinned (a leaf run, see
+    def try_acquire_run(self, txn_id: int, keys: list[bytes]) -> int:
+        """Acquire ``keys`` for ``txn_id`` in order, in one mutex hold,
+        up to the first that another transaction holds; returns how
+        many are now ``txn_id``'s, nothing registered past them.  For a
+        caller that must not wait, resolve a conflict or roll a loser
+        back — one holding a page pinned (a leaf run, see
         :meth:`repro.btree.tree.FosterBTree.apply_batch`)."""
         with self._mutex:
-            holder = self._holders.get(key)
-            if holder is None:
-                self._holders[key] = txn_id
-                self._held_by_txn.setdefault(txn_id, set()).add(key)
-                return True
-            return holder == txn_id
+            holders = self._holders
+            mine = self._held_by_txn.setdefault(txn_id, set())
+            for n, key in enumerate(keys):
+                holder = holders.get(key)
+                if holder is None:
+                    holders[key] = txn_id
+                    mine.add(key)
+                elif holder != txn_id:
+                    return n
+            return len(keys)
 
     def _has_cycle(self, start: int) -> bool:
         seen = set()

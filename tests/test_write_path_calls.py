@@ -49,12 +49,25 @@ and the router hopped through ``_require_open`` twice, ``_routed``,
 to reach ``ProcessShard.call``.  The counts are
 deterministic: what ``sys.setprofile`` sees, not a clock
 (``benchmarks/write_path.py`` prints both and times the stages).
+
+Last, a structure budget: the first 2 000 records of the bench's
+sorted kv load, in its 500-put batches — about a split and an adoption
+every 16 records, each a handful of logged page ops applied by the
+slotted-page mutators — may enter at most 95 193 functions.
+History: 147 309 while those mutators built a ``Record`` per row, read
+the slotted header through one property per field, and spelled a
+prefix extension as ``remove_run`` + ``insert_run`` (each compacting
+through ``read_record`` and ``_append_to_heap`` per row), and a leaf
+run locked its rows with one ``LockManager.try_acquire`` each
+(``benchmarks/load_path.py`` times the load's stages).
 """
 
 from __future__ import annotations
 
 import repro
 from benchmarks.common import python_calls
+from bench.runner import LOAD_BATCH
+from bench.workloads import WORKLOADS, kv_records
 from repro import EngineConfig, ShardConfig
 
 PUT_CALLS = 49
@@ -65,6 +78,7 @@ WORKER_GET_CALLS = 20
 WORKER_PUT_CALLS = 52
 ROUTER_GET_CALLS = 6
 ROUTER_PUT_CALLS = 6
+LOAD_CALLS = 95_193
 
 _CONFIG = dict(page_size=1024, capacity_pages=8192, buffer_capacity=4096)
 _KEYS = [b"user%07d" % (7 * i) for i in range(2_000)]
@@ -202,3 +216,14 @@ def test_a_fleet_clients_warm_put_stays_under_its_call_budget():
     finally:
         client.close()
     assert calls <= ROUTER_PUT_CALLS, f"a fleet put made {calls} calls"
+
+
+def test_the_first_records_of_the_sorted_load_stay_under_their_call_budget():
+    client = repro.connect(WORKLOADS["kv_hot_embedded"].engine_config(1))
+    records = kv_records(1, 8_000)[:2_000]
+    batches = [[("put", key, value) for key, value in records[i:i + LOAD_BATCH]]
+               for i in range(0, len(records), LOAD_BATCH)]
+    calls = python_calls(lambda: [client.apply_batch(b) for b in batches])
+    tree = client.db.tree(client.index_id)
+    assert list(tree.range_scan()) == records
+    assert calls <= LOAD_CALLS, f"the load's first records made {calls} calls"
