@@ -18,7 +18,11 @@ the client down to a bare socket round trip:
 * bytes-only echo — a forked child that sends back what it reads: the
   floor two processes and a socketpair set;
 * ``client.apply_batch`` — 32 puts over both shards (the bench's batch),
-  every shard's frame in flight before the first reply is read.
+  every shard's frame in flight before the first reply is read;
+* two pings, one to each shard: fanned out (``ShardRouter.fan_out``,
+  both frames in flight before the first reply is read) and one after
+  the other (two ``ShardRouter._call``) — what a 2PC round to two
+  participants could save by fanning out.
 
 The rows alternate call by call, the first row rotating every round, so
 drift hits every row alike; each is the median of ``--calls`` calls, in
@@ -133,6 +137,10 @@ def _table(fleet, twin, near, records, calls: int) -> None:  # noqa: ANN001
         "codec: get request + reply": codec,
         "worker execute(get)": lambda: worker.execute(request),
         "bytes-only echo": echo,
+        "two pings, fanned out": lambda: router.fan_out(
+            [(0, ("ping",)), (1, ("ping",))], router._call),
+        "two pings, one after the other": lambda: (
+            router._call(0, "ping"), router._call(1, "ping")),
     }
     assert fleet.get(key) == value and worker.execute(request) == value
     samples = _interleaved(rows, calls)

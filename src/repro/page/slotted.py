@@ -439,24 +439,11 @@ class SlottedPage(SlotReader):
         return offset
 
     def remove(self, index: int) -> None:
-        """Physically remove slot ``index`` (ghost removal / compaction)."""
-        page = self.page
-        data = page.data
-        count, heap_end, frag_bytes = _COUNTS.unpack_from(data, HEADER_SIZE)
-        if not 0 <= index < count:
-            raise IndexError(f"slot {index} out of range")
-        page.invalidate_view(index, 1)
-        # Shift slot entries [index + 1, slot_count) one position in —
-        # a single 4-byte-up block move of the contiguous directory.
-        end = page.size - (index + 1) * SLOT_SIZE
-        length = _U16.unpack_from(data, end + 2)[0] & LENGTH_MASK
-        start = page.size - count * SLOT_SIZE
-        data[start + SLOT_SIZE:end + SLOT_SIZE] = data[start:end]
-        _COUNTS.pack_into(data, HEADER_SIZE, count - 1, heap_end,
-                          frag_bytes + length)
+        """Physically remove slot ``index`` (ghost removal / compaction):
+        a run of one."""
+        self.remove_run(index, 1)
 
-    def insert_run(self, index: int,
-                   rows: tuple | list) -> None:
+    def insert_run(self, index: int, rows: tuple | list) -> None:
         """Insert ``rows`` — ``(key, value, ghost)`` each — at
         consecutive slots starting at ``index``.
 
@@ -572,17 +559,15 @@ class SlottedPage(SlotReader):
             words[i + 1] += grow
         added = removed + n * grow
         free = size - count * SLOT_SIZE - heap_end
+        if free + frag_bytes + removed < added:
+            raise PageFullError(
+                f"need {added + n * SLOT_SIZE} bytes, have "
+                f"{free + n * SLOT_SIZE} (+{frag_bytes + removed} fragmented)")
+        page.invalidate_view()
         if free < added:
-            if free + frag_bytes + removed < added:
-                raise PageFullError(
-                    f"need {added + n * SLOT_SIZE} bytes, have "
-                    f"{free + n * SLOT_SIZE} "
-                    f"(+{frag_bytes + removed} fragmented)")
-            page.invalidate_view()
             heap_end = _compact(data, size, count, index, n)
             frag_bytes = 0
         else:
-            page.invalidate_view()
             frag_bytes += removed
         offset = heap_end
         for i in range(2 * n - 2, -1, -2):
