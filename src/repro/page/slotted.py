@@ -73,16 +73,18 @@ SLOTTED_TYPES = frozenset({
 
 _HEAP_START = HEADER_SIZE + SLOTTED_HEADER_SIZE
 
-#: ``slot count -> Struct`` unpacking a whole directory of that many
-#: slots in one call; a memo, filled as counts are first seen.
-_DIRECTORY_STRUCTS: dict[int, struct.Struct] = {}
+class _SlotWords(dict):
+    """``slot count -> Struct`` packing or unpacking the words of that
+    many consecutive slots in one call; a memo, filled as counts are
+    first seen, so a count seen before is a plain dict lookup with no
+    Python frame."""
+
+    def __missing__(self, count: int) -> struct.Struct:
+        words = self[count] = struct.Struct(f"<{2 * count}H")
+        return words
 
 
-def _slot_words(count: int) -> struct.Struct:
-    words = _DIRECTORY_STRUCTS.get(count)
-    if words is None:
-        words = _DIRECTORY_STRUCTS[count] = struct.Struct(f"<{2 * count}H")
-    return words
+_SLOT_WORDS = _SlotWords()
 
 
 def _compact(data: bytearray, size: int, count: int, skip: int = 0,
@@ -97,7 +99,7 @@ def _compact(data: bytearray, size: int, count: int, skip: int = 0,
     if not count:
         return _HEAP_START
     start = size - count * SLOT_SIZE
-    words = list(_slot_words(count).unpack_from(data, start))
+    words = list(_SLOT_WORDS[count].unpack_from(data, start))
     heap = []
     offset = _HEAP_START
     # Read backwards, the words are the slots in slot order; the
@@ -115,7 +117,7 @@ def _compact(data: bytearray, size: int, count: int, skip: int = 0,
         words[i] = offset
         offset += length
     data[_HEAP_START:offset] = b"".join(heap)
-    _slot_words(count).pack_into(data, start, *words)
+    _SLOT_WORDS[count].pack_into(data, start, *words)
     return offset
 
 
@@ -142,10 +144,8 @@ def check_slot_directory(data: bytes | bytearray, page_id: int) -> None:
     if heap_end > slots_start:
         raise _implausible(page_id, "heap overlaps slot directory")
     # The directory grows downwards, so its words read backwards are
-    # (length_flags, offset) of slot 0, slot 1, ...  (The memo is read
-    # in place: a count seen before costs no _slot_words frame.)
-    words = iter((_DIRECTORY_STRUCTS.get(count) or _slot_words(count))
-                 .unpack_from(data, slots_start)[::-1])
+    # (length_flags, offset) of slot 0, slot 1, ...
+    words = iter(_SLOT_WORDS[count].unpack_from(data, slots_start)[::-1])
     for index, (length_flags, offset) in enumerate(zip(words, words)):
         length = length_flags & LENGTH_MASK
         if (_HEAP_START <= offset <= heap_end - length and 2 <= length
@@ -265,7 +265,7 @@ class SlotReader:
         count = _U16.unpack_from(data, HEADER_SIZE)[0]
         if start >= count:
             return ()
-        return _slot_words(count - start).unpack_from(
+        return _SLOT_WORDS[count - start].unpack_from(
             data, self.page.size - count * SLOT_SIZE)
 
 
@@ -493,7 +493,7 @@ class SlottedPage(SlotReader):
         # Slots grow downwards: the run's last slot lies lowest, and each
         # slot is (offset, length_flags), hence the reversed words.
         words.reverse()
-        _slot_words(n).pack_into(data, size - (index + n) * SLOT_SIZE, *words)
+        _SLOT_WORDS[n].pack_into(data, size - (index + n) * SLOT_SIZE, *words)
         _COUNTS.pack_into(data, HEADER_SIZE, count + n, offset, frag_bytes)
 
     def remove_run(self, index: int, n: int) -> None:
@@ -510,7 +510,7 @@ class SlottedPage(SlotReader):
         page.invalidate_view(index, n)
         end = size - (index + n) * SLOT_SIZE
         freed = sum(map(LENGTH_MASK.__and__,
-                        _slot_words(n).unpack_from(data, end)[1::2]))
+                        _SLOT_WORDS[n].unpack_from(data, end)[1::2]))
         start = size - count * SLOT_SIZE
         shift = n * SLOT_SIZE
         data[start + shift:end + shift] = data[start:end]
@@ -540,7 +540,7 @@ class SlottedPage(SlotReader):
         cut = len(old)
         grow = len(new) - cut
         run_at = size - (index + n) * SLOT_SIZE
-        words = list(_slot_words(n).unpack_from(data, run_at))
+        words = list(_SLOT_WORDS[n].unpack_from(data, run_at))
         heap: list[bytes] = []
         removed = 0
         # The run's words read backwards are its slots in slot order.
@@ -574,7 +574,7 @@ class SlottedPage(SlotReader):
             words[i] = offset
             offset += words[i + 1] & LENGTH_MASK
         data[heap_end:offset] = b"".join(heap)
-        _slot_words(n).pack_into(data, run_at, *words)
+        _SLOT_WORDS[n].pack_into(data, run_at, *words)
         _COUNTS.pack_into(data, HEADER_SIZE, count, offset, frag_bytes)
 
     def compact(self) -> None:

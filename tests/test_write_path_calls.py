@@ -53,13 +53,17 @@ deterministic: what ``sys.setprofile`` sees, not a clock
 Last, a structure budget: the first 2 000 records of the bench's
 sorted kv load, in its 500-put batches — about a split and an adoption
 every 16 records, each a handful of logged page ops applied by the
-slotted-page mutators — may enter at most 95 931 functions.
-History: 147 309 while those mutators built a ``Record`` per row, read
-the slotted header through one property per field, and spelled a
-prefix extension as ``remove_run`` + ``insert_run`` (each compacting
-through ``read_record`` and ``_append_to_heap`` per row), and a leaf
-run locked its rows with one ``LockManager.try_acquire`` each
-(``benchmarks/load_path.py`` times the load's stages).
+slotted-page mutators — may enter at most 93 357 functions, the count
+of a fresh process (a slot count the struct memo of
+``repro.page.slotted`` has not seen yet costs one call more, so a
+process that ran other tests counts a few less).  History: 147 309
+while those mutators built a ``Record`` per row, read the slotted
+header through one property per field and called ``_slot_words`` for
+their struct, and spelled a prefix extension as ``remove_run`` +
+``insert_run`` (each compacting through ``read_record`` and
+``_append_to_heap`` per row), and a leaf run locked its rows with one
+``LockManager.try_acquire`` each (``benchmarks/load_path.py`` times
+the load's stages).
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ WORKER_GET_CALLS = 20
 WORKER_PUT_CALLS = 52
 ROUTER_GET_CALLS = 6
 ROUTER_PUT_CALLS = 6
-LOAD_CALLS = 95_931
+LOAD_CALLS = 93_357
 
 _CONFIG = dict(page_size=1024, capacity_pages=8192, buffer_capacity=4096)
 _KEYS = [b"user%07d" % (7 * i) for i in range(2_000)]
