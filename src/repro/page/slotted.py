@@ -473,6 +473,7 @@ class SlottedPage(SlotReader):
         free = size - count * SLOT_SIZE - heap_end
         if free < needed:
             if free + frag_bytes >= needed:
+                # The run moves down to the compacted heap's end.
                 compacted = _compact(data, size, count)
                 free += heap_end - compacted
                 words[1::2] = [at - heap_end + compacted
