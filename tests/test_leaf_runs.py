@@ -9,7 +9,8 @@ after abort, whatever mix of sorted new keys, existing keys, ghosts,
 duplicates, deletes and value sizes the batch holds.
 
 And a leaf run's record: one UPDATE per run, the records of ops that
-start none unchanged; a rollback that ghosts every key once, its CLRs
+start none unchanged; a run that stops before a key another transaction
+holds, locking nothing past it; a rollback that ghosts every key once, its CLRs
 naming the run as the next record to undo until the last; a crash
 after the first of those CLRs, under eager and on-demand restart, that
 still undoes the whole run; on-demand restart re-locking every key of
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 import repro
 from repro.engine.database import Database
 from repro.shard.router import check_batch_op
+from repro.txn.locks import LockConflict
 from repro.wal.ops import OpBulkInsert
 from repro.wal.records import LogRecord, LogRecordKind
 from tests.conftest import fast_config
@@ -212,6 +214,26 @@ def test_a_batch_op_that_starts_no_run_logs_what_a_per_key_write_logs():
         logs.append([lsn_free(record)
                      for record in db.log.records_from(start)])
     assert logs[0] == logs[1]
+
+
+def test_a_run_stops_before_a_key_another_transaction_holds():
+    """The run locks the new keys in order up to the one another
+    transaction holds and registers nothing past it; the batch then
+    meets that key's conflict as a per-key write would."""
+    db, tree = _run_db()
+    other = db.begin()
+    db.locks.acquire(other.txn_id, _key(305))
+    txn = db.begin()
+    with pytest.raises(LockConflict):
+        tree.apply_batch(txn, _TAIL, check_batch_op)
+    assert _runs(db, txn.txn_id)
+    assert all(db.locks.holder_of(_key(i)) == txn.txn_id
+               for i in range(300, 305))
+    assert db.locks.holder_of(_key(305)) == other.txn_id
+    assert all(db.locks.holder_of(_key(i)) is None for i in range(306, 360))
+    db.abort(txn)
+    db.abort(other)
+    assert not any(tree.contains(_key(i)) for i in range(300, 360))
 
 
 def test_abort_of_a_batch_with_runs_ghosts_every_key_once():
