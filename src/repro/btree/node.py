@@ -58,9 +58,9 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
+from repro.btree.keys import common_prefix
 from repro.errors import BTreeError
 from repro.page.page import HEADER_SIZE, TYPE_OFFSET, Page, PageType
 from repro.page.slotted import LENGTH_MASK, SLOT_SIZE, SlotReader, SlottedPage
@@ -95,6 +95,19 @@ def decode_meta(meta: bytes) -> tuple[int, int, bytes]:
     """``(level, flags, prefix)`` of a metadata blob."""
     level, flags = _META.unpack_from(meta, 0)
     return level, flags, meta[_META.size:]
+
+
+def _bulk_insert(prefix: bytes, slot: int,
+                 entries: Iterable[tuple[bytes, bytes, bool]]) -> OpBulkInsert:
+    """One op inserting ``entries`` — full keys — from ``slot`` up into a
+    node whose keys are stored behind ``prefix``."""
+    plen = len(prefix)
+    recs = []
+    for key, value, ghost in entries:
+        if plen and not key.startswith(prefix):
+            raise BTreeError(f"key {key!r} outside node prefix {prefix!r}")
+        recs.append((key[plen:], value, ghost))
+    return OpBulkInsert(slot, tuple(recs))
 
 
 def encode_pid(pid: int) -> bytes:
@@ -498,23 +511,10 @@ class BTreeNode(SlotReader):
         (:meth:`repro.page.slotted.SlottedPage.rows`)."""
         return self.slotted.rows(DATA_START + start, self.prefix)
 
-    def record_entries(self, start: int, end: int) -> list[tuple[bytes, bytes, bool]]:
-        """(full_key, value, ghost) for data records [start, end)."""
-        return list(islice(self.rows(start), end - start))
-
     def op_bulk_insert(self, index: int,
-                       entries: list[tuple[bytes, bytes, bool]]) -> PageOp:
+                       entries: Iterable[tuple[bytes, bytes, bool]]) -> PageOp:
         """One op inserting ``entries`` (full keys) at data slot ``index``."""
-        prefix = self.prefix
-        plen = len(prefix)
-        recs = []
-        for key, value, ghost in entries:
-            if plen and not key.startswith(prefix):
-                raise BTreeError(
-                    f"key {key!r} outside node prefix {prefix!r} "
-                    f"(page {self.page.page_id})")
-            recs.append((key[plen:], value, ghost))
-        return OpBulkInsert(DATA_START + index, tuple(recs))
+        return _bulk_insert(self.prefix, DATA_START + index, entries)
 
     def op_bulk_delete(self, start: int, end: int) -> PageOp:
         """One op removing this node's data records [start, end), naming
@@ -550,16 +550,48 @@ class BTreeNode(SlotReader):
             ops.append(value_rewrite(SLOT_LOW, old_meta, new_meta))
         return ops
 
-    def ops_reencode_prefix(self, new_prefix: bytes) -> list[PageOp]:
+    def ops_end_chain(self, high: bytes) -> list[PageOp]:
+        """The ops of one record that end this foster parent's chain at
+        ``high``, its foster key, as an adoption or a root growth moves
+        its foster child up: the high fence becomes ``high`` (finite),
+        the foster record clears, and the keys are re-encoded under the
+        longer prefix the tighter fences allow
+        (:meth:`ops_reencode_prefix`).
+
+        Built against the page as it is and sized before anything is
+        logged, so the record always applies.  The new fence is the
+        foster key, so the two re-keyings together never grow the
+        page; the fence alone may, and when the room it needs is only
+        there once the foster record is cleared, the foster record is
+        cleared first.  A prefix extension that would not fit (its
+        metadata grows before its keys shrink) is left out: the shorter
+        prefix stays valid.
+        """
+        view = self.view
+        slotted = self.slotted
+        room = slotted.free_space + slotted.frag_bytes
+        fence = self.ops_set_high_fence(high, high_inf=False)
+        foster = self.ops_set_foster(b"", NO_FOSTER)
+        grows = len(high) - len(view.high_fence)
+        ops = fence + foster if grows <= room else foster + fence
+        room -= grows - len(view.foster_key)
+        prefix = common_prefix(view.low_fence, high)
+        if len(prefix) > len(view.prefix) and len(prefix) - len(view.prefix) <= room:
+            ops += self.ops_reencode_prefix(prefix, view.flags & ~FLAG_HIGH_INF)
+        return ops
+
+    def ops_reencode_prefix(self, new_prefix: bytes,
+                            flags: int | None = None) -> list[PageOp]:
         """Re-encode stored keys under a longer truncation prefix.
 
         Adoption tightens a node's high fence, which usually permits a
         longer common prefix; re-encoding is contents-neutral and runs
         inside the same system transaction as the adoption.  The
-        metadata's prefix is rewritten, then one
-        :class:`repro.wal.ops.OpExtendPrefix` strips the new bytes from
-        every data key where it lies.  Returns an empty list when
-        nothing would change.
+        metadata's prefix is rewritten — under ``flags``, the flags the
+        ops before it in the same record leave (by default the page's)
+        — then one :class:`repro.wal.ops.OpExtendPrefix` strips the new
+        bytes from every data key where it lies.  Returns an empty list
+        when nothing would change.
         """
         old_prefix = self.prefix
         if new_prefix == old_prefix:
@@ -568,9 +600,10 @@ class BTreeNode(SlotReader):
             raise BTreeError("prefix can only be extended")
         stripped = new_prefix[len(old_prefix):]
         view = self.view
-        old_meta = self.slotted.read_record(SLOT_LOW).value
-        ops = [value_rewrite(
-            SLOT_LOW, old_meta, _META.pack(view.level, view.flags) + new_prefix)]
+        if flags is None:
+            flags = view.flags
+        head = _META.pack(view.level, flags)
+        ops = [value_rewrite(SLOT_LOW, head + old_prefix, head + new_prefix)]
         keys = self.slotted.keys(DATA_START)
         if keys:
             for key in keys:
@@ -582,19 +615,33 @@ class BTreeNode(SlotReader):
 
     @staticmethod
     def ops_initialize(level: int, low: bytes, high: bytes, high_inf: bool,
-                       foster_key: bytes = b"",
-                       foster_pid: int = NO_FOSTER) -> list[PageOp]:
-        """Bookkeeping-record inserts for a freshly formatted node.
+                       foster_key: bytes = b"", foster_pid: int = NO_FOSTER,
+                       rows: Iterable[tuple[bytes, bytes, bool]] = ()
+                       ) -> list[PageOp]:
+        """Bookkeeping-record inserts for a freshly formatted node, then
+        — when there are ``rows`` ``(full key, value, ghost)`` — one
+        insert of them: a split's foster child with the half it takes.
 
         The prefix is fixed here: the common prefix of the fences (or
         empty when the high fence is infinite).
         """
-        from repro.btree.keys import common_prefix
         prefix = b"" if high_inf else common_prefix(low, high)
         meta = encode_meta(level, high_inf, prefix)
-        return [OpInsert(SLOT_LOW, low, meta, True),
-                OpInsert(SLOT_HIGH, high, b"", True),
-                OpInsert(SLOT_FOSTER, foster_key, encode_pid(foster_pid), True)]
+        ops = [OpInsert(SLOT_LOW, low, meta, True),
+               OpInsert(SLOT_HIGH, high, b"", True),
+               OpInsert(SLOT_FOSTER, foster_key, encode_pid(foster_pid), True)]
+        if rows:
+            ops.append(_bulk_insert(prefix, DATA_START, rows))
+        return ops
+
+    @staticmethod
+    def ops_new_root(level: int, left_pid: int, separator: bytes,
+                     right_pid: int) -> list[PageOp]:
+        """A root growth's new root: a branch of ``level`` covering
+        every key, whose two children meet at ``separator``."""
+        return BTreeNode.ops_initialize(level, b"", b"", high_inf=True) + [
+            OpInsert(DATA_START, b"", encode_pid(left_pid)),
+            OpInsert(DATA_START + 1, separator, encode_pid(right_pid))]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         high = "inf" if self.high_inf else repr(self.high_fence)

@@ -61,7 +61,7 @@ from repro.page.slotted import SLOT_SIZE
 from repro.sim.stats import Stats
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
-from repro.wal.ops import value_rewrite
+from repro.wal.ops import OpSequence, value_rewrite
 from repro.wal.records import LogicalUndo, UndoAction
 
 if TYPE_CHECKING:
@@ -164,6 +164,10 @@ class FosterBTree:
         tree = cls(index_id, ctx, tm, stats)
         sys_txn = tm.begin(system=True)
         root = ctx.allocate_page(sys_txn, PageType.BTREE_LEAF, index_id)
+        # Creation, not a structure change of a tree that holds rows:
+        # the empty root's bookkeeping is one record per insert, as ever,
+        # so every log still starts at the LSNs the golden chaos traces
+        # and wire traffic pin across commits.
         for op in BTreeNode.ops_initialize(level=0, low=b"", high=b"",
                                            high_inf=True):
             tree._log(sys_txn, root, op)
@@ -734,26 +738,22 @@ class FosterBTree:
                 PageType.BTREE_LEAF if node.is_leaf else PageType.BTREE_BRANCH,
                 self.index_id)
             try:
+                # One record per page, however many rows move: the
+                # foster child's bookkeeping and the upper half, which
+                # the split logs once — the removal from this node
+                # names only its slot range — then the removal and the
+                # chain's link: this node becomes the foster parent,
+                # keeping the chain-high fence (Figure 3).
                 high_key = b"" if node.high_inf else node.high_fence
-                for op in BTreeNode.ops_initialize(
+                self._log(sys_txn, foster_page, OpSequence(tuple(
+                    BTreeNode.ops_initialize(
                         node.level, separator, high_key, node.high_inf,
                         node.foster_key if node.has_foster else b"",
-                        node.foster_pid if node.has_foster else NO_FOSTER):
-                    self._log(sys_txn, foster_page, op)
-                foster_node = BTreeNode(foster_page)
-                # Copy the upper half into the foster child and remove
-                # it from the foster parent — one bulk op each, so a
-                # split costs two data log records regardless of how
-                # many records move, and logs the rows once: the
-                # removal names only its slot range.
-                moving = node.record_entries(mid, n)
-                self._log(sys_txn, foster_page,
-                          foster_node.op_bulk_insert(0, moving))
-                dirty = self._log(sys_txn, page, node.op_bulk_delete(mid, n))
-                # ... and link the chain: this node becomes the foster
-                # parent, keeping the chain-high fence (Figure 3).
-                for op in node.ops_set_foster(separator, foster_page.page_id):
-                    self._log(sys_txn, page, op)
+                        node.foster_pid if node.has_foster else NO_FOSTER,
+                        islice(node.rows(mid), n - mid)))))
+                dirty = self._log(sys_txn, page, OpSequence(
+                    (node.op_bulk_delete(mid, n),
+                     *node.ops_set_foster(separator, foster_page.page_id))))
             finally:
                 self.ctx.pool.unfix(foster_page.page_id)
             self.tm.commit(sys_txn)
@@ -785,14 +785,14 @@ class FosterBTree:
             i, found = parent.find(separator)
             if found:
                 raise BTreeError(f"separator {separator!r} already in parent")
+            # Every op is built and sized before the first is logged: an
+            # op that failed to apply after its record was appended
+            # would leave a record redo cannot replay.
+            child_op = OpSequence(tuple(child.ops_end_chain(separator)))
             sys_txn = self.tm.begin(system=True)
             parent_dirty = self._log(sys_txn, parent_page, parent.op_insert(
                 i, separator, encode_pid(child.foster_pid)))
-            for op in child.ops_set_high_fence(separator, high_inf=False):
-                child_dirty = self._log(sys_txn, child_page, op, child_dirty)
-            for op in child.ops_set_foster(b"", NO_FOSTER):
-                self._log(sys_txn, child_page, op)
-            self._maybe_extend_prefix(sys_txn, child_page, child)
+            child_dirty = self._log(sys_txn, child_page, child_op)
             self.tm.commit(sys_txn)
             self._btree_adoptions.inc()
             return True
@@ -800,44 +800,26 @@ class FosterBTree:
             self.ctx.pool.unfix(child_pid, child_dirty)
             self.ctx.pool.unfix(parent_pid, parent_dirty)
 
-    def _maybe_extend_prefix(self, sys_txn: Transaction, page: Page,
-                             node: BTreeNode) -> None:
-        """Tightened fences may permit a longer truncation prefix."""
-        from repro.btree.keys import common_prefix
-
-        if node.high_inf:
-            return
-        new_prefix = common_prefix(node.low_fence, node.high_fence)
-        if len(new_prefix) <= len(node.prefix):
-            return
-        for op in node.ops_reencode_prefix(new_prefix):
-            self._log(sys_txn, page, op)
-
     def _grow_root(self, old_root_pid: int) -> None:
         """The root has a foster child: grow the tree by one level."""
-        sys_txn = self.tm.begin(system=True)
         old_root_page = self.ctx.pool.fix(old_root_pid)
         dirty = None
         try:
             old_root = BTreeNode(old_root_page)
             separator = old_root.foster_key
             foster_pid = old_root.foster_pid
+            # One record per page: the new root's bookkeeping and its two
+            # children, then the old root's end of chain — built and
+            # sized, as an adoption's, before anything is logged.
+            old_root_op = OpSequence(tuple(old_root.ops_end_chain(separator)))
+            sys_txn = self.tm.begin(system=True)
             new_root_page = self.ctx.allocate_page(
                 sys_txn, PageType.BTREE_BRANCH, self.index_id)
             try:
-                for op in BTreeNode.ops_initialize(
-                        old_root.level + 1, b"", b"", high_inf=True):
-                    self._log(sys_txn, new_root_page, op)
-                new_root = BTreeNode(new_root_page)
-                self._log(sys_txn, new_root_page,
-                          new_root.op_insert(0, b"", encode_pid(old_root_pid)))
-                self._log(sys_txn, new_root_page,
-                          new_root.op_insert(1, separator, encode_pid(foster_pid)))
-                for op in old_root.ops_set_high_fence(separator, high_inf=False):
-                    dirty = self._log(sys_txn, old_root_page, op, dirty)
-                for op in old_root.ops_set_foster(b"", NO_FOSTER):
-                    self._log(sys_txn, old_root_page, op)
-                self._maybe_extend_prefix(sys_txn, old_root_page, old_root)
+                self._log(sys_txn, new_root_page, OpSequence(tuple(
+                    BTreeNode.ops_new_root(old_root.level + 1, old_root_pid,
+                                           separator, foster_pid))))
+                dirty = self._log(sys_txn, old_root_page, old_root_op)
                 self.ctx.set_root(sys_txn, self.index_id, new_root_page.page_id)
             finally:
                 self.ctx.pool.unfix(new_root_page.page_id)

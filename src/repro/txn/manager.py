@@ -54,7 +54,8 @@ from repro.txn.locks import LockManager
 from repro.txn.transaction import Transaction, TxnState
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
-from repro.wal.ops import OpBulkDelete, OpBulkInsert, OpInverse, PageOp
+from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpInverse, OpSequence,
+                           PageOp)
 from repro.wal.records import LogicalUndo, LogRecord, LogRecordKind, UndoAction
 
 if TYPE_CHECKING:
@@ -448,8 +449,9 @@ class TransactionManager:
         already is a ghost, whose compensation logs nothing.  Handing
         each CLR the run's ``prev_lsn`` would strand the keys left.
 
-        A split's removal names no row; its CLR inserts them again, from
-        the split's other copy of them (:meth:`_split_compensation`).
+        A split's record of its source page removes the moved rows
+        naming none; its CLR inserts them again, from the split's other
+        copy of them (:meth:`_split_compensation`).
         """
         lsn = txn.last_lsn
         while lsn != NULL_LSN and lsn > to_lsn:
@@ -475,10 +477,12 @@ class TransactionManager:
             elif record.op is not None:
                 # Physical in-page undo.
                 page = ctx.pool.fix(record.page_id)
+                op = record.op
                 try:
                     inverse = (self._split_compensation(ctx, page, record)
-                               if type(record.op) is OpBulkDelete
-                               else OpInverse(record.op))
+                               if type(op) is OpSequence
+                               and type(op.ops[0]) is OpBulkDelete
+                               else OpInverse(op))
                 except BaseException:
                     ctx.pool.unfix(record.page_id)
                     raise
@@ -489,21 +493,25 @@ class TransactionManager:
 
     def _split_compensation(self, ctx: UndoContext, page: Page,
                             record: LogRecord) -> PageOp:
-        """The compensation of a split's row-free removal from the
-        pinned ``page``: an insert of the rows it removed.
+        """The compensation of a split's record of the pinned source
+        ``page`` — a row-free removal, then the foster link: one CLR of
+        the link's inverses, newest first, then an insert of the rows
+        the removal took.
 
-        They are the rows of the split's one other copy of them, its
-        foster child's OpBulkInsert — the removal's ``prev_lsn`` in the
-        same system transaction — stored there behind the foster child's
-        prefix, which extends this page's: re-prefixed here with the
-        bytes between the two.  The foster child still holds them, as
-        rollback has not reached its insert yet.
+        They are the rows of the split's one other copy of them, the
+        OpBulkInsert that ends its foster child's record — the source
+        record's ``prev_lsn`` in the same system transaction — stored
+        there behind the foster child's prefix, which extends this
+        page's: re-prefixed here with the bytes between the two.  The
+        foster child still holds them, as rollback has not reached its
+        record yet.
         """
         moved = self.log.record_at(record.prev_lsn)
-        if moved.txn_id != record.txn_id or type(moved.op) is not OpBulkInsert:
+        last = moved.op.ops[-1] if type(moved.op) is OpSequence else None
+        if moved.txn_id != record.txn_id or type(last) is not OpBulkInsert:
             raise RecoveryError(f"the removal at LSN {record.lsn} does not "
                                 f"follow its split's moved rows")
-        rows = moved.op.records
+        rows = last.records
         prefix = ctx.key_prefix(page)
         foster = ctx.pool.fix(moved.page_id)
         try:
@@ -518,4 +526,6 @@ class TransactionManager:
         if extra:
             rows = tuple((extra + key, value, ghost)
                          for key, value, ghost in rows)
-        return record.op.restoring(rows)
+        removal, *link = record.op.ops
+        return OpSequence((*(OpInverse(op) for op in reversed(link)),
+                           removal.restoring(rows)))

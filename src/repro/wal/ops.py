@@ -16,7 +16,8 @@ A structural change logs the rows it moves once: a split's foster child
 receives them in an :class:`OpBulkInsert`, while the source page's
 :class:`OpBulkDelete` names only the slot range, and a prefix extension
 (:class:`OpExtendPrefix`) names the range and the bytes it strips from
-every key, re-encoding the rows where they lie.
+every key, re-encoding the rows where they lie.  And it logs one record
+per page it changes: that page's ops in one :class:`OpSequence`.
 """
 
 from __future__ import annotations
@@ -527,9 +528,10 @@ class OpBulkInsert(PageOp):
 class OpBulkDelete(PageOp):
     """Remove ``count`` consecutive slots from ``slot`` up, naming no row.
 
-    A split's removal from its source page: the rows it removes are the
-    ones the split logs once, as its foster child's :class:`OpBulkInsert`
-    — the removal's ``prev_lsn`` in the same system transaction — so the
+    A split's removal from its source page, the first op of that page's
+    record: the rows it removes are the ones the split logs once, as
+    the :class:`OpBulkInsert` that ends its foster child's record — the
+    source record's ``prev_lsn`` in the same system transaction — so the
     removal logs a range and redo needs no more.  Only the rollback of
     a split that a crash left uncommitted needs the rows:
     :meth:`repro.txn.manager.TransactionManager.rollback_work` takes
@@ -635,6 +637,76 @@ class OpExtendPrefix(PageOp):
 
 
 @dataclass(frozen=True, slots=True)
+class OpSequence(PageOp):
+    """Two or more ops on one page, applied in order: what one
+    structure change does to one page, as one record carries it.
+
+    A split, an adoption and a root growth change each page they touch
+    by several bookkeeping edits — a fence or foster record re-keyed as
+    a removal and an insertion, the metadata rewritten, the moved rows
+    inserted or removed, a prefix extended.  Logged per edit, they cost
+    a record header each; here they are one UPDATE per page (Graefe,
+    "A survey of B-tree logging and recovery techniques", TODS 2012),
+    and the page comes out byte for byte as the per-edit records left
+    it.  Redo applies the ops in order, undo their inverses in reverse,
+    and either counts one update per op towards the page's update
+    counter (:meth:`repro.page.page.Page.count_updates`) — setting the
+    PageLSN counts the first — so Section 6's copy policy fires where
+    the per-edit records made it fire.
+
+    A member is any other op: decoding refuses a sequence inside a
+    sequence, a redo-only rewrite and a count below two.
+    """
+
+    ops: tuple[PageOp, ...]
+
+    kind = 13
+
+    def apply_redo(self, page: Page) -> None:
+        for op in self.ops:
+            op.apply_redo(page)
+        page.count_updates(len(self.ops) - 1)
+
+    def apply_undo(self, page: Page) -> None:
+        for op in reversed(self.ops):
+            op.apply_undo(page)
+        page.count_updates(len(self.ops) - 1)
+
+    def encoded_size(self) -> int:
+        size = 3
+        for op in self.ops:
+            size += op.encoded_size()
+        return size
+
+    def encode_into(self, buf: bytearray, pos: int) -> int:
+        _BH.pack_into(buf, pos, self.kind, len(self.ops))
+        pos += 3
+        for op in self.ops:
+            pos = op.encode_into(buf, pos)
+        return pos
+
+    @classmethod
+    def _decode_body(cls, data, offset: int) -> "OpSequence":
+        _kind, count = _BH.unpack_from(data, offset)
+        if count < 2:
+            raise LogError(f"a sequence of {count} ops")
+        pos = offset + 3
+        ops = []
+        for _ in range(count):
+            # Refused from its kind bytes, before it is decoded: a run
+            # of 13s must not recurse once per byte.
+            if data[pos] == cls.kind or (data[pos] == OpInverse.kind
+                                         and data[pos + 1] == cls.kind):
+                raise LogError("nested op sequence")
+            op = PageOp.decode(data, pos)
+            if is_redo_only(op):
+                raise LogError("a redo-only rewrite in an op sequence")
+            ops.append(op)
+            pos += op.encoded_size()
+        return cls(tuple(ops))
+
+
+@dataclass(frozen=True, slots=True)
 class OpInverse(PageOp):
     """The inverse of another operation, as a redo-only op.
 
@@ -667,10 +739,14 @@ class OpInverse(PageOp):
             # a run of 99s must not recurse once per byte.
             raise LogError("nested compensation op")
         original = PageOp.decode(data, offset + 1)
-        if is_redo_only(original):
-            raise LogError("compensation of a redo-only op")
-        if type(original) is OpBulkDelete:
-            raise LogError("compensation of a row-free removal")
+        for op in (original.ops if type(original) is OpSequence
+                   else (original,)):
+            if type(op) is cls:
+                raise LogError("nested compensation op")
+            if is_redo_only(op):
+                raise LogError("compensation of a redo-only op")
+            if type(op) is OpBulkDelete:
+                raise LogError("compensation of a row-free removal")
         return cls(original)
 
 
@@ -678,7 +754,7 @@ _OP_REGISTRY: dict[int, type[PageOp]] = {
     cls.kind: cls
     for cls in (OpInsert, OpDelete, OpUpdateValue, OpSetGhost,
                 OpWriteBytes, OpInitSlotted, OpBulkInsert, OpBulkDelete,
-                OpExtendPrefix, OpInverse)
+                OpExtendPrefix, OpSequence, OpInverse)
 }
 for _kind in (_SPANNED_UPDATE_VALUE, _REDO_VALUE, _SPANNED_REDO_VALUE):
     _OP_REGISTRY[_kind] = OpUpdateValue

@@ -127,17 +127,36 @@ The run counts one page update per row towards the page's update
 counter (:meth:`repro.page.page.Page.count_updates`), forward and in
 redo alike.
 
-**A structural change logs the rows it moves once.**  A split is a
-system transaction (no undo) that formats its foster child, inserts the
-moved half there and removes it from its source page; an adoption that
-tightens a node's fences may extend the prefix its keys are stored
-under.  Their ops, as an UPDATE carries them::
+**A structural change logs the rows it moves once, and one record per
+page it changes.**  A split is a system transaction (no undo) that
+formats its foster child, inserts the moved half there and removes it
+from its source page; an adoption that tightens a node's fences may
+extend the prefix its keys are stored under.  Their ops, as an UPDATE
+carries them::
 
     OpBulkInsert (7)     kind u8, slot u16, count u32, then per row:
                          ghost u8, key and value u16 length + bytes
     OpBulkDelete (8)     kind u8, slot u16, count u16 — no row
     OpExtendPrefix (12)  kind u8, slot u16, count u16,
                          stripped u16 length + bytes
+    OpSequence (13)      kind u8, count u16 (at least 2), then each
+                         op's encoding, in the order redo applies them
+
+Each page a split, an adoption or a root growth changes gets one UPDATE
+whose op is an OpSequence of that page's ops
+(:class:`repro.wal.ops.OpSequence`): a split logs its allocation's
+``next_free``, the foster child's FORMAT_PAGE, the foster child's
+UPDATE (its three bookkeeping inserts and the moved rows' OpBulkInsert)
+and the source page's (the row-free OpBulkDelete, then the foster
+record re-keyed); an adoption logs the parent's separator insert (one
+op, no sequence) and the child's UPDATE (its high fence re-keyed, the
+metadata's flags where they change, its foster record cleared, and a
+prefix extension where the fences allow).  Redo applies a sequence's
+ops in order, undo their inverses in reverse, and either counts one
+update per op towards the page's counter, as the per-op records it
+replaces did.  Decoding refuses a count below two, a sequence nested in
+another (bare or compensated), a redo-only rewrite among its ops, and
+a compensated sequence holding a removal or a compensation.
 
 The split's moved rows are logged once, in the foster child's
 OpBulkInsert; the source's OpBulkDelete names only the slot range, 5
@@ -146,9 +165,11 @@ value rewrite and one OpExtendPrefix, whose redo strips the bytes from
 every key of the range where it lies and whose undo prepends them; it
 counts two updates towards the page's counter, as the OpBulkDelete and
 OpBulkInsert pair it replaces did.  A crash that hardens a split but
-not its commit leaves a loser: rollback compensates the removal with an
-OpBulkInsert of the rows the split's own OpBulkInsert (the removal's
-``prev_lsn``) carries, re-prefixed to the source page's prefix
+not its commit leaves a loser: rollback compensates the source page's
+record with one CLR, an OpSequence of the foster link's inverses and
+an OpBulkInsert of the rows the split's own OpBulkInsert (the last op
+of the foster child's record, the source record's ``prev_lsn``)
+carries, re-prefixed to the source page's prefix
 (:meth:`repro.txn.manager.TransactionManager.rollback_work`), so the
 compensation record is as self-contained as any other.  Decoding
 refuses a count of zero, stripped bytes that are empty or longer than
@@ -183,7 +204,8 @@ bit on a kind that cannot carry one, a redo-only UPDATE without its
 commit bit or with an undo, a redo-only op outside a redo-only UPDATE,
 a DELETE_KEYS undo that names no key or not exactly its run's keys,
 a removal or prefix extension of no row, a prefix extension that strips
-no byte or more than a key holds, a compensated removal, or any
+no byte or more than a key holds, a compensated removal, an op sequence
+of fewer than two ops or nested in another, or any
 encoding but the one :meth:`LogRecord.encode` writes (a wide header the
 narrow one fits, bytes trailing an op).
 """

@@ -26,16 +26,16 @@ STEPS = 120
 
 #: sha256 of each region page the stream's last checkpoint occupies
 GOLDEN_REGION_PAGES = {
-    1: "ac22901b2e200bfdef6289e4f38efaeb5fd5899ae2be4f7f883155771655b47e",
-    2: "b3f24e3ad06830367f061bcf26b0c63c7beb666428fb16f344a171dcd1ea2a31",
-    3: "1b9e27f158bf95de4c094999d04c11876fc9b4f961d052e3afe879aeacb53b21",
-    4: "b9cf08222a1c753b6f2022deedd9b9c29a2dfc04ac83e479d78d5759f336b4e4",
-    5: "11e604eabbbdc347cce2a4212640ad243d88edcf13ee7d21340ac1de27043aac",
-    6: "0bc5acfb2cdc9cfae6e955d0de078de2efb50899c17e36d72378a8e64f886bcf",
+    1: "09f477f2374fa76676e9ada530a28337252c270d6d25c1b806e167af08a4e47a",
+    2: "09aac3aecaf550db554c1c8ea9aab8832758394ced6b46ce24fed2d8014bff25",
+    3: "d0eedb8855e33db789f99906f4a90636d26831bfa89410a30373cd69a51b9a08",
+    4: "e7d82ccf0683123e05636bb2184e6fa8069e512f54ee50057106d033755fcf87",
+    5: "202d4054afd4b55a836ca9d3ff7ce3e01699b8b72037ad4458a1dba6b4251f6d",
+    6: "c01b07d42845aa289853563e81d0bd08fe9fa4129d76349d95e8e3fde578edbe",
 }
 #: the master checkpoint's ``pri_images`` after the stream
-GOLDEN_PRI_IMAGES = {1: 736505, 2: 735490, 3: 736930, 4: 735935, 5: 737369,
-                     6: 736374}
+GOLDEN_PRI_IMAGES = {1: 661285, 2: 660297, 3: 661705, 4: 660737, 5: 662146,
+                     6: 661154}
 
 
 def reference_bound(db: Database) -> int:

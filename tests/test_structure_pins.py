@@ -39,16 +39,16 @@ from tests.test_structure_records import _arm, _Cut, _put
 
 PINNED = {
     "kv_load": (
-        "4dfa60ee4c695595856104fa3610e1f6ccf4398c7f82c41ebc493a93369e9732",
-        "b16253412a895f2721dcd7306b293b66452c685e812c06a54e29936408a19968",
+        "8856ac5cade866ab7a41b5b5b0bcae562dd7fb6a90f7da44356f8e4fb74c0994",
+        "63afb261552f7c2574f2faab71742ffb0cdfc8fed88994c238bc81a5eea5abd5",
     ),
     "dblp_load": (
-        "3236a986ef8569ade0d35843ca35876d333211417d91f9dec3e0074b47649e8f",
-        "cf9e9da15afdd6eae857b0afd9ca26da9ae6b446026f61148944cfe0d57c8fc5",
+        "6747e5c1d7c43c8cb11779bec3ab7e13029b297a19848270e72bf6c1ae64161c",
+        "f80d4ef0068a369644ec8fa200bb60ffb518e52a19200d30f5cedb9e257b5116",
     ),
     "random_stream": (
-        "32863aa7e29484ceef33adf8c1b24da44d41bb800d2838a0775ec0c7d350ecde",
-        "d968456832c3b347a33626b47225676a7cf8a7d08f9813a8757b7d46586e7676",
+        "c39f79fa1a6d17721e3c8c2483a286e191299a13e036a90b7d10ed4b7a48ad1a",
+        "e22fa945f2cfcb6fb5aad237003f19fbc69b3384df26f42b2c0e595159ee1688",
     ),
 }
 

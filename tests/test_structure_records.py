@@ -7,10 +7,11 @@ commit without a force — but another transaction's force, a checkpoint
 or a write-back can harden their records before their commit.  A crash
 then leaves a loser that restart must undo:
 
-* a split cut after its source's removal has hardened, and one cut just
-  before its commit, and an adoption cut just before its commit, after
-  its prefix extension has hardened, come back under eager and
-  on-demand restart with every page of the tree holding what it held
+* a split cut after its foster child's record has hardened (the source
+  page's record, its removal and foster link, not logged), and one cut
+  just before its commit, and an adoption cut just before its commit,
+  after the record that extends its child's prefix has hardened, come
+  back under eager and on-demand restart with every page of the tree holding what it held
   before (its bookkeeping and its rows; the heap layout and the header
   fields that follow from LSNs aside) and the key -> value map
   unchanged;
@@ -30,6 +31,7 @@ bytes it strips.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -39,7 +41,7 @@ from repro.engine.database import Database
 from repro.errors import RecoveryError
 from repro.page.page import TYPE_OFFSET, Page, PageType
 from repro.page.slotted import Record, SlottedPage, update_value
-from repro.wal.ops import OpBulkDelete, OpExtendPrefix
+from repro.wal.ops import OpBulkDelete, OpBulkInsert, OpExtendPrefix, OpSequence
 from repro.wal.records import LogRecordKind
 from tests.conftest import clone_crashed, fast_config
 from tests.test_golden_logical_state import _MASKED, tree_pages
@@ -107,12 +109,17 @@ class _Cut(Exception):
     """Raised where the crash cuts a system transaction."""
 
 
+def _ops(op) -> tuple:  # noqa: ANN001
+    """The ops a record's op makes: a sequence's members, else itself."""
+    return op.ops if type(op) is OpSequence else (op,)
+
+
 def _arm(db: Database, tree, monkeypatch, cut: str) -> dict:  # noqa: ANN001
     """Make the next split or prefix-extending adoption force the log at
     ``cut`` and raise :class:`_Cut` there, its commit not yet logged;
     the dict returned names its transaction as ``"txn"``."""
     state = {"in": None, "fired": False, "txn": None}
-    split, extend = tree._split, tree._maybe_extend_prefix
+    split = tree._split
     log_update, commit = db.tm.log_update, db.tm.commit
 
     def fire(txn) -> None:  # noqa: ANN001
@@ -127,16 +134,14 @@ def _arm(db: Database, tree, monkeypatch, cut: str) -> dict:  # noqa: ANN001
         finally:
             state["in"] = None
 
-    def extending(sys_txn, page, node):  # noqa: ANN001, ANN202
-        prefix = node.prefix
-        extend(sys_txn, page, node)
-        if BTreeNode(page).prefix != prefix:
-            state["in"] = "adoption"
-
     def logging(txn, page_id, page, index_id, op, undo=None):  # noqa: ANN001, ANN202
         lsn = log_update(txn, page_id, page, index_id, op, undo)
-        if (cut == "split, after the removal" and not state["fired"]
-                and state["in"] == "split" and isinstance(op, OpBulkDelete)):
+        ops = _ops(op)
+        if state["in"] is None and any(type(o) is OpExtendPrefix for o in ops):
+            state["in"] = "adoption"
+        if (cut == "split, after the foster child's record"
+                and not state["fired"] and state["in"] == "split"
+                and type(ops[-1]) is OpBulkInsert):
             fire(txn)
         return lsn
 
@@ -149,7 +154,6 @@ def _arm(db: Database, tree, monkeypatch, cut: str) -> dict:  # noqa: ANN001
         return commit(txn, *args, **kwargs)
 
     monkeypatch.setattr(tree, "_split", in_split)
-    monkeypatch.setattr(tree, "_maybe_extend_prefix", extending)
     monkeypatch.setattr(db.tm, "log_update", logging)
     monkeypatch.setattr(db.tm, "commit", committing)
     return state
@@ -159,8 +163,8 @@ def _arm(db: Database, tree, monkeypatch, cut: str) -> dict:  # noqa: ANN001
 PINNED = {
     "adoption, before the commit":
         "fc4293db7a531dd09f46146a672d991bb8df5802c82db9772a6d2d81b69ec758",
-    "split, after the removal":
-        "e2b7b47be771f98e87dd99fbe7c6cbcdb9aa703ebfa5f34ad8422f0c7c3a1e15",
+    "split, after the foster child's record":
+        "53efa17e911fd1852bfd31db27caaf557b75cdd203bb316bc75dc2c2b52a49db",
     "split, before the commit":
         "cafcce76f4d402f5ec15194f3db1619ef5eaab723a4376739422a5566eca9fcd",
 }
@@ -213,29 +217,102 @@ def test_a_cut_split_or_prefix_extension_is_undone_by_restart(cut,
     assert digests == {PINNED[cut]}
 
 
+def test_a_structure_change_logs_one_record_per_page_it_changes(
+        monkeypatch):
+    """A split logs four records — its allocation's ``next_free``, the
+    foster child's FORMAT_PAGE, then one UPDATE of the foster child and
+    one of its source page — and an adoption one UPDATE of the parent
+    and one of the child.  A root growth logs one UPDATE of the new
+    root and one of the old, besides its allocation and the catalogue's
+    new root.  Every UPDATE advances its page's update counter by one
+    per op it carries (a prefix extension by two), where the per-op
+    records left it."""
+    db = Database(fast_config(page_size=1024, capacity_pages=2048,
+                              buffer_capacity=256))
+    tree = db.create_index()
+    changes: dict[str, list] = {"_split": [], "_adopt": [], "_grow_root": []}
+    counted = []
+    log_update = db.tm.log_update
+
+    def logging(txn, page_id, page, index_id, op, undo=None):  # noqa: ANN001, ANN202
+        before = page.update_count
+        lsn = log_update(txn, page_id, page, index_id, op, undo)
+        counted.append((page.update_count - before,
+                        sum(1 + (type(o) is OpExtendPrefix) for o in _ops(op))))
+        return lsn
+
+    def watch(name: str) -> None:
+        real = getattr(tree, name)
+
+        def change(*args):  # noqa: ANN002, ANN202
+            start = db.log.end_lsn
+            result = real(*args)
+            if db.log.end_lsn > start:
+                changes[name].append(db.log.records_from(start))
+            return result
+        monkeypatch.setattr(tree, name, change)
+
+    for name in changes:
+        watch(name)
+    monkeypatch.setattr(db.tm, "log_update", logging)
+    _put(db, tree, range(300))
+    update, fmt = LogRecordKind.UPDATE, LogRecordKind.FORMAT_PAGE
+    assert all(len(made) for made in changes.values())
+    for records in changes["_split"]:
+        assert [r.kind for r in records] == [update, fmt, update, update]
+        assert records[2].page_id == records[1].page_id  # the foster child
+        assert type(_ops(records[3].op)[0]) is OpBulkDelete
+    for records in changes["_adopt"]:
+        assert [r.kind for r in records] == [update, update]
+    pages = set(tree_pages(db, tree.index_id))
+    for records in changes["_grow_root"]:
+        assert [r.kind for r in records if r.page_id in pages] == [
+            fmt, update, update]
+    assert counted and all(made == per_op for made, per_op in counted)
+
+
+def test_an_adoption_sizes_its_child_record_before_logging_it():
+    """A full child whose new high fence is longer than its old one has
+    room for it only once its foster record — keyed by that very fence
+    — is cleared: the adoption clears it first, and every transaction
+    commits, leaving no system transaction open.  (Logged per op, the
+    fence's insert failed after its record was appended, stranding the
+    user and the system transaction, and every later descent retried
+    the adoption.)"""
+    db = Database(fast_config(page_size=1024, capacity_pages=4096,
+                              buffer_capacity=512))
+    tree = db.create_index()
+    rng = random.Random(46)
+    oracle = {}
+    for _ in range(400):
+        txn = db.begin()
+        for _ in range(rng.randint(1, 8)):
+            key = b"k" + bytes(rng.choice(b"abcdefghij")
+                               for _ in range(rng.randint(1, 40)))
+            value = rng.randbytes(rng.randint(0, 80))
+            db.locks.acquire(txn.txn_id, key)
+            tree.upsert(txn, key, value)
+            oracle[key] = value
+        db.commit(txn)
+        assert not db.tm.active
+    assert list(tree.range_scan()) == sorted(oracle.items())
+
+
 def _structure_since_backup(db: Database, tree) -> list[int]:  # noqa: ANN001
     """Put every key the preload lacks, one transaction; returns the
     leaves that were there before and have since split and then
     extended their prefix in an adoption."""
     old = set(tree_pages(db, tree.index_id))
+    start = len(db.log.all_records())
+    _put(db, tree, _PUTS)
     split, extended = set(), set()
-    real_split, real_extend = tree._split, tree._maybe_extend_prefix
-
-    def in_split(page_id):  # noqa: ANN001, ANN202
-        split.add(page_id)
-        return real_split(page_id)
-
-    def extending(sys_txn, page, node):  # noqa: ANN001, ANN202
-        prefix = node.prefix
-        real_extend(sys_txn, page, node)
-        if BTreeNode(page).prefix != prefix and page.page_id in split:
-            extended.add(page.page_id)
-
-    tree._split, tree._maybe_extend_prefix = in_split, extending
-    try:
-        _put(db, tree, _PUTS)
-    finally:
-        del tree._split, tree._maybe_extend_prefix
+    for record in db.log.all_records()[start:]:
+        ops = _ops(record.op)
+        if type(ops[0]) is OpBulkDelete:
+            split.add(record.page_id)
+        elif (record.page_id in split
+              and any(type(op) is OpExtendPrefix for op in ops)):
+            extended.add(record.page_id)
     return sorted(extended & old)
 
 

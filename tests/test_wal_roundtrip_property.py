@@ -21,8 +21,11 @@ UPDATE carries an ``OpBulkInsert`` of one to many rows and the
 DELETE_KEYS undo naming their keys under any prefix.  A split's
 removal names a range of one to 65 535 rows and no row; a prefix
 extension names a range and the one to 32 767 bytes it strips, and is
-compensated like any op but the removal.  A PRI update names the pages
-of one write-back run, one to many.
+compensated like any op but the removal.  A structure change's record
+of one page carries an ``OpSequence`` of two to four ops, a removal or
+compensations among them, and a compensation wraps any sequence
+holding neither.  A PRI update names the pages of one write-back run,
+one to many.
 
 The other direction is hostile bytes: whatever a decode boundary is
 handed — arbitrary bytes, or a valid encoding with a few bytes
@@ -37,7 +40,10 @@ key, not its run's keys, or rides on anything but an ``OpBulkInsert``
 in an UPDATE that is not redo-only; a removal or prefix extension of no
 row, a prefix extension stripping no byte, more than a key holds or
 more than the record holds, rows trailing a removal and a compensated
-removal.
+removal; and a sequence of fewer than two ops or fewer than it counts,
+one nested in another (compensated or not), one holding a redo-only
+rewrite, and a compensated sequence holding a removal or a
+compensation.
 
 Every field a header carries is drawn from both sides of the narrow
 form's range, so records come narrow and wide; the boundaries
@@ -66,6 +72,7 @@ from repro.wal.ops import (
     OpInitSlotted,
     OpInsert,
     OpInverse,
+    OpSequence,
     OpSetGhost,
     OpUpdateValue,
     OpWriteBytes,
@@ -182,14 +189,30 @@ def _op_extend_prefix():
                                st.just(b"p" * 0x7FFF)))
 
 
-#: every op a compensation can wrap: all but the row-free removal
-compensable_ops = st.one_of(
+def _op_sequence(members):  # noqa: ANN001, ANN202
+    """Sequences of two to four ``members``, as one UPDATE or CLR field
+    (its u16 length) holds them."""
+    return st.lists(members, min_size=2, max_size=4).map(
+        lambda ops: OpSequence(tuple(ops))).filter(
+            lambda op: op.encoded_size() <= 0xFFFF)
+
+
+_compensable_members = st.one_of(
     _op_insert(), _op_delete(), _op_update_value(), _op_set_ghost(),
     _op_write_bytes(), _op_init_slotted(), _op_bulk_insert(),
     _op_extend_prefix(),
 )
 
-plain_ops = st.one_of(compensable_ops, _op_bulk_delete())
+#: every op a compensation can wrap: all but the row-free removal and a
+#: sequence holding one
+compensable_ops = st.one_of(_compensable_members,
+                            _op_sequence(_compensable_members))
+
+#: a structure change's record of one page: any op but a sequence, and
+#: compensations, as the CLR of a split's source page carries them
+plain_ops = st.one_of(compensable_ops, _op_bulk_delete(), _op_sequence(
+    st.one_of(_compensable_members, _op_bulk_delete(),
+              st.builds(OpInverse, _compensable_members))))
 
 #: Every op kind, plus compensation wrappers around each that has one.
 any_op = st.one_of(plain_ops, st.builds(OpInverse, compensable_ops))
@@ -507,13 +530,16 @@ def _system_update(op_bytes: bytes) -> bytes:
 
 
 def _hostile_structure() -> dict[str, bytes]:
-    """Bytes no writer produces for a split's removal or a prefix
-    extension."""
+    """Bytes no writer produces for a split's removal, a prefix
+    extension or a structure change's sequence of ops."""
     ids = dict(txn_id=1, page_id=2)
     good = OpExtendPrefix(5, 3, b"k00").encode()
     assert LogRecord.decode(_system_update(good)).op == OpExtendPrefix(
         5, 3, b"k00")
     row = bytes([0]) + struct.pack("<H", 3) + b"k01" + struct.pack("<H", 1) + b"a"
+    ghost = OpSetGhost(3, False, True).encode()
+    assert LogRecord.decode(_system_update(bytes([13, 2, 0]) + ghost * 2)
+                            ).op == OpSequence((OpSetGhost(3, False, True),) * 2)
     return {
         "a removal of no row": _system_update(bytes([8]) + struct.pack("<HH", 5, 0)),
         "a prefix extension of no row": _system_update(
@@ -529,6 +555,25 @@ def _hostile_structure() -> dict[str, bytes]:
         "a compensated row-free removal": LogRecord(
             LogRecordKind.COMPENSATION, **ids,
             op=OpInverse(OpBulkDelete(5, 3))).encode(),
+        "a sequence of no op": _system_update(bytes([13, 0, 0])),
+        "a sequence of one op": _system_update(bytes([13, 1, 0]) + ghost),
+        "a sequence in a sequence": _system_update(
+            bytes([13, 2, 0, 13, 2, 0]) + ghost * 3),
+        "a compensated sequence in a sequence": _system_update(
+            bytes([13, 2, 0, 99, 13, 2, 0]) + ghost * 3),
+        "a run of sequence kinds": _system_update(bytes([13, 2, 0]) * 40),
+        "a redo-only rewrite in a sequence": _system_update(
+            bytes([13, 2, 0]) + ghost
+            + OpUpdateValue(3, None, b"new").encode()),
+        "fewer ops than a sequence counts": _system_update(
+            bytes([13, 3, 0]) + ghost * 2),
+        "a compensated sequence holding a removal": LogRecord(
+            LogRecordKind.COMPENSATION, **ids, op=OpInverse(OpSequence(
+                (OpBulkDelete(5, 3), OpSetGhost(3, False, True))))).encode(),
+        "a compensated sequence holding a compensation": LogRecord(
+            LogRecordKind.COMPENSATION, **ids, op=OpInverse(OpSequence(
+                (OpInverse(OpSetGhost(3, False, True)),
+                 OpSetGhost(3, False, True))))).encode(),
     }
 
 

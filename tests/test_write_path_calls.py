@@ -52,18 +52,21 @@ deterministic: what ``sys.setprofile`` sees, not a clock
 
 Last, a structure budget: the first 2 000 records of the bench's
 sorted kv load, in its 500-put batches — about a split and an adoption
-every 16 records, each a handful of logged page ops applied by the
-slotted-page mutators — may enter at most 93 357 functions, the count
-of a fresh process (a slot count the struct memo of
+every 16 records, each one record per page it changes, whose ops the
+slotted-page mutators apply — may enter at most 78 082 functions, the
+count of a fresh process (a slot count the struct memo of
 ``repro.page.slotted`` has not seen yet costs one call more, so a
-process that ran other tests counts a few less).  History: 147 309
-while those mutators built a ``Record`` per row, read the slotted
-header through one property per field and called ``_slot_words`` for
-their struct, and spelled a prefix extension as ``remove_run`` +
-``insert_run`` (each compacting through ``read_record`` and
-``_append_to_heap`` per row), and a leaf run locked its rows with one
-``LockManager.try_acquire`` each (``benchmarks/load_path.py`` times
-the load's stages).
+process that ran other tests counts a few less).  History: 93 357
+while a structure change logged one record per op, each through
+``FosterBTree._log``, ``TransactionManager.log_update``,
+``LogManager.append`` and the segment directory, with its own
+``LogRecord``, size and PageLSN; 147 309 while those mutators built a
+``Record`` per row, read the slotted header through one property per
+field and called ``_slot_words`` for their struct, and spelled a prefix
+extension as ``remove_run`` + ``insert_run`` (each compacting through
+``read_record`` and ``_append_to_heap`` per row), and a leaf run locked
+its rows with one ``LockManager.try_acquire`` each
+(``benchmarks/load_path.py`` times the load's stages).
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ WORKER_GET_CALLS = 20
 WORKER_PUT_CALLS = 52
 ROUTER_GET_CALLS = 6
 ROUTER_PUT_CALLS = 6
-LOAD_CALLS = 93_357
+LOAD_CALLS = 78_082
 
 _CONFIG = dict(page_size=1024, capacity_pages=8192, buffer_capacity=4096)
 _KEYS = [b"user%07d" % (7 * i) for i in range(2_000)]
