@@ -616,11 +616,11 @@ class BTreeNode(SlotReader):
     @staticmethod
     def ops_initialize(level: int, low: bytes, high: bytes, high_inf: bool,
                        foster_key: bytes = b"", foster_pid: int = NO_FOSTER,
-                       rows: Iterable[tuple[bytes, bytes, bool]] = ()
+                       rows: Iterable[tuple[bytes, bytes, bool]] | None = None
                        ) -> list[PageOp]:
         """Bookkeeping-record inserts for a freshly formatted node, then
-        — when there are ``rows`` ``(full key, value, ghost)`` — one
-        insert of them: a split's foster child with the half it takes.
+        — given ``rows`` ``(full key, value, ghost)`` — one insert of
+        them: a split's foster child with the half it takes.
 
         The prefix is fixed here: the common prefix of the fences (or
         empty when the high fence is infinite).
@@ -630,7 +630,7 @@ class BTreeNode(SlotReader):
         ops = [OpInsert(SLOT_LOW, low, meta, True),
                OpInsert(SLOT_HIGH, high, b"", True),
                OpInsert(SLOT_FOSTER, foster_key, encode_pid(foster_pid), True)]
-        if rows:
+        if rows is not None:
             ops.append(_bulk_insert(prefix, DATA_START, rows))
         return ops
 

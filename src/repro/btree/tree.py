@@ -165,9 +165,9 @@ class FosterBTree:
         sys_txn = tm.begin(system=True)
         root = ctx.allocate_page(sys_txn, PageType.BTREE_LEAF, index_id)
         # Creation, not a structure change of a tree that holds rows:
-        # the empty root's bookkeeping is one record per insert, as ever,
-        # so every log still starts at the LSNs the golden chaos traces
-        # and wire traffic pin across commits.
+        # the empty root's bookkeeping is one record per insert, so every
+        # log starts at the LSNs the golden chaos traces and wire
+        # traffic pin across commits.
         for op in BTreeNode.ops_initialize(level=0, low=b"", high=b"",
                                            high_inf=True):
             tree._log(sys_txn, root, op)

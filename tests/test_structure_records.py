@@ -275,10 +275,9 @@ def test_an_adoption_sizes_its_child_record_before_logging_it():
     """A full child whose new high fence is longer than its old one has
     room for it only once its foster record — keyed by that very fence
     — is cleared: the adoption clears it first, and every transaction
-    commits, leaving no system transaction open.  (Logged per op, the
-    fence's insert failed after its record was appended, stranding the
-    user and the system transaction, and every later descent retried
-    the adoption.)"""
+    commits, leaving no system transaction open.  An op that failed to
+    apply after its record was appended would strand both transactions,
+    and every later descent would retry the adoption."""
     db = Database(fast_config(page_size=1024, capacity_pages=4096,
                               buffer_capacity=512))
     tree = db.create_index()
