@@ -581,27 +581,22 @@ class BTreeNode(SlotReader):
         return ops
 
     def ops_reencode_prefix(self, new_prefix: bytes,
-                            flags: int | None = None) -> list[PageOp]:
+                            flags: int) -> list[PageOp]:
         """Re-encode stored keys under a longer truncation prefix.
 
         Adoption tightens a node's high fence, which usually permits a
         longer common prefix; re-encoding is contents-neutral and runs
         inside the same system transaction as the adoption.  The
         metadata's prefix is rewritten — under ``flags``, the flags the
-        ops before it in the same record leave (by default the page's)
-        — then one :class:`repro.wal.ops.OpExtendPrefix` strips the new
-        bytes from every data key where it lies.  Returns an empty list
-        when nothing would change.
+        ops before it in the same record leave — then one
+        :class:`repro.wal.ops.OpExtendPrefix` strips the new bytes from
+        every data key where it lies.
         """
         old_prefix = self.prefix
-        if new_prefix == old_prefix:
-            return []
         if not new_prefix.startswith(old_prefix):
             raise BTreeError("prefix can only be extended")
         stripped = new_prefix[len(old_prefix):]
         view = self.view
-        if flags is None:
-            flags = view.flags
         head = _META.pack(view.level, flags)
         ops = [value_rewrite(SLOT_LOW, head + old_prefix, head + new_prefix)]
         keys = self.slotted.keys(DATA_START)

@@ -181,32 +181,34 @@ def _op_bulk_delete():
     return st.builds(OpBulkDelete, slots, row_counts)
 
 
-def _op_extend_prefix():
+def _op_extend_prefix(longest: bool = True):  # noqa: ANN202
     """Prefix extensions of one to many rows, stripping one byte to a
-    key's worth."""
-    return st.builds(OpExtendPrefix, slots, row_counts,
-                     st.one_of(st.binary(min_size=1, max_size=48),
-                               st.just(b"p" * 0x7FFF)))
+    key's worth (without ``longest``, to 48 bytes)."""
+    stripped = st.binary(min_size=1, max_size=48)
+    if longest:
+        stripped = st.one_of(stripped, st.just(b"p" * 0x7FFF))
+    return st.builds(OpExtendPrefix, slots, row_counts, stripped)
 
 
 def _op_sequence(members):  # noqa: ANN001, ANN202
-    """Sequences of two to four ``members``, as one UPDATE or CLR field
-    (its u16 length) holds them."""
-    return st.lists(members, min_size=2, max_size=4).map(
-        lambda ops: OpSequence(tuple(ops))).filter(
-            lambda op: op.encoded_size() <= 0xFFFF)
+    """Sequences of two to four ``members``."""
+    return st.builds(OpSequence, st.lists(members, min_size=2,
+                                          max_size=4).map(tuple))
 
 
+#: every op a compensation can wrap but a sequence and the row-free
+#: removal, each small enough that four fit one record's u16 op length
 _compensable_members = st.one_of(
     _op_insert(), _op_delete(), _op_update_value(), _op_set_ghost(),
     _op_write_bytes(), _op_init_slotted(), _op_bulk_insert(),
-    _op_extend_prefix(),
+    _op_extend_prefix(longest=False),
 )
 
 #: every op a compensation can wrap: all but the row-free removal and a
 #: sequence holding one
-compensable_ops = st.one_of(_compensable_members,
-                            _op_sequence(_compensable_members))
+compensable_ops = st.one_of(
+    _compensable_members, _op_extend_prefix(),
+    _op_sequence(_compensable_members))
 
 #: a structure change's record of one page: any op but a sequence, and
 #: compensations, as the CLR of a split's source page carries them
