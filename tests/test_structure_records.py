@@ -11,10 +11,10 @@ then leaves a loser that restart must undo:
   page's record, its removal and foster link, not logged), and one cut
   just before its commit, and an adoption cut just before its commit,
   after the record that extends its child's prefix has hardened, come
-  back under eager and on-demand restart with every page of the tree holding what it held
-  before (its bookkeeping and its rows; the heap layout and the header
-  fields that follow from LSNs aside) and the key -> value map
-  unchanged;
+  back under eager and on-demand restart with every page of the tree
+  holding what it held before (its bookkeeping and its rows; the heap
+  layout and the header fields that follow from LSNs aside) and the
+  key -> value map unchanged;
 * the page images they come back as are pinned (checksum and PageLSN
   masked), so a change to what those records log must restore the same
   bytes, update counter included.
@@ -26,6 +26,11 @@ seed too, as replaying a FORMAT_PAGE record resets the update counter
 formatting resets.  A prefix extension's op leaves the bytes removing
 and re-inserting the re-keyed rows left, and refuses a key without the
 bytes it strips.
+
+And the records themselves: a split, an adoption and a root growth log
+one record per page they change, each advancing its page's update
+counter where the per-op records did, and an adoption sizes its child's
+record before it logs anything.
 """
 
 from __future__ import annotations
@@ -237,8 +242,9 @@ def test_a_structure_change_logs_one_record_per_page_it_changes(
     def logging(txn, page_id, page, index_id, op, undo=None):  # noqa: ANN001, ANN202
         before = page.update_count
         lsn = log_update(txn, page_id, page, index_id, op, undo)
-        counted.append((page.update_count - before,
-                        sum(1 + (type(o) is OpExtendPrefix) for o in _ops(op))))
+        if undo is None:  # a system transaction's: a structure change
+            counted.append((page.update_count - before, sum(
+                1 + (type(o) is OpExtendPrefix) for o in _ops(op))))
         return lsn
 
     def watch(name: str) -> None:
