@@ -426,3 +426,56 @@ def test_a_prefix_extension_refuses_a_key_without_its_bytes():
     with pytest.raises(RecoveryError):
         OpExtendPrefix(2, 4, b"k00").apply_redo(page)
     assert page.data == before
+
+
+def _rightmost_foster_parent(room: int) -> BTreeNode:
+    """A 1 KiB leaf whose high fence is +inf — its keys stored under no
+    prefix — with a foster child at ``user/9999`` and rows from
+    ``user/0000`` on, filled until ``room`` bytes are left for inserts,
+    compaction included."""
+    page = Page.format(1024, 7, PageType.BTREE_LEAF)
+    SlottedPage(page).initialize()
+    for op in BTreeNode.ops_initialize(0, b"user/0000", b"", True,
+                                       b"user/9999", 99):
+        op.apply_redo(page)
+    node = BTreeNode(page)
+    i = 0
+    while True:
+        slotted = node.slotted
+        left = slotted.free_space + slotted.frag_bytes - room
+        key = b"user/%04d" % i
+        row = 2 + len(key) + 4  # length prefix, key, slot
+        if left < row + 40:
+            node.op_insert(i, key, b"v" * (left - row)).apply_redo(page)
+            break
+        node.op_insert(i, key, b"v" * 40).apply_redo(page)
+        i += 1
+    slotted = node.slotted
+    assert slotted.free_space + slotted.frag_bytes == room
+    return node
+
+
+@pytest.mark.parametrize("room", [2, 9, 40])
+def test_a_chain_end_fits_the_page_it_changes(room):
+    """Ending a foster chain at the foster key re-keys the high fence
+    (+inf: empty) to it, which needs its length in room, and the foster
+    record to the empty key, which gives that much back; and the longer
+    prefix the tightened fences allow grows the metadata before the
+    keys shrink.  With 2 bytes of room the foster record is cleared
+    first and the prefix extension left out (the empty prefix stays
+    valid); with 9 the fence still goes first; with 40 both run in their
+    usual order and the keys are re-encoded.  Each record applies."""
+    node = _rightmost_foster_parent(room)
+    page = node.page
+    rows = list(node.rows())
+    ops = node.ops_end_chain(b"user/9999")
+    kinds = [(type(op).__name__, getattr(op, "slot", None)) for op in ops]
+    fence_first = kinds[:2] == [("OpDelete", 1), ("OpInsert", 1)]
+    assert fence_first == (room >= len(b"user/9999"))
+    assert any(type(op) is OpExtendPrefix for op in ops) == (room >= 5)
+    OpSequence(tuple(ops)).apply_redo(page)
+    node = BTreeNode(page)
+    assert (node.high_fence, node.high_inf, node.has_foster) == (
+        b"user/9999", False, False)
+    assert node.prefix == (b"user/" if room >= 5 else b"")
+    assert list(node.rows()) == rows
