@@ -92,4 +92,6 @@ def test_fig06_09_bench_pri_maintenance(benchmark):
         db.pool.flush_page(victim)
 
     benchmark.pedantic(dirty_and_flush, rounds=30, iterations=1)
-    assert db.stats.get("pri_update_records") >= 30
+    # One PRI update per flush that ran: 30 with the benchmark plugin
+    # timing, 1 under --benchmark-disable.
+    assert db.stats.get("pri_update_records") >= counter[0] >= 1

@@ -26,7 +26,10 @@ log's LSNs) is pinned at four points: after the stream; after a crash —
 with a loser transaction's rewrites forced but not committed — and an
 eager restart; after the same crash and an on-demand restart, drained;
 and after bit rot on every leaf of the eager copy is repaired through
-the fetch path.
+the fetch path.  The same three recoveries run once more from a fresh
+engine whose log holds ``LogRecord.decode(r.encode())`` of every
+record (:func:`decoded_twin`) and must give the same digests: what
+recovery reads is what the log's bytes say.
 
 A digest may change only when a change *means* to move what the
 database holds; then regenerate in the same diff and say why in
@@ -37,6 +40,7 @@ CHANGES.md::
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import random
@@ -49,9 +53,11 @@ import repro
 from repro import EngineConfig
 from repro.btree.node import BTreeNode
 from repro.core.backup import BackupPolicy
+from repro.engine.database import Database
 from repro.errors import PageFailureKind
 from repro.page.page import TYPE_OFFSET, PageType
-from repro.wal.records import LogRecordKind
+from repro.wal.log_manager import LogManager
+from repro.wal.records import LogRecord, LogRecordKind
 from tests.conftest import clone_crashed
 from tests.test_golden_write_path import CASES as WRITE_CASES
 from tests.test_golden_write_path import write_stream
@@ -363,15 +369,32 @@ def open_loser(db, index_id: int, seed: int) -> None:  # noqa: ANN001
     db.log.force()
 
 
-def _run(stream, args, before_crash) -> dict:  # noqa: ANN001
-    client = stream(*args)
-    db, index_id = client.db, client.index_id
-    out = {"after_stream": state(db, index_id)}
-    open_loser(db, index_id, args[0])
-    if before_crash is not None:
-        before_crash(db, index_id, args[0])
-    db.crash()
-    lazy = clone_crashed(db)
+def decoded_twin(db):  # noqa: ANN001, ANN201
+    """A fresh engine over a copy of the crashed ``db``'s durable parts
+    whose log holds ``LogRecord.decode(r.encode())`` of every record:
+    what the log's bytes say, not the objects that were appended."""
+    twin = copy.deepcopy(db)
+    old = twin.durable.log
+    log = LogManager(old.clock, old.profile, old.stats,
+                     segment_bytes=twin.config.log_segment_bytes)
+    for record in old.all_records():
+        decoded = LogRecord.decode(record.encode())
+        decoded.lsn = record.lsn
+        log.adopt(decoded)
+    assert log.end_lsn == old.end_lsn == old.durable_lsn
+    log.master_checkpoint_lsn = old.master_checkpoint_lsn
+    twin.durable.log = log
+    fresh = Database(twin.config, clock=twin.clock, stats=twin.stats,
+                     injector=twin.injector, durable=twin.durable)
+    fresh.tm.restore_txn_id_floor(twin.tm.next_txn_id - 1)
+    return fresh
+
+
+def _recover(db, lazy, index_id: int) -> dict:  # noqa: ANN001
+    """Both restarts of one crash image (``lazy`` is a copy of the
+    crashed ``db``), then every leaf of the eager one bit-rotted and
+    repaired through the fetch path."""
+    out = {}
     db.restart("eager")
     out["eager_restart"] = state(db, index_id)
     lazy.restart("on_demand")
@@ -393,10 +416,33 @@ def _run(stream, args, before_crash) -> dict:  # noqa: ANN001
     return out
 
 
+def _run(stream, args, before_crash,  # noqa: ANN001
+         decoded: bool = False) -> dict:
+    """The stream's digests; with ``decoded``, also what the same
+    crash recovers to from a :func:`decoded_twin`, under
+    ``"decoded"``."""
+    client = stream(*args)
+    db, index_id = client.db, client.index_id
+    out = {"after_stream": state(db, index_id)}
+    open_loser(db, index_id, args[0])
+    if before_crash is not None:
+        before_crash(db, index_id, args[0])
+    db.crash()
+    if decoded:
+        twin = _recover(decoded_twin(db), decoded_twin(db), index_id)
+    out.update(_recover(db, clone_crashed(db), index_id))
+    if decoded:
+        out["decoded"] = twin
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_logical_state_matches_golden(name: str) -> None:
     golden = json.loads(GOLDEN.read_text())[name]
-    ours = _run(*CASES[name])
+    ours = _run(*CASES[name], decoded=True)
+    # The log's bytes, decoded, recover exactly what its objects do.
+    decoded = ours.pop("decoded")
+    assert decoded == {phase: ours[phase] for phase in decoded}
     # The loser rolled back, both ways, and every leaf was repaired.
     for phase in ("eager_restart", "on_demand_restart", "leaves_repaired"):
         assert ours[phase]["kv_sha256"] == ours["after_stream"]["kv_sha256"]
