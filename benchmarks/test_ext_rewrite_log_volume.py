@@ -48,9 +48,9 @@ KV_KEY = b"user000000004242"
 
 def _whole_value_size(key: bytes, old: bytes, new: bytes) -> int:
     """What the rewrite logged before spans: both values whole."""
-    return LogRecord(LogRecordKind.UPDATE, op=OpUpdateValue(3, old, new),
-                     undo=LogicalUndo(UndoAction.RESTORE_VALUE, key,
-                                      old)).encoded_size()
+    return len(LogRecord(LogRecordKind.UPDATE, op=OpUpdateValue(3, old, new),
+                         undo=LogicalUndo(UndoAction.RESTORE_VALUE, key,
+                                          old)).encode())
 
 
 def measure() -> list[dict]:
@@ -90,7 +90,7 @@ def measure() -> list[dict]:
 
 
 def _last_clr_size(log) -> int:  # noqa: ANN001
-    return next(r.encoded_size() for r in reversed(log.all_records())
+    return next(len(r.encode()) for r in reversed(log.all_records())
                 if r.kind == LogRecordKind.COMPENSATION)
 
 

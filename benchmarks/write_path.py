@@ -7,7 +7,10 @@ then rewrites existing keys with same-length values — the workload's
 engine call it makes (``Database.autocommit_write``) and that call's
 four steps (``begin_unlisted`` / ``locks.check`` / ``insert`` /
 ``end_autocommit``), and through an unrolled copy of the path with a
-clock read between every two stages.  Microseconds per put, median of ``--reps`` passes;
+clock read between every two stages.  Then the listed write, which no
+stage table splits: one put in a ``client.txn()`` and one key of a
+32-put ``client.apply_batch`` (each logs an UPDATE with its undo, the
+before-image shared).  Microseconds per put, median of ``--reps`` passes;
 each stage of the unrolled put carries one ``perf_counter_ns`` call
 (~0.07 us) of its own.  The whole-benchmark claim (``python3 -m
 bench.run``) is made of these.
@@ -24,7 +27,8 @@ The unrolled put must stay what ``Database.autocommit_write`` +
 ``FosterBTree._write`` + ``TransactionManager.log_update`` / ``commit``
 do — an unlisted write (no active-table entry, no registered lock)
 whose key is checked free, a redo-only record
-that takes its commit bit at append, the leaf's page id taken from the
+packed with its commit bit (``encode_update``, no record object) and
+written once by ``log.append``, the leaf's page id taken from the
 descent (no header re-read), one pool exit (``pool.unfix(page_id,
 dirty_lsn)``), the force in ``LogManager.commit`` — counted through the
 handles they count through;
@@ -65,7 +69,7 @@ from repro.page.slotted import Record, SlottedPage, update_value  # noqa: E402
 from repro.txn.transaction import TxnState  # noqa: E402
 from repro.wal.ops import OpUpdateValue, value_rewrite  # noqa: E402
 from repro.wal.records import (LogicalUndo, LogRecord,  # noqa: E402
-                               LogRecordKind, UndoAction)
+                               LogRecordKind, UndoAction, encode_update)
 
 now = time.perf_counter_ns
 
@@ -73,8 +77,9 @@ STAGES = (
     "tm.begin_unlisted (id + inc)", "locks.check (nothing registered)",
     "descent (shared with get)", "node.find",
     "probe_value (ghost bit, before-image, room: one slot read)",
-    "value_rewrite (redo-only: no undo)", "LogRecord(...)",
-    "log.append (+ the commit bit)", "op.apply_redo",
+    "value_rewrite (redo-only: no undo)",
+    "encode_update (header + op: one pack)",
+    "log.append (the bytes, written once)", "op.apply_redo",
     "PageLSN + chain head + inc", "inc + unfix(page_id, dirty_lsn)",
     "log.commit (the force alone)",
     "finish (inc)",
@@ -98,11 +103,10 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     t5 = now()
     op = value_rewrite(DATA_START + i, old, value, True)
     t6 = now()
-    record = LogRecord(LogRecordKind.UPDATE, txn.txn_id, txn.last_lsn,
-                       pid, page.page_lsn, tree.index_id, 0, op, None)
-    record.redo_only = True
+    encoding = encode_update(txn.txn_id, txn.last_lsn, pid, page.page_lsn,
+                             tree.index_id, op, None, True)
     t7 = now()
-    lsn = log.append(record)
+    lsn = log.append(encoding)
     txn.state = TxnState.COMMITTED
     t8 = now()
     op.apply_redo(page)
@@ -224,6 +228,29 @@ def main() -> None:
     rows.append(("unrolled put, a clock read per stage", per_put(unrolled)))
     for name, ns in zip(STAGES, spent):
         rows.append(("  " + name, ns / calls / 1e3))
+
+    # -- the listed write: a transaction's put, a batch's key ----------
+    def in_txn(key: bytes, value: bytes) -> None:
+        with client.txn() as txn:
+            txn.put(key, value)
+
+    rows.append(("client.txn(): one put, begin to commit",
+                 per_put(whole(in_txn))))
+    batch = 32
+    batches = [keys[i:i + batch] for i in range(0, len(keys), batch)]
+
+    def per_batch_key() -> float:
+        passes = []
+        for rep in range(args.reps):
+            value = values[rep]
+            start = now()
+            for group in batches:
+                client.apply_batch([("put", key, value) for key in group])
+            passes.append((now() - start) / len(keys))
+        return statistics.median(passes) / 1e3
+
+    rows.append((f"client.apply_batch of {batch} puts, per key",
+                 per_batch_key()))
     for name, micros in rows:
         print(f"{micros:8.2f} us  {name}")
     runner.close()
@@ -234,11 +261,11 @@ def _update_size(key: bytes, op: OpUpdateValue) -> int:
     """The UPDATE a B-tree rewrite logs for ``op``: in a transaction
     with undo (which shares its before-image), or redo-only."""
     if op.old_value is None:
-        return LogRecord(LogRecordKind.UPDATE, op=op, commits=True,
-                         redo_only=True).encoded_size()
-    return LogRecord(LogRecordKind.UPDATE, op=op, undo=LogicalUndo(
+        return len(LogRecord(LogRecordKind.UPDATE, op=op,
+                             redo_only=True).encode())
+    return len(LogRecord(LogRecordKind.UPDATE, op=op, undo=LogicalUndo(
         UndoAction.RESTORE_VALUE, key, op.old_value, op.prefix,
-        op.suffix)).encoded_size()
+        op.suffix)).encode())
 
 
 def rewrite_table(n: int, reps: int) -> None:

@@ -37,6 +37,7 @@ from repro.core.recovery_index import PartitionedRecoveryIndex
 from repro.core.single_page import SinglePageRecovery
 from repro.errors import (
     FailureClass,
+    LogError,
     MediaFailure,
     PageFailureKind,
     RecoveryError,
@@ -159,7 +160,9 @@ class RecoveryManager:
                     backup_fetches=result.backup_fetches,
                 ))
                 return page
-            except RecoveryError as exc:
+            except (RecoveryError, LogError) as exc:
+                # A chain record whose bytes encode nothing fails the
+                # repair like a chain that does not connect.
                 self._spf_recovery_failures.inc()
                 self._escalate(failure, f"single-page recovery failed: {exc}")
         else:

@@ -46,7 +46,7 @@ from repro.errors import RecoveryError
 from repro.sim.clock import StopWatch
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
-from repro.wal.records import LogRecord, LogRecordKind
+from repro.wal.records import PAGE_UPDATE_KINDS, LogRecordKind
 
 
 @dataclass
@@ -78,9 +78,9 @@ def collect_replay_targets(db, backup_id: int, backup_lsn: int):  # noqa: ANN001
     Returns ``(att, page_records)``: ``att`` maps each loser
     transaction — uncommitted at the failure, including any losers an
     interrupted on-demand restart still owed — to ``(last_lsn,
-    is_system)``, and ``page_records`` holds each page's record list
-    in log order (the fallback replay source when a per-page chain
-    does not connect).
+    is_system)``, and ``page_records`` holds the LSNs of each page's
+    records in log order (the fallback replay source when a per-page
+    chain does not connect).  The scan reads headers only.
 
     The loser set is *seeded* from the active-transaction table of the
     checkpoint the backup was taken under: a transaction whose records
@@ -99,11 +99,12 @@ def collect_replay_targets(db, backup_id: int, backup_lsn: int):  # noqa: ANN001
                 and master.checkpoint is not None):
             for txn_id, last_lsn, is_system in master.checkpoint.active_txns:
                 att[txn_id] = (last_lsn, is_system)
-    page_records: dict[int, list[LogRecord]] = {}
-    for record in db.log_reader.scan_from(backup_lsn):
-        note_txn_record(att, record)
-        if record.is_page_update and record.page_id >= 0:
-            page_records.setdefault(record.page_id, []).append(record)
+    page_records: dict[int, list[int]] = {}
+    for lsn, kind, commits, txn_id, page_id, _encoding in (
+            db.log_reader.scan_from(backup_lsn)):
+        note_txn_record(att, lsn, kind, commits, txn_id)
+        if kind in PAGE_UPDATE_KINDS and page_id >= 0:
+            page_records.setdefault(page_id, []).append(lsn)
     return att, page_records
 
 

@@ -7,8 +7,9 @@ need be an offline event.  After log analysis the database may open at
 once, and a :class:`PendingRecovery` tracks what classic recovery would
 have finished first:
 
-* **pending pages** — each with the record list analysis collected for
-  it.  A pending page is brought current exactly once: on its first fix
+* **pending pages** — each with the LSNs of the records analysis
+  collected for it, in log order (their bodies are decoded when redo
+  applies them).  A pending page is brought current exactly once: on its first fix
   (the buffer pool's ``fetcher`` hook) or by the background
   :meth:`PendingRecovery.drain`, whichever claims it first under the
   registry mutex;
@@ -40,7 +41,7 @@ a live one is an assertion.
 **Record-source rule.**  A *demand fix* walks the page's chain — it is a
 single-page recovery whose backup happens to be the source's image —
 and falls back to the analysis list if the chain does not connect.  A
-*drain* replays the list analysis already holds: the scan paid for it,
+*drain* replays the records analysis listed: the scan paid for them,
 so bulk recovery never re-reads chains as random log I/O.  Chain order
 and log order coincide per page and both go through
 :func:`repro.core.single_page.replay_records`, so the result is the
@@ -124,15 +125,16 @@ class ImageSource:
     def install(self, recovery: "PendingRecovery") -> None:
         """Source-specific registration, before loser locks are taken."""
 
-    def page_floor(self, pending_pages: dict[int, list[LogRecord]]) -> int | None:
+    def page_floor(self, pending_pages: dict[int, list[int]]) -> int | None:
         """Oldest LSN the pending pages may still need (None if none)."""
         raise NotImplementedError
 
-    def image(self, page_id: int, records: list[LogRecord]) -> Page:
-        """The starting image; replay begins after its PageLSN."""
+    def image(self, page_id: int, lsns: list[int]) -> Page:
+        """The starting image of a page analysis listed ``lsns`` for;
+        replay begins after its PageLSN."""
         raise NotImplementedError
 
-    def deliver(self, page: Page, records: list[LogRecord],
+    def deliver(self, page: Page, lsns: list[int],
                 applied: list[LogRecord], sequential: bool) -> int | None:
         """Put the recovered page where it belongs.  Returns the
         recovery LSN if the page is now *dirty* in memory (it must enter
@@ -172,11 +174,10 @@ class DeviceImage(ImageSource):
         #: PRI-update records regenerated for already-current pages
         self.pri_repairs = 0
 
-    def page_floor(self, pending_pages: dict[int, list[LogRecord]]) -> int | None:
-        return min((records[0].lsn for records in pending_pages.values()),
-                   default=None)
+    def page_floor(self, pending_pages: dict[int, list[int]]) -> int | None:
+        return min((lsns[0] for lsns in pending_pages.values()), default=None)
 
-    def image(self, page_id: int, records: list[LogRecord]) -> Page:
+    def image(self, page_id: int, lsns: list[int]) -> Page:
         db = self.db
         manager = db.recovery_manager
         try:
@@ -188,24 +189,24 @@ class DeviceImage(ImageSource):
             # completed (the page left the dirty-page table) and the
             # device lost it — the one lost write that leaves no stale
             # image to cross-check.
-            if records[0].kind == LogRecordKind.FORMAT_PAGE:
+            if db.log.record_at(lsns[0]).kind == LogRecordKind.FORMAT_PAGE:
                 return Page.format(db.config.page_size, page_id)
             raise SinglePageFailure(
                 page_id, PageFailureKind.STALE_LSN,
                 f"no image on the device, yet redo starts at LSN "
-                f"{records[0].lsn}, past the page's formatting")
+                f"{lsns[0]}, past the page's formatting")
         except SinglePageFailure as failure:
             # Single-page recovery during restart: the PRI was already
             # reconstructed by the load + analysis phases.
             return manager.handle_failure(failure)
 
-    def deliver(self, page: Page, records: list[LogRecord],
+    def deliver(self, page: Page, lsns: list[int],
                 applied: list[LogRecord], sequential: bool) -> int | None:
         if applied:
             # Dirty since the first pending record (the same bound
             # whichever record source replayed; a chain may reach back
             # further than analysis did).
-            return min(records[0].lsn, applied[0].lsn)
+            return min(lsns[0], applied[0].lsn)
         # Figure 12, bottom row: the page had been written before the
         # crash but its PRI update was lost.  Generate the missing log
         # record now; applying it to the index can happen lazily,
@@ -273,17 +274,18 @@ class BackupImage(ImageSource):
             # A recovery-index page the region grew onto after the
             # backup only ever receives whole images; the newest one is
             # its backup.
-            for page_id, records in pending.items():
-                if page_id in self.backup_pages or not records:
+            for page_id, lsns in pending.items():
+                if page_id in self.backup_pages or not lsns:
                     continue
-                if records[0].kind == LogRecordKind.FORMAT_PAGE:
+                kind = db.log.record_at(lsns[0]).kind
+                if kind == LogRecordKind.FORMAT_PAGE:
                     db.pri.set_backup(
-                        page_id, BackupRef.format_record(records[0].lsn),
-                        records[0].lsn, db.clock.now)
-                elif records[0].kind == LogRecordKind.FULL_PAGE_IMAGE:
+                        page_id, BackupRef.format_record(lsns[0]),
+                        lsns[0], db.clock.now)
+                elif kind == LogRecordKind.FULL_PAGE_IMAGE:
                     db.pri.set_backup(
-                        page_id, BackupRef.log_image(records[-1].lsn),
-                        records[-1].lsn, db.clock.now)
+                        page_id, BackupRef.log_image(lsns[-1]),
+                        lsns[-1], db.clock.now)
 
     def prefetch_images(self) -> None:
         """Pull the whole backup with one sequential read (eager mode:
@@ -293,10 +295,10 @@ class BackupImage(ImageSource):
             self._image_cache = self.db.backup_store.restore_full_backup(
                 self.db.durable.restore_backup_id)
 
-    def page_floor(self, pending_pages: dict[int, list[LogRecord]]) -> int | None:
+    def page_floor(self, pending_pages: dict[int, list[int]]) -> int | None:
         return self.backup_lsn if pending_pages else None
 
-    def image(self, page_id: int, records: list[LogRecord]) -> Page:
+    def image(self, page_id: int, lsns: list[int]) -> Page:
         db = self.db
         page_size = db.config.page_size
         backup_id = db.durable.restore_backup_id
@@ -307,8 +309,8 @@ class BackupImage(ImageSource):
             image, _lsn = db.backup_store.fetch_from_full_backup(
                 backup_id, page_id)
             return Page(page_size, image)
-        if records and records[0].kind in (LogRecordKind.FORMAT_PAGE,
-                                           LogRecordKind.FULL_PAGE_IMAGE):
+        if lsns and db.log.record_at(lsns[0]).kind in (
+                LogRecordKind.FORMAT_PAGE, LogRecordKind.FULL_PAGE_IMAGE):
             # First written after the backup: the formatting record is
             # the backup (source four), and so is the whole image a
             # checkpoint logs for a recovery-index page its snapshot
@@ -318,7 +320,7 @@ class BackupImage(ImageSource):
             f"page {page_id} is not in full backup {backup_id} and has "
             f"no formatting record or image since LSN {self.backup_lsn}")
 
-    def deliver(self, page: Page, records: list[LogRecord],
+    def deliver(self, page: Page, lsns: list[int],
                 applied: list[LogRecord], sequential: bool) -> int | None:
         db = self.db
         page.seal()
@@ -351,7 +353,7 @@ class PendingRecovery:
     deferred past the moment the database opened."""
 
     def __init__(self, db, source: ImageSource,  # noqa: ANN001
-                 pending_pages: dict[int, list[LogRecord]],
+                 pending_pages: dict[int, list[int]],
                  att: dict[int, tuple[int, bool]]) -> None:
         self.db = db
         self.source = source
@@ -360,8 +362,8 @@ class PendingRecovery:
         self._pending_losers = counter(f"{kind}_pending_losers")
         self._drain_pages = counter(f"{kind}_drain_pages")
         self._drain_losers = counter(f"{kind}_drain_losers")
-        #: every page awaiting recovery -> its analysis record list (the
-        #: drain's record source, the demand fix's fallback)
+        #: every page awaiting recovery -> the LSNs analysis listed for
+        #: it (the drain's record source, the demand fix's fallback)
         self.pending_pages = pending_pages
         self.pending_losers: dict[int, PendingLoser] = {}
         for txn_id, (last_lsn, is_system) in att.items():
@@ -503,8 +505,8 @@ class PendingRecovery:
         """
         db = self.db
         counters = self.source.counters
-        records = self.pending_pages[page_id]
-        page = self.source.image(page_id, records)
+        lsns = self.pending_pages[page_id]
+        page = self.source.image(page_id, lsns)
         applied = None
         if demand:
             try:
@@ -518,10 +520,13 @@ class PendingRecovery:
                 # applied; the image is still the source's.
                 counters["chain_fallback"].inc()
         if applied is None:
-            applied = replay_records(page, records)
+            # Only the records the image does not reflect are decoded.
+            read = db.log.record_at
+            applied = replay_records(page, [read(lsn) for lsn in lsns
+                                            if lsn > page.page_lsn])
         # A drain sweeps by ascending id, so its deliveries are priced
         # sequential; a demand fix's is one random write.
-        rec_lsn = self.source.deliver(page, records, applied, not demand)
+        rec_lsn = self.source.deliver(page, lsns, applied, not demand)
         if (rec_lsn is not None and not demand
                 and not db.pool.adopt_dirty(page, rec_lsn)):
             # Nobody is waiting for a drained page, so one left dirty

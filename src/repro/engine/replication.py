@@ -34,10 +34,12 @@ source there is.  This module provides:
      log replica, running the *normal* restart machinery (analysis,
      redo, loser undo via the shared primitives) to finish recovery.
 
-Shipping is by record reference: this is an in-process model of a
-network link, and records are immutable once appended.  Crash safety
-holds because the primary only ever re-assigns LSNs that were never
-durable, hence never shipped.
+Shipping is by byte range: a batch is the primary log's bytes from the
+ship watermark to the shipping horizon, which the standby divides into
+records at their length fields and adopts at the same LSNs.  Durable
+bytes never change (a commit bit is set only in the volatile tail), and
+crash safety holds because the primary only ever re-assigns LSNs that
+were never durable, hence never shipped.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ from repro.sim.stats import Stats
 from repro.storage.device import StorageDevice
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import LOG_PAGE_SIZE, NULL_LSN
-from repro.wal.records import LogRecord, LogRecordKind
+from repro.wal.records import (PAGE_UPDATE_KINDS, LogRecord, LogRecordKind,
+                               read_header, split_records)
 
 
 class SegmentShipper:
@@ -141,13 +144,12 @@ class SegmentShipper:
             self.standby.running = False
             self._ship_gap_breaks.inc()
             return
-        records = [r for r in self.log.records_from(self.shipped_lsn)
-                   if r.lsn < target]
+        data = self.log.bytes_between(self.shipped_lsn, target)
         nbytes = target - self.shipped_lsn
         # One sequential send per batch: the standby's log write.
         self.log.clock.advance(
             self.log.profile.write_cost(nbytes, sequential=True))
-        self.standby.apply_records(records)
+        self.standby.apply_bytes(self.shipped_lsn, data)
         self.shipped_lsn = target
         self.ships += 1
         self._ship_batches.inc()
@@ -227,12 +229,13 @@ class Standby:
         self.clock.advance(self.config.device_profile.write_cost(
             copied_bytes, sequential=True))
         durable = db.log.durable_lsn
-        for record in db.log.records_from(db.log.truncated_below):
-            if record.lsn >= durable:
+        for lsn, encoding in db.log.encodings_from(db.log.truncated_below):
+            if lsn >= durable:
                 break
-            self.log.adopt(record)
-            if record.txn_id > self.max_txn_seen:
-                self.max_txn_seen = record.txn_id
+            self.log.adopt(lsn, encoding)
+            txn_id = read_header(encoding)[2]
+            if txn_id > self.max_txn_seen:
+                self.max_txn_seen = txn_id
         self.att = {txn.txn_id: (txn.last_lsn, txn.is_system)
                     for txn in db.tm.unfinished()}
         self.applied_lsn = self.log.end_lsn
@@ -242,37 +245,40 @@ class Standby:
     # ------------------------------------------------------------------
     # Continuous apply
     # ------------------------------------------------------------------
-    def apply_records(self, records: list[LogRecord]) -> None:
-        """Adopt and apply one shipped batch, page by page, through the
-        shared redo primitive."""
+    def apply_bytes(self, lsn: int, data: bytes) -> None:
+        """Adopt and apply one shipped batch — the primary's log bytes
+        from ``lsn`` on — record by record, page by page, through the
+        shared redo primitive.  Only page updates and checkpoints are
+        decoded; every other record is applied from its header."""
         from repro.engine.system_recovery import note_txn_record
 
         if not self.running:
             raise ReplicationError(f"standby '{self.name}' is down")
-        for record in records:
-            self.log.adopt(record)
-            note_txn_record(self.att, record)
-            if (record.kind == LogRecordKind.CHECKPOINT_END
-                    and record.checkpoint is not None):
-                for txn_id, last_lsn, is_system in record.checkpoint.active_txns:
-                    self.att.setdefault(txn_id, (last_lsn, is_system))
-            if record.txn_id > self.max_txn_seen:
-                self.max_txn_seen = record.txn_id
-            if record.is_page_update and record.page_id >= 0:
-                page = self.pages.get(record.page_id)
+        for lsn, encoding in split_records(lsn, data):
+            self.log.adopt(lsn, encoding)
+            kind, commits, txn_id, page_id, _prev = read_header(encoding)
+            note_txn_record(self.att, lsn, kind, commits, txn_id)
+            if kind == LogRecordKind.CHECKPOINT_END:
+                checkpoint = LogRecord.decode(encoding, lsn).checkpoint
+                for active, last_lsn, is_system in checkpoint.active_txns:
+                    self.att.setdefault(active, (last_lsn, is_system))
+            if txn_id > self.max_txn_seen:
+                self.max_txn_seen = txn_id
+            if kind in PAGE_UPDATE_KINDS and page_id >= 0:
+                page = self.pages.get(page_id)
                 if page is None:
-                    page = Page.format(self.config.page_size, record.page_id)
-                    self.pages[record.page_id] = page
+                    page = Page.format(self.config.page_size, page_id)
+                    self.pages[page_id] = page
                 try:
-                    replay_records(page, [record])
+                    replay_records(page, [LogRecord.decode(encoding, lsn)])
                 except ReproError as exc:
                     # Chain mismatch: the replica diverged.  Mark the
                     # standby broken — serving pages or promoting from
                     # a diverged replica would be worse than useless.
                     self.running = False
                     raise ReplicationError(
-                        f"standby apply diverged at LSN {record.lsn} "
-                        f"(page {record.page_id}): {exc}") from exc
+                        f"standby apply diverged at LSN {lsn} "
+                        f"(page {page_id}): {exc}") from exc
             self.records_applied += 1
         self.applied_lsn = self.log.end_lsn
 

@@ -42,7 +42,8 @@ from repro.page.slotted import inspect_page
 from repro.sim.clock import StopWatch
 from repro.storage.device import DeviceReadError
 from repro.wal.lsn import LOG_START, NULL_LSN
-from repro.wal.records import BackupRef, LogRecord, LogRecordKind, decompress_image
+from repro.wal.records import (PAGE_UPDATE_KINDS, BackupRef, LogRecord,
+                               LogRecordKind, decompress_image)
 
 
 @dataclass
@@ -214,68 +215,74 @@ def register_indoubt(db, indoubt: dict[int, tuple[int, int]]) -> list[int]:  # n
     return sorted(gtids)
 
 
-def note_txn_record(att: dict[int, tuple[int, bool]],
-                    record: LogRecord) -> None:
+def note_txn_record(att: dict[int, tuple[int, bool]], lsn: int, kind: int,
+                    commits: bool, txn_id: int) -> None:
     """Apply one record's effect to an active-transaction table
-    (txn_id -> (last_lsn, is_system)).
+    (txn_id -> (last_lsn, is_system)), from its header: the record at
+    ``lsn`` of ``kind``, which ``commits`` its transaction ``txn_id``
+    (:attr:`repro.wal.records.LogRecord.commits_txn`) or not.
 
     The single definition of loser tracking, shared by restart
     analysis and media-recovery analysis — the two recoveries must
     never disagree on what counts as an unfinished transaction.
     """
-    if not record.txn_id:
+    if not txn_id:
         return
-    if record.commits_txn or record.kind == LogRecordKind.ABORT:
+    if commits or kind == LogRecordKind.ABORT:
         # Committed (by its last record's bit or a commit record) or
         # rolled back: no longer a loser.
-        att.pop(record.txn_id, None)
+        att.pop(txn_id, None)
     else:
-        prior = att.get(record.txn_id)
-        att[record.txn_id] = (record.lsn, prior[1] if prior else False)
+        prior = att.get(txn_id)
+        att[txn_id] = (lsn, prior[1] if prior else False)
 
 
 def _analysis(db, report: RestartReport):  # noqa: ANN001
+    """One scan from the master checkpoint over the records' headers;
+    a body is decoded only where analysis reads it (the checkpoint, PRI
+    updates, backup records).  Returns the dirty-page table, the
+    active-transaction table, the LSNs to redo per page, in log order,
+    and the highest transaction id seen."""
     cfg = db.config
     start_lsn = db.log.master_checkpoint_lsn or LOG_START
-    records = db.log_reader.scan_from(start_lsn)
     dpt: dict[int, int] = {}
     last_update: dict[int, int] = {}
     att: dict[int, tuple[int, bool]] = {}
-    page_records: dict[int, list[LogRecord]] = {}
+    page_records: dict[int, list[int]] = {}
     max_txn = 0
     pri_region = range(cfg.pri_region_start, cfg.pri_region_end)
 
-    for record in records:
+    for lsn, kind, commits, txn_id, page_id, encoding in (
+            db.log_reader.scan_from(start_lsn)):
         report.analysis_records += 1
-        kind = record.kind
-        if kind == LogRecordKind.CHECKPOINT_END and record.checkpoint is not None:
-            for page_id, rec_lsn in record.checkpoint.dirty_pages.items():
+        if kind == LogRecordKind.CHECKPOINT_END:
+            checkpoint = LogRecord.decode(encoding, lsn).checkpoint
+            for page_id, rec_lsn in checkpoint.dirty_pages.items():
                 dpt.setdefault(page_id, rec_lsn)
-            for txn_id, last_lsn, is_system in record.checkpoint.active_txns:
+            for txn_id, last_lsn, is_system in checkpoint.active_txns:
                 att[txn_id] = (last_lsn, is_system)
                 max_txn = max(max_txn, txn_id)
             continue
-        if record.txn_id:
-            max_txn = max(max_txn, record.txn_id)
-        note_txn_record(att, record)
-        page_id = record.page_id
-        if record.is_page_update and page_id >= 0:
+        if txn_id:
+            max_txn = max(max_txn, txn_id)
+        note_txn_record(att, lsn, kind, commits, txn_id)
+        if kind in PAGE_UPDATE_KINDS and page_id >= 0:
             if (kind == LogRecordKind.FULL_PAGE_IMAGE
                     and page_id in pri_region):
                 # PRI region pages were handled in the load phase.
                 continue
-            dpt.setdefault(page_id, record.lsn)
-            last_update[page_id] = record.lsn
-            page_records.setdefault(page_id, []).append(record)
+            dpt.setdefault(page_id, lsn)
+            last_update[page_id] = lsn
+            page_records.setdefault(page_id, []).append(lsn)
             if kind == LogRecordKind.FORMAT_PAGE and cfg.spf_enabled:
-                db.pri.set_backup(page_id, BackupRef.format_record(record.lsn),
-                                  record.lsn, db.clock.now)
+                db.pri.set_backup(page_id, BackupRef.format_record(lsn),
+                                  lsn, db.clock.now)
         elif kind == LogRecordKind.PRI_UPDATE:
             # Completed writes: everything logged on each page up to its
             # PageLSN is on disk; a page not updated since leaves the
             # recovery requirements (Figure 12, analysis row 2 / the
             # Figure-4 optimization).
-            for page_id, page_lsn in record.writes:
+            for page_id, page_lsn in LogRecord.decode(encoding, lsn).writes:
                 if (last_update.get(page_id, NULL_LSN) <= page_lsn
                         and page_id in dpt):
                     dpt.pop(page_id)
@@ -284,43 +291,35 @@ def _analysis(db, report: RestartReport):  # noqa: ANN001
                 if cfg.spf_enabled:
                     db.pri.record_write(page_id, page_lsn)
         elif kind == LogRecordKind.BACKUP_PAGE and page_id >= 0:
+            record = LogRecord.decode(encoding, lsn)
             if cfg.spf_enabled and record.backup_ref is not None:
                 db.pri.set_backup(page_id, record.backup_ref,
                                   record.page_lsn, db.clock.now)
-        elif (kind == LogRecordKind.BACKUP_FULL and cfg.spf_enabled
-                and db.backup_store.has_full_backup(record.backup_id)):
+        elif kind == LogRecordKind.BACKUP_FULL and cfg.spf_enabled:
+            backup_id = LogRecord.decode(encoding, lsn).backup_id
             # The guard covers two cases: a retired backup (its record
             # outlives the media) and a promoted standby (its adopted
             # log holds the old primary's BACKUP_FULL records, but its
             # backup store starts empty).
-            lsns = db.backup_store.full_backup_lsns(record.backup_id)
+            lsns = (db.backup_store.full_backup_lsns(backup_id)
+                    if db.backup_store.has_full_backup(backup_id) else None)
             if lsns:
                 db.pri.set_range_backup(0, max(lsns) + 1,
-                                        BackupRef.full_backup(record.backup_id),
-                                        record.lsn, db.clock.now)
+                                        BackupRef.full_backup(backup_id),
+                                        lsn, db.clock.now)
 
     # Records before the checkpoint for pages whose rec_lsn precedes it.
     min_rec = min(dpt.values(), default=None)
     if min_rec is not None and min_rec < start_lsn:
-        for record in db.log_reader.scan_from(min_rec):
-            if record.lsn >= start_lsn:
+        for lsn, kind, _commits, _txn_id, page_id, _encoding in (
+                db.log_reader.scan_from(min_rec)):
+            if lsn >= start_lsn:
                 break
-            page_id = record.page_id
-            if (record.is_page_update and page_id in dpt
-                    and record.lsn >= dpt[page_id]):
-                page_records.setdefault(page_id, [])
-                page_records[page_id].insert(
-                    _insert_pos(page_records[page_id], record.lsn), record)
+            if (kind in PAGE_UPDATE_KINDS and page_id in dpt
+                    and lsn >= dpt[page_id]):
+                lsns = page_records.setdefault(page_id, [])
+                lsns.insert(bisect.bisect_left(lsns, lsn), lsn)
     return dpt, att, page_records, max_txn
-
-
-def _insert_pos(records: list[LogRecord], lsn: int) -> int:
-    """Insertion point keeping ``records`` sorted by LSN.
-
-    Binary search: the pre-checkpoint backfill may prepend thousands of
-    records per page, and a linear scan made that O(n²).
-    """
-    return bisect.bisect_left(records, lsn, key=lambda record: record.lsn)
 
 
 # ----------------------------------------------------------------------

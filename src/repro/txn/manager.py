@@ -56,14 +56,14 @@ from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
 from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpInverse, OpSequence,
                            PageOp)
-from repro.wal.records import LogicalUndo, LogRecord, LogRecordKind, UndoAction
+from repro.wal.records import (LogicalUndo, LogRecord, LogRecordKind,
+                               UndoAction, encode_update)
 
 if TYPE_CHECKING:
     from repro.buffer.buffer_pool import BufferPool
 
 _ACTIVE = TxnState.ACTIVE
 _COMMITTED = TxnState.COMMITTED
-_UPDATE = LogRecordKind.UPDATE
 
 
 class UndoContext(Protocol):
@@ -351,20 +351,16 @@ class TransactionManager:
         """
         if txn.state is not _ACTIVE:
             self._require_active(txn)
-        # Positional (every user write passes here): kind, txn_id,
-        # prev_lsn, page_id, page_prev_lsn, index_id, lsn, op, undo.
-        record = LogRecord(_UPDATE, txn.txn_id, txn.last_lsn, page_id,
-                           page.page_lsn, index_id, NULL_LSN, op, undo)
-        if undo is None and txn.redo_only:
-            if txn.last_lsn:
-                raise TransactionError(
-                    f"transaction {txn.txn_id} logged before its redo-only "
-                    f"record, which must be its only one")
-            record.redo_only = True
-            lsn = self.log.append(record)
+        redo_only = undo is None and txn.redo_only
+        if redo_only and txn.last_lsn:
+            raise TransactionError(
+                f"transaction {txn.txn_id} logged before its redo-only "
+                f"record, which must be its only one")
+        lsn = self.log.append(encode_update(
+            txn.txn_id, txn.last_lsn, page_id, page.page_lsn, index_id, op,
+            undo, redo_only))
+        if redo_only:
             txn.state = _COMMITTED
-        else:
-            lsn = self.log.append(record)
         op.apply_redo(page)
         page.page_lsn = lsn
         if undo is not None and undo.keys:

@@ -3,10 +3,13 @@
 The log manager owns:
 
 * LSN assignment (byte offsets);
-* the in-memory log buffer, held as fixed-size **segments** behind a
-  :class:`repro.wal.segments.SegmentDirectory` — ``record_at`` and
-  ``records_from`` cost one bisect over segments plus dict hits, never
-  a scan of the whole log;
+* the in-memory log buffer: every record's encoding, written once by
+  :meth:`LogManager.append` into fixed-size **segments** behind a
+  :class:`repro.wal.segments.SegmentDirectory`.  The log keeps bytes,
+  never record objects: ``record_at`` and ``records_from`` decode what
+  they find (one bisect over segments and one within a segment, never a
+  scan of the whole log), and bytes that encode no record are a
+  :class:`repro.errors.LogError` there;
 * the **per-page chain head index**: for every page, the LSN of its
   most recent chain record (UPDATE / COMPENSATION / FORMAT), kept
   current on append — this is what makes the per-page chain of the
@@ -17,10 +20,10 @@ The log manager owns:
   user-transaction commits force the log, system transactions do not
   (Figure 5) — their commits ride along with the next force;
 * the **commit bit** (:meth:`LogManager.commit`): a record still in
-  the volatile tail can be told it is its transaction's last, so a
-  commit costs a force but no record of its own; a redo-only record,
-  its transaction's only one, takes the bit as :meth:`append` places
-  it;
+  the volatile tail can be told it is its transaction's last — the high
+  bit of its buffered kind byte, flipped in place — so a commit costs a
+  force but no record of its own; a redo-only record, its transaction's
+  only one, is encoded with the bit;
 * **group commit**: a commit-triggered force hardens the whole buffered
   tail in one sequential write, so ride-along records (system-txn
   commits, PRI updates, and — under ``TransactionManager.
@@ -47,7 +50,9 @@ from repro.sim.stats import Stats
 from repro.sync import ConditionMutex
 from repro.wal.lsn import LOG_START, NULL_LSN
 from repro.wal.records import CHAIN_KINDS as _CHAIN_KINDS
-from repro.wal.records import LogRecord, LogRecordKind
+from repro.wal.records import (COMMITS_BIT, KIND_BITS, NARROW_HEADER, NO_PAGE,
+                               WIDE_BIT, WIDE_HEADER, LogRecord, LogRecordKind,
+                               read_header)
 from repro.wal.segments import DEFAULT_SEGMENT_BYTES, SegmentDirectory
 
 
@@ -85,8 +90,9 @@ class LogManager:
         self._backup_full_lsns: dict[int, int] = {}
         self._next_lsn = LOG_START
         self._durable_lsn = NULL_LSN
-        #: the record :meth:`append` placed last, where a commit's bit goes
-        self._tail: LogRecord | None = None
+        #: ``(lsn, txn_id, segment)`` of the record :meth:`append` placed
+        #: last, where a commit's bit usually goes
+        self._tail: tuple | None = None
         #: LSN of the most recent CHECKPOINT_END record; modelled as the
         #: log's "master record", which survives crashes.
         self.master_checkpoint_lsn = NULL_LSN
@@ -147,35 +153,52 @@ class LogManager:
     def segment_count(self) -> int:
         return self._dir.segment_count
 
-    def append(self, record: LogRecord) -> int:
-        """Assign an LSN, buffer the record, and return the LSN.
+    def append(self, record: LogRecord | bytes) -> int:
+        """Assign an LSN, write the record's encoding into the buffered
+        tail, and return the LSN.
 
-        Only the record's *size* is needed here (LSNs are byte
-        offsets); the buffered tail holds decoded records, so the
-        append path never materializes the serialized bytes.  A
-        redo-only record (its transaction's only one) takes its
-        commit bit here, in the hold that places it: no force can
-        harden it without the bit.
+        ``record`` is a :class:`LogRecord` or the bytes of one
+        (:func:`repro.wal.records.encode_update` packs a put's without
+        the object); the log keeps only the bytes, written once, here.
+        A redo-only record carries its commit bit in them already, so no
+        force can harden it without the bit.
         """
-        size = record.encoded_size()
+        data = record if type(record) is bytes else record.encode()
+        # The header, read in place: its encoder wrote it a moment ago.
+        kind_byte = data[0]
+        if kind_byte & WIDE_BIT:
+            _, _, txn_id, _, page_id, _, _ = WIDE_HEADER.unpack_from(data)
+        else:
+            _, _, txn_id, _, page_id, _, _ = NARROW_HEADER.unpack_from(data)
+            if page_id == NO_PAGE:
+                page_id = -1
+        kind = kind_byte & KIND_BITS
+        size = len(data)
         with self._mutex:
             lsn = self._next_lsn
-            record.lsn = lsn
-            if record.redo_only:
-                record.commits = True
-            self._dir.append(lsn, record, size)
+            self._tail = (lsn, txn_id, self._dir.append(lsn, data))
             self._next_lsn = lsn + size
-            self._tail = record
-            if record.page_id >= 0 and record.kind in _CHAIN_KINDS:
-                if record.kind == LogRecordKind.FORMAT_PAGE:
-                    self._format_displaced[lsn] = self._chain_heads.get(
-                        record.page_id, NULL_LSN)
-                self._chain_heads[record.page_id] = lsn
-            elif record.kind == LogRecordKind.BACKUP_FULL:
-                self._backup_full_lsns[record.backup_id] = lsn
+            if kind == LogRecordKind.UPDATE and page_id >= 0:
+                self._chain_heads[page_id] = lsn  # every put: inline
+            else:
+                self._index_locked(lsn, kind, page_id, data)
         self._log_records.inc()
         self._log_bytes.inc(size)
         return lsn
+
+    def _index_locked(self, lsn: int, kind: int, page_id: int,
+                      data: bytes) -> None:
+        """Keep the derived indexes current for the record ``data``
+        placed at ``lsn``: its page's chain head, a full backup's
+        position."""
+        if kind in _CHAIN_KINDS:
+            if page_id >= 0:
+                if kind == LogRecordKind.FORMAT_PAGE:
+                    self._format_displaced[lsn] = self._chain_heads.get(
+                        page_id, NULL_LSN)
+                self._chain_heads[page_id] = lsn
+        elif kind == LogRecordKind.BACKUP_FULL:
+            self._backup_full_lsns[LogRecord.decode(data).backup_id] = lsn
 
     def commit(self, txn_id: int, last_lsn: int, system: bool = False,
                force: bool = True) -> int:
@@ -194,16 +217,25 @@ class LogManager:
         cross-thread barrier waits after it, with no lock held.
         """
         with self._mutex:
-            record = self._tail
-            if record is not None and record.lsn == last_lsn:
+            tail = self._tail
+            if tail is not None and tail[0] == last_lsn:
+                _lsn, owner, segment = tail
+                buffer, start = segment.data, last_lsn - segment.base_lsn
                 end = self._next_lsn
             else:  # behind a later record (or none): look it up
-                record, size = self._dir.entry(last_lsn) or (None, 0)
-                end = last_lsn + size
-            if (record is not None and record.txn_id == txn_id
-                    and (record.redo_only or last_lsn >= self._durable_lsn
-                         and record.kind in _CHAIN_KINDS)):
-                record.commits = True
+                located = self._dir.locate(last_lsn)
+                owner = None
+                if located is not None:
+                    buffer, start, stop = located
+                    owner = read_header(buffer[start:stop])[2]
+                    end = last_lsn + stop - start
+            kind_byte = buffer[start] if owner == txn_id else 0
+            if kind_byte & COMMITS_BIT or (
+                    last_lsn >= self._durable_lsn
+                    and kind_byte & KIND_BITS in _CHAIN_KINDS):
+                # The bit: the high bit of the buffered kind byte.  A
+                # redo-only record was encoded with it.
+                buffer[start] = kind_byte | COMMITS_BIT
                 lsn = last_lsn
             else:
                 lsn = self.append(LogRecord(
@@ -248,8 +280,8 @@ class LogManager:
         """The end of the record at ``lsn``: ``lsn`` itself when no
         record is retained there."""
         with self._mutex:
-            entry = self._dir.entry(lsn)
-        return lsn + (entry[1] if entry else 0)
+            located = self._dir.locate(lsn)
+        return lsn + (located[2] - located[1] if located else 0)
 
     def commit_force(self, commit_lsn: int,
                      record_end: int | None = None) -> None:
@@ -366,9 +398,7 @@ class LogManager:
             raise ReplicationLagError(
                 f"commit {commit_lsn}: replicated_durable requires an "
                 f"attached standby")
-        with self._mutex:
-            entry = self._dir.entry(commit_lsn)
-        record_end = commit_lsn + (entry[1] if entry else 0)
+        record_end = self._record_end(commit_lsn)
         shipper.ship_until(record_end)
         if shipper.acked_lsn < record_end:
             raise ReplicationLagError(
@@ -383,8 +413,8 @@ class LogManager:
         with self._mutex:
             return self._dir.sealed_below()
 
-    def adopt(self, record: LogRecord) -> int:
-        """Install a *shipped* record at its pre-assigned LSN.
+    def adopt(self, lsn: int, encoding: bytes) -> int:
+        """Install a *shipped* record's bytes at its pre-assigned LSN.
 
         The standby's log replica never assigns LSNs — the primary
         already did.  Records must arrive gaplessly in LSN order (the
@@ -392,10 +422,11 @@ class LogManager:
         the primary's truncated prefix, which the standby covers with
         seeded page images instead of records).  Adopted records are
         immediately durable: the ship-ack means the standby hardened
-        them.  Maintains the same derived indexes as :meth:`append`.
+        them.  Maintains the same derived indexes as :meth:`append`;
+        bytes whose header encodes no record are a :class:`LogError`.
         """
-        lsn = record.lsn
-        size = record.encoded_size()
+        kind, _commits, _txn_id, page_id, _prev = read_header(encoding)
+        size = len(encoding)
         with self._mutex:
             if len(self._dir) == 0 and lsn >= self._next_lsn:
                 if lsn > self._dir.truncated_below:
@@ -404,18 +435,11 @@ class LogManager:
                 raise LogError(
                     f"adoption gap: expected LSN {self._next_lsn}, "
                     f"got {lsn}")
-            self._dir.append(lsn, record, size)
+            self._dir.append(lsn, encoding)
             self._next_lsn = lsn + size
-            self._tail = record
             self._durable_lsn = self._next_lsn
-            if record.page_id >= 0 and record.kind in _CHAIN_KINDS:
-                if record.kind == LogRecordKind.FORMAT_PAGE:
-                    self._format_displaced[lsn] = self._chain_heads.get(
-                        record.page_id, NULL_LSN)
-                self._chain_heads[record.page_id] = lsn
-            elif record.kind == LogRecordKind.BACKUP_FULL:
-                self._backup_full_lsns[record.backup_id] = lsn
-            elif record.kind == LogRecordKind.CHECKPOINT_END:
+            self._index_locked(lsn, kind, page_id, encoding)
+            if kind == LogRecordKind.CHECKPOINT_END:
                 self.master_checkpoint_lsn = lsn
         self._standby_log_records.inc()
         self._standby_log_bytes.inc(size)
@@ -425,25 +449,41 @@ class LogManager:
     # Reading
     # ------------------------------------------------------------------
     def record_at(self, lsn: int) -> LogRecord:
-        """The record at ``lsn`` (no cost accounting; see LogReader)."""
+        """The record at ``lsn``, decoded from its bytes (no cost
+        accounting; see LogReader)."""
         with self._mutex:
-            entry = self._dir.entry(lsn)
-        if entry is None:
+            located = self._dir.locate(lsn)
+            if located is not None:
+                data, start, end = located
+                encoding = data[start:end]
+        if located is None:
             raise LogError(f"no log record at LSN {lsn}")
-        return entry[0]
+        return LogRecord.decode(encoding, lsn)
 
     def has_record(self, lsn: int) -> bool:
         with self._mutex:
-            return self._dir.entry(lsn) is not None
+            return self._dir.locate(lsn) is not None
 
-    def records_from(self, start_lsn: int) -> list[LogRecord]:
-        """All records with ``lsn >= start_lsn`` in log order."""
+    def encodings_from(self, start_lsn: int) -> list[tuple[int, bytearray]]:
+        """``(lsn, encoding)`` of every record with ``lsn >= start_lsn``,
+        in log order, undecoded (:func:`repro.wal.records.read_header`
+        reads one's header in place)."""
         with self._mutex:
             return list(self._dir.iter_from(start_lsn))
 
+    def records_from(self, start_lsn: int) -> list[LogRecord]:
+        """All records with ``lsn >= start_lsn`` in log order, decoded."""
+        return [LogRecord.decode(encoding, lsn)
+                for lsn, encoding in self.encodings_from(start_lsn)]
+
     def all_records(self) -> list[LogRecord]:
+        return self.records_from(NULL_LSN)
+
+    def bytes_between(self, start_lsn: int, end_lsn: int) -> bytes:
+        """The log's bytes from the record at ``start_lsn`` up to the
+        one at ``end_lsn`` (what log shipping sends)."""
         with self._mutex:
-            return list(self._dir.iter_all())
+            return self._dir.bytes_between(start_lsn, end_lsn)
 
     def encoded_size(self) -> int:
         """Total log volume in bytes."""
@@ -483,6 +523,7 @@ class LogManager:
             if self.master_checkpoint_lsn:
                 limit = min(limit, self.master_checkpoint_lsn)
             removed = self._dir.truncate_below(limit)
+            self._tail = None
             if removed:
                 self._chain_heads = {
                     pid: lsn for pid, lsn
@@ -529,23 +570,27 @@ class LogManager:
     def _crash_locked(self) -> None:
         floor = self._durable_lsn if self._durable_lsn else LOG_START
         lost = self._dir.discard_from(floor)
-        for record in lost:  # newest-first: heads retreat one hop at a time
-            if record.page_id >= 0 and record.kind in _CHAIN_KINDS:
-                is_format = record.kind == LogRecordKind.FORMAT_PAGE
-                displaced = (self._format_displaced.pop(record.lsn, NULL_LSN)
+        # Newest-first: heads retreat one hop at a time.
+        for lsn, encoding in lost:
+            kind, _commits, _txn_id, page_id, page_prev_lsn = read_header(
+                encoding)
+            if page_id >= 0 and kind in _CHAIN_KINDS:
+                is_format = kind == LogRecordKind.FORMAT_PAGE
+                displaced = (self._format_displaced.pop(lsn, NULL_LSN)
                              if is_format else NULL_LSN)
-                if self._chain_heads.get(record.page_id) == record.lsn:
+                if self._chain_heads.get(page_id) == lsn:
                     # A lost FORMAT (page reuse) restores the displaced
                     # incarnation's head; other records retreat along
                     # their prev pointer.
-                    prev = displaced if is_format else record.page_prev_lsn
+                    prev = displaced if is_format else page_prev_lsn
                     if prev != NULL_LSN and prev >= self._dir.truncated_below:
-                        self._chain_heads[record.page_id] = prev
+                        self._chain_heads[page_id] = prev
                     else:
-                        self._chain_heads.pop(record.page_id, None)
-            elif record.kind == LogRecordKind.BACKUP_FULL:
-                if self._backup_full_lsns.get(record.backup_id) == record.lsn:
-                    self._backup_full_lsns.pop(record.backup_id, None)
+                        self._chain_heads.pop(page_id, None)
+            elif kind == LogRecordKind.BACKUP_FULL:
+                backup_id = LogRecord.decode(encoding).backup_id
+                if self._backup_full_lsns.get(backup_id) == lsn:
+                    self._backup_full_lsns.pop(backup_id, None)
         self._next_lsn = floor
         self._tail = None
         if self.master_checkpoint_lsn >= self._next_lsn:

@@ -24,7 +24,11 @@ from repro.sim.stats import Stats
 from repro.sync import Mutex
 from repro.wal.lsn import LOG_PAGE_SIZE, NULL_LSN, log_page_of
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecord
+from repro.wal.records import LogRecord, read_header
+
+#: one record of a :meth:`LogReader.scan_from`: ``(lsn, kind, commits,
+#: txn_id, page_id, encoding)``
+Scanned = tuple[int, int, bool, int, int, bytearray]
 
 
 class LogReader:
@@ -136,17 +140,24 @@ class LogReader:
         # Pop the stack: oldest record first.
         return list(reversed(stack))
 
-    def scan_from(self, start_lsn: int) -> list[LogRecord]:
-        """Sequential forward scan (analysis / redo passes).
+    def scan_from(self, start_lsn: int) -> list[Scanned]:
+        """Sequential forward scan (analysis passes): ``(lsn, kind,
+        commits, txn_id, page_id, encoding)`` of every record from
+        ``start_lsn`` on, in log order.
 
-        Sequential scans are charged at streaming cost for the byte
-        range, not per-record random reads.  The scan itself is an
-        indexed range read over the segment directory, not a filter of
-        the whole log.
+        Each header is read in place
+        (:func:`repro.wal.records.read_header`, so bytes that encode no
+        record are a :class:`repro.errors.LogError` here) and each body
+        stays encoded: a pass decodes only what it applies
+        (``LogRecord.decode(encoding, lsn)``).  Sequential scans are
+        charged at streaming cost for the byte range, not per-record
+        random reads.  The scan itself is an indexed range read over the
+        segment directory, not a filter of the whole log.
         """
         span = max(0, self.log.end_lsn - start_lsn)
         self.clock.advance(self.profile.read_cost(span, sequential=True))
         self._log_scans.inc()
-        records = self.log.records_from(start_lsn)
-        self.records_read += len(records)
-        return records
+        scanned = [(lsn, *read_header(encoding)[:4], encoding)
+                   for lsn, encoding in self.log.encodings_from(start_lsn)]
+        self.records_read += len(scanned)
+        return scanned

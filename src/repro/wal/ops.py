@@ -500,15 +500,24 @@ class OpBulkInsert(PageOp):
         SlottedPage(page).remove_run(self.slot, len(self.records))
 
     def encoded_size(self) -> int:
-        return 7 + sum(5 + len(k) + len(v) for k, v, _g in self.records)
+        records = self.records
+        if not records:
+            return 7
+        keys, values, _ghosts = zip(*records)
+        return (7 + 5 * len(records) + sum(map(len, keys))
+                + sum(map(len, values)))
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
         _BHI.pack_into(buf, pos, self.kind, self.slot, len(self.records))
         pos += 7
-        for key, value, ghost in self.records:
-            buf[pos] = int(ghost)
-            pos = _put_bytes(buf, pos + 1, key)
-            pos = _put_bytes(buf, pos, value)
+        for key, value, ghost in self.records:  # no call per row
+            _BH.pack_into(buf, pos, ghost, len(key))
+            pos += 3
+            end = pos + len(key)
+            buf[pos:end] = key
+            _U16.pack_into(buf, end, len(value))
+            pos = end + 2 + len(value)
+            buf[end + 2:pos] = value
         return pos
 
     @classmethod

@@ -24,8 +24,7 @@ it — a total below 64 KiB, ids and LSNs below 2**32 (page ids below
 2**32 - 1), an index id below 2**16, and, in a PRI update, every entry
 below 2**32 — and the wide form otherwise; :meth:`LogRecord.decode`
 refuses a wide header on a record the narrow one fits, so every record
-has exactly one encoding.  :meth:`LogRecord.encoded_size` makes the
-choice in one expression, without a call.  The ``page_prev_lsn`` field
+has exactly one encoding.  The ``page_prev_lsn`` field
 is the heart of the paper's recovery design: it lets single-page
 recovery walk backwards from the current PageLSN to the last backup
 without scanning the log.
@@ -42,8 +41,9 @@ CHECKPOINT_END's tables.
 about its last record, so it is stored there: the high bit of the kind
 byte of an UPDATE / COMPENSATION / FORMAT_PAGE record (``commits``)
 says "this record is the last of its transaction, which committed".
-The bit never changes a record's length, hence no LSN.  It is set while
-the record is still in the log's volatile tail
+The bit never changes a record's length, hence no LSN.  It is set — the
+buffered kind byte's high bit flipped in place — while the record is
+still in the log's volatile tail
 (:meth:`repro.wal.log_manager.LogManager.commit`); a
 transaction whose last record has already hardened — or that logged
 nothing — gets a COMMIT / SYS_COMMIT record instead.  Readers ask
@@ -68,8 +68,7 @@ object.
 client's put or delete, the shard worker's, the engine's
 single-operation helpers) that logs one record can never be rolled
 back: the record carries its commit bit from
-the append on (:meth:`repro.wal.log_manager.LogManager.append`), so it
-is *redo-only* (``redo_only``): flags ``_HAS_OP | _REDO_ONLY`` exactly,
+its encoding on (:func:`encode_update`), so it is *redo-only* (``redo_only``): flags ``_HAS_OP | _REDO_ONLY`` exactly,
 no undo, the commit bit set.  Its value rewrite keeps no before-image —
 op kinds 10 (unspanned: kind, slot, new value) and 11 (spanned: kind,
 slot, prefix, suffix, the old middle's u16 length, the new middle), see
@@ -219,27 +218,28 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import LogError, RecoveryError
-from repro.wal.ops import (MALFORMED, REDO_SPAN_SIZE, REDO_VALUE_FIXED,
-                           SPAN_SIZE, UPDATE_VALUE_FIXED, OpBulkInsert,
-                           OpUpdateValue, PageOp, _put_bytes, _unpack_bytes,
+from repro.wal.ops import (MALFORMED, SPAN_SIZE, OpBulkInsert, OpUpdateValue,
+                           PageOp, _put_bytes, _REDO_VALUE, _unpack_bytes,
                            check_span, is_redo_only)
 
 _NARROW = struct.Struct("<BHIIIIH")
 _WIDE = struct.Struct("<BIqqqqq")
+#: the two header forms, for a reader of headers in place
+#: (:meth:`repro.wal.log_manager.LogManager.append`); see the module
+#: docstring
+NARROW_HEADER, WIDE_HEADER = _NARROW, _WIDE
 NARROW_HEADER_SIZE = _NARROW.size
 WIDE_HEADER_SIZE = _WIDE.size
 #: what a wide header adds to a record; a wide PRI update's entries add
 #: 8 bytes each besides
 _WIDENING = WIDE_HEADER_SIZE - NARROW_HEADER_SIZE
 #: a narrow header's page_id -1
-_NO_PAGE = 0xFFFFFFFF
-#: a shared-before-image UPDATE besides its op's values and its key:
-#: narrow header, flags, op length, the op's fixed part, undo action,
-#: key length
-_SHARED_UPDATE_FIXED = NARROW_HEADER_SIZE + 3 + UPDATE_VALUE_FIXED + 3
-#: a redo-only value rewrite's UPDATE besides its new value: narrow
-#: header, flags, op length, the op's fixed part
-_REDO_UPDATE_FIXED = NARROW_HEADER_SIZE + 3 + REDO_VALUE_FIXED
+NO_PAGE = _NO_PAGE = 0xFFFFFFFF
+#: the narrow UPDATE of a value rewrite, up to its first value: header,
+#: flags, op length, then the unspanned op's kind, slot and the length
+#: of the value that follows — the new value of a redo-only rewrite, the
+#: old one (logged once, for the undo too) of a listed rewrite
+_REWRITE = struct.Struct("<BHIIIIHBHBHH")
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -255,9 +255,9 @@ _QBQ = struct.Struct("<qBq")
 _III = struct.Struct("<III")
 
 #: the header's kind byte (see the module docstring)
-_KIND_BITS = 0x3F
-_WIDE_BIT = 0x40
-_COMMITS_BIT = 0x80
+KIND_BITS = _KIND_BITS = 0x3F
+WIDE_BIT = _WIDE_BIT = 0x40
+COMMITS_BIT = _COMMITS_BIT = 0x80
 #: UPDATE flags byte
 _HAS_OP = 1
 _HAS_UNDO = 2
@@ -295,6 +295,9 @@ CHAIN_KINDS = frozenset({
     LogRecordKind.COMPENSATION,
     LogRecordKind.FORMAT_PAGE,
 })
+
+#: Kinds that change a page's contents: what redo applies.
+PAGE_UPDATE_KINDS = CHAIN_KINDS | {LogRecordKind.FULL_PAGE_IMAGE}
 
 _COMMIT_KINDS = (LogRecordKind.COMMIT, LogRecordKind.SYS_COMMIT)
 _UPDATE = LogRecordKind.UPDATE
@@ -351,6 +354,8 @@ class UndoAction(enum.IntEnum):
 
 _RESTORE_VALUE = UndoAction.RESTORE_VALUE
 _DELETE_KEYS = UndoAction.DELETE_KEYS
+#: a redo-only UPDATE's kind byte: it carries its commit bit
+_REDO_UPDATE_KIND = _UPDATE | _COMMITS_BIT
 
 
 @dataclass(slots=True)
@@ -388,7 +393,7 @@ class LogicalUndo:
 
     def encoded_size(self) -> int:
         if self.action is _DELETE_KEYS:
-            return 3 + sum(2 + len(key) for key in self.keys)
+            return 3 + 2 * len(self.keys) + sum(map(len, self.keys))
         size = 5 + len(self.key) + len(self.value)
         return size + SPAN_SIZE if self.prefix or self.suffix else size
 
@@ -397,8 +402,10 @@ class LogicalUndo:
             keys = self.keys
             _BH.pack_into(buf, pos, _DELETE_KEYS, len(keys))
             pos += 3
-            for key in keys:
-                pos = _put_bytes(buf, pos, key)
+            for key in keys:  # no call per key
+                _U16.pack_into(buf, pos, len(key))
+                pos += 2 + len(key)
+                buf[pos - len(key):pos] = key
             return pos
         if self.prefix or self.suffix:
             _BHH.pack_into(buf, pos, int(self.action) | _SPANNED_UNDO,
@@ -560,177 +567,93 @@ class LogRecord:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def encoded_size(self) -> int:
-        """Exact serialized length, computed without materializing bytes.
-
-        The append hot path only needs the length (LSNs are byte
-        offsets) — a put's UPDATE, redo-only or sharing its
-        before-image, without a call.  This is also where a record's header form is chosen: the
-        narrow size, unless one expression finds a field the narrow
-        header cannot hold (see the module docstring).  Keeping this in
-        sync with :meth:`encode` (and its :meth:`_shares_before_image`)
-        is guarded by the serialization round-trip property tests.
-        """
-        op, undo = self.op, self.undo
-        if self.kind is _UPDATE:
-            if undo is None and type(op) is OpUpdateValue and op.old_value is None:
-                size = _REDO_UPDATE_FIXED + len(op.new_value)
-                if op.prefix or op.suffix:
-                    size += REDO_SPAN_SIZE
-            elif (undo and undo.action is _RESTORE_VALUE
-                    and type(op) is OpUpdateValue
-                    and (undo.value is op.old_value
-                         or undo.value == op.old_value)
-                    and undo.prefix == op.prefix and undo.suffix == op.suffix):
-                size = (_SHARED_UPDATE_FIXED + len(op.old_value)
-                        + len(op.new_value) + len(undo.key))
-                if op.prefix or op.suffix:
-                    size += SPAN_SIZE
-            else:
-                size = (NARROW_HEADER_SIZE + 1
-                        + (2 + op.encoded_size() if op else 0)
-                        + (undo.encoded_size() if undo else 0))
-        else:
-            size = NARROW_HEADER_SIZE + self._payload_size()
-        # The fits test.  ``page_id + 1`` maps -1 .. 2**32 - 2 onto the
-        # u32 range, and a negative value sets the high bits.
-        if ((self.txn_id | self.prev_lsn | self.page_prev_lsn
-                | self.page_id + 1) >> 32 | (self.index_id | size) >> 16
-                or self.writes and max(map(max, self.writes)) >> 32):
-            return size + _WIDENING + 8 * len(self.writes)
-        return size
-
-    def _payload_size(self) -> int:
-        """The payload's length under a narrow header (for an UPDATE,
-        what :meth:`encoded_size` computes inline)."""
-        kind = self.kind
-        op = self.op
-        if kind is _UPDATE:
-            undo = self.undo
-            if undo and self._shares_before_image():
-                return 6 + op.encoded_size() + len(undo.key)
-            return (1 + (2 + op.encoded_size() if op else 0)
-                    + (undo.encoded_size() if undo else 0))
-        if kind == LogRecordKind.COMPENSATION:
-            return 10 + (op.encoded_size() if op else 0)
-        if kind == LogRecordKind.FORMAT_PAGE:
-            return 2 + (op.encoded_size() if op else 0)
-        if kind == LogRecordKind.FULL_PAGE_IMAGE:
-            return 12 + len(self.image or b"")
-        if kind == LogRecordKind.PRI_UPDATE:
-            return 2 + 8 * len(self.writes)
-        if kind == LogRecordKind.BACKUP_PAGE:
-            return 17
-        if kind == LogRecordKind.CHECKPOINT_END:
-            return 4 + (self.checkpoint or CheckpointData()).encoded_size()
-        if kind in (LogRecordKind.BACKUP_FULL, LogRecordKind.PREPARE):
-            return 8
-        # COMMIT, ABORT, SYS_COMMIT, CHECKPOINT_BEGIN
-        return 0
-
-    def _shares_before_image(self) -> bool:
-        """Is the undo's value the op's ``old_value``, under the same
-        span (an in-place rewrite of one key's value)?  Then it is
-        encoded once."""
-        undo = self.undo
-        op = self.op
-        return (undo.action is _RESTORE_VALUE
-                and type(op) is OpUpdateValue
-                and (undo.value is op.old_value
-                     or undo.value == op.old_value)
-                and undo.prefix == op.prefix and undo.suffix == op.suffix)
+    def _fits_narrow(self, total: int) -> bool:
+        """Does the narrow header hold every field, at a narrow
+        ``total``?  ``page_id + 1`` maps -1 .. 2**32 - 2 onto the u32
+        range, and a negative value sets the high bits."""
+        return not ((self.txn_id | self.prev_lsn | self.page_prev_lsn
+                     | self.page_id + 1) >> 32
+                    | (self.index_id | total) >> 16
+                    or self.writes and max(map(max, self.writes)) >> 32)
 
     def encode(self) -> bytes:
-        """Serialize into one preallocated buffer (no join of pieces)."""
+        """The record's one encoding: the narrow header when every
+        field fits it, the wide one otherwise, then the payload.  A
+        redo-only record carries its commit bit from here on."""
         kind = self.kind
-        if self.commits and kind not in CHAIN_KINDS:
+        commits = self.commits or self.redo_only
+        if commits and kind not in CHAIN_KINDS:
             raise LogError(f"a {kind.name} record cannot carry a commit")
-        if self.redo_only and not (kind is _UPDATE and self.commits
-                                   and self.op and self.undo is None):
-            raise LogError("a redo-only record is an UPDATE with an op, "
-                           "its commit bit and no undo")
-        total = self.encoded_size()
-        buf = bytearray(total)
-        kind_byte = kind | _COMMITS_BIT if self.commits else kind
-        # encoded_size chose the form: any size but the narrow one is wide
-        wide = total != NARROW_HEADER_SIZE + self._payload_size()
-        if wide:
-            _WIDE.pack_into(buf, 0, kind_byte | _WIDE_BIT, total, self.txn_id,
-                            self.prev_lsn, self.page_id, self.page_prev_lsn,
-                            self.index_id)
-        else:
-            _NARROW.pack_into(buf, 0, kind_byte, total, self.txn_id,
-                              self.prev_lsn, self.page_id & _NO_PAGE,
-                              self.page_prev_lsn, self.index_id)
-        self._encode_payload_into(
-            buf, WIDE_HEADER_SIZE if wide else NARROW_HEADER_SIZE, wide)
-        return bytes(buf)
+        if self.redo_only and not (kind is _UPDATE and self.op
+                                   and self.undo is None):
+            raise LogError("a redo-only record is an UPDATE with an op "
+                           "and no undo")
+        if kind is _UPDATE:
+            encoding = encode_update(self.txn_id, self.prev_lsn, self.page_id,
+                                     self.page_prev_lsn, self.index_id,
+                                     self.op, self.undo, self.redo_only)
+            if commits and not self.redo_only:
+                return bytes((encoding[0] | _COMMITS_BIT,)) + encoding[1:]
+            return encoding
+        kind_byte = kind | _COMMITS_BIT if commits else kind
+        # A PRI update's pages are u32 pairs unless one needs more.
+        entries = _QQ if self.writes and max(map(max, self.writes)) >> 32 else _II
+        payload = self._payload(entries)
+        total = NARROW_HEADER_SIZE + len(payload)
+        if entries is _II and self._fits_narrow(total):
+            return _NARROW.pack(kind_byte, total, self.txn_id, self.prev_lsn,
+                                self.page_id & _NO_PAGE, self.page_prev_lsn,
+                                self.index_id) + payload
+        if entries is _II and self.writes:
+            payload = self._payload(_QQ)
+        return _WIDE.pack(kind_byte | _WIDE_BIT,
+                          WIDE_HEADER_SIZE + len(payload), self.txn_id,
+                          self.prev_lsn, self.page_id, self.page_prev_lsn,
+                          self.index_id) + payload
 
-    def _encode_payload_into(self, buf: bytearray, pos: int, wide: bool) -> int:
+    def _payload(self, entry: struct.Struct) -> bytes:
+        """The payload's bytes, but an UPDATE's (:func:`encode_update`);
+        ``entry`` packs a PRI update's pages."""
         kind = self.kind
-        if kind == LogRecordKind.UPDATE:
-            op = self.op
-            undo = self.undo
-            shared = bool(undo) and self._shares_before_image()
-            buf[pos] = ((_HAS_OP if op else 0) | (_HAS_UNDO if undo else 0)
-                        | (_SHARED_BEFORE_IMAGE if shared else 0)
-                        | (_REDO_ONLY if self.redo_only else 0))
-            pos += 1
-            if op:
-                _U16.pack_into(buf, pos, op.encoded_size())
-                pos = op.encode_into(buf, pos + 2)
-            if shared:
-                buf[pos] = int(undo.action)
-                pos = _put_bytes(buf, pos + 1, undo.key)
-            elif undo:
-                pos = undo.encode_into(buf, pos)
-            return pos
+        op = self.op
         if kind == LogRecordKind.COMPENSATION:
-            _QH.pack_into(buf, pos, self.undo_next_lsn,
-                          self.op.encoded_size() if self.op else 0)
-            pos += 10
-            return self.op.encode_into(buf, pos) if self.op else pos
+            body = op.encode() if op else b""
+            return _QH.pack(self.undo_next_lsn, len(body)) + body
         if kind == LogRecordKind.FORMAT_PAGE:
-            _U16.pack_into(buf, pos, self.op.encoded_size() if self.op else 0)
-            pos += 2
-            return self.op.encode_into(buf, pos) if self.op else pos
+            body = op.encode() if op else b""
+            return _U16.pack(len(body)) + body
         if kind == LogRecordKind.FULL_PAGE_IMAGE:
             image = self.image or b""
-            _QI.pack_into(buf, pos, self.page_lsn, len(image))
-            pos += 12
-            buf[pos:pos + len(image)] = image
-            return pos + len(image)
+            return _QI.pack(self.page_lsn, len(image)) + image
         if kind == LogRecordKind.PRI_UPDATE:
-            _U16.pack_into(buf, pos, len(self.writes))
-            pos += 2
-            entry = _QQ if wide else _II
-            for page_id, page_lsn in self.writes:
-                entry.pack_into(buf, pos, page_id, page_lsn)
-                pos += entry.size
-            return pos
+            return _U16.pack(len(self.writes)) + b"".join(
+                entry.pack(page_id, page_lsn)
+                for page_id, page_lsn in self.writes)
         if kind == LogRecordKind.BACKUP_PAGE:
             ref = self.backup_ref or BackupRef.none()
-            _QBQ.pack_into(buf, pos, self.page_lsn, int(ref.kind), ref.value)
-            return pos + 17
+            return _QBQ.pack(self.page_lsn, int(ref.kind), ref.value)
         if kind == LogRecordKind.CHECKPOINT_END:
-            checkpoint = self.checkpoint or CheckpointData()
-            _U32.pack_into(buf, pos, checkpoint.encoded_size())
-            return checkpoint.encode_into(buf, pos + 4)
+            body = (self.checkpoint or CheckpointData()).encode()
+            return _U32.pack(len(body)) + body
         if kind == LogRecordKind.BACKUP_FULL:
-            _I64.pack_into(buf, pos, self.backup_id)
-            return pos + 8
+            return _I64.pack(self.backup_id)
         if kind == LogRecordKind.PREPARE:
-            _I64.pack_into(buf, pos, self.gtid)
-            return pos + 8
-        return pos
+            return _I64.pack(self.gtid)
+        return b""
 
     @classmethod
-    def decode(cls, data) -> "LogRecord":
-        """The record ``data`` encodes, or :class:`LogError`: anything
-        but exactly what :meth:`encode` writes for it is refused."""
+    def decode(cls, data, lsn: int = 0) -> "LogRecord":
+        """The record ``data`` encodes, placed at ``lsn``, or
+        :class:`LogError`: anything but exactly what :meth:`encode`
+        writes for it is refused.  The two rewrite shapes every put
+        logs decode through one unpack each (:func:`_decode_rewrite`)."""
         if not data:
             raise LogError("empty log record")
         kind_raw = data[0]
+        if kind_raw & _KIND_BITS == _UPDATE and not kind_raw & _WIDE_BIT:
+            record = _decode_rewrite(cls, data, lsn)
+            if record is not None:
+                return record
         wide = bool(kind_raw & _WIDE_BIT)
         header = _WIDE if wide else _NARROW
         if len(data) < header.size:
@@ -745,7 +668,8 @@ class LogRecord:
             kind = LogRecordKind(kind_raw & _KIND_BITS)
         except ValueError:
             raise LogError(f"unknown log record kind {kind_raw}") from None
-        record = cls(kind, txn_id, prev_lsn, page_id, page_prev_lsn, index_id)
+        record = cls(kind, txn_id, prev_lsn, page_id, page_prev_lsn, index_id,
+                     lsn)
         if kind_raw & _COMMITS_BIT:
             if kind not in CHAIN_KINDS:
                 raise LogError(f"commit bit on a {kind.name} record")
@@ -757,13 +681,10 @@ class LogRecord:
         if end != total:
             raise LogError(f"{kind.name} payload ends at byte {end} of a "
                            f"{total}-byte record")
-        size = record.encoded_size()
-        if size != total:
-            raise LogError(
-                f"a {total}-byte {'wide' if wide else 'narrow'} {kind.name} "
-                f"record whose own encoding is {size} bytes"
-                + (" (a wide header the narrow one fits)" if size < total
-                   and wide else ""))
+        if wide and record._fits_narrow(
+                total - _WIDENING - 8 * len(record.writes)):
+            raise LogError(f"a {total}-byte wide {kind.name} record (a wide "
+                           f"header the narrow one fits)")
         return record
 
     def _decode_op(self, data, pos: int) -> int:
@@ -819,6 +740,10 @@ class LogRecord:
                 self.undo = undo
                 if undo.keys:
                     self._check_run_undo()
+                elif _shares_before_image(self.op, undo):
+                    raise LogError("an UPDATE that spells out its op's "
+                                   "before-image again; its own encoding "
+                                   "stores it once")
             return pos
         if kind == LogRecordKind.COMPENSATION:
             self.undo_next_lsn, op_size = _QH.unpack_from(data, pos)
@@ -904,9 +829,7 @@ class LogRecord:
     @property
     def is_page_update(self) -> bool:
         """Does this record change page contents (i.e. has redo work)?"""
-        return self.kind in (LogRecordKind.UPDATE, LogRecordKind.COMPENSATION,
-                             LogRecordKind.FORMAT_PAGE,
-                             LogRecordKind.FULL_PAGE_IMAGE)
+        return self.kind in PAGE_UPDATE_KINDS
 
     @property
     def commits_txn(self) -> bool:
@@ -937,6 +860,186 @@ class LogRecord:
         if self.page_id >= 0:
             bits.append(f"page={self.page_id}<-{self.page_prev_lsn}")
         return f"LogRecord({', '.join(bits)})"
+
+
+#: every kind byte's low six bits a record may carry
+_KINDS = frozenset(LogRecordKind)
+
+
+def read_header(raw) -> tuple[int, bool, int, int, int]:
+    """``(kind, commits, txn_id, page_id, page_prev_lsn)`` of the record
+    ``raw`` encodes, read from its header in place; the payload stays
+    encoded.  ``commits`` is :attr:`LogRecord.commits_txn`.  A header
+    that is cut short or names another length than ``raw``'s, an unknown
+    kind and a commit bit on a kind that cannot carry one are
+    :class:`LogError`."""
+    try:
+        kind_byte = raw[0]
+        if kind_byte & _WIDE_BIT:
+            _, total, txn_id, _, page_id, page_prev_lsn, _ = (
+                _WIDE.unpack_from(raw))
+        else:
+            _, total, txn_id, _, page_id, page_prev_lsn, _ = (
+                _NARROW.unpack_from(raw))
+            if page_id == _NO_PAGE:
+                page_id = -1
+    except MALFORMED:
+        raise LogError(f"log record header cut short at {len(raw)} "
+                       f"bytes") from None
+    if total != len(raw):
+        raise LogError(f"log record length mismatch: {total} != {len(raw)}")
+    kind = kind_byte & _KIND_BITS
+    if kind not in _KINDS:
+        raise LogError(f"unknown log record kind {kind_byte}")
+    if kind_byte & _COMMITS_BIT:
+        if kind not in CHAIN_KINDS:
+            raise LogError(f"commit bit on a {LogRecordKind(kind).name} "
+                           f"record")
+        return kind, True, txn_id, page_id, page_prev_lsn
+    return kind, kind in _COMMIT_KINDS, txn_id, page_id, page_prev_lsn
+
+
+def split_records(lsn: int, data) -> list[tuple[int, bytes]]:
+    """``(lsn, encoding)`` of every record in ``data``, a run of whole
+    records whose first sits at ``lsn``, in log order.  A run that does
+    not divide into records at their length fields is a
+    :class:`LogError`; the records themselves are not decoded."""
+    records = []
+    pos, end = 0, len(data)
+    while pos < end:
+        try:
+            (total,) = (_U32 if data[pos] & _WIDE_BIT else _U16).unpack_from(
+                data, pos + 1)
+        except MALFORMED:
+            raise LogError(f"log record header cut short at LSN "
+                           f"{lsn + pos}") from None
+        if total < NARROW_HEADER_SIZE or pos + total > end:
+            raise LogError(f"a {total}-byte log record at LSN {lsn + pos} "
+                           f"does not fit the {end - pos} bytes left")
+        records.append((lsn + pos, bytes(data[pos:pos + total])))
+        pos += total
+    return records
+
+
+def encode_update(txn_id: int, prev_lsn: int, page_id: int,
+                  page_prev_lsn: int, index_id: int, op: PageOp,
+                  undo: LogicalUndo | None, redo_only: bool) -> bytes:
+    """The encoding of an UPDATE record, built without the object:
+    what :meth:`LogRecord.encode` writes for one (which calls this), the
+    commit bit set only on a redo-only record.  The two shapes every put
+    logs — an unspanned value rewrite, redo-only (an autocommit put) or
+    sharing its before-image with a RESTORE_VALUE undo (a put in a
+    listed transaction), under a narrow header — pack their header and
+    op with one :data:`_REWRITE` each; any other is sized, then written
+    into one buffer."""
+    if (type(op) is OpUpdateValue and not (op.prefix or op.suffix)
+            and not ((txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32
+                     | index_id >> 16)):
+        old, new = op.old_value, op.new_value
+        if redo_only:
+            if old is None:
+                return _REWRITE.pack(
+                    _REDO_UPDATE_KIND, 29 + len(new), txn_id, prev_lsn,
+                    page_id & _NO_PAGE, page_prev_lsn, index_id,
+                    _HAS_OP | _REDO_ONLY, 5 + len(new), _REDO_VALUE,
+                    op.slot, len(new)) + new
+        elif (undo is not None and undo.action is _RESTORE_VALUE
+                and not (undo.prefix or undo.suffix)
+                and (undo.value is old or undo.value == old)):
+            key = undo.key
+            total = 34 + len(old) + len(new) + len(key)
+            if not total >> 16:
+                return b"".join((
+                    _REWRITE.pack(_UPDATE, total, txn_id, prev_lsn,
+                                  page_id & _NO_PAGE, page_prev_lsn, index_id,
+                                  _HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE,
+                                  7 + len(old) + len(new), OpUpdateValue.kind,
+                                  op.slot, len(old)),
+                    old, _U16.pack(len(new)), new,
+                    _BH.pack(_RESTORE_VALUE, len(key)), key))
+    shared = undo is not None and _shares_before_image(op, undo)
+    op_size = op.encoded_size() if op else 0
+    size = 1 + (2 + op_size if op else 0) + (
+        3 + len(undo.key) if shared else undo.encoded_size() if undo else 0)
+    kind_byte = _REDO_UPDATE_KIND if redo_only else _UPDATE
+    total = NARROW_HEADER_SIZE + size
+    if (txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32 | (
+            index_id | total) >> 16:
+        pos = WIDE_HEADER_SIZE
+        buf = bytearray(pos + size)
+        _WIDE.pack_into(buf, 0, kind_byte | _WIDE_BIT, pos + size, txn_id,
+                        prev_lsn, page_id, page_prev_lsn, index_id)
+    else:
+        pos = NARROW_HEADER_SIZE
+        buf = bytearray(total)
+        _NARROW.pack_into(buf, 0, kind_byte, total, txn_id, prev_lsn,
+                          page_id & _NO_PAGE, page_prev_lsn, index_id)
+    buf[pos] = ((_HAS_OP if op else 0) | (_HAS_UNDO if undo else 0)
+                | (_SHARED_BEFORE_IMAGE if shared else 0)
+                | (_REDO_ONLY if redo_only else 0))
+    pos += 1
+    if op:
+        _U16.pack_into(buf, pos, op_size)
+        pos = op.encode_into(buf, pos + 2)
+    if shared:
+        _BH.pack_into(buf, pos, undo.action, len(undo.key))
+        buf[pos + 3:] = undo.key
+    elif undo:
+        undo.encode_into(buf, pos)
+    return bytes(buf)
+
+
+def _shares_before_image(op: PageOp | None, undo: LogicalUndo) -> bool:
+    """Is the undo's value the op's ``old_value``, under the same span
+    (an in-place rewrite of one key's value)?  Then it is encoded
+    once."""
+    return (undo.action is _RESTORE_VALUE
+            and type(op) is OpUpdateValue
+            and (undo.value is op.old_value or undo.value == op.old_value)
+            and undo.prefix == op.prefix and undo.suffix == op.suffix)
+
+
+def _decode_rewrite(cls, data, lsn: int) -> LogRecord | None:  # noqa: ANN001
+    """The record ``data`` encodes when it is one of
+    :func:`encode_update`'s two rewrite shapes, each read with one
+    unpack of :data:`_REWRITE`; ``None`` for any other bytes, which
+    :meth:`LogRecord.decode` then takes the long way (and refuses if
+    they encode nothing)."""
+    end = len(data)
+    if end < _REWRITE.size:
+        return None
+    (kind_byte, total, txn_id, prev_lsn, page_id, page_prev_lsn, index_id,
+     flags, op_size, op_kind, slot, first) = _REWRITE.unpack_from(data)
+    if page_id == _NO_PAGE:
+        page_id = -1
+    if (kind_byte == _REDO_UPDATE_KIND and flags == _HAS_OP | _REDO_ONLY
+            and op_kind == _REDO_VALUE):
+        if not total == end == 29 + first == 24 + op_size:
+            return None
+        record = cls(_UPDATE, txn_id, prev_lsn, page_id, page_prev_lsn,
+                     index_id, lsn, OpUpdateValue(slot, None, bytes(data[29:])))
+        record.commits = record.redo_only = True
+        return record
+    if (flags != _HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE
+            or op_kind != OpUpdateValue.kind):
+        return None
+    pos = 29 + first
+    if pos + 5 > end:
+        return None
+    (length,) = _U16.unpack_from(data, pos)
+    new_end = pos + 2 + length
+    if (total != end or new_end + 3 > end or data[new_end] != _RESTORE_VALUE
+            or op_size != 7 + first + length):
+        return None
+    key_end = new_end + 3 + _U16.unpack_from(data, new_end + 1)[0]
+    if key_end != end:
+        return None
+    old = bytes(data[29:pos])
+    record = cls(_UPDATE, txn_id, prev_lsn, page_id, page_prev_lsn, index_id,
+                 lsn, OpUpdateValue(slot, old, bytes(data[pos + 2:new_end])),
+                 LogicalUndo(_RESTORE_VALUE, bytes(data[new_end + 3:]), old))
+    record.commits = bool(kind_byte & _COMMITS_BIT)
+    return record
 
 
 def pri_update(writes: Sequence[tuple[int, int]]) -> LogRecord:

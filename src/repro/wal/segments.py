@@ -1,15 +1,18 @@
 """Fixed-size in-memory log segments and their directory.
 
 The recovery log is held as a sequence of **segments**, each bounded by
-an encoded-byte budget.  A segment owns the records whose LSNs fall in
-``[base_lsn, end_lsn)`` plus per-record encoded sizes, so log-volume
-accounting is exact without retaining the encoded bytes themselves.
+an encoded-byte budget.  A segment owns the bytes of the records whose
+LSNs fall in ``[base_lsn, end_lsn)`` — the record at ``lsn`` is
+``data[lsn - base_lsn:]`` up to the next record's start — and the list
+of those starts, so a lookup can tell a record's first byte from any
+other.  What a record says is only ever read back from its bytes
+(:mod:`repro.wal.records`).
 
 The :class:`SegmentDirectory` maps an LSN to its segment with one
 bisection over segment base LSNs — O(log #segments), independent of the
-number of records — after which the record lookup is a dict hit.  The
+number of records — then one bisection over that segment's starts.  The
 directory is *truncation-aware*: reclaiming the log head drops whole
-segments in one slice and filters only the single boundary segment, and
+segments in one slice and cuts only the single boundary segment, and
 ``truncated_below`` records the reclaimed prefix so range scans start
 at the right place.
 
@@ -22,8 +25,6 @@ from __future__ import annotations
 import bisect
 from typing import Iterator
 
-from repro.wal.records import LogRecord
-
 #: Default encoded-byte budget of one in-memory segment.  Small enough
 #: that the boundary-segment work of truncation and crash stays cheap,
 #: large enough that the directory's bisect stays shallow.
@@ -31,35 +32,33 @@ DEFAULT_SEGMENT_BYTES = 1 << 16
 
 
 class LogSegment:
-    """One fixed-size run of consecutive log records.
+    """One fixed-size run of consecutive log records: their bytes, and
+    the LSN each starts at (appends arrive in LSN order, truncation cuts
+    a prefix and crash a suffix, so the list stays sorted)."""
 
-    Records are kept in an insertion-ordered dict keyed by LSN —
-    appends arrive in LSN order, truncation removes a prefix and crash
-    removes a suffix, so the dict stays sorted without ever re-sorting.
-    """
-
-    __slots__ = ("base_lsn", "end_lsn", "records", "sizes", "encoded_bytes")
+    __slots__ = ("base_lsn", "data", "starts")
 
     def __init__(self, base_lsn: int) -> None:
         self.base_lsn = base_lsn
-        self.end_lsn = base_lsn
-        self.records: dict[int, LogRecord] = {}
-        self.sizes: dict[int, int] = {}
-        self.encoded_bytes = 0
+        self.data = bytearray()
+        self.starts: list[int] = []
 
-    def remove(self, lsn: int) -> int:
-        """Drop one record; returns its encoded size."""
-        del self.records[lsn]
-        size = self.sizes.pop(lsn)
-        self.encoded_bytes -= size
-        return size
+    @property
+    def end_lsn(self) -> int:
+        return self.base_lsn + len(self.data)
 
-    def __len__(self) -> int:
-        return len(self.records)
+    def records(self, first: int = 0) -> Iterator[tuple[int, bytearray]]:
+        """``(lsn, encoding)`` of the records from the ``first``-th on."""
+        starts, data, base = self.starts, self.data, self.base_lsn
+        last = len(starts) - 1
+        for i in range(first, last + 1):
+            lsn = starts[i]
+            end = starts[i + 1] if i < last else base + len(data)
+            yield lsn, data[lsn - base:end - base]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LogSegment([{self.base_lsn}, {self.end_lsn}), "
-                f"{len(self.records)} records, {self.encoded_bytes} B)")
+                f"{len(self.starts)} records)")
 
 
 class SegmentDirectory:
@@ -78,21 +77,21 @@ class SegmentDirectory:
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
-    def append(self, lsn: int, record: LogRecord, size: int) -> None:
-        """Place one record; opens a new segment when the current one
-        has exhausted its encoded-byte budget."""
+    def append(self, lsn: int, encoding: bytes) -> LogSegment:
+        """Place one record's bytes, and return the segment that holds
+        them; opens a new segment when the current one has exhausted its
+        encoded-byte budget."""
         segments = self._segments
         segment = segments[-1] if segments else None
-        if segment is None or segment.encoded_bytes >= self.segment_bytes:
+        if segment is None or len(segment.data) >= self.segment_bytes:
             segment = LogSegment(lsn)
             segments.append(segment)
             self._starts.append(lsn)
-        segment.records[lsn] = record
-        segment.sizes[lsn] = size
-        segment.encoded_bytes += size
-        segment.end_lsn = lsn + size
-        self._total_bytes += size
+        segment.data += encoding
+        segment.starts.append(lsn)
+        self._total_bytes += len(encoding)
         self._record_count += 1
+        return segment
 
     def sealed_below(self) -> int:
         """The LSN below which every segment is sealed (budget full).
@@ -106,47 +105,68 @@ class SegmentDirectory:
         if not self._segments:
             return self.truncated_below
         newest = self._segments[-1]
-        if newest.encoded_bytes >= self.segment_bytes:
+        if len(newest.data) >= self.segment_bytes:
             return newest.end_lsn
         return newest.base_lsn
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def entry(self, lsn: int) -> tuple[LogRecord, int] | None:
-        """``(record, encoded size)`` at ``lsn``: one bisect + one dict
-        hit (the one lookup: a record, or its size, or both)."""
-        pos = bisect.bisect_right(self._starts, lsn) - 1
-        if pos < 0:
+    def locate(self, lsn: int) -> tuple[bytearray, int, int] | None:
+        """``(segment bytes, start, end)`` of the record at ``lsn`` —
+        ``None`` unless a record starts there.  The log's tail is found
+        without a bisect."""
+        segments = self._segments
+        if not segments:
             return None
-        segment = self._segments[pos]
-        record = segment.records.get(lsn)
-        return None if record is None else (record, segment.sizes[lsn])
+        segment = segments[-1]
+        if lsn < segment.base_lsn:
+            pos = bisect.bisect_right(self._starts, lsn) - 1
+            if pos < 0:
+                return None
+            segment = segments[pos]
+        starts = segment.starts
+        last = len(starts) - 1
+        if starts[last] == lsn:
+            i = last
+        else:
+            i = bisect.bisect_left(starts, lsn)
+            if i >= last or starts[i] != lsn:
+                return None
+        base = segment.base_lsn
+        end = starts[i + 1] if i < last else base + len(segment.data)
+        return segment.data, lsn - base, end - base
 
     # ------------------------------------------------------------------
-    # Iteration
+    # Reading ranges
     # ------------------------------------------------------------------
-    def iter_from(self, start_lsn: int) -> Iterator[LogRecord]:
-        """Records with ``lsn >= start_lsn`` in log order.
+    def iter_from(self, start_lsn: int) -> Iterator[tuple[int, bytearray]]:
+        """``(lsn, encoding)`` of every record with ``lsn >= start_lsn``,
+        in log order.
 
-        Only the segment containing ``start_lsn`` is filtered; every
+        Only the segment containing ``start_lsn`` is bisected; every
         later segment streams whole — no full-log scan.
         """
-        pos = bisect.bisect_right(self._starts, start_lsn) - 1
-        if pos < 0:
-            pos = 0
+        pos = max(bisect.bisect_right(self._starts, start_lsn) - 1, 0)
         for i in range(pos, len(self._segments)):
             segment = self._segments[i]
-            if segment.base_lsn >= start_lsn:
-                yield from segment.records.values()
-            else:
-                for lsn, record in segment.records.items():
-                    if lsn >= start_lsn:
-                        yield record
+            first = 0
+            if segment.base_lsn < start_lsn:
+                first = bisect.bisect_left(segment.starts, start_lsn)
+            yield from segment.records(first)
 
-    def iter_all(self) -> Iterator[LogRecord]:
-        for segment in self._segments:
-            yield from segment.records.values()
+    def bytes_between(self, start_lsn: int, end_lsn: int) -> bytes:
+        """The log's bytes in ``[start_lsn, end_lsn)``, across segments
+        (both ends are record boundaries the caller knows)."""
+        pieces = []
+        pos = max(bisect.bisect_right(self._starts, start_lsn) - 1, 0)
+        for segment in self._segments[pos:]:
+            base = segment.base_lsn
+            if base >= end_lsn:
+                break
+            pieces.append(segment.data[max(start_lsn - base, 0):
+                                       end_lsn - base])
+        return b"".join(pieces)
 
     # ------------------------------------------------------------------
     # Truncation (head reclamation) and crash (tail loss)
@@ -154,59 +174,64 @@ class SegmentDirectory:
     def truncate_below(self, limit: int) -> int:
         """Discard records with ``lsn < limit``; returns bytes freed.
 
-        Whole segments below the limit are dropped in one step; only
-        the boundary segment is filtered record by record.
+        Whole segments below the limit are dropped in one step; the
+        boundary segment is cut at its first record from ``limit`` on.
         """
         removed_bytes = 0
         drop = 0
-        while (drop < len(self._segments)
-               and self._segments[drop].end_lsn <= limit):
-            removed_bytes += self._segments[drop].encoded_bytes
-            self._record_count -= len(self._segments[drop])
+        segments = self._segments
+        while drop < len(segments) and segments[drop].end_lsn <= limit:
+            removed_bytes += len(segments[drop].data)
+            self._record_count -= len(segments[drop].starts)
             drop += 1
         if drop:  # one slice, not per-segment pop(0) shifts
-            del self._segments[:drop]
+            del segments[:drop]
             del self._starts[:drop]
-        if self._segments and self._segments[0].base_lsn < limit:
-            boundary = self._segments[0]
-            for lsn in [l for l in boundary.records if l < limit]:
-                removed_bytes += boundary.remove(lsn)
-                self._record_count -= 1
-            if boundary.records:
-                boundary.base_lsn = next(iter(boundary.records))
-                self._starts[0] = boundary.base_lsn
-            else:
-                self._segments.pop(0)
+        if segments and segments[0].base_lsn < limit:
+            boundary = segments[0]
+            first = bisect.bisect_left(boundary.starts, limit)
+            self._record_count -= first
+            if first < len(boundary.starts):
+                cut = boundary.starts[first] - boundary.base_lsn
+                del boundary.data[:cut]
+                del boundary.starts[:first]
+                boundary.base_lsn = self._starts[0] = boundary.starts[0]
+                removed_bytes += cut
+            else:  # the limit falls inside its last record
+                removed_bytes += len(boundary.data)
+                segments.pop(0)
                 self._starts.pop(0)
         self._total_bytes -= removed_bytes
         self.truncated_below = max(self.truncated_below, limit)
         return removed_bytes
 
-    def discard_from(self, lsn: int) -> list[LogRecord]:
+    def discard_from(self, lsn: int) -> list[tuple[int, bytearray]]:
         """Drop records with LSN >= ``lsn`` (crash: the unforced tail).
 
-        Returns the lost records newest-first so the caller can unwind
-        derived indexes (per-page chain heads) against them.
+        Returns the lost records' ``(lsn, encoding)`` newest-first so
+        the caller can unwind derived indexes (per-page chain heads)
+        against them.
         """
-        lost: list[LogRecord] = []
-        while self._segments:
-            segment = self._segments[-1]
-            if segment.base_lsn >= lsn:
-                for victim in reversed(list(segment.records.values())):
-                    lost.append(victim)
-                self._total_bytes -= segment.encoded_bytes
-                self._record_count -= len(segment)
-                self._segments.pop()
-                self._starts.pop()
-                continue
-            if segment.end_lsn <= lsn:
+        lost: list[tuple[int, bytearray]] = []
+        segments = self._segments
+        while segments:
+            segment = segments[-1]
+            first = 0
+            if segment.base_lsn < lsn:
+                if segment.end_lsn <= lsn:
+                    break
+                first = bisect.bisect_left(segment.starts, lsn)
+            lost.extend(reversed(list(segment.records(first))))
+            cut = len(segment.starts) - first
+            self._record_count -= cut
+            if first:
+                self._total_bytes -= segment.end_lsn - lsn
+                del segment.data[lsn - segment.base_lsn:]
+                del segment.starts[first:]
                 break
-            for victim_lsn in [l for l in reversed(segment.records) if l >= lsn]:
-                lost.append(segment.records[victim_lsn])
-                self._total_bytes -= segment.remove(victim_lsn)
-                self._record_count -= 1
-            segment.end_lsn = lsn
-            break
+            self._total_bytes -= len(segment.data)
+            segments.pop()
+            self._starts.pop()
         return lost
 
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.errors import MediaFailure, SystemFailure
 from repro.txn.locks import LockConflict
 from repro.txn.manager import TransactionManager
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecordKind
+from repro.wal.records import LogRecordKind, read_header
 from tests.conftest import assert_no_pins, fast_config
 
 UPDATE = LogRecordKind.UPDATE
@@ -228,7 +228,8 @@ def _fail_at_append(monkeypatch, db, after: bool, fail) -> None:  # noqa: ANN001
     append = LogManager.append
 
     def failing(log, record):  # noqa: ANN001, ANN202
-        if record.kind is not UPDATE or log is not db.log:
+        encoding = record if type(record) is bytes else record.encode()
+        if log is not db.log or read_header(encoding)[0] != UPDATE:
             return append(log, record)
         monkeypatch.setattr(LogManager, "append", append)
         if after:

@@ -767,14 +767,13 @@ def test_a_rewrite_logs_its_before_image_once_and_reads_the_slot_once():
     assert record.undo.value is record.op.old_value == b"v" * 100
     assert record.undo.action is UndoAction.RESTORE_VALUE
     # 21 header + 1 flags + 2 + op (7 + 100 + 100) + undo (1 + 2 + 3)
-    assert record.encoded_size() == db.log.end_lsn - before == 237
-    assert record.encoded_size() == len(record.encode())
+    assert len(record.encode()) == db.log.end_lsn - before == 237
 
 
 def test_rollback_restores_a_shared_before_image_after_encode_decode():
-    """Recovery reads records, not objects: swap the logged update for
-    its decoded encoding (where undo and op share one decoded value)
-    and roll back through it."""
+    """Recovery reads records, not objects: the log holds the update's
+    encoding, and every read decodes it afresh (undo and op sharing one
+    decoded value); roll back through it."""
     db = Database(fast_config())
     tree = db.create_index()
     db.insert(tree, b"key", b"old-value")
@@ -785,10 +784,8 @@ def test_rollback_restores_a_shared_before_image_after_encode_decode():
     decoded.lsn = logged.lsn
     assert decoded == logged and decoded is not logged
     assert decoded.undo.value is decoded.op.old_value
-    for segment in db.log._dir._segments:
-        if logged.lsn in segment.records:
-            segment.records[logged.lsn] = decoded
-    assert db.log.record_at(txn.last_lsn) is decoded
+    again = db.log.record_at(txn.last_lsn)
+    assert again == decoded and again is not logged
     db.abort(txn)
     assert tree.lookup(b"key") == b"old-value"
     assert db.tm.chain_summary(logged.lsn)[0] == {b"key"}
@@ -882,7 +879,7 @@ def _rewrite_scenario(scenario: str, shape: str) -> tuple[bytes, bytes, int]:
     if standby is not None:
         assert _masked_leaf(standby.pages[page.page_id].data) == leaf
     assert verify_tree(tree).ok
-    return value, leaf, record.encoded_size()
+    return value, leaf, len(record.encode())
 
 
 @pytest.mark.parametrize("shape", sorted(SPLICE_SHAPES))

@@ -378,9 +378,7 @@ def decoded_twin(db):  # noqa: ANN001, ANN201
     log = LogManager(old.clock, old.profile, old.stats,
                      segment_bytes=twin.config.log_segment_bytes)
     for record in old.all_records():
-        decoded = LogRecord.decode(record.encode())
-        decoded.lsn = record.lsn
-        log.adopt(decoded)
+        log.adopt(record.lsn, LogRecord.decode(record.encode()).encode())
     assert log.end_lsn == old.end_lsn == old.durable_lsn
     log.master_checkpoint_lsn = old.master_checkpoint_lsn
     twin.durable.log = log

@@ -1,0 +1,211 @@
+"""The log holds bytes, and every reader decodes them: hostile bytes in
+a segment fail typed.
+
+The log keeps each record's encoding and nothing else, so the record
+decoder is a boundary inside the engine: a byte flipped in a segment,
+a record's length field cut short or the segment's tail cut off must
+surface from ``record_at``, ``scan_from`` and a repair's chain walk as
+a :class:`repro.errors.LogError` (a chain walk that decodes a record
+of another page, or one whose pointer does not decrease, is a
+:class:`repro.errors.RecoveryError`, as before), never as
+``struct.error`` or ``IndexError``.  A repair that meets such bytes
+cannot complete and escalates (Figure 8).
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro import Database
+from repro.errors import LogError, MediaFailure, RecoveryError, SystemFailure
+from repro.wal.lsn import NULL_LSN
+from repro.wal.records import CHAIN_KINDS, LogRecord, LogRecordKind
+from tests.conftest import fast_config
+
+
+def _db() -> tuple[Database, object, dict[bytes, bytes]]:
+    """A database whose log holds every record shape a workload writes:
+    autocommit puts and deletes, listed rewrites, inserts, a rollback,
+    splits, write-backs and a checkpoint."""
+    rng = random.Random(45)
+    db = Database(fast_config())
+    tree = db.create_index()
+    model: dict[bytes, bytes] = {}
+    for i in range(120):
+        key, value = b"key%04d" % i, rng.randbytes(rng.randint(10, 60))
+        db.insert(tree, key, value)
+        model[key] = value
+    db.checkpoint()
+    for _ in range(3):
+        txn = db.begin()
+        for key in rng.sample(sorted(model), 4):
+            model[key] = rng.randbytes(len(model[key]))
+            db.update(tree, key, model[key], txn=txn)
+        db.commit(txn)
+    loser = db.begin()
+    db.update(tree, b"key0003", b"rolled back", txn=loser)
+    db.abort(loser)
+    db.delete(tree, b"key0007")
+    del model[b"key0007"]
+    db.flush_everything()
+    db.log.force()
+    return db, tree, model
+
+
+def _segments(db: Database) -> list:
+    return db.log._dir._segments
+
+
+def _lsns(db: Database) -> list[int]:
+    return [lsn for segment in _segments(db) for lsn in segment.starts]
+
+
+def _chains(db: Database) -> dict[int, int]:
+    """page id -> the LSN its chain starts at."""
+    return dict(db.log._chain_heads)
+
+
+def _read_everything(db: Database, lsns: list[int],
+                     chains: dict[int, int]) -> list[Exception]:
+    """Every reader over the whole log; returns what they raised, and
+    fails on anything that is not typed."""
+    raised: list[Exception] = []
+
+    def attempt(read, typed) -> None:  # noqa: ANN001
+        try:
+            read()
+        except typed as exc:
+            raised.append(exc)
+
+    for lsn in lsns:
+        attempt(lambda lsn=lsn: db.log.record_at(lsn), LogError)
+
+    def scan() -> None:
+        for lsn, *_header, encoding in db.log_reader.scan_from(lsns[0]):
+            LogRecord.decode(encoding, lsn)
+
+    attempt(scan, LogError)
+    for page_id, head in chains.items():
+        attempt(lambda page_id=page_id, head=head:
+                db.log_reader.walk_page_chain(head, NULL_LSN, page_id),
+                (LogError, RecoveryError))
+    return raised
+
+
+def test_an_intact_log_decodes_everywhere():
+    db, _tree, _model = _db()
+    lsns, chains = _lsns(db), _chains(db)
+    assert len(lsns) > 100 and len(chains) > 2
+    assert _read_everything(db, lsns, chains) == []
+    scanned = db.log_reader.scan_from(lsns[0])
+    assert [entry[0] for entry in scanned] == lsns
+    for lsn, kind, commits, txn_id, page_id, encoding in scanned:
+        record = db.log.record_at(lsn)
+        assert (kind, commits, txn_id, page_id) == (
+            record.kind, record.commits_txn, record.txn_id, record.page_id)
+        assert record.encode() == encoding
+
+
+def test_every_flipped_byte_fails_typed_or_decodes():
+    """Flip each byte of the log in turn (a sample of bit patterns):
+    every reader either decodes something or raises a typed error."""
+    db, _tree, _model = _db()
+    lsns, chains = _lsns(db), _chains(db)
+    rng = random.Random(7)
+    refused = 0
+    for segment in _segments(db):
+        data = segment.data
+        for pos in range(len(data)):
+            if rng.random() > 0.04:
+                continue
+            original = data[pos]
+            data[pos] = original ^ (1 << rng.randrange(8))
+            try:
+                refused += bool(_read_everything(db, lsns, chains))
+            finally:
+                data[pos] = original
+    assert refused > 20
+    assert _read_everything(db, lsns, chains) == []
+
+
+@pytest.mark.parametrize("cut", [1, 2, 5])
+def test_a_length_field_cut_short_is_a_log_error_everywhere(cut: int):
+    """Each record's length field made ``cut`` bytes shorter: its
+    ``record_at``, the scan over it and the chain walk through it all
+    raise :class:`LogError`."""
+    db, _tree, _model = _db()
+    lsns = _lsns(db)
+    rng = random.Random(cut)
+    for lsn in rng.sample(lsns, 40):
+        record = db.log.record_at(lsn)
+        segment = next(s for s in _segments(db)
+                       if s.base_lsn <= lsn < s.end_lsn)
+        data, at = segment.data, lsn - segment.base_lsn + 1
+        width = 4 if data[at - 1] & 0x40 else 2
+        original = bytes(data[at:at + width])
+        total = int.from_bytes(original, "little")
+        data[at:at + width] = (total - cut).to_bytes(width, "little")
+        try:
+            with pytest.raises(LogError):
+                db.log.record_at(lsn)
+            with pytest.raises(LogError):
+                db.log_reader.scan_from(lsns[0])
+            if record.kind in CHAIN_KINDS and record.page_id >= 0:
+                with pytest.raises(LogError):
+                    db.log_reader.walk_page_chain(lsn, NULL_LSN,
+                                                  record.page_id)
+        finally:
+            data[at:at + width] = original
+    assert _read_everything(db, lsns, _chains(db)) == []
+
+
+def test_a_segment_cut_short_is_a_log_error():
+    """The newest segment loses its last bytes: the record they held,
+    a scan over it and a chain walk through it raise :class:`LogError`;
+    every record before it still decodes."""
+    db, _tree, _model = _db()
+    lsns = _lsns(db)
+    segment = _segments(db)[-1]
+    last = segment.starts[-1]
+    for lsn in reversed(segment.starts):
+        if db.log.record_at(lsn).kind == LogRecordKind.UPDATE:
+            break
+    record = db.log.record_at(lsn)
+    cut = segment.end_lsn - lsn - 3  # inside the UPDATE's own bytes
+    del segment.data[len(segment.data) - cut:]
+    with pytest.raises(LogError):
+        db.log.record_at(lsn)
+    with pytest.raises(LogError):
+        db.log_reader.scan_from(lsns[0])
+    with pytest.raises(LogError):
+        db.log_reader.walk_page_chain(lsn, NULL_LSN, record.page_id)
+    for earlier in lsns[:lsns.index(lsn)]:
+        db.log.record_at(earlier)
+    if last != lsn:
+        with pytest.raises(LogError):
+            db.log.record_at(last)
+
+
+def test_a_repair_over_a_broken_chain_escalates():
+    """A leaf fails while its chain holds a record whose bytes encode
+    nothing: single-page recovery cannot complete and escalates, as
+    Figure 8 says any failed repair does."""
+    db, tree, _model = _db()
+    key = b"key0050"
+    _page, _node, pid = tree._descend(key, for_write=False)
+    db.pool.unfix(pid)
+    db.evict_everything()
+    head = db.log.page_chain_head(pid)
+    assert head != NULL_LSN
+    segment = next(s for s in _segments(db)
+                   if s.base_lsn <= head < s.end_lsn)
+    assert db.log.record_at(head).page_id == pid
+    segment.data[head - segment.base_lsn] = 0x3F  # no record kind
+    db.device.inject_bit_rot(pid)
+    failures = db.stats.get("spf_recovery_failures")
+    with pytest.raises((MediaFailure, SystemFailure),
+                       match="single-page recovery failed"):
+        tree.lookup(key)
+    assert db.stats.get("spf_recovery_failures") == failures + 1

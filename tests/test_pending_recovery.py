@@ -178,7 +178,7 @@ class TestSharedContract:
         drainer, drain_errors = run_thread(recovery.drain)
         assert entered.wait(JOIN_SECONDS)  # inside the drain, mutex held
         frames_before = len(db.pool)
-        last_lsn = recovery.pending_pages[page_id][-1].lsn
+        last_lsn = recovery.pending_pages[page_id][-1]
         fixed_lsns = []
 
         def fix() -> None:
@@ -300,7 +300,7 @@ class TestSharedContract:
                   for loser in recovery.pending_losers.values()]
         floor = recovery.source.page_floor(recovery.pending_pages)
         if kind == "restart":
-            assert floor == min(records[0].lsn for records
+            assert floor == min(lsns[0] for lsns
                                 in recovery.pending_pages.values())
         else:
             assert floor == recovery.source.backup_lsn

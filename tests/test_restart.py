@@ -323,32 +323,6 @@ class TestAnalysisBackfill:
     """Pre-checkpoint backfill: pages whose rec_lsn precedes the master
     checkpoint get their older records spliced in, in LSN order."""
 
-    def test_insert_pos_is_sorted_insertion_point(self):
-        import random
-
-        from repro.engine.system_recovery import _insert_pos
-        from repro.wal.records import LogRecord, LogRecordKind
-
-        def rec(lsn):
-            record = LogRecord(LogRecordKind.UPDATE, page_id=1)
-            record.lsn = lsn
-            return record
-
-        records = [rec(lsn) for lsn in (10, 20, 30)]
-        assert _insert_pos(records, 5) == 0
-        assert _insert_pos(records, 15) == 1
-        assert _insert_pos(records, 25) == 2
-        assert _insert_pos(records, 35) == 3
-        assert _insert_pos([], 7) == 0
-        # Property: inserting any shuffle keeps the list LSN-sorted.
-        rng = random.Random(7)
-        lsns = list(range(0, 400, 4))
-        rng.shuffle(lsns)
-        out: list = []
-        for lsn in lsns:
-            out.insert(_insert_pos(out, lsn), rec(lsn))
-        assert [r.lsn for r in out] == sorted(r.lsn for r in out)
-
     @pytest.mark.parametrize("mode", ["eager", "on_demand"])
     def test_fuzzy_checkpoint_backfill_recovers(self, mode):
         """A checkpoint whose dirty-page table points below the master

@@ -1,6 +1,8 @@
 """Unit tests: segmented log, chain-head index, group commit, and
 transparent repair-on-read through the buffer pool's fix path."""
 
+import struct
+
 import pytest
 
 from repro.core.recovery_index import PageRecoveryIndex
@@ -35,9 +37,12 @@ class TestSegmentDirectory:
         for i in range(50):
             log.append(LogRecord(LogRecordKind.COMMIT, txn_id=i))
         assert log.segment_count > 1
-        # Every record remains addressable through the directory.
-        for record in log.all_records():
-            assert log.record_at(record.lsn) is record
+        # Every record remains addressable through the directory, and
+        # reads back as what was appended.
+        records = log.all_records()
+        assert [r.txn_id for r in records] == list(range(50))
+        for record in records:
+            assert log.record_at(record.lsn) == record
 
     def test_records_from_is_segment_indexed(self):
         log = make_log(segment_bytes=128)
@@ -63,7 +68,12 @@ class TestSegmentDirectory:
 
     def test_directory_get_outside_range(self):
         directory = SegmentDirectory(segment_bytes=64)
-        assert directory.entry(100) is None
+        assert directory.locate(100) is None
+        directory.append(100, LogRecord(LogRecordKind.COMMIT).encode())
+        assert directory.locate(99) is None
+        assert directory.locate(101) is None  # inside the record
+        commit = LogRecord(LogRecordKind.COMMIT).encode()
+        assert directory.locate(100) == (bytearray(commit), 0, len(commit))
         with pytest.raises(LogError):
             make_log().record_at(999)
 
@@ -262,8 +272,10 @@ class TestChainIntegrity:
     def test_walk_detects_non_decreasing_prev(self):
         log = make_log()
         lsns = self.build_chain(log, 7, 2)
-        # Corrupt the chain: the head now points forward to itself.
-        log.record_at(lsns[-1]).page_prev_lsn = lsns[-1]
+        # Corrupt the chain: the head now points forward to itself (its
+        # header's page_prev_lsn, a u32 at byte 15 of a narrow header).
+        buffer, start, _end = log._dir.locate(lsns[-1])
+        struct.pack_into("<I", buffer, start + 15, lsns[-1])
         reader = LogReader(log, SimClock(), NULL_PROFILE, Stats())
         with pytest.raises(RecoveryError, match="does not decrease"):
             reader.walk_page_chain(lsns[-1], NULL_LSN)

@@ -300,7 +300,7 @@ def assert_records_abut(log: LogManager) -> None:
     """Every retained record starts where the one before it ends."""
     records = log.all_records()
     for before, after in zip(records, records[1:]):
-        assert before.lsn + before.encoded_size() == after.lsn, (before, after)
+        assert before.lsn + len(before.encode()) == after.lsn, (before, after)
 
 
 class TestForcesLandOnRecordBoundaries:
@@ -327,7 +327,7 @@ class TestForcesLandOnRecordBoundaries:
         update = db.log.record_at(txn.last_lsn)
         assert db.log.durable_lsn <= update.lsn
         db.pool.flush_page(update.page_id)
-        assert db.log.durable_lsn == update.lsn + update.encoded_size()
+        assert db.log.durable_lsn == update.lsn + len(update.encode())
         db.crash()
         db.restart("eager")
         boundaries = {r.lsn for r in db.log.all_records()} | {db.log.end_lsn}
@@ -396,8 +396,13 @@ class TestLogReader:
         log = make_log()
         lsns = self.build_chain(log, 7, 4)
         reader = LogReader(log, SimClock(), NULL_PROFILE, Stats())
-        records = reader.scan_from(lsns[1])
-        assert [r.lsn for r in records] == lsns[1:]
+        scanned = reader.scan_from(lsns[1])
+        assert [lsn for lsn, *_header in scanned] == lsns[1:]
+        for lsn, kind, commits, txn_id, page_id, encoding in scanned:
+            record = log.record_at(lsn)
+            assert (kind, commits, txn_id, page_id) == (
+                LogRecordKind.UPDATE, False, record.txn_id, 7)
+            assert encoding == record.encode()
 
     def test_missing_record_raises(self):
         log = make_log()

@@ -1,9 +1,9 @@
 """Property: every WAL serialization round-trips exactly.
 
-The append hot path trusts ``encoded_size()`` without materializing
-bytes (LSNs are byte offsets, so a size mismatch silently corrupts the
-log address space), and recovery trusts ``decode(encode(x)) == x`` for
-every record kind.  Hypothesis drives both invariants across every
+The log holds each record's encoding, written once at append (LSNs are
+byte offsets), and every reader trusts ``decode(encode(x)) == x`` for
+every record kind; a put's UPDATE is packed without the object
+(``encode_update``) and must be byte for byte what ``encode`` writes.  Hypothesis drives both invariants across every
 :class:`PageOp` kind — including the bulk run ops structural
 maintenance emits — every :class:`LogRecordKind`, checkpoint payloads
 and logical undo descriptors, with boundary payloads (empty keys and
@@ -90,6 +90,7 @@ from repro.wal.records import (
     UndoAction,
     compress_image,
     decompress_image,
+    encode_update,
     pri_update,
 )
 
@@ -370,7 +371,12 @@ def _leaf_runs(header, commits):
 @given(record=_record_strategy())
 def test_log_record_round_trip(record):
     encoded = record.encode()
-    assert len(encoded) == record.encoded_size()
+    if (record.kind is LogRecordKind.UPDATE and record.op is not None
+            and record.commits == record.redo_only):
+        # What log_update appends, packed without the object.
+        assert encode_update(record.txn_id, record.prev_lsn, record.page_id,
+                             record.page_prev_lsn, record.index_id, record.op,
+                             record.undo, record.redo_only) == encoded
     decoded = LogRecord.decode(encoded)
     assert decoded == record
     assert decoded.commits == record.commits
@@ -387,8 +393,8 @@ def test_shared_before_image_is_logged_once_and_shared_on_decode():
                          undo=LogicalUndo(UndoAction.RESTORE_VALUE, key,
                                           b"x" * 100))
     # narrow header, flags, op length, op, undo action + key
-    assert shared.encoded_size() == 21 + 1 + 2 + (7 + 200) + (1 + 2 + 16) == 250
-    assert distinct.encoded_size() == shared.encoded_size() + 2 + 100
+    assert len(shared.encode()) == 21 + 1 + 2 + (7 + 200) + (1 + 2 + 16) == 250
+    assert len(distinct.encode()) == len(shared.encode()) + 2 + 100
     decoded = LogRecord.decode(shared.encode())
     assert decoded == shared
     assert decoded.undo.value is decoded.op.old_value
@@ -396,7 +402,7 @@ def test_shared_before_image_is_logged_once_and_shared_on_decode():
     # and a delete's (INSERT_KEY) is not the ghost op's to share.
     other = LogRecord(LogRecordKind.UPDATE, op=OpSetGhost(3, False, True),
                       undo=LogicalUndo(UndoAction.INSERT_KEY, key, old))
-    assert other.encoded_size() == 21 + 1 + 2 + 5 + (5 + 16 + 100)
+    assert len(other.encode()) == 21 + 1 + 2 + 5 + (5 + 16 + 100)
     assert LogRecord.decode(other.encode()) == other
 
 
@@ -405,7 +411,7 @@ def test_commit_bit_is_the_high_bit_of_the_kind_byte_and_free():
                  LogRecordKind.FORMAT_PAGE):
         plain = LogRecord(kind, txn_id=5, page_id=9)
         carrying = LogRecord(kind, txn_id=5, page_id=9, commits=True)
-        assert carrying.encoded_size() == plain.encoded_size()
+        assert len(carrying.encode()) == len(plain.encode())
         a, b = plain.encode(), carrying.encode()
         assert a[0] == int(kind) and b[0] == int(kind) | 0x80
         assert a[1:] == b[1:]
@@ -794,7 +800,7 @@ def test_a_spanned_rewrite_logs_the_middles_once():
     record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2, op=op,
                        undo=undo)
     # 21 header + 1 flags + 2 + op (11 + 8 + 8) + undo (1 + 2 + 27)
-    assert record.encoded_size() == len(record.encode()) == 81
+    assert len(record.encode()) == len(record.encode()) == 81
     decoded = LogRecord.decode(record.encode())
     assert decoded == record
     assert decoded.undo.value is decoded.op.old_value
@@ -815,7 +821,7 @@ def test_a_redo_only_rewrite_logs_its_new_value_alone():
                        commits=True, redo_only=True)
     encoded = record.encode()
     # 21 header + 1 flags + 2 op length + 105 op
-    assert len(encoded) == record.encoded_size() == 129
+    assert len(encoded) == len(record.encode()) == 129
     assert encoded[0] == 0x80 | LogRecordKind.UPDATE
     assert encoded[21:24] == bytes([0x09]) + struct.pack("<H", 105)
     decoded = LogRecord.decode(encoded)
@@ -872,7 +878,7 @@ def test_pri_update_round_trips_its_run(writes):
     record = pri_update(writes)
     encoded = record.encode()
     narrow = max(map(max, writes)) < 2**32
-    assert len(encoded) == record.encoded_size() == (
+    assert len(encoded) == len(record.encode()) == (
         21 + 2 + 8 * len(writes) if narrow else 45 + 2 + 16 * len(writes))
     assert bool(encoded[0] & 0x40) is not narrow
     decoded = LogRecord.decode(encoded)
@@ -968,7 +974,7 @@ _BOUNDARIES = {
 
 def _round_trips(record: LogRecord, narrow: bool) -> None:
     encoded = record.encode()
-    assert len(encoded) == record.encoded_size()
+    assert len(encoded) == len(record.encode())
     assert bool(encoded[0] & 0x40) is not narrow, (record, narrow)
     decoded = LogRecord.decode(encoded)
     assert decoded == record
@@ -1000,7 +1006,7 @@ def test_the_total_and_pri_entries_decide_the_form_too():
                           image=bytes(65_535 - 33 + extra))
         for record in (update, image):
             _round_trips(record, narrow)
-            assert record.encoded_size() == (65_535 + extra
+            assert len(record.encode()) == (65_535 + extra
                                              + (0 if narrow else 24))
     # 21 header + 2 count + 8 per entry: 8 189 entries fill 65 535 bytes
     for count, narrow in ((8_189, True), (8_190, False)):
