@@ -30,7 +30,7 @@ from repro.sim.clock import SimClock
 from repro.sim.iomodel import IOProfile
 from repro.sim.stats import Stats
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecordKind
+from repro.wal.records import PAGE_UPDATE_KINDS, LogRecordKind
 
 
 @dataclass
@@ -89,7 +89,7 @@ class LogShippingMirror:
         for record in self.log.records_from(self._applied_up_to):
             if record.lsn >= target:
                 break
-            if not record.is_page_update or record.page_id < 0:
+            if record.kind not in PAGE_UPDATE_KINDS or record.page_id < 0:
                 continue
             page = self._pages.get(record.page_id)
             if record.kind == LogRecordKind.FORMAT_PAGE:

@@ -302,8 +302,9 @@ class Checkpointer:
             len(images) * db.config.page_size, sequential=True))
         backup_id = db.backup_store.store_full_backup(images, page_lsns,
                                                       checkpoint_lsn)
-        backup_lsn = db.log.append_and_force(
+        backup_lsn = db.log.append(
             LogRecord(LogRecordKind.BACKUP_FULL, backup_id=backup_id))
+        db.log.force()
         if db.config.spf_enabled:
             db.pri.set_range_backup(0, next_free,
                                     BackupRef.full_backup(backup_id),

@@ -8,8 +8,8 @@ once, and a :class:`PendingRecovery` tracks what classic recovery would
 have finished first:
 
 * **pending pages** — each with the LSNs of the records analysis
-  collected for it, in log order (their bodies are decoded when redo
-  applies them).  A pending page is brought current exactly once: on its first fix
+  collected for it, in log order (decoded when redo applies them).  A
+  pending page is brought current exactly once: on its first fix
   (the buffer pool's ``fetcher`` hook) or by the background
   :meth:`PendingRecovery.drain`, whichever claims it first under the
   registry mutex;

@@ -34,12 +34,11 @@ source there is.  This module provides:
      log replica, running the *normal* restart machinery (analysis,
      redo, loser undo via the shared primitives) to finish recovery.
 
-Shipping is by byte range: a batch is the primary log's bytes from the
-ship watermark to the shipping horizon, which the standby divides into
-records at their length fields and adopts at the same LSNs.  Durable
-bytes never change (a commit bit is set only in the volatile tail), and
-crash safety holds because the primary only ever re-assigns LSNs that
-were never durable, hence never shipped.
+Shipping is by bytes: a batch is the encoding of every record from the
+ship watermark to the shipping horizon, which the standby adopts at the
+same LSNs.  Durable bytes never change (a commit bit is set only in the
+volatile tail), and crash safety holds because the primary only ever
+re-assigns LSNs that were never durable, hence never shipped.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from repro.storage.device import StorageDevice
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import LOG_PAGE_SIZE, NULL_LSN
 from repro.wal.records import (PAGE_UPDATE_KINDS, LogRecord, LogRecordKind,
-                               read_header, split_records)
+                               read_header)
 
 
 class SegmentShipper:
@@ -144,12 +143,13 @@ class SegmentShipper:
             self.standby.running = False
             self._ship_gap_breaks.inc()
             return
-        data = self.log.bytes_between(self.shipped_lsn, target)
+        batch = [(lsn, encoding) for lsn, encoding
+                 in self.log.encodings_from(self.shipped_lsn) if lsn < target]
         nbytes = target - self.shipped_lsn
         # One sequential send per batch: the standby's log write.
         self.log.clock.advance(
             self.log.profile.write_cost(nbytes, sequential=True))
-        self.standby.apply_bytes(self.shipped_lsn, data)
+        self.standby.apply_encodings(batch)
         self.shipped_lsn = target
         self.ships += 1
         self._ship_batches.inc()
@@ -245,16 +245,15 @@ class Standby:
     # ------------------------------------------------------------------
     # Continuous apply
     # ------------------------------------------------------------------
-    def apply_bytes(self, lsn: int, data: bytes) -> None:
-        """Adopt and apply one shipped batch — the primary's log bytes
-        from ``lsn`` on — record by record, page by page, through the
-        shared redo primitive.  Only page updates and checkpoints are
-        decoded; every other record is applied from its header."""
+    def apply_encodings(self, batch: list[tuple[int, bytes]]) -> None:
+        """Adopt and apply one shipped batch — ``(lsn, encoding)`` of each
+        record, in log order — through the shared redo primitive; only
+        page updates and checkpoints are decoded."""
         from repro.engine.system_recovery import note_txn_record
 
         if not self.running:
             raise ReplicationError(f"standby '{self.name}' is down")
-        for lsn, encoding in split_records(lsn, data):
+        for lsn, encoding in batch:
             self.log.adopt(lsn, encoding)
             kind, commits, txn_id, page_id, _prev = read_header(encoding)
             note_txn_record(self.att, lsn, kind, commits, txn_id)

@@ -238,11 +238,9 @@ def note_txn_record(att: dict[int, tuple[int, bool]], lsn: int, kind: int,
 
 
 def _analysis(db, report: RestartReport):  # noqa: ANN001
-    """One scan from the master checkpoint over the records' headers;
-    a body is decoded only where analysis reads it (the checkpoint, PRI
-    updates, backup records).  Returns the dirty-page table, the
-    active-transaction table, the LSNs to redo per page, in log order,
-    and the highest transaction id seen."""
+    """One scan of headers from the master checkpoint, a body decoded
+    only where analysis reads it (checkpoint, PRI and backup records):
+    the DPT, the ATT, the LSNs to redo per page and the top txn id."""
     cfg = db.config
     start_lsn = db.log.master_checkpoint_lsn or LOG_START
     dpt: dict[int, int] = {}

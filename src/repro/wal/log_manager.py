@@ -90,8 +90,7 @@ class LogManager:
         self._backup_full_lsns: dict[int, int] = {}
         self._next_lsn = LOG_START
         self._durable_lsn = NULL_LSN
-        #: ``(lsn, txn_id, segment)`` of the record :meth:`append` placed
-        #: last, where a commit's bit usually goes
+        #: ``(lsn, txn_id, segment)`` of the last record: a commit's bit
         self._tail: tuple | None = None
         #: LSN of the most recent CHECKPOINT_END record; modelled as the
         #: log's "master record", which survives crashes.
@@ -154,25 +153,19 @@ class LogManager:
         return self._dir.segment_count
 
     def append(self, record: LogRecord | bytes) -> int:
-        """Assign an LSN, write the record's encoding into the buffered
-        tail, and return the LSN.
-
-        ``record`` is a :class:`LogRecord` or the bytes of one
-        (:func:`repro.wal.records.encode_update` packs a put's without
-        the object); the log keeps only the bytes, written once, here.
-        A redo-only record carries its commit bit in them already, so no
-        force can harden it without the bit.
-        """
+        """Assign an LSN, write the record's encoding — ``record`` is a
+        :class:`LogRecord` or the bytes of one (a put's, from
+        :func:`repro.wal.records.encode_update`) — once into the
+        buffered tail, and return the LSN.  A redo-only record carries
+        its commit bit in those bytes: no force hardens it without."""
         data = record if type(record) is bytes else record.encode()
         # The header, read in place: its encoder wrote it a moment ago.
-        kind_byte = data[0]
-        if kind_byte & WIDE_BIT:
-            _, _, txn_id, _, page_id, _, _ = WIDE_HEADER.unpack_from(data)
-        else:
-            _, _, txn_id, _, page_id, _, _ = NARROW_HEADER.unpack_from(data)
-            if page_id == NO_PAGE:
-                page_id = -1
-        kind = kind_byte & KIND_BITS
+        wide = data[0] & WIDE_BIT
+        _, _, txn_id, _, page_id, _, _ = (
+            WIDE_HEADER if wide else NARROW_HEADER).unpack_from(data)
+        if page_id == NO_PAGE and not wide:
+            page_id = -1
+        kind = data[0] & KIND_BITS
         size = len(data)
         with self._mutex:
             lsn = self._next_lsn
@@ -188,9 +181,8 @@ class LogManager:
 
     def _index_locked(self, lsn: int, kind: int, page_id: int,
                       data: bytes) -> None:
-        """Keep the derived indexes current for the record ``data``
-        placed at ``lsn``: its page's chain head, a full backup's
-        position."""
+        """Index the record ``data`` placed at ``lsn``: its page's chain
+        head, or a full backup's position."""
         if kind in _CHAIN_KINDS:
             if page_id >= 0:
                 if kind == LogRecordKind.FORMAT_PAGE:
@@ -208,8 +200,8 @@ class LogManager:
         The commit is a bit on the transaction's last record,
         ``last_lsn``, while that record is volatile: it hardens with the
         record, and a crash before the force loses both, as it would an
-        unforced COMMIT record.  A redo-only record took its bit at
-        append, so its commit is the force alone, hardened or not.  A
+        unforced COMMIT record.  A redo-only record was encoded with its
+        bit, so its commit is the force alone, hardened or not.  A
         hardened record (a rider's commit, a
         checkpoint, a PREPARE, a write-back's WAL force) is immutable and
         ``NULL_LSN`` names none: then a COMMIT (``system``: SYS_COMMIT)
@@ -378,11 +370,6 @@ class LogManager:
                     self._force_leader_active = False
                     self._mutex.notify_all()
 
-    def append_and_force(self, record: LogRecord) -> int:
-        lsn = self.append(record)
-        self.force()
-        return lsn
-
     def ensure_replicated(self, commit_lsn: int) -> None:
         """Block a ``replicated_durable`` commit on its ship-ack.
 
@@ -478,12 +465,6 @@ class LogManager:
 
     def all_records(self) -> list[LogRecord]:
         return self.records_from(NULL_LSN)
-
-    def bytes_between(self, start_lsn: int, end_lsn: int) -> bytes:
-        """The log's bytes from the record at ``start_lsn`` up to the
-        one at ``end_lsn`` (what log shipping sends)."""
-        with self._mutex:
-            return self._dir.bytes_between(start_lsn, end_lsn)
 
     def encoded_size(self) -> int:
         """Total log volume in bytes."""

@@ -26,8 +26,7 @@ from repro.wal.lsn import LOG_PAGE_SIZE, NULL_LSN, log_page_of
 from repro.wal.log_manager import LogManager
 from repro.wal.records import LogRecord, read_header
 
-#: one record of a :meth:`LogReader.scan_from`: ``(lsn, kind, commits,
-#: txn_id, page_id, encoding)``
+#: a record as :meth:`LogReader.scan_from` returns it
 Scanned = tuple[int, int, bool, int, int, bytearray]
 
 
@@ -143,16 +142,11 @@ class LogReader:
     def scan_from(self, start_lsn: int) -> list[Scanned]:
         """Sequential forward scan (analysis passes): ``(lsn, kind,
         commits, txn_id, page_id, encoding)`` of every record from
-        ``start_lsn`` on, in log order.
-
-        Each header is read in place
-        (:func:`repro.wal.records.read_header`, so bytes that encode no
-        record are a :class:`repro.errors.LogError` here) and each body
-        stays encoded: a pass decodes only what it applies
-        (``LogRecord.decode(encoding, lsn)``).  Sequential scans are
-        charged at streaming cost for the byte range, not per-record
-        random reads.  The scan itself is an indexed range read over the
-        segment directory, not a filter of the whole log.
+        ``start_lsn`` on, in log order — each header read in place
+        (:func:`repro.wal.records.read_header`: bytes that are no record
+        are a :class:`repro.errors.LogError`), each body left encoded
+        for a pass to decode where it applies it.  Charged at streaming
+        cost for the byte range; an indexed range read, not a filter.
         """
         span = max(0, self.log.end_lsn - start_lsn)
         self.clock.advance(self.profile.read_cost(span, sequential=True))

@@ -1,5 +1,10 @@
 """Typed log records with explicit byte serialization.
 
+The log holds these bytes and nothing else: :meth:`LogRecord.encode`
+(or, for an UPDATE, :func:`encode_update`) writes a record once, at
+append, and every reader decodes it again (:meth:`LogRecord.decode`,
+or :func:`read_header` for the header alone).
+
 A record is a header followed by a kind-specific payload.  The header
 comes in two forms, told apart by its first byte, the kind byte::
 
@@ -14,77 +19,56 @@ comes in two forms, told apart by its first byte, the kind byte::
     page_prev_lsn  u32             page_prev_lsn  i64
     index_id       u16             index_id       i64
 
-``total_len`` is the length of the whole serialized record, ``txn_id``
-the owning transaction (0 = none), ``prev_lsn`` its per-transaction
-chain (Section 5.1.1), ``page_id`` the affected page (-1 = none,
-``0xFFFFFFFF`` in a narrow header), ``page_prev_lsn`` the per-page
-chain (Section 5.1.4) and ``index_id`` the owning index or table
-(0 = none).  A record takes the narrow form whenever every field fits
-it — a total below 64 KiB, ids and LSNs below 2**32 (page ids below
-2**32 - 1), an index id below 2**16, and, in a PRI update, every entry
-below 2**32 — and the wide form otherwise; :meth:`LogRecord.decode`
-refuses a wide header on a record the narrow one fits, so every record
-has exactly one encoding.  The ``page_prev_lsn`` field
-is the heart of the paper's recovery design: it lets single-page
-recovery walk backwards from the current PageLSN to the last backup
-without scanning the log.
+``total_len`` is the length of the whole record, ``txn_id`` the owning
+transaction (0 = none), ``prev_lsn`` its per-transaction chain (Section
+5.1.1), ``page_id`` the affected page (-1 = none, ``0xFFFFFFFF`` in a
+narrow header), ``page_prev_lsn`` the per-page chain (Section 5.1.4) —
+the field that lets single-page recovery walk back from the current
+PageLSN to the last backup without scanning the log — and ``index_id``
+the owning index or table (0 = none).  A record takes the narrow form
+whenever every field fits it (a total below 64 KiB, ids and LSNs below
+2**32, page ids below 2**32 - 1, an index id below 2**16 and, in a PRI
+update, every entry below 2**32) and the wide form otherwise; decoding
+refuses a wide header the narrow one fits, so every record has exactly
+one encoding.
 
-**Lengths are u16.**  Every byte string a payload frames — keys,
-values, middles, bulk records, an undo's key and value — and the op
-length of an UPDATE / COMPENSATION / FORMAT_PAGE lie within one page,
-and a page is at most 32 KiB
-(:data:`repro.engine.config.MAX_PAGE_SIZE`).  Two lengths stay u32: a
-FULL_PAGE_IMAGE's compressed image (zlib can grow a page) and a
-CHECKPOINT_END's tables.
+**Lengths are u16.**  Every byte string a payload frames and the op
+length of an UPDATE / COMPENSATION / FORMAT_PAGE lie within one page, at
+most 32 KiB (:data:`repro.engine.config.MAX_PAGE_SIZE`).  Two lengths
+stay u32: a FULL_PAGE_IMAGE's compressed image (zlib can grow a page)
+and a CHECKPOINT_END's tables.
 
-**The commit bit.**  A transaction's commit is one bit of information
-about its last record, so it is stored there: the high bit of the kind
-byte of an UPDATE / COMPENSATION / FORMAT_PAGE record (``commits``)
-says "this record is the last of its transaction, which committed".
-The bit never changes a record's length, hence no LSN.  It is set — the
-buffered kind byte's high bit flipped in place — while the record is
-still in the log's volatile tail
-(:meth:`repro.wal.log_manager.LogManager.commit`); a
-transaction whose last record has already hardened — or that logged
-nothing — gets a COMMIT / SYS_COMMIT record instead.  Readers ask
-:attr:`LogRecord.commits_txn`, never the kind.
+**The commit bit.**  A transaction's commit is one bit about its last
+record, so it is stored there: the high bit of the kind byte of an
+UPDATE / COMPENSATION / FORMAT_PAGE record (``commits``) says "this
+record is the last of its transaction, which committed".  It changes no
+length, hence no LSN, and is set — the buffered kind byte flipped in
+place — while the record is still in the log's volatile tail
+(:meth:`repro.wal.log_manager.LogManager.commit`); a transaction whose
+last record has hardened, or that logged nothing, gets a COMMIT /
+SYS_COMMIT record instead.  Readers ask :attr:`LogRecord.commits_txn`.
 
-**The UPDATE flags byte.**  An UPDATE payload is a flags byte, the op,
-the undo::
+**The UPDATE payload** is a flags byte, the op, the undo::
 
     bit 0  _HAS_OP                a page op follows, u16-length-prefixed
     bit 1  _HAS_UNDO              a LogicalUndo follows
     bit 2  _SHARED_BEFORE_IMAGE   that undo's value is the op's old_value
     bit 3  _REDO_ONLY             the record is its transaction's only one
 
-**The before-image is logged once.**  Undo is logical (Section 5.1.2),
-so the old value of a rewritten record belongs to the key-level undo;
-the physical op carries the same bytes, and with bit 2 the encoding
-stores them one time.  Decoding hands both fields the same ``bytes``
-object.
-
-**A transaction of one record logs no undo.**  An autocommit write
-(``txn.redo_only`` set, ended by ``Database.end_autocommit``: a
-client's put or delete, the shard worker's, the engine's
-single-operation helpers) that logs one record can never be rolled
-back: the record carries its commit bit from
-its encoding on (:func:`encode_update`), so it is *redo-only* (``redo_only``): flags ``_HAS_OP | _REDO_ONLY`` exactly,
-no undo, the commit bit set.  Its value rewrite keeps no before-image —
-op kinds 10 (unspanned: kind, slot, new value) and 11 (spanned: kind,
-slot, prefix, suffix, the old middle's u16 length, the new middle), see
-:class:`repro.wal.ops.OpUpdateValue` — and its insert or ghosting op is
-the one a transaction logs.  Such an op appears in a redo-only UPDATE
-and nowhere else.  A ghost revival logs two records, so it keeps its
-undo in any transaction, as do ``client.txn()``, ``apply_batch``, a
-``Session`` and a 2PC branch.
-
-**A rewrite logs what it changes.**  A value rewrite whose old and new
-value share their first and last bytes is *spanned*
-(:func:`repro.wal.ops.value_rewrite`): the op stores the lengths of the
-shared prefix and suffix and only the two middles between them, and
-the RESTORE_VALUE undo carries the same span, so the shared
-before-image is the old middle.  The spanned UPDATE of a rewrite, after
-its header::
+Undo is logical (Section 5.1.2), so a rewrite's old value belongs to
+the key-level undo; the op carries the same bytes, and with bit 2 they
+are stored once (decoding hands both fields the same ``bytes``).  An
+autocommit write that logs one record (``txn.redo_only``, ended by
+``Database.end_autocommit``) can never roll back, so its record is
+*redo-only*: flags ``_HAS_OP | _REDO_ONLY`` exactly, no undo, the commit
+bit set from its encoding on.  Its value rewrite keeps no before-image
+(op kinds 10 and 11, :class:`repro.wal.ops.OpUpdateValue`), an op that
+appears in a redo-only UPDATE and nowhere else.  A ghost revival, a
+``client.txn()``, ``apply_batch``, a ``Session`` and a 2PC branch keep
+their undo.  A value rewrite whose values share their first and last
+bytes is *spanned* (:func:`repro.wal.ops.value_rewrite`): the op stores
+the shared prefix and suffix lengths and only the two middles, and the
+RESTORE_VALUE undo carries the same span::
 
     flags          u8    _HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE
     op length      u16
@@ -98,18 +82,16 @@ its header::
     key            u16 length + bytes
 
 An unspanned rewrite of a 100-byte value under a 16-byte key is 129
-bytes as an autocommit put — 21 of header, 1 + 2 of flags and op length,
-3 + 2 + 100 of op — and 250 as an UPDATE of a multi-record transaction:
-21 of header, 1 + 2 of flags and op length, 3 + 2 + 100 + 2 + 100 of
-op, 1 + 2 + 16 of undo.
+bytes as an autocommit put (21 header, 3 flags and op length, 105 op)
+and 250 in a multi-record transaction (21, 3, 207 op, 19 undo).  A
+:class:`LogicalUndo` written on its own marks a span with the high bit
+of its action byte, followed by the two u16 lengths.
 
 **A leaf run is one record.**  A batch put of a new key, with the
-sorted new keys after it that land in the same leaf, is written as one
-*leaf run* (:meth:`repro.btree.tree.FosterBTree.apply_batch`): one
-UPDATE whose op is an :class:`repro.wal.ops.OpBulkInsert` of every row
-and whose undo is a DELETE_KEYS :class:`LogicalUndo` naming every key,
-where a per-key write logs an OpInsert UPDATE with a DELETE_KEY undo
-per row.  The undo, after the op::
+sorted new keys after it that land in the same leaf, is one UPDATE
+(:meth:`repro.btree.tree.FosterBTree.apply_batch`): an
+:class:`repro.wal.ops.OpBulkInsert` of every row and a DELETE_KEYS
+:class:`LogicalUndo` naming every key, after the op::
 
     undo action    u8    DELETE_KEYS (4)
     count          u16   keys, at least one: the run's rows
@@ -118,20 +100,13 @@ per row.  The undo, after the op::
 Each key is its row's stored key behind the one prefix the leaf strips;
 decoding refuses a count that is not the op's row count, a key that is
 not its row's, and the undo under any op but OpBulkInsert.  Rollback
-ghosts the keys newest first, one CLR each; every CLR but the last names
-the run record itself as its ``undo_next_lsn``, so a crash mid-way
-redoes the run's whole undo, in which a key already a ghost logs
-nothing (:meth:`repro.txn.manager.TransactionManager.rollback_work`).
-The run counts one page update per row towards the page's update
-counter (:meth:`repro.page.page.Page.count_updates`), forward and in
-redo alike.
+and the update counter treat the run as the per-key records it stands
+for (:meth:`repro.txn.manager.TransactionManager.rollback_work`).
 
 **A structural change logs the rows it moves once, and one record per
-page it changes.**  A split is a system transaction (no undo) that
-formats its foster child, inserts the moved half there and removes it
-from its source page; an adoption that tightens a node's fences may
-extend the prefix its keys are stored under.  Their ops, as an UPDATE
-carries them::
+page it changes** (:class:`repro.wal.ops.OpSequence`,
+:class:`~repro.wal.ops.OpBulkDelete` and
+:class:`~repro.wal.ops.OpExtendPrefix` say how)::
 
     OpBulkInsert (7)     kind u8, slot u16, count u32, then per row:
                          ghost u8, key and value u16 length + bytes
@@ -141,72 +116,35 @@ carries them::
     OpSequence (13)      kind u8, count u16 (at least 2), then each
                          op's encoding, in the order redo applies them
 
-Each page a split, an adoption or a root growth changes gets one UPDATE
-whose op is an OpSequence of that page's ops
-(:class:`repro.wal.ops.OpSequence`): a split logs its allocation's
-``next_free``, the foster child's FORMAT_PAGE, the foster child's
-UPDATE (its three bookkeeping inserts and the moved rows' OpBulkInsert)
-and the source page's (the row-free OpBulkDelete, then the foster
-record re-keyed); an adoption logs the parent's separator insert (one
-op, no sequence) and the child's UPDATE (its high fence re-keyed, the
-metadata's flags where they change, its foster record cleared, and a
-prefix extension where the fences allow).  Redo applies a sequence's
-ops in order, undo their inverses in reverse, and either counts one
-update per op towards the page's counter, as the per-op records it
-replaces did.  Decoding refuses a count below two, a sequence nested in
-another (bare or compensated), a redo-only rewrite among its ops, and
-a compensated sequence holding a removal or a compensation.
+A split logs its allocation's ``next_free``, the foster child's
+FORMAT_PAGE, the foster child's UPDATE (its bookkeeping inserts and the
+moved rows' OpBulkInsert) and the source page's (the row-free
+OpBulkDelete, then the foster record re-keyed); an adoption logs the
+parent's separator insert and the child's UPDATE.  The compensation of
+a loser split re-inserts the moved rows from the foster child's record
+(:meth:`repro.txn.manager.TransactionManager._split_compensation`).
 
-The split's moved rows are logged once, in the foster child's
-OpBulkInsert; the source's OpBulkDelete names only the slot range, 5
-bytes however many rows move.  A prefix extension is the metadata's
-value rewrite and one OpExtendPrefix, whose redo strips the bytes from
-every key of the range where it lies and whose undo prepends them; it
-counts two updates towards the page's counter, as the OpBulkDelete and
-OpBulkInsert pair it replaces did.  A crash that hardens a split but
-not its commit leaves a loser: rollback compensates the source page's
-record with one CLR, an OpSequence of the foster link's inverses and
-an OpBulkInsert of the rows the split's own OpBulkInsert (the last op
-of the foster child's record, the source record's ``prev_lsn``)
-carries, re-prefixed to the source page's prefix
-(:meth:`repro.txn.manager.TransactionManager.rollback_work`), so the
-compensation record is as self-contained as any other.  Decoding
-refuses a count of zero, stripped bytes that are empty or longer than
-any key, bytes trailing a removal's five, and a compensation
-(:class:`repro.wal.ops.OpInverse`) of a removal.
-
-A :class:`LogicalUndo` written on its own marks a span with the high
-bit of its action byte, followed by the two u16 lengths.  Redo and
-undo splice the middle into the record's current value; compensation
-restores the before-image by the inverse splice, wherever the key
-lives by then.  An unspanned rewrite encodes exactly as before spans
-existed.
-
-**One PRI update per write-back run.**  The buffer pool writes dirty
-pages back in runs (:mod:`repro.buffer.buffer_pool`), and one
-PRI_UPDATE (Figures 11 and 12) tells the page recovery index every
-page's new on-device PageLSN.  Its header's ``page_id`` is -1 — the
-record joins no page chain — and its payload is::
+**One PRI update per write-back run** (Figures 11 and 12) names every
+page the run wrote; its header's ``page_id`` is -1 (it joins no page
+chain), and :func:`pri_update` is its one builder::
 
     count          u16   pages written, at least one
     page_id        u32   } count times, in the run's write order;
     page_lsn       u32   } each i64 under a wide header
 
-:func:`pri_update` is the one builder.
-
 Every decode boundary here and in :mod:`repro.wal.ops` returns a value
-or raises :class:`repro.errors.LogError` — for truncated input, an
-unknown kind, an unknown flag bit, a length that runs past the record,
-a span that is empty or longer than any record, a PRI update that names
-no page, a page in its header or a negative page id or LSN, a commit
-bit on a kind that cannot carry one, a redo-only UPDATE without its
-commit bit or with an undo, a redo-only op outside a redo-only UPDATE,
-a DELETE_KEYS undo that names no key or not exactly its run's keys,
-a removal or prefix extension of no row, a prefix extension that strips
-no byte or more than a key holds, a compensated removal, an op sequence
-of fewer than two ops or nested in another, or any
-encoding but the one :meth:`LogRecord.encode` writes (a wide header the
-narrow one fits, bytes trailing an op).
+or raises :class:`repro.errors.LogError`: for truncated input, an
+unknown kind or flag bit, a length that runs past the record, an empty
+or overlong span, a PRI update that names no page, a page in its header
+or a negative page id or LSN, a commit bit on a kind that cannot carry
+one, a redo-only UPDATE without its bit or with an undo, a redo-only op
+elsewhere, a DELETE_KEYS undo not naming exactly its run's keys, a
+removal or prefix extension of no row, stripped bytes that are empty or
+longer than any key, a compensated removal, bytes trailing a removal's
+five, an op sequence of fewer than two ops or nested in another, and
+any encoding but the one :meth:`LogRecord.encode` writes (a wide header
+the narrow one fits, a before-image spelled out twice, bytes trailing
+an op).
 """
 
 from __future__ import annotations
@@ -215,6 +153,7 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 from repro.errors import LogError, RecoveryError
@@ -401,12 +340,11 @@ class LogicalUndo:
         if self.action is _DELETE_KEYS:
             keys = self.keys
             _BH.pack_into(buf, pos, _DELETE_KEYS, len(keys))
-            pos += 3
-            for key in keys:  # no call per key
-                _U16.pack_into(buf, pos, len(key))
-                pos += 2 + len(key)
-                buf[pos - len(key):pos] = key
-            return pos
+            # The keys joined in C: no Python step per key.
+            framed = b"".join(chain.from_iterable(zip(
+                map(_U16.pack, map(len, keys)), keys)))
+            buf[pos + 3:pos + 3 + len(framed)] = framed
+            return pos + 3 + len(framed)
         if self.prefix or self.suffix:
             _BHH.pack_into(buf, pos, int(self.action) | _SPANNED_UNDO,
                            self.prefix, self.suffix)
@@ -473,60 +411,33 @@ class CheckpointData:
     active_txns: list[tuple[int, int, bool]] = field(default_factory=list)
     pri_images: dict[int, int] = field(default_factory=dict)
 
-    def encoded_size(self) -> int:
-        return (12 + 16 * len(self.dirty_pages)
-                + 17 * len(self.active_txns) + 16 * len(self.pri_images))
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        _III.pack_into(buf, pos, len(self.dirty_pages),
-                       len(self.active_txns), len(self.pri_images))
-        pos += 12
-        for page_id, rec_lsn in sorted(self.dirty_pages.items()):
-            _QQ.pack_into(buf, pos, page_id, rec_lsn)
-            pos += 16
-        for txn_id, last_lsn, is_system in self.active_txns:
-            _QQB.pack_into(buf, pos, txn_id, last_lsn, int(is_system))
-            pos += 17
-        for page_id, lsn in sorted(self.pri_images.items()):
-            _QQ.pack_into(buf, pos, page_id, lsn)
-            pos += 16
-        return pos
-
     def encode(self) -> bytes:
-        buf = bytearray(self.encoded_size())
-        self.encode_into(buf, 0)
-        return bytes(buf)
+        return b"".join([
+            _III.pack(len(self.dirty_pages), len(self.active_txns),
+                      len(self.pri_images)),
+            *(_QQ.pack(*entry) for entry in sorted(self.dirty_pages.items())),
+            *(_QQB.pack(txn_id, last_lsn, int(is_system))
+              for txn_id, last_lsn, is_system in self.active_txns),
+            *(_QQ.pack(*entry) for entry in sorted(self.pri_images.items()))])
 
     @classmethod
     def decode(cls, data, offset: int = 0) -> "CheckpointData":
+        """The tables encoded at ``offset``, or :class:`LogError`."""
         try:
-            return cls._decode(data, offset)
+            n_dirty, n_txns, n_images = _III.unpack_from(data, offset)
+            txns_at = offset + 12 + 16 * n_dirty
+            images_at = txns_at + 17 * n_txns
+            if images_at + 16 * n_images > len(data):
+                raise LogError("checkpoint tables run past the end of the "
+                               "record")
+            return cls(dict(_QQ.iter_unpack(data[offset + 12:txns_at])),
+                       [(txn_id, last_lsn, bool(is_system))
+                        for txn_id, last_lsn, is_system
+                        in _QQB.iter_unpack(data[txns_at:images_at])],
+                       dict(_QQ.iter_unpack(
+                           data[images_at:images_at + 16 * n_images])))
         except MALFORMED as exc:
             raise LogError(f"malformed checkpoint payload: {exc}") from None
-
-    @classmethod
-    def _decode(cls, data, offset: int) -> "CheckpointData":
-        n_dirty, n_txns, n_images = _III.unpack_from(data, offset)
-        if (offset + 12 + 16 * n_dirty + 17 * n_txns + 16 * n_images
-                > len(data)):
-            raise LogError("checkpoint tables run past the end of the record")
-        pos = offset + 12
-        dirty = {}
-        for _ in range(n_dirty):
-            page_id, rec_lsn = _QQ.unpack_from(data, pos)
-            dirty[page_id] = rec_lsn
-            pos += 16
-        txns = []
-        for _ in range(n_txns):
-            txn_id, last_lsn, is_system = _QQB.unpack_from(data, pos)
-            txns.append((txn_id, last_lsn, bool(is_system)))
-            pos += 17
-        images = {}
-        for _ in range(n_images):
-            page_id, lsn = _QQ.unpack_from(data, pos)
-            images[page_id] = lsn
-            pos += 16
-        return cls(dirty, txns, images)
 
 
 @dataclass(slots=True)
@@ -569,8 +480,7 @@ class LogRecord:
     # ------------------------------------------------------------------
     def _fits_narrow(self, total: int) -> bool:
         """Does the narrow header hold every field, at a narrow
-        ``total``?  ``page_id + 1`` maps -1 .. 2**32 - 2 onto the u32
-        range, and a negative value sets the high bits."""
+        ``total``?  (``page_id + 1`` maps -1 .. 2**32 - 2 onto u32.)"""
         return not ((self.txn_id | self.prev_lsn | self.page_prev_lsn
                      | self.page_id + 1) >> 32
                     | (self.index_id | total) >> 16
@@ -597,7 +507,8 @@ class LogRecord:
             return encoding
         kind_byte = kind | _COMMITS_BIT if commits else kind
         # A PRI update's pages are u32 pairs unless one needs more.
-        entries = _QQ if self.writes and max(map(max, self.writes)) >> 32 else _II
+        wide_entries = self.writes and max(map(max, self.writes)) >> 32
+        entries = _QQ if wide_entries else _II
         payload = self._payload(entries)
         total = NARROW_HEADER_SIZE + len(payload)
         if entries is _II and self._fits_narrow(total):
@@ -647,35 +558,20 @@ class LogRecord:
         :class:`LogError`: anything but exactly what :meth:`encode`
         writes for it is refused.  The two rewrite shapes every put
         logs decode through one unpack each (:func:`_decode_rewrite`)."""
-        if not data:
-            raise LogError("empty log record")
-        kind_raw = data[0]
-        if kind_raw & _KIND_BITS == _UPDATE and not kind_raw & _WIDE_BIT:
+        if data and data[0] & (_KIND_BITS | _WIDE_BIT) == _UPDATE:
             record = _decode_rewrite(cls, data, lsn)
             if record is not None:
                 return record
-        wide = bool(kind_raw & _WIDE_BIT)
-        header = _WIDE if wide else _NARROW
-        if len(data) < header.size:
-            raise LogError("truncated log record header")
-        _, total, txn_id, prev_lsn, page_id, page_prev_lsn, index_id = (
-            header.unpack_from(data, 0))
-        if total != len(data):
-            raise LogError(f"log record length mismatch: {total} != {len(data)}")
-        if not wide and page_id == _NO_PAGE:
-            page_id = -1
-        try:
-            kind = LogRecordKind(kind_raw & _KIND_BITS)
-        except ValueError:
-            raise LogError(f"unknown log record kind {kind_raw}") from None
+        kind_byte, txn_id, prev_lsn, page_id, page_prev_lsn, index_id = (
+            _header(data))
+        kind = LogRecordKind(kind_byte & _KIND_BITS)
+        wide = kind_byte & _WIDE_BIT
+        total = len(data)
         record = cls(kind, txn_id, prev_lsn, page_id, page_prev_lsn, index_id,
-                     lsn)
-        if kind_raw & _COMMITS_BIT:
-            if kind not in CHAIN_KINDS:
-                raise LogError(f"commit bit on a {kind.name} record")
-            record.commits = True
+                     lsn, commits=bool(kind_byte & _COMMITS_BIT))
         try:
-            end = record._decode_payload(data, header.size, wide)
+            end = record._decode_payload(
+                data, WIDE_HEADER_SIZE if wide else NARROW_HEADER_SIZE, wide)
         except MALFORMED as exc:
             raise LogError(f"malformed {kind.name} record: {exc}") from None
         if end != total:
@@ -772,9 +668,9 @@ class LogRecord:
         if kind == LogRecordKind.CHECKPOINT_END:
             (size,) = _U32.unpack_from(data, pos)
             self.checkpoint = checkpoint = CheckpointData.decode(data, pos + 4)
-            if checkpoint.encoded_size() != size:
-                raise LogError(f"checkpoint of {checkpoint.encoded_size()} "
-                               f"bytes in a {size}-byte field")
+            if len(checkpoint.encode()) != size:
+                raise LogError(f"a checkpoint that is not the {size} bytes "
+                               f"its field says")
             return pos + 4 + size
         if kind == LogRecordKind.BACKUP_FULL:
             (self.backup_id,) = _I64.unpack_from(data, pos)
@@ -827,11 +723,6 @@ class LogRecord:
     # Helpers
     # ------------------------------------------------------------------
     @property
-    def is_page_update(self) -> bool:
-        """Does this record change page contents (i.e. has redo work)?"""
-        return self.kind in PAGE_UPDATE_KINDS
-
-    @property
     def commits_txn(self) -> bool:
         """Does this record end its transaction as committed?
 
@@ -866,23 +757,16 @@ class LogRecord:
 _KINDS = frozenset(LogRecordKind)
 
 
-def read_header(raw) -> tuple[int, bool, int, int, int]:
-    """``(kind, commits, txn_id, page_id, page_prev_lsn)`` of the record
-    ``raw`` encodes, read from its header in place; the payload stays
-    encoded.  ``commits`` is :attr:`LogRecord.commits_txn`.  A header
-    that is cut short or names another length than ``raw``'s, an unknown
-    kind and a commit bit on a kind that cannot carry one are
-    :class:`LogError`."""
+def _header(raw) -> tuple[int, int, int, int, int, int]:
+    """``(kind byte, txn_id, prev_lsn, page_id, page_prev_lsn,
+    index_id)`` of the record ``raw`` encodes, read in place.  A header
+    cut short or not ``raw``'s length, an unknown kind and a misplaced
+    commit bit are :class:`LogError`."""
     try:
         kind_byte = raw[0]
-        if kind_byte & _WIDE_BIT:
-            _, total, txn_id, _, page_id, page_prev_lsn, _ = (
-                _WIDE.unpack_from(raw))
-        else:
-            _, total, txn_id, _, page_id, page_prev_lsn, _ = (
-                _NARROW.unpack_from(raw))
-            if page_id == _NO_PAGE:
-                page_id = -1
+        wide = kind_byte & _WIDE_BIT
+        _, total, txn_id, prev_lsn, page_id, page_prev_lsn, index_id = (
+            _WIDE if wide else _NARROW).unpack_from(raw)
     except MALFORMED:
         raise LogError(f"log record header cut short at {len(raw)} "
                        f"bytes") from None
@@ -891,89 +775,68 @@ def read_header(raw) -> tuple[int, bool, int, int, int]:
     kind = kind_byte & _KIND_BITS
     if kind not in _KINDS:
         raise LogError(f"unknown log record kind {kind_byte}")
-    if kind_byte & _COMMITS_BIT:
-        if kind not in CHAIN_KINDS:
-            raise LogError(f"commit bit on a {LogRecordKind(kind).name} "
-                           f"record")
-        return kind, True, txn_id, page_id, page_prev_lsn
-    return kind, kind in _COMMIT_KINDS, txn_id, page_id, page_prev_lsn
+    if kind_byte & _COMMITS_BIT and kind not in CHAIN_KINDS:
+        raise LogError(f"commit bit on a {LogRecordKind(kind).name} record")
+    if page_id == _NO_PAGE and not wide:
+        page_id = -1
+    return kind_byte, txn_id, prev_lsn, page_id, page_prev_lsn, index_id
 
 
-def split_records(lsn: int, data) -> list[tuple[int, bytes]]:
-    """``(lsn, encoding)`` of every record in ``data``, a run of whole
-    records whose first sits at ``lsn``, in log order.  A run that does
-    not divide into records at their length fields is a
-    :class:`LogError`; the records themselves are not decoded."""
-    records = []
-    pos, end = 0, len(data)
-    while pos < end:
-        try:
-            (total,) = (_U32 if data[pos] & _WIDE_BIT else _U16).unpack_from(
-                data, pos + 1)
-        except MALFORMED:
-            raise LogError(f"log record header cut short at LSN "
-                           f"{lsn + pos}") from None
-        if total < NARROW_HEADER_SIZE or pos + total > end:
-            raise LogError(f"a {total}-byte log record at LSN {lsn + pos} "
-                           f"does not fit the {end - pos} bytes left")
-        records.append((lsn + pos, bytes(data[pos:pos + total])))
-        pos += total
-    return records
+def read_header(raw) -> tuple[int, bool, int, int, int]:
+    """``(kind, commits, txn_id, page_id, page_prev_lsn)`` of the record
+    ``raw`` encodes, its header read in place (:func:`_header`) and its
+    payload left encoded; ``commits`` is :attr:`LogRecord.commits_txn`."""
+    kind_byte, txn_id, _prev, page_id, page_prev_lsn, _index = _header(raw)
+    kind = kind_byte & _KIND_BITS
+    return (kind, bool(kind_byte & _COMMITS_BIT) or kind in _COMMIT_KINDS,
+            txn_id, page_id, page_prev_lsn)
 
 
 def encode_update(txn_id: int, prev_lsn: int, page_id: int,
                   page_prev_lsn: int, index_id: int, op: PageOp,
                   undo: LogicalUndo | None, redo_only: bool) -> bytes:
-    """The encoding of an UPDATE record, built without the object:
-    what :meth:`LogRecord.encode` writes for one (which calls this), the
-    commit bit set only on a redo-only record.  The two shapes every put
-    logs — an unspanned value rewrite, redo-only (an autocommit put) or
-    sharing its before-image with a RESTORE_VALUE undo (a put in a
-    listed transaction), under a narrow header — pack their header and
-    op with one :data:`_REWRITE` each; any other is sized, then written
-    into one buffer."""
-    if (type(op) is OpUpdateValue and not (op.prefix or op.suffix)
-            and not ((txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32
-                     | index_id >> 16)):
-        old, new = op.old_value, op.new_value
-        if redo_only:
-            if old is None:
-                return _REWRITE.pack(
-                    _REDO_UPDATE_KIND, 29 + len(new), txn_id, prev_lsn,
-                    page_id & _NO_PAGE, page_prev_lsn, index_id,
-                    _HAS_OP | _REDO_ONLY, 5 + len(new), _REDO_VALUE,
-                    op.slot, len(new)) + new
-        elif (undo is not None and undo.action is _RESTORE_VALUE
-                and not (undo.prefix or undo.suffix)
-                and (undo.value is old or undo.value == old)):
-            key = undo.key
-            total = 34 + len(old) + len(new) + len(key)
-            if not total >> 16:
-                return b"".join((
-                    _REWRITE.pack(_UPDATE, total, txn_id, prev_lsn,
-                                  page_id & _NO_PAGE, page_prev_lsn, index_id,
-                                  _HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE,
-                                  7 + len(old) + len(new), OpUpdateValue.kind,
-                                  op.slot, len(old)),
-                    old, _U16.pack(len(new)), new,
-                    _BH.pack(_RESTORE_VALUE, len(key)), key))
+    """What :meth:`LogRecord.encode` writes for an UPDATE (it calls
+    this), built without the object; the commit bit is set only on a
+    redo-only record.  A put's unspanned value rewrite under a narrow
+    header, redo-only or sharing its before-image with its undo, packs
+    with one :data:`_REWRITE`; any other is sized, then written into
+    one buffer."""
+    narrow = not ((txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32
+                  | index_id >> 16)
+    page = page_id & _NO_PAGE
     shared = undo is not None and _shares_before_image(op, undo)
+    if narrow and type(op) is OpUpdateValue and not (op.prefix or op.suffix):
+        old, new = op.old_value, op.new_value
+        if redo_only and old is None:
+            return _REWRITE.pack(
+                _REDO_UPDATE_KIND, 29 + len(new), txn_id, prev_lsn, page,
+                page_prev_lsn, index_id, _HAS_OP | _REDO_ONLY, 5 + len(new),
+                _REDO_VALUE, op.slot, len(new)) + new
+        total = 34 + len(old) + len(new) + len(undo.key) if shared else 0
+        if shared and not total >> 16:
+            key = undo.key
+            return b"".join((
+                _REWRITE.pack(_UPDATE, total, txn_id, prev_lsn, page,
+                              page_prev_lsn, index_id,
+                              _HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE,
+                              7 + len(old) + len(new), OpUpdateValue.kind,
+                              op.slot, len(old)),
+                old, _U16.pack(len(new)), new,
+                _BH.pack(_RESTORE_VALUE, len(key)), key))
     op_size = op.encoded_size() if op else 0
     size = 1 + (2 + op_size if op else 0) + (
         3 + len(undo.key) if shared else undo.encoded_size() if undo else 0)
     kind_byte = _REDO_UPDATE_KIND if redo_only else _UPDATE
-    total = NARROW_HEADER_SIZE + size
-    if (txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32 | (
-            index_id | total) >> 16:
+    if narrow and not (NARROW_HEADER_SIZE + size) >> 16:
+        pos = NARROW_HEADER_SIZE
+        buf = bytearray(pos + size)
+        _NARROW.pack_into(buf, 0, kind_byte, pos + size, txn_id, prev_lsn,
+                          page, page_prev_lsn, index_id)
+    else:
         pos = WIDE_HEADER_SIZE
         buf = bytearray(pos + size)
         _WIDE.pack_into(buf, 0, kind_byte | _WIDE_BIT, pos + size, txn_id,
                         prev_lsn, page_id, page_prev_lsn, index_id)
-    else:
-        pos = NARROW_HEADER_SIZE
-        buf = bytearray(total)
-        _NARROW.pack_into(buf, 0, kind_byte, total, txn_id, prev_lsn,
-                          page_id & _NO_PAGE, page_prev_lsn, index_id)
     buf[pos] = ((_HAS_OP if op else 0) | (_HAS_UNDO if undo else 0)
                 | (_SHARED_BEFORE_IMAGE if shared else 0)
                 | (_REDO_ONLY if redo_only else 0))
@@ -1000,46 +863,36 @@ def _shares_before_image(op: PageOp | None, undo: LogicalUndo) -> bool:
 
 
 def _decode_rewrite(cls, data, lsn: int) -> LogRecord | None:  # noqa: ANN001
-    """The record ``data`` encodes when it is one of
-    :func:`encode_update`'s two rewrite shapes, each read with one
-    unpack of :data:`_REWRITE`; ``None`` for any other bytes, which
-    :meth:`LogRecord.decode` then takes the long way (and refuses if
-    they encode nothing)."""
+    """The record ``data`` encodes if it is one of
+    :func:`encode_update`'s two rewrite shapes, read with one unpack of
+    :data:`_REWRITE`; ``None`` sends any other the long way."""
     end = len(data)
     if end < _REWRITE.size:
         return None
     (kind_byte, total, txn_id, prev_lsn, page_id, page_prev_lsn, index_id,
      flags, op_size, op_kind, slot, first) = _REWRITE.unpack_from(data)
-    if page_id == _NO_PAGE:
-        page_id = -1
+    page_id = -1 if page_id == _NO_PAGE else page_id
     if (kind_byte == _REDO_UPDATE_KIND and flags == _HAS_OP | _REDO_ONLY
             and op_kind == _REDO_VALUE):
         if not total == end == 29 + first == 24 + op_size:
             return None
-        record = cls(_UPDATE, txn_id, prev_lsn, page_id, page_prev_lsn,
-                     index_id, lsn, OpUpdateValue(slot, None, bytes(data[29:])))
-        record.commits = record.redo_only = True
-        return record
+        return cls(_UPDATE, txn_id, prev_lsn, page_id, page_prev_lsn,
+                   index_id, lsn, OpUpdateValue(slot, None, bytes(data[29:])),
+                   commits=True, redo_only=True)
+    new_at = 31 + first  # past the old value and the new one's length
     if (flags != _HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE
-            or op_kind != OpUpdateValue.kind):
+            or op_kind != OpUpdateValue.kind or total != end or new_at > end):
         return None
-    pos = 29 + first
-    if pos + 5 > end:
+    new_end = new_at + _U16.unpack_from(data, new_at - 2)[0]
+    if (new_end + 3 > end or op_size != new_end - 24
+            or data[new_end] != _RESTORE_VALUE
+            or _U16.unpack_from(data, new_end + 1)[0] != end - new_end - 3):
         return None
-    (length,) = _U16.unpack_from(data, pos)
-    new_end = pos + 2 + length
-    if (total != end or new_end + 3 > end or data[new_end] != _RESTORE_VALUE
-            or op_size != 7 + first + length):
-        return None
-    key_end = new_end + 3 + _U16.unpack_from(data, new_end + 1)[0]
-    if key_end != end:
-        return None
-    old = bytes(data[29:pos])
-    record = cls(_UPDATE, txn_id, prev_lsn, page_id, page_prev_lsn, index_id,
-                 lsn, OpUpdateValue(slot, old, bytes(data[pos + 2:new_end])),
-                 LogicalUndo(_RESTORE_VALUE, bytes(data[new_end + 3:]), old))
-    record.commits = bool(kind_byte & _COMMITS_BIT)
-    return record
+    old = bytes(data[29:new_at - 2])
+    return cls(_UPDATE, txn_id, prev_lsn, page_id, page_prev_lsn, index_id,
+               lsn, OpUpdateValue(slot, old, bytes(data[new_at:new_end])),
+               LogicalUndo(_RESTORE_VALUE, bytes(data[new_end + 3:]), old),
+               commits=bool(kind_byte & _COMMITS_BIT))
 
 
 def pri_update(writes: Sequence[tuple[int, int]]) -> LogRecord:

@@ -1,20 +1,14 @@
 """Fixed-size in-memory log segments and their directory.
 
-The recovery log is held as a sequence of **segments**, each bounded by
-an encoded-byte budget.  A segment owns the bytes of the records whose
-LSNs fall in ``[base_lsn, end_lsn)`` — the record at ``lsn`` is
-``data[lsn - base_lsn:]`` up to the next record's start — and the list
-of those starts, so a lookup can tell a record's first byte from any
-other.  What a record says is only ever read back from its bytes
-(:mod:`repro.wal.records`).
-
-The :class:`SegmentDirectory` maps an LSN to its segment with one
-bisection over segment base LSNs — O(log #segments), independent of the
-number of records — then one bisection over that segment's starts.  The
-directory is *truncation-aware*: reclaiming the log head drops whole
-segments in one slice and cuts only the single boundary segment, and
-``truncated_below`` records the reclaimed prefix so range scans start
-at the right place.
+The recovery log is a sequence of **segments**, each bounded by an
+encoded-byte budget.  A segment holds the bytes of the records whose
+LSNs fall in ``[base_lsn, end_lsn)`` — the record at ``lsn`` starts at
+``data[lsn - base_lsn]`` — and the list of those starts, so a lookup
+tells a record's first byte from any other.  The
+:class:`SegmentDirectory` finds an LSN with one bisection over segment
+base LSNs and one over that segment's starts.  Reclaiming the log head
+drops whole segments in one slice and cuts only the boundary segment;
+``truncated_below`` records the reclaimed prefix.
 
 This layer is pure bookkeeping: LSN assignment, durability, chains and
 cost accounting live in :class:`repro.wal.log_manager.LogManager`.
@@ -55,10 +49,6 @@ class LogSegment:
             lsn = starts[i]
             end = starts[i + 1] if i < last else base + len(data)
             yield lsn, data[lsn - base:end - base]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"LogSegment([{self.base_lsn}, {self.end_lsn}), "
-                f"{len(self.starts)} records)")
 
 
 class SegmentDirectory:
@@ -154,19 +144,6 @@ class SegmentDirectory:
             if segment.base_lsn < start_lsn:
                 first = bisect.bisect_left(segment.starts, start_lsn)
             yield from segment.records(first)
-
-    def bytes_between(self, start_lsn: int, end_lsn: int) -> bytes:
-        """The log's bytes in ``[start_lsn, end_lsn)``, across segments
-        (both ends are record boundaries the caller knows)."""
-        pieces = []
-        pos = max(bisect.bisect_right(self._starts, start_lsn) - 1, 0)
-        for segment in self._segments[pos:]:
-            base = segment.base_lsn
-            if base >= end_lsn:
-                break
-            pieces.append(segment.data[max(start_lsn - base, 0):
-                                       end_lsn - base])
-        return b"".join(pieces)
 
     # ------------------------------------------------------------------
     # Truncation (head reclamation) and crash (tail loss)

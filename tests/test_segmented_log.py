@@ -150,8 +150,8 @@ class TestChainHeadIndex:
     def test_backup_full_index(self):
         log = make_log()
         assert log.backup_full_lsn(3) is None
-        lsn = log.append_and_force(
-            LogRecord(LogRecordKind.BACKUP_FULL, backup_id=3))
+        lsn = log.append(LogRecord(LogRecordKind.BACKUP_FULL, backup_id=3))
+        log.force()
         assert log.backup_full_lsn(3) == lsn
         lost = log.append(LogRecord(LogRecordKind.BACKUP_FULL, backup_id=4))
         assert log.backup_full_lsn(4) == lost

@@ -3,9 +3,9 @@
 The log holds each record's encoding, written once at append (LSNs are
 byte offsets), and every reader trusts ``decode(encode(x)) == x`` for
 every record kind; a put's UPDATE is packed without the object
-(``encode_update``) and must be byte for byte what ``encode`` writes.  Hypothesis drives both invariants across every
-:class:`PageOp` kind — including the bulk run ops structural
-maintenance emits — every :class:`LogRecordKind`, checkpoint payloads
+(``encode_update``) and must be byte for byte what ``encode`` writes.
+Hypothesis drives both invariants across every :class:`PageOp` kind —
+including the bulk run ops structural maintenance emits — every :class:`LogRecordKind`, checkpoint payloads
 and logical undo descriptors, with boundary payloads (empty keys and
 values, zero-length runs, maximal slot numbers) mixed in; the commit
 bit rides on every chain kind, and an UPDATE's before-image is shared
@@ -278,9 +278,7 @@ def test_logical_undo_round_trip(undo):
 @settings(max_examples=100)
 @given(checkpoint=checkpoints)
 def test_checkpoint_round_trip(checkpoint):
-    encoded = checkpoint.encode()
-    assert len(encoded) == checkpoint.encoded_size()
-    assert CheckpointData.decode(encoded) == checkpoint
+    assert CheckpointData.decode(checkpoint.encode()) == checkpoint
 
 
 # ----------------------------------------------------------------------

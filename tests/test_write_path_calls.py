@@ -1,10 +1,12 @@
 """A get and a put at the price of their hops, counted in calls.
 
 A warm autocommit rewrite of a live key on a resident three-level tree
-may enter at most 49 Python functions of ``repro``, and a warm
+may enter at most 48 Python functions of ``repro``, and a warm
 ``client.get`` at most 17 — the descent and the leaf search are the
-get's, and the put shares them.  History: 50 while a put began a listed
-transaction and registered its key lock (``Database.begin``,
+get's, and the put shares them.  History: 49 while the log kept a
+``LogRecord`` object per record (built, then sized by ``encoded_size``;
+``records.encode_update`` now packs the bytes the log keeps); 50 while
+a put began a listed transaction and registered its key lock (``Database.begin``,
 ``TransactionManager.begin``, ``LockManager.acquire`` and
 ``release_all``, where ``Database.autocommit_write``,
 ``TransactionManager.begin_unlisted`` and ``LockManager.check`` stand
@@ -53,10 +55,13 @@ deterministic: what ``sys.setprofile`` sees, not a clock
 Last, a structure budget: the first 2 000 records of the bench's
 sorted kv load, in its 500-put batches — about a split and an adoption
 every 16 records, each one record per page it changes, whose ops the
-slotted-page mutators apply — may enter at most 78 082 functions, the
+slotted-page mutators apply — may enter at most 77 543 functions, the
 count of a fresh process (a slot count the struct memo of
 ``repro.page.slotted`` has not seen yet costs one call more, so a
-process that ran other tests counts a few less).  History: 93 357
+process that ran other tests counts a few less).  History: 78 082
+while the log kept record objects and sized a run's rows and undo keys
+with a generator (a call per row; the bytes are now written with none);
+93 357
 while a structure change logged one record per op, each through
 ``FosterBTree._log``, ``TransactionManager.log_update``,
 ``LogManager.append`` and the segment directory, with its own
@@ -77,15 +82,15 @@ from bench.runner import LOAD_BATCH
 from bench.workloads import WORKLOADS, kv_records
 from repro import EngineConfig, ShardConfig
 
-PUT_CALLS = 49
+PUT_CALLS = 48
 GET_CALLS = 17
 COLD_GET_CALLS = 40
 DELETE_CALLS = 50
 WORKER_GET_CALLS = 20
-WORKER_PUT_CALLS = 52
+WORKER_PUT_CALLS = 51
 ROUTER_GET_CALLS = 6
 ROUTER_PUT_CALLS = 6
-LOAD_CALLS = 78_082
+LOAD_CALLS = 77_543
 
 _CONFIG = dict(page_size=1024, capacity_pages=8192, buffer_capacity=4096)
 _KEYS = [b"user%07d" % (7 * i) for i in range(2_000)]
