@@ -55,6 +55,8 @@ from repro.wal.records import (COMMITS_BIT, KIND_BITS, NARROW_HEADER, NO_PAGE,
                                read_header)
 from repro.wal.segments import DEFAULT_SEGMENT_BYTES, SegmentDirectory
 
+_UPDATE = LogRecordKind.UPDATE
+
 
 class LogManager:
     """Segmented append-only log with an explicit durable prefix."""
@@ -160,18 +162,18 @@ class LogManager:
         its commit bit in those bytes: no force hardens it without."""
         data = record if type(record) is bytes else record.encode()
         # The header, read in place: its encoder wrote it a moment ago.
-        wide = data[0] & WIDE_BIT
+        kind = data[0]
         _, _, txn_id, _, page_id, _, _ = (
-            WIDE_HEADER if wide else NARROW_HEADER).unpack_from(data)
-        if page_id == NO_PAGE and not wide:
+            WIDE_HEADER if kind & WIDE_BIT else NARROW_HEADER).unpack_from(data)
+        if page_id == NO_PAGE and not kind & WIDE_BIT:
             page_id = -1
-        kind = data[0] & KIND_BITS
+        kind &= KIND_BITS
         size = len(data)
         with self._mutex:
             lsn = self._next_lsn
             self._tail = (lsn, txn_id, self._dir.append(lsn, data))
             self._next_lsn = lsn + size
-            if kind == LogRecordKind.UPDATE and page_id >= 0:
+            if kind == _UPDATE and page_id >= 0:
                 self._chain_heads[page_id] = lsn  # every put: inline
             else:
                 self._index_locked(lsn, kind, page_id, data)
@@ -456,7 +458,7 @@ class LogManager:
         in log order, undecoded (:func:`repro.wal.records.read_header`
         reads one's header in place)."""
         with self._mutex:
-            return list(self._dir.iter_from(start_lsn))
+            return self._dir.records_from(start_lsn)
 
     def records_from(self, start_lsn: int) -> list[LogRecord]:
         """All records with ``lsn >= start_lsn`` in log order, decoded."""

@@ -26,9 +26,6 @@ from repro.wal.lsn import LOG_PAGE_SIZE, NULL_LSN, log_page_of
 from repro.wal.log_manager import LogManager
 from repro.wal.records import LogRecord, read_header
 
-#: a record as :meth:`LogReader.scan_from` returns it
-Scanned = tuple[int, int, bool, int, int, bytearray]
-
 
 class LogReader:
     """Reads records from a :class:`LogManager`, charging I/O cost."""
@@ -139,7 +136,7 @@ class LogReader:
         # Pop the stack: oldest record first.
         return list(reversed(stack))
 
-    def scan_from(self, start_lsn: int) -> list[Scanned]:
+    def scan_from(self, start_lsn: int) -> list[tuple]:
         """Sequential forward scan (analysis passes): ``(lsn, kind,
         commits, txn_id, page_id, encoding)`` of every record from
         ``start_lsn`` on, in log order — each header read in place

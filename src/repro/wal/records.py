@@ -562,13 +562,13 @@ class LogRecord:
             record = _decode_rewrite(cls, data, lsn)
             if record is not None:
                 return record
-        kind_byte, txn_id, prev_lsn, page_id, page_prev_lsn, index_id = (
-            _header(data))
-        kind = LogRecordKind(kind_byte & _KIND_BITS)
-        wide = kind_byte & _WIDE_BIT
-        total = len(data)
+        kind, commits, txn_id, page_id, page_prev_lsn = read_header(data)
+        wide = data[0] & _WIDE_BIT
+        _, total, _, prev_lsn, _, _, index_id = (
+            _WIDE if wide else _NARROW).unpack_from(data)
+        kind = LogRecordKind(kind)
         record = cls(kind, txn_id, prev_lsn, page_id, page_prev_lsn, index_id,
-                     lsn, commits=bool(kind_byte & _COMMITS_BIT))
+                     lsn, commits=commits and kind in CHAIN_KINDS)
         try:
             end = record._decode_payload(
                 data, WIDE_HEADER_SIZE if wide else NARROW_HEADER_SIZE, wide)
@@ -757,16 +757,16 @@ class LogRecord:
 _KINDS = frozenset(LogRecordKind)
 
 
-def _header(raw) -> tuple[int, int, int, int, int, int]:
-    """``(kind byte, txn_id, prev_lsn, page_id, page_prev_lsn,
-    index_id)`` of the record ``raw`` encodes, read in place.  A header
-    cut short or not ``raw``'s length, an unknown kind and a misplaced
+def read_header(raw) -> tuple[int, bool, int, int, int]:
+    """``(kind, commits, txn_id, page_id, page_prev_lsn)`` of the record
+    ``raw`` encodes, its header read in place and its payload left
+    encoded; ``commits`` is :attr:`LogRecord.commits_txn`.  A header cut
+    short or not ``raw``'s length, an unknown kind and a misplaced
     commit bit are :class:`LogError`."""
     try:
         kind_byte = raw[0]
-        wide = kind_byte & _WIDE_BIT
-        _, total, txn_id, prev_lsn, page_id, page_prev_lsn, index_id = (
-            _WIDE if wide else _NARROW).unpack_from(raw)
+        _, total, txn_id, _, page_id, page_prev_lsn, _ = (
+            _WIDE if kind_byte & _WIDE_BIT else _NARROW).unpack_from(raw)
     except MALFORMED:
         raise LogError(f"log record header cut short at {len(raw)} "
                        f"bytes") from None
@@ -775,45 +775,38 @@ def _header(raw) -> tuple[int, int, int, int, int, int]:
     kind = kind_byte & _KIND_BITS
     if kind not in _KINDS:
         raise LogError(f"unknown log record kind {kind_byte}")
-    if kind_byte & _COMMITS_BIT and kind not in CHAIN_KINDS:
-        raise LogError(f"commit bit on a {LogRecordKind(kind).name} record")
-    if page_id == _NO_PAGE and not wide:
+    if page_id == _NO_PAGE and not kind_byte & _WIDE_BIT:
         page_id = -1
-    return kind_byte, txn_id, prev_lsn, page_id, page_prev_lsn, index_id
-
-
-def read_header(raw) -> tuple[int, bool, int, int, int]:
-    """``(kind, commits, txn_id, page_id, page_prev_lsn)`` of the record
-    ``raw`` encodes, its header read in place (:func:`_header`) and its
-    payload left encoded; ``commits`` is :attr:`LogRecord.commits_txn`."""
-    kind_byte, txn_id, _prev, page_id, page_prev_lsn, _index = _header(raw)
-    kind = kind_byte & _KIND_BITS
-    return (kind, bool(kind_byte & _COMMITS_BIT) or kind in _COMMIT_KINDS,
-            txn_id, page_id, page_prev_lsn)
+    if not kind_byte & _COMMITS_BIT:
+        return kind, kind in _COMMIT_KINDS, txn_id, page_id, page_prev_lsn
+    if kind not in CHAIN_KINDS:
+        raise LogError(f"commit bit on a {LogRecordKind(kind).name} record")
+    return kind, True, txn_id, page_id, page_prev_lsn
 
 
 def encode_update(txn_id: int, prev_lsn: int, page_id: int,
                   page_prev_lsn: int, index_id: int, op: PageOp,
                   undo: LogicalUndo | None, redo_only: bool) -> bytes:
-    """What :meth:`LogRecord.encode` writes for an UPDATE (it calls
-    this), built without the object; the commit bit is set only on a
-    redo-only record.  A put's unspanned value rewrite under a narrow
-    header, redo-only or sharing its before-image with its undo, packs
-    with one :data:`_REWRITE`; any other is sized, then written into
-    one buffer."""
+    """What :meth:`LogRecord.encode` writes for an UPDATE, without the
+    object (the commit bit set only on a redo-only record).  A put's
+    unspanned value rewrite, redo-only or sharing its before-image,
+    packs with one :data:`_REWRITE`; any other is sized, then written."""
     narrow = not ((txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32
                   | index_id >> 16)
+    if (redo_only and narrow and type(op) is OpUpdateValue
+            and op.old_value is None and not (op.prefix or op.suffix)):
+        new = op.new_value
+        n = len(new)
+        return _REWRITE.pack(
+            _REDO_UPDATE_KIND, 29 + n, txn_id, prev_lsn, page_id & _NO_PAGE,
+            page_prev_lsn, index_id, _HAS_OP | _REDO_ONLY, 5 + n,
+            _REDO_VALUE, op.slot, n) + new
     page = page_id & _NO_PAGE
     shared = undo is not None and _shares_before_image(op, undo)
-    if narrow and type(op) is OpUpdateValue and not (op.prefix or op.suffix):
+    if shared and narrow and not (op.prefix or op.suffix):
         old, new = op.old_value, op.new_value
-        if redo_only and old is None:
-            return _REWRITE.pack(
-                _REDO_UPDATE_KIND, 29 + len(new), txn_id, prev_lsn, page,
-                page_prev_lsn, index_id, _HAS_OP | _REDO_ONLY, 5 + len(new),
-                _REDO_VALUE, op.slot, len(new)) + new
-        total = 34 + len(old) + len(new) + len(undo.key) if shared else 0
-        if shared and not total >> 16:
+        total = 34 + len(old) + len(new) + len(undo.key)
+        if not total >> 16:
             key = undo.key
             return b"".join((
                 _REWRITE.pack(_UPDATE, total, txn_id, prev_lsn, page,

@@ -17,7 +17,6 @@ cost accounting live in :class:`repro.wal.log_manager.LogManager`.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator
 
 #: Default encoded-byte budget of one in-memory segment.  Small enough
 #: that the boundary-segment work of truncation and crash stays cheap,
@@ -41,14 +40,13 @@ class LogSegment:
     def end_lsn(self) -> int:
         return self.base_lsn + len(self.data)
 
-    def records(self, first: int = 0) -> Iterator[tuple[int, bytearray]]:
+    def records(self, first: int = 0) -> list[tuple[int, bytearray]]:
         """``(lsn, encoding)`` of the records from the ``first``-th on."""
         starts, data, base = self.starts, self.data, self.base_lsn
-        last = len(starts) - 1
-        for i in range(first, last + 1):
-            lsn = starts[i]
-            end = starts[i + 1] if i < last else base + len(data)
-            yield lsn, data[lsn - base:end - base]
+        ends = starts[first + 1:]
+        ends.append(base + len(data))
+        return [(lsn, data[lsn - base:end - base])
+                for lsn, end in zip(starts[first:], ends)]
 
 
 class SegmentDirectory:
@@ -130,20 +128,21 @@ class SegmentDirectory:
     # ------------------------------------------------------------------
     # Reading ranges
     # ------------------------------------------------------------------
-    def iter_from(self, start_lsn: int) -> Iterator[tuple[int, bytearray]]:
+    def records_from(self, start_lsn: int) -> list[tuple[int, bytearray]]:
         """``(lsn, encoding)`` of every record with ``lsn >= start_lsn``,
         in log order.
 
         Only the segment containing ``start_lsn`` is bisected; every
-        later segment streams whole — no full-log scan.
+        later segment is read whole — no full-log scan.
         """
         pos = max(bisect.bisect_right(self._starts, start_lsn) - 1, 0)
-        for i in range(pos, len(self._segments)):
-            segment = self._segments[i]
+        found: list[tuple[int, bytearray]] = []
+        for segment in self._segments[pos:]:
             first = 0
             if segment.base_lsn < start_lsn:
                 first = bisect.bisect_left(segment.starts, start_lsn)
-            yield from segment.records(first)
+            found += segment.records(first)
+        return found
 
     # ------------------------------------------------------------------
     # Truncation (head reclamation) and crash (tail loss)
@@ -198,7 +197,7 @@ class SegmentDirectory:
                 if segment.end_lsn <= lsn:
                     break
                 first = bisect.bisect_left(segment.starts, lsn)
-            lost.extend(reversed(list(segment.records(first))))
+            lost.extend(reversed(segment.records(first)))
             cut = len(segment.starts) - first
             self._record_count -= cut
             if first:
