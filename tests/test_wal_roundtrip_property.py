@@ -365,21 +365,80 @@ def _leaf_runs(header, commits):
                      payloads, slots, commits=commits, **header)
 
 
+def _update_piece_by_piece(record: LogRecord) -> bytes:
+    """The reference for an UPDATE's encoding: the module docstring's
+    layout joined from the op's and the undo's own encodings."""
+    op, undo = record.op, record.undo
+    shared = (undo is not None and undo.action is UndoAction.RESTORE_VALUE
+              and type(op) is OpUpdateValue and undo.value == op.old_value
+              and (undo.prefix, undo.suffix) == (op.prefix, op.suffix))
+    body = bytes([(1 if op else 0) | (2 if undo else 0) | (4 if shared else 0)
+                  | (8 if record.redo_only else 0)])
+    if op:
+        body += struct.pack("<H", len(op.encode())) + op.encode()
+    if shared:
+        body += struct.pack("<BH", undo.action, len(undo.key)) + undo.key
+    elif undo:
+        body += undo.encode()
+    kind = 1 | (0x80 if record.commits or record.redo_only else 0)
+    ids = (record.txn_id, record.prev_lsn, record.page_id,
+           record.page_prev_lsn, record.index_id)
+    if (all(0 <= v < 2**32 for v in (ids[0], ids[1], ids[3]))
+            and 0 <= ids[2] + 1 < 2**32 and ids[4] < 2**16
+            and 21 + len(body) < 2**16):
+        return struct.pack("<BHIIIIH", kind, 21 + len(body), ids[0], ids[1],
+                           ids[2] & 0xFFFFFFFF, ids[3], ids[4]) + body
+    return struct.pack("<BIqqqqq", kind | 0x40, 45 + len(body), *ids) + body
+
+
 @settings(max_examples=400)
 @given(record=_record_strategy())
 def test_log_record_round_trip(record):
     encoded = record.encode()
-    if (record.kind is LogRecordKind.UPDATE and record.op is not None
-            and record.commits == record.redo_only):
-        # What log_update appends, packed without the object.
-        assert encode_update(record.txn_id, record.prev_lsn, record.page_id,
-                             record.page_prev_lsn, record.index_id, record.op,
-                             record.undo, record.redo_only) == encoded
+    if record.kind is LogRecordKind.UPDATE:
+        # encode_update's packed shapes and sized path alike.
+        assert encoded == _update_piece_by_piece(record)
+        if record.op is not None and record.commits == record.redo_only:
+            assert encode_update(
+                record.txn_id, record.prev_lsn, record.page_id,
+                record.page_prev_lsn, record.index_id, record.op,
+                record.undo, record.redo_only) == encoded
     decoded = LogRecord.decode(encoded)
     assert decoded == record
     assert decoded.commits == record.commits
     assert decoded.redo_only == record.redo_only
     assert decoded.encode() == encoded
+
+
+u32 = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=200)
+@given(txn_id=u32, prev_lsn=u32,
+       page_id=st.integers(min_value=-1, max_value=2**32 - 2),
+       page_prev_lsn=u32, index_id=st.integers(min_value=0, max_value=2**16 - 1),
+       slot=slots, old=payloads, new=payloads, key=payloads)
+def test_a_puts_two_shapes_pack_and_unpack_as_the_reference(
+        txn_id, prev_lsn, page_id, page_prev_lsn, index_id, slot, old, new,
+        key):
+    """The redo-only rewrite and the listed rewrite under a narrow
+    header — the shapes ``encode_update`` packs and ``decode`` unpacks
+    with one ``Struct`` each — against the piece-by-piece reference."""
+    ids = (txn_id, prev_lsn, page_id, page_prev_lsn, index_id)
+    redo = LogRecord(LogRecordKind.UPDATE, *ids[:1], 0, *ids[2:],
+                     op=OpUpdateValue(slot, None, new), commits=True,
+                     redo_only=True)
+    listed = LogRecord(LogRecordKind.UPDATE, *ids,
+                       op=OpUpdateValue(slot, old, new),
+                       undo=LogicalUndo(UndoAction.RESTORE_VALUE, key, old))
+    for record in (redo, listed):
+        encoded = encode_update(*ids[:1], record.prev_lsn, *ids[2:],
+                                record.op, record.undo, record.redo_only)
+        assert encoded == record.encode() == _update_piece_by_piece(record)
+        decoded = LogRecord.decode(encoded, 7)
+        assert decoded.lsn == 7 and decoded.encode() == encoded
+        decoded.lsn = record.lsn
+        assert decoded == record
 
 
 def test_shared_before_image_is_logged_once_and_shared_on_decode():
