@@ -157,9 +157,9 @@ from itertools import chain
 from typing import Sequence
 
 from repro.errors import LogError, RecoveryError
-from repro.wal.ops import (MALFORMED, SPAN_SIZE, OpBulkInsert, OpUpdateValue,
-                           PageOp, _put_bytes, _REDO_VALUE, _unpack_bytes,
-                           check_span, is_redo_only)
+from repro.wal.ops import (_REDO_VALUE, _SPANNED_REDO_VALUE, MALFORMED, SPAN_SIZE,
+                           OpBulkInsert, OpUpdateValue, PageOp, _put_bytes,
+                           _unpack_bytes, check_span, is_redo_only)
 
 _NARROW = struct.Struct("<BHIIIIH")
 _WIDE = struct.Struct("<BIqqqqq")
@@ -179,6 +179,9 @@ NO_PAGE = _NO_PAGE = 0xFFFFFFFF
 #: of the value that follows — the new value of a redo-only rewrite, the
 #: old one (logged once, for the undo too) of a listed rewrite
 _REWRITE = struct.Struct("<BHIIIIHBHBHH")
+#: a spanned redo-only rewrite's, up to its new middle (the op's prefix,
+#: suffix and old middle length between its slot and that length)
+_SPANNED_REWRITE = struct.Struct("<BHIIIIHBHBHHHHH")
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -789,14 +792,20 @@ def encode_update(txn_id: int, prev_lsn: int, page_id: int,
                   undo: LogicalUndo | None, redo_only: bool) -> bytes:
     """What :meth:`LogRecord.encode` writes for an UPDATE, without the
     object (the commit bit set only on a redo-only record).  A put's
-    unspanned value rewrite, redo-only or sharing its before-image,
-    packs with one :data:`_REWRITE`; any other is sized, then written."""
+    value rewrite — redo-only, or unspanned and sharing its before-image
+    — packs with one ``Struct``; any other is sized, then written."""
     narrow = not ((txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32
                   | index_id >> 16)
     if (redo_only and narrow and type(op) is OpUpdateValue
-            and op.old_value is None and not (op.prefix or op.suffix)):
+            and op.old_value is None):
         new = op.new_value
         n = len(new)
+        if op.prefix or op.suffix:
+            return _SPANNED_REWRITE.pack(
+                _REDO_UPDATE_KIND, 35 + n, txn_id, prev_lsn,
+                page_id & _NO_PAGE, page_prev_lsn, index_id,
+                _HAS_OP | _REDO_ONLY, 11 + n, _SPANNED_REDO_VALUE, op.slot,
+                op.prefix, op.suffix, op.old_length, n) + new
         return _REWRITE.pack(
             _REDO_UPDATE_KIND, 29 + n, txn_id, prev_lsn, page_id & _NO_PAGE,
             page_prev_lsn, index_id, _HAS_OP | _REDO_ONLY, 5 + n,

@@ -421,17 +421,20 @@ u32 = st.integers(min_value=0, max_value=2**32 - 1)
 def test_a_puts_two_shapes_pack_and_unpack_as_the_reference(
         txn_id, prev_lsn, page_id, page_prev_lsn, index_id, slot, old, new,
         key):
-    """The redo-only rewrite and the listed rewrite under a narrow
-    header — the shapes ``encode_update`` packs and ``decode`` unpacks
-    with one ``Struct`` each — against the piece-by-piece reference."""
+    """The redo-only rewrite (unspanned, and spanned where the values
+    share enough) and the listed rewrite under a narrow header — the
+    shapes ``encode_update`` packs with one ``Struct`` each — against
+    the piece-by-piece reference."""
     ids = (txn_id, prev_lsn, page_id, page_prev_lsn, index_id)
-    redo = LogRecord(LogRecordKind.UPDATE, *ids[:1], 0, *ids[2:],
-                     op=OpUpdateValue(slot, None, new), commits=True,
-                     redo_only=True)
+    redo = [LogRecord(LogRecordKind.UPDATE, *ids[:1], 0, *ids[2:], op=op,
+                      commits=True, redo_only=True)
+            for op in (OpUpdateValue(slot, None, new),
+                       value_rewrite(slot, key + old + key, key + new + key,
+                                     redo_only=True))]
     listed = LogRecord(LogRecordKind.UPDATE, *ids,
                        op=OpUpdateValue(slot, old, new),
                        undo=LogicalUndo(UndoAction.RESTORE_VALUE, key, old))
-    for record in (redo, listed):
+    for record in (*redo, listed):
         encoded = encode_update(*ids[:1], record.prev_lsn, *ids[2:],
                                 record.op, record.undo, record.redo_only)
         assert encoded == record.encode() == _update_piece_by_piece(record)
