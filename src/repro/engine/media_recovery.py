@@ -100,7 +100,7 @@ def collect_replay_targets(db, backup_id: int, backup_lsn: int):  # noqa: ANN001
             for txn_id, last_lsn, is_system in master.checkpoint.active_txns:
                 att[txn_id] = (last_lsn, is_system)
     page_records: dict[int, list[int]] = {}
-    for lsn, kind, commits, txn_id, page_id, _encoding in (
+    for lsn, kind, commits, txn_id, page_id in (
             db.log_reader.scan_from(backup_lsn)):
         note_txn_record(att, lsn, kind, commits, txn_id)
         if kind in PAGE_UPDATE_KINDS and page_id >= 0:

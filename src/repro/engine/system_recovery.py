@@ -250,11 +250,11 @@ def _analysis(db, report: RestartReport):  # noqa: ANN001
     max_txn = 0
     pri_region = range(cfg.pri_region_start, cfg.pri_region_end)
 
-    for lsn, kind, commits, txn_id, page_id, encoding in (
+    for lsn, kind, commits, txn_id, page_id in (
             db.log_reader.scan_from(start_lsn)):
         report.analysis_records += 1
         if kind == LogRecordKind.CHECKPOINT_END:
-            checkpoint = LogRecord.decode(encoding, lsn).checkpoint
+            checkpoint = db.log.record_at(lsn).checkpoint
             for page_id, rec_lsn in checkpoint.dirty_pages.items():
                 dpt.setdefault(page_id, rec_lsn)
             for txn_id, last_lsn, is_system in checkpoint.active_txns:
@@ -280,7 +280,7 @@ def _analysis(db, report: RestartReport):  # noqa: ANN001
             # PageLSN is on disk; a page not updated since leaves the
             # recovery requirements (Figure 12, analysis row 2 / the
             # Figure-4 optimization).
-            for page_id, page_lsn in LogRecord.decode(encoding, lsn).writes:
+            for page_id, page_lsn in db.log.record_at(lsn).writes:
                 if (last_update.get(page_id, NULL_LSN) <= page_lsn
                         and page_id in dpt):
                     dpt.pop(page_id)
@@ -289,12 +289,12 @@ def _analysis(db, report: RestartReport):  # noqa: ANN001
                 if cfg.spf_enabled:
                     db.pri.record_write(page_id, page_lsn)
         elif kind == LogRecordKind.BACKUP_PAGE and page_id >= 0:
-            record = LogRecord.decode(encoding, lsn)
+            record = db.log.record_at(lsn)
             if cfg.spf_enabled and record.backup_ref is not None:
                 db.pri.set_backup(page_id, record.backup_ref,
                                   record.page_lsn, db.clock.now)
         elif kind == LogRecordKind.BACKUP_FULL and cfg.spf_enabled:
-            backup_id = LogRecord.decode(encoding, lsn).backup_id
+            backup_id = db.log.record_at(lsn).backup_id
             # The guard covers two cases: a retired backup (its record
             # outlives the media) and a promoted standby (its adopted
             # log holds the old primary's BACKUP_FULL records, but its
@@ -309,7 +309,7 @@ def _analysis(db, report: RestartReport):  # noqa: ANN001
     # Records before the checkpoint for pages whose rec_lsn precedes it.
     min_rec = min(dpt.values(), default=None)
     if min_rec is not None and min_rec < start_lsn:
-        for lsn, kind, _commits, _txn_id, page_id, _encoding in (
+        for lsn, kind, _commits, _txn_id, page_id in (
                 db.log_reader.scan_from(min_rec)):
             if lsn >= start_lsn:
                 break

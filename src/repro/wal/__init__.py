@@ -4,7 +4,8 @@ The log buffer is **segmented**: fixed-size in-memory segments behind a
 truncation-aware directory (:mod:`repro.wal.segments`), so point
 lookups, range scans, truncation, and crash discard are all indexed —
 never scans of the whole log.  A per-page **chain head index** kept
-current on append makes every page's chain addressable directly.
+current on append (and rebuilt from the kept headers by a crash) makes
+every page's chain addressable directly.
 
 The log implements the two chains the paper builds on:
 

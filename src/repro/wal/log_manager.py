@@ -31,7 +31,9 @@ The log manager owns:
   force they would otherwise each pay for;
 * crash semantics: :meth:`crash` discards everything after the durable
   prefix, which is how experiments create torn states (e.g. a data
-  page written but its PRI-update record lost, Figure 12).
+  page written but its PRI-update record lost, Figure 12), and rebuilds
+  both indexes from the headers of the records it keeps — what a crash
+  leaves is the log's bytes, and the indexes are a function of them.
 
 The recovery log is stable storage (Section 5): forced records are
 never lost and are not subject to fault injection.  Forces charge
@@ -85,10 +87,6 @@ class LogManager:
         self._standby_log_bytes = counter("standby_log_bytes")
         self._dir = SegmentDirectory(segment_bytes)
         self._chain_heads: dict[int, int] = {}
-        #: FORMAT record LSN -> the chain head it displaced (page
-        #: reuse); lets a crash that loses the FORMAT restore the old
-        #: incarnation's head exactly, without rescanning the log.
-        self._format_displaced: dict[int, int] = {}
         self._backup_full_lsns: dict[int, int] = {}
         self._next_lsn = LOG_START
         self._durable_lsn = NULL_LSN
@@ -102,13 +100,6 @@ class LogManager:
         #: the standby.  Only *durable* records ever ship — the standby
         #: must never apply a record the primary could still lose.
         self.shipper = None
-        #: bumped whenever the log's content changes out from under its
-        #: readers (crash discards the unforced tail and re-assigns the
-        #: freed LSNs to different records).  :class:`LogReader` checks
-        #: this before trusting its LRU cache, so a reader that
-        #: survives a crash never treats a re-assigned log page as
-        #: already read.
-        self.invalidation_epoch = 0
         #: one mutex guards every append/force/truncate/crash mutation;
         #: it doubles as the cross-thread commit barrier's condition
         self._mutex = ConditionMutex()
@@ -176,23 +167,21 @@ class LogManager:
             if kind == _UPDATE and page_id >= 0:
                 self._chain_heads[page_id] = lsn  # every put: inline
             else:
-                self._index_locked(lsn, kind, page_id, data)
+                self._index_locked(lsn, kind, page_id)
         self._log_records.inc()
         self._log_bytes.inc(size)
         return lsn
 
-    def _index_locked(self, lsn: int, kind: int, page_id: int,
-                      data: bytes) -> None:
-        """Index the record ``data`` placed at ``lsn``: its page's chain
-        head, or a full backup's position."""
+    def _index_locked(self, lsn: int, kind: int, page_id: int) -> None:
+        """Index the record at ``lsn``, newer than every record indexed
+        before it: its page's chain head, or a full backup's position."""
         if kind in _CHAIN_KINDS:
             if page_id >= 0:
-                if kind == LogRecordKind.FORMAT_PAGE:
-                    self._format_displaced[lsn] = self._chain_heads.get(
-                        page_id, NULL_LSN)
                 self._chain_heads[page_id] = lsn
         elif kind == LogRecordKind.BACKUP_FULL:
-            self._backup_full_lsns[LogRecord.decode(data).backup_id] = lsn
+            data, start, end = self._dir.locate(lsn)
+            self._backup_full_lsns[
+                LogRecord.decode(data[start:end]).backup_id] = lsn
 
     def commit(self, txn_id: int, last_lsn: int, system: bool = False,
                force: bool = True) -> int:
@@ -221,7 +210,7 @@ class LogManager:
                 owner = None
                 if located is not None:
                     buffer, start, stop = located
-                    owner = read_header(buffer[start:stop])[2]
+                    owner = read_header(buffer, start, stop)[2]
                     end = last_lsn + stop - start
             kind_byte = buffer[start] if owner == txn_id else 0
             if kind_byte & COMMITS_BIT or (
@@ -427,7 +416,7 @@ class LogManager:
             self._dir.append(lsn, encoding)
             self._next_lsn = lsn + size
             self._durable_lsn = self._next_lsn
-            self._index_locked(lsn, kind, page_id, encoding)
+            self._index_locked(lsn, kind, page_id)
             if kind == LogRecordKind.CHECKPOINT_END:
                 self.master_checkpoint_lsn = lsn
         self._standby_log_records.inc()
@@ -459,6 +448,25 @@ class LogManager:
         reads one's header in place)."""
         with self._mutex:
             return self._dir.records_from(start_lsn)
+
+    def headers_from(self, start_lsn: int) -> list[tuple]:
+        """``(lsn, kind, commits, txn_id, page_id)`` of every record with
+        ``lsn >= start_lsn``, in log order: the log's one header walk,
+        each header read in place in its segment
+        (:func:`repro.wal.records.read_header`: bytes that are no record
+        are a :class:`LogError`), no record sliced or decoded."""
+        with self._mutex:
+            return self._headers_locked(start_lsn)
+
+    def _headers_locked(self, start_lsn: int) -> list[tuple]:
+        headers = []
+        for segment, first in self._dir.runs_from(start_lsn):
+            data, base, starts = segment.data, segment.base_lsn, segment.starts
+            ends = starts[first + 1:]
+            ends.append(base + len(data))
+            headers += [(lsn, *read_header(data, lsn - base, end - base)[:4])
+                        for lsn, end in zip(starts[first:], ends)]
+        return headers
 
     def records_from(self, start_lsn: int) -> list[LogRecord]:
         """All records with ``lsn >= start_lsn`` in log order, decoded."""
@@ -511,10 +519,6 @@ class LogManager:
                 self._chain_heads = {
                     pid: lsn for pid, lsn
                     in self._chain_heads.items() if lsn >= limit}
-                self._format_displaced = {
-                    lsn: (head if head >= limit else NULL_LSN)
-                    for lsn, head in self._format_displaced.items()
-                    if lsn >= limit}
                 self._backup_full_lsns = {
                     bid: lsn for bid, lsn in self._backup_full_lsns.items()
                     if lsn >= limit}
@@ -539,52 +543,25 @@ class LogManager:
 
         Models a system failure: the log buffer vanishes; stable
         storage (the durable prefix and the master checkpoint pointer)
-        survives.  Derived indexes are unwound against the lost tail —
-        a page's chain head retreats along ``page_prev_lsn`` until it
-        lands on a surviving record.
+        survives.  The derived indexes are rebuilt from the headers of
+        the records kept, oldest first, through :meth:`_index_locked`
+        as :meth:`append` built them; a kept header that encodes no
+        record is a :class:`LogError`.
         """
-        self._mutex.acquire()
-        try:
-            self._crash_locked()
-        finally:
-            self._mutex.release()
+        with self._mutex:
+            floor = self._durable_lsn if self._durable_lsn else LOG_START
+            self._dir.discard_from(floor)
+            self._next_lsn = floor
+            self._tail = None
+            if self.master_checkpoint_lsn >= floor:
+                # The checkpoint record itself was never forced; fall back.
+                self.master_checkpoint_lsn = NULL_LSN
+            self._chain_heads = {}
+            self._backup_full_lsns = {}
+            for lsn, kind, _commits, _txn_id, page_id in (
+                    self._headers_locked(NULL_LSN)):
+                self._index_locked(lsn, kind, page_id)
         self._log_crashes.inc()
-
-    def _crash_locked(self) -> None:
-        floor = self._durable_lsn if self._durable_lsn else LOG_START
-        lost = self._dir.discard_from(floor)
-        # Newest-first: heads retreat one hop at a time.
-        for lsn, encoding in lost:
-            kind, _commits, _txn_id, page_id, page_prev_lsn = read_header(
-                encoding)
-            if page_id >= 0 and kind in _CHAIN_KINDS:
-                is_format = kind == LogRecordKind.FORMAT_PAGE
-                displaced = (self._format_displaced.pop(lsn, NULL_LSN)
-                             if is_format else NULL_LSN)
-                if self._chain_heads.get(page_id) == lsn:
-                    # A lost FORMAT (page reuse) restores the displaced
-                    # incarnation's head; other records retreat along
-                    # their prev pointer.
-                    prev = displaced if is_format else page_prev_lsn
-                    if prev != NULL_LSN and prev >= self._dir.truncated_below:
-                        self._chain_heads[page_id] = prev
-                    else:
-                        self._chain_heads.pop(page_id, None)
-            elif kind == LogRecordKind.BACKUP_FULL:
-                backup_id = LogRecord.decode(encoding).backup_id
-                if self._backup_full_lsns.get(backup_id) == lsn:
-                    self._backup_full_lsns.pop(backup_id, None)
-        self._next_lsn = floor
-        self._tail = None
-        if self.master_checkpoint_lsn >= self._next_lsn:
-            # The checkpoint record itself was never forced; fall back.
-            self.master_checkpoint_lsn = NULL_LSN
-        if lost:
-            # The discarded LSNs will be re-assigned to *different*
-            # records; any surviving LogReader must drop its LRU cache
-            # or a post-crash (or post-failover) repair would treat a
-            # re-written log page as already read.
-            self.invalidation_epoch += 1
 
     # ------------------------------------------------------------------
     # Convenience constructors used across the engine

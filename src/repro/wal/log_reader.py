@@ -24,7 +24,7 @@ from repro.sim.stats import Stats
 from repro.sync import Mutex
 from repro.wal.lsn import LOG_PAGE_SIZE, NULL_LSN, log_page_of
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecord, read_header
+from repro.wal.records import LogRecord
 
 
 class LogReader:
@@ -44,22 +44,15 @@ class LogReader:
         self.records_read = 0
         # Concurrent readers repairing different pages share this cache.
         self._mutex = Mutex()
-        #: cache-coherence watermarks against the log: a crash discards
-        #: the unforced tail and re-assigns its LSNs to new records, and
-        #: truncation reclaims the head — either way cached log pages
-        #: may no longer describe what a read would now return, so the
-        #: stale entries must be purged before they suppress a charge.
-        self._seen_epoch = log.invalidation_epoch
+        #: cache-coherence watermark against the log: truncation
+        #: reclaims the head, so cached log pages below it no longer
+        #: describe what a read would return and must be purged before
+        #: they suppress a charge.  (A crash needs no watermark: the
+        #: reader dies with the process, and the engine reopens over
+        #: the log with a new one.)
         self._seen_truncated = log.truncated_below
 
     def _sync_cache_locked(self) -> None:
-        epoch = self.log.invalidation_epoch
-        if epoch != self._seen_epoch:
-            # Crash: the tail's LSNs were re-assigned; nothing cached
-            # can be trusted (a real log-page buffer dies with the
-            # process for the same reason).
-            self._cached.clear()
-            self._seen_epoch = epoch
         truncated = self.log.truncated_below
         if truncated > self._seen_truncated:
             limit_page = log_page_of(truncated)
@@ -138,17 +131,16 @@ class LogReader:
 
     def scan_from(self, start_lsn: int) -> list[tuple]:
         """Sequential forward scan (analysis passes): ``(lsn, kind,
-        commits, txn_id, page_id, encoding)`` of every record from
-        ``start_lsn`` on, in log order — each header read in place
-        (:func:`repro.wal.records.read_header`: bytes that are no record
-        are a :class:`repro.errors.LogError`), each body left encoded
-        for a pass to decode where it applies it.  Charged at streaming
-        cost for the byte range; an indexed range read, not a filter.
+        commits, txn_id, page_id)`` of every record from ``start_lsn``
+        on, in log order — the log's header walk
+        (:meth:`LogManager.headers_from`), every body left in its
+        segment for a pass to decode (``log.record_at``) where it
+        applies it.  Charged at streaming cost for the byte range; an
+        indexed range read, not a filter.
         """
         span = max(0, self.log.end_lsn - start_lsn)
         self.clock.advance(self.profile.read_cost(span, sequential=True))
         self._log_scans.inc()
-        scanned = [(lsn, *read_header(encoding)[:4], encoding)
-                   for lsn, encoding in self.log.encodings_from(start_lsn)]
+        scanned = self.log.headers_from(start_lsn)
         self.records_read += len(scanned)
         return scanned

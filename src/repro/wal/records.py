@@ -760,21 +760,27 @@ class LogRecord:
 _KINDS = frozenset(LogRecordKind)
 
 
-def read_header(raw) -> tuple[int, bool, int, int, int]:
+def read_header(raw, start: int = 0,
+                end: int | None = None) -> tuple[int, bool, int, int, int]:
     """``(kind, commits, txn_id, page_id, page_prev_lsn)`` of the record
-    ``raw`` encodes, its header read in place and its payload left
-    encoded; ``commits`` is :attr:`LogRecord.commits_txn`.  A header cut
-    short or not ``raw``'s length, an unknown kind and a misplaced
-    commit bit are :class:`LogError`."""
+    ``raw[start:end]`` encodes (``raw`` up to its end by default), its
+    header read in place — ``raw`` may be a whole log segment — and its
+    payload left encoded; ``commits`` is :attr:`LogRecord.commits_txn`.
+    A header cut short or not the record's length, an unknown kind and a
+    misplaced commit bit are :class:`LogError`."""
+    size = (len(raw) if end is None else end) - start
     try:
-        kind_byte = raw[0]
-        _, total, txn_id, _, page_id, page_prev_lsn, _ = (
-            _WIDE if kind_byte & _WIDE_BIT else _NARROW).unpack_from(raw)
+        kind_byte = raw[start]
+        header = _WIDE if kind_byte & _WIDE_BIT else _NARROW
+        _, total, txn_id, _, page_id, page_prev_lsn, _ = header.unpack_from(
+            raw, start)
     except MALFORMED:
-        raise LogError(f"log record header cut short at {len(raw)} "
+        raise LogError(f"log record header cut short at {size} "
                        f"bytes") from None
-    if total != len(raw):
-        raise LogError(f"log record length mismatch: {total} != {len(raw)}")
+    if total != size:
+        raise LogError(f"log record length mismatch: {total} != {size}")
+    if size < header.size:  # in place, the header read the next record
+        raise LogError(f"log record header cut short at {size} bytes")
     kind = kind_byte & _KIND_BITS
     if kind not in _KINDS:
         raise LogError(f"unknown log record kind {kind_byte}")

@@ -128,19 +128,22 @@ class SegmentDirectory:
     # ------------------------------------------------------------------
     # Reading ranges
     # ------------------------------------------------------------------
-    def records_from(self, start_lsn: int) -> list[tuple[int, bytearray]]:
-        """``(lsn, encoding)`` of every record with ``lsn >= start_lsn``,
-        in log order.
-
-        Only the segment containing ``start_lsn`` is bisected; every
-        later segment is read whole — no full-log scan.
+    def runs_from(self, start_lsn: int):  # noqa: ANN201 - an iterator
+        """``(segment, first)`` of every segment holding a record with
+        ``lsn >= start_lsn``, in log order, ``first`` the index of its
+        first such record.  Only the segment containing ``start_lsn`` is
+        bisected; every later segment is read whole — no full-log scan.
         """
         pos = max(bisect.bisect_right(self._starts, start_lsn) - 1, 0)
-        found: list[tuple[int, bytearray]] = []
         for segment in self._segments[pos:]:
-            first = 0
-            if segment.base_lsn < start_lsn:
-                first = bisect.bisect_left(segment.starts, start_lsn)
+            yield segment, (bisect.bisect_left(segment.starts, start_lsn)
+                            if segment.base_lsn < start_lsn else 0)
+
+    def records_from(self, start_lsn: int) -> list[tuple[int, bytearray]]:
+        """``(lsn, encoding)`` of every record with ``lsn >= start_lsn``,
+        in log order."""
+        found: list[tuple[int, bytearray]] = []
+        for segment, first in self.runs_from(start_lsn):
             found += segment.records(first)
         return found
 
@@ -181,14 +184,9 @@ class SegmentDirectory:
         self.truncated_below = max(self.truncated_below, limit)
         return removed_bytes
 
-    def discard_from(self, lsn: int) -> list[tuple[int, bytearray]]:
-        """Drop records with LSN >= ``lsn`` (crash: the unforced tail).
-
-        Returns the lost records' ``(lsn, encoding)`` newest-first so
-        the caller can unwind derived indexes (per-page chain heads)
-        against them.
-        """
-        lost: list[tuple[int, bytearray]] = []
+    def discard_from(self, lsn: int) -> None:
+        """Drop records with LSN >= ``lsn`` (crash: the unforced tail);
+        the log rebuilds what it derives from the records it keeps."""
         segments = self._segments
         while segments:
             segment = segments[-1]
@@ -197,9 +195,7 @@ class SegmentDirectory:
                 if segment.end_lsn <= lsn:
                     break
                 first = bisect.bisect_left(segment.starts, lsn)
-            lost.extend(reversed(segment.records(first)))
-            cut = len(segment.starts) - first
-            self._record_count -= cut
+            self._record_count -= len(segment.starts) - first
             if first:
                 self._total_bytes -= segment.end_lsn - lsn
                 del segment.data[lsn - segment.base_lsn:]
@@ -208,7 +204,6 @@ class SegmentDirectory:
             self._total_bytes -= len(segment.data)
             segments.pop()
             self._starts.pop()
-        return lost
 
     # ------------------------------------------------------------------
     # Accounting

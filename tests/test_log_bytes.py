@@ -21,7 +21,7 @@ import pytest
 from repro import Database
 from repro.errors import LogError, MediaFailure, RecoveryError, SystemFailure
 from repro.wal.lsn import NULL_LSN
-from repro.wal.records import CHAIN_KINDS, LogRecord, LogRecordKind
+from repro.wal.records import CHAIN_KINDS, LogRecordKind
 from tests.conftest import fast_config
 
 
@@ -83,8 +83,8 @@ def _read_everything(db: Database, lsns: list[int],
         attempt(lambda lsn=lsn: db.log.record_at(lsn), LogError)
 
     def scan() -> None:
-        for lsn, *_header, encoding in db.log_reader.scan_from(lsns[0]):
-            LogRecord.decode(encoding, lsn)
+        for lsn, *_header in db.log_reader.scan_from(lsns[0]):
+            db.log.record_at(lsn)
 
     attempt(scan, LogError)
     for page_id, head in chains.items():
@@ -101,11 +101,10 @@ def test_an_intact_log_decodes_everywhere():
     assert _read_everything(db, lsns, chains) == []
     scanned = db.log_reader.scan_from(lsns[0])
     assert [entry[0] for entry in scanned] == lsns
-    for lsn, kind, commits, txn_id, page_id, encoding in scanned:
+    for lsn, kind, commits, txn_id, page_id in scanned:
         record = db.log.record_at(lsn)
         assert (kind, commits, txn_id, page_id) == (
             record.kind, record.commits_txn, record.txn_id, record.page_id)
-        assert record.encode() == encoding
 
 
 def test_every_flipped_byte_fails_typed_or_decodes():
@@ -186,6 +185,38 @@ def test_a_segment_cut_short_is_a_log_error():
     if last != lsn:
         with pytest.raises(LogError):
             db.log.record_at(last)
+
+
+@pytest.mark.parametrize("field", ["kind", "length"])
+def test_a_broken_retained_record_fails_the_crash_that_reads_it(field: str):
+    """A record the crash keeps gets a kind byte that names no kind, or
+    a length one byte off: the crash rebuilds the log's indexes from
+    every kept header, so ``crash()`` + ``restart()`` raise
+    :class:`LogError` wherever the record lies — never a restart that
+    completes over chain heads its bytes do not say.  Mended, the next
+    crash rebuilds the heads the log had."""
+    db, tree, model = _db()
+    lsns, heads = _lsns(db), _chains(db)
+    for lsn in random.Random(46).sample(lsns, 12):
+        segment = next(s for s in _segments(db)
+                       if s.base_lsn <= lsn < s.end_lsn)
+        data, at = segment.data, lsn - segment.base_lsn
+        original = bytes(data[at:at + 3])
+        if field == "kind":
+            data[at] |= 0x3F  # no record kind
+        else:
+            data[at + 1] ^= 1  # the low byte of its length
+        try:
+            with pytest.raises(LogError):
+                db.crash()
+                db.restart()
+        finally:
+            data[at:at + 3] = original
+    db.crash()
+    assert _chains(db) == heads
+    db.restart()
+    tree = db.tree(tree.index_id)
+    assert {key: tree.lookup(key) for key in model} == model
 
 
 def test_a_repair_over_a_broken_chain_escalates():

@@ -397,36 +397,42 @@ class TestRetentionPinsStandby:
 # Satellite 2: discarded log tail vs chain heads and reader caches
 # ----------------------------------------------------------------------
 class TestDiscardInvalidation:
-    def test_reader_cache_dropped_when_crash_discards_tail(self):
-        """A crash discards unforced records; their LSNs are later
-        re-assigned to different bytes.  A surviving LogReader must not
-        serve the old cache."""
-        from repro.sim.clock import SimClock
-        from repro.sim.iomodel import NULL_PROFILE
-        from repro.sim.stats import Stats
-        from repro.wal.log_manager import LogManager
-        from repro.wal.log_reader import LogReader
-        from repro.wal.ops import OpInsert
-        from repro.wal.records import LogRecord, LogRecordKind
+    def test_a_crash_reopens_over_a_new_log_reader(self):
+        """A crash discards unforced records, and their LSNs are later
+        re-assigned to different bytes.  No log reader outlives it: the
+        engine reopens over the log with a new reader, its log-page
+        cache empty, and repairs read through that one, so no page
+        cached before the crash suppresses a charge after it."""
+        from repro.core.backup import BackupPolicy
 
-        clock, stats = SimClock(), Stats()
-        log = LogManager(clock, NULL_PROFILE, stats)
-        reader = LogReader(log, clock, NULL_PROFILE, stats)
-
-        def update(page_id, prev):
-            return LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=page_id,
-                             page_prev_lsn=prev,
-                             op=OpInsert(0, b"key", b"value"))
-
-        first = log.append(update(7, 0))
-        log.force()
-        lost = log.append(update(7, first))  # never forced
-        assert reader.read(lost).page_id == 7  # cached
-        log.crash()
-        relsn = log.append(update(9, 0))  # same LSN, different record
-        log.force()
-        assert relsn == lost
-        assert reader.read(relsn).page_id == 9  # cache invalidated
+        # No page copies: a repair replays the chain from the log.
+        db, tree = loaded(backup_policy=BackupPolicy(every_n_updates=10**6))
+        update_all(db, tree, 1, n=50)
+        victim = some_leaf(db, tree)
+        db.device.inject_bit_rot(victim, nbits=6)
+        assert tree.lookup(key_of(0)) == value_of(0, 1)  # a repair read
+        old = db.log_reader
+        assert old._cached and old.pages_read > 0
+        with db.group_commit():  # an unforced tail, lost below
+            txn = db.begin()
+            tree.update(txn, key_of(0), b"doomed-1")
+            db.commit(txn)
+            db.crash()
+        reader = db.log_reader
+        assert reader is not old and reader.log is db.log
+        assert not reader._cached and reader.pages_read == 0
+        assert db.single_page.log_reader is reader
+        db.restart()
+        tree = db.tree(tree.index_id)
+        txn = db.begin()
+        tree.update(txn, key_of(0), value_of(0, 9))
+        db.commit(txn)
+        victim = some_leaf(db, tree)
+        db.device.inject_bit_rot(victim, nbits=6)
+        old_reads = old.pages_read
+        assert tree.lookup(key_of(0)) == value_of(0, 9)
+        assert db.log_reader is reader and reader.pages_read > 0
+        assert old.pages_read == old_reads
 
     def test_chain_head_retreats_past_discard(self):
         """Engine-level regression: updates lost in a crash must not
