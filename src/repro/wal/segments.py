@@ -17,6 +17,7 @@ cost accounting live in :class:`repro.wal.log_manager.LogManager`.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterator
 
 #: Default encoded-byte budget of one in-memory segment.  Small enough
 #: that the boundary-segment work of truncation and crash stays cheap,
@@ -128,7 +129,7 @@ class SegmentDirectory:
     # ------------------------------------------------------------------
     # Reading ranges
     # ------------------------------------------------------------------
-    def runs_from(self, start_lsn: int):  # noqa: ANN201 - an iterator
+    def runs_from(self, start_lsn: int) -> Iterator[tuple[LogSegment, int]]:
         """``(segment, first)`` of every segment holding a record with
         ``lsn >= start_lsn``, in log order, ``first`` the index of its
         first such record.  Only the segment containing ``start_lsn`` is

@@ -9,8 +9,9 @@ exactly the surviving records — as must ``end_lsn`` and
 ``durable_lsn``.  Hypothesis draws sequences of chain records (UPDATE
 and COMPENSATION extending a page's chain, a FORMAT_PAGE that reuses a
 page) and full-page images (one with PageLSN 0) on a few pages, and
-BACKUP_FULL records of a few backups, an id logged again among them, interleaved with forces, truncations and crashes, over
-segments small enough that every cut crosses segment boundaries.
+BACKUP_FULL records of a few backups (an id may be logged again),
+interleaved with forces, truncations and crashes, over segments small
+enough that every cut crosses segment boundaries.
 """
 
 from __future__ import annotations
