@@ -52,6 +52,11 @@ to reach ``ProcessShard.call``.  The counts are
 deterministic: what ``sys.setprofile`` sees, not a clock
 (``benchmarks/write_path.py`` prints both and times the stages).
 
+Three listed writes hold budgets at their first counts, taken before
+any change aimed at them: a warm ``client.txn()`` of one put (65), a
+txn of two gets and two puts (149) and a 32-put ``apply_batch`` of
+rewrites of keys spread over the tree (1 174).
+
 Last, a structure budget: the first 2 000 records of the bench's
 sorted kv load, in its 500-put batches — about a split and an adoption
 every 16 records, each one record per page it changes, whose ops the
@@ -90,6 +95,9 @@ WORKER_GET_CALLS = 20
 WORKER_PUT_CALLS = 51
 ROUTER_GET_CALLS = 6
 ROUTER_PUT_CALLS = 6
+TXN_PUT_CALLS = 65
+TXN_2GET_2PUT_CALLS = 149
+BATCH_32_CALLS = 1_174
 LOAD_CALLS = 77_543
 
 _CONFIG = dict(page_size=1024, capacity_pages=8192, buffer_capacity=4096)
@@ -163,6 +171,56 @@ def test_a_warm_autocommit_delete_stays_under_its_call_budget():
     assert delta["log_records"] == 1 and delta["log_forces"] == 1
     assert delta["btree_deletes"] == 1
     assert calls <= DELETE_CALLS, f"a warm delete made {calls} calls"
+
+
+def test_a_warm_one_put_txn_stays_under_its_call_budget():
+    client, key = _resident_client()
+
+    def txn() -> None:
+        with client.txn() as handle:
+            handle.put(key, b"e" * 60)
+
+    for _ in range(3):
+        txn()
+    calls = python_calls(txn)
+    assert client.get(key) == b"e" * 60
+    assert calls <= TXN_PUT_CALLS, f"a one-put txn made {calls} calls"
+
+
+def test_a_warm_two_get_two_put_txn_stays_under_its_call_budget():
+    client, key = _resident_client()
+    other = _KEYS[2 * len(_KEYS) // 3]
+
+    def txn(value: bytes) -> None:
+        with client.txn() as handle:
+            handle.get(key)
+            handle.get(other)
+            handle.put(key, value)
+            handle.put(other, value)
+
+    for value in (b"a" * 60, b"b" * 60, b"c" * 60):
+        txn(value)
+    calls = python_calls(lambda: txn(b"d" * 60))
+    assert client.get(key) == client.get(other) == b"d" * 60
+    assert calls <= TXN_2GET_2PUT_CALLS, f"a 2-get 2-put txn made {calls} calls"
+
+
+def test_a_warm_batch_of_32_rewrites_stays_under_its_call_budget():
+    client, _key = _resident_client()
+    keys = _KEYS[::62][:32]
+
+    def batch(value: bytes) -> None:
+        client.apply_batch([("put", key, value) for key in keys])
+
+    for value in (b"a" * 60, b"b" * 60, b"c" * 60):
+        batch(value)
+    before = client.metrics()
+    calls = python_calls(lambda: batch(b"d" * 60))
+    delta = _delta(client, before)
+    # 32 rewrites of live keys, one commit, no split.
+    assert len(set(keys)) == 32 and "btree_splits" not in delta
+    assert all(client.get(key) == b"d" * 60 for key in keys)
+    assert calls <= BATCH_32_CALLS, f"a 32-put batch made {calls} calls"
 
 
 def _resident_shard():  # noqa: ANN202
