@@ -30,7 +30,7 @@ from repro.sim.clock import SimClock
 from repro.sim.iomodel import IOProfile
 from repro.sim.stats import Stats
 from repro.wal.log_manager import LogManager
-from repro.wal.records import PAGE_UPDATE_KINDS, LogRecordKind
+from repro.wal.records import PAGE_UPDATE_KINDS, LogRecordKind, read_header
 
 
 @dataclass
@@ -86,20 +86,21 @@ class LogShippingMirror:
         self.clock.advance(self.profile.read_cost(span, sequential=True))
         applied = 0
         touched: set[int] = set()
-        for record in self.log.records_from(self._applied_up_to):
-            if record.lsn >= target:
+        for lsn, encoding in self.log.encodings_from(self._applied_up_to):
+            if lsn >= target:
                 break
-            if record.kind not in PAGE_UPDATE_KINDS or record.page_id < 0:
+            kind, _commits, _txn_id, page_id, _prev = read_header(encoding)
+            if kind not in PAGE_UPDATE_KINDS or page_id < 0:
                 continue
-            page = self._pages.get(record.page_id)
-            if record.kind == LogRecordKind.FORMAT_PAGE:
-                page = Page.format(self.page_size, record.page_id)
-                self._pages[record.page_id] = page
+            page = self._pages.get(page_id)
+            if kind == LogRecordKind.FORMAT_PAGE:
+                page = Page.format(self.page_size, page_id)
+                self._pages[page_id] = page
             if page is None:
                 continue  # page outside the mirrored snapshot
-            if replay_records(page, [record]):
+            if replay_records(page, [(lsn, encoding)]):
                 applied += 1
-                touched.add(record.page_id)
+                touched.add(page_id)
         for _page_id in touched:
             self.clock.advance(self.profile.write_cost(self.page_size))
         self._applied_up_to = target

@@ -34,12 +34,15 @@ from repro.sim.clock import SimClock
 from repro.sim.iomodel import IOProfile
 from repro.sim.stats import Stats
 from repro.wal.log_reader import LogReader
+from repro.wal.ops import redo
 from repro.wal.records import (
     BackupRef,
     BackupRefKind,
     LogRecordKind,
     compress_image,
     decompress_image,
+    op_span,
+    read_header,
 )
 
 
@@ -286,13 +289,16 @@ def fetch_backup_image(ref: BackupRef, page_id: int, page_size: int,
         if page.page_lsn != lsn:
             page.page_lsn = lsn
     elif ref.kind == BackupRefKind.FORMAT_RECORD:
-        record = log_reader.read(ref.value)
-        if record.kind != LogRecordKind.FORMAT_PAGE or record.op is None:
+        data = log_reader.encoding(ref.value)
+        kind = read_header(data)[0]
+        start, end, _rows = (op_span(data, kind)
+                             if kind == LogRecordKind.FORMAT_PAGE else (0, 0, 0))
+        if start == end:
             raise RecoveryError(
                 f"LSN {ref.value} is not a page formatting record")
         page = Page.format(page_size, page_id)
-        record.op.apply_redo(page)
-        page.page_lsn = lsn = record.lsn
+        redo(page, data, start, end)
+        page.page_lsn = lsn = ref.value
     else:
         raise RecoveryError(
             f"page {page_id} has no usable backup ({ref.kind.name})")

@@ -37,17 +37,23 @@ from repro.sim.clock import SimClock
 from repro.sim.stats import Stats
 from repro.storage.device import StorageDevice
 from repro.wal.log_reader import LogReader
-from repro.wal.records import LogRecord, LogRecordKind, decompress_image
+from repro.wal.ops import redo
+from repro.wal.records import (CHAIN_KINDS, LogRecordKind, decompress_image,
+                               op_span, page_image, read_header)
 
 
-def replay_records(page: Page, records: list[LogRecord]) -> list[LogRecord]:
+def replay_records(page: Page, records: list[tuple[int, bytes]]) -> list[int]:
     """Bring ``page`` current: apply the updates it is missing from
-    ``records`` (oldest first) and return the records applied.
+    ``records`` — ``(lsn, encoding)`` of each, oldest first — and return
+    the LSNs applied.
 
     The one replay loop behind every recovery — steps 3-4 of Figure 10,
     restart redo, media restore, standby apply.  ``records`` is the
     page's chain or the analysis pass's log-order list for it; the two
-    orders coincide per page.  Records the image already reflects
+    orders coincide per page.  Each record's header is read in place and
+    its page op applied from its bytes by the op kind's kernel
+    (:func:`repro.wal.ops.redo`), as the write that logged it applied
+    them; no record object is built.  Records the image already reflects
     (decided by the PageLSN) are skipped, and every applied record must
     find exactly the PageLSN its ``page_prev_lsn`` predicts — the
     defensive check of Section 5.1.4, raised as :class:`RecoveryError`.
@@ -58,33 +64,41 @@ def replay_records(page: Page, records: list[LogRecord]) -> list[LogRecord]:
     that could only be assigned after the record was appended, as of
     its own LSN), exactly as
     :func:`repro.core.backup.fetch_backup_image` reads it.
+
+    Bytes that are no record, or no op, are :class:`LogError`; a page
+    whose replay raised may hold part of a record, and its caller drops
+    it.
     """
-    applied: list[LogRecord] = []
-    for record in records:
-        if record.kind == LogRecordKind.FULL_PAGE_IMAGE:
-            as_of = record.page_lsn if record.page_lsn else record.lsn
+    applied: list[int] = []
+    for lsn, data in records:
+        kind, _commits, _txn_id, _page_id, page_prev_lsn = read_header(data)
+        if kind == LogRecordKind.FULL_PAGE_IMAGE:
+            page_lsn, image = page_image(data)
+            as_of = page_lsn if page_lsn else lsn
             if page.page_lsn < as_of:
-                page.load_image(decompress_image(record.image or b"", page.size))
+                page.load_image(decompress_image(image, page.size))
                 if page.page_lsn != as_of:  # the setter counts an update
                     page.page_lsn = as_of
-                applied.append(record)
+                applied.append(lsn)
             continue
-        if record.op is None or page.page_lsn >= record.lsn:
+        if kind not in CHAIN_KINDS or page.page_lsn >= lsn:
             continue
-        formats = record.kind == LogRecordKind.FORMAT_PAGE
-        if not formats and record.page_prev_lsn != page.page_lsn:
+        start, end, run_rows = op_span(data, kind)
+        if start == end:
+            continue
+        formats = kind == LogRecordKind.FORMAT_PAGE
+        if not formats and page_prev_lsn != page.page_lsn:
             raise RecoveryError(
                 f"redo chain mismatch on page {page.page_id}: record "
-                f"{record.lsn} expects PageLSN {record.page_prev_lsn}, "
+                f"{lsn} expects PageLSN {page_prev_lsn}, "
                 f"page has {page.page_lsn}")
-        record.op.apply_redo(page)
-        page.page_lsn = record.lsn
+        redo(page, data, start, end)
+        page.page_lsn = lsn
         if formats:
             page.reset_update_count()  # as formatting it in place does
-        undo = record.undo
-        if undo is not None and undo.keys:
-            page.count_updates(len(undo.keys) - 1)  # a leaf run's rows
-        applied.append(record)
+        if run_rows:
+            page.count_updates(run_rows)  # a leaf run's rows
+        applied.append(lsn)
     return applied
 
 
@@ -216,7 +230,7 @@ class SinglePageRecovery:
             records_applied=len(applied),
             log_pages_read=self.log_reader.pages_read - pages_before,
             elapsed_simulated=self.clock.now - start_time,
-            applied_lsns=[record.lsn for record in applied],
+            applied_lsns=applied,
         )
         self.history.append(result)
         self._spf_records_applied.inc(len(applied))

@@ -135,7 +135,7 @@ class ImageSource:
         raise NotImplementedError
 
     def deliver(self, page: Page, lsns: list[int],
-                applied: list[LogRecord], sequential: bool) -> int | None:
+                applied: list[int], sequential: bool) -> int | None:
         """Put the recovered page where it belongs.  Returns the
         recovery LSN if the page is now *dirty* in memory (it must enter
         the buffer pool with that ``rec_lsn``), ``None`` if it is clean
@@ -201,12 +201,12 @@ class DeviceImage(ImageSource):
             return manager.handle_failure(failure)
 
     def deliver(self, page: Page, lsns: list[int],
-                applied: list[LogRecord], sequential: bool) -> int | None:
+                applied: list[int], sequential: bool) -> int | None:
         if applied:
             # Dirty since the first pending record (the same bound
             # whichever record source replayed; a chain may reach back
             # further than analysis did).
-            return min(lsns[0], applied[0].lsn)
+            return min(lsns[0], applied[0])
         # Figure 12, bottom row: the page had been written before the
         # crash but its PRI update was lost.  Generate the missing log
         # record now; applying it to the index can happen lazily,
@@ -321,7 +321,7 @@ class BackupImage(ImageSource):
             f"no formatting record or image since LSN {self.backup_lsn}")
 
     def deliver(self, page: Page, lsns: list[int],
-                applied: list[LogRecord], sequential: bool) -> int | None:
+                applied: list[int], sequential: bool) -> int | None:
         db = self.db
         page.seal()
         db.device.write(page.page_id, page.data, sequential=sequential)
@@ -509,20 +509,22 @@ class PendingRecovery:
         page = self.source.image(page_id, lsns)
         applied = None
         if demand:
+            image = bytes(page.data)
             try:
                 head = db.log_reader.chain_start_lsn(page_id, None)
                 applied = replay_records(page, db.log_reader.walk_page_chain(
                     head, page.page_lsn, page_id=page_id))
             except (RecoveryError, LogError):
-                # Chain truncated or not connecting to the image.  The
-                # walk itself links every record to the next, so replay
-                # can only fail at the first one — before anything was
-                # applied; the image is still the source's.
+                # Chain truncated, not connecting to the image, or bytes
+                # no kernel takes.  Replay may have applied part of the
+                # chain, even part of a record, before it failed: the
+                # fallback starts again from the source's image.
                 counters["chain_fallback"].inc()
+                page.load_image(image)
         if applied is None:
-            # Only the records the image does not reflect are decoded.
-            read = db.log.record_at
-            applied = replay_records(page, [read(lsn) for lsn in lsns
+            # Only the records the image does not reflect are read.
+            read = db.log.encoding_at
+            applied = replay_records(page, [(lsn, read(lsn)) for lsn in lsns
                                             if lsn > page.page_lsn])
         # A drain sweeps by ascending id, so its deliveries are priced
         # sequential; a demand fix's is one random write.

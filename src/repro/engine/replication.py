@@ -52,8 +52,7 @@ from repro.sim.stats import Stats
 from repro.storage.device import StorageDevice
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import LOG_PAGE_SIZE, NULL_LSN
-from repro.wal.records import (PAGE_UPDATE_KINDS, LogRecord, LogRecordKind,
-                               read_header)
+from repro.wal.records import PAGE_UPDATE_KINDS, LogRecordKind, read_header
 
 
 class SegmentShipper:
@@ -247,8 +246,9 @@ class Standby:
     # ------------------------------------------------------------------
     def apply_encodings(self, batch: list[tuple[int, bytes]]) -> None:
         """Adopt and apply one shipped batch — ``(lsn, encoding)`` of each
-        record, in log order — through the shared redo primitive; only
-        page updates and checkpoints are decoded."""
+        record, in log order — through the shared redo primitive, which
+        applies each page update from its bytes; only checkpoints are
+        decoded."""
         from repro.engine.system_recovery import note_txn_record
 
         if not self.running:
@@ -258,7 +258,7 @@ class Standby:
             kind, commits, txn_id, page_id, _prev = read_header(encoding)
             note_txn_record(self.att, lsn, kind, commits, txn_id)
             if kind == LogRecordKind.CHECKPOINT_END:
-                checkpoint = LogRecord.decode(encoding, lsn).checkpoint
+                checkpoint = self.log.record_at(lsn).checkpoint
                 for active, last_lsn, is_system in checkpoint.active_txns:
                     self.att.setdefault(active, (last_lsn, is_system))
             if txn_id > self.max_txn_seen:
@@ -269,7 +269,7 @@ class Standby:
                     page = Page.format(self.config.page_size, page_id)
                     self.pages[page_id] = page
                 try:
-                    replay_records(page, [LogRecord.decode(encoding, lsn)])
+                    replay_records(page, [(lsn, encoding)])
                 except ReproError as exc:
                     # Chain mismatch: the replica diverged.  Mark the
                     # standby broken — serving pages or promoting from

@@ -46,7 +46,7 @@ from __future__ import annotations
 import contextlib
 from typing import TYPE_CHECKING, Iterator, Protocol
 
-from repro.errors import RecoveryError, TransactionError
+from repro.errors import LogError, RecoveryError, TransactionError
 from repro.page.page import Page
 from repro.sim.stats import Stats
 from repro.sync import Mutex
@@ -54,15 +54,20 @@ from repro.txn.locks import LockManager
 from repro.txn.transaction import Transaction, TxnState
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
-from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpInverse, OpSequence,
-                           PageOp)
-from repro.wal.records import (LogicalUndo, LogRecord, LogRecordKind,
+from repro.wal.ops import (REDO, OpBulkDelete, OpBulkInsert, OpSequence,
+                           PageOp, bulk_rows, compensation, redo,
+                           sequence_members, split_compensation)
+from repro.wal.records import (NARROW_HEADER_SIZE, WIDE_BIT, WIDE_HEADER_SIZE,
+                               LogicalUndo, LogRecord, LogRecordKind,
                                UndoAction, encode_update)
 
 if TYPE_CHECKING:
     from repro.buffer.buffer_pool import BufferPool
 
 _ACTIVE = TxnState.ACTIVE
+#: the kind bytes of a split's removal and of its moved rows' insert
+_REMOVAL = bytes((OpBulkDelete.kind,))
+_RUN = bytes((OpBulkInsert.kind,))
 _COMMITTED = TxnState.COMMITTED
 
 
@@ -337,8 +342,9 @@ class TransactionManager:
 
         Ordering matters: the record captures the page's current
         PageLSN as ``page_prev_lsn`` (extending the per-page chain),
-        the operation is applied, and the page's PageLSN advances to
-        the new record's LSN.
+        the operation is applied — from the bytes just logged, by the
+        kernel any redo of the record runs (:data:`repro.wal.ops.REDO`)
+        — and the page's PageLSN advances to the new record's LSN.
 
         An unlisted write (``txn.redo_only``) that logs a write with no
         ``undo`` logs it as its only record, redo-only: the log sets its
@@ -356,12 +362,18 @@ class TransactionManager:
             raise TransactionError(
                 f"transaction {txn.txn_id} logged before its redo-only "
                 f"record, which must be its only one")
-        lsn = self.log.append(encode_update(
-            txn.txn_id, txn.last_lsn, page_id, page.page_lsn, index_id, op,
-            undo, redo_only))
+        encoding = encode_update(txn.txn_id, txn.last_lsn, page_id,
+                                 page.page_lsn, index_id, op, undo, redo_only)
+        lsn = self.log.append(encoding)
         if redo_only:
             txn.state = _COMMITTED
-        op.apply_redo(page)
+        # The op follows the header, the flags byte and its u16 length.
+        at = (WIDE_HEADER_SIZE if encoding[0] & WIDE_BIT
+              else NARROW_HEADER_SIZE) + 3
+        if (REDO[encoding[at]](page, encoding, at)
+                != at + (encoding[at - 2] | encoding[at - 1] << 8)):
+            raise LogError(f"the op logged at LSN {lsn} does not end where "
+                           f"its field does")
         page.page_lsn = lsn
         if undo is not None and undo.keys:
             page.count_updates(len(undo.keys) - 1)  # a leaf run's rows
@@ -373,13 +385,16 @@ class TransactionManager:
 
     def log_format(self, txn: Transaction, page: Page, index_id: int,
                    op: PageOp) -> int:
-        """Log a page-formatting record (also a backup image source)."""
+        """Log a page-formatting record (also a backup image source) and
+        apply the op it logged."""
         self._require_active(txn)
-        record = LogRecord(LogRecordKind.FORMAT_PAGE, txn_id=txn.txn_id,
-                           prev_lsn=txn.last_lsn, page_id=page.page_id,
-                           page_prev_lsn=NULL_LSN, index_id=index_id, op=op)
-        lsn = self.log.append(record)
-        op.apply_redo(page)
+        op = op.encode()
+        encoding = LogRecord(
+            LogRecordKind.FORMAT_PAGE, txn_id=txn.txn_id,
+            prev_lsn=txn.last_lsn, page_id=page.page_id,
+            page_prev_lsn=NULL_LSN, index_id=index_id, op=op).encode()
+        lsn = self.log.append(encoding)
+        redo(page, encoding, len(encoding) - len(op), len(encoding))
         page.page_lsn = lsn
         page.reset_update_count()
         txn.note_logged(lsn)
@@ -387,14 +402,18 @@ class TransactionManager:
         return lsn
 
     def log_compensation(self, txn: Transaction, page: Page, index_id: int,
-                         op: PageOp, undo_next_lsn: int) -> int:
-        """Log and apply a compensation (CLR) during rollback."""
-        record = LogRecord(LogRecordKind.COMPENSATION, txn_id=txn.txn_id,
-                           prev_lsn=txn.last_lsn, page_id=page.page_id,
-                           page_prev_lsn=page.page_lsn, index_id=index_id,
-                           op=op, undo_next_lsn=undo_next_lsn)
-        lsn = self.log.append(record)
-        op.apply_redo(page)
+                         op: PageOp | bytes, undo_next_lsn: int) -> int:
+        """Log a compensation (CLR) during rollback — ``op`` is its op, or
+        the op's encoding — and apply the op it logged."""
+        if type(op) is not bytes:
+            op = op.encode()
+        encoding = LogRecord(
+            LogRecordKind.COMPENSATION, txn_id=txn.txn_id,
+            prev_lsn=txn.last_lsn, page_id=page.page_id,
+            page_prev_lsn=page.page_lsn, index_id=index_id, op=op,
+            undo_next_lsn=undo_next_lsn).encode()
+        lsn = self.log.append(encoding)
+        redo(page, encoding, len(encoding) - len(op), len(encoding))
         page.page_lsn = lsn
         txn.note_logged(lsn)
         self._compensations_logged.inc()
@@ -475,10 +494,11 @@ class TransactionManager:
                 page = ctx.pool.fix(record.page_id)
                 op = record.op
                 try:
+                    # A sequence whose first member (at byte 3) removes rows.
                     inverse = (self._split_compensation(ctx, page, record)
-                               if type(op) is OpSequence
-                               and type(op.ops[0]) is OpBulkDelete
-                               else OpInverse(op))
+                               if op[0] == OpSequence.kind
+                               and op[3:4] == _REMOVAL
+                               else compensation(op))
                 except BaseException:
                     ctx.pool.unfix(record.page_id)
                     raise
@@ -488,7 +508,7 @@ class TransactionManager:
             lsn = record.prev_lsn
 
     def _split_compensation(self, ctx: UndoContext, page: Page,
-                            record: LogRecord) -> PageOp:
+                            record: LogRecord) -> bytes:
         """The compensation of a split's record of the pinned source
         ``page`` — a row-free removal, then the foster link: one CLR of
         the link's inverses, newest first, then an insert of the rows
@@ -503,11 +523,13 @@ class TransactionManager:
         record yet.
         """
         moved = self.log.record_at(record.prev_lsn)
-        last = moved.op.ops[-1] if type(moved.op) is OpSequence else None
-        if moved.txn_id != record.txn_id or type(last) is not OpBulkInsert:
+        op = moved.op
+        last = (sequence_members(op)[-1] if op and op[0] == OpSequence.kind
+                else b"")
+        if moved.txn_id != record.txn_id or last[:1] != _RUN:
             raise RecoveryError(f"the removal at LSN {record.lsn} does not "
                                 f"follow its split's moved rows")
-        rows = last.records
+        rows = bulk_rows(last, 0)[1]
         prefix = ctx.key_prefix(page)
         foster = ctx.pool.fix(moved.page_id)
         try:
@@ -520,8 +542,5 @@ class TransactionManager:
                 f"does not extend prefix {prefix!r} of page {record.page_id}")
         extra = foster_prefix[len(prefix):]
         if extra:
-            rows = tuple((extra + key, value, ghost)
-                         for key, value, ghost in rows)
-        removal, *link = record.op.ops
-        return OpSequence((*(OpInverse(op) for op in reversed(link)),
-                           removal.restoring(rows)))
+            rows = [(extra + key, value, ghost) for key, value, ghost in rows]
+        return split_compensation(record.op, rows)

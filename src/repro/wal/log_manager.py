@@ -261,9 +261,15 @@ class LogManager:
 
     def _record_end(self, lsn: int) -> int:
         """The end of the record at ``lsn``: ``lsn`` itself when no
-        record is retained there."""
+        record is retained there and ``lsn`` lies within the durable
+        prefix.  Past it, an LSN where no record starts is a
+        :class:`LogError`: forcing through it would harden part of a
+        record."""
         with self._mutex:
             located = self._dir.locate(lsn)
+            if located is None and lsn > self._durable_lsn:
+                raise LogError(f"no log record starts at LSN {lsn}, past "
+                               f"the durable prefix {self._durable_lsn}")
         return lsn + (located[2] - located[1] if located else 0)
 
     def commit_force(self, commit_lsn: int,
@@ -429,14 +435,17 @@ class LogManager:
     def record_at(self, lsn: int) -> LogRecord:
         """The record at ``lsn``, decoded from its bytes (no cost
         accounting; see LogReader)."""
+        return LogRecord.decode(self.encoding_at(lsn), lsn)
+
+    def encoding_at(self, lsn: int) -> bytes:
+        """The bytes of the record at ``lsn``, undecoded (no cost
+        accounting; see LogReader)."""
         with self._mutex:
             located = self._dir.locate(lsn)
             if located is not None:
                 data, start, end = located
-                encoding = data[start:end]
-        if located is None:
-            raise LogError(f"no log record at LSN {lsn}")
-        return LogRecord.decode(encoding, lsn)
+                return bytes(data[start:end])
+        raise LogError(f"no log record at LSN {lsn}")
 
     def has_record(self, lsn: int) -> bool:
         with self._mutex:

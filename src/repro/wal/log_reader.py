@@ -24,7 +24,7 @@ from repro.sim.stats import Stats
 from repro.sync import Mutex
 from repro.wal.lsn import LOG_PAGE_SIZE, NULL_LSN, log_page_of
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecord
+from repro.wal.records import LogRecord, read_header
 
 
 class LogReader:
@@ -76,9 +76,14 @@ class LogReader:
 
     def read(self, lsn: int) -> LogRecord:
         """Read one record, charging for its log page if uncached."""
+        return LogRecord.decode(self.encoding(lsn), lsn)
+
+    def encoding(self, lsn: int) -> bytes:
+        """Read one record's bytes, charging for its log page if
+        uncached."""
         self._charge(lsn)
         self.records_read += 1
-        return self.log.record_at(lsn)
+        return self.log.encoding_at(lsn)
 
     def chain_start_lsn(self, page_id: int, recorded_lsn: int | None) -> int:
         """Where the chain walk for ``page_id`` starts (Figure 9).
@@ -95,8 +100,12 @@ class LogReader:
         return start
 
     def walk_page_chain(self, start_lsn: int, stop_after_lsn: int,
-                        page_id: int | None = None) -> list[LogRecord]:
-        """Walk the per-page chain backwards and return records oldest-first.
+                        page_id: int | None = None
+                        ) -> list[tuple[int, bytes]]:
+        """Walk the per-page chain backwards and return ``(lsn,
+        encoding)`` of its records oldest-first, each header read in
+        place and each payload left encoded for
+        :func:`repro.core.single_page.replay_records`.
 
         Follows ``page_prev_lsn`` pointers from ``start_lsn`` back while
         record LSNs are greater than ``stop_after_lsn`` (the PageLSN of
@@ -109,23 +118,25 @@ class LogReader:
         violation raises :class:`RecoveryError`, which the recovery
         manager escalates to a media failure (Figure 8).
         """
-        stack: list[LogRecord] = []
+        stack: list[tuple[int, bytes]] = []
         lsn = start_lsn
         chain_page: int | None = page_id
         while lsn != NULL_LSN and lsn > stop_after_lsn:
-            record = self.read(lsn)
+            encoding = self.encoding(lsn)
+            _kind, _commits, _txn_id, record_page, prev_lsn = read_header(
+                encoding)
             if chain_page is None:
-                chain_page = record.page_id
-            elif record.page_id != chain_page:
+                chain_page = record_page
+            elif record_page != chain_page:
                 raise RecoveryError(
                     f"per-page chain broken at LSN {lsn}: record belongs to "
-                    f"page {record.page_id}, chain is for page {chain_page}")
-            if record.page_prev_lsn >= lsn:
+                    f"page {record_page}, chain is for page {chain_page}")
+            if prev_lsn >= lsn:
                 raise RecoveryError(
                     f"per-page chain broken at LSN {lsn}: prev pointer "
-                    f"{record.page_prev_lsn} does not decrease")
-            stack.append(record)
-            lsn = record.page_prev_lsn
+                    f"{prev_lsn} does not decrease")
+            stack.append((lsn, encoding))
+            lsn = prev_lsn
         # Pop the stack: oldest record first.
         return list(reversed(stack))
 

@@ -1,16 +1,43 @@
-"""Page operations: the redo/undo units carried by update log records.
+"""Page operations: what an update log record does to one page.
 
-Each operation knows how to apply itself to a page ("redo" is physical,
-Section 5.1.2) and how to physically reverse itself ("undo" for pages
-that have not structurally changed; logical undo through the index is
-handled one level up, in the transaction manager).
+A page op is its bytes.  The classes below are *builders*: the B-tree,
+the catalog and the allocator build an op from its fields, and the log
+record carries the op's encoding (``encoded_size`` / ``encode_into``,
+explicit byte formats — no pickling — so log volume is measured
+honestly).  Nothing turns those bytes back into an object.  Every change
+an op makes to a page — the write itself, a compensation, restart and
+media redo, single-page repair, the standby's apply — runs one *kernel*
+per op kind on the bytes that were logged, as ARIES redo repeats
+history: :data:`REDO` and :data:`UNDO` map a kind byte to a kernel
+``(page, data, pos) -> end``, and :func:`redo` is their one entry.  A
+kernel reads its fields in place with a precompiled ``Struct``, refuses
+bytes no builder writes as :class:`repro.errors.LogError` before it
+changes the page, and calls the slotted-page kernel (redo is physical,
+Section 5.1.2).  A compensation (CLR) op is byte 99 followed by the
+compensated op's bytes, and its redo is that kind's undo kernel.
 
-Operations serialize to explicit byte formats — no pickling — so log
-volume is measured honestly and the log could in principle be read by
-another implementation.  Every byte string an op carries (a key, a
-value, a middle, a bulk record's key and value) lies within one page,
-and a page is at most 32 KiB (:data:`repro.engine.config.MAX_PAGE_SIZE`),
-so its length prefix is a u16.
+Layouts (every byte string is a u16 length and its bytes: it lies
+within one page, at most 32 KiB, :data:`repro.engine.config.
+MAX_PAGE_SIZE`)::
+
+    1   OpInsert        kind u8, slot u16, ghost u8, key, value
+    2   OpDelete        the same: the removed row, for undo
+    3   OpUpdateValue   kind u8, slot u16, old value, new value
+    9     spanned       kind u8, slot u16, prefix u16, suffix u16,
+                        old middle, new middle
+    10    redo-only     kind u8, slot u16, new value
+    11    spanned       kind u8, slot u16, prefix u16, suffix u16,
+          redo-only     old middle length u16, new middle
+    4   OpSetGhost      kind u8, slot u16, old ghost u8, new ghost u8
+    5   OpWriteBytes    kind u8, offset u16, old bytes, new bytes
+    6   OpInitSlotted   kind u8, page type u8
+    7   OpBulkInsert    kind u8, slot u16, count u32, then per row:
+                        ghost u8, key, value
+    8   OpBulkDelete    kind u8, slot u16, count u16 — no row
+    12  OpExtendPrefix  kind u8, slot u16, count u16, stripped bytes
+    13  OpSequence      kind u8, count u16 (at least 2), then each
+                        member's encoding, in the order redo applies them
+    99  compensation    99, then the compensated op's encoding
 
 A structural change logs the rows it moves once: a split's foster child
 receives them in an :class:`OpBulkInsert`, while the source page's
@@ -24,6 +51,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 from repro.errors import LogError, RecoveryError
@@ -31,19 +59,20 @@ from repro.page.page import Page, PageType
 from repro.page.slotted import (LENGTH_MASK, SlottedPage, mark_ghost,
                                 update_value)
 
-
 _U16 = struct.Struct("<H")
 _BHB = struct.Struct("<BHB")
+_BHBH = struct.Struct("<BHBH")
 _BH = struct.Struct("<BH")
 _BHH = struct.Struct("<BHH")
 _BHHH = struct.Struct("<BHHH")
 _BHHHH = struct.Struct("<BHHHH")
+_BHHHHH = struct.Struct("<BHHHHH")
 _BHBB = struct.Struct("<BHBB")
 _BB = struct.Struct("<BB")
 _BHI = struct.Struct("<BHI")
 
 
-#: What a decoder can raise on bytes that are not an encoding: every
+#: What a kernel can raise on bytes that are not an encoding: every
 #: decode boundary turns these into :class:`LogError`.
 MALFORMED = (struct.error, IndexError, ValueError, OverflowError)
 
@@ -61,12 +90,14 @@ _SPANNED_REDO_VALUE = 11
 REDO_VALUE_FIXED = 5
 #: what a span adds to a redo-only rewrite: prefix, suffix, old length
 REDO_SPAN_SIZE = 6
+#: the kind byte of a compensation: the compensated op's bytes follow
+COMPENSATION = 99
 _from_bytes = int.from_bytes
 
 
 def check_span(prefix: int, suffix: int, middle: int) -> None:
-    """A decoded span is one an encoder writes: not empty, and no
-    value it splices — ``middle`` is the longer middle's length — is
+    """A span read from bytes is one an encoder writes: not empty, and
+    no value it splices — ``middle`` is the longer middle's length — is
     longer than a record can be."""
     if not prefix + suffix:
         raise LogError("empty span")
@@ -76,13 +107,13 @@ def check_span(prefix: int, suffix: int, middle: int) -> None:
 
 
 def _unpack_bytes(data, offset: int) -> tuple[bytes, int]:
-    (length,) = _U16.unpack_from(data, offset)
+    """The u16-length-prefixed byte string at ``offset`` and its end."""
     start = offset + 2
-    end = start + length
+    end = start + _U16.unpack_from(data, offset)[0]
     if end > len(data):
         # A slice would silently come back short.
-        raise LogError(f"byte string of {length} bytes at offset {offset} "
-                       f"runs past the end of the record")
+        raise LogError(f"byte string of {end - start} bytes at offset "
+                       f"{offset} runs past the end of the record")
     return bytes(data[start:end]), end
 
 
@@ -95,24 +126,20 @@ def _put_bytes(buf: bytearray, pos: int, payload: bytes) -> int:
     return end
 
 
+# ----------------------------------------------------------------------
+# Builders
+# ----------------------------------------------------------------------
 class PageOp:
-    """Base class for operations applied to a single page.
+    """Base class of the op builders.
 
     Serialization is allocation-light: every op knows its exact
     ``encoded_size()`` up front (so the log manager never materializes
     bytes just to measure a record) and writes itself into a caller-
     provided buffer via ``encode_into`` (so a whole log record encodes
-    into one preallocated buffer).  Decoding reads at explicit offsets
-    and never slices intermediate copies.
+    into one preallocated buffer).
     """
 
     kind: int = -1
-
-    def apply_redo(self, page: Page) -> None:
-        raise NotImplementedError
-
-    def apply_undo(self, page: Page) -> None:
-        raise NotImplementedError
 
     def encoded_size(self) -> int:
         raise NotImplementedError
@@ -126,31 +153,10 @@ class PageOp:
         self.encode_into(buf, 0)
         return bytes(buf)
 
-    @staticmethod
-    def decode(data, offset: int = 0) -> "PageOp":
-        """The op encoded at ``offset``, or :class:`LogError`: bytes
-        that are not an op encoding never surface as anything else."""
-        if not 0 <= offset < len(data):
-            raise LogError("empty page-op payload")
-        kind = data[offset]
-        try:
-            cls = _OP_REGISTRY[kind]
-        except KeyError:
-            raise LogError(f"unknown page-op kind {kind}") from None
-        try:
-            return cls._decode_body(data, offset)
-        except MALFORMED as exc:
-            raise LogError(
-                f"malformed {cls.__name__} payload: {exc}") from None
-
-    @classmethod
-    def _decode_body(cls, data, offset: int) -> "PageOp":
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, slots=True)
 class OpInsert(PageOp):
-    """Insert a record at a slot position."""
+    """Insert a record at a slot position; undo removes it."""
 
     slot: int
     key: bytes
@@ -159,12 +165,6 @@ class OpInsert(PageOp):
 
     kind = 1
 
-    def apply_redo(self, page: Page) -> None:
-        SlottedPage(page).insert(self.slot, (self.key, self.value, self.ghost))
-
-    def apply_undo(self, page: Page) -> None:
-        SlottedPage(page).remove(self.slot)
-
     def encoded_size(self) -> int:
         return 8 + len(self.key) + len(self.value)
 
@@ -172,46 +172,14 @@ class OpInsert(PageOp):
         _BHB.pack_into(buf, pos, self.kind, self.slot, int(self.ghost))
         pos = _put_bytes(buf, pos + 4, self.key)
         return _put_bytes(buf, pos, self.value)
-
-    @classmethod
-    def _decode_body(cls, data, offset: int) -> "OpInsert":
-        _kind, slot, ghost = _BHB.unpack_from(data, offset)
-        key, pos = _unpack_bytes(data, offset + 4)
-        value, _pos = _unpack_bytes(data, pos)
-        return cls(slot, key, value, bool(ghost))
 
 
 @dataclass(frozen=True, slots=True)
-class OpDelete(PageOp):
-    """Physically remove the record at a slot (stores it for undo)."""
-
-    slot: int
-    key: bytes
-    value: bytes
-    ghost: bool = False
+class OpDelete(OpInsert):
+    """Physically remove the record at a slot; it is logged whole, so
+    undo inserts it again."""
 
     kind = 2
-
-    def apply_redo(self, page: Page) -> None:
-        SlottedPage(page).remove(self.slot)
-
-    def apply_undo(self, page: Page) -> None:
-        SlottedPage(page).insert(self.slot, (self.key, self.value, self.ghost))
-
-    def encoded_size(self) -> int:
-        return 8 + len(self.key) + len(self.value)
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        _BHB.pack_into(buf, pos, self.kind, self.slot, int(self.ghost))
-        pos = _put_bytes(buf, pos + 4, self.key)
-        return _put_bytes(buf, pos, self.value)
-
-    @classmethod
-    def _decode_body(cls, data, offset: int) -> "OpDelete":
-        _kind, slot, ghost = _BHB.unpack_from(data, offset)
-        key, pos = _unpack_bytes(data, offset + 4)
-        value, _pos = _unpack_bytes(data, pos)
-        return cls(slot, key, value, bool(ghost))
 
 
 @dataclass(slots=True)
@@ -252,17 +220,6 @@ class OpUpdateValue(PageOp):
 
     kind = 3
 
-    def apply_redo(self, page: Page) -> None:
-        old = self.old_value
-        update_value(page, self.slot, self.new_value, self.prefix, self.suffix,
-                     self.old_length if old is None else old)
-
-    def apply_undo(self, page: Page) -> None:
-        if self.old_value is None:
-            raise LogError("a redo-only value rewrite cannot be undone")
-        update_value(page, self.slot, self.old_value, self.prefix, self.suffix,
-                     self.new_value)
-
     def encoded_size(self) -> int:
         old = self.old_value
         if old is None:
@@ -291,35 +248,6 @@ class OpUpdateValue(PageOp):
             pos += 3
         pos = _put_bytes(buf, pos, old)
         return _put_bytes(buf, pos, self.new_value)
-
-    @classmethod
-    def _decode_body(cls, data, offset: int) -> "OpUpdateValue":
-        kind = data[offset]
-        if kind == _REDO_VALUE:
-            _kind, slot = _BH.unpack_from(data, offset)
-            new, _pos = _unpack_bytes(data, offset + 3)
-            return cls(slot, None, new)
-        if kind == _SPANNED_REDO_VALUE:
-            _kind, slot, prefix, suffix, old_length = _BHHHH.unpack_from(
-                data, offset)
-            new, _pos = _unpack_bytes(data, offset + 9)
-            check_span(prefix, suffix, max(old_length, len(new)))
-            return cls(slot, None, new, prefix, suffix, old_length)
-        if kind == _SPANNED_UPDATE_VALUE:
-            _kind, slot, prefix, suffix = _BHHH.unpack_from(data, offset)
-            old, pos = _unpack_bytes(data, offset + 7)
-            new, _pos = _unpack_bytes(data, pos)
-            check_span(prefix, suffix, max(len(old), len(new)))
-            return cls(slot, old, new, prefix, suffix)
-        _kind, slot = _BH.unpack_from(data, offset)
-        old, pos = _unpack_bytes(data, offset + 3)
-        new, _pos = _unpack_bytes(data, pos)
-        return cls(slot, old, new)
-
-
-def is_redo_only(op: PageOp | None) -> bool:
-    """Is ``op`` a redo-only value rewrite (no before-image)?"""
-    return type(op) is OpUpdateValue and op.old_value is None
 
 
 def value_rewrite(slot: int, old: bytes, new: bytes,
@@ -378,12 +306,6 @@ class OpSetGhost(PageOp):
 
     kind = 4
 
-    def apply_redo(self, page: Page) -> None:
-        mark_ghost(page, self.slot, self.new_ghost)
-
-    def apply_undo(self, page: Page) -> None:
-        mark_ghost(page, self.slot, self.old_ghost)
-
     def encoded_size(self) -> int:
         return 5
 
@@ -391,11 +313,6 @@ class OpSetGhost(PageOp):
         _BHBB.pack_into(buf, pos, self.kind, self.slot,
                         int(self.old_ghost), int(self.new_ghost))
         return pos + 5
-
-    @classmethod
-    def _decode_body(cls, data, offset: int) -> "OpSetGhost":
-        _kind, slot, old, new = _BHBB.unpack_from(data, offset)
-        return cls(slot, bool(old), bool(new))
 
 
 @dataclass(frozen=True, slots=True)
@@ -416,16 +333,6 @@ class OpWriteBytes(PageOp):
         if len(self.old_bytes) != len(self.new_bytes):
             raise ValueError("byte-range op must preserve length")
 
-    def _write(self, page: Page, payload: bytes) -> None:
-        page.data[self.offset:self.offset + len(payload)] = payload
-        page.invalidate_view()
-
-    def apply_redo(self, page: Page) -> None:
-        self._write(page, self.new_bytes)
-
-    def apply_undo(self, page: Page) -> None:
-        self._write(page, self.old_bytes)
-
     def encoded_size(self) -> int:
         return 7 + len(self.old_bytes) + len(self.new_bytes)
 
@@ -433,13 +340,6 @@ class OpWriteBytes(PageOp):
         _BH.pack_into(buf, pos, self.kind, self.offset)
         pos = _put_bytes(buf, pos + 3, self.old_bytes)
         return _put_bytes(buf, pos, self.new_bytes)
-
-    @classmethod
-    def _decode_body(cls, data, offset: int) -> "OpWriteBytes":
-        _kind, byte_offset = _BH.unpack_from(data, offset)
-        old, pos = _unpack_bytes(data, offset + 3)
-        new, _pos = _unpack_bytes(data, pos)
-        return cls(byte_offset, old, new)
 
 
 @dataclass(frozen=True, slots=True)
@@ -449,22 +349,14 @@ class OpInitSlotted(PageOp):
     "When a data page is reformatted ... it has the same effect as a
     successful write operation: 'redo' for all prior log records is not
     required" (Section 5.1.2).  The formatting log record can also
-    serve as the page's backup image (Section 5.2.1).
+    serve as the page's backup image (Section 5.2.1).  Formatting runs
+    in system transactions, which never undo individual operations, so
+    it cannot be undone.
     """
 
     page_type: PageType
 
     kind = 6
-
-    def apply_redo(self, page: Page) -> None:
-        page.page_type = self.page_type
-        slotted = SlottedPage(page)
-        slotted.initialize()
-
-    def apply_undo(self, page: Page) -> None:
-        # Formatting runs in system transactions, which never undo
-        # individual operations: they roll forward or vanish entirely.
-        raise LogError("page formatting cannot be undone")
 
     def encoded_size(self) -> int:
         return 2
@@ -472,11 +364,6 @@ class OpInitSlotted(PageOp):
     def encode_into(self, buf: bytearray, pos: int) -> int:
         _BB.pack_into(buf, pos, self.kind, int(self.page_type))
         return pos + 2
-
-    @classmethod
-    def _decode_body(cls, data, offset: int) -> "OpInitSlotted":
-        _kind, ptype = _BB.unpack_from(data, offset)
-        return cls(PageType(ptype))
 
 
 @dataclass(frozen=True, slots=True)
@@ -494,12 +381,6 @@ class OpBulkInsert(PageOp):
 
     kind = 7
 
-    def apply_redo(self, page: Page) -> None:
-        SlottedPage(page).insert_run(self.slot, self.records)
-
-    def apply_undo(self, page: Page) -> None:
-        SlottedPage(page).remove_run(self.slot, len(self.records))
-
     def encoded_size(self) -> int:
         keys, values, _ghosts = tuple(zip(*self.records)) or ((), (), ())
         return 7 + 5 * len(keys) + sum(map(len, keys)) + sum(map(len, values))
@@ -514,18 +395,6 @@ class OpBulkInsert(PageOp):
         buf[pos + 7:pos + 7 + len(rows)] = rows
         return pos + 7 + len(rows)
 
-    @classmethod
-    def _decode_body(cls, data, offset: int) -> "OpBulkInsert":
-        _kind, slot, count = _BHI.unpack_from(data, offset)
-        pos = offset + 7
-        records = []
-        for _ in range(count):
-            ghost = bool(data[pos])
-            key, pos = _unpack_bytes(data, pos + 1)
-            value, pos = _unpack_bytes(data, pos)
-            records.append((key, value, ghost))
-        return cls(slot, tuple(records))
-
 
 @dataclass(frozen=True, slots=True)
 class OpBulkDelete(PageOp):
@@ -538,8 +407,9 @@ class OpBulkDelete(PageOp):
     removal logs a range and redo needs no more.  Only the rollback of
     a split that a crash left uncommitted needs the rows:
     :meth:`repro.txn.manager.TransactionManager.rollback_work` takes
-    them from that insert and logs them in its compensation record, so
-    the op itself cannot be undone in place.
+    them from that insert and logs them in its compensation record
+    (:func:`split_compensation`), so the op itself cannot be undone in
+    place.
     """
 
     slot: int
@@ -547,36 +417,12 @@ class OpBulkDelete(PageOp):
 
     kind = 8
 
-    def apply_redo(self, page: Page) -> None:
-        SlottedPage(page).remove_run(self.slot, self.count)
-
-    def apply_undo(self, page: Page) -> None:
-        raise LogError("a row-free removal is undone from its split's "
-                       "moved rows, not in place")
-
-    def restoring(self, rows: tuple[tuple[bytes, bytes, bool], ...]
-                  ) -> "OpBulkInsert":
-        """The compensation of this removal: an insert of ``rows`` —
-        the ``count`` rows it removed, as this page stores them — at
-        its slot."""
-        if len(rows) != self.count:
-            raise RecoveryError(f"a removal of {self.count} rows restored "
-                                f"from {len(rows)}")
-        return OpBulkInsert(self.slot, rows)
-
     def encoded_size(self) -> int:
         return 5
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
         _BHH.pack_into(buf, pos, self.kind, self.slot, self.count)
         return pos + 5
-
-    @classmethod
-    def _decode_body(cls, data, offset: int) -> "OpBulkDelete":
-        _kind, slot, count = _BHH.unpack_from(data, offset)
-        if not count:
-            raise LogError("a removal of no row")
-        return cls(slot, count)
 
 
 @dataclass(frozen=True, slots=True)
@@ -608,35 +454,12 @@ class OpExtendPrefix(PageOp):
 
     kind = 12
 
-    def apply_redo(self, page: Page) -> None:
-        SlottedPage(page).reprefix_run(self.slot, self.count, self.stripped,
-                                       b"")
-        page.count_updates(1)
-
-    def apply_undo(self, page: Page) -> None:
-        SlottedPage(page).reprefix_run(self.slot, self.count, b"",
-                                       self.stripped)
-        page.count_updates(1)
-
     def encoded_size(self) -> int:
         return 7 + len(self.stripped)
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
         _BHH.pack_into(buf, pos, self.kind, self.slot, self.count)
         return _put_bytes(buf, pos + 5, self.stripped)
-
-    @classmethod
-    def _decode_body(cls, data, offset: int) -> "OpExtendPrefix":
-        _kind, slot, count = _BHH.unpack_from(data, offset)
-        stripped, _pos = _unpack_bytes(data, offset + 5)
-        if not count:
-            raise LogError("a prefix extension of no row")
-        if not stripped:
-            raise LogError("a prefix extension that strips no byte")
-        if len(stripped) > LENGTH_MASK:
-            raise LogError(f"a prefix extension strips {len(stripped)} "
-                           f"bytes, more than any key holds")
-        return cls(slot, count, stripped)
 
 
 @dataclass(frozen=True, slots=True)
@@ -657,23 +480,14 @@ class OpSequence(PageOp):
     PageLSN counts the first — so Section 6's copy policy fires where
     the per-edit records made it fire.
 
-    A member is any other op: decoding refuses a sequence inside a
-    sequence, a redo-only rewrite and a count below two.
+    A member is any other op but a redo-only rewrite; the kernels refuse
+    a sequence inside a sequence, a redo-only member and a count below
+    two.
     """
 
     ops: tuple[PageOp, ...]
 
     kind = 13
-
-    def apply_redo(self, page: Page) -> None:
-        for op in self.ops:
-            op.apply_redo(page)
-        page.count_updates(len(self.ops) - 1)
-
-    def apply_undo(self, page: Page) -> None:
-        for op in reversed(self.ops):
-            op.apply_undo(page)
-        page.count_updates(len(self.ops) - 1)
 
     def encoded_size(self) -> int:
         size = 3
@@ -688,76 +502,363 @@ class OpSequence(PageOp):
             pos = op.encode_into(buf, pos)
         return pos
 
-    @classmethod
-    def _decode_body(cls, data, offset: int) -> "OpSequence":
-        _kind, count = _BH.unpack_from(data, offset)
-        if count < 2:
-            raise LogError(f"a sequence of {count} ops")
-        pos = offset + 3
-        ops = []
-        for _ in range(count):
-            # Refused from its kind bytes, before it is decoded: a run
-            # of 13s must not recurse once per byte.
-            if data[pos] == cls.kind or (data[pos] == OpInverse.kind
-                                         and data[pos + 1] == cls.kind):
-                raise LogError("nested op sequence")
-            op = PageOp.decode(data, pos)
-            if is_redo_only(op):
-                raise LogError("a redo-only rewrite in an op sequence")
-            ops.append(op)
-            pos += op.encoded_size()
-        return cls(tuple(ops))
+
+# ----------------------------------------------------------------------
+# Readers the kernels and rollback share
+# ----------------------------------------------------------------------
+def bulk_rows(data, pos: int) -> tuple[int, list, int]:
+    """``(slot, rows, end)`` of the :class:`OpBulkInsert` encoded at
+    ``pos``: its rows as ``(key, value, ghost)`` tuples."""
+    _kind, slot, count = _BHI.unpack_from(data, pos)
+    pos += 7
+    rows = []
+    for _ in range(count):
+        key_end = pos + 3 + (data[pos + 1] | data[pos + 2] << 8)
+        end = key_end + 2 + (data[key_end] | data[key_end + 1] << 8)
+        rows.append((bytes(data[pos + 3:key_end]),
+                     bytes(data[key_end + 2:end]), data[pos] != 0))
+        pos = end
+    if pos > len(data):
+        raise LogError(f"a run of {count} rows runs past the end of the "
+                       f"record")
+    return slot, rows, pos
 
 
-@dataclass(frozen=True, slots=True)
-class OpInverse(PageOp):
-    """The inverse of another operation, as a redo-only op.
+#: every kind's fixed bytes and the byte strings that follow them, for
+#: :func:`_op_end` (runs, sequences and compensations are walked)
+_SHAPES = {1: (4, 2), 2: (4, 2), 3: (3, 2), 4: (5, 0), 5: (3, 2),
+           6: (2, 0), 8: (5, 0), 9: (7, 2), 10: (3, 1), 11: (9, 1),
+           12: (5, 1)}
 
-    Compensation log records (CLRs) are redo-only: replaying a CLR must
-    re-apply the *undo* of the original operation.  Wrapping the
-    original op keeps CLRs in the same serialization scheme.
-    """
 
-    original: PageOp
-
-    kind = 99
-
-    def apply_redo(self, page: Page) -> None:
-        self.original.apply_undo(page)
-
-    def apply_undo(self, page: Page) -> None:
-        raise LogError("compensation operations are never undone")
-
-    def encoded_size(self) -> int:
-        return 1 + self.original.encoded_size()
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        buf[pos] = self.kind
-        return self.original.encode_into(buf, pos + 1)
-
-    @classmethod
-    def _decode_body(cls, data, offset: int) -> "OpInverse":
-        if data[offset + 1] == cls.kind:
-            # Rollback never compensates a CLR, so no writer nests these;
-            # a run of 99s must not recurse once per byte.
+def _op_end(data, pos: int) -> int:
+    """The end of the op encoded at ``pos``, its fields left unread."""
+    kind = data[pos]
+    if kind == COMPENSATION:
+        if data[pos + 1] == COMPENSATION:
+            # Rollback never compensates a CLR, so no writer nests
+            # these; a run of 99s must not recurse once per byte.
             raise LogError("nested compensation op")
-        original = PageOp.decode(data, offset + 1)
-        for op in (original.ops if type(original) is OpSequence
-                   else (original,)):
-            if type(op) is cls:
-                raise LogError("nested compensation op")
-            if is_redo_only(op):
-                raise LogError("compensation of a redo-only op")
-            if type(op) is OpBulkDelete:
-                raise LogError("compensation of a row-free removal")
-        return cls(original)
+        return _op_end(data, pos + 1)
+    if kind == OpBulkInsert.kind:
+        return bulk_rows(data, pos)[2]
+    if kind == OpSequence.kind:
+        return _members(data, pos)[1]
+    shape = _SHAPES.get(kind)
+    if shape is None:
+        raise LogError(f"unknown page-op kind {kind}")
+    end = pos + shape[0]
+    for _ in range(shape[1]):
+        end += 2 + _U16.unpack_from(data, end)[0]
+    if end > len(data):
+        raise LogError(f"page op of kind {kind} runs past the end of the "
+                       f"record")
+    return end
 
 
-_OP_REGISTRY: dict[int, type[PageOp]] = {
-    cls.kind: cls
-    for cls in (OpInsert, OpDelete, OpUpdateValue, OpSetGhost,
-                OpWriteBytes, OpInitSlotted, OpBulkInsert, OpBulkDelete,
-                OpExtendPrefix, OpSequence, OpInverse)
+def _member_kind(data, pos: int) -> int:
+    """The kind of the sequence member at ``pos``, refused if it is a
+    sequence (compensated or not) or a redo-only rewrite — from its
+    kind bytes, before it is read: a run of 13s must not recurse once
+    per byte."""
+    kind = data[pos]
+    if kind == OpSequence.kind or (kind == COMPENSATION
+                                   and data[pos + 1] == OpSequence.kind):
+        raise LogError("nested op sequence")
+    if kind == _REDO_VALUE or kind == _SPANNED_REDO_VALUE:
+        raise LogError("a redo-only rewrite in an op sequence")
+    return kind
+
+
+def _members(data, pos: int) -> tuple[list[int], int]:
+    """``(starts, end)`` of the :class:`OpSequence` encoded at ``pos``:
+    where each member begins, and where the sequence ends."""
+    _kind, count = _BH.unpack_from(data, pos)
+    if count < 2:
+        raise LogError(f"a sequence of {count} ops")
+    starts = []
+    pos += 3
+    for _ in range(count):
+        _member_kind(data, pos)
+        starts.append(pos)
+        pos = _op_end(data, pos)
+    return starts, pos
+
+
+def sequence_members(op: bytes) -> list[bytes]:
+    """The encodings of the members of the sequence ``op`` encodes."""
+    starts, end = _members(op, 0)
+    return [op[start:stop] for start, stop in zip(starts, starts[1:] + [end])]
+
+
+def rewrite_before_image(op: bytes) -> tuple[bytes, int, int] | None:
+    """``(old, prefix, suffix)`` of the value rewrite ``op`` encodes —
+    its before-image, or the old middle under its span — or None when
+    ``op`` is no rewrite that keeps one."""
+    kind = op[0]
+    if kind == OpUpdateValue.kind:
+        return _unpack_bytes(op, 3)[0], 0, 0
+    if kind == _SPANNED_UPDATE_VALUE:
+        _kind, _slot, prefix, suffix = _BHHH.unpack_from(op)
+        old, at = _unpack_bytes(op, 7)
+        check_span(prefix, suffix, max(len(old), len(_unpack_bytes(op, at)[0])))
+        return old, prefix, suffix
+    return None
+
+
+def compensation(op: bytes) -> bytes:
+    """The op of the CLR that compensates ``op``: redone, it runs
+    ``op``'s undo kernel."""
+    return bytes((COMPENSATION,)) + op
+
+
+def split_compensation(source: bytes, rows: list | tuple) -> bytes:
+    """The compensation of a split's op on its source page — a row-free
+    removal, then the foster link — given ``rows``, the rows the removal
+    took as this page stores them: one sequence of the link's
+    compensations, newest first, then an insert of the rows at the
+    removal's slot."""
+    removal, *link = sequence_members(source)
+    _kind, slot, count = _BHH.unpack_from(removal)
+    if len(rows) != count:
+        raise RecoveryError(f"a removal of {count} rows restored from "
+                            f"{len(rows)}")
+    members = [compensation(op) for op in reversed(link)]
+    members.append(OpBulkInsert(slot, tuple(rows)).encode())
+    return _BH.pack(OpSequence.kind, len(members)) + b"".join(members)
+
+
+# ----------------------------------------------------------------------
+# The kernels: (page, data, pos) -> end, one per kind and direction
+# ----------------------------------------------------------------------
+def _row(page: Page, data, pos: int, remove: bool = False) -> int:
+    """An insert (a delete, with ``remove``) of the row encoded at
+    ``pos``: kind 1's redo and kind 2's undo, or the other way round."""
+    _kind, slot, ghost, key_length = _BHBH.unpack_from(data, pos)
+    key_end = pos + 6 + key_length
+    end = key_end + 2 + _U16.unpack_from(data, key_end)[0]
+    if end > len(data):
+        raise LogError(f"a row of {end - pos - 8} bytes runs past the end "
+                       f"of the record")
+    if remove:
+        SlottedPage(page).remove_run(slot, 1)
+    else:
+        SlottedPage(page).insert_run(slot, ((
+            bytes(data[pos + 6:key_end]), bytes(data[key_end + 2:end]),
+            ghost != 0),))
+    return end
+
+
+def _rewrite(page: Page, data, pos: int, undo: bool = False) -> int:
+    """A value rewrite that keeps its before-image, kind 3 or (spanned)
+    9: its new value spliced in, or its old one with ``undo``."""
+    if data[pos] == _SPANNED_UPDATE_VALUE:
+        _kind, slot, prefix, suffix, old_length = _BHHHH.unpack_from(data, pos)
+        at = pos + 7
+    else:
+        _kind, slot, old_length = _BHH.unpack_from(data, pos)
+        prefix = suffix = 0
+        at = pos + 3
+    old_end = at + 2 + old_length
+    end = old_end + 2 + _U16.unpack_from(data, old_end)[0]
+    if end > len(data):
+        raise LogError(f"a value rewrite of {end - pos} bytes runs past the "
+                       f"end of the record")
+    old, new = bytes(data[at + 2:old_end]), bytes(data[old_end + 2:end])
+    middle = max(len(old), len(new))
+    if at > pos + 3 and not 0 < prefix + suffix <= LENGTH_MASK - middle:
+        check_span(prefix, suffix, middle)  # refuses, saying why
+    if undo:
+        update_value(page, slot, old, prefix, suffix, new)
+    else:
+        update_value(page, slot, new, prefix, suffix, old)
+    return end
+
+
+def _redo_only_rewrite(page: Page, data, pos: int) -> int:
+    """A value rewrite with no before-image, kind 10 or (spanned) 11:
+    the span must leave exactly the old middle's length to replace."""
+    if data[pos] == _REDO_VALUE:
+        _kind, slot, length = _BHH.unpack_from(data, pos)
+        at, prefix, suffix, old_length = pos + 5, 0, 0, 0
+    else:
+        _kind, slot, prefix, suffix, old_length, length = (
+            _BHHHHH.unpack_from(data, pos))
+        at = pos + 11
+        middle = max(old_length, length)
+        if not 0 < prefix + suffix <= LENGTH_MASK - middle:
+            check_span(prefix, suffix, middle)  # refuses, saying why
+    end = at + length
+    if end > len(data):
+        raise LogError(f"a value rewrite of {end - pos} bytes runs past the "
+                       f"end of the record")
+    update_value(page, slot, bytes(data[at:end]), prefix, suffix, old_length)
+    return end
+
+
+def _ghost(page: Page, data, pos: int, undo: bool = False) -> int:
+    _kind, slot, old, new = _BHBB.unpack_from(data, pos)
+    mark_ghost(page, slot, (old if undo else new) != 0)
+    return pos + 5
+
+
+def _write_bytes(page: Page, data, pos: int, undo: bool = False) -> int:
+    _kind, offset = _BH.unpack_from(data, pos)
+    old, at = _unpack_bytes(data, pos + 3)
+    new, end = _unpack_bytes(data, at)
+    if len(old) != len(new):
+        raise LogError("byte-range op must preserve length")
+    payload = old if undo else new
+    page.data[offset:offset + len(payload)] = payload
+    page.invalidate_view()
+    return end
+
+
+def _init_slotted(page: Page, data, pos: int) -> int:
+    page.page_type = PageType(data[pos + 1])
+    SlottedPage(page).initialize()
+    return pos + 2
+
+
+def _bulk(page: Page, data, pos: int, remove: bool = False) -> int:
+    """A run's insert, or with ``remove`` its undo: a removal of its
+    rows."""
+    slot, rows, end = bulk_rows(data, pos)
+    if remove:
+        SlottedPage(page).remove_run(slot, len(rows))
+    else:
+        SlottedPage(page).insert_run(slot, rows)
+    return end
+
+
+def _bulk_delete(page: Page, data, pos: int) -> int:
+    _kind, slot, count = _BHH.unpack_from(data, pos)
+    if not count:
+        raise LogError("a removal of no row")
+    SlottedPage(page).remove_run(slot, count)
+    return pos + 5
+
+
+def _extend_prefix(page: Page, data, pos: int, undo: bool = False) -> int:
+    _kind, slot, count, length = _BHHH.unpack_from(data, pos)
+    end = pos + 7 + length
+    if end > len(data):
+        raise LogError(f"{length} stripped bytes run past the end of the "
+                       f"record")
+    stripped = bytes(data[pos + 7:end])
+    if not count:
+        raise LogError("a prefix extension of no row")
+    if not stripped:
+        raise LogError("a prefix extension that strips no byte")
+    if len(stripped) > LENGTH_MASK:
+        raise LogError(f"a prefix extension strips {len(stripped)} bytes, "
+                       f"more than any key holds")
+    if undo:
+        SlottedPage(page).reprefix_run(slot, count, b"", stripped)
+    else:
+        SlottedPage(page).reprefix_run(slot, count, stripped, b"")
+    page.count_updates(1)
+    return end
+
+
+def _redo_sequence(page: Page, data, pos: int) -> int:
+    _kind, count = _BH.unpack_from(data, pos)
+    if count < 2:
+        raise LogError(f"a sequence of {count} ops")
+    pos += 3
+    for _ in range(count):
+        kind = data[pos]
+        if kind in _NOT_MEMBERS:
+            _member_kind(data, pos)  # refuses, saying why
+        pos = (REDO.get(kind) or _unknown(kind))(page, data, pos)
+    page.count_updates(count - 1)
+    return pos
+
+
+def _undo_sequence(page: Page, data, pos: int) -> int:
+    starts, end = _members(data, pos)
+    for start in starts:
+        # A member that cannot be undone is refused before any is.
+        if data[start] in _NEVER_UNDONE:
+            UNDO[data[start]](page, data, start)
+    for start in reversed(starts):
+        UNDO[data[start]](page, data, start)
+    page.count_updates(len(starts) - 1)
+    return end
+
+
+def _redo_compensation(page: Page, data, pos: int) -> int:
+    kind = data[pos + 1]
+    return (UNDO.get(kind) or _unknown(kind))(page, data, pos + 1)
+
+
+def _refuse(message: str):  # noqa: ANN202
+    def kernel(page: Page, data, pos: int) -> int:
+        raise LogError(message)
+    return kernel
+
+
+def _unknown(kind: int):  # noqa: ANN202
+    raise LogError(f"unknown page-op kind {kind}")
+
+
+#: redo kernel per kind byte
+REDO = {
+    OpInsert.kind: _row,
+    OpDelete.kind: partial(_row, remove=True),
+    OpUpdateValue.kind: _rewrite,
+    _SPANNED_UPDATE_VALUE: _rewrite,
+    _REDO_VALUE: _redo_only_rewrite,
+    _SPANNED_REDO_VALUE: _redo_only_rewrite,
+    OpSetGhost.kind: _ghost,
+    OpWriteBytes.kind: _write_bytes,
+    OpInitSlotted.kind: _init_slotted,
+    OpBulkInsert.kind: _bulk,
+    OpBulkDelete.kind: _bulk_delete,
+    OpExtendPrefix.kind: _extend_prefix,
+    OpSequence.kind: _redo_sequence,
+    COMPENSATION: _redo_compensation,
 }
-for _kind in (_SPANNED_UPDATE_VALUE, _REDO_VALUE, _SPANNED_REDO_VALUE):
-    _OP_REGISTRY[_kind] = OpUpdateValue
+
+_REDO_ONLY = "a redo-only value rewrite cannot be undone"
+#: undo kernel per kind byte: what a compensation of that kind redoes
+UNDO = {
+    OpInsert.kind: partial(_row, remove=True),
+    OpDelete.kind: _row,
+    OpUpdateValue.kind: partial(_rewrite, undo=True),
+    _SPANNED_UPDATE_VALUE: partial(_rewrite, undo=True),
+    _REDO_VALUE: _refuse(_REDO_ONLY),
+    _SPANNED_REDO_VALUE: _refuse(_REDO_ONLY),
+    OpSetGhost.kind: partial(_ghost, undo=True),
+    OpWriteBytes.kind: partial(_write_bytes, undo=True),
+    OpInitSlotted.kind: _refuse("page formatting cannot be undone"),
+    OpBulkInsert.kind: partial(_bulk, remove=True),
+    OpBulkDelete.kind: _refuse("a row-free removal is undone from its "
+                               "split's moved rows, not in place"),
+    OpExtendPrefix.kind: partial(_extend_prefix, undo=True),
+    OpSequence.kind: _undo_sequence,
+    COMPENSATION: _refuse("compensation operations are never undone"),
+}
+#: the kind bytes :func:`_member_kind` looks at twice
+_NOT_MEMBERS = frozenset({OpSequence.kind, COMPENSATION, _REDO_VALUE,
+                          _SPANNED_REDO_VALUE})
+#: the kinds a sequence may hold whose undo kernel refuses
+_NEVER_UNDONE = frozenset({OpInitSlotted.kind, OpBulkDelete.kind,
+                           COMPENSATION})
+
+
+def redo(page: Page, data, start: int, end: int) -> None:
+    """Apply the op encoded in ``data[start:end]`` to ``page``: the one
+    entry to :data:`REDO`.  Bytes that are no op encoding — an unknown
+    kind, a field past the record, a check a kernel makes, an op that
+    does not end at ``end`` — are :class:`LogError`.  A kernel checks
+    its own fields before it writes, but a sequence may have applied its
+    first members when a later one is refused: a caller drops a page
+    whose redo raised."""
+    try:
+        kind = data[start]
+        stop = (REDO.get(kind) or _unknown(kind))(page, data, start)
+    except MALFORMED as exc:
+        raise LogError(f"malformed page op: {exc}") from None
+    if stop != end:
+        raise LogError(f"page op ends at byte {stop}, its field at {end}")

@@ -159,7 +159,8 @@ from typing import Sequence
 from repro.errors import LogError, RecoveryError
 from repro.wal.ops import (_REDO_VALUE, _SPANNED_REDO_VALUE, MALFORMED, SPAN_SIZE,
                            OpBulkInsert, OpUpdateValue, PageOp, _put_bytes,
-                           _unpack_bytes, check_span, is_redo_only)
+                           _unpack_bytes, bulk_rows, check_span,
+                           rewrite_before_image)
 
 _NARROW = struct.Struct("<BHIIIIH")
 _WIDE = struct.Struct("<BIqqqqq")
@@ -460,7 +461,10 @@ class LogRecord:
     lsn: int = 0
 
     # Kind-specific payloads.
-    op: PageOp | None = None                 #: UPDATE / COMPENSATION / FORMAT
+    #: UPDATE / COMPENSATION / FORMAT: the page op's encoding
+    #: (:mod:`repro.wal.ops`), as :meth:`decode` leaves it — or, in a
+    #: record built to be encoded, its builder
+    op: PageOp | bytes | None = None
     undo: LogicalUndo | None = None          #: UPDATE by user transactions
     undo_next_lsn: int = 0                   #: COMPENSATION
     image: bytes | None = None               #: FULL_PAGE_IMAGE (compressed)
@@ -530,11 +534,10 @@ class LogRecord:
         ``entry`` packs a PRI update's pages."""
         kind = self.kind
         op = self.op
+        body = op if type(op) is bytes else op.encode() if op else b""
         if kind == LogRecordKind.COMPENSATION:
-            body = op.encode() if op else b""
             return _QH.pack(self.undo_next_lsn, len(body)) + body
         if kind == LogRecordKind.FORMAT_PAGE:
-            body = op.encode() if op else b""
             return _U16.pack(len(body)) + body
         if kind == LogRecordKind.FULL_PAGE_IMAGE:
             image = self.image or b""
@@ -559,12 +562,8 @@ class LogRecord:
     def decode(cls, data, lsn: int = 0) -> "LogRecord":
         """The record ``data`` encodes, placed at ``lsn``, or
         :class:`LogError`: anything but exactly what :meth:`encode`
-        writes for it is refused.  The two rewrite shapes every put
-        logs decode through one unpack each (:func:`_decode_rewrite`)."""
-        if data and data[0] & (_KIND_BITS | _WIDE_BIT) == _UPDATE:
-            record = _decode_rewrite(cls, data, lsn)
-            if record is not None:
-                return record
+        writes for it is refused.  The page op stays encoded: the
+        kernel that applies it checks it (:func:`repro.wal.ops.redo`)."""
         kind, commits, txn_id, page_id, page_prev_lsn = read_header(data)
         wide = data[0] & _WIDE_BIT
         _, total, _, prev_lsn, _, _, index_id = (
@@ -587,18 +586,11 @@ class LogRecord:
         return record
 
     def _decode_op(self, data, pos: int) -> int:
-        """Decode a u16-length-prefixed page op at ``pos``; returns its
-        end.  The op must fill its declared length exactly."""
-        (op_size,) = _U16.unpack_from(data, pos)
-        pos += 2
-        self.op = op = PageOp.decode(data, pos)
-        if not self.redo_only and is_redo_only(op):
-            raise LogError(f"a redo-only op in a {self.kind.name} record "
-                           f"that is not redo-only")
-        if op.encoded_size() != op_size:
-            raise LogError(f"page op of {op.encoded_size()} bytes in a "
-                           f"{op_size}-byte field")
-        return pos + op_size
+        """Take the u16-length-prefixed page op at ``pos``, still
+        encoded; returns its end."""
+        start, end = _op_field(data, pos, self.redo_only)
+        self.op = bytes(data[start:end])
+        return end
 
     def _decode_payload(self, data, pos: int, wide: bool) -> int:
         """Decode the payload reading ``data`` at absolute offsets;
@@ -624,16 +616,15 @@ class LogRecord:
             if flags & _HAS_OP:
                 pos = self._decode_op(data, pos)
             if flags & _SHARED_BEFORE_IMAGE:
-                op = self.op
-                if not flags & _HAS_UNDO or type(op) is not OpUpdateValue:
+                image = self.op and rewrite_before_image(self.op)
+                if not flags & _HAS_UNDO or image is None:
                     raise LogError("shared before-image without a value "
                                    "update and its undo")
                 action = UndoAction(data[pos])
                 if action is not _RESTORE_VALUE:
                     raise LogError(f"shared before-image on a {action.name} undo")
                 key, pos = _unpack_bytes(data, pos + 1)
-                self.undo = LogicalUndo(action, key, op.old_value,
-                                        op.prefix, op.suffix)
+                self.undo = LogicalUndo(action, key, *image)
             elif flags & _HAS_UNDO:
                 undo, pos = LogicalUndo.decode(data, pos)
                 self.undo = undo
@@ -688,10 +679,10 @@ class LogRecord:
         and names that op's rows: one key per row, in row order, each the
         row's stored key behind the one prefix the leaf strips."""
         op, keys = self.op, self.undo.keys
-        if type(op) is not OpBulkInsert:
+        if not op or op[0] != OpBulkInsert.kind:
             raise LogError(f"a DELETE_KEYS undo under "
-                           f"{type(op).__name__ if op else 'no op'}")
-        rows = op.records
+                           f"{f'an op of kind {op[0]}' if op else 'no op'}")
+        rows = bulk_rows(op, 0)[1]
         if len(rows) != len(keys):
             raise LogError(f"a DELETE_KEYS undo of {len(keys)} keys over "
                            f"a run of {len(rows)} rows")
@@ -793,13 +784,71 @@ def read_header(raw, start: int = 0,
     return kind, True, txn_id, page_id, page_prev_lsn
 
 
+def _op_field(data, pos: int, redo_only) -> tuple[int, int]:  # noqa: ANN001
+    """``(start, end)`` of the u16-length-prefixed page op at ``pos``:
+    not empty, within the record, and a redo-only rewrite only in a
+    ``redo_only`` UPDATE."""
+    start = pos + 2
+    end = start + _U16.unpack_from(data, pos)[0]
+    if not start < end <= len(data):
+        raise LogError(f"a page op field of {end - start} bytes at byte "
+                       f"{start} of a {len(data)}-byte record")
+    if not redo_only and data[start] in (_REDO_VALUE, _SPANNED_REDO_VALUE):
+        raise LogError("a redo-only op in a record that is not a redo-only "
+                       "UPDATE")
+    return start, end
+
+
+def op_span(data, kind: int) -> tuple[int, int, int]:
+    """Where the page op of the bytes ``data`` of a chain record of
+    ``kind`` lies, ``(start, end)`` — ``start == end``: it carries none
+    — and the updates its leaf run counts past its first (one per key
+    of its DELETE_KEYS undo, as the per-key records it stands for
+    would); the op itself is left to the kernel that applies it.  Bytes
+    that cannot hold an op there are :class:`LogError`."""
+    try:
+        pos = WIDE_HEADER_SIZE if data[0] & _WIDE_BIT else NARROW_HEADER_SIZE
+        if kind == _UPDATE:
+            flags = data[pos]
+            if not flags & _HAS_OP:
+                return pos, pos, 0
+            start, end = _op_field(data, pos + 1, flags & _REDO_ONLY)
+            if (flags & (_HAS_UNDO | _SHARED_BEFORE_IMAGE) == _HAS_UNDO
+                    and data[end] == _DELETE_KEYS):
+                return start, end, _U16.unpack_from(data, end + 1)[0] - 1
+            return start, end, 0
+        if kind == LogRecordKind.COMPENSATION:
+            pos += 8
+        if not _U16.unpack_from(data, pos)[0]:
+            return pos, pos, 0
+        return (*_op_field(data, pos, False), 0)
+    except MALFORMED as exc:
+        raise LogError(f"malformed {LogRecordKind(kind).name} record: "
+                       f"{exc}") from None
+
+
+def page_image(data) -> tuple[int, bytes]:
+    """``(page_lsn, compressed image)`` of the bytes ``data`` of a
+    FULL_PAGE_IMAGE record, or :class:`LogError`."""
+    pos = WIDE_HEADER_SIZE if data[0] & _WIDE_BIT else NARROW_HEADER_SIZE
+    try:
+        page_lsn, length = _QI.unpack_from(data, pos)
+    except MALFORMED as exc:
+        raise LogError(f"malformed FULL_PAGE_IMAGE record: {exc}") from None
+    if pos + 12 + length != len(data):
+        raise LogError(f"page image of {length} bytes in a {len(data)}-byte "
+                       f"record")
+    return page_lsn, bytes(data[pos + 12:])
+
+
 def encode_update(txn_id: int, prev_lsn: int, page_id: int,
-                  page_prev_lsn: int, index_id: int, op: PageOp,
+                  page_prev_lsn: int, index_id: int, op: PageOp | bytes | None,
                   undo: LogicalUndo | None, redo_only: bool) -> bytes:
     """What :meth:`LogRecord.encode` writes for an UPDATE, without the
-    object (the commit bit set only on a redo-only record).  A put's
-    value rewrite — redo-only, or unspanned and sharing its before-image
-    — packs with one ``Struct``; any other is sized, then written."""
+    object (the commit bit set only on a redo-only record); ``op`` is a
+    builder or its encoding.  A put's value rewrite — redo-only, or
+    unspanned and sharing its before-image — packs with one ``Struct``;
+    any other is sized, then written."""
     narrow = not ((txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32
                   | index_id >> 16)
     if (redo_only and narrow and type(op) is OpUpdateValue
@@ -818,7 +867,8 @@ def encode_update(txn_id: int, prev_lsn: int, page_id: int,
             _REDO_VALUE, op.slot, n) + new
     page = page_id & _NO_PAGE
     shared = undo is not None and _shares_before_image(op, undo)
-    if shared and narrow and not (op.prefix or op.suffix):
+    if shared and narrow and type(op) is OpUpdateValue and not (
+            op.prefix or op.suffix):
         old, new = op.old_value, op.new_value
         total = 34 + len(old) + len(new) + len(undo.key)
         if not total >> 16:
@@ -831,7 +881,8 @@ def encode_update(txn_id: int, prev_lsn: int, page_id: int,
                               op.slot, len(old)),
                 old, _U16.pack(len(new)), new,
                 _BH.pack(_RESTORE_VALUE, len(key)), key))
-    op_size = op.encoded_size() if op else 0
+    encoded = type(op) is bytes
+    op_size = (len(op) if encoded else op.encoded_size()) if op else 0
     size = 1 + (2 + op_size if op else 0) + (
         3 + len(undo.key) if shared else undo.encoded_size() if undo else 0)
     kind_byte = _REDO_UPDATE_KIND if redo_only else _UPDATE
@@ -851,7 +902,11 @@ def encode_update(txn_id: int, prev_lsn: int, page_id: int,
     pos += 1
     if op:
         _U16.pack_into(buf, pos, op_size)
-        pos = op.encode_into(buf, pos + 2)
+        if encoded:
+            buf[pos + 2:pos + 2 + op_size] = op
+            pos += 2 + op_size
+        else:
+            pos = op.encode_into(buf, pos + 2)
     if shared:
         _BH.pack_into(buf, pos, undo.action, len(undo.key))
         buf[pos + 3:] = undo.key
@@ -860,47 +915,19 @@ def encode_update(txn_id: int, prev_lsn: int, page_id: int,
     return bytes(buf)
 
 
-def _shares_before_image(op: PageOp | None, undo: LogicalUndo) -> bool:
+def _shares_before_image(op: PageOp | bytes | None,
+                         undo: LogicalUndo) -> bool:
     """Is the undo's value the op's ``old_value``, under the same span
     (an in-place rewrite of one key's value)?  Then it is encoded
     once."""
-    return (undo.action is _RESTORE_VALUE
-            and type(op) is OpUpdateValue
+    if undo.action is not _RESTORE_VALUE:
+        return False
+    if type(op) is bytes:
+        return rewrite_before_image(op) == (undo.value, undo.prefix,
+                                            undo.suffix)
+    return (type(op) is OpUpdateValue
             and (undo.value is op.old_value or undo.value == op.old_value)
             and undo.prefix == op.prefix and undo.suffix == op.suffix)
-
-
-def _decode_rewrite(cls, data, lsn: int) -> LogRecord | None:  # noqa: ANN001
-    """The record ``data`` encodes if it is one of
-    :func:`encode_update`'s two rewrite shapes, read with one unpack of
-    :data:`_REWRITE`; ``None`` sends any other the long way."""
-    end = len(data)
-    if end < _REWRITE.size:
-        return None
-    (kind_byte, total, txn_id, prev_lsn, page_id, page_prev_lsn, index_id,
-     flags, op_size, op_kind, slot, first) = _REWRITE.unpack_from(data)
-    page_id = -1 if page_id == _NO_PAGE else page_id
-    if (kind_byte == _REDO_UPDATE_KIND and flags == _HAS_OP | _REDO_ONLY
-            and op_kind == _REDO_VALUE):
-        if not total == end == 29 + first == 24 + op_size:
-            return None
-        return cls(_UPDATE, txn_id, prev_lsn, page_id, page_prev_lsn,
-                   index_id, lsn, OpUpdateValue(slot, None, bytes(data[29:])),
-                   commits=True, redo_only=True)
-    new_at = 31 + first  # past the old value and the new one's length
-    if (flags != _HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE
-            or op_kind != OpUpdateValue.kind or total != end or new_at > end):
-        return None
-    new_end = new_at + _U16.unpack_from(data, new_at - 2)[0]
-    if (new_end + 3 > end or op_size != new_end - 24
-            or data[new_end] != _RESTORE_VALUE
-            or _U16.unpack_from(data, new_end + 1)[0] != end - new_end - 3):
-        return None
-    old = bytes(data[29:new_at - 2])
-    return cls(_UPDATE, txn_id, prev_lsn, page_id, page_prev_lsn, index_id,
-               lsn, OpUpdateValue(slot, old, bytes(data[new_at:new_end])),
-               LogicalUndo(_RESTORE_VALUE, bytes(data[new_end + 3:]), old),
-               commits=bool(kind_byte & _COMMITS_BIT))
 
 
 def pri_update(writes: Sequence[tuple[int, int]]) -> LogRecord:

@@ -20,6 +20,7 @@ from repro.sim.stats import Stats
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
 from repro.wal.log_manager import LogManager
+from repro.wal.ops import compensation, redo
 
 PAGE_SIZE = 4096
 
@@ -84,6 +85,19 @@ def loaded_db() -> Database:
         tree.insert(txn, key_of(i), value_of(i, 0))
     database.commit(txn)
     return database
+
+
+def apply_redo(page, op) -> None:  # noqa: ANN001
+    """Redo the op the builder ``op`` builds on ``page``, from its bytes,
+    as a write and a replay do."""
+    encoded = op.encode()
+    redo(page, encoded, 0, len(encoded))
+
+
+def apply_undo(page, op) -> None:  # noqa: ANN001
+    """Undo ``op`` on ``page``, as the redo of its compensation does."""
+    encoded = compensation(op.encode())
+    redo(page, encoded, 0, len(encoded))
 
 
 def key_of(i: int) -> bytes:

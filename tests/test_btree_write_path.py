@@ -44,9 +44,9 @@ from repro.core.single_page import replay_records
 from repro.errors import BTreeError, DuplicateKey, KeyNotFound, RecoveryError
 from repro.page.page import Page, PageType
 from repro.page.slotted import PageFullError, Record, SlottedPage, update_value
-from repro.wal.ops import value_rewrite
+from repro.wal.ops import compensation, redo, rewrite_before_image, value_rewrite
 from repro.wal.records import LogRecord, LogRecordKind, UndoAction
-from tests.conftest import device_images, fast_config
+from tests.conftest import apply_redo, device_images, fast_config
 
 
 def small_page_db(**overrides) -> Database:  # noqa: ANN003
@@ -362,11 +362,11 @@ def _standalone_node(level: int, n: int = 12) -> BTreeNode:
     SlottedPage(page).initialize()
     for op in BTreeNode.ops_initialize(level, b"user/0000", b"user/9999",
                                        high_inf=False):
-        op.apply_redo(page)
+        apply_redo(page, op)
     node = BTreeNode(page)
     for i in range(n):
         value = encode_pid(100 + i) if level else b"v" * (i + 1)
-        node.op_insert(i, b"user/%04d" % (i * 500), value).apply_redo(page)
+        apply_redo(page, node.op_insert(i, b"user/%04d" % (i * 500), value))
     return node
 
 
@@ -431,7 +431,7 @@ class DirectoryDifferential(RuleBasedStateMachine):
     def apply(self, op, keeps_lists: bool = False) -> None:  # noqa: ANN001
         view = self.node.page.view
         keys, pids = view.keys, view.pids
-        op.apply_redo(self.node.page)
+        apply_redo(self.node.page, op)
         assert self.node.page.view is view and view.keys is keys
         assert view.pids is pids
         if keeps_lists:
@@ -449,7 +449,7 @@ class DirectoryDifferential(RuleBasedStateMachine):
             return
         if not node.room_for(key, value):
             with pytest.raises(PageFullError):
-                node.op_insert(i, key, value).apply_redo(node.page)
+                apply_redo(node.page, node.op_insert(i, key, value))
             return
         self.apply(node.op_insert(i, key, value, ghost and not self.level))
 
@@ -483,7 +483,7 @@ class DirectoryDifferential(RuleBasedStateMachine):
         op = value_rewrite(DATA_START + i, old, value)
         if not node.room_for_value(i, value):
             with pytest.raises(PageFullError):
-                op.apply_redo(node.page)
+                apply_redo(node.page, op)
             return
         view = node.page.view
         self.lists_before = (
@@ -764,7 +764,7 @@ def test_a_rewrite_logs_its_before_image_once_and_reads_the_slot_once():
     tree.update(txn, b"key", b"w" * 100)
     db.commit(txn)
     (record,) = db.log.records_from(before)
-    assert record.undo.value is record.op.old_value == b"v" * 100
+    assert record.undo.value == rewrite_before_image(record.op)[0] == b"v" * 100
     assert record.undo.action is UndoAction.RESTORE_VALUE
     # 21 header + 1 flags + 2 + op (7 + 100 + 100) + undo (1 + 2 + 3)
     assert len(record.encode()) == db.log.end_lsn - before == 237
@@ -783,7 +783,7 @@ def test_rollback_restores_a_shared_before_image_after_encode_decode():
     decoded = LogRecord.decode(logged.encode())
     decoded.lsn = logged.lsn
     assert decoded == logged and decoded is not logged
-    assert decoded.undo.value is decoded.op.old_value
+    assert decoded.undo.value == rewrite_before_image(decoded.op)[0]
     again = db.log.record_at(txn.last_lsn)
     assert again == decoded and again is not logged
     db.abort(txn)
@@ -793,8 +793,8 @@ def test_rollback_restores_a_shared_before_image_after_encode_decode():
     # without logical undo) sees the same before-image.
     page = db.pool.fix(decoded.page_id)
     try:
-        decoded.op.apply_redo(page)
-        decoded.op.apply_undo(page)
+        for op in (decoded.op, compensation(decoded.op)):
+            redo(page, op, 0, len(op))
         assert tree.lookup(b"key") == b"old-value"
     finally:
         db.pool.unfix(decoded.page_id)
@@ -919,8 +919,8 @@ def test_a_spliced_redo_refuses_a_value_its_span_does_not_hold():
     op = value_rewrite(0, b"2011-01-01|the rest of the record",
                        b"2022-02-02|the rest of the record")
     assert (op.prefix, op.suffix) == (2, 23)
-    record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=7,
-                       page_prev_lsn=100, lsn=200, op=op)
+    record = (200, LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=7,
+                             page_prev_lsn=100, op=op).encode())
     before = bytes(page.data)
     with pytest.raises(RecoveryError, match="does not hold"):
         replay_records(page, [record])

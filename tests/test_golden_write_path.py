@@ -45,6 +45,7 @@ import repro
 from repro import EngineConfig
 from repro.engine.database import Database
 from repro.wal.records import BackupRefKind, LogRecordKind
+from tests import op_reference as reference
 
 GOLDEN = Path(__file__).with_name("golden_write_path.json")
 
@@ -143,16 +144,20 @@ def write_stream(seed: int, frames: int, preload: int, n_ops: int):  # noqa: ANN
 _LSN_REFS = (BackupRefKind.LOG_IMAGE, BackupRefKind.FORMAT_RECORD)
 
 
-def lsn_free(record) -> bytes:  # noqa: ANN001
+def lsn_free(record, op=None) -> bytes:  # noqa: ANN001
     """What ``record`` says besides LSNs: kind, commit bit, txn, page,
-    index, the op and undo with all their fields, the pages of a PRI
-    update, backup and 2PC ids.  Left out: prev_lsn, page_prev_lsn,
-    undo_next_lsn, page_lsn, PRI entry LSNs, checkpoint tables, LSN-valued
-    backup references and compressed images."""
+    index, the op (``op``, by default the record's, read by the
+    reference decoder of :mod:`tests.op_reference`) and undo with all
+    their fields, the pages of a PRI update, backup and 2PC ids.  Left
+    out: prev_lsn, page_prev_lsn, undo_next_lsn, page_lsn, PRI entry
+    LSNs, checkpoint tables, LSN-valued backup references and compressed
+    images."""
     ref = record.backup_ref
+    if op is None and record.op is not None:
+        op = reference.decode(record.op)
     return repr((
         int(record.kind), record.commits, record.txn_id, record.page_id,
-        record.index_id, record.op, record.undo,
+        record.index_id, op, record.undo,
         [page_id for page_id, _page_lsn in record.writes],
         record.backup_id, record.gtid,
         ref and (int(ref.kind), None if ref.kind in _LSN_REFS else ref.value),
@@ -163,10 +168,10 @@ def redo_only(record) -> bytes:  # noqa: ANN001
     """:func:`lsn_free` of what ``record`` redoes: every op's
     ``old_value`` and the undo masked, so a record that stops logging
     its before-image and undo hashes as before."""
-    op = record.op
+    op = record.op and reference.decode(record.op)
     if hasattr(op, "old_value"):
         op = dataclasses.replace(op, old_value=None)
-    return lsn_free(dataclasses.replace(record, op=op, undo=None))
+    return lsn_free(dataclasses.replace(record, undo=None), op)
 
 
 def _autocommit_txn_ids(seed: int, frames: int, preload: int,

@@ -23,25 +23,28 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import LogError
+from repro.errors import LogError, ReproError
 from repro.page.page import Page, PageType
 from repro.page.slotted import SlottedPage
 from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpDelete, OpExtendPrefix,
-                           OpInsert, OpInverse, OpSequence, OpSetGhost,
-                           OpUpdateValue, OpWriteBytes, PageOp)
+                           OpInsert, OpSequence, OpSetGhost, OpUpdateValue,
+                           OpWriteBytes, compensation, redo)
 from tests import op_reference as reference
-from tests.test_wal_roundtrip_property import _redo_only_update_value, any_op
+from tests.test_wal_roundtrip_property import (OpInverse,
+                                               _redo_only_update_value, any_op)
 
 #: what the engine's apply may raise where the reference fails
-TYPED = Exception
+TYPED = ReproError
 
 
 def _engine_redo(page: Page, encoded: bytes) -> None:
-    PageOp.decode(encoded).apply_redo(page)
+    redo(page, encoded, 0, len(encoded))
 
 
 def _engine_undo(page: Page, encoded: bytes) -> None:
-    PageOp.decode(encoded).apply_undo(page)
+    """The undo kernel, as a CLR's redo runs it."""
+    clr = compensation(encoded)
+    redo(page, clr, 0, len(clr))
 
 
 _PAGE_SIZE = 2048

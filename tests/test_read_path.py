@@ -40,6 +40,7 @@ from repro.sim.iomodel import NULL_PROFILE
 from repro.sim.stats import Stats
 from repro.storage.device import StorageDevice
 from repro.wal.log_manager import LogManager
+from repro.wal.records import LogRecord, LogRecordKind
 from tests.conftest import PAGE_SIZE, fast_config
 
 #: the nightly deep-torture CI job multiplies every hypothesis example
@@ -525,8 +526,12 @@ def victim_sequence() -> list[int]:
         page = pool.fix(page_id)
         victims.extend(sorted(before - set(pool.resident_pages())))
         if step % 5 == 0:
-            page.page_lsn = step + 1
-            pool.mark_dirty(page_id, step + 1)
+            # A record to name: a write-back forces the log through it.
+            lsn = log.append(LogRecord(LogRecordKind.UPDATE, txn_id=1,
+                                       page_id=page_id,
+                                       page_prev_lsn=page.page_lsn))
+            page.page_lsn = lsn
+            pool.mark_dirty(page_id, lsn)
         if step % 7 == 0 and len(held) < 3:
             held.append(page_id)        # stays pinned for a while
         else:

@@ -24,7 +24,9 @@ from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter
 from repro.wal.ops import OpUpdateValue, value_rewrite
 from repro.wal.records import LogRecord, LogRecordKind
-from tests.conftest import assert_no_pins, fast_config, key_of, value_of
+from tests import op_reference as reference
+from tests.conftest import (apply_redo, assert_no_pins, fast_config, key_of,
+                            value_of)
 
 UPDATE = LogRecordKind.UPDATE
 
@@ -49,8 +51,9 @@ def user_records(db, end: int) -> list[LogRecord]:  # noqa: ANN001
 
 def assert_redo_only(record: LogRecord) -> None:
     assert record.redo_only and record.commits and record.undo is None
-    if type(record.op) is OpUpdateValue:
-        assert record.op.old_value is None
+    op = reference.decode(record.op)
+    if type(op) is reference.OpUpdateValue:
+        assert op.old_value is None
     decoded = LogRecord.decode(record.encode())
     decoded.lsn = record.lsn
     assert decoded == record
@@ -58,8 +61,9 @@ def assert_redo_only(record: LogRecord) -> None:
 
 def assert_undoable(record: LogRecord) -> None:
     assert not record.redo_only and record.undo is not None
-    if type(record.op) is OpUpdateValue:
-        assert record.op.old_value is not None
+    op = reference.decode(record.op)
+    if type(op) is reference.OpUpdateValue:
+        assert op.old_value is not None
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +266,7 @@ def test_redo_of_a_spanned_redo_only_rewrite_checks_the_old_middle_length():
     assert (op.old_value, op.old_length) == (None, 8)
     wrong = OpUpdateValue(0, None, b"21-11-22", op.prefix, op.suffix, 9)
     with pytest.raises(RecoveryError):
-        wrong.apply_redo(page)
+        apply_redo(page, wrong)
     assert slotted.read_value(0) == (False, old)
-    op.apply_redo(page)
+    apply_redo(page, op)
     assert slotted.read_value(0) == (False, new)

@@ -285,7 +285,7 @@ class TestChainIntegrity:
         lsns = self.build_chain(log, 7, 5)
         reader = LogReader(log, SimClock(), NULL_PROFILE, Stats())
         records = reader.walk_page_chain(lsns[-1], lsns[1])
-        assert [r.lsn for r in records] == lsns[2:]
+        assert [lsn for lsn, _encoding in records] == lsns[2:]
 
 
 class TestPriRoundTrip:

@@ -16,7 +16,7 @@ and heap garbage included — and of the log's encoded records:
   removals on 1 KiB pages in which some prefix extension fits only
   after compaction, then an adoption whose prefix extension hardened
   cut before its commit and rolled back as a restart loser — which
-  runs ``OpExtendPrefix.apply_undo``.
+  runs the prefix extension's undo kernel (``repro.wal.ops.UNDO``).
 
 A change that means to move these bytes is a change to the page or
 log format and says so; ``PYTHONPATH=src python -m
@@ -33,7 +33,8 @@ import repro
 from bench.workloads import WORKLOADS, DblpCorpus, kv_records
 from repro.engine.database import Database
 from repro.page.slotted import SLOT_SIZE, SlottedPage
-from repro.wal.ops import OpExtendPrefix
+from repro.wal.ops import REDO, UNDO, OpExtendPrefix
+from tests import op_reference as reference
 from tests.conftest import fast_config
 from tests.test_structure_records import _arm, _Cut, _put
 
@@ -86,8 +87,10 @@ def dblp_load() -> tuple[str, str]:
     return _load("dblp_cold_embedded", DblpCorpus(1, 6_000).records[:1_500])
 
 
-def _after_compaction(page, op: OpExtendPrefix) -> bool:  # noqa: ANN001
-    """Does ``op``'s re-encoded run fit only once the page compacts?"""
+def _after_compaction(page, data, pos: int) -> bool:  # noqa: ANN001
+    """Does the re-encoded run of the prefix extension encoded at
+    ``data[pos:]`` fit only once the page compacts?"""
+    op = reference.decode(data, pos)
     slotted = SlottedPage(page)
     run = sum(2 + len(r.key) + len(r.value) for r in
               slotted.records(include_ghosts=True)[op.slot:op.slot + op.count])
@@ -97,16 +100,17 @@ def _after_compaction(page, op: OpExtendPrefix) -> bool:  # noqa: ANN001
 
 def random_stream(monkeypatch) -> tuple[str, str]:  # noqa: ANN001
     seen = {"compacting": 0, "undone": 0}
-    redo, undo = OpExtendPrefix.apply_redo, OpExtendPrefix.apply_undo
+    kind = OpExtendPrefix.kind
+    redo, undo = REDO[kind], UNDO[kind]
 
-    def extending(op, page):  # noqa: ANN001, ANN202
-        if _after_compaction(page, op):
+    def extending(page, data, pos):  # noqa: ANN001, ANN202
+        if _after_compaction(page, data, pos):
             seen["compacting"] += 1
-        return redo(op, page)
+        return redo(page, data, pos)
 
-    def undoing(op, page):  # noqa: ANN001, ANN202
+    def undoing(page, data, pos):  # noqa: ANN001, ANN202
         seen["undone"] += 1
-        return undo(op, page)
+        return undo(page, data, pos)
 
     db = Database(fast_config(page_size=1024, capacity_pages=2048,
                               buffer_capacity=256))
@@ -114,7 +118,7 @@ def random_stream(monkeypatch) -> tuple[str, str]:  # noqa: ANN001
     rng = random.Random("structure-pins")
     live: list[int] = []
     with monkeypatch.context() as patch:
-        patch.setattr(OpExtendPrefix, "apply_redo", extending)
+        patch.setitem(REDO, kind, extending)
         for _round in range(12):
             txn = db.begin()
             for _ in range(40):
@@ -145,7 +149,7 @@ def random_stream(monkeypatch) -> tuple[str, str]:  # noqa: ANN001
         raise AssertionError("no adoption extended a prefix")
     db.crash()
     monkeypatch.undo()
-    monkeypatch.setattr(OpExtendPrefix, "apply_undo", undoing)
+    monkeypatch.setitem(UNDO, kind, undoing)
     db.restart("eager")
     assert seen["undone"], "restart undid no prefix extension"
     return _digests(db)

@@ -48,7 +48,8 @@ from repro.page.page import TYPE_OFFSET, Page, PageType
 from repro.page.slotted import Record, SlottedPage, update_value
 from repro.wal.ops import OpBulkDelete, OpBulkInsert, OpExtendPrefix, OpSequence
 from repro.wal.records import LogRecordKind
-from tests.conftest import clone_crashed, fast_config
+from tests import op_reference as reference
+from tests.conftest import apply_redo, apply_undo, clone_crashed, fast_config
 from tests.test_golden_logical_state import _MASKED, tree_pages
 
 
@@ -115,8 +116,11 @@ class _Cut(Exception):
 
 
 def _ops(op) -> tuple:  # noqa: ANN001
-    """The ops a record's op makes: a sequence's members, else itself."""
-    return op.ops if type(op) is OpSequence else (op,)
+    """The ops a record's op makes — a sequence's members, else itself —
+    from its builder or, read by the reference decoder, its encoding."""
+    if type(op) is bytes:
+        op = reference.decode(op)
+    return op.ops if op.kind == OpSequence.kind else (op,)
 
 
 def _arm(db: Database, tree, monkeypatch, cut: str) -> dict:  # noqa: ANN001
@@ -142,11 +146,11 @@ def _arm(db: Database, tree, monkeypatch, cut: str) -> dict:  # noqa: ANN001
     def logging(txn, page_id, page, index_id, op, undo=None):  # noqa: ANN001, ANN202
         lsn = log_update(txn, page_id, page, index_id, op, undo)
         ops = _ops(op)
-        if state["in"] is None and any(type(o) is OpExtendPrefix for o in ops):
+        if state["in"] is None and any(o.kind == OpExtendPrefix.kind for o in ops):
             state["in"] = "adoption"
         if (cut == "split, after the foster child's record"
                 and not state["fired"] and state["in"] == "split"
-                and type(ops[-1]) is OpBulkInsert):
+                and ops[-1].kind == OpBulkInsert.kind):
             fire(txn)
         return lsn
 
@@ -244,7 +248,7 @@ def test_a_structure_change_logs_one_record_per_page_it_changes(
         lsn = log_update(txn, page_id, page, index_id, op, undo)
         if undo is None:  # a system transaction's: a structure change
             counted.append((page.update_count - before, sum(
-                1 + (type(o) is OpExtendPrefix) for o in _ops(op))))
+                1 + (o.kind == OpExtendPrefix.kind) for o in _ops(op))))
         return lsn
 
     def watch(name: str) -> None:
@@ -267,7 +271,7 @@ def test_a_structure_change_logs_one_record_per_page_it_changes(
     for records in changes["_split"]:
         assert [r.kind for r in records] == [update, fmt, update, update]
         assert records[2].page_id == records[1].page_id  # the foster child
-        assert type(_ops(records[3].op)[0]) is OpBulkDelete
+        assert _ops(records[3].op)[0].kind == OpBulkDelete.kind
     for records in changes["_adopt"]:
         assert [r.kind for r in records] == [update, update]
     pages = set(tree_pages(db, tree.index_id))
@@ -313,10 +317,10 @@ def _structure_since_backup(db: Database, tree) -> list[int]:  # noqa: ANN001
     split, extended = set(), set()
     for record in db.log.all_records()[start:]:
         ops = _ops(record.op)
-        if type(ops[0]) is OpBulkDelete:
+        if ops[0].kind == OpBulkDelete.kind:
             split.add(record.page_id)
         elif (record.page_id in split
-              and any(type(op) is OpExtendPrefix for op in ops)):
+              and any(op.kind == OpExtendPrefix.kind for op in ops)):
             extended.add(record.page_id)
     return sorted(extended & old)
 
@@ -352,7 +356,8 @@ def test_replaying_a_format_record_counts_no_update():
     assert record.kind == LogRecordKind.FORMAT_PAGE
     old = Page.format(1024, page.page_id)
     old.count_updates(5)
-    assert replay_records(old, [record]) == [record]
+    assert replay_records(old, [(record.lsn, db.log.encoding_at(
+        record.lsn))]) == [record.lsn]
     assert _masked(old.data) == formatted
 
 
@@ -400,7 +405,7 @@ def test_a_prefix_extension_leaves_what_removing_and_reinserting_left():
     keys = [b"k0012", b"k0015", b"k0019", b"k001A"]
     op = OpExtendPrefix(2, 4, b"k001")
     page, pair = _slotted(keys), _slotted(keys)
-    op.apply_redo(page)
+    apply_redo(page, op)
     page.page_lsn = 10
     rows = SlottedPage(pair).records(include_ghosts=True)[2:]
     SlottedPage(pair).remove_run(2, 4)
@@ -411,7 +416,7 @@ def test_a_prefix_extension_leaves_what_removing_and_reinserting_left():
     assert page.data == pair.data
     assert [r.key for r in SlottedPage(page).records(True)[2:]] == [
         b"2", b"5", b"9", b"A"]
-    op.apply_undo(page)
+    apply_undo(page, op)
     page.page_lsn = 11
     back = _slotted(keys)
     assert SlottedPage(page).records(True) == SlottedPage(back).records(True)
@@ -422,9 +427,9 @@ def test_a_prefix_extension_refuses_a_key_without_its_bytes():
     page = _slotted([b"k0012", b"k0015", b"k0029"])
     before = bytes(page.data)
     with pytest.raises(RecoveryError):
-        OpExtendPrefix(2, 3, b"k001").apply_redo(page)
+        apply_redo(page, OpExtendPrefix(2, 3, b"k001"))
     with pytest.raises(RecoveryError):
-        OpExtendPrefix(2, 4, b"k00").apply_redo(page)
+        apply_redo(page, OpExtendPrefix(2, 4, b"k00"))
     assert page.data == before
 
 
@@ -437,7 +442,7 @@ def _rightmost_foster_parent(room: int) -> BTreeNode:
     SlottedPage(page).initialize()
     for op in BTreeNode.ops_initialize(0, b"user/0000", b"", True,
                                        b"user/9999", 99):
-        op.apply_redo(page)
+        apply_redo(page, op)
     node = BTreeNode(page)
     i = 0
     while True:
@@ -446,9 +451,9 @@ def _rightmost_foster_parent(room: int) -> BTreeNode:
         key = b"user/%04d" % i
         row = 2 + len(key) + 4  # length prefix, key, slot
         if left < row + 40:
-            node.op_insert(i, key, b"v" * (left - row)).apply_redo(page)
+            apply_redo(page, node.op_insert(i, key, b"v" * (left - row)))
             break
-        node.op_insert(i, key, b"v" * 40).apply_redo(page)
+        apply_redo(page, node.op_insert(i, key, b"v" * 40))
         i += 1
     slotted = node.slotted
     assert slotted.free_space + slotted.frag_bytes == room
@@ -472,8 +477,8 @@ def test_a_chain_end_fits_the_page_it_changes(room):
     kinds = [(type(op).__name__, getattr(op, "slot", None)) for op in ops]
     fence_first = kinds[:2] == [("OpDelete", 1), ("OpInsert", 1)]
     assert fence_first == (room >= len(b"user/9999"))
-    assert any(type(op) is OpExtendPrefix for op in ops) == (room >= 5)
-    OpSequence(tuple(ops)).apply_redo(page)
+    assert any(op.kind == OpExtendPrefix.kind for op in ops) == (room >= 5)
+    apply_redo(page, OpSequence(tuple(ops)))
     node = BTreeNode(page)
     assert (node.high_fence, node.high_inf, node.has_foster) == (
         b"user/9999", False, False)

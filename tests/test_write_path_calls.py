@@ -52,18 +52,21 @@ to reach ``ProcessShard.call``.  The counts are
 deterministic: what ``sys.setprofile`` sees, not a clock
 (``benchmarks/write_path.py`` prints both and times the stages).
 
-Three listed writes hold budgets at their first counts, taken before
-any change aimed at them: a warm ``client.txn()`` of one put (65), a
-txn of two gets and two puts (149) and a 32-put ``apply_batch`` of
-rewrites of keys spread over the tree (1 174).
+Three listed writes hold budgets at their counts before any change
+aimed at them: a warm ``client.txn()`` of one put (65), a txn of two
+gets and two puts (141) and a 32-put ``apply_batch`` of rewrites of
+keys spread over the tree (1 174).
 
 Last, a structure budget: the first 2 000 records of the bench's
 sorted kv load, in its 500-put batches — about a split and an adoption
 every 16 records, each one record per page it changes, whose ops the
-slotted-page mutators apply — may enter at most 77 543 functions, the
+slotted-page mutators apply — may enter at most 76 803 functions, the
 count of a fresh process (a slot count the struct memo of
 ``repro.page.slotted`` has not seen yet costs one call more, so a
-process that ran other tests counts a few less).  History: 78 082
+process that ran other tests counts a few less).  History: 77 543
+while every op was an object that applied itself (``apply_redo`` per
+op, a sequence's insert through ``SlottedPage.insert``; the kernels
+read the bytes instead, ``repro.wal.ops.REDO``); 78 082
 while the log kept record objects and sized a run's rows and undo keys
 with a generator (a call per row; the bytes are now written with none);
 93 357
@@ -96,9 +99,9 @@ WORKER_PUT_CALLS = 51
 ROUTER_GET_CALLS = 6
 ROUTER_PUT_CALLS = 6
 TXN_PUT_CALLS = 65
-TXN_2GET_2PUT_CALLS = 149
+TXN_2GET_2PUT_CALLS = 141
 BATCH_32_CALLS = 1_174
-LOAD_CALLS = 77_543
+LOAD_CALLS = 76_803
 
 _CONFIG = dict(page_size=1024, capacity_pages=8192, buffer_capacity=4096)
 _KEYS = [b"user%07d" % (7 * i) for i in range(2_000)]
