@@ -7,11 +7,12 @@ then rewrites existing keys with same-length values — the workload's
 engine call it makes (``Database.autocommit_write``) and that call's
 four steps (``begin_unlisted`` / ``locks.check`` / ``insert`` /
 ``end_autocommit``), and through an unrolled copy of the path with a
-clock read between every two stages.  Then the listed write, which no
-stage table splits: one put in a ``client.txn()`` and one key of a
-32-put ``client.apply_batch`` (each logs an UPDATE with its undo, the
-before-image shared).  Microseconds per put, median of ``--reps`` passes;
-each stage of the unrolled put carries one ``perf_counter_ns`` call
+clock read between every two stages.  Then the listed write: one put in
+a ``client.txn()`` and one key of a 32-put ``client.apply_batch`` (each
+logs an UPDATE with its undo, the before-image shared), whole and
+unrolled the same way — a listed transaction's begin, each put's stages
+and its commit.  Microseconds per put, median of ``--reps`` passes;
+each stage of an unrolled path carries one ``perf_counter_ns`` call
 (~0.07 us) of its own.  The whole-benchmark claim (``python3 -m
 bench.run``) is made of these.
 
@@ -20,20 +21,25 @@ random 100-byte kv values and as many mdate rewrites of the bench's
 DBLP records, the bytes one rewrite's UPDATE logs with both values
 whole (the encoding before spans), as built by ``value_rewrite`` in a
 transaction, and as an autocommit put's redo-only record, and what the
-span rule costs per rewrite: building the op, and applying it to a leaf
-(a spanned op splices and checks its middle).
+span rule costs per rewrite: building the op, and applying its bytes to
+a leaf through the op kind's kernel (a spanned op splices and checks its
+middle).
 
 The unrolled put must stay what ``Database.autocommit_write`` +
 ``FosterBTree._write`` + ``TransactionManager.log_update`` / ``commit``
 do — an unlisted write (no active-table entry, no registered lock)
 whose key is checked free, a redo-only record
 packed with its commit bit (``encode_update``, no record object) and
-written once by ``log.append``, the leaf's page id taken from the
-descent (no header re-read), one pool exit (``pool.unfix(page_id,
+written once by ``log.append``, the logged bytes applied by the op
+kind's kernel (``repro.wal.ops.REDO``), the leaf's page id taken from
+the descent (no header re-read), one pool exit (``pool.unfix(page_id,
 dirty_lsn)``), the force in ``LogManager.commit`` — counted through the
-handles they count through;
-the script checks that it moves the log end and every counter (the
-whole ``Stats.delta``) exactly as ``client.put`` does and stops if not.
+handles they count through; the unrolled txn and batch likewise stay
+what ``Database.begin``, ``LockManager.acquire``, ``FosterBTree._write``
+and ``TransactionManager.commit`` do.  The script checks that each moves
+the log end and every counter (the whole ``Stats.delta``) exactly as
+``client.put``, ``client.txn()`` and ``client.apply_batch`` do and
+stops if not.
 It also prints how many Python functions of ``repro`` one warm put and
 one warm get enter (``tests/test_write_path_calls.py`` holds the
 budget).
@@ -67,8 +73,9 @@ from repro.btree.node import DATA_START  # noqa: E402
 from repro.page.page import Page, PageType  # noqa: E402
 from repro.page.slotted import Record, SlottedPage, update_value  # noqa: E402
 from repro.txn.transaction import TxnState  # noqa: E402
-from repro.wal.ops import OpUpdateValue, value_rewrite  # noqa: E402
-from repro.wal.records import (LogicalUndo, LogRecord,  # noqa: E402
+from repro.wal.ops import REDO, OpUpdateValue, value_rewrite  # noqa: E402
+from repro.wal.records import (NARROW_HEADER_SIZE, WIDE_BIT,  # noqa: E402
+                               WIDE_HEADER_SIZE, LogicalUndo, LogRecord,
                                LogRecordKind, UndoAction, encode_update)
 
 now = time.perf_counter_ns
@@ -79,11 +86,31 @@ STAGES = (
     "probe_value (ghost bit, before-image, room: one slot read)",
     "value_rewrite (redo-only: no undo)",
     "encode_update (header + op: one pack)",
-    "log.append (the bytes, written once)", "op.apply_redo",
+    "log.append (the bytes, written once)", "REDO kernel (the logged bytes)",
     "PageLSN + chain head + inc", "inc + unfix(page_id, dirty_lsn)",
     "log.commit (the force alone)",
     "finish (inc)",
 )
+#: the stages of one put of a listed transaction
+LISTED_STAGES = (
+    "locks.acquire (registered)", "descent (shared with get)", "node.find",
+    "probe_value", "value_rewrite + LogicalUndo (one before-image)",
+    "encode_update (header + op + undo)",
+    "log.append (the bytes, written once)", "REDO kernel (the logged bytes)",
+    "PageLSN + txn chain + inc", "inc + unfix(page_id, dirty_lsn)",
+)
+#: the stages of a listed transaction around its puts
+TXN_STAGES = ("tm.begin (listed)", "log.commit (bit + force)",
+              "finish (inc, active table, locks)")
+
+
+def _apply_logged(page, encoding: bytes) -> None:  # noqa: ANN001
+    """Apply the op of the UPDATE ``encoding`` to ``page`` as
+    ``TransactionManager.log_update`` does: the kernel of its kind, on
+    the bytes past the header, the flags byte and the op's length."""
+    at = (WIDE_HEADER_SIZE if encoding[0] & WIDE_BIT
+          else NARROW_HEADER_SIZE) + 3
+    REDO[encoding[at]](page, encoding, at)
 
 
 def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
@@ -109,7 +136,7 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     lsn = log.append(encoding)
     txn.state = TxnState.COMMITTED
     t8 = now()
-    op.apply_redo(page)
+    _apply_logged(page, encoding)
     t9 = now()
     page.page_lsn = lsn
     txn.first_lsn = txn.first_lsn or lsn
@@ -128,6 +155,69 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
             (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12),
             (t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13))):
         spent[stage] += b - a
+
+
+def unrolled_listed_put(db, tree, txn, key: bytes, value: bytes,  # noqa: ANN001
+                        spent: list[int]) -> None:
+    """One put of the listed ``txn``, rewriting a live key, a clock read
+    per stage: :data:`LISTED_STAGES`."""
+    log, tm = db.log, db.tm
+    t0 = now()
+    db.locks.acquire(txn.txn_id, key)
+    t1 = now()
+    page, node, pid = tree._descend(key, for_write=True)
+    t2 = now()
+    i, _found = node.find(key)
+    t3 = now()
+    _ghost, old, _room = node.probe_value(i)
+    t4 = now()
+    op = value_rewrite(DATA_START + i, old, value)
+    undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, op.old_value,
+                       op.prefix, op.suffix)
+    t5 = now()
+    encoding = encode_update(txn.txn_id, txn.last_lsn, pid, page.page_lsn,
+                             tree.index_id, op, undo, False)
+    t6 = now()
+    lsn = log.append(encoding)
+    t7 = now()
+    _apply_logged(page, encoding)
+    t8 = now()
+    page.page_lsn = lsn
+    txn.first_lsn = txn.first_lsn or lsn
+    txn.last_lsn = lsn
+    tm._page_updates_logged.inc()
+    t9 = now()
+    tree._btree_updates.inc()
+    db.pool.unfix(pid, lsn)
+    t10 = now()
+    marks = (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10)
+    for stage, (a, b) in enumerate(zip(marks, marks[1:])):
+        spent[stage] += b - a
+
+
+def unrolled_txn(db, tree, puts: list[tuple[bytes, bytes]],  # noqa: ANN001
+                 spent_txn: list[int], spent_put: list[int]) -> None:
+    """A listed transaction of ``puts``, each a rewrite of a live key —
+    a ``client.txn()`` or an ``apply_batch`` of them — a clock read per
+    stage: :data:`TXN_STAGES` around :func:`unrolled_listed_put`."""
+    log, tm = db.log, db.tm
+    t0 = now()
+    txn = tm.begin()
+    t1 = now()
+    for key, value in puts:
+        unrolled_listed_put(db, tree, txn, key, value, spent_put)
+    t2 = now()
+    log.commit(txn.txn_id, txn.last_lsn)
+    t3 = now()
+    tm._user_txns_committed.inc()
+    txn.state = TxnState.COMMITTED
+    with tm._mutex:
+        tm.active.pop(txn.txn_id, None)
+    db.locks.release_all(txn.txn_id)
+    t4 = now()
+    spent_txn[0] += t1 - t0
+    spent_txn[1] += t3 - t2
+    spent_txn[2] += t4 - t3
 
 
 def main() -> None:
@@ -199,6 +289,33 @@ def main() -> None:
     if real != mine or client.get(keys[0]) != values[-2]:
         raise SystemExit(f"unrolled put drifted from client.put: (log bytes, "
                          f"Stats.delta) {mine}, client.put {real}")
+
+    def in_txn(key: bytes, value: bytes) -> None:
+        with client.txn() as txn:
+            txn.put(key, value)
+
+    def unrolled_in_txn(key: bytes, value: bytes) -> None:
+        unrolled_txn(db, tree, [(key, value)], [0] * len(TXN_STAGES),
+                     [0] * len(LISTED_STAGES))
+
+    batch = 32
+    batches = [keys[i:i + batch] for i in range(0, len(keys), batch)]
+
+    def a_batch(_key: bytes, value: bytes) -> None:
+        client.apply_batch([("put", key, value) for key in batches[0]])
+
+    def unrolled_batch(_key: bytes, value: bytes) -> None:
+        unrolled_txn(db, tree, [(key, value) for key in batches[0]],
+                     [0] * len(TXN_STAGES), [0] * len(LISTED_STAGES))
+
+    for name, whole_path, unrolled_path in (
+            ("client.txn()", in_txn, unrolled_in_txn),
+            ("client.apply_batch", a_batch, unrolled_batch)):
+        expected = effect(whole_path, values[-1])
+        got = effect(unrolled_path, values[-2])
+        if expected != got or client.get(keys[0]) != values[-2]:
+            raise SystemExit(f"unrolled path drifted from {name}: (log "
+                             f"bytes, Stats.delta) {got}, {name} {expected}")
     counts = incs_during(lambda: client.put(keys[0], values[-1]))
     print(f"an autocommit put logs {real[1]['log_records']} record(s), "
           f"{real[0]} B; counts per put: {counts} inc() calls")
@@ -230,27 +347,42 @@ def main() -> None:
         rows.append(("  " + name, ns / calls / 1e3))
 
     # -- the listed write: a transaction's put, a batch's key ----------
-    def in_txn(key: bytes, value: bytes) -> None:
-        with client.txn() as txn:
-            txn.put(key, value)
-
     rows.append(("client.txn(): one put, begin to commit",
                  per_put(whole(in_txn))))
-    batch = 32
-    batches = [keys[i:i + batch] for i in range(0, len(keys), batch)]
+    txn_spent = [0] * len(TXN_STAGES)
+    put_spent = [0] * len(LISTED_STAGES)
 
-    def per_batch_key() -> float:
+    def unrolled_one(key: bytes, value: bytes) -> int:
+        start = now()
+        unrolled_txn(db, tree, [(key, value)], txn_spent, put_spent)
+        return now() - start
+
+    rows.append(("unrolled txn of one put, a clock read per stage",
+                 per_put(unrolled_one)))
+    for name, ns in zip(TXN_STAGES + LISTED_STAGES, txn_spent + put_spent):
+        rows.append(("  " + name, ns / calls / 1e3))
+
+    def per_batch_key(run) -> float:  # noqa: ANN001
         passes = []
         for rep in range(args.reps):
             value = values[rep]
             start = now()
             for group in batches:
-                client.apply_batch([("put", key, value) for key in group])
+                run(group, value)
             passes.append((now() - start) / len(keys))
         return statistics.median(passes) / 1e3
 
     rows.append((f"client.apply_batch of {batch} puts, per key",
-                 per_batch_key()))
+                 per_batch_key(lambda group, value: client.apply_batch(
+                     [("put", key, value) for key in group]))))
+    txn_spent = [0] * len(TXN_STAGES)
+    put_spent = [0] * len(LISTED_STAGES)
+    rows.append((f"unrolled batch of {batch} puts, per key, a clock read "
+                 f"per stage", per_batch_key(lambda group, value: unrolled_txn(
+                     db, tree, [(key, value) for key in group], txn_spent,
+                     put_spent))))
+    for name, ns in zip(TXN_STAGES + LISTED_STAGES, txn_spent + put_spent):
+        rows.append(("  " + name, ns / calls / 1e3))
     for name, micros in rows:
         print(f"{micros:8.2f} us  {name}")
     runner.close()
@@ -321,19 +453,21 @@ def _per_rewrite(run, count: int, reps: int) -> float:  # noqa: ANN001
 
 
 def _redo_per_rewrite(rewrites, ops, reps: int) -> float:  # noqa: ANN001
-    """us per ``op.apply_redo`` on a leaf holding the old value."""
+    """us per redo of an op's bytes — its kind's kernel, as replay and
+    the write run it — on a leaf holding the old value."""
     page = Page.format(4096, 1, PageType.BTREE_LEAF)
     slotted = SlottedPage(page)
     slotted.initialize()
     for slot in range(DATA_START + 1):
         slotted.insert(slot, Record(b"k%d" % slot, b""))
+    encoded = [op.encode() for op in ops]
     passes = []
     for _ in range(reps):
         spent = 0
-        for (_key, old, _new), op in zip(rewrites, ops):
+        for (_key, old, _new), op in zip(rewrites, encoded):
             update_value(slotted.page, DATA_START, old)
             start = now()
-            op.apply_redo(page)
+            REDO[op[0]](page, op, 0)
             spent += now() - start
         passes.append(spent / len(rewrites) / 1e3)
     return statistics.median(passes)

@@ -42,6 +42,7 @@ from repro.wal.records import (
     compress_image,
     decompress_image,
     op_span,
+    page_image,
     read_header,
 )
 
@@ -275,17 +276,17 @@ def fetch_backup_image(ref: BackupRef, page_id: int, page_size: int,
         image, lsn = store.fetch_from_full_backup(ref.value, page_id)
         page = Page(page_size, image)
     elif ref.kind == BackupRefKind.LOG_IMAGE:
-        record = log_reader.read(ref.value)
-        if record.kind != LogRecordKind.FULL_PAGE_IMAGE or record.image is None:
+        data = log_reader.encoding(ref.value)
+        if read_header(data)[0] != LogRecordKind.FULL_PAGE_IMAGE:
             raise RecoveryError(
                 f"LSN {ref.value} is not a full page image record")
-        image = decompress_image(record.image, page_size)
-        page = Page(page_size, image)
+        page_lsn, image = page_image(data)
+        page = Page(page_size, decompress_image(image, page_size))
         # The image is current as of the recorded PageLSN, or — for
         # images whose PageLSN could only be assigned after the record
         # itself was appended (checkpoint-written recovery-index pages)
         # — as of the image record's own LSN.
-        lsn = record.page_lsn if record.page_lsn else record.lsn
+        lsn = page_lsn if page_lsn else ref.value
         if page.page_lsn != lsn:
             page.page_lsn = lsn
     elif ref.kind == BackupRefKind.FORMAT_RECORD:

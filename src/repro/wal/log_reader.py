@@ -24,7 +24,7 @@ from repro.sim.stats import Stats
 from repro.sync import Mutex
 from repro.wal.lsn import LOG_PAGE_SIZE, NULL_LSN, log_page_of
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecord, read_header
+from repro.wal.records import read_header
 
 
 class LogReader:
@@ -73,10 +73,6 @@ class LogReader:
             self._cached[page] = None
             if len(self._cached) > self.cache_pages:
                 self._cached.popitem(last=False)
-
-    def read(self, lsn: int) -> LogRecord:
-        """Read one record, charging for its log page if uncached."""
-        return LogRecord.decode(self.encoding(lsn), lsn)
 
     def encoding(self, lsn: int) -> bytes:
         """Read one record's bytes, charging for its log page if

@@ -9,7 +9,8 @@ an op makes to a page — the write itself, a compensation, restart and
 media redo, single-page repair, the standby's apply — runs one *kernel*
 per op kind on the bytes that were logged, as ARIES redo repeats
 history: :data:`REDO` and :data:`UNDO` map a kind byte to a kernel
-``(page, data, pos) -> end``, and :func:`redo` is their one entry.  A
+``(page, data, pos) -> end`` — ``data`` the record's ``bytes``, the op
+at ``pos`` — and :func:`redo` is their one entry.  A
 kernel reads its fields in place with a precompiled ``Struct``, refuses
 bytes no builder writes as :class:`repro.errors.LogError` before it
 changes the page, and calls the slotted-page kernel (redo is physical,
@@ -38,13 +39,6 @@ MAX_PAGE_SIZE`)::
     13  OpSequence      kind u8, count u16 (at least 2), then each
                         member's encoding, in the order redo applies them
     99  compensation    99, then the compensated op's encoding
-
-A structural change logs the rows it moves once: a split's foster child
-receives them in an :class:`OpBulkInsert`, while the source page's
-:class:`OpBulkDelete` names only the slot range, and a prefix extension
-(:class:`OpExtendPrefix`) names the range and the bytes it strips from
-every key, re-encoding the rows where they lie.  And it logs one record
-per page it changes: that page's ops in one :class:`OpSequence`.
 """
 
 from __future__ import annotations
@@ -106,7 +100,7 @@ def check_span(prefix: int, suffix: int, middle: int) -> None:
                        f"{middle}-byte middle is longer than any record")
 
 
-def _unpack_bytes(data, offset: int) -> tuple[bytes, int]:
+def _unpack_bytes(data: bytes, offset: int) -> tuple[bytes, int]:
     """The u16-length-prefixed byte string at ``offset`` and its end."""
     start = offset + 2
     end = start + _U16.unpack_from(data, offset)[0]
@@ -114,7 +108,7 @@ def _unpack_bytes(data, offset: int) -> tuple[bytes, int]:
         # A slice would silently come back short.
         raise LogError(f"byte string of {end - start} bytes at offset "
                        f"{offset} runs past the end of the record")
-    return bytes(data[start:end]), end
+    return data[start:end], end
 
 
 def _put_bytes(buf: bytearray, pos: int, payload: bytes) -> int:
@@ -184,29 +178,22 @@ class OpDelete(OpInsert):
 
 @dataclass(slots=True)
 class OpUpdateValue(PageOp):
-    """Replace the value of the record at a slot.
+    """Replace the value of the record at a slot; build it with
+    :func:`value_rewrite`.
 
     With a *span* (``prefix`` or ``suffix`` nonzero) the old and new
     value share their first ``prefix`` and last ``suffix`` bytes, and
-    ``old_value`` / ``new_value`` hold only the middles between them: a
-    rewrite logs the bytes it changes, as PostgreSQL's heap UPDATE
-    records do with ``PREFIX_FROM_OLD`` / ``SUFFIX_FROM_OLD``.  Redo
-    and undo then splice one middle in place of the other in the
-    record's current value (:func:`repro.page.slotted.update_value`), which
-    refuses — before a byte is written, as a redo chain mismatch is
-    refused — a value whose span does not hold the middle it replaces.
-    Build rewrites with :func:`value_rewrite`.
+    ``old_value`` / ``new_value`` hold only the middles between them, as
+    PostgreSQL's heap UPDATE records do with ``PREFIX_FROM_OLD`` /
+    ``SUFFIX_FROM_OLD``: redo and undo splice one middle in place of the
+    other (:func:`repro.page.slotted.update_value`, which refuses a value
+    whose span does not hold the middle it replaces before a byte is
+    written).  A *redo-only* rewrite (``old_value`` None, see
+    :mod:`repro.wal.records`) keeps no before-image, only, when spanned,
+    the old middle's length ``old_length``, and cannot be undone.
 
-    A *redo-only* rewrite (``old_value`` None) is the op of a
-    transaction that can never roll back (see
-    :mod:`repro.wal.records`): it carries no before-image, only, when
-    spanned, the old middle's length ``old_length`` — redo checks that
-    the span leaves exactly that many bytes between prefix and suffix.
-    It cannot be undone.
-
-    Not frozen, unlike the other ops: every user rewrite builds one, and
-    a frozen dataclass's ``__init__`` pays a call per field; nothing
-    assigns to an op once built.
+    Not frozen, unlike the other ops: a frozen dataclass's ``__init__``
+    pays a call per field, and every user rewrite builds one.
     """
 
     slot: int
@@ -401,15 +388,10 @@ class OpBulkDelete(PageOp):
     """Remove ``count`` consecutive slots from ``slot`` up, naming no row.
 
     A split's removal from its source page, the first op of that page's
-    record: the rows it removes are the ones the split logs once, as
-    the :class:`OpBulkInsert` that ends its foster child's record — the
-    source record's ``prev_lsn`` in the same system transaction — so the
-    removal logs a range and redo needs no more.  Only the rollback of
-    a split that a crash left uncommitted needs the rows:
-    :meth:`repro.txn.manager.TransactionManager.rollback_work` takes
-    them from that insert and logs them in its compensation record
-    (:func:`split_compensation`), so the op itself cannot be undone in
-    place.
+    record: the split logs the rows it moves once, in the
+    :class:`OpBulkInsert` that ends its foster child's record (the
+    source record's ``prev_lsn``).  The op cannot be undone in place;
+    rollback takes the rows from that insert (:func:`split_compensation`).
     """
 
     slot: int
@@ -430,22 +412,16 @@ class OpExtendPrefix(PageOp):
     """Strip ``stripped`` from the stored key of each of ``count``
     consecutive slots from ``slot`` up.
 
-    A B-tree node's prefix extension: an adoption that tightens a
-    node's fences may lengthen the prefix its keys are stored under
-    (:meth:`repro.btree.node.BTreeNode.ops_reencode_prefix`), and this
-    op re-encodes every row where it lies, so the log carries the range
-    and the stripped bytes, not the rows.  Undo prepends the bytes
-    again.  A key that does not start with them is refused before a
-    byte is written, as :class:`repro.errors.RecoveryError`
-    (:meth:`repro.page.slotted.SlottedPage.reprefix_run`).
-
-    The page comes out as removing and re-inserting the re-keyed rows
-    leaves it, byte for byte, and an application — forward, in redo
-    and in undo alike — counts one update towards the page's update
-    counter beside the one setting the PageLSN counts
-    (:meth:`repro.page.page.Page.count_updates`): two, as many as the
-    removal and the re-insertion would, so Section 6's copy policy
-    fires where it would.
+    A B-tree node's prefix extension
+    (:meth:`repro.btree.node.BTreeNode.ops_reencode_prefix`): the log
+    carries the range and the stripped bytes, not the rows, and undo
+    prepends the bytes again.  A key that does not start with them is
+    refused before a byte is written
+    (:meth:`repro.page.slotted.SlottedPage.reprefix_run`).  The page
+    comes out as removing and re-inserting the re-keyed rows leaves it,
+    byte for byte, and each application counts one update beside the one
+    the PageLSN counts (:meth:`repro.page.page.Page.count_updates`), as
+    the removal and re-insertion would.
     """
 
     slot: int
@@ -468,21 +444,13 @@ class OpSequence(PageOp):
     structure change does to one page, as one record carries it.
 
     A split, an adoption and a root growth change each page they touch
-    by several bookkeeping edits — a fence or foster record re-keyed as
-    a removal and an insertion, the metadata rewritten, the moved rows
-    inserted or removed, a prefix extended.  Logged per edit, they cost
-    a record header each; here they are one UPDATE per page (Graefe,
-    "A survey of B-tree logging and recovery techniques", TODS 2012),
-    and the page comes out byte for byte as the per-edit records left
-    it.  Redo applies the ops in order, undo their inverses in reverse,
-    and either counts one update per op towards the page's update
-    counter (:meth:`repro.page.page.Page.count_updates`) — setting the
-    PageLSN counts the first — so Section 6's copy policy fires where
-    the per-edit records made it fire.
-
-    A member is any other op but a redo-only rewrite; the kernels refuse
-    a sequence inside a sequence, a redo-only member and a count below
-    two.
+    by several bookkeeping edits; logged per edit they cost a record
+    header each, here one UPDATE per page (Graefe, "A survey of B-tree
+    logging and recovery techniques", TODS 2012).  Redo applies the ops
+    in order, undo their inverses in reverse, and either counts one
+    update per op (:meth:`repro.page.page.Page.count_updates`; the
+    PageLSN counts the first), as the per-edit records would.  A member
+    is any other op but a redo-only rewrite.
     """
 
     ops: tuple[PageOp, ...]
@@ -506,17 +474,18 @@ class OpSequence(PageOp):
 # ----------------------------------------------------------------------
 # Readers the kernels and rollback share
 # ----------------------------------------------------------------------
-def bulk_rows(data, pos: int) -> tuple[int, list, int]:
+def bulk_rows(data: bytes, pos: int) -> tuple[int, list, int]:
     """``(slot, rows, end)`` of the :class:`OpBulkInsert` encoded at
     ``pos``: its rows as ``(key, value, ghost)`` tuples."""
     _kind, slot, count = _BHI.unpack_from(data, pos)
     pos += 7
     rows = []
+    append, head, length = rows.append, _BH.unpack_from, _U16.unpack_from
     for _ in range(count):
-        key_end = pos + 3 + (data[pos + 1] | data[pos + 2] << 8)
-        end = key_end + 2 + (data[key_end] | data[key_end + 1] << 8)
-        rows.append((bytes(data[pos + 3:key_end]),
-                     bytes(data[key_end + 2:end]), data[pos] != 0))
+        ghost, key_length = head(data, pos)
+        key_end = pos + 3 + key_length
+        end = key_end + 2 + length(data, key_end)[0]
+        append((data[pos + 3:key_end], data[key_end + 2:end], ghost != 0))
         pos = end
     if pos > len(data):
         raise LogError(f"a run of {count} rows runs past the end of the "
@@ -531,7 +500,7 @@ _SHAPES = {1: (4, 2), 2: (4, 2), 3: (3, 2), 4: (5, 0), 5: (3, 2),
            12: (5, 1)}
 
 
-def _op_end(data, pos: int) -> int:
+def _op_end(data: bytes, pos: int) -> int:
     """The end of the op encoded at ``pos``, its fields left unread."""
     kind = data[pos]
     if kind == COMPENSATION:
@@ -556,21 +525,19 @@ def _op_end(data, pos: int) -> int:
     return end
 
 
-def _member_kind(data, pos: int) -> int:
-    """The kind of the sequence member at ``pos``, refused if it is a
-    sequence (compensated or not) or a redo-only rewrite — from its
-    kind bytes, before it is read: a run of 13s must not recurse once
-    per byte."""
+def _check_member(data: bytes, pos: int) -> None:
+    """Refuse a sequence member that is a sequence (compensated or not)
+    or a redo-only rewrite, from its kind bytes, before it is read: a
+    run of 13s must not recurse once per byte."""
     kind = data[pos]
     if kind == OpSequence.kind or (kind == COMPENSATION
                                    and data[pos + 1] == OpSequence.kind):
         raise LogError("nested op sequence")
     if kind == _REDO_VALUE or kind == _SPANNED_REDO_VALUE:
         raise LogError("a redo-only rewrite in an op sequence")
-    return kind
 
 
-def _members(data, pos: int) -> tuple[list[int], int]:
+def _members(data: bytes, pos: int) -> tuple[list[int], int]:
     """``(starts, end)`` of the :class:`OpSequence` encoded at ``pos``:
     where each member begins, and where the sequence ends."""
     _kind, count = _BH.unpack_from(data, pos)
@@ -579,7 +546,7 @@ def _members(data, pos: int) -> tuple[list[int], int]:
     starts = []
     pos += 3
     for _ in range(count):
-        _member_kind(data, pos)
+        _check_member(data, pos)
         starts.append(pos)
         pos = _op_end(data, pos)
     return starts, pos
@@ -631,7 +598,7 @@ def split_compensation(source: bytes, rows: list | tuple) -> bytes:
 # ----------------------------------------------------------------------
 # The kernels: (page, data, pos) -> end, one per kind and direction
 # ----------------------------------------------------------------------
-def _row(page: Page, data, pos: int, remove: bool = False) -> int:
+def _row(page: Page, data: bytes, pos: int, remove: bool = False) -> int:
     """An insert (a delete, with ``remove``) of the row encoded at
     ``pos``: kind 1's redo and kind 2's undo, or the other way round."""
     _kind, slot, ghost, key_length = _BHBH.unpack_from(data, pos)
@@ -644,12 +611,11 @@ def _row(page: Page, data, pos: int, remove: bool = False) -> int:
         SlottedPage(page).remove_run(slot, 1)
     else:
         SlottedPage(page).insert_run(slot, ((
-            bytes(data[pos + 6:key_end]), bytes(data[key_end + 2:end]),
-            ghost != 0),))
+            data[pos + 6:key_end], data[key_end + 2:end], ghost != 0),))
     return end
 
 
-def _rewrite(page: Page, data, pos: int, undo: bool = False) -> int:
+def _rewrite(page: Page, data: bytes, pos: int, undo: bool = False) -> int:
     """A value rewrite that keeps its before-image, kind 3 or (spanned)
     9: its new value spliced in, or its old one with ``undo``."""
     if data[pos] == _SPANNED_UPDATE_VALUE:
@@ -664,7 +630,7 @@ def _rewrite(page: Page, data, pos: int, undo: bool = False) -> int:
     if end > len(data):
         raise LogError(f"a value rewrite of {end - pos} bytes runs past the "
                        f"end of the record")
-    old, new = bytes(data[at + 2:old_end]), bytes(data[old_end + 2:end])
+    old, new = data[at + 2:old_end], data[old_end + 2:end]
     middle = max(len(old), len(new))
     if at > pos + 3 and not 0 < prefix + suffix <= LENGTH_MASK - middle:
         check_span(prefix, suffix, middle)  # refuses, saying why
@@ -675,7 +641,7 @@ def _rewrite(page: Page, data, pos: int, undo: bool = False) -> int:
     return end
 
 
-def _redo_only_rewrite(page: Page, data, pos: int) -> int:
+def _redo_only_rewrite(page: Page, data: bytes, pos: int) -> int:
     """A value rewrite with no before-image, kind 10 or (spanned) 11:
     the span must leave exactly the old middle's length to replace."""
     if data[pos] == _REDO_VALUE:
@@ -692,17 +658,17 @@ def _redo_only_rewrite(page: Page, data, pos: int) -> int:
     if end > len(data):
         raise LogError(f"a value rewrite of {end - pos} bytes runs past the "
                        f"end of the record")
-    update_value(page, slot, bytes(data[at:end]), prefix, suffix, old_length)
+    update_value(page, slot, data[at:end], prefix, suffix, old_length)
     return end
 
 
-def _ghost(page: Page, data, pos: int, undo: bool = False) -> int:
+def _ghost(page: Page, data: bytes, pos: int, undo: bool = False) -> int:
     _kind, slot, old, new = _BHBB.unpack_from(data, pos)
     mark_ghost(page, slot, (old if undo else new) != 0)
     return pos + 5
 
 
-def _write_bytes(page: Page, data, pos: int, undo: bool = False) -> int:
+def _write_bytes(page: Page, data: bytes, pos: int, undo: bool = False) -> int:
     _kind, offset = _BH.unpack_from(data, pos)
     old, at = _unpack_bytes(data, pos + 3)
     new, end = _unpack_bytes(data, at)
@@ -714,13 +680,13 @@ def _write_bytes(page: Page, data, pos: int, undo: bool = False) -> int:
     return end
 
 
-def _init_slotted(page: Page, data, pos: int) -> int:
+def _init_slotted(page: Page, data: bytes, pos: int) -> int:
     page.page_type = PageType(data[pos + 1])
     SlottedPage(page).initialize()
     return pos + 2
 
 
-def _bulk(page: Page, data, pos: int, remove: bool = False) -> int:
+def _bulk(page: Page, data: bytes, pos: int, remove: bool = False) -> int:
     """A run's insert, or with ``remove`` its undo: a removal of its
     rows."""
     slot, rows, end = bulk_rows(data, pos)
@@ -731,7 +697,7 @@ def _bulk(page: Page, data, pos: int, remove: bool = False) -> int:
     return end
 
 
-def _bulk_delete(page: Page, data, pos: int) -> int:
+def _bulk_delete(page: Page, data: bytes, pos: int) -> int:
     _kind, slot, count = _BHH.unpack_from(data, pos)
     if not count:
         raise LogError("a removal of no row")
@@ -739,20 +705,16 @@ def _bulk_delete(page: Page, data, pos: int) -> int:
     return pos + 5
 
 
-def _extend_prefix(page: Page, data, pos: int, undo: bool = False) -> int:
+def _extend_prefix(page: Page, data: bytes, pos: int, undo: bool = False) -> int:
     _kind, slot, count, length = _BHHH.unpack_from(data, pos)
     end = pos + 7 + length
     if end > len(data):
         raise LogError(f"{length} stripped bytes run past the end of the "
                        f"record")
-    stripped = bytes(data[pos + 7:end])
-    if not count:
-        raise LogError("a prefix extension of no row")
-    if not stripped:
-        raise LogError("a prefix extension that strips no byte")
-    if len(stripped) > LENGTH_MASK:
-        raise LogError(f"a prefix extension strips {len(stripped)} bytes, "
-                       f"more than any key holds")
+    if not count or not 0 < length <= LENGTH_MASK:  # no key holds more
+        raise LogError(f"a prefix extension of {count} rows stripping "
+                       f"{length} bytes")
+    stripped = data[pos + 7:end]
     if undo:
         SlottedPage(page).reprefix_run(slot, count, b"", stripped)
     else:
@@ -761,7 +723,7 @@ def _extend_prefix(page: Page, data, pos: int, undo: bool = False) -> int:
     return end
 
 
-def _redo_sequence(page: Page, data, pos: int) -> int:
+def _redo_sequence(page: Page, data: bytes, pos: int) -> int:
     _kind, count = _BH.unpack_from(data, pos)
     if count < 2:
         raise LogError(f"a sequence of {count} ops")
@@ -769,13 +731,13 @@ def _redo_sequence(page: Page, data, pos: int) -> int:
     for _ in range(count):
         kind = data[pos]
         if kind in _NOT_MEMBERS:
-            _member_kind(data, pos)  # refuses, saying why
+            _check_member(data, pos)
         pos = (REDO.get(kind) or _unknown(kind))(page, data, pos)
     page.count_updates(count - 1)
     return pos
 
 
-def _undo_sequence(page: Page, data, pos: int) -> int:
+def _undo_sequence(page: Page, data: bytes, pos: int) -> int:
     starts, end = _members(data, pos)
     for start in starts:
         # A member that cannot be undone is refused before any is.
@@ -787,13 +749,13 @@ def _undo_sequence(page: Page, data, pos: int) -> int:
     return end
 
 
-def _redo_compensation(page: Page, data, pos: int) -> int:
+def _redo_compensation(page: Page, data: bytes, pos: int) -> int:
     kind = data[pos + 1]
     return (UNDO.get(kind) or _unknown(kind))(page, data, pos + 1)
 
 
 def _refuse(message: str):  # noqa: ANN202
-    def kernel(page: Page, data, pos: int) -> int:
+    def kernel(page: Page, data: bytes, pos: int) -> int:
         raise LogError(message)
     return kernel
 
@@ -839,7 +801,7 @@ UNDO = {
     OpSequence.kind: _undo_sequence,
     COMPENSATION: _refuse("compensation operations are never undone"),
 }
-#: the kind bytes :func:`_member_kind` looks at twice
+#: the kind bytes :func:`_check_member` looks at twice
 _NOT_MEMBERS = frozenset({OpSequence.kind, COMPENSATION, _REDO_VALUE,
                           _SPANNED_REDO_VALUE})
 #: the kinds a sequence may hold whose undo kernel refuses
@@ -847,7 +809,7 @@ _NEVER_UNDONE = frozenset({OpInitSlotted.kind, OpBulkDelete.kind,
                            COMPENSATION})
 
 
-def redo(page: Page, data, start: int, end: int) -> None:
+def redo(page: Page, data: bytes, start: int, end: int) -> None:
     """Apply the op encoded in ``data[start:end]`` to ``page``: the one
     entry to :data:`REDO`.  Bytes that are no op encoding — an unknown
     kind, a field past the record, a check a kernel makes, an op that

@@ -2,8 +2,12 @@
 
 The log holds these bytes and nothing else: :meth:`LogRecord.encode`
 (or, for an UPDATE, :func:`encode_update`) writes a record once, at
-append, and every reader decodes it again (:meth:`LogRecord.decode`,
-or :func:`read_header` for the header alone).
+append.  A reader decodes it again (:meth:`LogRecord.decode`), reads the
+header alone (:func:`read_header`), or — to bring a page current —
+finds the page op in place (:func:`op_span`) and hands its bytes to the
+op kind's kernel (:mod:`repro.wal.ops`): no record or op object is
+built to redo, repair or ship a page update, and :meth:`LogRecord.
+decode` too leaves the op encoded.
 
 A record is a header followed by a kind-specific payload.  The header
 comes in two forms, told apart by its first byte, the kind byte::
@@ -30,123 +34,60 @@ whenever every field fits it (a total below 64 KiB, ids and LSNs below
 2**32, page ids below 2**32 - 1, an index id below 2**16 and, in a PRI
 update, every entry below 2**32) and the wide form otherwise; decoding
 refuses a wide header the narrow one fits, so every record has exactly
-one encoding.
-
-**Lengths are u16.**  Every byte string a payload frames and the op
-length of an UPDATE / COMPENSATION / FORMAT_PAGE lie within one page, at
-most 32 KiB (:data:`repro.engine.config.MAX_PAGE_SIZE`).  Two lengths
-stay u32: a FULL_PAGE_IMAGE's compressed image (zlib can grow a page)
-and a CHECKPOINT_END's tables.
+one encoding.  Lengths are u16 — a byte string and a page op lie within
+one page, at most 32 KiB — but a FULL_PAGE_IMAGE's compressed image and
+a CHECKPOINT_END's tables, which are u32.
 
 **The commit bit.**  A transaction's commit is one bit about its last
 record, so it is stored there: the high bit of the kind byte of an
-UPDATE / COMPENSATION / FORMAT_PAGE record (``commits``) says "this
-record is the last of its transaction, which committed".  It changes no
-length, hence no LSN, and is set — the buffered kind byte flipped in
-place — while the record is still in the log's volatile tail
+UPDATE / COMPENSATION / FORMAT_PAGE record says "this record is the last
+of its transaction, which committed".  It changes no length, hence no
+LSN, and is set — the buffered kind byte flipped in place — while the
+record is still in the log's volatile tail
 (:meth:`repro.wal.log_manager.LogManager.commit`); a transaction whose
 last record has hardened, or that logged nothing, gets a COMMIT /
 SYS_COMMIT record instead.  Readers ask :attr:`LogRecord.commits_txn`.
 
-**The UPDATE payload** is a flags byte, the op, the undo::
+**The UPDATE payload** is a flags byte, the op (a u16 length, then the
+op's encoding), the undo::
 
-    bit 0  _HAS_OP                a page op follows, u16-length-prefixed
+    bit 0  _HAS_OP                a page op follows
     bit 1  _HAS_UNDO              a LogicalUndo follows
-    bit 2  _SHARED_BEFORE_IMAGE   that undo's value is the op's old_value
+    bit 2  _SHARED_BEFORE_IMAGE   that undo's value is the op's old value
     bit 3  _REDO_ONLY             the record is its transaction's only one
 
 Undo is logical (Section 5.1.2), so a rewrite's old value belongs to
 the key-level undo; the op carries the same bytes, and with bit 2 they
-are stored once (decoding hands both fields the same ``bytes``).  An
-autocommit write that logs one record (``txn.redo_only``, ended by
-``Database.end_autocommit``) can never roll back, so its record is
-*redo-only*: flags ``_HAS_OP | _REDO_ONLY`` exactly, no undo, the commit
-bit set from its encoding on.  Its value rewrite keeps no before-image
-(op kinds 10 and 11, :class:`repro.wal.ops.OpUpdateValue`), an op that
-appears in a redo-only UPDATE and nowhere else.  A ghost revival, a
-``client.txn()``, ``apply_batch``, a ``Session`` and a 2PC branch keep
-their undo.  A value rewrite whose values share their first and last
-bytes is *spanned* (:func:`repro.wal.ops.value_rewrite`): the op stores
-the shared prefix and suffix lengths and only the two middles, and the
-RESTORE_VALUE undo carries the same span::
+are stored once: a RESTORE_VALUE undo of just its action byte and key,
+its value and span read from the op.  An autocommit write that logs one
+record can never roll back, so its record is *redo-only*: flags
+``_HAS_OP | _REDO_ONLY`` exactly, no undo, the commit bit set from its
+encoding on; its value rewrite keeps no before-image (op kinds 10 and
+11), which appears nowhere else.  A :class:`LogicalUndo` written on its
+own marks a span with the high bit of its action byte, then the two u16
+lengths.  An unspanned rewrite of a 100-byte value under a 16-byte key
+is 129 bytes as an autocommit put and 250 in a multi-record transaction.
 
-    flags          u8    _HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE
-    op length      u16
-      kind         u8    9 (spanned OpUpdateValue; unspanned is 3)
-      slot         u16
-      prefix       u16   bytes shared at the start ...
-      suffix       u16   ... and at the end of old and new value
-      old middle   u16 length + bytes   (the undo's value too)
-      new middle   u16 length + bytes
-    undo action    u8    RESTORE_VALUE
-    key            u16 length + bytes
-
-An unspanned rewrite of a 100-byte value under a 16-byte key is 129
-bytes as an autocommit put (21 header, 3 flags and op length, 105 op)
-and 250 in a multi-record transaction (21, 3, 207 op, 19 undo).  A
-:class:`LogicalUndo` written on its own marks a span with the high bit
-of its action byte, followed by the two u16 lengths.
-
-**A leaf run is one record.**  A batch put of a new key, with the
-sorted new keys after it that land in the same leaf, is one UPDATE
-(:meth:`repro.btree.tree.FosterBTree.apply_batch`): an
-:class:`repro.wal.ops.OpBulkInsert` of every row and a DELETE_KEYS
-:class:`LogicalUndo` naming every key, after the op::
-
-    undo action    u8    DELETE_KEYS (4)
-    count          u16   keys, at least one: the run's rows
-    key            u16 length + bytes, count times, in row order
-
-Each key is its row's stored key behind the one prefix the leaf strips;
-decoding refuses a count that is not the op's row count, a key that is
-not its row's, and the undo under any op but OpBulkInsert.  Rollback
-and the update counter treat the run as the per-key records it stands
-for (:meth:`repro.txn.manager.TransactionManager.rollback_work`).
-
-**A structural change logs the rows it moves once, and one record per
-page it changes** (:class:`repro.wal.ops.OpSequence`,
-:class:`~repro.wal.ops.OpBulkDelete` and
-:class:`~repro.wal.ops.OpExtendPrefix` say how)::
-
-    OpBulkInsert (7)     kind u8, slot u16, count u32, then per row:
-                         ghost u8, key and value u16 length + bytes
-    OpBulkDelete (8)     kind u8, slot u16, count u16 — no row
-    OpExtendPrefix (12)  kind u8, slot u16, count u16,
-                         stripped u16 length + bytes
-    OpSequence (13)      kind u8, count u16 (at least 2), then each
-                         op's encoding, in the order redo applies them
-
-A split logs its allocation's ``next_free``, the foster child's
-FORMAT_PAGE, the foster child's UPDATE (its bookkeeping inserts and the
-moved rows' OpBulkInsert) and the source page's (the row-free
-OpBulkDelete, then the foster record re-keyed); an adoption logs the
-parent's separator insert and the child's UPDATE.  The compensation of
-a loser split re-inserts the moved rows from the foster child's record
-(:meth:`repro.txn.manager.TransactionManager._split_compensation`).
+**A leaf run is one record**
+(:meth:`repro.btree.tree.FosterBTree.apply_batch`): an ``OpBulkInsert``
+of every row and a DELETE_KEYS undo naming every key, in row order, each
+its row's stored key behind the one prefix the leaf strips — action
+byte 4, a u16 count of at least one, then the keys.  Rollback and the
+update counter treat the run as the per-key records it stands for.
 
 **One PRI update per write-back run** (Figures 11 and 12) names every
 page the run wrote; its header's ``page_id`` is -1 (it joins no page
-chain), and :func:`pri_update` is its one builder::
+chain), and :func:`pri_update` is its one builder: a u16 count of at
+least one, then ``(page_id, page_lsn)`` u32 pairs (i64 under a wide
+header), in the run's write order.
 
-    count          u16   pages written, at least one
-    page_id        u32   } count times, in the run's write order;
-    page_lsn       u32   } each i64 under a wide header
-
-Every decode boundary here and in :mod:`repro.wal.ops` returns a value
-or raises :class:`repro.errors.LogError`: for truncated input, an
-unknown kind or flag bit, a length that runs past the record, an empty
-or overlong span, a PRI update that names no page, a page in its header
-or a negative page id or LSN, a commit bit on a kind that cannot carry
-one, a redo-only UPDATE without its bit or with an undo, a redo-only op
-elsewhere, a DELETE_KEYS undo not naming exactly its run's keys, a
-removal or prefix extension of no row, stripped bytes that are empty or
-longer than any key, a compensated removal, bytes trailing a removal's
-five, an op sequence of fewer than two ops or nested in another, and
-any encoding but the one :meth:`LogRecord.encode` writes (a wide header
-the narrow one fits, a before-image spelled out twice, bytes trailing
-an op).
+Every decode boundary here returns a value or raises
+:class:`repro.errors.LogError` — for bytes cut short, an unknown kind or
+flag bit, a length past the record, a misplaced commit bit or redo-only
+op, an undo its op does not bear out, and any encoding but the one
+:meth:`LogRecord.encode` writes — and so does every kernel on the op's
+bytes.
 """
-
 from __future__ import annotations
 
 import enum
@@ -585,20 +526,16 @@ class LogRecord:
                            f"header the narrow one fits)")
         return record
 
-    def _decode_op(self, data, pos: int) -> int:
-        """Take the u16-length-prefixed page op at ``pos``, still
-        encoded; returns its end."""
-        start, end = _op_field(data, pos, self.redo_only)
-        self.op = bytes(data[start:end])
+    def _decode_op(self, data) -> int:
+        """Take the page op, still encoded; returns its end."""
+        start, end, _rows = op_span(data, self.kind)
+        if start < end:
+            self.op = bytes(data[start:end])
         return end
 
     def _decode_payload(self, data, pos: int, wide: bool) -> int:
         """Decode the payload reading ``data`` at absolute offsets;
-        returns the offset one past it.
-
-        No intermediate payload slice is materialized; only the actual
-        byte fields (keys, values, images) are copied out.
-        """
+        returns the offset one past it."""
         kind = self.kind
         if kind == LogRecordKind.UPDATE:
             flags = data[pos]
@@ -613,8 +550,7 @@ class LogRecord:
                 if not self.commits:
                     raise LogError("a redo-only UPDATE without the commit bit")
                 self.redo_only = True
-            if flags & _HAS_OP:
-                pos = self._decode_op(data, pos)
+            pos = self._decode_op(data)
             if flags & _SHARED_BEFORE_IMAGE:
                 image = self.op and rewrite_before_image(self.op)
                 if not flags & _HAS_UNDO or image is None:
@@ -636,22 +572,13 @@ class LogRecord:
                                    "stores it once")
             return pos
         if kind == LogRecordKind.COMPENSATION:
-            self.undo_next_lsn, op_size = _QH.unpack_from(data, pos)
-            if op_size:
-                return self._decode_op(data, pos + 8)
-            return pos + 10
+            (self.undo_next_lsn,) = _I64.unpack_from(data, pos)
+            return self._decode_op(data)
         if kind == LogRecordKind.FORMAT_PAGE:
-            if _U16.unpack_from(data, pos)[0]:
-                return self._decode_op(data, pos)
-            return pos + 2
+            return self._decode_op(data)
         if kind == LogRecordKind.FULL_PAGE_IMAGE:
-            self.page_lsn, length = _QI.unpack_from(data, pos)
-            pos += 12
-            if pos + length > len(data):
-                raise LogError(f"page image of {length} bytes runs past the "
-                               f"end of the record")
-            self.image = bytes(data[pos:pos + length])
-            return pos + length
+            self.page_lsn, self.image = page_image(data)
+            return len(data)
         if kind == LogRecordKind.PRI_UPDATE:
             return self._decode_writes(data, pos, _QQ if wide else _II)
         if kind == LogRecordKind.BACKUP_PAGE:
@@ -784,44 +711,38 @@ def read_header(raw, start: int = 0,
     return kind, True, txn_id, page_id, page_prev_lsn
 
 
-def _op_field(data, pos: int, redo_only) -> tuple[int, int]:  # noqa: ANN001
-    """``(start, end)`` of the u16-length-prefixed page op at ``pos``:
-    not empty, within the record, and a redo-only rewrite only in a
-    ``redo_only`` UPDATE."""
-    start = pos + 2
-    end = start + _U16.unpack_from(data, pos)[0]
-    if not start < end <= len(data):
-        raise LogError(f"a page op field of {end - start} bytes at byte "
-                       f"{start} of a {len(data)}-byte record")
-    if not redo_only and data[start] in (_REDO_VALUE, _SPANNED_REDO_VALUE):
-        raise LogError("a redo-only op in a record that is not a redo-only "
-                       "UPDATE")
-    return start, end
-
-
 def op_span(data, kind: int) -> tuple[int, int, int]:
-    """Where the page op of the bytes ``data`` of a chain record of
-    ``kind`` lies, ``(start, end)`` — ``start == end``: it carries none
-    — and the updates its leaf run counts past its first (one per key
-    of its DELETE_KEYS undo, as the per-key records it stands for
-    would); the op itself is left to the kernel that applies it.  Bytes
-    that cannot hold an op there are :class:`LogError`."""
+    """``(start, end)`` of the page op in the bytes ``data`` of a chain
+    record of ``kind`` — ``start == end`` where it carries none, both
+    then where its field ends — and the updates its leaf run counts past
+    its first (one per key of its DELETE_KEYS undo, as the per-key
+    records it stands for would).  The op itself is left to the kernel
+    that applies it; a field past the record, an UPDATE's empty one and
+    a redo-only rewrite anywhere but in a redo-only UPDATE are
+    :class:`LogError`."""
     try:
         pos = WIDE_HEADER_SIZE if data[0] & _WIDE_BIT else NARROW_HEADER_SIZE
+        flags = _HAS_OP
         if kind == _UPDATE:
             flags = data[pos]
+            pos += 1
             if not flags & _HAS_OP:
                 return pos, pos, 0
-            start, end = _op_field(data, pos + 1, flags & _REDO_ONLY)
-            if (flags & (_HAS_UNDO | _SHARED_BEFORE_IMAGE) == _HAS_UNDO
-                    and data[end] == _DELETE_KEYS):
-                return start, end, _U16.unpack_from(data, end + 1)[0] - 1
-            return start, end, 0
-        if kind == LogRecordKind.COMPENSATION:
+        elif kind == LogRecordKind.COMPENSATION:
             pos += 8
-        if not _U16.unpack_from(data, pos)[0]:
-            return pos, pos, 0
-        return (*_op_field(data, pos, False), 0)
+        start = pos + 2
+        end = start + _U16.unpack_from(data, pos)[0]
+        if end > len(data) or end == start and kind == _UPDATE:
+            raise LogError(f"a page op field of {end - start} bytes at byte "
+                           f"{start} of a {len(data)}-byte record")
+        if (start < end and not flags & _REDO_ONLY
+                and data[start] in (_REDO_VALUE, _SPANNED_REDO_VALUE)):
+            raise LogError("a redo-only op in a record that is not a "
+                           "redo-only UPDATE")
+        if (flags & (_HAS_UNDO | _SHARED_BEFORE_IMAGE) == _HAS_UNDO
+                and data[end] == _DELETE_KEYS):
+            return start, end, _U16.unpack_from(data, end + 1)[0] - 1
+        return start, end, 0
     except MALFORMED as exc:
         raise LogError(f"malformed {LogRecordKind(kind).name} record: "
                        f"{exc}") from None

@@ -41,12 +41,12 @@ class LogSegment:
     def end_lsn(self) -> int:
         return self.base_lsn + len(self.data)
 
-    def records(self, first: int = 0) -> list[tuple[int, bytearray]]:
+    def records(self, first: int = 0) -> list[tuple[int, bytes]]:
         """``(lsn, encoding)`` of the records from the ``first``-th on."""
         starts, data, base = self.starts, self.data, self.base_lsn
         ends = starts[first + 1:]
         ends.append(base + len(data))
-        return [(lsn, data[lsn - base:end - base])
+        return [(lsn, bytes(data[lsn - base:end - base]))
                 for lsn, end in zip(starts[first:], ends)]
 
 

@@ -440,4 +440,4 @@ class TestLogReader:
         log = make_log()
         reader = LogReader(log, SimClock(), NULL_PROFILE, Stats())
         with pytest.raises(LogError):
-            reader.read(999999)
+            reader.encoding(999999)
