@@ -130,17 +130,30 @@ class PageOp:
     ``encoded_size()`` up front (so the log manager never materializes
     bytes just to measure a record) and writes itself into a caller-
     provided buffer via ``encode_into`` (so a whole log record encodes
-    into one preallocated buffer).
+    into one preallocated buffer).  An op of fixed fields and byte
+    strings names them: ``_head`` packs the kind byte and the fields
+    ``_fixed`` names, and each field ``_strings`` names follows.
     """
 
-    kind: int = -1
+    kind = -1
+    _fixed: tuple[str, ...] = ()
+    _strings: tuple[str, ...] = ()
 
     def encoded_size(self) -> int:
-        raise NotImplementedError
+        size = self._head.size
+        for name in self._strings:
+            size += 2 + len(getattr(self, name))
+        return size
 
     def encode_into(self, buf: bytearray, pos: int) -> int:
         """Serialize into ``buf`` at ``pos``; returns the end offset."""
-        raise NotImplementedError
+        head = self._head
+        head.pack_into(buf, pos, self.kind,
+                       *map(self.__getattribute__, self._fixed))
+        pos += head.size
+        for name in self._strings:
+            pos = _put_bytes(buf, pos, getattr(self, name))
+        return pos
 
     def encode(self) -> bytes:
         buf = bytearray(self.encoded_size())
@@ -158,14 +171,7 @@ class OpInsert(PageOp):
     ghost: bool = False
 
     kind = 1
-
-    def encoded_size(self) -> int:
-        return 8 + len(self.key) + len(self.value)
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        _BHB.pack_into(buf, pos, self.kind, self.slot, int(self.ghost))
-        pos = _put_bytes(buf, pos + 4, self.key)
-        return _put_bytes(buf, pos, self.value)
+    _head, _fixed, _strings = _BHB, ("slot", "ghost"), ("key", "value")
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,14 +298,7 @@ class OpSetGhost(PageOp):
     new_ghost: bool
 
     kind = 4
-
-    def encoded_size(self) -> int:
-        return 5
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        _BHBB.pack_into(buf, pos, self.kind, self.slot,
-                        int(self.old_ghost), int(self.new_ghost))
-        return pos + 5
+    _head, _fixed = _BHBB, ("slot", "old_ghost", "new_ghost")
 
 
 @dataclass(frozen=True, slots=True)
@@ -315,18 +314,11 @@ class OpWriteBytes(PageOp):
     new_bytes: bytes
 
     kind = 5
+    _head, _fixed, _strings = _BH, ("offset",), ("old_bytes", "new_bytes")
 
     def __post_init__(self) -> None:
         if len(self.old_bytes) != len(self.new_bytes):
             raise ValueError("byte-range op must preserve length")
-
-    def encoded_size(self) -> int:
-        return 7 + len(self.old_bytes) + len(self.new_bytes)
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        _BH.pack_into(buf, pos, self.kind, self.offset)
-        pos = _put_bytes(buf, pos + 3, self.old_bytes)
-        return _put_bytes(buf, pos, self.new_bytes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,13 +336,7 @@ class OpInitSlotted(PageOp):
     page_type: PageType
 
     kind = 6
-
-    def encoded_size(self) -> int:
-        return 2
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        _BB.pack_into(buf, pos, self.kind, int(self.page_type))
-        return pos + 2
+    _head, _fixed = _BB, ("page_type",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -398,13 +384,7 @@ class OpBulkDelete(PageOp):
     count: int
 
     kind = 8
-
-    def encoded_size(self) -> int:
-        return 5
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        _BHH.pack_into(buf, pos, self.kind, self.slot, self.count)
-        return pos + 5
+    _head, _fixed = _BHH, ("slot", "count")
 
 
 @dataclass(frozen=True, slots=True)
@@ -429,13 +409,7 @@ class OpExtendPrefix(PageOp):
     stripped: bytes
 
     kind = 12
-
-    def encoded_size(self) -> int:
-        return 7 + len(self.stripped)
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        _BHH.pack_into(buf, pos, self.kind, self.slot, self.count)
-        return _put_bytes(buf, pos + 5, self.stripped)
+    _head, _fixed, _strings = _BHH, ("slot", "count"), ("stripped",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -495,9 +469,11 @@ def bulk_rows(data: bytes, pos: int) -> tuple[int, list, int]:
 
 #: every kind's fixed bytes and the byte strings that follow them, for
 #: :func:`_op_end` (runs, sequences and compensations are walked)
-_SHAPES = {1: (4, 2), 2: (4, 2), 3: (3, 2), 4: (5, 0), 5: (3, 2),
-           6: (2, 0), 8: (5, 0), 9: (7, 2), 10: (3, 1), 11: (9, 1),
-           12: (5, 1)}
+_SHAPES = {cls.kind: (cls._head.size, len(cls._strings))
+           for cls in (OpInsert, OpDelete, OpSetGhost, OpWriteBytes,
+                       OpInitSlotted, OpBulkDelete, OpExtendPrefix)}
+_SHAPES.update({OpUpdateValue.kind: (3, 2), _SPANNED_UPDATE_VALUE: (7, 2),
+                _REDO_VALUE: (3, 1), _SPANNED_REDO_VALUE: (9, 1)})
 
 
 def _op_end(data: bytes, pos: int) -> int:

@@ -217,7 +217,7 @@ class OpUpdateValue(PageOp):
     record's current value (:func:`repro.page.slotted.update_value`), which
     refuses — before a byte is written, as a redo chain mismatch is
     refused — a value whose span does not hold the middle it replaces.
-    Build rewrites with :func:`value_rewrite`.
+    Build rewrites with :func:`repro.wal.ops.value_rewrite`.
 
     A *redo-only* rewrite (``old_value`` None) is the op of a
     transaction that can never roll back (see
