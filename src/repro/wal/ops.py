@@ -717,8 +717,8 @@ def _undo_sequence(page: Page, data: bytes, pos: int) -> int:
     starts, end = _members(data, pos)
     for start in starts:
         # A member that cannot be undone is refused before any is.
-        if data[start] in _NEVER_UNDONE:
-            UNDO[data[start]](page, data, start)
+        if data[start] not in UNDO:
+            _irreversible(data[start])
     for start in reversed(starts):
         UNDO[data[start]](page, data, start)
     page.count_updates(len(starts) - 1)
@@ -727,17 +727,20 @@ def _undo_sequence(page: Page, data: bytes, pos: int) -> int:
 
 def _redo_compensation(page: Page, data: bytes, pos: int) -> int:
     kind = data[pos + 1]
-    return (UNDO.get(kind) or _unknown(kind))(page, data, pos + 1)
-
-
-def _refuse(message: str):  # noqa: ANN202
-    def kernel(page: Page, data: bytes, pos: int) -> int:
-        raise LogError(message)
-    return kernel
+    return (UNDO.get(kind) or _irreversible(kind))(page, data, pos + 1)
 
 
 def _unknown(kind: int):  # noqa: ANN202
     raise LogError(f"unknown page-op kind {kind}")
+
+
+def _irreversible(kind: int):  # noqa: ANN202
+    """Refuse to undo an op of ``kind``: a redo-only rewrite, a format, a
+    row-free removal (rollback restores its rows from the split's moved
+    copy) and a compensation have no undo."""
+    if kind not in REDO:
+        _unknown(kind)
+    raise LogError(f"a page op of kind {kind} cannot be undone")
 
 
 #: redo kernel per kind byte
@@ -758,31 +761,22 @@ REDO = {
     COMPENSATION: _redo_compensation,
 }
 
-_REDO_ONLY = "a redo-only value rewrite cannot be undone"
-#: undo kernel per kind byte: what a compensation of that kind redoes
+#: undo kernel per kind byte — what a compensation of that kind redoes;
+#: the kinds missing have none (:func:`_irreversible`)
 UNDO = {
     OpInsert.kind: partial(_row, remove=True),
     OpDelete.kind: _row,
     OpUpdateValue.kind: partial(_rewrite, undo=True),
     _SPANNED_UPDATE_VALUE: partial(_rewrite, undo=True),
-    _REDO_VALUE: _refuse(_REDO_ONLY),
-    _SPANNED_REDO_VALUE: _refuse(_REDO_ONLY),
     OpSetGhost.kind: partial(_ghost, undo=True),
     OpWriteBytes.kind: partial(_write_bytes, undo=True),
-    OpInitSlotted.kind: _refuse("page formatting cannot be undone"),
     OpBulkInsert.kind: partial(_bulk, remove=True),
-    OpBulkDelete.kind: _refuse("a row-free removal is undone from its "
-                               "split's moved rows, not in place"),
     OpExtendPrefix.kind: partial(_extend_prefix, undo=True),
     OpSequence.kind: _undo_sequence,
-    COMPENSATION: _refuse("compensation operations are never undone"),
 }
 #: the kind bytes :func:`_check_member` looks at twice
 _NOT_MEMBERS = frozenset({OpSequence.kind, COMPENSATION, _REDO_VALUE,
                           _SPANNED_REDO_VALUE})
-#: the kinds a sequence may hold whose undo kernel refuses
-_NEVER_UNDONE = frozenset({OpInitSlotted.kind, OpBulkDelete.kind,
-                           COMPENSATION})
 
 
 def redo(page: Page, data: bytes, start: int, end: int) -> None:

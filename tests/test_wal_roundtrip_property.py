@@ -860,7 +860,7 @@ def test_structure_ops_log_a_range():
     for op in (removal, extension, OpInverse(extension)):
         assert op.encoded_size() == len(op.encode())
         _decodes_as(op.encode(), op)
-    with pytest.raises(LogError, match="row-free removal"):
+    with pytest.raises(LogError, match="cannot be undone"):
         _apply(compensation(removal.encode()))
 
 
