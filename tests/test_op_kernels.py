@@ -30,8 +30,8 @@ from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpDelete, OpExtendPrefix,
                            OpInsert, OpSequence, OpSetGhost, OpUpdateValue,
                            OpWriteBytes, compensation, redo)
 from tests import op_reference as reference
-from tests.test_wal_roundtrip_property import (OpInverse,
-                                               _redo_only_update_value, any_op)
+from tests.op_reference import OpInverse  # a compensation's builder
+from tests.test_wal_roundtrip_property import _redo_only_update_value, any_op
 
 #: what the engine's apply may raise where the reference fails
 TYPED = ReproError
