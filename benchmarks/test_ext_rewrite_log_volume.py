@@ -35,8 +35,7 @@ import repro
 from benchmarks.common import print_table
 from repro.engine.config import EngineConfig
 from repro.sim.iomodel import NULL_PROFILE
-from repro.wal.ops import OpUpdateValue
-from repro.wal.records import LogicalUndo, LogRecord, LogRecordKind, UndoAction
+from repro.wal.records import NARROW_HEADER_SIZE, LogRecordKind
 
 DBLP_KEY = b"Graefe_Goetz_0001/2012/p000042"
 DBLP_VALUE = (b"2012-06-11\x1fDefinition, detection, and recovery of single-page "
@@ -47,10 +46,11 @@ KV_KEY = b"user000000004242"
 
 
 def _whole_value_size(key: bytes, old: bytes, new: bytes) -> int:
-    """What the rewrite logged before spans: both values whole."""
-    return len(LogRecord(LogRecordKind.UPDATE, op=OpUpdateValue(3, old, new),
-                         undo=LogicalUndo(UndoAction.RESTORE_VALUE, key,
-                                          old)).encode())
+    """What the rewrite logged before spans: both values whole — a
+    narrow header, the flags byte, the op's length, the op (kind, slot,
+    two lengths and the values) and the undo sharing its before-image
+    (action, key length and key)."""
+    return NARROW_HEADER_SIZE + 1 + 2 + 7 + len(old) + len(new) + 3 + len(key)
 
 
 def measure() -> list[dict]:

@@ -19,7 +19,7 @@ from repro.sim.iomodel import NULL_PROFILE
 from repro.sim.stats import Stats
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN, log_page_of
-from repro.wal.ops import OpInsert
+from repro.wal.ops import insert
 from repro.wal.records import LogRecord, LogRecordKind
 
 CHAIN_LENGTH = 24
@@ -106,7 +106,7 @@ def test_bench_segmented_append_and_lookup(benchmark):
             pid = i % 64
             lsn = log.append(LogRecord(
                 LogRecordKind.UPDATE, txn_id=1, page_id=pid,
-                page_prev_lsn=prev[pid], op=OpInsert(0, b"k", b"v" * 32)))
+                page_prev_lsn=prev[pid], op=insert(0, b"k", b"v" * 32)))
             prev[pid] = lsn
             lsns.append(lsn)
         # Indexed point lookups across all segments.

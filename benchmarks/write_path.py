@@ -56,6 +56,7 @@ import gc
 import os
 import random
 import statistics
+import struct
 import sys
 import time
 
@@ -73,7 +74,7 @@ from repro.btree.node import DATA_START  # noqa: E402
 from repro.page.page import Page, PageType  # noqa: E402
 from repro.page.slotted import Record, SlottedPage, update_value  # noqa: E402
 from repro.txn.transaction import TxnState  # noqa: E402
-from repro.wal.ops import REDO, OpUpdateValue, value_rewrite  # noqa: E402
+from repro.wal.ops import REDO, value_rewrite  # noqa: E402
 from repro.wal.records import (NARROW_HEADER_SIZE, WIDE_BIT,  # noqa: E402
                                WIDE_HEADER_SIZE, LogicalUndo, LogRecord,
                                LogRecordKind, UndoAction, encode_update)
@@ -84,8 +85,8 @@ STAGES = (
     "tm.begin_unlisted (id + inc)", "locks.check (nothing registered)",
     "descent (shared with get)", "node.find",
     "probe_value (ghost bit, before-image, room: one slot read)",
-    "value_rewrite (redo-only: no undo)",
-    "encode_update (header + op: one pack)",
+    "value_rewrite (redo-only: the op's bytes)",
+    "encode_update (header, flags, op: one join)",
     "log.append (the bytes, written once)", "REDO kernel (the logged bytes)",
     "PageLSN + chain head + inc", "inc + unfix(page_id, dirty_lsn)",
     "log.commit (the force alone)",
@@ -94,8 +95,8 @@ STAGES = (
 #: the stages of one put of a listed transaction
 LISTED_STAGES = (
     "locks.acquire (registered)", "descent (shared with get)", "node.find",
-    "probe_value", "value_rewrite + LogicalUndo (one before-image)",
-    "encode_update (header + op + undo)",
+    "probe_value", "value_rewrite + LogicalUndo (the span it returns)",
+    "encode_update (header, flags, op, undo: one join)",
     "log.append (the bytes, written once)", "REDO kernel (the logged bytes)",
     "PageLSN + txn chain + inc", "inc + unfix(page_id, dirty_lsn)",
 )
@@ -128,7 +129,7 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     t4 = now()
     _ghost, old, _room = node.probe_value(i)
     t5 = now()
-    op = value_rewrite(DATA_START + i, old, value, True)
+    op = value_rewrite(DATA_START + i, old, value, True)[0]
     t6 = now()
     encoding = encode_update(txn.txn_id, txn.last_lsn, pid, page.page_lsn,
                              tree.index_id, op, None, True)
@@ -171,9 +172,8 @@ def unrolled_listed_put(db, tree, txn, key: bytes, value: bytes,  # noqa: ANN001
     t3 = now()
     _ghost, old, _room = node.probe_value(i)
     t4 = now()
-    op = value_rewrite(DATA_START + i, old, value)
-    undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, op.old_value,
-                       op.prefix, op.suffix)
+    op, before, prefix, suffix = value_rewrite(DATA_START + i, old, value)
+    undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, before, prefix, suffix)
     t5 = now()
     encoding = encode_update(txn.txn_id, txn.last_lsn, pid, page.page_lsn,
                              tree.index_id, op, undo, False)
@@ -389,15 +389,25 @@ def main() -> None:
     rewrite_table(args.puts, args.reps)
 
 
-def _update_size(key: bytes, op: OpUpdateValue) -> int:
-    """The UPDATE a B-tree rewrite logs for ``op``: in a transaction
-    with undo (which shares its before-image), or redo-only."""
-    if op.old_value is None:
+def _whole(slot: int, old: bytes, new: bytes
+           ) -> tuple[bytes, bytes, int, int]:
+    """A rewrite that logs both values whole — the encoding before
+    spans, kind 3 of ``repro.wal.ops`` — shaped as ``value_rewrite``'s
+    return, for comparison."""
+    return (struct.pack("<BHH", 3, slot, len(old)) + old
+            + struct.pack("<H", len(new)) + new, old, 0, 0)
+
+
+def _update_size(key: bytes, rewrite: tuple) -> int:
+    """The UPDATE a B-tree rewrite logs for ``rewrite`` (what
+    ``value_rewrite`` returns): in a transaction with undo (which shares
+    its before-image), or redo-only."""
+    op, before, prefix, suffix = rewrite
+    if before is None:
         return len(LogRecord(LogRecordKind.UPDATE, op=op,
                              redo_only=True).encode())
     return len(LogRecord(LogRecordKind.UPDATE, op=op, undo=LogicalUndo(
-        UndoAction.RESTORE_VALUE, key, op.old_value, op.prefix,
-        op.suffix)).encode())
+        UndoAction.RESTORE_VALUE, key, before, prefix, suffix)).encode())
 
 
 def rewrite_table(n: int, reps: int) -> None:
@@ -418,7 +428,7 @@ def rewrite_table(n: int, reps: int) -> None:
     }
     rows = []
     for name, rewrites in shapes.items():
-        whole = [OpUpdateValue(DATA_START, old, new) for _k, old, new in rewrites]
+        whole = [_whole(DATA_START, old, new) for _k, old, new in rewrites]
         spanned = [value_rewrite(DATA_START, old, new)
                    for _k, old, new in rewrites]
         redo_only = [value_rewrite(DATA_START, old, new, True)
@@ -429,7 +439,7 @@ def rewrite_table(n: int, reps: int) -> None:
         build = [_per_rewrite(lambda: [make(DATA_START, old, new)
                                        for _k, old, new in rewrites],
                               len(rewrites), reps)
-                 for make in (OpUpdateValue, value_rewrite)]
+                 for make in (_whole, value_rewrite)]
         redo = [_redo_per_rewrite(rewrites, ops, reps)
                 for ops in (whole, spanned)]
         rows.append([name, f"{logged[0]:.1f}", f"{logged[1]:.1f}",
@@ -460,7 +470,7 @@ def _redo_per_rewrite(rewrites, ops, reps: int) -> float:  # noqa: ANN001
     slotted.initialize()
     for slot in range(DATA_START + 1):
         slotted.insert(slot, Record(b"k%d" % slot, b""))
-    encoded = [op.encode() for op in ops]
+    encoded = [rewrite[0] for rewrite in ops]
     passes = []
     for _ in range(reps):
         spent = 0

@@ -64,9 +64,8 @@ from repro.btree.keys import common_prefix
 from repro.errors import BTreeError
 from repro.page.page import HEADER_SIZE, TYPE_OFFSET, Page, PageType
 from repro.page.slotted import LENGTH_MASK, SLOT_SIZE, SlotReader, SlottedPage
-from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpDelete,
-                           OpExtendPrefix, OpInsert, OpSetGhost, PageOp,
-                           value_rewrite)
+from repro.wal.ops import (bulk_delete, bulk_insert, delete, extend_prefix,
+                           insert, set_ghost, value_rewrite)
 
 SLOT_LOW = 0
 SLOT_HIGH = 1
@@ -98,7 +97,7 @@ def decode_meta(meta: bytes) -> tuple[int, int, bytes]:
 
 
 def _bulk_insert(prefix: bytes, slot: int,
-                 entries: Iterable[tuple[bytes, bytes, bool]]) -> OpBulkInsert:
+                 entries: Iterable[tuple[bytes, bytes, bool]]) -> bytes:
     """One op inserting ``entries`` — full keys — from ``slot`` up into a
     node whose keys are stored behind ``prefix``."""
     plen = len(prefix)
@@ -107,7 +106,7 @@ def _bulk_insert(prefix: bytes, slot: int,
         if plen and not key.startswith(prefix):
             raise BTreeError(f"key {key!r} outside node prefix {prefix!r}")
         recs.append((key[plen:], value, ghost))
-    return OpBulkInsert(slot, tuple(recs))
+    return bulk_insert(slot, recs)
 
 
 def encode_pid(pid: int) -> bytes:
@@ -192,7 +191,7 @@ class BTreeNode(SlotReader):
     pool.  A warm decode can never outlive its bytes: every device
     read, backup fetch and frame copy builds a new :class:`Page` object
     (which starts without a view), and every in-place byte mutator —
-    the slotted-page mutation methods, ``OpWriteBytes`` and
+    the slotted-page mutation methods, the byte-range write kernel and
     ``Page.load_image`` — reports through ``Page.invalidate_view``,
     saying what it moved or forfeiting the decode.
     Readers under the shared engine latch may both build the same
@@ -498,12 +497,12 @@ class BTreeNode(SlotReader):
     # Operation builders (logged and applied by the tree)
     # ------------------------------------------------------------------
     def op_insert(self, index: int, key: bytes, value: bytes,
-                  ghost: bool = False) -> PageOp:
-        return OpInsert(DATA_START + index, self._strip(key), value, ghost)
+                  ghost: bool = False) -> bytes:
+        return insert(DATA_START + index, self._strip(key), value, ghost)
 
-    def op_delete(self, index: int) -> PageOp:
+    def op_delete(self, index: int) -> bytes:
         rec = self.slotted.read_record(DATA_START + index)
-        return OpDelete(DATA_START + index, rec.key, rec.value, rec.ghost)
+        return delete(DATA_START + index, rec.key, rec.value, rec.ghost)
 
     def rows(self, start: int = 0) -> Iterator[tuple[bytes, bytes, bool]]:
         """(full_key, value, ghost) of the data records from ``start``
@@ -512,45 +511,44 @@ class BTreeNode(SlotReader):
         return self.slotted.rows(DATA_START + start, self.prefix)
 
     def op_bulk_insert(self, index: int,
-                       entries: Iterable[tuple[bytes, bytes, bool]]) -> PageOp:
+                       entries: Iterable[tuple[bytes, bytes, bool]]) -> bytes:
         """One op inserting ``entries`` (full keys) at data slot ``index``."""
         return _bulk_insert(self.prefix, DATA_START + index, entries)
 
-    def op_bulk_delete(self, start: int, end: int) -> PageOp:
+    def op_bulk_delete(self, start: int, end: int) -> bytes:
         """One op removing this node's data records [start, end), naming
         no row: a split's removal, whose rows its foster child's insert
-        logs (:class:`repro.wal.ops.OpBulkDelete`)."""
-        return OpBulkDelete(DATA_START + start, end - start)
+        logs (:func:`repro.wal.ops.bulk_delete`)."""
+        return bulk_delete(DATA_START + start, end - start)
 
     def op_set_ghost(self, index: int, ghost: bool,
-                     old: bool | None = None) -> PageOp:
+                     old: bool | None = None) -> bytes:
         """``old``: the current ghost bit, if the caller has read it."""
         if old is None:
             old = self.is_ghost(index)
-        return OpSetGhost(DATA_START + index, old, ghost)
+        return set_ghost(DATA_START + index, old, ghost)
 
-    def ops_set_foster(self, foster_key: bytes, foster_pid: int) -> list[PageOp]:
+    def ops_set_foster(self, foster_key: bytes, foster_pid: int) -> list[bytes]:
         """Replace the foster record (re-keying = delete + insert)."""
         old = self.slotted.read_record(SLOT_FOSTER)
-        return [OpDelete(SLOT_FOSTER, old.key, old.value, old.ghost),
-                OpInsert(SLOT_FOSTER, foster_key, encode_pid(foster_pid), True)]
+        return [delete(SLOT_FOSTER, old.key, old.value, old.ghost),
+                insert(SLOT_FOSTER, foster_key, encode_pid(foster_pid), True)]
 
-    def ops_set_high_fence(self, high: bytes, high_inf: bool) -> list[PageOp]:
+    def ops_set_high_fence(self, high: bytes, high_inf: bool) -> list[bytes]:
         """Replace the high fence and the flag bit in the metadata."""
-        ops: list[PageOp] = []
         old_high = self.slotted.read_record(SLOT_HIGH)
-        ops.append(OpDelete(SLOT_HIGH, old_high.key, old_high.value, old_high.ghost))
-        ops.append(OpInsert(SLOT_HIGH, high, b"", True))
+        ops = [delete(SLOT_HIGH, old_high.key, old_high.value, old_high.ghost),
+               insert(SLOT_HIGH, high, b"", True)]
         view = self.view
         flags = view.flags
         new_flags = (flags | FLAG_HIGH_INF) if high_inf else (flags & ~FLAG_HIGH_INF)
         if new_flags != flags:
             old_meta = self.slotted.read_record(SLOT_LOW).value
             new_meta = _META.pack(view.level, new_flags) + view.prefix
-            ops.append(value_rewrite(SLOT_LOW, old_meta, new_meta))
+            ops.append(value_rewrite(SLOT_LOW, old_meta, new_meta)[0])
         return ops
 
-    def ops_end_chain(self, high: bytes) -> list[PageOp]:
+    def ops_end_chain(self, high: bytes) -> list[bytes]:
         """The ops of one record that end this foster parent's chain at
         ``high``, its foster key, as an adoption or a root growth moves
         its foster child up: the high fence becomes ``high`` (finite),
@@ -581,7 +579,7 @@ class BTreeNode(SlotReader):
         return ops
 
     def ops_reencode_prefix(self, new_prefix: bytes,
-                            flags: int) -> list[PageOp]:
+                            flags: int) -> list[bytes]:
         """Re-encode stored keys under a longer truncation prefix.
 
         Adoption tightens a node's high fence, which usually permits a
@@ -589,7 +587,7 @@ class BTreeNode(SlotReader):
         inside the same system transaction as the adoption.  The
         metadata's prefix is rewritten — under ``flags``, the flags the
         ops before it in the same record leave — then one
-        :class:`repro.wal.ops.OpExtendPrefix` strips the new bytes from
+        :func:`repro.wal.ops.extend_prefix` strips the new bytes from
         every data key where it lies.
         """
         old_prefix = self.prefix
@@ -598,21 +596,21 @@ class BTreeNode(SlotReader):
         stripped = new_prefix[len(old_prefix):]
         view = self.view
         head = _META.pack(view.level, flags)
-        ops = [value_rewrite(SLOT_LOW, head + old_prefix, head + new_prefix)]
+        ops = [value_rewrite(SLOT_LOW, head + old_prefix, head + new_prefix)[0]]
         keys = self.slotted.keys(DATA_START)
         if keys:
             for key in keys:
                 if not key.startswith(stripped):
                     raise BTreeError(
                         f"key {old_prefix + key!r} outside new prefix")
-            ops.append(OpExtendPrefix(DATA_START, len(keys), stripped))
+            ops.append(extend_prefix(DATA_START, len(keys), stripped))
         return ops
 
     @staticmethod
     def ops_initialize(level: int, low: bytes, high: bytes, high_inf: bool,
                        foster_key: bytes = b"", foster_pid: int = NO_FOSTER,
                        rows: Iterable[tuple[bytes, bytes, bool]] | None = None
-                       ) -> list[PageOp]:
+                       ) -> list[bytes]:
         """Bookkeeping-record inserts for a freshly formatted node, then
         — given ``rows`` ``(full key, value, ghost)`` — one insert of
         them: a split's foster child with the half it takes.
@@ -622,21 +620,21 @@ class BTreeNode(SlotReader):
         """
         prefix = b"" if high_inf else common_prefix(low, high)
         meta = encode_meta(level, high_inf, prefix)
-        ops = [OpInsert(SLOT_LOW, low, meta, True),
-               OpInsert(SLOT_HIGH, high, b"", True),
-               OpInsert(SLOT_FOSTER, foster_key, encode_pid(foster_pid), True)]
+        ops = [insert(SLOT_LOW, low, meta, True),
+               insert(SLOT_HIGH, high, b"", True),
+               insert(SLOT_FOSTER, foster_key, encode_pid(foster_pid), True)]
         if rows is not None:
             ops.append(_bulk_insert(prefix, DATA_START, rows))
         return ops
 
     @staticmethod
     def ops_new_root(level: int, left_pid: int, separator: bytes,
-                     right_pid: int) -> list[PageOp]:
+                     right_pid: int) -> list[bytes]:
         """A root growth's new root: a branch of ``level`` covering
         every key, whose two children meet at ``separator``."""
         return BTreeNode.ops_initialize(level, b"", b"", high_inf=True) + [
-            OpInsert(DATA_START, b"", encode_pid(left_pid)),
-            OpInsert(DATA_START + 1, separator, encode_pid(right_pid))]
+            insert(DATA_START, b"", encode_pid(left_pid)),
+            insert(DATA_START + 1, separator, encode_pid(right_pid))]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         high = "inf" if self.high_inf else repr(self.high_fence)

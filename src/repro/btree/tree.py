@@ -61,7 +61,7 @@ from repro.page.slotted import SLOT_SIZE
 from repro.sim.stats import Stats
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
-from repro.wal.ops import OpSequence, value_rewrite
+from repro.wal.ops import sequence, value_rewrite
 from repro.wal.records import LogicalUndo, UndoAction
 
 if TYPE_CHECKING:
@@ -179,7 +179,7 @@ class FosterBTree:
     # ------------------------------------------------------------------
     # Logging helper
     # ------------------------------------------------------------------
-    def _log(self, txn: Transaction, page: Page, op,  # noqa: ANN001
+    def _log(self, txn: Transaction, page: Page, op: bytes,
              dirty: int | None = None) -> int:
         """Log and apply ``op``; returns ``dirty``, else (the page's first
         record) its LSN for ``pool.unfix``, which a fresh page needs not."""
@@ -481,15 +481,14 @@ class FosterBTree:
                     if len(value) <= room:
                         if txn.redo_only:
                             dirty = log(txn, pid, page, index_id, value_rewrite(
-                                DATA_START + i, old, value, True))
+                                DATA_START + i, old, value, True)[0])
                         else:
                             # The before-image is the undo's and the op's
-                            # at once, under the op's span: one object
-                            # (the old middle), logged once.
-                            op = value_rewrite(DATA_START + i, old, value)
+                            # at once, under the op's span, logged once.
+                            op, before, prefix, suffix = value_rewrite(
+                                DATA_START + i, old, value)
                             dirty = log(txn, pid, page, index_id, op, LogicalUndo(
-                                _RESTORE_VALUE, key, op.old_value, op.prefix,
-                                op.suffix))
+                                _RESTORE_VALUE, key, before, prefix, suffix))
                         self._btree_updates.inc()
                         return True
                 elif found:
@@ -505,7 +504,7 @@ class FosterBTree:
                         if txn.redo_only:
                             self.tm.enlist(txn, key)
                         dirty = log(txn, pid, page, index_id,
-                                    value_rewrite(DATA_START + i, old, value),
+                                    value_rewrite(DATA_START + i, old, value)[0],
                                     LogicalUndo(UndoAction.NONE, key))
                         log(txn, pid, page, index_id, node.op_set_ghost(i, False, old=True),
                             LogicalUndo(UndoAction.DELETE_KEY, key))
@@ -691,7 +690,8 @@ class FosterBTree:
                     fits = len(before) <= room
                     if fits:
                         dirty = clr(txn, page, index_id,
-                                    value_rewrite(DATA_START + i, current, before),
+                                    value_rewrite(DATA_START + i, current,
+                                                  before)[0],
                                     undo_next_lsn)
                         if undo.action == UndoAction.INSERT_KEY:
                             clr(txn, page, index_id, node.op_set_ghost(i, False),
@@ -745,13 +745,13 @@ class FosterBTree:
                 # chain's link: this node becomes the foster parent,
                 # keeping the chain-high fence (Figure 3).
                 high_key = b"" if node.high_inf else node.high_fence
-                self._log(sys_txn, foster_page, OpSequence(tuple(
+                self._log(sys_txn, foster_page, sequence(
                     BTreeNode.ops_initialize(
                         node.level, separator, high_key, node.high_inf,
                         node.foster_key if node.has_foster else b"",
                         node.foster_pid if node.has_foster else NO_FOSTER,
-                        islice(node.rows(mid), n - mid)))))
-                dirty = self._log(sys_txn, page, OpSequence(
+                        islice(node.rows(mid), n - mid))))
+                dirty = self._log(sys_txn, page, sequence(
                     (node.op_bulk_delete(mid, n),
                      *node.ops_set_foster(separator, foster_page.page_id))))
             finally:
@@ -788,7 +788,7 @@ class FosterBTree:
             # Every op is built and sized before the first is logged: an
             # op that failed to apply after its record was appended
             # would leave a record redo cannot replay.
-            child_op = OpSequence(tuple(child.ops_end_chain(separator)))
+            child_op = sequence(child.ops_end_chain(separator))
             sys_txn = self.tm.begin(system=True)
             parent_dirty = self._log(sys_txn, parent_page, parent.op_insert(
                 i, separator, encode_pid(child.foster_pid)))
@@ -811,14 +811,14 @@ class FosterBTree:
             # One record per page: the new root's bookkeeping and its two
             # children, then the old root's end of chain — built and
             # sized, as an adoption's, before anything is logged.
-            old_root_op = OpSequence(tuple(old_root.ops_end_chain(separator)))
+            old_root_op = sequence(old_root.ops_end_chain(separator))
             sys_txn = self.tm.begin(system=True)
             new_root_page = self.ctx.allocate_page(
                 sys_txn, PageType.BTREE_BRANCH, self.index_id)
             try:
-                self._log(sys_txn, new_root_page, OpSequence(tuple(
+                self._log(sys_txn, new_root_page, sequence(
                     BTreeNode.ops_new_root(old_root.level + 1, old_root_pid,
-                                           separator, foster_pid))))
+                                           separator, foster_pid)))
                 dirty = self._log(sys_txn, old_root_page, old_root_op)
                 self.ctx.set_root(sys_txn, self.index_id, new_root_page.page_id)
             finally:

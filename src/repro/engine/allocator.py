@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.errors import MediaFailure
 from repro.page.page import Page, PageType
 from repro.txn.transaction import Transaction
-from repro.wal.ops import OpInitSlotted
+from repro.wal.ops import init_slotted
 
 
 class PageAllocator:
@@ -43,7 +43,7 @@ class PageAllocator:
             db.pending_recovery.discard_page(page_id)
         db.pool.fix_new(page)
         format_lsn = db.tm.log_format(txn, page, index_id,
-                                      OpInitSlotted(page_type))
+                                      init_slotted(page_type))
         db.note_format(page_id, format_lsn)
         db.pool.mark_dirty(page_id, format_lsn)
         return page

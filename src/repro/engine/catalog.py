@@ -21,7 +21,7 @@ from repro.btree.tree import FosterBTree
 from repro.errors import ConfigError, StorageError
 from repro.page.slotted import SlottedPage
 from repro.txn.transaction import Transaction
-from repro.wal.ops import OpInsert, value_rewrite
+from repro.wal.ops import insert, value_rewrite
 
 METADATA_PAGE = 0
 
@@ -91,9 +91,10 @@ class Catalog:
             slotted = SlottedPage(page)
             slot = self._find(slotted, key)
             if slot is None:
-                op = OpInsert(slotted.slot_count, key, value)
+                op = insert(slotted.slot_count, key, value)
             else:
-                op = value_rewrite(slot, slotted.read_record(slot).value, value)
+                op = value_rewrite(slot, slotted.read_record(slot).value,
+                                   value)[0]
             lsn = self.db.tm.log_update(txn, METADATA_PAGE, page, 0, op)
         finally:
             self.db.pool.unfix(METADATA_PAGE, lsn)

@@ -67,7 +67,7 @@ from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction, TxnState
 from repro.wal.log_manager import LogManager
 from repro.wal.log_reader import LogReader
-from repro.wal.ops import OpInitSlotted, OpInsert
+from repro.wal import ops
 from repro.wal.records import BackupRef, LogicalUndo
 
 
@@ -238,7 +238,7 @@ class Database:
                            PageType.METADATA)
         self.pool.fix_new(page)
         format_lsn = self.tm.log_format(sys_txn, page, 0,
-                                        OpInitSlotted(PageType.METADATA))
+                                        ops.init_slotted(PageType.METADATA))
         self.note_format(page.page_id, format_lsn)
         self.pool.mark_dirty(page.page_id, format_lsn)
         slotted = SlottedPage(page)
@@ -246,7 +246,7 @@ class Database:
                            (b"next_index", 1)):
             self.tm.log_update(
                 sys_txn, METADATA_PAGE, page, 0,
-                OpInsert(slotted.slot_count, key, struct.pack("<q", value)))
+                ops.insert(slotted.slot_count, key, struct.pack("<q", value)))
         self.pool.unfix(page.page_id)  # dirty since its format
         self.tm.commit(sys_txn)
         self.log.force()

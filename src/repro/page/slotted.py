@@ -524,7 +524,7 @@ class SlottedPage(SlotReader):
         from ``index`` up by ``new``, leaving the bytes
         :meth:`remove_run` and :meth:`insert_run` of the re-keyed
         records leave (a B-tree node's prefix extension and its undo,
-        :class:`repro.wal.ops.OpExtendPrefix`), in one pass: the
+        :func:`repro.wal.ops.extend_prefix`), in one pass: the
         re-keyed rows go to the heap end, after the live records outside
         the run are compacted when only that makes room.  A run past the
         last slot, or a key that does not start with ``old``, is refused
@@ -613,7 +613,7 @@ def update_value(page: Page, index: int, value: bytes, prefix: int = 0,
     """Replace the value of the record in slot ``index`` of ``page``.
 
     A *spliced* rewrite (``prefix`` or ``suffix`` nonzero, see
-    :class:`repro.wal.ops.OpUpdateValue`) replaces only the middle
+    :func:`repro.wal.ops.value_rewrite`) replaces only the middle
     between the value's first ``prefix`` and last ``suffix`` bytes,
     which must be ``replaced`` — or, for a redo-only rewrite, which
     logs no before-image, ``replaced`` bytes long: a value that does

@@ -54,9 +54,9 @@ from repro.txn.locks import LockManager
 from repro.txn.transaction import Transaction, TxnState
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
-from repro.wal.ops import (REDO, OpBulkDelete, OpBulkInsert, OpSequence,
-                           PageOp, bulk_rows, compensation, redo,
-                           sequence_members, split_compensation)
+from repro.wal.ops import (BULK_DELETE, BULK_INSERT, REDO, SEQUENCE,
+                           bulk_rows, compensation, redo, sequence_members,
+                           split_compensation)
 from repro.wal.records import (NARROW_HEADER_SIZE, WIDE_BIT, WIDE_HEADER_SIZE,
                                LogicalUndo, LogRecord, LogRecordKind,
                                UndoAction, encode_update)
@@ -66,8 +66,8 @@ if TYPE_CHECKING:
 
 _ACTIVE = TxnState.ACTIVE
 #: the kind bytes of a split's removal and of its moved rows' insert
-_REMOVAL = bytes((OpBulkDelete.kind,))
-_RUN = bytes((OpBulkInsert.kind,))
+_REMOVAL = bytes((BULK_DELETE,))
+_RUN = bytes((BULK_INSERT,))
 _COMMITTED = TxnState.COMMITTED
 
 
@@ -335,10 +335,11 @@ class TransactionManager:
     # Forward logging
     # ------------------------------------------------------------------
     def log_update(self, txn: Transaction, page_id: int, page: Page,
-                   index_id: int, op: PageOp,
+                   index_id: int, op: bytes,
                    undo: LogicalUndo | None = None) -> int:
-        """Log and apply one page operation on behalf of ``txn`` to the
-        pinned ``page``, whose id the caller holds as ``page_id``.
+        """Log and apply one page op — its bytes, :mod:`repro.wal.ops` —
+        on behalf of ``txn`` to the pinned ``page``, whose id the caller
+        holds as ``page_id``.
 
         Ordering matters: the record captures the page's current
         PageLSN as ``page_prev_lsn`` (extending the per-page chain),
@@ -384,11 +385,10 @@ class TransactionManager:
         return lsn
 
     def log_format(self, txn: Transaction, page: Page, index_id: int,
-                   op: PageOp) -> int:
+                   op: bytes) -> int:
         """Log a page-formatting record (also a backup image source) and
         apply the op it logged."""
         self._require_active(txn)
-        op = op.encode()
         encoding = LogRecord(
             LogRecordKind.FORMAT_PAGE, txn_id=txn.txn_id,
             prev_lsn=txn.last_lsn, page_id=page.page_id,
@@ -402,11 +402,9 @@ class TransactionManager:
         return lsn
 
     def log_compensation(self, txn: Transaction, page: Page, index_id: int,
-                         op: PageOp | bytes, undo_next_lsn: int) -> int:
-        """Log a compensation (CLR) during rollback — ``op`` is its op, or
-        the op's encoding — and apply the op it logged."""
-        if type(op) is not bytes:
-            op = op.encode()
+                         op: bytes, undo_next_lsn: int) -> int:
+        """Log a compensation (CLR) during rollback and apply the op it
+        logged."""
         encoding = LogRecord(
             LogRecordKind.COMPENSATION, txn_id=txn.txn_id,
             prev_lsn=txn.last_lsn, page_id=page.page_id,
@@ -496,7 +494,7 @@ class TransactionManager:
                 try:
                     # A sequence whose first member (at byte 3) removes rows.
                     inverse = (self._split_compensation(ctx, page, record)
-                               if op[0] == OpSequence.kind
+                               if op[0] == SEQUENCE
                                and op[3:4] == _REMOVAL
                                else compensation(op))
                 except BaseException:
@@ -515,7 +513,7 @@ class TransactionManager:
         the removal took.
 
         They are the rows of the split's one other copy of them, the
-        OpBulkInsert that ends its foster child's record — the source
+        bulk insert that ends its foster child's record — the source
         record's ``prev_lsn`` in the same system transaction — stored
         there behind the foster child's prefix, which extends this
         page's: re-prefixed here with the bytes between the two.  The
@@ -524,7 +522,7 @@ class TransactionManager:
         """
         moved = self.log.record_at(record.prev_lsn)
         op = moved.op
-        last = (sequence_members(op)[-1] if op and op[0] == OpSequence.kind
+        last = (sequence_members(op)[-1] if op and op[0] == SEQUENCE
                 else b"")
         if moved.txn_id != record.txn_id or last[:1] != _RUN:
             raise RecoveryError(f"the removal at LSN {record.lsn} does not "

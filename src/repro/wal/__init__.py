@@ -24,16 +24,7 @@ from repro.wal.lsn import LOG_START, NULL_LSN
 from repro.wal.log_manager import LogManager
 from repro.wal.log_reader import LogReader
 from repro.wal.segments import DEFAULT_SEGMENT_BYTES, LogSegment, SegmentDirectory
-from repro.wal.ops import (
-    OpDelete,
-    OpInitSlotted,
-    OpInsert,
-    OpSetGhost,
-    OpUpdateValue,
-    OpWriteBytes,
-    PageOp,
-    value_rewrite,
-)
+from repro.wal.ops import value_rewrite
 from repro.wal.records import (
     CheckpointData,
     LogRecord,
@@ -51,13 +42,6 @@ __all__ = [
     "LogRecordKind",
     "LogicalUndo",
     "CheckpointData",
-    "PageOp",
-    "OpInsert",
-    "OpDelete",
-    "OpUpdateValue",
-    "OpSetGhost",
-    "OpWriteBytes",
-    "OpInitSlotted",
     "value_rewrite",
     "NULL_LSN",
     "LOG_START",

@@ -1,50 +1,75 @@
 """Page operations: what an update log record does to one page.
 
-A page op is its bytes.  The classes below are *builders*: the B-tree,
-the catalog and the allocator build an op from its fields, and the log
-record carries the op's encoding (``encoded_size`` / ``encode_into``,
-explicit byte formats — no pickling — so log volume is measured
-honestly).  Nothing turns those bytes back into an object.  Every change
-an op makes to a page — the write itself, a compensation, restart and
-media redo, single-page repair, the standby's apply — runs one *kernel*
-per op kind on the bytes that were logged, as ARIES redo repeats
-history: :data:`REDO` and :data:`UNDO` map a kind byte to a kernel
-``(page, data, pos) -> end`` — ``data`` the record's ``bytes``, the op
-at ``pos`` — and :func:`redo` is their one entry.  A
-kernel reads its fields in place with a precompiled ``Struct``, refuses
-bytes no builder writes as :class:`repro.errors.LogError` before it
-changes the page, and calls the slotted-page kernel (redo is physical,
-Section 5.1.2).  A compensation (CLR) op is byte 99 followed by the
-compensated op's bytes, and its redo is that kind's undo kernel.
+A page op is its bytes.  The B-tree, the catalog and the allocator build
+an op with the one builder of its kind, a function that returns the
+op's encoding (explicit byte formats — no pickling — so log volume is
+measured honestly), and the log record carries those bytes.  Nothing
+turns them into an object.  Every change an op makes to a page — the
+write itself, a compensation, restart and media redo, single-page
+repair, the standby's apply — runs one *kernel* per op kind on the bytes
+that were logged, as ARIES redo repeats history: :data:`REDO` and
+:data:`UNDO` map a kind byte to a kernel ``(page, data, pos) -> end`` —
+``data`` the record's ``bytes``, the op at ``pos`` — and :func:`redo` is
+their one entry.  A kernel refuses bytes no builder writes as
+:class:`repro.errors.LogError` before it changes the page, and calls the
+slotted-page kernel (redo is physical, Section 5.1.2).
 
-Layouts (every byte string is a u16 length and its bytes: it lies
-within one page, at most 32 KiB, :data:`repro.engine.config.
-MAX_PAGE_SIZE`)::
+The layouts.  Each kind's *head* — its kind byte, its fixed fields and,
+where byte strings follow, the first one's u16 length — is one
+precompiled ``Struct``: the kind's builder packs it, its kernel unpacks
+it and :func:`_op_end` sizes the op by it.  Every later byte string is a
+u16 length and its bytes; each lies within one page, at most 32 KiB
+(:data:`repro.engine.config.MAX_PAGE_SIZE`)::
 
-    1   OpInsert        kind u8, slot u16, ghost u8, key, value
-    2   OpDelete        the same: the removed row, for undo
-    3   OpUpdateValue   kind u8, slot u16, old value, new value
-    9     spanned       kind u8, slot u16, prefix u16, suffix u16,
-                        old middle, new middle
-    10    redo-only     kind u8, slot u16, new value
-    11    spanned       kind u8, slot u16, prefix u16, suffix u16,
-          redo-only     old middle length u16, new middle
-    4   OpSetGhost      kind u8, slot u16, old ghost u8, new ghost u8
-    5   OpWriteBytes    kind u8, offset u16, old bytes, new bytes
-    6   OpInitSlotted   kind u8, page type u8
-    7   OpBulkInsert    kind u8, slot u16, count u32, then per row:
-                        ghost u8, key, value
-    8   OpBulkDelete    kind u8, slot u16, count u16 — no row
-    12  OpExtendPrefix  kind u8, slot u16, count u16, stripped bytes
-    13  OpSequence      kind u8, count u16 (at least 2), then each
-                        member's encoding, in the order redo applies them
-    99  compensation    99, then the compensated op's encoding
+    kind layout (builder)     head                          then
+    1    insert               kind u8, slot u16, ghost u8,  key, value
+         (insert)             key length u16
+    2    delete (delete)      the same: the removed row, for undo
+    3    update value         kind u8, slot u16,            old value,
+         (value_rewrite)      old length u16                new value
+    9    spanned update       kind u8, slot u16, prefix     old middle,
+         value                u16, suffix u16, old length   new middle
+                              u16
+    10   redo value           kind u8, slot u16, new        new value
+                              length u16
+    11   spanned redo value   kind u8, slot u16, prefix     new middle
+                              u16, suffix u16, old middle
+                              length u16, new length u16
+    4    set ghost            kind u8, slot u16, old ghost
+         (set_ghost)          u8, new ghost u8
+    5    write bytes          kind u8, offset u16, old      old bytes,
+         (write_bytes)        length u16                    new bytes
+    6    init slotted         kind u8, page type u8
+         (init_slotted)
+    7    bulk insert          kind u8, slot u16, count u32  per row: ghost
+         (bulk_insert)                                      u8, key length
+                                                            u16, key, value
+    8    bulk delete          kind u8, slot u16, count u16  — no row
+         (bulk_delete)
+    12   extend prefix        kind u8, slot u16, count      stripped bytes
+         (extend_prefix)      u16, stripped length u16
+    13   sequence (sequence)  kind u8, count u16 (at        each member's
+                              least 2)                      encoding, in
+                                                            redo's order
+    99   compensation         99                            the compensated
+         (compensation)                                     op's encoding
+
+A value rewrite (:func:`value_rewrite`) is spanned — kinds 9 and 11 —
+when its old and new value share their first ``prefix`` and last
+``suffix`` bytes and the op logs only the middles between them, as
+PostgreSQL's heap UPDATE records do with ``PREFIX_FROM_OLD`` /
+``SUFFIX_FROM_OLD``: redo and undo splice one middle in place of the
+other (:func:`repro.page.slotted.update_value`).  A *redo-only* rewrite
+(kinds 10 and 11, see :mod:`repro.wal.records`) keeps no before-image,
+only, when spanned, the old middle's length, and cannot be undone.
+
+A compensation (CLR) op is byte 99 followed by the compensated op's
+bytes, and its redo is that kind's undo kernel.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 
@@ -53,45 +78,69 @@ from repro.page.page import Page, PageType
 from repro.page.slotted import (LENGTH_MASK, SlottedPage, mark_ghost,
                                 update_value)
 
-_U16 = struct.Struct("<H")
-_BHB = struct.Struct("<BHB")
-_BHBH = struct.Struct("<BHBH")
-_BH = struct.Struct("<BH")
-_BHH = struct.Struct("<BHH")
-_BHHH = struct.Struct("<BHHH")
-_BHHHH = struct.Struct("<BHHHH")
-_BHHHHH = struct.Struct("<BHHHHH")
-_BHBB = struct.Struct("<BHBB")
-_BB = struct.Struct("<BB")
-_BHI = struct.Struct("<BHI")
+#: the kind bytes (see the module docstring)
+INSERT = 1
+DELETE = 2
+UPDATE_VALUE = 3
+SET_GHOST = 4
+WRITE_BYTES = 5
+INIT_SLOTTED = 6
+BULK_INSERT = 7
+BULK_DELETE = 8
+SPANNED_UPDATE_VALUE = 9
+REDO_VALUE = 10
+SPANNED_REDO_VALUE = 11
+EXTEND_PREFIX = 12
+SEQUENCE = 13
+COMPENSATION = 99
 
+#: each kind's head (see the module docstring)
+_ROW_HEAD = struct.Struct("<BHBH")                   # INSERT, DELETE
+_UPDATE_VALUE_HEAD = struct.Struct("<BHH")
+_SPANNED_UPDATE_VALUE_HEAD = struct.Struct("<BHHHH")
+_REDO_VALUE_HEAD = struct.Struct("<BHH")
+_SPANNED_REDO_VALUE_HEAD = struct.Struct("<BHHHHH")
+_SET_GHOST_HEAD = struct.Struct("<BHBB")
+_WRITE_BYTES_HEAD = struct.Struct("<BHH")
+_INIT_SLOTTED_HEAD = struct.Struct("<BB")
+_BULK_INSERT_HEAD = struct.Struct("<BHI")
+_BULK_DELETE_HEAD = struct.Struct("<BHH")
+_EXTEND_PREFIX_HEAD = struct.Struct("<BHHH")
+_SEQUENCE_HEAD = struct.Struct("<BH")
+#: a bulk insert's row: its ghost bit and its key's length
+_RUN_ROW_HEAD = struct.Struct("<BH")
+_U16 = struct.Struct("<H")
+
+#: every kind's head and how many byte strings it holds, for
+#: :func:`_op_end` (a bulk insert, a sequence and a compensation are
+#: walked instead)
+_SHAPES = {
+    INSERT: (_ROW_HEAD, 2),
+    DELETE: (_ROW_HEAD, 2),
+    UPDATE_VALUE: (_UPDATE_VALUE_HEAD, 2),
+    SPANNED_UPDATE_VALUE: (_SPANNED_UPDATE_VALUE_HEAD, 2),
+    REDO_VALUE: (_REDO_VALUE_HEAD, 1),
+    SPANNED_REDO_VALUE: (_SPANNED_REDO_VALUE_HEAD, 1),
+    SET_GHOST: (_SET_GHOST_HEAD, 0),
+    WRITE_BYTES: (_WRITE_BYTES_HEAD, 2),
+    INIT_SLOTTED: (_INIT_SLOTTED_HEAD, 0),
+    BULK_DELETE: (_BULK_DELETE_HEAD, 0),
+    EXTEND_PREFIX: (_EXTEND_PREFIX_HEAD, 1),
+}
 
 #: What a kernel can raise on bytes that are not an encoding: every
 #: decode boundary turns these into :class:`LogError`.
 MALFORMED = (struct.error, IndexError, ValueError, OverflowError)
 
-#: :class:`OpUpdateValue`'s bytes besides its values: kind, slot, lengths
-UPDATE_VALUE_FIXED = 7
 #: what a span adds to a value rewrite: its prefix and suffix lengths
 SPAN_SIZE = 4
-#: the kind byte of a spanned :class:`OpUpdateValue`
-_SPANNED_UPDATE_VALUE = 9
-#: the kind bytes of a redo-only :class:`OpUpdateValue`, unspanned and
-#: spanned
-_REDO_VALUE = 10
-_SPANNED_REDO_VALUE = 11
-#: a redo-only rewrite's bytes besides its new value: kind, slot, length
-REDO_VALUE_FIXED = 5
-#: what a span adds to a redo-only rewrite: prefix, suffix, old length
-REDO_SPAN_SIZE = 6
-#: the kind byte of a compensation: the compensated op's bytes follow
-COMPENSATION = 99
+_COMPENSATION = bytes((COMPENSATION,))
 _from_bytes = int.from_bytes
 
 
 def check_span(prefix: int, suffix: int, middle: int) -> None:
-    """A span read from bytes is one an encoder writes: not empty, and
-    no value it splices — ``middle`` is the longer middle's length — is
+    """A span read from bytes is one a builder writes: not empty, and no
+    value it splices — ``middle`` is the longer middle's length — is
     longer than a record can be."""
     if not prefix + suffix:
         raise LogError("empty span")
@@ -111,145 +160,32 @@ def _unpack_bytes(data: bytes, offset: int) -> tuple[bytes, int]:
     return data[start:end], end
 
 
-def _put_bytes(buf: bytearray, pos: int, payload: bytes) -> int:
-    """Write a u16-length-prefixed byte string into ``buf`` at ``pos``."""
-    _U16.pack_into(buf, pos, len(payload))
-    pos += 2
-    end = pos + len(payload)
-    buf[pos:end] = payload
-    return end
-
-
 # ----------------------------------------------------------------------
-# Builders
+# Builders: one per kind, each returning the op's bytes
 # ----------------------------------------------------------------------
-class PageOp:
-    """Base class of the op builders.
-
-    Serialization is allocation-light: every op knows its exact
-    ``encoded_size()`` up front (so the log manager never materializes
-    bytes just to measure a record) and writes itself into a caller-
-    provided buffer via ``encode_into`` (so a whole log record encodes
-    into one preallocated buffer).  An op of fixed fields and byte
-    strings names them: ``_head`` packs the kind byte and the fields
-    ``_fixed`` names, and each field ``_strings`` names follows.
-    """
-
-    kind = -1
-    _fixed: tuple[str, ...] = ()
-    _strings: tuple[str, ...] = ()
-
-    def encoded_size(self) -> int:
-        size = self._head.size
-        for name in self._strings:
-            size += 2 + len(getattr(self, name))
-        return size
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        """Serialize into ``buf`` at ``pos``; returns the end offset."""
-        head = self._head
-        head.pack_into(buf, pos, self.kind,
-                       *map(self.__getattribute__, self._fixed))
-        pos += head.size
-        for name in self._strings:
-            pos = _put_bytes(buf, pos, getattr(self, name))
-        return pos
-
-    def encode(self) -> bytes:
-        buf = bytearray(self.encoded_size())
-        self.encode_into(buf, 0)
-        return bytes(buf)
-
-
-@dataclass(frozen=True, slots=True)
-class OpInsert(PageOp):
+def insert(slot: int, key: bytes, value: bytes, ghost: bool = False) -> bytes:
     """Insert a record at a slot position; undo removes it."""
-
-    slot: int
-    key: bytes
-    value: bytes
-    ghost: bool = False
-
-    kind = 1
-    _head, _fixed, _strings = _BHB, ("slot", "ghost"), ("key", "value")
+    return b"".join((_ROW_HEAD.pack(INSERT, slot, ghost, len(key)), key,
+                     _U16.pack(len(value)), value))
 
 
-@dataclass(frozen=True, slots=True)
-class OpDelete(OpInsert):
+def delete(slot: int, key: bytes, value: bytes, ghost: bool = False) -> bytes:
     """Physically remove the record at a slot; it is logged whole, so
     undo inserts it again."""
-
-    kind = 2
-
-
-@dataclass(slots=True)
-class OpUpdateValue(PageOp):
-    """Replace the value of the record at a slot; build it with
-    :func:`value_rewrite`.
-
-    With a *span* (``prefix`` or ``suffix`` nonzero) the old and new
-    value share their first ``prefix`` and last ``suffix`` bytes, and
-    ``old_value`` / ``new_value`` hold only the middles between them, as
-    PostgreSQL's heap UPDATE records do with ``PREFIX_FROM_OLD`` /
-    ``SUFFIX_FROM_OLD``: redo and undo splice one middle in place of the
-    other (:func:`repro.page.slotted.update_value`, which refuses a value
-    whose span does not hold the middle it replaces before a byte is
-    written).  A *redo-only* rewrite (``old_value`` None, see
-    :mod:`repro.wal.records`) keeps no before-image, only, when spanned,
-    the old middle's length ``old_length``, and cannot be undone.
-
-    Not frozen, unlike the other ops: a frozen dataclass's ``__init__``
-    pays a call per field, and every user rewrite builds one.
-    """
-
-    slot: int
-    old_value: bytes | None
-    new_value: bytes
-    prefix: int = 0
-    suffix: int = 0
-    #: a redo-only op's old middle length (0 when unspanned); an op with
-    #: an ``old_value`` leaves it 0
-    old_length: int = field(default=0, repr=False)
-
-    kind = 3
-
-    def encoded_size(self) -> int:
-        old = self.old_value
-        if old is None:
-            size = REDO_VALUE_FIXED + len(self.new_value)
-            return size + REDO_SPAN_SIZE if self.prefix or self.suffix else size
-        size = UPDATE_VALUE_FIXED + len(old) + len(self.new_value)
-        return size + SPAN_SIZE if self.prefix or self.suffix else size
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        old = self.old_value
-        if old is None:
-            if self.prefix or self.suffix:
-                _BHHHH.pack_into(buf, pos, _SPANNED_REDO_VALUE, self.slot,
-                                 self.prefix, self.suffix, self.old_length)
-                pos += 9
-            else:
-                _BH.pack_into(buf, pos, _REDO_VALUE, self.slot)
-                pos += 3
-            return _put_bytes(buf, pos, self.new_value)
-        if self.prefix or self.suffix:
-            _BHHH.pack_into(buf, pos, _SPANNED_UPDATE_VALUE, self.slot,
-                            self.prefix, self.suffix)
-            pos += 7
-        else:
-            _BH.pack_into(buf, pos, self.kind, self.slot)
-            pos += 3
-        pos = _put_bytes(buf, pos, old)
-        return _put_bytes(buf, pos, self.new_value)
+    return b"".join((_ROW_HEAD.pack(DELETE, slot, ghost, len(key)), key,
+                     _U16.pack(len(value)), value))
 
 
-def value_rewrite(slot: int, old: bytes, new: bytes,
-                  redo_only: bool = False) -> OpUpdateValue:
+def value_rewrite(slot: int, old: bytes, new: bytes, redo_only: bool = False
+                  ) -> tuple[bytes, bytes | None, int, int]:
     """The one builder of value rewrites: ``old`` becomes ``new`` at
-    ``slot``, spanned when the span makes the encoding smaller.  With
-    ``redo_only`` the op keeps no before-image (see
-    :class:`OpUpdateValue`); the span is chosen by the same rule, so a
-    redo-only rewrite redoes exactly what the full one would.
+    ``slot``, spanned when the span makes the encoding smaller.  Returns
+    ``(op, before, prefix, suffix)``: the op's bytes and the
+    before-image it keeps under its span — what a listed write's
+    RESTORE_VALUE undo is, stored once (:mod:`repro.wal.records`).  With
+    ``redo_only`` the op keeps none (``before`` is None); the span is
+    chosen by the same rule, so a redo-only rewrite redoes exactly what
+    the full one would.
 
     Values that share neither their first nor their last byte cannot
     share a prefix or a suffix, so that test comes first: a random
@@ -275,54 +211,38 @@ def value_rewrite(slot: int, old: bytes, new: bytes,
                     ^ _from_bytes(new[new_end - rest:], "little"))
             suffix = rest - ((diff.bit_length() + 7) >> 3)
         if prefix + suffix > SPAN_SIZE:
+            middle = new[prefix:new_end - suffix]
             if redo_only:
-                return OpUpdateValue(slot, None, new[prefix:new_end - suffix],
-                                     prefix, suffix,
-                                     old_end - suffix - prefix)
-            return OpUpdateValue(slot, old[prefix:old_end - suffix],
-                                 new[prefix:new_end - suffix], prefix, suffix)
-    return OpUpdateValue(slot, None, new) if redo_only else OpUpdateValue(
-        slot, old, new)
+                return _SPANNED_REDO_VALUE_HEAD.pack(
+                    SPANNED_REDO_VALUE, slot, prefix, suffix,
+                    old_end - suffix - prefix, len(middle)
+                ) + middle, None, prefix, suffix
+            before = old[prefix:old_end - suffix]
+            return b"".join((_SPANNED_UPDATE_VALUE_HEAD.pack(
+                SPANNED_UPDATE_VALUE, slot, prefix, suffix, len(before)),
+                before, _U16.pack(len(middle)), middle)), before, prefix, suffix
+    if redo_only:
+        return _REDO_VALUE_HEAD.pack(REDO_VALUE, slot, len(new)) + new, None, 0, 0
+    return b"".join((_UPDATE_VALUE_HEAD.pack(UPDATE_VALUE, slot, len(old)),
+                     old, _U16.pack(len(new)), new)), old, 0, 0
 
 
-@dataclass(frozen=True, slots=True)
-class OpSetGhost(PageOp):
-    """Toggle the ghost bit of the record at a slot.
-
-    Logical deletion turns a record into a ghost; ghost removal (a
-    system transaction) later reclaims the space with :class:`OpDelete`.
-    """
-
-    slot: int
-    old_ghost: bool
-    new_ghost: bool
-
-    kind = 4
-    _head, _fixed = _BHBB, ("slot", "old_ghost", "new_ghost")
+def set_ghost(slot: int, old: bool, new: bool) -> bytes:
+    """Toggle the ghost bit of the record at a slot: logical deletion
+    turns a record into a ghost, and ghost removal (a system
+    transaction) later reclaims the space with :func:`delete`."""
+    return _SET_GHOST_HEAD.pack(SET_GHOST, slot, old, new)
 
 
-@dataclass(frozen=True, slots=True)
-class OpWriteBytes(PageOp):
-    """Raw byte-range write within a page (header fields, fences...).
-
-    Used for structural metadata that is not record-shaped, e.g. a
-    B-tree node's fence keys or foster pointer.
-    """
-
-    offset: int
-    old_bytes: bytes
-    new_bytes: bytes
-
-    kind = 5
-    _head, _fixed, _strings = _BH, ("offset",), ("old_bytes", "new_bytes")
-
-    def __post_init__(self) -> None:
-        if len(self.old_bytes) != len(self.new_bytes):
-            raise ValueError("byte-range op must preserve length")
+def write_bytes(offset: int, old: bytes, new: bytes) -> bytes:
+    """Raw byte-range write within a page, ``old`` becoming ``new``."""
+    if len(old) != len(new):
+        raise ValueError("byte-range op must preserve length")
+    return b"".join((_WRITE_BYTES_HEAD.pack(WRITE_BYTES, offset, len(old)),
+                     old, _U16.pack(len(new)), new))
 
 
-@dataclass(frozen=True, slots=True)
-class OpInitSlotted(PageOp):
+def init_slotted(page_type: PageType) -> bytes:
     """Format a page as an empty slotted page of a given type.
 
     "When a data page is reformatted ... it has the same effect as a
@@ -332,63 +252,39 @@ class OpInitSlotted(PageOp):
     in system transactions, which never undo individual operations, so
     it cannot be undone.
     """
-
-    page_type: PageType
-
-    kind = 6
-    _head, _fixed = _BB, ("page_type",)
+    return _INIT_SLOTTED_HEAD.pack(INIT_SLOTTED, page_type)
 
 
-@dataclass(frozen=True, slots=True)
-class OpBulkInsert(PageOp):
-    """Insert a run of records at consecutive slots.
+def bulk_insert(slot: int, rows: tuple[tuple[bytes, bytes, bool], ...]
+                ) -> bytes:
+    """Insert a run of ``(key, value, ghost)`` rows at consecutive slots.
 
     A split's moved half and a leaf run of a sorted batch move dozens
     of records at once; carrying the run in a single operation keeps the
     log-record count proportional to structural events rather than to
     records moved, and applies with one slot-directory shift.
     """
-
-    slot: int
-    records: tuple[tuple[bytes, bytes, bool], ...]  #: (key, value, ghost)
-
-    kind = 7
-
-    def encoded_size(self) -> int:
-        keys, values, _ghosts = tuple(zip(*self.records)) or ((), (), ())
-        return 7 + 5 * len(keys) + sum(map(len, keys)) + sum(map(len, values))
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        _BHI.pack_into(buf, pos, self.kind, self.slot, len(self.records))
-        # The rows joined in C: no Python step per row.
-        keys, values, ghosts = tuple(zip(*self.records)) or ((), (), ())
-        rows = b"".join(chain.from_iterable(zip(
-            map(_BH.pack, ghosts, map(len, keys)), keys,
-            map(_U16.pack, map(len, values)), values)))
-        buf[pos + 7:pos + 7 + len(rows)] = rows
-        return pos + 7 + len(rows)
+    keys, values, ghosts = tuple(zip(*rows)) or ((), (), ())
+    # The rows joined in C: no Python step per row.
+    return _BULK_INSERT_HEAD.pack(BULK_INSERT, slot, len(keys)) + b"".join(
+        chain.from_iterable(zip(map(_RUN_ROW_HEAD.pack, ghosts, map(len, keys)),
+                                keys, map(_U16.pack, map(len, values)),
+                                values)))
 
 
-@dataclass(frozen=True, slots=True)
-class OpBulkDelete(PageOp):
+def bulk_delete(slot: int, count: int) -> bytes:
     """Remove ``count`` consecutive slots from ``slot`` up, naming no row.
 
     A split's removal from its source page, the first op of that page's
     record: the split logs the rows it moves once, in the
-    :class:`OpBulkInsert` that ends its foster child's record (the
-    source record's ``prev_lsn``).  The op cannot be undone in place;
-    rollback takes the rows from that insert (:func:`split_compensation`).
+    :func:`bulk_insert` that ends its foster child's record (the source
+    record's ``prev_lsn``).  The op cannot be undone in place; rollback
+    takes the rows from that insert (:func:`split_compensation`).
     """
-
-    slot: int
-    count: int
-
-    kind = 8
-    _head, _fixed = _BHH, ("slot", "count")
+    return _BULK_DELETE_HEAD.pack(BULK_DELETE, slot, count)
 
 
-@dataclass(frozen=True, slots=True)
-class OpExtendPrefix(PageOp):
+def extend_prefix(slot: int, count: int, stripped: bytes) -> bytes:
     """Strip ``stripped`` from the stored key of each of ``count``
     consecutive slots from ``slot`` up.
 
@@ -403,17 +299,11 @@ class OpExtendPrefix(PageOp):
     the PageLSN counts (:meth:`repro.page.page.Page.count_updates`), as
     the removal and re-insertion would.
     """
-
-    slot: int
-    count: int
-    stripped: bytes
-
-    kind = 12
-    _head, _fixed, _strings = _BHH, ("slot", "count"), ("stripped",)
+    return _EXTEND_PREFIX_HEAD.pack(EXTEND_PREFIX, slot, count,
+                                    len(stripped)) + stripped
 
 
-@dataclass(frozen=True, slots=True)
-class OpSequence(PageOp):
+def sequence(ops: list[bytes] | tuple[bytes, ...]) -> bytes:
     """Two or more ops on one page, applied in order: what one
     structure change does to one page, as one record carries it.
 
@@ -426,35 +316,41 @@ class OpSequence(PageOp):
     PageLSN counts the first), as the per-edit records would.  A member
     is any other op but a redo-only rewrite.
     """
+    return _SEQUENCE_HEAD.pack(SEQUENCE, len(ops)) + b"".join(ops)
 
-    ops: tuple[PageOp, ...]
 
-    kind = 13
+def compensation(op: bytes) -> bytes:
+    """The op of the CLR that compensates ``op``: redone, it runs
+    ``op``'s undo kernel."""
+    return _COMPENSATION + op
 
-    def encoded_size(self) -> int:
-        size = 3
-        for op in self.ops:
-            size += op.encoded_size()
-        return size
 
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        _BH.pack_into(buf, pos, self.kind, len(self.ops))
-        pos += 3
-        for op in self.ops:
-            pos = op.encode_into(buf, pos)
-        return pos
+def split_compensation(source: bytes, rows: list | tuple) -> bytes:
+    """The compensation of a split's op on its source page — a row-free
+    removal, then the foster link — given ``rows``, the rows the removal
+    took as this page stores them: one sequence of the link's
+    compensations, newest first, then an insert of the rows at the
+    removal's slot."""
+    removal, *link = sequence_members(source)
+    _kind, slot, count = _BULK_DELETE_HEAD.unpack_from(removal)
+    if len(rows) != count:
+        raise RecoveryError(f"a removal of {count} rows restored from "
+                            f"{len(rows)}")
+    members = [compensation(op) for op in reversed(link)]
+    members.append(bulk_insert(slot, tuple(rows)))
+    return sequence(members)
 
 
 # ----------------------------------------------------------------------
 # Readers the kernels and rollback share
 # ----------------------------------------------------------------------
 def bulk_rows(data: bytes, pos: int) -> tuple[int, list, int]:
-    """``(slot, rows, end)`` of the :class:`OpBulkInsert` encoded at
-    ``pos``: its rows as ``(key, value, ghost)`` tuples."""
-    _kind, slot, count = _BHI.unpack_from(data, pos)
+    """``(slot, rows, end)`` of the bulk insert encoded at ``pos``: its
+    rows as ``(key, value, ghost)`` tuples."""
+    _kind, slot, count = _BULK_INSERT_HEAD.unpack_from(data, pos)
     pos += 7
     rows = []
-    append, head, length = rows.append, _BH.unpack_from, _U16.unpack_from
+    append, head, length = rows.append, _RUN_ROW_HEAD.unpack_from, _U16.unpack_from
     for _ in range(count):
         ghost, key_length = head(data, pos)
         key_end = pos + 3 + key_length
@@ -467,34 +363,28 @@ def bulk_rows(data: bytes, pos: int) -> tuple[int, list, int]:
     return slot, rows, pos
 
 
-#: every kind's fixed bytes and the byte strings that follow them, for
-#: :func:`_op_end` (runs, sequences and compensations are walked)
-_SHAPES = {cls.kind: (cls._head.size, len(cls._strings))
-           for cls in (OpInsert, OpDelete, OpSetGhost, OpWriteBytes,
-                       OpInitSlotted, OpBulkDelete, OpExtendPrefix)}
-_SHAPES.update({OpUpdateValue.kind: (3, 2), _SPANNED_UPDATE_VALUE: (7, 2),
-                _REDO_VALUE: (3, 1), _SPANNED_REDO_VALUE: (9, 1)})
-
-
 def _op_end(data: bytes, pos: int) -> int:
     """The end of the op encoded at ``pos``, its fields left unread."""
     kind = data[pos]
-    if kind == COMPENSATION:
-        if data[pos + 1] == COMPENSATION:
-            # Rollback never compensates a CLR, so no writer nests
-            # these; a run of 99s must not recurse once per byte.
-            raise LogError("nested compensation op")
-        return _op_end(data, pos + 1)
-    if kind == OpBulkInsert.kind:
-        return bulk_rows(data, pos)[2]
-    if kind == OpSequence.kind:
-        return _members(data, pos)[1]
     shape = _SHAPES.get(kind)
     if shape is None:
-        raise LogError(f"unknown page-op kind {kind}")
-    end = pos + shape[0]
-    for _ in range(shape[1]):
-        end += 2 + _U16.unpack_from(data, end)[0]
+        if kind == COMPENSATION:
+            if data[pos + 1] == COMPENSATION:
+                # Rollback never compensates a CLR, so no writer nests
+                # these; a run of 99s must not recurse once per byte.
+                raise LogError("nested compensation op")
+            return _op_end(data, pos + 1)
+        if kind == BULK_INSERT:
+            return bulk_rows(data, pos)[2]
+        if kind == SEQUENCE:
+            return _members(data, pos)[1]
+        _unknown(kind)
+    head, strings = shape
+    end = pos + head.size
+    if strings:
+        end += head.unpack_from(data, pos)[-1]
+        for _ in range(strings - 1):
+            end += 2 + _U16.unpack_from(data, end)[0]
     if end > len(data):
         raise LogError(f"page op of kind {kind} runs past the end of the "
                        f"record")
@@ -506,17 +396,16 @@ def _check_member(data: bytes, pos: int) -> None:
     or a redo-only rewrite, from its kind bytes, before it is read: a
     run of 13s must not recurse once per byte."""
     kind = data[pos]
-    if kind == OpSequence.kind or (kind == COMPENSATION
-                                   and data[pos + 1] == OpSequence.kind):
+    if kind == SEQUENCE or (kind == COMPENSATION and data[pos + 1] == SEQUENCE):
         raise LogError("nested op sequence")
-    if kind == _REDO_VALUE or kind == _SPANNED_REDO_VALUE:
+    if kind == REDO_VALUE or kind == SPANNED_REDO_VALUE:
         raise LogError("a redo-only rewrite in an op sequence")
 
 
 def _members(data: bytes, pos: int) -> tuple[list[int], int]:
-    """``(starts, end)`` of the :class:`OpSequence` encoded at ``pos``:
-    where each member begins, and where the sequence ends."""
-    _kind, count = _BH.unpack_from(data, pos)
+    """``(starts, end)`` of the sequence encoded at ``pos``: where each
+    member begins, and where the sequence ends."""
+    _kind, count = _SEQUENCE_HEAD.unpack_from(data, pos)
     if count < 2:
         raise LogError(f"a sequence of {count} ops")
     starts = []
@@ -539,36 +428,19 @@ def rewrite_before_image(op: bytes) -> tuple[bytes, int, int] | None:
     its before-image, or the old middle under its span — or None when
     ``op`` is no rewrite that keeps one."""
     kind = op[0]
-    if kind == OpUpdateValue.kind:
-        return _unpack_bytes(op, 3)[0], 0, 0
-    if kind == _SPANNED_UPDATE_VALUE:
-        _kind, _slot, prefix, suffix = _BHHH.unpack_from(op)
+    if kind == UPDATE_VALUE:
+        end = 5 + _UPDATE_VALUE_HEAD.unpack_from(op)[2]
+        if end > len(op):
+            raise LogError(f"a before-image of {end - 5} bytes runs past the "
+                           f"end of the record")
+        return op[5:end], 0, 0
+    if kind == SPANNED_UPDATE_VALUE:
+        _kind, _slot, prefix, suffix, _length = (
+            _SPANNED_UPDATE_VALUE_HEAD.unpack_from(op))
         old, at = _unpack_bytes(op, 7)
         check_span(prefix, suffix, max(len(old), len(_unpack_bytes(op, at)[0])))
         return old, prefix, suffix
     return None
-
-
-def compensation(op: bytes) -> bytes:
-    """The op of the CLR that compensates ``op``: redone, it runs
-    ``op``'s undo kernel."""
-    return bytes((COMPENSATION,)) + op
-
-
-def split_compensation(source: bytes, rows: list | tuple) -> bytes:
-    """The compensation of a split's op on its source page — a row-free
-    removal, then the foster link — given ``rows``, the rows the removal
-    took as this page stores them: one sequence of the link's
-    compensations, newest first, then an insert of the rows at the
-    removal's slot."""
-    removal, *link = sequence_members(source)
-    _kind, slot, count = _BHH.unpack_from(removal)
-    if len(rows) != count:
-        raise RecoveryError(f"a removal of {count} rows restored from "
-                            f"{len(rows)}")
-    members = [compensation(op) for op in reversed(link)]
-    members.append(OpBulkInsert(slot, tuple(rows)).encode())
-    return _BH.pack(OpSequence.kind, len(members)) + b"".join(members)
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +449,7 @@ def split_compensation(source: bytes, rows: list | tuple) -> bytes:
 def _row(page: Page, data: bytes, pos: int, remove: bool = False) -> int:
     """An insert (a delete, with ``remove``) of the row encoded at
     ``pos``: kind 1's redo and kind 2's undo, or the other way round."""
-    _kind, slot, ghost, key_length = _BHBH.unpack_from(data, pos)
+    _kind, slot, ghost, key_length = _ROW_HEAD.unpack_from(data, pos)
     key_end = pos + 6 + key_length
     end = key_end + 2 + _U16.unpack_from(data, key_end)[0]
     if end > len(data):
@@ -594,11 +466,12 @@ def _row(page: Page, data: bytes, pos: int, remove: bool = False) -> int:
 def _rewrite(page: Page, data: bytes, pos: int, undo: bool = False) -> int:
     """A value rewrite that keeps its before-image, kind 3 or (spanned)
     9: its new value spliced in, or its old one with ``undo``."""
-    if data[pos] == _SPANNED_UPDATE_VALUE:
-        _kind, slot, prefix, suffix, old_length = _BHHHH.unpack_from(data, pos)
+    if data[pos] == SPANNED_UPDATE_VALUE:
+        _kind, slot, prefix, suffix, old_length = (
+            _SPANNED_UPDATE_VALUE_HEAD.unpack_from(data, pos))
         at = pos + 7
     else:
-        _kind, slot, old_length = _BHH.unpack_from(data, pos)
+        _kind, slot, old_length = _UPDATE_VALUE_HEAD.unpack_from(data, pos)
         prefix = suffix = 0
         at = pos + 3
     old_end = at + 2 + old_length
@@ -620,12 +493,12 @@ def _rewrite(page: Page, data: bytes, pos: int, undo: bool = False) -> int:
 def _redo_only_rewrite(page: Page, data: bytes, pos: int) -> int:
     """A value rewrite with no before-image, kind 10 or (spanned) 11:
     the span must leave exactly the old middle's length to replace."""
-    if data[pos] == _REDO_VALUE:
-        _kind, slot, length = _BHH.unpack_from(data, pos)
+    if data[pos] == REDO_VALUE:
+        _kind, slot, length = _REDO_VALUE_HEAD.unpack_from(data, pos)
         at, prefix, suffix, old_length = pos + 5, 0, 0, 0
     else:
         _kind, slot, prefix, suffix, old_length, length = (
-            _BHHHHH.unpack_from(data, pos))
+            _SPANNED_REDO_VALUE_HEAD.unpack_from(data, pos))
         at = pos + 11
         middle = max(old_length, length)
         if not 0 < prefix + suffix <= LENGTH_MASK - middle:
@@ -639,25 +512,28 @@ def _redo_only_rewrite(page: Page, data: bytes, pos: int) -> int:
 
 
 def _ghost(page: Page, data: bytes, pos: int, undo: bool = False) -> int:
-    _kind, slot, old, new = _BHBB.unpack_from(data, pos)
+    _kind, slot, old, new = _SET_GHOST_HEAD.unpack_from(data, pos)
     mark_ghost(page, slot, (old if undo else new) != 0)
     return pos + 5
 
 
 def _write_bytes(page: Page, data: bytes, pos: int, undo: bool = False) -> int:
-    _kind, offset = _BH.unpack_from(data, pos)
-    old, at = _unpack_bytes(data, pos + 3)
-    new, end = _unpack_bytes(data, at)
-    if len(old) != len(new):
+    _kind, offset, length = _WRITE_BYTES_HEAD.unpack_from(data, pos)
+    old_end = pos + 5 + length
+    new, end = _unpack_bytes(data, old_end)
+    if len(new) != length:
         raise LogError("byte-range op must preserve length")
-    payload = old if undo else new
-    page.data[offset:offset + len(payload)] = payload
+    if offset + length > len(page.data):
+        raise LogError(f"a write of {length} bytes at offset {offset} "
+                       f"passes the end of a {len(page.data)}-byte page")
+    page.data[offset:offset + length] = data[pos + 5:old_end] if undo else new
     page.invalidate_view()
     return end
 
 
 def _init_slotted(page: Page, data: bytes, pos: int) -> int:
-    page.page_type = PageType(data[pos + 1])
+    _kind, page_type = _INIT_SLOTTED_HEAD.unpack_from(data, pos)
+    page.page_type = PageType(page_type)
     SlottedPage(page).initialize()
     return pos + 2
 
@@ -674,7 +550,7 @@ def _bulk(page: Page, data: bytes, pos: int, remove: bool = False) -> int:
 
 
 def _bulk_delete(page: Page, data: bytes, pos: int) -> int:
-    _kind, slot, count = _BHH.unpack_from(data, pos)
+    _kind, slot, count = _BULK_DELETE_HEAD.unpack_from(data, pos)
     if not count:
         raise LogError("a removal of no row")
     SlottedPage(page).remove_run(slot, count)
@@ -682,7 +558,7 @@ def _bulk_delete(page: Page, data: bytes, pos: int) -> int:
 
 
 def _extend_prefix(page: Page, data: bytes, pos: int, undo: bool = False) -> int:
-    _kind, slot, count, length = _BHHH.unpack_from(data, pos)
+    _kind, slot, count, length = _EXTEND_PREFIX_HEAD.unpack_from(data, pos)
     end = pos + 7 + length
     if end > len(data):
         raise LogError(f"{length} stripped bytes run past the end of the "
@@ -700,7 +576,7 @@ def _extend_prefix(page: Page, data: bytes, pos: int, undo: bool = False) -> int
 
 
 def _redo_sequence(page: Page, data: bytes, pos: int) -> int:
-    _kind, count = _BH.unpack_from(data, pos)
+    _kind, count = _SEQUENCE_HEAD.unpack_from(data, pos)
     if count < 2:
         raise LogError(f"a sequence of {count} ops")
     pos += 3
@@ -745,38 +621,38 @@ def _irreversible(kind: int):  # noqa: ANN202
 
 #: redo kernel per kind byte
 REDO = {
-    OpInsert.kind: _row,
-    OpDelete.kind: partial(_row, remove=True),
-    OpUpdateValue.kind: _rewrite,
-    _SPANNED_UPDATE_VALUE: _rewrite,
-    _REDO_VALUE: _redo_only_rewrite,
-    _SPANNED_REDO_VALUE: _redo_only_rewrite,
-    OpSetGhost.kind: _ghost,
-    OpWriteBytes.kind: _write_bytes,
-    OpInitSlotted.kind: _init_slotted,
-    OpBulkInsert.kind: _bulk,
-    OpBulkDelete.kind: _bulk_delete,
-    OpExtendPrefix.kind: _extend_prefix,
-    OpSequence.kind: _redo_sequence,
+    INSERT: _row,
+    DELETE: partial(_row, remove=True),
+    UPDATE_VALUE: _rewrite,
+    SPANNED_UPDATE_VALUE: _rewrite,
+    REDO_VALUE: _redo_only_rewrite,
+    SPANNED_REDO_VALUE: _redo_only_rewrite,
+    SET_GHOST: _ghost,
+    WRITE_BYTES: _write_bytes,
+    INIT_SLOTTED: _init_slotted,
+    BULK_INSERT: _bulk,
+    BULK_DELETE: _bulk_delete,
+    EXTEND_PREFIX: _extend_prefix,
+    SEQUENCE: _redo_sequence,
     COMPENSATION: _redo_compensation,
 }
 
 #: undo kernel per kind byte — what a compensation of that kind redoes;
 #: the kinds missing have none (:func:`_irreversible`)
 UNDO = {
-    OpInsert.kind: partial(_row, remove=True),
-    OpDelete.kind: _row,
-    OpUpdateValue.kind: partial(_rewrite, undo=True),
-    _SPANNED_UPDATE_VALUE: partial(_rewrite, undo=True),
-    OpSetGhost.kind: partial(_ghost, undo=True),
-    OpWriteBytes.kind: partial(_write_bytes, undo=True),
-    OpBulkInsert.kind: partial(_bulk, remove=True),
-    OpExtendPrefix.kind: partial(_extend_prefix, undo=True),
-    OpSequence.kind: _undo_sequence,
+    INSERT: partial(_row, remove=True),
+    DELETE: _row,
+    UPDATE_VALUE: partial(_rewrite, undo=True),
+    SPANNED_UPDATE_VALUE: partial(_rewrite, undo=True),
+    SET_GHOST: partial(_ghost, undo=True),
+    WRITE_BYTES: partial(_write_bytes, undo=True),
+    BULK_INSERT: partial(_bulk, remove=True),
+    EXTEND_PREFIX: partial(_extend_prefix, undo=True),
+    SEQUENCE: _undo_sequence,
 }
 #: the kind bytes :func:`_check_member` looks at twice
-_NOT_MEMBERS = frozenset({OpSequence.kind, COMPENSATION, _REDO_VALUE,
-                          _SPANNED_REDO_VALUE})
+_NOT_MEMBERS = frozenset({SEQUENCE, COMPENSATION, REDO_VALUE,
+                          SPANNED_REDO_VALUE})
 
 
 def redo(page: Page, data: bytes, start: int, end: int) -> None:

@@ -2,12 +2,13 @@
 
 The log holds these bytes and nothing else: :meth:`LogRecord.encode`
 (or, for an UPDATE, :func:`encode_update`) writes a record once, at
-append.  A reader decodes it again (:meth:`LogRecord.decode`), reads the
-header alone (:func:`read_header`), or — to bring a page current —
-finds the page op in place (:func:`op_span`) and hands its bytes to the
-op kind's kernel (:mod:`repro.wal.ops`): no record or op object is
-built to redo, repair or ship a page update, and :meth:`LogRecord.
-decode` too leaves the op encoded.
+append, around the page op's bytes, which the op kind's builder wrote
+(:mod:`repro.wal.ops`; every op a record carries is ``bytes``).  A
+reader decodes it again (:meth:`LogRecord.decode`), reads the header
+alone (:func:`read_header`), or — to bring a page current — finds the
+page op in place (:func:`op_span`) and hands its bytes to the op kind's
+kernel: no record object is built to redo, repair or ship a page
+update, and :meth:`LogRecord.decode` too leaves the op encoded.
 
 A record is a header followed by a kind-specific payload.  The header
 comes in two forms, told apart by its first byte, the kind byte::
@@ -69,8 +70,8 @@ lengths.  An unspanned rewrite of a 100-byte value under a 16-byte key
 is 129 bytes as an autocommit put and 250 in a multi-record transaction.
 
 **A leaf run is one record**
-(:meth:`repro.btree.tree.FosterBTree.apply_batch`): an ``OpBulkInsert``
-of every row and a DELETE_KEYS undo naming every key, in row order, each
+(:meth:`repro.btree.tree.FosterBTree.apply_batch`): a bulk insert
+(op kind 7) of every row and a DELETE_KEYS undo naming every key, in row order, each
 its row's stored key behind the one prefix the leaf strips — action
 byte 4, a u16 count of at least one, then the keys.  Rollback and the
 update counter treat the run as the per-key records it stands for.
@@ -98,10 +99,9 @@ from itertools import chain
 from typing import Sequence
 
 from repro.errors import LogError, RecoveryError
-from repro.wal.ops import (_REDO_VALUE, _SPANNED_REDO_VALUE, MALFORMED, SPAN_SIZE,
-                           OpBulkInsert, OpUpdateValue, PageOp, _put_bytes,
-                           _unpack_bytes, bulk_rows, check_span,
-                           rewrite_before_image)
+from repro.wal.ops import (BULK_INSERT, MALFORMED, REDO_VALUE,
+                           SPANNED_REDO_VALUE, _unpack_bytes, bulk_rows,
+                           check_span, rewrite_before_image)
 
 _NARROW = struct.Struct("<BHIIIIH")
 _WIDE = struct.Struct("<BIqqqqq")
@@ -116,18 +116,10 @@ WIDE_HEADER_SIZE = _WIDE.size
 _WIDENING = WIDE_HEADER_SIZE - NARROW_HEADER_SIZE
 #: a narrow header's page_id -1
 NO_PAGE = _NO_PAGE = 0xFFFFFFFF
-#: the narrow UPDATE of a value rewrite, up to its first value: header,
-#: flags, op length, then the unspanned op's kind, slot and the length
-#: of the value that follows — the new value of a redo-only rewrite, the
-#: old one (logged once, for the undo too) of a listed rewrite
-_REWRITE = struct.Struct("<BHIIIIHBHBHH")
-#: a spanned redo-only rewrite's, up to its new middle (the op's prefix,
-#: suffix and old middle length between its slot and that length)
-_SPANNED_REWRITE = struct.Struct("<BHIIIIHBHBHHHHH")
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_BHH = struct.Struct("<BHH")
+_BHHH = struct.Struct("<BHHH")
 _BH = struct.Struct("<BH")
 _I64 = struct.Struct("<q")
 _II = struct.Struct("<II")
@@ -249,8 +241,9 @@ class LogicalUndo:
     A RESTORE_VALUE undo may carry its rewrite's span (see the module
     docstring): ``value`` is then the old middle, restored between the
     first ``prefix`` and the last ``suffix`` bytes of whatever value the
-    key holds when it is compensated (:meth:`restored`).  Not frozen,
-    for the reason :class:`repro.wal.ops.OpUpdateValue` is not.
+    key holds when it is compensated (:meth:`restored`).  Not frozen: a
+    frozen dataclass's ``__init__`` pays a call per field, and every
+    listed write builds one.
 
     A DELETE_KEYS undo — a leaf run's — names every key of the run in
     ``keys``, in row order; its ``key`` is the first of them.
@@ -275,35 +268,19 @@ class LogicalUndo:
                 f"fit the {len(current)}-byte value of {self.key!r}")
         return current[:self.prefix] + self.value + current[end:]
 
-    def encoded_size(self) -> int:
-        if self.action is _DELETE_KEYS:
-            return 3 + 2 * len(self.keys) + sum(map(len, self.keys))
-        size = 5 + len(self.key) + len(self.value)
-        return size + SPAN_SIZE if self.prefix or self.suffix else size
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
+    def encode(self) -> bytes:
+        key, value = self.key, self.value
         if self.action is _DELETE_KEYS:
             keys = self.keys
-            _BH.pack_into(buf, pos, _DELETE_KEYS, len(keys))
             # The keys joined in C: no Python step per key.
-            framed = b"".join(chain.from_iterable(zip(
-                map(_U16.pack, map(len, keys)), keys)))
-            buf[pos + 3:pos + 3 + len(framed)] = framed
-            return pos + 3 + len(framed)
+            return _BH.pack(_DELETE_KEYS, len(keys)) + b"".join(
+                chain.from_iterable(zip(map(_U16.pack, map(len, keys)), keys)))
         if self.prefix or self.suffix:
-            _BHH.pack_into(buf, pos, int(self.action) | _SPANNED_UNDO,
-                           self.prefix, self.suffix)
-            pos += 5
+            head = _BHHH.pack(self.action | _SPANNED_UNDO, self.prefix,
+                              self.suffix, len(key))
         else:
-            buf[pos] = int(self.action)
-            pos += 1
-        pos = _put_bytes(buf, pos, self.key)
-        return _put_bytes(buf, pos, self.value)
-
-    def encode(self) -> bytes:
-        buf = bytearray(self.encoded_size())
-        self.encode_into(buf, 0)
-        return bytes(buf)
+            head = _BH.pack(self.action, len(key))
+        return b"".join((head, key, _U16.pack(len(value)), value))
 
     @classmethod
     def decode(cls, data: bytes, offset: int) -> tuple["LogicalUndo", int]:
@@ -315,7 +292,7 @@ class LogicalUndo:
                 key, pos = _unpack_bytes(data, offset + 1)
                 value, pos = _unpack_bytes(data, pos)
                 return cls(action, key, value), pos
-            raw, prefix, suffix = _BHH.unpack_from(data, offset)
+            raw, prefix, suffix, _length = _BHHH.unpack_from(data, offset)
             action = UndoAction(raw & ~_SPANNED_UNDO)
             if action is not _RESTORE_VALUE:
                 raise LogError(f"span on a {action.name} undo")
@@ -403,9 +380,8 @@ class LogRecord:
 
     # Kind-specific payloads.
     #: UPDATE / COMPENSATION / FORMAT: the page op's encoding
-    #: (:mod:`repro.wal.ops`), as :meth:`decode` leaves it — or, in a
-    #: record built to be encoded, its builder
-    op: PageOp | bytes | None = None
+    #: (:mod:`repro.wal.ops`)
+    op: bytes | None = None
     undo: LogicalUndo | None = None          #: UPDATE by user transactions
     undo_next_lsn: int = 0                   #: COMPENSATION
     image: bytes | None = None               #: FULL_PAGE_IMAGE (compressed)
@@ -474,8 +450,7 @@ class LogRecord:
         """The payload's bytes, but an UPDATE's (:func:`encode_update`);
         ``entry`` packs a PRI update's pages."""
         kind = self.kind
-        op = self.op
-        body = op if type(op) is bytes else op.encode() if op else b""
+        body = self.op or b""
         if kind == LogRecordKind.COMPENSATION:
             return _QH.pack(self.undo_next_lsn, len(body)) + body
         if kind == LogRecordKind.FORMAT_PAGE:
@@ -566,7 +541,10 @@ class LogRecord:
                 self.undo = undo
                 if undo.keys:
                     self._check_run_undo()
-                elif _shares_before_image(self.op, undo):
+                elif (undo.action is _RESTORE_VALUE and self.op
+                      and rewrite_before_image(self.op)
+                      == (undo.value, undo.prefix, undo.suffix)):
+                    # What encode_update stores once.
                     raise LogError("an UPDATE that spells out its op's "
                                    "before-image again; its own encoding "
                                    "stores it once")
@@ -602,11 +580,11 @@ class LogRecord:
         return pos
 
     def _check_run_undo(self) -> None:
-        """A DELETE_KEYS undo rides on the OpBulkInsert of its leaf run
+        """A DELETE_KEYS undo rides on the bulk insert of its leaf run
         and names that op's rows: one key per row, in row order, each the
         row's stored key behind the one prefix the leaf strips."""
         op, keys = self.op, self.undo.keys
-        if not op or op[0] != OpBulkInsert.kind:
+        if not op or op[0] != BULK_INSERT:
             raise LogError(f"a DELETE_KEYS undo under "
                            f"{f'an op of kind {op[0]}' if op else 'no op'}")
         rows = bulk_rows(op, 0)[1]
@@ -736,7 +714,7 @@ def op_span(data, kind: int) -> tuple[int, int, int]:
             raise LogError(f"a page op field of {end - start} bytes at byte "
                            f"{start} of a {len(data)}-byte record")
         if (start < end and not flags & _REDO_ONLY
-                and data[start] in (_REDO_VALUE, _SPANNED_REDO_VALUE)):
+                and data[start] in (REDO_VALUE, SPANNED_REDO_VALUE)):
             raise LogError("a redo-only op in a record that is not a "
                            "redo-only UPDATE")
         if (flags & (_HAS_UNDO | _SHARED_BEFORE_IMAGE) == _HAS_UNDO
@@ -763,92 +741,37 @@ def page_image(data) -> tuple[int, bytes]:
 
 
 def encode_update(txn_id: int, prev_lsn: int, page_id: int,
-                  page_prev_lsn: int, index_id: int, op: PageOp | bytes | None,
+                  page_prev_lsn: int, index_id: int, op: bytes | None,
                   undo: LogicalUndo | None, redo_only: bool) -> bytes:
     """What :meth:`LogRecord.encode` writes for an UPDATE, without the
-    object (the commit bit set only on a redo-only record); ``op`` is a
-    builder or its encoding.  A put's value rewrite — redo-only, or
-    unspanned and sharing its before-image — packs with one ``Struct``;
-    any other is sized, then written."""
-    narrow = not ((txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32
-                  | index_id >> 16)
-    if (redo_only and narrow and type(op) is OpUpdateValue
-            and op.old_value is None):
-        new = op.new_value
-        n = len(new)
-        if op.prefix or op.suffix:
-            return _SPANNED_REWRITE.pack(
-                _REDO_UPDATE_KIND, 35 + n, txn_id, prev_lsn,
-                page_id & _NO_PAGE, page_prev_lsn, index_id,
-                _HAS_OP | _REDO_ONLY, 11 + n, _SPANNED_REDO_VALUE, op.slot,
-                op.prefix, op.suffix, op.old_length, n) + new
-        return _REWRITE.pack(
-            _REDO_UPDATE_KIND, 29 + n, txn_id, prev_lsn, page_id & _NO_PAGE,
-            page_prev_lsn, index_id, _HAS_OP | _REDO_ONLY, 5 + n,
-            _REDO_VALUE, op.slot, n) + new
-    page = page_id & _NO_PAGE
-    shared = undo is not None and _shares_before_image(op, undo)
-    if shared and narrow and type(op) is OpUpdateValue and not (
-            op.prefix or op.suffix):
-        old, new = op.old_value, op.new_value
-        total = 34 + len(old) + len(new) + len(undo.key)
-        if not total >> 16:
-            key = undo.key
-            return b"".join((
-                _REWRITE.pack(_UPDATE, total, txn_id, prev_lsn, page,
-                              page_prev_lsn, index_id,
-                              _HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE,
-                              7 + len(old) + len(new), OpUpdateValue.kind,
-                              op.slot, len(old)),
-                old, _U16.pack(len(new)), new,
-                _BH.pack(_RESTORE_VALUE, len(key)), key))
-    encoded = type(op) is bytes
-    op_size = (len(op) if encoded else op.encoded_size()) if op else 0
-    size = 1 + (2 + op_size if op else 0) + (
-        3 + len(undo.key) if shared else undo.encoded_size() if undo else 0)
-    kind_byte = _REDO_UPDATE_KIND if redo_only else _UPDATE
-    if narrow and not (NARROW_HEADER_SIZE + size) >> 16:
-        pos = NARROW_HEADER_SIZE
-        buf = bytearray(pos + size)
-        _NARROW.pack_into(buf, 0, kind_byte, pos + size, txn_id, prev_lsn,
-                          page, page_prev_lsn, index_id)
+    object (the commit bit set only on a redo-only record): the header,
+    the flags byte, the op's length and bytes, the undo, in one write."""
+    flags = _REDO_ONLY if redo_only else 0
+    if undo is None:
+        tail = b""
+    elif (undo.action is _RESTORE_VALUE and op
+          and rewrite_before_image(op) == (undo.value, undo.prefix,
+                                           undo.suffix)):
+        # The undo's value is the op's before-image, under the same
+        # span (an in-place rewrite of one key's value): stored once.
+        flags |= _HAS_UNDO | _SHARED_BEFORE_IMAGE
+        tail = _BH.pack(_RESTORE_VALUE, len(undo.key)) + undo.key
     else:
-        pos = WIDE_HEADER_SIZE
-        buf = bytearray(pos + size)
-        _WIDE.pack_into(buf, 0, kind_byte | _WIDE_BIT, pos + size, txn_id,
-                        prev_lsn, page_id, page_prev_lsn, index_id)
-    buf[pos] = ((_HAS_OP if op else 0) | (_HAS_UNDO if undo else 0)
-                | (_SHARED_BEFORE_IMAGE if shared else 0)
-                | (_REDO_ONLY if redo_only else 0))
-    pos += 1
-    if op:
-        _U16.pack_into(buf, pos, op_size)
-        if encoded:
-            buf[pos + 2:pos + 2 + op_size] = op
-            pos += 2 + op_size
-        else:
-            pos = op.encode_into(buf, pos + 2)
-    if shared:
-        _BH.pack_into(buf, pos, undo.action, len(undo.key))
-        buf[pos + 3:] = undo.key
-    elif undo:
-        undo.encode_into(buf, pos)
-    return bytes(buf)
-
-
-def _shares_before_image(op: PageOp | bytes | None,
-                         undo: LogicalUndo) -> bool:
-    """Is the undo's value the op's ``old_value``, under the same span
-    (an in-place rewrite of one key's value)?  Then it is encoded
-    once."""
-    if undo.action is not _RESTORE_VALUE:
-        return False
-    if type(op) is bytes:
-        return rewrite_before_image(op) == (undo.value, undo.prefix,
-                                            undo.suffix)
-    return (type(op) is OpUpdateValue
-            and (undo.value is op.old_value or undo.value == op.old_value)
-            and undo.prefix == op.prefix and undo.suffix == op.suffix)
+        flags |= _HAS_UNDO
+        tail = undo.encode()
+    size = (3 + len(op) if op else 1) + len(tail)
+    kind = _REDO_UPDATE_KIND if redo_only else _UPDATE
+    if not ((txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32
+            | (index_id | NARROW_HEADER_SIZE + size) >> 16):
+        header = _NARROW.pack(kind, NARROW_HEADER_SIZE + size, txn_id,
+                              prev_lsn, page_id & _NO_PAGE, page_prev_lsn,
+                              index_id)
+    else:
+        header = _WIDE.pack(kind | _WIDE_BIT, WIDE_HEADER_SIZE + size, txn_id,
+                            prev_lsn, page_id, page_prev_lsn, index_id)
+    if not op:
+        return b"".join((header, bytes((flags,)), tail))
+    return b"".join((header, _BH.pack(flags | _HAS_OP, len(op)), op, tail))
 
 
 def pri_update(writes: Sequence[tuple[int, int]]) -> LogRecord:

@@ -87,16 +87,15 @@ def loaded_db() -> Database:
     return database
 
 
-def apply_redo(page, op) -> None:  # noqa: ANN001
-    """Redo the op the builder ``op`` builds on ``page``, from its bytes,
-    as a write and a replay do."""
-    encoded = op.encode()
-    redo(page, encoded, 0, len(encoded))
+def apply_redo(page, op: bytes) -> None:  # noqa: ANN001
+    """Redo the op ``op`` encodes on ``page``, as a write and a replay
+    do."""
+    redo(page, op, 0, len(op))
 
 
-def apply_undo(page, op) -> None:  # noqa: ANN001
+def apply_undo(page, op: bytes) -> None:  # noqa: ANN001
     """Undo ``op`` on ``page``, as the redo of its compensation does."""
-    encoded = compensation(op.encode())
+    encoded = compensation(op)
     redo(page, encoded, 0, len(encoded))
 
 

@@ -16,7 +16,7 @@ from repro.sim.stats import Stats
 from repro.txn.manager import TransactionManager
 from repro.wal.log_manager import LogManager
 from repro.wal.log_reader import LogReader
-from repro.wal.ops import OpInitSlotted
+from repro.wal.ops import init_slotted
 from repro.wal.records import (
     BackupRef,
     LogRecord,
@@ -173,7 +173,7 @@ class TestFetchBackupImage:
         tm = TransactionManager(log, stats)
         txn = tm.begin(system=True)
         page = Page.format(PAGE_SIZE, 9)
-        format_lsn = tm.log_format(txn, page, 0, OpInitSlotted(PageType.HEAP))
+        format_lsn = tm.log_format(txn, page, 0, init_slotted(PageType.HEAP))
         tm.commit(txn)
         fetched, as_of = fetch_backup_image(
             BackupRef.format_record(format_lsn), 9, PAGE_SIZE, store, reader)

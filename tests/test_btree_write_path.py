@@ -480,7 +480,7 @@ class DirectoryDifferential(RuleBasedStateMachine):
         i = data.draw(st.integers(0, node.nrecs - 1))
         old = node.value(i)
         value = self.value(n, len(old) if size is None else size)
-        op = value_rewrite(DATA_START + i, old, value)
+        op = value_rewrite(DATA_START + i, old, value)[0]
         if not node.room_for_value(i, value):
             with pytest.raises(PageFullError):
                 apply_redo(node.page, op)
@@ -900,9 +900,14 @@ def test_a_spliced_rewrite_recovers_like_the_full_value(scenario, shape,
     from repro.btree import node as node_module
     from repro.btree import tree as tree_module
     from repro.engine import catalog as catalog_module
-    from repro.wal.ops import OpUpdateValue
+    from tests.op_reference import OpUpdateValue
+
+    def whole(slot, old, new, redo_only=False):  # noqa: ANN001, ANN202
+        """A value rewrite that logs both values whole."""
+        before = None if redo_only else old
+        return OpUpdateValue(slot, before, new).encode(), before, 0, 0
     for module in (node_module, tree_module, catalog_module):
-        monkeypatch.setattr(module, "value_rewrite", OpUpdateValue)
+        monkeypatch.setattr(module, "value_rewrite", whole)
     full_value, full_leaf, full_size = _rewrite_scenario(scenario, shape)
     assert (full_value, full_leaf) == (value, leaf)
     assert spanned_size < full_size - 80
@@ -916,9 +921,10 @@ def test_a_spliced_redo_refuses_a_value_its_span_does_not_hold():
     slotted.initialize()
     slotted.insert(0, Record(b"k", b"2019-03-04|the rest of the record"))
     page.page_lsn = 100
-    op = value_rewrite(0, b"2011-01-01|the rest of the record",
-                       b"2022-02-02|the rest of the record")
-    assert (op.prefix, op.suffix) == (2, 23)
+    op, _before, prefix, suffix = value_rewrite(
+        0, b"2011-01-01|the rest of the record",
+        b"2022-02-02|the rest of the record")
+    assert (prefix, suffix) == (2, 23)
     record = (200, LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=7,
                              page_prev_lsn=100, op=op).encode())
     before = bytes(page.data)

@@ -18,7 +18,7 @@ from repro.storage.device import DeviceWriteError, StorageDevice
 from repro.txn.manager import TransactionManager
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
-from repro.wal.ops import OpInsert
+from repro.wal.ops import insert
 
 PAGE_SIZE = 512
 EXAMPLES = max(1, int(os.environ.get("TORTURE_EXAMPLES_MULTIPLIER", "1")))
@@ -196,9 +196,9 @@ class TestDirtyTracking:
         pool, _device, _log, tm, _stats, _events = rig
         page = pool.fix(2)
         txn = tm.begin()
-        first = tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
+        first = tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
         pool.mark_dirty(2, first)
-        second = tm.log_update(txn, page.page_id, page, 1, OpInsert(1, b"b", b"2"))
+        second = tm.log_update(txn, page.page_id, page, 1, insert(1, b"b", b"2"))
         pool.mark_dirty(2, second)
         assert pool.dirty_page_table() == {2: first}
         pool.unfix(2)
@@ -207,7 +207,7 @@ class TestDirtyTracking:
         pool, _device, _log, tm, _stats, _events = rig
         page = pool.fix(2)
         txn = tm.begin()
-        lsn = tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
+        lsn = tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
         pool.mark_dirty(2, lsn)
         assert pool.flush_page(2)
         assert not pool.is_dirty(2)
@@ -221,7 +221,7 @@ class TestWriteBackProtocol:
         pool, _device, log, tm, _stats, _events = rig
         page = pool.fix(2)
         txn = tm.begin()
-        lsn = tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
+        lsn = tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
         pool.mark_dirty(2, lsn)
         assert log.durable_lsn <= lsn
         pool.flush_page(2)
@@ -234,7 +234,7 @@ class TestWriteBackProtocol:
         pool, device, _log, tm, _stats, events = rig
         page = pool.fix(2)
         txn = tm.begin()
-        lsn = tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
+        lsn = tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
         pool.mark_dirty(2, lsn)
         write = device.write
 
@@ -251,7 +251,7 @@ class TestWriteBackProtocol:
         pool, device, _log, tm, _stats, _events = rig
         page = pool.fix(2)
         txn = tm.begin()
-        lsn = tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
+        lsn = tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
         pool.mark_dirty(2, lsn)
         pool.flush_page(2)
         pool.unfix(2)
@@ -286,7 +286,7 @@ class TestEviction:
         pool, device, _log, tm, _stats, events = rig
         page = pool.fix(2)
         txn = tm.begin()
-        lsn = tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"zz", b"9"))
+        lsn = tm.log_update(txn, page.page_id, page, 1, insert(0, b"zz", b"9"))
         pool.mark_dirty(2, lsn)
         pool.unfix(2)
         for page_id in (3, 4, 5, 6, 7):
@@ -301,7 +301,7 @@ class TestEviction:
         pool, device, _log, tm, _stats, _events = rig
         page = pool.fix(2)
         txn = tm.begin()
-        lsn = tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
+        lsn = tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
         pool.mark_dirty(2, lsn)
         pool.unfix(2)
         pool.drop_frame(2)
@@ -323,7 +323,7 @@ class TestEviction:
 def dirty(pool: BufferPool, tm: TransactionManager, page_id: int) -> int:
     """Log one update on the pinned ``page_id`` and mark it dirty."""
     lsn = tm.log_update(tm.begin(), page_id, pool.page_if_resident(page_id),
-                        1, OpInsert(0, b"k", b"v"))
+                        1, insert(0, b"k", b"v"))
     pool.mark_dirty(page_id, lsn)
     return lsn
 

@@ -252,7 +252,7 @@ class TestConfigValidation:
         """The largest page fills, splits and logs whole leaves of
         records; every record round-trips through its encoding (u16
         lengths) and the keys survive a crash."""
-        from repro.wal.ops import OpBulkInsert, bulk_rows
+        from repro.wal.ops import BULK_INSERT, bulk_rows
         from repro.wal.records import LogRecord
         client = repro.connect(repro.EngineConfig(
             page_size=32768, capacity_pages=256, buffer_capacity=16))
@@ -267,7 +267,7 @@ class TestConfigValidation:
         moved = max(sum(len(key) + len(value) for key, value, _g
                         in bulk_rows(record.op, 0)[1])
                     for record in records
-                    if record.op and record.op[0] == OpBulkInsert.kind)
+                    if record.op and record.op[0] == BULK_INSERT)
         assert moved > 15_000  # a split moves half a full leaf in one op
         db.crash()
         db.restart()

@@ -24,7 +24,7 @@ from repro.sim.iomodel import NULL_PROFILE
 from repro.sim.stats import Stats
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
-from repro.wal.ops import OpInsert
+from repro.wal.ops import insert
 from repro.wal.records import LogRecord, LogRecordKind
 
 PAGES = range(4)
@@ -61,11 +61,11 @@ def _record(step: tuple, log: LogManager, txn_id: int) -> LogRecord:
     if kind == "format":  # page reuse: a new incarnation's chain
         return LogRecord(LogRecordKind.FORMAT_PAGE, txn_id=txn_id,
                          page_id=page_id, page_prev_lsn=NULL_LSN,
-                         op=OpInsert(0, b"", b""))
+                         op=insert(0, b"", b""))
     return LogRecord(LogRecordKind.UPDATE if kind == "update"
                      else LogRecordKind.COMPENSATION, txn_id=txn_id,
                      page_id=page_id, page_prev_lsn=head,
-                     op=OpInsert(0, b"k%d" % txn_id, b"v"))
+                     op=insert(0, b"k%d" % txn_id, b"v"))
 
 
 def _check_against_adopted(log: LogManager) -> None:

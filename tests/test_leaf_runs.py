@@ -29,7 +29,7 @@ import repro
 from repro.engine.database import Database
 from repro.shard.router import check_batch_op
 from repro.txn.locks import LockConflict
-from repro.wal.ops import OpBulkInsert, bulk_rows
+from repro.wal.ops import BULK_INSERT, bulk_rows
 from repro.wal.records import LogRecord, LogRecordKind
 from tests.conftest import fast_config
 from tests.test_golden_logical_state import _MASKED, tree_pages
@@ -189,7 +189,7 @@ def test_a_sorted_batch_logs_one_update_per_leaf_run():
     rows = [key for record in runs for key in record.undo.keys]
     assert rows == sorted(rows) and len(rows) > len(_TAIL) * 3 // 4
     for record in runs:
-        assert record.op[0] == OpBulkInsert.kind
+        assert record.op[0] == BULK_INSERT
         assert len(bulk_rows(record.op, 0)[1]) == len(record.undo.keys) >= 2
         decoded = LogRecord.decode(record.encode())
         decoded.lsn = record.lsn  # an LSN is where a record lies

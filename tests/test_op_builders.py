@@ -34,65 +34,6 @@ from tests.test_wal_roundtrip_property import (_redo_only_update_value,
 
 
 # ----------------------------------------------------------------------
-# The builders, one per op kind, each returning the op's bytes
-# ----------------------------------------------------------------------
-def _insert(slot, key, value, ghost=False):  # noqa: ANN001, ANN202
-    return ops.OpInsert(slot, key, value, ghost).encode()
-
-
-def _delete(slot, key, value, ghost=False):  # noqa: ANN001, ANN202
-    return ops.OpDelete(slot, key, value, ghost).encode()
-
-
-def _rewrite(slot, old, new, redo_only=False):  # noqa: ANN001, ANN202
-    return ops.value_rewrite(slot, old, new, redo_only).encode()
-
-
-def _set_ghost(slot, old, new):  # noqa: ANN001, ANN202
-    return ops.OpSetGhost(slot, old, new).encode()
-
-
-def _write_bytes(offset, old, new):  # noqa: ANN001, ANN202
-    return ops.OpWriteBytes(offset, old, new).encode()
-
-
-def _init_slotted(page_type):  # noqa: ANN001, ANN202
-    return ops.OpInitSlotted(page_type).encode()
-
-
-def _bulk_insert(slot, rows):  # noqa: ANN001, ANN202
-    return ops.OpBulkInsert(slot, tuple(rows)).encode()
-
-
-def _bulk_delete(slot, count):  # noqa: ANN001, ANN202
-    return ops.OpBulkDelete(slot, count).encode()
-
-
-def _extend_prefix(slot, count, stripped):  # noqa: ANN001, ANN202
-    return ops.OpExtendPrefix(slot, count, stripped).encode()
-
-
-def _sequence(members):  # noqa: ANN001, ANN202
-    return ops.OpSequence(tuple(_Encoded(m) for m in members)).encode()
-
-
-class _Encoded(ops.PageOp):
-    """An op given as its bytes, as a sequence member."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: bytes = b"") -> None:
-        self.data = data
-
-    def encoded_size(self) -> int:
-        return len(self.data)
-
-    def encode_into(self, buf: bytearray, pos: int) -> int:
-        buf[pos:pos + len(self.data)] = self.data
-        return pos + len(self.data)
-
-
-# ----------------------------------------------------------------------
 # The builder property
 # ----------------------------------------------------------------------
 def _span(old: bytes, new: bytes) -> tuple[int, int]:
@@ -110,6 +51,8 @@ def _span(old: bytes, new: bytes) -> tuple[int, int]:
 
 def _rewrite_case(slot: int, old: bytes, new: bytes,
                   redo_only: bool) -> tuple[bytes, bytes]:
+    """As :func:`_case`; the before-image and span the builder returns
+    beside its bytes, for a listed write's undo, are the op's."""
     prefix, suffix = _span(old, new)
     old_middle = old[prefix:len(old) - suffix]
     new_middle = new[prefix:len(new) - suffix]
@@ -121,7 +64,9 @@ def _rewrite_case(slot: int, old: bytes, new: bytes,
     else:
         expected = reference.OpUpdateValue(slot, old_middle, new_middle,
                                            prefix, suffix)
-    return expected.encode(), _rewrite(slot, old, new, redo_only)
+    built, *span = ops.value_rewrite(slot, old, new, redo_only)
+    assert span == [None if redo_only else old_middle, prefix, suffix]
+    return expected.encode(), built
 
 
 def _case(op) -> tuple[bytes, bytes]:  # noqa: ANN001
@@ -140,7 +85,7 @@ def _case(op) -> tuple[bytes, bytes]:  # noqa: ANN001
         cases = [_case(member) for member in op.ops]
         return (reference.OpSequence(tuple(
                     reference.decode(expected) for expected, _ in cases)
-                ).encode(), _sequence([built for _, built in cases]))
+                ).encode(), ops.sequence([built for _, built in cases]))
     if name == "OpInverse":
         expected, built = _case(op.original)
         return (reference.OpInverse(reference.decode(expected)).encode(),
@@ -156,11 +101,12 @@ def _case(op) -> tuple[bytes, bytes]:  # noqa: ANN001
         "OpExtendPrefix": ("slot", "count", "stripped"),
     }[name]
     values = [getattr(op, field) for field in fields]
-    builder = {"OpInsert": _insert, "OpDelete": _delete,
-               "OpSetGhost": _set_ghost, "OpWriteBytes": _write_bytes,
-               "OpInitSlotted": _init_slotted, "OpBulkInsert": _bulk_insert,
-               "OpBulkDelete": _bulk_delete,
-               "OpExtendPrefix": _extend_prefix}[name]
+    builder = {"OpInsert": ops.insert, "OpDelete": ops.delete,
+               "OpSetGhost": ops.set_ghost, "OpWriteBytes": ops.write_bytes,
+               "OpInitSlotted": ops.init_slotted,
+               "OpBulkInsert": ops.bulk_insert,
+               "OpBulkDelete": ops.bulk_delete,
+               "OpExtendPrefix": ops.extend_prefix}[name]
     return getattr(reference, name)(*values).encode(), builder(*values)
 
 
@@ -204,48 +150,44 @@ def _update(txn_id: int, prev_lsn: int, op: bytes,
 
 
 def _listed_rewrite(old: bytes, new: bytes) -> bytes:
-    op, before, prefix, suffix = _rewrite_with_span(5, old, new)
+    op, before, prefix, suffix = ops.value_rewrite(5, old, new)
     return _update(9, 500, op, LogicalUndo(UndoAction.RESTORE_VALUE,
                                            b"key-1", before, prefix, suffix))
 
 
-def _rewrite_with_span(slot, old, new):  # noqa: ANN001, ANN202
-    """A listed rewrite's op and the before-image its undo shares."""
-    op = ops.value_rewrite(slot, old, new)
-    return op.encode(), op.old_value, op.prefix, op.suffix
-
-
 VECTORS = {
     "redo-only rewrite": lambda: _update(
-        7, 0, _rewrite(5, _OLD, _NEW, True), redo_only=True),
+        7, 0, ops.value_rewrite(5, _OLD, _NEW, True)[0], redo_only=True),
     "redo-only spanned rewrite": lambda: _update(
-        7, 0, _rewrite(5, _SPANNED_OLD, _SPANNED_NEW, True), redo_only=True),
+        7, 0, ops.value_rewrite(5, _SPANNED_OLD, _SPANNED_NEW, True)[0],
+        redo_only=True),
     "listed rewrite": lambda: _listed_rewrite(_OLD, _NEW),
     "listed spanned rewrite": lambda: _listed_rewrite(_SPANNED_OLD,
                                                       _SPANNED_NEW),
     "redo-only insert": lambda: _update(
-        11, 0, _insert(7, b"key-2", b"v" * 100), redo_only=True),
+        11, 0, ops.insert(7, b"key-2", b"v" * 100), redo_only=True),
     "listed insert": lambda: _update(
-        12, 600, _insert(7, b"key-2", b"value"),
+        12, 600, ops.insert(7, b"key-2", b"value"),
         LogicalUndo(UndoAction.DELETE_KEY, b"key-2")),
     "ghost mark": lambda: _update(
-        13, 700, _set_ghost(7, False, True),
+        13, 700, ops.set_ghost(7, False, True),
         LogicalUndo(UndoAction.INSERT_KEY, b"key-2", b"value")),
     "leaf run": lambda: _update(
-        14, 750, _bulk_insert(4, ((b"1", b"one", False), (b"2", b"two", False))),
+        14, 750, ops.bulk_insert(4, ((b"1", b"one", False),
+                                     (b"2", b"two", False))),
         LogicalUndo(UndoAction.DELETE_KEYS, b"k1", keys=(b"k1", b"k2"))),
-    "split source": lambda: _update(15, 800, _sequence((
-        _bulk_delete(10, 6), _delete(2, b"", _PID_0, True),
-        _insert(2, b"sep", _PID_43, True)))),
+    "split source": lambda: _update(15, 800, ops.sequence((
+        ops.bulk_delete(10, 6), ops.delete(2, b"", _PID_0, True),
+        ops.insert(2, b"sep", _PID_43, True)))),
     "format": lambda: LogRecord(
         LogRecordKind.FORMAT_PAGE, 16, 0, 43, 0, 3,
-        op=_init_slotted(PageType.BTREE_LEAF)).encode(),
+        op=ops.init_slotted(PageType.BTREE_LEAF)).encode(),
     "compensation": lambda: LogRecord(
         LogRecordKind.COMPENSATION, 17, 900, 42, 1100, 3,
-        op=ops.compensation(_insert(7, b"key-2", b"value")),
+        op=ops.compensation(ops.insert(7, b"key-2", b"value")),
         undo_next_lsn=600).encode(),
     "wide update": lambda: _update(
-        2**33, 2**32 + 5, _insert(7, b"key-2", b"value"),
+        2**33, 2**32 + 5, ops.insert(7, b"key-2", b"value"),
         LogicalUndo(UndoAction.DELETE_KEY, b"key-2")),
 }
 

@@ -20,17 +20,18 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LogError, ReproError
 from repro.page.page import Page, PageType
 from repro.page.slotted import SlottedPage
-from repro.wal.ops import (OpBulkDelete, OpBulkInsert, OpDelete, OpExtendPrefix,
-                           OpInsert, OpSequence, OpSetGhost, OpUpdateValue,
-                           OpWriteBytes, compensation, redo)
+from repro.wal.ops import compensation, redo, write_bytes
 from tests import op_reference as reference
-from tests.op_reference import OpInverse  # a compensation's builder
+from tests.op_reference import (OpBulkDelete, OpBulkInsert, OpDelete,
+                                OpExtendPrefix, OpInsert, OpInverse, OpSequence,
+                                OpSetGhost, OpUpdateValue, OpWriteBytes)
 from tests.test_wal_roundtrip_property import _redo_only_update_value, any_op
 
 #: what the engine's apply may raise where the reference fails
@@ -124,15 +125,49 @@ def _reference_undo(page: Page, encoded: bytes) -> None:
     reference.decode(encoded).apply_undo(page)
 
 
+def _passes_end(op, size: int) -> bool:  # noqa: ANN001
+    """Does the reference op ``op`` write a byte range that passes the
+    end of a ``size``-byte page?"""
+    if type(op) is OpInverse:
+        return _passes_end(op.original, size)
+    if type(op) is OpSequence:
+        return any(_passes_end(member, size) for member in op.ops)
+    return type(op) is OpWriteBytes and op.offset + len(op.new_bytes) > size
+
+
+def _expected(apply, page: Page, encoded: bytes) -> bytes | None:  # noqa: ANN001
+    """The reference's outcome, but None where the op writes a byte
+    range past the page's end (the reference lengthens the page's
+    buffer there; the engine refuses the op)."""
+    if _passes_end(reference.decode(encoded), page.size):
+        return None
+    return _outcome(apply, page, encoded)
+
+
 def _agree(page: Page, encoded: bytes) -> None:
     """Redo, then undo on the redone page, as the reference does."""
-    expected = _outcome(_reference_redo, page, encoded)
+    expected = _expected(_reference_redo, page, encoded)
     assert _outcome(_engine_redo, page, encoded, TYPED) == expected
     if expected is not None:
-        # (A byte write past the page's end lengthens its buffer.)
-        page = Page(len(expected), expected)
+        page = Page(page.size, expected)
     assert (_outcome(_engine_undo, page, encoded, TYPED)
-            == _outcome(_reference_undo, page, encoded))
+            == _expected(_reference_undo, page, encoded))
+
+
+def test_a_byte_write_past_the_pages_end_is_refused():
+    """A byte range that passes the page's end is refused before a byte
+    is written, redo and undo alike: the page keeps its size."""
+    page = _page(3)
+    for offset, length in ((2047, 2), (2048, 1), (4000, 0)):
+        op = write_bytes(offset, bytes(length), b"\1" * length)
+        for apply in (_engine_redo, _engine_undo):
+            copy = page.copy()
+            with pytest.raises(LogError, match="passes the end"):
+                apply(copy, op)
+            assert copy.data == page.data
+    last = page.copy()
+    _engine_redo(last, write_bytes(2046, bytes(2), b"\1\2"))
+    assert len(last.data) == 2048 and last.data[-2:] == b"\1\2"
 
 
 ops = st.one_of(any_op, _redo_only_update_value())

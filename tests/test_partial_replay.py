@@ -1,7 +1,7 @@
 """A replay that fails inside a record never hands on its page.
 
 A structure change logs one record per page it changes, that page's
-ops in one ``OpSequence``, and redo applies the members in order: a
+ops in one sequence (``repro.wal.ops.sequence``), and redo applies the members in order: a
 member the kernel refuses leaves the members before it applied.  Here
 the second member of a split's record of its source page has its kind
 byte overwritten — the row-free removal before it applies, then the
@@ -21,7 +21,7 @@ from repro.core.single_page import replay_records
 from repro.errors import (LogError, MediaFailure, ReplicationError,
                           SystemFailure)
 from repro.page.page import Page
-from repro.wal.ops import OpBulkDelete, OpSequence, redo
+from repro.wal.ops import BULK_DELETE, SEQUENCE, bulk_delete, redo
 from repro.wal.records import LogRecordKind, op_span, read_header
 from tests.conftest import fast_config
 
@@ -41,8 +41,8 @@ def _split(db: Database, tree) -> tuple[int, int]:  # noqa: ANN001
             if kind != LogRecordKind.UPDATE:
                 continue
             begin, _end, _rows = op_span(encoding, kind)
-            if (encoding[begin] == OpSequence.kind
-                    and encoding[begin + 3] == OpBulkDelete.kind):
+            if (encoding[begin] == SEQUENCE
+                    and encoding[begin + 3] == BULK_DELETE):
                 db.commit(txn)
                 return lsn, page_id
     raise AssertionError("no leaf split")
@@ -64,7 +64,7 @@ def _second_member(db: Database, lsn: int) -> tuple[bytearray, int]:
     carries."""
     encoding = db.log.encoding_at(lsn)
     begin, _end, _rows = op_span(encoding, LogRecordKind.UPDATE)
-    second = begin + 3 + OpBulkDelete(0, 1).encoded_size()
+    second = begin + 3 + len(bulk_delete(0, 1))
     (segment,) = [s for s in db.log._dir._segments
                   if s.base_lsn <= lsn < s.end_lsn]
     return segment.data, lsn - segment.base_lsn + second

@@ -22,7 +22,7 @@ from repro.page.page import Page, PageType
 from repro.page.slotted import Record, SlottedPage
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter
-from repro.wal.ops import OpUpdateValue, value_rewrite
+from repro.wal.ops import value_rewrite
 from repro.wal.records import LogRecord, LogRecordKind
 from tests import op_reference as reference
 from tests.conftest import (apply_redo, assert_no_pins, fast_config, key_of,
@@ -262,11 +262,12 @@ def test_redo_of_a_spanned_redo_only_rewrite_checks_the_old_middle_length():
     slotted.initialize()
     old, new = b"2019-03-04" + b"x" * 30, b"2021-11-22" + b"x" * 30
     slotted.insert(0, Record(b"k", old))
-    op = value_rewrite(0, old, new, True)
-    assert (op.old_value, op.old_length) == (None, 8)
-    wrong = OpUpdateValue(0, None, b"21-11-22", op.prefix, op.suffix, 9)
+    op, before, prefix, suffix = value_rewrite(0, old, new, True)
+    spanned = reference.decode(op)
+    assert (before, spanned.old_value, spanned.old_length) == (None, None, 8)
+    wrong = reference.OpUpdateValue(0, None, b"21-11-22", prefix, suffix, 9)
     with pytest.raises(RecoveryError):
-        apply_redo(page, wrong)
+        apply_redo(page, wrong.encode())
     assert slotted.read_value(0) == (False, old)
     apply_redo(page, op)
     assert slotted.read_value(0) == (False, new)

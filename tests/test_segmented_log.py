@@ -15,7 +15,7 @@ from repro.sim.stats import Stats
 from repro.wal.log_manager import LogManager
 from repro.wal.log_reader import LogReader
 from repro.wal.lsn import NULL_LSN
-from repro.wal.ops import OpInsert
+from repro.wal.ops import insert
 from repro.wal.records import (BackupRef, BackupRefKind, LogRecord, LogRecordKind,
                                 pri_update)
 from repro.wal.segments import SegmentDirectory
@@ -28,7 +28,7 @@ def make_log(**kwargs) -> LogManager:
 
 def update_record(page_id: int, prev: int, i: int = 0) -> LogRecord:
     return LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=page_id,
-                     page_prev_lsn=prev, op=OpInsert(i, b"k%d" % i, b"v"))
+                     page_prev_lsn=prev, op=insert(i, b"k%d" % i, b"v"))
 
 
 class TestSegmentDirectory:
@@ -114,7 +114,7 @@ class TestChainHeadIndex:
         # Page 7 freed and reallocated: FORMAT starts a new chain...
         log.append(LogRecord(LogRecordKind.FORMAT_PAGE, txn_id=2, page_id=7,
                              page_prev_lsn=NULL_LSN,
-                             op=OpInsert(0, b"", b"")))
+                             op=insert(0, b"", b"")))
         log.crash()  # ...but it was never forced
         assert log.page_chain_head(7) == l1
 
@@ -126,7 +126,7 @@ class TestChainHeadIndex:
         log.force()
         log.append(LogRecord(LogRecordKind.FORMAT_PAGE, txn_id=2, page_id=9,
                              page_prev_lsn=NULL_LSN,
-                             op=OpInsert(0, b"", b"")))
+                             op=insert(0, b"", b"")))
         log.crash()
         assert log.page_chain_head(9) == NULL_LSN
 

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.errors import RecoveryError
 from repro.page.page import HEADER_SIZE, Page, PageType
 from repro.page.slotted import PageFullError, Record, SlottedPage, update_value
-from repro.wal.ops import OpExtendPrefix
+from repro.wal.ops import extend_prefix
 from tests.conftest import apply_undo
 
 _HEAP_START = HEADER_SIZE + 8
@@ -318,5 +318,5 @@ def test_an_undone_prefix_extension_that_does_not_fit_leaves_the_page_alone():
     page = _full_page()
     before = bytes(page.data)
     with pytest.raises(PageFullError):
-        apply_undo(page, OpExtendPrefix(0, 36, b"X" * 10))
+        apply_undo(page, extend_prefix(0, 36, b"X" * 10))
     assert bytes(page.data) == before

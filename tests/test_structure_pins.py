@@ -33,7 +33,7 @@ import repro
 from bench.workloads import WORKLOADS, DblpCorpus, kv_records
 from repro.engine.database import Database
 from repro.page.slotted import SLOT_SIZE, SlottedPage
-from repro.wal.ops import REDO, UNDO, OpExtendPrefix
+from repro.wal.ops import EXTEND_PREFIX, REDO, UNDO
 from tests import op_reference as reference
 from tests.conftest import fast_config
 from tests.test_structure_records import _arm, _Cut, _put
@@ -100,7 +100,7 @@ def _after_compaction(page, data, pos: int) -> bool:  # noqa: ANN001
 
 def random_stream(monkeypatch) -> tuple[str, str]:  # noqa: ANN001
     seen = {"compacting": 0, "undone": 0}
-    kind = OpExtendPrefix.kind
+    kind = EXTEND_PREFIX
     redo, undo = REDO[kind], UNDO[kind]
 
     def extending(page, data, pos):  # noqa: ANN001, ANN202

@@ -46,9 +46,11 @@ from repro.engine.database import Database
 from repro.errors import RecoveryError
 from repro.page.page import TYPE_OFFSET, Page, PageType
 from repro.page.slotted import Record, SlottedPage, update_value
-from repro.wal.ops import OpBulkDelete, OpBulkInsert, OpExtendPrefix, OpSequence
+from repro.wal.ops import extend_prefix, sequence
 from repro.wal.records import LogRecordKind
 from tests import op_reference as reference
+from tests.op_reference import (OpBulkDelete, OpBulkInsert, OpExtendPrefix,
+                                OpSequence)
 from tests.conftest import apply_redo, apply_undo, clone_crashed, fast_config
 from tests.test_golden_logical_state import _MASKED, tree_pages
 
@@ -117,9 +119,8 @@ class _Cut(Exception):
 
 def _ops(op) -> tuple:  # noqa: ANN001
     """The ops a record's op makes — a sequence's members, else itself —
-    from its builder or, read by the reference decoder, its encoding."""
-    if type(op) is bytes:
-        op = reference.decode(op)
+    read from its encoding by the reference decoder."""
+    op = reference.decode(op)
     return op.ops if op.kind == OpSequence.kind else (op,)
 
 
@@ -403,7 +404,7 @@ def test_a_prefix_extension_leaves_what_removing_and_reinserting_left():
     the re-keyed rows leave, the update counter advanced by two either
     way."""
     keys = [b"k0012", b"k0015", b"k0019", b"k001A"]
-    op = OpExtendPrefix(2, 4, b"k001")
+    op = extend_prefix(2, 4, b"k001")
     page, pair = _slotted(keys), _slotted(keys)
     apply_redo(page, op)
     page.page_lsn = 10
@@ -427,9 +428,9 @@ def test_a_prefix_extension_refuses_a_key_without_its_bytes():
     page = _slotted([b"k0012", b"k0015", b"k0029"])
     before = bytes(page.data)
     with pytest.raises(RecoveryError):
-        apply_redo(page, OpExtendPrefix(2, 3, b"k001"))
+        apply_redo(page, extend_prefix(2, 3, b"k001"))
     with pytest.raises(RecoveryError):
-        apply_redo(page, OpExtendPrefix(2, 4, b"k00"))
+        apply_redo(page, extend_prefix(2, 4, b"k00"))
     assert page.data == before
 
 
@@ -474,11 +475,12 @@ def test_a_chain_end_fits_the_page_it_changes(room):
     page = node.page
     rows = list(node.rows())
     ops = node.ops_end_chain(b"user/9999")
-    kinds = [(type(op).__name__, getattr(op, "slot", None)) for op in ops]
+    decoded = [reference.decode(op) for op in ops]
+    kinds = [(type(op).__name__, getattr(op, "slot", None)) for op in decoded]
     fence_first = kinds[:2] == [("OpDelete", 1), ("OpInsert", 1)]
     assert fence_first == (room >= len(b"user/9999"))
-    assert any(op.kind == OpExtendPrefix.kind for op in ops) == (room >= 5)
-    apply_redo(page, OpSequence(tuple(ops)))
+    assert any(op.kind == OpExtendPrefix.kind for op in decoded) == (room >= 5)
+    apply_redo(page, sequence(ops))
     node = BTreeNode(page)
     assert (node.high_fence, node.high_inf, node.has_foster) == (
         b"user/9999", False, False)

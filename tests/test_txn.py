@@ -13,7 +13,7 @@ from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction, TxnState
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
-from repro.wal.ops import OpInsert
+from repro.wal.ops import insert
 from repro.wal.records import LogRecordKind
 
 PAGE_SIZE = 1024
@@ -58,7 +58,7 @@ class TestCommitSemantics:
     def test_user_commit_forces_log(self, setup):
         log, tm, page, _ctx, stats = setup
         txn = tm.begin()
-        tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
+        tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
         forces_before = stats.get("log_forces")
         tm.commit(txn)
         assert stats.get("log_forces") == forces_before + 1
@@ -68,7 +68,7 @@ class TestCommitSemantics:
         """Figure 5: system transactions commit without forcing."""
         log, tm, page, _ctx, stats = setup
         txn = tm.begin(system=True)
-        tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
+        tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
         forces_before = stats.get("log_forces")
         tm.commit(txn)
         assert stats.get("log_forces") == forces_before
@@ -79,10 +79,10 @@ class TestCommitSemantics:
         commit record of any dependent user transaction'."""
         log, tm, page, _ctx, _stats = setup
         sys_txn = tm.begin(system=True)
-        tm.log_update(sys_txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
+        tm.log_update(sys_txn, page.page_id, page, 1, insert(0, b"a", b"1"))
         sys_commit = tm.commit(sys_txn)
         user = tm.begin()
-        tm.log_update(user, page.page_id, page, 1, OpInsert(1, b"b", b"2"))
+        tm.log_update(user, page.page_id, page, 1, insert(1, b"b", b"2"))
         tm.commit(user)
         assert log.durable_lsn > sys_commit
 
@@ -105,8 +105,8 @@ class TestChains:
     def test_per_transaction_chain(self, setup):
         log, tm, page, _ctx, _stats = setup
         txn = tm.begin()
-        l1 = tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
-        l2 = tm.log_update(txn, page.page_id, page, 1, OpInsert(1, b"b", b"2"))
+        l1 = tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
+        l2 = tm.log_update(txn, page.page_id, page, 1, insert(1, b"b", b"2"))
         commit = tm.commit(txn)
         # The commit rides on the transaction's last record.
         assert commit == l2 and log.record_at(l2).commits_txn
@@ -120,9 +120,9 @@ class TestChains:
         log, tm, page, _ctx, _stats = setup
         txn_a = tm.begin()
         txn_b = tm.begin()
-        l1 = tm.log_update(txn_a, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
-        l2 = tm.log_update(txn_b, page.page_id, page, 1, OpInsert(1, b"b", b"2"))
-        l3 = tm.log_update(txn_a, page.page_id, page, 1, OpInsert(2, b"c", b"3"))
+        l1 = tm.log_update(txn_a, page.page_id, page, 1, insert(0, b"a", b"1"))
+        l2 = tm.log_update(txn_b, page.page_id, page, 1, insert(1, b"b", b"2"))
+        l3 = tm.log_update(txn_a, page.page_id, page, 1, insert(2, b"c", b"3"))
         assert page.page_lsn == l3
         assert log.record_at(l3).page_prev_lsn == l2
         assert log.record_at(l2).page_prev_lsn == l1
@@ -131,7 +131,7 @@ class TestChains:
     def test_page_lsn_advances_with_each_update(self, setup):
         _log, tm, page, _ctx, _stats = setup
         txn = tm.begin()
-        lsns = [tm.log_update(txn, page.page_id, page, 1, OpInsert(i, b"k%d" % i, b"v"))
+        lsns = [tm.log_update(txn, page.page_id, page, 1, insert(i, b"k%d" % i, b"v"))
                 for i in range(3)]
         assert lsns == sorted(lsns)
         assert page.page_lsn == lsns[-1]
@@ -141,8 +141,8 @@ class TestRollback:
     def test_physical_rollback_restores_page(self, setup):
         _log, tm, page, ctx, _stats = setup
         txn = tm.begin()
-        tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
-        tm.log_update(txn, page.page_id, page, 1, OpInsert(1, b"b", b"2"))
+        tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
+        tm.log_update(txn, page.page_id, page, 1, insert(1, b"b", b"2"))
         tm.abort(txn, ctx)
         assert SlottedPage(page).slot_count == 0
         assert txn.state == TxnState.ABORTED
@@ -150,7 +150,7 @@ class TestRollback:
     def test_rollback_writes_clrs(self, setup):
         log, tm, page, ctx, _stats = setup
         txn = tm.begin()
-        tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
+        tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
         tm.abort(txn, ctx)
         kinds = [r.kind for r in log.all_records()]
         assert kinds.count(LogRecordKind.COMPENSATION) == 1
@@ -159,8 +159,8 @@ class TestRollback:
     def test_clr_undo_next_skips_compensated_work(self, setup):
         log, tm, page, ctx, _stats = setup
         txn = tm.begin()
-        l1 = tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
-        l2 = tm.log_update(txn, page.page_id, page, 1, OpInsert(1, b"b", b"2"))
+        l1 = tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
+        l2 = tm.log_update(txn, page.page_id, page, 1, insert(1, b"b", b"2"))
         tm.abort(txn, ctx)
         clrs = [r for r in log.all_records()
                 if r.kind == LogRecordKind.COMPENSATION]
@@ -172,8 +172,8 @@ class TestRollback:
         double-compensate (CLRs are never undone)."""
         _log, tm, page, ctx, _stats = setup
         txn = tm.begin()
-        tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"))
-        tm.log_update(txn, page.page_id, page, 1, OpInsert(1, b"b", b"2"))
+        tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
+        tm.log_update(txn, page.page_id, page, 1, insert(1, b"b", b"2"))
         # First rollback attempt: undo only the most recent update.
         tm.rollback_work(txn, ctx, to_lsn=txn.first_lsn)
         assert SlottedPage(page).slot_count == 1
@@ -186,7 +186,7 @@ class TestRollback:
 
         _log, tm, page, ctx, _stats = setup
         txn = tm.begin()
-        l1 = tm.log_update(txn, page.page_id, page, 1, OpInsert(0, b"a", b"1"),
+        l1 = tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"),
                            undo=LogicalUndo(UndoAction.DELETE_KEY, b"a"))
         tm.abort(txn, ctx)
         assert len(ctx.logical_calls) == 1

@@ -20,14 +20,14 @@ from repro.wal.log_manager import LogManager
 from repro.wal.log_reader import LogReader
 from repro.wal.lsn import LOG_PAGE_SIZE, LOG_START, NULL_LSN, log_page_of
 from repro.wal.ops import (
-    OpDelete,
-    OpInitSlotted,
-    OpInsert,
-    OpSetGhost,
-    OpUpdateValue,
-    OpWriteBytes,
     compensation,
+    delete,
+    init_slotted,
+    insert,
     redo,
+    set_ghost,
+    value_rewrite,
+    write_bytes,
 )
 from repro.wal.records import (
     BackupRef,
@@ -65,7 +65,7 @@ def apply(page: Page, op: bytes) -> None:
 class TestPageOps:
     def test_insert_redo_undo(self):
         page = fresh_page()
-        op = OpInsert(0, b"key", b"value")
+        op = insert(0, b"key", b"value")
         apply_redo(page, op)
         assert SlottedPage(page).read_record(0).value == b"value"
         apply_undo(page, op)
@@ -74,7 +74,7 @@ class TestPageOps:
     def test_delete_redo_undo(self):
         page = fresh_page()
         SlottedPage(page).insert(0, Record(b"key", b"value"))
-        op = OpDelete(0, b"key", b"value")
+        op = delete(0, b"key", b"value")
         apply_redo(page, op)
         assert SlottedPage(page).slot_count == 0
         apply_undo(page, op)
@@ -83,7 +83,7 @@ class TestPageOps:
     def test_update_value_redo_undo(self):
         page = fresh_page()
         SlottedPage(page).insert(0, Record(b"k", b"old"))
-        op = OpUpdateValue(0, b"old", b"new")
+        op = value_rewrite(0, b"old", b"new")[0]
         apply_redo(page, op)
         assert SlottedPage(page).read_record(0).value == b"new"
         apply_undo(page, op)
@@ -92,7 +92,7 @@ class TestPageOps:
     def test_set_ghost_redo_undo(self):
         page = fresh_page()
         SlottedPage(page).insert(0, Record(b"k", b"v"))
-        op = OpSetGhost(0, False, True)
+        op = set_ghost(0, False, True)
         apply_redo(page, op)
         assert SlottedPage(page).is_ghost(0)
         apply_undo(page, op)
@@ -102,7 +102,7 @@ class TestPageOps:
         page = fresh_page()
         start = 100
         original = bytes(page.data[start:start + 4])
-        op = OpWriteBytes(start, original, b"ABCD")
+        op = write_bytes(start, original, b"ABCD")
         apply_redo(page, op)
         assert bytes(page.data[start:start + 4]) == b"ABCD"
         apply_undo(page, op)
@@ -110,11 +110,11 @@ class TestPageOps:
 
     def test_write_bytes_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            OpWriteBytes(0, b"ab", b"abc")
+            write_bytes(0, b"ab", b"abc")
 
     def test_init_slotted_cannot_undo(self):
         page = fresh_page()
-        op = OpInitSlotted(PageType.BTREE_LEAF)
+        op = init_slotted(PageType.BTREE_LEAF)
         apply_redo(page, op)
         assert page.page_type == PageType.BTREE_LEAF
         with pytest.raises(LogError):
@@ -123,25 +123,30 @@ class TestPageOps:
     def test_inverse_op_redoes_the_undo(self):
         page = fresh_page()
         SlottedPage(page).insert(0, Record(b"k", b"v"))
-        inverse = compensation(OpInsert(0, b"k", b"v").encode())
+        inverse = compensation(insert(0, b"k", b"v"))
         apply(page, inverse)  # redo of the compensation = undo of insert
         assert SlottedPage(page).slot_count == 0
         with pytest.raises(LogError):
             apply(page, compensation(inverse))
 
-    @pytest.mark.parametrize("op", [
-        OpInsert(3, b"key", b"value", ghost=True),
-        OpDelete(2, b"k", b"v", ghost=False),
-        OpUpdateValue(1, b"old", b"new"),
-        OpSetGhost(4, True, False),
-        OpWriteBytes(64, b"1234", b"abcd"),
-        OpInitSlotted(PageType.BTREE_BRANCH),
-        reference.OpInverse(OpInsert(0, b"a", b"b")),
+    @pytest.mark.parametrize("op, expected", [
+        (insert(3, b"key", b"value", ghost=True),
+         reference.OpInsert(3, b"key", b"value", True)),
+        (delete(2, b"k", b"v", ghost=False), reference.OpDelete(2, b"k", b"v")),
+        (value_rewrite(1, b"old", b"new")[0],
+         reference.OpUpdateValue(1, b"old", b"new")),
+        (set_ghost(4, True, False), reference.OpSetGhost(4, True, False)),
+        (write_bytes(64, b"1234", b"abcd"),
+         reference.OpWriteBytes(64, b"1234", b"abcd")),
+        (init_slotted(PageType.BTREE_BRANCH),
+         reference.OpInitSlotted(PageType.BTREE_BRANCH)),
+        (compensation(insert(0, b"a", b"b")),
+         reference.OpInverse(reference.OpInsert(0, b"a", b"b"))),
     ])
-    def test_op_serialization_roundtrip(self, op):
+    def test_op_serialization_roundtrip(self, op, expected):
         """The builder writes what the reference decoder reads back."""
-        decoded = reference.decode(op.encode())
-        assert repr(decoded) == repr(op) and decoded.encode() == op.encode()
+        decoded = reference.decode(op)
+        assert repr(decoded) == repr(expected) and expected.encode() == op
 
     def test_unknown_op_kind_rejected(self):
         with pytest.raises(LogError):
@@ -158,18 +163,18 @@ class TestLogRecordSerialization:
         record = LogRecord(
             LogRecordKind.UPDATE, txn_id=9, prev_lsn=100, page_id=7,
             page_prev_lsn=80, index_id=2,
-            op=OpInsert(1, b"k", b"v").encode(),
+            op=insert(1, b"k", b"v"),
             undo=LogicalUndo(UndoAction.DELETE_KEY, b"k"))
         out = self.roundtrip(record)
         assert out.txn_id == 9
         assert out.page_prev_lsn == 80
-        assert out.op == OpInsert(1, b"k", b"v").encode()
+        assert out.op == insert(1, b"k", b"v")
         assert out.undo.action == UndoAction.DELETE_KEY
 
     def test_compensation_record(self):
         record = LogRecord(
             LogRecordKind.COMPENSATION, txn_id=3, page_id=4,
-            op=compensation(OpSetGhost(2, False, True).encode()),
+            op=compensation(set_ghost(2, False, True)),
             undo_next_lsn=55)
         out = self.roundtrip(record)
         assert out.undo_next_lsn == 55
@@ -356,7 +361,7 @@ class TestForcesLandOnRecordBoundaries:
         log = make_log()
         first, second = (log.append(LogRecord(
             LogRecordKind.UPDATE, txn_id=1, page_id=3,
-            op=OpInsert(0, b"k", b"v" * 40))) for _ in range(2))
+            op=insert(0, b"k", b"v" * 40))) for _ in range(2))
         for inside in (first + 1, second - 1, log.end_lsn + 8):
             with pytest.raises(LogError, match="no log record starts"):
                 log.force_through(inside)
@@ -379,7 +384,7 @@ class TestLogReader:
         for i in range(n):
             record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=page_id,
                                page_prev_lsn=prev,
-                               op=OpInsert(i, b"k%d" % i, b"v"))
+                               op=insert(i, b"k%d" % i, b"v"))
             prev = log.append(record)
             lsns.append(prev)
         return lsns
@@ -408,7 +413,7 @@ class TestLogReader:
         for _ in range(10):
             record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=3,
                                page_prev_lsn=prev,
-                               op=OpInsert(0, b"k", b"x" * (LOG_PAGE_SIZE // 2)))
+                               op=insert(0, b"k", b"x" * (LOG_PAGE_SIZE // 2)))
             prev = log.append(record)
             lsns.append(prev)
         reader = LogReader(log, clock, HDD_PROFILE, stats)

@@ -4,8 +4,10 @@ The log holds each record's encoding, written once at append (LSNs are
 byte offsets), and every reader trusts ``decode(encode(x)) == x`` for
 every record kind; a put's UPDATE is packed without the object
 (``encode_update``) and must be byte for byte what ``encode`` writes.
-Hypothesis drives both invariants across every :class:`PageOp` kind —
-including the bulk run ops structural maintenance emits — every :class:`LogRecordKind`, checkpoint payloads
+Hypothesis drives both invariants across every page-op kind —
+including the bulk run ops structural maintenance emits, drawn as the
+reference ops of :mod:`tests.op_reference` — every
+:class:`LogRecordKind`, checkpoint payloads
 and logical undo descriptors, with boundary payloads (empty keys and
 values, zero-length runs, maximal slot numbers) mixed in; the commit
 bit rides on every chain kind, and an UPDATE's before-image is shared
@@ -73,21 +75,7 @@ from hypothesis import strategies as st
 from repro.core.single_page import replay_records
 from repro.errors import LogError, ReproError
 from repro.page.page import Page, PageType
-from repro.wal.ops import (
-    OpBulkDelete,
-    OpBulkInsert,
-    OpDelete,
-    OpExtendPrefix,
-    OpInitSlotted,
-    OpInsert,
-    OpSequence,
-    OpSetGhost,
-    OpUpdateValue,
-    OpWriteBytes,
-    compensation,
-    redo,
-    value_rewrite,
-)
+from repro.wal.ops import compensation, redo, value_rewrite
 from repro.wal.records import (
     PRI_UPDATE_MAX,
     BackupRef,
@@ -103,7 +91,19 @@ from repro.wal.records import (
     pri_update,
 )
 from tests import op_reference as reference
-from tests.op_reference import OpInverse  # a compensation's builder
+from tests.op_reference import (
+    OpBulkDelete,
+    OpBulkInsert,
+    OpDelete,
+    OpExtendPrefix,
+    OpInitSlotted,
+    OpInsert,
+    OpInverse,
+    OpSequence,
+    OpSetGhost,
+    OpUpdateValue,
+    OpWriteBytes,
+)
 
 # Payloads deliberately include the empty string (length-prefix
 # boundary) and stay small: the encodings are length-prefixed, so
@@ -117,6 +117,13 @@ ids = lsns
 #: prefix / suffix lengths of a span (encoded as u16; a spliced value
 #: stays within a record's 15-bit length)
 spans = st.integers(min_value=0, max_value=4000)
+
+
+def _rewrite(slot: int, old: bytes, new: bytes,
+             redo_only: bool = False) -> OpUpdateValue:
+    """The rewrite :func:`repro.wal.ops.value_rewrite` builds, read
+    back as the reference's op."""
+    return reference.decode(value_rewrite(slot, old, new, redo_only)[0])
 
 
 def _encode(op) -> bytes:  # noqa: ANN001
@@ -162,7 +169,7 @@ def _spanned_update_value():
     the whole shorter value, growth, shrink — or with any span given
     directly."""
     def built(slot, prefix, old_middle, new_middle, suffix):
-        return value_rewrite(slot, prefix + old_middle + suffix,
+        return _rewrite(slot, prefix + old_middle + suffix,
                              prefix + new_middle + suffix)
     direct = st.builds(OpUpdateValue, slots, payloads, payloads, spans,
                        spans).filter(lambda op: op.prefix or op.suffix)
@@ -174,7 +181,7 @@ def _redo_only_update_value():
     """Redo-only rewrites as the builder makes them, or with any span
     and old-middle length given directly."""
     def built(slot, prefix, old_middle, new_middle, suffix):
-        return value_rewrite(slot, prefix + old_middle + suffix,
+        return _rewrite(slot, prefix + old_middle + suffix,
                              prefix + new_middle + suffix, True)
     direct = st.builds(OpUpdateValue, slots, st.none(), payloads, spans, spans,
                        spans).filter(lambda op: op.prefix or op.suffix)
@@ -302,7 +309,6 @@ def test_page_op_round_trip(op):
 @given(undo=logical_undos)
 def test_logical_undo_round_trip(undo):
     encoded = undo.encode()
-    assert len(encoded) == undo.encoded_size()
     decoded, end = LogicalUndo.decode(encoded, 0)
     assert decoded == undo
     assert end == len(encoded)
@@ -483,15 +489,15 @@ def test_a_puts_two_shapes_pack_and_unpack_as_the_reference(
     redo_only = [(op, LogRecord(LogRecordKind.UPDATE, *ids[:1], 0, *ids[2:],
                                 op=op.encode(), commits=True, redo_only=True))
                  for op in (OpUpdateValue(slot, None, new),
-                            value_rewrite(slot, key + old + key,
+                            _rewrite(slot, key + old + key,
                                           key + new + key, redo_only=True))]
     op = OpUpdateValue(slot, old, new)
     listed = (op, LogRecord(LogRecordKind.UPDATE, *ids, op=op.encode(),
                             undo=LogicalUndo(UndoAction.RESTORE_VALUE, key,
                                              old)))
     for op, record in (*redo_only, listed):
-        encoded = encode_update(*ids[:1], record.prev_lsn, *ids[2:], op,
-                                record.undo, record.redo_only)
+        encoded = encode_update(*ids[:1], record.prev_lsn, *ids[2:],
+                                record.op, record.undo, record.redo_only)
         assert encoded == record.encode() == _update_piece_by_piece(record)
         decoded = LogRecord.decode(encoded, 7)
         assert decoded.lsn == 7 and decoded.encode() == encoded
@@ -896,7 +902,7 @@ def test_an_unspanned_rewrite_encodes_as_before_spans_existed():
     """Values that share no edge byte keep the encoding every earlier
     log holds, byte for byte: kind 3, slot, both values whole."""
     old, new = b"\x01" + b"o" * 98 + b"\x02", b"\x03" + b"n" * 98 + b"\x04"
-    op = value_rewrite(0x0102, old, new)
+    op = _rewrite(0x0102, old, new)
     assert (op.prefix, op.suffix) == (0, 0)
     assert op.encode() == (bytes([3, 0x02, 0x01]) + struct.pack("<H", 100)
                            + old + struct.pack("<H", 100) + new)
@@ -908,13 +914,13 @@ def test_an_unspanned_rewrite_encodes_as_before_spans_existed():
     assert payload == (bytes([7]) + struct.pack("<H", 207) + op.encode()
                        + bytes([3]) + struct.pack("<H", 16) + b"k" * 16)
     # A span of four shared bytes or fewer does not pay for its fields.
-    assert value_rewrite(0, b"abcd" + old, b"abcd" + new).prefix == 0
+    assert _rewrite(0, b"abcd" + old, b"abcd" + new).prefix == 0
 
 
 def test_a_spanned_rewrite_logs_the_middles_once():
     old = b"2019-03-04" + bytes(33 + i % 90 for i in range(230))
     new = b"2021-11-22" + old[10:]
-    op = value_rewrite(5, old, new)
+    op = _rewrite(5, old, new)
     assert (op.prefix, op.suffix) == (2, 230)
     assert (op.old_value, op.new_value) == (b"19-03-04", b"21-11-22")
     assert op.encode() == (bytes([9, 5, 0]) + struct.pack("<HH", 2, 230)
@@ -932,14 +938,14 @@ def test_a_spanned_rewrite_logs_the_middles_once():
     assert decoded.undo.restored(new) == old
     # The same undo on its own carries the span behind its action byte.
     assert undo.encode()[:5] == bytes([0x83]) + struct.pack("<HH", 2, 230)
-    assert LogicalUndo.decode(undo.encode(), 0) == (undo, undo.encoded_size())
+    assert LogicalUndo.decode(undo.encode(), 0) == (undo, len(undo.encode()))
 
 
 def test_a_redo_only_rewrite_logs_its_new_value_alone():
     """An autocommit put's record: the op keeps the new value (or new
     middle) and, when spanned, the old middle's length; no undo."""
     old, new = b"\x01" + b"o" * 98 + b"\x02", b"\x03" + b"n" * 98 + b"\x04"
-    op = value_rewrite(0x0102, old, new, True)
+    op = _rewrite(0x0102, old, new, True)
     assert op.old_value is None and (op.prefix, op.suffix) == (0, 0)
     assert op.encode() == bytes([10, 0x02, 0x01]) + struct.pack("<H", 100) + new
     record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=2,
@@ -951,7 +957,7 @@ def test_a_redo_only_rewrite_logs_its_new_value_alone():
     assert encoded[21:24] == bytes([0x09]) + struct.pack("<H", 105)
     decoded = LogRecord.decode(encoded)
     assert decoded == record and decoded.commits_user_txn
-    spanned = value_rewrite(5, b"2019-03-04" + b"x" * 230,
+    spanned = _rewrite(5, b"2019-03-04" + b"x" * 230,
                             b"2021-11-22" + b"x" * 230, True)
     assert spanned.encode() == (bytes([11, 5, 0])
                                 + struct.pack("<HHH", 2, 230, 8)
@@ -962,7 +968,7 @@ def test_a_redo_only_rewrite_logs_its_new_value_alone():
 
 
 def test_truncated_and_out_of_range_spans_fail_typed():
-    op = value_rewrite(5, b"2019-03-04" + b"x" * 30, b"2021-11-22" + b"x" * 30)
+    op = _rewrite(5, b"2019-03-04" + b"x" * 30, b"2021-11-22" + b"x" * 30)
     good = op.encode()
     undo = LogicalUndo(UndoAction.RESTORE_VALUE, b"key", b"mid", 2, 30)
     good_undo = undo.encode()

@@ -1,9 +1,11 @@
 """A get and a put at the price of their hops, counted in calls.
 
 A warm autocommit rewrite of a live key on a resident three-level tree
-may enter at most 48 Python functions of ``repro``, and a warm
+may enter at most 47 Python functions of ``repro``, and a warm
 ``client.get`` at most 17 — the descent and the leaf search are the
-get's, and the put shares them.  History: 49 while the log kept a
+get's, and the put shares them.  History: 48 while a page op was an
+object built by a dataclass ``__init__`` and encoded by a second
+writer (each op kind's builder now returns its bytes); 49 while the log kept a
 ``LogRecord`` object per record (built, then sized by ``encoded_size``;
 ``records.encode_update`` now packs the bytes the log keeps); 50 while
 a put began a listed transaction and registered its key lock (``Database.begin``,
@@ -37,9 +39,10 @@ recovery index's ``_for_page`` / ``partition_of_data_page``, the pool's
 needed decoding).
 
 Three more paths hold budgets of their own: a warm autocommit delete of
-a live key (51 with a listed transaction, 72 with the forwarding
-frames), and the in-process shard worker's get and put, each one
-``LocalShard.call`` (the put 53 with a listed transaction; 36 and 76
+a live key (50 while its op was an object, 51 with a listed
+transaction, 72 with the forwarding frames), and the in-process shard
+worker's get and put, each one ``LocalShard.call`` (the put 51 while
+its op was an object, 53 with a listed transaction; 36 and 76
 while the worker also hopped through ``_require_running``,
 ``_slot_of``, ``_tree``, ``upsert`` and its ``durable_lsn`` property;
 22 and 55 while a point verb asked ``_check_owner`` and ``slot_of`` for
@@ -52,18 +55,22 @@ to reach ``ProcessShard.call``.  The counts are
 deterministic: what ``sys.setprofile`` sees, not a clock
 (``benchmarks/write_path.py`` prints both and times the stages).
 
-Three listed writes hold budgets at their counts before any change
-aimed at them: a warm ``client.txn()`` of one put (65), a txn of two
-gets and two puts (141) and a 32-put ``apply_batch`` of rewrites of
-keys spread over the tree (1 174).
+Three listed writes hold budgets of their own: a warm ``client.txn()``
+of one put, a txn of two gets and two puts and a 32-put ``apply_batch``
+of rewrites of keys spread over the tree (65, 141 and 1 174 while a
+put's op was an object, its shared before-image found through a helper
+of its own).
 
 Last, a structure budget: the first 2 000 records of the bench's
 sorted kv load, in its 500-put batches — about a split and an adoption
 every 16 records, each one record per page it changes, whose ops the
-slotted-page mutators apply — may enter at most 76 803 functions, the
+slotted-page mutators apply — may enter at most 67 053 functions, the
 count of a fresh process (a slot count the struct memo of
 ``repro.page.slotted`` has not seen yet costs one call more, so a
-process that ran other tests counts a few less).  History: 77 543
+process that ran other tests counts a few less).  History: 76 803
+while every op was an object built field by field and encoded by a
+second, attribute-walking writer (each op kind's builder now returns
+its bytes); 77 543
 while every op was an object that applied itself (``apply_redo`` per
 op, a sequence's insert through ``SlottedPage.insert``; the kernels
 read the bytes instead, ``repro.wal.ops.REDO``); 78 082
@@ -90,18 +97,18 @@ from bench.runner import LOAD_BATCH
 from bench.workloads import WORKLOADS, kv_records
 from repro import EngineConfig, ShardConfig
 
-PUT_CALLS = 48
+PUT_CALLS = 47
 GET_CALLS = 17
 COLD_GET_CALLS = 40
-DELETE_CALLS = 50
+DELETE_CALLS = 48
 WORKER_GET_CALLS = 20
-WORKER_PUT_CALLS = 51
+WORKER_PUT_CALLS = 50
 ROUTER_GET_CALLS = 6
 ROUTER_PUT_CALLS = 6
-TXN_PUT_CALLS = 65
-TXN_2GET_2PUT_CALLS = 141
-BATCH_32_CALLS = 1_174
-LOAD_CALLS = 76_803
+TXN_PUT_CALLS = 63
+TXN_2GET_2PUT_CALLS = 139
+BATCH_32_CALLS = 1_142
+LOAD_CALLS = 67_053
 
 _CONFIG = dict(page_size=1024, capacity_pages=8192, buffer_capacity=4096)
 _KEYS = [b"user%07d" % (7 * i) for i in range(2_000)]
