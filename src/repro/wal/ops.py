@@ -21,38 +21,26 @@ it and :func:`_op_end` sizes the op by it.  Every later byte string is a
 u16 length and its bytes; each lies within one page, at most 32 KiB
 (:data:`repro.engine.config.MAX_PAGE_SIZE`)::
 
-    kind layout (builder)     head                          then
-    1    insert               kind u8, slot u16, ghost u8,  key, value
-         (insert)             key length u16
-    2    delete (delete)      the same: the removed row, for undo
-    3    update value         kind u8, slot u16,            old value,
-         (value_rewrite)      old length u16                new value
-    9    spanned update       kind u8, slot u16, prefix     old middle,
-         value                u16, suffix u16, old length   new middle
-                              u16
-    10   redo value           kind u8, slot u16, new        new value
-                              length u16
-    11   spanned redo value   kind u8, slot u16, prefix     new middle
-                              u16, suffix u16, old middle
-                              length u16, new length u16
-    4    set ghost            kind u8, slot u16, old ghost
-         (set_ghost)          u8, new ghost u8
-    5    write bytes          kind u8, offset u16, old      old bytes,
-         (write_bytes)        length u16                    new bytes
-    6    init slotted         kind u8, page type u8
-         (init_slotted)
-    7    bulk insert          kind u8, slot u16, count u32  per row: ghost
-         (bulk_insert)                                      u8, key length
-                                                            u16, key, value
-    8    bulk delete          kind u8, slot u16, count u16  — no row
-         (bulk_delete)
-    12   extend prefix        kind u8, slot u16, count      stripped bytes
-         (extend_prefix)      u16, stripped length u16
-    13   sequence (sequence)  kind u8, count u16 (at        each member's
-                              least 2)                      encoding, in
-                                                            redo's order
-    99   compensation         99                            the compensated
-         (compensation)                                     op's encoding
+    kind builder        head (u16 unless marked)          then
+    1    insert         kind u8, slot, ghost u8, key len  key, value
+    2    delete         as 1: the removed row, for undo
+    3    value_rewrite  kind u8, slot, old len            old, new value
+    9      spanned      kind u8, slot, prefix, suffix,    old middle,
+                        old len                           new middle
+    10     redo-only    kind u8, slot, new len            new value
+    11     spanned,     kind u8, slot, prefix, suffix,    new middle
+           redo-only    old middle len, new len
+    4    set_ghost      kind u8, slot, old u8, new u8
+    5    write_bytes    kind u8, offset, old len          old, new bytes
+    6    init_slotted   kind u8, page type u8
+    7    bulk_insert    kind u8, slot, count u32          per row: ghost u8,
+                                                          key len, key, value
+    8    bulk_delete    kind u8, slot, count              — no row
+    12   extend_prefix  kind u8, slot, count, stripped    stripped bytes
+                        len
+    13   sequence       kind u8, count (at least 2)       each member's op,
+                                                          in redo's order
+    99   compensation   kind u8                           the compensated op
 
 A value rewrite (:func:`value_rewrite`) is spanned — kinds 9 and 11 —
 when its old and new value share their first ``prefix`` and last
@@ -255,8 +243,7 @@ def init_slotted(page_type: PageType) -> bytes:
     return _INIT_SLOTTED_HEAD.pack(INIT_SLOTTED, page_type)
 
 
-def bulk_insert(slot: int, rows: tuple[tuple[bytes, bytes, bool], ...]
-                ) -> bytes:
+def bulk_insert(slot: int, rows: list | tuple) -> bytes:
     """Insert a run of ``(key, value, ghost)`` rows at consecutive slots.
 
     A split's moved half and a leaf run of a sorted batch move dozens
@@ -337,7 +324,7 @@ def split_compensation(source: bytes, rows: list | tuple) -> bytes:
         raise RecoveryError(f"a removal of {count} rows restored from "
                             f"{len(rows)}")
     members = [compensation(op) for op in reversed(link)]
-    members.append(bulk_insert(slot, tuple(rows)))
+    members.append(bulk_insert(slot, rows))
     return sequence(members)
 
 

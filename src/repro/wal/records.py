@@ -269,12 +269,12 @@ class LogicalUndo:
         return current[:self.prefix] + self.value + current[end:]
 
     def encode(self) -> bytes:
-        key, value = self.key, self.value
         if self.action is _DELETE_KEYS:
             keys = self.keys
             # The keys joined in C: no Python step per key.
             return _BH.pack(_DELETE_KEYS, len(keys)) + b"".join(
                 chain.from_iterable(zip(map(_U16.pack, map(len, keys)), keys)))
+        key, value = self.key, self.value
         if self.prefix or self.suffix:
             head = _BHHH.pack(self.action | _SPANNED_UNDO, self.prefix,
                               self.suffix, len(key))
