@@ -5,9 +5,9 @@ records as today's efficient implementations", and an efficient
 implementation logs a bulk insertion once per page (Graefe, "A survey
 of B-tree logging and recovery techniques", TODS 2012).  A batch put
 of a new key, with the sorted new keys after it that land in the same
-leaf, is written as one *leaf run*: one UPDATE carrying an
-``OpBulkInsert`` of the rows and one undo naming every key
-(``FosterBTree.apply_batch``).
+leaf, is written as one *leaf run*: one UPDATE carrying a bulk insert
+(``repro.wal.ops.bulk_insert``) of the rows and one undo naming every
+key (``FosterBTree.apply_batch``).
 
 The load is the key-value workloads' own: 8 000 keys of 16 bytes with
 100-byte values, in ascending order, in 500-put batches through
@@ -21,15 +21,15 @@ follow from LSNs).
 
 The load's splits and prefix extensions log each row they move once:
 the split's foster child receives the moved half in one
-``OpBulkInsert``, the source page's ``OpBulkDelete`` names only the
-slot range, and a prefix extension is one ``OpExtendPrefix`` naming the
+bulk insert, the source page's bulk delete names only the slot
+range, and a prefix extension is one extend-prefix op naming the
 range and the stripped bytes.  While the removal logged its rows again
 and an extension logged every row of the node twice, the batched load
 logged 10 099 records and 5.30 MB; then 9 597 and 2.48 MB.
 
 And a structure change logs one record per page it changes, as the
 survey describes efficient implementations logging a structural
-change: the page's ops in one ``OpSequence``.  A split logs its
+change: the page's ops in one sequence (``repro.wal.ops.sequence``).  A split logs its
 allocation, the foster child's format, the foster child's UPDATE and
 the source page's — 4 records where it logged 9 — and an adoption one
 UPDATE of the parent and one of the child, where it logged 5 to 8.
