@@ -519,7 +519,7 @@ class LogManager:
         keeps the master checkpoint record.
         """
         with self._mutex:
-            limit = min(before_lsn, self._durable_lsn or before_lsn)
+            limit = min(before_lsn, self._durable_lsn)
             if self.master_checkpoint_lsn:
                 limit = min(limit, self.master_checkpoint_lsn)
             removed = self._dir.truncate_below(limit)
