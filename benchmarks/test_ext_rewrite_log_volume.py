@@ -90,7 +90,7 @@ def measure() -> list[dict]:
 
 
 def _last_clr_size(log) -> int:  # noqa: ANN001
-    return next(len(r.encode()) for r in reversed(log.all_records())
+    return next(len(log.encoding_at(r.lsn)) for r in reversed(log.all_records())
                 if r.kind == LogRecordKind.COMPENSATION)
 
 

@@ -20,7 +20,7 @@ from repro.sim.stats import Stats
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN, log_page_of
 from repro.wal.ops import insert
-from repro.wal.records import LogRecord, LogRecordKind
+from repro.wal.records import encode_update
 
 CHAIN_LENGTH = 24
 
@@ -104,9 +104,9 @@ def test_bench_segmented_append_and_lookup(benchmark):
         lsns = []
         for i in range(4000):
             pid = i % 64
-            lsn = log.append(LogRecord(
-                LogRecordKind.UPDATE, txn_id=1, page_id=pid,
-                page_prev_lsn=prev[pid], op=insert(0, b"k", b"v" * 32)))
+            lsn = log.append(encode_update(1, 0, pid, prev[pid], 0,
+                                           insert(0, b"k", b"v" * 32), None,
+                                           False))
             prev[pid] = lsn
             lsns.append(lsn)
         # Indexed point lookups across all segments.

@@ -108,7 +108,7 @@ def load(batched: bool) -> dict:
             "records": len(logged),
             "user_updates": sum(r.kind == LogRecordKind.UPDATE
                                 and r.undo is not None for r in logged),
-            "log_bytes": sum(len(r.encode()) for r in logged),
+            "log_bytes": sum(len(db.log.encoding_at(r.lsn)) for r in logged),
             "pages_sha256": _tree_pages_sha256(db, client.index_id)}
 
 

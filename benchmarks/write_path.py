@@ -71,13 +71,13 @@ from bench.workloads import DblpCorpus, kv_key  # noqa: E402
 from benchmarks.common import (incs_during, print_table,  # noqa: E402
                                python_calls)
 from repro.btree.node import DATA_START  # noqa: E402
-from repro.page.page import Page, PageType  # noqa: E402
+from repro.page.page import LSN_OFFSET, PAGE_LSN, Page, PageType  # noqa: E402
 from repro.page.slotted import Record, SlottedPage, update_value  # noqa: E402
 from repro.txn.transaction import TxnState  # noqa: E402
 from repro.wal.ops import REDO, value_rewrite  # noqa: E402
 from repro.wal.records import (NARROW_HEADER_SIZE, WIDE_BIT,  # noqa: E402
-                               WIDE_HEADER_SIZE, LogicalUndo, LogRecord,
-                               LogRecordKind, UndoAction, encode_update)
+                               WIDE_HEADER_SIZE, LogicalUndo, UndoAction,
+                               encode_update)
 
 now = time.perf_counter_ns
 
@@ -131,7 +131,8 @@ def unrolled_put(db, tree, key: bytes, value: bytes, spent: list[int]) -> None:
     t5 = now()
     op = value_rewrite(DATA_START + i, old, value, True)[0]
     t6 = now()
-    encoding = encode_update(txn.txn_id, txn.last_lsn, pid, page.page_lsn,
+    encoding = encode_update(txn.txn_id, txn.last_lsn, pid,
+                             PAGE_LSN.unpack_from(page.data, LSN_OFFSET)[0],
                              tree.index_id, op, None, True)
     t7 = now()
     lsn = log.append(encoding)
@@ -175,7 +176,8 @@ def unrolled_listed_put(db, tree, txn, key: bytes, value: bytes,  # noqa: ANN001
     op, before, prefix, suffix = value_rewrite(DATA_START + i, old, value)
     undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, before, prefix, suffix)
     t5 = now()
-    encoding = encode_update(txn.txn_id, txn.last_lsn, pid, page.page_lsn,
+    encoding = encode_update(txn.txn_id, txn.last_lsn, pid,
+                             PAGE_LSN.unpack_from(page.data, LSN_OFFSET)[0],
                              tree.index_id, op, undo, False)
     t6 = now()
     lsn = log.append(encoding)
@@ -404,10 +406,9 @@ def _update_size(key: bytes, rewrite: tuple) -> int:
     its before-image), or redo-only."""
     op, before, prefix, suffix = rewrite
     if before is None:
-        return len(LogRecord(LogRecordKind.UPDATE, op=op,
-                             redo_only=True).encode())
-    return len(LogRecord(LogRecordKind.UPDATE, op=op, undo=LogicalUndo(
-        UndoAction.RESTORE_VALUE, key, before, prefix, suffix)).encode())
+        return len(encode_update(0, 0, -1, 0, 0, op, None, True))
+    return len(encode_update(0, 0, -1, 0, 0, op, LogicalUndo(
+        UndoAction.RESTORE_VALUE, key, before, prefix, suffix), False))
 
 
 def rewrite_table(n: int, reps: int) -> None:

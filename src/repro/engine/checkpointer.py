@@ -25,8 +25,10 @@ from repro.wal.records import (
     BackupRef,
     BackupRefKind,
     CheckpointData,
-    LogRecord,
-    LogRecordKind,
+    backup_full,
+    backup_page,
+    checkpoint_begin,
+    full_page_image,
     pri_update,
 )
 
@@ -68,7 +70,7 @@ class Checkpointer:
             # is not consistent at all — and the new master must not
             # strand a pending loser's rollback behind it.
             db.pending_recovery.drain_all()
-        db.log.append(LogRecord(LogRecordKind.CHECKPOINT_BEGIN))
+        db.log.append(checkpoint_begin())
         att = [(txn.txn_id, txn.last_lsn, txn.is_system)
                for txn in db.tm.unfinished()]
         # Recovered in-doubt (prepared) branches are not in tm.active
@@ -130,10 +132,8 @@ class Checkpointer:
                 page_id = page_ids[seq]
                 page = db.pri.region_page(cfg.page_size, page_id, chunk, seq,
                                           len(chunks))
-                record = LogRecord(LogRecordKind.FULL_PAGE_IMAGE,
-                                   page_id=page_id,
-                                   image=make_log_image_payload(page))
-                lsn = db.log.append(record)
+                lsn = db.log.append(full_page_image(
+                    page_id, 0, make_log_image_payload(page)))
                 page.page_lsn = lsn
                 page.seal()
                 db.device.write(page_id, page.data)
@@ -237,10 +237,8 @@ class Checkpointer:
         image.seal()
         location = db.backup_store.store_page_copy(bytes(image.data),
                                                    page.page_lsn)
-        record = LogRecord(LogRecordKind.BACKUP_PAGE, page_id=page.page_id,
-                           page_lsn=page.page_lsn,
-                           backup_ref=BackupRef.page_copy(location))
-        db.log.append(record)
+        db.log.append(backup_page(page.page_id, page.page_lsn,
+                                  BackupRef.page_copy(location)))
         old_ref = db.pri.set_backup(page.page_id,
                                     BackupRef.page_copy(location),
                                     page.page_lsn, db.clock.now)
@@ -257,10 +255,8 @@ class Checkpointer:
             image = page.copy()
             image.reset_update_count()
             image.seal()
-            record = LogRecord(LogRecordKind.FULL_PAGE_IMAGE, page_id=page_id,
-                               page_lsn=page.page_lsn,
-                               image=make_log_image_payload(image))
-            lsn = db.log.append(record)
+            lsn = db.log.append(full_page_image(
+                page_id, page.page_lsn, make_log_image_payload(image)))
             if db.config.spf_enabled:
                 old_ref = db.pri.set_backup(
                     page_id, BackupRef.log_image(lsn), page.page_lsn,
@@ -302,8 +298,7 @@ class Checkpointer:
             len(images) * db.config.page_size, sequential=True))
         backup_id = db.backup_store.store_full_backup(images, page_lsns,
                                                       checkpoint_lsn)
-        backup_lsn = db.log.append(
-            LogRecord(LogRecordKind.BACKUP_FULL, backup_id=backup_id))
+        backup_lsn = db.log.append(backup_full(backup_id))
         db.log.force()
         if db.config.spf_enabled:
             db.pri.set_range_backup(0, next_free,

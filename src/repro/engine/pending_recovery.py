@@ -80,7 +80,8 @@ from repro.sim.stats import Handle
 from repro.sync import Mutex
 from repro.txn.transaction import Transaction
 from repro.wal.lsn import NULL_LSN
-from repro.wal.records import BackupRef, LogRecord, LogRecordKind, pri_update
+from repro.wal.records import (BackupRef, LogRecordKind, pri_update,
+                               read_header, txn_end)
 
 
 @dataclass
@@ -100,8 +101,7 @@ def undo_loser(db, txn_id: int, last_lsn: int,  # noqa: ANN001
     txn = Transaction(txn_id, is_system=is_system)
     txn.last_lsn = last_lsn
     db.tm.rollback_work(txn, db)
-    db.log.append(LogRecord(LogRecordKind.ABORT, txn_id=txn_id,
-                            prev_lsn=txn.last_lsn))
+    db.log.append(txn_end(LogRecordKind.ABORT, txn_id, txn.last_lsn))
     db.counters.restart_undo_txns.inc()
 
 
@@ -189,7 +189,8 @@ class DeviceImage(ImageSource):
             # completed (the page left the dirty-page table) and the
             # device lost it — the one lost write that leaves no stale
             # image to cross-check.
-            if db.log.record_at(lsns[0]).kind == LogRecordKind.FORMAT_PAGE:
+            if (read_header(db.log.encoding_at(lsns[0]))[0]
+                    == LogRecordKind.FORMAT_PAGE):
                 return Page.format(db.config.page_size, page_id)
             raise SinglePageFailure(
                 page_id, PageFailureKind.STALE_LSN,
@@ -277,7 +278,7 @@ class BackupImage(ImageSource):
             for page_id, lsns in pending.items():
                 if page_id in self.backup_pages or not lsns:
                     continue
-                kind = db.log.record_at(lsns[0]).kind
+                kind = read_header(db.log.encoding_at(lsns[0]))[0]
                 if kind == LogRecordKind.FORMAT_PAGE:
                     db.pri.set_backup(
                         page_id, BackupRef.format_record(lsns[0]),
@@ -309,7 +310,7 @@ class BackupImage(ImageSource):
             image, _lsn = db.backup_store.fetch_from_full_backup(
                 backup_id, page_id)
             return Page(page_size, image)
-        if lsns and db.log.record_at(lsns[0]).kind in (
+        if lsns and read_header(db.log.encoding_at(lsns[0]))[0] in (
                 LogRecordKind.FORMAT_PAGE, LogRecordKind.FULL_PAGE_IMAGE):
             # First written after the backup: the formatting record is
             # the backup (source four), and so is the whole image a

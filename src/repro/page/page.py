@@ -49,6 +49,10 @@ assert _HEADER_STRUCT.size == HEADER_SIZE  # final "I" is 4 reserved bytes
 # is measurable.
 _I64 = struct.Struct("<q")
 _U16 = struct.Struct("<H")
+#: The PageLSN's i64 and its byte offset within the header, for a
+#: reader of it in place (a logged update's ``page_prev_lsn``:
+#: :meth:`repro.txn.manager.TransactionManager.log_update`).
+PAGE_LSN, LSN_OFFSET = _I64, 16
 
 #: LSN value meaning "no log record has ever touched this page".
 NULL_LSN = 0
@@ -228,12 +232,12 @@ class Page:
 
     @property
     def page_lsn(self) -> int:
-        return _I64.unpack_from(self.data, 16)[0]
+        return _I64.unpack_from(self.data, LSN_OFFSET)[0]
 
     @page_lsn.setter
     def page_lsn(self, value: int) -> None:
         """Set the PageLSN and bump the in-page update counter."""
-        _I64.pack_into(self.data, 16, value)
+        _I64.pack_into(self.data, LSN_OFFSET, value)
         count = _U16.unpack_from(self.data, 26)[0]
         if count < 0xFFFF:
             _U16.pack_into(self.data, 26, count + 1)

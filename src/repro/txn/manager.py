@@ -47,7 +47,7 @@ import contextlib
 from typing import TYPE_CHECKING, Iterator, Protocol
 
 from repro.errors import LogError, RecoveryError, TransactionError
-from repro.page.page import Page
+from repro.page.page import LSN_OFFSET, PAGE_LSN, Page
 from repro.sim.stats import Stats
 from repro.sync import Mutex
 from repro.txn.locks import LockManager
@@ -59,7 +59,9 @@ from repro.wal.ops import (BULK_DELETE, BULK_INSERT, REDO, SEQUENCE,
                            split_compensation)
 from repro.wal.records import (NARROW_HEADER_SIZE, WIDE_BIT, WIDE_HEADER_SIZE,
                                LogicalUndo, LogRecord, LogRecordKind,
-                               UndoAction, encode_update)
+                               UndoAction, clr, encode_update, format_page)
+from repro.wal.records import prepare as prepare_record
+from repro.wal.records import txn_end
 
 if TYPE_CHECKING:
     from repro.buffer.buffer_pool import BufferPool
@@ -274,9 +276,7 @@ class TransactionManager:
         if txn.is_system:
             raise TransactionError(
                 f"system transaction {txn.txn_id} cannot be prepared")
-        record = LogRecord(LogRecordKind.PREPARE, txn_id=txn.txn_id,
-                           prev_lsn=txn.last_lsn, gtid=gtid)
-        lsn = self.log.append(record)
+        lsn = self.log.append(prepare_record(txn.txn_id, txn.last_lsn, gtid))
         txn.note_logged(lsn)
         self.log.commit_force(lsn)
         txn.state = TxnState.PREPARED
@@ -312,9 +312,8 @@ class TransactionManager:
         """Roll back all of ``txn``'s updates and write the ABORT record."""
         self._require_active(txn)
         self.rollback_work(txn, ctx)
-        record = LogRecord(LogRecordKind.ABORT, txn_id=txn.txn_id,
-                           prev_lsn=txn.last_lsn)
-        lsn = self.log.append(record)
+        lsn = self.log.append(txn_end(LogRecordKind.ABORT, txn.txn_id,
+                                      txn.last_lsn))
         txn.note_logged(lsn)
         txn.state = TxnState.ABORTED
         self._txns_aborted.inc()
@@ -363,8 +362,11 @@ class TransactionManager:
             raise TransactionError(
                 f"transaction {txn.txn_id} logged before its redo-only "
                 f"record, which must be its only one")
-        encoding = encode_update(txn.txn_id, txn.last_lsn, page_id,
-                                 page.page_lsn, index_id, op, undo, redo_only)
+        # The page's PageLSN, read in place: the record's page_prev_lsn.
+        encoding = encode_update(
+            txn.txn_id, txn.last_lsn, page_id,
+            PAGE_LSN.unpack_from(page.data, LSN_OFFSET)[0], index_id, op,
+            undo, redo_only)
         lsn = self.log.append(encoding)
         if redo_only:
             txn.state = _COMMITTED
@@ -389,10 +391,8 @@ class TransactionManager:
         """Log a page-formatting record (also a backup image source) and
         apply the op it logged."""
         self._require_active(txn)
-        encoding = LogRecord(
-            LogRecordKind.FORMAT_PAGE, txn_id=txn.txn_id,
-            prev_lsn=txn.last_lsn, page_id=page.page_id,
-            page_prev_lsn=NULL_LSN, index_id=index_id, op=op).encode()
+        encoding = format_page(txn.txn_id, txn.last_lsn, page.page_id,
+                               index_id, op)
         lsn = self.log.append(encoding)
         redo(page, encoding, len(encoding) - len(op), len(encoding))
         page.page_lsn = lsn
@@ -405,11 +405,8 @@ class TransactionManager:
                          op: bytes, undo_next_lsn: int) -> int:
         """Log a compensation (CLR) during rollback and apply the op it
         logged."""
-        encoding = LogRecord(
-            LogRecordKind.COMPENSATION, txn_id=txn.txn_id,
-            prev_lsn=txn.last_lsn, page_id=page.page_id,
-            page_prev_lsn=page.page_lsn, index_id=index_id, op=op,
-            undo_next_lsn=undo_next_lsn).encode()
+        encoding = clr(txn.txn_id, txn.last_lsn, page.page_id, page.page_lsn,
+                       index_id, op, undo_next_lsn)
         lsn = self.log.append(encoding)
         redo(page, encoding, len(encoding) - len(op), len(encoding))
         page.page_lsn = lsn

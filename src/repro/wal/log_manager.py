@@ -54,7 +54,8 @@ from repro.wal.lsn import LOG_START, NULL_LSN
 from repro.wal.records import CHAIN_KINDS as _CHAIN_KINDS
 from repro.wal.records import (COMMITS_BIT, KIND_BITS, NARROW_HEADER, NO_PAGE,
                                WIDE_BIT, WIDE_HEADER, LogRecord, LogRecordKind,
-                               read_header)
+                               checkpoint_end, full_backup_id, read_header,
+                               txn_end)
 from repro.wal.segments import DEFAULT_SEGMENT_BYTES, SegmentDirectory
 
 _UPDATE = LogRecordKind.UPDATE
@@ -145,14 +146,13 @@ class LogManager:
     def segment_count(self) -> int:
         return self._dir.segment_count
 
-    def append(self, record: LogRecord | bytes) -> int:
-        """Assign an LSN, write the record's encoding — ``record`` is a
-        :class:`LogRecord` or the bytes of one (a put's, from
-        :func:`repro.wal.records.encode_update`) — once into the
-        buffered tail, and return the LSN.  A redo-only record carries
-        its commit bit in those bytes: no force hardens it without."""
-        data = record if type(record) is bytes else record.encode()
-        # The header, read in place: its encoder wrote it a moment ago.
+    def append(self, data: bytes) -> int:
+        """Assign an LSN, write ``data`` — a record's bytes, as its
+        kind's builder in :mod:`repro.wal.records` wrote them — once into
+        the buffered tail, and return the LSN.  A redo-only record
+        carries its commit bit in those bytes: no force hardens it
+        without."""
+        # The header, read in place: its builder wrote it a moment ago.
         kind = data[0]
         _, _, txn_id, _, page_id, _, _ = (
             WIDE_HEADER if kind & WIDE_BIT else NARROW_HEADER).unpack_from(data)
@@ -179,9 +179,7 @@ class LogManager:
             if page_id >= 0:
                 self._chain_heads[page_id] = lsn
         elif kind == LogRecordKind.BACKUP_FULL:
-            data, start, end = self._dir.locate(lsn)
-            self._backup_full_lsns[
-                LogRecord.decode(data[start:end]).backup_id] = lsn
+            self._backup_full_lsns[full_backup_id(*self._dir.locate(lsn))] = lsn
 
     def commit(self, txn_id: int, last_lsn: int, system: bool = False,
                force: bool = True) -> int:
@@ -221,7 +219,7 @@ class LogManager:
                 buffer[start] = kind_byte | COMMITS_BIT
                 lsn = last_lsn
             else:
-                lsn = self.append(LogRecord(
+                lsn = self.append(txn_end(
                     LogRecordKind.SYS_COMMIT if system else LogRecordKind.COMMIT,
                     txn_id, last_lsn))
                 end = self._next_lsn
@@ -576,8 +574,7 @@ class LogManager:
     # Convenience constructors used across the engine
     # ------------------------------------------------------------------
     def log_checkpoint_end(self, checkpoint) -> int:  # noqa: ANN001
-        lsn = self.append(LogRecord(LogRecordKind.CHECKPOINT_END,
-                                    checkpoint=checkpoint))
+        lsn = self.append(checkpoint_end(checkpoint))
         self.force()
         self.master_checkpoint_lsn = lsn
         return lsn

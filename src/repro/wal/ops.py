@@ -31,7 +31,6 @@ u16 length and its bytes; each lies within one page, at most 32 KiB
     11     spanned,     kind u8, slot, prefix, suffix,    new middle
            redo-only    old middle len, new len
     4    set_ghost      kind u8, slot, old u8, new u8
-    5    write_bytes    kind u8, offset, old len          old, new bytes
     6    init_slotted   kind u8, page type u8
     7    bulk_insert    kind u8, slot, count u32          per row: ghost u8,
                                                           key len, key, value
@@ -71,7 +70,6 @@ INSERT = 1
 DELETE = 2
 UPDATE_VALUE = 3
 SET_GHOST = 4
-WRITE_BYTES = 5
 INIT_SLOTTED = 6
 BULK_INSERT = 7
 BULK_DELETE = 8
@@ -89,7 +87,6 @@ _SPANNED_UPDATE_VALUE_HEAD = struct.Struct("<BHHHH")
 _REDO_VALUE_HEAD = struct.Struct("<BHH")
 _SPANNED_REDO_VALUE_HEAD = struct.Struct("<BHHHHH")
 _SET_GHOST_HEAD = struct.Struct("<BHBB")
-_WRITE_BYTES_HEAD = struct.Struct("<BHH")
 _INIT_SLOTTED_HEAD = struct.Struct("<BB")
 _BULK_INSERT_HEAD = struct.Struct("<BHI")
 _BULK_DELETE_HEAD = struct.Struct("<BHH")
@@ -110,7 +107,6 @@ _SHAPES = {
     REDO_VALUE: (_REDO_VALUE_HEAD, 1),
     SPANNED_REDO_VALUE: (_SPANNED_REDO_VALUE_HEAD, 1),
     SET_GHOST: (_SET_GHOST_HEAD, 0),
-    WRITE_BYTES: (_WRITE_BYTES_HEAD, 2),
     INIT_SLOTTED: (_INIT_SLOTTED_HEAD, 0),
     BULK_DELETE: (_BULK_DELETE_HEAD, 0),
     EXTEND_PREFIX: (_EXTEND_PREFIX_HEAD, 1),
@@ -220,14 +216,6 @@ def set_ghost(slot: int, old: bool, new: bool) -> bytes:
     turns a record into a ghost, and ghost removal (a system
     transaction) later reclaims the space with :func:`delete`."""
     return _SET_GHOST_HEAD.pack(SET_GHOST, slot, old, new)
-
-
-def write_bytes(offset: int, old: bytes, new: bytes) -> bytes:
-    """Raw byte-range write within a page, ``old`` becoming ``new``."""
-    if len(old) != len(new):
-        raise ValueError("byte-range op must preserve length")
-    return b"".join((_WRITE_BYTES_HEAD.pack(WRITE_BYTES, offset, len(old)),
-                     old, _U16.pack(len(new)), new))
 
 
 def init_slotted(page_type: PageType) -> bytes:
@@ -504,20 +492,6 @@ def _ghost(page: Page, data: bytes, pos: int, undo: bool = False) -> int:
     return pos + 5
 
 
-def _write_bytes(page: Page, data: bytes, pos: int, undo: bool = False) -> int:
-    _kind, offset, length = _WRITE_BYTES_HEAD.unpack_from(data, pos)
-    old_end = pos + 5 + length
-    new, end = _unpack_bytes(data, old_end)
-    if len(new) != length:
-        raise LogError("byte-range op must preserve length")
-    if offset + length > len(page.data):
-        raise LogError(f"a write of {length} bytes at offset {offset} "
-                       f"passes the end of a {len(page.data)}-byte page")
-    page.data[offset:offset + length] = data[pos + 5:old_end] if undo else new
-    page.invalidate_view()
-    return end
-
-
 def _init_slotted(page: Page, data: bytes, pos: int) -> int:
     _kind, page_type = _INIT_SLOTTED_HEAD.unpack_from(data, pos)
     page.page_type = PageType(page_type)
@@ -615,7 +589,6 @@ REDO = {
     REDO_VALUE: _redo_only_rewrite,
     SPANNED_REDO_VALUE: _redo_only_rewrite,
     SET_GHOST: _ghost,
-    WRITE_BYTES: _write_bytes,
     INIT_SLOTTED: _init_slotted,
     BULK_INSERT: _bulk,
     BULK_DELETE: _bulk_delete,
@@ -632,7 +605,6 @@ UNDO = {
     UPDATE_VALUE: partial(_rewrite, undo=True),
     SPANNED_UPDATE_VALUE: partial(_rewrite, undo=True),
     SET_GHOST: partial(_ghost, undo=True),
-    WRITE_BYTES: partial(_write_bytes, undo=True),
     BULK_INSERT: partial(_bulk, remove=True),
     EXTEND_PREFIX: partial(_extend_prefix, undo=True),
     SEQUENCE: _undo_sequence,

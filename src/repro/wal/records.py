@@ -1,14 +1,12 @@
-"""Typed log records with explicit byte serialization.
+"""Log records: what the log holds, built as bytes.
 
-The log holds these bytes and nothing else: :meth:`LogRecord.encode`
-(or, for an UPDATE, :func:`encode_update`) writes a record once, at
-append, around the page op's bytes, which the op kind's builder wrote
-(:mod:`repro.wal.ops`; every op a record carries is ``bytes``).  A
-reader decodes it again (:meth:`LogRecord.decode`), reads the header
-alone (:func:`read_header`), or — to bring a page current — finds the
-page op in place (:func:`op_span`) and hands its bytes to the op kind's
-kernel: no record object is built to redo, repair or ship a page
-update, and :meth:`LogRecord.decode` too leaves the op encoded.
+A log record is its bytes: the one builder of its kind returns them,
+around a page op's bytes (:mod:`repro.wal.ops`), and the log keeps them
+and nothing else.  A reader decodes them (:meth:`LogRecord.decode`, the
+only maker of a :class:`LogRecord`), reads the header alone
+(:func:`read_header`), or finds the page op in place (:func:`op_span`)
+for its kernel: no record object is built to redo, repair or ship a
+page update, and a decoded record's op stays encoded too.
 
 A record is a header followed by a kind-specific payload.  The header
 comes in two forms, told apart by its first byte, the kind byte::
@@ -30,14 +28,37 @@ transaction (0 = none), ``prev_lsn`` its per-transaction chain (Section
 narrow header), ``page_prev_lsn`` the per-page chain (Section 5.1.4) —
 the field that lets single-page recovery walk back from the current
 PageLSN to the last backup without scanning the log — and ``index_id``
-the owning index or table (0 = none).  A record takes the narrow form
-whenever every field fits it (a total below 64 KiB, ids and LSNs below
-2**32, page ids below 2**32 - 1, an index id below 2**16 and, in a PRI
-update, every entry below 2**32) and the wide form otherwise; decoding
-refuses a wide header the narrow one fits, so every record has exactly
-one encoding.  Lengths are u16 — a byte string and a page op lie within
-one page, at most 32 KiB — but a FULL_PAGE_IMAGE's compressed image and
-a CHECKPOINT_END's tables, which are u32.
+the owning index or table (0 = none).  :func:`_header` is the one header
+rule, and every builder writes its header with it: a record takes the
+narrow form whenever every field fits it (a total below 64 KiB, ids and
+LSNs below 2**32, page ids below 2**32 - 1, an index id below 2**16 and,
+in a PRI update, every entry below 2**32) and the wide form otherwise;
+decoding asks the same rule and refuses a wide header the narrow one
+fits, so every record has exactly one encoding.
+
+The payloads, by kind (a header field a builder does not take is 0, a
+page id -1; lengths are u16 — a byte string and a page op lie within one
+page, at most 32 KiB — but where marked)::
+
+    kind                 builder           payload
+    1   UPDATE           encode_update     flags u8; op len, op; the undo
+    2   COMPENSATION     clr               undo_next_lsn i64; op len, op
+    3   COMMIT           txn_end           —
+    4   ABORT            txn_end           —
+    6   SYS_COMMIT       txn_end           —
+    7   FORMAT_PAGE      format_page       op len, op
+    8   FULL_PAGE_IMAGE  full_page_image   page_lsn i64; image len u32,
+                                           the compressed image
+    9   PRI_UPDATE       pri_update        count (at least 1); per page:
+                                           page_id, page_lsn (u32, i64
+                                           under a wide header)
+    10  CHECKPOINT_BEGIN checkpoint_begin  —
+    11  CHECKPOINT_END   checkpoint_end    tables len u32, the tables
+                                           (:class:`CheckpointData`)
+    12  BACKUP_PAGE      backup_page       page_lsn i64, ref kind u8,
+                                           ref value i64
+    13  BACKUP_FULL      backup_full       backup_id i64
+    14  PREPARE          prepare           gtid i64
 
 **The commit bit.**  A transaction's commit is one bit about its last
 record, so it is stored there: the high bit of the kind byte of an
@@ -47,7 +68,8 @@ LSN, and is set — the buffered kind byte flipped in place — while the
 record is still in the log's volatile tail
 (:meth:`repro.wal.log_manager.LogManager.commit`); a transaction whose
 last record has hardened, or that logged nothing, gets a COMMIT /
-SYS_COMMIT record instead.  Readers ask :attr:`LogRecord.commits_txn`.
+SYS_COMMIT record instead.  No builder sets it but a redo-only
+UPDATE's.  Readers ask :attr:`LogRecord.commits_txn`.
 
 **The UPDATE payload** is a flags byte, the op (a u16 length, then the
 op's encoding), the undo::
@@ -71,23 +93,19 @@ is 129 bytes as an autocommit put and 250 in a multi-record transaction.
 
 **A leaf run is one record**
 (:meth:`repro.btree.tree.FosterBTree.apply_batch`): a bulk insert
-(op kind 7) of every row and a DELETE_KEYS undo naming every key, in row order, each
-its row's stored key behind the one prefix the leaf strips — action
-byte 4, a u16 count of at least one, then the keys.  Rollback and the
+(op kind 7) of every row and a DELETE_KEYS undo naming every key, in
+row order, each its row's stored key behind the one prefix the leaf
+strips — action byte 4, a u16 count of at least one, then the keys.  Rollback and the
 update counter treat the run as the per-key records it stands for.
 
 **One PRI update per write-back run** (Figures 11 and 12) names every
-page the run wrote; its header's ``page_id`` is -1 (it joins no page
-chain), and :func:`pri_update` is its one builder: a u16 count of at
-least one, then ``(page_id, page_lsn)`` u32 pairs (i64 under a wide
-header), in the run's write order.
+page the run wrote, in write order; it joins no page chain.
 
 Every decode boundary here returns a value or raises
 :class:`repro.errors.LogError` — for bytes cut short, an unknown kind or
 flag bit, a length past the record, a misplaced commit bit or redo-only
-op, an undo its op does not bear out, and any encoding but the one
-:meth:`LogRecord.encode` writes — and so does every kernel on the op's
-bytes.
+op, an undo its op does not bear out, and any encoding but the one its
+kind's builder writes — and so does every kernel on the op's bytes.
 """
 from __future__ import annotations
 
@@ -95,7 +113,7 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, starmap
 from typing import Sequence
 
 from repro.errors import LogError, RecoveryError
@@ -177,6 +195,8 @@ PAGE_UPDATE_KINDS = CHAIN_KINDS | {LogRecordKind.FULL_PAGE_IMAGE}
 
 _COMMIT_KINDS = (LogRecordKind.COMMIT, LogRecordKind.SYS_COMMIT)
 _UPDATE = LogRecordKind.UPDATE
+_COMPENSATION = LogRecordKind.COMPENSATION
+_PRI_UPDATE = LogRecordKind.PRI_UPDATE
 
 
 class BackupRefKind(enum.IntEnum):
@@ -364,10 +384,12 @@ class CheckpointData:
 
 @dataclass(slots=True)
 class LogRecord:
-    """One recovery-log record.
+    """One recovery-log record, as :meth:`decode` reads it from its
+    bytes for a reader: the log keeps only the bytes, which the record
+    kind's builder wrote, and nothing but :meth:`decode` builds one.
 
-    ``lsn`` is assigned by the log manager at append time.  Fields that
-    do not apply to a given kind are left at their defaults.
+    ``lsn`` is where the record lies in the log.  Fields that do not
+    apply to a given kind are left at their defaults.
     """
 
     kind: LogRecordKind
@@ -399,85 +421,10 @@ class LogRecord:
     #: at append and logs no undo (see the module docstring)
     redo_only: bool = False
 
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def _fits_narrow(self, total: int) -> bool:
-        """Does the narrow header hold every field, at a narrow
-        ``total``?  (``page_id + 1`` maps -1 .. 2**32 - 2 onto u32.)"""
-        return not ((self.txn_id | self.prev_lsn | self.page_prev_lsn
-                     | self.page_id + 1) >> 32
-                    | (self.index_id | total) >> 16
-                    or self.writes and max(map(max, self.writes)) >> 32)
-
-    def encode(self) -> bytes:
-        """The record's one encoding: the narrow header when every
-        field fits it, the wide one otherwise, then the payload.  A
-        redo-only record carries its commit bit from here on."""
-        kind = self.kind
-        commits = self.commits or self.redo_only
-        if commits and kind not in CHAIN_KINDS:
-            raise LogError(f"a {kind.name} record cannot carry a commit")
-        if self.redo_only and not (kind is _UPDATE and self.op
-                                   and self.undo is None):
-            raise LogError("a redo-only record is an UPDATE with an op "
-                           "and no undo")
-        if kind is _UPDATE:
-            encoding = encode_update(self.txn_id, self.prev_lsn, self.page_id,
-                                     self.page_prev_lsn, self.index_id,
-                                     self.op, self.undo, self.redo_only)
-            if commits and not self.redo_only:
-                return bytes((encoding[0] | _COMMITS_BIT,)) + encoding[1:]
-            return encoding
-        kind_byte = kind | _COMMITS_BIT if commits else kind
-        # A PRI update's pages are u32 pairs unless one needs more.
-        wide_entries = self.writes and max(map(max, self.writes)) >> 32
-        entries = _QQ if wide_entries else _II
-        payload = self._payload(entries)
-        total = NARROW_HEADER_SIZE + len(payload)
-        if entries is _II and self._fits_narrow(total):
-            return _NARROW.pack(kind_byte, total, self.txn_id, self.prev_lsn,
-                                self.page_id & _NO_PAGE, self.page_prev_lsn,
-                                self.index_id) + payload
-        if entries is _II and self.writes:
-            payload = self._payload(_QQ)
-        return _WIDE.pack(kind_byte | _WIDE_BIT,
-                          WIDE_HEADER_SIZE + len(payload), self.txn_id,
-                          self.prev_lsn, self.page_id, self.page_prev_lsn,
-                          self.index_id) + payload
-
-    def _payload(self, entry: struct.Struct) -> bytes:
-        """The payload's bytes, but an UPDATE's (:func:`encode_update`);
-        ``entry`` packs a PRI update's pages."""
-        kind = self.kind
-        body = self.op or b""
-        if kind == LogRecordKind.COMPENSATION:
-            return _QH.pack(self.undo_next_lsn, len(body)) + body
-        if kind == LogRecordKind.FORMAT_PAGE:
-            return _U16.pack(len(body)) + body
-        if kind == LogRecordKind.FULL_PAGE_IMAGE:
-            image = self.image or b""
-            return _QI.pack(self.page_lsn, len(image)) + image
-        if kind == LogRecordKind.PRI_UPDATE:
-            return _U16.pack(len(self.writes)) + b"".join(
-                entry.pack(page_id, page_lsn)
-                for page_id, page_lsn in self.writes)
-        if kind == LogRecordKind.BACKUP_PAGE:
-            ref = self.backup_ref or BackupRef.none()
-            return _QBQ.pack(self.page_lsn, int(ref.kind), ref.value)
-        if kind == LogRecordKind.CHECKPOINT_END:
-            body = (self.checkpoint or CheckpointData()).encode()
-            return _U32.pack(len(body)) + body
-        if kind == LogRecordKind.BACKUP_FULL:
-            return _I64.pack(self.backup_id)
-        if kind == LogRecordKind.PREPARE:
-            return _I64.pack(self.gtid)
-        return b""
-
     @classmethod
     def decode(cls, data, lsn: int = 0) -> "LogRecord":
         """The record ``data`` encodes, placed at ``lsn``, or
-        :class:`LogError`: anything but exactly what :meth:`encode`
+        :class:`LogError`: anything but exactly what its kind's builder
         writes for it is refused.  The page op stays encoded: the
         kernel that applies it checks it (:func:`repro.wal.ops.redo`)."""
         kind, commits, txn_id, page_id, page_prev_lsn = read_header(data)
@@ -495,8 +442,13 @@ class LogRecord:
         if end != total:
             raise LogError(f"{kind.name} payload ends at byte {end} of a "
                            f"{total}-byte record")
-        if wide and record._fits_narrow(
-                total - _WIDENING - 8 * len(record.writes)):
+        # A wide header the one header rule would not write — the fields
+        # and a PRI update's entries fit the narrow form — is refused.
+        writes = record.writes
+        narrow_size = total - WIDE_HEADER_SIZE - 8 * len(writes)
+        if (wide and not (writes and max(map(max, writes)) >> 32)
+                and not _header(kind, narrow_size, txn_id, prev_lsn, page_id,
+                                page_prev_lsn, index_id)[0] & _WIDE_BIT):
             raise LogError(f"a {total}-byte wide {kind.name} record (a wide "
                            f"header the narrow one fits)")
         return record
@@ -726,6 +678,17 @@ def op_span(data, kind: int) -> tuple[int, int, int]:
                        f"{exc}") from None
 
 
+def full_backup_id(raw, start: int, end: int) -> int:
+    """The backup id of the BACKUP_FULL record ``raw[start:end]`` — its
+    payload's one i64, read in place (``raw`` may be a whole log
+    segment) — or :class:`LogError`."""
+    pos = start + (WIDE_HEADER_SIZE if raw[start] & _WIDE_BIT
+                   else NARROW_HEADER_SIZE)
+    if end - pos != 8:
+        raise LogError(f"a BACKUP_FULL record of {end - start} bytes")
+    return _I64.unpack_from(raw, pos)[0]
+
+
 def page_image(data) -> tuple[int, bytes]:
     """``(page_lsn, compressed image)`` of the bytes ``data`` of a
     FULL_PAGE_IMAGE record, or :class:`LogError`."""
@@ -740,12 +703,33 @@ def page_image(data) -> tuple[int, bytes]:
     return page_lsn, bytes(data[pos + 12:])
 
 
+# ----------------------------------------------------------------------
+# The builders: one per record kind, each returns the record's bytes
+# ----------------------------------------------------------------------
+def _header(kind: int, size: int, txn_id: int, prev_lsn: int, page_id: int,
+            page_prev_lsn: int, index_id: int) -> bytes:
+    """The header of a ``kind`` record (its kind byte, commit bit
+    included) around a ``size``-byte payload — the one header rule:
+    narrow when every field fits it (``page_id + 1`` maps -1 ..
+    2**32 - 2 onto u32) and ``kind`` does not carry the wide bit, which
+    a PRI update's i64 entries set; wide otherwise."""
+    total = NARROW_HEADER_SIZE + size
+    if not (kind & _WIDE_BIT
+            or (txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32
+            | (index_id | total) >> 16):
+        return _NARROW.pack(kind, total, txn_id, prev_lsn, page_id & _NO_PAGE,
+                            page_prev_lsn, index_id)
+    return _WIDE.pack(kind | _WIDE_BIT, total + _WIDENING, txn_id, prev_lsn,
+                      page_id, page_prev_lsn, index_id)
+
+
 def encode_update(txn_id: int, prev_lsn: int, page_id: int,
                   page_prev_lsn: int, index_id: int, op: bytes | None,
                   undo: LogicalUndo | None, redo_only: bool) -> bytes:
-    """What :meth:`LogRecord.encode` writes for an UPDATE, without the
-    object (the commit bit set only on a redo-only record): the header,
-    the flags byte, the op's length and bytes, the undo, in one write."""
+    """An UPDATE of the page op ``op`` (its bytes) with ``undo``: the
+    header, the flags byte, the op's length and bytes, the undo, in one
+    write.  A ``redo_only`` record — an op and no undo — carries its
+    commit bit from here on."""
     flags = _REDO_ONLY if redo_only else 0
     if undo is None:
         tail = b""
@@ -759,31 +743,98 @@ def encode_update(txn_id: int, prev_lsn: int, page_id: int,
     else:
         flags |= _HAS_UNDO
         tail = undo.encode()
-    size = (3 + len(op) if op else 1) + len(tail)
-    kind = _REDO_UPDATE_KIND if redo_only else _UPDATE
-    if not ((txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32
-            | (index_id | NARROW_HEADER_SIZE + size) >> 16):
-        header = _NARROW.pack(kind, NARROW_HEADER_SIZE + size, txn_id,
-                              prev_lsn, page_id & _NO_PAGE, page_prev_lsn,
-                              index_id)
-    else:
-        header = _WIDE.pack(kind | _WIDE_BIT, WIDE_HEADER_SIZE + size, txn_id,
-                            prev_lsn, page_id, page_prev_lsn, index_id)
+    header = _header(_REDO_UPDATE_KIND if redo_only else _UPDATE,
+                     (3 + len(op) if op else 1) + len(tail), txn_id, prev_lsn,
+                     page_id, page_prev_lsn, index_id)
     if not op:
         return b"".join((header, bytes((flags,)), tail))
     return b"".join((header, _BH.pack(flags | _HAS_OP, len(op)), op, tail))
 
 
-def pri_update(writes: Sequence[tuple[int, int]]) -> LogRecord:
+def clr(txn_id: int, prev_lsn: int, page_id: int, page_prev_lsn: int,
+        index_id: int, op: bytes, undo_next_lsn: int) -> bytes:
+    """A COMPENSATION record (CLR) of the compensation op ``op`` (its
+    bytes); ``undo_next_lsn`` is the next record rollback undoes."""
+    return b"".join((_header(_COMPENSATION, 10 + len(op), txn_id, prev_lsn,
+                             page_id, page_prev_lsn, index_id),
+                     _QH.pack(undo_next_lsn, len(op)), op))
+
+
+def format_page(txn_id: int, prev_lsn: int, page_id: int, index_id: int,
+                op: bytes) -> bytes:
+    """A FORMAT_PAGE record of the op ``op`` (its bytes): the first of
+    its page's chain, so no ``page_prev_lsn``."""
+    return b"".join((_header(LogRecordKind.FORMAT_PAGE, 2 + len(op), txn_id,
+                             prev_lsn, page_id, 0, index_id),
+                     _U16.pack(len(op)), op))
+
+
+def txn_end(kind: LogRecordKind, txn_id: int, prev_lsn: int) -> bytes:
+    """The COMMIT, SYS_COMMIT or ABORT record (``kind``) that ends
+    transaction ``txn_id``, whose last record is at ``prev_lsn``."""
+    return _header(kind, 0, txn_id, prev_lsn, -1, 0, 0)
+
+
+def prepare(txn_id: int, prev_lsn: int, gtid: int) -> bytes:
+    """The PREPARE record of a 2PC participant's yes vote on the global
+    transaction ``gtid``."""
+    return _header(LogRecordKind.PREPARE, 8, txn_id, prev_lsn, -1, 0,
+                   0) + _I64.pack(gtid)
+
+
+def checkpoint_begin() -> bytes:
+    """The CHECKPOINT_BEGIN record."""
+    return _header(LogRecordKind.CHECKPOINT_BEGIN, 0, 0, 0, -1, 0, 0)
+
+
+def checkpoint_end(checkpoint: CheckpointData) -> bytes:
+    """The CHECKPOINT_END record of ``checkpoint``'s tables."""
+    body = checkpoint.encode()
+    return b"".join((_header(LogRecordKind.CHECKPOINT_END, 4 + len(body), 0,
+                             0, -1, 0, 0), _U32.pack(len(body)), body))
+
+
+def full_page_image(page_id: int, page_lsn: int, image: bytes) -> bytes:
+    """The FULL_PAGE_IMAGE record of page ``page_id`` at ``page_lsn``:
+    ``image`` is the page compressed (:func:`compress_image`)."""
+    return b"".join((_header(LogRecordKind.FULL_PAGE_IMAGE, 12 + len(image),
+                             0, 0, page_id, 0, 0),
+                     _QI.pack(page_lsn, len(image)), image))
+
+
+def backup_page(page_id: int, page_lsn: int, ref: BackupRef) -> bytes:
+    """The BACKUP_PAGE record: page ``page_id`` at ``page_lsn`` has a
+    backup where ``ref`` says."""
+    return _header(LogRecordKind.BACKUP_PAGE, 17, 0, 0, page_id, 0,
+                   0) + _QBQ.pack(page_lsn, ref.kind, ref.value)
+
+
+def backup_full(backup_id: int) -> bytes:
+    """The BACKUP_FULL record of full backup ``backup_id``."""
+    return _header(LogRecordKind.BACKUP_FULL, 8, 0, 0, -1, 0,
+                   0) + _I64.pack(backup_id)
+
+
+def pri_update(writes: Sequence[tuple[int, int]]) -> bytes:
     """The PRI_UPDATE that records completed writes (Figures 11 and 12):
     ``writes`` is ``(page_id, PageLSN)`` of each page, 1 to
-    :data:`PRI_UPDATE_MAX` of them."""
-    if not 0 < len(writes) <= PRI_UPDATE_MAX:
+    :data:`PRI_UPDATE_MAX` of them, u32 pairs under the narrow header
+    when each fits and the header does, i64 pairs under the wide one
+    otherwise."""
+    count = len(writes)
+    if not 0 < count <= PRI_UPDATE_MAX:
         raise LogError(f"a PRI_UPDATE names 1 to {PRI_UPDATE_MAX} pages, "
-                       f"not {len(writes)}")
+                       f"not {count}")
     if min(map(min, writes)) < 0:
         raise LogError("a PRI_UPDATE names a negative page id or LSN")
-    return LogRecord(LogRecordKind.PRI_UPDATE, writes=tuple(writes))
+    if not max(map(max, writes)) >> 32:
+        header = _header(_PRI_UPDATE, 2 + 8 * count, 0, 0, -1, 0, 0)
+        if not header[0] & _WIDE_BIT:
+            return b"".join((header, _U16.pack(count),
+                             *starmap(_II.pack, writes)))
+    return b"".join((_header(_PRI_UPDATE | _WIDE_BIT, 2 + 16 * count, 0, 0,
+                             -1, 0, 0), _U16.pack(count),
+                     *starmap(_QQ.pack, writes)))
 
 
 def compress_image(data: bytes | bytearray) -> bytes:

@@ -227,9 +227,8 @@ def _fail_at_append(monkeypatch, db, after: bool, fail) -> None:  # noqa: ANN001
     or after the record is placed."""
     append = LogManager.append
 
-    def failing(log, record):  # noqa: ANN001, ANN202
-        encoding = record if type(record) is bytes else record.encode()
-        if log is not db.log or read_header(encoding)[0] != UPDATE:
+    def failing(log, record: bytes):  # noqa: ANN001, ANN202
+        if log is not db.log or read_header(record)[0] != UPDATE:
             return append(log, record)
         monkeypatch.setattr(LogManager, "append", append)
         if after:

@@ -19,9 +19,10 @@ from repro.wal.log_reader import LogReader
 from repro.wal.ops import init_slotted
 from repro.wal.records import (
     BackupRef,
-    LogRecord,
     LogRecordKind,
     compress_image,
+    full_page_image,
+    txn_end,
 )
 
 PAGE_SIZE = 1024
@@ -157,9 +158,7 @@ class TestFetchBackupImage:
         store, _clock = make_store()
         log, reader = self.make_log_rig()
         page = sealed_page(7, lsn=55)
-        lsn = log.append(LogRecord(LogRecordKind.FULL_PAGE_IMAGE, page_id=7,
-                                   page_lsn=55,
-                                   image=compress_image(page.data)))
+        lsn = log.append(full_page_image(7, 55, compress_image(page.data)))
         fetched, as_of = fetch_backup_image(
             BackupRef.log_image(lsn), 7, PAGE_SIZE, store, reader)
         assert as_of == 55
@@ -185,7 +184,7 @@ class TestFetchBackupImage:
     def test_wrong_record_kind_rejected(self):
         store, _clock = make_store()
         log, reader = self.make_log_rig()
-        lsn = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
+        lsn = log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
         with pytest.raises(RecoveryError):
             fetch_backup_image(BackupRef.log_image(lsn), 7, PAGE_SIZE,
                                store, reader)

@@ -47,6 +47,7 @@ from repro.page.slotted import PageFullError, Record, SlottedPage, update_value
 from repro.wal.ops import compensation, redo, rewrite_before_image, value_rewrite
 from repro.wal.records import LogRecord, LogRecordKind, UndoAction
 from tests.conftest import apply_redo, device_images, fast_config
+from tests.record_reference import encode
 
 
 def small_page_db(**overrides) -> Database:  # noqa: ANN003
@@ -206,8 +207,8 @@ def _run_intents(apply, intents) -> Database:  # noqa: ANN001
 def test_upsert_remove_log_and_pages_identical_to_lookup_then_write(intents):
     single = _run_intents(_apply_single, intents)
     reference = _run_intents(_apply_reference, intents)
-    assert ([r.encode() for r in single.log.all_records()]
-            == [r.encode() for r in reference.log.all_records()])
+    assert ([encode(r) for r in single.log.all_records()]
+            == [encode(r) for r in reference.log.all_records()])
     assert device_images(single) == device_images(reference)
 
 
@@ -767,7 +768,7 @@ def test_a_rewrite_logs_its_before_image_once_and_reads_the_slot_once():
     assert record.undo.value == rewrite_before_image(record.op)[0] == b"v" * 100
     assert record.undo.action is UndoAction.RESTORE_VALUE
     # 21 header + 1 flags + 2 + op (7 + 100 + 100) + undo (1 + 2 + 3)
-    assert len(record.encode()) == db.log.end_lsn - before == 237
+    assert len(encode(record)) == db.log.end_lsn - before == 237
 
 
 def test_rollback_restores_a_shared_before_image_after_encode_decode():
@@ -780,7 +781,7 @@ def test_rollback_restores_a_shared_before_image_after_encode_decode():
     txn = db.begin()
     db.update(tree, b"key", b"new-value", txn=txn)
     logged = db.log.record_at(txn.last_lsn)
-    decoded = LogRecord.decode(logged.encode())
+    decoded = LogRecord.decode(encode(logged))
     decoded.lsn = logged.lsn
     assert decoded == logged and decoded is not logged
     assert decoded.undo.value == rewrite_before_image(decoded.op)[0]
@@ -879,7 +880,7 @@ def _rewrite_scenario(scenario: str, shape: str) -> tuple[bytes, bytes, int]:
     if standby is not None:
         assert _masked_leaf(standby.pages[page.page_id].data) == leaf
     assert verify_tree(tree).ok
-    return value, leaf, len(record.encode())
+    return value, leaf, len(encode(record))
 
 
 @pytest.mark.parametrize("shape", sorted(SPLICE_SHAPES))
@@ -925,8 +926,8 @@ def test_a_spliced_redo_refuses_a_value_its_span_does_not_hold():
         0, b"2011-01-01|the rest of the record",
         b"2022-02-02|the rest of the record")
     assert (prefix, suffix) == (2, 23)
-    record = (200, LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=7,
-                             page_prev_lsn=100, op=op).encode())
+    record = (200, encode(LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=7,
+                             page_prev_lsn=100, op=op)))
     before = bytes(page.data)
     with pytest.raises(RecoveryError, match="does not hold"):
         replay_records(page, [record])

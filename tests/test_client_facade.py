@@ -13,6 +13,7 @@ from repro.errors import (
     SystemFailure,
     TwoPhaseCommitError,
 )
+from tests.record_reference import encode
 
 
 class TestConnectDispatch:
@@ -261,7 +262,7 @@ class TestConfigValidation:
         db = client.db
         records = db.log.all_records()
         for record in records:
-            decoded = LogRecord.decode(record.encode())
+            decoded = LogRecord.decode(encode(record))
             decoded.lsn = record.lsn  # an LSN is where a record lies
             assert decoded == record
         moved = max(sum(len(key) + len(value) for key, value, _g

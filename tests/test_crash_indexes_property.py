@@ -25,7 +25,8 @@ from repro.sim.stats import Stats
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
 from repro.wal.ops import insert
-from repro.wal.records import LogRecord, LogRecordKind
+from repro.wal.records import (LogRecordKind, backup_full, clr, encode_update,
+                               format_page, full_page_image, txn_end)
 
 PAGES = range(4)
 BACKUPS = range(1, 4)
@@ -46,26 +47,24 @@ def _make_log() -> LogManager:
     return LogManager(SimClock(), NULL_PROFILE, Stats(), segment_bytes=96)
 
 
-def _record(step: tuple, log: LogManager, txn_id: int) -> LogRecord:
+def _record(step: tuple, log: LogManager, txn_id: int) -> bytes:
     kind = step[0]
     if kind == "backup":
-        return LogRecord(LogRecordKind.BACKUP_FULL, backup_id=step[1])
+        return backup_full(step[1])
     if kind == "commit":
-        return LogRecord(LogRecordKind.COMMIT, txn_id=txn_id)
+        return txn_end(LogRecordKind.COMMIT, txn_id, NULL_LSN)
     page_id = step[1]
     head = log.page_chain_head(page_id)
     if kind == "image":
-        return LogRecord(LogRecordKind.FULL_PAGE_IMAGE, page_id=page_id,
-                         page_lsn=NULL_LSN if step[2] else head,
-                         image=b"image%d" % page_id)
+        return full_page_image(page_id, NULL_LSN if step[2] else head,
+                               b"image%d" % page_id)
     if kind == "format":  # page reuse: a new incarnation's chain
-        return LogRecord(LogRecordKind.FORMAT_PAGE, txn_id=txn_id,
-                         page_id=page_id, page_prev_lsn=NULL_LSN,
-                         op=insert(0, b"", b""))
-    return LogRecord(LogRecordKind.UPDATE if kind == "update"
-                     else LogRecordKind.COMPENSATION, txn_id=txn_id,
-                     page_id=page_id, page_prev_lsn=head,
-                     op=insert(0, b"k%d" % txn_id, b"v"))
+        return format_page(txn_id, NULL_LSN, page_id, 0, insert(0, b"", b""))
+    op = insert(0, b"k%d" % txn_id, b"v")
+    if kind == "update":
+        return encode_update(txn_id, NULL_LSN, page_id, head, 0, op, None,
+                             False)
+    return clr(txn_id, NULL_LSN, page_id, head, 0, op, NULL_LSN)
 
 
 def _check_against_adopted(log: LogManager) -> None:

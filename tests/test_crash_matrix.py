@@ -24,7 +24,7 @@ import pytest
 from benchmarks.common import cut_run_after
 from repro.btree.verify import verify_tree
 from repro.engine.database import Database
-from repro.wal.records import LogRecord, LogRecordKind
+from repro.wal.records import checkpoint_begin
 from tests.conftest import (
     assert_identical_recovery,
     clone_crashed,
@@ -93,7 +93,7 @@ def point_post_commit(db: Database, tree) -> None:
 def point_mid_checkpoint(db: Database, tree) -> None:
     """CHECKPOINT_BEGIN logged and half the dirty snapshot flushed:
     no CHECKPOINT_END, restart starts at the old master."""
-    db.log.append(LogRecord(LogRecordKind.CHECKPOINT_BEGIN))
+    db.log.append(checkpoint_begin())
     dirty = sorted(db.pool.dirty_page_table())
     for page_id in dirty[:max(1, len(dirty) // 2)]:
         db.pool.flush_page(page_id)

@@ -61,6 +61,7 @@ from repro.wal.records import LogRecord, LogRecordKind
 from tests.conftest import clone_crashed
 from tests.test_golden_write_path import CASES as WRITE_CASES
 from tests.test_golden_write_path import write_stream
+from tests.record_reference import encode
 
 GOLDEN = Path(__file__).with_name("golden_logical_state.json")
 
@@ -378,7 +379,7 @@ def decoded_twin(db):  # noqa: ANN001, ANN201
     log = LogManager(old.clock, old.profile, old.stats,
                      segment_bytes=twin.config.log_segment_bytes)
     for record in old.all_records():
-        log.adopt(record.lsn, LogRecord.decode(record.encode()).encode())
+        log.adopt(record.lsn, encode(LogRecord.decode(encode(record))))
     assert log.end_lsn == old.end_lsn == old.durable_lsn
     log.master_checkpoint_lsn = old.master_checkpoint_lsn
     twin.durable.log = log

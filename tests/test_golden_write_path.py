@@ -46,6 +46,7 @@ from repro import EngineConfig
 from repro.engine.database import Database
 from repro.wal.records import BackupRefKind, LogRecordKind
 from tests import op_reference as reference
+from tests.record_reference import encode
 
 GOLDEN = Path(__file__).with_name("golden_write_path.json")
 
@@ -203,7 +204,7 @@ def _run(seed: int, frames: int, preload: int, n_ops: int) -> dict:
     by_txn: dict[int, list] = {}
     for record in records:
         digest.update(record.lsn.to_bytes(8, "little"))
-        digest.update(record.encode())
+        digest.update(encode(record))
         content.update(lsn_free(record))
         redo.update(redo_only(record))
         if record.txn_id in autocommit_ids:

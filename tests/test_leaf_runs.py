@@ -34,6 +34,7 @@ from repro.wal.records import LogRecord, LogRecordKind
 from tests.conftest import fast_config
 from tests.test_golden_logical_state import _MASKED, tree_pages
 from tests.test_golden_write_path import lsn_free
+from tests.record_reference import encode
 
 #: keys ``0 .. _UNIVERSE - 1``; the preload holds every third one
 _UNIVERSE = 700
@@ -191,7 +192,7 @@ def test_a_sorted_batch_logs_one_update_per_leaf_run():
     for record in runs:
         assert record.op[0] == BULK_INSERT
         assert len(bulk_rows(record.op, 0)[1]) == len(record.undo.keys) >= 2
-        decoded = LogRecord.decode(record.encode())
+        decoded = LogRecord.decode(encode(record))
         decoded.lsn = record.lsn  # an LSN is where a record lies
         assert decoded == record
     db.commit(txn)

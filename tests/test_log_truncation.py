@@ -10,7 +10,7 @@ from repro.sim.clock import SimClock
 from repro.sim.iomodel import NULL_PROFILE
 from repro.sim.stats import Stats
 from repro.wal.log_manager import LogManager
-from repro.wal.records import CheckpointData, LogRecord, LogRecordKind
+from repro.wal.records import CheckpointData, LogRecordKind, txn_end
 from tests.conftest import fast_config, key_of, value_of
 
 
@@ -20,7 +20,7 @@ def make_log() -> LogManager:
 
 class TestLogTruncate:
     def fill(self, log: LogManager, n: int = 10) -> list[int]:
-        lsns = [log.append(LogRecord(LogRecordKind.COMMIT, txn_id=i))
+        lsns = [log.append(txn_end(LogRecordKind.COMMIT, i, 0))
                 for i in range(n)]
         log.force()
         return lsns
@@ -49,7 +49,7 @@ class TestLogTruncate:
     def test_truncate_never_crosses_durable_boundary(self):
         log = make_log()
         self.fill(log, 3)
-        unforced = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=99))
+        unforced = log.append(txn_end(LogRecordKind.COMMIT, 99, 0))
         freed = log.truncate(unforced + 10_000)
         assert log.has_record(unforced)
         assert freed >= 0
@@ -108,7 +108,7 @@ class TestCopyForwardDurability:
         tree.insert(txn, key_of(1), value_of(1, 0))
         db.commit(txn)
         db.checkpoint()
-        db.log.append(LogRecord(LogRecordKind.COMMIT, txn_id=0))
+        db.log.append(txn_end(LogRecordKind.COMMIT, 0, 0))
         durable = db.log.durable_lsn
         db.truncate_log(copy_budget=0)
         assert db.stats.get("copy_forward_backups") == 0

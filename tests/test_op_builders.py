@@ -11,12 +11,12 @@ the one a byte-by-byte comparison finds (:func:`_span`): the longest
 shared prefix, then the longest shared suffix of what remains, taken
 only when the two save more than a span's four bytes cost.
 
-The hex vectors pin the whole record :func:`repro.wal.records.
-encode_update` and :meth:`LogRecord.encode` write for the shapes the
-engine logs most: a put's rewrite, redo-only and listed, spanned and
-not; an insert, redo-only and listed; a ghost mark; a leaf run; a
-split's source page; a format; a compensation; and an UPDATE whose
-header is wide.
+The hex vectors pin the whole record the record builders of
+:mod:`repro.wal.records` write for the shapes the engine logs most: a
+put's rewrite, redo-only and listed, spanned and not; an insert,
+redo-only and listed; a ghost mark; a leaf run; a split's source page; a
+format; a compensation; and an UPDATE whose header is wide.  The object
+encoder of :mod:`tests.record_reference` writes each of them too.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from hypothesis import strategies as st
 
 from repro.page.page import PageType
 from repro.wal import ops
-from repro.wal.records import (LogicalUndo, LogRecord, LogRecordKind,
-                               UndoAction, encode_update)
+from repro.wal.records import (LogicalUndo, LogRecord, UndoAction, clr,
+                               encode_update, format_page)
 from tests import op_reference as reference
+from tests import record_reference
 from tests.test_wal_roundtrip_property import (_redo_only_update_value,
                                                any_op, payloads, slots)
 
@@ -94,7 +95,6 @@ def _case(op) -> tuple[bytes, bytes]:  # noqa: ANN001
         "OpInsert": ("slot", "key", "value", "ghost"),
         "OpDelete": ("slot", "key", "value", "ghost"),
         "OpSetGhost": ("slot", "old_ghost", "new_ghost"),
-        "OpWriteBytes": ("offset", "old_bytes", "new_bytes"),
         "OpInitSlotted": ("page_type",),
         "OpBulkInsert": ("slot", "records"),
         "OpBulkDelete": ("slot", "count"),
@@ -102,7 +102,7 @@ def _case(op) -> tuple[bytes, bytes]:  # noqa: ANN001
     }[name]
     values = [getattr(op, field) for field in fields]
     builder = {"OpInsert": ops.insert, "OpDelete": ops.delete,
-               "OpSetGhost": ops.set_ghost, "OpWriteBytes": ops.write_bytes,
+               "OpSetGhost": ops.set_ghost,
                "OpInitSlotted": ops.init_slotted,
                "OpBulkInsert": ops.bulk_insert,
                "OpBulkDelete": ops.bulk_delete,
@@ -139,13 +139,11 @@ _PID_0, _PID_43 = bytes(8), (43).to_bytes(8, "little")
 def _update(txn_id: int, prev_lsn: int, op: bytes,
             undo: LogicalUndo | None = None, redo_only: bool = False) -> bytes:
     """The UPDATE of ``op`` on page 42 of index 3, behind page LSN 1000:
-    :func:`encode_update`'s bytes, which must be :meth:`LogRecord.
-    encode`'s too."""
+    :func:`encode_update`'s bytes, which must be the reference's too."""
     encoding = encode_update(txn_id, prev_lsn, 42, 1000, 3, op, undo,
                              redo_only)
-    assert LogRecord(LogRecordKind.UPDATE, txn_id, prev_lsn, 42, 1000, 3,
-                     op=op, undo=undo, commits=redo_only,
-                     redo_only=redo_only).encode() == encoding
+    assert record_reference.update(txn_id, prev_lsn, 42, 1000, 3, op, undo,
+                                   redo_only) == encoding
     return encoding
 
 
@@ -179,13 +177,11 @@ VECTORS = {
     "split source": lambda: _update(15, 800, ops.sequence((
         ops.bulk_delete(10, 6), ops.delete(2, b"", _PID_0, True),
         ops.insert(2, b"sep", _PID_43, True)))),
-    "format": lambda: LogRecord(
-        LogRecordKind.FORMAT_PAGE, 16, 0, 43, 0, 3,
-        op=ops.init_slotted(PageType.BTREE_LEAF)).encode(),
-    "compensation": lambda: LogRecord(
-        LogRecordKind.COMPENSATION, 17, 900, 42, 1100, 3,
-        op=ops.compensation(ops.insert(7, b"key-2", b"value")),
-        undo_next_lsn=600).encode(),
+    "format": lambda: format_page(16, 0, 43, 3,
+                                  ops.init_slotted(PageType.BTREE_LEAF)),
+    "compensation": lambda: clr(
+        17, 900, 42, 1100, 3,
+        ops.compensation(ops.insert(7, b"key-2", b"value")), 600),
     "wide update": lambda: _update(
         2**33, 2**32 + 5, ops.insert(7, b"key-2", b"value"),
         LogicalUndo(UndoAction.DELETE_KEY, b"key-2")),
@@ -239,4 +235,5 @@ def test_each_record_shape_writes_its_pinned_bytes():
     for name, build in VECTORS.items():
         encoding = build()
         assert encoding.hex() == HEX[name], name
-        assert LogRecord.decode(encoding).encode() == encoding, name
+        assert record_reference.encode(LogRecord.decode(encoding)) == (
+            encoding), name

@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 from repro.errors import LogError, ReproError
 from repro.page.page import Page, PageType
 from repro.page.slotted import SlottedPage
-from repro.wal.ops import compensation, redo, write_bytes
+from repro.wal import ops as engine_ops
+from repro.wal.ops import compensation, redo
 from tests import op_reference as reference
 from tests.op_reference import (OpBulkDelete, OpBulkInsert, OpDelete,
                                 OpExtendPrefix, OpInsert, OpInverse, OpSequence,
@@ -74,9 +75,6 @@ def _fit(op, rows: list):  # noqa: ANN001, ANN202
         return OpSequence(tuple(_fit(member, rows) for member in op.ops))
     if kind is OpInsert:
         return dataclasses.replace(op, slot=op.slot % (n + 1))
-    if kind is OpWriteBytes:
-        room = _PAGE_SIZE - len(op.new_bytes)
-        return dataclasses.replace(op, offset=op.offset % room)
     if kind is OpBulkInsert:
         return dataclasses.replace(op, slot=op.slot % (n + 1))
     if not n or not hasattr(op, "slot"):  # no row to aim at, or no slot
@@ -125,21 +123,21 @@ def _reference_undo(page: Page, encoded: bytes) -> None:
     reference.decode(encoded).apply_undo(page)
 
 
-def _passes_end(op, size: int) -> bool:  # noqa: ANN001
-    """Does the reference op ``op`` write a byte range that passes the
-    end of a ``size``-byte page?"""
+def _writes_bytes(op) -> bool:  # noqa: ANN001
+    """Is the reference op ``op``, or one it holds, a byte-range write
+    (op kind 5), which the reference still applies and the engine has
+    no kernel for?"""
     if type(op) is OpInverse:
-        return _passes_end(op.original, size)
+        return _writes_bytes(op.original)
     if type(op) is OpSequence:
-        return any(_passes_end(member, size) for member in op.ops)
-    return type(op) is OpWriteBytes and op.offset + len(op.new_bytes) > size
+        return any(_writes_bytes(member) for member in op.ops)
+    return type(op) is OpWriteBytes
 
 
 def _expected(apply, page: Page, encoded: bytes) -> bytes | None:  # noqa: ANN001
-    """The reference's outcome, but None where the op writes a byte
-    range past the page's end (the reference lengthens the page's
-    buffer there; the engine refuses the op)."""
-    if _passes_end(reference.decode(encoded), page.size):
+    """The reference's outcome, but None where the op is or holds a
+    byte-range write (op kind 5: the engine refuses it as unknown)."""
+    if _writes_bytes(reference.decode(encoded)):
         return None
     return _outcome(apply, page, encoded)
 
@@ -154,20 +152,36 @@ def _agree(page: Page, encoded: bytes) -> None:
             == _expected(_reference_undo, page, encoded))
 
 
-def test_a_byte_write_past_the_pages_end_is_refused():
-    """A byte range that passes the page's end is refused before a byte
-    is written, redo and undo alike: the page keeps its size."""
+def test_the_byte_range_op_is_an_unknown_kind():
+    """Op kind 5, the byte-range write no engine path wrote, has no
+    builder and no kernel: its bytes — within the page or past its end,
+    of equal lengths or not, bare, compensated (a CLR's op) or a member
+    of a sequence — are refused as an unknown kind before a byte of the
+    page moves, redo and undo alike."""
+    assert not hasattr(engine_ops, "write_bytes")
+    assert 5 not in engine_ops.REDO and 5 not in engine_ops.UNDO
     page = _page(3)
-    for offset, length in ((2047, 2), (2048, 1), (4000, 0)):
-        op = write_bytes(offset, bytes(length), b"\1" * length)
-        for apply in (_engine_redo, _engine_undo):
-            copy = page.copy()
-            with pytest.raises(LogError, match="passes the end"):
-                apply(copy, op)
-            assert copy.data == page.data
-    last = page.copy()
-    _engine_redo(last, write_bytes(2046, bytes(2), b"\1\2"))
-    assert len(last.data) == 2048 and last.data[-2:] == b"\1\2"
+    ghost = OpSetGhost(0, False, True).encode()
+    writes = [OpWriteBytes(offset, bytes(length), b"\1" * length).encode()
+              for offset, length in ((64, 4), (100, 4), (2046, 2),
+                                     (2047, 2), (2048, 1), (4000, 0))]
+    # old and new bytes of unequal lengths
+    writes.append(bytes([5, 0, 0, 2, 0]) + b"ab" + bytes([3, 0]) + b"abc")
+    for write in writes:
+        run = engine_ops.sequence([write, ghost])
+        for op, applies in ((write, (_engine_redo, _engine_undo)),
+                            (run, (_engine_redo, _engine_undo)),
+                            (compensation(write), (_engine_redo,)),
+                            (compensation(run), (_engine_redo,))):
+            for apply in applies:
+                copy = page.copy()
+                with pytest.raises(LogError, match="kind 5"):
+                    apply(copy, op)
+                assert copy.data == page.data
+        # A member after the first: the sequence is refused there, and a
+        # caller drops the page (``repro.wal.ops.redo``).
+        with pytest.raises(LogError, match="kind 5"):
+            _engine_redo(page.copy(), engine_ops.sequence([ghost, write]))
 
 
 ops = st.one_of(any_op, _redo_only_update_value())

@@ -40,7 +40,7 @@ from repro.sim.iomodel import NULL_PROFILE
 from repro.sim.stats import Stats
 from repro.storage.device import StorageDevice
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecord, LogRecordKind
+from repro.wal.records import encode_update
 from tests.conftest import PAGE_SIZE, fast_config
 
 #: the nightly deep-torture CI job multiplies every hypothesis example
@@ -527,9 +527,8 @@ def victim_sequence() -> list[int]:
         victims.extend(sorted(before - set(pool.resident_pages())))
         if step % 5 == 0:
             # A record to name: a write-back forces the log through it.
-            lsn = log.append(LogRecord(LogRecordKind.UPDATE, txn_id=1,
-                                       page_id=page_id,
-                                       page_prev_lsn=page.page_lsn))
+            lsn = log.append(encode_update(1, 0, page_id, page.page_lsn, 0,
+                                           None, None, False))
             page.page_lsn = lsn
             pool.mark_dirty(page_id, lsn)
         if step % 7 == 0 and len(held) < 3:

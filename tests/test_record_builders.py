@@ -1,19 +1,31 @@
 """Every record builder writes the bytes of the one format.
 
 :mod:`tests.record_reference` keeps the encoder the log records had as
-objects.  The hex vectors pin one record of every kind but UPDATE —
-whose shapes ``tests/test_op_builders.py`` pins — plus a PRI update
-whose entries need i64 and a compensation whose header is wide: the
-reference writes each, and :meth:`LogRecord.decode` reads each back as
-the record it was written from.
+objects.  For every record the round-trip property draws
+(:mod:`tests.test_wal_roundtrip_property`: every kind, narrow and wide
+headers, every op and undo shape, PRI updates of u32 and i64 entries),
+the builder of the record's kind in :mod:`repro.wal.records`, given the
+record's fields, writes exactly the bytes the reference writes for it —
+a header field the builder does not take at its builder's value, and
+the commit bit, which the log sets in place, only on a redo-only UPDATE.
+
+The hex vectors pin one record of every kind but UPDATE — whose shapes
+``tests/test_op_builders.py`` pins — plus a PRI update whose entries
+need i64 and a compensation whose header is wide, as the builders, the
+reference and the object encoder before the builders all wrote them:
+:meth:`LogRecord.decode` reads each back as the record it was built
+from.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from hypothesis import given, settings
 
 from repro.page.page import PageType
 from repro.wal import ops
+from repro.wal import records
 from repro.wal.records import (BackupRef, CheckpointData, LogRecord,
                                LogRecordKind)
 from tests import record_reference as reference
@@ -83,19 +95,70 @@ HEX = {
 }
 
 
-def test_every_kind_writes_its_pinned_bytes():
-    assert {record.kind for record in VECTORS.values()} == (
-        set(LogRecordKind) - {LogRecordKind.UPDATE})
-    for name, record in VECTORS.items():
-        encoding = reference.encode(record)
-        assert encoding.hex() == HEX[name], name
-        assert record.encode() == encoding, name
-        decoded = LogRecord.decode(encoding)
-        assert decoded == record, name
-        assert reference.encode(decoded) == encoding, name
+#: each kind's builder, given a record's fields, and the header fields
+#: it does not take
+_BUILDERS = {
+    _KIND.UPDATE: (lambda r: records.encode_update(
+        r.txn_id, r.prev_lsn, r.page_id, r.page_prev_lsn, r.index_id, r.op,
+        r.undo, r.redo_only), ()),
+    _KIND.COMPENSATION: (lambda r: records.clr(
+        r.txn_id, r.prev_lsn, r.page_id, r.page_prev_lsn, r.index_id,
+        r.op or b"", r.undo_next_lsn), ()),
+    _KIND.FORMAT_PAGE: (lambda r: records.format_page(
+        r.txn_id, r.prev_lsn, r.page_id, r.index_id, r.op or b""),
+        ("page_prev_lsn",)),
+    **{kind: (lambda r: records.txn_end(r.kind, r.txn_id, r.prev_lsn),
+              ("page_id", "page_prev_lsn", "index_id"))
+       for kind in (_KIND.COMMIT, _KIND.SYS_COMMIT, _KIND.ABORT)},
+    _KIND.PREPARE: (lambda r: records.prepare(r.txn_id, r.prev_lsn, r.gtid),
+                    ("page_id", "page_prev_lsn", "index_id")),
+    _KIND.CHECKPOINT_BEGIN: (lambda r: records.checkpoint_begin(),
+                             ("txn_id", "prev_lsn", "page_id",
+                              "page_prev_lsn", "index_id")),
+    _KIND.CHECKPOINT_END: (lambda r: records.checkpoint_end(
+        r.checkpoint or CheckpointData()),
+        ("txn_id", "prev_lsn", "page_id", "page_prev_lsn", "index_id")),
+    _KIND.FULL_PAGE_IMAGE: (lambda r: records.full_page_image(
+        r.page_id, r.page_lsn, r.image or b""),
+        ("txn_id", "prev_lsn", "page_prev_lsn", "index_id")),
+    _KIND.BACKUP_PAGE: (lambda r: records.backup_page(
+        r.page_id, r.page_lsn, r.backup_ref or BackupRef.none()),
+        ("txn_id", "prev_lsn", "page_prev_lsn", "index_id")),
+    _KIND.BACKUP_FULL: (lambda r: records.backup_full(r.backup_id),
+                        ("txn_id", "prev_lsn", "page_id", "page_prev_lsn",
+                         "index_id")),
+    _KIND.PRI_UPDATE: (lambda r: records.pri_update(r.writes),
+                       ("txn_id", "prev_lsn", "page_id", "page_prev_lsn",
+                        "index_id")),
+}
+#: a header field's value where a record has none
+_UNSET = dict(txn_id=0, prev_lsn=0, page_id=-1, page_prev_lsn=0, index_id=0)
+
+
+def _case(record: LogRecord) -> tuple[bytes, bytes]:
+    """``(reference bytes, builder bytes)`` of ``record``'s fields."""
+    build, untaken = _BUILDERS[record.kind]
+    expected = dataclasses.replace(record, commits=record.redo_only,
+                                   **{name: _UNSET[name] for name in untaken})
+    return reference.encode(expected), build(record)
+
+
+def test_every_kind_has_one_builder():
+    assert set(_BUILDERS) == set(LogRecordKind)
 
 
 @settings(max_examples=400, deadline=None)
 @given(record=_record_strategy())
-def test_the_reference_writes_what_the_engine_writes(record):
-    assert reference.encode(record) == record.encode()
+def test_every_builder_writes_the_reference_bytes(record):
+    expected, built = _case(record)
+    assert type(built) is bytes
+    assert built == expected
+
+
+def test_every_kind_writes_its_pinned_bytes():
+    assert {record.kind for record in VECTORS.values()} == (
+        set(LogRecordKind) - {LogRecordKind.UPDATE})
+    for name, record in VECTORS.items():
+        expected, built = _case(record)
+        assert built.hex() == expected.hex() == HEX[name], name
+        assert LogRecord.decode(built) == record, name

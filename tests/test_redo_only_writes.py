@@ -27,6 +27,7 @@ from repro.wal.records import LogRecord, LogRecordKind
 from tests import op_reference as reference
 from tests.conftest import (apply_redo, assert_no_pins, fast_config, key_of,
                             value_of)
+from tests.record_reference import encode
 
 UPDATE = LogRecordKind.UPDATE
 
@@ -54,7 +55,7 @@ def assert_redo_only(record: LogRecord) -> None:
     op = reference.decode(record.op)
     if type(op) is reference.OpUpdateValue:
         assert op.old_value is None
-    decoded = LogRecord.decode(record.encode())
+    decoded = LogRecord.decode(encode(record))
     decoded.lsn = record.lsn
     assert decoded == record
 

@@ -16,26 +16,28 @@ from repro.wal.log_manager import LogManager
 from repro.wal.log_reader import LogReader
 from repro.wal.lsn import NULL_LSN
 from repro.wal.ops import insert
-from repro.wal.records import (BackupRef, BackupRefKind, LogRecord, LogRecordKind,
-                                pri_update)
+from repro.wal.records import (BackupRef, BackupRefKind, LogRecordKind,
+                                backup_full, encode_update, format_page,
+                                pri_update, txn_end)
 from repro.wal.segments import SegmentDirectory
 from tests.conftest import fast_config, key_of, value_of
+from tests.record_reference import encode
 
 
 def make_log(**kwargs) -> LogManager:
     return LogManager(SimClock(), NULL_PROFILE, Stats(), **kwargs)
 
 
-def update_record(page_id: int, prev: int, i: int = 0) -> LogRecord:
-    return LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=page_id,
-                     page_prev_lsn=prev, op=insert(i, b"k%d" % i, b"v"))
+def update_record(page_id: int, prev: int, i: int = 0) -> bytes:
+    return encode_update(1, 0, page_id, prev, 0, insert(i, b"k%d" % i, b"v"),
+                         None, False)
 
 
 class TestSegmentDirectory:
     def test_segments_roll_over_at_byte_budget(self):
         log = make_log(segment_bytes=256)
         for i in range(50):
-            log.append(LogRecord(LogRecordKind.COMMIT, txn_id=i))
+            log.append(txn_end(LogRecordKind.COMMIT, i, 0))
         assert log.segment_count > 1
         # Every record remains addressable through the directory, and
         # reads back as what was appended.
@@ -46,14 +48,14 @@ class TestSegmentDirectory:
 
     def test_records_from_is_segment_indexed(self):
         log = make_log(segment_bytes=128)
-        lsns = [log.append(LogRecord(LogRecordKind.COMMIT, txn_id=i))
+        lsns = [log.append(txn_end(LogRecordKind.COMMIT, i, 0))
                 for i in range(40)]
         tail = log.records_from(lsns[25])
         assert [r.txn_id for r in tail] == list(range(25, 40))
 
     def test_truncation_drops_whole_segments(self):
         log = make_log(segment_bytes=128)
-        lsns = [log.append(LogRecord(LogRecordKind.COMMIT, txn_id=i))
+        lsns = [log.append(txn_end(LogRecordKind.COMMIT, i, 0))
                 for i in range(40)]
         log.force()
         before = log.segment_count
@@ -64,15 +66,15 @@ class TestSegmentDirectory:
         assert log.truncated_below == lsns[30]
         # retained accounting matches a fresh sum
         assert log.retained_bytes() == sum(
-            len(r.encode()) for r in log.all_records())
+            len(encode(r)) for r in log.all_records())
 
     def test_directory_get_outside_range(self):
         directory = SegmentDirectory(segment_bytes=64)
         assert directory.locate(100) is None
-        directory.append(100, LogRecord(LogRecordKind.COMMIT).encode())
+        directory.append(100, txn_end(LogRecordKind.COMMIT, 0, 0))
         assert directory.locate(99) is None
         assert directory.locate(101) is None  # inside the record
-        commit = LogRecord(LogRecordKind.COMMIT).encode()
+        commit = txn_end(LogRecordKind.COMMIT, 0, 0)
         assert directory.locate(100) == (bytearray(commit), 0, len(commit))
         with pytest.raises(LogError):
             make_log().record_at(999)
@@ -112,9 +114,7 @@ class TestChainHeadIndex:
         l1 = log.append(update_record(7, NULL_LSN))
         log.force()
         # Page 7 freed and reallocated: FORMAT starts a new chain...
-        log.append(LogRecord(LogRecordKind.FORMAT_PAGE, txn_id=2, page_id=7,
-                             page_prev_lsn=NULL_LSN,
-                             op=insert(0, b"", b"")))
+        log.append(format_page(2, 0, 7, 0, insert(0, b"", b"")))
         log.crash()  # ...but it was never forced
         assert log.page_chain_head(7) == l1
 
@@ -122,17 +122,15 @@ class TestChainHeadIndex:
         """A brand-new page's unforced FORMAT is lost: there is no
         older incarnation, so the head simply disappears."""
         log = make_log()
-        log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
+        log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
         log.force()
-        log.append(LogRecord(LogRecordKind.FORMAT_PAGE, txn_id=2, page_id=9,
-                             page_prev_lsn=NULL_LSN,
-                             op=insert(0, b"", b"")))
+        log.append(format_page(2, 0, 9, 0, insert(0, b"", b"")))
         log.crash()
         assert log.page_chain_head(9) == NULL_LSN
 
     def test_head_cleared_when_whole_chain_lost(self):
         log = make_log()
-        log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
+        log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
         log.force()
         log.append(update_record(7, NULL_LSN))
         log.crash()
@@ -141,7 +139,7 @@ class TestChainHeadIndex:
     def test_truncation_drops_stale_heads(self):
         log = make_log(segment_bytes=64)
         log.append(update_record(7, NULL_LSN))
-        tail = [log.append(LogRecord(LogRecordKind.COMMIT, txn_id=i))
+        tail = [log.append(txn_end(LogRecordKind.COMMIT, i, 0))
                 for i in range(30)]
         log.force()
         log.truncate(tail[-1])
@@ -150,10 +148,10 @@ class TestChainHeadIndex:
     def test_backup_full_index(self):
         log = make_log()
         assert log.backup_full_lsn(3) is None
-        lsn = log.append(LogRecord(LogRecordKind.BACKUP_FULL, backup_id=3))
+        lsn = log.append(backup_full(3))
         log.force()
         assert log.backup_full_lsn(3) == lsn
-        lost = log.append(LogRecord(LogRecordKind.BACKUP_FULL, backup_id=4))
+        lost = log.append(backup_full(4))
         assert log.backup_full_lsn(4) == lost
         log.crash()
         assert log.backup_full_lsn(3) == lsn
@@ -164,7 +162,7 @@ class TestGroupCommit:
     def test_commit_force_absorbs_already_durable_commits(self):
         stats = Stats()
         log = LogManager(SimClock(), NULL_PROFILE, stats)
-        lsn = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
+        lsn = log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
         log.force()
         log.commit_force(lsn)  # already durable: free ride, no new force
         assert stats.get("log_forces") == 1
@@ -172,8 +170,8 @@ class TestGroupCommit:
     def test_riders_harden_with_the_commit(self):
         stats = Stats()
         log = LogManager(SimClock(), NULL_PROFILE, stats)
-        commit = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
-        log.append(LogRecord(LogRecordKind.SYS_COMMIT, txn_id=2))
+        commit = log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
+        log.append(txn_end(LogRecordKind.SYS_COMMIT, 2, 0))
         log.commit_force(commit)
         assert log.durable_lsn == log.end_lsn  # the rider hardened too
         assert stats.get("group_commit_rider_bytes") > 0
@@ -182,8 +180,8 @@ class TestGroupCommit:
         """A commit force hardens the whole buffered tail, so a record
         appended behind the commit outlives the crash with it."""
         log = make_log()
-        commit = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
-        rider = log.append(LogRecord(LogRecordKind.SYS_COMMIT, txn_id=2))
+        commit = log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
+        rider = log.append(txn_end(LogRecordKind.SYS_COMMIT, 2, 0))
         log.commit_force(commit)
         log.crash()
         assert [r.lsn for r in log.records_from(commit)] == [commit, rider]

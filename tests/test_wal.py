@@ -27,7 +27,6 @@ from repro.wal.ops import (
     redo,
     set_ghost,
     value_rewrite,
-    write_bytes,
 )
 from repro.wal.records import (
     BackupRef,
@@ -37,12 +36,21 @@ from repro.wal.records import (
     LogRecord,
     LogRecordKind,
     UndoAction,
+    backup_full,
+    backup_page,
+    checkpoint_begin,
+    checkpoint_end,
+    clr,
     compress_image,
     decompress_image,
+    encode_update,
+    full_page_image,
     pri_update,
+    txn_end,
 )
 from tests import op_reference as reference
 from tests.conftest import apply_redo, apply_undo, fast_config, key_of
+from tests.record_reference import encode
 
 PAGE_SIZE = 1024
 
@@ -98,20 +106,6 @@ class TestPageOps:
         apply_undo(page, op)
         assert not SlottedPage(page).is_ghost(0)
 
-    def test_write_bytes_redo_undo(self):
-        page = fresh_page()
-        start = 100
-        original = bytes(page.data[start:start + 4])
-        op = write_bytes(start, original, b"ABCD")
-        apply_redo(page, op)
-        assert bytes(page.data[start:start + 4]) == b"ABCD"
-        apply_undo(page, op)
-        assert bytes(page.data[start:start + 4]) == original
-
-    def test_write_bytes_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            write_bytes(0, b"ab", b"abc")
-
     def test_init_slotted_cannot_undo(self):
         page = fresh_page()
         op = init_slotted(PageType.BTREE_LEAF)
@@ -136,8 +130,6 @@ class TestPageOps:
         (value_rewrite(1, b"old", b"new")[0],
          reference.OpUpdateValue(1, b"old", b"new")),
         (set_ghost(4, True, False), reference.OpSetGhost(4, True, False)),
-        (write_bytes(64, b"1234", b"abcd"),
-         reference.OpWriteBytes(64, b"1234", b"abcd")),
         (init_slotted(PageType.BTREE_BRANCH),
          reference.OpInitSlotted(PageType.BTREE_BRANCH)),
         (compensation(insert(0, b"a", b"b")),
@@ -156,72 +148,62 @@ class TestPageOps:
 
 
 class TestLogRecordSerialization:
-    def roundtrip(self, record: LogRecord) -> LogRecord:
-        return LogRecord.decode(record.encode())
+    """Each builder's bytes read back as the record they were built
+    from."""
 
     def test_update_record(self):
-        record = LogRecord(
-            LogRecordKind.UPDATE, txn_id=9, prev_lsn=100, page_id=7,
-            page_prev_lsn=80, index_id=2,
-            op=insert(1, b"k", b"v"),
-            undo=LogicalUndo(UndoAction.DELETE_KEY, b"k"))
-        out = self.roundtrip(record)
+        out = LogRecord.decode(encode_update(
+            9, 100, 7, 80, 2, insert(1, b"k", b"v"),
+            LogicalUndo(UndoAction.DELETE_KEY, b"k"), False))
         assert out.txn_id == 9
         assert out.page_prev_lsn == 80
         assert out.op == insert(1, b"k", b"v")
         assert out.undo.action == UndoAction.DELETE_KEY
 
     def test_compensation_record(self):
-        record = LogRecord(
-            LogRecordKind.COMPENSATION, txn_id=3, page_id=4,
-            op=compensation(set_ghost(2, False, True)),
-            undo_next_lsn=55)
-        out = self.roundtrip(record)
+        out = LogRecord.decode(clr(3, 0, 4, 0, 0,
+                                   compensation(set_ghost(2, False, True)), 55))
         assert out.undo_next_lsn == 55
         assert out.op[0] == 99
 
     def test_commit_records_empty_payload(self):
         for kind in (LogRecordKind.COMMIT, LogRecordKind.SYS_COMMIT,
-                     LogRecordKind.ABORT, LogRecordKind.CHECKPOINT_BEGIN):
-            out = self.roundtrip(LogRecord(kind, txn_id=1, prev_lsn=10))
+                     LogRecordKind.ABORT):
+            out = LogRecord.decode(txn_end(kind, 1, 10))
             assert out.kind == kind
             assert out.prev_lsn == 10
+        assert LogRecord.decode(checkpoint_begin()).kind == (
+            LogRecordKind.CHECKPOINT_BEGIN)
 
     def test_full_page_image_record(self):
         image = compress_image(b"\xAA" * 512)
-        record = LogRecord(LogRecordKind.FULL_PAGE_IMAGE, page_id=6,
-                           page_lsn=400, image=image)
-        out = self.roundtrip(record)
+        out = LogRecord.decode(full_page_image(6, 400, image))
         assert decompress_image(out.image, 512) == b"\xAA" * 512
         assert out.page_lsn == 400
 
     def test_pri_update_record(self):
-        out = self.roundtrip(pri_update([(12, 90), (3, 700)]))
+        out = LogRecord.decode(pri_update([(12, 90), (3, 700)]))
         assert out.kind == LogRecordKind.PRI_UPDATE
         assert out.writes == ((12, 90), (3, 700))
         assert out.page_id == -1
 
     def test_backup_page_record(self):
-        record = LogRecord(LogRecordKind.BACKUP_PAGE, page_id=12, page_lsn=90,
-                           backup_ref=BackupRef.page_copy(44))
-        out = self.roundtrip(record)
+        out = LogRecord.decode(backup_page(12, 90, BackupRef.page_copy(44)))
         assert out.backup_ref == BackupRef(BackupRefKind.PAGE_COPY, 44)
         assert out.page_lsn == 90
 
     def test_checkpoint_record(self):
         checkpoint = CheckpointData({5: 100, 9: 220}, [(1, 300, False),
                                                        (2, 310, True)])
-        out = self.roundtrip(LogRecord(LogRecordKind.CHECKPOINT_END,
-                                       checkpoint=checkpoint))
+        out = LogRecord.decode(checkpoint_end(checkpoint))
         assert out.checkpoint.dirty_pages == {5: 100, 9: 220}
         assert out.checkpoint.active_txns == [(1, 300, False), (2, 310, True)]
 
     def test_backup_full_record(self):
-        out = self.roundtrip(LogRecord(LogRecordKind.BACKUP_FULL, backup_id=8))
-        assert out.backup_id == 8
+        assert LogRecord.decode(backup_full(8)).backup_id == 8
 
     def test_truncated_record_rejected(self):
-        data = LogRecord(LogRecordKind.COMMIT, txn_id=1).encode()
+        data = txn_end(LogRecordKind.COMMIT, 1, 0)
         with pytest.raises(LogError):
             LogRecord.decode(data[:10])
         with pytest.raises(LogError):
@@ -231,14 +213,14 @@ class TestLogRecordSerialization:
 class TestLogManager:
     def test_lsns_are_byte_offsets(self):
         log = make_log()
-        first = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
-        second = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=2))
+        first = log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
+        second = log.append(txn_end(LogRecordKind.COMMIT, 2, 0))
         assert first == LOG_START
-        assert second - first == len(log.record_at(first).encode())
+        assert second - first == len(encode(log.record_at(first)))
 
     def test_force_advances_durable(self):
         log = make_log()
-        lsn = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
+        lsn = log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
         assert log.durable_lsn == NULL_LSN
         log.force()
         assert log.durable_lsn > lsn
@@ -254,7 +236,7 @@ class TestLogManager:
         clock = SimClock()
         log = LogManager(clock, profile, Stats())
         for txn_id in range(1, 4):
-            log.append(LogRecord(LogRecordKind.COMMIT, txn_id=txn_id))
+            log.append(txn_end(LogRecordKind.COMMIT, txn_id, 0))
         pending = log.end_lsn - log.durable_lsn
         before = clock.now
         log.force()
@@ -264,16 +246,16 @@ class TestLogManager:
     def test_force_is_idempotent(self):
         stats = Stats()
         log = LogManager(SimClock(), NULL_PROFILE, stats)
-        log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
+        log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
         log.force()
         log.force()
         assert stats.get("log_forces") == 1
 
     def test_crash_discards_unforced_tail(self):
         log = make_log()
-        keep = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
+        keep = log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
         log.force()
-        lose = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=2))
+        lose = log.append(txn_end(LogRecordKind.COMMIT, 2, 0))
         log.crash()
         assert log.has_record(keep)
         assert not log.has_record(lose)
@@ -281,11 +263,11 @@ class TestLogManager:
 
     def test_append_after_crash_reuses_offsets(self):
         log = make_log()
-        log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
+        log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
         log.force()
-        lost = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=2))
+        lost = log.append(txn_end(LogRecordKind.COMMIT, 2, 0))
         log.crash()
-        fresh = log.append(LogRecord(LogRecordKind.COMMIT, txn_id=3))
+        fresh = log.append(txn_end(LogRecordKind.COMMIT, 3, 0))
         assert fresh == lost  # same byte offset, new record
 
     def test_master_checkpoint_survives_only_if_forced(self):
@@ -297,7 +279,7 @@ class TestLogManager:
 
     def test_records_from(self):
         log = make_log()
-        lsns = [log.append(LogRecord(LogRecordKind.COMMIT, txn_id=i))
+        lsns = [log.append(txn_end(LogRecordKind.COMMIT, i, 0))
                 for i in range(5)]
         tail = log.records_from(lsns[2])
         assert [r.txn_id for r in tail] == [2, 3, 4]
@@ -305,7 +287,7 @@ class TestLogManager:
     def test_log_force_charges_time(self):
         clock = SimClock()
         log = LogManager(clock, HDD_PROFILE, Stats())
-        log.append(LogRecord(LogRecordKind.COMMIT, txn_id=1))
+        log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
         log.force()
         assert clock.now > 0
 
@@ -314,7 +296,7 @@ def assert_records_abut(log: LogManager) -> None:
     """Every retained record starts where the one before it ends."""
     records = log.all_records()
     for before, after in zip(records, records[1:]):
-        assert before.lsn + len(before.encode()) == after.lsn, (before, after)
+        assert before.lsn + len(encode(before)) == after.lsn, (before, after)
 
 
 class TestForcesLandOnRecordBoundaries:
@@ -341,7 +323,7 @@ class TestForcesLandOnRecordBoundaries:
         update = db.log.record_at(txn.last_lsn)
         assert db.log.durable_lsn <= update.lsn
         db.pool.flush_page(update.page_id)
-        assert db.log.durable_lsn == update.lsn + len(update.encode())
+        assert db.log.durable_lsn == update.lsn + len(encode(update))
         db.crash()
         db.restart("eager")
         boundaries = {r.lsn for r in db.log.all_records()} | {db.log.end_lsn}
@@ -359,9 +341,9 @@ class TestForcesLandOnRecordBoundaries:
         ``NULL_LSN`` and truncated LSNs lie below the prefix and force
         nothing."""
         log = make_log()
-        first, second = (log.append(LogRecord(
-            LogRecordKind.UPDATE, txn_id=1, page_id=3,
-            op=insert(0, b"k", b"v" * 40))) for _ in range(2))
+        first, second = (log.append(encode_update(
+            1, 0, 3, 0, 0, insert(0, b"k", b"v" * 40), None, False))
+            for _ in range(2))
         for inside in (first + 1, second - 1, log.end_lsn + 8):
             with pytest.raises(LogError, match="no log record starts"):
                 log.force_through(inside)
@@ -382,10 +364,9 @@ class TestLogReader:
         lsns = []
         prev = NULL_LSN
         for i in range(n):
-            record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=page_id,
-                               page_prev_lsn=prev,
-                               op=insert(i, b"k%d" % i, b"v"))
-            prev = log.append(record)
+            prev = log.append(encode_update(1, 0, page_id, prev, 0,
+                                            insert(i, b"k%d" % i, b"v"), None,
+                                            False))
             lsns.append(prev)
         return lsns
 
@@ -411,10 +392,9 @@ class TestLogReader:
         prev = NULL_LSN
         lsns = []
         for _ in range(10):
-            record = LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=3,
-                               page_prev_lsn=prev,
-                               op=insert(0, b"k", b"x" * (LOG_PAGE_SIZE // 2)))
-            prev = log.append(record)
+            prev = log.append(encode_update(
+                1, 0, 3, prev, 0, insert(0, b"k", b"x" * (LOG_PAGE_SIZE // 2)),
+                None, False))
             lsns.append(prev)
         reader = LogReader(log, clock, HDD_PROFILE, stats)
         reader.walk_page_chain(lsns[-1], NULL_LSN)

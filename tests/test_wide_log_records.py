@@ -22,6 +22,7 @@ from tests.conftest import (
     key_of,
     value_of,
 )
+from tests.record_reference import encode
 
 #: the first transaction id of the stream: 8 ids below the wide form
 TXN_START = 2**32 - 8
@@ -29,7 +30,7 @@ KEYS = 80
 
 
 def _is_wide(record: LogRecord) -> bool:
-    return bool(record.encode()[0] & 0x40)
+    return bool(encode(record)[0] & 0x40)
 
 
 def prepared():  # noqa: ANN201
@@ -63,7 +64,7 @@ def test_the_stream_crosses_from_narrow_to_wide_and_round_trips():
     crossing = forms.index(True)
     assert 0 < crossing and not any(forms[:crossing]) and all(forms[crossing:])
     for record in db.log.all_records():
-        decoded = LogRecord.decode(record.encode())
+        decoded = LogRecord.decode(encode(record))
         decoded.lsn = record.lsn
         assert decoded == record
         # every other field of this small log fits the narrow form

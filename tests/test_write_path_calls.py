@@ -64,10 +64,13 @@ of its own).
 Last, a structure budget: the first 2 000 records of the bench's
 sorted kv load, in its 500-put batches — about a split and an adoption
 every 16 records, each one record per page it changes, whose ops the
-slotted-page mutators apply — may enter at most 67 053 functions, the
+slotted-page mutators apply — may enter at most 66 805 functions, the
 count of a fresh process (a slot count the struct memo of
 ``repro.page.slotted`` has not seen yet costs one call more, so a
-process that ran other tests counts a few less).  History: 76 803
+process that ran other tests counts a few less).  History: 67 053
+while a page's FORMAT_PAGE record was an object built and then encoded
+by ``LogRecord.encode`` and its helpers (each record kind's builder
+now returns its bytes); 76 803
 while every op was an object built field by field and encoded by a
 second, attribute-walking writer (each op kind's builder now returns
 its bytes); 77 543
@@ -108,7 +111,7 @@ ROUTER_PUT_CALLS = 6
 TXN_PUT_CALLS = 63
 TXN_2GET_2PUT_CALLS = 139
 BATCH_32_CALLS = 1_142
-LOAD_CALLS = 67_053
+LOAD_CALLS = 66_805
 
 _CONFIG = dict(page_size=1024, capacity_pages=8192, buffer_capacity=4096)
 _KEYS = [b"user%07d" % (7 * i) for i in range(2_000)]
