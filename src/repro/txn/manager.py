@@ -59,9 +59,9 @@ from repro.wal.ops import (BULK_DELETE, BULK_INSERT, REDO, SEQUENCE,
                            split_compensation)
 from repro.wal.records import (NARROW_HEADER_SIZE, WIDE_BIT, WIDE_HEADER_SIZE,
                                LogicalUndo, LogRecord, LogRecordKind,
-                               UndoAction, clr, encode_update, format_page)
+                               UndoAction, clr, encode_update, format_page,
+                               txn_end)
 from repro.wal.records import prepare as prepare_record
-from repro.wal.records import txn_end
 
 if TYPE_CHECKING:
     from repro.buffer.buffer_pool import BufferPool

@@ -778,8 +778,8 @@ def txn_end(kind: LogRecordKind, txn_id: int, prev_lsn: int) -> bytes:
 def prepare(txn_id: int, prev_lsn: int, gtid: int) -> bytes:
     """The PREPARE record of a 2PC participant's yes vote on the global
     transaction ``gtid``."""
-    return _header(LogRecordKind.PREPARE, 8, txn_id, prev_lsn, -1, 0,
-                   0) + _I64.pack(gtid)
+    return (_header(LogRecordKind.PREPARE, 8, txn_id, prev_lsn, -1, 0, 0)
+            + _I64.pack(gtid))
 
 
 def checkpoint_begin() -> bytes:
@@ -805,14 +805,14 @@ def full_page_image(page_id: int, page_lsn: int, image: bytes) -> bytes:
 def backup_page(page_id: int, page_lsn: int, ref: BackupRef) -> bytes:
     """The BACKUP_PAGE record: page ``page_id`` at ``page_lsn`` has a
     backup where ``ref`` says."""
-    return _header(LogRecordKind.BACKUP_PAGE, 17, 0, 0, page_id, 0,
-                   0) + _QBQ.pack(page_lsn, ref.kind, ref.value)
+    return (_header(LogRecordKind.BACKUP_PAGE, 17, 0, 0, page_id, 0, 0)
+            + _QBQ.pack(page_lsn, ref.kind, ref.value))
 
 
 def backup_full(backup_id: int) -> bytes:
     """The BACKUP_FULL record of full backup ``backup_id``."""
-    return _header(LogRecordKind.BACKUP_FULL, 8, 0, 0, -1, 0,
-                   0) + _I64.pack(backup_id)
+    return (_header(LogRecordKind.BACKUP_FULL, 8, 0, 0, -1, 0, 0)
+            + _I64.pack(backup_id))
 
 
 def pri_update(writes: Sequence[tuple[int, int]]) -> bytes:

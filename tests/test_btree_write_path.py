@@ -927,7 +927,7 @@ def test_a_spliced_redo_refuses_a_value_its_span_does_not_hold():
         b"2022-02-02|the rest of the record")
     assert (prefix, suffix) == (2, 23)
     record = (200, encode(LogRecord(LogRecordKind.UPDATE, txn_id=1, page_id=7,
-                             page_prev_lsn=100, op=op)))
+                                    page_prev_lsn=100, op=op)))
     before = bytes(page.data)
     with pytest.raises(RecoveryError, match="does not hold"):
         replay_records(page, [record])

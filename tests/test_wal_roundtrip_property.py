@@ -607,17 +607,18 @@ def _hostile_redo_only() -> dict[str, bytes]:
     op = OpUpdateValue(3, None, b"new").encode()
     ids = dict(txn_id=1, page_id=2)
     good = encode(LogRecord(LogRecordKind.UPDATE, **ids, op=op, commits=True,
-                     redo_only=True))
-    with_undo = encode(LogRecord(LogRecordKind.UPDATE, **ids, op=op, commits=True,
-                          undo=LogicalUndo(UndoAction.DELETE_KEY, b"k")))
+                            redo_only=True))
+    with_undo = encode(LogRecord(
+        LogRecordKind.UPDATE, **ids, op=op, commits=True,
+        undo=LogicalUndo(UndoAction.DELETE_KEY, b"k")))
     return {
         "no commit bit": bytes([good[0] & ~0x80]) + good[1:],
-        "under a COMPENSATION": encode(LogRecord(LogRecordKind.COMPENSATION, **ids,
-                                          op=op)),
+        "under a COMPENSATION": encode(LogRecord(
+            LogRecordKind.COMPENSATION, **ids, op=op)),
         "compensated": encode(LogRecord(LogRecordKind.COMPENSATION, **ids,
-                                 op=compensation(op))),
-        "under a FORMAT_PAGE": encode(LogRecord(LogRecordKind.FORMAT_PAGE, **ids,
-                                         op=op)),
+                                        op=compensation(op))),
+        "under a FORMAT_PAGE": encode(LogRecord(
+            LogRecordKind.FORMAT_PAGE, **ids, op=op)),
         "with an undo": with_undo,
         "flagged redo-only with an undo": (with_undo[:21]
                                            + bytes([with_undo[21] | 0x08])
@@ -643,8 +644,8 @@ def _hostile_runs() -> dict[str, bytes]:
     run_undo = _run_undo([b"key01", b"key02", b"key03"])
 
     def update(op, undo, **fields) -> bytes:  # noqa: ANN001, ANN003
-        return encode(LogRecord(LogRecordKind.UPDATE, **ids, op=op and op.encode(),
-                         undo=undo, **fields))
+        return encode(LogRecord(LogRecordKind.UPDATE, **ids,
+                                op=op and op.encode(), undo=undo, **fields))
 
     truncated = bytearray(good[:-1])
     truncated[1:3] = len(truncated).to_bytes(2, "little")
