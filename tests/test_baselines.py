@@ -8,6 +8,7 @@ from repro.engine.database import Database
 from repro.errors import MediaFailure, RecoveryError
 from repro.page.page import Page
 from repro.sim.iomodel import NULL_PROFILE
+from repro.wal.lsn import NULL_LSN
 from tests.conftest import fast_config, key_of, value_of
 
 
@@ -138,3 +139,99 @@ class TestLogShippingMirror:
         tree.lookup(key_of(0))
         spf_result = db.single_page.history[-1]
         assert spf_result.records_applied < mirror_result.records_applied_to_mirror / 2
+
+
+def shipped_page_updates(db, start: int, end: int) -> tuple[int, set[int]]:
+    """Page-update records in the log span ``[start, end)`` and the pages
+    they touch, read from the records' headers."""
+    from repro.wal.records import PAGE_UPDATE_KINDS, read_header
+
+    records, pages = 0, set()
+    for lsn, encoding in db.log.encodings_from(start):
+        if lsn >= end:
+            break
+        kind, _commits, _txn_id, page_id, _prev = read_header(encoding)
+        if kind in PAGE_UPDATE_KINDS and page_id >= 0:
+            records += 1
+            pages.add(page_id)
+    return records, pages
+
+
+def seeded_history(db, tree, n: int = 200, seed: int = 7) -> None:
+    """Inserts, updates and deletes over ``loaded(n)``'s keys and as many
+    new ones, in four transactions; the third rolls back."""
+    import random
+
+    rng = random.Random(seed)
+    present = set(range(n))
+    for round_ in range(4):
+        txn = db.begin()
+        kept = set(present)
+        for _ in range(80):
+            i = rng.randrange(2 * n)
+            if i not in present:
+                tree.insert(txn, key_of(i), value_of(i, round_))
+                present.add(i)
+            elif rng.random() < 0.2:
+                tree.delete(txn, key_of(i))
+                present.discard(i)
+            else:
+                tree.update(txn, key_of(i), value_of(i, round_ + 1))
+        if round_ == 2:
+            db.abort(txn)
+            present = kept
+        else:
+            db.commit(txn)
+
+
+class TestMirrorIsTheStandby:
+    def test_restored_standby_applies_what_the_mirror_applies(self):
+        """Section 2's mirror and a standby whose link was held down
+        over the same history apply the same page updates and end
+        with byte-identical pages."""
+        db, tree = loaded(n=1000, capacity_pages=2048)
+        standby = db.attach_standby()
+        link = db.standby_link
+        link.sever()
+        mirror = LogShippingMirror(db.log, db.clock, NULL_PROFILE, db.stats,
+                                   db.config.page_size)
+        mirror.seed_from_images(
+            {pid: db.device.raw_image(pid) for pid in range(db.allocated_pages())
+             if db.device.raw_image(pid) is not None},
+            db.log.end_lsn)
+        seeded_history(db, tree, n=1000)
+        db.log.force()
+        start = link.shipped_lsn
+        applied, _written = mirror.catch_up(db.log.durable_lsn)
+        link.restore()
+        assert link.shipped_lsn == db.log.durable_lsn
+        records, pages = shipped_page_updates(db, start, link.shipped_lsn)
+        assert records == applied
+        assert records > 300 and len(pages) > 8
+        assert sorted(standby.pages) == sorted(mirror._pages)
+        differing = [pid for pid in standby.pages
+                     if bytes(standby.pages[pid].data)
+                     != bytes(mirror._pages[pid].data)]
+        assert differing == []
+        assert pages <= set(standby.pages)
+        # The served pages are the primary's flushed ones.
+        db.flush_everything()
+        served = {pid: standby.serve_page(pid, NULL_LSN) for pid in pages}
+        assert diverging(db, served) == []
+
+
+def diverging(db, served: dict) -> list[int]:
+    """Pages ``served`` by a replica that differ from the primary's
+    device image at equal PageLSN (the update counter, which only the
+    primary resets, masked); every page must be at the device's LSN."""
+    out = []
+    for page_id, replica in served.items():
+        primary = Page(db.config.page_size, db.device.raw_image(page_id))
+        replica = replica.copy()
+        for page in (primary, replica):
+            page.reset_update_count()
+            page.seal()
+        if (primary.page_lsn != replica.page_lsn
+                or bytes(primary.data) != bytes(replica.data)):
+            out.append(page_id)
+    return out
