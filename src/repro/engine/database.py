@@ -51,6 +51,7 @@ from repro.engine.catalog import METADATA_PAGE, Catalog
 from repro.engine.checkpointer import Checkpointer
 from repro.engine.config import EngineConfig
 from repro.errors import (
+    ConfigError,
     MediaFailure,
     SinglePageFailure,
     SystemFailure,
@@ -546,16 +547,20 @@ class Database:
         so every force streams the newly durable tail.  ``mode``:
         ``"tail"`` ships every durable record as it hardens;
         ``"segment"`` ships only sealed log segments (the shipping unit
-        of classic log shipping — the open segment lags naturally).
+        of classic log shipping — the open segment lags naturally); any
+        other is a :class:`ConfigError` before anything is seeded.
 
         The standby then serves as the *fifth* (and first-tried) repair
         source for single-page recovery, as the ack target of
         ``replicated_durable`` commits, and as the failover target via
         :meth:`repro.engine.replication.Standby.promote`.
         """
-        from repro.engine.replication import SegmentShipper, Standby
+        from repro.engine.replication import SHIP_MODES, SegmentShipper, Standby
 
         self._require_running()
+        if mode not in SHIP_MODES:
+            raise ConfigError(
+                f"ship mode must be 'tail' or 'segment', got {mode!r}")
         standby = Standby(self.config, self.clock, self.stats)
         standby.seed_from(self)
         self.log.shipper = SegmentShipper(self.log, standby, mode=mode)

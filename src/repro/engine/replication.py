@@ -55,6 +55,10 @@ from repro.wal.lsn import LOG_PAGE_SIZE, NULL_LSN
 from repro.wal.records import PAGE_UPDATE_KINDS, LogRecordKind, read_header
 
 
+#: the shipping granularities :class:`SegmentShipper` knows
+SHIP_MODES = ("tail", "segment")
+
+
 class SegmentShipper:
     """In-process shipping link from a primary log to a standby.
 
@@ -66,9 +70,6 @@ class SegmentShipper:
 
     def __init__(self, log: LogManager, standby: "Standby",
                  mode: str = "tail") -> None:
-        if mode not in ("tail", "segment"):
-            raise ValueError(f"ship mode must be 'tail' or 'segment', "
-                             f"got {mode!r}")
         self.log = log
         self.standby = standby
         self.mode = mode

@@ -10,8 +10,10 @@ and failover machinery actually did.
 import pytest
 
 from repro.engine.database import Database
+from repro.sim.iomodel import HDD_PROFILE
 from repro.errors import (
     BackupRetired,
+    ConfigError,
     RecoveryError,
     ReplicationError,
     ReplicationLagError,
@@ -78,6 +80,18 @@ class TestShipping:
         db, _tree = loaded()
         with pytest.raises(ValueError):
             db.attach_standby(mode="carrier-pigeon")
+
+    def test_refused_ship_mode_seeds_nothing(self):
+        """The mode is checked before a standby is built: a refused
+        attach flushes nothing, charges no time and counts no seed."""
+        db, _tree = loaded(device_profile=HDD_PROFILE)
+        before = (db.clock.now, db.stats.get("standby_seeds"),
+                  db.stats.get("pages_written_back"))
+        with pytest.raises(ConfigError):
+            db.attach_standby(mode="carrier-pigeon")
+        assert (db.clock.now, db.stats.get("standby_seeds"),
+                db.stats.get("pages_written_back")) == before
+        assert db.standby is None and db.standby_link is None
 
     def test_standby_survives_primary_crash(self):
         """Only durable records ship, so a primary crash never makes
