@@ -26,6 +26,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.sim.iomodel import HDD_PROFILE, NULL_PROFILE
 from repro.sim.stats import Handle
+from repro.wal.records import PAGE_UPDATE_KINDS, read_header
 
 
 def fast_db(n_keys: int = 300, **overrides) -> tuple[Database, object]:
@@ -115,6 +116,21 @@ def leaf_of(db: Database, tree, i: int = 0) -> int:  # noqa: ANN001
     db.pool.unfix(pid)
     db.evict_everything()
     return pid
+
+
+def shipped_page_updates(log, start: int, end: int) -> tuple[int, set[int]]:  # noqa: ANN001
+    """Page-update records in the log span ``[start, end)`` — what a
+    standby catching up over it applies — and the pages they touch,
+    read from the records' headers."""
+    records, pages = 0, set()
+    for lsn, encoding in log.encodings_from(start):
+        if lsn >= end:
+            break
+        kind, _commits, _txn_id, page_id, _prev = read_header(encoding)
+        if kind in PAGE_UPDATE_KINDS and page_id >= 0:
+            records += 1
+            pages.add(page_id)
+    return records, pages
 
 
 class _Cut(Exception):

@@ -406,8 +406,7 @@ class Checkpointer:
             floor = db.pri.log_floor()
             if floor is not None:
                 bound = min(bound, floor)
-        standby = getattr(db, "standby", None)
-        link = getattr(db, "standby_link", None)
+        standby, link = db.standby, db.standby_link
         if standby is not None and standby.running and link is not None:
             # A live standby pins the log at its ship watermark: records
             # it has not received yet can only ever come from the

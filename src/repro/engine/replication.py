@@ -1,8 +1,13 @@
-"""Log-shipped hot standby: replication, repair source, failover (PR 7).
+"""Log-shipped hot standby: replication, repair source, failover.
 
 The paper frames single-page repair as a race to the freshest source
 of a page image; a continuously applying hot standby is the freshest
-source there is.  This module provides:
+source there is.  It is also Section 2's baseline, SQL Server's
+mirror-based page repair: with its link held down
+(:meth:`SegmentShipper.sever`), a failed page waits until
+:meth:`SegmentShipper.restore` has applied the whole outstanding stream
+to every page, and only then is :meth:`Standby.serve_page` current
+(``benchmarks/test_sec2_mirror_baseline.py``).  This module provides:
 
 * :class:`SegmentShipper` — an in-process shipping link hooked into
   :class:`repro.wal.log_manager.LogManager` forces.  Only *durable*
@@ -16,10 +21,11 @@ source there is.  This module provides:
 
 * :class:`Standby` — its own device and log replica, plus an in-memory
   page set rolled forward record by record through the *shared* redo
-  primitive (:func:`repro.core.single_page.replay_records`),
-  with an ``applied_lsn`` watermark and a live active-transaction view
-  maintained by the shared :func:`repro.engine.system_recovery.
-  note_txn_record`.  The standby serves three roles:
+  primitive (:func:`repro.core.single_page.replay_records`), with an
+  ``applied_lsn`` watermark.  It reads each shipped record's header
+  only and keeps no transaction table: promotion's restart analysis
+  derives the losers from the adopted log.  The standby serves three
+  roles:
 
   1. **fifth repair source** — :meth:`Standby.serve_page` hands the
      primary's single-page recovery a page already rolled forward, so
@@ -52,7 +58,7 @@ from repro.sim.stats import Stats
 from repro.storage.device import StorageDevice
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import LOG_PAGE_SIZE, NULL_LSN
-from repro.wal.records import PAGE_UPDATE_KINDS, LogRecordKind, read_header
+from repro.wal.records import PAGE_UPDATE_KINDS, read_header
 
 
 #: the shipping granularities :class:`SegmentShipper` knows
@@ -182,11 +188,6 @@ class Standby:
         #: replica "buffer pool": every page the shipped chain touched,
         #: rolled forward to ``applied_lsn``
         self.pages: dict[int, Page] = {}
-        #: live active-transaction view (txn_id -> (last_lsn,
-        #: is_system)), maintained by the shared note_txn_record —
-        #: promotion's restart analysis re-derives the same set from
-        #: the adopted log
-        self.att: dict[int, tuple[int, bool]] = {}
         self.applied_lsn = NULL_LSN
         self.records_applied = 0
         self.max_txn_seen = 0
@@ -236,8 +237,6 @@ class Standby:
             txn_id = read_header(encoding)[2]
             if txn_id > self.max_txn_seen:
                 self.max_txn_seen = txn_id
-        self.att = {txn.txn_id: (txn.last_lsn, txn.is_system)
-                    for txn in db.tm.unfinished()}
         self.applied_lsn = self.log.end_lsn
         self._standby_seeds.inc()
         self._standby_seed_bytes.inc(copied_bytes)
@@ -248,20 +247,13 @@ class Standby:
     def apply_encodings(self, batch: list[tuple[int, bytes]]) -> None:
         """Adopt and apply one shipped batch — ``(lsn, encoding)`` of each
         record, in log order — through the shared redo primitive, which
-        applies each page update from its bytes; only checkpoints are
-        decoded."""
-        from repro.engine.system_recovery import note_txn_record
-
+        applies each page update from its bytes; every record is read by
+        its header alone."""
         if not self.running:
             raise ReplicationError(f"standby '{self.name}' is down")
         for lsn, encoding in batch:
             self.log.adopt(lsn, encoding)
-            kind, commits, txn_id, page_id, _prev = read_header(encoding)
-            note_txn_record(self.att, lsn, kind, commits, txn_id)
-            if kind == LogRecordKind.CHECKPOINT_END:
-                checkpoint = self.log.record_at(lsn).checkpoint
-                for active, last_lsn, is_system in checkpoint.active_txns:
-                    self.att.setdefault(active, (last_lsn, is_system))
+            kind, _commits, txn_id, page_id, _prev = read_header(encoding)
             if txn_id > self.max_txn_seen:
                 self.max_txn_seen = txn_id
             if kind in PAGE_UPDATE_KINDS and page_id >= 0:
@@ -314,7 +306,6 @@ class Standby:
         """
         self.running = False
         self.pages.clear()
-        self.att.clear()
         self.log = self._fresh_log()
         self.applied_lsn = NULL_LSN
         self._standby_crashes.inc()

@@ -136,9 +136,6 @@ CATALOGUE: tuple[Metric, ...] = (
     Metric("page_copies_freed", "copies", "core", "superseded page copies released"),
     Metric("page_copy_write_failures", "copies", "core",
            "page-copy writes the backup medium failed"),
-    Metric("mirror_page_repairs", "pages", "core", "mirroring baseline: pages repaired"),
-    Metric("mirror_records_applied", "records", "core",
-           "mirroring baseline: records applied to the mirror"),
     # -- storage ------------------------------------------------------------
     Metric("device_reads", "reads", "storage", "page reads charged, all devices"),
     Metric("device_writes", "writes", "storage", "page writes charged, all devices"),

@@ -1,12 +1,18 @@
-"""Integration tests: the two baselines the paper compares against."""
+"""Integration tests: the two baselines the paper compares against.
 
-import pytest
+Section 2's mirror is the hot standby with its shipping link held down
+(``db.standby_link.sever()``); a repair is ``link.restore()`` — the
+whole outstanding stream — then ``standby.serve_page``.
+"""
 
+import random
+
+from benchmarks.common import shipped_page_updates
 from repro.baselines.media_only import traditional_config
-from repro.baselines.mirror_repair import LogShippingMirror
+from repro.core.backup import BackupPolicy
 from repro.engine.database import Database
-from repro.errors import MediaFailure, RecoveryError
 from repro.page.page import Page
+from repro.page.slotted import SlottedPage
 from repro.sim.iomodel import NULL_PROFILE
 from repro.wal.lsn import NULL_LSN
 from tests.conftest import fast_config, key_of, value_of
@@ -51,117 +57,110 @@ class TestTraditionalConfig:
         assert db.stats.get("page_copies_taken") == 0
 
 
-class TestLogShippingMirror:
-    def rig(self):
+def mirrored(db):
+    """Attach the standby and hold its link down: the mirror as of now."""
+    standby = db.attach_standby()
+    db.standby_link.sever()
+    return standby, db.standby_link
+
+
+def catch_up(db, link) -> tuple[int, set[int]]:
+    """Restore the link: the page updates shipped and the pages they
+    touch."""
+    start = link.shipped_lsn
+    link.restore()
+    return shipped_page_updates(db.log, start, link.shipped_lsn)
+
+
+def update_range(db, tree, n: int, version: int = 1) -> None:
+    txn = db.begin()
+    for i in range(n):
+        tree.update(txn, key_of(i), value_of(i, version))
+    db.commit(txn)
+
+
+def leaf_of_first_key(db, tree) -> int:
+    page, _n, _pid = tree._descend(key_of(0), for_write=False)
+    db.pool.unfix(page.page_id)
+    return page.page_id
+
+
+class TestStandbyAsMirror:
+    def test_restore_applies_the_whole_shipped_stream(self):
         db, tree = loaded()
-        mirror = LogShippingMirror(db.log, db.clock, NULL_PROFILE, db.stats,
-                                   db.config.page_size)
-        images = {}
-        for page_id in range(db.allocated_pages()):
-            raw = db.device.raw_image(page_id)
-            if raw is not None:
-                images[page_id] = raw
-        mirror.seed_from_images(images, db.log.end_lsn)
-        return db, tree, mirror
+        standby, link = mirrored(db)
+        before = standby.records_applied
+        update_range(db, tree, 30)
+        assert standby.records_applied == before  # the link is down
+        records, pages = catch_up(db, link)
+        assert records >= 30 and pages
+        assert standby.applied_lsn == link.shipped_lsn == db.log.durable_lsn
+        # Every shipped record was applied: a page update at most once.
+        assert standby.records_applied - before >= records
+        # Nothing is outstanding: a second catch-up applies nothing.
+        applied = standby.records_applied
+        assert catch_up(db, link) == (0, set())
+        link.ship_until(db.log.durable_lsn)
+        assert standby.records_applied == applied
 
-    def test_catch_up_applies_outstanding_stream(self):
-        db, tree, mirror = self.rig()
-        txn = db.begin()
-        for i in range(30):
-            tree.update(txn, key_of(i), value_of(i, 1))
-        db.commit(txn)
-        applied, written = mirror.catch_up()
-        assert applied >= 30
-        assert written >= 1
-        assert mirror.catch_up() == (0, 0)  # idempotent
-
-    def test_repair_page_requires_full_catch_up(self):
+    def test_served_page_is_current_after_full_catch_up(self):
         """The baseline applies the *entire* log stream, not just the
         failed page's chain (Section 2)."""
-        db, tree, mirror = self.rig()
-        page, _n, _pid = tree._descend(key_of(0), for_write=False)
-        victim = page.page_id
-        db.pool.unfix(victim)
-        # Traffic after the mirror snapshot.
-        txn = db.begin()
-        for i in range(200):
-            tree.update(txn, key_of(i), value_of(i, 1))
-        db.commit(txn)
+        db, tree = loaded()
+        standby, link = mirrored(db)
+        victim = leaf_of_first_key(db, tree)
+        update_range(db, tree, 200)
         db.flush_everything()
-        repaired, result = mirror.repair_page(victim)
-        # The mirror had to apply everything, though one page failed.
-        assert result.records_applied_to_mirror >= 200
-        assert result.mirror_pages_written >= 1
-        # The served page is logically current (checksum and the
-        # backup-policy update counter are maintained by the primary's
-        # write path, not by log shipping).
-        from repro.page.slotted import SlottedPage
-
+        records, pages = catch_up(db, link)
+        # The mirror applied everything, though one page failed.
+        assert records >= 200 and victim in pages
+        repaired = standby.serve_page(victim, NULL_LSN)
+        # The served page is logically current (the backup-policy
+        # update counter is maintained by the primary's write path,
+        # not by log shipping).
         current = Page(db.config.page_size, db.device.raw_image(victim))
         assert repaired.page_lsn == current.page_lsn
         assert (SlottedPage(repaired).records(include_ghosts=True)
                 == SlottedPage(current).records(include_ghosts=True))
 
-    def test_repair_unknown_page_rejected(self):
-        _db, _tree, mirror = self.rig()
-        with pytest.raises(RecoveryError):
-            mirror.repair_page(9999)
+    def test_absent_or_lagging_page_is_not_served(self):
+        db, tree = loaded()
+        standby, link = mirrored(db)
+        assert standby.serve_page(9999, NULL_LSN) is None
+        victim = leaf_of_first_key(db, tree)
+        update_range(db, tree, 30)
+        db.flush_everything()
+        wanted = Page(db.config.page_size, db.device.raw_image(victim)).page_lsn
+        assert standby.serve_page(victim, wanted) is None  # lagging
+        catch_up(db, link)
+        assert standby.serve_page(victim, wanted).page_lsn == wanted
 
-    def test_mirror_repair_vs_single_page_recovery_work(self):
+    def test_mirror_vs_single_page_recovery_work(self):
         """Same failure, same history: the mirror applies the whole
         stream; single-page recovery only the victim's chain."""
-        from repro.core.backup import BackupPolicy
-
         # Enough keys that update traffic spreads over many leaves;
         # the victim's per-page chain is then a small fraction of the
         # whole stream.
         db, tree = loaded(n=1500, backup_policy=BackupPolicy.disabled(),
                           capacity_pages=2048)
-        mirror = LogShippingMirror(db.log, db.clock, NULL_PROFILE, db.stats,
-                                   db.config.page_size)
-        images = {pid: db.device.raw_image(pid)
-                  for pid in range(db.allocated_pages())
-                  if db.device.raw_image(pid) is not None}
-        mirror.seed_from_images(images, db.log.end_lsn)
-        page, _n, _pid = tree._descend(key_of(0), for_write=False)
-        victim = page.page_id
-        db.pool.unfix(victim)
-        txn = db.begin()
-        for i in range(1500):
-            tree.update(txn, key_of(i), value_of(i, 1))
-        db.commit(txn)
+        _standby, link = mirrored(db)
+        victim = leaf_of_first_key(db, tree)
+        update_range(db, tree, 1500)
         db.flush_everything()
         db.evict_everything()
-        # Baseline work:
-        _page, mirror_result = mirror.repair_page(victim)
-        # Single-page recovery work for the same page:
+        mirror_records, _pages = catch_up(db, link)
+        # Single-page recovery work for the same page, with no standby
+        # to serve it:
+        db.detach_standby()
         db.device.inject_read_error(victim)
         tree.lookup(key_of(0))
         spf_result = db.single_page.history[-1]
-        assert spf_result.records_applied < mirror_result.records_applied_to_mirror / 2
-
-
-def shipped_page_updates(db, start: int, end: int) -> tuple[int, set[int]]:
-    """Page-update records in the log span ``[start, end)`` and the pages
-    they touch, read from the records' headers."""
-    from repro.wal.records import PAGE_UPDATE_KINDS, read_header
-
-    records, pages = 0, set()
-    for lsn, encoding in db.log.encodings_from(start):
-        if lsn >= end:
-            break
-        kind, _commits, _txn_id, page_id, _prev = read_header(encoding)
-        if kind in PAGE_UPDATE_KINDS and page_id >= 0:
-            records += 1
-            pages.add(page_id)
-    return records, pages
+        assert spf_result.records_applied < mirror_records / 2
 
 
 def seeded_history(db, tree, n: int = 200, seed: int = 7) -> None:
     """Inserts, updates and deletes over ``loaded(n)``'s keys and as many
     new ones, in four transactions; the third rolls back."""
-    import random
-
     rng = random.Random(seed)
     present = set(range(n))
     for round_ in range(4):
@@ -184,40 +183,20 @@ def seeded_history(db, tree, n: int = 200, seed: int = 7) -> None:
             db.commit(txn)
 
 
-class TestMirrorIsTheStandby:
-    def test_restored_standby_applies_what_the_mirror_applies(self):
-        """Section 2's mirror and a standby whose link was held down
-        over the same history apply the same page updates and end
-        with byte-identical pages."""
-        db, tree = loaded(n=1000, capacity_pages=2048)
-        standby = db.attach_standby()
-        link = db.standby_link
-        link.sever()
-        mirror = LogShippingMirror(db.log, db.clock, NULL_PROFILE, db.stats,
-                                   db.config.page_size)
-        mirror.seed_from_images(
-            {pid: db.device.raw_image(pid) for pid in range(db.allocated_pages())
-             if db.device.raw_image(pid) is not None},
-            db.log.end_lsn)
-        seeded_history(db, tree, n=1000)
-        db.log.force()
-        start = link.shipped_lsn
-        applied, _written = mirror.catch_up(db.log.durable_lsn)
-        link.restore()
-        assert link.shipped_lsn == db.log.durable_lsn
-        records, pages = shipped_page_updates(db, start, link.shipped_lsn)
-        assert records == applied
-        assert records > 300 and len(pages) > 8
-        assert sorted(standby.pages) == sorted(mirror._pages)
-        differing = [pid for pid in standby.pages
-                     if bytes(standby.pages[pid].data)
-                     != bytes(mirror._pages[pid].data)]
-        assert differing == []
-        assert pages <= set(standby.pages)
-        # The served pages are the primary's flushed ones.
-        db.flush_everything()
-        served = {pid: standby.serve_page(pid, NULL_LSN) for pid in pages}
-        assert diverging(db, served) == []
+def test_restored_standby_serves_the_primarys_pages():
+    """A standby whose link was held down over a seeded history serves,
+    once restored, every page the shipped span touched byte for byte
+    as the primary flushed it."""
+    db, tree = loaded(n=1000, capacity_pages=2048)
+    standby, link = mirrored(db)
+    seeded_history(db, tree, n=1000)
+    db.log.force()
+    records, pages = catch_up(db, link)
+    assert link.shipped_lsn == db.log.durable_lsn
+    assert records > 300 and len(pages) > 8
+    db.flush_everything()
+    served = {pid: standby.serve_page(pid, NULL_LSN) for pid in pages}
+    assert diverging(db, served) == []
 
 
 def diverging(db, served: dict) -> list[int]:
