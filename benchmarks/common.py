@@ -118,6 +118,14 @@ def leaf_of(db: Database, tree, i: int = 0) -> int:  # noqa: ANN001
     return pid
 
 
+def mirrored(db: Database):  # noqa: ANN201 - (Standby, SegmentShipper)
+    """Section 2's mirror as of now: attach the hot standby and hold its
+    shipping link down, so the stream outstanding at a repair grows."""
+    standby = db.attach_standby()
+    db.standby_link.sever()
+    return standby, db.standby_link
+
+
 def shipped_page_updates(log, start: int, end: int) -> tuple[int, set[int]]:  # noqa: ANN001
     """Page-update records in the log span ``[start, end)`` — what a
     standby catching up over it applies — and the pages they touch,
@@ -131,6 +139,14 @@ def shipped_page_updates(log, start: int, end: int) -> tuple[int, set[int]]:  # 
             records += 1
             pages.add(page_id)
     return records, pages
+
+
+def mirror_catch_up(db: Database, link) -> tuple[int, set[int]]:  # noqa: ANN001
+    """Restore the held link: the page updates it shipped and the pages
+    they touch."""
+    start = link.shipped_lsn
+    link.restore()
+    return shipped_page_updates(db.log, start, link.shipped_lsn)
 
 
 class _Cut(Exception):

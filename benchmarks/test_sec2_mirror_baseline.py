@@ -26,7 +26,14 @@ writing each touched page back.
 
 from __future__ import annotations
 
-from benchmarks.common import key_of, print_table, shipped_page_updates, value_of
+from benchmarks.common import (
+    key_of,
+    mirror_catch_up,
+    mirrored,
+    print_table,
+    shipped_page_updates,
+    value_of,
+)
 from repro.core.backup import BackupPolicy
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
@@ -50,13 +57,6 @@ def build():
     db.flush_everything()
     db.evict_everything()
     return db, tree
-
-
-def mirrored(db):
-    """Attach the standby and hold its link down: the mirror as of now."""
-    standby = db.attach_standby()
-    db.standby_link.sever()
-    return standby, db.standby_link
 
 
 def run_volume(total_updates: int):
@@ -83,10 +83,7 @@ def run_volume(total_updates: int):
     db.flush_everything()
     db.evict_everything()
     # Competitor A: mirror repair — the whole stream, then the page.
-    start = link.shipped_lsn
-    link.restore()
-    mirror_records, mirror_pages = shipped_page_updates(
-        db.log, start, link.shipped_lsn)
+    mirror_records, mirror_pages = mirror_catch_up(db, link)
     assert standby.serve_page(victim, NULL_LSN) is not None
     # Competitor B: single-page recovery of the same page, with no
     # standby to serve it as the fifth repair source.

@@ -7,7 +7,7 @@ whole outstanding stream — then ``standby.serve_page``.
 
 import random
 
-from benchmarks.common import shipped_page_updates
+from benchmarks.common import mirror_catch_up, mirrored
 from repro.baselines.media_only import traditional_config
 from repro.core.backup import BackupPolicy
 from repro.engine.database import Database
@@ -57,21 +57,6 @@ class TestTraditionalConfig:
         assert db.stats.get("page_copies_taken") == 0
 
 
-def mirrored(db):
-    """Attach the standby and hold its link down: the mirror as of now."""
-    standby = db.attach_standby()
-    db.standby_link.sever()
-    return standby, db.standby_link
-
-
-def catch_up(db, link) -> tuple[int, set[int]]:
-    """Restore the link: the page updates shipped and the pages they
-    touch."""
-    start = link.shipped_lsn
-    link.restore()
-    return shipped_page_updates(db.log, start, link.shipped_lsn)
-
-
 def update_range(db, tree, n: int, version: int = 1) -> None:
     txn = db.begin()
     for i in range(n):
@@ -92,14 +77,14 @@ class TestStandbyAsMirror:
         before = standby.records_applied
         update_range(db, tree, 30)
         assert standby.records_applied == before  # the link is down
-        records, pages = catch_up(db, link)
+        records, pages = mirror_catch_up(db, link)
         assert records >= 30 and pages
         assert standby.applied_lsn == link.shipped_lsn == db.log.durable_lsn
         # Every shipped record was applied: a page update at most once.
         assert standby.records_applied - before >= records
         # Nothing is outstanding: a second catch-up applies nothing.
         applied = standby.records_applied
-        assert catch_up(db, link) == (0, set())
+        assert mirror_catch_up(db, link) == (0, set())
         link.ship_until(db.log.durable_lsn)
         assert standby.records_applied == applied
 
@@ -111,7 +96,7 @@ class TestStandbyAsMirror:
         victim = leaf_of_first_key(db, tree)
         update_range(db, tree, 200)
         db.flush_everything()
-        records, pages = catch_up(db, link)
+        records, pages = mirror_catch_up(db, link)
         # The mirror applied everything, though one page failed.
         assert records >= 200 and victim in pages
         repaired = standby.serve_page(victim, NULL_LSN)
@@ -132,7 +117,7 @@ class TestStandbyAsMirror:
         db.flush_everything()
         wanted = Page(db.config.page_size, db.device.raw_image(victim)).page_lsn
         assert standby.serve_page(victim, wanted) is None  # lagging
-        catch_up(db, link)
+        mirror_catch_up(db, link)
         assert standby.serve_page(victim, wanted).page_lsn == wanted
 
     def test_mirror_vs_single_page_recovery_work(self):
@@ -148,7 +133,7 @@ class TestStandbyAsMirror:
         update_range(db, tree, 1500)
         db.flush_everything()
         db.evict_everything()
-        mirror_records, _pages = catch_up(db, link)
+        mirror_records, _pages = mirror_catch_up(db, link)
         # Single-page recovery work for the same page, with no standby
         # to serve it:
         db.detach_standby()
@@ -191,7 +176,7 @@ def test_restored_standby_serves_the_primarys_pages():
     standby, link = mirrored(db)
     seeded_history(db, tree, n=1000)
     db.log.force()
-    records, pages = catch_up(db, link)
+    records, pages = mirror_catch_up(db, link)
     assert link.shipped_lsn == db.log.durable_lsn
     assert records > 300 and len(pages) > 8
     db.flush_everything()

@@ -10,7 +10,6 @@ and failover machinery actually did.
 import pytest
 
 from repro.engine.database import Database
-from repro.sim.iomodel import HDD_PROFILE
 from repro.errors import (
     BackupRetired,
     ConfigError,
@@ -18,6 +17,7 @@ from repro.errors import (
     ReplicationError,
     ReplicationLagError,
 )
+from repro.sim.iomodel import HDD_PROFILE
 from tests.conftest import fast_config, key_of, value_of
 
 
