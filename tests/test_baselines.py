@@ -7,7 +7,7 @@ whole outstanding stream — then ``standby.serve_page``.
 
 import random
 
-from benchmarks.common import mirror_catch_up, mirrored
+from benchmarks.common import leaf_of, mirror_catch_up, mirrored
 from repro.baselines.media_only import traditional_config
 from repro.core.backup import BackupPolicy
 from repro.engine.database import Database
@@ -64,12 +64,6 @@ def update_range(db, tree, n: int, version: int = 1) -> None:
     db.commit(txn)
 
 
-def leaf_of_first_key(db, tree) -> int:
-    page, _n, _pid = tree._descend(key_of(0), for_write=False)
-    db.pool.unfix(page.page_id)
-    return page.page_id
-
-
 class TestStandbyAsMirror:
     def test_restore_applies_the_whole_shipped_stream(self):
         db, tree = loaded()
@@ -80,7 +74,8 @@ class TestStandbyAsMirror:
         records, pages = mirror_catch_up(db, link)
         assert records >= 30 and pages
         assert standby.applied_lsn == link.shipped_lsn == db.log.durable_lsn
-        # Every shipped record was applied: a page update at most once.
+        # records_applied counts every adopted record, page updates
+        # among them.
         assert standby.records_applied - before >= records
         # Nothing is outstanding: a second catch-up applies nothing.
         applied = standby.records_applied
@@ -93,7 +88,7 @@ class TestStandbyAsMirror:
         failed page's chain (Section 2)."""
         db, tree = loaded()
         standby, link = mirrored(db)
-        victim = leaf_of_first_key(db, tree)
+        victim = leaf_of(db, tree)
         update_range(db, tree, 200)
         db.flush_everything()
         records, pages = mirror_catch_up(db, link)
@@ -112,7 +107,7 @@ class TestStandbyAsMirror:
         db, tree = loaded()
         standby, link = mirrored(db)
         assert standby.serve_page(9999, NULL_LSN) is None
-        victim = leaf_of_first_key(db, tree)
+        victim = leaf_of(db, tree)
         update_range(db, tree, 30)
         db.flush_everything()
         wanted = Page(db.config.page_size, db.device.raw_image(victim)).page_lsn
@@ -129,7 +124,7 @@ class TestStandbyAsMirror:
         db, tree = loaded(n=1500, backup_policy=BackupPolicy.disabled(),
                           capacity_pages=2048)
         _standby, link = mirrored(db)
-        victim = leaf_of_first_key(db, tree)
+        victim = leaf_of(db, tree)
         update_range(db, tree, 1500)
         db.flush_everything()
         db.evict_everything()
