@@ -13,7 +13,8 @@ the client down to a bare socket round trip:
 * ``send_msg``/``recv_msg`` ping — the codec and the sockets, no
   transport bookkeeping;
 * ``codec`` — ``encode`` + ``decode`` of the get request and of its
-  reply, what the codec adds to one round trip;
+  reply, what the codec adds to one round trip; the same for a
+  transaction's ``txn_put`` (a 2PC verb's frame, ``_VERB``);
 * worker ``execute(get)`` — the engine's work, in the ``inproc`` twin;
 * bytes-only echo — a forked child that sends back what it reads: the
   floor two processes and a socketpair set;
@@ -111,6 +112,7 @@ def _table(fleet, twin, near, records, calls: int) -> None:  # noqa: ANN001
     shard = router.shards[idx]
     worker = twin.router.shards[idx].worker
     request, reply = ("get", key), ("ok", value, 7)
+    txn_put, txn_reply = ("txn_put", 7, key, value, True), ("ok", None, 7)
     ping = b"p" * ECHO_BYTES
     batches = itertools.cycle(
         [[("put", k, v) for k, v in records[i:i + BATCH_PUTS]]
@@ -124,6 +126,10 @@ def _table(fleet, twin, near, records, calls: int) -> None:  # noqa: ANN001
         decode(encode(request))
         decode(encode(reply))
 
+    def txn_codec() -> None:
+        decode(encode(txn_put))
+        decode(encode(txn_reply))
+
     def echo() -> None:
         near.sendall(ping)
         near.recv(ECHO_BYTES)
@@ -135,6 +141,7 @@ def _table(fleet, twin, near, records, calls: int) -> None:  # noqa: ANN001
         "ProcessShard.call ping": lambda: shard.call(("ping",)),
         "send_msg/recv_msg ping": socket_ping,
         "codec: get request + reply": codec,
+        "codec: txn_put request + reply": txn_codec,
         "worker execute(get)": lambda: worker.execute(request),
         "bytes-only echo": echo,
         "two pings, fanned out": lambda: router.fan_out(
@@ -143,6 +150,7 @@ def _table(fleet, twin, near, records, calls: int) -> None:  # noqa: ANN001
             router._call(0, "ping"), router._call(1, "ping")),
     }
     assert fleet.get(key) == value and worker.execute(request) == value
+    assert decode(encode(txn_put)) == txn_put
     samples = _interleaved(rows, calls)
     batch = _interleaved(
         {"client.apply_batch, 32 puts": lambda: fleet.apply_batch(

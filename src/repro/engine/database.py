@@ -444,7 +444,14 @@ class Database:
         return self.tm.prepare(txn, gtid)
 
     def commit_prepared(self, txn: Transaction) -> int:
-        """2PC phase two, decision = commit, for a live prepared branch."""
+        """2PC phase two, decision = commit, for a live prepared branch.
+
+        The COMMIT record is appended, not forced: the coordinator's
+        forced decision covers it.  A crash before the next force
+        restarts the branch in :attr:`indoubt`, and the decision commits
+        it again (:meth:`resolve_indoubt`).  A caller that prepares
+        without a router is its own coordinator and resolves
+        :attr:`indoubt` itself after a crash."""
         self._require_running()
         return self.tm.commit_prepared(txn)
 

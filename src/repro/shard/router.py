@@ -315,11 +315,14 @@ class ShardRouter:
         the shard's durable LSN at the moment the command arrives: the
         worker is passive, so nothing reaches its log between its last
         reply and this request (a queued message flushed just above
-        has replied too), and every earlier commit was forced below
-        the mark.  If the command dies in a system failure the
-        post-restart log is consulted — a user transaction's commit
-        past the mark (``LogRecord.commits_user_txn``: the bit on its
-        last write, or a COMMIT record)
+        has replied too), and every earlier commit of a risky verb was
+        forced below the mark.  Only a phase-two COMMIT, which a
+        ``resolve`` appends unforced (the coordinator's forced decision
+        covers it), may lie past the mark, and the probe passes over
+        it.  If the command dies in a system failure the post-restart
+        log is consulted — a user transaction's commit past the mark
+        (the bit on its last write, or a COMMIT record; see
+        :meth:`repro.shard.worker.ShardWorker._cmd_outcome_since`)
         means the first attempt succeeded and only its reply was lost,
         so the answer is reconstructed from the log instead of
         re-executing (a blind retry would double-apply the command, or

@@ -7,6 +7,17 @@ abort applies (a coordinator crash between prepare and decision aborts
 the transaction); after it, every prepared participant must eventually
 commit, however many crashes intervene on either side.
 
+Phase two appends, and the decision forces.  A participant's PREPARE
+is forced; its phase-two COMMIT record is not
+(:meth:`repro.txn.manager.TransactionManager.commit_prepared`), so a
+participant crash can take it, and the branch restarts in doubt.
+Keeping the decision is therefore what makes a committed branch
+durable: a forced decision is never forgotten, and every reopen
+resolves the shard's in-doubt branches from :meth:`CoordinatorLog.
+decision_of`.  Presumed abort's forced participant COMMIT exists only
+so that the coordinator may forget a transaction once every ACK is in;
+this log forgets nothing, so that force buys nothing here.
+
 Like the engine's log manager, the decision log models durability
 explicitly for the chaos harness: :meth:`CoordinatorLog.crash`
 discards unforced entries, exactly what losing the coordinator host
@@ -53,6 +64,9 @@ class CoordinatorLog:
     def __init__(self) -> None:
         self._entries: list[Decision] = []
         self._durable_count = 0
+        #: gtid -> verdict of every forced decision (the first, should
+        #: a gtid have two): :meth:`decision_of`'s lookup
+        self._verdicts: dict[int, str] = {}
         self._next_gtid = 1
 
     # -- identity ------------------------------------------------------
@@ -85,6 +99,10 @@ class CoordinatorLog:
 
     def force(self) -> None:
         """Harden every appended decision (the commit point)."""
+        verdicts = self._verdicts
+        for entry in self._entries[self._durable_count:]:
+            if isinstance(entry, Decision):
+                verdicts.setdefault(entry.gtid, entry.verdict)
         self._durable_count = len(self._entries)
 
     def crash(self) -> None:
@@ -97,10 +115,7 @@ class CoordinatorLog:
         """The durable verdict for ``gtid`` — ``"abort"`` when none was
         forced (presumed abort covers coordinator loss between prepare
         and decision)."""
-        for decision in self._entries[:self._durable_count]:
-            if isinstance(decision, Decision) and decision.gtid == gtid:
-                return decision.verdict
-        return "abort"
+        return self._verdicts.get(gtid, "abort")
 
     def durable_decisions(self) -> list[Decision]:
         return [entry for entry in self._entries[:self._durable_count]

@@ -12,9 +12,12 @@ socket in a forked child, so N shards execute on N real cores).
 Transactional state lives here, keyed by router-chosen ids: ``_live``
 maps an ``xid`` to its open branch, ``_prepared`` maps a ``gtid`` to a
 branch that has forced its PREPARE record and now holds its locks in
-doubt.  A ``crash`` command wipes both (volatile state), exactly like
-the single-node engine's crash; ``restart`` reruns analysis and
-reports which gtids the log says are still in doubt.
+doubt.  Phase two (``resolve``) appends the branch's COMMIT without a
+force: the coordinator's forced decision covers it, and a crash that
+takes it leaves the branch in doubt again.  A ``crash`` command wipes
+both tables (volatile state), exactly like the single-node engine's
+crash; ``restart`` reruns analysis and reports which gtids the log
+says are still in doubt.
 
 Slot ownership: once the router installs an assignment (``set_slots``)
 the worker enforces it — a key-addressed command for a slot this shard
@@ -39,7 +42,12 @@ from repro.errors import (
 )
 from repro.shard.routing import slot_hash, slot_of
 from repro.shard.rpc import encode, marshal_error, recv_msg
-from repro.wal.records import LogRecordKind
+from repro.wal.records import (NARROW_HEADER, WIDE_BIT, WIDE_HEADER,
+                               LogRecordKind, commits_user_txn, read_header)
+
+_COMMIT = LogRecordKind.COMMIT
+_PREPARE = LogRecordKind.PREPARE
+_UPDATE = LogRecordKind.UPDATE
 
 
 def _check_batch_op(op: tuple) -> None:
@@ -438,16 +446,34 @@ class ShardWorker:
         (the command whose reply the crash ate — the router sends at
         most one state-changing command after the mark it passes), or
         ``None``: nothing committed, the retry is safe.
+
+        A prepared branch's phase-two COMMIT is no such commit: it is
+        appended unforced, so it can lie past the mark of a later
+        command whose force hardened it, and it answers a ``resolve``,
+        which the router never probes for.  The log is walked in place,
+        each record's header and, under a commit bit, its UPDATE flags
+        (:func:`repro.wal.records.commits_user_txn`); bytes that are no
+        record are a :class:`repro.errors.LogError`.
         """
         self.db._require_running()
-        records = self.db.log.records_from(lsn)
-        commit = next((r for r in records if r.commits_user_txn), None)
-        if commit is None:
-            return None
-        updates = sum(1 for r in records
-                      if r.txn_id == commit.txn_id
-                      and r.kind == LogRecordKind.UPDATE)
-        return commit.lsn, updates
+        log = self.db.log
+        seen: list[tuple[int, int]] = []  # (kind, txn_id) before the commit
+        for at, data in log.encodings_from(lsn):
+            kind, commits, txn_id, _, _ = read_header(data)
+            if (commits and commits_user_txn(data, kind, commits)
+                    and not (kind == _COMMIT and self._after_prepare(data))):
+                return at, (kind == _UPDATE) + seen.count((_UPDATE, txn_id))
+            seen.append((kind, txn_id))
+        return None
+
+    def _after_prepare(self, data) -> bool:  # noqa: ANN001
+        """Is the record ``data``'s transaction's previous record its
+        PREPARE (a retained one)?"""
+        prev_lsn = (WIDE_HEADER if data[0] & WIDE_BIT
+                    else NARROW_HEADER).unpack_from(data)[3]
+        log = self.db.log
+        return (log.has_record(prev_lsn)
+                and read_header(log.encoding_at(prev_lsn))[0] == _PREPARE)
 
     def _cmd_locks(self) -> list[bytes]:
         """Every key currently locked on this shard (the chaos oracle
@@ -501,7 +527,8 @@ def serve(worker: ShardWorker, sock) -> None:  # noqa: ANN001
     ``("ok", result, durable_lsn)`` or ``("err", class_name, message,
     fields, durable_lsn)`` — the shard log's durable high-water mark,
     read after the command, crashed shard or not (the durable log
-    outlives a crash).  The router keeps the last one it saw; if a
+    outlives a crash); a ``resolve``'s unforced phase-two COMMIT lies
+    past it.  The router keeps the last one it saw; if a
     state-changing command's reply is then lost to a crash, it asks
     what committed past the mark (``outcome_since``) instead of blindly
     re-executing.  The loop is :meth:`ShardWorker.execute` in place:

@@ -21,7 +21,9 @@ transaction's last record was its last" — made durable by a force:
   a ghost's revival — enlists first (:meth:`TransactionManager.enlist`);
 * user transaction commit then **forces** the log through the record
   that carries the commit (durability), in the same log-mutex hold as
-  the bit;
+  the bit — all but a prepared 2PC branch's phase two
+  (:meth:`TransactionManager.commit_prepared`), whose durability is its
+  forced PREPARE and the coordinator's forced decision;
 * system transaction commit does not force — it becomes durable with
   the next force, and if a crash intervenes the (contents-neutral)
   transaction simply never happened: its records, bit included, are
@@ -284,10 +286,19 @@ class TransactionManager:
         return lsn
 
     def commit_prepared(self, txn: Transaction) -> int:
-        """Phase two, decision = commit: finish a prepared transaction."""
+        """Phase two, decision = commit: finish a prepared transaction.
+
+        The PREPARE record is durable, so the commit is a COMMIT record
+        of its own, appended and *not* forced: the coordinator's forced
+        decision is the commit point, and it is kept.  The COMMIT
+        hardens with the next force; a crash that loses it restarts the
+        branch in doubt (:attr:`repro.engine.database.Database.
+        indoubt`), and the coordinator commits it again from its
+        decision.  A standalone engine that prepares is its own
+        coordinator: after a crash it resolves ``db.indoubt`` itself.
+        """
         self._require_prepared(txn)
-        # The PREPARE record is durable: a forced COMMIT record of its own.
-        lsn = self.log.commit(txn.txn_id, txn.last_lsn)
+        lsn = self.log.commit(txn.txn_id, txn.last_lsn, force=False)
         txn.note_logged(lsn)
         txn.state = TxnState.COMMITTED
         self._user_txns_committed.inc()

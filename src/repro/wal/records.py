@@ -69,7 +69,9 @@ record is still in the log's volatile tail
 (:meth:`repro.wal.log_manager.LogManager.commit`); a transaction whose
 last record has hardened, or that logged nothing, gets a COMMIT /
 SYS_COMMIT record instead.  No builder sets it but a redo-only
-UPDATE's.  Readers ask :attr:`LogRecord.commits_txn`.
+UPDATE's.  Readers ask :attr:`LogRecord.commits_txn`, or
+:func:`read_header` and, for a user transaction's,
+:func:`commits_user_txn`.
 
 **The UPDATE payload** is a flags byte, the op (a u16 length, then the
 op's encoding), the undo::
@@ -465,17 +467,9 @@ class LogRecord:
         returns the offset one past it."""
         kind = self.kind
         if kind == LogRecordKind.UPDATE:
-            flags = data[pos]
+            flags = _update_flags(data, pos, self.commits)
             pos += 1
-            if flags & ~(_HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE
-                         | _REDO_ONLY):
-                raise LogError(f"unknown UPDATE flag bits {flags:#x}")
             if flags & _REDO_ONLY:
-                if flags != _HAS_OP | _REDO_ONLY:
-                    raise LogError("a redo-only UPDATE carries its op and "
-                                   "no undo")
-                if not self.commits:
-                    raise LogError("a redo-only UPDATE without the commit bit")
                 self.redo_only = True
             pos = self._decode_op(data)
             if flags & _SHARED_BEFORE_IMAGE:
@@ -583,17 +577,6 @@ class LogRecord:
         the bit."""
         return self.commits or self.kind in _COMMIT_KINDS
 
-    @property
-    def commits_user_txn(self) -> bool:
-        """:attr:`commits_txn`, for a *user* transaction only.
-
-        A COMMIT record names its kind of transaction; a commit bit
-        does not, but the record under it does: user updates carry
-        key-level undo or are redo-only, structural updates by system
-        transactions are neither."""
-        return (self.kind == LogRecordKind.COMMIT
-                or (self.commits and (self.undo is not None or self.redo_only)))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         bits = [f"lsn={self.lsn}",
                 self.kind.name + ("+commit" if self.commits else "")]
@@ -639,6 +622,39 @@ def read_header(raw, start: int = 0,
     if kind not in CHAIN_KINDS:
         raise LogError(f"commit bit on a {LogRecordKind(kind).name} record")
     return kind, True, txn_id, page_id, page_prev_lsn
+
+
+def _update_flags(data, pos: int, commits: bool) -> int:
+    """The flags byte at ``pos`` of the UPDATE ``data``, whose header
+    says it ``commits``: an unknown bit, and a redo-only record with
+    undo, without its op or without the commit bit, are
+    :class:`LogError`."""
+    flags = data[pos]
+    if flags & ~(_HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE | _REDO_ONLY):
+        raise LogError(f"unknown UPDATE flag bits {flags:#x}")
+    if flags & _REDO_ONLY:
+        if flags != _HAS_OP | _REDO_ONLY:
+            raise LogError("a redo-only UPDATE carries its op and no undo")
+        if not commits:
+            raise LogError("a redo-only UPDATE without the commit bit")
+    return flags
+
+
+def commits_user_txn(data, kind: int, commits: bool) -> bool:
+    """Does the record ``data``, whose header :func:`read_header` read
+    as ``kind`` and ``commits``, end a *user* transaction as committed?
+
+    A COMMIT record names its kind of transaction; a commit bit does
+    not, but the record under it does: user updates carry key-level
+    undo or are redo-only, structural updates by system transactions
+    are neither.  That is the UPDATE's flags byte, read in place and
+    checked as :meth:`LogRecord.decode` checks it."""
+    if kind != _UPDATE or not commits:
+        return kind == LogRecordKind.COMMIT
+    pos = WIDE_HEADER_SIZE if data[0] & _WIDE_BIT else NARROW_HEADER_SIZE
+    if pos >= len(data):
+        raise LogError(f"an UPDATE of {len(data)} bytes has no flags byte")
+    return bool(_update_flags(data, pos, commits) & (_HAS_UNDO | _REDO_ONLY))
 
 
 def op_span(data, kind: int) -> tuple[int, int, int]:

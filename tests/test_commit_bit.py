@@ -25,7 +25,7 @@ from repro.engine.database import Database
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter
 from repro.sim.harness import DurabilityOracle
-from repro.wal.records import LogRecordKind
+from repro.wal.records import LogRecordKind, commits_user_txn
 from tests.conftest import (
     assert_identical_recovery,
     clone_crashed,
@@ -33,6 +33,7 @@ from tests.conftest import (
     key_of,
     value_of,
 )
+from tests.record_reference import encode
 from tests.test_shard_round_trips import keys_on
 
 N_KEYS = 120
@@ -62,6 +63,11 @@ def write(db: Database, tree, txn, model: dict | None, *indexes: int) -> None:
         tree.update(txn, key_of(i), value_of(i, 1))
         if model is not None:
             model[key_of(i)] = value_of(i, 1)
+
+
+def user_commit(record) -> bool:  # noqa: ANN001
+    """Does ``record`` end a user transaction as committed?"""
+    return commits_user_txn(encode(record), record.kind, record.commits)
 
 
 def records_of(db: Database, txn_id: int) -> list:
@@ -131,7 +137,7 @@ def system_txn_before_force(db, tree, model):
     assert db.stats.get("log_forces") == forces
     split = [r for r in db.log.all_records()
              if r.lsn >= db.log.durable_lsn and r.txn_id not in sys_ids]
-    assert split and split[-1].commits and not split[-1].commits_user_txn
+    assert split and split[-1].commits and not user_commit(split[-1])
     assert not any(r.kind == LogRecordKind.SYS_COMMIT for r in split)
 
 
@@ -170,13 +176,17 @@ def hardened_by_a_checkpoint(db, tree, model):
 
 
 def prepared_then_committed(db, tree, model):
-    """2PC is the rule's fallback path: forced PREPARE, forced COMMIT."""
+    """2PC is the rule's fallback path: a forced PREPARE, then a COMMIT
+    record phase two appends unforced — the coordinator's forced
+    decision covers it, and a crash that takes it leaves the branch in
+    doubt for the coordinator to commit again."""
     txn = db.begin()
     write(db, tree, txn, model, 3)
     forces = db.stats.get("log_forces")
     db.prepare(txn, gtid=77)
-    db.commit_prepared(txn)
-    assert db.stats.get("log_forces") == forces + 2
+    lsn = db.commit_prepared(txn)
+    assert db.stats.get("log_forces") == forces + 1
+    assert lsn >= db.log.durable_lsn
     assert [(r.kind, r.commits) for r in records_of(db, txn.txn_id)] == [
         (LogRecordKind.UPDATE, False), (LogRecordKind.PREPARE, False),
         (LogRecordKind.COMMIT, False)]
@@ -209,6 +219,20 @@ def rider_force_between_write_and_commit(db, tree, model):
     assert lsn < db.log.durable_lsn
 
 
+#: the coordinator's forced decision for each gtid a case prepares
+DECISIONS = {77: True, 41: True}
+
+
+def resolve_as_coordinator(db: Database) -> list[int]:
+    """Deliver the coordinator's decision to every branch a recovery
+    left in doubt (a phase-two COMMIT the crash took commits again);
+    returns their gtids."""
+    gtids = sorted(db.indoubt)
+    for gtid in gtids:
+        db.resolve_indoubt(gtid, DECISIONS[gtid])
+    return gtids
+
+
 SCENARIOS = {
     "one-write/before-force": one_write_before_force,
     "one-write/after-force": one_write_after_force,
@@ -231,6 +255,8 @@ def test_crash_converges_to_what_committed_durably(scenario, mode):
     db.crash()
     report = db.restart(mode=mode)
     assert report.loser_txn_ids == []   # nothing here is a durable loser
+    assert resolve_as_coordinator(db) == (
+        [77] if scenario == "hardened/by-prepare" else [])
     if mode == "on_demand":
         db.finish_restart()
     tree = db.tree(1)
@@ -254,6 +280,8 @@ def test_restart_modes_recover_identically(scenario):
     eager_db, lazy_db = clone_crashed(db), clone_crashed(db)
     eager_db.restart(mode="eager")
     lazy_db.restart(mode="on_demand")
+    resolve_as_coordinator(eager_db)
+    resolve_as_coordinator(lazy_db)
     lazy_db.finish_restart()
     assert_identical_recovery(eager_db, lazy_db)
     assert dict(eager_db.tree(1).range_scan()) == model
@@ -274,12 +302,13 @@ def test_media_recovery_sees_the_same_commits(scenario, mode, crash_first):
     if crash_first:
         db.crash()
         db.restart(mode="eager")
+        resolve_as_coordinator(db)
     else:
         for i in unforced:
             model[key_of(i)] = value_of(i, 1)
     db.device.fail_device("injected media failure")
     report = db.recover_media(backup_id, mode=mode)
-    assert report.loser_txn_ids == []
+    assert report.loser_txn_ids == [] and not db.indoubt
     if mode == "on_demand":
         db.finish_restore()
     tree = db.tree(1)
@@ -299,13 +328,16 @@ def recovered(db: Database, recovery: str, backup_id: int | None) -> Database:
     restore from ``backup_id``."""
     if recovery == "media":
         db.restart(mode="eager")
+        resolve_as_coordinator(db)
         db.device.fail_device("injected media failure")
         assert db.recover_media(backup_id, mode="on_demand").loser_txn_ids == []
         db.finish_restore()
     else:
         assert db.restart(mode=recovery).loser_txn_ids == []
+        resolve_as_coordinator(db)
         if recovery == "on_demand":
             db.finish_restart()
+    assert not db.indoubt
     return db
 
 
@@ -325,7 +357,9 @@ def put_inside_a_group_commit(db: Database, model: dict,
         assert db.locks.held_keys() == [] and not db.tm.active
         if hardened:
             # A prepared branch's vote forces the log whatever the block
-            # defers: the put's record hardens with its bit.
+            # defers: the put's record hardens with its bit.  Its
+            # phase-two COMMIT does not force, so the crash takes it and
+            # leaves gtid 41 in doubt, for the coordinator to commit.
             other = db.begin()
             write(db, db.tree(1), other, model, 50)
             db.prepare(other, gtid=41)
@@ -357,6 +391,8 @@ def test_an_autocommit_put_recovers_identically_in_both_modes(hardened):
     eager_db, lazy_db = clone_crashed(db), clone_crashed(db)
     eager_db.restart(mode="eager")
     lazy_db.restart(mode="on_demand")
+    assert resolve_as_coordinator(eager_db) == ([41] if hardened else [])
+    assert resolve_as_coordinator(lazy_db) == ([41] if hardened else [])
     lazy_db.finish_restart()
     assert_identical_recovery(eager_db, lazy_db)
     assert dict(eager_db.tree(1).range_scan()) == model
@@ -616,9 +652,9 @@ def test_outcome_since_reads_the_bit_past_a_system_commit(router):
         pytest.fail("no put split a leaf")
     records = worker.db.log.records_from(mark)
     committed = [r for r in records if r.commits_txn]
-    assert len(committed) >= 2 and not committed[0].commits_user_txn
+    assert len(committed) >= 2 and not user_commit(committed[0])
     lsn, n_updates = worker.execute(("outcome_since", mark))
-    assert worker.db.log.record_at(lsn).commits_user_txn and n_updates == 1
+    assert user_commit(worker.db.log.record_at(lsn)) and n_updates == 1
     # A delete of an absent key commits with a record and no update;
     # a delete that found its key, with the bit on its one update.
     mark = worker.db.log.durable_lsn

@@ -23,7 +23,7 @@ from repro.page.slotted import Record, SlottedPage
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter
 from repro.wal.ops import value_rewrite
-from repro.wal.records import LogRecord, LogRecordKind
+from repro.wal.records import LogRecord, LogRecordKind, commits_user_txn
 from tests import op_reference as reference
 from tests.conftest import (apply_redo, assert_no_pins, fast_config, key_of,
                             value_of)
@@ -46,7 +46,8 @@ def records_since(db, end: int) -> list[LogRecord]:  # noqa: ANN001
 def user_records(db, end: int) -> list[LogRecord]:  # noqa: ANN001
     """The UPDATE records user transactions logged since ``end``."""
     system = {r.txn_id for r in db.log.records_from(end)
-              if r.commits and not r.commits_user_txn}
+              if r.commits
+              and not commits_user_txn(encode(r), r.kind, r.commits)}
     return [r for r in records_since(db, end) if r.txn_id not in system]
 
 

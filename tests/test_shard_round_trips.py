@@ -179,6 +179,13 @@ def _after_heal_flushes_resolve(router):
 
 def _after_phase_two(router):
     _cross_shard_commit(router)
+    # Phase two appended its COMMIT unforced: it lies past the mark the
+    # next risky command carries, so the probe must pass over it.
+    shard = router.shards[IDX]
+    log = shard.worker.db.log
+    (commit,) = [record for record in log.records_from(shard.durable_lsn)
+                 if record.kind == LogRecordKind.COMMIT]
+    assert log.record_at(commit.prev_lsn).kind == LogRecordKind.PREPARE
 
 
 def _put(router, keys):
@@ -271,7 +278,9 @@ def test_crash_around_a_risky_command_applies_it_exactly_once(
         # bit on the branch's last write, or a COMMIT record).
         expected = [record.lsn for record
                     in router.shards[IDX].worker.db.log.all_records()
-                    if record.commits_user_txn][-1]
+                    if record.kind == LogRecordKind.COMMIT
+                    or record.commits and (record.undo is not None
+                                           or record.redo_only)][-1]
     assert reply == expected
     if fate == "reply_lost":
         assert eaten == [reply]
@@ -282,6 +291,98 @@ def test_crash_around_a_risky_command_applies_it_exactly_once(
     assert tuple(router.get(key) for key in keys) == final
     assert router._call(IDX, "locks") == []
     router.close()
+
+
+def _decoded_outcome(records: list, by_lsn: dict, start: int):  # noqa: ANN202
+    """``outcome_since`` answered from decoded records — ``records``
+    the log's, ``by_lsn`` them by LSN, the mark at index ``start``: the
+    first user commit that is not a phase-two COMMIT, and its
+    transaction's updates past the mark."""
+    for record in records[start:]:
+        user_commit = (record.kind == LogRecordKind.COMMIT
+                       or record.commits and (record.undo is not None
+                                              or record.redo_only))
+        prev = by_lsn.get(record.prev_lsn)
+        if user_commit and not (record.kind == LogRecordKind.COMMIT
+                                and prev is not None
+                                and prev.kind == LogRecordKind.PREPARE):
+            return record.lsn, sum(1 for other in records[start:]
+                                   if other.txn_id == record.txn_id
+                                   and other.kind == LogRecordKind.UPDATE)
+    return None
+
+
+def test_the_probe_reads_bytes_as_the_decoded_log_answers():
+    """Every mark of a seeded stream — two-phase and single-shard
+    commits, rollbacks, autocommit writes, batches, leaf splits — gets
+    the answer the decoded records give."""
+    import random
+
+    rnd = random.Random(7)
+    router = ShardRouter(ShardConfig(n_shards=2, transport="inproc"))
+    keys = [b"probe%04d" % i for i in range(60)]
+    for _ in range(150):
+        roll = rnd.random()
+        key = rnd.choice(keys)
+        if roll < 0.2:
+            router.put(key, b"v" * rnd.randrange(1, 200))
+        elif roll < 0.3:
+            router.delete(key)
+        elif roll < 0.4:
+            ops = [("put", k, b"b" * rnd.randrange(1, 90))
+                   for k in rnd.sample(keys, 4)
+                   if router.shard_of(k) == router.shard_of(key)]
+            router.apply_batch(router.shard_of(key), ops)
+        else:
+            txn = router.txn()
+            for k in rnd.sample(keys, rnd.randrange(1, 4)):
+                txn.put(k, b"t" * rnd.randrange(1, 120))
+            if rnd.random() < 0.1:
+                txn.abort()
+            else:
+                txn.commit()
+    for shard in router.shards:
+        worker = shard.worker
+        records = worker.db.log.all_records()
+        by_lsn = {record.lsn: record for record in records}
+        answers = [worker.execute(("outcome_since", record.lsn))
+                   for record in records]
+        assert answers == [_decoded_outcome(records, by_lsn, i)
+                           for i in range(len(records))]
+        assert any(answer is None for answer in answers)
+        assert len({answer for answer in answers if answer}) > 50
+    router.close()
+
+
+@pytest.mark.parametrize("flags", [0x19, 0x0B, 0x08, None],
+                         ids=["unknown-bit", "redo-only-with-undo",
+                              "redo-only-without-op", "no-flags-byte"])
+def test_the_probe_refuses_what_decode_refuses(flags):
+    """The UPDATE flags byte under a commit bit is the one payload byte
+    the probe reads, and it refuses there what ``LogRecord.decode``
+    refuses."""
+    from repro.engine.config import EngineConfig
+    from repro.errors import LogError
+    from repro.shard.worker import ShardWorker
+    from repro.wal.records import LogRecord
+
+    worker = ShardWorker(0, EngineConfig())
+    log = worker.db.log
+    mark = log.end_lsn
+    worker.execute(("put", b"k", b"v"))
+    data = bytearray(log.encoding_at(mark))
+    assert data[0] == 0x80 | LogRecordKind.UPDATE and data[21] == 0x09
+    if flags is None:
+        data = data[:21]
+        data[1:3] = struct.pack("<H", 21)
+    else:
+        data[21] = flags
+    hostile = log.append(bytes(data))
+    with pytest.raises(LogError):
+        LogRecord.decode(bytes(data))
+    with pytest.raises(LogError):
+        worker.execute(("outcome_since", hostile))
+    assert worker.execute(("outcome_since", mark)) == (mark, 1)
 
 
 # ----------------------------------------------------------------------

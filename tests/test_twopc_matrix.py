@@ -119,6 +119,41 @@ class TestEnginePrepare:
         assert lookup_or_none(tree, b"a") == b"1"
         assert lookup_or_none(tree, b"b") is None
 
+    def test_phase_two_appends_and_a_crash_leaves_the_branch_in_doubt(self):
+        """A standalone engine that prepares is its own coordinator:
+        phase two appends its COMMIT unforced, a crash takes it, and the
+        branch restarts in doubt until the decision commits it again."""
+        db, tree = make_db()
+        txn = db.begin()
+        tree.insert(txn, b"k", b"v")
+        db.prepare(txn, gtid=21)
+        forces = db.stats.get("log_forces")
+        lsn = db.commit_prepared(txn)
+        assert db.stats.get("log_forces") == forces
+        assert lsn >= db.log.durable_lsn
+        db.crash()
+        assert db.restart().indoubt_gtids == [21]
+        assert 21 in db.indoubt
+        db.resolve_indoubt(21, commit=True)
+        assert lookup_or_none(db.tree(tree.index_id), b"k") == b"v"
+        assert db.locks.held_keys() == [] and not db.indoubt
+
+    def test_a_later_forced_commit_hardens_phase_two(self):
+        db, tree = make_db()
+        txn = db.begin()
+        tree.insert(txn, b"k", b"v")
+        db.prepare(txn, gtid=22)
+        db.commit_prepared(txn)
+        other = db.begin()
+        tree.insert(other, b"later", b"w")
+        db.commit(other)  # forces the tail, the phase-two COMMIT with it
+        db.crash()
+        assert db.restart().indoubt_gtids == []
+        assert not db.indoubt
+        tree = db.tree(tree.index_id)
+        assert lookup_or_none(tree, b"k") == b"v"
+        assert lookup_or_none(tree, b"later") == b"w"
+
     def test_on_demand_restart_registers_indoubt(self):
         db, tree = make_db(restart_mode="on_demand")
         txn = db.begin()
@@ -160,6 +195,26 @@ class TestCoordinatorLog:
         first = log.allocate_gtid()
         log.crash()
         assert log.allocate_gtid() > first
+
+    def test_decision_of_reads_forced_decisions_only(self):
+        log = CoordinatorLog()
+        forced, unforced, later = (log.allocate_gtid() for _ in range(3))
+        log.log_decision(forced, "commit", (0, 1))
+        log.log_decision(unforced, "commit", (0, 1), force=False)
+        assert log.decision_of(unforced) == "abort"  # not yet durable
+        log.log_epoch(1, 5, 0, 1, force=False)
+        log.log_decision(later, "abort", (1,))  # hardens all three
+        assert [log.decision_of(gtid) for gtid in (forced, unforced)] == [
+            "commit", "commit"]
+        lost = log.allocate_gtid()
+        log.log_decision(lost, "commit", (0,), force=False)
+        log.crash()
+        assert [log.decision_of(gtid) for gtid in (forced, unforced, later,
+                                                   lost)] == [
+            "commit", "commit", "abort", "abort"]
+        assert [d.gtid for d in log.durable_decisions()] == [
+            forced, unforced, later]
+        assert len(log.durable_epochs()) == 1
 
     def test_bad_verdict_rejected(self):
         with pytest.raises(ValueError):
@@ -290,6 +345,38 @@ class TestRouterCrashMatrix:
         recover_all(router)
         for i, key in enumerate(keys):
             assert router.get(key) == b"v%d" % i
+        router.close()
+
+    def test_a_crash_after_phase_two_commits_the_branch_again(self):
+        """Phase two's COMMIT is not forced: a participant crash right
+        after its ``resolve`` takes it, and the next op's reopen finds
+        the branch in doubt and commits it from the decision log."""
+        router = make_router(n_shards=2)
+        keys = cross_shard_keys(router, 2)
+        fired = []
+
+        def hook(stage, shard_id):
+            if stage == "after_commit" and not fired:
+                fired.append(shard_id)
+                router.shards[shard_id].worker.execute(("crash",))
+
+        router.commit_hook = hook
+        txn = router.txn()
+        for i, key in enumerate(keys):
+            txn.put(key, b"v%d" % i)
+        txn.commit()
+        router.commit_hook = None
+        (idx,) = fired
+        db = router.shards[idx].worker.db
+        recovered = db.stats.get("indoubt_txns_recovered")
+        i = [router.shard_of(key) for key in keys].index(idx)
+        assert router.get(keys[i]) == b"v%d" % i  # reopens the shard
+        assert router.reopens == 1
+        assert db.stats.get("indoubt_txns_recovered") == recovered + 1
+        assert not db.indoubt
+        for j, key in enumerate(keys):
+            assert router.get(key) == b"v%d" % j
+        assert [router._call(j, "locks") for j in (0, 1)] == [[], []]
         router.close()
 
     def test_prepare_refusal_aborts_whole_transaction(self):

@@ -89,8 +89,10 @@ from repro.wal.records import (
     UndoAction,
     compress_image,
     decompress_image,
+    commits_user_txn,
     encode_update,
     pri_update,
+    read_header,
 )
 from tests import op_reference as reference
 from tests.op_reference import (
@@ -566,17 +568,23 @@ def test_commit_bit_only_on_chain_kinds():
             LogRecord.decode(bytes(raw))
 
 
+def _commits_user_txn(record: LogRecord) -> bool:
+    """:func:`commits_user_txn` of ``record``'s bytes, read in place."""
+    raw = encode(record)
+    return commits_user_txn(raw, *read_header(raw)[:2])
+
+
 def test_committed_predicates():
     undo = LogicalUndo(UndoAction.DELETE_KEY, b"k")
     user_bit = LogRecord(LogRecordKind.UPDATE, txn_id=1, undo=undo,
                          commits=True)
     system_bit = LogRecord(LogRecordKind.UPDATE, txn_id=2, commits=True)
-    assert user_bit.commits_txn and user_bit.commits_user_txn
-    assert system_bit.commits_txn and not system_bit.commits_user_txn
+    assert user_bit.commits_txn and _commits_user_txn(user_bit)
+    assert system_bit.commits_txn and not _commits_user_txn(system_bit)
     commit = LogRecord(LogRecordKind.COMMIT, txn_id=1)
     sys_commit = LogRecord(LogRecordKind.SYS_COMMIT, txn_id=2)
-    assert commit.commits_txn and commit.commits_user_txn
-    assert sys_commit.commits_txn and not sys_commit.commits_user_txn
+    assert commit.commits_txn and _commits_user_txn(commit)
+    assert sys_commit.commits_txn and not _commits_user_txn(sys_commit)
     for kind in (LogRecordKind.ABORT, LogRecordKind.PREPARE,
                  LogRecordKind.UPDATE, LogRecordKind.CHECKPOINT_BEGIN):
         assert not LogRecord(kind, txn_id=1).commits_txn
@@ -969,7 +977,7 @@ def test_a_redo_only_rewrite_logs_its_new_value_alone():
     assert encoded[0] == 0x80 | LogRecordKind.UPDATE
     assert encoded[21:24] == bytes([0x09]) + struct.pack("<H", 105)
     decoded = LogRecord.decode(encoded)
-    assert decoded == record and decoded.commits_user_txn
+    assert decoded == record and _commits_user_txn(decoded)
     spanned = _rewrite(5, b"2019-03-04" + b"x" * 230,
                             b"2021-11-22" + b"x" * 230, True)
     assert spanned.encode() == (bytes([11, 5, 0])
