@@ -22,12 +22,10 @@ taxonomy class.
 The body's first byte says how the rest is laid out.  The messages of
 the warm path have precompiled shapes — the ``get``, ``put``, ``delete``
 and ``batch`` requests, the transaction verbs' requests
-(``_OPERANDS``, each verb's packer and unpacker compiled from its
-operand letters, :func:`_verb_codec`) and the ``("ok", bytes | None |
-bool | int | word, lsn)`` replies — and every other message is one
-*tagged value* (``_VALUE``): None, bool, int, float, str, bytes, tuple,
-list and dict, nested, the protocol's own words one byte each
-(``_WORDS``).  A
+(``_OPERANDS``) and the ``("ok", bytes | None | bool | int | word,
+lsn)`` replies — and every other message is one *tagged value*
+(``_VALUE``): None, bool, int, float, str, bytes, tuple, list and dict,
+nested, the protocol's own words one byte each (``_WORDS``).  A
 value of any other type cannot cross the wire: :func:`encode` refuses
 it with a :class:`repro.errors.ShardError` before a byte is sent.  The
 layout of each shape is fixed by the structs below, in the idiom of
@@ -148,57 +146,21 @@ _WORD_INDEX = {word: i for i, word in enumerate(_WORDS)}
 _OPERANDS = {
     "ping": "", "txn_get": "qs", "txn_put": "qss?", "txn_delete": "qs?",
     "txn_commit": "q", "txn_abort": "q", "prepare": "qq", "resolve": "q?"}
-_OPERAND_TYPES = {"q": "int", "?": "bool", "s": "bytes"}
 
 
-def _verb_codec(verb: str, letters: str) -> tuple:
-    """``verb``'s ``_VERB`` packer and unpacker, compiled once from its
-    operand letters — as :func:`collections.namedtuple` compiles its
-    class — so that each is straight-line code, as the ``put`` shape's
-    is.  ``pack(message)`` is the frame but its CRC, or ``None`` when
-    the operands are not exactly the verb's types (the request then
-    travels as a tagged value); ``unpack(frame, end)`` is the request in
-    a frame whose body ends at ``end``.  The frame is the verb's word
-    index, the int and bool operands and each bytes operand's u32
-    length, in operand order, then the bytes operands."""
+def _verb_shape(verb: str, letters: str) -> tuple:
+    """``verb``'s ``_VERB`` layout: its word index, the struct of the
+    frame's fixed part, the operands' types, the positions of the bytes
+    operands, and the frame's count less those bytes."""
     shape = struct.Struct("<IBB" + letters.replace("s", "I"))
-    names = [f"a{i}" for i in range(len(letters))]
-    blobs = [name for name, c in zip(names, letters) if c == "s"]
-    fields = "".join(f", len({name})" if c == "s" else f", {name}"
-                     for name, c in zip(names, letters))
-    targets = "".join(", " + name for name in names)
-    checks = " and ".join(f"type({name}) is {_OPERAND_TYPES[c]}"
-                          for name, c in zip(names, letters)) or "True"
-    count = "".join(f" + len({name})" for name in blobs)
-    tail = "".join(f" + {name}" for name in blobs)
-    takes = "".join(f"    {name}, at = frame[at:at + {name}], at + {name}\n"
-                    for name in blobs)
-    source = (
-        f"def pack(message):\n"
-        f"    _{targets}, = message\n"
-        f"    if {checks}:\n"
-        f"        return _pack({shape.size - _COUNT_SIZE + _CRC_SIZE}{count}, "
-        f"{_VERB}, {_WORD_INDEX[verb]}{fields}){tail}\n"
-        f"    return None\n"
-        f"def unpack(frame, end):\n"
-        f"    _, _, _{targets} = _unpack_from(frame)\n"
-        f"    at = {shape.size}\n"
-        f"{takes}"
-        f"    if at == end:\n"
-        f"        return ({verb!r}{targets},)\n"
-        f"    raise ValueError(f'a {verb} request\\'s operands end at {{at}}, "
-        f"its body at {{end}}')\n")
-    namespace = {"_pack": shape.pack, "_unpack_from": shape.unpack_from}
-    exec(source, namespace)  # noqa: S102 - the source is built from _OPERANDS
-    return namespace["pack"], namespace["unpack"]
+    return (_WORD_INDEX[verb], shape,
+            tuple({"q": int, "?": bool, "s": bytes}[c] for c in letters),
+            tuple(i for i, c in enumerate(letters) if c == "s"),
+            shape.size + _CRC_SIZE - _COUNT_SIZE)
 
 
-_CODECS = {verb: _verb_codec(verb, letters)
-           for verb, letters in _OPERANDS.items()}
-#: verb -> its packer; word index -> its unpacker
-_PACKERS = {verb: pack for verb, (pack, _) in _CODECS.items()}
-_UNPACKERS = {_WORD_INDEX[verb]: unpack
-              for verb, (_, unpack) in _CODECS.items()}
+_VERB_SHAPES = {verb: _verb_shape(verb, letters)
+                for verb, letters in _OPERANDS.items()}
 
 
 # ----------------------------------------------------------------------
@@ -238,20 +200,37 @@ def encode(message) -> bytes:  # noqa: ANN001
                                       ) + key
                 elif verb == "batch" and type(key) is list:
                     data = _batch_frame(key)
-            if data is None and size:
-                packer = _PACKERS.get(message[0])
-                if packer is not None:
-                    data = packer(message)
-        except (struct.error, TypeError, ValueError):
-            data = None  # a length or an LSN the shape cannot hold, an
-            #              unhashable first item, or a verb's message of
-            #              the wrong length
+            if data is None and size and message[0] in _VERB_SHAPES:
+                data = _verb_frame(message)
+        except (struct.error, TypeError):
+            data = None  # a length or an LSN the shape cannot hold, or
+            #              an unhashable first item
     if data is None:
         data = _value_frame(message)
     if len(data) > MAX_MESSAGE_BYTES:
         raise ShardError(f"rpc message of {len(data)} bytes exceeds "
                          f"the {MAX_MESSAGE_BYTES}-byte frame limit")
     return data + _U32.pack(crc32(data))
+
+
+def _verb_frame(message: tuple) -> bytes | None:
+    """A ``_VERB`` frame but its CRC, or ``None`` when the operands are
+    not exactly the verb's (the request then travels as a tagged
+    value)."""
+    word, shape, types, blobs, count = _VERB_SHAPES[message[0]]
+    operands = message[1:]
+    if tuple(map(type, operands)) != types:
+        return None
+    if not blobs:
+        return shape.pack(count, _VERB, word, *operands)
+    fields, parts = list(operands), [None]
+    for i in blobs:
+        blob = operands[i]
+        fields[i] = len(blob)
+        parts.append(blob)
+        count += len(blob)
+    parts[0] = shape.pack(count, _VERB, word, *fields)
+    return b"".join(parts)
 
 
 def _value_frame(message) -> bytes:  # noqa: ANN001
@@ -405,7 +384,7 @@ def decode(frame: bytes):  # noqa: ANN201
                 _, _, lsn, value = _HEAD_I64_I64.unpack_from(frame)
                 return ("ok", value, lsn)
         elif kind == _VERB:
-            return _UNPACKERS[frame[_FIELDS_AT]](frame, end)
+            return _verb_request(frame, end)
         elif kind in _OK_FIXED_VALUE:
             if count == _OK_COUNT:
                 return ("ok", _OK_FIXED_VALUE[kind], lsn)
@@ -425,6 +404,26 @@ def decode(frame: bytes):  # noqa: ANN201
                          f"{end - _FIELDS_AT} bytes")
     except Exception as exc:  # noqa: BLE001 - hostile bytes raise anything
         raise ConnectionError(f"undecodable rpc frame: {exc!r}") from exc
+
+
+def _verb_request(frame: bytes, end: int) -> tuple:
+    """The request in a ``_VERB`` frame whose body ends at ``end``."""
+    verb = _WORDS[frame[_FIELDS_AT]]
+    _, shape, _, blobs, _ = _VERB_SHAPES[verb]
+    pos = shape.size
+    if not blobs:
+        if pos == end:
+            return (verb, *shape.unpack_from(frame)[3:])
+    else:
+        fields = list(shape.unpack_from(frame)[3:])
+        for i in blobs:
+            size = fields[i]
+            fields[i] = frame[pos:pos + size]
+            pos += size
+        if pos == end:
+            return (verb, *fields)
+    raise ValueError(f"a {verb} request's operands end at {pos}, "
+                     f"its body at {end}")
 
 
 def _batch_ops(body: bytes) -> list[tuple]:

@@ -64,9 +64,6 @@ class CoordinatorLog:
     def __init__(self) -> None:
         self._entries: list[Decision] = []
         self._durable_count = 0
-        #: gtid -> verdict of every forced decision (the first, should
-        #: a gtid have two): :meth:`decision_of`'s lookup
-        self._verdicts: dict[int, str] = {}
         self._next_gtid = 1
 
     # -- identity ------------------------------------------------------
@@ -99,10 +96,6 @@ class CoordinatorLog:
 
     def force(self) -> None:
         """Harden every appended decision (the commit point)."""
-        verdicts = self._verdicts
-        for entry in self._entries[self._durable_count:]:
-            if isinstance(entry, Decision):
-                verdicts.setdefault(entry.gtid, entry.verdict)
         self._durable_count = len(self._entries)
 
     def crash(self) -> None:
@@ -115,7 +108,10 @@ class CoordinatorLog:
         """The durable verdict for ``gtid`` — ``"abort"`` when none was
         forced (presumed abort covers coordinator loss between prepare
         and decision)."""
-        return self._verdicts.get(gtid, "abort")
+        for decision in self._entries[:self._durable_count]:
+            if isinstance(decision, Decision) and decision.gtid == gtid:
+                return decision.verdict
+        return "abort"
 
     def durable_decisions(self) -> list[Decision]:
         return [entry for entry in self._entries[:self._durable_count]

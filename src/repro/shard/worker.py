@@ -42,8 +42,8 @@ from repro.errors import (
 )
 from repro.shard.routing import slot_hash, slot_of
 from repro.shard.rpc import encode, marshal_error, recv_msg
-from repro.wal.records import (NARROW_HEADER, WIDE_BIT, WIDE_HEADER,
-                               LogRecordKind, commits_user_txn, read_header)
+from repro.wal.records import (LogRecordKind, commits_user_txn, prev_lsn_of,
+                               read_header)
 
 _COMMIT = LogRecordKind.COMMIT
 _PREPARE = LogRecordKind.PREPARE
@@ -469,8 +469,7 @@ class ShardWorker:
     def _after_prepare(self, data) -> bool:  # noqa: ANN001
         """Is the record ``data``'s transaction's previous record its
         PREPARE (a retained one)?"""
-        prev_lsn = (WIDE_HEADER if data[0] & WIDE_BIT
-                    else NARROW_HEADER).unpack_from(data)[3]
+        prev_lsn = prev_lsn_of(data)
         log = self.db.log
         return (log.has_record(prev_lsn)
                 and read_header(log.encoding_at(prev_lsn))[0] == _PREPARE)

@@ -624,6 +624,13 @@ def read_header(raw, start: int = 0,
     return kind, True, txn_id, page_id, page_prev_lsn
 
 
+def prev_lsn_of(data) -> int:
+    """The ``prev_lsn`` (the transaction's previous record) in the
+    header of the record ``data``, read in place; :func:`read_header`
+    is what checks that header."""
+    return (_WIDE if data[0] & _WIDE_BIT else _NARROW).unpack_from(data)[3]
+
+
 def _update_flags(data, pos: int, commits: bool) -> int:
     """The flags byte at ``pos`` of the UPDATE ``data``, whose header
     says it ``commits``: an unknown bit, and a redo-only record with

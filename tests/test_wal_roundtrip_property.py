@@ -91,6 +91,7 @@ from repro.wal.records import (
     decompress_image,
     commits_user_txn,
     encode_update,
+    prev_lsn_of,
     pri_update,
     read_header,
 )
@@ -481,6 +482,7 @@ def test_log_record_round_trip(record):
                 record.undo, record.redo_only) == encoded
     decoded = LogRecord.decode(encoded)
     assert decoded == record
+    assert prev_lsn_of(encoded) == record.prev_lsn
     assert decoded.commits == record.commits
     assert decoded.redo_only == record.redo_only
     assert encode(decoded) == encoded
