@@ -153,10 +153,11 @@ class _Cut(Exception):
     """The crash that stops a write-back run between two device writes."""
 
 
-def cut_run_after(db: Database, j: int) -> list[int]:
-    """Write every dirty page back as one run and stop it after ``j``
-    device writes, before the run's PRI record is forced (Figure 11's
-    window C); returns the pages written."""
+def cut_run_after(db: Database, j: int, run=None) -> list[int]:  # noqa: ANN001
+    """Write the dirty pages back as one run — every one, or those
+    ``run`` (a checkpoint, say) writes — and stop it after ``j`` device
+    writes, before the run's PRI record is forced (Figure 11's window
+    C); returns the pages written."""
     written, write = [], db.device.write
 
     def write_or_crash(page_id, data, sequential=False):  # noqa: ANN001
@@ -167,7 +168,7 @@ def cut_run_after(db: Database, j: int) -> list[int]:
 
     db.device.write = write_or_crash
     try:
-        db.flush_everything()
+        (run or db.flush_everything)()
     except _Cut:
         pass
     finally:

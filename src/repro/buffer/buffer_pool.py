@@ -21,8 +21,9 @@ Responsibilities:
   :data:`RUN_PAGES` - 1 more dirty, unpinned frames the sweep would
   reach next with their reference bit clear; those leave clean, so the
   misses after it find clean victims.  A checkpoint's sweep
-  (:meth:`BufferPool.flush_all`) and :meth:`BufferPool.evict_all` are
-  one run each; :meth:`BufferPool.flush_page` called on its own is a run
+  (:meth:`BufferPool.flush_all`: the frames dirty since before an LSN,
+  all of them by default) and :meth:`BufferPool.evict_all` are one run
+  each; :meth:`BufferPool.flush_page` called on its own is a run
   of one page.  A page whose device write fails for good
   (:class:`~repro.storage.device.DeviceWriteError`) stays dirty and the
   run goes on without it; a miss fails only if its own victim could not
@@ -462,11 +463,16 @@ class BufferPool:
                 raise failure
         return len(run)
 
-    def flush_all(self) -> int:
-        """Write every dirty frame back as one run (a checkpoint's
-        sweep); returns pages written."""
+    def flush_all(self, before_lsn: int | None = None) -> int:
+        """Write every dirty frame whose ``rec_lsn`` precedes
+        ``before_lsn`` back as one run (a checkpoint's sweep); returns
+        pages written.  The default bound is the end of the log: every
+        dirty frame."""
         with self._mutex:
-            dirty = [pid for pid, f in self._frames.items() if f.dirty]
+            if before_lsn is None:
+                before_lsn = self.log.end_lsn
+            dirty = [pid for pid, f in self._frames.items()
+                     if f.dirty and f.rec_lsn < before_lsn]
             return self._write_run(dirty) if dirty else 0
 
     # ------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 This component owns everything that bounds recovery work:
 
-* **checkpoints** (Section 5.2.6): flush a snapshot of the dirty page
-  table, persist the page recovery index into its reserved page
-  region, and write the CHECKPOINT_END master record;
+* **checkpoints** (Section 5.2.6): write back the frames dirty since
+  before the previous checkpoint (the penultimate-checkpoint rule of
+  ARIES's fuzzy checkpoint), persist the page recovery index into its
+  reserved page region, and write the CHECKPOINT_END master record,
+  whose dirty-page table lists the frames left dirty — restart redoes
+  from the oldest of them, so at most two checkpoint intervals;
 * **page backups** (Section 5.2.1): explicit page copies, in-log
   full-page images, and full database backups, plus the write-back
   hooks that apply the Section-6 freshness policy and log PRI updates
@@ -79,11 +82,13 @@ class Checkpointer:
         # PREPARE test re-classifies them as in doubt.
         att.extend((entry.txn_id, entry.last_lsn, False)
                    for entry in db.indoubt.values())
-        # Only pages dirty *now* are forced out, in one write-back run
-        # under the pool mutex — pages dirtied after it wait for the
-        # next checkpoint, which Section 5.2.6 accepts to avoid a
-        # never-ending tail of writes.
-        db.pool.flush_all()
+        # The penultimate-checkpoint rule: only the frames dirty since
+        # before the master — the previous checkpoint — are written, in
+        # one write-back run under the pool mutex (every dirty frame
+        # when there is no master yet).  The rest stay dirty and enter
+        # this checkpoint's dirty-page table, so restart redoes from at
+        # most the previous checkpoint: two checkpoint intervals.
+        db.pool.flush_all(db.log.master_checkpoint_lsn or None)
         pri_images: dict[int, int] = {}
         if db.config.spf_enabled:
             pri_images = self.persist_pri()
@@ -281,6 +286,10 @@ class Checkpointer:
         poisoned backup image hit a chain mismatch.)
         """
         db = self.db
+        # Media recovery replays the log from the backup's own record,
+        # so the device must hold every update before it: every dirty
+        # frame is written back, not only those the checkpoint writes.
+        db.pool.flush_all()
         checkpoint_lsn = self.checkpoint()
         images: dict[int, bytes] = {}
         page_lsns: dict[int, int] = {}
@@ -360,7 +369,7 @@ class Checkpointer:
     def log_retention_bound(self) -> int:
         """Oldest LSN any retained structure may still need.
 
-        Four constraints:
+        Six constraints:
 
         * single-page recovery walks each page's chain back to its most
           recent backup — so the bound is the minimum backup LSN over
@@ -368,6 +377,10 @@ class Checkpointer:
           a quiet benefit of per-page backups: fresher backups shorten
           mandatory log retention);
         * restart needs the log from the master checkpoint;
+        * redo needs each dirty frame's records from its ``rec_lsn``,
+          which may precede the master: a checkpoint leaves the frames
+          dirtied since the previous one dirty (the
+          penultimate-checkpoint rule);
         * rollback needs every active transaction's first record;
         * an unfinished recovery needs what its pending pages replay
           from — each page's first redo record (restart) or the whole
@@ -381,7 +394,8 @@ class Checkpointer:
           harness: checkpoint + truncate + device loss).
         """
         db = self.db
-        bound = db.log.master_checkpoint_lsn or db.log.end_lsn
+        bound = self._redo_floor(db.log.master_checkpoint_lsn
+                                 or db.log.end_lsn)
         for backup_id in reversed(db.backup_store.full_backup_ids()):
             backup_lsn = db.log.backup_full_lsn(backup_id)
             if backup_lsn is not None:
@@ -417,12 +431,18 @@ class Checkpointer:
             bound = min(bound, link.shipped_lsn)
         return bound
 
+    def _redo_floor(self, lsn: int) -> int:
+        """``lsn``, or the oldest ``rec_lsn`` of a dirty frame if that
+        is older: restart redoes such a frame's records from there."""
+        return min([lsn, *self.db.pool.dirty_page_table().values()])
+
     def truncate_log(self, copy_forward: bool = True,
                      copy_budget: int = 64) -> int:
         """Reclaim the log head up to :meth:`log_retention_bound`.
 
         With ``copy_forward``, pages whose *old* backups pin the bound
-        below the master checkpoint first get fresh page copies (up to
+        below what restart needs — the master checkpoint, or a dirty
+        frame's older ``rec_lsn`` — first get fresh page copies (up to
         ``copy_budget`` of them) — the copy-forward step familiar from
         log-structured systems, here driven by the page recovery
         index's backup-page field.  The copies' BACKUP_PAGE records are
@@ -432,7 +452,8 @@ class Checkpointer:
         into the truncated head.
         """
         db = self.db
-        target = db.log.master_checkpoint_lsn or db.log.durable_lsn
+        target = self._redo_floor(db.log.master_checkpoint_lsn
+                                  or db.log.durable_lsn)
         if copy_forward and db.config.spf_enabled:
             if self._copy_forward_pinning_pages(target, copy_budget):
                 db.log.force()

@@ -32,7 +32,8 @@ the owning index or table (0 = none).  :func:`_header` is the one header
 rule, and every builder writes its header with it: a record takes the
 narrow form whenever every field fits it (a total below 64 KiB, ids and
 LSNs below 2**32, page ids below 2**32 - 1, an index id below 2**16 and,
-in a PRI update, every entry below 2**32) and the wide form otherwise;
+in a PRI update or a checkpoint's tables, every entry below 2**32) and
+the wide form otherwise;
 decoding asks the same rule and refuses a wide header the narrow one
 fits, so every record has exactly one encoding.
 
@@ -54,7 +55,9 @@ page, at most 32 KiB — but where marked)::
                                            under a wide header)
     10  CHECKPOINT_BEGIN checkpoint_begin  —
     11  CHECKPOINT_END   checkpoint_end    tables len u32, the tables
-                                           (:class:`CheckpointData`)
+                                           (:class:`CheckpointData`: u32
+                                           fields, i64 under a wide
+                                           header)
     12  BACKUP_PAGE      backup_page       page_lsn i64, ref kind u8,
                                            ref value i64
     13  BACKUP_FULL      backup_full       backup_id i64
@@ -147,6 +150,7 @@ _QI = struct.Struct("<qI")
 _QH = struct.Struct("<qH")
 _QQ = struct.Struct("<qq")
 _QQB = struct.Struct("<qqB")
+_IIB = struct.Struct("<IIB")
 _QBQ = struct.Struct("<qBq")
 _III = struct.Struct("<III")
 
@@ -199,6 +203,7 @@ _COMMIT_KINDS = (LogRecordKind.COMMIT, LogRecordKind.SYS_COMMIT)
 _UPDATE = LogRecordKind.UPDATE
 _COMPENSATION = LogRecordKind.COMPENSATION
 _PRI_UPDATE = LogRecordKind.PRI_UPDATE
+_CHECKPOINT_END = LogRecordKind.CHECKPOINT_END
 
 
 class BackupRefKind(enum.IntEnum):
@@ -355,31 +360,51 @@ class CheckpointData:
     active_txns: list[tuple[int, int, bool]] = field(default_factory=list)
     pri_images: dict[int, int] = field(default_factory=dict)
 
-    def encode(self) -> bytes:
+    def entry_count(self) -> int:
+        """Entries in the three tables."""
+        return (len(self.dirty_pages) + len(self.active_txns)
+                + len(self.pri_images))
+
+    def fits_narrow(self) -> bool:
+        """Is every entry's every id and LSN below 2**32 (and not
+        negative), so that u32 fields hold it?"""
+        return not any(value >> 32 for value in chain(
+            chain.from_iterable(self.dirty_pages.items()),
+            chain.from_iterable(entry[:2] for entry in self.active_txns),
+            chain.from_iterable(self.pri_images.items())))
+
+    def encode(self, wide: bool) -> bytes:
+        """The tables: the three counts (u32), then per dirty page its
+        id and ``rec_lsn``, per active transaction its id, last LSN and
+        system flag (u8), per region page its id and image LSN — u32
+        fields, or i64 ones under a ``wide`` header."""
+        pair, txn = (_QQ, _QQB) if wide else (_II, _IIB)
         return b"".join([
             _III.pack(len(self.dirty_pages), len(self.active_txns),
                       len(self.pri_images)),
-            *(_QQ.pack(*entry) for entry in sorted(self.dirty_pages.items())),
-            *(_QQB.pack(txn_id, last_lsn, int(is_system))
+            *(pair.pack(*entry) for entry in sorted(self.dirty_pages.items())),
+            *(txn.pack(txn_id, last_lsn, int(is_system))
               for txn_id, last_lsn, is_system in self.active_txns),
-            *(_QQ.pack(*entry) for entry in sorted(self.pri_images.items()))])
+            *(pair.pack(*entry) for entry in sorted(self.pri_images.items()))])
 
     @classmethod
-    def decode(cls, data, offset: int = 0) -> "CheckpointData":
-        """The tables encoded at ``offset``, or :class:`LogError`."""
+    def decode(cls, data, offset: int, wide: bool) -> "CheckpointData":
+        """The tables encoded at ``offset`` (i64 fields if ``wide``), or
+        :class:`LogError`."""
+        pair, txn = (_QQ, _QQB) if wide else (_II, _IIB)
         try:
             n_dirty, n_txns, n_images = _III.unpack_from(data, offset)
-            txns_at = offset + 12 + 16 * n_dirty
-            images_at = txns_at + 17 * n_txns
-            if images_at + 16 * n_images > len(data):
+            txns_at = offset + 12 + pair.size * n_dirty
+            images_at = txns_at + txn.size * n_txns
+            end = images_at + pair.size * n_images
+            if end > len(data):
                 raise LogError("checkpoint tables run past the end of the "
                                "record")
-            return cls(dict(_QQ.iter_unpack(data[offset + 12:txns_at])),
+            return cls(dict(pair.iter_unpack(data[offset + 12:txns_at])),
                        [(txn_id, last_lsn, bool(is_system))
                         for txn_id, last_lsn, is_system
-                        in _QQB.iter_unpack(data[txns_at:images_at])],
-                       dict(_QQ.iter_unpack(
-                           data[images_at:images_at + 16 * n_images])))
+                        in txn.iter_unpack(data[txns_at:images_at])],
+                       dict(pair.iter_unpack(data[images_at:end])))
         except MALFORMED as exc:
             raise LogError(f"malformed checkpoint payload: {exc}") from None
 
@@ -445,15 +470,30 @@ class LogRecord:
             raise LogError(f"{kind.name} payload ends at byte {end} of a "
                            f"{total}-byte record")
         # A wide header the one header rule would not write — the fields
-        # and a PRI update's entries fit the narrow form — is refused.
-        writes = record.writes
-        narrow_size = total - WIDE_HEADER_SIZE - 8 * len(writes)
-        if (wide and not (writes and max(map(max, writes)) >> 32)
+        # and a PRI update's or a checkpoint's entries fit the narrow
+        # form — is refused.
+        narrow_size = record._narrow_size(total) if wide else None
+        if (narrow_size is not None
                 and not _header(kind, narrow_size, txn_id, prev_lsn, page_id,
                                 page_prev_lsn, index_id)[0] & _WIDE_BIT):
             raise LogError(f"a {total}-byte wide {kind.name} record (a wide "
                            f"header the narrow one fits)")
         return record
+
+    def _narrow_size(self, total: int) -> int | None:
+        """The payload's size under a narrow header, ``total`` being the
+        record's under the wide one; None when a PRI update's or a
+        checkpoint's entries need i64 fields."""
+        writes, checkpoint = self.writes, self.checkpoint
+        entries = len(writes)
+        if writes and max(map(max, writes)) >> 32:
+            return None
+        if checkpoint is not None:
+            if not checkpoint.fits_narrow():
+                return None
+            entries += checkpoint.entry_count()
+        # Each entry's two ids or LSNs take 8 bytes fewer as u32.
+        return total - WIDE_HEADER_SIZE - 8 * entries
 
     def _decode_op(self, data) -> int:
         """Take the page op, still encoded; returns its end."""
@@ -512,11 +552,13 @@ class LogRecord:
             return pos + 17
         if kind == LogRecordKind.CHECKPOINT_END:
             (size,) = _U32.unpack_from(data, pos)
-            self.checkpoint = checkpoint = CheckpointData.decode(data, pos + 4)
-            if len(checkpoint.encode()) != size:
-                raise LogError(f"a checkpoint that is not the {size} bytes "
-                               f"its field says")
-            return pos + 4 + size
+            pos += 4
+            self.checkpoint = checkpoint = CheckpointData.decode(data, pos,
+                                                                 wide)
+            if checkpoint.encode(wide) != data[pos:pos + size]:
+                raise LogError(f"checkpoint tables that are not the {size} "
+                               f"bytes their builder writes")
+            return pos + size
         if kind == LogRecordKind.BACKUP_FULL:
             (self.backup_id,) = _I64.unpack_from(data, pos)
             return pos + 8
@@ -735,7 +777,7 @@ def _header(kind: int, size: int, txn_id: int, prev_lsn: int, page_id: int,
     included) around a ``size``-byte payload — the one header rule:
     narrow when every field fits it (``page_id + 1`` maps -1 ..
     2**32 - 2 onto u32) and ``kind`` does not carry the wide bit, which
-    a PRI update's i64 entries set; wide otherwise."""
+    a PRI update's or a checkpoint's i64 entries set; wide otherwise."""
     total = NARROW_HEADER_SIZE + size
     if not (kind & _WIDE_BIT
             or (txn_id | prev_lsn | page_prev_lsn | page_id + 1) >> 32
@@ -811,9 +853,16 @@ def checkpoint_begin() -> bytes:
 
 
 def checkpoint_end(checkpoint: CheckpointData) -> bytes:
-    """The CHECKPOINT_END record of ``checkpoint``'s tables."""
-    body = checkpoint.encode()
-    return b"".join((_header(LogRecordKind.CHECKPOINT_END, 4 + len(body), 0,
+    """The CHECKPOINT_END record of ``checkpoint``'s tables: u32 fields
+    under the narrow header when each entry fits and the header does,
+    i64 fields under the wide one otherwise."""
+    if checkpoint.fits_narrow():
+        body = checkpoint.encode(False)
+        header = _header(_CHECKPOINT_END, 4 + len(body), 0, 0, -1, 0, 0)
+        if not header[0] & _WIDE_BIT:
+            return b"".join((header, _U32.pack(len(body)), body))
+    body = checkpoint.encode(True)
+    return b"".join((_header(_CHECKPOINT_END | _WIDE_BIT, 4 + len(body), 0,
                              0, -1, 0, 0), _U32.pack(len(body)), body))
 
 

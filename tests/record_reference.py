@@ -8,8 +8,10 @@ record kind had a builder of its own that returns the record's bytes.
 :func:`encode` writes the record a :class:`repro.wal.records.LogRecord`
 describes — the object :meth:`LogRecord.decode` returns, or one a test
 builds field by field — so a test can write any record shape, and
-``tests/test_record_builders.py`` checks every builder against it.  The
-byte format is the engine's: a record this module encodes is one
+``tests/test_record_builders.py`` checks every builder against it.  It
+follows the format where the format moved since: a checkpoint's tables
+take u32 fields under the narrow header, as a PRI update's entries do.
+The byte format is the engine's: a record this module encodes is one
 :meth:`LogRecord.decode` reads back, and the other way round.
 """
 
@@ -39,6 +41,9 @@ _II = struct.Struct("<II")
 _QI = struct.Struct("<qI")
 _QH = struct.Struct("<qH")
 _QQ = struct.Struct("<qq")
+_IIB = struct.Struct("<IIB")
+_QQB = struct.Struct("<qqB")
+_III = struct.Struct("<III")
 _QBQ = struct.Struct("<qBq")
 
 #: UPDATE flags byte
@@ -56,7 +61,22 @@ def _fits_narrow(record: LogRecord, total: int) -> bool:
     return not ((record.txn_id | record.prev_lsn | record.page_prev_lsn
                  | record.page_id + 1) >> 32
                 | (record.index_id | total) >> 16
-                or record.writes and max(map(max, record.writes)) >> 32)
+                or _wide_entries(record))
+
+
+def _wide_entries(record: LogRecord) -> bool:
+    """Does an id or LSN of a PRI update's or a checkpoint's entries
+    need more than u32?"""
+    values = [value for entry in record.writes for value in entry]
+    checkpoint = record.checkpoint
+    if checkpoint is not None:
+        values += [value for entry in checkpoint.dirty_pages.items()
+                   for value in entry]
+        values += [value for entry in checkpoint.active_txns
+                   for value in entry[:2]]
+        values += [value for entry in checkpoint.pri_images.items()
+                   for value in entry]
+    return any(value >> 32 for value in values)
 
 
 def encode(record: LogRecord) -> bytes:
@@ -77,16 +97,17 @@ def encode(record: LogRecord) -> bytes:
             return bytes((encoding[0] | _COMMITS_BIT,)) + encoding[1:]
         return encoding
     kind_byte = kind | _COMMITS_BIT if commits else kind
-    # A PRI update's pages are u32 pairs unless one needs more.
-    wide_entries = record.writes and max(map(max, record.writes)) >> 32
-    entries = _QQ if wide_entries else _II
+    # A PRI update's pages and a checkpoint's entries are u32 fields
+    # unless one needs more.
+    entries = _QQ if _wide_entries(record) else _II
     payload = _payload(record, entries)
     total = NARROW_HEADER_SIZE + len(payload)
     if entries is _II and _fits_narrow(record, total):
         return _NARROW.pack(kind_byte, total, record.txn_id, record.prev_lsn,
                             record.page_id & _NO_PAGE, record.page_prev_lsn,
                             record.index_id) + payload
-    if entries is _II and record.writes:
+    if entries is _II and kind in (LogRecordKind.PRI_UPDATE,
+                                   LogRecordKind.CHECKPOINT_END):
         payload = _payload(record, _QQ)
     return _WIDE.pack(kind_byte | _WIDE_BIT, WIDE_HEADER_SIZE + len(payload),
                       record.txn_id, record.prev_lsn, record.page_id,
@@ -95,7 +116,7 @@ def encode(record: LogRecord) -> bytes:
 
 def _payload(record: LogRecord, entry: struct.Struct) -> bytes:
     """The payload's bytes, but an UPDATE's; ``entry`` packs a PRI
-    update's pages."""
+    update's pages and a checkpoint's pairs (``_II`` or ``_QQ``)."""
     kind = record.kind
     body = record.op or b""
     if kind == LogRecordKind.COMPENSATION:
@@ -113,7 +134,18 @@ def _payload(record: LogRecord, entry: struct.Struct) -> bytes:
         ref = record.backup_ref or BackupRef.none()
         return _QBQ.pack(record.page_lsn, int(ref.kind), ref.value)
     if kind == LogRecordKind.CHECKPOINT_END:
-        body = (record.checkpoint or CheckpointData()).encode()
+        checkpoint = record.checkpoint or CheckpointData()
+        txn = _IIB if entry is _II else _QQB
+        body = b"".join([
+            _III.pack(len(checkpoint.dirty_pages),
+                      len(checkpoint.active_txns),
+                      len(checkpoint.pri_images)),
+            *(entry.pack(*pair)
+              for pair in sorted(checkpoint.dirty_pages.items())),
+            *(txn.pack(txn_id, last_lsn, int(is_system))
+              for txn_id, last_lsn, is_system in checkpoint.active_txns),
+            *(entry.pack(*pair)
+              for pair in sorted(checkpoint.pri_images.items()))])
         return _U32.pack(len(body)) + body
     if kind == LogRecordKind.BACKUP_FULL:
         return _I64.pack(record.backup_id)

@@ -140,3 +140,78 @@ def test_media_recovery_reproduces_the_map(mode):
     # The open loser dies with the device; its keys never committed.
     assert recovered == model
     assert map_digest(recovered) == MAP_SHA256
+
+
+# ----------------------------------------------------------------------
+# The penultimate-checkpoint rule, step by step
+# ----------------------------------------------------------------------
+def observed_stream() -> tuple[list[tuple], list[tuple]]:
+    """The stream with every checkpoint and truncation observed: per
+    checkpoint, the dirty table and master before it, the pages each of
+    its write-back runs wrote and its record's dirty-page table; per
+    truncation, the dirty table, the log's head and the master after
+    it."""
+    db = Database(fast_config(page_size=1024, capacity_pages=1024,
+                              buffer_capacity=24))
+    checkpointer, pool = db.checkpointer, db.pool
+    checkpoints, truncations, runs = [], [], []
+    checkpoint, truncate_log = checkpointer.checkpoint, checkpointer.truncate_log
+    on_run_cleaned = pool.on_run_cleaned
+
+    def recording_run(writes):  # noqa: ANN001
+        runs.append(sorted(page_id for page_id, _lsn in writes))
+        on_run_cleaned(writes)
+
+    def recording_checkpoint() -> int:
+        dirty, master = pool.dirty_page_table(), db.log.master_checkpoint_lsn
+        runs.clear()
+        lsn = checkpoint()
+        checkpoints.append((dirty, master, list(runs),
+                            db.log.record_at(lsn).checkpoint.dirty_pages))
+        return lsn
+
+    def recording_truncate(*args) -> int:  # noqa: ANN002
+        freed = truncate_log(*args)
+        truncations.append((pool.dirty_page_table(), db.log.truncated_below,
+                            db.log.master_checkpoint_lsn))
+        return freed
+
+    pool.on_run_cleaned = recording_run
+    checkpointer.checkpoint = recording_checkpoint
+    checkpointer.truncate_log = recording_truncate
+    run_stream(db)
+    return checkpoints, truncations
+
+
+def test_a_checkpoint_writes_the_frames_dirty_since_before_the_master():
+    """From the second checkpoint on, one run writes exactly the frames
+    whose ``rec_lsn`` precedes the master; the rest stay dirty and are
+    the checkpoint's dirty-page table.  (A full backup's checkpoint
+    finds nothing dirty: the backup wrote every frame first.)"""
+    checkpoints, _truncations = observed_stream()
+    assert len(checkpoints) == 5  # four, and the full backup's
+    assert checkpoints[0][1] == 0  # no master yet: every dirty frame
+    kept, kept_and_written = 0, 0
+    for dirty, master, runs, table in checkpoints:
+        due = sorted(page_id for page_id, rec_lsn in dirty.items()
+                     if not master or rec_lsn < master)
+        assert runs == ([due] if due else [])
+        assert table == {page_id: rec_lsn for page_id, rec_lsn
+                         in dirty.items() if page_id not in due}
+        kept += bool(table and not due)
+        kept_and_written += bool(due and table)
+    assert kept >= 2 and kept_and_written >= 1
+
+
+def test_truncation_keeps_every_dirty_frames_records():
+    """After each truncation every dirty frame's ``rec_lsn`` is still in
+    the retained log, and some truncation was held below the master by
+    one."""
+    _checkpoints, truncations = observed_stream()
+    assert len(truncations) == 3
+    held = 0
+    for dirty, truncated_below, master in truncations:
+        assert dirty
+        assert all(rec_lsn >= truncated_below for rec_lsn in dirty.values())
+        held += truncated_below == min(dirty.values()) < master
+    assert held

@@ -132,6 +132,28 @@ def point_mid_run(db: Database, tree) -> None:
     assert len(cut_run_after(db, len(dirty) // 2)) == len(dirty) // 2
 
 
+def point_mid_checkpoint_run(db: Database, tree) -> None:
+    """A checkpoint's write-back run cut after half its device writes.
+    The checkpoint before it wrote nothing — the committed wave dirtied
+    its pages after the master — and rewrites committed since leave more
+    pages dirty, so the cut run writes only the wave's pages (dirty
+    since before the previous checkpoint) and restart redoes from before
+    the master."""
+    db.checkpoint()
+    master = db.log.master_checkpoint_lsn
+    txn = db.begin()
+    for i in range(100, 130):
+        # The model's own values: the point changes no committed state.
+        tree.update(txn, key_of(i), value_of(i, 0))
+    db.commit(txn)
+    dirty = db.pool.dirty_page_table()
+    due = sorted(page for page, rec_lsn in dirty.items() if rec_lsn < master)
+    assert len(due) >= 4 and len(due) < len(dirty)
+    written = cut_run_after(db, len(due) // 2, db.checkpoint)
+    assert written == due[:len(due) // 2]
+    assert db.log.master_checkpoint_lsn == master
+
+
 def point_mid_segment_seal(db: Database, tree) -> None:
     """An unforced log tail spanning a freshly opened segment: a crash
     unwinds the tail across the segment boundary (chain heads must
@@ -151,6 +173,7 @@ PROTOCOL_POINTS = {
     "mid-pri-persist": ({}, point_mid_pri_persist),
     "between-force-and-pri": ({}, point_between_force_and_pri),
     "mid-run": ({"page_size": 512}, point_mid_run),
+    "mid-checkpoint-run": ({"page_size": 512}, point_mid_checkpoint_run),
     "mid-segment-seal": ({"log_segment_bytes": 2048}, point_mid_segment_seal),
 }
 

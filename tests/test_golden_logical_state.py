@@ -58,6 +58,10 @@ from repro.errors import PageFailureKind
 from repro.page.page import TYPE_OFFSET, PageType
 from repro.wal.log_manager import LogManager
 from repro.wal.records import LogRecord, LogRecordKind
+if __name__ == "__main__":
+    # Run as a script: ``tests`` is a package at the repository root,
+    # which ``python tests/<this file>.py`` does not put on the path.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.conftest import clone_crashed
 from tests.test_golden_write_path import CASES as WRITE_CASES
 from tests.test_golden_write_path import write_stream

@@ -45,6 +45,10 @@ import repro
 from repro import EngineConfig
 from repro.engine.database import Database
 from repro.wal.records import BackupRefKind, LogRecordKind
+if __name__ == "__main__":
+    # Run as a script: ``tests`` is a package at the repository root,
+    # which ``python tests/<this file>.py`` does not put on the path.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests import op_reference as reference
 from tests.record_reference import encode
 

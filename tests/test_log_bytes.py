@@ -21,7 +21,9 @@ import pytest
 from repro import Database
 from repro.errors import LogError, MediaFailure, RecoveryError, SystemFailure
 from repro.wal.lsn import NULL_LSN
-from repro.wal.records import CHAIN_KINDS, LogRecordKind
+from repro.wal.records import (CHAIN_KINDS, NARROW_HEADER_SIZE,
+                               WIDE_HEADER_SIZE, LogRecordKind,
+                               checkpoint_end)
 from tests.conftest import fast_config
 
 
@@ -185,6 +187,68 @@ def test_a_segment_cut_short_is_a_log_error():
     if last != lsn:
         with pytest.raises(LogError):
             db.log.record_at(last)
+
+
+def _checkpoints_of_both_forms() -> tuple[Database, list[int]]:
+    """The LSNs of two CHECKPOINT_END records in one engine's log, each
+    with a dirty page and an active transaction: a narrow one, then a
+    wide one, whose transaction's id needs i64."""
+    db, tree, _model = _db()
+    lsns = []
+    for floor in (0, 2**32):
+        if floor:
+            db.tm.restore_txn_id_floor(floor)
+        # Dirtied after the master, the page stays dirty in the table.
+        db.flush_everything()
+        txn = db.begin()
+        db.update(tree, b"key%04d" % (10 + len(lsns)), b"open", txn=txn)
+        lsns.append(db.checkpoint())
+        db.abort(txn)
+    return db, lsns
+
+
+@pytest.mark.parametrize("form", ["narrow", "wide"])
+def test_a_checkpoints_tables_fail_typed_or_decode_as_built(form: str):
+    """Flip each bit of each byte of a checkpoint record in turn: the
+    decoder raises :class:`LogError` — always for the tables' length
+    and counts — or reads tables whose builder writes exactly the
+    flipped bytes back; cut short, the tables are a :class:`LogError`."""
+    db, lsns = _checkpoints_of_both_forms()
+    data, start, end = db.log._dir.locate(lsns[form == "wide"])
+    intact = db.log.record_at(lsns[form == "wide"]).checkpoint
+    assert intact.dirty_pages and intact.active_txns and intact.pri_images
+    assert bool(data[start] & 0x40) is (form == "wide")
+    tables = start + (WIDE_HEADER_SIZE if form == "wide"
+                      else NARROW_HEADER_SIZE) + 4
+    refused = set()
+    for pos in range(start, end):
+        original = data[pos]
+        for bit in range(8):
+            data[pos] = original ^ (1 << bit)
+            try:
+                record = db.log.record_at(lsns[form == "wide"])
+            except LogError:
+                refused.add((pos, bit))
+            else:
+                if pos >= tables:
+                    assert checkpoint_end(record.checkpoint) == bytes(
+                        data[start:end])
+            finally:
+                data[pos] = original
+    # The tables' length and their three counts admit no other value.
+    assert {(pos, bit) for pos in range(tables - 4, tables + 12)
+            for bit in range(8)} <= refused
+    length_at = tables - 4
+    for cut in (1, 4, 8, 9):
+        original = bytes(data[length_at:length_at + 4])
+        size = int.from_bytes(original, "little")
+        data[length_at:length_at + 4] = (size - cut).to_bytes(4, "little")
+        try:
+            with pytest.raises(LogError):
+                db.log.record_at(lsns[form == "wide"])
+        finally:
+            data[length_at:length_at + 4] = original
+    assert db.log.record_at(lsns[form == "wide"]).checkpoint == intact
 
 
 @pytest.mark.parametrize("field", ["kind", "length"])

@@ -9,16 +9,27 @@ the partitions' own arrays.  The stream ends with the bytes of every
 region page the last checkpoint occupies and the master checkpoint's
 ``pri_images`` pinned as measured, so a change to where the index's
 representation is read or written cannot move what lands on the device.
+A change that means to move them prints the stream's values with::
+
+    PYTHONPATH=src python tests/test_pri_representation.py --print
+
+and pastes them in, saying why in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 from repro.core.backup import BackupPolicy
 from repro.engine.database import Database
 from repro.wal.records import BackupRefKind
+if __name__ == "__main__":
+    # Run as a script: ``tests`` is a package at the repository root,
+    # which ``python tests/<this file>.py`` does not put on the path.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.conftest import fast_config, key_of, value_of
 
 N_KEYS = 3000
@@ -26,22 +37,24 @@ STEPS = 120
 
 #: sha256 of each region page the stream's last checkpoint occupies
 GOLDEN_REGION_PAGES = {
-    1: "09f477f2374fa76676e9ada530a28337252c270d6d25c1b806e167af08a4e47a",
-    2: "09aac3aecaf550db554c1c8ea9aab8832758394ced6b46ce24fed2d8014bff25",
-    3: "d0eedb8855e33db789f99906f4a90636d26831bfa89410a30373cd69a51b9a08",
-    4: "e7d82ccf0683123e05636bb2184e6fa8069e512f54ee50057106d033755fcf87",
-    5: "202d4054afd4b55a836ca9d3ff7ce3e01699b8b72037ad4458a1dba6b4251f6d",
-    6: "c01b07d42845aa289853563e81d0bd08fe9fa4129d76349d95e8e3fde578edbe",
+    1: "ba6e9e8c403cb1cd95e59c12ff82c756516ab2ec21d1e8a082237746475df4c9",
+    2: "d382dbab9173e146e820a4cb364450034c9121b09f5652aa346456896e7c9125",
+    3: "5e3bfb5e22e55b0868301488af283df9cf39eb83cdea8a6677de0e5ddd9647a8",
+    4: "9bff717259eaad7bd860a5661a81db5bfbe8c5b7f17c14518a5c7e17f0ff4dd8",
+    5: "5918bc2c711ad5bb7968848e235247e7187249d59ca4ff8a83d6c0ba74a5b105",
+    6: "766c202be767ec9efd6f4460a20d93a4d3412306a906c8a66695bf01bf6ca363",
 }
 #: the master checkpoint's ``pri_images`` after the stream
-GOLDEN_PRI_IMAGES = {1: 661285, 2: 660297, 3: 661705, 4: 660737, 5: 662146,
-                     6: 661154}
+GOLDEN_PRI_IMAGES = {1: 660754, 2: 659800, 3: 661173, 4: 660240, 5: 661609,
+                     6: 660658}
 
 
 def reference_bound(db: Database) -> int:
     """``log_retention_bound`` of an engine with no live transaction,
-    in-doubt branch, pending recovery or standby, from the arrays."""
-    bound = db.log.master_checkpoint_lsn or db.log.end_lsn
+    in-doubt branch, pending recovery or standby, from the arrays (and
+    the dirty frames' oldest ``rec_lsn``, where redo starts)."""
+    bound = min([db.log.master_checkpoint_lsn or db.log.end_lsn,
+                 *db.pool.dirty_page_table().values()])
     for backup_id in reversed(db.backup_store.full_backup_ids()):
         backup_lsn = db.log.backup_full_lsn(backup_id)
         if backup_lsn is not None:
@@ -61,7 +74,8 @@ def reference_bound(db: Database) -> int:
 
 def reference_copy_forward(db: Database, budget: int) -> list[int]:
     """The pages ``truncate_log(copy_budget=budget)`` copies forward."""
-    target = db.log.master_checkpoint_lsn or db.log.durable_lsn
+    target = min([db.log.master_checkpoint_lsn or db.log.durable_lsn,
+                  *db.pool.dirty_page_table().values()])
     region = range(db.config.pri_region_start, db.config.pri_region_end)
     pinning: list[int] = []
     for partition in db.pri.partitions:
@@ -193,3 +207,11 @@ class TestDerivedFromTheIndex:
         for parity in (0, 1):
             assert sum(1 for pid in images if pid % 2 == parity) >= 2
 
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--print"]:
+        sys.exit(__doc__)
+    db, _seen = run_stream()
+    print("GOLDEN_REGION_PAGES =", region_digests(db))
+    print("GOLDEN_PRI_IMAGES =", dict(db.log.record_at(
+        db.log.master_checkpoint_lsn).checkpoint.pri_images))

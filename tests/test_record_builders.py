@@ -10,11 +10,13 @@ a header field the builder does not take at its builder's value, and
 the commit bit, which the log sets in place, only on a redo-only UPDATE.
 
 The hex vectors pin one record of every kind but UPDATE — whose shapes
-``tests/test_op_builders.py`` pins — plus a PRI update whose entries
-need i64 and a compensation whose header is wide, as the builders, the
-reference and the object encoder before the builders all wrote them:
-:meth:`LogRecord.decode` reads each back as the record it was built
-from.
+``tests/test_op_builders.py`` pins — plus a PRI update and a checkpoint
+whose entries need i64 and a compensation whose header is wide, as the
+builders, the reference and the object encoder before the builders all
+wrote them, but the narrow checkpoint: its tables became u32 fields
+after that encoder (the i64 layout it wrote is the wide one's, around
+one entry that needs it).  :meth:`LogRecord.decode` reads each back as
+the record it was built from.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ VECTORS = {
     "checkpoint end": LogRecord(_KIND.CHECKPOINT_END, checkpoint=CheckpointData(
         {43: 1100, 42: 1000}, [(9, 500, False), (15, 800, True)],
         {2: 1500})),
+    "wide checkpoint end": LogRecord(
+        _KIND.CHECKPOINT_END, checkpoint=CheckpointData(
+            {43: 1100, 42: 2**32}, [(9, 500, False), (15, 800, True)],
+            {2: 1500})),
     "format": LogRecord(_KIND.FORMAT_PAGE, 16, 0, 43, 0, 3,
                         op=ops.init_slotted(PageType.BTREE_LEAF)),
     "compensation": LogRecord(_KIND.COMPENSATION, 17, 900, 42, 1100, 3,
@@ -66,10 +72,15 @@ HEX = {
     "prepare": "0e1d0018000000dc050000ffffffff0000000000000700000000010000",
     "checkpoint begin": "0a15000000000000000000ffffffff000000000000",
     "checkpoint end": (
-        "0b77000000000000000000ffffffff0000000000005e0000000200000002"
-        "000000010000002a00000000000000e8030000000000002b000000000000"
-        "004c040000000000000900000000000000f401000000000000000f000000"
-        "000000002003000000000000010200000000000000dc05000000000000"),
+        "0b4f000000000000000000ffffffff000000000000360000000200000002"
+        "000000010000002a000000e80300002b0000004c04000009000000f40100"
+        "00000f000000200300000102000000dc050000"),
+    "wide checkpoint end": (
+        "4b8f00000000000000000000000000000000000000ffffffffffffffff00"
+        "0000000000000000000000000000005e0000000200000002000000010000"
+        "002a0000000000000000000000010000002b000000000000004c04000000"
+        "0000000900000000000000f401000000000000000f000000000000002003"
+        "000000000000010200000000000000dc05000000000000"),
     "format": "07190010000000000000002b00000000000000030002000603",
     "compensation": (
         "02320011000000840300002a0000004c0400000300580200000000000013"

@@ -62,8 +62,8 @@ form's range, so records come narrow and wide; the boundaries
 themselves — ids and LSNs at 2**32 - 1 and 2**32, page ids -1,
 2**32 - 2 and 2**32 - 1, index ids at 2**16 - 1 and 2**16, totals at
 65 535 and 65 536 bytes, PRI entries at 2**32 - 1 and 2**32 — are
-round-tripped for every kind, and a wide header around a record the
-narrow one fits is refused.
+round-tripped for every kind (a checkpoint's table entries too), and a
+wide header around a record the narrow one fits is refused.
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ from repro.wal.records import (
     LogRecord,
     LogRecordKind,
     UndoAction,
+    checkpoint_end,
     compress_image,
     decompress_image,
     commits_user_txn,
@@ -301,12 +302,20 @@ run_undos = st.builds(_run_undo, st.lists(payloads, min_size=1, max_size=6))
 
 logical_undos = st.one_of(key_undos, run_undos)
 
-checkpoints = st.builds(
-    CheckpointData,
-    st.dictionaries(ids, lsns, max_size=5),
-    st.lists(st.tuples(ids, lsns, st.booleans()), max_size=5),
-    st.dictionaries(ids, lsns, max_size=5),
-)
+def _checkpoints(values):  # noqa: ANN001, ANN202
+    return st.builds(
+        CheckpointData,
+        st.dictionaries(values, values, max_size=5),
+        st.lists(st.tuples(values, values, st.booleans()), max_size=5),
+        st.dictionaries(values, values, max_size=5),
+    )
+
+
+#: checkpoint tables, half of them with every entry below 2**32 (the
+#: u32 form a narrow header takes)
+checkpoints = st.one_of(
+    _checkpoints(st.integers(min_value=0, max_value=2**32 - 1)),
+    _checkpoints(lsns))
 
 backup_refs = st.builds(BackupRef, st.sampled_from(BackupRefKind), lsns)
 
@@ -334,7 +343,9 @@ def test_logical_undo_round_trip(undo):
 @settings(max_examples=100)
 @given(checkpoint=checkpoints)
 def test_checkpoint_round_trip(checkpoint):
-    assert CheckpointData.decode(checkpoint.encode()) == checkpoint
+    for wide in (False, True) if checkpoint.fits_narrow() else (True,):
+        assert CheckpointData.decode(checkpoint.encode(wide), 0,
+                                     wide) == checkpoint
 
 
 # ----------------------------------------------------------------------
@@ -792,7 +803,9 @@ def test_decoders_fail_typed_on_arbitrary_bytes(data):
     _decodes_or_log_error(LogRecord.decode, data)
     _applies_or_fails_typed(data)
     _decodes_or_log_error(lambda d: LogicalUndo.decode(d, 0), data)
-    _decodes_or_log_error(CheckpointData.decode, data)
+    for wide in (False, True):
+        _decodes_or_log_error(lambda d: CheckpointData.decode(d, 0, wide),
+                              data)
     # Well-formed headers of both forms over arbitrary payload bytes,
     # so the payload decoders are reached (random bytes rarely get the
     # length right).
@@ -834,8 +847,14 @@ def test_page_op_kernels_fail_typed_on_mutated_encodings(op, edits):
 @given(undo=logical_undos, checkpoint=checkpoints, edits=mutations)
 def test_undo_and_checkpoint_decode_fail_typed_on_mutation(undo, checkpoint,
                                                            edits):
-    for encoded, decode in ((undo.encode(), lambda d: LogicalUndo.decode(d, 0)),
-                            (checkpoint.encode(), CheckpointData.decode)):
+    for encoded, decode in (
+            (undo.encode(), lambda d: LogicalUndo.decode(d, 0)),
+            (checkpoint.encode(True),
+             lambda d: CheckpointData.decode(d, 0, True)),
+            (checkpoint.encode(False) if checkpoint.fits_narrow() else b"",
+             lambda d: CheckpointData.decode(d, 0, False))):
+        if not encoded:
+            continue
         raw = bytearray(encoded)
         for position, byte in edits:
             raw[position % len(raw)] = byte
@@ -1180,6 +1199,63 @@ def test_the_total_and_pri_entries_decide_the_form_too():
                                                                   entry]))
 
 
+def _checkpoint_record(dirty: dict[int, int],
+                       txns: list[tuple[int, int, bool]] = (),
+                       images: dict[int, int] | None = None) -> LogRecord:
+    return LogRecord(LogRecordKind.CHECKPOINT_END, checkpoint=CheckpointData(
+        dirty, list(txns), images or {}))
+
+
+def test_a_checkpoints_entries_decide_its_form_too():
+    """A checkpoint's tables are u32 fields while every id and LSN in
+    them is below 2**32 and the record fits 65 535 bytes, i64 fields
+    under the wide header otherwise; the builder writes what the
+    reference does either way."""
+    for value, narrow in ((2**32 - 1, True), (2**32, False)):
+        for record in (_checkpoint_record({value: 5}),
+                       _checkpoint_record({5: value}),
+                       _checkpoint_record({}, [(value, 5, True)]),
+                       _checkpoint_record({}, [(5, value, False)]),
+                       _checkpoint_record({}, [], {value: 5}),
+                       _checkpoint_record({1: 2}, [(3, 4, True)],
+                                          {5: value})):
+            _round_trips(record, narrow)
+            assert checkpoint_end(record.checkpoint) == encode(record)
+    # 21 header + 4 length + 12 counts + 8 per dirty page: 8 187 pages
+    # fit 65 535 bytes
+    for count, narrow in ((8_187, True), (8_188, False)):
+        record = _checkpoint_record({page: 2**32 - 1
+                                     for page in range(count)})
+        _round_trips(record, narrow)
+        assert checkpoint_end(record.checkpoint) == encode(record)
+
+
+def test_decode_refuses_a_wide_checkpoint_the_narrow_form_holds():
+    """The i64 tables under a wide header are refused while every entry
+    and the whole fit the narrow form, and accepted once one entry
+    needs i64; a narrow record's tables cut short fail typed."""
+    checkpoint = CheckpointData({9: 16, 10: 2**32 - 1}, [(3, 64, True)],
+                                {1: 8})
+    body = checkpoint.encode(True)
+    widened = (struct.pack("<BIqqqqq", 0x40 | LogRecordKind.CHECKPOINT_END,
+                           45 + 4 + len(body), 0, 0, -1, 0, 0)
+               + struct.pack("<I", len(body)) + body)
+    with pytest.raises(LogError, match="narrow one fits"):
+        LogRecord.decode(widened)
+    needed = bytearray(widened)
+    # the second dirty page's rec_lsn: 45 header, 4 length, 12 counts,
+    # 16 for the first pair, 8 for the page id
+    struct.pack_into("<q", needed, 45 + 4 + 12 + 16 + 8, 2**32)
+    assert LogRecord.decode(bytes(needed)).checkpoint.dirty_pages[10] == 2**32
+    narrow = checkpoint_end(checkpoint)
+    assert not narrow[0] & 0x40
+    for cut in (1, 8, 9):
+        short = bytearray(narrow[:-cut])
+        struct.pack_into("<H", short, 1, len(short))
+        with pytest.raises(LogError):
+            LogRecord.decode(bytes(short))
+
+
 def _widened(encoded: bytes) -> bytes:
     """``encoded`` (a narrow record, not a PRI update) under the wide
     header its fields would fit without."""
@@ -1192,8 +1268,9 @@ def _widened(encoded: bytes) -> bytes:
 
 def test_decode_refuses_a_second_encoding_of_any_record():
     for record in _one_of_each_kind():
-        if record.kind == LogRecordKind.PRI_UPDATE:
-            continue  # its wide entries: see the PRI update's own test
+        if record.kind in (LogRecordKind.PRI_UPDATE,
+                           LogRecordKind.CHECKPOINT_END):
+            continue  # their wide entries: see their own tests
         widened = _widened(encode(record))
         with pytest.raises(LogError, match="narrow one fits"):
             LogRecord.decode(widened)
