@@ -360,11 +360,6 @@ class CheckpointData:
     active_txns: list[tuple[int, int, bool]] = field(default_factory=list)
     pri_images: dict[int, int] = field(default_factory=dict)
 
-    def entry_count(self) -> int:
-        """Entries in the three tables."""
-        return (len(self.dirty_pages) + len(self.active_txns)
-                + len(self.pri_images))
-
     def fits_narrow(self) -> bool:
         """Is every entry's every id and LSN below 2**32 (and not
         negative), so that u32 fields hold it?"""
@@ -491,7 +486,9 @@ class LogRecord:
         if checkpoint is not None:
             if not checkpoint.fits_narrow():
                 return None
-            entries += checkpoint.entry_count()
+            entries += (len(checkpoint.dirty_pages)
+                        + len(checkpoint.active_txns)
+                        + len(checkpoint.pri_images))
         # Each entry's two ids or LSNs take 8 bytes fewer as u32.
         return total - WIDE_HEADER_SIZE - 8 * entries
 

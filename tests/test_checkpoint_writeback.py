@@ -90,9 +90,13 @@ def run_stream(db: Database) -> tuple[dict[bytes, bytes], int, list[int]]:
     return model, backup_id, checkpoints
 
 
+def _new_db() -> Database:
+    return Database(fast_config(page_size=1024, capacity_pages=1024,
+                                buffer_capacity=24))
+
+
 def stream_db() -> tuple[Database, dict[bytes, bytes], int, list[int]]:
-    db = Database(fast_config(page_size=1024, capacity_pages=1024,
-                                 buffer_capacity=24))
+    db = _new_db()
     model, backup_id, checkpoints = run_stream(db)
     return db, model, backup_id, checkpoints
 
@@ -151,8 +155,7 @@ def observed_stream() -> tuple[list[tuple], list[tuple]]:
     its write-back runs wrote and its record's dirty-page table; per
     truncation, the dirty table, the log's head and the master after
     it."""
-    db = Database(fast_config(page_size=1024, capacity_pages=1024,
-                              buffer_capacity=24))
+    db = _new_db()
     checkpointer, pool = db.checkpointer, db.pool
     checkpoints, truncations, runs = [], [], []
     checkpoint, truncate_log = checkpointer.checkpoint, checkpointer.truncate_log

@@ -847,14 +847,11 @@ def test_page_op_kernels_fail_typed_on_mutated_encodings(op, edits):
 @given(undo=logical_undos, checkpoint=checkpoints, edits=mutations)
 def test_undo_and_checkpoint_decode_fail_typed_on_mutation(undo, checkpoint,
                                                            edits):
-    for encoded, decode in (
-            (undo.encode(), lambda d: LogicalUndo.decode(d, 0)),
-            (checkpoint.encode(True),
-             lambda d: CheckpointData.decode(d, 0, True)),
-            (checkpoint.encode(False) if checkpoint.fits_narrow() else b"",
-             lambda d: CheckpointData.decode(d, 0, False))):
-        if not encoded:
-            continue
+    cases = [(undo.encode(), lambda d: LogicalUndo.decode(d, 0))]
+    for wide in (True, False) if checkpoint.fits_narrow() else (True,):
+        cases.append((checkpoint.encode(wide),
+                      lambda d, wide=wide: CheckpointData.decode(d, 0, wide)))
+    for encoded, decode in cases:
         raw = bytearray(encoded)
         for position, byte in edits:
             raw[position % len(raw)] = byte
