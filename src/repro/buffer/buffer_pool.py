@@ -73,7 +73,7 @@ from typing import Callable
 
 from repro.buffer.eviction import ClockEviction
 from repro.errors import BufferPoolError, SinglePageFailure, StorageError
-from repro.page.page import Page
+from repro.page.page import TYPE_OFFSET, Page, PageType
 from repro.sim.stats import Stats
 from repro.storage.device import DeviceWriteError, StorageDevice
 from repro.sync import Mutex
@@ -84,12 +84,14 @@ from repro.wal.lsn import NULL_LSN
 #: seven more
 RUN_PAGES = 8
 
+_BRANCH = int(PageType.BTREE_BRANCH)
+
 
 class Frame:
     """One buffer-pool frame."""
 
     __slots__ = ("page", "dirty", "rec_lsn", "pin_count", "latch", "loading",
-                 "referenced")
+                 "referenced", "passes", "branch")
 
     def __init__(self, page: Page | None) -> None:
         self.page = page
@@ -105,6 +107,12 @@ class Frame:
         #: to be admitted) and on every hit, cleared by the sweep
         #: (:class:`repro.buffer.eviction.ClockEviction`)
         self.referenced = True
+        #: sweeps a dirty frame may still be passed over unreferenced,
+        #: reset by the sweep that clears the reference bit
+        self.passes = 0
+        #: the page is a B-tree branch, read off its type byte when the
+        #: frame is loaded; the clock evicts branches last
+        self.branch = page is not None and page.data[TYPE_OFFSET] == _BRANCH
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         page_id = None if self.page is None else self.page.page_id
@@ -148,7 +156,13 @@ class BufferPool:
         #: if the fetch rolled the page forward (None = page clean)
         self.redo_on_fix = None  # Callable[[Page], int | None] | None
         self._frames: dict[int, Frame] = {}
-        self._policy = ClockEviction()
+        # A dirty victim costs a write where a clean one costs the read
+        # that brings it back: the clock weighs the two at one page.
+        profile, page_size = device.profile, device.page_size
+        read_cost = profile.read_cost(page_size)
+        self._policy = ClockEviction(
+            max(1, int(profile.write_cost(page_size) // read_cost))
+            if read_cost else 1)
         self._mutex = Mutex()
         #: pages with a repair_failure dispatch in progress — a second
         #: thread hitting the same suspect page waits for the first
@@ -226,6 +240,7 @@ class BufferPool:
                     frame.latch.release()
                     raise
                 frame.page = page
+                frame.branch = page.data[TYPE_OFFSET] == _BRANCH
                 if rec_lsn is not None:
                     # Stale page rolled forward on fix (pending restart):
                     # the frame starts out dirty, like any redone page.

@@ -9,20 +9,35 @@ if TYPE_CHECKING:
 
 
 class ClockEviction:
-    """Classic clock sweep over the pool's frames.
+    """Clock sweep over the pool's frames that weighs what a victim costs.
 
     The policy keeps the ring (page ids in admission order) and the
     hand; the reference bit is the frame's own ``referenced`` flag, set
     by the pool when it admits a frame and on every hit — the
-    pool's frame table is the one residency table.  The policy only
-    chooses *which* frame to evict — and, for a dirty victim, which
-    dirty frames to clean beside it (:meth:`dirty_ahead`); the buffer
-    pool handles flushing and the Figure-11 write-back protocol.
+    pool's frame table is the one residency table.  Two rules weigh
+    the second-chance sweep:
+
+    * a dirty frame costs a page write to evict, ``dirty_sweeps`` times
+      what the read that brings a page back costs (the pool's device
+      profile, rounded down), so it is evicted only once it has gone
+      unreferenced for that many sweeps — a clean one after one (as in
+      CFLRU, Park et al. 2006).  With equal costs (``dirty_sweeps`` 1)
+      dirt changes nothing;
+    * a B-tree branch (``Frame.branch``) is on the path to every leaf
+      below it, so it is a victim only when no other unpinned frame is
+      (index pages weigh more, as in Nicola, Dan and Dias 1992).
+
+    The policy only chooses *which* frame to evict — and, for a dirty
+    victim, which dirty frames to clean beside it (:meth:`dirty_ahead`);
+    the buffer pool handles flushing and the Figure-11 write-back
+    protocol.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dirty_sweeps: int = 1) -> None:
         self._ring: list[int] = []
         self._hand = 0
+        #: unreferenced sweeps a dirty frame takes to become a victim
+        self.dirty_sweeps = dirty_sweeps
 
     def admitted(self, page_id: int) -> None:
         self._ring.append(page_id)
@@ -49,18 +64,27 @@ class ClockEviction:
         if not ring:
             return None
         size = len(ring)
-        for _ in range(2 * size + 1):
+        # A dirty frame is passed over this many times more than a clean
+        # one (``Frame.passes`` counts them down), so every unpinned
+        # frame but a branch is a victim by the sweep after its last.
+        passes = self.dirty_sweeps - 1
+        for _ in range((passes + 2) * size + 1):
             page_id = ring[self._hand]
             self._hand = (self._hand + 1) % size
             frame = frames[page_id]
-            if frame.pin_count:
+            if frame.pin_count or frame.branch:
                 continue
             if frame.referenced:
                 frame.referenced = False
+                frame.passes = passes
+                continue
+            if frame.dirty and frame.passes:
+                frame.passes -= 1
                 continue
             return page_id
-        # Two full sweeps cleared every reference bit they could; give
-        # up only if nothing is evictable at all.
+        # Every unpinned frame but a branch met its last sweep above, so
+        # what is left is branches and pins; give up only if nothing is
+        # evictable at all.
         for page_id in ring:
             if not frames[page_id].pin_count:
                 return page_id

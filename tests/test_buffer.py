@@ -12,7 +12,8 @@ from repro.errors import BufferPoolError
 from repro.page.checksum import verify_checksum
 from repro.page.page import Page, PageType
 from repro.sim.clock import SimClock
-from repro.sim.iomodel import NULL_PROFILE
+from repro.sim.iomodel import (ARCHIVE_PROFILE, FLASH_PROFILE, HDD_PROFILE,
+                                NULL_PROFILE)
 from repro.sim.stats import Stats
 from repro.storage.device import DeviceWriteError, StorageDevice
 from repro.txn.manager import TransactionManager
@@ -744,6 +745,155 @@ class TestClockEviction:
                     del frames[victim]
                     policy.removed(victim)
         assert victims == self.PARENT_VICTIMS
+
+
+class _Meetings(dict):
+    """A frame table that counts how often the sweep looks up each page."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.met: dict[int, int] = {}
+
+    def __getitem__(self, page_id: int) -> Frame:
+        self.met[page_id] = self.met.get(page_id, 0) + 1
+        return super().__getitem__(page_id)
+
+
+def profiled_pool(profile, capacity: int = 4) -> BufferPool:  # noqa: ANN001
+    """A pool over a device of ``profile`` holding formatted pages 0..15:
+    page 0 a B-tree branch, 1..15 leaves."""
+    clock, stats = SimClock(), Stats()
+    device = StorageDevice("d", PAGE_SIZE, 64, clock, profile, stats)
+    for page_id in range(16):
+        page = Page.format(PAGE_SIZE, page_id, PageType.BTREE_BRANCH
+                           if page_id == 0 else PageType.BTREE_LEAF)
+        page.seal()
+        device.write(page_id, page.data)
+    return BufferPool(device, LogManager(clock, profile, stats), stats,
+                      capacity)
+
+
+class TestWeighedClock:
+    """The victim rule weighs a frame by what evicting it costs: a dirty
+    frame survives write cost / read cost unreferenced sweeps (rounded
+    down, from the pool's device profile), and a branch is a victim only
+    when nothing else unpinned is."""
+
+    @pytest.mark.parametrize("profile, sweeps", [
+        (FLASH_PROFILE, 4), (HDD_PROFILE, 1), (NULL_PROFILE, 1),
+        (ARCHIVE_PROFILE, 1)])
+    def test_the_pool_weighs_a_write_by_its_device_profile(self, profile,
+                                                           sweeps):
+        assert profiled_pool(profile)._policy.dirty_sweeps == sweeps
+
+    @pytest.mark.parametrize("profile, passed_over", [
+        (FLASH_PROFILE, 3), (HDD_PROFILE, 0), (NULL_PROFILE, 0)])
+    def test_a_dirty_unreferenced_frame_is_passed_over(self, profile,
+                                                       passed_over):
+        policy = ClockEviction(profiled_pool(profile)._policy.dirty_sweeps)
+        frames = _Meetings()
+        admit(policy, frames, 1, 2)
+        frames[1].dirty = True
+        frames[2].pin_count = 1
+        frames.met.clear()
+        assert policy.choose_victim(frames) == 1
+        # One meeting clears the reference bit, the last picks it, and
+        # every one between passes the dirty frame over.
+        assert frames.met[1] == 2 + passed_over
+
+    @pytest.mark.parametrize("sweeps, victims", [
+        (1, [1, 2, 3, 4, 5, 6, 7, 8]), (4, [2, 3, 4, 5, 6, 7, 1, 8])])
+    def test_clean_frames_go_before_a_dirty_one(self, sweeps, victims):
+        policy, frames = ClockEviction(sweeps), {}
+        admit(policy, frames, 1, 2, 3)
+        frames[1].dirty = True
+        chosen = []
+        for next_pid in range(4, 12):
+            chosen.append(policy.choose_victim(frames))
+            del frames[chosen[-1]]
+            policy.removed(chosen[-1])
+            admit(policy, frames, next_pid)
+        assert chosen == victims
+
+    def test_a_hit_restarts_the_count(self):
+        policy, frames = ClockEviction(4), _Meetings()
+        admit(policy, frames, 1, 2)
+        frames[1].dirty = True
+        frames[2].pin_count = 1
+        # Passed over twice already, then hit: the sweep that clears
+        # the bit again owes it all three passes.
+        frames[1].referenced, frames[1].passes = True, 1
+        frames.met.clear()
+        assert policy.choose_victim(frames) == 1
+        assert frames.met[1] == 5
+
+    def test_a_branch_is_never_a_victim_while_a_leaf_can_be(self):
+        import random
+
+        rng = random.Random(54)
+        policy, frames = ClockEviction(4), {}
+        branch_victims = leaf_victims = 0
+        for next_pid in range(600):
+            if len(frames) < 12:
+                frames[next_pid] = frame = Frame(Page.format(
+                    PAGE_SIZE, next_pid, PageType.BTREE_BRANCH
+                    if rng.random() < 0.3 else PageType.BTREE_LEAF))
+                policy.admitted(next_pid)
+                continue
+            for frame in frames.values():
+                roll = rng.random()
+                if roll < 0.2:
+                    frame.referenced = True
+                elif roll < 0.3:
+                    frame.dirty = not frame.dirty
+                elif roll < 0.45:
+                    frame.pin_count = 0 if frame.pin_count else 1
+            victim = policy.choose_victim(frames)
+            if victim is None:
+                assert all(frame.pin_count for frame in frames.values())
+                continue
+            assert not frames[victim].pin_count
+            if frames[victim].branch:
+                branch_victims += 1
+                assert all(frame.pin_count or frame.branch
+                           for frame in frames.values())
+            else:
+                leaf_victims += 1
+            del frames[victim]
+            policy.removed(victim)
+        assert branch_victims and leaf_victims
+
+    def test_the_branch_bit_is_read_when_the_frame_is_loaded(self):
+        pool = profiled_pool(FLASH_PROFILE)
+        for page_id in range(4):
+            pool.fix(page_id)
+            pool.unfix(page_id)
+        assert [pool._frames[p].branch for p in range(4)] == [
+            True, False, False, False]
+        # Misses cycle leaves through the pool; the branch stays.
+        for page_id in range(4, 16):
+            pool.fix(page_id)
+            pool.unfix(page_id)
+        assert pool.resident(0)
+        installed = Page.format(PAGE_SIZE, 20, PageType.BTREE_BRANCH)
+        pool.fix_new(installed)
+        assert pool._frames[20].branch
+
+    def test_only_branches_unpinned_evicts_a_branch(self):
+        pool = profiled_pool(FLASH_PROFILE, capacity=2)
+        pool.fix(0)
+        pool.unfix(0)
+        pool.fix(1)  # held
+        assert pool.fix(2).page_id == 2
+        assert not pool.resident(0) and pool.resident(1)
+
+    def test_all_frames_pinned_still_raises(self):
+        pool = profiled_pool(FLASH_PROFILE)
+        for page_id in range(4):
+            pool.fix(page_id)
+        with pytest.raises(BufferPoolError, match="all frames pinned"):
+            pool.fix(5)
+        assert not pool.resident(5)
 
 
 class TestEvictionUnderPins:

@@ -37,16 +37,16 @@ STEPS = 120
 
 #: sha256 of each region page the stream's last checkpoint occupies
 GOLDEN_REGION_PAGES = {
-    1: "ba6e9e8c403cb1cd95e59c12ff82c756516ab2ec21d1e8a082237746475df4c9",
-    2: "d382dbab9173e146e820a4cb364450034c9121b09f5652aa346456896e7c9125",
-    3: "5e3bfb5e22e55b0868301488af283df9cf39eb83cdea8a6677de0e5ddd9647a8",
-    4: "9bff717259eaad7bd860a5661a81db5bfbe8c5b7f17c14518a5c7e17f0ff4dd8",
-    5: "5918bc2c711ad5bb7968848e235247e7187249d59ca4ff8a83d6c0ba74a5b105",
-    6: "766c202be767ec9efd6f4460a20d93a4d3412306a906c8a66695bf01bf6ca363",
+    1: "c8eaf7da9e9fb739ba6df5a6e161ec5cd4f4fe1b7447f4a0363f7b19a46b5391",
+    2: "95dd7d2e6b45052541fb32cddbcf0b68a9b3330a46e108272858fcdc597e4a51",
+    3: "7c0636050594dfc2f1b2eb4d97a9845d6ef86ae63f46f7345d07b0acb9a0a0ce",
+    4: "94d42cd49f9a9192d7b0c7374739448a24cf7eb276d12174f9a05a599cac888a",
+    5: "59db820584a136f59ef6d12a3cc73449498632faaadfb9f771e830f635fcd530",
+    6: "36f69813bf36b7fb0abbadf997ac85dd8abac9583559b980c81695fb29c4bd7b",
 }
 #: the master checkpoint's ``pri_images`` after the stream
-GOLDEN_PRI_IMAGES = {1: 660754, 2: 659800, 3: 661173, 4: 660240, 5: 661609,
-                     6: 660658}
+GOLDEN_PRI_IMAGES = {1: 660650, 2: 659710, 3: 661072, 4: 660152, 5: 661505,
+                     6: 660560}
 
 
 def reference_bound(db: Database) -> int:

@@ -45,8 +45,8 @@ PINNED = {
         "63afb261552f7c2574f2faab71742ffb0cdfc8fed88994c238bc81a5eea5abd5",
     ),
     "dblp_load": (
-        "6747e5c1d7c43c8cb11779bec3ab7e13029b297a19848270e72bf6c1ae64161c",
-        "f80d4ef0068a369644ec8fa200bb60ffb518e52a19200d30f5cedb9e257b5116",
+        "146348fd6710db6fdec536fe9eea812d4c9fc199d967ac632cdd08a2cb7ddb64",
+        "7b62c959fa17b9895f85dfcc38904da2a4fa5ca5c647a261ede27af417068d26",
     ),
     "random_stream": (
         "c39f79fa1a6d17721e3c8c2483a286e191299a13e036a90b7d10ed4b7a48ad1a",
