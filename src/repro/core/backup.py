@@ -300,6 +300,7 @@ def fetch_backup_image(ref: BackupRef, page_id: int, page_size: int,
         page = Page.format(page_size, page_id)
         redo(page, data, start, end)
         page.page_lsn = lsn = ref.value
+        page.reset_update_count()  # as formatting it in place does
     else:
         raise RecoveryError(
             f"page {page_id} has no usable backup ({ref.kind.name})")

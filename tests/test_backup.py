@@ -7,6 +7,7 @@ from repro.core.backup import (
     BackupStore,
     fetch_backup_image,
 )
+from repro.core.single_page import replay_records
 from repro.errors import RecoveryError, StorageError
 from repro.page.page import Page, PageType
 from repro.page.slotted import SlottedPage
@@ -180,6 +181,28 @@ class TestFetchBackupImage:
         assert fetched.page_type == PageType.HEAP
         assert fetched.page_id == 9
         SlottedPage(fetched).check_plausible()
+
+    def test_a_page_rebuilt_from_its_format_record_counts_no_update(self):
+        """Formatting a page and replaying its formatting record leave
+        the update counter at 0; rebuilding the page from that record
+        as its backup does too, so the rebuilt page is the written one,
+        byte for byte."""
+        store, _clock = make_store()
+        log, reader = self.make_log_rig()
+        tm = TransactionManager(log, Stats())
+        txn = tm.begin(system=True)
+        page = Page.format(PAGE_SIZE, 9)
+        format_lsn = tm.log_format(txn, page, 0, init_slotted(PageType.HEAP))
+        tm.commit(txn)
+        replayed = Page.format(PAGE_SIZE, 9)
+        replay_records(replayed, [(format_lsn, reader.encoding(format_lsn))])
+        fetched, _as_of = fetch_backup_image(
+            BackupRef.format_record(format_lsn), 9, PAGE_SIZE, store, reader)
+        assert page.update_count == replayed.update_count == 0
+        assert fetched.update_count == 0
+        for image in (page, replayed, fetched):
+            image.seal()
+        assert fetched.data == page.data == replayed.data
 
     def test_wrong_record_kind_rejected(self):
         store, _clock = make_store()
