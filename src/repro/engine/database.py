@@ -622,6 +622,15 @@ class Database:
         # checkpoint carries the next id (ROADMAP item 2).
         txn_id_floor = self.tm.next_txn_id - 1
         self.log.crash()
+        # A full backup exists once its BACKUP_FULL record is durable.
+        # A crash inside the backup's own force cuts the record but not
+        # the stored images, which would then pass for the newest
+        # backup (and get the older one retired): drop them.
+        store = self.durable.backup_store
+        for backup_id in reversed(store.full_backup_ids()):
+            if self.log.backup_full_lsn(backup_id) is not None:
+                break
+            store.retire_full_backup(backup_id)
         self._open()
         self.tm.restore_txn_id_floor(txn_id_floor)
         self.counters.system_crashes.inc()

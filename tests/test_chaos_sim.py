@@ -386,6 +386,32 @@ class TestArtifacts:
             r"read, \d+ backup fetches, \d+\.\d+ s simulated\)", repairs[0])
 
 
+class TestFoundSchedules:
+    """Shrunk schedules of seeds that once failed, replayed as found."""
+
+    def test_a_crash_in_a_full_backups_force_leaves_no_orphan(self):
+        """Seed 31502 of ``engine --campaign 200 --events 60 --base-seed
+        31337``: the armed crash fires in the force of the second full
+        backup's BACKUP_FULL record, so the record is cut but the store
+        kept the backup.  The backup loss then took the first backup —
+        the second looked newest — and the device loss inside the
+        pending restart found no backup the log names."""
+        config = ChaosConfig(seed=31502, n_events=60)
+        events = [
+            Event(22.0, 21, "crash", {"delay": 0.0262, "diff": True}),
+            Event(24.0, 23, "client", {"client": 0}),
+            Event(25.0, 24, "backup"),
+            Event(43.0, 42, "backup_loss",
+                  {"copy_failures": 2, "rank": 880588}),
+            Event(53.0, 52, "double",
+                  {"budget": 1, "direction": "media_during_restart"}),
+        ]
+        result = execute_schedule(config, events)
+        assert result.ok, result.trace_text()
+        assert any(line.endswith("crash") for line in result.trace)
+        assert any("backup_loss skipped" in line for line in result.trace)
+
+
 @pytest.mark.slow
 class TestNightlyCampaign:
     """Nightly chaos: hundreds of random seeds (base seed printed for

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.errors import MediaFailure, RecoveryError
+from repro.wal.records import LogRecordKind, read_header
 from tests.conftest import fast_config, key_of, value_of
 
 
@@ -104,6 +105,50 @@ class TestMediaRecovery:
         db.device.inject_read_error(victim)
         assert tree.lookup(key_of(0)) == value_of(0, 0)
         assert db.stats.get("single_page_recoveries") == 1
+
+
+class TestFullBackupRecord:
+    """A full backup exists once its BACKUP_FULL record is durable."""
+
+    def test_a_crash_before_the_record_hardens_drops_the_backup(self):
+        db, tree = loaded()
+        first = db.take_full_backup()
+        append = db.log.append
+
+        def dying_append(encoding):  # noqa: ANN001, ANN202
+            lsn = append(encoding)
+            if read_header(encoding)[0] == LogRecordKind.BACKUP_FULL:
+                raise _Crash  # the record is in the log buffer only
+            return lsn
+
+        db.log.append = dying_append
+        with pytest.raises(_Crash):
+            db.take_full_backup()
+        del db.log.append
+        assert db.backup_store.full_backup_ids() == [first, first + 1]
+        db.crash()
+        # The durable log names only the first backup: the second is gone.
+        assert db.backup_store.full_backup_ids() == [first]
+        assert db.log.backup_full_lsn(first + 1) is None
+        db.restart()
+        assert db.retire_backups() == []
+        db.device.fail_device()
+        db.recover_media(first)
+        tree = db.tree(1)
+        assert tree.count() == 200
+        # The next backup takes a new id; the dropped one is never reused.
+        assert db.take_full_backup() == first + 2
+
+    def test_a_durable_record_keeps_the_backup_across_a_crash(self):
+        db, _tree = loaded()
+        first = db.take_full_backup()
+        second = db.take_full_backup()
+        db.crash()
+        assert db.backup_store.full_backup_ids() == [first, second]
+
+
+class _Crash(Exception):
+    pass
 
 
 class TestBackupCosts:
