@@ -25,6 +25,7 @@ that figure.  Simulated time is exact: every run prints the same table.
 Usage::
 
     python3 benchmarks/sim_path.py [--workload W] [--seed N] [--seconds S]
+                                   [--scale smoke]
 """
 
 from __future__ import annotations
