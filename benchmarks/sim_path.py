@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import os
 import sys
 from collections import Counter
@@ -49,7 +50,7 @@ from repro.sim.clock import SimClock  # noqa: E402
 
 #: engine steps an I/O is charged inside, by ``(module, qualified name)``
 #: of the function; the innermost one on the stack names the step
-STEPS = {
+STEP_NAMES = {
     ("repro.buffer.buffer_pool", "BufferPool._make_room"): "eviction",
     ("repro.buffer.buffer_pool", "BufferPool.flush_all"): "flush",
     ("repro.buffer.buffer_pool", "BufferPool.evict_all"): "flush",
@@ -74,6 +75,22 @@ STEPS = {
      "Checkpointer._copy_forward_pinning_pages"): "copy-forward",
 }
 
+
+
+def _code_of(module: str, qualname: str):  # noqa: ANN202
+    """The code object of the function ``qualname`` in ``module``."""
+    target = importlib.import_module(module)
+    for part in qualname.split("."):
+        target = getattr(target, part)
+    return target.__code__
+
+
+#: :data:`STEP_NAMES` keyed by the functions' code objects, which name a
+#: frame's function exactly (a method inherited by a subclass included)
+#: on every Python this package supports; ``co_qualname`` is 3.11+
+STEPS = {_code_of(module, qualname): step
+         for (module, qualname), step in STEP_NAMES.items()}
+
 #: the sites named on their own, by ``(charge, step)``
 NAMED = {
     ("device write", "eviction"): "eviction write-back",
@@ -85,7 +102,8 @@ NAMED = {
 
 
 def charge_of(module: str, name: str) -> str:
-    """What kind of I/O the function that advanced the clock models."""
+    """What kind of I/O the function ``name`` that advanced the clock
+    models."""
     if module == "repro.wal.log_manager":
         return "log force"
     if module == "repro.wal.log_reader":
@@ -93,7 +111,7 @@ def charge_of(module: str, name: str) -> str:
     if module == "repro.storage.device":
         return "device read" if "read" in name else "device write"
     if module == "repro.core.backup":
-        return "backup write" if ".store_" in name else "backup read"
+        return "backup write" if name.startswith("store_") else "backup read"
     if module == "repro.engine.checkpointer":
         return "device scan"  # a full backup's sequential read
     return name
@@ -101,15 +119,14 @@ def charge_of(module: str, name: str) -> str:
 
 def site_of(frame) -> str:  # noqa: ANN001
     """The I/O site of an advance whose caller is ``frame``."""
-    code = frame.f_code
-    charge = charge_of(frame.f_globals.get("__name__", ""), code.co_qualname)
+    charge = charge_of(frame.f_globals.get("__name__", ""),
+                       frame.f_code.co_name)
     if charge == "log force":
         return charge
     step = "other"
     outer = frame
     while outer is not None:
-        found = STEPS.get((outer.f_globals.get("__name__", ""),
-                           outer.f_code.co_qualname))
+        found = STEPS.get(outer.f_code)
         if found is not None:
             step = found
             break

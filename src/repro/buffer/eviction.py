@@ -94,9 +94,13 @@ class ClockEviction:
         """Up to ``limit`` frames to write back beside a dirty victim:
         dirty, unpinned (a loading placeholder is pinned by its loader)
         and with the reference bit clear, in the order the sweep meets
-        them from the hand — the victims it would pick next if nothing
-        touched them.  Reads the bits, clears none: which frame is the
-        next victim does not change, only whether it is still dirty."""
+        them from the hand.  That takes in frames the weighed sweep
+        still passes over — a dirty frame with sweeps left, a branch —
+        not only the next victims: a run cut to frames that have used
+        up their sweeps is shorter, and more runs log more
+        ``PRI_UPDATE`` records.  Reads the bits, clears none: which
+        frame is the next victim does not change, only whether it is
+        still dirty."""
         ring = self._ring
         size = len(ring)
         hand = self._hand

@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import random
 
+import pytest
+
 from repro import FLASH_PROFILE
 from repro.btree.verify import verify_tree
 from repro.engine.database import Database
@@ -145,26 +147,36 @@ def run_stream(db: Database) -> tuple[dict[bytes, bytes], list[str]]:
     return model, recovered
 
 
-def test_the_stream_evicts_dirty_leaves_and_branches():
+@pytest.fixture(scope="module")
+def stream() -> dict:
+    """The stream run once for the module: what each test reads of it,
+    taken before anything flushes the pool."""
     db = new_db()
-    model, _recovered = run_stream(db)
-    stats = db.stats
-    assert stats.get("pages_written_back") > 300
-    assert stats.get("pages_evicted") > 1000
-    assert stats.get("single_page_recoveries") >= 4
-    assert stats.get("system_crashes") == 3
+    model, recovered = run_stream(db)
+    final = _recovered_map(db, db.indexes[0])
+    stats = {name: db.stats.get(name)
+             for name in ("pages_written_back", "pages_evicted",
+                          "single_page_recoveries", "system_crashes")}
     db.flush_everything()
     types = [db.device.raw_image(page_id)[TYPE_OFFSET]
              for page_id in range(db.config.data_start, db.allocated_pages())]
+    return {"model": model, "recovered": recovered, "final": final,
+            "stats": stats, "types": types}
+
+
+def test_the_stream_evicts_dirty_leaves_and_branches(stream):
+    stats = stream["stats"]
+    assert stats["pages_written_back"] > 300
+    assert stats["pages_evicted"] > 1000
+    assert stats["single_page_recoveries"] >= 4
+    assert stats["system_crashes"] == 3
+    types = stream["types"]
     assert types.count(PageType.BTREE_BRANCH) >= 3
     assert types.count(PageType.BTREE_LEAF) > 60
-    assert len(model) > 500
+    assert len(stream["model"]) > 500
 
 
-def test_every_recovery_finds_the_pinned_map():
-    db = new_db()
-    model, recovered = run_stream(db)
-    assert recovered == RECOVERED_SHA256
-    final = _recovered_map(db, db.indexes[0])
-    assert final == model
-    assert map_digest(final) == FINAL_SHA256
+def test_every_recovery_finds_the_pinned_map(stream):
+    assert stream["recovered"] == RECOVERED_SHA256
+    assert stream["final"] == stream["model"]
+    assert map_digest(stream["final"]) == FINAL_SHA256

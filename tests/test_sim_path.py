@@ -10,14 +10,22 @@ leaves them out.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from benchmarks.sim_path import measure
 
 
+@functools.lru_cache(maxsize=None)
+def smoke(name: str) -> dict:
+    """``name``'s smoke-scale run, measured once for the module."""
+    return measure(name, seed=1, smoke=True)
+
+
 @pytest.mark.parametrize("name", ["failures_embedded", "dblp_cold_embedded"])
 def test_phases_and_sites_sum_to_the_runners_sim_seconds(name):
-    result = measure(name, seed=1, smoke=True)
+    result = smoke(name)
     sim_seconds = result["sim_seconds"]
     assert sim_seconds > 0
     assert sum(result["phases"].values()) == pytest.approx(sim_seconds,
@@ -29,7 +37,7 @@ def test_phases_and_sites_sum_to_the_runners_sim_seconds(name):
 
 
 def test_the_failure_workload_names_its_sites():
-    result = measure("failures_embedded", seed=1, smoke=True)
+    result = smoke("failures_embedded")
     phases, sites, calls = result["phases"], result["sites"], result["calls"]
     for phase in ("op: get", "op: put", "event: crash", "event: backup"):
         assert phases[phase] > 0, phase
