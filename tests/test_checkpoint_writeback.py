@@ -15,6 +15,7 @@ modes, and a device loss restored from the mid-stream backup.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 
@@ -33,6 +34,9 @@ KEYS = 600
 #: sha256 of the committed key -> value map the stream leaves
 MAP_SHA256 = ("78e6d6a6fb28b8291a0dfd7180fe9822"
               "ebe257c027464cf740c52c9032900e31")
+#: sha256 of the pages each checkpoint's write-back runs wrote, in order
+RUNS_SHA256 = ("238d35d9d6bf8b099e949dddf3c6b9b3"
+               "73f2fffab05bda11c32ca734231e4b44")
 
 
 def _value(rng: random.Random, step: int) -> bytes:
@@ -149,6 +153,7 @@ def test_media_recovery_reproduces_the_map(mode):
 # ----------------------------------------------------------------------
 # The penultimate-checkpoint rule, step by step
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
 def observed_stream() -> tuple[list[tuple], list[tuple]]:
     """The stream with every checkpoint and truncation observed: per
     checkpoint, the dirty table and master before it, the pages each of
@@ -204,6 +209,16 @@ def test_a_checkpoint_writes_the_frames_dirty_since_before_the_master():
         kept += bool(table and not due)
         kept_and_written += bool(due and table)
     assert kept >= 2 and kept_and_written >= 1
+
+
+def test_each_checkpoint_writes_the_pinned_pages():
+    """Which pages each checkpoint writes back is pinned: pricing a
+    run's writes differently must not change what the run writes."""
+    checkpoints, _truncations = observed_stream()
+    runs = [runs for _dirty, _master, runs, _table in checkpoints]
+    assert [[len(run) for run in each] for each in runs] == [
+        [15], [], [], [], [1]]
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == RUNS_SHA256
 
 
 def test_truncation_keeps_every_dirty_frames_records():
