@@ -12,7 +12,10 @@ splits each workload's ``sim_us_per_op`` two ways:
   or write, a backup-store read or write, a log read) and the engine
   step it charged inside — eviction write-backs, miss reads, restore
   writes, repair writes and copy-forward page copies by name, the rest
-  as "charge (step)".
+  as "charge (step)".  Beside each write site: the pages it wrote and
+  pages per device request, i.e. per extent of consecutive locations
+  (``repro.sim.iomodel.WriteRequests``), of which only the first write
+  paid a latency.
 
 Only the timed rounds count, and the runner's off-the-books work (fault
 injection, the oracle's re-reads) is left out, as the bench leaves it
@@ -47,6 +50,7 @@ from bench.runner import Runner  # noqa: E402
 from bench.workloads import ROUNDS, WORKLOADS  # noqa: E402
 from benchmarks.common import print_table  # noqa: E402
 from repro.sim.clock import SimClock  # noqa: E402
+from repro.sim.iomodel import WriteRequests  # noqa: E402
 
 #: engine steps an I/O is charged inside, by ``(module, qualified name)``
 #: of the function; the innermost one on the stack names the step
@@ -141,6 +145,10 @@ class SimPath:
         self.phases: Counter[str] = Counter()
         self.sites: Counter[str] = Counter()
         self.calls: Counter[str] = Counter()
+        #: per write site, the pages written and the device requests
+        #: (extents) they formed
+        self.pages: Counter[str] = Counter()
+        self.requests: Counter[str] = Counter()
         #: innermost runner phase; None: off the books
         self._stack: list[str | None] = [None]
         #: in a timed round (not set-up, not the warm-up round)
@@ -151,6 +159,13 @@ class SimPath:
         if self.counting and phase is not None and seconds:
             self.phases[phase] += seconds
             self.sites[site_of(frame)] += seconds
+
+    def wrote(self, continued: bool, frame) -> None:  # noqa: ANN001
+        """One page write, made by ``frame`` (the frame that charges it)."""
+        if self.counting and self._stack[-1] is not None:
+            site = site_of(frame)
+            self.pages[site] += 1
+            self.requests[site] += not continued
 
     @contextlib.contextmanager
     def enter(self, phase: str | None):  # noqa: ANN201
@@ -198,33 +213,40 @@ def measure(name: str, seed: int = 1, seconds: float = DEFAULT_SECONDS,
             smoke: bool = False) -> dict:
     """One workload's run: ``ops``, the bench's ``sim_seconds`` over the
     timed rounds, and the seconds ``phases`` / ``sites`` / phase
-    ``calls`` as counted here."""
+    ``calls`` / write sites' ``pages`` and ``requests`` as counted
+    here."""
     workload = WORKLOADS[name]
     n_records = workload.records // 20 if smoke else workload.records
     round_ops = SMOKE_ROUND_OPS if smoke else workload.round_ops(seconds)
     rounds = SMOKE_ROUNDS if smoke else ROUNDS
     path = SimPath()
-    advance = SimClock.advance
+    advance, continues = SimClock.advance, WriteRequests.continues
 
     def charged(clock: SimClock, seconds_: float) -> float:
         path.charge(seconds_, sys._getframe(1))
         return advance(clock, seconds_)
 
+    def counted(requests: WriteRequests, location: int) -> bool:
+        continued = continues(requests, location)
+        path.wrote(continued, sys._getframe(1))
+        return continued
+
     runner = Runner(workload, seed, n_records, round_ops, rounds,
                     transport="inproc")
-    SimClock.advance = charged
+    SimClock.advance, WriteRequests.continues = charged, counted
     try:
         runner.setup()
         path.instrument(runner)
         timed = runner.run()
     finally:
-        SimClock.advance = advance
+        SimClock.advance, WriteRequests.continues = advance, continues
         runner.close()
     if runner.failed:
         raise AssertionError(f"{name}: {runner.failed} operations failed")
     return {"ops": sum(rnd.ops for rnd in timed),
             "sim_seconds": sum(rnd.sim_seconds for rnd in timed),
-            "phases": path.phases, "sites": path.sites, "calls": path.calls}
+            "phases": path.phases, "sites": path.sites, "calls": path.calls,
+            "pages": path.pages, "requests": path.requests}
 
 
 def report(name: str, result: dict) -> None:
@@ -244,9 +266,12 @@ def report(name: str, result: dict) -> None:
                      ((phase, result["phases"][phase])
                       for phase in {*calls, *result["phases"]}),
                      key=lambda row: (-row[1], row[0]))])
+    pages, requests = result["pages"], result["requests"]
     print_table(f"{name} -- by I/O site",
-                ["site", "us/op", "share"],
-                [[site, seconds * 1e6 / ops, seconds / total]
+                ["site", "us/op", "share", "pages", "pages/request"],
+                [[site, seconds * 1e6 / ops, seconds / total,
+                  pages[site] if requests[site] else "",
+                  pages[site] / requests[site] if requests[site] else ""]
                  for site, seconds in result["sites"].most_common()])
 
 

@@ -10,7 +10,9 @@ Responsibilities:
 
   1. one log force through the run's highest PageLSN (the WAL rule);
   2. per page, in ascending page id: the ``on_before_write`` backup
-     hook, seal (checksum), device write, frame clean;
+     hook, seal (checksum), device write, frame clean — the writes
+     make one device request, so consecutive sectors are one extent
+     that pays one write latency (:mod:`repro.storage.device`);
   3. ``on_run_cleaned`` with every ``(page id, PageLSN)`` written — the
      engine's in-memory page recovery index learns each page's new
      on-device PageLSN there, and one PRI update (a system transaction)
@@ -461,14 +463,15 @@ class BufferPool:
         write_page = write_page or self.flush_page
         self._run = run = []
         failure = None
-        for page_id in sorted(page_ids):
-            try:
-                write_page(page_id)
-            except DeviceWriteError as exc:
-                failure = failure or exc
-            except BaseException as exc:
-                failure = exc
-                break
+        with self.device.request():
+            for page_id in sorted(page_ids):
+                try:
+                    write_page(page_id)
+                except DeviceWriteError as exc:
+                    failure = failure or exc
+                except BaseException as exc:
+                    failure = exc
+                    break
         self._run = None
         try:
             if run and self.on_run_cleaned is not None:

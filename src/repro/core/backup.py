@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.errors import BackupRetired, RecoveryError, StorageError
 from repro.page.page import Page
 from repro.sim.clock import SimClock
-from repro.sim.iomodel import IOProfile
+from repro.sim.iomodel import IOProfile, WriteRequests
 from repro.sim.stats import Stats
 from repro.wal.log_reader import LogReader
 from repro.wal.ops import redo
@@ -75,11 +75,16 @@ class BackupStore:
 
     The backup medium has its own I/O profile; experiments switch it
     between direct-access disk and archive media to reproduce the
-    paper's point about backup placement.
+    paper's point about backup placement.  Full backups are numbered
+    from ``first_backup_id`` on (a promoted standby's store continues
+    past the ids its adopted log names).  Page copies written inside
+    one :meth:`request` go to consecutive fresh locations, so they are
+    one extent, priced as :mod:`repro.sim.iomodel` says; any fetch ends
+    the extent.
     """
 
     def __init__(self, clock: SimClock, profile: IOProfile, stats: Stats,
-                 page_size: int) -> None:
+                 page_size: int, first_backup_id: int = 1) -> None:
         self.clock = clock
         self.profile = profile
         self.stats = stats
@@ -95,11 +100,12 @@ class BackupStore:
         self._full_backups: dict[int, dict[int, bytes]] = {}
         self._full_backup_lsns: dict[int, dict[int, int]] = {}
         self._full_backup_checkpoints: dict[int, int] = {}
-        self._next_backup_id = 1
+        self._next_backup_id = first_backup_id
         self._retired_backup_ids: set[int] = set()
         self._page_copies: dict[int, tuple[bytes, int]] = {}
         self._next_copy_location = 1
         self._freed_locations: list[int] = []
+        self._requests = WriteRequests()
         #: fault injection: the next N page-copy writes fail after the
         #: I/O was charged but before the copy becomes durable (a
         #: backup-media write error mid-copy)
@@ -122,6 +128,7 @@ class BackupStore:
         """
         total = sum(len(img) for img in images.values())
         self.clock.advance(self.profile.write_cost(total, sequential=True))
+        self._requests.next = None  # written elsewhere: ends the extent
         backup_id = self._next_backup_id
         self._next_backup_id += 1
         self._full_backups[backup_id] = dict(images)
@@ -158,6 +165,7 @@ class BackupStore:
             raise RecoveryError(
                 f"page {page_id} not in full backup {backup_id}")
         self.clock.advance(self.profile.read_cost(self.page_size))
+        self._requests.next = None
         self._backup_page_fetches.inc()
         return image, self._full_backup_lsns[backup_id][page_id]
 
@@ -166,6 +174,7 @@ class BackupStore:
         images = self._require_full_backup(backup_id)
         total = sum(len(img) for img in images.values())
         self.clock.advance(self.profile.read_cost(total, sequential=True))
+        self._requests.next = None
         self._full_backups_restored.inc()
         return dict(images)
 
@@ -209,7 +218,10 @@ class BackupStore:
         """
         location = self._next_copy_location
         self._next_copy_location += 1
-        self.clock.advance(self.profile.write_cost(len(image)))
+        if self._requests.continues(location):
+            self.clock.advance(len(image) / self.profile.bandwidth)
+        else:
+            self.clock.advance(self.profile.write_cost(len(image)))
         if self._copy_write_failures > 0:
             # The write was attempted (and charged) but never became
             # durable; the fresh location is burned, the old copy —
@@ -222,6 +234,11 @@ class BackupStore:
         self._page_copies[location] = (bytes(image), page_lsn)
         self._page_copies_taken.inc()
         return location
+
+    def request(self) -> WriteRequests:
+        """``with store.request():`` makes the page copies inside one
+        request on the backup medium (class docstring)."""
+        return self._requests
 
     def inject_copy_write_failures(self, count: int = 1) -> None:
         """The next ``count`` page-copy writes fail mid-copy."""
@@ -237,6 +254,7 @@ class BackupStore:
                     f"reference dangles") from None
             raise RecoveryError(f"no page copy at location {location}") from None
         self.clock.advance(self.profile.read_cost(len(image)))
+        self._requests.next = None
         self._backup_page_fetches.inc()
         return image, lsn
 

@@ -466,11 +466,14 @@ class Checkpointer:
                            db.config.pri_region_end)
         copied = [pid for pid in db.pri.pages_backed_up_before(target, budget)
                   if pid not in pri_region][:budget]
-        for page_id in copied:
-            page = db.pool.fix(page_id)
-            try:
-                self.take_page_copy(page)
-            finally:
-                db.pool.unfix(page_id)
-            self._copy_forward_backups.inc()
+        # One request on the backup medium: the copies go to consecutive
+        # fresh locations, one extent.
+        with db.backup_store.request():
+            for page_id in copied:
+                page = db.pool.fix(page_id)
+                try:
+                    self.take_page_copy(page)
+                finally:
+                    db.pool.unfix(page_id)
+                self._copy_forward_backups.inc()
         return len(copied)

@@ -9,11 +9,22 @@ requires 1,000 s"; "dozens of I/Os ... pure I/O time should perhaps be
 
 Profiles are deliberately simple and explicit; experiments that need a
 different device simply construct their own :class:`IOProfile`.
+
+A bulk transfer is priced by bandwidth, not per page, and so is a run of
+consecutive page writes issued as one **device request**
+(:class:`WriteRequests`, which the data device and the backup store
+each keep): inside a request, a write to the location right after the
+request's previous write continues that write's extent and pays only
+``page_size / bandwidth``; any other write opens a new extent at the
+full :meth:`IOProfile.write_cost`, and a read on the device ends the
+extent.  A write outside any request is its own extent, priced as
+before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import TracebackType
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,43 @@ class IOProfile:
         latency = (self.sequential_write_latency if sequential
                    else self.write_latency)
         return latency + nbytes / self.bandwidth
+
+
+class WriteRequests:
+    """The device-request rule for one device (module docstring).
+
+    ``with requests:`` opens a request (a nested one joins the request
+    already open).  :meth:`continues` is asked once per page write and
+    says whether the write continues the open extent; a read on the
+    device ends the extent by clearing :attr:`next` (in place: the read
+    path pays no call for it).
+    """
+
+    __slots__ = ("_depth", "next")
+
+    def __init__(self) -> None:
+        self._depth = 0
+        #: the location a write must target to continue the open extent
+        #: (None: no extent is open)
+        self.next: int | None = None
+
+    def __enter__(self) -> "WriteRequests":
+        self._depth += 1
+        return self
+
+    def __exit__(self, exc_type: type[BaseException] | None,
+                 exc: BaseException | None,
+                 tb: TracebackType | None) -> None:
+        self._depth -= 1
+        if not self._depth:
+            self.next = None
+
+    def continues(self, location: int) -> bool:
+        """Whether a write to ``location`` continues the open extent;
+        either way it is the extent's last write from now on."""
+        continued = location == self.next
+        self.next = location + 1 if self._depth else None
+        return continued
 
 
 #: A nearline (SATA) magnetic disk: ~8 ms random access, 100 MB/s.

@@ -141,6 +141,8 @@ CATALOGUE: tuple[Metric, ...] = (
     Metric("device_writes", "writes", "storage", "page writes charged, all devices"),
     Metric("device_reads[<device>]", "reads", "storage", "page reads charged, per device"),
     Metric("device_writes[<device>]", "writes", "storage", "page writes charged, per device"),
+    Metric("device_write_requests", "requests", "storage",
+           "write extents charged a latency: consecutive sectors in one request are one"),
     Metric("device_read_errors", "reads", "storage", "reads the device itself failed"),
     Metric("device_remaps", "pages", "storage", "pages remapped to a spare sector"),
     Metric("proof_read_failures", "writes", "storage",

@@ -14,14 +14,22 @@ Section 2).  Proof-reading catches write-time damage but — exactly as
 the paper observes — cannot catch faults that develop later or writes
 that were silently lost.
 
-All I/O charges simulated time and bumps shared counters.
+All I/O charges simulated time and bumps shared counters.  A run of
+page writes is one **device request** (``with device.request():``, see
+:mod:`repro.sim.iomodel`): a write to the sector right after the
+request's previous write continues that write's extent and pays only
+``page_size / bandwidth``; any other write — a remapped sector
+included — opens a new extent at the full write cost, and any read
+(a proof-read included) ends the extent.  Each page still passes the
+fault injector on its own, may fail on its own and counts as one
+``device_writes``; ``device_write_requests`` counts the extents.
 """
 
 from __future__ import annotations
 
 from repro.errors import MediaFailure, StorageError
 from repro.sim.clock import SimClock
-from repro.sim.iomodel import IOProfile
+from repro.sim.iomodel import IOProfile, WriteRequests
 from repro.sim.stats import Stats
 from repro.storage.badblocks import BadBlockList
 from repro.storage.faults import FaultInjector
@@ -85,11 +93,13 @@ class StorageDevice:
         self.bad_blocks = BadBlockList()
         self._failed = False
         self._last_sector_touched = -1
+        self._requests = WriteRequests()
         counter = stats.counter
         self._device_reads = counter("device_reads")
         self._device_writes = counter("device_writes")
         self._device_reads_here = counter(f"device_reads[{name}]")
         self._device_writes_here = counter(f"device_writes[{name}]")
+        self._device_write_requests = counter("device_write_requests")
         self._device_read_errors = counter("device_read_errors")
         self._device_remaps = counter("device_remaps")
         self._proof_read_failures = counter("proof_read_failures")
@@ -154,6 +164,11 @@ class StorageDevice:
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
+    def request(self) -> WriteRequests:
+        """``with device.request():`` makes the writes inside one device
+        request (module docstring)."""
+        return self._requests
+
     def read(self, page_id: int) -> bytearray:
         """Read a logical page; raises :class:`DeviceReadError` on LSE.
 
@@ -177,6 +192,7 @@ class StorageDevice:
                 latency *= profile.sequential_factor
             self.clock.advance(latency + self.page_size / profile.bandwidth)
             self._last_sector_touched = sector
+            self._requests.next = None  # a read ends the open extent
             self._device_reads.inc()
             self._device_reads_here.inc()
             stored = self._sectors[sector]
@@ -238,12 +254,19 @@ class StorageDevice:
         sequential = sector == self._last_sector_touched + 1
         self.clock.advance(self.profile.read_cost(self.page_size, sequential))
         self._last_sector_touched = sector
+        self._requests.next = None
         self._device_reads.inc()
         self._device_reads_here.inc()
 
     def _charge_write(self, sector: int, sequential_hint: bool) -> None:
-        sequential = sequential_hint or sector == self._last_sector_touched + 1
-        self.clock.advance(self.profile.write_cost(self.page_size, sequential))
+        if self._requests.continues(sector):
+            cost = self.page_size / self.profile.bandwidth
+        else:
+            sequential = (sequential_hint
+                          or sector == self._last_sector_touched + 1)
+            cost = self.profile.write_cost(self.page_size, sequential)
+            self._device_write_requests.inc()
+        self.clock.advance(cost)
         self._last_sector_touched = sector
         self._device_writes.inc()
         self._device_writes_here.inc()

@@ -528,6 +528,31 @@ class TestWriteBackRuns:
         assert pool.flush_all() == 0 and events[-1][0] == "run"
         assert sum(kind == "run" for kind, _ in events) == 2
 
+    def test_a_run_is_one_device_request(self, rig):
+        """The run's pages are consecutive sectors: one extent, one
+        request, four page writes."""
+        pool, _device, _log, tm, stats, _events = rig
+        self.four_dirty(pool, tm)
+        before = stats.snapshot()
+        assert pool.flush_all() == 4
+        delta = stats.delta(before)
+        assert delta["device_write_requests"] == 1
+        assert delta["device_writes"] == 4
+
+    def test_an_unwritable_page_splits_the_extent(self, rig):
+        """Page 1 fails and stays dirty; 0 and 2..3 are written, two
+        extents either side of it."""
+        pool, device, _log, tm, stats, _events = rig
+        lsns = self.four_dirty(pool, tm)
+        self.fail_writes(device, 1, DeviceWriteError("page 1 unwritable"))
+        before = stats.snapshot()
+        with pytest.raises(DeviceWriteError):
+            pool.flush_all()
+        delta = stats.delta(before)
+        assert delta["device_write_requests"] == 2
+        assert delta["device_writes"] == 3
+        assert pool.dirty_page_table() == {1: lsns[1]}
+
     @staticmethod
     def fail_writes(device, page_id, error) -> None:
         """Make every device write of ``page_id`` raise ``error``."""

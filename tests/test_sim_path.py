@@ -5,7 +5,8 @@ backups, page faults, drains) split by runner phase and by I/O site:
 each split must add up to the runner's own ``sim_seconds`` over the
 timed rounds, so no charge is lost or counted twice, and the off-the-
 books fault injection and re-reads must be left out as the runner
-leaves them out.
+leaves them out.  Each write site's pages form at most as many device
+requests as there are pages.
 """
 
 from __future__ import annotations
@@ -46,3 +47,15 @@ def test_the_failure_workload_names_its_sites():
     assert calls["event: verify"] and not phases["event: verify"]
     for site in ("miss read", "restore write", "repair write"):
         assert sites[site] > 0, site
+
+
+def test_write_sites_count_pages_and_requests():
+    result = smoke("failures_embedded")
+    pages, requests = result["pages"], result["requests"]
+    assert set(pages) <= set(result["sites"])
+    for site in ("restore write", "repair write", "device write (flush)"):
+        assert pages[site] > 0, site
+    for site, written in pages.items():
+        assert 0 < requests[site] <= written, site
+    # The settling flush writes runs of consecutive pages.
+    assert requests["device write (flush)"] < pages["device write (flush)"]
