@@ -347,8 +347,13 @@ class Standby:
             self.device.write(page_id, copy.data)
         self._standby_promotions.inc()
         cfg = self.config
+        # The adopted log names the old primary's full backups: number
+        # the new store's past them, so no id the log answers for is
+        # reused (Database.crash tells a backup whose record was cut by
+        # the id's BACKUP_FULL record).
         backups = BackupStore(self.clock, cfg.backup_profile, self.stats,
-                              cfg.page_size)
+                              cfg.page_size,
+                              self.log.highest_full_backup_id() + 1)
         db = Database(cfg, clock=self.clock, stats=self.stats,
                       durable=DurableState(self.device, self.log, backups))
         db.tm.restore_txn_id_floor(self.max_txn_seen)

@@ -503,6 +503,11 @@ class LogManager:
         """Log position of the BACKUP_FULL record for ``backup_id``."""
         return self._backup_full_lsns.get(backup_id)
 
+    def highest_full_backup_id(self) -> int:
+        """The highest backup id a retained BACKUP_FULL record names
+        (0: none)."""
+        return max(self._backup_full_lsns, default=0)
+
     # ------------------------------------------------------------------
     # Truncation (log head reclamation)
     # ------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.errors import (
     ReplicationLagError,
 )
 from repro.sim.iomodel import HDD_PROFILE
+from repro.wal.records import LogRecordKind, read_header
 from tests.conftest import fast_config, key_of, value_of
 
 
@@ -328,6 +329,38 @@ class TestPromote:
         promoted.recover_media(ids[-1])
         assert promoted.tree(tree.index_id).lookup(key_of(0)) == value_of(0, 0)
 
+    def test_promoted_backup_ids_continue_past_the_shipped_ones(self):
+        """The adopted log names the old primary's full backups 1-3.
+        Numbering the promoted node's own from 1 again would let a
+        crash in a new backup's force find the old primary's record
+        under the reused id, and keep the orphan the crash must drop."""
+        db, _tree = loaded()
+        standby = db.attach_standby()
+        shipped = [db.take_full_backup() for _ in range(3)]
+        assert shipped == [1, 2, 3]
+        promoted = standby.promote()
+        ids = promoted.backup_store.full_backup_ids()
+        assert ids == [max(shipped) + 1]
+        append = promoted.log.append
+
+        def dying_append(encoding):  # noqa: ANN001, ANN202
+            lsn = append(encoding)
+            if read_header(encoding)[0] == LogRecordKind.BACKUP_FULL:
+                raise _Crash  # the record is in the log buffer only
+            return lsn
+
+        promoted.log.append = dying_append
+        with pytest.raises(_Crash):
+            promoted.take_full_backup()
+        del promoted.log.append
+        orphan = max(promoted.backup_store.full_backup_ids())
+        assert orphan not in shipped
+        promoted.crash()
+        assert promoted.backup_store.full_backup_ids() == ids
+        assert promoted.log.backup_full_lsn(orphan) is None
+        promoted.restart()
+        assert promoted.take_full_backup() == orphan + 1
+
     def test_promote_dead_standby_refused(self):
         db, _tree = loaded()
         standby = db.attach_standby()
@@ -523,3 +556,7 @@ class TestBackupRetiredErrors:
         """The taxonomy: a dangling reference is recoverable (escalate
         per Figure 8), so BackupRetired must sit under RecoveryError."""
         assert issubclass(BackupRetired, RecoveryError)
+
+
+class _Crash(Exception):
+    pass
