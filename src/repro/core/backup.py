@@ -128,7 +128,6 @@ class BackupStore:
         """
         total = sum(len(img) for img in images.values())
         self.clock.advance(self.profile.write_cost(total, sequential=True))
-        self._requests.next = None  # written elsewhere: ends the extent
         backup_id = self._next_backup_id
         self._next_backup_id += 1
         self._full_backups[backup_id] = dict(images)

@@ -348,9 +348,9 @@ class Standby:
         self._standby_promotions.inc()
         cfg = self.config
         # The adopted log names the old primary's full backups: number
-        # the new store's past them, so no id the log answers for is
-        # reused (Database.crash tells a backup whose record was cut by
-        # the id's BACKUP_FULL record).
+        # the new store's past them.  Database.crash keeps a stored
+        # backup only while the log names its id, so a reused id would
+        # keep a backup whose own record was cut.
         backups = BackupStore(self.clock, cfg.backup_profile, self.stats,
                               cfg.page_size,
                               self.log.highest_full_backup_id() + 1)
