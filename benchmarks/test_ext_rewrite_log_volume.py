@@ -36,6 +36,7 @@ from benchmarks.common import print_table
 from repro.engine.config import EngineConfig
 from repro.sim.iomodel import NULL_PROFILE
 from repro.wal.records import NARROW_HEADER_SIZE, LogRecordKind
+from tests.record_reference import all_records
 
 DBLP_KEY = b"Graefe_Goetz_0001/2012/p000042"
 DBLP_VALUE = (b"2012-06-11\x1fDefinition, detection, and recovery of single-page "
@@ -90,7 +91,7 @@ def measure() -> list[dict]:
 
 
 def _last_clr_size(log) -> int:  # noqa: ANN001
-    return next(len(log.encoding_at(r.lsn)) for r in reversed(log.all_records())
+    return next(len(log.encoding_at(r.lsn)) for r in reversed(all_records(log))
                 if r.kind == LogRecordKind.COMPENSATION)
 
 

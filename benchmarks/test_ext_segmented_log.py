@@ -21,6 +21,7 @@ from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN, log_page_of
 from repro.wal.ops import insert
 from repro.wal.records import encode_update
+from tests.record_reference import record_at
 
 CHAIN_LENGTH = 24
 
@@ -46,7 +47,7 @@ def run_recovery_with_foreign_traffic(foreign_updates: int):
     lsn = db.log.page_chain_head(victim)
     for _ in range(CHAIN_LENGTH):
         chain_pages.add(log_page_of(lsn))
-        lsn = db.log.record_at(lsn).page_prev_lsn
+        lsn = record_at(db.log, lsn).page_prev_lsn
     for i in range(foreign_updates):
         spread = 200 + i % 180
         txn = db.begin()
@@ -111,7 +112,7 @@ def test_bench_segmented_append_and_lookup(benchmark):
             lsns.append(lsn)
         # Indexed point lookups across all segments.
         for lsn in lsns[::7]:
-            log.record_at(lsn)
+            record_at(log, lsn)
         for pid in range(64):
             assert log.page_chain_head(pid) == prev[pid]
         return log.segment_count

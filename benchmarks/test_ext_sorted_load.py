@@ -48,6 +48,7 @@ from repro.btree.node import BTreeNode
 from repro.engine.config import EngineConfig
 from repro.sim.iomodel import NULL_PROFILE
 from repro.wal.records import LogRecordKind
+from tests.record_reference import all_records
 
 N_KEYS, BATCH = 8_000, 500
 #: page-header bytes that follow from LSNs: checksum, PageLSN
@@ -91,7 +92,7 @@ def load(batched: bool) -> dict:
         backup_profile=NULL_PROFILE))
     db = client.db
     tree = db.tree(client.index_id)
-    start = len(db.log.all_records())
+    start = len(all_records(db.log))
     records = _records()
     for at in range(0, N_KEYS, BATCH):
         rows = records[at:at + BATCH]
@@ -103,7 +104,7 @@ def load(batched: bool) -> dict:
             db.locks.acquire(txn.txn_id, key)
             tree.upsert(txn, key, value)
         db.commit(txn)
-    logged = db.log.all_records()[start:]
+    logged = all_records(db.log)[start:]
     return {"path": "leaf runs" if batched else "per key",
             "records": len(logged),
             "user_updates": sum(r.kind == LogRecordKind.UPDATE

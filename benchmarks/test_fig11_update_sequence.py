@@ -21,6 +21,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.sim.iomodel import NULL_PROFILE
 from repro.wal.records import LogRecordKind
+from tests.record_reference import records_from
 
 
 def build(buffer_capacity=24):
@@ -101,7 +102,7 @@ def run_crash_windows():
     tree = db.tree(1)
     ok = all(tree.lookup(key_of(i)) == value_of(i, 0) for i in range(400))
     # Figure 12's repair record names each page the cut run wrote.
-    repaired = sorted(page_id for r in db.log.records_from(crashed_at)
+    repaired = sorted(page_id for r in records_from(db.log, crashed_at)
                       if r.kind == LogRecordKind.PRI_UPDATE
                       for page_id, _lsn in r.writes)
     outcomes.append([f"run cut after {j} of its writes",

@@ -31,6 +31,7 @@ from repro.wal.records import (
     backup_full,
     backup_page,
     checkpoint_begin,
+    checkpoint_tables,
     full_page_image,
     pri_update,
 )
@@ -182,7 +183,7 @@ class Checkpointer:
                            db.config.pri_region_end))
         master_lsn = db.log.master_checkpoint_lsn
         if master_lsn:
-            checkpoint = db.log.record_at(master_lsn).checkpoint
+            checkpoint = checkpoint_tables(db.log.encoding_at(master_lsn))
             if checkpoint is not None:
                 vacant.difference_update(checkpoint.pri_images)
         return vacant

@@ -46,7 +46,7 @@ from repro.errors import RecoveryError
 from repro.sim.clock import StopWatch
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
-from repro.wal.records import PAGE_UPDATE_KINDS, LogRecordKind
+from repro.wal.records import PAGE_UPDATE_KINDS, checkpoint_tables
 
 
 @dataclass
@@ -94,10 +94,9 @@ def collect_replay_targets(db, backup_id: int, backup_lsn: int):  # noqa: ANN001
     att: dict[int, tuple[int, bool]] = {}
     checkpoint_lsn = db.backup_store.full_backup_checkpoint_lsn(backup_id)
     if checkpoint_lsn is not None and db.log.has_record(checkpoint_lsn):
-        master = db.log.record_at(checkpoint_lsn)
-        if (master.kind == LogRecordKind.CHECKPOINT_END
-                and master.checkpoint is not None):
-            for txn_id, last_lsn, is_system in master.checkpoint.active_txns:
+        checkpoint = checkpoint_tables(db.log.encoding_at(checkpoint_lsn))
+        if checkpoint is not None:
+            for txn_id, last_lsn, is_system in checkpoint.active_txns:
                 att[txn_id] = (last_lsn, is_system)
     page_records: dict[int, list[int]] = {}
     for lsn, kind, commits, txn_id, page_id in (

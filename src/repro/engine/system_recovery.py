@@ -42,8 +42,10 @@ from repro.page.slotted import inspect_page
 from repro.sim.clock import StopWatch
 from repro.storage.device import DeviceReadError
 from repro.wal.lsn import LOG_START, NULL_LSN
-from repro.wal.records import (PAGE_UPDATE_KINDS, BackupRef, LogRecord,
-                               LogRecordKind, decompress_image)
+from repro.wal.records import (PAGE_UPDATE_KINDS, BackupRef, LogRecordKind,
+                               checkpoint_tables, decompress_image,
+                               full_backup_id, page_backup, page_image,
+                               prepare_gtid, pri_writes, read_header)
 
 
 @dataclass
@@ -185,11 +187,12 @@ def split_indoubt(db, att):  # noqa: ANN001
     losers: dict[int, tuple[int, bool]] = {}
     indoubt: dict[int, tuple[int, int]] = {}
     for txn_id, (last_lsn, is_system) in att.items():
-        record = (db.log.record_at(last_lsn)
-                  if last_lsn != NULL_LSN and db.log.has_record(last_lsn)
-                  else None)
-        if record is not None and record.kind == LogRecordKind.PREPARE:
-            indoubt[txn_id] = (record.gtid, last_lsn)
+        encoding = (db.log.encoding_at(last_lsn)
+                    if last_lsn != NULL_LSN and db.log.has_record(last_lsn)
+                    else None)
+        if (encoding is not None
+                and read_header(encoding)[0] == LogRecordKind.PREPARE):
+            indoubt[txn_id] = (prepare_gtid(encoding), last_lsn)
         else:
             losers[txn_id] = (last_lsn, is_system)
     return losers, indoubt
@@ -220,7 +223,7 @@ def note_txn_record(att: dict[int, tuple[int, bool]], lsn: int, kind: int,
     """Apply one record's effect to an active-transaction table
     (txn_id -> (last_lsn, is_system)), from its header: the record at
     ``lsn`` of ``kind``, which ``commits`` its transaction ``txn_id``
-    (:attr:`repro.wal.records.LogRecord.commits_txn`) or not.
+    (:func:`repro.wal.records.read_header`) or not.
 
     The single definition of loser tracking, shared by restart
     analysis and media-recovery analysis — the two recoveries must
@@ -238,8 +241,9 @@ def note_txn_record(att: dict[int, tuple[int, bool]], lsn: int, kind: int,
 
 
 def _analysis(db, report: RestartReport):  # noqa: ANN001
-    """One scan of headers from the master checkpoint, a body decoded
-    only where analysis reads it (checkpoint, PRI and backup records):
+    """One scan of headers from the master checkpoint, a body read in
+    place only where analysis reads it (checkpoint, PRI and backup
+    records):
     the DPT, the ATT, the LSNs to redo per page and the top txn id."""
     cfg = db.config
     start_lsn = db.log.master_checkpoint_lsn or LOG_START
@@ -254,7 +258,7 @@ def _analysis(db, report: RestartReport):  # noqa: ANN001
             db.log_reader.scan_from(start_lsn)):
         report.analysis_records += 1
         if kind == LogRecordKind.CHECKPOINT_END:
-            checkpoint = db.log.record_at(lsn).checkpoint
+            checkpoint = checkpoint_tables(db.log.encoding_at(lsn))
             for page_id, rec_lsn in checkpoint.dirty_pages.items():
                 dpt.setdefault(page_id, rec_lsn)
             for txn_id, last_lsn, is_system in checkpoint.active_txns:
@@ -280,7 +284,7 @@ def _analysis(db, report: RestartReport):  # noqa: ANN001
             # PageLSN is on disk; a page not updated since leaves the
             # recovery requirements (Figure 12, analysis row 2 / the
             # Figure-4 optimization).
-            for page_id, page_lsn in db.log.record_at(lsn).writes:
+            for page_id, page_lsn in pri_writes(db.log.encoding_at(lsn)):
                 if (last_update.get(page_id, NULL_LSN) <= page_lsn
                         and page_id in dpt):
                     dpt.pop(page_id)
@@ -289,12 +293,11 @@ def _analysis(db, report: RestartReport):  # noqa: ANN001
                 if cfg.spf_enabled:
                     db.pri.record_write(page_id, page_lsn)
         elif kind == LogRecordKind.BACKUP_PAGE and page_id >= 0:
-            record = db.log.record_at(lsn)
-            if cfg.spf_enabled and record.backup_ref is not None:
-                db.pri.set_backup(page_id, record.backup_ref,
-                                  record.page_lsn, db.clock.now)
+            page_lsn, ref = page_backup(db.log.encoding_at(lsn))
+            if cfg.spf_enabled:
+                db.pri.set_backup(page_id, ref, page_lsn, db.clock.now)
         elif kind == LogRecordKind.BACKUP_FULL and cfg.spf_enabled:
-            backup_id = db.log.record_at(lsn).backup_id
+            backup_id = full_backup_id(db.log.encoding_at(lsn))
             # The guard covers two cases: a retired backup (its record
             # outlives the media) and a promoted standby (its adopted
             # log holds the old primary's BACKUP_FULL records, but its
@@ -336,13 +339,17 @@ def _load_pri(db, report: RestartReport) -> None:  # noqa: ANN001
     start_lsn = db.log.master_checkpoint_lsn
     if not start_lsn:
         return  # no checkpoint yet; analysis rebuilds from scratch
-    master = db.log.record_at(start_lsn)
-    if master.kind != LogRecordKind.CHECKPOINT_END or master.checkpoint is None:
+    checkpoint = checkpoint_tables(db.log.encoding_at(start_lsn))
+    if checkpoint is None:
         return
-    fpi_by_page: dict[int, LogRecord] = {}
-    for page_id, lsn in master.checkpoint.pri_images.items():
+    # page id -> (LSN, compressed image) of its in-log image
+    fpi_by_page: dict[int, tuple[int, bytes]] = {}
+    for page_id, lsn in checkpoint.pri_images.items():
         if db.log.has_record(lsn):
-            fpi_by_page[page_id] = db.log.record_at(lsn)
+            encoding = db.log.encoding_at(lsn)
+            fpi_by_page[page_id] = lsn, (
+                page_image(encoding)[1] if read_header(encoding)[0]
+                == LogRecordKind.FULL_PAGE_IMAGE else b"")
     if not fpi_by_page:
         return
 
@@ -358,18 +365,18 @@ def _load_pri(db, report: RestartReport) -> None:  # noqa: ANN001
     # The region pages' own entries were created *after* the snapshots
     # were serialized (self-coverage ordering); re-derive them from the
     # image records just used, exactly as persist_pri recorded them.
-    for page_id, record in fpi_by_page.items():
-        db.pri.set_backup(page_id, BackupRef.log_image(record.lsn),
-                          record.lsn, db.clock.now)
-        db.pri.record_write(page_id, record.lsn)
+    for page_id, (lsn, _image) in fpi_by_page.items():
+        db.pri.set_backup(page_id, BackupRef.log_image(lsn), lsn,
+                          db.clock.now)
+        db.pri.record_write(page_id, lsn)
 
 
-def _load_pri_page(db, page_id: int, fpi: LogRecord,  # noqa: ANN001
+def _load_pri_page(db, page_id: int, fpi: tuple[int, bytes],  # noqa: ANN001
                    report: RestartReport) -> Page:
     # Figure 8 before the index exists: the PageLSN to expect is the
     # in-log image's, not the PRI's, so this is the one device read that
     # does not go through RecoveryManager.read.
-    expected_lsn = fpi.lsn
+    expected_lsn, image = fpi
     try:
         data = db.device.read(page_id)
         if inspect_page(data, page_id) == expected_lsn:
@@ -379,7 +386,7 @@ def _load_pri_page(db, page_id: int, fpi: LogRecord,  # noqa: ANN001
     # The device copy is damaged or stale: restore from the in-log
     # image (single-page recovery of the PRI, Section 5.2).
     page_size = db.config.page_size
-    page = Page(page_size, decompress_image(fpi.image or b"", page_size))
+    page = Page(page_size, decompress_image(image, page_size))
     page.page_lsn = expected_lsn
     page.seal()
     try:

@@ -65,6 +65,9 @@ from repro.sim.chaos import (
 from repro.sim.iomodel import HDD_PROFILE
 from repro.storage.faults import FaultKind
 from repro.txn.locks import DeadlockError, LockConflict
+from repro.wal.lsn import NULL_LSN
+from repro.wal.records import (LogRecordKind, page_backup, page_image,
+                               prev_lsn_of, pri_writes, read_header)
 from repro.workloads.fleet import ClientFleet
 
 __all__ = ["MODE_COMBOS", "ChaosConfig", "DurabilityOracle",
@@ -190,9 +193,8 @@ class DurabilityOracle:
         """Resolve parked commits against the post-recovery log."""
         if not self.uncertain:
             return
-        committed_lsns = {record.txn_id: record.lsn
-                          for record in db.log.all_records()
-                          if record.commits_txn}
+        committed_lsns = {txn_id: lsn for lsn, _kind, commits, txn_id, _page
+                          in db.log.headers_from(NULL_LSN) if commits}
         for txn_id in sorted(self.uncertain):
             staged = self.uncertain.pop(txn_id)
             if txn_id in committed_lsns:
@@ -212,8 +214,8 @@ class DurabilityOracle:
         journal is compacted to the survivors so a later failover
         rebases from a consistent lineage.
         """
-        committed_ids = {record.txn_id for record in db.log.all_records()
-                         if record.commits_txn}
+        committed_ids = {txn_id for _lsn, _kind, commits, txn_id, _page
+                         in db.log.headers_from(NULL_LSN) if commits}
         horizon = db.log.truncated_below
         violations: list[str] = []
         survivors: list[tuple] = []
@@ -318,9 +320,21 @@ def _clone_failed(db: Database) -> Database:
 
 
 def _log_shape(db: Database) -> list[tuple]:
-    return [(r.lsn, r.kind, r.txn_id, r.page_id, r.page_lsn, r.writes,
-             r.page_prev_lsn, r.prev_lsn)
-            for r in db.log.all_records()]
+    """Per record: its LSN, kind, transaction, page, the PageLSN of an
+    image or page backup, a PRI update's writes and both chain links."""
+    shape = []
+    for lsn, encoding in db.log.encodings_from(NULL_LSN):
+        kind, _commits, txn_id, page_id, page_prev_lsn = read_header(encoding)
+        page_lsn, writes = 0, ()
+        if kind == LogRecordKind.FULL_PAGE_IMAGE:
+            page_lsn = page_image(encoding)[0]
+        elif kind == LogRecordKind.BACKUP_PAGE:
+            page_lsn = page_backup(encoding)[0]
+        elif kind == LogRecordKind.PRI_UPDATE:
+            writes = pri_writes(encoding)
+        shape.append((lsn, kind, txn_id, page_id, page_lsn, writes,
+                      page_prev_lsn, prev_lsn_of(encoding)))
+    return shape
 
 
 def _device_images(db: Database) -> dict[int, bytes]:

@@ -60,9 +60,10 @@ from repro.wal.ops import (BULK_DELETE, BULK_INSERT, REDO, SEQUENCE,
                            bulk_rows, compensation, redo, sequence_members,
                            split_compensation)
 from repro.wal.records import (NARROW_HEADER_SIZE, WIDE_BIT, WIDE_HEADER_SIZE,
-                               LogicalUndo, LogRecord, LogRecordKind,
-                               UndoAction, clr, encode_update, format_page,
-                               txn_end)
+                               LogicalUndo, LogRecordKind, UndoAction, clr,
+                               encode_update, format_page, index_id_of,
+                               prev_lsn_of, read_header, read_update, txn_end,
+                               undo_next_lsn)
 from repro.wal.records import prepare as prepare_record
 
 if TYPE_CHECKING:
@@ -72,6 +73,7 @@ _ACTIVE = TxnState.ACTIVE
 #: the kind bytes of a split's removal and of its moved rows' insert
 _REMOVAL = bytes((BULK_DELETE,))
 _RUN = bytes((BULK_INSERT,))
+_UPDATE = LogRecordKind.UPDATE
 _COMMITTED = TxnState.COMMITTED
 
 
@@ -441,15 +443,13 @@ class TransactionManager:
         first_lsn = last_lsn
         lsn = last_lsn
         while lsn != NULL_LSN:
-            record = self.log.record_at(lsn)
-            first_lsn = record.lsn
-            undo = record.undo
-            if undo is not None:
-                if undo.keys:
-                    keys.update(undo.keys)
-                else:
-                    keys.add(undo.key)
-            lsn = record.prev_lsn
+            encoding = self.log.encoding_at(lsn)
+            first_lsn = lsn
+            if read_header(encoding)[0] == _UPDATE:
+                undo = read_update(encoding)[0]
+                if undo is not None:
+                    keys.update(undo.keys or (undo.key,))
+            lsn = prev_lsn_of(encoding)
         return keys, first_lsn
 
     # ------------------------------------------------------------------
@@ -476,46 +476,50 @@ class TransactionManager:
         """
         lsn = txn.last_lsn
         while lsn != NULL_LSN and lsn > to_lsn:
-            record = self.log.record_at(lsn)
-            if record.kind == LogRecordKind.COMPENSATION:
-                lsn = record.undo_next_lsn
+            encoding = self.log.encoding_at(lsn)
+            kind, _commits, txn_id, page_id, _ = read_header(encoding)
+            if kind == LogRecordKind.COMPENSATION:
+                lsn = undo_next_lsn(encoding)
                 continue
-            if record.kind != LogRecordKind.UPDATE:
-                lsn = record.prev_lsn
+            prev_lsn = prev_lsn_of(encoding)
+            if kind != _UPDATE:
+                lsn = prev_lsn
                 continue
-            undo = record.undo
+            undo, start, end = read_update(encoding)
+            index_id = index_id_of(encoding)
             if undo is not None and undo.keys:
                 keys = undo.keys
                 for j in range(len(keys) - 1, -1, -1):
                     ctx.logical_compensate(
-                        txn, record.index_id,
+                        txn, index_id,
                         LogicalUndo(UndoAction.DELETE_KEY, keys[j]),
-                        lsn if j else record.prev_lsn)
+                        lsn if j else prev_lsn)
             elif undo is not None:
                 # Logical (key-level) compensation through the index.
-                ctx.logical_compensate(txn, record.index_id, undo,
-                                       record.prev_lsn)
-            elif record.op is not None:
+                ctx.logical_compensate(txn, index_id, undo, prev_lsn)
+            elif start < end:
                 # Physical in-page undo.
-                page = ctx.pool.fix(record.page_id)
-                op = record.op
+                page = ctx.pool.fix(page_id)
+                op = encoding[start:end]
                 try:
                     # A sequence whose first member (at byte 3) removes rows.
-                    inverse = (self._split_compensation(ctx, page, record)
+                    inverse = (self._split_compensation(
+                                   ctx, page, op, lsn, txn_id, prev_lsn)
                                if op[0] == SEQUENCE
                                and op[3:4] == _REMOVAL
                                else compensation(op))
                 except BaseException:
-                    ctx.pool.unfix(record.page_id)
+                    ctx.pool.unfix(page_id)
                     raise
-                clr_lsn = self.log_compensation(
-                    txn, page, record.index_id, inverse, record.prev_lsn)
-                ctx.pool.unfix(record.page_id, clr_lsn)
-            lsn = record.prev_lsn
+                clr_lsn = self.log_compensation(txn, page, index_id, inverse,
+                                                prev_lsn)
+                ctx.pool.unfix(page_id, clr_lsn)
+            lsn = prev_lsn
 
-    def _split_compensation(self, ctx: UndoContext, page: Page,
-                            record: LogRecord) -> bytes:
-        """The compensation of a split's record of the pinned source
+    def _split_compensation(self, ctx: UndoContext, page: Page, op: bytes,
+                            lsn: int, txn_id: int, prev_lsn: int) -> bytes:
+        """The compensation of a split's record at ``lsn`` — by
+        transaction ``txn_id``, of the op ``op`` — of the pinned source
         ``page`` — a row-free removal, then the foster link: one CLR of
         the link's inverses, newest first, then an insert of the rows
         the removal took.
@@ -528,25 +532,27 @@ class TransactionManager:
         foster child still holds them, as rollback has not reached its
         record yet.
         """
-        moved = self.log.record_at(record.prev_lsn)
-        op = moved.op
-        last = (sequence_members(op)[-1] if op and op[0] == SEQUENCE
-                else b"")
-        if moved.txn_id != record.txn_id or last[:1] != _RUN:
-            raise RecoveryError(f"the removal at LSN {record.lsn} does not "
+        moved = self.log.encoding_at(prev_lsn)
+        kind, _commits, moved_txn, moved_page, _ = read_header(moved)
+        start, end = read_update(moved)[1:] if kind == _UPDATE else (0, 0)
+        rows_op = moved[start:end]
+        last = (sequence_members(rows_op)[-1]
+                if rows_op and rows_op[0] == SEQUENCE else b"")
+        if moved_txn != txn_id or last[:1] != _RUN:
+            raise RecoveryError(f"the removal at LSN {lsn} does not "
                                 f"follow its split's moved rows")
         rows = bulk_rows(last, 0)[1]
         prefix = ctx.key_prefix(page)
-        foster = ctx.pool.fix(moved.page_id)
+        foster = ctx.pool.fix(moved_page)
         try:
             foster_prefix = ctx.key_prefix(foster)
         finally:
-            ctx.pool.unfix(moved.page_id)
+            ctx.pool.unfix(moved_page)
         if not foster_prefix.startswith(prefix):
             raise RecoveryError(
-                f"foster prefix {foster_prefix!r} of page {moved.page_id} "
-                f"does not extend prefix {prefix!r} of page {record.page_id}")
+                f"foster prefix {foster_prefix!r} of page {moved_page} "
+                f"does not extend prefix {prefix!r} of page {page.page_id}")
         extra = foster_prefix[len(prefix):]
         if extra:
             rows = [(extra + key, value, ghost) for key, value, ghost in rows]
-        return split_compensation(record.op, rows)
+        return split_compensation(op, rows)

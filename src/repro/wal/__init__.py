@@ -27,7 +27,6 @@ from repro.wal.segments import DEFAULT_SEGMENT_BYTES, LogSegment, SegmentDirecto
 from repro.wal.ops import value_rewrite
 from repro.wal.records import (
     CheckpointData,
-    LogRecord,
     LogRecordKind,
     LogicalUndo,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "LogSegment",
     "SegmentDirectory",
     "DEFAULT_SEGMENT_BYTES",
-    "LogRecord",
     "LogRecordKind",
     "LogicalUndo",
     "CheckpointData",

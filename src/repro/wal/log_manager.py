@@ -6,10 +6,11 @@ The log manager owns:
 * the in-memory log buffer: every record's encoding, written once by
   :meth:`LogManager.append` into fixed-size **segments** behind a
   :class:`repro.wal.segments.SegmentDirectory`.  The log keeps bytes,
-  never record objects: ``record_at`` and ``records_from`` decode what
-  they find (one bisect over segments and one within a segment, never a
-  scan of the whole log), and bytes that encode no record are a
-  :class:`repro.errors.LogError` there;
+  never record objects: ``encoding_at`` and ``encodings_from`` find a
+  record's bytes (one bisect over segments and one within a segment,
+  never a scan of the whole log), and the readers of
+  :mod:`repro.wal.records` read each field in place, a
+  :class:`repro.errors.LogError` for bytes that encode no record;
 * the **per-page chain head index**: for every page, the LSN of its
   most recent chain record (UPDATE / COMPENSATION / FORMAT), kept
   current on append — this is what makes the per-page chain of the
@@ -53,7 +54,7 @@ from repro.sync import ConditionMutex
 from repro.wal.lsn import LOG_START, NULL_LSN
 from repro.wal.records import CHAIN_KINDS as _CHAIN_KINDS
 from repro.wal.records import (COMMITS_BIT, KIND_BITS, NARROW_HEADER, NO_PAGE,
-                               WIDE_BIT, WIDE_HEADER, LogRecord, LogRecordKind,
+                               WIDE_BIT, WIDE_HEADER, LogRecordKind,
                                checkpoint_end, full_backup_id, read_header,
                                txn_end)
 from repro.wal.segments import DEFAULT_SEGMENT_BYTES, SegmentDirectory
@@ -430,11 +431,6 @@ class LogManager:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def record_at(self, lsn: int) -> LogRecord:
-        """The record at ``lsn``, decoded from its bytes (no cost
-        accounting; see LogReader)."""
-        return LogRecord.decode(self.encoding_at(lsn), lsn)
-
     def encoding_at(self, lsn: int) -> bytes:
         """The bytes of the record at ``lsn``, undecoded (no cost
         accounting; see LogReader)."""
@@ -454,7 +450,7 @@ class LogManager:
         in log order, undecoded (:func:`repro.wal.records.read_header`
         reads one's header in place)."""
         with self._mutex:
-            return self._dir.records_from(start_lsn)
+            return self._dir.encodings_from(start_lsn)
 
     def headers_from(self, start_lsn: int) -> list[tuple]:
         """``(lsn, kind, commits, txn_id, page_id)`` of every record with
@@ -474,14 +470,6 @@ class LogManager:
             headers += [(lsn, *read_header(data, lsn - base, end - base)[:4])
                         for lsn, end in zip(starts[first:], ends)]
         return headers
-
-    def records_from(self, start_lsn: int) -> list[LogRecord]:
-        """All records with ``lsn >= start_lsn`` in log order, decoded."""
-        return [LogRecord.decode(encoding, lsn)
-                for lsn, encoding in self.encodings_from(start_lsn)]
-
-    def all_records(self) -> list[LogRecord]:
-        return self.records_from(NULL_LSN)
 
     def encoded_size(self) -> int:
         """Total log volume in bytes."""

@@ -141,8 +141,7 @@ class LogReader:
         commits, txn_id, page_id)`` of every record from ``start_lsn``
         on, in log order — the log's header walk
         (:meth:`LogManager.headers_from`), every body left in its
-        segment for a pass to decode (``log.record_at``) where it
-        applies it.  Charged at streaming cost for the byte range; an
+        segment for a pass to read in place where it applies it.  Charged at streaming cost for the byte range; an
         indexed range read, not a filter.
         """
         span = max(0, self.log.end_lsn - start_lsn)

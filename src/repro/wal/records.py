@@ -2,11 +2,10 @@
 
 A log record is its bytes: the one builder of its kind returns them,
 around a page op's bytes (:mod:`repro.wal.ops`), and the log keeps them
-and nothing else.  A reader decodes them (:meth:`LogRecord.decode`, the
-only maker of a :class:`LogRecord`), reads the header alone
-(:func:`read_header`), or finds the page op in place (:func:`op_span`)
-for its kernel: no record object is built to redo, repair or ship a
-page update, and a decoded record's op stays encoded too.
+and nothing else.  A reader reads the field it needs in place — the
+header (:func:`read_header`), an op's span (:func:`op_span`), an
+UPDATE's undo (:func:`read_update`), a checkpoint's tables
+(:func:`checkpoint_tables`) and so on: no record object is built.
 
 A record is a header followed by a kind-specific payload.  The header
 comes in two forms, told apart by its first byte, the kind byte::
@@ -33,9 +32,9 @@ rule, and every builder writes its header with it: a record takes the
 narrow form whenever every field fits it (a total below 64 KiB, ids and
 LSNs below 2**32, page ids below 2**32 - 1, an index id below 2**16 and,
 in a PRI update or a checkpoint's tables, every entry below 2**32) and
-the wide form otherwise;
-decoding asks the same rule and refuses a wide header the narrow one
-fits, so every record has exactly one encoding.
+the wide form otherwise; the readers ask the same rule and refuse a
+wide header the narrow one fits, so every record has exactly one
+encoding.
 
 The payloads, by kind (a header field a builder does not take is 0, a
 page id -1; lengths are u16 — a byte string and a page op lie within one
@@ -72,9 +71,8 @@ record is still in the log's volatile tail
 (:meth:`repro.wal.log_manager.LogManager.commit`); a transaction whose
 last record has hardened, or that logged nothing, gets a COMMIT /
 SYS_COMMIT record instead.  No builder sets it but a redo-only
-UPDATE's.  Readers ask :attr:`LogRecord.commits_txn`, or
-:func:`read_header` and, for a user transaction's,
-:func:`commits_user_txn`.
+UPDATE's.  Readers ask :func:`read_header` and, for a user
+transaction's, :func:`commits_user_txn`.
 
 **The UPDATE payload** is a flags byte, the op (a u16 length, then the
 op's encoding), the undo::
@@ -96,21 +94,21 @@ own marks a span with the high bit of its action byte, then the two u16
 lengths.  An unspanned rewrite of a 100-byte value under a 16-byte key
 is 129 bytes as an autocommit put and 250 in a multi-record transaction.
 
-**A leaf run is one record**
-(:meth:`repro.btree.tree.FosterBTree.apply_batch`): a bulk insert
-(op kind 7) of every row and a DELETE_KEYS undo naming every key, in
-row order, each its row's stored key behind the one prefix the leaf
-strips — action byte 4, a u16 count of at least one, then the keys.  Rollback and the
-update counter treat the run as the per-key records it stands for.
+**A leaf run is one record** (:meth:`repro.btree.tree.FosterBTree.
+apply_batch`): a bulk insert (op kind 7) of every row and a DELETE_KEYS
+undo naming every key, in row order, each its row's stored key behind
+the one prefix the leaf strips — action byte 4, a u16 count of at least
+one, then the keys.  Rollback and the update counter treat the run as
+the per-key records it stands for.
 
 **One PRI update per write-back run** (Figures 11 and 12) names every
 page the run wrote, in write order; it joins no page chain.
 
-Every decode boundary here returns a value or raises
-:class:`repro.errors.LogError` — for bytes cut short, an unknown kind or
-flag bit, a length past the record, a misplaced commit bit or redo-only
-op, an undo its op does not bear out, and any encoding but the one its
-kind's builder writes — and so does every kernel on the op's bytes.
+Every reader here returns a value or raises :class:`repro.errors.
+LogError` — for bytes cut short, an unknown kind or flag bit, a length
+past the record, a misplaced commit bit or redo-only op, an undo its op
+does not bear out, any encoding but the one its builder writes — and so
+does every kernel on the op's bytes.
 """
 from __future__ import annotations
 
@@ -404,244 +402,33 @@ class CheckpointData:
             raise LogError(f"malformed checkpoint payload: {exc}") from None
 
 
-@dataclass(slots=True)
-class LogRecord:
-    """One recovery-log record, as :meth:`decode` reads it from its
-    bytes for a reader: the log keeps only the bytes, which the record
-    kind's builder wrote, and nothing but :meth:`decode` builds one.
-
-    ``lsn`` is where the record lies in the log.  Fields that do not
-    apply to a given kind are left at their defaults.
-    """
-
-    kind: LogRecordKind
-    txn_id: int = 0
-    prev_lsn: int = 0
-    page_id: int = -1
-    page_prev_lsn: int = 0
-    index_id: int = 0
-    lsn: int = 0
-
-    # Kind-specific payloads.
-    #: UPDATE / COMPENSATION / FORMAT: the page op's encoding
-    #: (:mod:`repro.wal.ops`)
-    op: bytes | None = None
-    undo: LogicalUndo | None = None          #: UPDATE by user transactions
-    undo_next_lsn: int = 0                   #: COMPENSATION
-    image: bytes | None = None               #: FULL_PAGE_IMAGE (compressed)
-    page_lsn: int = 0                        #: FULL_PAGE_IMAGE / BACKUP_PAGE
-    backup_ref: BackupRef | None = None      #: BACKUP_PAGE
-    #: PRI_UPDATE: ``(page_id, PageLSN)`` of every page a run wrote
-    writes: tuple[tuple[int, int], ...] = ()
-    checkpoint: CheckpointData | None = None #: CHECKPOINT_END
-    backup_id: int = 0                       #: BACKUP_FULL
-    gtid: int = 0                            #: PREPARE (global txn id)
-    #: this record is the last of its transaction, which committed
-    #: (``CHAIN_KINDS`` only; see the module docstring)
-    commits: bool = False
-    #: an UPDATE that is its user transaction's only record: it commits
-    #: at append and logs no undo (see the module docstring)
-    redo_only: bool = False
-
-    @classmethod
-    def decode(cls, data, lsn: int = 0) -> "LogRecord":
-        """The record ``data`` encodes, placed at ``lsn``, or
-        :class:`LogError`: anything but exactly what its kind's builder
-        writes for it is refused.  The page op stays encoded: the
-        kernel that applies it checks it (:func:`repro.wal.ops.redo`)."""
-        kind, commits, txn_id, page_id, page_prev_lsn = read_header(data)
-        wide = data[0] & _WIDE_BIT
-        _, total, _, prev_lsn, _, _, index_id = (
-            _WIDE if wide else _NARROW).unpack_from(data)
-        kind = LogRecordKind(kind)
-        record = cls(kind, txn_id, prev_lsn, page_id, page_prev_lsn, index_id,
-                     lsn, commits=commits and kind in CHAIN_KINDS)
-        try:
-            end = record._decode_payload(
-                data, WIDE_HEADER_SIZE if wide else NARROW_HEADER_SIZE, wide)
-        except MALFORMED as exc:
-            raise LogError(f"malformed {kind.name} record: {exc}") from None
-        if end != total:
-            raise LogError(f"{kind.name} payload ends at byte {end} of a "
-                           f"{total}-byte record")
-        # A wide header the one header rule would not write — the fields
-        # and a PRI update's or a checkpoint's entries fit the narrow
-        # form — is refused.
-        narrow_size = record._narrow_size(total) if wide else None
-        if (narrow_size is not None
-                and not _header(kind, narrow_size, txn_id, prev_lsn, page_id,
-                                page_prev_lsn, index_id)[0] & _WIDE_BIT):
-            raise LogError(f"a {total}-byte wide {kind.name} record (a wide "
-                           f"header the narrow one fits)")
-        return record
-
-    def _narrow_size(self, total: int) -> int | None:
-        """The payload's size under a narrow header, ``total`` being the
-        record's under the wide one; None when a PRI update's or a
-        checkpoint's entries need i64 fields."""
-        writes, checkpoint = self.writes, self.checkpoint
-        entries = len(writes)
-        if writes and max(map(max, writes)) >> 32:
-            return None
-        if checkpoint is not None:
-            if not checkpoint.fits_narrow():
-                return None
-            entries += (len(checkpoint.dirty_pages)
-                        + len(checkpoint.active_txns)
-                        + len(checkpoint.pri_images))
-        # Each entry's two ids or LSNs take 8 bytes fewer as u32.
-        return total - WIDE_HEADER_SIZE - 8 * entries
-
-    def _decode_op(self, data) -> int:
-        """Take the page op, still encoded; returns its end."""
-        start, end, _rows = op_span(data, self.kind)
-        if start < end:
-            self.op = bytes(data[start:end])
-        return end
-
-    def _decode_payload(self, data, pos: int, wide: bool) -> int:
-        """Decode the payload reading ``data`` at absolute offsets;
-        returns the offset one past it."""
-        kind = self.kind
-        if kind == LogRecordKind.UPDATE:
-            flags = _update_flags(data, pos, self.commits)
-            pos += 1
-            if flags & _REDO_ONLY:
-                self.redo_only = True
-            pos = self._decode_op(data)
-            if flags & _SHARED_BEFORE_IMAGE:
-                image = self.op and rewrite_before_image(self.op)
-                if not flags & _HAS_UNDO or image is None:
-                    raise LogError("shared before-image without a value "
-                                   "update and its undo")
-                action = UndoAction(data[pos])
-                if action is not _RESTORE_VALUE:
-                    raise LogError(f"shared before-image on a {action.name} undo")
-                key, pos = _unpack_bytes(data, pos + 1)
-                self.undo = LogicalUndo(action, key, *image)
-            elif flags & _HAS_UNDO:
-                undo, pos = LogicalUndo.decode(data, pos)
-                self.undo = undo
-                if undo.keys:
-                    self._check_run_undo()
-                elif (undo.action is _RESTORE_VALUE and self.op
-                      and rewrite_before_image(self.op)
-                      == (undo.value, undo.prefix, undo.suffix)):
-                    # What encode_update stores once.
-                    raise LogError("an UPDATE that spells out its op's "
-                                   "before-image again; its own encoding "
-                                   "stores it once")
-            return pos
-        if kind == LogRecordKind.COMPENSATION:
-            (self.undo_next_lsn,) = _I64.unpack_from(data, pos)
-            return self._decode_op(data)
-        if kind == LogRecordKind.FORMAT_PAGE:
-            return self._decode_op(data)
-        if kind == LogRecordKind.FULL_PAGE_IMAGE:
-            self.page_lsn, self.image = page_image(data)
-            return len(data)
-        if kind == LogRecordKind.PRI_UPDATE:
-            return self._decode_writes(data, pos, _QQ if wide else _II)
-        if kind == LogRecordKind.BACKUP_PAGE:
-            page_lsn, ref_kind, ref_value = _QBQ.unpack_from(data, pos)
-            self.page_lsn = page_lsn
-            self.backup_ref = BackupRef(BackupRefKind(ref_kind), ref_value)
-            return pos + 17
-        if kind == LogRecordKind.CHECKPOINT_END:
-            (size,) = _U32.unpack_from(data, pos)
-            pos += 4
-            self.checkpoint = checkpoint = CheckpointData.decode(data, pos,
-                                                                 wide)
-            if checkpoint.encode(wide) != data[pos:pos + size]:
-                raise LogError(f"checkpoint tables that are not the {size} "
-                               f"bytes their builder writes")
-            return pos + size
-        if kind == LogRecordKind.BACKUP_FULL:
-            (self.backup_id,) = _I64.unpack_from(data, pos)
-            return pos + 8
-        if kind == LogRecordKind.PREPARE:
-            (self.gtid,) = _I64.unpack_from(data, pos)
-            return pos + 8
-        return pos
-
-    def _check_run_undo(self) -> None:
-        """A DELETE_KEYS undo rides on the bulk insert of its leaf run
-        and names that op's rows: one key per row, in row order, each the
-        row's stored key behind the one prefix the leaf strips."""
-        op, keys = self.op, self.undo.keys
-        if not op or op[0] != BULK_INSERT:
-            raise LogError(f"a DELETE_KEYS undo under "
-                           f"{f'an op of kind {op[0]}' if op else 'no op'}")
-        rows = bulk_rows(op, 0)[1]
-        if len(rows) != len(keys):
-            raise LogError(f"a DELETE_KEYS undo of {len(keys)} keys over "
-                           f"a run of {len(rows)} rows")
-        cut = len(keys[0]) - len(rows[0][0])
-        prefix = keys[0][:cut]
-        if cut < 0 or any(key[:cut] != prefix or key[cut:] != row[0]
-                          for key, row in zip(keys, rows)):
-            raise LogError("a DELETE_KEYS undo names keys its run does "
-                           "not insert")
-
-    def _decode_writes(self, data, pos: int, entry: struct.Struct) -> int:
-        """A PRI_UPDATE's payload at ``pos``, ``entry`` per page;
-        returns its end."""
-        if self.page_id != -1:
-            raise LogError(f"PRI_UPDATE names page {self.page_id} in its "
-                           f"header; its pages are in the payload")
-        (count,) = _U16.unpack_from(data, pos)
-        if not count:
-            raise LogError("PRI_UPDATE names no page")
-        start = pos + 2
-        end = start + entry.size * count
-        if end > len(data):
-            raise LogError(f"PRI_UPDATE's {count} pages run past the end "
-                           f"of the record")
-        self.writes = writes = tuple(
-            entry.iter_unpack(memoryview(data)[start:end]))
-        if min(map(min, writes)) < 0:
-            raise LogError("PRI_UPDATE names a negative page id or LSN")
-        return end
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    @property
-    def commits_txn(self) -> bool:
-        """Does this record end its transaction as committed?
-
-        The one definition of "committed" every log reader shares:
-        the commit bit on the transaction's last record, or the
-        COMMIT / SYS_COMMIT record written when no record could take
-        the bit."""
-        return self.commits or self.kind in _COMMIT_KINDS
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        bits = [f"lsn={self.lsn}",
-                self.kind.name + ("+commit" if self.commits else "")]
-        if self.txn_id:
-            bits.append(f"txn={self.txn_id}")
-        if self.page_id >= 0:
-            bits.append(f"page={self.page_id}<-{self.page_prev_lsn}")
-        return f"LogRecord({', '.join(bits)})"
-
-
 #: every kind byte's low six bits a record may carry
 _KINDS = frozenset(LogRecordKind)
+#: the backup reference kinds; the kinds whose header is the whole record
+_REF_KINDS = frozenset(BackupRefKind)
+_BARE_KINDS = frozenset({*_COMMIT_KINDS, LogRecordKind.ABORT,
+                         LogRecordKind.CHECKPOINT_BEGIN})
 
 
+# ----------------------------------------------------------------------
+# The readers: each reads its field of a record's bytes in place
+# ----------------------------------------------------------------------
 def read_header(raw, start: int = 0,
                 end: int | None = None) -> tuple[int, bool, int, int, int]:
     """``(kind, commits, txn_id, page_id, page_prev_lsn)`` of the record
     ``raw[start:end]`` encodes (``raw`` up to its end by default), its
     header read in place — ``raw`` may be a whole log segment — and its
-    payload left encoded; ``commits`` is :attr:`LogRecord.commits_txn`.
-    A header cut short or not the record's length, an unknown kind and a
-    misplaced commit bit are :class:`LogError`."""
+    payload left encoded; ``commits`` (the commit bit, or a COMMIT /
+    SYS_COMMIT record) is what "committed" means to every log reader.
+    A header cut short or not the record's length, an unknown kind, a
+    misplaced commit bit, a payload on a kind that has none and a wide
+    header the narrow one fits (a PRI update's or checkpoint's entries
+    weigh in: see their readers) are :class:`LogError`."""
     size = (len(raw) if end is None else end) - start
     try:
         kind_byte = raw[start]
-        header = _WIDE if kind_byte & _WIDE_BIT else _NARROW
+        wide = kind_byte & _WIDE_BIT
+        header = _WIDE if wide else _NARROW
         _, total, txn_id, _, page_id, page_prev_lsn, _ = header.unpack_from(
             raw, start)
     except MALFORMED:
@@ -654,8 +441,13 @@ def read_header(raw, start: int = 0,
     kind = kind_byte & _KIND_BITS
     if kind not in _KINDS:
         raise LogError(f"unknown log record kind {kind_byte}")
-    if page_id == _NO_PAGE and not kind_byte & _WIDE_BIT:
-        page_id = -1
+    if size != header.size and kind in _BARE_KINDS:
+        raise LogError(f"a {size}-byte {LogRecordKind(kind).name} record")
+    if not wide:
+        if page_id == _NO_PAGE:
+            page_id = -1
+    elif kind != _PRI_UPDATE and kind != _CHECKPOINT_END:
+        _one_encoding(raw, start, size - WIDE_HEADER_SIZE)
     if not kind_byte & _COMMITS_BIT:
         return kind, kind in _COMMIT_KINDS, txn_id, page_id, page_prev_lsn
     if kind not in CHAIN_KINDS:
@@ -663,18 +455,31 @@ def read_header(raw, start: int = 0,
     return kind, True, txn_id, page_id, page_prev_lsn
 
 
+def _one_encoding(raw, start: int, payload: int) -> None:
+    """Refuse the wide header at ``start`` when the one header rule
+    (:func:`_header`) writes its fields narrow around ``payload`` bytes."""
+    kind, total, *fields = _WIDE.unpack_from(raw, start)
+    kind &= _KIND_BITS
+    if not _header(kind, payload, *fields)[0] & _WIDE_BIT:
+        raise LogError(f"a {total}-byte wide {LogRecordKind(kind).name} "
+                       f"record (a wide header the narrow one fits)")
+
+
 def prev_lsn_of(data) -> int:
     """The ``prev_lsn`` (the transaction's previous record) in the
-    header of the record ``data``, read in place; :func:`read_header`
-    is what checks that header."""
+    header of the record ``data``, which :func:`read_header` checks."""
     return (_WIDE if data[0] & _WIDE_BIT else _NARROW).unpack_from(data)[3]
 
 
+def index_id_of(data) -> int:
+    """The ``index_id`` in the header of the record ``data``."""
+    return (_WIDE if data[0] & _WIDE_BIT else _NARROW).unpack_from(data)[6]
+
+
 def _update_flags(data, pos: int, commits: bool) -> int:
-    """The flags byte at ``pos`` of the UPDATE ``data``, whose header
-    says it ``commits``: an unknown bit, and a redo-only record with
-    undo, without its op or without the commit bit, are
-    :class:`LogError`."""
+    """The flags byte at ``pos`` of the UPDATE ``data`` that ``commits``:
+    an unknown bit, and a redo-only record with undo, without its op or
+    without the commit bit, are :class:`LogError`."""
     flags = data[pos]
     if flags & ~(_HAS_OP | _HAS_UNDO | _SHARED_BEFORE_IMAGE | _REDO_ONLY):
         raise LogError(f"unknown UPDATE flag bits {flags:#x}")
@@ -694,7 +499,7 @@ def commits_user_txn(data, kind: int, commits: bool) -> bool:
     not, but the record under it does: user updates carry key-level
     undo or are redo-only, structural updates by system transactions
     are neither.  That is the UPDATE's flags byte, read in place and
-    checked as :meth:`LogRecord.decode` checks it."""
+    checked as :func:`read_update` checks it."""
     if kind != _UPDATE or not commits:
         return kind == LogRecordKind.COMMIT
     pos = WIDE_HEADER_SIZE if data[0] & _WIDE_BIT else NARROW_HEADER_SIZE
@@ -707,11 +512,10 @@ def op_span(data, kind: int) -> tuple[int, int, int]:
     """``(start, end)`` of the page op in the bytes ``data`` of a chain
     record of ``kind`` — ``start == end`` where it carries none, both
     then where its field ends — and the updates its leaf run counts past
-    its first (one per key of its DELETE_KEYS undo, as the per-key
-    records it stands for would).  The op itself is left to the kernel
-    that applies it; a field past the record, an UPDATE's empty one and
-    a redo-only rewrite anywhere but in a redo-only UPDATE are
-    :class:`LogError`."""
+    its first (one per key of its DELETE_KEYS undo).  The op is left to
+    the kernel that applies it; a field past the record, an UPDATE's
+    empty one, a CLR's or format's that does not end the record and a
+    redo-only rewrite but in a redo-only UPDATE are :class:`LogError`."""
     try:
         pos = WIDE_HEADER_SIZE if data[0] & _WIDE_BIT else NARROW_HEADER_SIZE
         flags = _HAS_OP
@@ -720,11 +524,12 @@ def op_span(data, kind: int) -> tuple[int, int, int]:
             pos += 1
             if not flags & _HAS_OP:
                 return pos, pos, 0
-        elif kind == LogRecordKind.COMPENSATION:
+        elif kind == _COMPENSATION:
             pos += 8
         start = pos + 2
         end = start + _U16.unpack_from(data, pos)[0]
-        if end > len(data) or end == start and kind == _UPDATE:
+        if end > len(data) or (end == start if kind == _UPDATE
+                               else end != len(data)):
             raise LogError(f"a page op field of {end - start} bytes at byte "
                            f"{start} of a {len(data)}-byte record")
         if (start < end and not flags & _REDO_ONLY
@@ -740,25 +545,152 @@ def op_span(data, kind: int) -> tuple[int, int, int]:
                        f"{exc}") from None
 
 
-def full_backup_id(raw, start: int, end: int) -> int:
-    """The backup id of the BACKUP_FULL record ``raw[start:end]`` — its
-    payload's one i64, read in place (``raw`` may be a whole log
-    segment) — or :class:`LogError`."""
+def read_update(data) -> tuple[LogicalUndo | None, int, int]:
+    """``(undo, start, end)`` of the UPDATE ``data``, whose header
+    :func:`read_header` read: its key-level undo (None: it logs none)
+    and its op's span (:func:`op_span`).  Any payload but what
+    :func:`encode_update` writes — a flag out of place, an undo its op
+    does not bear out, a before-image the op holds spelled out again,
+    bytes past the undo — is :class:`LogError`."""
+    try:
+        pos = WIDE_HEADER_SIZE if data[0] & _WIDE_BIT else NARROW_HEADER_SIZE
+        flags = _update_flags(data, pos, bool(data[0] & _COMMITS_BIT))
+        start, end, _rows = op_span(data, _UPDATE)
+        op = bytes(data[start:end]) if start < end else None
+        pos, undo = end, None
+        if flags & _SHARED_BEFORE_IMAGE:
+            image = op and rewrite_before_image(op)
+            if not flags & _HAS_UNDO or image is None:
+                raise LogError("shared before-image without a value update "
+                               "and its undo")
+            action = UndoAction(data[pos])
+            if action is not _RESTORE_VALUE:
+                raise LogError(f"shared before-image on a {action.name} undo")
+            key, pos = _unpack_bytes(data, pos + 1)
+            undo = LogicalUndo(action, key, *image)
+        elif flags & _HAS_UNDO:
+            undo, pos = LogicalUndo.decode(data, pos)
+            if undo.keys:
+                _check_run_undo(op, undo.keys)
+            elif (undo.action is _RESTORE_VALUE and op
+                  and rewrite_before_image(op)
+                  == (undo.value, undo.prefix, undo.suffix)):
+                raise LogError("an UPDATE that spells out its op's "
+                               "before-image again; its own encoding "
+                               "stores it once")
+    except MALFORMED as exc:
+        raise LogError(f"malformed UPDATE record: {exc}") from None
+    if pos != len(data):
+        raise LogError(f"UPDATE payload ends at byte {pos} of a "
+                       f"{len(data)}-byte record")
+    return undo, start, end
+
+
+def _check_run_undo(op: bytes | None, keys: tuple[bytes, ...]) -> None:
+    """A DELETE_KEYS undo rides on the bulk insert of its leaf run and
+    names that op's rows: one key per row, in row order, each the row's
+    stored key behind the one prefix the leaf strips."""
+    if not op or op[0] != BULK_INSERT:
+        raise LogError(f"a DELETE_KEYS undo under "
+                       f"{f'an op of kind {op[0]}' if op else 'no op'}")
+    rows = bulk_rows(op, 0)[1]
+    if len(rows) != len(keys):
+        raise LogError(f"a DELETE_KEYS undo of {len(keys)} keys over a run "
+                       f"of {len(rows)} rows")
+    cut = len(keys[0]) - len(rows[0][0])
+    prefix = keys[0][:cut]
+    if cut < 0 or any(key[:cut] != prefix or key[cut:] != row[0]
+                      for key, row in zip(keys, rows)):
+        raise LogError("a DELETE_KEYS undo names keys its run does not "
+                       "insert")
+
+
+def undo_next_lsn(data) -> int:
+    """The ``undo_next_lsn`` of the COMPENSATION ``data``, whose header
+    :func:`read_header` read: the i64 before its op field, which
+    :func:`op_span` checks and finds 10 bytes on."""
+    return _I64.unpack_from(data, op_span(data, _COMPENSATION)[0] - 10)[0]
+
+
+def pri_writes(data) -> tuple[tuple[int, int], ...]:
+    """``(page_id, page_lsn)`` of every page the PRI_UPDATE ``data``
+    names, whose header :func:`read_header` read; a page in its header,
+    no page, a negative id or LSN, bytes past its pages and i64 entries
+    the narrow form holds are :class:`LogError`."""
+    wide = data[0] & _WIDE_BIT
+    header, entry = (_WIDE, _QQ) if wide else (_NARROW, _II)
+    page_id = header.unpack_from(data)[4]
+    if page_id != (-1 if wide else _NO_PAGE):
+        raise LogError(f"PRI_UPDATE names page {page_id} in its header")
+    start = header.size + 2
+    count = _U16.unpack_from(data, header.size)[0] if start <= len(data) else 0
+    end = start + entry.size * count
+    if not count or end != len(data):
+        raise LogError(f"PRI_UPDATE's {count} pages in a {len(data)}-byte "
+                       f"record")
+    writes = tuple(entry.iter_unpack(memoryview(data)[start:end]))
+    if min(map(min, writes)) < 0:
+        raise LogError("PRI_UPDATE names a negative page id or LSN")
+    if wide and not max(map(max, writes)) >> 32:
+        # Each entry's two ids or LSNs take 8 bytes fewer as u32.
+        _one_encoding(data, 0, end - WIDE_HEADER_SIZE - 8 * count)
+    return writes
+
+
+def checkpoint_tables(data) -> CheckpointData | None:
+    """The tables of the CHECKPOINT_END record ``data``, its header read
+    here (:func:`read_header`); None for a record of another kind.
+    Tables that are not the bytes :func:`checkpoint_end` writes, bytes
+    past them and i64 fields the narrow form holds are
+    :class:`LogError`."""
+    if read_header(data)[0] != _CHECKPOINT_END:
+        return None
+    wide = data[0] & _WIDE_BIT
+    pos = (WIDE_HEADER_SIZE if wide else NARROW_HEADER_SIZE) + 4
+    size = _U32.unpack_from(data, pos - 4)[0] if pos <= len(data) else -1
+    checkpoint = CheckpointData.decode(data, pos, wide)
+    if (pos + size != len(data)
+            or checkpoint.encode(wide) != data[pos:pos + size]):
+        raise LogError(f"checkpoint tables that are not the {size} bytes "
+                       f"their builder writes")
+    if wide and checkpoint.fits_narrow():
+        entries = (len(checkpoint.dirty_pages) + len(checkpoint.active_txns)
+                   + len(checkpoint.pri_images))
+        _one_encoding(data, 0, len(data) - WIDE_HEADER_SIZE - 8 * entries)
+    return checkpoint
+
+
+def page_backup(data) -> tuple[int, BackupRef]:
+    """``(page_lsn, backup reference)`` of the BACKUP_PAGE ``data``,
+    whose header :func:`read_header` read, or :class:`LogError`."""
+    pos = WIDE_HEADER_SIZE if data[0] & _WIDE_BIT else NARROW_HEADER_SIZE
+    if pos + 17 != len(data) or data[pos + 8] not in _REF_KINDS:
+        raise LogError(f"a {len(data)}-byte BACKUP_PAGE record")
+    page_lsn, ref_kind, ref_value = _QBQ.unpack_from(data, pos)
+    return page_lsn, BackupRef(BackupRefKind(ref_kind), ref_value)
+
+
+def full_backup_id(raw, start: int = 0, end: int | None = None) -> int:
+    """The backup id of the BACKUP_FULL record ``raw[start:end]`` (or a
+    PREPARE's global transaction id): the one i64 of its payload, read
+    in place (``raw`` may be a whole log segment), or :class:`LogError`."""
     pos = start + (WIDE_HEADER_SIZE if raw[start] & _WIDE_BIT
                    else NARROW_HEADER_SIZE)
-    if end - pos != 8:
-        raise LogError(f"a BACKUP_FULL record of {end - start} bytes")
+    size = (len(raw) if end is None else end) - start
+    if start + size - pos != 8:
+        raise LogError(f"a {size}-byte record whose payload is not one i64")
     return _I64.unpack_from(raw, pos)[0]
+
+
+prepare_gtid = full_backup_id
 
 
 def page_image(data) -> tuple[int, bytes]:
     """``(page_lsn, compressed image)`` of the bytes ``data`` of a
     FULL_PAGE_IMAGE record, or :class:`LogError`."""
     pos = WIDE_HEADER_SIZE if data[0] & _WIDE_BIT else NARROW_HEADER_SIZE
-    try:
-        page_lsn, length = _QI.unpack_from(data, pos)
-    except MALFORMED as exc:
-        raise LogError(f"malformed FULL_PAGE_IMAGE record: {exc}") from None
+    page_lsn, length = (_QI.unpack_from(data, pos) if pos + 12 <= len(data)
+                        else (0, len(data)))
     if pos + 12 + length != len(data):
         raise LogError(f"page image of {length} bytes in a {len(data)}-byte "
                        f"record")

@@ -140,7 +140,7 @@ class SegmentDirectory:
             yield segment, (bisect.bisect_left(segment.starts, start_lsn)
                             if segment.base_lsn < start_lsn else 0)
 
-    def records_from(self, start_lsn: int) -> list[tuple[int, bytearray]]:
+    def encodings_from(self, start_lsn: int) -> list[tuple[int, bytearray]]:
         """``(lsn, encoding)`` of every record with ``lsn >= start_lsn``,
         in log order."""
         found: list[tuple[int, bytearray]] = []

@@ -21,6 +21,7 @@ from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
 from repro.wal.log_manager import LogManager
 from repro.wal.ops import compensation, redo
+from tests.record_reference import all_records
 
 PAGE_SIZE = 4096
 
@@ -150,7 +151,7 @@ def log_shape(db: Database) -> list[tuple]:
     append identical records at identical LSNs)."""
     return [(r.lsn, r.kind, r.commits, r.txn_id, r.page_id, r.page_lsn,
              r.writes, r.page_prev_lsn, r.prev_lsn)
-            for r in db.log.all_records()]
+            for r in all_records(db.log)]
 
 
 def device_images(db: Database) -> dict[int, bytes]:

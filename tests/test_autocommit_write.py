@@ -33,6 +33,7 @@ from repro.txn.manager import TransactionManager
 from repro.wal.log_manager import LogManager
 from repro.wal.records import LogRecordKind, read_header
 from tests.conftest import assert_no_pins, fast_config
+from tests.record_reference import record_at, records_from
 
 UPDATE = LogRecordKind.UPDATE
 ABORT = LogRecordKind.ABORT
@@ -171,7 +172,7 @@ VALUE_SITES = ["client.put", "worker.put", "db.insert"]
 
 
 def _appended(db, end: int) -> list:  # noqa: ANN001
-    return [(r.kind, r.txn_id) for r in db.log.records_from(end)]
+    return [(r.kind, r.txn_id) for r in records_from(db.log, end)]
 
 
 @pytest.mark.parametrize("holder", ["open", "in_doubt"])
@@ -336,7 +337,7 @@ def test_a_revival_whose_second_record_fails_rolls_back_to_the_ghost(
         assert calls == [writer, writer]
         kinds = _appended(db, end)
         assert kinds[0] == (UPDATE, writer) and kinds[-1] == (ABORT, writer)
-        first = db.log.record_at(end)
+        first = record_at(db.log, end)
         assert first.undo is not None and not first.commits
         assert env.read(key) is None
         assert db.locks.held_keys() == [] and not db.tm.active

@@ -45,9 +45,10 @@ from repro.errors import BTreeError, DuplicateKey, KeyNotFound, RecoveryError
 from repro.page.page import Page, PageType
 from repro.page.slotted import PageFullError, Record, SlottedPage, update_value
 from repro.wal.ops import compensation, redo, rewrite_before_image, value_rewrite
-from repro.wal.records import LogRecord, LogRecordKind, UndoAction
+from repro.wal.records import LogRecordKind, UndoAction
 from tests.conftest import apply_redo, device_images, fast_config
-from tests.record_reference import encode
+from tests.record_reference import (LogRecord, all_records, encode, record_at,
+                                    records_from)
 
 
 def small_page_db(**overrides) -> Database:  # noqa: ANN003
@@ -207,8 +208,8 @@ def _run_intents(apply, intents) -> Database:  # noqa: ANN001
 def test_upsert_remove_log_and_pages_identical_to_lookup_then_write(intents):
     single = _run_intents(_apply_single, intents)
     reference = _run_intents(_apply_reference, intents)
-    assert ([encode(r) for r in single.log.all_records()]
-            == [encode(r) for r in reference.log.all_records()])
+    assert ([encode(r) for r in all_records(single.log)]
+            == [encode(r) for r in all_records(reference.log)])
     assert device_images(single) == device_images(reference)
 
 
@@ -764,7 +765,7 @@ def test_a_rewrite_logs_its_before_image_once_and_reads_the_slot_once():
     txn = db.begin()
     tree.update(txn, b"key", b"w" * 100)
     db.commit(txn)
-    (record,) = db.log.records_from(before)
+    (record,) = records_from(db.log, before)
     assert record.undo.value == rewrite_before_image(record.op)[0] == b"v" * 100
     assert record.undo.action is UndoAction.RESTORE_VALUE
     # 21 header + 1 flags + 2 + op (7 + 100 + 100) + undo (1 + 2 + 3)
@@ -780,12 +781,12 @@ def test_rollback_restores_a_shared_before_image_after_encode_decode():
     db.insert(tree, b"key", b"old-value")
     txn = db.begin()
     db.update(tree, b"key", b"new-value", txn=txn)
-    logged = db.log.record_at(txn.last_lsn)
+    logged = record_at(db.log, txn.last_lsn)
     decoded = LogRecord.decode(encode(logged))
     decoded.lsn = logged.lsn
     assert decoded == logged and decoded is not logged
     assert decoded.undo.value == rewrite_before_image(decoded.op)[0]
-    again = db.log.record_at(txn.last_lsn)
+    again = record_at(db.log, txn.last_lsn)
     assert again == decoded and again is not logged
     db.abort(txn)
     assert tree.lookup(b"key") == b"old-value"
@@ -843,7 +844,7 @@ def _rewrite_scenario(scenario: str, shape: str) -> tuple[bytes, bytes, int]:
     new = SPLICE_SHAPES[shape](_splice_value(30))
     txn = db.begin()
     db.update(tree, SPLICE_KEY, new, txn=txn)
-    record = db.log.record_at(txn.last_lsn)
+    record = record_at(db.log, txn.last_lsn)
     assert tree.lookup(SPLICE_KEY) == new
     if scenario.startswith("abort"):
         if scenario == "abort_after_split":

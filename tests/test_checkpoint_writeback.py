@@ -24,6 +24,7 @@ import pytest
 from repro.btree.verify import verify_tree
 from repro.engine.database import Database
 from tests.conftest import fast_config
+from tests.record_reference import record_at
 
 SEED = 53
 OPS = 900
@@ -175,7 +176,7 @@ def observed_stream() -> tuple[list[tuple], list[tuple]]:
         runs.clear()
         lsn = checkpoint()
         checkpoints.append((dirty, master, list(runs),
-                            db.log.record_at(lsn).checkpoint.dirty_pages))
+                            record_at(db.log, lsn).checkpoint.dirty_pages))
         return lsn
 
     def recording_truncate(*args) -> int:  # noqa: ANN002

@@ -13,7 +13,7 @@ from repro.errors import (
     SystemFailure,
     TwoPhaseCommitError,
 )
-from tests.record_reference import encode
+from tests.record_reference import LogRecord, all_records, encode
 
 
 class TestConnectDispatch:
@@ -254,13 +254,12 @@ class TestConfigValidation:
         records; every record round-trips through its encoding (u16
         lengths) and the keys survive a crash."""
         from repro.wal.ops import BULK_INSERT, bulk_rows
-        from repro.wal.records import LogRecord
         client = repro.connect(repro.EngineConfig(
             page_size=32768, capacity_pages=256, buffer_capacity=16))
         items = [(b"k%06d" % i, bytes([65 + i % 26]) * 90) for i in range(3000)]
         client.apply_batch([("put", key, value) for key, value in items])
         db = client.db
-        records = db.log.all_records()
+        records = all_records(db.log)
         for record in records:
             decoded = LogRecord.decode(encode(record))
             decoded.lsn = record.lsn  # an LSN is where a record lies

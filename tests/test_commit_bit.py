@@ -33,7 +33,7 @@ from tests.conftest import (
     key_of,
     value_of,
 )
-from tests.record_reference import encode
+from tests.record_reference import all_records, encode, record_at, records_from
 from tests.test_shard_round_trips import keys_on
 
 N_KEYS = 120
@@ -71,7 +71,7 @@ def user_commit(record) -> bool:  # noqa: ANN001
 
 
 def records_of(db: Database, txn_id: int) -> list:
-    return [r for r in db.log.all_records() if r.txn_id == txn_id]
+    return [r for r in all_records(db.log) if r.txn_id == txn_id]
 
 
 def leaf_of(db: Database, tree, i: int) -> int:
@@ -91,7 +91,7 @@ def one_write_before_force(db, tree, model):
     txn = db.begin()
     write(db, tree, txn, None, 3)
     lsn = db.tm.commit(txn, defer_force=True)   # the bit, no force yet
-    assert db.log.record_at(lsn).commits and lsn >= db.log.durable_lsn
+    assert record_at(db.log, lsn).commits and lsn >= db.log.durable_lsn
     # Finished as far as the running engine goes: locks free, not active.
     assert txn.txn_id not in db.tm.active and db.locks.held_keys() == []
     return (3,)
@@ -135,7 +135,7 @@ def system_txn_before_force(db, tree, model):
     sys_ids = {t for t in db.tm.active}
     tree._split(leaf_of(db, tree, 10))
     assert db.stats.get("log_forces") == forces
-    split = [r for r in db.log.all_records()
+    split = [r for r in all_records(db.log)
              if r.lsn >= db.log.durable_lsn and r.txn_id not in sys_ids]
     assert split and split[-1].commits and not user_commit(split[-1])
     assert not any(r.kind == LogRecordKind.SYS_COMMIT for r in split)
@@ -170,7 +170,7 @@ def hardened_by_a_checkpoint(db, tree, model):
     write(db, tree, txn, model, 3, 50)
     db.checkpoint()
     lsn = db.commit(txn)
-    assert db.log.record_at(lsn).kind == LogRecordKind.COMMIT
+    assert record_at(db.log, lsn).kind == LogRecordKind.COMMIT
     assert lsn > db.log.master_checkpoint_lsn
     assert not any(r.commits for r in records_of(db, txn.txn_id))
 
@@ -214,7 +214,7 @@ def rider_force_between_write_and_commit(db, tree, model):
     mine = first.txn
     assert mine.last_lsn < db.log.durable_lsn
     lsn = first.commit()
-    assert db.log.record_at(lsn).kind == LogRecordKind.COMMIT
+    assert record_at(db.log, lsn).kind == LogRecordKind.COMMIT
     assert not any(r.commits for r in records_of(db, mine.txn_id))
     assert lsn < db.log.durable_lsn
 
@@ -266,7 +266,7 @@ def test_crash_converges_to_what_committed_durably(scenario, mode):
     # And the recovered engine commits by the same rule.
     txn = db.begin()
     write(db, tree, txn, model, 7)
-    assert db.log.record_at(db.commit(txn)).commits
+    assert record_at(db.log, db.commit(txn)).commits
     assert dict(tree.range_scan()) == model
 
 
@@ -350,7 +350,7 @@ def put_inside_a_group_commit(db: Database, model: dict,
     end = db.log.end_lsn
     with db.group_commit():
         client.put(key_of(3), value_of(3, 1))
-        (record,) = db.log.records_from(end)     # appended, not forced
+        (record,) = records_from(db.log, end)     # appended, not forced
         assert record.kind == UPDATE and record.commits
         assert record.lsn >= db.log.durable_lsn
         assert client.get(key_of(3)) == value_of(3, 1)
@@ -423,24 +423,24 @@ def test_log_commit_takes_the_bit_only_where_it_may():
     for stranger, at in ((txn.txn_id + 100, lsn),     # not its record
                          (txn.txn_id + 101, lsn + 1)):  # no record there
         commit = log.commit(stranger, at, force=False)
-        assert commit > lsn and log.record_at(commit).kind == COMMIT
-    assert not log.record_at(lsn).commits
+        assert commit > lsn and record_at(log, commit).kind == COMMIT
+    assert not record_at(log, lsn).commits
     # No longer the tail, still volatile: the bit, and no force.
     durable = log.durable_lsn
     assert log.commit(txn.txn_id, lsn, force=False) == lsn
-    assert log.record_at(lsn).commits and log.durable_lsn == durable
+    assert record_at(log, lsn).commits and log.durable_lsn == durable
     db.abort_quietly(txn)
     # A durable record is immutable; a PREPARE is not a chain record.
     other = db.begin()
     write(db, tree, other, None, 50)
     log.force()
     commit = log.commit(other.txn_id, other.last_lsn, force=False)
-    assert log.record_at(commit).kind == COMMIT
-    assert not log.record_at(other.last_lsn).commits
+    assert record_at(log, commit).kind == COMMIT
+    assert not record_at(log, other.last_lsn).commits
     prepare = db.prepare(db.begin(), gtid=5)
-    commit = log.commit(log.record_at(prepare).txn_id, prepare)
-    assert log.record_at(commit).kind == COMMIT
-    assert not log.record_at(prepare).commits
+    commit = log.commit(record_at(log, prepare).txn_id, prepare)
+    assert record_at(log, commit).kind == COMMIT
+    assert not record_at(log, prepare).commits
     assert log.durable_lsn == log.end_lsn    # force=True forced it
 
 
@@ -520,7 +520,7 @@ def test_the_bit_never_lands_on_a_record_a_crash_discarded(reused):
         assert fresh.last_lsn == lost_lsn
     db.tm.commit(stale, defer_force=True)
     assert shape_of(db, stale.txn_id) == [(COMMIT, False)]
-    assert not reused or not db.log.record_at(lost_lsn).commits
+    assert not reused or not record_at(db.log, lost_lsn).commits
     db.commit(fresh)
     assert shape_of(db, fresh.txn_id) == (
         [(UPDATE, True)] if reused else [(COMMIT, False)])
@@ -555,7 +555,7 @@ def test_a_promoted_standby_commits_by_the_same_rule():
     assert shape_of(promoted, txn.txn_id) == [(UPDATE, True)]
     assert lsn < promoted.log.durable_lsn
     empty = promoted.begin()
-    assert promoted.log.record_at(promoted.commit(empty)).kind == COMMIT
+    assert record_at(promoted.log, promoted.commit(empty)).kind == COMMIT
     assert dict(tree.range_scan()) == model
 
 
@@ -596,7 +596,7 @@ def test_a_system_transaction_commits_by_the_bit_without_a_force():
     forces, durable = db.stats.get("log_forces"), db.log.durable_lsn
     end = db.log.end_lsn
     tree._split(leaf_of(db, tree, 10))
-    (split_txn,) = {r.txn_id for r in db.log.records_from(end)}
+    (split_txn,) = {r.txn_id for r in records_from(db.log, end)}
     shape = shape_of(db, split_txn)
     assert shape[-1] == (UPDATE, True)
     assert not any(commits for _kind, commits in shape[:-1])
@@ -613,7 +613,7 @@ def test_an_empty_transaction_still_writes_a_commit_record():
     db, _tree, _model = prepared()
     txn = db.begin()
     lsn = db.commit(txn)
-    record = db.log.record_at(lsn)
+    record = record_at(db.log, lsn)
     assert record.kind == LogRecordKind.COMMIT and not record.commits
 
 
@@ -650,11 +650,11 @@ def test_outcome_since_reads_the_bit_past_a_system_commit(router):
             break
     else:
         pytest.fail("no put split a leaf")
-    records = worker.db.log.records_from(mark)
+    records = records_from(worker.db.log, mark)
     committed = [r for r in records if r.commits_txn]
     assert len(committed) >= 2 and not user_commit(committed[0])
     lsn, n_updates = worker.execute(("outcome_since", mark))
-    assert user_commit(worker.db.log.record_at(lsn)) and n_updates == 1
+    assert user_commit(record_at(worker.db.log, lsn)) and n_updates == 1
     # A delete of an absent key commits with a record and no update;
     # a delete that found its key, with the bit on its one update.
     mark = worker.db.log.durable_lsn
@@ -709,6 +709,6 @@ def test_a_standby_never_sees_a_record_before_its_bit():
     shipped_before = standby.log.end_lsn
     assert txn.last_lsn >= shipped_before           # still volatile
     lsn = db.commit(txn)
-    assert standby.log.record_at(lsn).commits
+    assert record_at(standby.log, lsn).commits
     promoted = standby.promote()
     assert dict(promoted.tree(1).range_scan()) == model

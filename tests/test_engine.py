@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.shard.routing import slot_of
 from tests.conftest import fast_config, key_of, value_of
+from tests.record_reference import record_at
 
 
 class TestConfig:
@@ -154,8 +155,8 @@ class TestAutoCommitHelpers:
         client.put(b"b", b"2")
         assert client.get(b"b") == b"2" and client.get(b"a") == b"1"
         db.checkpoint()
-        assert db.log.record_at(
-            db.log.master_checkpoint_lsn).checkpoint.active_txns == []
+        assert record_at(
+            db.log, db.log.master_checkpoint_lsn).checkpoint.active_txns == []
         fleet.put(b"b", b"2")
         assert fleet.get(b"b") == b"2" and fleet.get(b"a") == b"1"
         fleet.close()

@@ -57,7 +57,7 @@ from repro.engine.database import Database
 from repro.errors import PageFailureKind
 from repro.page.page import TYPE_OFFSET, PageType
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecord, LogRecordKind
+from repro.wal.records import LogRecordKind
 if __name__ == "__main__":
     # Run as a script: ``tests`` is a package at the repository root,
     # which ``python tests/<this file>.py`` does not put on the path.
@@ -65,7 +65,7 @@ if __name__ == "__main__":
 from tests.conftest import clone_crashed
 from tests.test_golden_write_path import CASES as WRITE_CASES
 from tests.test_golden_write_path import write_stream
-from tests.record_reference import encode
+from tests.record_reference import LogRecord, all_records, encode, records_from
 
 GOLDEN = Path(__file__).with_name("golden_logical_state.json")
 
@@ -308,7 +308,7 @@ def write_back_under(db, index_id: int, seed: int) -> None:  # noqa: ANN001
     for key in rng.sample(keys, 200):
         tree.lookup(key)
     assert any(record.kind == LogRecordKind.PRI_UPDATE
-               for record in db.log.records_from(db.log.durable_lsn))
+               for record in records_from(db.log, db.log.durable_lsn))
 
 
 #: name -> (stream, its arguments, what runs between the loser and the crash)
@@ -382,7 +382,7 @@ def decoded_twin(db):  # noqa: ANN001, ANN201
     old = twin.durable.log
     log = LogManager(old.clock, old.profile, old.stats,
                      segment_bytes=twin.config.log_segment_bytes)
-    for record in old.all_records():
+    for record in all_records(old):
         log.adopt(record.lsn, encode(LogRecord.decode(encode(record))))
     assert log.end_lsn == old.end_lsn == old.durable_lsn
     log.master_checkpoint_lsn = old.master_checkpoint_lsn

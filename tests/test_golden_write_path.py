@@ -50,7 +50,7 @@ if __name__ == "__main__":
     # which ``python tests/<this file>.py`` does not put on the path.
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests import op_reference as reference
-from tests.record_reference import encode
+from tests.record_reference import all_records, encode
 
 GOLDEN = Path(__file__).with_name("golden_write_path.json")
 
@@ -203,7 +203,7 @@ def _autocommit_txn_ids(seed: int, frames: int, preload: int,
 
 def _run(seed: int, frames: int, preload: int, n_ops: int) -> dict:
     db, autocommit_ids = _autocommit_txn_ids(seed, frames, preload, n_ops)
-    records = db.log.all_records()
+    records = all_records(db.log)
     digest, content, redo = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     by_txn: dict[int, list] = {}
     for record in records:

@@ -30,11 +30,11 @@ from repro.engine.database import Database
 from repro.shard.router import check_batch_op
 from repro.txn.locks import LockConflict
 from repro.wal.ops import BULK_INSERT, bulk_rows
-from repro.wal.records import LogRecord, LogRecordKind
+from repro.wal.records import LogRecordKind
 from tests.conftest import fast_config
 from tests.test_golden_logical_state import _MASKED, tree_pages
 from tests.test_golden_write_path import lsn_free
-from tests.record_reference import encode
+from tests.record_reference import LogRecord, all_records, encode, records_from
 
 #: keys ``0 .. _UNIVERSE - 1``; the preload holds every third one
 _UNIVERSE = 700
@@ -168,7 +168,7 @@ _TAIL = [("put", _key(i), _value(i, 40)) for i in range(300, 360)]
 
 
 def _runs(db: Database, txn_id: int) -> list:  # noqa: ANN001
-    return [record for record in db.log.all_records()
+    return [record for record in all_records(db.log)
             if record.txn_id == txn_id and record.kind == LogRecordKind.UPDATE
             and record.undo is not None and record.undo.keys]
 
@@ -183,7 +183,7 @@ def test_a_sorted_batch_logs_one_update_per_leaf_run():
     db, tree = _run_db()
     txn = _open_batch(db, tree, _TAIL)
     runs = _runs(db, txn.txn_id)
-    user_updates = [record for record in db.log.all_records()
+    user_updates = [record for record in all_records(db.log)
                     if record.txn_id == txn.txn_id
                     and record.kind == LogRecordKind.UPDATE]
     assert len(user_updates) < len(_TAIL) // 4
@@ -213,7 +213,7 @@ def test_a_batch_op_that_starts_no_run_logs_what_a_per_key_write_logs():
         else:
             _per_key(repro.connect(db), ops, abort=False)
         logs.append([lsn_free(record)
-                     for record in db.log.records_from(start)])
+                     for record in records_from(db.log, start)])
     assert logs[0] == logs[1]
 
 
@@ -245,7 +245,7 @@ def test_abort_of_a_batch_with_runs_ghosts_every_key_once():
     assert runs
     db.abort(txn)
     assert list(tree.range_scan()) == before
-    clrs = [record for record in db.log.all_records()
+    clrs = [record for record in all_records(db.log)
             if record.txn_id == txn.txn_id
             and record.kind == LogRecordKind.COMPENSATION]
     assert len(clrs) == sum(len(record.undo.keys) for record in runs)
@@ -290,7 +290,7 @@ def test_a_crash_after_the_first_clr_still_undoes_the_whole_run(
     db.drain_pending()
     tree = db.tree(tree.index_id)
     assert list(tree.range_scan()) == before
-    clrs = [record for record in db.log.all_records()
+    clrs = [record for record in all_records(db.log)
             if record.txn_id == txn.txn_id
             and record.kind == LogRecordKind.COMPENSATION]
     # The first CLR's key is a ghost already: the redone undo of the
@@ -325,7 +325,7 @@ def test_a_standby_replays_leaf_runs_to_the_same_pages():
     client = repro.connect(db)
     client.apply_batch(_TAIL + [("put", _key(i), _value(i, 30))
                                 for i in range(1, 300, 3)])
-    assert _runs(db, db.log.all_records()[-1].txn_id)
+    assert _runs(db, all_records(db.log)[-1].txn_id)
     assert standby.applied_lsn == db.log.durable_lsn
     for pid in tree_pages(db, tree.index_id):
         page = db.pool.fix(pid)

@@ -1,15 +1,18 @@
 """The log holds bytes, and every reader decodes them: hostile bytes in
 a segment fail typed.
 
-The log keeps each record's encoding and nothing else, so the record
-decoder is a boundary inside the engine: a byte flipped in a segment,
-a record's length field cut short or the segment's tail cut off must
-surface from ``record_at``, ``scan_from`` and a repair's chain walk as
-a :class:`repro.errors.LogError` (a chain walk that decodes a record
-of another page, or one whose pointer does not decrease, is a
-:class:`repro.errors.RecoveryError`, as before), never as
-``struct.error`` or ``IndexError``.  A repair that meets such bytes
-cannot complete and escalates (Figure 8).
+The log keeps each record's encoding and nothing else, so every reader
+of a record's bytes is a boundary inside the engine: a byte flipped in
+a segment, a record's length field cut short or the segment's tail cut
+off must surface from the readers of every field, ``scan_from`` and a
+repair's chain walk as a :class:`repro.errors.LogError` (a chain walk
+that reads a record of another page, or one whose pointer does not
+decrease, is a :class:`repro.errors.RecoveryError`, as before), never
+as ``struct.error`` or ``IndexError``.  A repair that meets such bytes
+cannot complete and escalates (Figure 8).  A record is read with
+:func:`tests.record_reference.record_at`: the engine's readers of every
+field must refuse what the reference decoder refuses, and read what it
+reads.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.wal.records import (CHAIN_KINDS, NARROW_HEADER_SIZE,
                                WIDE_HEADER_SIZE, LogRecordKind,
                                checkpoint_end)
 from tests.conftest import fast_config
+from tests.record_reference import record_at
 
 
 def _db() -> tuple[Database, object, dict[bytes, bytes]]:
@@ -82,11 +86,11 @@ def _read_everything(db: Database, lsns: list[int],
             raised.append(exc)
 
     for lsn in lsns:
-        attempt(lambda lsn=lsn: db.log.record_at(lsn), LogError)
+        attempt(lambda lsn=lsn: record_at(db.log, lsn), LogError)
 
     def scan() -> None:
         for lsn, *_header in db.log_reader.scan_from(lsns[0]):
-            db.log.record_at(lsn)
+            record_at(db.log, lsn)
 
     attempt(scan, LogError)
     for page_id, head in chains.items():
@@ -104,7 +108,7 @@ def test_an_intact_log_decodes_everywhere():
     scanned = db.log_reader.scan_from(lsns[0])
     assert [entry[0] for entry in scanned] == lsns
     for lsn, kind, commits, txn_id, page_id in scanned:
-        record = db.log.record_at(lsn)
+        record = record_at(db.log, lsn)
         assert (kind, commits, txn_id, page_id) == (
             record.kind, record.commits_txn, record.txn_id, record.page_id)
 
@@ -140,7 +144,7 @@ def test_a_length_field_cut_short_is_a_log_error_everywhere(cut: int):
     lsns = _lsns(db)
     rng = random.Random(cut)
     for lsn in rng.sample(lsns, 40):
-        record = db.log.record_at(lsn)
+        record = record_at(db.log, lsn)
         segment = next(s for s in _segments(db)
                        if s.base_lsn <= lsn < s.end_lsn)
         data, at = segment.data, lsn - segment.base_lsn + 1
@@ -150,7 +154,7 @@ def test_a_length_field_cut_short_is_a_log_error_everywhere(cut: int):
         data[at:at + width] = (total - cut).to_bytes(width, "little")
         try:
             with pytest.raises(LogError):
-                db.log.record_at(lsn)
+                record_at(db.log, lsn)
             with pytest.raises(LogError):
                 db.log_reader.scan_from(lsns[0])
             if record.kind in CHAIN_KINDS and record.page_id >= 0:
@@ -171,22 +175,22 @@ def test_a_segment_cut_short_is_a_log_error():
     segment = _segments(db)[-1]
     last = segment.starts[-1]
     for lsn in reversed(segment.starts):
-        if db.log.record_at(lsn).kind == LogRecordKind.UPDATE:
+        if record_at(db.log, lsn).kind == LogRecordKind.UPDATE:
             break
-    record = db.log.record_at(lsn)
+    record = record_at(db.log, lsn)
     cut = segment.end_lsn - lsn - 3  # inside the UPDATE's own bytes
     del segment.data[len(segment.data) - cut:]
     with pytest.raises(LogError):
-        db.log.record_at(lsn)
+        record_at(db.log, lsn)
     with pytest.raises(LogError):
         db.log_reader.scan_from(lsns[0])
     with pytest.raises(LogError):
         db.log_reader.walk_page_chain(lsn, NULL_LSN, record.page_id)
     for earlier in lsns[:lsns.index(lsn)]:
-        db.log.record_at(earlier)
+        record_at(db.log, earlier)
     if last != lsn:
         with pytest.raises(LogError):
-            db.log.record_at(last)
+            record_at(db.log, last)
 
 
 def _checkpoints_of_both_forms() -> tuple[Database, list[int]]:
@@ -215,7 +219,7 @@ def test_a_checkpoints_tables_fail_typed_or_decode_as_built(form: str):
     flipped bytes back; cut short, the tables are a :class:`LogError`."""
     db, lsns = _checkpoints_of_both_forms()
     data, start, end = db.log._dir.locate(lsns[form == "wide"])
-    intact = db.log.record_at(lsns[form == "wide"]).checkpoint
+    intact = record_at(db.log, lsns[form == "wide"]).checkpoint
     assert intact.dirty_pages and intact.active_txns and intact.pri_images
     assert bool(data[start] & 0x40) is (form == "wide")
     tables = start + (WIDE_HEADER_SIZE if form == "wide"
@@ -226,7 +230,7 @@ def test_a_checkpoints_tables_fail_typed_or_decode_as_built(form: str):
         for bit in range(8):
             data[pos] = original ^ (1 << bit)
             try:
-                record = db.log.record_at(lsns[form == "wide"])
+                record = record_at(db.log, lsns[form == "wide"])
             except LogError:
                 refused.add((pos, bit))
             else:
@@ -245,10 +249,10 @@ def test_a_checkpoints_tables_fail_typed_or_decode_as_built(form: str):
         data[length_at:length_at + 4] = (size - cut).to_bytes(4, "little")
         try:
             with pytest.raises(LogError):
-                db.log.record_at(lsns[form == "wide"])
+                record_at(db.log, lsns[form == "wide"])
         finally:
             data[length_at:length_at + 4] = original
-    assert db.log.record_at(lsns[form == "wide"]).checkpoint == intact
+    assert record_at(db.log, lsns[form == "wide"]).checkpoint == intact
 
 
 @pytest.mark.parametrize("field", ["kind", "length"])
@@ -296,7 +300,7 @@ def test_a_repair_over_a_broken_chain_escalates():
     assert head != NULL_LSN
     segment = next(s for s in _segments(db)
                    if s.base_lsn <= head < s.end_lsn)
-    assert db.log.record_at(head).page_id == pid
+    assert record_at(db.log, head).page_id == pid
     segment.data[head - segment.base_lsn] = 0x3F  # no record kind
     db.device.inject_bit_rot(pid)
     failures = db.stats.get("spf_recovery_failures")

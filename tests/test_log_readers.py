@@ -6,11 +6,12 @@ Two engine-written logs: the seeded write stream of
 checkpoints, a full backup, page backups and in-log page images, a
 PREPARE left in doubt across a crash and then rolled back, a rolled-back
 leaf run and a split cut by a crash and undone by restart.  For every
-record, each field a site under ``src/`` reads — the header, a
+record, each field a site under ``src/`` reads in place
+(:func:`tests.record_reference.engine_fields`: the header, a
 transaction's undo and op, a CLR's ``undo_next_lsn``, a PRI update's
 writes, a backup's reference, a checkpoint's tables, an image, a backup
-or global transaction id — equals what the reference decoder
-(:class:`tests.record_reference.LogRecord`) returns for it.
+or global transaction id) equals what the reference decoder
+(:meth:`tests.record_reference.LogRecord.decode`) returns for it.
 """
 
 from __future__ import annotations
@@ -21,72 +22,13 @@ from repro.engine.database import Database
 from repro.shard.router import check_batch_op
 from repro.wal.lsn import NULL_LSN
 from repro.wal.ops import SEQUENCE
-from repro.wal.records import (LogRecord, LogRecordKind, commits_user_txn,
-                               prev_lsn_of, read_header)
+from repro.wal.records import LogRecordKind
+from tests.record_reference import LogRecord, engine_fields, reference_fields
 from tests.test_golden_write_path import CASES, write_stream
 from tests.test_structure_records import (_PUTS, _arm, _Cut, _key, _loaded,
                                           _put)
 
 _KIND = LogRecordKind
-
-
-def engine_fields(log, lsn: int) -> dict:  # noqa: ANN001
-    """What the engine's sites read of the record at ``lsn``."""
-    encoding = log.encoding_at(lsn)
-    record = log.record_at(lsn)
-    kind, commits, txn_id, page_id, page_prev_lsn = read_header(encoding)
-    fields = dict(kind=kind, commits=commits, txn_id=txn_id, page_id=page_id,
-                  page_prev_lsn=page_prev_lsn, prev_lsn=prev_lsn_of(encoding),
-                  index_id=record.index_id)
-    if kind == _KIND.UPDATE:
-        fields.update(undo=record.undo, op=record.op,
-                      commits_user=commits_user_txn(encoding, kind, commits))
-    elif kind == _KIND.COMPENSATION:
-        fields.update(undo_next_lsn=record.undo_next_lsn, op=record.op)
-    elif kind == _KIND.FORMAT_PAGE:
-        fields.update(op=record.op)
-    elif kind == _KIND.FULL_PAGE_IMAGE:
-        fields.update(page_lsn=record.page_lsn, image=record.image)
-    elif kind == _KIND.PRI_UPDATE:
-        fields.update(writes=record.writes)
-    elif kind == _KIND.BACKUP_PAGE:
-        fields.update(page_lsn=record.page_lsn, backup_ref=record.backup_ref)
-    elif kind == _KIND.CHECKPOINT_END:
-        fields.update(checkpoint=record.checkpoint)
-    elif kind == _KIND.BACKUP_FULL:
-        fields.update(backup_id=record.backup_id)
-    elif kind == _KIND.PREPARE:
-        fields.update(gtid=record.gtid)
-    return fields
-
-
-def reference_fields(encoding: bytes) -> dict:
-    """The same fields, as the reference decoder returns them."""
-    record = LogRecord.decode(encoding)
-    kind = record.kind
-    fields = dict(kind=kind, commits=record.commits_txn, txn_id=record.txn_id,
-                  page_id=record.page_id, page_prev_lsn=record.page_prev_lsn,
-                  prev_lsn=record.prev_lsn, index_id=record.index_id)
-    if kind == _KIND.UPDATE:
-        fields.update(undo=record.undo, op=record.op, commits_user=(
-            record.commits and (record.undo is not None or record.redo_only)))
-    elif kind == _KIND.COMPENSATION:
-        fields.update(undo_next_lsn=record.undo_next_lsn, op=record.op)
-    elif kind == _KIND.FORMAT_PAGE:
-        fields.update(op=record.op)
-    elif kind == _KIND.FULL_PAGE_IMAGE:
-        fields.update(page_lsn=record.page_lsn, image=record.image)
-    elif kind == _KIND.PRI_UPDATE:
-        fields.update(writes=record.writes)
-    elif kind == _KIND.BACKUP_PAGE:
-        fields.update(page_lsn=record.page_lsn, backup_ref=record.backup_ref)
-    elif kind == _KIND.CHECKPOINT_END:
-        fields.update(checkpoint=record.checkpoint)
-    elif kind == _KIND.BACKUP_FULL:
-        fields.update(backup_id=record.backup_id)
-    elif kind == _KIND.PREPARE:
-        fields.update(gtid=record.gtid)
-    return fields
 
 
 def _recovery_stream(monkeypatch) -> Database:  # noqa: ANN001
@@ -141,8 +83,8 @@ def _check(log) -> list[dict]:  # noqa: ANN001
     against the reference decoder's."""
     read = []
     for lsn, encoding in log.encodings_from(NULL_LSN):
-        fields = engine_fields(log, lsn)
-        assert fields == reference_fields(bytes(encoding)), lsn
+        fields = engine_fields(encoding)
+        assert fields == reference_fields(LogRecord.decode(encoding)), lsn
         read.append(fields)
     return read
 

@@ -26,12 +26,13 @@ from hypothesis import strategies as st
 
 from repro.page.page import PageType
 from repro.wal import ops
-from repro.wal.records import (LogicalUndo, LogRecord, UndoAction, clr,
+from repro.wal.records import (LogicalUndo, UndoAction, clr,
                                encode_update, format_page)
 from tests import op_reference as reference
 from tests import record_reference
 from tests.test_wal_roundtrip_property import (_redo_only_update_value,
                                                any_op, payloads, slots)
+from tests.record_reference import LogRecord
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ import pytest
 import repro
 from repro import ShardConfig
 from tests.test_golden_write_path import lsn_free
+from tests.record_reference import all_records
 
 SEED = 52
 N_OPS = 240
@@ -92,7 +93,7 @@ def _run_stream(seed: int = SEED) -> dict:
         for idx, shard in enumerate(router.shards):
             db = shard.worker.db
             records = hashlib.sha256()
-            for record in db.log.all_records():
+            for record in all_records(db.log):
                 records.update(lsn_free(record))
             state = repr(router._call(idx, "scan", b"", None))
             counters = db.stats.snapshot()

@@ -11,6 +11,7 @@ from repro.engine.database import Database
 from repro.errors import ConfigError
 from repro.wal.records import BackupRef, LogRecordKind
 from tests.conftest import fast_config, key_of, value_of
+from tests.record_reference import all_records, record_at
 
 
 def grown_db(n_keys: int) -> tuple[Database, object]:
@@ -42,8 +43,8 @@ def occupied(db: Database) -> list[int]:
 
 
 def master_images(db: Database) -> dict[int, int]:
-    return dict(db.log.record_at(
-        db.log.master_checkpoint_lsn).checkpoint.pri_images)
+    return dict(record_at(
+        db.log, db.log.master_checkpoint_lsn).checkpoint.pri_images)
 
 
 def index_shape(db: Database) -> list:
@@ -230,7 +231,7 @@ class TestOverflowRefusedBeforeWriting:
         with pytest.raises(ConfigError, match="partition 1 needs"):
             db.checkpoint()
         assert db.stats.get("device_writes") == writes
-        assert not [record for record in db.log.all_records()
+        assert not [record for record in all_records(db.log)
                     if record.lsn >= end_lsn
                     and record.kind == LogRecordKind.FULL_PAGE_IMAGE]
         db.crash()

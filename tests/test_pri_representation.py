@@ -31,6 +31,7 @@ if __name__ == "__main__":
     # which ``python tests/<this file>.py`` does not put on the path.
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.conftest import fast_config, key_of, value_of
+from tests.record_reference import record_at
 
 N_KEYS = 3000
 STEPS = 120
@@ -112,7 +113,7 @@ def quiet(db: Database) -> None:
 
 
 def region_digests(db: Database) -> dict[int, str]:
-    images = db.log.record_at(db.log.master_checkpoint_lsn).checkpoint.pri_images
+    images = record_at(db.log, db.log.master_checkpoint_lsn).checkpoint.pri_images
     return {page_id: hashlib.sha256(db.device.raw_image(page_id)).hexdigest()
             for page_id in sorted(images)}
 
@@ -198,8 +199,8 @@ class TestDerivedFromTheIndex:
 
     def test_region_pages_pinned(self):
         db, _seen = run_stream()
-        images = db.log.record_at(
-            db.log.master_checkpoint_lsn).checkpoint.pri_images
+        images = record_at(
+            db.log, db.log.master_checkpoint_lsn).checkpoint.pri_images
         assert dict(images) == GOLDEN_PRI_IMAGES
         assert region_digests(db) == GOLDEN_REGION_PAGES
         # Both partitions' snapshots span more than one page, so the
@@ -213,5 +214,5 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     db, _seen = run_stream()
     print("GOLDEN_REGION_PAGES =", region_digests(db))
-    print("GOLDEN_PRI_IMAGES =", dict(db.log.record_at(
-        db.log.master_checkpoint_lsn).checkpoint.pri_images))
+    print("GOLDEN_PRI_IMAGES =", dict(record_at(
+        db.log, db.log.master_checkpoint_lsn).checkpoint.pri_images))

@@ -28,10 +28,10 @@ from hypothesis import given, settings
 from repro.page.page import PageType
 from repro.wal import ops
 from repro.wal import records
-from repro.wal.records import (BackupRef, CheckpointData, LogRecord,
-                               LogRecordKind)
+from repro.wal.records import BackupRef, CheckpointData, LogRecordKind
 from tests import record_reference as reference
 from tests.test_wal_roundtrip_property import _record_strategy
+from tests.record_reference import LogRecord
 
 _KIND = LogRecordKind
 _CLR_OP = ops.compensation(ops.insert(7, b"key-2", b"value"))

@@ -23,11 +23,11 @@ from repro.page.slotted import Record, SlottedPage
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter
 from repro.wal.ops import value_rewrite
-from repro.wal.records import LogRecord, LogRecordKind, commits_user_txn
+from repro.wal.records import LogRecordKind, commits_user_txn
 from tests import op_reference as reference
 from tests.conftest import (apply_redo, assert_no_pins, fast_config, key_of,
                             value_of)
-from tests.record_reference import encode
+from tests.record_reference import LogRecord, encode, record_at, records_from
 
 UPDATE = LogRecordKind.UPDATE
 
@@ -40,12 +40,12 @@ def loaded_client():  # noqa: ANN201
 
 
 def records_since(db, end: int) -> list[LogRecord]:  # noqa: ANN001
-    return [r for r in db.log.records_from(end) if r.kind == UPDATE and r.txn_id]
+    return [r for r in records_from(db.log, end) if r.kind == UPDATE and r.txn_id]
 
 
 def user_records(db, end: int) -> list[LogRecord]:  # noqa: ANN001
     """The UPDATE records user transactions logged since ``end``."""
-    system = {r.txn_id for r in db.log.records_from(end)
+    system = {r.txn_id for r in records_from(db.log, end)
               if r.commits
               and not commits_user_txn(encode(r), r.kind, r.commits)}
     return [r for r in records_since(db, end) if r.txn_id not in system]
@@ -87,7 +87,7 @@ def test_an_autocommit_write_logs_one_redo_only_record(write):
     assert db.stats.get("log_forces") == forces + 1
     assert record.lsn < db.log.durable_lsn
     assert not db.tm.active and db.locks.held_keys() == []
-    assert not any(r.kind == LogRecordKind.COMMIT for r in db.log.records_from(end))
+    assert not any(r.kind == LogRecordKind.COMMIT for r in records_from(db.log, end))
 
 
 def test_the_engine_helpers_and_the_shard_worker_are_redo_only():
@@ -198,10 +198,10 @@ def test_a_failure_after_the_append_leaves_the_write_committed(mode):
     fail_the_write_unfix(db)
     with pytest.raises(Escalated):
         client.put(key_of(7), value_of(7, 1))
-    (record,) = db.log.records_from(end)
+    (record,) = records_from(db.log, end)
     assert_redo_only(record)
     assert record.lsn < db.log.durable_lsn      # the commit's force ran
-    assert not any(r.kind == LogRecordKind.ABORT for r in db.log.records_from(end))
+    assert not any(r.kind == LogRecordKind.ABORT for r in records_from(db.log, end))
     assert not db.tm.active and db.locks.held_keys() == []
     assert_no_pins(db)
     assert client.get(key_of(7)) == value_of(7, 1)
@@ -221,7 +221,7 @@ def test_a_checkpoint_between_append_and_force_lists_no_loser():
     fail_the_write_unfix(db, hook=db.checkpoint)
     with pytest.raises(Escalated):
         client.put(key_of(8), value_of(8, 1))
-    master = db.log.record_at(db.log.master_checkpoint_lsn)
+    master = record_at(db.log, db.log.master_checkpoint_lsn)
     assert master.checkpoint.active_txns == []
     db.crash()
     assert db.restart(mode="eager").loser_txn_ids == []

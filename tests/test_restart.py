@@ -12,6 +12,7 @@ from repro.engine.database import Database
 from repro.page.page import Page
 from repro.wal.records import LogRecordKind, pri_update
 from tests.conftest import fast_config, key_of, value_of
+from tests.record_reference import all_records
 
 
 def loaded(n=200, **overrides):
@@ -166,7 +167,7 @@ class TestCheckpoints:
         db.crash()
         report = db.restart()
         # Analysis reads only the tail after the checkpoint.
-        total_records = len(db.log.all_records())
+        total_records = len(all_records(db.log))
         assert report.analysis_records < total_records
         tree = db.tree(1)
         assert tree.lookup(key_of(0)) == b"after-ckpt"
@@ -347,7 +348,7 @@ class TestAnalysisBackfill:
         db.commit(txn)
         db.crash()
         report = db.restart(mode=mode)
-        assert report.analysis_records < len(db.log.all_records())
+        assert report.analysis_records < len(all_records(db.log))
         if mode == "on_demand":
             db.finish_restart()
         tree = db.tree(1)
@@ -385,7 +386,7 @@ class TestFigure12CrashMatrix:
         tree = db.tree(1)
         assert tree.lookup(key_of(3)) == b"survives"
         # The regenerated PRI record is now in the log.
-        kinds = [r.kind for r in db.log.all_records()]
+        kinds = [r.kind for r in all_records(db.log)]
         assert LogRecordKind.PRI_UPDATE in kinds
 
     def test_update_durable_but_page_never_written(self):

@@ -21,7 +21,7 @@ from repro.wal.records import (BackupRef, BackupRefKind, LogRecordKind,
                                 pri_update, txn_end)
 from repro.wal.segments import SegmentDirectory
 from tests.conftest import fast_config, key_of, value_of
-from tests.record_reference import encode
+from tests.record_reference import all_records, encode, record_at, records_from
 
 
 def make_log(**kwargs) -> LogManager:
@@ -41,16 +41,16 @@ class TestSegmentDirectory:
         assert log.segment_count > 1
         # Every record remains addressable through the directory, and
         # reads back as what was appended.
-        records = log.all_records()
+        records = all_records(log)
         assert [r.txn_id for r in records] == list(range(50))
         for record in records:
-            assert log.record_at(record.lsn) == record
+            assert record_at(log, record.lsn) == record
 
     def test_records_from_is_segment_indexed(self):
         log = make_log(segment_bytes=128)
         lsns = [log.append(txn_end(LogRecordKind.COMMIT, i, 0))
                 for i in range(40)]
-        tail = log.records_from(lsns[25])
+        tail = records_from(log, lsns[25])
         assert [r.txn_id for r in tail] == list(range(25, 40))
 
     def test_truncation_drops_whole_segments(self):
@@ -66,7 +66,7 @@ class TestSegmentDirectory:
         assert log.truncated_below == lsns[30]
         # retained accounting matches a fresh sum
         assert log.retained_bytes() == sum(
-            len(encode(r)) for r in log.all_records())
+            len(encode(r)) for r in all_records(log))
 
     def test_directory_get_outside_range(self):
         directory = SegmentDirectory(segment_bytes=64)
@@ -77,7 +77,7 @@ class TestSegmentDirectory:
         commit = txn_end(LogRecordKind.COMMIT, 0, 0)
         assert directory.locate(100) == (bytearray(commit), 0, len(commit))
         with pytest.raises(LogError):
-            make_log().record_at(999)
+            record_at(make_log(), 999)
 
 
 class TestChainHeadIndex:
@@ -184,7 +184,7 @@ class TestGroupCommit:
         rider = log.append(txn_end(LogRecordKind.SYS_COMMIT, 2, 0))
         log.commit_force(commit)
         log.crash()
-        assert [r.lsn for r in log.records_from(commit)] == [commit, rider]
+        assert [r.lsn for r in records_from(log, commit)] == [commit, rider]
 
     def test_batched_commits_share_one_force(self):
         db = Database(fast_config())

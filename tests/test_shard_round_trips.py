@@ -31,6 +31,8 @@ from repro.shard.config import ShardConfig
 from repro.shard.router import LocalShard, ProcessShard, ShardRouter
 from repro.shard.rpc import MAX_MESSAGE_BYTES, decode, encode
 from repro.wal.records import LogRecordKind
+from tests.record_reference import (LogRecord, all_records, record_at,
+                                    records_from)
 
 
 def keys_on(router: ShardRouter, idx: int, count: int,
@@ -183,9 +185,9 @@ def _after_phase_two(router):
     # next risky command carries, so the probe must pass over it.
     shard = router.shards[IDX]
     log = shard.worker.db.log
-    (commit,) = [record for record in log.records_from(shard.durable_lsn)
+    (commit,) = [record for record in records_from(log, shard.durable_lsn)
                  if record.kind == LogRecordKind.COMMIT]
-    assert log.record_at(commit.prev_lsn).kind == LogRecordKind.PREPARE
+    assert record_at(log, commit.prev_lsn).kind == LogRecordKind.PREPARE
 
 
 def _put(router, keys):
@@ -230,7 +232,7 @@ SITUATIONS = {
 
 
 def _log_records(router, kind):
-    return [record for record in router.shards[IDX].worker.db.log.all_records()
+    return [record for record in all_records(router.shards[IDX].worker.db.log)
             if record.kind == kind]
 
 
@@ -277,7 +279,7 @@ def test_crash_around_a_risky_command_applies_it_exactly_once(
         # The last user commit in the log, however it was recorded (the
         # bit on the branch's last write, or a COMMIT record).
         expected = [record.lsn for record
-                    in router.shards[IDX].worker.db.log.all_records()
+                    in all_records(router.shards[IDX].worker.db.log)
                     if record.kind == LogRecordKind.COMMIT
                     or record.commits and (record.undo is not None
                                            or record.redo_only)][-1]
@@ -343,7 +345,7 @@ def test_the_probe_reads_bytes_as_the_decoded_log_answers():
                 txn.commit()
     for shard in router.shards:
         worker = shard.worker
-        records = worker.db.log.all_records()
+        records = all_records(worker.db.log)
         by_lsn = {record.lsn: record for record in records}
         answers = [worker.execute(("outcome_since", record.lsn))
                    for record in records]
@@ -364,7 +366,6 @@ def test_the_probe_refuses_what_decode_refuses(flags):
     from repro.engine.config import EngineConfig
     from repro.errors import LogError
     from repro.shard.worker import ShardWorker
-    from repro.wal.records import LogRecord
 
     worker = ShardWorker(0, EngineConfig())
     log = worker.db.log

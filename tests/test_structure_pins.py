@@ -37,7 +37,7 @@ from repro.wal.ops import EXTEND_PREFIX, REDO, UNDO
 from tests import op_reference as reference
 from tests.conftest import fast_config
 from tests.test_structure_records import _arm, _Cut, _put
-from tests.record_reference import encode
+from tests.record_reference import all_records, encode
 
 PINNED = {
     "kv_load": (
@@ -67,7 +67,7 @@ def _digests(db: Database) -> tuple[str, str]:
         if image is not None:
             pages.update(pid.to_bytes(8, "little") + image)
     log = hashlib.sha256()
-    for record in db.log.all_records():
+    for record in all_records(db.log):
         log.update(record.lsn.to_bytes(8, "little") + encode(record))
     return pages.hexdigest(), log.hexdigest()
 

@@ -53,6 +53,7 @@ from tests.op_reference import (OpBulkDelete, OpBulkInsert, OpExtendPrefix,
                                 OpSequence)
 from tests.conftest import apply_redo, apply_undo, clone_crashed, fast_config
 from tests.test_golden_logical_state import _MASKED, tree_pages
+from tests.record_reference import all_records, record_at, records_from
 
 
 def _key(i: int) -> bytes:
@@ -219,7 +220,7 @@ def test_a_cut_split_or_prefix_extension_is_undone_by_restart(cut,
     for restarted in (db, lazy):
         assert any(record.kind == LogRecordKind.COMPENSATION
                    and record.txn_id == loser["txn"]
-                   for record in restarted.log.all_records())
+                   for record in all_records(restarted.log))
         tree = restarted.tree(tree.index_id)
         assert list(tree.range_scan()) == kv
         assert _holds(restarted, tree) == before
@@ -259,7 +260,7 @@ def test_a_structure_change_logs_one_record_per_page_it_changes(
             start = db.log.end_lsn
             result = real(*args)
             if db.log.end_lsn > start:
-                changes[name].append(db.log.records_from(start))
+                changes[name].append(records_from(db.log, start))
             return result
         monkeypatch.setattr(tree, name, change)
 
@@ -313,10 +314,10 @@ def _structure_since_backup(db: Database, tree) -> list[int]:  # noqa: ANN001
     leaves that were there before and have since split and then
     extended their prefix in an adoption."""
     old = set(tree_pages(db, tree.index_id))
-    start = len(db.log.all_records())
+    start = len(all_records(db.log))
     _put(db, tree, _PUTS)
     split, extended = set(), set()
-    for record in db.log.all_records()[start:]:
+    for record in all_records(db.log)[start:]:
         ops = _ops(record.op)
         if ops[0].kind == OpBulkDelete.kind:
             split.add(record.page_id)
@@ -350,7 +351,7 @@ def test_replaying_a_format_record_counts_no_update():
     try:
         assert page.update_count == 0
         formatted = _masked(page.data)
-        record = db.log.record_at(page.page_lsn)
+        record = record_at(db.log, page.page_lsn)
     finally:
         db.pool.unfix(page.page_id)
     db.tm.commit(txn)

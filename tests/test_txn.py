@@ -15,6 +15,7 @@ from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
 from repro.wal.ops import insert
 from repro.wal.records import LogRecordKind
+from tests.record_reference import all_records, record_at
 
 PAGE_SIZE = 1024
 
@@ -109,10 +110,10 @@ class TestChains:
         l2 = tm.log_update(txn, page.page_id, page, 1, insert(1, b"b", b"2"))
         commit = tm.commit(txn)
         # The commit rides on the transaction's last record.
-        assert commit == l2 and log.record_at(l2).commits_txn
-        assert not log.record_at(l1).commits_txn
-        assert log.record_at(l2).prev_lsn == l1
-        assert log.record_at(l1).prev_lsn == NULL_LSN
+        assert commit == l2 and record_at(log, l2).commits_txn
+        assert not record_at(log, l1).commits_txn
+        assert record_at(log, l2).prev_lsn == l1
+        assert record_at(log, l1).prev_lsn == NULL_LSN
 
     def test_per_page_chain(self, setup):
         """Section 5.1.4: each record points to the previous record for
@@ -124,9 +125,9 @@ class TestChains:
         l2 = tm.log_update(txn_b, page.page_id, page, 1, insert(1, b"b", b"2"))
         l3 = tm.log_update(txn_a, page.page_id, page, 1, insert(2, b"c", b"3"))
         assert page.page_lsn == l3
-        assert log.record_at(l3).page_prev_lsn == l2
-        assert log.record_at(l2).page_prev_lsn == l1
-        assert log.record_at(l1).page_prev_lsn == NULL_LSN
+        assert record_at(log, l3).page_prev_lsn == l2
+        assert record_at(log, l2).page_prev_lsn == l1
+        assert record_at(log, l1).page_prev_lsn == NULL_LSN
 
     def test_page_lsn_advances_with_each_update(self, setup):
         _log, tm, page, _ctx, _stats = setup
@@ -152,7 +153,7 @@ class TestRollback:
         txn = tm.begin()
         tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
         tm.abort(txn, ctx)
-        kinds = [r.kind for r in log.all_records()]
+        kinds = [r.kind for r in all_records(log)]
         assert kinds.count(LogRecordKind.COMPENSATION) == 1
         assert kinds[-1] == LogRecordKind.ABORT
 
@@ -162,7 +163,7 @@ class TestRollback:
         l1 = tm.log_update(txn, page.page_id, page, 1, insert(0, b"a", b"1"))
         l2 = tm.log_update(txn, page.page_id, page, 1, insert(1, b"b", b"2"))
         tm.abort(txn, ctx)
-        clrs = [r for r in log.all_records()
+        clrs = [r for r in all_records(log)
                 if r.kind == LogRecordKind.COMPENSATION]
         assert clrs[0].undo_next_lsn == l1  # first CLR compensates l2
         assert clrs[1].undo_next_lsn == NULL_LSN
@@ -194,7 +195,7 @@ class TestRollback:
         assert index_id == 1
         assert undo.key == b"a"
         assert undo_next == NULL_LSN  # the compensated record was first
-        assert undo_next == tm.log.record_at(l1).prev_lsn
+        assert undo_next == record_at(tm.log, l1).prev_lsn
 
 
 class TestLockManager:

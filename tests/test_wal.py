@@ -33,7 +33,6 @@ from repro.wal.records import (
     BackupRefKind,
     CheckpointData,
     LogicalUndo,
-    LogRecord,
     LogRecordKind,
     UndoAction,
     backup_full,
@@ -50,7 +49,8 @@ from repro.wal.records import (
 )
 from tests import op_reference as reference
 from tests.conftest import apply_redo, apply_undo, fast_config, key_of
-from tests.record_reference import encode
+from tests.record_reference import (LogRecord, all_records, encode, record_at,
+                                    records_from)
 
 PAGE_SIZE = 1024
 
@@ -216,7 +216,7 @@ class TestLogManager:
         first = log.append(txn_end(LogRecordKind.COMMIT, 1, 0))
         second = log.append(txn_end(LogRecordKind.COMMIT, 2, 0))
         assert first == LOG_START
-        assert second - first == len(encode(log.record_at(first)))
+        assert second - first == len(encode(record_at(log, first)))
 
     def test_force_advances_durable(self):
         log = make_log()
@@ -281,7 +281,7 @@ class TestLogManager:
         log = make_log()
         lsns = [log.append(txn_end(LogRecordKind.COMMIT, i, 0))
                 for i in range(5)]
-        tail = log.records_from(lsns[2])
+        tail = records_from(log, lsns[2])
         assert [r.txn_id for r in tail] == [2, 3, 4]
 
     def test_log_force_charges_time(self):
@@ -294,7 +294,7 @@ class TestLogManager:
 
 def assert_records_abut(log: LogManager) -> None:
     """Every retained record starts where the one before it ends."""
-    records = log.all_records()
+    records = all_records(log)
     for before, after in zip(records, records[1:]):
         assert before.lsn + len(encode(before)) == after.lsn, (before, after)
 
@@ -320,13 +320,13 @@ class TestForcesLandOnRecordBoundaries:
         db.log.force = checked_force
         txn = db.begin()
         tree.insert(txn, key_of(1), b"v" * 200)  # volatile: txn still open
-        update = db.log.record_at(txn.last_lsn)
+        update = record_at(db.log, txn.last_lsn)
         assert db.log.durable_lsn <= update.lsn
         db.pool.flush_page(update.page_id)
         assert db.log.durable_lsn == update.lsn + len(encode(update))
         db.crash()
         db.restart("eager")
-        boundaries = {r.lsn for r in db.log.all_records()} | {db.log.end_lsn}
+        boundaries = {r.lsn for r in all_records(db.log)} | {db.log.end_lsn}
         assert forced_at and set(forced_at) <= boundaries
         assert_records_abut(db.log)
         # The loser's update survived the crash, was redone and undone.
@@ -417,7 +417,7 @@ class TestLogReader:
         scanned = reader.scan_from(lsns[1])
         assert [lsn for lsn, *_header in scanned] == lsns[1:]
         for lsn, kind, commits, txn_id, page_id in scanned:
-            record = log.record_at(lsn)
+            record = record_at(log, lsn)
             assert (kind, commits, txn_id, page_id) == (
                 LogRecordKind.UPDATE, False, record.txn_id, 7)
 

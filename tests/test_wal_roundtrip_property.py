@@ -38,6 +38,11 @@ reference decoder of :mod:`tests.op_reference`, and where a shape
 below is refused it is refused by the record decoder or, for what lies
 inside an op, by the kernel that replays the record onto a page.
 
+Every record is decoded through :func:`tests.record_reference.agreed`:
+the reference decoder, and the engine's in-place readers of every field
+it reads, which must refuse what the reference refuses and read what it
+reads.
+
 The other direction is hostile bytes: whatever a decode boundary or a
 kernel is handed — arbitrary bytes, or a valid encoding with a few
 bytes overwritten — it returns a value or raises ``LogError`` (a kernel
@@ -84,7 +89,6 @@ from repro.wal.records import (
     BackupRefKind,
     CheckpointData,
     LogicalUndo,
-    LogRecord,
     LogRecordKind,
     UndoAction,
     checkpoint_end,
@@ -110,7 +114,7 @@ from tests.op_reference import (
     OpUpdateValue,
     OpWriteBytes,
 )
-from tests.record_reference import encode
+from tests.record_reference import LogRecord, agreed, encode
 
 # Payloads deliberately include the empty string (length-prefix
 # boundary) and stay small: the encodings are length-prefixed, so
@@ -157,7 +161,7 @@ def _refused(raw: bytes) -> None:
     """``raw`` is refused as :class:`LogError`: by the record decoder,
     or by the kernel that replays its op onto a fresh page."""
     with pytest.raises(LogError):
-        record = LogRecord.decode(raw)
+        record = agreed(raw)
         replay_records(Page.format(4096, max(record.page_id, 0)),
                        [(1 << 20, raw)])
 
@@ -491,7 +495,7 @@ def test_log_record_round_trip(record):
                 record.txn_id, record.prev_lsn, record.page_id,
                 record.page_prev_lsn, record.index_id, record.op,
                 record.undo, record.redo_only) == encoded
-    decoded = LogRecord.decode(encoded)
+    decoded = agreed(encoded)
     assert decoded == record
     assert prev_lsn_of(encoded) == record.prev_lsn
     assert decoded.commits == record.commits
@@ -528,7 +532,7 @@ def test_a_puts_two_shapes_pack_and_unpack_as_the_reference(
         encoded = encode_update(*ids[:1], record.prev_lsn, *ids[2:],
                                 record.op, record.undo, record.redo_only)
         assert encoded == encode(record) == _update_piece_by_piece(record)
-        decoded = LogRecord.decode(encoded, 7)
+        decoded = agreed(encoded, 7)
         assert decoded.lsn == 7 and encode(decoded) == encoded
         decoded.lsn = record.lsn
         assert decoded == record
@@ -545,7 +549,7 @@ def test_shared_before_image_is_logged_once_and_shared_on_decode():
     # narrow header, flags, op length, op, undo action + key
     assert len(encode(shared)) == 21 + 1 + 2 + (7 + 200) + (1 + 2 + 16) == 250
     assert len(encode(distinct)) == len(encode(shared)) + 2 + 100
-    decoded = LogRecord.decode(encode(shared))
+    decoded = agreed(encode(shared))
     assert decoded == shared
     assert decoded.undo.value == old
     # Only a value rewrite shares: an insert's undo has no before-image,
@@ -554,7 +558,7 @@ def test_shared_before_image_is_logged_once_and_shared_on_decode():
                       op=OpSetGhost(3, False, True).encode(),
                       undo=LogicalUndo(UndoAction.INSERT_KEY, key, old))
     assert len(encode(other)) == 21 + 1 + 2 + 5 + (5 + 16 + 100)
-    assert LogRecord.decode(encode(other)) == other
+    assert agreed(encode(other)) == other
 
 
 def test_commit_bit_is_the_high_bit_of_the_kind_byte_and_free():
@@ -566,7 +570,7 @@ def test_commit_bit_is_the_high_bit_of_the_kind_byte_and_free():
         a, b = encode(plain), encode(carrying)
         assert a[0] == int(kind) and b[0] == int(kind) | 0x80
         assert a[1:] == b[1:]
-        assert LogRecord.decode(b).commits and not LogRecord.decode(a).commits
+        assert agreed(b).commits and not agreed(a).commits
         assert carrying.commits_txn and not plain.commits_txn
 
 
@@ -578,7 +582,7 @@ def test_commit_bit_only_on_chain_kinds():
         raw = bytearray(encode(LogRecord(kind)))
         raw[0] |= 0x80
         with pytest.raises(LogError):
-            LogRecord.decode(bytes(raw))
+            agreed(bytes(raw))
 
 
 def _commits_user_txn(record: LogRecord) -> bool:
@@ -660,7 +664,7 @@ def _hostile_runs() -> dict[str, bytes]:
     ids = dict(txn_id=1, page_id=2)
     rows = ((b"01", b"a"), (b"02", b"b"), (b"03", b"c"))
     good = encode(_leaf_run(rows, b"key", 5, **ids))
-    assert LogRecord.decode(good).undo.keys == (b"key01", b"key02", b"key03")
+    assert agreed(good).undo.keys == (b"key01", b"key02", b"key03")
     bulk = OpBulkInsert(5, tuple((key, value, False) for key, value in rows))
     run_undo = _run_undo([b"key01", b"key02", b"key03"])
 
@@ -708,10 +712,10 @@ def _hostile_structure() -> dict[str, bytes]:
     extension or a structure change's sequence of ops."""
     ids = dict(txn_id=1, page_id=2)
     good = OpExtendPrefix(5, 3, b"k00").encode()
-    assert LogRecord.decode(_system_update(good)).op == good
+    assert agreed(_system_update(good)).op == good
     row = bytes([0]) + struct.pack("<H", 3) + b"k01" + struct.pack("<H", 1) + b"a"
     ghost = OpSetGhost(3, False, True).encode()
-    assert LogRecord.decode(_system_update(bytes([13, 2, 0]) + ghost * 2)
+    assert agreed(_system_update(bytes([13, 2, 0]) + ghost * 2)
                             ).op == OpSequence((OpSetGhost(3, False, True),) * 2
                                                ).encode()
     return {
@@ -800,7 +804,7 @@ def test_redo_only_shapes_no_writer_produces_fail_typed(shape):
 @example(bytes([0x3F]) + struct.pack("<H", 21) + bytes(18))
 @example(bytes([0x40 | 0x05]) + struct.pack("<I", 45) + bytes(40))
 def test_decoders_fail_typed_on_arbitrary_bytes(data):
-    _decodes_or_log_error(LogRecord.decode, data)
+    _decodes_or_log_error(agreed, data)
     _applies_or_fails_typed(data)
     _decodes_or_log_error(lambda d: LogicalUndo.decode(d, 0), data)
     for wide in (False, True):
@@ -815,8 +819,8 @@ def test_decoders_fail_typed_on_arbitrary_bytes(data):
                   + bytes(18) + data[1:])
         wide = (bytes([kind | 0x40]) + (len(data) + 44).to_bytes(4, "little")
                 + bytes(40) + data[1:])
-        _decodes_or_log_error(LogRecord.decode, narrow)
-        _decodes_or_log_error(LogRecord.decode, wide)
+        _decodes_or_log_error(agreed, narrow)
+        _decodes_or_log_error(agreed, wide)
 
 
 mutations = st.lists(
@@ -828,10 +832,13 @@ mutations = st.lists(
 @settings(max_examples=600)
 @given(record=_record_strategy(), edits=mutations)
 def test_log_record_decode_fails_typed_on_mutated_encodings(record, edits):
+    """A record's bytes, mutated: the reference decoder and the engine's
+    readers of every field both refuse them with :class:`LogError`, or
+    read the same fields (:func:`tests.record_reference.agreed`)."""
     raw = bytearray(encode(record))
     for position, byte in edits:
         raw[position % len(raw)] = byte
-    _decodes_or_log_error(LogRecord.decode, bytes(raw))
+    _decodes_or_log_error(agreed, bytes(raw))
 
 
 @settings(max_examples=300)
@@ -873,16 +880,18 @@ def test_decode_rejects_what_no_writer_produces():
     }
     for raw in cases.values():
         with pytest.raises(LogError):
-            LogRecord.decode(raw)
+            agreed(raw)
     # A run of compensation-op kinds must not recurse once per byte.
     with pytest.raises(LogError):
         _apply(bytes([99]) * 5000)
-    # Trailing bytes after a complete payload.
-    padded = bytearray(encode(LogRecord(LogRecordKind.COMMIT, txn_id=1)))
-    padded += b"\0"
-    padded[1:3] = len(padded).to_bytes(2, "little")
-    with pytest.raises(LogError):
-        LogRecord.decode(bytes(padded))
+    # Trailing bytes after a complete payload, of every kind.
+    for record in (LogRecord(LogRecordKind.COMMIT, txn_id=1),
+                   *_one_of_each_kind()):
+        padded = bytearray(encode(record))
+        padded += b"\0"
+        padded[1:3] = len(padded).to_bytes(2, "little")
+        with pytest.raises(LogError):
+            agreed(bytes(padded))
 
 
 # ----------------------------------------------------------------------
@@ -928,10 +937,10 @@ def test_empty_payload_boundaries():
 def test_empty_checkpoint_and_update_round_trip():
     record = LogRecord(LogRecordKind.CHECKPOINT_END,
                        checkpoint=CheckpointData())
-    assert LogRecord.decode(encode(record)) == record
+    assert agreed(encode(record)) == record
     # An UPDATE with neither op nor undo is legal (flags byte = 0).
     bare = LogRecord(LogRecordKind.UPDATE, txn_id=9, page_id=4)
-    assert LogRecord.decode(encode(bare)) == bare
+    assert agreed(encode(bare)) == bare
 
 
 # ----------------------------------------------------------------------
@@ -971,7 +980,7 @@ def test_a_spanned_rewrite_logs_the_middles_once():
                        op=op.encode(), undo=undo)
     # 21 header + 1 flags + 2 + op (11 + 8 + 8) + undo (1 + 2 + 27)
     assert len(encode(record)) == len(encode(record)) == 81
-    decoded = LogRecord.decode(encode(record))
+    decoded = agreed(encode(record))
     assert decoded == record
     assert decoded.undo.value == op.old_value
     assert decoded.undo.restored(new) == old
@@ -994,7 +1003,7 @@ def test_a_redo_only_rewrite_logs_its_new_value_alone():
     assert len(encoded) == len(encode(record)) == 129
     assert encoded[0] == 0x80 | LogRecordKind.UPDATE
     assert encoded[21:24] == bytes([0x09]) + struct.pack("<H", 105)
-    decoded = LogRecord.decode(encoded)
+    decoded = agreed(encoded)
     assert decoded == record and _commits_user_txn(decoded)
     spanned = _rewrite(5, b"2019-03-04" + b"x" * 230,
                             b"2021-11-22" + b"x" * 230, True)
@@ -1037,7 +1046,7 @@ def test_truncated_and_out_of_range_spans_fail_typed():
     raw = bytearray(encode(record))
     raw[21 + 1 + 2 + 3:21 + 1 + 2 + 7] = struct.pack("<HH", 0, 0)
     with pytest.raises(LogError):
-        LogRecord.decode(bytes(raw))
+        agreed(bytes(raw))
 
 
 # ----------------------------------------------------------------------
@@ -1053,7 +1062,7 @@ def test_pri_update_round_trips_its_run(writes):
     assert len(encoded) == (
         21 + 2 + 8 * len(writes) if narrow else 45 + 2 + 16 * len(writes))
     assert bool(encoded[0] & 0x40) is not narrow
-    decoded = LogRecord.decode(encoded)
+    decoded = agreed(encoded)
     assert decoded == record
     assert decoded.writes == tuple(writes)
     assert decoded.page_id == -1  # the record joins no page chain
@@ -1072,7 +1081,7 @@ def test_pri_update_decode_rejects_hostile_payloads():
     big = 2**32  # a wide header's entries must need it
     for wide, entry, first in ((False, "<II", 7), (True, "<qq", big)):
         entries = struct.pack(entry, first, 100) + struct.pack(entry, 9, 200)
-        assert LogRecord.decode(_pri_frame(struct.pack("<H", 2) + entries,
+        assert agreed(_pri_frame(struct.pack("<H", 2) + entries,
                                            wide=wide)
                                 ).writes == ((first, 100), (9, 200))
         cases = {
@@ -1093,18 +1102,18 @@ def test_pri_update_decode_rejects_hostile_payloads():
                 + struct.pack("<qq", 9, 200))
         for name, payload in cases.items():
             with pytest.raises(LogError):
-                LogRecord.decode(_pri_frame(payload, wide=wide))
+                agreed(_pri_frame(payload, wide=wide))
                 pytest.fail(f"{name} decoded")
         # The pages are in the payload, never in the header.
         with pytest.raises(LogError):
-            LogRecord.decode(_pri_frame(struct.pack("<H", 2) + entries,
+            agreed(_pri_frame(struct.pack("<H", 2) + entries,
                                         page_id=7, wide=wide))
     # The builder writes only what the decoder reads back.
     for writes in ([], [(1, 64)] * (PRI_UPDATE_MAX + 1), [(-1, 64)],
                    [(1, -64)]):
         with pytest.raises(LogError):
             pri_update(writes)
-    assert len(LogRecord.decode(pri_update([(1, 64)] * PRI_UPDATE_MAX)).writes
+    assert len(agreed(pri_update([(1, 64)] * PRI_UPDATE_MAX)).writes
                ) == PRI_UPDATE_MAX
 
 
@@ -1151,7 +1160,7 @@ def _round_trips(record: LogRecord, narrow: bool) -> None:
     encoded = encode(record)
     assert len(encoded) == len(encode(record))
     assert bool(encoded[0] & 0x40) is not narrow, (record, narrow)
-    decoded = LogRecord.decode(encoded)
+    decoded = agreed(encoded)
     assert decoded == record
     assert encode(decoded) == encoded
 
@@ -1238,19 +1247,19 @@ def test_decode_refuses_a_wide_checkpoint_the_narrow_form_holds():
                            45 + 4 + len(body), 0, 0, -1, 0, 0)
                + struct.pack("<I", len(body)) + body)
     with pytest.raises(LogError, match="narrow one fits"):
-        LogRecord.decode(widened)
+        agreed(widened)
     needed = bytearray(widened)
     # the second dirty page's rec_lsn: 45 header, 4 length, 12 counts,
     # 16 for the first pair, 8 for the page id
     struct.pack_into("<q", needed, 45 + 4 + 12 + 16 + 8, 2**32)
-    assert LogRecord.decode(bytes(needed)).checkpoint.dirty_pages[10] == 2**32
+    assert agreed(bytes(needed)).checkpoint.dirty_pages[10] == 2**32
     narrow = checkpoint_end(checkpoint)
     assert not narrow[0] & 0x40
     for cut in (1, 8, 9):
         short = bytearray(narrow[:-cut])
         struct.pack_into("<H", short, 1, len(short))
         with pytest.raises(LogError):
-            LogRecord.decode(bytes(short))
+            agreed(bytes(short))
 
 
 def _widened(encoded: bytes) -> bytes:
@@ -1270,11 +1279,11 @@ def test_decode_refuses_a_second_encoding_of_any_record():
             continue  # their wide entries: see their own tests
         widened = _widened(encode(record))
         with pytest.raises(LogError, match="narrow one fits"):
-            LogRecord.decode(widened)
+            agreed(widened)
         # The same frame is accepted once a field needs it.
         needed = bytearray(widened)
         struct.pack_into("<q", needed, 5, 2**32)
-        assert LogRecord.decode(bytes(needed)).txn_id == 2**32
+        assert agreed(bytes(needed)).txn_id == 2**32
     # Unknown kinds in the low six bits, under either form and with the
     # commit bit.
     good = encode(LogRecord(LogRecordKind.COMMIT, txn_id=1))
@@ -1282,7 +1291,7 @@ def test_decode_refuses_a_second_encoding_of_any_record():
         for high in (0, 0x40, 0x80, 0xC0):
             raw = bytes([low | high]) + good[1:]
             with pytest.raises(LogError):
-                LogRecord.decode(raw)
+                agreed(raw)
     # An UPDATE that spells out a before-image its op already holds is
     # not what the encoder writes.
     op = OpUpdateValue(1, b"same", b"new").encode()
@@ -1294,7 +1303,7 @@ def test_decode_refuses_a_second_encoding_of_any_record():
                                    b"same").encode())
     struct.pack_into("<H", written_twice, 1, len(written_twice))
     with pytest.raises(LogError, match="own encoding"):
-        LogRecord.decode(bytes(written_twice))
+        agreed(bytes(written_twice))
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.btree.verify import verify_tree
 from repro.core.backup import BackupPolicy
 from repro.engine.database import Database
-from repro.wal.records import LogRecord
 from tests.conftest import (
     assert_identical_recovery,
     clone_crashed,
@@ -22,7 +21,8 @@ from tests.conftest import (
     key_of,
     value_of,
 )
-from tests.record_reference import encode
+from tests.record_reference import (LogRecord, all_records, encode, record_at,
+                                    records_from)
 
 #: the first transaction id of the stream: 8 ids below the wide form
 TXN_START = 2**32 - 8
@@ -57,13 +57,13 @@ def prepared():  # noqa: ANN201
 
 def test_the_stream_crosses_from_narrow_to_wide_and_round_trips():
     db, _tree, _model, _backup, stream_start = prepared()
-    stream = db.log.records_from(stream_start)
+    stream = records_from(db.log, stream_start)
     first_txn = next(r.txn_id for r in stream if r.txn_id)
     assert first_txn == TXN_START
     forms = [_is_wide(r) for r in stream if r.txn_id]
     crossing = forms.index(True)
     assert 0 < crossing and not any(forms[:crossing]) and all(forms[crossing:])
-    for record in db.log.all_records():
+    for record in all_records(db.log):
         decoded = LogRecord.decode(encode(record))
         decoded.lsn = record.lsn
         assert decoded == record
@@ -111,7 +111,7 @@ def test_a_leaf_is_repaired_through_a_chain_of_both_forms():
     db.pool.unfix(leaf)
     replayed = []
     for _ in range(event.records_replayed):
-        record = db.log.record_at(lsn)
+        record = record_at(db.log, lsn)
         assert record.page_id == leaf
         replayed.append(_is_wide(record))
         lsn = record.page_prev_lsn
