@@ -144,10 +144,12 @@ class Session:
 
     def lookup(self, tree, key: bytes):  # noqa: ANN001, ANN201
         """Read under the shared latch: concurrent with other readers,
-        excluded only by writers.  Does not acquire the key lock, so it
-        may observe a pending loser's not-yet-rolled-back value during
-        an on-demand restart — the same read-uncommitted view a
-        traditional engine's dirty read would see."""
+        excluded only by writers.  Takes no key lock, so it may return a
+        value whose writer has not committed — an open transaction's, or
+        a pending loser's not yet rolled back during an on-demand
+        restart: a read-uncommitted view, under which a transaction can
+        commit what it read of a write that is then rolled back (Adya's
+        G1a; ROADMAP item 12 chooses the isolation level)."""
         with self.db.latch.shared():
             return tree.lookup(key)
 
