@@ -243,8 +243,8 @@ def note_txn_record(att: dict[int, tuple[int, bool]], lsn: int, kind: int,
 def _analysis(db, report: RestartReport):  # noqa: ANN001
     """One scan of headers from the master checkpoint, a body read in
     place only where analysis reads it (checkpoint, PRI and backup
-    records):
-    the DPT, the ATT, the LSNs to redo per page and the top txn id."""
+    records): the DPT, the ATT, the LSNs to redo per page and the top
+    txn id."""
     cfg = db.config
     start_lsn = db.log.master_checkpoint_lsn or LOG_START
     dpt: dict[int, int] = {}
