@@ -313,8 +313,9 @@ class Standby:
     def promote(self, restart_mode: str | None = None):  # noqa: ANN201 - Database
         """Failover: open the standby as the new primary.
 
-        Installs the applied pages on the standby's device, then opens
-        a :class:`~repro.engine.database.Database` over a
+        Installs the applied pages on the standby's device — one device
+        request, so each run of consecutive page ids is one extent —
+        then opens a :class:`~repro.engine.database.Database` over a
         :class:`~repro.engine.database.DurableState` of that device, the
         log replica and a new backup store (the path a crashed engine
         reopens by) and runs the normal restart machinery: analysis
@@ -341,10 +342,11 @@ class Standby:
                 f"cannot promote standby '{self.name}': it is down")
         check_recovery_mode("restart mode",
                             restart_mode or self.config.restart_mode)
-        for page_id in sorted(self.pages):
-            copy = self.pages[page_id].copy()
-            copy.seal()
-            self.device.write(page_id, copy.data)
+        with self.device.request():
+            for page_id in sorted(self.pages):
+                copy = self.pages[page_id].copy()
+                copy.seal()
+                self.device.write(page_id, copy.data)
         self._standby_promotions.inc()
         cfg = self.config
         # The adopted log names the old primary's full backups: number

@@ -17,7 +17,7 @@ from repro.errors import (
     ReplicationError,
     ReplicationLagError,
 )
-from repro.sim.iomodel import HDD_PROFILE
+from repro.sim.iomodel import FLASH_PROFILE, HDD_PROFILE
 from repro.wal.records import LogRecordKind, read_header
 from tests.conftest import fast_config, key_of, value_of
 
@@ -287,6 +287,31 @@ class TestPromote:
         ptree = promoted.tree(tree.index_id)
         for i in (0, 150, 299):
             assert ptree.lookup(key_of(i)) == value_of(i, 1)
+
+    def test_promote_installs_its_pages_one_request_per_extent(self):
+        """The applied pages go to the device as one request: each run of
+        consecutive page ids is one extent, whatever the device."""
+        db, tree = loaded(device_profile=FLASH_PROFILE)
+        standby = db.attach_standby()
+        update_all(db, tree, 1)
+        pages = sorted(standby.pages)
+        runs = 1 + sum(b != a + 1 for a, b in zip(pages, pages[1:]))
+        assert runs < len(pages)
+        opened, write = [], standby.device.write
+
+        def counted(page_id, data):  # noqa: ANN001, ANN202
+            requests = standby.stats.get("device_write_requests")
+            write(page_id, data)
+            opened.append((page_id, standby.stats.get(
+                "device_write_requests") - requests))
+
+        standby.device.write = counted
+        standby.promote()
+        # The install's writes come first; restart's and the backup's
+        # (if any) follow.
+        installed = opened[:len(pages)]
+        assert [page_id for page_id, _ in installed] == pages
+        assert sum(new for _, new in installed) == runs
 
     def test_promote_rolls_back_inflight_losers(self):
         """A transaction in flight at failover never committed; the
